@@ -110,17 +110,22 @@ func (ix *DiIndex) Query(u, v V) *DiSPG {
 // at its high-water mark); serving loops that answer-and-encode should
 // prefer it over Query.
 func (ix *DiIndex) QueryInto(dst *DiSPG, u, v V) *DiSPG {
+	ix.QueryIntoStats(dst, u, v)
+	return dst
+}
+
+// QueryIntoStats is QueryInto that reports query internals instead of
+// returning dst: the serving shape, one search into a recycled result.
+func (ix *DiIndex) QueryIntoStats(dst *DiSPG, u, v V) DiQueryStats {
 	sr := ix.pool.Get().(*dcore.Searcher)
 	defer ix.pool.Put(sr)
-	sr.QueryInto(dst, u, v)
-	return dst
+	return sr.QueryInto(dst, u, v)
 }
 
 // QueryWithStats answers SPG(u → v) and reports query internals.
 func (ix *DiIndex) QueryWithStats(u, v V) (*DiSPG, DiQueryStats) {
-	sr := ix.pool.Get().(*dcore.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.QueryWithStats(u, v)
+	spg := graph.NewDiSPG(u, v)
+	return spg, ix.QueryIntoStats(spg, u, v)
 }
 
 // Distance returns d_G(u → v) using the sketch-guided search without

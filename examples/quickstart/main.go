@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"qbs"
+	"qbs/internal/analysis"
 )
 
 func main() {
@@ -51,12 +52,9 @@ func main() {
 	}
 
 	// Every edge lies on a shortest path; count how many distinct
-	// shortest paths the answer encodes.
-	distFromU := map[qbs.V]int32{}
-	for _, w := range spg.Vertices() {
-		distFromU[w] = index.Distance(u, w)
-	}
-	n := spg.CountShortestPaths(func(x qbs.V) int32 { return distFromU[x] })
+	// shortest paths the answer encodes. The SPG layers itself: depth
+	// within it is distance from u, so no further index query is needed.
+	n, _ := analysis.BuildDAG(spg, nil).CountPaths()
 	fmt.Printf("  distinct shortest paths: %d\n", n)
 
 	// Compare against the index-free baseline.

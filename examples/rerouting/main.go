@@ -48,7 +48,7 @@ func main() {
 		if spg.Dist < 3 || spg.Dist == qbs.InfDist {
 			continue
 		}
-		dag := analysis.BuildDAG(spg, func(x qbs.V) int32 { return index.Distance(p.U, x) })
+		dag := analysis.BuildDAG(spg, nil) // layered from the SPG's own edges; no distance oracle
 		if dag == nil {
 			continue
 		}

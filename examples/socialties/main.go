@@ -52,7 +52,7 @@ func main() {
 		if spg.Dist == qbs.InfDist || spg.Dist < 2 {
 			continue
 		}
-		dag := analysis.BuildDAG(spg, func(x qbs.V) int32 { return index.Distance(p.U, x) })
+		dag := analysis.BuildDAG(spg, nil) // layered from the SPG's own edges; no distance oracle
 		if dag == nil {
 			continue
 		}

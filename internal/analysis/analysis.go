@@ -4,15 +4,19 @@
 // interdiction sets (critical vertices and edges whose removal destroys
 // all shortest paths), and shortest-path rerouting sequences.
 //
-// All functions operate on an SPG plus a distance oracle for its
-// vertices (any func(V) int32 giving the distance from the SPG source;
-// an Index.Distance closure works). The SPG is first converted into its
-// distance-layered DAG, the shared representation of this package.
+// All functions operate on an SPG alone; no distance oracle is needed.
+// By Definition 2.2 an SPG holds exactly all shortest Source–Target
+// paths, so every prefix of one lies inside it and the breadth-first
+// depth of a vertex within the SPG is its distance from Source in the
+// parent graph. One BFS over the SPG's own edges therefore yields the
+// distance-layered DAG, the shared representation of this package, and
+// the answer is layered on exactly the graph state it was computed on.
 package analysis
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"qbs/internal/graph"
 )
@@ -21,62 +25,224 @@ import (
 // every SPG edge appears once, pointing from the endpoint closer to the
 // source toward the endpoint closer to the target. Paths from Source to
 // Target in the DAG are exactly the shortest paths of the SPG.
+//
+// A DAG is slice-backed and reusable: Reset and ResetDi re-layer it for
+// another answer in its existing buffers, so a warm DAG layers and
+// counts without allocating. The zero value is ready for Reset.
 type DAG struct {
 	Source, Target graph.V
 	Dist           int32
-	// Next[v] lists the out-neighbours of v (toward Target), sorted.
-	Next map[graph.V][]graph.V
-	// Prev[v] lists the in-neighbours of v (toward Source), sorted.
-	Prev map[graph.V][]graph.V
-	// Depth[v] is the distance of v from Source.
-	Depth map[graph.V]int32
-	// Vertices in ascending depth order (ties by id).
+	// Vertices lists the vertices in ascending id order. It aliases
+	// internal storage: valid until the next Reset, not to be modified.
 	Vertices []graph.V
+
+	// Everything below is indexed by local id, the position of a vertex
+	// in Vertices.
+	src, dst int32      // Source and Target; -1 when absent
+	pairs    [][2]int32 // the input edges or arcs; layer rewrites them in local ids
+	off      []int32    // CSR row starts, len(Vertices)+1
+	end      []int32    // row v's depth-increasing arcs are nbr[off[v]:end[v]]
+	nbr      []int32    // CSR neighbours, ascending within a row
+	depth    []int32    // BFS depth from Source; -1 when unreachable
+	order    []int32    // reachable vertices in BFS order, a topological order
+	count    []int64    // saturating number of Source→v paths
 }
 
-// BuildDAG layers an SPG by distance from its source. distFromSource
-// must return d_G(Source, v) for every vertex of the SPG (e.g. an index
-// distance closure). Returns nil for trivial or disconnected SPGs.
+// BuildDAG layers an SPG by distance from its source. Returns nil for
+// trivial or disconnected SPGs.
+//
+// distFromSource is ignored and never invoked: the layering is derived
+// from the SPG's own edges. The parameter remains only because the
+// frozen benchmark directory compiles against this signature; the next
+// benchmark change removes it.
 func BuildDAG(spg *graph.SPG, distFromSource func(graph.V) int32) *DAG {
 	if spg.Dist == graph.InfDist || spg.Source == spg.Target {
 		return nil
 	}
-	d := &DAG{
-		Source: spg.Source,
-		Target: spg.Target,
-		Dist:   spg.Dist,
-		Next:   make(map[graph.V][]graph.V),
-		Prev:   make(map[graph.V][]graph.V),
-		Depth:  make(map[graph.V]int32),
-	}
-	for _, v := range spg.Vertices() {
-		d.Depth[v] = distFromSource(v)
-		d.Vertices = append(d.Vertices, v)
-	}
-	sort.Slice(d.Vertices, func(i, j int) bool {
-		di, dj := d.Depth[d.Vertices[i]], d.Depth[d.Vertices[j]]
-		if di != dj {
-			return di < dj
-		}
-		return d.Vertices[i] < d.Vertices[j]
-	})
-	for _, e := range spg.Edges() {
-		u, w := e.U, e.W
-		switch {
-		case d.Depth[u]+1 == d.Depth[w]:
-			d.Next[u] = append(d.Next[u], w)
-			d.Prev[w] = append(d.Prev[w], u)
-		case d.Depth[w]+1 == d.Depth[u]:
-			d.Next[w] = append(d.Next[w], u)
-			d.Prev[u] = append(d.Prev[u], w)
-		}
-	}
-	for _, m := range []map[graph.V][]graph.V{d.Next, d.Prev} {
-		for _, ns := range m {
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		}
-	}
+	d := new(DAG)
+	d.Reset(spg)
 	return d
+}
+
+// Reset re-layers d for an undirected SPG, reusing d's buffers. Each
+// edge is offered in both directions and the depth-increasing one kept.
+// The trivial pair gives the one-vertex DAG with one (empty) path; a
+// disconnected pair gives the empty DAG with none.
+//
+//qbs:zeroalloc
+func (d *DAG) Reset(spg *graph.SPG) {
+	d.Source, d.Target, d.Dist = spg.Source, spg.Target, spg.Dist
+	d.pairs = d.pairs[:0]
+	for _, e := range spg.Edges() {
+		d.pairs = append(d.pairs, [2]int32{e.U, e.W})
+	}
+	d.layer(false)
+}
+
+// ResetDi re-layers d for a directed SPG, reusing d's buffers. Arcs
+// are taken as given.
+//
+//qbs:zeroalloc
+func (d *DAG) ResetDi(spg *graph.DiSPG) {
+	d.Source, d.Target, d.Dist = spg.Source, spg.Target, spg.Dist
+	d.pairs = d.pairs[:0]
+	for _, a := range spg.Arcs() {
+		d.pairs = append(d.pairs, [2]int32{a.From, a.To})
+	}
+	d.layer(true)
+}
+
+// grow sizes the per-vertex buffers for n vertices and the CSR for m
+// entries, keeping each array that is already large enough. It is kept
+// out of line so that the escape gate charges its allocations here and
+// not to layer.
+//
+//go:noinline
+//qbs:allow zeroalloc grows recycled buffers to their high-water mark; a warm DAG finds them large enough
+func (d *DAG) grow(n, m int) {
+	d.off = slices.Grow(d.off[:0], n+1)[:n+1]
+	d.end = slices.Grow(d.end[:0], n)[:n]
+	d.depth = slices.Grow(d.depth[:0], n)[:n]
+	d.count = slices.Grow(d.count[:0], n)[:n]
+	d.nbr = slices.Grow(d.nbr[:0], m)[:m]
+}
+
+// local returns the local id of v, or -1 when v is not in the DAG.
+func (d *DAG) local(v graph.V) int32 {
+	if i, ok := slices.BinarySearch(d.Vertices, v); ok {
+		return int32(i)
+	}
+	return -1
+}
+
+// layer builds the DAG from d.pairs: the id-sorted vertex list, a CSR
+// over dense local ids, then one BFS from Source that assigns depths,
+// records a topological order and counts paths in the same pass.
+// Rows come out sorted because canonical edge and arc sets are.
+//
+//qbs:zeroalloc
+func (d *DAG) layer(directed bool) {
+	vs := d.Vertices[:0]
+	for _, p := range d.pairs {
+		vs = append(vs, p[0], p[1])
+	}
+	if d.Source == d.Target {
+		vs = append(vs, d.Source)
+	}
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
+	d.Vertices = vs
+	n := len(vs)
+	d.src, d.dst = d.local(d.Source), d.local(d.Target)
+	m := len(d.pairs)
+	if !directed {
+		m *= 2
+	}
+	d.grow(n, m)
+	off, end, nbr, depth, count := d.off, d.end, d.nbr, d.depth, d.count
+
+	clear(off)
+	for i, p := range d.pairs {
+		a, b := d.local(p[0]), d.local(p[1])
+		d.pairs[i] = [2]int32{a, b}
+		off[a+1]++
+		if !directed {
+			off[b+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	copy(end, off) // row fill cursors until the BFS has run
+	for _, p := range d.pairs {
+		a, b := p[0], p[1]
+		nbr[end[a]] = b
+		end[a]++
+		if !directed {
+			nbr[end[b]] = a
+			end[b]++
+		}
+	}
+
+	for i := range depth {
+		depth[i] = -1
+	}
+	clear(count)
+	order := d.order[:0]
+	if d.src >= 0 {
+		depth[d.src], count[d.src] = 0, 1
+		order = append(order, d.src)
+	}
+	for head := 0; head < len(order); head++ {
+		v := order[head]
+		dw, cv := depth[v]+1, count[v]
+		for _, w := range nbr[off[v]:off[v+1]] {
+			if depth[w] < 0 {
+				depth[w] = dw
+				order = append(order, w)
+			}
+			if depth[w] == dw {
+				count[w] = satAdd(count[w], cv)
+			}
+		}
+	}
+	d.order = order
+
+	copy(end, off)
+	for _, v := range order {
+		k := off[v]
+		for _, w := range nbr[k:off[v+1]] {
+			if depth[w] == depth[v]+1 {
+				nbr[k] = w
+				k++
+			}
+		}
+		end[v] = k
+	}
+}
+
+// next returns the out-neighbours of local vertex v, ascending.
+func (d *DAG) next(v int32) []int32 { return d.nbr[d.off[v]:d.end[v]] }
+
+// Next returns the out-neighbours of v (toward Target) in ascending id
+// order, or nil when v is not in the DAG.
+func (d *DAG) Next(v graph.V) []graph.V {
+	i := d.local(v)
+	if i < 0 {
+		return nil
+	}
+	var out []graph.V
+	for _, w := range d.next(i) {
+		out = append(out, d.Vertices[w])
+	}
+	return out
+}
+
+// Prev returns the in-neighbours of v (toward Source) in ascending id
+// order. The DAG stores out-arcs only, so Prev scans all of them; it is
+// for inspection, not for inner loops.
+func (d *DAG) Prev(v graph.V) []graph.V {
+	i := d.local(v)
+	if i < 0 {
+		return nil
+	}
+	var out []graph.V
+	for u := range d.Vertices {
+		if slices.Contains(d.next(int32(u)), i) {
+			out = append(out, d.Vertices[u])
+		}
+	}
+	return out
+}
+
+// Depth returns the distance of v from Source, or -1 when v is not in
+// the DAG or not reachable from Source within it.
+func (d *DAG) Depth(v graph.V) int32 {
+	i := d.local(v)
+	if i < 0 {
+		return -1
+	}
+	return d.depth[i]
 }
 
 // satAdd adds two non-negative path counts, saturating at MaxInt64.
@@ -101,141 +267,87 @@ func satMul(a, b int64) int64 {
 	return a * b
 }
 
-// CountPaths returns the number of distinct shortest paths, computed by
-// DP over the DAG. Path counts grow exponentially with distance (a
-// chain of d diamonds has 2^d shortest paths), so the count saturates
-// at math.MaxInt64 instead of silently overflowing; saturated reports
-// whether the ceiling was hit — the true count is then >= MaxInt64.
-// Returns (0, false) for nil DAGs.
+// CountPaths returns the number of distinct shortest paths, counted
+// while the DAG was layered. Path counts grow exponentially with
+// distance (a chain of d diamonds has 2^d shortest paths), so the count
+// saturates at math.MaxInt64 instead of silently overflowing; saturated
+// reports whether the ceiling was hit — the true count is then >=
+// MaxInt64. Returns (0, false) for nil and empty DAGs.
+//
+//qbs:zeroalloc
 func (d *DAG) CountPaths() (n int64, saturated bool) {
-	if d == nil {
+	if d == nil || d.dst < 0 {
 		return 0, false
 	}
-	from, sat := d.pathsFromSource()
-	total := from[d.Target]
-	return total, sat && total == math.MaxInt64
+	n = d.count[d.dst]
+	return n, n == math.MaxInt64
 }
 
-// pathsFromSource counts paths Source→v for every DAG vertex,
-// saturating at MaxInt64; the second result reports whether any count
-// saturated.
-func (d *DAG) pathsFromSource() (map[graph.V]int64, bool) {
-	counts := map[graph.V]int64{d.Source: 1}
-	saturated := false
-	for _, v := range d.Vertices { // ascending depth: topological order
-		c := counts[v]
-		if c == 0 {
-			continue
-		}
-		for _, w := range d.Next[v] {
-			s := satAdd(counts[w], c)
-			if s == math.MaxInt64 {
-				saturated = true
-			}
-			counts[w] = s
+// pathsToTarget counts paths v→Target for every DAG vertex by local
+// id, saturating at MaxInt64.
+func (d *DAG) pathsToTarget() []int64 {
+	to := make([]int64, len(d.Vertices))
+	if d.dst < 0 {
+		return to
+	}
+	to[d.dst] = 1
+	for i := len(d.order) - 1; i >= 0; i-- { // descending depth
+		v := d.order[i]
+		for _, w := range d.next(v) {
+			to[v] = satAdd(to[v], to[w])
 		}
 	}
-	return counts, saturated
-}
-
-// pathsToTarget counts paths v→Target for every DAG vertex, saturating
-// at MaxInt64.
-func (d *DAG) pathsToTarget() (map[graph.V]int64, bool) {
-	counts := map[graph.V]int64{d.Target: 1}
-	saturated := false
-	for i := len(d.Vertices) - 1; i >= 0; i-- { // descending depth
-		v := d.Vertices[i]
-		c := counts[v]
-		if c == 0 {
-			continue
-		}
-		for _, w := range d.Prev[v] {
-			s := satAdd(counts[w], c)
-			if s == math.MaxInt64 {
-				saturated = true
-			}
-			counts[w] = s
-		}
-	}
-	return counts, saturated
+	return to
 }
 
 // CountDiPaths counts the distinct shortest directed Source→Target
-// paths of a DiSPG by the same layered DP, saturating at MaxInt64.
-// distFromSource must give d(Source, v) for every DiSPG vertex (an
-// index Distance closure works). Arcs already carry their orientation,
-// so no re-layering of edges is needed — only a depth-sorted vertex
-// order. Returns (0, false) for disconnected pairs and (1, false) for
-// the trivial pair.
+// paths of a DiSPG, saturating at MaxInt64. Returns (0, false) for
+// disconnected pairs and (1, false) for the trivial pair.
+//
+// distFromSource is ignored and never invoked; see BuildDAG.
 func CountDiPaths(spg *graph.DiSPG, distFromSource func(graph.V) int32) (n int64, saturated bool) {
-	if spg.Source == spg.Target {
-		return 1, false
-	}
-	if spg.Dist == graph.InfDist {
-		return 0, false
-	}
-	vs := spg.Vertices()
-	depth := make(map[graph.V]int32, len(vs))
-	for _, v := range vs {
-		depth[v] = distFromSource(v)
-	}
-	sort.Slice(vs, func(i, j int) bool {
-		di, dj := depth[vs[i]], depth[vs[j]]
-		if di != dj {
-			return di < dj
-		}
-		return vs[i] < vs[j]
-	})
-	next := make(map[graph.V][]graph.V, len(vs))
-	for _, a := range spg.Arcs() {
-		if depth[a.From]+1 == depth[a.To] {
-			next[a.From] = append(next[a.From], a.To)
-		}
-	}
-	counts := map[graph.V]int64{spg.Source: 1}
-	for _, v := range vs {
-		c := counts[v]
-		if c == 0 {
-			continue
-		}
-		for _, w := range next[v] {
-			s := satAdd(counts[w], c)
-			if s == math.MaxInt64 {
-				saturated = true
-			}
-			counts[w] = s
-		}
-	}
-	total := counts[spg.Target]
-	return total, saturated && total == math.MaxInt64
+	var d DAG
+	d.ResetDi(spg)
+	return d.CountPaths()
 }
 
 // EnumeratePaths lists up to limit shortest paths in lexicographic
 // order of their vertex sequences (limit ≤ 0 = unlimited; beware of
 // exponential path counts).
 func (d *DAG) EnumeratePaths(limit int) [][]graph.V {
-	if d == nil {
+	if d == nil || d.src < 0 {
 		return nil
 	}
 	var out [][]graph.V
-	var dfs func(v graph.V, path []graph.V) bool
-	dfs = func(v graph.V, path []graph.V) bool {
-		if limit > 0 && len(out) >= limit {
-			return false
-		}
-		if v == d.Target {
-			out = append(out, append([]graph.V(nil), path...))
-			return limit <= 0 || len(out) < limit
-		}
-		for _, w := range d.Next[v] {
-			if !dfs(w, append(path, w)) {
-				return false
+	var path []graph.V
+	var walk func(v int32) bool
+	walk = func(v int32) bool {
+		path = append(path, d.Vertices[v])
+		more := true
+		if v == d.dst {
+			out = append(out, slices.Clone(path))
+			more = limit <= 0 || len(out) < limit
+		} else {
+			for _, w := range d.next(v) {
+				if more = walk(w); !more {
+					break
+				}
 			}
 		}
-		return true
+		path = path[:len(path)-1]
+		return more
 	}
-	dfs(d.Source, []graph.V{d.Source})
+	walk(d.src)
 	return out
+}
+
+// interior returns the vertices strictly between Source and Target as
+// local ids, in ascending depth.
+func (d *DAG) interior() []int32 {
+	if d == nil || d.dst < 0 {
+		return nil
+	}
+	return slices.DeleteFunc(slices.Clone(d.order), func(v int32) bool { return v == d.src || v == d.dst })
 }
 
 // CommonLinks returns the interior vertices that lie on every shortest
@@ -245,22 +357,15 @@ func (d *DAG) EnumeratePaths(limit int) [][]graph.V {
 // CriticalVertices, which is count-free, when exactness matters on
 // astronomically path-rich pairs.)
 func (d *DAG) CommonLinks() []graph.V {
-	if d == nil {
-		return nil
-	}
-	from, _ := d.pathsFromSource()
-	to, _ := d.pathsToTarget()
-	total := from[d.Target]
+	total, _ := d.CountPaths()
 	if total == 0 {
 		return nil
 	}
+	to := d.pathsToTarget()
 	var out []graph.V
-	for _, v := range d.Vertices {
-		if v == d.Source || v == d.Target {
-			continue
-		}
-		if satMul(from[v], to[v]) == total {
-			out = append(out, v)
+	for _, v := range d.interior() {
+		if satMul(d.count[v], to[v]) == total {
+			out = append(out, d.Vertices[v])
 		}
 	}
 	return out
@@ -273,18 +378,14 @@ func (d *DAG) PathBetweenness() map[graph.V]float64 {
 	if d == nil {
 		return nil
 	}
-	from, _ := d.pathsFromSource()
-	to, _ := d.pathsToTarget()
-	total := from[d.Target]
 	out := make(map[graph.V]float64)
+	total, _ := d.CountPaths()
 	if total == 0 {
 		return out
 	}
-	for _, v := range d.Vertices {
-		if v == d.Source || v == d.Target {
-			continue
-		}
-		out[v] = float64(satMul(from[v], to[v])) / float64(total)
+	to := d.pathsToTarget()
+	for _, v := range d.interior() {
+		out[d.Vertices[v]] = float64(satMul(d.count[v], to[v])) / float64(total)
 	}
 	return out
 }
@@ -296,16 +397,11 @@ func (d *DAG) PathBetweenness() map[graph.V]float64 {
 // independently by reachability, which tests exploit as a
 // cross-check.
 func (d *DAG) CriticalVertices() []graph.V {
-	if d == nil {
-		return nil
-	}
 	var out []graph.V
-	for _, v := range d.Vertices {
-		if v == d.Source || v == d.Target {
-			continue
-		}
-		if !d.reachableAvoiding(v, graph.Edge{U: -1, W: -1}) {
-			out = append(out, v)
+	var seen []bool
+	for _, v := range d.interior() {
+		if seen = d.reachableAvoiding(seen, v, [2]int32{-1, -1}); !seen[d.dst] {
+			out = append(out, d.Vertices[v])
 		}
 	}
 	return out
@@ -314,53 +410,47 @@ func (d *DAG) CriticalVertices() []graph.V {
 // CriticalEdges solves edge interdiction on the SPG: the edges whose
 // removal destroys every shortest path.
 func (d *DAG) CriticalEdges() []graph.Edge {
-	if d == nil {
+	if d == nil || d.dst < 0 {
 		return nil
 	}
 	var out []graph.Edge
-	for _, v := range d.Vertices {
-		for _, w := range d.Next[v] {
-			e := graph.Edge{U: v, W: w}.Normalize()
-			if !d.reachableAvoiding(-1, e) {
-				out = append(out, e)
+	var seen []bool
+	for _, v := range d.order {
+		for _, w := range d.next(v) {
+			if seen = d.reachableAvoiding(seen, -1, [2]int32{v, w}); !seen[d.dst] {
+				out = append(out, graph.Edge{U: d.Vertices[v], W: d.Vertices[w]}.Normalize())
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].W < out[j].W
+	slices.SortFunc(out, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.W, b.W))
 	})
 	return out
 }
 
-// reachableAvoiding BFSes Source→Target over the DAG skipping a banned
-// vertex and/or banned edge.
-func (d *DAG) reachableAvoiding(banned graph.V, bannedEdge graph.Edge) bool {
-	if d.Source == banned || d.Target == banned {
-		return false
+// reachableAvoiding marks, in seen (reused across calls), the vertices
+// reachable from Source over the DAG without entering the banned vertex
+// or crossing the banned arc.
+func (d *DAG) reachableAvoiding(seen []bool, banned int32, bannedArc [2]int32) []bool {
+	seen = slices.Grow(seen[:0], len(d.Vertices))[:len(d.Vertices)]
+	clear(seen)
+	if d.src == banned {
+		return seen
 	}
-	seen := map[graph.V]bool{d.Source: true}
-	queue := []graph.V{d.Source}
+	seen[d.src] = true
+	queue := []int32{d.src}
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		if v == d.Target {
-			return true
-		}
-		for _, w := range d.Next[v] {
-			if w == banned || seen[w] {
-				continue
-			}
-			if e := (graph.Edge{U: v, W: w}.Normalize()); e == bannedEdge {
+		for _, w := range d.next(v) {
+			if w == banned || seen[w] || [2]int32{v, w} == bannedArc {
 				continue
 			}
 			seen[w] = true
 			queue = append(queue, w)
 		}
 	}
-	return false
+	return seen
 }
 
 // Reroute finds a shortest rerouting sequence between two shortest

@@ -11,9 +11,7 @@ import (
 
 // dagFor builds the DAG of the oracle SPG for a pair.
 func dagFor(g *graph.Graph, u, v graph.V) *DAG {
-	spg := bfs.OracleSPG(g, u, v)
-	dist := bfs.Distances(g, u)
-	return BuildDAG(spg, func(x graph.V) int32 { return dist[x] })
+	return BuildDAG(bfs.OracleSPG(g, u, v), nil)
 }
 
 // diamond is two parallel 2-hop routes plus a long detour:
@@ -33,19 +31,35 @@ func TestBuildDAGLayers(t *testing.T) {
 	if len(d.Vertices) != 4 {
 		t.Fatalf("vertices: %v", d.Vertices)
 	}
-	if got := d.Next[0]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Next[0] = %v", got)
+	if got := d.Next(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("Next(0) = %v", got)
 	}
-	if got := d.Prev[3]; len(got) != 2 {
-		t.Fatalf("Prev[3] = %v", got)
+	if got := d.Prev(3); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("Prev(3) = %v", got)
+	}
+	if d.Depth(0) != 0 || d.Depth(2) != 1 || d.Depth(3) != 2 || d.Depth(5) != -1 {
+		t.Fatalf("depths: %d %d %d %d", d.Depth(0), d.Depth(2), d.Depth(3), d.Depth(5))
 	}
 }
 
 func TestBuildDAGTrivial(t *testing.T) {
 	g := diamond()
 	spg := bfs.OracleSPG(g, 0, 0)
-	if BuildDAG(spg, func(graph.V) int32 { return 0 }) != nil {
+	if BuildDAG(spg, nil) != nil {
 		t.Fatal("trivial SPG must give nil DAG")
+	}
+	// A reset DAG holds the trivial answer itself: one vertex, one path.
+	var d DAG
+	d.Reset(spg)
+	if n, _ := d.CountPaths(); n != 1 || len(d.Vertices) != 1 || d.Vertices[0] != 0 {
+		t.Fatalf("trivial DAG: %d paths over %v", n, d.Vertices)
+	}
+	if p := d.EnumeratePaths(0); len(p) != 1 || len(p[0]) != 1 {
+		t.Fatalf("trivial paths = %v", p)
+	}
+	d.Reset(graph.NewSPG(0, 3)) // disconnected
+	if n, _ := d.CountPaths(); n != 0 || len(d.Vertices) != 0 || d.EnumeratePaths(0) != nil {
+		t.Fatalf("disconnected DAG: %d paths over %v", n, d.Vertices)
 	}
 }
 
@@ -60,6 +74,15 @@ func TestCountPaths(t *testing.T) {
 	// Grid corner to corner: binomial(4,2)=6 monotone paths on 3x3.
 	if n, _ := dagFor(graph.Grid(3, 3), 0, 8).CountPaths(); n != 6 {
 		t.Fatalf("grid paths = %d, want 6", n)
+	}
+	// Figure 1(b)-style: two vertices joined by three length-3 paths.
+	three := graph.MustFromEdges(8, []graph.Edge{
+		{U: 0, W: 1}, {U: 1, W: 2}, {U: 2, W: 7},
+		{U: 0, W: 3}, {U: 3, W: 4}, {U: 4, W: 7},
+		{U: 0, W: 5}, {U: 5, W: 6}, {U: 6, W: 7},
+	})
+	if n, _ := dagFor(three, 0, 7).CountPaths(); n != 3 {
+		t.Fatalf("three-route paths = %d, want 3", n)
 	}
 }
 
@@ -261,9 +284,8 @@ func TestCountPathsSaturates(t *testing.T) {
 	}
 
 	// The backward DP saturates consistently too.
-	to, toSat := d.pathsToTarget()
-	if to[u] != math.MaxInt64 || !toSat {
-		t.Fatalf("pathsToTarget: %d (sat %v)", to[u], toSat)
+	if to := d.pathsToTarget(); to[d.src] != math.MaxInt64 {
+		t.Fatalf("pathsToTarget: %d", to[d.src])
 	}
 
 	// Saturated counts must not panic the derived analyses (CommonLinks

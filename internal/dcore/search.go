@@ -140,8 +140,7 @@ func (sr *Searcher) Query(u, v graph.V) *graph.DiSPG {
 // second sketch pass.
 func (sr *Searcher) QueryWithStats(u, v graph.V) (*graph.DiSPG, QueryStats) {
 	spg := graph.NewDiSPG(u, v)
-	st := sr.query(spg, u, v, true)
-	return spg, st
+	return spg, sr.QueryInto(spg, u, v)
 }
 
 // QueryInto answers SPG(u → v) into a caller-owned result, resetting it
@@ -150,9 +149,9 @@ func (sr *Searcher) QueryWithStats(u, v graph.V) (*graph.DiSPG, QueryStats) {
 // mark).
 //
 //qbs:zeroalloc
-func (sr *Searcher) QueryInto(spg *graph.DiSPG, u, v graph.V) {
+func (sr *Searcher) QueryInto(spg *graph.DiSPG, u, v graph.V) QueryStats {
 	spg.Reset(u, v)
-	sr.query(spg, u, v, true)
+	return sr.query(spg, u, v, true)
 }
 
 // Distance returns d_G(u → v) using the same sketch-guided machinery but

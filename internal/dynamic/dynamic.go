@@ -612,19 +612,12 @@ func (d *Index) Query(u, v graph.V) *graph.SPG {
 }
 
 // QueryInto answers SPG(u, v) on the current snapshot into a
-// caller-owned result, resetting it first; see core.Searcher.QueryInto.
-func (d *Index) QueryInto(dst *graph.SPG, u, v graph.V) *graph.SPG {
+// caller-owned result, resetting it first, and reports query internals;
+// see core.Searcher.QueryInto.
+func (d *Index) QueryInto(dst *graph.SPG, u, v graph.V) core.QueryStats {
 	sr := d.searcher(d.cur.Load())
 	defer d.pool.Put(sr)
-	sr.QueryInto(dst, u, v)
-	return dst
-}
-
-// QueryWithStats answers SPG(u, v) with query internals.
-func (d *Index) QueryWithStats(u, v graph.V) (*graph.SPG, core.QueryStats) {
-	sr := d.searcher(d.cur.Load())
-	defer d.pool.Put(sr)
-	return sr.QueryWithStats(u, v)
+	return sr.QueryInto(dst, u, v)
 }
 
 // Distance returns d_G(u, v) on the current snapshot.

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -44,20 +45,13 @@ func (s *DiSPG) Canonicalize() {
 	if s.canonical {
 		return
 	}
-	sort.Slice(s.arcs, func(i, j int) bool {
-		if s.arcs[i].From != s.arcs[j].From {
-			return s.arcs[i].From < s.arcs[j].From
-		}
-		return s.arcs[i].To < s.arcs[j].To
-	})
-	out := s.arcs[:0]
-	for i, a := range s.arcs {
-		if i == 0 || a != s.arcs[i-1] {
-			out = append(out, a)
-		}
-	}
-	s.arcs = out
+	slices.SortFunc(s.arcs, compareArcs)
+	s.arcs = slices.Compact(s.arcs)
 	s.canonical = true
+}
+
+func compareArcs(a, b Arc) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // Arcs returns the canonical sorted arc set (do not modify).
@@ -81,17 +75,12 @@ func (s *DiSPG) Vertices() []V {
 		}
 		return nil
 	}
-	set := map[V]struct{}{}
+	out := make([]V, 0, 2*len(s.arcs))
 	for _, a := range s.arcs {
-		set[a.From] = struct{}{}
-		set[a.To] = struct{}{}
+		out = append(out, a.From, a.To)
 	}
-	out := make([]V, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Equal reports whether two directed SPGs describe the same answer.

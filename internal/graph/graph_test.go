@@ -372,30 +372,3 @@ func TestSPGEqualAndVertices(t *testing.T) {
 		t.Fatalf("NumEdges = %d", a.NumEdges())
 	}
 }
-
-func TestSPGCountShortestPaths(t *testing.T) {
-	// Figure 1(b)-style: two vertices joined by three length-3 paths.
-	bld := NewBuilder(8)
-	u, v := V(0), V(7)
-	mids := [][2]V{{1, 2}, {3, 4}, {5, 6}}
-	for _, m := range mids {
-		bld.AddEdge(u, m[0])
-		bld.AddEdge(m[0], m[1])
-		bld.AddEdge(m[1], v)
-	}
-	g := bld.MustBuild()
-	spg := NewSPG(u, v)
-	spg.Dist = 3
-	for _, e := range g.Edges() {
-		spg.AddEdge(e.U, e.W)
-	}
-	distU := make([]int32, 8)
-	distU[0] = 0
-	for _, m := range mids {
-		distU[m[0]], distU[m[1]] = 1, 2
-	}
-	distU[7] = 3
-	if n := spg.CountShortestPaths(func(x V) int32 { return distU[x] }); n != 3 {
-		t.Fatalf("path count = %d, want 3", n)
-	}
-}

@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -56,14 +57,13 @@ func (s *SPG) Canonicalize() {
 	if s.canonical {
 		return
 	}
-	sort.Slice(s.edges, func(i, j int) bool {
-		if s.edges[i].U != s.edges[j].U {
-			return s.edges[i].U < s.edges[j].U
-		}
-		return s.edges[i].W < s.edges[j].W
-	})
+	slices.SortFunc(s.edges, compareEdges)
 	s.edges = dedupEdges(s.edges)
 	s.canonical = true
+}
+
+func compareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.W, b.W))
 }
 
 // Edges returns the canonical sorted edge set. The slice aliases internal
@@ -89,17 +89,12 @@ func (s *SPG) Vertices() []V {
 		}
 		return nil
 	}
-	set := make(map[V]struct{}, len(s.edges))
+	out := make([]V, 0, 2*len(s.edges))
 	for _, e := range s.edges {
-		set[e.U] = struct{}{}
-		set[e.W] = struct{}{}
+		out = append(out, e.U, e.W)
 	}
-	out := make([]V, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Equal reports whether two SPGs describe the same answer: same pair
@@ -123,47 +118,6 @@ func (s *SPG) Equal(t *SPG) bool {
 		}
 	}
 	return true
-}
-
-// CountShortestPaths counts the number of distinct shortest paths the
-// SPG encodes, by dynamic programming over the DAG induced by distance
-// levels from Source. distFromSource must give the distance of every SPG
-// vertex from Source within the SPG's parent graph. Used by examples and
-// tests (e.g. verifying Figure 1-style multiplicity).
-func (s *SPG) CountShortestPaths(distFromSource func(V) int32) int64 {
-	if s.Source == s.Target {
-		return 1
-	}
-	if s.Dist == InfDist {
-		return 0
-	}
-	adj := make(map[V][]V)
-	for _, e := range s.Edges() {
-		du, dw := distFromSource(e.U), distFromSource(e.W)
-		switch {
-		case du+1 == dw:
-			adj[e.U] = append(adj[e.U], e.W)
-		case dw+1 == du:
-			adj[e.W] = append(adj[e.W], e.U)
-		}
-	}
-	memo := make(map[V]int64)
-	var count func(v V) int64
-	count = func(v V) int64 {
-		if v == s.Target {
-			return 1
-		}
-		if c, ok := memo[v]; ok {
-			return c
-		}
-		var c int64
-		for _, w := range adj[v] {
-			c += count(w)
-		}
-		memo[v] = c
-		return c
-	}
-	return count(s.Source)
 }
 
 // Verify checks the defining property of a shortest path graph against

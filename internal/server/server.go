@@ -19,6 +19,11 @@
 //	GET /metrics                  request/error counters, epoch, replication lag
 //	GET /healthz                  liveness
 //
+// /spg and /paths run one index search per request. Vertices, depths and
+// num_shortest_paths are derived from the answer's own edges
+// (internal/analysis needs no distance oracle), so a reply describes
+// exactly one graph state even while writes land.
+//
 // On dynamic servers the query endpoints accept &min_epoch=<n>: the
 // read is answered only once the index has published at least that
 // epoch, and a server still behind responds 503 with a Retry-After
@@ -54,13 +59,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"qbs"
@@ -71,8 +79,7 @@ import (
 // backend is the query surface shared by the immutable and mutable
 // index types.
 type backend interface {
-	Query(u, v qbs.V) *qbs.SPG
-	QueryWithStats(u, v qbs.V) (*qbs.SPG, qbs.QueryStats)
+	QueryIntoStats(dst *qbs.SPG, u, v qbs.V) qbs.QueryStats
 	Distance(u, v qbs.V) int32
 	Sketch(u, v qbs.V) *qbs.Sketch
 	Landmarks() []qbs.V
@@ -629,14 +636,6 @@ func markParse(r *http.Request, start time.Time) {
 	obs.FromContext(r.Context()).SetStage(obs.StageParse, time.Since(start).Nanoseconds())
 }
 
-// writeJSONTraced is writeJSON with the serialization span recorded
-// onto the request trace.
-func writeJSONTraced(w http.ResponseWriter, r *http.Request, status int, body any) {
-	start := time.Now()
-	writeJSON(w, status, body)
-	obs.FromContext(r.Context()).SetStage(obs.StageSerialize, time.Since(start).Nanoseconds())
-}
-
 func (s *Server) handleEdgesMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Allow", "POST, DELETE")
 	writeJSON(w, http.StatusMethodNotAllowed, errorBody{
@@ -679,12 +678,14 @@ func (s *Server) parseVertex(w http.ResponseWriter, name, raw string) (qbs.V, bo
 	return qbs.V(id), true
 }
 
-func (s *Server) pair(w http.ResponseWriter, r *http.Request) (u, v qbs.V, ok bool) {
-	u, ok = s.parseVertex(w, "u", r.URL.Query().Get("u"))
+// pair parses the u and v parameters out of q, the request's query
+// string, which every read handler parses once and hands down.
+func (s *Server) pair(w http.ResponseWriter, q url.Values) (u, v qbs.V, ok bool) {
+	u, ok = s.parseVertex(w, "u", q.Get("u"))
 	if !ok {
 		return
 	}
-	v, ok = s.parseVertex(w, "v", r.URL.Query().Get("v"))
+	v, ok = s.parseVertex(w, "v", q.Get("v"))
 	return
 }
 
@@ -694,8 +695,8 @@ func (s *Server) pair(w http.ResponseWriter, r *http.Request) (u, v qbs.V, ok bo
 // with Retry-After so clients (and the query router) can go elsewhere.
 // Epochs are monotonic, so a snapshot resolved after this check is at
 // least as fresh as the epoch observed here.
-func (s *Server) freshEnough(w http.ResponseWriter, r *http.Request) bool {
-	raw := r.URL.Query().Get("min_epoch")
+func (s *Server) freshEnough(w http.ResponseWriter, q url.Values) bool {
+	raw := q.Get("min_epoch")
 	if raw == "" || s.dyn == nil {
 		return true
 	}
@@ -785,44 +786,102 @@ func coverageName(c qbs.QueryStats) string {
 	}
 }
 
-func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
-	pStart := time.Now()
-	if !s.freshEnough(w, r) {
+// scratch is the per-request working set of /spg and /paths: the query
+// result, its layering and the storage the response is assembled and
+// encoded in. A response aliases its scratch, so the scratch returns to
+// the pool only after the body has been written.
+type scratch struct {
+	spg        qbs.SPG
+	dispg      qbs.DiSPG
+	dag        analysis.DAG
+	edges      [][2]int32
+	dist, dTop int32
+	buf        bytes.Buffer
+	enc        *json.Encoder // encodes into buf
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(scratch)
+	sc.enc = json.NewEncoder(&sc.buf)
+	sc.enc.SetEscapeHTML(false)
+	return sc
+}}
+
+// maxPooledEdges is the largest answer whose scratch is kept. Buffers
+// grow to the largest answer they ever held, so a scratch that served a
+// bigger one (or a body past the ~16 bytes per edge such an answer
+// encodes to) is left to the collector instead: one outsized query must
+// not pin its megabytes in the pool for the life of the process.
+const maxPooledEdges = 1 << 16
+
+func (sc *scratch) release() {
+	if max(sc.spg.NumEdges(), sc.dispg.NumArcs()) > maxPooledEdges || sc.buf.Len() > 16*maxPooledEdges {
 		return
 	}
-	u, v, ok := s.pair(w, r)
+	scratchPool.Put(sc)
+}
+
+// send encodes body into the scratch buffer and writes it in one piece
+// under its Content-Length; both are the request's serialize stage.
+func (sc *scratch) send(w http.ResponseWriter, r *http.Request, body any) {
+	start := time.Now()
+	sc.buf.Reset()
+	_ = sc.enc.Encode(body) // bodies hold only numbers, strings and slices of them
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(sc.buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.buf.Bytes())
+	obs.FromContext(r.Context()).SetStage(obs.StageSerialize, time.Since(start).Nanoseconds())
+}
+
+// sendSPG completes resp from the scratch, whose dag and edges hold the
+// layered answer, and sends it. Vertices and path count are read off
+// the answer's own edges, never asked of the index again, so a reply
+// cannot mix two epochs.
+func (sc *scratch) sendSPG(w http.ResponseWriter, r *http.Request, resp SPGResponse, dist, dTop int32) {
+	if dist == qbs.InfDist {
+		resp.Disconnected = true
+	} else {
+		sc.dist, sc.dTop = dist, dTop
+		resp.Distance = &sc.dist
+		if dTop != qbs.InfDist {
+			resp.DTop = &sc.dTop
+		}
+		resp.Vertices = sc.dag.Vertices
+		if len(sc.edges) > 0 { // the trivial pair's empty list stays null on the wire
+			resp.Edges = sc.edges
+		}
+		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
+	}
+	sc.send(w, r, &resp)
+}
+
+func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
+	pStart := time.Now()
+	q := r.URL.Query()
+	if !s.freshEnough(w, q) {
+		return
+	}
+	u, v, ok := s.pair(w, q)
 	if !ok {
 		return
 	}
 	markParse(r, pStart)
-	spg, st := s.b.QueryWithStats(u, v)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	st := s.b.QueryIntoStats(&sc.spg, u, v)
 	s.recordQuery(r, u, v, st)
-	resp := SPGResponse{
+	sc.dag.Reset(&sc.spg)
+	sc.edges = sc.edges[:0]
+	for _, e := range sc.spg.Edges() {
+		sc.edges = append(sc.edges, [2]int32{e.U, e.W})
+	}
+	sc.sendSPG(w, r, SPGResponse{
 		Source:      u,
 		Target:      v,
 		ArcsScanned: st.ArcsScanned,
 		Coverage:    coverageName(st),
-	}
-	if spg.Dist == qbs.InfDist {
-		resp.Disconnected = true
-	} else {
-		d := spg.Dist
-		resp.Distance = &d
-		if st.DTop != qbs.InfDist {
-			dt := st.DTop
-			resp.DTop = &dt
-		}
-		resp.Vertices = spg.Vertices()
-		for _, e := range spg.Edges() {
-			resp.Edges = append(resp.Edges, [2]int32{e.U, e.W})
-		}
-		if dag := analysis.BuildDAG(spg, func(x qbs.V) int32 { return s.b.Distance(u, x) }); dag != nil {
-			resp.NumPaths, resp.NumPathsSaturated = dag.CountPaths()
-		} else if u == v {
-			resp.NumPaths = 1
-		}
-	}
-	writeJSONTraced(w, r, http.StatusOK, resp)
+	}, sc.spg.Dist, st.DTop)
 }
 
 // DistanceResponse is the JSON body of /distance.
@@ -834,10 +893,11 @@ type DistanceResponse struct {
 }
 
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
-	if !s.freshEnough(w, r) {
+	q := r.URL.Query()
+	if !s.freshEnough(w, q) {
 		return
 	}
-	u, v, ok := s.pair(w, r)
+	u, v, ok := s.pair(w, q)
 	if !ok {
 		return
 	}
@@ -861,10 +921,11 @@ type SketchResponse struct {
 }
 
 func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
-	if !s.freshEnough(w, r) {
+	q := r.URL.Query()
+	if !s.freshEnough(w, q) {
 		return
 	}
-	u, v, ok := s.pair(w, r)
+	u, v, ok := s.pair(w, q)
 	if !ok {
 		return
 	}
@@ -898,15 +959,16 @@ type PathsResponse struct {
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	pStart := time.Now()
-	if !s.freshEnough(w, r) {
+	q := r.URL.Query()
+	if !s.freshEnough(w, q) {
 		return
 	}
-	u, v, ok := s.pair(w, r)
+	u, v, ok := s.pair(w, q)
 	if !ok {
 		return
 	}
 	limit := 16
-	if raw := r.URL.Query().Get("limit"); raw != "" {
+	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 || n > 1024 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "limit must be in [1,1024]"})
@@ -915,32 +977,22 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	markParse(r, pStart)
-	resp := PathsResponse{Source: u, Target: v}
-	if u == v {
-		// The trivial pair: distance 0 and the one-vertex path [u],
-		// consistent with /spg (which reports distance 0 and one path).
-		zero := int32(0)
-		resp.Distance = &zero
-		resp.NumPaths = 1
-		resp.Paths = [][]int32{{int32(u)}}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	spg, st := s.b.QueryWithStats(u, v)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	st := s.b.QueryIntoStats(&sc.spg, u, v)
 	s.recordQuery(r, u, v, st)
-	if spg.Dist != qbs.InfDist {
-		d := spg.Dist
-		resp.Distance = &d
-		dag := analysis.BuildDAG(spg, func(x qbs.V) int32 { return s.b.Distance(u, x) })
-		if dag != nil {
-			resp.NumPaths, resp.NumPathsSaturated = dag.CountPaths()
-			for _, p := range dag.EnumeratePaths(limit) {
-				resp.Paths = append(resp.Paths, p)
-			}
-			resp.Truncated = resp.NumPaths > int64(len(resp.Paths))
-		}
+	resp := PathsResponse{Source: u, Target: v}
+	if sc.spg.Dist != qbs.InfDist {
+		sc.dist = sc.spg.Dist
+		resp.Distance = &sc.dist
+		// The trivial pair layers to the one-vertex DAG: distance 0 and
+		// the single path [u], consistent with /spg.
+		sc.dag.Reset(&sc.spg)
+		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
+		resp.Paths = sc.dag.EnumeratePaths(limit)
+		resp.Truncated = resp.NumPaths > int64(len(resp.Paths))
 	}
-	writeJSONTraced(w, r, http.StatusOK, resp)
+	sc.send(w, r, &resp)
 }
 
 // DynamicStatsResponse is the dynamic-maintenance section of /stats
@@ -1028,35 +1080,25 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // directed DAG the arcs already form.
 func (s *Server) handleDiSPG(w http.ResponseWriter, r *http.Request) {
 	pStart := time.Now()
-	u, v, ok := s.pair(w, r)
+	u, v, ok := s.pair(w, r.URL.Query())
 	if !ok {
 		return
 	}
 	markParse(r, pStart)
-	spg, st := s.di.QueryWithStats(u, v)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	st := s.di.QueryIntoStats(&sc.dispg, u, v)
 	s.recordDiQuery(r, u, v, st)
-	resp := SPGResponse{Source: u, Target: v, Directed: true, Coverage: "directed"}
-	if spg.Dist == qbs.InfDist {
-		resp.Disconnected = true
-	} else {
-		d := spg.Dist
-		resp.Distance = &d
-		if st.DTop != qbs.InfDist {
-			dt := st.DTop
-			resp.DTop = &dt
-		}
-		resp.Vertices = spg.Vertices()
-		for _, a := range spg.Arcs() {
-			resp.Edges = append(resp.Edges, [2]int32{a.From, a.To})
-		}
-		resp.NumPaths, resp.NumPathsSaturated = analysis.CountDiPaths(spg,
-			func(x qbs.V) int32 { return s.di.Distance(u, x) })
+	sc.dag.ResetDi(&sc.dispg)
+	sc.edges = sc.edges[:0]
+	for _, a := range sc.dispg.Arcs() {
+		sc.edges = append(sc.edges, [2]int32{a.From, a.To})
 	}
-	writeJSONTraced(w, r, http.StatusOK, resp)
+	sc.sendSPG(w, r, SPGResponse{Source: u, Target: v, Directed: true, Coverage: "directed"}, sc.dispg.Dist, st.DTop)
 }
 
 func (s *Server) handleDiDistance(w http.ResponseWriter, r *http.Request) {
-	u, v, ok := s.pair(w, r)
+	u, v, ok := s.pair(w, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -1071,7 +1113,7 @@ func (s *Server) handleDiDistance(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDiSketch(w http.ResponseWriter, r *http.Request) {
-	u, v, ok := s.pair(w, r)
+	u, v, ok := s.pair(w, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -1152,7 +1194,7 @@ func (s *Server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
 	if !s.drainBounded(w, r) {
 		return
 	}
-	u, v, ok := s.pair(w, r)
+	u, v, ok := s.pair(w, r.URL.Query())
 	if !ok {
 		return
 	}

@@ -178,17 +178,24 @@ func (ix *Index) Query(u, v V) *SPG {
 //
 //qbs:zeroalloc
 func (ix *Index) QueryInto(dst *SPG, u, v V) *SPG {
+	ix.QueryIntoStats(dst, u, v)
+	return dst
+}
+
+// QueryIntoStats is QueryInto that reports query internals instead of
+// returning dst: the serving shape, one search into a recycled result.
+//
+//qbs:zeroalloc
+func (ix *Index) QueryIntoStats(dst *SPG, u, v V) QueryStats {
 	sr := ix.pool.Get().(*core.Searcher)
 	defer ix.pool.Put(sr)
-	sr.QueryInto(dst, u, v)
-	return dst
+	return sr.QueryInto(dst, u, v)
 }
 
 // QueryWithStats answers SPG(u, v) and reports query internals.
 func (ix *Index) QueryWithStats(u, v V) (*SPG, QueryStats) {
-	sr := ix.pool.Get().(*core.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.QueryWithStats(u, v)
+	spg := graph.NewSPG(u, v)
+	return spg, ix.QueryIntoStats(spg, u, v)
 }
 
 // Distance returns d_G(u, v) using the sketch-guided search without path
@@ -377,11 +384,24 @@ func (di *DynamicIndex) Query(u, v V) *SPG { return di.d.Query(u, v) }
 // caller-owned result; see Index.QueryInto for the reuse contract.
 //
 //qbs:zeroalloc
-func (di *DynamicIndex) QueryInto(dst *SPG, u, v V) *SPG { return di.d.QueryInto(dst, u, v) }
+func (di *DynamicIndex) QueryInto(dst *SPG, u, v V) *SPG {
+	di.QueryIntoStats(dst, u, v)
+	return dst
+}
+
+// QueryIntoStats is QueryInto that reports query internals instead of
+// returning dst. Answer and stats come from the one snapshot the call
+// resolved.
+//
+//qbs:zeroalloc
+func (di *DynamicIndex) QueryIntoStats(dst *SPG, u, v V) QueryStats {
+	return di.d.QueryInto(dst, u, v)
+}
 
 // QueryWithStats answers SPG(u, v) with query internals.
 func (di *DynamicIndex) QueryWithStats(u, v V) (*SPG, QueryStats) {
-	return di.d.QueryWithStats(u, v)
+	spg := graph.NewSPG(u, v)
+	return spg, di.QueryIntoStats(spg, u, v)
 }
 
 // Distance returns d_G(u, v) on the current snapshot.
