@@ -2,7 +2,7 @@
 // QbS index and the baselines: single-source distance BFS, the
 // bidirectional-BFS shortest-path-graph baseline from the paper (Bi-BFS,
 // §6.1), and a brute-force shortest-path-graph oracle used as ground
-// truth in tests. The reusable epoch-stamped Workspace and the
+// truth in tests. The reusable Workspace and the
 // direction-optimizing level expander live in qbs/internal/traverse and
 // are re-exported here for the search code that grew up around this
 // package.
@@ -16,7 +16,7 @@ import (
 // Infinity marks an unreached vertex in distance arrays.
 const Infinity = traverse.Infinity
 
-// Workspace is the reusable epoch-stamped BFS state; see
+// Workspace is the reusable per-query BFS state; see
 // traverse.Workspace.
 type Workspace = traverse.Workspace
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"qbs/internal/graph"
+	"qbs/internal/traverse"
 )
 
 func TestDistancesOnPath(t *testing.T) {
@@ -51,7 +52,7 @@ func TestEccentricity(t *testing.T) {
 	}
 }
 
-func TestWorkspaceEpochReuse(t *testing.T) {
+func TestWorkspaceReuse(t *testing.T) {
 	ws := NewWorkspace(10)
 	ws.Reset()
 	ws.SetDist(3, 7)
@@ -62,8 +63,8 @@ func TestWorkspaceEpochReuse(t *testing.T) {
 	if ws.Seen(3) {
 		t.Fatal("reset must invalidate")
 	}
-	// Epoch wraparound internals are exercised in traverse's own tests,
-	// where the Workspace now lives.
+	// The reset internals are exercised in traverse's own model tests,
+	// where the Workspace lives.
 }
 
 func TestOracleSPGPath(t *testing.T) {
@@ -182,7 +183,7 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 	}
 	spg := graph.NewSPG(0, 5)
 	spg.Dist = 5
-	mark := NewWorkspace(6)
+	mark := traverse.NewMarks(6)
 	arcs := ExtractPaths(g, spg, []graph.V{5}, ws, mark)
 	if spg.NumEdges() != 5 {
 		t.Fatalf("extracted %d edges, want 5", spg.NumEdges())

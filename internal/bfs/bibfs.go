@@ -162,13 +162,13 @@ func (b *Bidirectional) collectMeeting(frontier []graph.V, other *Workspace, mee
 // ws holds depths over the sparsified graph G⁻ — landmarks carry a
 // negative sentinel depth and are skipped automatically).
 type Extractor struct {
-	mark      *Workspace
+	mark      *traverse.Marks
 	cur, next []graph.V
 }
 
 // NewExtractor creates an extractor for graphs with n vertices.
 func NewExtractor(n int) *Extractor {
-	return &Extractor{mark: NewWorkspace(n)}
+	return &Extractor{mark: traverse.NewMarks(n)}
 }
 
 // Extract runs the reverse search from the given vertices and returns
@@ -179,7 +179,7 @@ func (e *Extractor) Extract(g graph.Adjacency, spg *graph.SPG, from []graph.V, w
 	cur := e.cur[:0]
 	for _, w := range from {
 		if !e.mark.Seen(w) {
-			e.mark.SetDist(w, 0)
+			e.mark.Mark(w)
 			cur = append(cur, w)
 		}
 	}
@@ -196,7 +196,7 @@ func (e *Extractor) Extract(g graph.Adjacency, spg *graph.SPG, from []graph.V, w
 				if ws.Seen(y) && ws.Dist(y) == dx-1 {
 					spg.AddEdge(x, y)
 					if !e.mark.Seen(y) {
-						e.mark.SetDist(y, 0)
+						e.mark.Mark(y)
 						next = append(next, y)
 					}
 				}
@@ -210,7 +210,7 @@ func (e *Extractor) Extract(g graph.Adjacency, spg *graph.SPG, from []graph.V, w
 
 // ExtractPaths is the one-shot form of Extractor.Extract; mark is used
 // as the dedup scratch set.
-func ExtractPaths(g graph.Adjacency, spg *graph.SPG, from []graph.V, ws *Workspace, mark *Workspace) int64 {
+func ExtractPaths(g graph.Adjacency, spg *graph.SPG, from []graph.V, ws *Workspace, mark *traverse.Marks) int64 {
 	e := &Extractor{mark: mark}
 	return e.Extract(g, spg, from, ws)
 }

@@ -1,6 +1,9 @@
 package bfs
 
-import "qbs/internal/graph"
+import (
+	"qbs/internal/graph"
+	"qbs/internal/traverse"
+)
 
 // Directed BFS kernels and baselines, mirroring the undirected ones for
 // package dcore (the paper's directed extension).
@@ -185,13 +188,13 @@ func (b *DiBidirectional) expand(frontier []graph.V, ws *Workspace, d int32, for
 // Shared by the Di-Bi-BFS baseline and the directed guided search; a
 // warmed extractor keeps the query path allocation-free.
 type DiExtractor struct {
-	mark      *Workspace
+	mark      *traverse.Marks
 	cur, next []graph.V
 }
 
 // NewDiExtractor creates an extractor for digraphs with n vertices.
 func NewDiExtractor(n int) *DiExtractor {
-	return &DiExtractor{mark: NewWorkspace(n)}
+	return &DiExtractor{mark: traverse.NewMarks(n)}
 }
 
 // Extract runs the directed reverse search from the given vertices and
@@ -202,7 +205,7 @@ func (e *DiExtractor) Extract(g *graph.DiGraph, spg *graph.DiSPG, from []graph.V
 	cur := e.cur[:0]
 	for _, w := range from {
 		if !e.mark.Seen(w) {
-			e.mark.SetDist(w, 0)
+			e.mark.Mark(w)
 			cur = append(cur, w)
 		}
 	}
@@ -229,7 +232,7 @@ func (e *DiExtractor) Extract(g *graph.DiGraph, spg *graph.DiSPG, from []graph.V
 						spg.AddArc(x, y)
 					}
 					if !e.mark.Seen(y) {
-						e.mark.SetDist(y, 0)
+						e.mark.Mark(y)
 						next = append(next, y)
 					}
 				}
@@ -243,7 +246,7 @@ func (e *DiExtractor) Extract(g *graph.DiGraph, spg *graph.DiSPG, from []graph.V
 
 // ExtractDiPaths is the one-shot form of DiExtractor.Extract; mark is
 // used as the dedup scratch set.
-func ExtractDiPaths(g *graph.DiGraph, spg *graph.DiSPG, from []graph.V, ws *Workspace, mark *Workspace, towardSource bool) int64 {
+func ExtractDiPaths(g *graph.DiGraph, spg *graph.DiSPG, from []graph.V, ws *Workspace, mark *traverse.Marks, towardSource bool) int64 {
 	e := &DiExtractor{mark: mark}
 	return e.Extract(g, spg, from, ws, towardSource)
 }

@@ -74,8 +74,8 @@ type Searcher struct {
 	deg []int32 // cached degree array (nil for dynamic snapshots)
 
 	fwd, bwd searchSide
-	ext      *bfs.Extractor // reverse extraction with reusable buffers
-	walkMark *bfs.Workspace // scratch for label walks
+	ext      *bfs.Extractor  // reverse extraction with reusable buffers
+	walkMark *traverse.Marks // scratch for label walks
 	meet     []graph.V
 	metaBuf  []int32
 	distSPG  *graph.SPG // scratch result for Distance (never escapes)
@@ -94,9 +94,9 @@ type Searcher struct {
 	recoverStart []graph.V
 }
 
-// searchSide is one direction of the bidirectional search: an
-// epoch-stamped depth map, a direction-optimizing expander and an arena
-// of visited vertices grouped into levels
+// searchSide is one direction of the bidirectional search: a visited
+// set with depths, a direction-optimizing expander and an arena of
+// visited vertices grouped into levels
 // (level i = arena[levelOff[i]:levelOff[i+1]]).
 type searchSide struct {
 	ws       *bfs.Workspace
@@ -132,7 +132,7 @@ func NewSearcher(ix *Index) *Searcher {
 		g:          ix.a,
 		deg:        ix.degs,
 		ext:        bfs.NewExtractor(n),
-		walkMark:   bfs.NewWorkspace(n),
+		walkMark:   traverse.NewMarks(n),
 		sideSigmaU: make([]int32, R),
 		sideSigmaV: make([]int32, R),
 		metaGen:    make([]uint32, len(ix.ms.meta)),
@@ -248,8 +248,8 @@ func (sr *Searcher) query(spg *graph.SPG, u, v graph.V, extract bool) QueryStats
 	if !uLand && !vLand {
 		sr.fwd.exp.Begin(g, sr.deg)
 		sr.bwd.exp.Begin(g, sr.deg)
-		// Pre-stamp landmarks with a sentinel depth so the expansion
-		// loop skips them with a single stamp check — this is the
+		// Pre-mark landmarks with a sentinel depth so the expansion
+		// loop skips them with a single Seen check — this is the
 		// implicit G⁻ = G[V\R], honoured identically by the expander's
 		// top-down and bottom-up directions.
 		for _, r := range ix.landmarks {
@@ -419,7 +419,7 @@ func (sr *Searcher) bidirectional(dTop, dStarU, dStarV int32, st *QueryStats) []
 }
 
 // expand grows side by one level over G⁻ through the
-// direction-optimizing expander. Landmarks carry a sentinel stamp from
+// direction-optimizing expander. Landmarks carry a sentinel depth from
 // query setup, so a single Seen check skips both previously visited
 // vertices and the removed landmarks in either direction.
 func (sr *Searcher) expand(side *searchSide, st *QueryStats) {
@@ -510,7 +510,7 @@ func (sr *Searcher) labelWalk(spg *graph.SPG, starts []graph.V, rank int, delta 
 	cur := sr.walkCur[:0]
 	for _, w := range starts {
 		if !sr.walkMark.Seen(w) {
-			sr.walkMark.SetDist(w, 0)
+			sr.walkMark.Mark(w)
 			cur = append(cur, w)
 		}
 	}
@@ -526,7 +526,7 @@ func (sr *Searcher) labelWalk(spg *graph.SPG, starts []graph.V, rank int, delta 
 				if ix.labels[rank][y] == want {
 					spg.AddEdge(x, y)
 					if !sr.walkMark.Seen(y) {
-						sr.walkMark.SetDist(y, 0)
+						sr.walkMark.Mark(y)
 						next = append(next, y)
 					}
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -511,5 +512,26 @@ func TestDistanceMethod(t *testing.T) {
 		if got := sr.Distance(p[0], p[1]); got != want {
 			t.Fatalf("Distance(%d,%d)=%d want %d", p[0], p[1], got, want)
 		}
+	}
+}
+
+// TestSearcherFootprint pins what a searcher costs per vertex: two
+// depth arrays (4 B each), four visited/settled bitmaps and two mark
+// sets with their touched logs — about 9 B. At 32 B (a stamp
+// and a depth per vertex, four times over) the search stalled on its own
+// scratch state, so the number is held at 10.
+func TestSearcherFootprint(t *testing.T) {
+	const n = 100_000
+	ix := MustBuild(graph.ErdosRenyi(n, 3*n, 1), Options{NumLandmarks: 4})
+	ix.EnsureDelta() // built on first use, and not the searcher's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr := NewSearcher(ix)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sr)
+	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("NewSearcher: %.2f B/vertex", perVertex)
+	if perVertex > 10 {
+		t.Fatalf("NewSearcher allocates %.2f B/vertex, want at most 10", perVertex)
 	}
 }

@@ -3,6 +3,7 @@ package dcore
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -424,5 +425,22 @@ func TestDirectedEngineBuildSpeedup(t *testing.T) {
 	if ratio := float64(scalar) / float64(engine); ratio < 2 {
 		t.Fatalf("bit-parallel labelling only %.2fx faster than scalar (engine %s, scalar %s), want >= 2x",
 			ratio, engine, scalar)
+	}
+}
+
+// TestSearcherFootprint is core's test of the same name for the
+// directed searcher: about 9 B per vertex, at most 10.
+func TestSearcherFootprint(t *testing.T) {
+	const n = 100_000
+	ix := MustBuild(graph.DirectedErdosRenyi(n, 3*n, 1), Options{NumLandmarks: 4})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr := NewSearcher(ix)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sr)
+	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("NewSearcher: %.2f B/vertex", perVertex)
+	if perVertex > 10 {
+		t.Fatalf("NewSearcher allocates %.2f B/vertex, want at most 10", perVertex)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // per Eq. 5. Each side expands through a direction-optimizing
 // traverse.Expander (top-down while sparse, bottom-up through dense
 // levels) exactly like the undirected searcher; landmarks carry a
-// sentinel stamp so both directions skip them with one Seen check.
+// sentinel depth so both directions skip them with one Seen check.
 
 // Searcher answers directed queries against a fixed Index. Not safe for
 // concurrent use; create one per goroutine (they share the immutable
@@ -25,7 +25,7 @@ type Searcher struct {
 	gOut, gIn  graph.Adjacency // pre-converted views (no per-query boxing)
 	fwd, bwd   diSide
 	ext        *bfs.DiExtractor
-	walkMark   *bfs.Workspace
+	walkMark   *traverse.Marks
 	distSPG    *graph.DiSPG // scratch result for Distance (never escapes)
 	entU, entV []sketchEntry
 	pairs      []pair
@@ -48,8 +48,8 @@ type sketchEntry struct {
 
 type pair struct{ r, rp int }
 
-// diSide is one direction of the bidirectional search: an epoch-stamped
-// depth map, a direction-optimizing expander and an arena of visited
+// diSide is one direction of the bidirectional search: a visited set
+// with depths, a direction-optimizing expander and an arena of visited
 // vertices grouped into levels.
 type diSide struct {
 	ws       *bfs.Workspace
@@ -81,7 +81,7 @@ func NewSearcher(ix *Index) *Searcher {
 		gOut:     ix.g.OutView(),
 		gIn:      ix.g.InView(),
 		ext:      bfs.NewDiExtractor(n),
-		walkMark: bfs.NewWorkspace(n),
+		walkMark: traverse.NewMarks(n),
 		distSPG:  graph.NewDiSPG(0, 0),
 		sigmaU:   make([]int32, R),
 		sigmaV:   make([]int32, R),
@@ -187,8 +187,8 @@ func (sr *Searcher) query(spg *graph.DiSPG, u, v graph.V, extract bool) QuerySta
 	if !uLand && !vLand {
 		sr.fwd.exp.BeginDirected(sr.gOut, sr.gIn, ix.degsOut)
 		sr.bwd.exp.BeginDirected(sr.gIn, sr.gOut, ix.degsIn)
-		// Pre-stamp landmarks with a sentinel depth so the expansion loop
-		// skips them with a single stamp check — the implicit G⁻ = G[V\R],
+		// Pre-mark landmarks with a sentinel depth so the expansion loop
+		// skips them with a single Seen check — the implicit G⁻ = G[V\R],
 		// honoured identically by top-down and bottom-up expansion.
 		for _, r := range ix.landmarks {
 			sr.fwd.ws.SetDist(r, -1)
@@ -448,7 +448,7 @@ func (sr *Searcher) labelWalkTo(spg *graph.DiSPG, starts []graph.V, rank int, de
 	cur := sr.walkCur[:0]
 	for _, w := range starts {
 		if !sr.walkMark.Seen(w) {
-			sr.walkMark.SetDist(w, 0)
+			sr.walkMark.Mark(w)
 			cur = append(cur, w)
 		}
 	}
@@ -463,7 +463,7 @@ func (sr *Searcher) labelWalkTo(spg *graph.DiSPG, starts []graph.V, rank int, de
 				if ix.labelTo[int(y)*R+rank] == want {
 					spg.AddArc(x, y)
 					if !sr.walkMark.Seen(y) {
-						sr.walkMark.SetDist(y, 0)
+						sr.walkMark.Mark(y)
 						next = append(next, y)
 					}
 				}
@@ -489,7 +489,7 @@ func (sr *Searcher) labelWalkFrom(spg *graph.DiSPG, starts []graph.V, rank int, 
 	cur := sr.walkCur[:0]
 	for _, w := range starts {
 		if !sr.walkMark.Seen(w) {
-			sr.walkMark.SetDist(w, 0)
+			sr.walkMark.Mark(w)
 			cur = append(cur, w)
 		}
 	}
@@ -504,7 +504,7 @@ func (sr *Searcher) labelWalkFrom(spg *graph.DiSPG, starts []graph.V, rank int, 
 				if ix.labelFrom[int(y)*R+rank] == want {
 					spg.AddArc(y, x)
 					if !sr.walkMark.Seen(y) {
-						sr.walkMark.SetDist(y, 0)
+						sr.walkMark.Mark(y)
 						next = append(next, y)
 					}
 				}

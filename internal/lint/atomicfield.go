@@ -145,7 +145,7 @@ func runAtomicField(p *Program) []Diagnostic {
 }
 
 // fieldVarOf resolves an lvalue expression (possibly through index
-// expressions, e.g. ws.stamp[v]) to the struct field it roots in.
+// expressions, e.g. m.words[v>>6]) to the struct field it roots in.
 func fieldVarOf(pkg *Package, e ast.Expr) (*types.Var, *ast.SelectorExpr) {
 	e = ast.Unparen(e)
 	for {

@@ -32,7 +32,7 @@
 // must be accessed atomically everywhere, across the whole module.
 // The analyzer also propagates one level through helpers whose pointer
 // parameters feed sync/atomic calls (the traverse orUint64/claimUint32
-// idiom), so &ws.stamp[v] passed to a CAS helper marks the field just
+// idiom), so &mb.nextL[v] passed to a CAS helper marks the field just
 // like a direct atomic call. Deliberately barrier-ordered mixed access
 // — plain reads in phases separated from the CAS by a barrier — is
 // annotated //qbs:allow atomicfield with the reason stating the

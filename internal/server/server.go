@@ -788,7 +788,7 @@ func coverageName(c qbs.QueryStats) string {
 
 // scratch is the per-request working set of /spg and /paths: the query
 // result, its layering and the storage the response is assembled and
-// encoded in. A response aliases its scratch, so the scratch returns to
+// encoded in (/distance borrows one for its small body). A response aliases its scratch, so the scratch returns to
 // the pool only after the body has been written.
 type scratch struct {
 	spg        qbs.SPG
@@ -796,6 +796,7 @@ type scratch struct {
 	dag        analysis.DAG
 	edges      [][2]int32
 	dist, dTop int32
+	distance   DistanceResponse // built in place: a local would escape through send's any
 	buf        bytes.Buffer
 	enc        *json.Encoder // encodes into buf
 }
@@ -901,14 +902,23 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	d := s.b.Distance(u, v)
-	resp := DistanceResponse{Source: u, Target: v}
+	sendDistance(w, r, u, v, s.b.Distance(u, v))
+}
+
+// sendDistance answers /distance, in either mode, through a pooled
+// scratch: the same encoder, buffer and single write as /spg, and no
+// allocation of its own but the Content-Length header.
+func sendDistance(w http.ResponseWriter, r *http.Request, u, v, d int32) {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	sc.distance = DistanceResponse{Source: u, Target: v}
 	if d == qbs.InfDist {
-		resp.Disconnected = true
+		sc.distance.Disconnected = true
 	} else {
-		resp.Distance = &d
+		sc.dist = d
+		sc.distance.Distance = &sc.dist
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.send(w, r, &sc.distance)
 }
 
 // SketchResponse is the JSON body of /sketch.
@@ -1102,14 +1112,7 @@ func (s *Server) handleDiDistance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	d := s.di.Distance(u, v)
-	resp := DistanceResponse{Source: u, Target: v}
-	if d == qbs.InfDist {
-		resp.Disconnected = true
-	} else {
-		resp.Distance = &d
-	}
-	writeJSON(w, http.StatusOK, resp)
+	sendDistance(w, r, u, v, s.di.Distance(u, v))
 }
 
 func (s *Server) handleDiSketch(w http.ResponseWriter, r *http.Request) {

@@ -5,9 +5,9 @@
 // # Direction-optimizing expansion (Expander)
 //
 // A level-synchronous BFS normally expands top-down: scan every frontier
-// vertex and stamp its unseen neighbours. On small-world graphs one or
+// vertex and mark its unseen neighbours. On small-world graphs one or
 // two levels hold most of the graph, and top-down then touches almost
-// every arc just to rediscover vertices that are already stamped.
+// every arc just to rediscover vertices that are already marked.
 // Beamer's direction-optimizing BFS flips those dense levels bottom-up:
 // iterate the *unvisited* vertices and stop at the first neighbour found
 // in the frontier (a parent), so a vertex of degree d costs on average
@@ -21,11 +21,33 @@
 //   - bottom-up → top-down when |frontier|·β < |V| (the frontier has
 //     shrunk enough that scanning all unvisited vertices is wasteful).
 //
-// The bottom-up scan is driven by a per-side visited bitmap packed 64
-// vertices to a word, so fully-visited regions skip in one comparison.
-// The bitmap is maintained incrementally (one bit set per discovery) and
-// cleared in O(words touched), so queries that never go dense pay almost
-// nothing for it.
+// Both directions work on one visited bitmap, the Workspace's, packed 64
+// vertices to a word: top-down tests and sets a vertex's bit, bottom-up
+// scans whole words so fully-visited regions skip in one comparison.
+// There is no second copy to build or reconcile at a direction switch,
+// and the bitmap — 50 KB for 400 000 vertices — is what the inner loops
+// hit instead of a per-vertex array the size of the graph.
+//
+// # Search state (Workspace, Marks)
+//
+// Per-query cost is a function of what the query touches, not of |V|:
+//
+//   - Visited is one bit per vertex (Marks). Every sequential Mark logs
+//     its word index; Reset zeroes just those words. The log is capped
+//     at one entry per bitmap word — past that a single clear of the
+//     bitmap is cheaper, so the log stops and Reset does that instead.
+//     Dense levels (bottom-up, which reads every word anyway, and
+//     parallel levels, whose workers cannot share a log) skip the log
+//     and go straight to the clear.
+//   - A vertex's depth is stored when its level is expanded *from*, not
+//     when it is discovered: Expand(frontier, d) first settles frontier
+//     at d (a settled bit and a dist entry each), then only marks what
+//     it discovers. The last level of a search — the largest, and in a
+//     bidirectional search never expanded — costs no per-vertex store;
+//     Dist answers it with the workspace's pending depth, which all
+//     seen-but-unsettled vertices share because they are one level.
+//   - Sets that need no depths (the extractors' dedup marks, the label
+//     walk) are bare Marks.
 //
 // Both directions produce identical distance assignments — bottom-up
 // only changes the order in which a level's vertices are emitted — so
@@ -78,18 +100,21 @@
 //     shared atomic cursor, so a worker stuck on a hub vertex doesn't
 //     stall the level (claims outside the static share are counted as
 //     steals). Vertex discovery is arbitrated with a compare-and-swap
-//     per vertex — in the Expander directly on the workspace's epoch
-//     stamp, in MultiBFS on a per-vertex generation stamp plus CAS-OR
-//     accumulation into the nextL/nextN words — so exactly one worker
-//     wins each vertex and then writes its distance (or settles its
-//     label bits) without further synchronization.
+//     per vertex — in the Expander on the vertex's word of the visited
+//     bitmap (a CAS loop that sets its bit), in MultiBFS on a per-vertex
+//     generation stamp plus CAS-OR accumulation into the nextL/nextN
+//     words — so exactly one worker wins each vertex and appends it to
+//     its own buffer (or settles its label bits) without further
+//     synchronization. An Expander level writes nothing else: depths
+//     are stored by the coordinator, before the next level fans out.
 //   - Bottom-up levels split the vertex range into word-aligned chunks
-//     (multiples of 64 so visited-bitmap words have a single owner).
-//     Each worker probes only its own range, reading the frontier
-//     through an immutable snapshot — the current-level words in
-//     MultiBFS, a frozen frontier bitmap in the Expander — so all
-//     cross-worker reads are of data that cannot change during the
-//     level, and all writes land in the worker's own range.
+//     (multiples of 64 so visited-bitmap words have a single owner and
+//     need no atomics). Each worker probes only its own range, reading
+//     the frontier through an immutable snapshot — the current-level
+//     words in MultiBFS, a frontier bitmap built before the fan-out in
+//     the Expander — so all cross-worker reads are of data that cannot
+//     change during the level, and all writes land in the worker's own
+//     range.
 //
 // A level only moves to the pool past a size threshold (a few thousand
 // frontier vertices or unvisited words); below it the sequential loop

@@ -22,16 +22,15 @@ const (
 // dense middle levels. It is a reusable per-goroutine workspace; bind it
 // to a traversal with Begin, then call Expand once per level.
 //
-// Distances are stored in a Workspace by the caller, so the Expander
-// composes with the searcher's epoch-stamped state (including sentinel
-// stamps such as QbS's removed landmarks: any vertex already Seen in the
-// workspace is never re-discovered, whichever direction runs).
-//
-// The sparse top-down path is exactly the classic frontier scan with
-// zero added bookkeeping. Only when a level actually goes dense — a
-// frontier of Ω(|V|/β) vertices, so the level itself is Ω(|V|) work —
-// is the visited bitmap for bottom-up materialised, in one O(|V|) sweep
-// over the workspace stamps.
+// All per-vertex state lives in the caller's Workspace, so the Expander
+// composes with whatever the searcher put there (including sentinel
+// depths such as QbS's removed landmarks: any vertex already Seen in the
+// workspace is never re-discovered, whichever direction runs). The
+// workspace's visited bitmap is the one both directions use: top-down
+// tests and sets single bits of it, bottom-up scans it a word at a time,
+// and switching between them costs nothing. Expand stores depth d for
+// the frontier it is given and leaves what it discovers unsettled (see
+// Workspace).
 type Expander struct {
 	// Alpha tunes the top-down → bottom-up switch: go bottom-up when
 	// frontierDeg·Alpha > |arcs| (and the frontier is at least |V|/Beta
@@ -71,9 +70,6 @@ type Expander struct {
 	totalArc int64
 	bottomUp bool
 
-	words  []uint64 // visited bitmap, valid only while bottomUp
-	bmUsed bool     // words is dirty and needs clearing on Begin
-
 	par     expParState // pool buffers, allocated on first parallel level
 	running atomic.Bool // guards against concurrent Expand misuse
 }
@@ -84,7 +80,6 @@ func NewExpander(n int) *Expander {
 		Alpha: DefaultAlpha,
 		Beta:  DefaultBeta,
 		n:     n,
-		words: make([]uint64, (n+63)/64),
 	}
 }
 
@@ -104,10 +99,6 @@ func (e *Expander) Begin(g graph.Adjacency, deg []int32) {
 // vice versa). For an undirected graph the two coincide, which is what
 // Begin passes. deg caches push degrees.
 func (e *Expander) BeginDirected(push, pull graph.Adjacency, deg []int32) {
-	if e.bmUsed {
-		clear(e.words)
-		e.bmUsed = false
-	}
 	e.g = push
 	e.pull = pull
 	e.deg = deg
@@ -120,24 +111,12 @@ func (e *Expander) BeginDirected(push, pull graph.Adjacency, deg []int32) {
 	e.ParallelSteals = 0
 }
 
-// syncBitmap rebuilds the visited bitmap from the workspace stamps.
-// Runs once per dense phase, charged against that phase's Ω(|V|) level.
-//
-//qbs:zeroalloc
-//qbs:hotpath
-func (e *Expander) syncBitmap(ws *Workspace) {
-	clear(e.words)
-	e.bmUsed = true
-	for v := 0; v < e.n; v++ {
-		if ws.Seen(graph.V(v)) {
-			e.words[v>>6] |= 1 << (uint(v) & 63)
-		}
-	}
-}
-
-// Expand grows the BFS by one level: every vertex in frontier has depth
-// d in ws; unseen neighbours get depth d+1, are appended to dst and
-// returned. The second result counts adjacency entries examined.
+// Expand grows the BFS by one level. frontier is the depth-d level —
+// every vertex of ws that is seen but not yet settled, or the root(s)
+// the caller SetDist to d — and is settled at d here; its unseen
+// neighbours are marked seen (depth d+1 pending, stored by the next
+// Expand), appended to dst and returned. The second result counts
+// adjacency entries examined.
 //
 //qbs:hotpath
 func (e *Expander) Expand(ws *Workspace, frontier []graph.V, d int32, dst []graph.V) ([]graph.V, int64) {
@@ -145,12 +124,12 @@ func (e *Expander) Expand(ws *Workspace, frontier []graph.V, d int32, dst []grap
 		panic("traverse: Expander used concurrently (one expander per goroutine)")
 	}
 	defer e.running.Store(false)
+	ws.settle(frontier, d)
 	switch {
 	case e.Alpha < 0:
 		if !e.bottomUp {
 			e.bottomUp = true
 			e.Switches++
-			e.syncBitmap(ws)
 		}
 	case e.bottomUp:
 		if int64(len(frontier))*e.Beta < int64(e.n) {
@@ -173,36 +152,40 @@ func (e *Expander) Expand(ws *Workspace, frontier []graph.V, d int32, dst []grap
 		if mf*e.Alpha > e.totalArc {
 			e.bottomUp = true
 			e.Switches++
-			e.syncBitmap(ws)
 		}
 	}
 	if e.bottomUp {
+		// The sweep reads every bitmap word, so the next Reset may as
+		// well clear them all: nothing is logged from here on.
+		ws.seen.touchAll()
 		if workers := parallelWorkers(e.Parallelism, e.ParallelThreshold, minParVertices, e.n); workers > 1 {
-			return e.expandBottomUpParallel(ws, frontier, d, dst, workers)
+			return e.expandBottomUpParallel(ws, frontier, dst, workers)
 		}
 		return e.expandBottomUp(ws, d, dst)
 	}
 	if workers := parallelWorkers(e.Parallelism, e.ParallelThreshold, minParFrontier, len(frontier)); workers > 1 {
-		return e.expandTopDownParallel(ws, frontier, d, dst, workers)
+		ws.seen.touchAll() // workers cannot share the log
+		return e.expandTopDownParallel(ws, frontier, dst, workers)
 	}
-	return e.expandTopDown(ws, frontier, d, dst)
+	return e.expandTopDown(ws, frontier, dst)
 }
 
 // expandTopDown is the sequential push sweep over the frontier.
 //
 //qbs:zeroalloc
 //qbs:hotpath
-func (e *Expander) expandTopDown(ws *Workspace, frontier []graph.V, d int32, dst []graph.V) ([]graph.V, int64) {
+func (e *Expander) expandTopDown(ws *Workspace, frontier []graph.V, dst []graph.V) ([]graph.V, int64) {
 	g := e.g
+	seen := &ws.seen
 	var arcs int64
 	for _, x := range frontier {
 		ns := g.Neighbors(x)
 		arcs += int64(len(ns))
 		for _, y := range ns {
-			if ws.Seen(y) {
+			if seen.Seen(y) {
 				continue
 			}
-			ws.SetDist(y, d+1)
+			seen.Mark(y)
 			dst = append(dst, y)
 		}
 	}
@@ -211,35 +194,29 @@ func (e *Expander) expandTopDown(ws *Workspace, frontier []graph.V, d int32, dst
 
 // expandBottomUp scans the unvisited vertices instead of the frontier: a
 // vertex joins the next level at the first pull-neighbour (in-neighbour
-// w.r.t. the push direction) found at depth d. The bitmap is a skip
-// accelerator, not ground truth — a stale bit (stamped in ws after the
-// last sync, e.g. during an interleaved top-down phase) is re-checked
-// against ws.Seen and marked lazily.
+// w.r.t. the push direction) settled at depth d. This level's own
+// discoveries are unsettled, so they never pass for parents.
 //
 //qbs:zeroalloc
 //qbs:hotpath
 func (e *Expander) expandBottomUp(ws *Workspace, d int32, dst []graph.V) ([]graph.V, int64) {
 	g := e.pull
+	words := ws.bitmap()
 	var arcs int64
-	nw := len(e.words)
+	nw := len(words)
 	e.WordsSwept += int64(nw)
 	for w := 0; w < nw; w++ {
-		unv := ^e.words[w]
+		unv := ^words[w]
 		if w == nw-1 && e.n&63 != 0 {
 			unv &= 1<<(uint(e.n)&63) - 1
 		}
 		for unv != 0 {
 			v := graph.V(w<<6 + bits.TrailingZeros64(unv))
 			unv &= unv - 1
-			if ws.Seen(v) {
-				e.words[w] |= 1 << (uint(v) & 63)
-				continue
-			}
 			for _, y := range g.Neighbors(v) {
 				arcs++
-				if ws.Dist(y) == d {
-					ws.SetDist(v, d+1)
-					e.words[w] |= 1 << (uint(v) & 63)
+				if ws.settledAt(y, d) {
+					words[w] |= 1 << (uint(v) & 63)
 					dst = append(dst, v)
 					break
 				}

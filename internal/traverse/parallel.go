@@ -298,13 +298,13 @@ func (p *expParState) ensure(workers int) {
 }
 
 // expandTopDownParallel claims frontier chunks off a shared counter;
-// discovery races are settled by a CAS on the workspace epoch stamp
-// (Workspace.tryClaim), whose single winner writes the distance and
-// appends the vertex to its own buffer. The discovered set and the
-// arc count are those of the sequential kernel; only order differs.
+// discovery races are settled by a CAS on the vertex's word of the
+// visited bitmap (Marks.tryClaim), whose single winner appends the
+// vertex to its own buffer. The discovered set and the arc count are
+// those of the sequential kernel; only order differs.
 //
 //qbs:allow zeroalloc above-threshold parallel levels trade goroutine and closure allocations for wall-clock; pooled serving searchers expand sequentially
-func (e *Expander) expandTopDownParallel(ws *Workspace, frontier []graph.V, d int32, dst []graph.V, workers int) ([]graph.V, int64) {
+func (e *Expander) expandTopDownParallel(ws *Workspace, frontier []graph.V, dst []graph.V, workers int) ([]graph.V, int64) {
 	e.par.ensure(workers)
 	g := e.g
 	numChunks := (len(frontier) + parChunk - 1) / parChunk
@@ -321,7 +321,7 @@ func (e *Expander) expandTopDownParallel(ws *Workspace, frontier []graph.V, d in
 				ns := g.Neighbors(x)
 				arcs += int64(len(ns))
 				for _, y := range ns {
-					if ws.tryClaim(y, d+1) {
+					if ws.seen.tryClaim(y) {
 						out = append(out, y)
 					}
 				}
@@ -341,17 +341,18 @@ func (e *Expander) expandTopDownParallel(ws *Workspace, frontier []graph.V, d in
 }
 
 // expandBottomUpParallel splits the visited bitmap into word-aligned
-// chunks claimed off a shared counter. Parent probes cannot read other
-// ranges' workspace stamps (racy), so the depth-d set is snapshotted
-// into a read-only frontier bitmap first; each worker then writes only
-// its own range's stamps, distances and bitmap words. Requires what the
-// searchers already guarantee: frontier is exactly the depth-d set.
+// chunks claimed off a shared counter, so every word has one owner for
+// the level and is read and written plainly. Parent probes go to a
+// frontier bitmap built before the fan-out (one cache-resident bit test
+// per probe); it is exact because frontier is the whole depth-d set,
+// which Expand's contract already requires.
 //
 //qbs:allow zeroalloc above-threshold parallel levels trade goroutine and closure allocations for wall-clock; pooled serving searchers expand sequentially
-func (e *Expander) expandBottomUpParallel(ws *Workspace, frontier []graph.V, d int32, dst []graph.V, workers int) ([]graph.V, int64) {
+func (e *Expander) expandBottomUpParallel(ws *Workspace, frontier []graph.V, dst []graph.V, workers int) ([]graph.V, int64) {
 	e.par.ensure(workers)
 	g := e.pull
-	nw := len(e.words)
+	words := ws.bitmap()
+	nw := len(words)
 	if cap(e.par.fbits) < nw {
 		e.par.fbits = make([]uint64, nw)
 	} else {
@@ -374,22 +375,17 @@ func (e *Expander) expandBottomUpParallel(ws *Workspace, frontier []graph.V, d i
 		var arcs int64
 		claimChunks(&next, &cc, wk, numChunks, chunksPer, parWords, nw, func(wlo, whi int) {
 			for w := wlo; w < whi; w++ {
-				unv := ^e.words[w]
+				unv := ^words[w]
 				if w == nw-1 && e.n&63 != 0 {
 					unv &= 1<<(uint(e.n)&63) - 1
 				}
 				for unv != 0 {
 					v := graph.V(w<<6 + bits.TrailingZeros64(unv))
 					unv &= unv - 1
-					if ws.Seen(v) { // own-range stamp: plain read is safe
-						e.words[w] |= 1 << (uint(v) & 63)
-						continue
-					}
 					for _, y := range g.Neighbors(v) {
 						arcs++
 						if fbits[y>>6]&(1<<(uint(y)&63)) != 0 {
-							ws.SetDist(v, d+1)
-							e.words[w] |= 1 << (uint(v) & 63)
+							words[w] |= 1 << (uint(v) & 63)
 							out = append(out, v)
 							break
 						}

@@ -10,81 +10,189 @@ import (
 // Infinity marks an unreached vertex in distance arrays.
 const Infinity = int32(math.MaxInt32)
 
-// Workspace holds reusable per-query BFS state for a fixed graph size.
-// Distance entries are valid only when their epoch stamp matches the
-// current epoch, so resetting between queries is O(1). A Workspace is
-// not safe for concurrent use; create one per goroutine.
+// Marks is a resettable set of vertices: one bit per vertex, so the
+// whole set of a 400 000-vertex graph is 50 KB and membership tests stay
+// in L1/L2. Reset costs what the traversal touched, not |V|: the word
+// index of every Mark is logged, and once the log holds as many entries
+// as the bitmap has words a single clear is cheaper and the log stops
+// growing. Not safe for concurrent use; create one per goroutine.
+type Marks struct {
+	words   []uint64
+	touched []uint32 // word index per Mark since Reset; full = clear everything
+}
+
+// NewMarks creates an empty set over n vertices. The log is sized once,
+// at its cap, so marking never allocates.
+func NewMarks(n int) *Marks {
+	m := newMarks(n)
+	return &m
+}
+
+func newMarks(n int) Marks {
+	nw := (n + 63) / 64
+	return Marks{words: make([]uint64, nw), touched: make([]uint32, 0, nw)}
+}
+
+// Reset empties the set in O(min(marks, words)).
+//
+//qbs:zeroalloc
+//qbs:allow atomicfield runs between traversals; the claim CAS is confined to a parallel level, which has returned through its barrier
+func (m *Marks) Reset() {
+	if m.full() {
+		clear(m.words)
+	} else {
+		for _, w := range m.touched {
+			m.words[w] = 0
+		}
+	}
+	m.touched = m.touched[:0]
+}
+
+// full reports whether the log has stopped recording.
+func (m *Marks) full() bool { return len(m.touched) == cap(m.touched) }
+
+// touchAll gives up on the log: the next Reset clears every word. Dense
+// levels (a bottom-up sweep reads every word anyway; a parallel level
+// cannot share one log between workers) call it instead of logging.
+func (m *Marks) touchAll() { m.touched = m.touched[:cap(m.touched)] }
+
+// Seen reports whether v is in the set.
+//
+//qbs:zeroalloc
+//qbs:allow atomicfield read outside parallel levels: the sequential kernels, the searchers' meeting and extraction passes
+func (m *Marks) Seen(v graph.V) bool {
+	return m.words[v>>6]&(1<<(uint(v)&63)) != 0
+}
+
+// Mark adds v to the set.
+//
+//qbs:zeroalloc
+//qbs:allow atomicfield sequential marking only; a parallel level claims through tryClaim's CAS instead
+func (m *Marks) Mark(v graph.V) {
+	w := uint32(v) >> 6
+	m.words[w] |= 1 << (uint(v) & 63)
+	if len(m.touched) < cap(m.touched) {
+		m.touched = append(m.touched, w)
+	}
+}
+
+// tryClaim atomically adds v, returning true for exactly one caller.
+// Used by the parallel top-down expansion, where pool workers race to
+// discover the same neighbour; the coordinator has called touchAll, so
+// nothing but the bit is written. A CAS loop rather than atomic.OrUint64:
+// go.mod pins 1.22.
+func (m *Marks) tryClaim(v graph.V) bool {
+	w, bit := v>>6, uint64(1)<<(uint(v)&63)
+	for {
+		old := atomic.LoadUint64(&m.words[w])
+		if old&bit != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(&m.words[w], old, old|bit) {
+			return true
+		}
+	}
+}
+
+// Workspace holds reusable per-query BFS state for a fixed graph size:
+// the visited set, and a depth per vertex that is stored when the
+// vertex's level is expanded *from*, not when the vertex is discovered.
+// A vertex is therefore in one of three states:
+//
+//	unseen               Seen false, Dist Infinity
+//	seen, unsettled      discovered by the latest Expand; no depth stored,
+//	                     Dist answers the pending depth (all such
+//	                     vertices share it: they are one BFS level)
+//	settled              depth in dist — by the Expand that used the
+//	                     vertex as frontier, or by an explicit SetDist
+//
+// so the last and largest level of a search never costs a random
+// per-vertex store. Reset is O(touched), like Marks. A Workspace is not
+// safe for concurrent use; create one per goroutine.
 type Workspace struct {
-	n     int
-	epoch uint32
-	stamp []uint32
-	dist  []int32
+	seen    Marks
+	settled []uint64 // bit per vertex: dist[v] is valid; cleared with seen
+	dist    []int32
+	pending int32 // depth of every seen-but-unsettled vertex
 }
 
 // NewWorkspace creates a workspace for graphs with n vertices.
 func NewWorkspace(n int) *Workspace {
 	return &Workspace{
-		n:     n,
-		stamp: make([]uint32, n),
-		dist:  make([]int32, n),
+		seen:    newMarks(n),
+		settled: make([]uint64, (n+63)/64),
+		dist:    make([]int32, n),
 	}
 }
 
-// Reset invalidates all distances in O(1).
+// Reset forgets every vertex in O(min(vertices seen, |V|/64)).
 //
 //qbs:zeroalloc
-//qbs:allow atomicfield single-writer between sweeps; parallel claimers only run inside a level, barrier-separated from the epoch bump
 func (ws *Workspace) Reset() {
-	ws.epoch++
-	if ws.epoch == 0 { // wrapped: do the rare full clear
-		for i := range ws.stamp {
-			ws.stamp[i] = 0
+	// settled ⊆ seen, so seen's log covers both bitmaps.
+	if ws.seen.full() {
+		clear(ws.settled)
+	} else {
+		for _, w := range ws.seen.touched {
+			ws.settled[w] = 0
 		}
-		ws.epoch = 1
 	}
+	ws.seen.Reset()
 }
 
-// Dist returns the distance of v in the current epoch, or Infinity.
+// Dist returns the depth of v, or Infinity if v is unseen.
 //
 //qbs:zeroalloc
-//qbs:allow atomicfield read outside parallel levels, or of the caller's own claimed vertex after the level barrier
 func (ws *Workspace) Dist(v graph.V) int32 {
-	if ws.stamp[v] == ws.epoch {
-		return ws.dist[v]
+	if !ws.seen.Seen(v) {
+		return Infinity
 	}
-	return Infinity
+	if ws.settled[v>>6]&(1<<(uint(v)&63)) == 0 {
+		return ws.pending
+	}
+	return ws.dist[v]
 }
 
-// SetDist stamps v with distance d in the current epoch.
+// SetDist marks v seen and settled at depth d (any value: the searchers
+// pre-set removed landmarks to -1 so no level ever matches them).
 //
 //qbs:zeroalloc
-//qbs:allow atomicfield sequential expansion only; the parallel path claims via tryClaim's CAS instead
 func (ws *Workspace) SetDist(v graph.V, d int32) {
-	ws.stamp[v] = ws.epoch
+	ws.seen.Mark(v)
+	ws.settled[v>>6] |= 1 << (uint(v) & 63)
 	ws.dist[v] = d
 }
 
-// Seen reports whether v has been assigned a distance this epoch.
+// Seen reports whether v has been discovered since the last Reset.
 //
 //qbs:zeroalloc
-//qbs:allow atomicfield read outside parallel levels, or of the caller's own claimed vertex after the level barrier
-func (ws *Workspace) Seen(v graph.V) bool { return ws.stamp[v] == ws.epoch }
+func (ws *Workspace) Seen(v graph.V) bool { return ws.seen.Seen(v) }
 
-// tryClaim atomically claims v in the current epoch, returning true for
-// exactly one caller per epoch; the winner alone then writes dist[v],
-// so losers and post-barrier readers never observe a torn distance.
-// Used by the parallel top-down expansion, where pool workers race to
-// discover the same neighbour; the sequential paths keep the plain
-// Seen/SetDist pair.
-func (ws *Workspace) tryClaim(v graph.V, d int32) bool {
-	for {
-		s := atomic.LoadUint32(&ws.stamp[v])
-		if s == ws.epoch {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(&ws.stamp[v], s, ws.epoch) {
-			ws.dist[v] = d
-			return true
-		}
+// settle stores depth d for the frontier about to be expanded and makes
+// d+1 the pending depth of whatever that expansion discovers. frontier
+// must be every seen-but-unsettled vertex (the searchers pass exactly
+// the previous Expand's result), or the rest would be re-labelled d+1.
+//
+//qbs:zeroalloc
+//qbs:hotpath
+func (ws *Workspace) settle(frontier []graph.V, d int32) {
+	for _, x := range frontier {
+		ws.settled[x>>6] |= 1 << (uint(x) & 63)
+		ws.dist[x] = d
 	}
+	ws.pending = d + 1
 }
+
+// settledAt reports whether v is settled at exactly depth d — the
+// bottom-up parent probe.
+//
+//qbs:zeroalloc
+func (ws *Workspace) settledAt(v graph.V, d int32) bool {
+	return ws.settled[v>>6]&(1<<(uint(v)&63)) != 0 && ws.dist[v] == d
+}
+
+// bitmap exposes the visited words to the bottom-up kernels, which scan
+// them 64 vertices at a time and set the bits of what they discover.
+//
+//qbs:allow atomicfield bottom-up levels only: each word has one owner for the level, and no CAS claim runs until the level has returned
+func (ws *Workspace) bitmap() []uint64 { return ws.seen.words }

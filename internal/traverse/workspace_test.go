@@ -1,27 +1,157 @@
 package traverse
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
 
-func TestWorkspaceEpochWraparound(t *testing.T) {
-	ws := NewWorkspace(10)
-	ws.Reset()
-	ws.SetDist(3, 7)
-	if ws.Dist(3) != 7 || ws.Dist(4) != Infinity {
-		t.Fatal("workspace basic ops")
+	"qbs/internal/graph"
+)
+
+// The workspace is checked against the obvious model: a map from vertex
+// to depth, emptied by Reset. Everything the bitsets, the touched log
+// and the deferred depth store do must be invisible through
+// Seen/Dist/SetDist.
+
+func checkAgainstModel(t *testing.T, ws *Workspace, model map[graph.V]int32, n int, when string) {
+	t.Helper()
+	for v := graph.V(0); int(v) < n; v++ {
+		want, ok := model[v]
+		if !ok {
+			want = Infinity
+		}
+		if ws.Seen(v) != ok || ws.Dist(v) != want {
+			t.Fatalf("%s: vertex %d: Seen=%v Dist=%d, model seen=%v dist=%d",
+				when, v, ws.Seen(v), ws.Dist(v), ok, want)
+		}
 	}
-	ws.Reset()
-	if ws.Seen(3) {
-		t.Fatal("reset must invalidate")
+}
+
+func TestWorkspaceModelRandomOps(t *testing.T) {
+	const n = 64*40 + 17 // 41 words: the log's cap
+	ws := NewWorkspace(n)
+	limit := cap(ws.seen.touched)
+	if limit != (n+63)/64 {
+		t.Fatalf("touched log sized %d, want one entry per bitmap word (%d)", limit, (n+63)/64)
 	}
-	ws.SetDist(3, 1)
-	// Exercise epoch wraparound: stamps from the wrapped-around epoch
-	// must not read as current.
-	ws.epoch = ^uint32(0)
-	ws.Reset()
-	if ws.epoch != 1 {
-		t.Fatalf("wraparound epoch = %d", ws.epoch)
+	rng := rand.New(rand.NewSource(1))
+	model := map[graph.V]int32{}
+	var sparse, full int
+	for round := 0; round < 12000; round++ {
+		// Reset, then a burst of SetDists sized to land on both sides of
+		// the full-clear threshold, and on it.
+		if ws.seen.full() {
+			full++
+		} else {
+			sparse++
+		}
+		ws.Reset()
+		clear(model)
+		var marks int
+		switch round % 6 {
+		case 0:
+			marks = rng.Intn(4)
+		case 1:
+			marks = limit - 1
+		case 2:
+			marks = limit
+		case 3:
+			marks = limit + 1
+		default:
+			marks = rng.Intn(3 * limit)
+		}
+		for i := 0; i < marks; i++ {
+			v := graph.V(rng.Intn(n))
+			d := int32(rng.Intn(8)) - 1 // includes the -1 landmark sentinel
+			ws.SetDist(v, d)            // re-setting a seen vertex overwrites, as before
+			model[v] = d
+			if !ws.Seen(v) || ws.Dist(v) != d {
+				t.Fatalf("round %d: SetDist(%d, %d) read back Seen=%v Dist=%d", round, v, d, ws.Seen(v), ws.Dist(v))
+			}
+		}
+		if wantFull := marks >= limit; ws.seen.full() != wantFull {
+			t.Fatalf("round %d: %d marks against a log of %d: full=%v", round, marks, limit, ws.seen.full())
+		}
+		if round%97 == 0 || marks >= limit-1 && marks <= limit+1 {
+			checkAgainstModel(t, ws, model, n, "after burst")
+			ws.Reset()
+			clear(model)
+			checkAgainstModel(t, ws, model, n, "after reset")
+		}
 	}
-	if ws.Seen(3) {
-		t.Fatal("wraparound must clear stamps")
+	if sparse < 1000 || full < 1000 {
+		t.Fatalf("resets exercised: %d sparse, %d full-clear", sparse, full)
+	}
+}
+
+// modelBFSLevel advances the model one level: unseen neighbours of the
+// depth-d vertices get d+1.
+func modelBFSLevel(g *graph.Graph, model map[graph.V]int32, frontier []graph.V, d int32) []graph.V {
+	var next []graph.V
+	for _, x := range frontier {
+		for _, y := range g.Neighbors(x) {
+			if _, ok := model[y]; !ok {
+				model[y] = d + 1
+				next = append(next, y)
+			}
+		}
+	}
+	return next
+}
+
+func TestWorkspaceModelExpand(t *testing.T) {
+	// One workspace and one expander serve every traversal, the α of
+	// each level drawn at random so top-down and bottom-up levels
+	// interleave in every order; some vertices carry the -1 sentinel
+	// and must never be discovered. Dist is checked for every vertex
+	// between levels — which is where the last level is seen but
+	// unsettled — and again after the next Expand settled it.
+	const n = 700
+	rng := rand.New(rand.NewSource(2))
+	b := graph.NewBuilder(n)
+	for i := 0; i < 2600; i++ {
+		b.AddEdge(graph.V(rng.Intn(n)), graph.V(rng.Intn(n)))
+	}
+	g := b.MustBuild()
+	ws := NewWorkspace(n)
+	e := NewExpander(n)
+	modes := []struct{ alpha, beta int64 }{
+		{-1, DefaultBeta},           // bottom-up, whatever the frontier
+		{0, 0},                      // top-down: β=0 leaves bottom-up at once, α=0 never enters it
+		{1, DefaultBeta},            // eager heuristic
+		{DefaultAlpha, DefaultBeta}, // the serving default
+	}
+	var switches int64
+	for rep := 0; rep < 300; rep++ {
+		ws.Reset()
+		model := map[graph.V]int32{}
+		for i := rng.Intn(12); i > 0; i-- {
+			r := graph.V(rng.Intn(n))
+			ws.SetDist(r, -1)
+			model[r] = -1
+		}
+		src := graph.V(rng.Intn(n))
+		ws.SetDist(src, 0)
+		model[src] = 0
+		e.Begin(g, nil)
+		frontier := []graph.V{src}
+		stop := rng.Intn(8) // abandon some searches mid-way, last level unsettled
+		for d := int32(0); len(frontier) > 0 && int(d) < 1+stop; d++ {
+			m := modes[rng.Intn(len(modes))]
+			e.Alpha, e.Beta = m.alpha, m.beta
+			want := modelBFSLevel(g, model, frontier, d)
+			var arcs int64
+			frontier, arcs = e.Expand(ws, frontier, d, nil)
+			if len(frontier) != len(want) {
+				t.Fatalf("rep %d depth %d α=%d: level of %d vertices, model %d", rep, d, e.Alpha, len(frontier), len(want))
+			}
+			if arcs == 0 && len(want) > 0 {
+				t.Fatalf("rep %d depth %d: discovered %d vertices scanning no arcs", rep, d, len(want))
+			}
+			checkAgainstModel(t, ws, model, n, "between levels")
+		}
+		switches += e.Switches
+	}
+	if switches < 100 {
+		t.Fatalf("only %d direction switches: the interleavings were not exercised", switches)
 	}
 }
