@@ -12,7 +12,6 @@ import (
 
 	"qbs"
 	"qbs/internal/core"
-	"qbs/internal/dcore"
 	"qbs/internal/graph"
 	"qbs/internal/obs"
 	"qbs/internal/workload"
@@ -326,8 +325,11 @@ func diAllocIndex(tb testing.TB) (*qbs.DiIndex, [][2]qbs.V) {
 // DiSPG performs zero heap allocations per query, and so does Distance.
 func TestWarmDiQueryZeroAllocs(t *testing.T) {
 	g := graph.DirectedScaleFree(800, 3, 73)
-	cix := dcore.MustBuild(g, dcore.Options{NumLandmarks: 16})
-	sr := dcore.NewSearcher(cix)
+	cix, err := core.BuildDirected(g, core.Options{NumLandmarks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := core.NewSearcher(cix)
 	spg := graph.NewDiSPG(0, 0)
 	rng := rand.New(rand.NewSource(9))
 	pairs := make([][2]qbs.V, 64)

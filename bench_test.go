@@ -26,7 +26,6 @@ import (
 	"qbs/internal/bfs"
 	"qbs/internal/core"
 	"qbs/internal/datasets"
-	"qbs/internal/dcore"
 	"qbs/internal/graph"
 	"qbs/internal/ppl"
 	"qbs/internal/workload"
@@ -383,13 +382,16 @@ func BenchmarkAblationRelabel(b *testing.B) {
 
 func BenchmarkDirectedQuery(b *testing.B) {
 	g := graph.DirectedScaleFree(20000, 3, 2021)
-	ix := dcore.MustBuild(g, dcore.Options{NumLandmarks: 20})
+	ix, err := core.BuildDirected(g, core.Options{NumLandmarks: 20})
+	if err != nil {
+		b.Fatal(err)
+	}
 	pairs := newDeterministicPairs(g.NumVertices(), 256)
-	sr := dcore.NewSearcher(ix)
+	sr := core.NewSearcher(ix)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		sr.Query(p[0], p[1])
+		sr.QueryInto(graph.NewDiSPG(p[0], p[1]), p[0], p[1])
 	}
 }
 

@@ -11,12 +11,10 @@
 // dynamic (incremental updates vs rebuild), traceoverhead (span-protocol
 // cost on a warm query: drop path vs retain path), loadvsbuild (durable-store
 // restart cost: snapshot open + WAL replay vs cold build; with -json it
-// emits the BENCH_PR3.json record), directed (bit-parallel directed
-// engine vs the scalar reference and Di-Bi-BFS; with -json it emits the
-// BENCH_PR4.json record), replication (routed read QPS at 1/2/4 WAL-
-// shipped replicas under a MixedOps write stream; with -json it emits
-// the BENCH_PR5.json record), ablation-traversal, ablation-parallel,
-// ablation-landmarks, all.
+// emits the BENCH_PR3.json record), replication (routed read QPS at
+// 1/2/4 WAL-shipped replicas under a MixedOps write stream; with -json
+// it emits the BENCH_PR5.json record), ablation-traversal,
+// ablation-parallel, ablation-landmarks, all.
 package main
 
 import (
@@ -35,7 +33,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (table1|table2|table3|fig7|fig8|fig9|fig10|fig11|dynamic|traceoverhead|loadvsbuild|directed|replication|scaling|ablation-traversal|ablation-parallel|ablation-landmarks|all)")
+		exp       = flag.String("exp", "all", "experiment to run (table1|table2|table3|fig7|fig8|fig9|fig10|fig11|dynamic|traceoverhead|loadvsbuild|replication|scaling|ablation-traversal|ablation-parallel|ablation-landmarks|all)")
 		scale     = flag.Float64("scale", 0.25, "dataset scale factor (1.0 = DESIGN.md sizes)")
 		queries   = flag.Int("queries", 1000, "number of sampled query pairs per dataset")
 		landmarks = flag.Int("landmarks", 20, "number of landmarks |R| for single-point experiments")
@@ -90,21 +88,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "loadvsbuild snapshot written to %s in %s\n",
-			*jsonPath, time.Since(t0).Round(time.Millisecond))
-		return
-	}
-	if *jsonPath != "" && *exp == "directed" {
-		// Directed snapshot mode: the BENCH_PR4.json record (bit-parallel
-		// directed labelling vs scalar reference, warm query latency and
-		// allocations, Di-Bi-BFS baseline).
-		if len(cfg.Datasets) == 0 {
-			cfg.Datasets = []string{"WK", "BA", "LJ"}
-		}
-		t0 := time.Now()
-		if err := bench.New(cfg).DirectedTableJSON(*jsonPath); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "directed snapshot written to %s in %s\n",
 			*jsonPath, time.Since(t0).Round(time.Millisecond))
 		return
 	}
@@ -193,7 +176,6 @@ func main() {
 	run("dynamic", func() error { _, err := h.DynamicUpdates(nil); return err })
 	run("traceoverhead", func() error { _, err := h.TraceOverhead(); return err })
 	run("loadvsbuild", func() error { _, err := h.LoadVsBuild(); return err })
-	run("directed", func() error { _, err := h.DirectedTable(); return err })
 	if *exp == "replication" {
 		// Not part of -exp all: it stands up live HTTP topologies and
 		// measures wall-clock throughput, which needs a quiet host.

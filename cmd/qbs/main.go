@@ -212,7 +212,7 @@ func runDirected(graphPath, dataset string, scale float64, landmarks int, dataDi
 		fmt.Printf("  labelling time: %s\n", st.LabellingTime.Round(time.Microsecond))
 		fmt.Printf("  meta/Δ time:    %s\n", st.MetaTime.Round(time.Microsecond))
 		fmt.Printf("  label entries:  %d\n", st.LabelEntries)
-		fmt.Printf("  meta arcs:      %d\n", st.MetaArcs)
+		fmt.Printf("  meta arcs:      %d\n", st.MetaEdges)
 		fmt.Printf("  size(L):        %d bytes\n", ix.SizeLabelsBytes())
 		fmt.Printf("  size(Δ):        %d bytes\n", ix.SizeDeltaBytes())
 	}

@@ -4,15 +4,16 @@ import (
 	"sync"
 
 	"qbs/internal/bfs"
-	"qbs/internal/dcore"
+	"qbs/internal/core"
 	"qbs/internal/graph"
 	"qbs/internal/store"
 )
 
 // Directed API: the paper's §2 extension to directed graphs, answering
-// SPG(u → v) — the union of all shortest *directed* paths. See
-// internal/dcore for the construction. The directed index carries the
-// full serving surface of the undirected one — Distance, zero-alloc
+// SPG(u → v) — the union of all shortest *directed* paths. It is the
+// same engine as the undirected index (internal/core, "Directed
+// graphs"), bound to a digraph's out- and in-arcs and filling a DiSPG,
+// so it carries the same serving surface — Distance, zero-alloc
 // QueryInto, panic-isolated QueryBatch, Sketch, Stats — plus snapshot
 // persistence via CreateDiStore/OpenDiStore.
 
@@ -26,11 +27,11 @@ type (
 	// DiSPG is a directed shortest path graph.
 	DiSPG = graph.DiSPG
 	// DiSketch is the directed per-query summary structure.
-	DiSketch = dcore.Sketch
+	DiSketch = core.Sketch
 	// DiIndexStats reports directed construction cost and size accounting.
-	DiIndexStats = dcore.BuildStats
-	// DiQueryStats reports directed per-query internals (distance, d⊤).
-	DiQueryStats = dcore.QueryStats
+	DiIndexStats = core.BuildStats
+	// DiQueryStats reports directed per-query internals.
+	DiQueryStats = core.QueryStats
 )
 
 // NewDiBuilder creates a directed-graph builder over n vertices.
@@ -65,19 +66,20 @@ type DiOptions struct {
 // DiIndex is an immutable directed QbS index; safe for concurrent
 // queries.
 type DiIndex struct {
-	core *dcore.Index
+	core *core.Index
+	g    *DiGraph
 	pool sync.Pool
 }
 
-func newDiIndex(cix *dcore.Index) *DiIndex {
-	ix := &DiIndex{core: cix}
-	ix.pool.New = func() any { return dcore.NewSearcher(cix) }
+func newDiIndex(cix *core.Index, g *DiGraph) *DiIndex {
+	ix := &DiIndex{core: cix, g: g}
+	ix.pool.New = func() any { return core.NewSearcher(cix) }
 	return ix
 }
 
 // BuildDiIndex constructs a directed QbS index over g.
 func BuildDiIndex(g *DiGraph, opts DiOptions) (*DiIndex, error) {
-	cix, err := dcore.Build(g, dcore.Options{
+	cix, err := core.BuildDirected(g, core.Options{
 		NumLandmarks: opts.NumLandmarks,
 		Landmarks:    opts.Landmarks,
 		Parallelism:  opts.Parallelism,
@@ -85,7 +87,7 @@ func BuildDiIndex(g *DiGraph, opts DiOptions) (*DiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDiIndex(cix), nil
+	return newDiIndex(cix, g), nil
 }
 
 // MustBuildDiIndex is BuildDiIndex that panics on error.
@@ -99,9 +101,7 @@ func MustBuildDiIndex(g *DiGraph, opts DiOptions) *DiIndex {
 
 // Query answers the directed SPG(u → v).
 func (ix *DiIndex) Query(u, v V) *DiSPG {
-	sr := ix.pool.Get().(*dcore.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.Query(u, v)
+	return ix.QueryInto(graph.NewDiSPG(u, v), u, v)
 }
 
 // QueryInto answers SPG(u → v) into a caller-owned result, resetting it
@@ -117,7 +117,7 @@ func (ix *DiIndex) QueryInto(dst *DiSPG, u, v V) *DiSPG {
 // QueryIntoStats is QueryInto that reports query internals instead of
 // returning dst: the serving shape, one search into a recycled result.
 func (ix *DiIndex) QueryIntoStats(dst *DiSPG, u, v V) DiQueryStats {
-	sr := ix.pool.Get().(*dcore.Searcher)
+	sr := ix.pool.Get().(*core.Searcher)
 	defer ix.pool.Put(sr)
 	return sr.QueryInto(dst, u, v)
 }
@@ -131,7 +131,7 @@ func (ix *DiIndex) QueryWithStats(u, v V) (*DiSPG, DiQueryStats) {
 // Distance returns d_G(u → v) using the sketch-guided search without
 // path extraction (InfDist when v is unreachable from u).
 func (ix *DiIndex) Distance(u, v V) int32 {
-	sr := ix.pool.Get().(*dcore.Searcher)
+	sr := ix.pool.Get().(*core.Searcher)
 	defer ix.pool.Put(sr)
 	return sr.Distance(u, v)
 }
@@ -152,10 +152,10 @@ func (ix *DiIndex) Sketch(u, v V) *DiSketch { return ix.core.Sketch(u, v) }
 // returned.
 func (ix *DiIndex) QueryBatch(pairs []Pair, parallelism int) []*DiSPG {
 	out := make([]*DiSPG, len(pairs))
-	dcore.QueryBatchInto(out, parallelism,
+	core.QueryBatchInto(out, parallelism,
 		func(i int) (V, V) { return pairs[i].U, pairs[i].V },
-		func() *dcore.Searcher { return ix.pool.Get().(*dcore.Searcher) },
-		func(sr *dcore.Searcher) { ix.pool.Put(sr) })
+		func() *core.Searcher { return ix.pool.Get().(*core.Searcher) },
+		func(sr *core.Searcher) { ix.pool.Put(sr) })
 	return out
 }
 
@@ -177,7 +177,7 @@ func (ix *DiIndex) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
 func (ix *DiIndex) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
 
 // Graph returns the indexed digraph.
-func (ix *DiIndex) Graph() *DiGraph { return ix.core.Graph() }
+func (ix *DiIndex) Graph() *DiGraph { return ix.g }
 
 // DiStoreOptions configures CreateDiStore and OpenDiStore.
 type DiStoreOptions struct {
@@ -192,7 +192,7 @@ type DiStoreOptions struct {
 
 // CreateDiStore builds a directed index over g (costing one
 // BuildDiIndex) and persists it into dir as a single checksummed
-// snapshot (format v4: dual CSR, directed labels, σ and Δ). The
+// snapshot (format v5: dual CSR, directed labels, σ and Δ). The
 // directed index is immutable, so there is no write-ahead log — the
 // snapshot is the whole store. dir must not already contain one.
 func CreateDiStore(dir string, g *DiGraph, opts DiStoreOptions) (*DiIndex, error) {
@@ -200,7 +200,7 @@ func CreateDiStore(dir string, g *DiGraph, opts DiStoreOptions) (*DiIndex, error
 	if err != nil {
 		return nil, err
 	}
-	if err := store.CreateDi(dir, ix.core.Persistent()); err != nil {
+	if err := store.CreateDi(dir, g, ix.core.DirectedState()); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -212,11 +212,11 @@ func CreateDiStore(dir string, g *DiGraph, opts DiStoreOptions) (*DiIndex, error
 // state is rebuilt. Opening is typically orders of magnitude faster
 // than rebuilding.
 func OpenDiStore(dir string, opts DiStoreOptions) (*DiIndex, error) {
-	cix, err := store.OpenDi(dir, opts.MMap)
+	cix, g, err := store.OpenDi(dir, opts.MMap)
 	if err != nil {
 		return nil, err
 	}
-	return newDiIndex(cix), nil
+	return newDiIndex(cix, g), nil
 }
 
 // DiStoreExists reports whether dir already contains a directed store.

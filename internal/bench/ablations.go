@@ -9,7 +9,6 @@ import (
 	"qbs/internal/bfs"
 	"qbs/internal/core"
 	"qbs/internal/datasets"
-	"qbs/internal/dcore"
 	"qbs/internal/graph"
 	"qbs/internal/workload"
 )
@@ -235,7 +234,7 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 			continue
 		}
 		g := spec.GenerateDirected(h.cfg.Scale)
-		ix, err := dcore.Build(g, dcore.Options{NumLandmarks: h.cfg.NumLandmarks})
+		ix, err := core.BuildDirected(g, core.Options{NumLandmarks: h.cfg.NumLandmarks})
 		if err != nil {
 			return nil, err
 		}
@@ -245,10 +244,11 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 		for i := range pairs {
 			pairs[i] = qp{graph.V(rng.Intn(g.NumVertices())), graph.V(rng.Intn(g.NumVertices()))}
 		}
-		sr := dcore.NewSearcher(ix)
+		sr := core.NewSearcher(ix)
+		spg := graph.NewDiSPG(0, 0)
 		start := time.Now()
 		for _, p := range pairs {
-			sr.Query(p.u, p.v)
+			sr.QueryInto(spg, p.u, p.v)
 		}
 		qbsTime := time.Since(start) / time.Duration(len(pairs))
 		bib := bfs.NewDiBidirectional(g)
@@ -259,7 +259,7 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 		bibTime := time.Since(start) / time.Duration(len(pairs))
 		row := DirectedRow{
 			Key: key, Vertices: g.NumVertices(), Arcs: g.NumArcs(),
-			Build: ix.BuildTime(), Query: qbsTime, BiBFS: bibTime,
+			Build: ix.Stats().TotalTime, Query: qbsTime, BiBFS: bibTime,
 			Speedup: float64(bibTime) / float64(qbsTime),
 		}
 		rows = append(rows, row)

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -201,58 +199,5 @@ func TestDynamicUpdates(t *testing.T) {
 				r.InsertSpeedup, attempts, r.AvgInsert, r.Rebuild)
 		}
 		t.Logf("attempt %d: insert speedup %.1f× < 10×, retrying (likely scheduler contention)", attempt, r.InsertSpeedup)
-	}
-}
-
-func TestDirectedTable(t *testing.T) {
-	var buf bytes.Buffer
-	h := New(Config{Scale: 0.02, NumQueries: 30, NumLandmarks: 8, Datasets: []string{"WK", "BA"}, Out: &buf})
-	rows, err := h.DirectedTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Vertices <= 0 || r.Arcs <= 0 || r.EngineLabellingNs <= 0 || r.ScalarLabellingNs <= 0 {
-			t.Fatalf("empty row: %+v", r)
-		}
-		if r.QueryAllocsPerOp > 0.5 {
-			t.Fatalf("%s: warm directed query allocates %.2f/op", r.Key, r.QueryAllocsPerOp)
-		}
-	}
-	if !strings.Contains(buf.String(), "DirectedTable") {
-		t.Fatal("markdown not rendered")
-	}
-}
-
-func TestDirectedTableJSON(t *testing.T) {
-	h := New(Config{Scale: 0.02, NumQueries: 20, NumLandmarks: 6, Datasets: []string{"WK"}})
-	path := t.TempDir() + "/bench_pr4.json"
-	if err := h.DirectedTableJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep DirectedTableReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != DirectedTableSchema || len(rep.Datasets) != 1 || rep.Datasets[0].Key != "WK" {
-		t.Fatalf("report: %+v", rep)
-	}
-}
-
-// BenchmarkDirectedTable keeps the directed experiment runnable by the
-// CI bench smoke job (one iteration at tiny scale).
-func BenchmarkDirectedTable(b *testing.B) {
-	h := New(Config{Scale: 0.02, NumQueries: 20, NumLandmarks: 6, Datasets: []string{"WK"}})
-	for i := 0; i < b.N; i++ {
-		if _, err := h.DirectedTable(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"qbs/internal/graph"
-	"qbs/internal/traverse"
 )
 
 func TestDistancesOnPath(t *testing.T) {
@@ -181,14 +180,52 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		ws.SetDist(graph.V(i), int32(i))
 	}
-	spg := graph.NewSPG(0, 5)
-	spg.Dist = 5
-	mark := traverse.NewMarks(6)
-	arcs := ExtractPaths(g, spg, []graph.V{5}, ws, mark)
-	if spg.NumEdges() != 5 {
-		t.Fatalf("extracted %d edges, want 5", spg.NumEdges())
+	for _, flip := range []bool{false, true} {
+		pairs, arcs := NewExtractor(6).Extract(g, flip, nil, []graph.V{5}, ws)
+		spg := graph.NewSPG(0, 5)
+		spg.Fill(5, pairs)
+		if spg.NumEdges() != 5 {
+			t.Fatalf("flip=%v: extracted %d edges, want 5", flip, spg.NumEdges())
+		}
+		if arcs <= 0 {
+			t.Fatal("arc counter not incremented")
+		}
+		// A predecessor y of x is y→x, reversed under flip.
+		for _, p := range pairs {
+			if (p.From < p.To) == flip {
+				t.Fatalf("flip=%v: pair %d→%d points the wrong way", flip, p.From, p.To)
+			}
+		}
 	}
-	if arcs <= 0 {
-		t.Fatal("arc counter not incremented")
+}
+
+func TestDiBidirectionalMatchesOracle(t *testing.T) {
+	for name, g := range map[string]*graph.DiGraph{
+		"dicycle": graph.MustDiFromArcs(7, []graph.Arc{
+			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
+			{From: 4, To: 5}, {From: 5, To: 6}, {From: 6, To: 0},
+		}),
+		"diamond": graph.MustDiFromArcs(5, []graph.Arc{
+			{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3},
+			{From: 3, To: 4}, {From: 4, To: 0}, // back arc
+		}),
+		"der300":  graph.DirectedErdosRenyi(300, 1200, 3),
+		"der150":  graph.DirectedErdosRenyi(150, 450, 4),
+		"dsf200":  graph.DirectedScaleFree(200, 2, 5),
+		"dsf300":  graph.DirectedScaleFree(300, 3, 6),
+		"undirBA": graph.AsDirected(graph.BarabasiAlbert(200, 3, 7)),
+	} {
+		b := NewDiBidirectional(g)
+		rng := rand.New(rand.NewSource(23))
+		n := g.NumVertices()
+		for i := 0; i < 80; i++ {
+			u := graph.V(rng.Intn(n))
+			v := graph.V(rng.Intn(n))
+			got, _ := b.Query(u, v)
+			want := OracleDiSPG(g, u, v)
+			if !got.Equal(want) {
+				t.Fatalf("%s: DiBiBFS(%d,%d) = %v, want %v", name, u, v, got, want)
+			}
+		}
 	}
 }

@@ -46,6 +46,7 @@ type Bidirectional struct {
 	frontFwd, frontBwd []graph.V
 	nextBuf            []graph.V
 	meet               []graph.V
+	pairs              []graph.Arc
 	ext                *Extractor
 }
 
@@ -118,7 +119,6 @@ func (b *Bidirectional) Query(u, v graph.V) (*graph.SPG, SearchStats) {
 		return spg, stats // disconnected
 	}
 	d := du + dv
-	spg.Dist = d
 	// Keep only true meeting vertices on shortest paths.
 	cut := meet[:0]
 	for _, w := range meet {
@@ -126,8 +126,11 @@ func (b *Bidirectional) Query(u, v graph.V) (*graph.SPG, SearchStats) {
 			cut = append(cut, w)
 		}
 	}
-	stats.ArcsScanned += b.ext.Extract(g, spg, cut, b.fwd)
-	stats.ArcsScanned += b.ext.Extract(g, spg, cut, b.bwd)
+	pairs, nf := b.ext.Extract(g, false, b.pairs[:0], cut, b.fwd)
+	pairs, nb := b.ext.Extract(g, true, pairs, cut, b.bwd)
+	stats.ArcsScanned += nf + nb
+	b.pairs = pairs
+	spg.Fill(d, pairs)
 	return spg, stats
 }
 
@@ -154,13 +157,21 @@ func (b *Bidirectional) collectMeeting(frontier []graph.V, other *Workspace, mee
 }
 
 // Extractor performs the paper's reverse search with reusable buffers:
-// starting from the meeting vertices, walk depth levels downward in ws
-// (depth decreases by exactly 1 per step), adding every DAG edge to the
-// SPG.
+// starting from the given vertices, walk the depth levels of one search
+// side downward toward its root (depth decreases by exactly 1 per
+// step), emitting every DAG arc as an oriented pair.
 //
-// It is shared by the Bi-BFS baseline and the QbS guided search (where
+// pull is the side's reverse adjacency — the one its bottom-up
+// expansion probes parents through: the in-arcs for a forward search
+// over out-arcs, the out-arcs for a backward search over in-arcs, the
+// graph itself when undirected. A predecessor y of x is emitted as
+// y→x; flip reverses that to x→y, which is what a backward side's
+// predecessors are in the graph.
+//
+// It is shared by the Bi-BFS baselines and the QbS guided search (where
 // ws holds depths over the sparsified graph G⁻ — landmarks carry a
-// negative sentinel depth and are skipped automatically).
+// negative sentinel depth and are skipped automatically); a warmed
+// extractor keeps the query path allocation-free.
 type Extractor struct {
 	mark      *traverse.Marks
 	cur, next []graph.V
@@ -171,9 +182,10 @@ func NewExtractor(n int) *Extractor {
 	return &Extractor{mark: traverse.NewMarks(n)}
 }
 
-// Extract runs the reverse search from the given vertices and returns
-// the number of adjacency entries scanned (for traversal ablations).
-func (e *Extractor) Extract(g graph.Adjacency, spg *graph.SPG, from []graph.V, ws *Workspace) int64 {
+// Extract runs the reverse search from the given vertices, appending
+// the arcs to out, and returns out plus the number of adjacency entries
+// scanned (for traversal ablations).
+func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, from []graph.V, ws *Workspace) ([]graph.Arc, int64) {
 	e.mark.Reset()
 	var arcs int64
 	cur := e.cur[:0]
@@ -191,10 +203,14 @@ func (e *Extractor) Extract(g graph.Adjacency, spg *graph.SPG, from []graph.V, w
 			if dx <= 0 {
 				continue
 			}
-			for _, y := range g.Neighbors(x) {
+			for _, y := range pull.Neighbors(x) {
 				arcs++
 				if ws.Seen(y) && ws.Dist(y) == dx-1 {
-					spg.AddEdge(x, y)
+					if flip {
+						out = append(out, graph.Arc{From: x, To: y})
+					} else {
+						out = append(out, graph.Arc{From: y, To: x})
+					}
 					if !e.mark.Seen(y) {
 						e.mark.Mark(y)
 						next = append(next, y)
@@ -205,12 +221,5 @@ func (e *Extractor) Extract(g graph.Adjacency, spg *graph.SPG, from []graph.V, w
 		cur, next = next, cur
 	}
 	e.cur, e.next = cur[:0], next[:0]
-	return arcs
-}
-
-// ExtractPaths is the one-shot form of Extractor.Extract; mark is used
-// as the dedup scratch set.
-func ExtractPaths(g graph.Adjacency, spg *graph.SPG, from []graph.V, ws *Workspace, mark *traverse.Marks) int64 {
-	e := &Extractor{mark: mark}
-	return e.Extract(g, spg, from, ws)
+	return out, arcs
 }

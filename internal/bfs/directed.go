@@ -1,12 +1,9 @@
 package bfs
 
-import (
-	"qbs/internal/graph"
-	"qbs/internal/traverse"
-)
+import "qbs/internal/graph"
 
-// Directed BFS kernels and baselines, mirroring the undirected ones for
-// package dcore (the paper's directed extension).
+// Directed BFS kernels and baselines, mirroring the undirected ones (the
+// paper's directed extension).
 
 // DiDistancesFrom runs a forward BFS over out-arcs from source.
 func DiDistancesFrom(g *graph.DiGraph, source graph.V) []int32 {
@@ -84,8 +81,9 @@ func OracleDiSPG(g *graph.DiGraph, u, v graph.V) *graph.DiSPG {
 type DiBidirectional struct {
 	g        *graph.DiGraph
 	fwd, bwd *Workspace
-	ext      *DiExtractor
+	ext      *Extractor
 	meet     []graph.V
+	pairs    []graph.Arc
 }
 
 // NewDiBidirectional creates a searcher for g.
@@ -95,7 +93,7 @@ func NewDiBidirectional(g *graph.DiGraph) *DiBidirectional {
 		g:   g,
 		fwd: NewWorkspace(n),
 		bwd: NewWorkspace(n),
-		ext: NewDiExtractor(n),
+		ext: NewExtractor(n),
 	}
 }
 
@@ -147,15 +145,17 @@ func (b *DiBidirectional) Query(u, v graph.V) (*graph.DiSPG, SearchStats) {
 		return spg, stats
 	}
 	d := du + dv
-	spg.Dist = d
 	cut := meet[:0]
 	for _, w := range meet {
 		if b.fwd.Dist(w)+b.bwd.Dist(w) == d {
 			cut = append(cut, w)
 		}
 	}
-	stats.ArcsScanned += b.ext.Extract(g, spg, cut, b.fwd, true)
-	stats.ArcsScanned += b.ext.Extract(g, spg, cut, b.bwd, false)
+	pairs, nf := b.ext.Extract(g.InView(), false, b.pairs[:0], cut, b.fwd)
+	pairs, nb := b.ext.Extract(g.OutView(), true, pairs, cut, b.bwd)
+	stats.ArcsScanned += nf + nb
+	b.pairs = pairs
+	spg.Fill(d, pairs)
 	return spg, stats
 }
 
@@ -178,75 +178,4 @@ func (b *DiBidirectional) expand(frontier []graph.V, ws *Workspace, d int32, for
 		}
 	}
 	return next
-}
-
-// DiExtractor performs the directed reverse search with reusable
-// buffers: starting from the given vertices, walk depth levels downward
-// in ws toward the search root. For the forward side (towardSource =
-// true) predecessors are in-neighbours and extracted arcs point pred→x;
-// for the backward side they are out-neighbours and arcs point x→succ.
-// Shared by the Di-Bi-BFS baseline and the directed guided search; a
-// warmed extractor keeps the query path allocation-free.
-type DiExtractor struct {
-	mark      *traverse.Marks
-	cur, next []graph.V
-}
-
-// NewDiExtractor creates an extractor for digraphs with n vertices.
-func NewDiExtractor(n int) *DiExtractor {
-	return &DiExtractor{mark: traverse.NewMarks(n)}
-}
-
-// Extract runs the directed reverse search from the given vertices and
-// returns the number of adjacency entries scanned.
-func (e *DiExtractor) Extract(g *graph.DiGraph, spg *graph.DiSPG, from []graph.V, ws *Workspace, towardSource bool) int64 {
-	e.mark.Reset()
-	var arcs int64
-	cur := e.cur[:0]
-	for _, w := range from {
-		if !e.mark.Seen(w) {
-			e.mark.Mark(w)
-			cur = append(cur, w)
-		}
-	}
-	next := e.next[:0]
-	for len(cur) > 0 {
-		next = next[:0]
-		for _, x := range cur {
-			dx := ws.Dist(x)
-			if dx <= 0 {
-				continue
-			}
-			var ns []graph.V
-			if towardSource {
-				ns = g.In(x)
-			} else {
-				ns = g.Out(x)
-			}
-			for _, y := range ns {
-				arcs++
-				if ws.Seen(y) && ws.Dist(y) == dx-1 {
-					if towardSource {
-						spg.AddArc(y, x)
-					} else {
-						spg.AddArc(x, y)
-					}
-					if !e.mark.Seen(y) {
-						e.mark.Mark(y)
-						next = append(next, y)
-					}
-				}
-			}
-		}
-		cur, next = next, cur
-	}
-	e.cur, e.next = cur[:0], next[:0]
-	return arcs
-}
-
-// ExtractDiPaths is the one-shot form of DiExtractor.Extract; mark is
-// used as the dedup scratch set.
-func ExtractDiPaths(g *graph.DiGraph, spg *graph.DiSPG, from []graph.V, ws *Workspace, mark *traverse.Marks, towardSource bool) int64 {
-	e := &DiExtractor{mark: mark}
-	return e.Extract(g, spg, from, ws, towardSource)
 }

@@ -8,6 +8,38 @@
 // each goroutine uses its own Searcher. The dynamic-update subsystem
 // (internal/dynamic) assembles Index snapshots from incrementally
 // maintained parts via AssembleDynamic instead of Build.
+//
+// # Directed graphs
+//
+// The paper gives the directed case one sentence (§2: "our work can be
+// easily extended to directed ... graphs"). This package takes it at its
+// word: the engine is written once, in directed terms, over an (out, in)
+// adjacency pair, and answers SPG(u → v), the union of all shortest
+// directed u→v paths. Every structure has a direction:
+//
+//   - each landmark r keeps two labellings, labelFrom(v) = d(r→v) and
+//     labelTo(v) = d(v→r), each restricted to shortest paths avoiding
+//     other landmarks (one sweep over out-arcs, one over in-arcs);
+//   - the meta-graph is a weighted digraph: σ(a→b) = d_G(a→b) when some
+//     shortest a→b path avoids other landmarks, and its APSP, the
+//     shortest-meta-path table and the Δ lists are oriented;
+//   - the sketch bound is d⊤ = min δ(u→r) + d_M(r→r') + δ(r'→v);
+//   - the guided search runs forward from u over out-arcs and backward
+//     from v over in-arcs on the landmark-sparsified digraph, and every
+//     stage emits oriented pairs x→y.
+//
+// An undirected graph is the aliasing case, not a second code path:
+// out == in, so one sweep fills the one labelling both names point at,
+// the meta-graph keeps each edge once (a < b) and the result type drops
+// the orientation (graph.SPG normalises a pair, graph.DiSPG keeps it).
+// Whether a graph is symmetric is read from out == in, never from an
+// option.
+//
+// Correctness mirrors the undirected proofs: shortest directed walks of
+// length d(u, v) are simple, prefixes up to the first landmark witness
+// labelTo entries of u, suffixes after the last landmark witness
+// labelFrom entries of v, and landmark-to-landmark segments decompose
+// into meta-arcs.
 package core
 
 import (
@@ -42,8 +74,9 @@ type Options struct {
 	// vertex count and at 254 (landmark indices must fit alongside the
 	// byte-encoded distances).
 	NumLandmarks int
-	// Strategy selects landmarks. Defaults to ByDegree (the paper's
-	// choice: highest-degree vertices).
+	// Strategy selects landmarks on an undirected graph. Defaults to
+	// ByDegree (the paper's choice: highest-degree vertices). A digraph
+	// takes its landmarks by total (in+out) degree.
 	Strategy LandmarkStrategy
 	// Landmarks overrides selection with an explicit set (used by tests
 	// and the landmark-strategy ablation). Ignored when nil.
@@ -81,8 +114,8 @@ func ClampLandmarks(requested, n int) int {
 	return requested
 }
 
-func (o Options) withDefaults(g *graph.Graph) Options {
-	o.NumLandmarks = ClampLandmarks(o.NumLandmarks, g.NumVertices())
+func (o Options) withDefaults(n int) Options {
+	o.NumLandmarks = ClampLandmarks(o.NumLandmarks, n)
 	if o.Strategy == nil {
 		o.Strategy = ByDegree
 	}
@@ -92,43 +125,56 @@ func (o Options) withDefaults(g *graph.Graph) Options {
 	return o
 }
 
-// metaEdge is an edge of the meta-graph M: landmarks a < b (as indices
-// into the landmark slice) whose shortest paths avoid other landmarks.
+// metaEdge is an edge a→b of the meta-graph M: landmarks (as indices
+// into the landmark slice) with a shortest a→b path avoiding other
+// landmarks. A symmetric meta-graph keeps each edge once, as a < b.
 type metaEdge struct {
 	a, b   int
-	weight int32 // σ(a, b) = d_G(a, b)
+	weight int32 // σ(a→b) = d_G(a→b)
 }
 
 // Index is the QbS labelling scheme L = (M, L) plus the precomputed
 // landmark-pair structures of §5.2: APSP over the meta-graph and Δ, the
 // shortest path graphs between meta-adjacent landmarks.
 type Index struct {
-	g *graph.Graph // nil for dynamically assembled indexes
-	a graph.Adjacency
+	g *graph.Graph // the static undirected graph; nil when directed or dynamically assembled
+
+	// out and in are the adjacency pair every traversal runs over: out
+	// pushes along arcs, in is its reverse. They are the same value for
+	// an undirected graph, which is how the index knows it is symmetric.
+	out, in graph.Adjacency
 
 	landmarks []graph.V // landmark vertex ids, index = landmark rank
 	landIdx   []int16   // per vertex: rank, or -1
 	numLand   int
 
-	// labels is the label matrix stored column-major: labels[i][v] is the
-	// labelled distance from vertex v to landmark rank i, or NoEntry.
-	// Column storage lets the dynamic subsystem share unchanged columns
-	// between snapshots (copy-on-write per landmark).
-	labels [][]uint8
+	// The label matrices, stored column-major: labelTo[i][v] is the
+	// labelled distance from vertex v to landmark rank i, labelFrom[i][v]
+	// from the landmark to v, or NoEntry. Symmetric indexes hold the same
+	// slices under both names. Column storage lets the dynamic subsystem
+	// share unchanged columns between snapshots (copy-on-write per
+	// landmark) and the store adopt them from a snapshot arena.
+	labelTo, labelFrom [][]uint8
 
-	// degs caches per-vertex degrees as a flat array for the traversal
-	// engines' α/β direction heuristic (an interface Degree call per
-	// discovered vertex would dominate the switch bookkeeping). Static
-	// builds materialise it once; dynamically assembled snapshots leave
-	// it nil and the engines fall back to Adjacency.Degree.
-	degs []int32
+	// degsOut and degsIn cache per-vertex degrees as flat arrays for the
+	// traversal engines' α/β direction heuristic (an interface Degree
+	// call per discovered vertex would dominate the switch bookkeeping).
+	// Static builds materialise them once (one array when symmetric);
+	// dynamically assembled snapshots leave them nil and the engines
+	// fall back to Adjacency.Degree.
+	degsOut, degsIn []int32
 
 	ms *MetaState
 
-	delta [][]graph.Edge // per meta-edge: SPG edge list in G
+	// delta holds, per meta-edge, the SPG between its endpoints in G.
+	// Edge{U, W} is the arc U→W; symmetric indexes normalise it (U < W).
+	delta [][]graph.Edge
 
 	build BuildStats
 }
+
+// symmetric reports whether the index is over an undirected graph.
+func (ix *Index) symmetric() bool { return ix.out == ix.in }
 
 // BuildStats reports construction cost and size accounting (Tables 2, 3).
 type BuildStats struct {
@@ -137,14 +183,19 @@ type BuildStats struct {
 	TotalTime     time.Duration
 	Parallelism   int
 	NumLandmarks  int
-	LabelEntries  int64 // number of non-empty label entries
+	LabelEntries  int64 // number of non-empty label entries (both labellings of a digraph)
 	MetaEdges     int
 	DeltaEdges    int64
 }
 
-// SizeLabelsBytes is the paper's size(L): |R| bytes per vertex.
+// SizeLabelsBytes is the paper's size(L): |R| bytes per vertex and
+// labelling (a digraph has two).
 func (ix *Index) SizeLabelsBytes() int64 {
-	return int64(ix.a.NumVertices()) * int64(ix.numLand)
+	size := int64(ix.out.NumVertices()) * int64(ix.numLand)
+	if !ix.symmetric() {
+		size *= 2
+	}
+	return size
 }
 
 // SizeDeltaBytes is the paper's size(Δ): 8 bytes per precomputed
@@ -159,13 +210,13 @@ func (ix *Index) SizeMetaBytes() int64 {
 // Stats returns construction statistics.
 func (ix *Index) Stats() BuildStats { return ix.build }
 
-// Graph returns the indexed static graph, or nil when the index was
-// assembled over a dynamic adjacency (use Adjacency then).
+// Graph returns the indexed static undirected graph, or nil when the
+// index is directed or was assembled over a dynamic adjacency (use
+// Adjacency then).
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
-// Adjacency returns the adjacency structure the index answers queries
-// over.
-func (ix *Index) Adjacency() graph.Adjacency { return ix.a }
+// Adjacency returns the (out-)adjacency the index answers queries over.
+func (ix *Index) Adjacency() graph.Adjacency { return ix.out }
 
 // Landmarks returns the landmark vertex ids (rank order). The slice
 // aliases internal storage and must not be modified.
@@ -177,11 +228,12 @@ func (ix *Index) IsLandmark(v graph.V) bool { return ix.landIdx[v] >= 0 }
 // NumLandmarks returns |R|.
 func (ix *Index) NumLandmarks() int { return ix.numLand }
 
-// Label returns the label entries of v as parallel slices of landmark
-// ranks and distances, freshly allocated. Landmarks have empty labels.
+// Label returns the label entries of v (distances to the landmarks) as
+// parallel slices of landmark ranks and distances, freshly allocated.
+// Landmarks have empty labels.
 func (ix *Index) Label(v graph.V) (ranks []int, dists []int32) {
 	for i := 0; i < ix.numLand; i++ {
-		if d := ix.labels[i][v]; d != NoEntry {
+		if d := ix.labelTo[i][v]; d != NoEntry {
 			ranks = append(ranks, i)
 			dists = append(dists, int32(d))
 		}
@@ -192,7 +244,7 @@ func (ix *Index) Label(v graph.V) (ranks []int, dists []int32) {
 // LabelEntry returns the labelled distance from v to landmark rank i, or
 // (0, false) when the entry is absent.
 func (ix *Index) LabelEntry(v graph.V, i int) (int32, bool) {
-	d := ix.labels[i][v]
+	d := ix.labelTo[i][v]
 	if d == NoEntry {
 		return 0, false
 	}
@@ -216,7 +268,7 @@ func (ix *Index) MetaEdgeWeight(i, j int) (int32, bool) {
 }
 
 // MetaEdges returns the meta-graph edge list as (rankA, rankB, weight)
-// triples with rankA < rankB.
+// triples: rankA < rankB when symmetric, the arc rankA→rankB otherwise.
 func (ix *Index) MetaEdges() [][3]int32 {
 	out := make([][3]int32, len(ix.ms.meta))
 	for k, e := range ix.ms.meta {
@@ -230,21 +282,37 @@ func (ix *Index) MetaEdges() [][3]int32 {
 // internal storage.
 func (ix *Index) Delta(k int) []graph.Edge { return ix.delta[k] }
 
-// Build constructs the QbS index over g. The graph is retained by
-// reference and must not be mutated afterwards.
+// Build constructs the QbS index over the undirected graph g. The graph
+// is retained by reference and must not be mutated afterwards.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
-	opts = opts.withDefaults(g)
 	start := time.Now()
-
+	opts = opts.withDefaults(g.NumVertices())
 	landmarks := opts.Landmarks
 	if landmarks == nil {
 		landmarks = opts.Strategy(g, opts.NumLandmarks, opts.Seed)
 	}
-	ix, err := newIndexShell(g, g, landmarks)
+	degs := g.Degrees()
+	return build(start, g, g, g, degs, degs, landmarks, opts)
+}
+
+// BuildDirected constructs the QbS index over the digraph g, answering
+// SPG(u → v). Landmarks default to the top vertices by total degree.
+func BuildDirected(g *graph.DiGraph, opts Options) (*Index, error) {
+	start := time.Now()
+	opts = opts.withDefaults(g.NumVertices())
+	landmarks := opts.Landmarks
+	if landmarks == nil {
+		landmarks = g.TotalDegreeOrder()[:opts.NumLandmarks]
+	}
+	return build(start, nil, g.OutView(), g.InView(), g.OutDegrees(), g.InDegrees(), landmarks, opts)
+}
+
+func build(start time.Time, g *graph.Graph, out, in graph.Adjacency, degsOut, degsIn []int32, landmarks []graph.V, opts Options) (*Index, error) {
+	ix, err := newIndexShell(g, out, in, landmarks)
 	if err != nil {
 		return nil, err
 	}
-	ix.degs = g.Degrees()
+	ix.degsOut, ix.degsIn = degsOut, degsIn
 
 	labStart := time.Now()
 	if err := ix.buildLabelling(opts.Parallelism); err != nil {
@@ -266,31 +334,29 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 
 // newIndexShell validates the landmark set and prepares the common Index
 // skeleton (landmark ranks, reverse map) without labels.
-func newIndexShell(g *graph.Graph, a graph.Adjacency, landmarks []graph.V) (*Index, error) {
+func newIndexShell(g *graph.Graph, out, in graph.Adjacency, landmarks []graph.V) (*Index, error) {
 	if len(landmarks) > 254 {
 		return nil, fmt.Errorf("core: %d landmarks exceed the 254 maximum", len(landmarks))
 	}
-	seen := make(map[graph.V]bool, len(landmarks))
-	for _, r := range landmarks {
-		if r < 0 || int(r) >= a.NumVertices() {
-			return nil, fmt.Errorf("core: landmark %d out of range", r)
-		}
-		if seen[r] {
-			return nil, fmt.Errorf("core: duplicate landmark %d", r)
-		}
-		seen[r] = true
-	}
+	n := out.NumVertices()
 	ix := &Index{
 		g:         g,
-		a:         a,
+		out:       out,
+		in:        in,
 		landmarks: landmarks,
 		numLand:   len(landmarks),
-		landIdx:   make([]int16, a.NumVertices()),
+		landIdx:   make([]int16, n),
 	}
 	for i := range ix.landIdx {
 		ix.landIdx[i] = -1
 	}
 	for i, r := range landmarks {
+		if r < 0 || int(r) >= n {
+			return nil, fmt.Errorf("core: landmark %d out of range", r)
+		}
+		if ix.landIdx[r] >= 0 {
+			return nil, fmt.Errorf("core: duplicate landmark %d", r)
+		}
 		ix.landIdx[r] = int16(i)
 	}
 	return ix, nil
@@ -306,25 +372,87 @@ func MustBuild(g *graph.Graph, opts Options) *Index {
 }
 
 // AssembleDynamic wraps incrementally maintained parts into a queryable
-// Index without any construction work: the label columns, meta state and
-// Δ lists are adopted by reference (the caller promises they are frozen —
-// the dynamic subsystem's copy-on-write snapshots guarantee this). delta
-// must align with ms's deterministic edge order and must be non-nil.
+// Index over the undirected adjacency a without any construction work:
+// the label columns, meta state and Δ lists are adopted by reference
+// (the caller promises they are frozen — the dynamic subsystem's
+// copy-on-write snapshots guarantee this). delta must align with ms's
+// deterministic edge order and must be non-nil.
 func AssembleDynamic(a graph.Adjacency, landmarks []graph.V, labels [][]uint8, ms *MetaState, delta [][]graph.Edge) (*Index, error) {
-	ix, err := newIndexShell(nil, a, landmarks)
+	ix, err := newIndexShell(nil, a, a, landmarks)
 	if err != nil {
 		return nil, err
 	}
-	if len(labels) != len(landmarks) {
-		return nil, fmt.Errorf("core: %d label columns for %d landmarks", len(labels), len(landmarks))
+	if err := ix.adopt(labels, labels, ms, delta); err != nil {
+		return nil, err
 	}
-	if ms == nil || ms.R != len(landmarks) {
-		return nil, fmt.Errorf("core: meta state does not match landmark count")
+	return ix, nil
+}
+
+// DirectedState is the frozen state of a directed Index that the
+// durable store serialises and restores. All slices alias index state
+// and must not be modified. Delta lists are in the canonical meta-arc
+// order (ascending (from, to) rank — a pure function of σ).
+type DirectedState struct {
+	Landmarks          []graph.V
+	Sigma              []uint8 // |R|×|R| row-major, row = from-rank
+	LabelTo, LabelFrom [][]uint8
+	Delta              [][]graph.Edge
+}
+
+// DirectedState captures the index state for serialization.
+func (ix *Index) DirectedState() DirectedState {
+	ix.EnsureDelta()
+	return DirectedState{
+		Landmarks: ix.landmarks,
+		Sigma:     ix.ms.sigma,
+		LabelTo:   ix.labelTo,
+		LabelFrom: ix.labelFrom,
+		Delta:     ix.delta,
+	}
+}
+
+// AssembleDirected reassembles a directed index over g from persisted
+// state without any BFS work: the labels and Δ are adopted by reference
+// (they may be views into a read-only snapshot arena — the index never
+// writes them), and only the meta state is recomputed from σ
+// (O(|R|³), independent of graph size).
+func AssembleDirected(g *graph.DiGraph, st DirectedState) (*Index, error) {
+	ix, err := newIndexShell(nil, g.OutView(), g.InView(), st.Landmarks)
+	if err != nil {
+		return nil, err
+	}
+	if R := ix.numLand; len(st.Sigma) != R*R {
+		return nil, fmt.Errorf("core: %d sigma entries for %d landmarks", len(st.Sigma), R)
+	}
+	if err := ix.adopt(st.LabelTo, st.LabelFrom, newMetaState(ix.numLand, st.Sigma, false), st.Delta); err != nil {
+		return nil, err
+	}
+	ix.degsOut, ix.degsIn = g.OutDegrees(), g.InDegrees()
+	ix.build.LabelEntries = ix.countLabelEntries()
+	return ix, nil
+}
+
+// adopt installs prebuilt labels, meta state and Δ after checking their
+// shapes against the shell.
+func (ix *Index) adopt(labelTo, labelFrom [][]uint8, ms *MetaState, delta [][]graph.Edge) error {
+	n := ix.out.NumVertices()
+	for _, labels := range [2][][]uint8{labelTo, labelFrom} {
+		if len(labels) != ix.numLand {
+			return fmt.Errorf("core: %d label columns for %d landmarks", len(labels), ix.numLand)
+		}
+		for _, col := range labels {
+			if len(col) != n {
+				return fmt.Errorf("core: label column of %d entries for %d vertices", len(col), n)
+			}
+		}
+	}
+	if ms == nil || ms.R != ix.numLand {
+		return fmt.Errorf("core: meta state does not match landmark count")
 	}
 	if len(delta) != len(ms.meta) {
-		return nil, fmt.Errorf("core: %d delta lists for %d meta edges", len(delta), len(ms.meta))
+		return fmt.Errorf("core: %d delta lists for %d meta edges", len(delta), len(ms.meta))
 	}
-	ix.labels = labels
+	ix.labelTo, ix.labelFrom = labelTo, labelFrom
 	ix.ms = ms
 	ix.delta = delta
 	ix.build.NumLandmarks = ix.numLand
@@ -332,5 +460,5 @@ func AssembleDynamic(a graph.Adjacency, landmarks []graph.V, labels [][]uint8, m
 	for _, d := range delta {
 		ix.build.DeltaEdges += int64(len(d))
 	}
-	return ix, nil
+	return nil
 }

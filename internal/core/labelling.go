@@ -35,9 +35,14 @@ import (
 // Batches beyond 64 landmarks run in parallel workers, each writing only
 // its own columns and meta-edge list (QbS-P, §5.3).
 //
+// On a digraph each landmark has two such BFSes — over out-arcs for the
+// labelling from it, over in-arcs for the labelling to it — so a batch
+// costs two sweeps; an undirected graph needs one.
+//
 // The scalar per-landmark BFS below is retained as the reference
 // implementation: labelling_test cross-checks the bit-parallel engine
-// against it for bit-identical labels, σ entries and meta-edges.
+// against it for bit-identical labels, σ entries and meta-edges, in
+// both directions.
 
 // labelWorkspace holds per-worker BFS state (scalar reference path).
 type labelWorkspace struct {
@@ -66,12 +71,12 @@ func (ws *labelWorkspace) reset() {
 	ws.nextL, ws.nextN = ws.nextL[:0], ws.nextN[:0]
 }
 
-// landmarkBFS labels column ri of the matrix and returns the meta-edges
+// landmarkBFS runs the scalar avoiding BFS from landmark rank ri over adj
+// — the out-arcs for the labelling from the landmark, the in-arcs for
+// the labelling to it — writing column col and returning the meta-edges
 // (ri, other) discovered, with overflow reported via the bool.
-func (ix *Index) landmarkBFS(ri int, ws *labelWorkspace) ([]metaEdge, bool) {
-	g := ix.a
+func (ix *Index) landmarkBFS(ri int, adj graph.Adjacency, col []uint8, ws *labelWorkspace) ([]metaEdge, bool) {
 	root := ix.landmarks[ri]
-	col := ix.labels[ri]
 	ws.reset()
 	ws.depth[root] = 0
 	ws.visited = append(ws.visited, root)
@@ -87,7 +92,7 @@ func (ix *Index) landmarkBFS(ri int, ws *labelWorkspace) ([]metaEdge, bool) {
 		ws.nextL, ws.nextN = ws.nextL[:0], ws.nextN[:0]
 		// Labelled frontier first: its discoveries are on avoiding paths.
 		for _, u := range ws.curL {
-			for _, v := range g.Neighbors(u) {
+			for _, v := range adj.Neighbors(u) {
 				if ws.depth[v] >= 0 {
 					continue
 				}
@@ -95,11 +100,7 @@ func (ix *Index) landmarkBFS(ri int, ws *labelWorkspace) ([]metaEdge, bool) {
 				ws.visited = append(ws.visited, v)
 				if rj := ix.landIdx[v]; rj >= 0 {
 					ws.nextN = append(ws.nextN, v)
-					a, b := ri, int(rj)
-					if a > b {
-						a, b = b, a
-					}
-					metas = append(metas, metaEdge{a: a, b: b, weight: next})
+					metas = append(metas, metaEdge{a: ri, b: int(rj), weight: next})
 				} else {
 					ws.nextL = append(ws.nextL, v)
 					col[v] = uint8(next)
@@ -108,7 +109,7 @@ func (ix *Index) landmarkBFS(ri int, ws *labelWorkspace) ([]metaEdge, bool) {
 		}
 		// Non-labelled frontier: discoveries inherit "through a landmark".
 		for _, u := range ws.curN {
-			for _, v := range g.Neighbors(u) {
+			for _, v := range adj.Neighbors(u) {
 				if ws.depth[v] >= 0 {
 					continue
 				}
@@ -125,24 +126,25 @@ func (ix *Index) landmarkBFS(ri int, ws *labelWorkspace) ([]metaEdge, bool) {
 }
 
 // batchBFS sweeps one batch of up to 64 landmarks (ranks
-// [base, base+len(roots))) through the bit-parallel engine, writing the
-// batch's label columns and returning its meta-edges plus the number of
-// label entries written (each entry is written exactly once, so counting
-// here replaces a full O(n·|R|) matrix scan).
+// [base, base+len(cols))) through the bit-parallel engine along push
+// (pull is its reverse, deg its cached degrees), writing the batch's
+// label columns and returning the meta-edges (root → landmark reached)
+// plus the number of label entries written (each entry is written
+// exactly once, so counting here replaces a full O(n·|R|) matrix scan).
 //
 // When the engine runs its intra-sweep worker pool the settle callback
 // is invoked concurrently; label writes are naturally disjoint (each
 // settle owns its vertex), so only the shared meta-edge list (a rare,
 // landmark-only event) takes a mutex, and the per-settle entry count
 // goes through an atomic.
-func (ix *Index) batchBFS(eng *traverse.MultiBFS, base int, roots []graph.V) ([]metaEdge, int64, error) {
-	cols := ix.labels[base : base+len(roots)]
+func (ix *Index) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, deg []int32, cols [][]uint8) ([]metaEdge, int64, error) {
+	roots := ix.landmarks[base : base+len(cols)]
 	var metas []metaEdge
 	var entries int64
 	var entriesA atomic.Int64
 	var mu sync.Mutex
 	par := eng.Parallelism > 1
-	err := eng.Run(ix.a, ix.degs, ix.landIdx, roots, MaxLabelDist,
+	err := eng.RunDirected(push, pull, deg, ix.landIdx, roots, MaxLabelDist,
 		func(v graph.V, depth int32, newL, _ uint64) {
 			if newL == 0 {
 				return
@@ -152,11 +154,7 @@ func (ix *Index) batchBFS(eng *traverse.MultiBFS, base int, roots []graph.V) ([]
 					mu.Lock()
 				}
 				for w := newL; w != 0; w &= w - 1 {
-					a, b := base+bits.TrailingZeros64(w), int(rj)
-					if a > b {
-						a, b = b, a
-					}
-					metas = append(metas, metaEdge{a: a, b: b, weight: depth})
+					metas = append(metas, metaEdge{a: base + bits.TrailingZeros64(w), b: int(rj), weight: depth})
 				}
 				if par {
 					mu.Unlock()
@@ -179,17 +177,11 @@ func (ix *Index) batchBFS(eng *traverse.MultiBFS, base int, roots []graph.V) ([]
 	return metas, entries + entriesA.Load(), nil
 }
 
-// buildLabelling runs Algorithm 2 from every landmark in bit-parallel
-// batches of 64, with batches distributed over outer workers and any
-// worker budget left over (the common case: the paper's |R| = 20 is a
-// single batch) spent inside each sweep as engine pool workers, then
-// merges the per-batch meta-edges.
-func (ix *Index) buildLabelling(parallelism int) error {
-	n := ix.a.NumVertices()
-	R := ix.numLand
-	ix.labels = make([][]uint8, R)
-	// One flat backing array, NoEntry-filled by doubling copies (memmove
-	// beats a byte loop ~8×), then sliced into columns.
+// allocLabels allocates one label matrix of R columns over n vertices:
+// one flat backing array, NoEntry-filled by doubling copies (memmove
+// beats a byte loop ~8×), then sliced into columns.
+func allocLabels(n, R int) [][]uint8 {
+	labels := make([][]uint8, R)
 	backing := make([]uint8, n*R)
 	if len(backing) > 0 {
 		backing[0] = NoEntry
@@ -197,8 +189,28 @@ func (ix *Index) buildLabelling(parallelism int) error {
 			copy(backing[filled:], backing[:filled])
 		}
 	}
-	for i := range ix.labels {
-		ix.labels[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	for i := range labels {
+		labels[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	return labels
+}
+
+// buildLabelling runs Algorithm 2 from every landmark in bit-parallel
+// batches of 64: a sweep over the out-arcs fills labelFrom and discovers
+// the meta-edges, a sweep over the in-arcs fills labelTo — one sweep and
+// one matrix under both names when the graph is symmetric. Batches are
+// distributed over outer workers and any worker budget left over (the
+// common case: the paper's |R| = 20 is a single batch) is spent inside
+// each sweep as engine pool workers; the per-batch meta-edges are merged
+// at the end.
+func (ix *Index) buildLabelling(parallelism int) error {
+	n := ix.out.NumVertices()
+	R := ix.numLand
+	sym := ix.symmetric()
+	ix.labelFrom = allocLabels(n, R)
+	ix.labelTo = ix.labelFrom
+	if !sym {
+		ix.labelTo = allocLabels(n, R)
 	}
 	if R == 0 {
 		ix.finishMeta(nil)
@@ -208,7 +220,22 @@ func (ix *Index) buildLabelling(parallelism int) error {
 	batches := (R + traverse.MaxSources - 1) / traverse.MaxSources
 	perBatch := make([][]metaEdge, batches)
 	perBatchEntries := make([]int64, batches)
-	var firstErr error
+
+	runBatch := func(eng *traverse.MultiBFS, b int) error {
+		base := b * traverse.MaxSources
+		end := min(base+traverse.MaxSources, R)
+		metas, entries, err := ix.batchBFS(eng, base, ix.out, ix.in, ix.degsOut, ix.labelFrom[base:end])
+		if err == nil && !sym {
+			// The in-arc sweep meets the same landmark pairs from the other
+			// end; its meta-edges are the ones already collected.
+			var back int64
+			_, back, err = ix.batchBFS(eng, base, ix.in, ix.out, ix.degsIn, ix.labelTo[base:end])
+			entries += back
+		}
+		perBatch[b] = metas
+		perBatchEntries[b] = entries
+		return err
+	}
 
 	outer := parallelism
 	if outer > batches {
@@ -222,18 +249,14 @@ func (ix *Index) buildLabelling(parallelism int) error {
 		eng := traverse.NewMultiBFS(n)
 		eng.Parallelism = inner
 		for b := 0; b < batches; b++ {
-			base := b * traverse.MaxSources
-			end := min(base+traverse.MaxSources, R)
-			metas, entries, err := ix.batchBFS(eng, base, ix.landmarks[base:end])
-			if err != nil {
+			if err := runBatch(eng, b); err != nil {
 				return err
 			}
-			perBatch[b] = metas
-			perBatchEntries[b] = entries
 		}
 	} else {
 		var wg sync.WaitGroup
 		var mu sync.Mutex
+		var firstErr error
 		work := make(chan int)
 		for w := 0; w < outer; w++ {
 			wg.Add(1)
@@ -242,17 +265,11 @@ func (ix *Index) buildLabelling(parallelism int) error {
 				eng := traverse.NewMultiBFS(n)
 				eng.Parallelism = inner
 				for b := range work {
-					base := b * traverse.MaxSources
-					end := min(base+traverse.MaxSources, R)
-					metas, entries, err := ix.batchBFS(eng, base, ix.landmarks[base:end])
-					if err != nil {
+					if err := runBatch(eng, b); err != nil {
 						mu.Lock()
 						firstErr = err
 						mu.Unlock()
-						continue
 					}
-					perBatch[b] = metas
-					perBatchEntries[b] = entries
 				}
 			}()
 		}
@@ -276,21 +293,30 @@ func (ix *Index) buildLabelling(parallelism int) error {
 	return nil
 }
 
+// countLabelEntries scans the label matrices for present entries (both
+// of them when they differ).
 func (ix *Index) countLabelEntries() int64 {
+	matrices := [][][]uint8{ix.labelTo}
+	if !ix.symmetric() {
+		matrices = append(matrices, ix.labelFrom)
+	}
 	var entries int64
-	for _, col := range ix.labels {
-		for _, d := range col {
-			if d != NoEntry {
-				entries++
+	for _, labels := range matrices {
+		for _, col := range labels {
+			for _, d := range col {
+				if d != NoEntry {
+					entries++
+				}
 			}
 		}
 	}
 	return entries
 }
 
-// finishMeta deduplicates meta-edges (each is discovered from both
-// endpoints), builds the σ matrix and freezes the derived meta state
-// (edge list, APSP, shortest-meta-path table).
+// finishMeta builds the σ matrix from the discovered meta-edges and
+// freezes the derived meta state (edge list, APSP, shortest-meta-path
+// table). Every sweep finds root → landmark reached, once per pair, so
+// an undirected graph fills σ symmetrically from its two ends.
 func (ix *Index) finishMeta(all []metaEdge) {
 	R := ix.numLand
 	sigma := make([]uint8, R*R)
@@ -298,12 +324,8 @@ func (ix *Index) finishMeta(all []metaEdge) {
 		sigma[i] = NoEntry
 	}
 	for _, e := range all {
-		at := e.a*R + e.b
-		if sigma[at] == NoEntry {
-			sigma[at] = uint8(e.weight)
-			sigma[e.b*R+e.a] = uint8(e.weight)
-		}
+		sigma[e.a*R+e.b] = uint8(e.weight)
 	}
-	ix.ms = NewMetaState(R, sigma)
+	ix.ms = newMetaState(R, sigma, ix.symmetric())
 	ix.build.MetaEdges = len(ix.ms.meta)
 }

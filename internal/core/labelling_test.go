@@ -2,8 +2,8 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
+	"time"
 
 	"qbs/internal/bfs"
 	"qbs/internal/graph"
@@ -118,12 +118,8 @@ func TestParallelismMoreWorkersThanLandmarks(t *testing.T) {
 	g := connected(graph.ErdosRenyi(100, 240, 15))
 	ix := MustBuild(g, Options{NumLandmarks: 3, Parallelism: 16})
 	seq := MustBuild(g, Options{NumLandmarks: 3, Parallelism: 1})
-	for i := range ix.labels {
-		for v := range ix.labels[i] {
-			if ix.labels[i][v] != seq.labels[i][v] {
-				t.Fatal("worker oversubscription changed the labelling")
-			}
-		}
+	if err := sameIndex(ix, seq); err != nil {
+		t.Fatalf("worker oversubscription changed the index: %v", err)
 	}
 }
 
@@ -220,36 +216,6 @@ func TestByCoverageSpreadsLandmarks(t *testing.T) {
 // ---------------------------------------------------------------------
 // Bit-parallel engine vs the scalar reference (retained landmarkBFS).
 
-// scalarLabelling rebuilds labels, σ and meta-edges for the given
-// landmark set with the scalar per-landmark QL/QN BFS, on a bare shell.
-func scalarLabelling(t *testing.T, g *graph.Graph, landmarks []graph.V) *Index {
-	t.Helper()
-	shell, err := newIndexShell(g, g, landmarks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	shell.labels = make([][]uint8, len(landmarks))
-	for i := range shell.labels {
-		col := make([]uint8, n)
-		for j := range col {
-			col[j] = NoEntry
-		}
-		shell.labels[i] = col
-	}
-	ws := newLabelWorkspace(n)
-	var all []metaEdge
-	for ri := range landmarks {
-		metas, ok := shell.landmarkBFS(ri, ws)
-		if !ok {
-			t.Fatal("scalar labelling overflow")
-		}
-		all = append(all, metas...)
-	}
-	shell.finishMeta(all)
-	return shell
-}
-
 func randomTestGraph(t *testing.T, n, m int, seed int64) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -260,11 +226,34 @@ func randomTestGraph(t *testing.T, n, m int, seed int64) *graph.Graph {
 	return b.MustBuild()
 }
 
+// randomLandmarks draws R distinct vertices.
+func randomLandmarks(n, R int, seed int64) []graph.V {
+	rng := rand.New(rand.NewSource(seed))
+	seen := map[graph.V]bool{}
+	var lms []graph.V
+	for len(lms) < min(R, n) {
+		if v := graph.V(rng.Intn(n)); !seen[v] {
+			seen[v] = true
+			lms = append(lms, v)
+		}
+	}
+	return lms
+}
+
 // TestBitParallelLabellingMatchesScalar is the oracle property test for
-// the traverse.MultiBFS build path: labels, σ and the meta APSP must be
-// bit-identical to the scalar Algorithm 2, including on disconnected
-// graphs and with landmark sets spanning multiple 64-wide batches.
+// the traverse.MultiBFS build path: both labellings, σ, the meta APSP,
+// the canonical meta-edge list, every Δ list and the entry count must be
+// bit-identical to the scalar Algorithm 2 — on undirected and directed
+// graphs, disconnected ones, and landmark sets spanning multiple 64-wide
+// batches.
 func TestBitParallelLabellingMatchesScalar(t *testing.T) {
+	type row struct {
+		tg   testGraph
+		lms  []graph.V // nil = the default selection of R landmarks
+		R    int
+		pars []int
+	}
+	var rows []row
 	for _, tc := range []struct {
 		n, m, R int
 		seed    int64
@@ -276,42 +265,77 @@ func TestBitParallelLabellingMatchesScalar(t *testing.T) {
 		{64, 80, 64, 5},    // every vertex nearly a landmark
 	} {
 		g := randomTestGraph(t, tc.n, tc.m, tc.seed)
-		n := g.NumVertices()
-		R := tc.R
-		if R > n {
-			R = n
-		}
-		rng := rand.New(rand.NewSource(tc.seed * 101))
-		seen := map[graph.V]bool{}
-		var lms []graph.V
-		for len(lms) < R {
-			v := graph.V(rng.Intn(n))
-			if !seen[v] {
-				seen[v] = true
-				lms = append(lms, v)
+		rows = append(rows, row{undirected(g), randomLandmarks(g.NumVertices(), tc.R, tc.seed*101), tc.R, []int{1, 3}})
+	}
+	digraphs := testDigraphs()
+	digraphs["der400"] = graph.DirectedErdosRenyi(400, 2400, 29)
+	for _, g := range digraphs {
+		for _, R := range []int{1, 3, 20, 80, 130} {
+			if R <= g.NumVertices() {
+				rows = append(rows, row{directed(g), nil, R, []int{0}})
 			}
 		}
-		for _, par := range []int{1, 3} {
-			ix, err := Build(g, Options{Landmarks: lms, Parallelism: par, SkipDelta: true})
-			if err != nil {
-				t.Fatal(err)
+	}
+	for _, r := range rows {
+		for _, par := range r.pars {
+			ix := r.tg.mustBuild(t, Options{Landmarks: r.lms, NumLandmarks: r.R, Parallelism: par})
+			ref, ok := scalarReference(t, r.tg, ix.Landmarks())
+			if !ok {
+				t.Fatal("scalar labelling overflow")
 			}
-			ref := scalarLabelling(t, g, lms)
-			for i := range lms {
-				if !reflect.DeepEqual(ix.labels[i], ref.labels[i]) {
-					t.Fatalf("n=%d R=%d par=%d: label column %d differs", tc.n, R, par, i)
-				}
-			}
-			if !reflect.DeepEqual(ix.ms.sigma, ref.ms.sigma) {
-				t.Fatalf("n=%d R=%d par=%d: sigma differs", tc.n, R, par)
-			}
-			if !reflect.DeepEqual(ix.ms.distM, ref.ms.distM) {
-				t.Fatalf("n=%d R=%d par=%d: meta APSP differs", tc.n, R, par)
-			}
-			if len(ix.ms.meta) != len(ref.ms.meta) {
-				t.Fatalf("n=%d R=%d par=%d: meta edge count differs", tc.n, R, par)
+			if err := sameIndex(ix, ref); err != nil {
+				t.Fatalf("n=%d directed=%v R=%d par=%d: engine vs scalar: %v",
+					r.tg.numVertices(), r.tg.dir != nil, r.R, par, err)
 			}
 		}
+	}
+}
+
+// TestEngineBuildSpeedup is the PR 4 acceptance criterion: the
+// bit-parallel labelling must construct at least 2× faster than the
+// scalar reference on the directed bench graph. Skipped under the race
+// detector and -short (instrumented timings are not representative).
+func TestEngineBuildSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	if raceEnabled {
+		t.Skip("timing test under race instrumentation")
+	}
+	g := graph.DirectedScaleFree(30000, 6, 53)
+	landmarks := g.TotalDegreeOrder()[:32]
+	best := func(label func() time.Duration) time.Duration {
+		b := time.Duration(1<<63 - 1)
+		for rep := 0; rep < 3; rep++ {
+			b = min(b, label())
+		}
+		return b
+	}
+	engine := best(func() time.Duration {
+		ix, err := BuildDirected(g, Options{Landmarks: landmarks, Parallelism: 1, SkipDelta: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix.Stats().LabellingTime
+	})
+	scalar := best(func() time.Duration {
+		shell, err := newIndexShell(nil, g.OutView(), g.InView(), landmarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		shell.labelFrom = allocLabels(g.NumVertices(), len(landmarks))
+		shell.labelTo = allocLabels(g.NumVertices(), len(landmarks))
+		ws := newLabelWorkspace(g.NumVertices())
+		for ri := range landmarks {
+			shell.landmarkBFS(ri, shell.out, shell.labelFrom[ri], ws)
+			shell.landmarkBFS(ri, shell.in, shell.labelTo[ri], ws)
+		}
+		return time.Since(start)
+	})
+	if ratio := float64(scalar) / float64(engine); ratio < 2 {
+		t.Fatalf("bit-parallel labelling only %.2fx faster than scalar (engine %s, scalar %s), want >= 2x",
+			ratio, engine, scalar)
 	}
 }
 

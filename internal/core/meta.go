@@ -18,10 +18,12 @@ import (
 
 // MetaState is the immutable meta-graph bundle derived from σ: the edge
 // list, the σ and APSP matrices, and the shortest-meta-path edge table.
-// It is safe to share between index snapshots; all fields are frozen
-// after NewMetaState.
+// Rows are from-ranks: σ, the APSP and the table are oriented and not
+// assumed symmetric. It is safe to share between index snapshots; all
+// fields are frozen after NewMetaState.
 type MetaState struct {
 	R      int
+	sym    bool    // the graph is undirected: σ is symmetric and each edge is kept once, as a < b
 	sigma  []uint8 // |R|×|R| meta-edge weights; NoEntry = no edge
 	distM  []int32 // |R|×|R| APSP over M; graph.InfDist = unreachable
 	meta   []metaEdge
@@ -29,21 +31,30 @@ type MetaState struct {
 	spg    [][]int32 // |R|×|R| -> meta-edge ids on shortest meta-paths (nil = compute on the fly)
 }
 
-// NewMetaState freezes the meta-graph derived from a σ matrix. The
-// matrix is copied; the deterministic edge order is row-major over pairs
-// a < b, which Delta maintenance relies on for alignment.
-func NewMetaState(R int, sigma []uint8) *MetaState {
-	ms := &MetaState{R: R, sigma: make([]uint8, R*R), metaID: make([]int32, R*R)}
+// NewMetaState freezes the meta-graph of an undirected graph from its
+// (symmetric) σ matrix. The matrix is copied; the deterministic edge
+// order is row-major over pairs a < b, which Delta maintenance relies on
+// for alignment.
+func NewMetaState(R int, sigma []uint8) *MetaState { return newMetaState(R, sigma, true) }
+
+// newMetaState is NewMetaState for either kind of graph: a digraph
+// (sym false) keeps every arc a→b, in row-major order.
+func newMetaState(R int, sigma []uint8, sym bool) *MetaState {
+	ms := &MetaState{R: R, sym: sym, sigma: make([]uint8, R*R), metaID: make([]int32, R*R)}
 	copy(ms.sigma, sigma)
 	for i := range ms.metaID {
 		ms.metaID[i] = -1
 	}
 	for a := 0; a < R; a++ {
-		for b := a + 1; b < R; b++ {
-			if w := ms.sigma[a*R+b]; w != NoEntry {
-				id := int32(len(ms.meta))
-				ms.meta = append(ms.meta, metaEdge{a: a, b: b, weight: int32(w)})
-				ms.metaID[a*R+b] = id
+		for b := 0; b < R; b++ {
+			w := ms.sigma[a*R+b]
+			if a == b || w == NoEntry || (sym && b < a) {
+				continue
+			}
+			id := int32(len(ms.meta))
+			ms.meta = append(ms.meta, metaEdge{a: a, b: b, weight: int32(w)})
+			ms.metaID[a*R+b] = id
+			if sym {
 				ms.metaID[b*R+a] = id
 			}
 		}
@@ -56,7 +67,8 @@ func NewMetaState(R int, sigma []uint8) *MetaState {
 // NumEdges returns the number of meta-edges.
 func (ms *MetaState) NumEdges() int { return len(ms.meta) }
 
-// Edge returns meta-edge k as landmark ranks a < b and weight σ(a, b).
+// Edge returns meta-edge k as landmark ranks and weight σ(a→b); a < b
+// when the meta-graph is symmetric.
 func (ms *MetaState) Edge(k int) (a, b int, weight int32) {
 	e := ms.meta[k]
 	return e.a, e.b, e.weight
@@ -65,10 +77,10 @@ func (ms *MetaState) Edge(k int) (a, b int, weight int32) {
 // EdgeID returns the meta-edge index for ranks (a, b), or -1.
 func (ms *MetaState) EdgeID(a, b int) int32 { return ms.metaID[a*ms.R+b] }
 
-// Sigma returns σ(a, b) (NoEntry when the meta-edge is absent).
+// Sigma returns σ(a→b) (NoEntry when the meta-edge is absent).
 func (ms *MetaState) Sigma(a, b int) uint8 { return ms.sigma[a*ms.R+b] }
 
-// Dist returns d_M(a, b) (graph.InfDist when unreachable).
+// Dist returns d_M(a→b) (graph.InfDist when unreachable).
 func (ms *MetaState) Dist(a, b int) int32 { return ms.distM[a*ms.R+b] }
 
 // buildAPSP runs Floyd–Warshall over σ. |R| ≤ 254, so O(|R|³) is trivial.
@@ -105,7 +117,7 @@ func (ms *MetaState) buildAPSP() {
 }
 
 // buildMetaSPG precomputes, for every landmark pair (i, j), the list of
-// meta-edges on shortest i–j meta-paths. This is the §5.2 trick that
+// meta-edges on shortest i→j meta-paths. This is the §5.2 trick that
 // drops per-query sketch expansion from O(|R|⁴) to table lookups. The
 // precomputation is capped (degenerate metric meta-graphs could make the
 // lists quadratic); past the cap the query path falls back to an
@@ -118,13 +130,24 @@ func (ms *MetaState) buildMetaSPG() {
 	// This pass is O(R²·|meta|) and independent of the graph size, so at
 	// small scales it would otherwise dominate builds. Two reductions
 	// keep it cheap: (1) the membership test factors through tightness —
-	// edge (a,b,w) lies on a shortest i–j path iff it is tight from i
+	// edge (a,b,w) lies on a shortest i→j path iff it is tight from i
 	// (d(i,a)+w = d(i,b)) and its far endpoint closes the path
 	// (d(i,b)+d(b,j) = d(i,j)); tight edges are collected once per i and
-	// reused across all j. (2) distM is symmetric, so d(·, j) reads from
-	// row j. An edge is tight from i in at most one direction (weights
-	// are ≥ 1), so each id is still emitted at most once, in ascending
-	// order — the output is identical to the direct double test.
+	// reused across all j. (2) d(·, j) reads from row j of the transposed
+	// APSP, which is the APSP itself when symmetric. A symmetric edge can
+	// be walked either way but is tight from i in at most one direction
+	// (weights are ≥ 1), so each id is still emitted at most once, in
+	// ascending order — the output is identical to the direct double
+	// test — and the (i, j) and (j, i) lists are one.
+	distT := ms.distM
+	if !ms.sym {
+		distT = make([]int32, R*R)
+		for i := 0; i < R; i++ {
+			for j := 0; j < R; j++ {
+				distT[j*R+i] = ms.distM[i*R+j]
+			}
+		}
+	}
 	type tightEdge struct {
 		k    int32 // meta-edge id
 		end  int32 // far endpoint rank (closes the path towards j)
@@ -139,24 +162,26 @@ func (ms *MetaState) buildMetaSPG() {
 			switch {
 			case da != graph.InfDist && da+e.weight == db:
 				tights = append(tights, tightEdge{int32(k), int32(e.b), db})
-			case db != graph.InfDist && db+e.weight == da:
+			case ms.sym && db != graph.InfDist && db+e.weight == da:
 				tights = append(tights, tightEdge{int32(k), int32(e.a), da})
 			}
 		}
-		for j := i + 1; j < R; j++ {
+		for j := 0; j < R; j++ {
 			d := rowI[j]
-			if d == graph.InfDist {
+			if j == i || (ms.sym && j < i) || d == graph.InfDist {
 				continue
 			}
-			rowJ := ms.distM[j*R : j*R+R]
+			toJ := distT[j*R : j*R+R]
 			var ids []int32
 			for _, te := range tights {
-				if dj := rowJ[te.end]; dj != graph.InfDist && te.dist+dj == d {
+				if dj := toJ[te.end]; dj != graph.InfDist && te.dist+dj == d {
 					ids = append(ids, te.k)
 				}
 			}
 			ms.spg[i*R+j] = ids
-			ms.spg[j*R+i] = ids
+			if ms.sym {
+				ms.spg[j*R+i] = ids
+			}
 			stored += len(ids)
 			if stored > maxStored {
 				ms.spg = nil
@@ -166,7 +191,7 @@ func (ms *MetaState) buildMetaSPG() {
 	}
 }
 
-// metaSPGEdges returns the meta-edge ids on shortest i–j meta-paths,
+// metaSPGEdges returns the meta-edge ids on shortest i→j meta-paths,
 // using the precomputed table when available.
 func (ms *MetaState) metaSPGEdges(i, j int, buf []int32) []int32 {
 	if ms.spg != nil {
@@ -182,7 +207,7 @@ func (ms *MetaState) metaSPGEdges(i, j int, buf []int32) []int32 {
 }
 
 // onMetaShortestPath reports whether meta-edge k lies on some shortest
-// path between landmark ranks i and j in M.
+// i→j path in M (walked either way when the meta-graph is symmetric).
 func (ms *MetaState) onMetaShortestPath(i, j, k int) bool {
 	R := ms.R
 	e := ms.meta[k]
@@ -194,110 +219,143 @@ func (ms *MetaState) onMetaShortestPath(i, j, k int) bool {
 	if da != graph.InfDist && db != graph.InfDist && da+e.weight+db == d {
 		return true
 	}
+	if !ms.sym {
+		return false
+	}
 	da, db = ms.distM[i*R+e.b], ms.distM[e.a*R+j]
 	return da != graph.InfDist && db != graph.InfDist && da+e.weight+db == d
 }
 
-// buildDelta recovers, for every meta-edge (a, b), the SPG between a and
-// b in G. A non-landmark vertex w lies on a shortest a–b path that avoids
-// other landmarks iff both label entries exist and δ_wa + δ_wb = σ(a, b);
-// an edge (w, w') of such a path connects consecutive levels. Endpoint
-// edges attach level-1 (resp. level σ−1) vertices to a (resp. b).
+// buildDelta recovers, for every meta-edge (a→b), the SPG from a to b in
+// G. A non-landmark vertex w lies on a shortest a→b path that avoids
+// other landmarks iff both label entries exist and δ_aw + δ_wb = σ(a→b)
+// (labelFrom of a, labelTo of b); an arc (w, w') of such a path connects
+// consecutive labelFrom levels. Endpoint arcs attach level-1 (resp.
+// level σ−1) vertices to a (resp. b).
 //
 // The whole recovery costs one pass over label entries plus neighbour
 // scans of candidate vertices — no BFS over G.
 func (ix *Index) buildDelta() {
-	g := ix.a
 	R := ix.numLand
-	n := g.NumVertices()
+	n := ix.out.NumVertices()
+	sym := ix.symmetric()
 	meta := ix.ms.meta
 	ix.delta = make([][]graph.Edge, len(meta))
-
-	// σ = 1 meta-edges are just the direct edge.
-	for k, e := range meta {
-		if e.weight == 1 {
-			ix.delta[k] = []graph.Edge{graph.Edge{U: ix.landmarks[e.a], W: ix.landmarks[e.b]}.Normalize()}
+	// arc is the Δ entry for x→y: as found on a digraph, normalised on an
+	// undirected graph (where Δ lists are shared with the dynamic index).
+	arc := func(x, y graph.V) graph.Edge {
+		if sym {
+			return graph.Edge{U: x, W: y}.Normalize()
 		}
+		return graph.Edge{U: x, W: y}
 	}
 
-	// Pass 1: collect candidates per meta-edge. A candidate for (a, b)
-	// needs δ_va + δ_vb = σ(a, b) with both terms ≥ 1, so an entry with
-	// δ_va ≥ max_b σ(a, b) can never participate — on hub-dominated
-	// graphs, where landmarks sit close together, that filter discards
-	// almost every entry before the O(L²) pair loop. The column-major
-	// label matrix is transposed into a row-major scratch so each
-	// vertex's entries sit in one cache line, the surviving entries are
-	// gathered into locals, and each pair costs one σ-matrix byte probe
-	// (the meta-edge id is resolved only on the rare hit).
+	// Pass 1: collect candidates per meta-edge. A candidate for (a→b)
+	// needs δ_av + δ_vb = σ(a→b) with both terms ≥ 1, so an entry with
+	// δ_av ≥ max_b σ(a→b) (resp. δ_vb ≥ max_a σ(a→b)) can never
+	// participate — on hub-dominated graphs, where landmarks sit close
+	// together, that filter discards almost every entry before the O(L²)
+	// pair loop. The column-major label matrices are transposed into
+	// row-major scratch so each vertex's entries sit in one cache line,
+	// the surviving entries are gathered into locals, and each pair costs
+	// one σ-matrix byte probe (the meta-edge id is resolved only on the
+	// rare hit). A symmetric index has one matrix and one entry list per
+	// vertex, and pairs each two entries once (x < y, the a < b edge).
 	sigma := ix.ms.sigma
 	metaID := ix.ms.metaID
-	maxSig := make([]uint8, R)
+	maxFrom, maxTo := make([]uint8, R), make([]uint8, R)
 	for a := 0; a < R; a++ {
 		for b := 0; b < R; b++ {
-			if s := sigma[a*R+b]; s != NoEntry && s > maxSig[a] {
-				maxSig[a] = s
+			if s := sigma[a*R+b]; s != NoEntry {
+				maxFrom[a] = max(maxFrom[a], s)
+				maxTo[b] = max(maxTo[b], s)
 			}
 		}
 	}
-	rows := make([]uint8, n*R)
-	for i := 0; i < R; i++ {
-		col := ix.labels[i]
-		for v := 0; v < n; v++ {
-			rows[v*R+i] = col[v]
+	transpose := func(labels [][]uint8) []uint8 {
+		rows := make([]uint8, n*R)
+		for i, col := range labels {
+			for v := 0; v < n; v++ {
+				rows[v*R+i] = col[v]
+			}
+		}
+		return rows
+	}
+	rowsFrom := transpose(ix.labelFrom)
+	rowsTo := rowsFrom
+	if !sym {
+		rowsTo = transpose(ix.labelTo)
+	}
+	type entries struct {
+		ranks, dists [256]int32
+		n            int
+	}
+	gather := func(e *entries, row, maxSig []uint8) {
+		e.n = 0
+		for i, d := range row {
+			if d != NoEntry && d < maxSig[i] {
+				e.ranks[e.n] = int32(i)
+				e.dists[e.n] = int32(d)
+				e.n++
+			}
 		}
 	}
 	cands := make([][]graph.V, len(meta))
-	var ranks [256]int32
-	var dists [256]int32
+	var from, toBuf entries
+	to := &from
+	if !sym {
+		to = &toBuf
+	}
 	for v := 0; v < n; v++ {
-		nr := 0
-		row := rows[v*R : v*R+R]
-		for i, d := range row {
-			if d != NoEntry && d < maxSig[i] {
-				ranks[nr] = int32(i)
-				dists[nr] = int32(d)
-				nr++
-			}
+		gather(&from, rowsFrom[v*R:v*R+R], maxFrom)
+		if !sym {
+			gather(to, rowsTo[v*R:v*R+R], maxTo)
 		}
-		for x := 0; x < nr-1; x++ {
-			row := int(ranks[x]) * R
-			da := dists[x]
-			for y := x + 1; y < nr; y++ {
-				b := int(ranks[y])
-				if sig := sigma[row+b]; sig != NoEntry && da+dists[y] == int32(sig) {
+		for x := 0; x < from.n; x++ {
+			row := int(from.ranks[x]) * R
+			da := from.dists[x]
+			y := 0
+			if sym {
+				y = x + 1
+			}
+			for ; y < to.n; y++ {
+				b := int(to.ranks[y])
+				if sig := sigma[row+b]; sig != NoEntry && da+to.dists[y] == int32(sig) {
 					cands[metaID[row+b]] = append(cands[metaID[row+b]], graph.V(v))
 				}
 			}
 		}
 	}
 
-	// Pass 2: per meta-edge, stamp candidate levels and emit edges.
+	// Pass 2: per meta-edge, stamp candidate levels and emit arcs.
 	level := make([]int32, n)
 	for i := range level {
 		level[i] = -1
 	}
 	var deltaEdges int64
 	for k, e := range meta {
+		va, vb := ix.landmarks[e.a], ix.landmarks[e.b]
 		if e.weight == 1 {
+			// σ = 1 meta-edges are just the direct arc.
+			ix.delta[k] = []graph.Edge{arc(va, vb)}
 			deltaEdges++
 			continue
 		}
-		va, vb := ix.landmarks[e.a], ix.landmarks[e.b]
 		for _, w := range cands[k] {
-			level[w] = int32(ix.labels[e.a][w])
+			level[w] = int32(ix.labelFrom[e.a][w])
 		}
-		edges := ix.delta[k]
+		var edges []graph.Edge
 		for _, w := range cands[k] {
 			lw := level[w]
 			if lw == 1 {
-				edges = append(edges, graph.Edge{U: va, W: w}.Normalize())
+				edges = append(edges, arc(va, w))
 			}
 			if lw == e.weight-1 {
-				edges = append(edges, graph.Edge{U: w, W: vb}.Normalize())
+				edges = append(edges, arc(w, vb))
 			}
-			for _, x := range g.Neighbors(w) {
+			for _, x := range ix.out.Neighbors(w) {
 				if level[x] == lw+1 {
-					edges = append(edges, graph.Edge{U: w, W: x}.Normalize())
+					edges = append(edges, arc(w, x))
 				}
 			}
 		}
@@ -317,8 +375,7 @@ func (ix *Index) EnsureDelta() {
 	}
 }
 
-// DedupEdges sorts a normalised edge list and removes duplicates in
-// place. Shared with the dynamic subsystem, whose incrementally
+// DedupEdges sorts an edge list and removes duplicates in place. Shared with the dynamic subsystem, whose incrementally
 // recomputed Δ lists must match buildDelta's output bit for bit.
 func DedupEdges(edges []graph.Edge) []graph.Edge {
 	if len(edges) < 2 {

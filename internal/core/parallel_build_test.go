@@ -23,36 +23,39 @@ func serializeIndex(t *testing.T, ix *Index) []byte {
 
 // TestParallelBuildBitIdentical builds over graphs large enough that
 // the intra-sweep traverse pool actually engages (n and BFS frontier
-// sizes past the pool thresholds) and requires the serialized index to
-// be byte-identical at every worker count, including a landmark set
-// spanning multiple 64-wide batches where the budget splits into
-// outer (per-batch) × inner (in-sweep) workers.
+// sizes past the pool thresholds) and requires the index — both
+// labellings, σ, the APSP, the meta-edge list, Δ — to be identical at
+// every worker count, including a landmark set spanning multiple
+// 64-wide batches where the budget splits into outer (per-batch) ×
+// inner (in-sweep) workers. An undirected index must also serialize to
+// the same bytes.
 func TestParallelBuildBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-vertex builds")
 	}
 	for _, tc := range []struct {
-		n, m, R int
-		seed    int64
+		tg testGraph
+		R  int
 	}{
-		{12000, 48000, 20, 1}, // one batch: all budget goes intra-sweep
-		{9000, 27000, 70, 2},  // two batches: outer × inner split
+		{undirected(randomTestGraph(t, 12000, 48000, 1)), 20}, // one batch: all budget goes intra-sweep
+		{undirected(randomTestGraph(t, 9000, 27000, 2)), 70},  // two batches: outer × inner split
+		{directed(randomDigraph(10000, 50000, 1)), 16},        // one batch per direction
+		{directed(randomDigraph(7000, 28000, 2)), 70},         // two batches per direction
 	} {
-		g := randomTestGraph(t, tc.n, tc.m, tc.seed)
-		var base []byte
+		var base *Index
 		for _, par := range []int{1, 2, 4, 8} {
-			ix, err := Build(g, Options{NumLandmarks: tc.R, Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := serializeIndex(t, ix)
+			ix := tc.tg.mustBuild(t, Options{NumLandmarks: tc.R, Parallelism: par})
 			if par == 1 {
-				base = got
+				base = ix
 				continue
 			}
-			if !bytes.Equal(base, got) {
-				t.Fatalf("n=%d R=%d: parallelism=%d produced a different index than sequential",
-					tc.n, tc.R, par)
+			if err := sameIndex(base, ix); err != nil {
+				t.Fatalf("n=%d directed=%v R=%d: parallelism=%d vs sequential: %v",
+					tc.tg.numVertices(), tc.tg.dir != nil, tc.R, par, err)
+			}
+			if tc.tg.und != nil && !bytes.Equal(serializeIndex(t, base), serializeIndex(t, ix)) {
+				t.Fatalf("n=%d R=%d: parallelism=%d serializes differently than sequential",
+					tc.tg.numVertices(), tc.R, par)
 			}
 		}
 	}

@@ -10,8 +10,9 @@ import (
 
 // Guided search (Algorithm 4): answer SPG(u, v) by a sketch-bounded
 // bidirectional BFS over the sparsified graph G⁻ = G[V\R] (represented
-// implicitly — landmark neighbours are skipped), followed by a reverse
-// search extracting G⁻_uv and/or a recover search extracting G^L_uv (the
+// implicitly — landmark neighbours are skipped) — forward from u over
+// out-arcs, backward from v over in-arcs — followed by a reverse search
+// extracting G⁻_uv and/or a recover search extracting G^L_uv (the
 // shortest paths through landmarks), combined per Eq. 5:
 //
 //	d_G⁻(u,v) > d⊤  →  G^L only
@@ -65,28 +66,29 @@ type QueryStats struct {
 	ExtractNs int64 // reverse/recover path extraction
 }
 
+// Result is what a query fills: the search emits every arc x→y of the
+// answer as an oriented pair and the result type decides what an
+// orientation means — *graph.SPG normalises it away, *graph.DiSPG keeps
+// it.
+type Result interface {
+	Reset(u, v graph.V)
+	Fill(dist int32, pairs []graph.Arc)
+}
+
 // Searcher answers queries against a fixed Index. Not safe for
 // concurrent use; create one per goroutine (they share the immutable
 // Index).
 type Searcher struct {
-	ix  *Index
-	g   graph.Adjacency
-	deg []int32 // cached degree array (nil for dynamic snapshots)
+	ix *Index
 
 	fwd, bwd searchSide
 	ext      *bfs.Extractor  // reverse extraction with reusable buffers
 	walkMark *traverse.Marks // scratch for label walks
 	meet     []graph.V
 	metaBuf  []int32
-	distSPG  *graph.SPG // scratch result for Distance (never escapes)
+	out      []graph.Arc // the answer's oriented pairs, handed to the Result
 
-	// sketch buffers
-	entU, entV   []SketchEndpoint
 	pairs        []SketchPair
-	sideSigmaU   []int32 // per landmark rank: σ_S at u, -1 if absent
-	sideSigmaV   []int32
-	sideRanksU   []int
-	sideRanksV   []int
 	metaGen      []uint32 // per meta-edge dedup generation
 	metaCur      uint32
 	walkCur      []graph.V
@@ -94,19 +96,34 @@ type Searcher struct {
 	recoverStart []graph.V
 }
 
-// searchSide is one direction of the bidirectional search: a visited
-// set with depths, a direction-optimizing expander and an arena of
-// visited vertices grouped into levels
-// (level i = arena[levelOff[i]:levelOff[i+1]]).
+// searchSide is one direction of the bidirectional search — forward from
+// u along out-arcs, reading u's distances to landmarks, or backward from
+// v along in-arcs, reading v's distances from landmarks; the two are
+// bound to the same adjacency and labelling when the index is symmetric.
+// It carries a visited set with depths, a direction-optimizing expander,
+// an arena of visited vertices grouped into levels
+// (level i = arena[levelOff[i]:levelOff[i+1]]) and the sketch edges at
+// its endpoint.
 type searchSide struct {
+	push, pull graph.Adjacency // the side's arcs and their reverse
+	deg        []int32         // cached push degrees (nil for dynamic snapshots)
+	labels     [][]uint8       // the labelling the side's endpoint reads
+	backward   bool            // the side walks arcs against their orientation
+
+	root     graph.V
 	ws       *bfs.Workspace
 	exp      *traverse.Expander
 	arena    []graph.V
 	levelOff []int32
 	d        int32 // completed levels
+
+	ent   []SketchEndpoint // label entries of the endpoint
+	sigma []int32          // per landmark rank: σ_S of the sketch edge, -1 if absent
+	ranks []int            // ranks with a sketch edge
 }
 
 func (s *searchSide) reset(t graph.V) {
+	s.root = t
 	s.ws.Reset()
 	s.ws.SetDist(t, 0)
 	s.arena = append(s.arena[:0], t)
@@ -122,31 +139,54 @@ func (s *searchSide) frontier() []graph.V { return s.level(s.d) }
 
 func (s *searchSide) visited() int { return len(s.arena) }
 
+// keep records the sketch edge e at the side's endpoint (once per
+// landmark) and returns the search bound d* raised to cover it.
+func (s *searchSide) keep(e SketchEndpoint, dStar int32) int32 {
+	if s.sigma[e.Rank] < 0 {
+		s.sigma[e.Rank] = e.Sigma
+		s.ranks = append(s.ranks, e.Rank)
+		if e.Sigma-1 > dStar {
+			dStar = e.Sigma - 1
+		}
+	}
+	return dStar
+}
+
+func (s *searchSide) releaseSketch() {
+	for _, r := range s.ranks {
+		s.sigma[r] = -1
+	}
+	s.ranks = s.ranks[:0]
+}
+
 // NewSearcher creates a query workspace for ix.
 func NewSearcher(ix *Index) *Searcher {
 	ix.EnsureDelta()
-	n := ix.a.NumVertices()
-	R := ix.numLand
+	n := ix.out.NumVertices()
 	sr := &Searcher{
-		ix:         ix,
-		g:          ix.a,
-		deg:        ix.degs,
-		ext:        bfs.NewExtractor(n),
-		walkMark:   traverse.NewMarks(n),
-		sideSigmaU: make([]int32, R),
-		sideSigmaV: make([]int32, R),
-		metaGen:    make([]uint32, len(ix.ms.meta)),
-		distSPG:    graph.NewSPG(0, 0),
+		ext:      bfs.NewExtractor(n),
+		walkMark: traverse.NewMarks(n),
+		metaGen:  make([]uint32, len(ix.ms.meta)),
 	}
-	sr.fwd.ws = bfs.NewWorkspace(n)
-	sr.bwd.ws = bfs.NewWorkspace(n)
-	sr.fwd.exp = traverse.NewExpander(n)
-	sr.bwd.exp = traverse.NewExpander(n)
-	for i := 0; i < R; i++ {
-		sr.sideSigmaU[i] = -1
-		sr.sideSigmaV[i] = -1
+	sr.bwd.backward = true
+	for _, side := range []*searchSide{&sr.fwd, &sr.bwd} {
+		side.ws = bfs.NewWorkspace(n)
+		side.exp = traverse.NewExpander(n)
+		side.sigma = make([]int32, ix.numLand)
+		for i := range side.sigma {
+			side.sigma[i] = -1
+		}
 	}
+	sr.bind(ix)
 	return sr
+}
+
+// bind points the two sides at ix: forward to (out, in, labelTo),
+// backward to (in, out, labelFrom).
+func (sr *Searcher) bind(ix *Index) {
+	sr.ix = ix
+	sr.fwd.push, sr.fwd.pull, sr.fwd.deg, sr.fwd.labels = ix.out, ix.in, ix.degsOut, ix.labelTo
+	sr.bwd.push, sr.bwd.pull, sr.bwd.deg, sr.bwd.labels = ix.in, ix.out, ix.degsIn, ix.labelFrom
 }
 
 // SetParallelism runs this searcher's guided expansions on p traverse
@@ -170,13 +210,11 @@ func (sr *Searcher) Rebind(ix *Index) bool {
 	if sr.ix == ix {
 		return true
 	}
-	if ix.a.NumVertices() != sr.ix.a.NumVertices() || ix.numLand != sr.ix.numLand {
+	if ix.out.NumVertices() != sr.ix.out.NumVertices() || ix.numLand != sr.ix.numLand {
 		return false
 	}
 	ix.EnsureDelta()
-	sr.ix = ix
-	sr.g = ix.a
-	sr.deg = ix.degs
+	sr.bind(ix)
 	if len(sr.metaGen) < len(ix.ms.meta) {
 		sr.metaGen = make([]uint32, len(ix.ms.meta))
 		sr.metaCur = 0
@@ -184,45 +222,45 @@ func (sr *Searcher) Rebind(ix *Index) bool {
 	return true
 }
 
-// Query answers SPG(u, v).
+// Query answers SPG(u, v) as an undirected shortest path graph (over a
+// digraph: the edges under the arcs of SPG(u → v)).
 func (sr *Searcher) Query(u, v graph.V) *graph.SPG {
-	spg := graph.NewSPG(u, v)
-	sr.query(spg, u, v, true)
+	spg, _ := sr.QueryWithStats(u, v)
 	return spg
 }
 
 // QueryInto answers SPG(u, v) into a caller-owned result, resetting it
-// first. Reusing one SPG across queries makes the warm query path
-// allocation-free (the edge buffer is recycled at its high-water mark).
+// first. Reusing one result across queries makes the warm query path
+// allocation-free (its buffer is recycled at its high-water mark).
 //
 //qbs:zeroalloc
-func (sr *Searcher) QueryInto(spg *graph.SPG, u, v graph.V) QueryStats {
-	spg.Reset(u, v)
-	return sr.query(spg, u, v, true)
+func (sr *Searcher) QueryInto(dst Result, u, v graph.V) QueryStats {
+	dst.Reset(u, v)
+	st := sr.query(u, v, true)
+	dst.Fill(st.Dist, sr.out)
+	return st
 }
 
 // Distance returns d_G(u, v) using the same sketch-guided machinery but
 // skipping path extraction. It does not allocate on the warm path.
 func (sr *Searcher) Distance(u, v graph.V) int32 {
-	sr.distSPG.Reset(u, v)
-	st := sr.query(sr.distSPG, u, v, false)
-	return st.Dist
+	return sr.query(u, v, false).Dist
 }
 
-// QueryWithStats answers SPG(u, v) and reports query internals.
+// QueryWithStats is Query that also reports query internals.
 func (sr *Searcher) QueryWithStats(u, v graph.V) (*graph.SPG, QueryStats) {
 	spg := graph.NewSPG(u, v)
-	st := sr.query(spg, u, v, true)
-	return spg, st
+	return spg, sr.QueryInto(spg, u, v)
 }
 
-func (sr *Searcher) query(spg *graph.SPG, u, v graph.V, extract bool) QueryStats {
-	g := sr.g
+// query runs the search for (u, v), leaving the answer's oriented pairs
+// in sr.out (none when extract is false).
+func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 	ix := sr.ix
+	sr.out = sr.out[:0]
 	var st QueryStats
 	st.DGMinus = graph.InfDist
 	if u == v {
-		spg.Dist = 0
 		st.Dist = 0
 		st.Coverage = CoverageTrivial
 		return st
@@ -233,21 +271,19 @@ func (sr *Searcher) query(spg *graph.SPG, u, v graph.V, extract bool) QueryStats
 	dTop, dStarU, dStarV := sr.computeSketch(u, v)
 	st.DTop = dTop
 	st.SketchPairs = len(sr.pairs)
-	st.LabelEntries = int64(len(sr.entU) + len(sr.entV))
+	st.LabelEntries = int64(len(sr.fwd.ent) + len(sr.bwd.ent))
 	t1 := time.Now()
 	st.SketchNs = t1.Sub(t0).Nanoseconds()
 
 	// Guided bidirectional search on G⁻ (skipped when an endpoint is a
 	// landmark: every u–v path then trivially "passes through" it, so the
 	// answer is entirely G^L).
-	uLand := ix.landIdx[u] >= 0
-	vLand := ix.landIdx[v] >= 0
 	sr.fwd.reset(u)
 	sr.bwd.reset(v)
 	var meet []graph.V
-	if !uLand && !vLand {
-		sr.fwd.exp.Begin(g, sr.deg)
-		sr.bwd.exp.Begin(g, sr.deg)
+	if ix.landIdx[u] < 0 && ix.landIdx[v] < 0 {
+		sr.fwd.exp.BeginDirected(sr.fwd.push, sr.fwd.pull, sr.fwd.deg)
+		sr.bwd.exp.BeginDirected(sr.bwd.push, sr.bwd.pull, sr.bwd.deg)
 		// Pre-mark landmarks with a sentinel depth so the expansion
 		// loop skips them with a single Seen check — this is the
 		// implicit G⁻ = G[V\R], honoured identically by the expander's
@@ -274,7 +310,6 @@ func (sr *Searcher) query(spg *graph.SPG, u, v graph.V, extract bool) QueryStats
 		dist = st.DGMinus
 	}
 	st.Dist = dist
-	spg.Dist = dist
 	if dist == graph.InfDist {
 		st.Coverage = CoverageTrivial
 		sr.releaseSketch()
@@ -291,14 +326,14 @@ func (sr *Searcher) query(spg *graph.SPG, u, v graph.V, extract bool) QueryStats
 					cut = append(cut, w)
 				}
 			}
-			st.ArcsScanned += sr.ext.Extract(g, spg, cut, sr.fwd.ws)
-			st.ArcsScanned += sr.ext.Extract(g, spg, cut, sr.bwd.ws)
+			sr.extract(&sr.fwd, cut, &st)
+			sr.extract(&sr.bwd, cut, &st)
 		}
 	}
 	if dTop == dist {
 		st.UsedRecover = true
 		if extract {
-			sr.recover(spg, &st)
+			sr.recover(&st)
 		}
 	}
 
@@ -321,13 +356,14 @@ func (sr *Searcher) query(spg *graph.SPG, u, v graph.V, extract bool) QueryStats
 func (sr *Searcher) computeSketch(u, v graph.V) (dTop, dStarU, dStarV int32) {
 	ix := sr.ix
 	R := ix.numLand
-	sr.entU = ix.entryList(u, sr.entU)
-	sr.entV = ix.entryList(v, sr.entV)
+	fwd, bwd := &sr.fwd, &sr.bwd
+	fwd.ent = ix.entryList(u, fwd.labels, fwd.ent)
+	bwd.ent = ix.entryList(v, bwd.labels, bwd.ent)
 	sr.pairs = sr.pairs[:0]
 	dTop = graph.InfDist
-	for _, eu := range sr.entU {
+	for _, eu := range fwd.ent {
 		row := eu.Rank * R
-		for _, ev := range sr.entV {
+		for _, ev := range bwd.ent {
 			dm := ix.ms.distM[row+ev.Rank]
 			if dm == graph.InfDist {
 				continue
@@ -340,42 +376,24 @@ func (sr *Searcher) computeSketch(u, v graph.V) (dTop, dStarU, dStarV int32) {
 	if dTop == graph.InfDist {
 		return dTop, 0, 0
 	}
-	for _, eu := range sr.entU {
+	for _, eu := range fwd.ent {
 		row := eu.Rank * R
-		for _, ev := range sr.entV {
+		for _, ev := range bwd.ent {
 			dm := ix.ms.distM[row+ev.Rank]
 			if dm == graph.InfDist || eu.Sigma+dm+ev.Sigma != dTop {
 				continue
 			}
 			sr.pairs = append(sr.pairs, SketchPair{R: eu.Rank, RPrime: ev.Rank})
-			if sr.sideSigmaU[eu.Rank] < 0 {
-				sr.sideSigmaU[eu.Rank] = eu.Sigma
-				sr.sideRanksU = append(sr.sideRanksU, eu.Rank)
-				if eu.Sigma-1 > dStarU {
-					dStarU = eu.Sigma - 1
-				}
-			}
-			if sr.sideSigmaV[ev.Rank] < 0 {
-				sr.sideSigmaV[ev.Rank] = ev.Sigma
-				sr.sideRanksV = append(sr.sideRanksV, ev.Rank)
-				if ev.Sigma-1 > dStarV {
-					dStarV = ev.Sigma - 1
-				}
-			}
+			dStarU = fwd.keep(eu, dStarU)
+			dStarV = bwd.keep(ev, dStarV)
 		}
 	}
 	return dTop, dStarU, dStarV
 }
 
 func (sr *Searcher) releaseSketch() {
-	for _, r := range sr.sideRanksU {
-		sr.sideSigmaU[r] = -1
-	}
-	for _, r := range sr.sideRanksV {
-		sr.sideSigmaV[r] = -1
-	}
-	sr.sideRanksU = sr.sideRanksU[:0]
-	sr.sideRanksV = sr.sideRanksV[:0]
+	sr.fwd.releaseSketch()
+	sr.bwd.releaseSketch()
 }
 
 // bidirectional runs the sketch-guided bidirectional BFS over G⁻ and
@@ -430,43 +448,50 @@ func (sr *Searcher) expand(side *searchSide, st *QueryStats) {
 	side.d++
 }
 
+// extract emits the arcs of all shortest paths side found between its
+// root and the given vertices.
+func (sr *Searcher) extract(side *searchSide, from []graph.V, st *QueryStats) {
+	var arcs int64
+	sr.out, arcs = sr.ext.Extract(side.pull, side.backward, sr.out, from, side.ws)
+	st.ArcsScanned += arcs
+}
+
+// emit records the arc a side found stepping from x to y: x→y on the
+// forward side, y→x on the backward one.
+func (sr *Searcher) emit(side *searchSide, x, y graph.V) {
+	if side.backward {
+		x, y = y, x
+	}
+	sr.out = append(sr.out, graph.Arc{From: x, To: y})
+}
+
 // recover computes G^L_uv: for each sketch endpoint edge (r, t), find the
 // attachment vertices Z (closest-to-r vertices the search reached on
 // shortest t–r paths), walk them back to t over the search depths and
 // forward to r over the labelling; then expand every sketch meta-edge
 // from the precomputed Δ.
-func (sr *Searcher) recover(spg *graph.SPG, st *QueryStats) {
-	g := sr.g
+func (sr *Searcher) recover(st *QueryStats) {
 	ix := sr.ix
-
-	sides := [2]struct {
-		side  *searchSide
-		land  bool
-		ranks []int
-		sigma []int32
-	}{
-		{&sr.fwd, ix.landIdx[spg.Source] >= 0, sr.sideRanksU, sr.sideSigmaU},
-		{&sr.bwd, ix.landIdx[spg.Target] >= 0, sr.sideRanksV, sr.sideSigmaV},
-	}
-	for _, sd := range sides {
-		if sd.land {
+	for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
+		if ix.landIdx[side.root] >= 0 {
 			continue // landmark endpoint: the meta-path starts at it directly
 		}
-		for _, rank := range sd.ranks {
-			sigma := sd.sigma[rank]
+		for _, rank := range side.ranks {
+			sigma := side.sigma[rank]
 			if sigma < 1 {
 				// A non-landmark endpoint always has σ_S ≥ 1; this guards
 				// against corrupted label bytes from an untrusted snapshot.
 				continue
 			}
 			dm := sigma - 1
-			if sd.side.d < dm {
-				dm = sd.side.d
+			if side.d < dm {
+				dm = side.d
 			}
 			want := uint8(sigma - dm)
 			starts := sr.recoverStart[:0]
-			for _, w := range sd.side.level(dm) {
-				if ix.labels[rank][w] == want {
+			col := side.labels[rank]
+			for _, w := range side.level(dm) {
+				if col[w] == want {
 					starts = append(starts, w)
 				}
 			}
@@ -474,37 +499,37 @@ func (sr *Searcher) recover(spg *graph.SPG, st *QueryStats) {
 			if len(starts) == 0 {
 				continue
 			}
-			st.ArcsScanned += sr.ext.Extract(g, spg, starts, sd.side.ws)
-			sr.labelWalk(spg, starts, rank, int32(want), st)
+			sr.extract(side, starts, st)
+			sr.labelWalk(side, starts, rank, int32(want), st)
 		}
 	}
 
-	// Meta-edges on shortest meta-paths of minimizing pairs → Δ edges.
+	// Meta-edges on shortest meta-paths of minimizing pairs → Δ arcs.
 	sr.metaCur++
 	for _, p := range sr.pairs {
 		if p.R == p.RPrime {
 			continue
 		}
-		sr.metaBuf = sr.ix.ms.metaSPGEdges(p.R, p.RPrime, sr.metaBuf)
+		sr.metaBuf = ix.ms.metaSPGEdges(p.R, p.RPrime, sr.metaBuf)
 		for _, k := range sr.metaBuf {
 			if sr.metaGen[k] == sr.metaCur {
 				continue
 			}
 			sr.metaGen[k] = sr.metaCur
 			for _, e := range ix.delta[k] {
-				spg.AddEdge(e.U, e.W)
+				sr.out = append(sr.out, graph.Arc{From: e.U, To: e.W})
 			}
 		}
 	}
 }
 
-// labelWalk adds all shortest paths from each start vertex to landmark
-// rank, walking label distances down to 1 and finally attaching to the
-// landmark itself. Interior vertices are non-landmarks by construction of
-// the labelling.
-func (sr *Searcher) labelWalk(spg *graph.SPG, starts []graph.V, rank int, delta int32, st *QueryStats) {
-	g := sr.g
+// labelWalk adds all shortest paths between each start vertex and
+// landmark rank, walking side's arcs with its label distances going down
+// to 1 and finally attaching to the landmark itself. Interior vertices
+// are non-landmarks by construction of the labelling.
+func (sr *Searcher) labelWalk(side *searchSide, starts []graph.V, rank int, delta int32, st *QueryStats) {
 	ix := sr.ix
+	col := side.labels[rank]
 	rv := ix.landmarks[rank]
 	sr.walkMark.Reset()
 	cur := sr.walkCur[:0]
@@ -518,13 +543,13 @@ func (sr *Searcher) labelWalk(spg *graph.SPG, starts []graph.V, rank int, delta 
 		next := sr.walkNext[:0]
 		want := uint8(delta - 1)
 		for _, x := range cur {
-			for _, y := range g.Neighbors(x) {
+			for _, y := range side.push.Neighbors(x) {
 				st.ArcsScanned++
 				if ix.landIdx[y] >= 0 {
 					continue
 				}
-				if ix.labels[rank][y] == want {
-					spg.AddEdge(x, y)
+				if col[y] == want {
+					sr.emit(side, x, y)
 					if !sr.walkMark.Seen(y) {
 						sr.walkMark.Mark(y)
 						next = append(next, y)
@@ -536,7 +561,7 @@ func (sr *Searcher) labelWalk(spg *graph.SPG, starts []graph.V, rank int, delta 
 		cur = next
 	}
 	for _, x := range cur {
-		spg.AddEdge(x, rv)
+		sr.emit(side, x, rv)
 	}
 	sr.walkCur = cur[:0]
 }

@@ -91,85 +91,44 @@ func twoCliquesBridge() *graph.Graph {
 	return b.MustBuild()
 }
 
+// samplePairs draws count seeded vertex pairs of g.
 func samplePairs(g *graph.Graph, count int, seed int64) [][2]graph.V {
-	rng := rand.New(rand.NewSource(seed))
-	n := g.NumVertices()
-	pairs := make([][2]graph.V, 0, count)
-	for i := 0; i < count; i++ {
-		pairs = append(pairs, [2]graph.V{graph.V(rng.Intn(n)), graph.V(rng.Intn(n))})
-	}
-	return pairs
-}
-
-// checkQueries verifies SPG answers from the searcher against both the
-// oracle and the independent SPG.Verify predicate.
-func checkQueries(t *testing.T, g *graph.Graph, ix *Index, pairs [][2]graph.V) {
-	t.Helper()
-	sr := NewSearcher(ix)
-	for _, p := range pairs {
-		u, v := p[0], p[1]
-		got, st := sr.QueryWithStats(u, v)
-		want := bfs.OracleSPG(g, u, v)
-		if !got.Equal(want) {
-			t.Fatalf("SPG(%d,%d): got %v\nwant %v\nstats %+v", u, v, got, want, st)
-		}
-		distU := bfs.Distances(g, u)
-		distV := bfs.Distances(g, v)
-		toInf := func(d []int32) []int32 { return d }
-		if err := got.Verify(g, toInf(distU), toInf(distV)); err != nil {
-			t.Fatalf("SPG(%d,%d): verify: %v", u, v, err)
-		}
-		if st.DTop < st.Dist {
-			t.Fatalf("SPG(%d,%d): d⊤=%d < dist=%d violates Corollary 4.6", u, v, st.DTop, st.Dist)
-		}
-	}
+	return randomPairs(g.NumVertices(), count, seed)
 }
 
 func TestQueryMatchesOracle(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		for _, k := range []int{1, 2, 4, 8, 20} {
-			if k > g.NumVertices() {
+	for name, tg := range allTestGraphs(t) {
+		n := tg.numVertices()
+		for _, k := range []int{1, 2, 3, 4, 8, 20} {
+			if k > n {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/R=%d", name, k), func(t *testing.T) {
-				ix, err := Build(g, Options{NumLandmarks: k, Parallelism: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var pairs [][2]graph.V
-				if g.NumVertices() <= 20 {
-					for u := 0; u < g.NumVertices(); u++ {
-						for v := u; v < g.NumVertices(); v++ {
-							pairs = append(pairs, [2]graph.V{graph.V(u), graph.V(v)})
-						}
-					}
-				} else {
-					pairs = samplePairs(g, 120, int64(k)*7+1)
-				}
-				checkQueries(t, g, ix, pairs)
+				ix := tg.mustBuild(t, Options{NumLandmarks: k, Parallelism: 1})
+				checkQueries(t, tg, ix, somePairs(n, 120, int64(k)*7+1))
 			})
 		}
 	}
 }
 
 func TestQueryLandmarkEndpoints(t *testing.T) {
-	for name, g := range testGraphs(t) {
+	graphs := allTestGraphs(t)
+	graphs["dsf150"] = directed(graph.DirectedScaleFree(150, 2, 9))
+	for name, tg := range graphs {
 		t.Run(name, func(t *testing.T) {
-			k := 5
-			if k > g.NumVertices() {
-				k = g.NumVertices()
-			}
-			ix := MustBuild(g, Options{NumLandmarks: k})
+			n := tg.numVertices()
+			ix := tg.mustBuild(t, Options{NumLandmarks: min(5, n)})
+			lands := ix.Landmarks()
 			var pairs [][2]graph.V
 			rng := rand.New(rand.NewSource(11))
-			for _, r := range ix.Landmarks() {
+			for _, r := range lands {
 				// landmark ↔ random vertex, and landmark ↔ landmark
-				pairs = append(pairs, [2]graph.V{r, graph.V(rng.Intn(g.NumVertices()))})
-				pairs = append(pairs, [2]graph.V{graph.V(rng.Intn(g.NumVertices())), r})
-				pairs = append(pairs, [2]graph.V{r, ix.Landmarks()[rng.Intn(k)]})
+				pairs = append(pairs, [2]graph.V{r, graph.V(rng.Intn(n))})
+				pairs = append(pairs, [2]graph.V{graph.V(rng.Intn(n)), r})
+				pairs = append(pairs, [2]graph.V{r, lands[rng.Intn(len(lands))]})
 				pairs = append(pairs, [2]graph.V{r, r})
 			}
-			checkQueries(t, g, ix, pairs)
+			checkQueries(t, tg, ix, pairs)
 		})
 	}
 }
@@ -186,39 +145,47 @@ func TestQueryAllLandmarkCounts(t *testing.T) {
 				pairs = append(pairs, [2]graph.V{graph.V(u), graph.V(v)})
 			}
 		}
-		checkQueries(t, g, ix, pairs)
+		checkQueries(t, undirected(g), ix, pairs)
 	}
 }
 
 func TestLabellingMatchesDefinition(t *testing.T) {
 	// Definition 4.2: (r, δ) ∈ L(u) iff δ = d_G(u, r) and some shortest
 	// u–r path avoids all other landmarks — equivalently, the distance
-	// from r to u in G[V \ (R \ {r})] equals d_G(u, r).
-	for name, g := range testGraphs(t) {
+	// between r and u in G[V \ (R \ {r})] equals d_G(u, r). With a
+	// direction: labelFrom holds d(r→u) over the out-arcs, labelTo holds
+	// d(u→r), which is a BFS from r over the in-arcs. An undirected
+	// fixture checks its one labelling under both names.
+	graphs := allTestGraphs(t)
+	graphs["dsf120"] = directed(graph.DirectedScaleFree(120, 2, 17))
+	for name, tg := range graphs {
 		t.Run(name, func(t *testing.T) {
-			k := 4
-			if k > g.NumVertices() {
-				k = g.NumVertices()
-			}
-			ix := MustBuild(g, Options{NumLandmarks: k})
-			for i, r := range ix.Landmarks() {
-				full := bfs.Distances(g, r)
-				avoid := avoidanceDistances(g, ix, r)
-				for v := 0; v < g.NumVertices(); v++ {
-					d, ok := ix.LabelEntry(graph.V(v), i)
-					if ix.IsLandmark(graph.V(v)) {
-						if ok {
-							t.Fatalf("landmark %d must not carry labels, has (%d,%d)", v, i, d)
+			n := tg.numVertices()
+			ix := tg.mustBuild(t, Options{NumLandmarks: min(4, n)})
+			for _, dir := range []struct {
+				name   string
+				adj    graph.Adjacency
+				labels [][]uint8
+			}{{"labelFrom", ix.out, ix.labelFrom}, {"labelTo", ix.in, ix.labelTo}} {
+				for i, r := range ix.Landmarks() {
+					full := bfs.Distances(dir.adj, r)
+					avoid := avoidanceDistances(dir.adj, ix, r)
+					for v := 0; v < n; v++ {
+						d := dir.labels[i][v]
+						if ix.IsLandmark(graph.V(v)) {
+							if d != NoEntry {
+								t.Fatalf("%s: landmark %d must not carry labels, has (%d,%d)", dir.name, v, i, d)
+							}
+							continue
 						}
-						continue
-					}
-					shouldHave := full[v] != bfs.Infinity && avoid[v] == full[v]
-					if ok != shouldHave {
-						t.Fatalf("vertex %d landmark %d: label presence = %v, want %v (d=%d avoid=%d)",
-							v, r, ok, shouldHave, full[v], avoid[v])
-					}
-					if ok && d != full[v] {
-						t.Fatalf("vertex %d landmark %d: label dist %d, want %d", v, r, d, full[v])
+						shouldHave := full[v] != bfs.Infinity && avoid[v] == full[v]
+						if (d != NoEntry) != shouldHave {
+							t.Fatalf("%s: vertex %d landmark %d: label presence = %v, want %v (d=%d avoid=%d)",
+								dir.name, v, r, d != NoEntry, shouldHave, full[v], avoid[v])
+						}
+						if d != NoEntry && int32(d) != full[v] {
+							t.Fatalf("%s: vertex %d landmark %d: label dist %d, want %d", dir.name, v, r, d, full[v])
+						}
 					}
 				}
 			}
@@ -226,13 +193,25 @@ func TestLabellingMatchesDefinition(t *testing.T) {
 	}
 }
 
-// avoidanceDistances computes distances from r in the graph with all
+// avoidanceDistances computes BFS distances from r over adj with all
 // other landmarks removed.
-func avoidanceDistances(g *graph.Graph, ix *Index, r graph.V) []int32 {
-	sub := g.InducedSubgraph(func(v graph.V) bool {
-		return v == r || !ix.IsLandmark(v)
-	})
-	return bfs.Distances(sub, r)
+func avoidanceDistances(adj graph.Adjacency, ix *Index, r graph.V) []int32 {
+	dist := make([]int32, adj.NumVertices())
+	for i := range dist {
+		dist[i] = bfs.Infinity
+	}
+	dist[r] = 0
+	queue := []graph.V{r}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, w := range adj.Neighbors(u) {
+			if dist[w] == bfs.Infinity && !ix.IsLandmark(w) {
+				dist[w] = dist[u] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
 }
 
 func TestMetaGraphMatchesDefinition(t *testing.T) {
@@ -337,26 +316,15 @@ func TestSketchUpperBoundTight(t *testing.T) {
 func TestDeterministicParallelLabelling(t *testing.T) {
 	// Lemma 5.2: the labelling scheme is unique for a landmark set, so
 	// sequential and parallel construction agree bit-for-bit.
-	g := connected(graph.BarabasiAlbert(500, 4, 21))
-	seq := MustBuild(g, Options{NumLandmarks: 16, Parallelism: 1})
-	par := MustBuild(g, Options{NumLandmarks: 16, Parallelism: 8})
-	if len(seq.labels) != len(par.labels) {
-		t.Fatal("label matrix size mismatch")
-	}
-	for i := range seq.labels {
-		for v := range seq.labels[i] {
-			if seq.labels[i][v] != par.labels[i][v] {
-				t.Fatalf("label matrix differs at rank %d vertex %d: %d vs %d", i, v, seq.labels[i][v], par.labels[i][v])
-			}
+	for name, tg := range map[string]testGraph{
+		"ba500":  undirected(connected(graph.BarabasiAlbert(500, 4, 21))),
+		"dsf300": directed(graph.DirectedScaleFree(300, 3, 19)),
+	} {
+		seq := tg.mustBuild(t, Options{NumLandmarks: 16, Parallelism: 1})
+		par := tg.mustBuild(t, Options{NumLandmarks: 16, Parallelism: 8})
+		if err := sameIndex(seq, par); err != nil {
+			t.Fatalf("%s: parallel build differs from sequential: %v", name, err)
 		}
-	}
-	for i := range seq.ms.sigma {
-		if seq.ms.sigma[i] != par.ms.sigma[i] {
-			t.Fatalf("meta σ differs at %d", i)
-		}
-	}
-	if seq.build.LabelEntries != par.build.LabelEntries {
-		t.Fatal("label entry count mismatch")
 	}
 }
 
@@ -446,40 +414,61 @@ func TestDisconnectedPairs(t *testing.T) {
 	}
 }
 
+// TestDiameterOverflow pins the failure behaviour of the engine and of
+// the scalar reference on both kinds: a labelling distance past 254 hops
+// is rejected, not truncated.
 func TestDiameterOverflow(t *testing.T) {
-	g := graph.Path(300)
-	_, err := Build(g, Options{NumLandmarks: 1, Landmarks: []graph.V{0}})
-	if err != ErrDiameterTooLarge {
-		t.Fatalf("got err=%v, want ErrDiameterTooLarge", err)
+	dipath := graph.NewDiBuilder(300)
+	for i := 0; i < 299; i++ {
+		dipath.AddArc(graph.V(i), graph.V(i+1))
+	}
+	for name, tg := range map[string]testGraph{
+		"path300":   undirected(graph.Path(300)),
+		"dipath300": directed(dipath.MustBuild()),
+	} {
+		if _, err := tg.build(Options{Landmarks: []graph.V{0}}); err != ErrDiameterTooLarge {
+			t.Fatalf("%s: engine: err = %v, want ErrDiameterTooLarge", name, err)
+		}
+		if _, ok := scalarReference(t, tg, []graph.V{0}); ok {
+			t.Fatalf("%s: scalar reference accepted a 299-hop label", name)
+		}
 	}
 }
 
 func TestQuickRandomGraphsPropertyBased(t *testing.T) {
-	// Property: for any random graph and pair, QbS equals the oracle.
-	check := func(seed int64, nRaw, mRaw, kRaw uint8) bool {
+	// Property: for any random graph of either kind and any pair, QbS
+	// equals the oracle.
+	check := func(seed int64, nRaw, mRaw, kRaw uint8, isDirected bool) bool {
 		n := 10 + int(nRaw)%80
-		m := n + int(mRaw)%(3*n)
 		k := 1 + int(kRaw)%10
-		g := connected(graph.ErdosRenyi(n, m, seed))
-		if k > g.NumVertices() {
-			k = g.NumVertices()
+		var tg testGraph
+		if isDirected {
+			tg = directed(graph.DirectedErdosRenyi(n, n+int(mRaw)%(4*n), seed))
+		} else {
+			tg = undirected(connected(graph.ErdosRenyi(n, n+int(mRaw)%(3*n), seed)))
 		}
-		ix, err := Build(g, Options{NumLandmarks: k})
+		n = tg.numVertices()
+		ix, err := tg.build(Options{NumLandmarks: min(k, n)})
 		if err != nil {
 			return false
 		}
 		sr := NewSearcher(ix)
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for i := 0; i < 12; i++ {
-			u := graph.V(rng.Intn(g.NumVertices()))
-			v := graph.V(rng.Intn(g.NumVertices()))
-			if !sr.Query(u, v).Equal(bfs.OracleSPG(g, u, v)) {
+			u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
+			if isDirected {
+				got := graph.NewDiSPG(u, v)
+				sr.QueryInto(got, u, v)
+				if !got.Equal(bfs.OracleDiSPG(tg.dir, u, v)) {
+					return false
+				}
+			} else if !sr.Query(u, v).Equal(bfs.OracleSPG(tg.und, u, v)) {
 				return false
 			}
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 40}
+	cfg := &quick.Config{MaxCount: 80}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -500,38 +489,52 @@ func TestSearcherReuseAcrossQueries(t *testing.T) {
 	}
 }
 
+// TestDistanceMethod covers the extraction-free entry point against the
+// oracle distance, interleaved with extracting queries into one reused
+// result on the same searcher.
 func TestDistanceMethod(t *testing.T) {
-	g := connected(graph.ErdosRenyi(200, 420, 55))
-	ix := MustBuild(g, Options{NumLandmarks: 8})
-	sr := NewSearcher(ix)
-	for _, p := range samplePairs(g, 200, 7) {
-		want := bfs.Distance(g, p[0], p[1])
-		if want == bfs.Infinity {
-			want = graph.InfDist
-		}
-		if got := sr.Distance(p[0], p[1]); got != want {
-			t.Fatalf("Distance(%d,%d)=%d want %d", p[0], p[1], got, want)
+	for name, tg := range map[string]testGraph{
+		"er200":  undirected(connected(graph.ErdosRenyi(200, 420, 55))),
+		"dsf300": directed(graph.DirectedScaleFree(300, 3, 31)),
+	} {
+		ix := tg.mustBuild(t, Options{NumLandmarks: 8})
+		sr := NewSearcher(ix)
+		for _, p := range somePairs(tg.numVertices(), 200, 7) {
+			var want int32
+			if tg.dir != nil {
+				want = bfs.OracleDiSPG(tg.dir, p[0], p[1]).Dist
+			} else {
+				want = bfs.OracleSPG(tg.und, p[0], p[1]).Dist
+			}
+			if got := sr.Distance(p[0], p[1]); got != want {
+				t.Fatalf("%s: Distance(%d,%d)=%d want %d", name, p[0], p[1], got, want)
+			}
+			tg.check(t, sr, p[0], p[1])
 		}
 	}
 }
 
-// TestSearcherFootprint pins what a searcher costs per vertex: two
-// depth arrays (4 B each), four visited/settled bitmaps and two mark
-// sets with their touched logs — about 9 B. At 32 B (a stamp
-// and a depth per vertex, four times over) the search stalled on its own
-// scratch state, so the number is held at 10.
+// TestSearcherFootprint pins what a searcher costs per vertex on either
+// kind of index: two depth arrays (4 B each), four visited/settled
+// bitmaps and two mark sets with their touched logs — about 9 B. At 32 B
+// (a stamp and a depth per vertex, four times over) the search stalled
+// on its own scratch state, so the number is held at 10.
 func TestSearcherFootprint(t *testing.T) {
 	const n = 100_000
-	ix := MustBuild(graph.ErdosRenyi(n, 3*n, 1), Options{NumLandmarks: 4})
-	ix.EnsureDelta() // built on first use, and not the searcher's
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sr := NewSearcher(ix)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(sr)
-	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("NewSearcher: %.2f B/vertex", perVertex)
-	if perVertex > 10 {
-		t.Fatalf("NewSearcher allocates %.2f B/vertex, want at most 10", perVertex)
+	for name, tg := range map[string]testGraph{
+		"undirected": undirected(graph.ErdosRenyi(n, 3*n, 1)),
+		"directed":   directed(graph.DirectedErdosRenyi(n, 3*n, 1)),
+	} {
+		ix := tg.mustBuild(t, Options{NumLandmarks: 4})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sr := NewSearcher(ix)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(sr)
+		perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: NewSearcher: %.2f B/vertex", name, perVertex)
+		if perVertex > 10 {
+			t.Fatalf("%s: NewSearcher allocates %.2f B/vertex, want at most 10", name, perVertex)
+		}
 	}
 }

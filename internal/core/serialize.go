@@ -17,7 +17,9 @@ import (
 // deterministically from the stored state and the graph (Lemma 5.2), and
 // recomputation is much cheaper than the landmark BFSes. The graph
 // itself is not embedded: Load takes the same graph the index was built
-// over and validates vertex/arc counts.
+// over and validates vertex/arc counts. The format holds one labelling
+// and a symmetric σ: it is the undirected index's; a directed index
+// persists through the durable store's snapshot (internal/store).
 
 const indexMagic = "QBSI"
 
@@ -28,14 +30,17 @@ const indexVersion = 2
 
 // Write serialises the index.
 func (ix *Index) Write(w io.Writer) error {
+	if !ix.symmetric() {
+		return fmt.Errorf("core: the index file format is undirected; persist a directed index through the store")
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(indexMagic); err != nil {
 		return err
 	}
 	hdr := []int64{
 		indexVersion,
-		int64(ix.a.NumVertices()),
-		int64(ix.a.NumArcs()),
+		int64(ix.out.NumVertices()),
+		int64(ix.out.NumArcs()),
 		int64(ix.numLand),
 	}
 	for _, h := range hdr {
@@ -49,7 +54,7 @@ func (ix *Index) Write(w io.Writer) error {
 	if _, err := bw.Write(ix.ms.sigma); err != nil {
 		return err
 	}
-	for _, col := range ix.labels {
+	for _, col := range ix.labelTo {
 		if _, err := bw.Write(col); err != nil {
 			return err
 		}
@@ -88,7 +93,7 @@ func Load(g *graph.Graph, r io.Reader) (*Index, error) {
 	if err := binary.Read(br, binary.LittleEndian, landmarks); err != nil {
 		return nil, err
 	}
-	ix, err := newIndexShell(g, g, landmarks)
+	ix, err := newIndexShell(g, g, g, landmarks)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
 	}
@@ -105,18 +110,20 @@ func Load(g *graph.Graph, r io.Reader) (*Index, error) {
 			}
 		}
 	}
-	ix.labels = make([][]uint8, R)
-	for i := range ix.labels {
+	ix.labelTo = make([][]uint8, R)
+	for i := range ix.labelTo {
 		col := make([]uint8, nV)
 		if _, err := io.ReadFull(br, col); err != nil {
 			return nil, err
 		}
-		ix.labels[i] = col
+		ix.labelTo[i] = col
 	}
+	ix.labelFrom = ix.labelTo
 	ix.ms = NewMetaState(R, sigma)
 
 	// Derived structures.
-	ix.degs = g.Degrees()
+	ix.degsOut = g.Degrees()
+	ix.degsIn = ix.degsOut
 	ix.buildDelta()
 	ix.build.LabelEntries = ix.countLabelEntries()
 	ix.build.NumLandmarks = ix.numLand

@@ -28,9 +28,9 @@ func TestIndexRoundTrip(t *testing.T) {
 			t.Fatal("landmarks changed")
 		}
 	}
-	for i := range orig.labels {
-		for v := range orig.labels[i] {
-			if loaded.labels[i][v] != orig.labels[i][v] {
+	for i := range orig.labelTo {
+		for v := range orig.labelTo[i] {
+			if loaded.labelTo[i][v] != orig.labelTo[i][v] {
 				t.Fatal("labels changed")
 			}
 		}

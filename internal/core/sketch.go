@@ -5,7 +5,8 @@ import (
 )
 
 // Sketch construction (Algorithm 3): for a query pair (u, v), combine the
-// label entries of u and v with the meta-graph APSP to obtain
+// label entries of u (distances to landmarks) and of v (distances from
+// landmarks) with the meta-graph APSP to obtain
 //
 //	d⊤_uv = min { δ_ur + d_M(r, r') + δ_r'v }
 //
@@ -50,17 +51,17 @@ type Sketch struct {
 	MetaEdges []int
 }
 
-// entryList materialises the label entries of t, treating a landmark
-// endpoint as carrying the single virtual entry (rank(t), 0): a landmark
-// reaches itself by the empty path, which trivially avoids all other
-// landmarks.
-func (ix *Index) entryList(t graph.V, buf []SketchEndpoint) []SketchEndpoint {
+// entryList materialises the entries of t in one labelling, treating a
+// landmark endpoint as carrying the single virtual entry (rank(t), 0): a
+// landmark reaches itself by the empty path, which trivially avoids all
+// other landmarks.
+func (ix *Index) entryList(t graph.V, labels [][]uint8, buf []SketchEndpoint) []SketchEndpoint {
 	buf = buf[:0]
 	if ri := ix.landIdx[t]; ri >= 0 {
 		return append(buf, SketchEndpoint{Rank: int(ri), Sigma: 0})
 	}
-	for i := 0; i < ix.numLand; i++ {
-		if d := ix.labels[i][t]; d != NoEntry {
+	for i := range labels {
+		if d := labels[i][t]; d != NoEntry {
 			buf = append(buf, SketchEndpoint{Rank: i, Sigma: int32(d)})
 		}
 	}
@@ -71,8 +72,8 @@ func (ix *Index) entryList(t graph.V, buf []SketchEndpoint) []SketchEndpoint {
 // the Searcher's internal variant instead.
 func (ix *Index) Sketch(u, v graph.V) *Sketch {
 	s := &Sketch{U: u, V: v, DTop: graph.InfDist}
-	uEntries := ix.entryList(u, nil)
-	vEntries := ix.entryList(v, nil)
+	uEntries := ix.entryList(u, ix.labelTo, nil)
+	vEntries := ix.entryList(v, ix.labelFrom, nil)
 
 	// Pass 1: d⊤.
 	for _, eu := range uEntries {

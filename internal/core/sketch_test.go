@@ -169,7 +169,7 @@ func TestSketchTrivialPairs(t *testing.T) {
 func TestEntryListVirtualLandmark(t *testing.T) {
 	g := graph.Cycle(8)
 	ix := MustBuild(g, Options{Landmarks: []graph.V{3}})
-	es := ix.entryList(3, nil)
+	es := ix.entryList(3, ix.labelTo, nil)
 	if len(es) != 1 || es[0].Rank != 0 || es[0].Sigma != 0 {
 		t.Fatalf("virtual entry = %+v", es)
 	}

@@ -10,8 +10,8 @@ import (
 // both out-adjacency and in-adjacency are materialised, since the
 // directed QbS query walks forward from the source and backward from the
 // target. The paper treats its datasets as undirected but notes the
-// method "can be easily extended to directed graphs" (§2); package dcore
-// is that extension, and this is its substrate.
+// method "can be easily extended to directed graphs" (§2); package core
+// is written for that extension, and this is its substrate.
 type DiGraph struct {
 	outOff []int64
 	out    []V

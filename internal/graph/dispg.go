@@ -40,6 +40,16 @@ func (s *DiSPG) AddArc(from, to V) {
 	s.canonical = false
 }
 
+// Fill completes a Reset result with the distance and the oriented
+// pairs (x→y) a search emitted, kept as the arcs they are.
+//
+//qbs:zeroalloc
+func (s *DiSPG) Fill(dist int32, pairs []Arc) {
+	s.Dist = dist
+	s.arcs = append(s.arcs, pairs...)
+	s.canonical = len(s.arcs) == 0
+}
+
 // Canonicalize sorts and deduplicates the arc set.
 func (s *DiSPG) Canonicalize() {
 	if s.canonical {

@@ -51,6 +51,19 @@ func (s *SPG) AddEdge(u, w V) {
 	s.canonical = false
 }
 
+// Fill completes a Reset result with the distance and the oriented
+// pairs (x→y) a search emitted. An undirected answer has no use for the
+// orientation: each pair becomes the edge {x, y}.
+//
+//qbs:zeroalloc
+func (s *SPG) Fill(dist int32, pairs []Arc) {
+	s.Dist = dist
+	for _, p := range pairs {
+		s.edges = append(s.edges, Edge{p.From, p.To}.Normalize())
+	}
+	s.canonical = len(s.edges) == 0
+}
+
 // Canonicalize sorts the edge set and removes duplicates. All read
 // accessors call it implicitly.
 func (s *SPG) Canonicalize() {

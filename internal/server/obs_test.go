@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -169,5 +170,33 @@ func TestMetricsJSONShapeUnchanged(t *testing.T) {
 	resp := get(t, s, "/metrics", nil)
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("default content type %q", ct)
+	}
+}
+
+// TestDirectedQueriesFeedEngineCounters: a directed server's queries
+// reach the same engine counters and trace fields as an undirected
+// one's — the stats are one type — so /metrics shows the arcs they
+// scanned (it read 0 while the directed engine kept no such count).
+func TestDirectedQueriesFeedEngineCounters(t *testing.T) {
+	s := testDirectedServer(t)
+	s.SetSlowLogThreshold(0)
+	get(t, s, "/spg?u=1&v=4", nil)
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	var arcs int64 = -1
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "qbs_query_arcs_scanned_total "); ok {
+			arcs, _ = strconv.ParseInt(rest, 10, 64)
+		}
+	}
+	if arcs <= 0 {
+		t.Fatalf("qbs_query_arcs_scanned_total = %d after a directed /spg, want > 0:\n%s", arcs, rec.Body.String())
+	}
+
+	var body SlowLogResponse
+	get(t, s, "/debug/slowlog", &body)
+	if len(body.Entries) != 1 || body.Entries[0].ArcsScanned != arcs {
+		t.Fatalf("slowlog %+v, want one entry with ArcsScanned %d", body.Entries, arcs)
 	}
 }

@@ -584,9 +584,9 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// recordQuery folds one query's stats into the engine counters and the
-// request trace (stage spans land in the stage histograms when the
-// middleware finishes the request).
+// recordQuery folds one query's stats — of an index of either kind —
+// into the engine counters and the request trace (stage spans land in
+// the stage histograms when the middleware finishes the request).
 func (s *Server) recordQuery(r *http.Request, u, v qbs.V, st qbs.QueryStats) {
 	s.engArcs.Add(st.ArcsScanned)
 	s.engWords.Add(st.FrontierWords)
@@ -600,27 +600,6 @@ func (s *Server) recordQuery(r *http.Request, u, v qbs.V, st qbs.QueryStats) {
 		tr.U, tr.V = int64(u), int64(v)
 		tr.Dist = st.Dist
 		tr.ArcsScanned = st.ArcsScanned
-		tr.FrontierWords = st.FrontierWords
-		tr.PushPullSwitches = st.PushPullSwitches
-		tr.LabelEntries = st.LabelEntries
-		tr.SetStage(obs.StageSketch, st.SketchNs)
-		tr.SetStage(obs.StageExpand, st.ExpandNs)
-		tr.SetStage(obs.StageExtract, st.ExtractNs)
-	}
-}
-
-// recordDiQuery is recordQuery for the directed searcher's stats.
-func (s *Server) recordDiQuery(r *http.Request, u, v qbs.V, st qbs.DiQueryStats) {
-	s.engWords.Add(st.FrontierWords)
-	s.engSwitch.Add(st.PushPullSwitches)
-	s.engEntries.Add(st.LabelEntries)
-	s.engParLevels.Add(st.ParallelLevels)
-	s.engParChunks.Add(st.ParallelChunks)
-	s.engParSteals.Add(st.ParallelSteals)
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		tr.HasQuery = true
-		tr.U, tr.V = int64(u), int64(v)
-		tr.Dist = st.Dist
 		tr.FrontierWords = st.FrontierWords
 		tr.PushPullSwitches = st.PushPullSwitches
 		tr.LabelEntries = st.LabelEntries
@@ -1098,7 +1077,7 @@ func (s *Server) handleDiSPG(w http.ResponseWriter, r *http.Request) {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.di.QueryIntoStats(&sc.dispg, u, v)
-	s.recordDiQuery(r, u, v, st)
+	s.recordQuery(r, u, v, st)
 	sc.dag.ResetDi(&sc.dispg)
 	sc.edges = sc.edges[:0]
 	for _, a := range sc.dispg.Arcs() {
@@ -1144,7 +1123,7 @@ func (s *Server) handleDiStats(w http.ResponseWriter, _ *http.Request) {
 		NumLandmarks:   len(s.di.Landmarks()),
 		Landmarks:      s.di.Landmarks(),
 		LabelEntries:   st.LabelEntries,
-		MetaEdges:      st.MetaArcs,
+		MetaEdges:      st.MetaEdges,
 		SizeLabels:     s.di.SizeLabelsBytes(),
 		SizeDelta:      s.di.SizeDeltaBytes(),
 		LabellingMS:    float64(st.LabellingTime.Microseconds()) / 1000,

@@ -99,24 +99,6 @@ func unsafeBytesI64(vs []int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*8)
 }
 
-// viewArcs returns b as []graph.Arc (two i32 per arc, From then To);
-// len(b) must be a multiple of 8. graph.Arc is a pair of int32 fields,
-// so its memory layout matches the on-disk record exactly.
-func viewArcs(b []byte) []graph.Arc {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian && aligned4(b) {
-		return unsafe.Slice((*graph.Arc)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]graph.Arc, len(b)/8)
-	for i := range out {
-		out[i].From = int32(binary.LittleEndian.Uint32(b[i*8:]))
-		out[i].To = int32(binary.LittleEndian.Uint32(b[i*8+4:]))
-	}
-	return out
-}
-
 // viewEdges returns b as []graph.Edge (two i32 per edge, U then W);
 // len(b) must be a multiple of 8. graph.Edge is a pair of int32 fields,
 // so its memory layout matches the on-disk record exactly.

@@ -5,18 +5,19 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"qbs/internal/bfs"
-	"qbs/internal/dcore"
+	"qbs/internal/core"
 	"qbs/internal/graph"
 )
 
-func diTestIndex(t *testing.T) (*graph.DiGraph, *dcore.Index) {
+func diTestIndex(t *testing.T) (*graph.DiGraph, *core.Index) {
 	t.Helper()
 	g := graph.DirectedScaleFree(400, 3, 61)
-	ix, err := dcore.Build(g, dcore.Options{NumLandmarks: 12})
+	ix, err := core.BuildDirected(g, core.Options{NumLandmarks: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,26 +36,26 @@ func TestDiStoreRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g, ix := diTestIndex(t)
 			dir := t.TempDir()
-			if err := CreateDi(dir, ix.Persistent()); err != nil {
+			if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
 				t.Fatal(err)
 			}
 			if !DiExists(dir) {
 				t.Fatal("DiExists false after CreateDi")
 			}
-			re, err := OpenDi(dir, mmap)
+			re, rg, err := OpenDi(dir, mmap)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			a, b := ix.Persistent(), re.Persistent()
+			a, b := ix.DirectedState(), re.DirectedState()
 			if string(a.Sigma) != string(b.Sigma) {
 				t.Fatal("sigma not bit-identical")
 			}
-			if string(a.LabelFrom) != string(b.LabelFrom) || string(a.LabelTo) != string(b.LabelTo) {
+			if !reflect.DeepEqual(a.LabelFrom, b.LabelFrom) || !reflect.DeepEqual(a.LabelTo, b.LabelTo) {
 				t.Fatal("labels not bit-identical")
 			}
-			ao1, aa1, ai1, av1 := a.Graph.CSR()
-			bo1, ba1, bi1, bv1 := b.Graph.CSR()
+			ao1, aa1, ai1, av1 := g.CSR()
+			bo1, ba1, bi1, bv1 := rg.CSR()
 			for i := range ao1 {
 				if ao1[i] != bo1[i] || ai1[i] != bi1[i] {
 					t.Fatal("CSR offsets not bit-identical")
@@ -79,13 +80,14 @@ func TestDiStoreRoundTrip(t *testing.T) {
 				}
 			}
 
-			sr := dcore.NewSearcher(re)
+			sr := core.NewSearcher(re)
+			got := graph.NewDiSPG(0, 0)
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 80; i++ {
 				u := graph.V(rng.Intn(g.NumVertices()))
 				v := graph.V(rng.Intn(g.NumVertices()))
 				want := bfs.OracleDiSPG(g, u, v)
-				if got := sr.Query(u, v); !got.Equal(want) {
+				if sr.QueryInto(got, u, v); !got.Equal(want) {
 					t.Fatalf("reopened index: query (%d,%d) != oracle", u, v)
 				}
 			}
@@ -94,12 +96,12 @@ func TestDiStoreRoundTrip(t *testing.T) {
 }
 
 func TestDiStoreCreateTwiceFails(t *testing.T) {
-	_, ix := diTestIndex(t)
+	g, ix := diTestIndex(t)
 	dir := t.TempDir()
-	if err := CreateDi(dir, ix.Persistent()); err != nil {
+	if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
 		t.Fatal(err)
 	}
-	if err := CreateDi(dir, ix.Persistent()); err == nil {
+	if err := CreateDi(dir, g, ix.DirectedState()); err == nil {
 		t.Fatal("second CreateDi succeeded")
 	}
 }
@@ -109,9 +111,9 @@ func TestDiStoreCreateTwiceFails(t *testing.T) {
 // that only pad alignment, still decode to a working index) — never
 // panic.
 func TestDiSnapshotCorruptionDetected(t *testing.T) {
-	_, ix := diTestIndex(t)
+	g, ix := diTestIndex(t)
 	dir := t.TempDir()
-	if err := CreateDi(dir, ix.Persistent()); err != nil {
+	if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, diSnapshotName)
@@ -129,7 +131,7 @@ func TestDiSnapshotCorruptionDetected(t *testing.T) {
 					t.Fatalf("decode panicked with byte %d flipped: %v", off, r)
 				}
 			}()
-			ix, err := decodeDiSnapshot(data)
+			ix, _, err := decodeDiSnapshot(data)
 			if err == nil && ix == nil {
 				t.Fatalf("flip at %d: nil index without error", off)
 			}
@@ -137,7 +139,7 @@ func TestDiSnapshotCorruptionDetected(t *testing.T) {
 	}
 	// Truncations must also be rejected cleanly.
 	for _, cut := range []int{0, 1, snapHeaderSize, diSnapTableEnd, len(orig) / 2, len(orig) - 1} {
-		if _, err := decodeDiSnapshot(orig[:cut]); err == nil {
+		if _, _, err := decodeDiSnapshot(orig[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
@@ -147,9 +149,9 @@ func TestDiSnapshotCorruptionDetected(t *testing.T) {
 // opened with the undirected loader and vice versa — a named redirect,
 // not a checksum mismatch.
 func TestCrossFormatErrors(t *testing.T) {
-	_, ix := diTestIndex(t)
+	g, ix := diTestIndex(t)
 	dir := t.TempDir()
-	if err := CreateDi(dir, ix.Persistent()); err != nil {
+	if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, diSnapshotName))
@@ -157,7 +159,7 @@ func TestCrossFormatErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := decodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "OpenDiStore") {
-		t.Fatalf("undirected decoder on v4 file: %v", err)
+		t.Fatalf("undirected decoder on a directed file: %v", err)
 	}
 
 	udir := t.TempDir()
@@ -170,8 +172,16 @@ func TestCrossFormatErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeDiSnapshot(udata); err == nil || !strings.Contains(err.Error(), "OpenStore") {
+	if _, _, err := decodeDiSnapshot(udata); err == nil || !strings.Contains(err.Error(), "OpenStore") {
 		t.Fatalf("directed decoder on v3 file: %v", err)
+	}
+
+	// A version-4 directed file (row-major labels) is refused by version,
+	// before its checksums are even looked at.
+	v4 := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
+	if _, _, err := decodeDiSnapshot(v4); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 4") {
+		t.Fatalf("directed decoder on a v4 header: %v", err)
 	}
 
 	// The v3 compatibility rule: undirected snapshots keep magic "QBS3"

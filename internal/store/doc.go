@@ -16,7 +16,7 @@
 // the directed index has no dynamic subsystem, hence no WAL:
 //
 //	<dir>/
-//	  directed.qbss            directed index snapshot, format v4
+//	  directed.qbss            directed index snapshot, format v5
 //
 // # Snapshot format (v3)
 //
@@ -52,17 +52,16 @@
 // written, so views into a read-only mapping are safe for the life of
 // the process.
 //
-// # Snapshot format (v4, directed flavor)
+// # Snapshot format (v5, directed flavor)
 //
-// Format v4 extends v3 with a flags word and the directed flavor; it
-// does not change the undirected layout. The compatibility rule:
-// undirected snapshots keep being written as v3 and every v3 file keeps
-// loading unchanged — v4 is additive, introduced only for directed
-// snapshots, which a v3 reader could not represent (dual CSR, two label
-// matrices, asymmetric σ).
+// The directed flavor extends v3 with a flags word; it does not change
+// the undirected layout. The compatibility rule: undirected snapshots
+// keep being written as v3 and every v3 file keeps loading unchanged —
+// the directed format exists only for what a v3 reader could not
+// represent (dual CSR, two label matrices, asymmetric σ).
 //
 // A directed snapshot reuses the v3 header geometry with magic "QBS4",
-// version 4, epoch fixed to 0 (directed indexes are immutable), and the
+// version 5, epoch fixed to 0 (directed indexes are immutable), and the
 // previously-padding bytes [44,48) as a little-endian u32 flags word
 // (bit 0 = directed, required). The header CRC at [40,44) covers
 // [0,40), the flags word and the section table. Ten sections follow in
@@ -72,15 +71,23 @@
 //	out offsets ((n+1)×i64), out adjacency (arcs×i32),
 //	in offsets  ((n+1)×i64), in adjacency  (arcs×i32),
 //	landmarks (R×i32), σ (R²×u8, row-major, row = from-rank),
-//	labelFrom (n·R×u8, row-major), labelTo (n·R×u8, row-major),
+//	labelFrom (R·n×u8, column-major), labelTo (R·n×u8, column-major),
 //	Δ counts (numMeta×i32, meta-arcs in the canonical (from, to) rank
 //	order derived from σ), Δ arcs (Σcounts × {i32 from, i32 to})
 //
-// Load is zero-copy as in v3: the dual CSR, both label matrices, σ and
-// Δ are typed views into the file arena; only the O(|R|³) meta state
-// (APSP, arc ids) is recomputed. Opening a v4 file with the undirected
-// loader (or vice versa) fails with an error naming the right entry
-// point rather than a checksum mismatch.
+// Version 5 differs from version 4 in one thing: the two label sections
+// are column-major (one landmark's column after another, as in v3)
+// where version 4 stored them row-major. The index reads labels by
+// column — it is the undirected index's engine, bound to two label
+// matrices — so each column has to be a contiguous run of the file for
+// the load to stay zero-copy: the dual CSR, the 2·R label columns and Δ
+// are typed views into the file arena, and only the O(|R|³) meta state
+// (APSP, arc ids, shortest-meta-path table) is recomputed. A version-4
+// file is refused with "unsupported snapshot version 4" before its
+// checksums are read; the store is a cache of a build, so the remedy is
+// to rebuild it. Opening a directed file with the undirected loader (or
+// vice versa) fails with an error naming the right entry point rather
+// than a checksum mismatch.
 //
 // # WAL format
 //

@@ -34,7 +34,7 @@ func TestBuildInfoExposition(t *testing.T) {
 	for _, want := range []string{
 		`go_version="` + runtime.Version() + `"`,
 		`snapshot_format="3"`,
-		`dynamic_snapshot_format="4"`,
+		`dynamic_snapshot_format="5"`,
 		`wal_format="1"`,
 		`module_version="`,
 	} {

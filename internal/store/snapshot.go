@@ -277,7 +277,7 @@ func decodeSnapshot(data []byte) (*loadedSnapshot, error) {
 	}
 	if string(data[:4]) != snapMagic {
 		if string(data[:4]) == diSnapMagic {
-			return nil, fmt.Errorf("directed v4 snapshot (open it with OpenDiStore)")
+			return nil, fmt.Errorf("directed snapshot (open it with OpenDiStore)")
 		}
 		return nil, fmt.Errorf("bad magic %q", data[:4])
 	}

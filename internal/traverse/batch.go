@@ -19,9 +19,9 @@ const BatchChunk = 32
 // surplus worker would acquire a searcher, possibly constructing one,
 // only to find no chunk left). pairAt yields the i-th query pair;
 // acquire/release manage per-worker searchers (typically a pool); query
-// answers one pair into a chunk-slab slot. It is the single engine
-// behind core.QueryBatchInto and dcore.QueryBatchInto, so the directed
-// and undirected chunking/cap logic cannot drift.
+// answers one pair into a chunk-slab slot of the caller's result type.
+// It is the engine behind core.QueryBatchInto, which the static, dynamic
+// and directed batch entry points share.
 //
 // A query that panics (e.g. an out-of-range vertex id) does not bring
 // the batch down: its slot is left nil, the worker discards its
