@@ -11,11 +11,20 @@
 // parent graph. One BFS over the SPG's own edges therefore yields the
 // distance-layered DAG, the shared representation of this package, and
 // the answer is layered on exactly the graph state it was computed on.
+//
+// Layering costs a small constant per edge. The DAG works on dense local
+// ids, the positions of the vertices in ascending id order; they come
+// from a small open-addressing table kept in the DAG — vertex to
+// provisional id, sized to the answer at a load of at most one half,
+// cleared and reused from one answer to the next — so that an endpoint
+// costs one probe, only the distinct vertices are sorted, and no edge is
+// searched for (see DAG.intern and DAG.layer).
 package analysis
 
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"qbs/internal/graph"
@@ -40,6 +49,9 @@ type DAG struct {
 	// in Vertices.
 	src, dst int32      // Source and Target; -1 when absent
 	pairs    [][2]int32 // the input edges or arcs; layer rewrites them in local ids
+	tab      []uint64   // vertex → provisional id, open addressing; see intern
+	ids      []uint64   // (vertex, provisional id) per distinct vertex, sorted into local order
+	rank     []int32    // provisional id → local id
 	off      []int32    // CSR row starts, len(Vertices)+1
 	end      []int32    // row v's depth-increasing arcs are nbr[off[v]:end[v]]
 	nbr      []int32    // CSR neighbours, ascending within a row
@@ -100,11 +112,49 @@ func (d *DAG) ResetDi(spg *graph.DiSPG) {
 //go:noinline
 //qbs:allow zeroalloc grows recycled buffers to their high-water mark; a warm DAG finds them large enough
 func (d *DAG) grow(n, m int) {
+	d.Vertices = slices.Grow(d.Vertices[:0], n)[:n]
+	d.rank = slices.Grow(d.rank[:0], n)[:n]
 	d.off = slices.Grow(d.off[:0], n+1)[:n+1]
 	d.end = slices.Grow(d.end[:0], n)[:n]
 	d.depth = slices.Grow(d.depth[:0], n)[:n]
 	d.count = slices.Grow(d.count[:0], n)[:n]
 	d.nbr = slices.Grow(d.nbr[:0], m)[:m]
+}
+
+// growTable empties the id table at 1<<bits slots. Out of line for the
+// same reason as grow.
+//
+//go:noinline
+//qbs:allow zeroalloc grows the recycled table to its high-water mark; a warm DAG finds it large enough
+func (d *DAG) growTable(bits uint) {
+	d.tab = slices.Grow(d.tab[:0], 1<<bits)[:1<<bits]
+	clear(d.tab)
+	d.ids = d.ids[:0]
+}
+
+// intern returns the provisional id of v — distinct vertices are
+// numbered in order of first appearance — through the open-addressing
+// table: a slot holds the vertex in its high half and the id plus one in
+// its low half, zero while free; shift reduces the multiplicative hash
+// to the table's size. The table is never more than half full.
+//
+//qbs:zeroalloc
+func (d *DAG) intern(v graph.V, shift uint) int32 {
+	tab := d.tab
+	for h := uint32(v) * 0x9E3779B1 >> shift; ; h = (h + 1) & uint32(len(tab)-1) {
+		slot := tab[h]
+		if slot == 0 {
+			id := uint64(len(d.ids))
+			tab[h] = uint64(uint32(v))<<32 | (id + 1)
+			// The bias makes integer order of the high half the signed
+			// order of the vertex ids.
+			d.ids = append(d.ids, uint64(uint32(v)^1<<31)<<32|id)
+			return int32(id)
+		}
+		if uint32(slot>>32) == uint32(v) {
+			return int32(uint32(slot)) - 1
+		}
+	}
 }
 
 // local returns the local id of v, or -1 when v is not in the DAG.
@@ -115,35 +165,45 @@ func (d *DAG) local(v graph.V) int32 {
 	return -1
 }
 
-// layer builds the DAG from d.pairs: the id-sorted vertex list, a CSR
-// over dense local ids, then one BFS from Source that assigns depths,
+// layer builds the DAG from d.pairs: dense local ids in ascending vertex
+// order, a CSR over them, then one BFS from Source that assigns depths,
 // records a topological order and counts paths in the same pass.
 // Rows come out sorted because canonical edge and arc sets are.
 //
+// Local ids cost one table probe per endpoint and a sort of the distinct
+// vertices only: each endpoint is interned to a provisional id, the
+// (vertex, provisional id) pairs are sorted as integers, and the
+// position of a pair in that order is the local id of its vertex.
+//
 //qbs:zeroalloc
 func (d *DAG) layer(directed bool) {
-	vs := d.Vertices[:0]
-	for _, p := range d.pairs {
-		vs = append(vs, p[0], p[1])
+	// At most 2·len(pairs)+1 distinct vertices: twice that many slots.
+	lg := uint(bits.Len(uint(4*len(d.pairs) + 1)))
+	d.growTable(lg)
+	shift := 32 - lg
+	for i, p := range d.pairs {
+		d.pairs[i] = [2]int32{d.intern(p[0], shift), d.intern(p[1], shift)}
 	}
 	if d.Source == d.Target {
-		vs = append(vs, d.Source)
+		d.intern(d.Source, shift)
 	}
-	slices.Sort(vs)
-	vs = slices.Compact(vs)
-	d.Vertices = vs
-	n := len(vs)
-	d.src, d.dst = d.local(d.Source), d.local(d.Target)
+	slices.Sort(d.ids)
+	n := len(d.ids)
 	m := len(d.pairs)
 	if !directed {
 		m *= 2
 	}
 	d.grow(n, m)
-	off, end, nbr, depth, count := d.off, d.end, d.nbr, d.depth, d.count
+	rank, off, end, nbr, depth, count := d.rank, d.off, d.end, d.nbr, d.depth, d.count
+	for i, k := range d.ids {
+		d.Vertices[i] = graph.V(uint32(k>>32) ^ 1<<31)
+		rank[uint32(k)] = int32(i)
+	}
+	d.src, d.dst = d.local(d.Source), d.local(d.Target)
 
 	clear(off)
 	for i, p := range d.pairs {
-		a, b := d.local(p[0]), d.local(p[1])
+		a, b := rank[p[0]], rank[p[1]]
 		d.pairs[i] = [2]int32{a, b}
 		off[a+1]++
 		if !directed {

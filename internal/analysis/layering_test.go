@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -135,6 +137,86 @@ func TestWarmDAGZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDAGIDTableModel checks the layering against a map-and-BFS model
+// under vertex ids chosen against the id table: the ids as they are, ids
+// that are all multiples of the table's size, and ids that all hash to
+// slot 0 (multiples of the hash multiplier's inverse, so that the
+// product is the small multiplier itself) and therefore probe the whole
+// cluster every time. One DAG serves every case in turn, a 5100-edge
+// answer right before a 3-edge one, so a slot, a rank or a row left
+// behind by a larger answer would show in a smaller one.
+func TestDAGIDTableModel(t *testing.T) {
+	const hashInverse = 0x0E8B2F51 // 0x9E3779B1 · hashInverse ≡ 1 (mod 2³²)
+	relabels := map[string]func(graph.V) graph.V{
+		"identity":         func(v graph.V) graph.V { return v },
+		"table multiples":  func(v graph.V) graph.V { return v << 15 },
+		"one hash cluster": func(v graph.V) graph.V { return graph.V(uint32(v+1) * hashInverse) },
+	}
+	answers := []struct {
+		g    *graph.Graph
+		u, v graph.V
+	}{
+		{graph.Grid(51, 51), 0, 51*51 - 1}, // 5100 edges
+		{graph.Path(4), 0, 3},              // 3 edges
+		{graph.Grid(9, 9), 40, 0},
+		{graph.Grid(3, 3), 4, 4}, // the trivial pair
+	}
+	var d DAG
+	for name, relabel := range relabels {
+		for _, directed := range []bool{false, true} {
+			for _, a := range answers {
+				dist := bfs.Distances(a.g, a.u)
+				oracle := bfs.OracleSPG(a.g, a.u, a.v)
+				spg := graph.NewSPG(relabel(a.u), relabel(a.v))
+				dspg := graph.NewDiSPG(relabel(a.u), relabel(a.v))
+				spg.Dist, dspg.Dist = oracle.Dist, oracle.Dist
+				next := map[graph.V][]graph.V{}
+				for _, e := range oracle.Edges() {
+					x, y := e.U, e.W
+					if dist[x] > dist[y] {
+						x, y = y, x
+					}
+					spg.AddEdge(relabel(x), relabel(y))
+					dspg.AddArc(relabel(x), relabel(y))
+					next[relabel(x)] = append(next[relabel(x)], relabel(y))
+				}
+				if directed {
+					d.ResetDi(dspg)
+				} else {
+					d.Reset(spg)
+				}
+				label := fmt.Sprintf("%s directed=%v %d edges", name, directed, oracle.NumEdges())
+
+				var vertices []graph.V
+				for _, x := range oracle.Vertices() {
+					vertices = append(vertices, relabel(x))
+				}
+				slices.Sort(vertices)
+				if !slices.Equal(d.Vertices, vertices) {
+					t.Fatalf("%s: vertices %v, want %v", label, d.Vertices, vertices)
+				}
+				for _, x := range oracle.Vertices() {
+					if got := d.Depth(relabel(x)); got != dist[x] {
+						t.Fatalf("%s: depth(%d) = %d, want %d", label, relabel(x), got, dist[x])
+					}
+					want := next[relabel(x)]
+					slices.Sort(want)
+					if got := d.Next(relabel(x)); !slices.Equal(got, want) {
+						t.Fatalf("%s: next(%d) = %v, want %v", label, relabel(x), got, want)
+					}
+				}
+				want := int64(1)
+				if a.u != a.v {
+					want, _ = refCountPaths(oracle, func(x graph.V) int32 { return dist[x] })
+				}
+				if got, _ := d.CountPaths(); got != want {
+					t.Fatalf("%s: %d paths, want %d", label, got, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzDAGFromEdges feeds arbitrary edge lists — duplicates, self
 // loops, pieces unreachable from Source, Source or Target absent,
 // cycles — through both layerings and every accessor. Nothing may
@@ -145,6 +227,10 @@ func FuzzDAGFromEdges(f *testing.F) {
 	f.Add(int32(0), int32(0), []byte{})
 	f.Add(int32(9), int32(1), []byte{0, 1, 0, 1, 1, 1, 2, 0})
 	f.Add(int32(0), int32(2), []byte{0, 1, 1, 2, 2, 0, 5, 6, 6, 5})
+	// Ids that share one slot of the 32-slot id table these sizes get: a
+	// path, then a diamond with a repeated edge.
+	f.Add(int32(1), int32(111), []byte{1, 22, 22, 56, 56, 90, 90, 111})
+	f.Add(int32(1), int32(111), []byte{1, 22, 1, 56, 22, 90, 56, 90, 90, 111, 90, 111})
 	f.Fuzz(func(t *testing.T, source, target int32, raw []byte) {
 		// 48 edges keep the enumeration's dead ends, which an exact SPG
 		// does not have, from exploding.

@@ -181,7 +181,7 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 		ws.SetDist(graph.V(i), int32(i))
 	}
 	for _, flip := range []bool{false, true} {
-		pairs, arcs := NewExtractor(6).Extract(g, flip, nil, []graph.V{5}, ws)
+		pairs, arcs := NewExtractor(6).Extract(g, flip, nil, []graph.V{5}, ws, 0)
 		spg := graph.NewSPG(0, 5)
 		spg.Fill(5, pairs)
 		if spg.NumEdges() != 5 {

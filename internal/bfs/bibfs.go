@@ -6,16 +6,17 @@ import (
 )
 
 // Bidirectional BFS baseline (the paper's search-based baseline Bi-BFS,
-// §6.1): a forward search from u and a backward search from v expand
-// alternately, always growing the smaller visited set, until the
-// frontiers meet; a reverse search then extracts the union of all
-// shortest paths.
+// §6.1): a forward search from u over out-arcs and a backward search
+// from v over in-arcs expand alternately, always growing the smaller
+// visited set, until an arc crosses from one to the other; a reverse
+// search then extracts the union of all shortest paths.
 //
-// Because searches expand whole levels and the meeting check runs after
-// every level, the first non-empty intersection appears exactly when
-// d_u + d_v = d_G(u, v), and the meeting vertices with
-// depth_u(w) + depth_v(w) = d are precisely the shortest-path vertices at
-// the meeting cut.
+// The meeting rule is the QbS searcher's (traverse.ExpandMeeting): the
+// level that expands side S reports every arc x→y with y unseen by S and
+// seen by the other side. Until one exists the two visited sets are
+// disjoint, so every such y sits on the other side's outermost level,
+// d_G(u, v) = d_S + 1 + d_other, and the crossing arcs are exactly the
+// shortest-path arcs over that cut.
 
 // SearchStats reports work counters for a query, used by the §6.5
 // traversal ablation (edges traversed by Bi-BFS vs QbS).
@@ -33,127 +34,143 @@ func BiBFS(g graph.Adjacency, u, v graph.V) *graph.SPG {
 	return spg
 }
 
+// biSide is one direction of the baseline search: its arcs, their
+// reverse, and the frontier of a direction-optimizing expansion.
+type biSide struct {
+	push, pull graph.Adjacency
+	deg        []int32 // cached push degrees, or nil
+	ws         *Workspace
+	exp        *traverse.Expander
+	root       graph.V
+	front      []graph.V
+	d          int32 // completed levels
+	size       int   // visited-set size, drives side selection
+}
+
+// biSearch is the search both baselines run; they differ in the
+// adjacency pair they bind and in what the answer's pairs mean.
+type biSearch struct {
+	fwd, bwd biSide
+	nextBuf  []graph.V
+	cross    []graph.Arc // crossing arcs, in the expanding side's push orientation
+	xs, ys   []graph.V   // their endpoints: the reverse search's starts
+	pairs    []graph.Arc
+	ext      *Extractor
+}
+
+func newBiSearch(out, in graph.Adjacency, degOut, degIn []int32) biSearch {
+	n := out.NumVertices()
+	return biSearch{
+		fwd: biSide{push: out, pull: in, deg: degOut, ws: NewWorkspace(n), exp: traverse.NewExpander(n)},
+		bwd: biSide{push: in, pull: out, deg: degIn, ws: NewWorkspace(n), exp: traverse.NewExpander(n)},
+		ext: NewExtractor(n),
+	}
+}
+
+func (s *biSide) reset(root graph.V) {
+	s.root = root
+	s.ws.Reset()
+	s.ws.SetDist(root, 0)
+	s.exp.BeginDirected(s.push, s.pull, s.deg)
+	s.front = append(s.front[:0], root)
+	s.d, s.size = 0, 1
+}
+
+// run searches u → v and returns the distance (graph.InfDist when
+// disconnected) and the answer's arcs as oriented pairs, valid until
+// the next run.
+func (b *biSearch) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
+	stats := SearchStats{VerticesVisited: 2}
+	b.fwd.reset(u)
+	b.bwd.reset(v)
+	for len(b.fwd.front) > 0 && len(b.bwd.front) > 0 {
+		// Expand the side with the smaller visited set.
+		side, other := &b.fwd, &b.bwd
+		if side.size > other.size {
+			side, other = other, side
+		}
+		next, cross, arcs := side.exp.ExpandMeeting(side.ws, other.ws, side.front, side.d, b.nextBuf[:0], b.cross[:0], false)
+		stats.ArcsScanned += arcs
+		b.cross = cross
+		if len(cross) == 0 {
+			b.nextBuf = side.front[:0] // recycle the old frontier's backing array
+			side.front = next
+			side.d++
+			side.size += len(next)
+			stats.VerticesVisited += int64(len(next))
+			continue
+		}
+		b.nextBuf = next
+		pairs, xs, ys := b.pairs[:0], b.xs[:0], b.ys[:0]
+		flip := side == &b.bwd
+		for _, c := range cross {
+			pairs = append(pairs, orient(c.From, c.To, flip))
+			xs, ys = append(xs, c.From), append(ys, c.To)
+		}
+		pairs, nx := b.ext.Extract(side.pull, flip, pairs, xs, side.ws, side.root)
+		pairs, ny := b.ext.Extract(other.pull, !flip, pairs, ys, other.ws, other.root)
+		stats.ArcsScanned += nx + ny
+		b.pairs, b.xs, b.ys = pairs, xs, ys
+		return side.d + 1 + other.d, pairs, stats
+	}
+	return graph.InfDist, nil, stats
+}
+
 // Bidirectional is a reusable bidirectional-BFS searcher over a fixed
-// graph. Each side expands through a direction-optimizing
+// undirected graph. Each side expands through a direction-optimizing
 // traverse.Expander, so the dense middle levels of small-world graphs
 // run bottom-up. Not safe for concurrent use.
-type Bidirectional struct {
-	g              graph.Adjacency
-	deg            []int32 // cached degrees when g is a static CSR graph
-	fwd, bwd       *Workspace
-	fwdExp, bwdExp *traverse.Expander
-	// frontier storage, reused across queries
-	frontFwd, frontBwd []graph.V
-	nextBuf            []graph.V
-	meet               []graph.V
-	pairs              []graph.Arc
-	ext                *Extractor
-}
+type Bidirectional struct{ s biSearch }
 
 // NewBidirectional creates a searcher for g.
 func NewBidirectional(g graph.Adjacency) *Bidirectional {
-	n := g.NumVertices()
-	b := &Bidirectional{
-		g:      g,
-		fwd:    NewWorkspace(n),
-		bwd:    NewWorkspace(n),
-		fwdExp: traverse.NewExpander(n),
-		bwdExp: traverse.NewExpander(n),
-		ext:    NewExtractor(n),
-	}
+	var deg []int32
 	if cg, ok := g.(*graph.Graph); ok {
-		b.deg = cg.Degrees()
+		deg = cg.Degrees()
 	}
-	return b
+	return &Bidirectional{newBiSearch(g, g, deg, deg)}
 }
 
 // SetParallelism runs both directions' level expansions on p traverse
 // pool workers when a level clears the size threshold; results are
 // bit-identical at every setting. 0 (the default) stays sequential.
 func (b *Bidirectional) SetParallelism(p int) {
-	b.fwdExp.Parallelism = p
-	b.bwdExp.Parallelism = p
+	b.s.fwd.exp.Parallelism = p
+	b.s.bwd.exp.Parallelism = p
 }
 
 // Query computes SPG(u, v) and work counters.
 func (b *Bidirectional) Query(u, v graph.V) (*graph.SPG, SearchStats) {
-	var stats SearchStats
 	spg := graph.NewSPG(u, v)
 	if u == v {
 		spg.Dist = 0
-		return spg, stats
+		return spg, SearchStats{}
 	}
-	g := b.g
-	b.fwd.Reset()
-	b.bwd.Reset()
-	b.fwd.SetDist(u, 0)
-	b.bwd.SetDist(v, 0)
-	b.fwdExp.Begin(g, b.deg)
-	b.bwdExp.Begin(g, b.deg)
-	stats.VerticesVisited = 2
-	fs := append(b.frontFwd[:0], u)
-	bs := append(b.frontBwd[:0], v)
-	var du, dv int32
-	sizeFwd, sizeBwd := 1, 1 // visited-set sizes drive side selection
-	meet := b.meet[:0]
-
-	for len(fs) > 0 && len(bs) > 0 {
-		// Expand the side with the smaller visited set.
-		if sizeFwd <= sizeBwd {
-			fs = b.expand(b.fwdExp, fs, b.fwd, du, &stats)
-			du++
-			sizeFwd += len(fs)
-			meet = b.collectMeeting(fs, b.bwd, meet)
-		} else {
-			bs = b.expand(b.bwdExp, bs, b.bwd, dv, &stats)
-			dv++
-			sizeBwd += len(bs)
-			meet = b.collectMeeting(bs, b.fwd, meet)
-		}
-		if len(meet) > 0 {
-			break
-		}
-	}
-	b.frontFwd, b.frontBwd, b.meet = fs, bs, meet
-	if len(meet) == 0 {
-		return spg, stats // disconnected
-	}
-	d := du + dv
-	// Keep only true meeting vertices on shortest paths.
-	cut := meet[:0]
-	for _, w := range meet {
-		if b.fwd.Dist(w)+b.bwd.Dist(w) == d {
-			cut = append(cut, w)
-		}
-	}
-	pairs, nf := b.ext.Extract(g, false, b.pairs[:0], cut, b.fwd)
-	pairs, nb := b.ext.Extract(g, true, pairs, cut, b.bwd)
-	stats.ArcsScanned += nf + nb
-	b.pairs = pairs
+	d, pairs, stats := b.s.run(u, v)
 	spg.Fill(d, pairs)
 	return spg, stats
 }
 
-// expand grows one BFS level: every vertex in frontier has depth d; its
-// unseen neighbours get depth d+1 and form the next frontier. The
-// expander picks top-down or bottom-up per level.
-func (b *Bidirectional) expand(exp *traverse.Expander, frontier []graph.V, ws *Workspace, d int32, stats *SearchStats) []graph.V {
-	next, arcs := exp.Expand(ws, frontier, d, b.nextBuf[:0])
-	stats.ArcsScanned += arcs
-	stats.VerticesVisited += int64(len(next))
-	b.nextBuf = frontier[:0] // recycle the old frontier's backing array
-	return next
+// DiBidirectional is the directed bidirectional-BFS baseline: the same
+// search over a digraph's out- and in-arcs. Reusable across queries; not
+// safe for concurrent use.
+type DiBidirectional struct{ s biSearch }
+
+// NewDiBidirectional creates a searcher for g.
+func NewDiBidirectional(g *graph.DiGraph) *DiBidirectional {
+	return &DiBidirectional{newBiSearch(g.OutView(), g.InView(), nil, nil)}
 }
 
-// collectMeeting appends frontier vertices already seen by the other
-// side's workspace.
-func (b *Bidirectional) collectMeeting(frontier []graph.V, other *Workspace, meet []graph.V) []graph.V {
-	for _, w := range frontier {
-		if other.Seen(w) {
-			meet = append(meet, w)
-		}
+// Query computes DiSPG(u, v) and work counters.
+func (b *DiBidirectional) Query(u, v graph.V) (*graph.DiSPG, SearchStats) {
+	spg := graph.NewDiSPG(u, v)
+	if u == v {
+		spg.Dist = 0
+		return spg, SearchStats{}
 	}
-	return meet
+	d, pairs, stats := b.s.run(u, v)
+	spg.Fill(d, pairs)
+	return spg, stats
 }
 
 // Extractor performs the paper's reverse search with reusable buffers:
@@ -182,10 +199,12 @@ func NewExtractor(n int) *Extractor {
 	return &Extractor{mark: traverse.NewMarks(n)}
 }
 
-// Extract runs the reverse search from the given vertices, appending
-// the arcs to out, and returns out plus the number of adjacency entries
-// scanned (for traversal ablations).
-func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, from []graph.V, ws *Workspace) ([]graph.Arc, int64) {
+// Extract runs the reverse search from the given vertices of the search
+// ws holds, rooted at root (its one depth-0 vertex), appending the arcs
+// to out, and returns out plus the number of adjacency entries scanned
+// (for traversal ablations). The last step scans none: the only
+// predecessor a depth-1 vertex can have is the root.
+func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, from []graph.V, ws *Workspace, root graph.V) ([]graph.Arc, int64) {
 	e.mark.Reset()
 	var arcs int64
 	cur := e.cur[:0]
@@ -203,14 +222,14 @@ func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, fr
 			if dx <= 0 {
 				continue
 			}
+			if dx == 1 {
+				out = append(out, orient(root, x, flip))
+				continue
+			}
 			for _, y := range pull.Neighbors(x) {
 				arcs++
 				if ws.Seen(y) && ws.Dist(y) == dx-1 {
-					if flip {
-						out = append(out, graph.Arc{From: x, To: y})
-					} else {
-						out = append(out, graph.Arc{From: y, To: x})
-					}
+					out = append(out, orient(y, x, flip))
 					if !e.mark.Seen(y) {
 						e.mark.Mark(y)
 						next = append(next, y)
@@ -222,4 +241,13 @@ func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, fr
 	}
 	e.cur, e.next = cur[:0], next[:0]
 	return out, arcs
+}
+
+// orient returns the arc between predecessor y and x as it lies in the
+// graph: y→x, or x→y for a backward side.
+func orient(y, x graph.V, flip bool) graph.Arc {
+	if flip {
+		return graph.Arc{From: x, To: y}
+	}
+	return graph.Arc{From: y, To: x}
 }

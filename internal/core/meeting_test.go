@@ -1,0 +1,199 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"qbs/internal/bfs"
+	"qbs/internal/graph"
+	"qbs/internal/traverse"
+)
+
+// meetingCases counts, over one fixture, how often each branch the
+// meeting rule touches was taken.
+type meetingCases struct {
+	large     int // answers of at least 100 edges or arcs
+	adjacent  int // d = 1: the first expansion meets at once
+	landmark  int // an endpoint is a landmark: no bidirectional search
+	both      int // d_G⁻ = d⊤: reverse and recover both follow the abandoned level
+	recovered int // d_G⁻ > d⊤: the search reached the bound and never met
+	reversed  int // d_G⁻ < d⊤: reverse alone
+}
+
+// oracleAnswer is the scalar-BFS answer to one pair on a fixture of
+// either kind.
+type oracleAnswer struct {
+	dist int32
+	size int // edges or arcs
+	und  *graph.SPG
+	dir  *graph.DiSPG
+}
+
+func (tg testGraph) oracle(u, v graph.V) oracleAnswer {
+	if tg.dir != nil {
+		want := bfs.OracleDiSPG(tg.dir, u, v)
+		return oracleAnswer{dist: want.Dist, size: want.NumArcs(), dir: want}
+	}
+	want := bfs.OracleSPG(tg.und, u, v)
+	return oracleAnswer{dist: want.Dist, size: want.NumEdges(), und: want}
+}
+
+// check answers the oracle's pair with sr into a result of the oracle's
+// kind and holds the two equal.
+func (want oracleAnswer) check(t *testing.T, label string, sr *Searcher) QueryStats {
+	t.Helper()
+	if want.dir != nil {
+		got := graph.NewDiSPG(want.dir.Source, want.dir.Target)
+		st := sr.QueryInto(got, got.Source, got.Target)
+		if !got.Equal(want.dir) {
+			t.Fatalf("%s: got %v\nwant %v\nstats %+v", label, got, want.dir, st)
+		}
+		return st
+	}
+	got, st := sr.QueryWithStats(want.und.Source, want.und.Target)
+	if !got.Equal(want.und) {
+		t.Fatalf("%s: got %v\nwant %v\nstats %+v", label, got, want.und, st)
+	}
+	return st
+}
+
+// checkMeetingState inspects the searcher after a query for what the
+// meeting rule promises: the two sides hold complete levels only, those
+// levels are disjoint — the visited sets only grow, so disjoint at the
+// end is disjoint between any two levels on the way — and every
+// crossing arc joins the outermost level of one side to the outermost
+// level of the other, their depths adding up to the distance.
+func checkMeetingState(t *testing.T, sr *Searcher, st QueryStats, u, v graph.V) {
+	t.Helper()
+	inFwd := map[graph.V]bool{}
+	for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
+		if int(side.levelOff[side.d+1]) != len(side.arena) {
+			t.Fatalf("(%d,%d): side holds %d vertices, its %d complete levels %d", u, v, len(side.arena), side.d+1, side.levelOff[side.d+1])
+		}
+	}
+	for _, x := range sr.fwd.arena {
+		inFwd[x] = true
+	}
+	for _, y := range sr.bwd.arena {
+		if inFwd[y] {
+			t.Fatalf("(%d,%d): %d is in both visited sets", u, v, y)
+		}
+	}
+	if !st.UsedReverse {
+		return
+	}
+	if st.DGMinus != sr.fwd.d+1+sr.bwd.d || st.DGMinus != st.Dist {
+		t.Fatalf("(%d,%d): d_G⁻ %d, distance %d, completed depths %d and %d", u, v, st.DGMinus, st.Dist, sr.fwd.d, sr.bwd.d)
+	}
+	side, other := &sr.fwd, &sr.bwd
+	if len(sr.cross) > 0 && side.ws.Dist(sr.cross[0].From) != side.d {
+		side, other = other, side
+	}
+	for _, c := range sr.cross {
+		if side.ws.Dist(c.From) != side.d || other.ws.Dist(c.To) != other.d || inFwd[c.To] == (side == &sr.fwd) {
+			t.Fatalf("(%d,%d): crossing arc %v is not between the outermost levels (%d, %d)", u, v, c, side.d, other.d)
+		}
+	}
+}
+
+// TestArcMeetingMatchesOracle runs every expansion kernel of the guided
+// search — sequential and pooled, top-down and bottom-up — against the
+// scalar-BFS oracle on both kinds of graph, and checks the searcher's
+// state against the meeting rule after each query. The ER fixture is
+// sized (degree 24: 24³ ≈ 3·n, 24⁴ ≈ 66·n) so that most pairs are three
+// hops apart and those four apart have answers of a hundred edges and
+// more; the landmark counts so that all three cases of Eq. 5 occur on
+// either kind of graph.
+func TestArcMeetingMatchesOracle(t *testing.T) {
+	er := connected(graph.ErdosRenyi(5000, 60000, 9))
+	ba := connected(graph.BarabasiAlbert(600, 4, 10))
+	fixtures := map[string]testGraph{
+		"er":        undirected(er),
+		"ba":        undirected(ba),
+		"paperFig3": undirected(paperFigure3Graph()),
+		"paperFig4": undirected(paperFigure4Graph()),
+		"er-di":     directed(graph.AsDirected(er)),
+		"ba-di":     directed(graph.AsDirected(ba)),
+		"der":       directed(graph.DirectedErdosRenyi(1200, 14000, 11)),
+		"fig4-di":   directed(graph.AsDirected(paperFigure4Graph())),
+	}
+	modes := []struct {
+		name    string
+		alpha   int64
+		workers int
+	}{
+		{"default", traverse.DefaultAlpha, 0},
+		{"top-down", 0, 0},
+		{"bottom-up", -1, 0},
+		{"pooled", traverse.DefaultAlpha, 4},
+	}
+	var undirectedSeen, directedSeen meetingCases
+	for name, tg := range fixtures {
+		n := tg.numVertices()
+		seen := &undirectedSeen
+		if tg.dir != nil {
+			seen = &directedSeen
+		}
+		for _, landmarks := range []int{2, 12} {
+			ix := tg.mustBuild(t, Options{NumLandmarks: min(landmarks, n)})
+			pairs := somePairs(n, 60, int64(landmarks))
+			for _, r := range ix.Landmarks()[:2] {
+				pairs = append(pairs, [2]graph.V{r, graph.V(n - 1)}, [2]graph.V{0, r})
+			}
+			for x := graph.V(0); len(pairs) < 70 && int(x) < n; x++ {
+				if ns := ix.out.Neighbors(x); len(ns) > 0 {
+					pairs = append(pairs, [2]graph.V{x, ns[0]})
+				}
+			}
+			searchers := make([]*Searcher, len(modes))
+			for i, mode := range modes {
+				searchers[i] = NewSearcher(ix)
+				for _, side := range [2]*searchSide{&searchers[i].fwd, &searchers[i].bwd} {
+					side.exp.Alpha = mode.alpha
+					side.exp.Parallelism, side.exp.ParallelThreshold = mode.workers, 1
+				}
+			}
+			for _, p := range pairs {
+				u, v := p[0], p[1]
+				want := tg.oracle(u, v) // once per pair, for every kernel
+				for i, mode := range modes {
+					sr := searchers[i]
+					label := fmt.Sprintf("%s %s R=%d (%d,%d)", name, mode.name, landmarks, u, v)
+					if got := sr.Distance(u, v); got != want.dist {
+						t.Fatalf("%s: Distance = %d, BFS says %d", label, got, want.dist)
+					}
+					st := want.check(t, label, sr)
+					if u == v {
+						continue // answered before any search
+					}
+					checkMeetingState(t, sr, st, u, v)
+					if i > 0 || want.dist == graph.InfDist {
+						continue
+					}
+					switch {
+					case ix.IsLandmark(u) || ix.IsLandmark(v):
+						seen.landmark++
+					case st.UsedReverse && st.UsedRecover:
+						seen.both++
+					case st.UsedRecover:
+						seen.recovered++
+					default:
+						seen.reversed++
+					}
+					if want.dist == 1 {
+						seen.adjacent++
+					}
+					if want.size >= 100 {
+						seen.large++
+					}
+				}
+			}
+		}
+	}
+	for kind, seen := range map[string]meetingCases{"undirected": undirectedSeen, "directed": directedSeen} {
+		t.Logf("%s: %+v", kind, seen)
+		if seen.large == 0 || seen.adjacent == 0 || seen.landmark == 0 || seen.both == 0 || seen.recovered == 0 || seen.reversed == 0 {
+			t.Errorf("%s: a case of the meeting rule never occurred: %+v", kind, seen)
+		}
+	}
+}

@@ -19,6 +19,17 @@ import (
 //	d_G⁻(u,v) = d⊤  →  G⁻_uv ∪ G^L
 //	d_G⁻(u,v) < d⊤  →  G⁻_uv only
 //
+// The two searches meet on an arc, not on a vertex: the level that
+// expands one side reports every arc into the other side's visited set
+// (see bidirectional). Those arcs are part of the answer as found, the
+// reverse search starts from their endpoints, and the level that found
+// them is abandoned — each side keeps complete levels only, which is
+// all reverse and recover read. What runs after the meeting is then
+// linear in the part of the answer it adds: the reverse search scans
+// the adjacency of answer vertices at depth ≥ 2 only (a depth-1
+// vertex's one predecessor is the root), and Distance returns at the
+// first crossing arc.
+//
 // A Searcher carries reusable workspaces; create one per goroutine.
 
 // CoverageCase classifies a query for the pair-coverage experiment
@@ -84,7 +95,8 @@ type Searcher struct {
 	fwd, bwd searchSide
 	ext      *bfs.Extractor  // reverse extraction with reusable buffers
 	walkMark *traverse.Marks // scratch for label walks
-	meet     []graph.V
+	cross    []graph.Arc     // arcs between the two visited sets, in the last expansion's push orientation
+	ends     [2][]graph.V    // their endpoints, per side: where the reverse search starts
 	metaBuf  []int32
 	out      []graph.Arc // the answer's oriented pairs, handed to the Result
 
@@ -280,7 +292,7 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 	// answer is entirely G^L).
 	sr.fwd.reset(u)
 	sr.bwd.reset(v)
-	var meet []graph.V
+	var side *searchSide // the side whose expansion met the other, if one did
 	if ix.landIdx[u] < 0 && ix.landIdx[v] < 0 {
 		sr.fwd.exp.BeginDirected(sr.fwd.push, sr.fwd.pull, sr.fwd.deg)
 		sr.bwd.exp.BeginDirected(sr.bwd.push, sr.bwd.pull, sr.bwd.deg)
@@ -292,15 +304,15 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 			sr.fwd.ws.SetDist(r, -1)
 			sr.bwd.ws.SetDist(r, -1)
 		}
-		meet = sr.bidirectional(dTop, dStarU, dStarV, &st)
+		side = sr.bidirectional(dTop, dStarU, dStarV, !extract, &st)
 		st.FrontierWords = sr.fwd.exp.WordsSwept + sr.bwd.exp.WordsSwept
 		st.PushPullSwitches = sr.fwd.exp.Switches + sr.bwd.exp.Switches
 		st.ParallelLevels = sr.fwd.exp.ParallelLevels + sr.bwd.exp.ParallelLevels
 		st.ParallelChunks = sr.fwd.exp.ParallelChunks + sr.bwd.exp.ParallelChunks
 		st.ParallelSteals = sr.fwd.exp.ParallelSteals + sr.bwd.exp.ParallelSteals
 	}
-	if len(meet) > 0 {
-		st.DGMinus = sr.fwd.d + sr.bwd.d
+	if side != nil {
+		st.DGMinus = sr.fwd.d + 1 + sr.bwd.d
 	}
 	t2 := time.Now()
 	st.ExpandNs = t2.Sub(t1).Nanoseconds()
@@ -316,18 +328,12 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 		return st
 	}
 
-	// Eq. 5: reverse and/or recover.
-	if st.DGMinus == dist && len(meet) > 0 {
+	// Eq. 5: reverse and/or recover. The search stops at d⊤, so a
+	// meeting is never longer than the distance.
+	if side != nil {
 		st.UsedReverse = true
 		if extract {
-			cut := meet[:0]
-			for _, w := range meet {
-				if sr.fwd.ws.Dist(w)+sr.bwd.ws.Dist(w) == dist {
-					cut = append(cut, w)
-				}
-			}
-			sr.extract(&sr.fwd, cut, &st)
-			sr.extract(&sr.bwd, cut, &st)
+			sr.reverse(side, &st)
 		}
 	}
 	if dTop == dist {
@@ -396,13 +402,25 @@ func (sr *Searcher) releaseSketch() {
 	sr.bwd.releaseSketch()
 }
 
-// bidirectional runs the sketch-guided bidirectional BFS over G⁻ and
-// returns the meeting vertices (empty if the searches exhausted or hit
-// the d⊤ bound first). Side choice follows the paper: prefer the side
+// bidirectional runs the sketch-guided bidirectional BFS over G⁻ until an
+// arc crosses from one visited set to the other, leaving the crossing
+// arcs (all of them, or one if first) in sr.cross, and returns the side
+// whose expansion found them — nil if the searches exhausted or reached
+// the d⊤ bound first. Side choice follows the paper: prefer the side
 // whose bound d* has not been reached; tie-break on visited-set size.
-func (sr *Searcher) bidirectional(dTop, dStarU, dStarV int32, st *QueryStats) []graph.V {
-	meet := sr.meet[:0]
-	defer func() { sr.meet = meet[:0] }()
+//
+// Meeting rule. The level that expands side S tests each vertex it
+// reaches against both visited sets (traverse.ExpandMeeting). While no
+// arc has crossed, no vertex of G⁻ is in both: a level only ever adds
+// vertices the other side has not seen. A crossing arc x→y therefore has
+// x on S's frontier and y on the other side's outermost level — were y
+// any deeper inside, x would have been reached from there — so
+// d_G⁻ = S.d + 1 + other.d, the crossing arcs are exactly the answer's
+// arcs over that cut, and the rest of G⁻_uv lies below their endpoints
+// in levels both sides have completed. The level that met is abandoned:
+// S.d and levelOff do not advance, and reverse and recover read complete
+// levels only.
+func (sr *Searcher) bidirectional(dTop, dStarU, dStarV int32, first bool, st *QueryStats) *searchSide {
 	for dTop == graph.InfDist || sr.fwd.d+sr.bwd.d < dTop {
 		uWant := dStarU > sr.fwd.d && len(sr.fwd.frontier()) > 0
 		vWant := dStarV > sr.bwd.d && len(sr.bwd.frontier()) > 0
@@ -423,36 +441,44 @@ func (sr *Searcher) bidirectional(dTop, dStarU, dStarV int32, st *QueryStats) []
 				return nil // G⁻ exhausted: d_G⁻ = ∞
 			}
 		}
-		sr.expand(side, st)
-		for _, w := range side.frontier() {
-			if other.ws.Seen(w) {
-				meet = append(meet, w)
-			}
+		// Landmarks carry a sentinel depth on both sides from query
+		// setup, so the expander's seen check skips them, in either
+		// direction, before it looks at the other side.
+		var arcs int64
+		side.arena, sr.cross, arcs = side.exp.ExpandMeeting(side.ws, other.ws, side.frontier(), side.d, side.arena, sr.cross[:0], first)
+		st.ArcsScanned += arcs
+		if len(sr.cross) > 0 {
+			return side
 		}
-		if len(meet) > 0 {
-			return meet
-		}
+		side.levelOff = append(side.levelOff, int32(len(side.arena)))
+		side.d++
 	}
 	return nil
 }
 
-// expand grows side by one level over G⁻ through the
-// direction-optimizing expander. Landmarks carry a sentinel depth from
-// query setup, so a single Seen check skips both previously visited
-// vertices and the removed landmarks in either direction.
-func (sr *Searcher) expand(side *searchSide, st *QueryStats) {
-	var arcs int64
-	side.arena, arcs = side.exp.Expand(side.ws, side.frontier(), side.d, side.arena)
-	st.ArcsScanned += arcs
-	side.levelOff = append(side.levelOff, int32(len(side.arena)))
-	side.d++
+// reverse extracts G⁻_uv after side's expansion met the other side: the
+// crossing arcs themselves, then everything below their endpoints on
+// either side.
+func (sr *Searcher) reverse(side *searchSide, st *QueryStats) {
+	other := &sr.fwd
+	if side == other {
+		other = &sr.bwd
+	}
+	xs, ys := sr.ends[0][:0], sr.ends[1][:0]
+	for _, c := range sr.cross {
+		sr.emit(side, c.From, c.To)
+		xs, ys = append(xs, c.From), append(ys, c.To)
+	}
+	sr.ends = [2][]graph.V{xs, ys}
+	sr.extract(side, xs, st)
+	sr.extract(other, ys, st)
 }
 
 // extract emits the arcs of all shortest paths side found between its
 // root and the given vertices.
 func (sr *Searcher) extract(side *searchSide, from []graph.V, st *QueryStats) {
 	var arcs int64
-	sr.out, arcs = sr.ext.Extract(side.pull, side.backward, sr.out, from, side.ws)
+	sr.out, arcs = sr.ext.Extract(side.pull, side.backward, sr.out, from, side.ws, side.root)
 	st.ArcsScanned += arcs
 }
 

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -13,7 +12,8 @@ type DiSPG struct {
 	Source, Target V
 	Dist           int32
 
-	arcs      []Arc
+	keys      []uint64 // arcs as found, packed like SPG's edges; sorted and distinct once canonical
+	arcs      []Arc    // keys unpacked; valid while canonical
 	canonical bool
 }
 
@@ -30,13 +30,13 @@ func NewDiSPG(u, v V) *DiSPG {
 func (s *DiSPG) Reset(u, v V) {
 	s.Source, s.Target = u, v
 	s.Dist = InfDist
-	s.arcs = s.arcs[:0]
+	s.keys, s.arcs = s.keys[:0], s.arcs[:0]
 	s.canonical = true
 }
 
 // AddArc records an arc of some shortest path (duplicates allowed).
 func (s *DiSPG) AddArc(from, to V) {
-	s.arcs = append(s.arcs, Arc{from, to})
+	s.keys = append(s.keys, packPair(from, to))
 	s.canonical = false
 }
 
@@ -46,8 +46,10 @@ func (s *DiSPG) AddArc(from, to V) {
 //qbs:zeroalloc
 func (s *DiSPG) Fill(dist int32, pairs []Arc) {
 	s.Dist = dist
-	s.arcs = append(s.arcs, pairs...)
-	s.canonical = len(s.arcs) == 0
+	for _, p := range pairs {
+		s.keys = append(s.keys, packPair(p.From, p.To))
+	}
+	s.canonical = len(s.keys) == 0
 }
 
 // Canonicalize sorts and deduplicates the arc set.
@@ -55,13 +57,13 @@ func (s *DiSPG) Canonicalize() {
 	if s.canonical {
 		return
 	}
-	slices.SortFunc(s.arcs, compareArcs)
-	s.arcs = slices.Compact(s.arcs)
+	s.keys = sortDistinct(s.keys)
+	s.arcs = s.arcs[:0]
+	for _, k := range s.keys {
+		from, to := unpackPair(k)
+		s.arcs = append(s.arcs, Arc{from, to})
+	}
 	s.canonical = true
-}
-
-func compareArcs(a, b Arc) int {
-	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // Arcs returns the canonical sorted arc set (do not modify).

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -16,6 +15,10 @@ const InfDist = int32(math.MaxInt32)
 // (Definition 2.2 of the paper). Edges are accumulated by the query
 // algorithms (possibly with duplicates) and canonicalised on demand.
 //
+// An edge is accumulated as one integer, U in the high half and W in the
+// low, so that integer order is (U, W) order and the canonical sort is a
+// plain sort of integers.
+//
 // Dist is the shortest path distance, or InfDist when Source and Target
 // are disconnected (in which case the SPG is empty). A query with
 // Source == Target yields Dist 0 and an empty SPG.
@@ -23,8 +26,26 @@ type SPG struct {
 	Source, Target V
 	Dist           int32
 
-	edges     []Edge
+	keys      []uint64 // edges as found, packed; sorted and distinct once canonical
+	edges     []Edge   // keys unpacked; valid while canonical
 	canonical bool
+}
+
+// packPair packs the ordered pair (a, b) so that integer order is
+// lexicographic pair order: each half is biased to unsigned order.
+func packPair(a, b V) uint64 {
+	return uint64(uint32(a)^1<<31)<<32 | uint64(uint32(b)^1<<31)
+}
+
+// unpackPair inverts packPair.
+func unpackPair(k uint64) (a, b V) {
+	return V(uint32(k>>32) ^ 1<<31), V(uint32(k) ^ 1<<31)
+}
+
+// sortDistinct sorts packed pairs and drops duplicates.
+func sortDistinct(keys []uint64) []uint64 {
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // NewSPG creates an empty shortest path graph for the pair (u, v).
@@ -40,14 +61,15 @@ func NewSPG(u, v V) *SPG {
 func (s *SPG) Reset(u, v V) {
 	s.Source, s.Target = u, v
 	s.Dist = InfDist
-	s.edges = s.edges[:0]
+	s.keys, s.edges = s.keys[:0], s.edges[:0]
 	s.canonical = true
 }
 
 // AddEdge records an edge of some shortest path. Duplicates are fine;
 // they are removed on canonicalisation.
 func (s *SPG) AddEdge(u, w V) {
-	s.edges = append(s.edges, Edge{u, w}.Normalize())
+	e := Edge{u, w}.Normalize()
+	s.keys = append(s.keys, packPair(e.U, e.W))
 	s.canonical = false
 }
 
@@ -59,9 +81,10 @@ func (s *SPG) AddEdge(u, w V) {
 func (s *SPG) Fill(dist int32, pairs []Arc) {
 	s.Dist = dist
 	for _, p := range pairs {
-		s.edges = append(s.edges, Edge{p.From, p.To}.Normalize())
+		e := Edge{p.From, p.To}.Normalize()
+		s.keys = append(s.keys, packPair(e.U, e.W))
 	}
-	s.canonical = len(s.edges) == 0
+	s.canonical = len(s.keys) == 0
 }
 
 // Canonicalize sorts the edge set and removes duplicates. All read
@@ -70,13 +93,13 @@ func (s *SPG) Canonicalize() {
 	if s.canonical {
 		return
 	}
-	slices.SortFunc(s.edges, compareEdges)
-	s.edges = dedupEdges(s.edges)
+	s.keys = sortDistinct(s.keys)
+	s.edges = s.edges[:0]
+	for _, k := range s.keys {
+		u, w := unpackPair(k)
+		s.edges = append(s.edges, Edge{u, w})
+	}
 	s.canonical = true
-}
-
-func compareEdges(a, b Edge) int {
-	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.W, b.W))
 }
 
 // Edges returns the canonical sorted edge set. The slice aliases internal

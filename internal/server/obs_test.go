@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"qbs"
+	"qbs/internal/graph"
 	"qbs/internal/obs"
 )
 
@@ -117,6 +119,37 @@ func TestStageAndEngineSeriesAdvance(t *testing.T) {
 	}
 }
 
+// TestStagesCoverLargeAnswer: on an answer of several hundred edges the
+// five stages account for the handler's time. Assembling the response —
+// canonical sort, layering, path count, encoding — is the serialize
+// stage's; while that stage began at the encoder, half of such a
+// request belonged to no stage. The best of a run of warm requests is
+// judged: a preemption between two stages says nothing about the
+// accounting.
+func TestStagesCoverLargeAnswer(t *testing.T) {
+	ix, err := qbs.BuildIndex(graph.Grid(15, 15), qbs.Options{NumLandmarks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(ix)
+	s.SetSlowLogThreshold(0)
+	var spg SPGResponse
+	for i := 0; i < 32; i++ {
+		get(t, s, "/spg?u=0&v=224", &spg)
+	}
+	if len(spg.Edges) < 200 {
+		t.Fatalf("answer has %d edges, want at least 200", len(spg.Edges))
+	}
+	var best float64
+	for _, e := range s.SlowLog().Entries() {
+		st := e.Stages
+		best = max(best, float64(st.ParseNs+st.SketchNs+st.ExpandNs+st.ExtractNs+st.SerializeNs)/float64(e.DurationNs))
+	}
+	if best < 0.8 {
+		t.Fatalf("stages sum to at most %.2f of the request, want 0.8", best)
+	}
+}
+
 // TestSlowLogEndpoint: with a zero threshold every query lands in the
 // slowlog, newest first, carrying its trace ID and engine stats; the
 // ring stays bounded under concurrent load.
@@ -180,7 +213,8 @@ func TestMetricsJSONShapeUnchanged(t *testing.T) {
 func TestDirectedQueriesFeedEngineCounters(t *testing.T) {
 	s := testDirectedServer(t)
 	s.SetSlowLogThreshold(0)
-	get(t, s, "/spg?u=1&v=4", nil)
+	var spg SPGResponse
+	get(t, s, "/spg?u=1&v=4", &spg)
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
@@ -192,6 +226,9 @@ func TestDirectedQueriesFeedEngineCounters(t *testing.T) {
 	}
 	if arcs <= 0 {
 		t.Fatalf("qbs_query_arcs_scanned_total = %d after a directed /spg, want > 0:\n%s", arcs, rec.Body.String())
+	}
+	if spg.ArcsScanned != arcs || spg.Coverage != "directed" {
+		t.Fatalf("/spg body reports arcs_scanned %d, coverage %q; the engine counted %d", spg.ArcsScanned, spg.Coverage, arcs)
 	}
 
 	var body SlowLogResponse

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -143,12 +145,13 @@ func (d *discard) WriteHeader(int)             {}
 func (d *discard) Write(b []byte) (int, error) { return len(b), nil }
 
 // TestWarmSPGHandlerAllocs: a warm /spg costs a fixed number of
-// allocations whatever the size of the answer — result, layering, edge
-// list and body all live in pooled scratch — and at most 12 more than a
-// warm /distance, which shares the middleware, the parsing and the
-// pooled encoder, and is itself held to the 14 it measures (request
-// context, trace id, query parsing and three response headers: none is
-// the handler's own).
+// allocations whatever the size of the answer — result, layering and
+// body all live in pooled scratch, and the body is appended to, never
+// boxed — namely the 15 it measures: one more than a warm /distance
+// (the Content-Length string of a body past 99 bytes), which shares the
+// middleware, the parsing and the encoder and is itself held to its 14
+// (request context, trace id, query parsing and three response headers:
+// none is the handler's own).
 func TestWarmSPGHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -186,18 +189,64 @@ func TestWarmSPGHandlerAllocs(t *testing.T) {
 				s.ServeHTTP(w, req)
 			})
 		}
-		large := allocs("/spg?u=0&v=224", 225) // corner to corner: the whole grid
-		small := allocs("/spg?u=0&v=2", 3)     // along the top row: one path
+		large := allocs("/spg?u=0&v=224", 225)  // corner to corner: the whole grid, 420 edges
+		medium := allocs("/spg?u=0&v=160", 121) // an 11x11 corner of it: 220 edges
+		small := allocs("/spg?u=0&v=2", 3)      // along the top row: one path
 		distance := allocs("/distance?u=0&v=224", 0)
-		if small != large {
-			t.Errorf("%s: warm /spg allocates %v for a 3-vertex answer and %v for a 225-vertex one", name, small, large)
+		if small != large || medium != large {
+			t.Errorf("%s: warm /spg allocates %v for a 3-vertex answer, %v for a 121-vertex one and %v for a 225-vertex one", name, small, medium, large)
 		}
-		if large > distance+12 {
-			t.Errorf("%s: warm /spg allocates %v, /distance %v: more than 12 apart", name, large, distance)
+		if large > 15 {
+			t.Errorf("%s: warm /spg allocates %v, want at most 15", name, large)
 		}
 		if distance > 14 {
 			t.Errorf("%s: warm /distance allocates %v, want at most 14", name, distance)
 		}
 		t.Logf("%s: /spg %v allocs, /distance %v", name, large, distance)
+	}
+}
+
+// BenchmarkAnswerAssembly is what /spg does between the kernel's return
+// and the write, on a chain of diamonds (4 edges each; a 5-edge path for
+// the smallest) handed over the way the kernel does: unordered, every
+// edge found twice. Refilling the result, canonical sort, layering,
+// path count and encoding are all in the loop; ns/op over the edge count
+// is the per-edge cost of an answer.
+func BenchmarkAnswerAssembly(b *testing.B) {
+	for _, edges := range []int{5, 200, 2000} {
+		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			var pairs []qbs.Arc
+			last := qbs.V(0)
+			if edges < 8 {
+				for ; int(last) < edges; last++ {
+					pairs = append(pairs, qbs.Arc{From: last, To: last + 1})
+				}
+			} else {
+				for ; len(pairs) < edges; last += 3 {
+					pairs = append(pairs,
+						qbs.Arc{From: last, To: last + 1}, qbs.Arc{From: last, To: last + 2},
+						qbs.Arc{From: last + 1, To: last + 3}, qbs.Arc{From: last + 2, To: last + 3})
+				}
+			}
+			pairs = append(pairs, pairs...)
+			rand.New(rand.NewSource(1)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			dist := int32(last)
+			if edges >= 8 {
+				dist = int32(last) / 3 * 2
+			}
+			var sc scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc.spg.Reset(0, last)
+				sc.spg.Fill(dist, pairs)
+				sc.dag.Reset(&sc.spg)
+				resp := SPGResponse{Target: last, Distance: &dist, DTop: &dist, Vertices: sc.dag.Vertices, Coverage: "some"}
+				resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
+				sc.buf = appendSPGResponse(sc.buf[:0], &resp, sc.spg.Edges(), nil)
+			}
+			if n := sc.spg.NumEdges(); n != edges || len(sc.dag.Vertices) == 0 || len(sc.buf) < 16*edges/2 {
+				b.Fatalf("%d edges, %d vertices, %d bytes", n, len(sc.dag.Vertices), len(sc.buf))
+			}
+		})
 	}
 }

@@ -766,26 +766,17 @@ func coverageName(c qbs.QueryStats) string {
 }
 
 // scratch is the per-request working set of /spg and /paths: the query
-// result, its layering and the storage the response is assembled and
-// encoded in (/distance borrows one for its small body). A response aliases its scratch, so the scratch returns to
-// the pool only after the body has been written.
+// result, its layering and the buffer the body is encoded in (/distance
+// borrows one for its small body). The scratch returns to the pool only
+// after the body has been written.
 type scratch struct {
-	spg        qbs.SPG
-	dispg      qbs.DiSPG
-	dag        analysis.DAG
-	edges      [][2]int32
-	dist, dTop int32
-	distance   DistanceResponse // built in place: a local would escape through send's any
-	buf        bytes.Buffer
-	enc        *json.Encoder // encodes into buf
+	spg   qbs.SPG
+	dispg qbs.DiSPG
+	dag   analysis.DAG
+	buf   []byte
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	sc := new(scratch)
-	sc.enc = json.NewEncoder(&sc.buf)
-	sc.enc.SetEscapeHTML(false)
-	return sc
-}}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // maxPooledEdges is the largest answer whose scratch is kept. Buffers
 // grow to the largest answer they ever held, so a scratch that served a
@@ -795,45 +786,50 @@ var scratchPool = sync.Pool{New: func() any {
 const maxPooledEdges = 1 << 16
 
 func (sc *scratch) release() {
-	if max(sc.spg.NumEdges(), sc.dispg.NumArcs()) > maxPooledEdges || sc.buf.Len() > 16*maxPooledEdges {
+	if max(sc.spg.NumEdges(), sc.dispg.NumArcs()) > maxPooledEdges || len(sc.buf) > 16*maxPooledEdges {
 		return
 	}
 	scratchPool.Put(sc)
 }
 
-// send encodes body into the scratch buffer and writes it in one piece
-// under its Content-Length; both are the request's serialize stage.
-func (sc *scratch) send(w http.ResponseWriter, r *http.Request, body any) {
-	start := time.Now()
-	sc.buf.Reset()
-	_ = sc.enc.Encode(body) // bodies hold only numbers, strings and slices of them
+// send writes the body encoded in sc.buf in one piece under its
+// Content-Length and closes the request's serialize stage, which began
+// at start: assembling the response from the query's result, encoding
+// it and handing it to the connection.
+func (sc *scratch) send(w http.ResponseWriter, r *http.Request, start time.Time) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(sc.buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.buf.Bytes())
+	_, _ = w.Write(sc.buf)
 	obs.FromContext(r.Context()).SetStage(obs.StageSerialize, time.Since(start).Nanoseconds())
 }
 
-// sendSPG completes resp from the scratch, whose dag and edges hold the
-// layered answer, and sends it. Vertices and path count are read off
+// sendSPG completes resp from the scratch's result and its layering —
+// the undirected pair unless resp says directed — and sends it, the edge
+// list straight from the result. Vertices and path count are read off
 // the answer's own edges, never asked of the index again, so a reply
 // cannot mix two epochs.
-func (sc *scratch) sendSPG(w http.ResponseWriter, r *http.Request, resp SPGResponse, dist, dTop int32) {
+func (sc *scratch) sendSPG(w http.ResponseWriter, r *http.Request, start time.Time, resp SPGResponse, dTop int32) {
+	var dist int32
+	var edges []qbs.Edge
+	var arcs []qbs.Arc
+	if resp.Directed {
+		dist, arcs = sc.dispg.Dist, sc.dispg.Arcs()
+	} else {
+		dist, edges = sc.spg.Dist, sc.spg.Edges()
+	}
 	if dist == qbs.InfDist {
 		resp.Disconnected = true
 	} else {
-		sc.dist, sc.dTop = dist, dTop
-		resp.Distance = &sc.dist
+		resp.Distance = &dist
 		if dTop != qbs.InfDist {
-			resp.DTop = &sc.dTop
+			resp.DTop = &dTop
 		}
 		resp.Vertices = sc.dag.Vertices
-		if len(sc.edges) > 0 { // the trivial pair's empty list stays null on the wire
-			resp.Edges = sc.edges
-		}
 		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
 	}
-	sc.send(w, r, &resp)
+	sc.buf = appendSPGResponse(sc.buf[:0], &resp, edges, arcs)
+	sc.send(w, r, start)
 }
 
 func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
@@ -851,17 +847,14 @@ func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
 	s.recordQuery(r, u, v, st)
+	start := time.Now()
 	sc.dag.Reset(&sc.spg)
-	sc.edges = sc.edges[:0]
-	for _, e := range sc.spg.Edges() {
-		sc.edges = append(sc.edges, [2]int32{e.U, e.W})
-	}
-	sc.sendSPG(w, r, SPGResponse{
+	sc.sendSPG(w, r, start, SPGResponse{
 		Source:      u,
 		Target:      v,
 		ArcsScanned: st.ArcsScanned,
 		Coverage:    coverageName(st),
-	}, sc.spg.Dist, st.DTop)
+	}, st.DTop)
 }
 
 // DistanceResponse is the JSON body of /distance.
@@ -885,19 +878,20 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 }
 
 // sendDistance answers /distance, in either mode, through a pooled
-// scratch: the same encoder, buffer and single write as /spg, and no
-// allocation of its own but the Content-Length header.
+// scratch: the same buffer and single write as /spg, and no allocation
+// of its own but the Content-Length header.
 func sendDistance(w http.ResponseWriter, r *http.Request, u, v, d int32) {
+	start := time.Now()
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	sc.distance = DistanceResponse{Source: u, Target: v}
+	resp := DistanceResponse{Source: u, Target: v}
 	if d == qbs.InfDist {
-		sc.distance.Disconnected = true
+		resp.Disconnected = true
 	} else {
-		sc.dist = d
-		sc.distance.Distance = &sc.dist
+		resp.Distance = &d
 	}
-	sc.send(w, r, &sc.distance)
+	sc.buf = appendDistanceResponse(sc.buf[:0], &resp)
+	sc.send(w, r, start)
 }
 
 // SketchResponse is the JSON body of /sketch.
@@ -970,10 +964,10 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
 	s.recordQuery(r, u, v, st)
+	start := time.Now()
 	resp := PathsResponse{Source: u, Target: v}
 	if sc.spg.Dist != qbs.InfDist {
-		sc.dist = sc.spg.Dist
-		resp.Distance = &sc.dist
+		resp.Distance = &sc.spg.Dist
 		// The trivial pair layers to the one-vertex DAG: distance 0 and
 		// the single path [u], consistent with /spg.
 		sc.dag.Reset(&sc.spg)
@@ -981,7 +975,13 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		resp.Paths = sc.dag.EnumeratePaths(limit)
 		resp.Truncated = resp.NumPaths > int64(len(resp.Paths))
 	}
-	sc.send(w, r, &resp)
+	// Not a hot body: encoding/json, into the pooled buffer.
+	buf := bytes.NewBuffer(sc.buf[:0])
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(&resp) // the body holds only numbers and slices of them
+	sc.buf = buf.Bytes()
+	sc.send(w, r, start)
 }
 
 // DynamicStatsResponse is the dynamic-maintenance section of /stats
@@ -1078,12 +1078,15 @@ func (s *Server) handleDiSPG(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	st := s.di.QueryIntoStats(&sc.dispg, u, v)
 	s.recordQuery(r, u, v, st)
+	start := time.Now()
 	sc.dag.ResetDi(&sc.dispg)
-	sc.edges = sc.edges[:0]
-	for _, a := range sc.dispg.Arcs() {
-		sc.edges = append(sc.edges, [2]int32{a.From, a.To})
-	}
-	sc.sendSPG(w, r, SPGResponse{Source: u, Target: v, Directed: true, Coverage: "directed"}, sc.dispg.Dist, st.DTop)
+	sc.sendSPG(w, r, start, SPGResponse{
+		Source:      u,
+		Target:      v,
+		ArcsScanned: st.ArcsScanned,
+		Coverage:    "directed",
+		Directed:    true,
+	}, st.DTop)
 }
 
 func (s *Server) handleDiDistance(w http.ResponseWriter, r *http.Request) {

@@ -61,6 +61,42 @@
 // reverse adjacency of push; the undirected entry points pass the same
 // graph for both.
 //
+// # Meeting of two searches (ExpandMeeting)
+//
+// A bidirectional search expands one side at a time and must notice
+// when the sides touch. The pass that expands side S already tests
+// every vertex y it reaches against S's visited bits; ExpandMeeting
+// hands it the other side's workspace and it tests those bits too. A
+// vertex unseen by S and seen by the other side is a meeting, and the
+// arc x→y that reached it — x on S's frontier — is returned as a
+// crossing arc instead of y joining the level. No second pass over the
+// finished level, and the searcher's reverse extraction starts from the
+// arcs' endpoints, one level lower on S than from meeting vertices.
+//
+// Why a crossing arc always lands on the other side's outermost level:
+// while no arc has crossed, no vertex is in both visited sets, because a
+// level only ever adds vertices the other side has not seen (a vertex
+// the caller marked on both sides beforehand, such as a removed
+// landmark, is skipped as seen by S before the other side is looked
+// at). Had y been settled deeper inside the other search, that search
+// would have expanded y and reached x, and x would be in both sets.
+// So the distance is d + 1 + (the other side's completed depth), and
+// the crossing arcs are exactly the shortest-path arcs over that cut.
+//
+// The last level is truncated. A level that met is never expanded from,
+// so from the first crossing arc on the sequential top-down kernel stops
+// marking and appending, and every kernel returns dst at its input
+// length: the call yields the complete level or the crossing arcs,
+// never both. The caller's level count does not advance; the marks a
+// truncated level may leave in the workspace carry the pending depth
+// d+1, which no walk down from depth ≤ d matches. Bottom-up levels
+// reach the same shape from the other end: first the vertices unseen
+// here and seen there list all their depth-d parents (a level vertex
+// would stop at its first), and only if none has any does the usual
+// sweep run, over the vertices neither side has seen. Pooled levels
+// collect crossing arcs per worker; the other side's bitmap is not
+// written during the level and is read plainly.
+//
 // # Bit-parallel multi-source labelling BFS (MultiBFS)
 //
 // QbS construction runs one landmark-rooted BFS per landmark. MultiBFS

@@ -117,9 +117,35 @@ func (e *Expander) BeginDirected(push, pull graph.Adjacency, deg []int32) {
 // neighbours are marked seen (depth d+1 pending, stored by the next
 // Expand), appended to dst and returned. The second result counts
 // adjacency entries examined.
+func (e *Expander) Expand(ws *Workspace, frontier []graph.V, d int32, dst []graph.V) ([]graph.V, int64) {
+	next, _, arcs := e.ExpandMeeting(ws, nil, frontier, d, dst, nil, false)
+	return next, arcs
+}
+
+// ExpandMeeting is Expand for one side of a bidirectional search: other
+// is the opposite side's workspace, and the pass that tests a reached
+// vertex y against ws's visited bits tests other's too. A vertex unseen
+// here and seen there is a meeting: the arc x→y that reached it (x on
+// the frontier, push orientation) is appended to cross, and y does not
+// join the level. The call therefore returns EITHER the complete level
+// d+1 and no new crossing arc, OR every crossing arc out of the frontier
+// and dst at its input length: a level that met is never expanded from,
+// so from the first meeting on nothing more is marked or appended. ws
+// may be left holding marks of that abandoned level; they carry the
+// pending depth d+1 and no reverse walk from depth ≤ d reads them.
+//
+// Provided the two searches only ever grew through this call, no vertex
+// is in both visited sets while no arc has crossed (a vertex the caller
+// SetDist in both, such as a removed landmark, is skipped as seen here),
+// so every y lies on other's outermost level and the pair's distance is
+// d + 1 + other's completed depth.
+//
+// first lets the call return at the first crossing arc — all a distance
+// query needs; the pooled kernels finish the level regardless. A nil
+// other is a plain BFS level.
 //
 //qbs:hotpath
-func (e *Expander) Expand(ws *Workspace, frontier []graph.V, d int32, dst []graph.V) ([]graph.V, int64) {
+func (e *Expander) ExpandMeeting(ws, other *Workspace, frontier []graph.V, d int32, dst []graph.V, cross []graph.Arc, first bool) ([]graph.V, []graph.Arc, int64) {
 	if !e.running.CompareAndSwap(false, true) {
 		panic("traverse: Expander used concurrently (one expander per goroutine)")
 	}
@@ -158,55 +184,129 @@ func (e *Expander) Expand(ws *Workspace, frontier []graph.V, d int32, dst []grap
 		// The sweep reads every bitmap word, so the next Reset may as
 		// well clear them all: nothing is logged from here on.
 		ws.seen.touchAll()
-		if workers := parallelWorkers(e.Parallelism, e.ParallelThreshold, minParVertices, e.n); workers > 1 {
-			return e.expandBottomUpParallel(ws, frontier, dst, workers)
+		var arcs int64
+		if other != nil {
+			had := len(cross)
+			cross, arcs = e.crossBottomUp(ws, other, d, cross, first)
+			if len(cross) > had {
+				return dst, cross, arcs
+			}
 		}
-		return e.expandBottomUp(ws, d, dst)
+		var n int64
+		if workers := parallelWorkers(e.Parallelism, e.ParallelThreshold, minParVertices, e.n); workers > 1 {
+			dst, n = e.expandBottomUpParallel(ws, other, frontier, dst, workers)
+		} else {
+			dst, n = e.expandBottomUp(ws, other, d, dst)
+		}
+		return dst, cross, arcs + n
 	}
 	if workers := parallelWorkers(e.Parallelism, e.ParallelThreshold, minParFrontier, len(frontier)); workers > 1 {
 		ws.seen.touchAll() // workers cannot share the log
-		return e.expandTopDownParallel(ws, frontier, dst, workers)
+		return e.expandTopDownParallel(ws, other, frontier, dst, cross, workers)
 	}
-	return e.expandTopDown(ws, frontier, dst)
+	return e.expandTopDown(ws, other, frontier, dst, cross, first)
 }
 
 // expandTopDown is the sequential push sweep over the frontier.
 //
 //qbs:zeroalloc
 //qbs:hotpath
-func (e *Expander) expandTopDown(ws *Workspace, frontier []graph.V, dst []graph.V) ([]graph.V, int64) {
+func (e *Expander) expandTopDown(ws, other *Workspace, frontier []graph.V, dst []graph.V, cross []graph.Arc, first bool) ([]graph.V, []graph.Arc, int64) {
 	g := e.g
 	seen := &ws.seen
+	// Without another side the second test reads the bit the first just
+	// found clear.
+	mine := ws.bitmap()
+	theirs := mine
+	if other != nil {
+		theirs = other.bitmap()
+	}
+	base, had := len(dst), len(cross)
 	var arcs int64
 	for _, x := range frontier {
 		ns := g.Neighbors(x)
 		arcs += int64(len(ns))
 		for _, y := range ns {
-			if seen.Seen(y) {
+			w, bit := uint32(y)>>6, uint64(1)<<(uint(y)&63)
+			m, t := mine[w], theirs[w]
+			if m&bit != 0 {
 				continue
 			}
-			seen.Mark(y)
-			dst = append(dst, y)
+			if t&bit != 0 {
+				cross = append(cross, graph.Arc{From: x, To: y})
+				if first {
+					return dst[:base], cross, arcs
+				}
+				continue
+			}
+			if len(cross) == had {
+				seen.Mark(y)
+				dst = append(dst, y)
+			}
 		}
 	}
-	return dst, arcs
+	if len(cross) > had {
+		dst = dst[:base]
+	}
+	return dst, cross, arcs
+}
+
+// crossBottomUp is the meeting half of a bottom-up level: the vertices
+// unseen here and seen by the other side are the only ones an arc can
+// cross to, and each of them lists all of its depth-d parents — where a
+// level vertex stops at its first — because every such arc is part of
+// the answer.
+//
+//qbs:zeroalloc
+//qbs:hotpath
+func (e *Expander) crossBottomUp(ws, other *Workspace, d int32, cross []graph.Arc, first bool) ([]graph.Arc, int64) {
+	g := e.pull
+	words := ws.bitmap()
+	var arcs int64
+	e.WordsSwept += int64(len(words))
+	for w, theirs := range other.bitmap() {
+		cand := theirs &^ words[w]
+		for cand != 0 {
+			v := graph.V(w<<6 + bits.TrailingZeros64(cand))
+			cand &= cand - 1
+			for _, y := range g.Neighbors(v) {
+				arcs++
+				if ws.settledAt(y, d) {
+					cross = append(cross, graph.Arc{From: y, To: v})
+					if first {
+						return cross, arcs
+					}
+				}
+			}
+		}
+	}
+	return cross, arcs
 }
 
 // expandBottomUp scans the unvisited vertices instead of the frontier: a
 // vertex joins the next level at the first pull-neighbour (in-neighbour
 // w.r.t. the push direction) settled at depth d. This level's own
-// discoveries are unsettled, so they never pass for parents.
+// discoveries are unsettled, so they never pass for parents. The other
+// side's vertices are left out: crossBottomUp found none of them a
+// parent.
 //
 //qbs:zeroalloc
 //qbs:hotpath
-func (e *Expander) expandBottomUp(ws *Workspace, d int32, dst []graph.V) ([]graph.V, int64) {
+func (e *Expander) expandBottomUp(ws, other *Workspace, d int32, dst []graph.V) ([]graph.V, int64) {
 	g := e.pull
 	words := ws.bitmap()
+	var theirs []uint64
+	if other != nil {
+		theirs = other.bitmap()
+	}
 	var arcs int64
 	nw := len(words)
 	e.WordsSwept += int64(nw)
 	for w := 0; w < nw; w++ {
 		unv := ^words[w]
+		if theirs != nil {
+			unv &^= theirs[w]
+		}
 		if w == nw-1 && e.n&63 != 0 {
 			unv &= 1<<(uint(e.n)&63) - 1
 		}

@@ -287,24 +287,29 @@ func (mb *MultiBFS) bottomUpParallel(pull graph.Adjacency, landIdx []int16, sett
 
 // expParState holds the Expander pool's lazily allocated reusable state.
 type expParState struct {
-	dst   [][]graph.V // per-worker discovery buffers
-	fbits []uint64    // frontier bitmap for parallel bottom-up probes
+	dst   [][]graph.V   // per-worker discovery buffers
+	cross [][]graph.Arc // per-worker crossing arcs
+	fbits []uint64      // frontier bitmap for parallel bottom-up probes
 }
 
 func (p *expParState) ensure(workers int) {
 	for len(p.dst) < workers {
 		p.dst = append(p.dst, nil)
+		p.cross = append(p.cross, nil)
 	}
 }
 
 // expandTopDownParallel claims frontier chunks off a shared counter;
 // discovery races are settled by a CAS on the vertex's word of the
 // visited bitmap (Marks.tryClaim), whose single winner appends the
-// vertex to its own buffer. The discovered set and the arc count are
-// those of the sequential kernel; only order differs.
+// vertex to its own buffer. A vertex the other side has seen is never
+// claimed — every frontier vertex that reaches it owes its own crossing
+// arc — and other's bitmap is not written during the level, so it is
+// read plainly. The discovered set or the crossing arcs, and the arc
+// count, are those of the sequential kernel; only order differs.
 //
 //qbs:allow zeroalloc above-threshold parallel levels trade goroutine and closure allocations for wall-clock; pooled serving searchers expand sequentially
-func (e *Expander) expandTopDownParallel(ws *Workspace, frontier []graph.V, dst []graph.V, workers int) ([]graph.V, int64) {
+func (e *Expander) expandTopDownParallel(ws, other *Workspace, frontier []graph.V, dst []graph.V, cross []graph.Arc, workers int) ([]graph.V, []graph.Arc, int64) {
 	e.par.ensure(workers)
 	g := e.g
 	numChunks := (len(frontier) + parChunk - 1) / parChunk
@@ -314,30 +319,44 @@ func (e *Expander) expandTopDownParallel(ws *Workspace, frontier []graph.V, dst 
 	var cc chunkCounters
 
 	parRun(workers, func(w int) {
-		out := e.par.dst[w][:0]
+		out, met := e.par.dst[w][:0], e.par.cross[w][:0]
 		var arcs int64
 		claimChunks(&next, &cc, w, numChunks, chunksPer, parChunk, len(frontier), func(lo, hi int) {
 			for _, x := range frontier[lo:hi] {
 				ns := g.Neighbors(x)
 				arcs += int64(len(ns))
 				for _, y := range ns {
-					if ws.seen.tryClaim(y) {
+					if ws.seen.seenShared(y) {
+						continue
+					}
+					if other != nil && other.Seen(y) {
+						met = append(met, graph.Arc{From: x, To: y})
+						continue
+					}
+					// A worker that has met stops claiming: the level
+					// is abandoned once the workers join.
+					if len(met) == 0 && ws.seen.tryClaim(y) {
 						out = append(out, y)
 					}
 				}
 			}
 		})
-		e.par.dst[w] = out
+		e.par.dst[w], e.par.cross[w] = out, met
 		arcsA.Add(arcs)
 	})
 
+	base, had := len(dst), len(cross)
 	for w := 0; w < workers; w++ {
 		dst = append(dst, e.par.dst[w]...)
+		cross = append(cross, e.par.cross[w]...)
+	}
+	if len(cross) > had {
+		dst = dst[:base]
 	}
 	e.ParallelLevels++
 	e.ParallelChunks += cc.chunks.Load()
 	e.ParallelSteals += cc.steals.Load()
-	return dst, arcsA.Load()
+	return dst, cross, arcsA.Load()
 }
 
 // expandBottomUpParallel splits the visited bitmap into word-aligned
@@ -345,13 +364,18 @@ func (e *Expander) expandTopDownParallel(ws *Workspace, frontier []graph.V, dst 
 // the level and is read and written plainly. Parent probes go to a
 // frontier bitmap built before the fan-out (one cache-resident bit test
 // per probe); it is exact because frontier is the whole depth-d set,
-// which Expand's contract already requires.
+// which Expand's contract already requires. As in expandBottomUp, the
+// other side's vertices are left out.
 //
 //qbs:allow zeroalloc above-threshold parallel levels trade goroutine and closure allocations for wall-clock; pooled serving searchers expand sequentially
-func (e *Expander) expandBottomUpParallel(ws *Workspace, frontier []graph.V, dst []graph.V, workers int) ([]graph.V, int64) {
+func (e *Expander) expandBottomUpParallel(ws, other *Workspace, frontier []graph.V, dst []graph.V, workers int) ([]graph.V, int64) {
 	e.par.ensure(workers)
 	g := e.pull
 	words := ws.bitmap()
+	var theirs []uint64
+	if other != nil {
+		theirs = other.bitmap()
+	}
 	nw := len(words)
 	if cap(e.par.fbits) < nw {
 		e.par.fbits = make([]uint64, nw)
@@ -376,6 +400,9 @@ func (e *Expander) expandBottomUpParallel(ws *Workspace, frontier []graph.V, dst
 		claimChunks(&next, &cc, wk, numChunks, chunksPer, parWords, nw, func(wlo, whi int) {
 			for w := wlo; w < whi; w++ {
 				unv := ^words[w]
+				if theirs != nil {
+					unv &^= theirs[w]
+				}
 				if w == nw-1 && e.n&63 != 0 {
 					unv &= 1<<(uint(e.n)&63) - 1
 				}

@@ -76,6 +76,12 @@ func (m *Marks) Mark(v graph.V) {
 	}
 }
 
+// seenShared is Seen during a parallel top-down level, when other
+// workers may be CASing bits into the same word.
+func (m *Marks) seenShared(v graph.V) bool {
+	return atomic.LoadUint64(&m.words[v>>6])&(1<<(uint(v)&63)) != 0
+}
+
 // tryClaim atomically adds v, returning true for exactly one caller.
 // Used by the parallel top-down expansion, where pool workers race to
 // discover the same neighbour; the coordinator has called touchAll, so
@@ -192,7 +198,9 @@ func (ws *Workspace) settledAt(v graph.V, d int32) bool {
 }
 
 // bitmap exposes the visited words to the bottom-up kernels, which scan
-// them 64 vertices at a time and set the bits of what they discover.
+// them 64 vertices at a time and set the bits of what they discover —
+// and read the other side's, which no one writes while this side
+// expands.
 //
 //qbs:allow atomicfield bottom-up levels only: each word has one owner for the level, and no CAS claim runs until the level has returned
 func (ws *Workspace) bitmap() []uint64 { return ws.seen.words }
