@@ -5,7 +5,7 @@
 //
 //	qbs-bench -exp table2 -scale 0.2 -queries 1000
 //	qbs-bench -exp all -datasets DO,DB,YT -out results.md
-//	qbs-bench -exp scaling -scale 1.0 -procs 8 -json BENCH_PR7.json
+//	qbs-bench -exp scaling -scale 1.0 -procs 8 -json scaling.json
 //
 // Experiments: table1, table2, table3, fig7, fig8, fig9, fig10, fig11,
 // dynamic (incremental updates vs rebuild), traceoverhead (span-protocol
@@ -13,8 +13,11 @@
 // restart cost: snapshot open + WAL replay vs cold build; with -json it
 // emits the BENCH_PR3.json record), replication (routed read QPS at
 // 1/2/4 WAL-shipped replicas under a MixedOps write stream; with -json
-// it emits the BENCH_PR5.json record), ablation-traversal,
-// ablation-parallel, ablation-landmarks, all.
+// it emits the BENCH_PR5.json record), scaling (MultiBFS pool width
+// 1/2/4/8 on the labelling build and the dynamic column rebuild, results
+// checked bit-identical at every width; with -json it writes a
+// qbs-bench-scaling/v2 record), ablation-traversal, ablation-parallel,
+// ablation-landmarks, all.
 package main
 
 import (
@@ -106,10 +109,10 @@ func main() {
 		return
 	}
 	if *exp == "scaling" {
-		// Scaling mode: the traverse pool width sweep (1/2/4/8 workers
-		// across build, full-graph sweep, guided query and dynamic column
-		// rebuild, with bit-identical verification at every width). With
-		// -json it emits the BENCH_PR7.json record.
+		// Scaling mode: the MultiBFS pool width sweep (1/2/4/8 workers
+		// across labelling build and dynamic column rebuild, with
+		// bit-identical verification at every width). With -json it
+		// writes the qbs-bench-scaling/v2 record.
 		if len(cfg.Datasets) == 0 {
 			cfg.Datasets = []string{"YT", "OR", "FR"}
 		}

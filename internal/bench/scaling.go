@@ -8,48 +8,38 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"qbs/internal/core"
 	"qbs/internal/dynamic"
 	"qbs/internal/graph"
-	"qbs/internal/traverse"
 	"qbs/internal/workload"
 )
 
-// Multicore scaling experiment (the PR 7 tentpole deliverable): sweep
-// the traverse pool width over {1, 2, 4, 8} and measure every phase
-// that rides on the parallel frontier kernels — labelling build,
-// full-graph direction-optimizing sweep, guided query and dynamic
-// column rebuild — checking at each width that the results are
-// bit-identical to the sequential run. Absolute speedups only mean
-// something on a machine with that many cores (NumCPU is recorded in
-// the snapshot for exactly that reason); the bit-identical column must
-// hold everywhere.
+// Multicore scaling experiment: sweep the traverse pool width over
+// {1, 2, 4, 8} and measure the two phases that ride on the parallel
+// MultiBFS kernels — labelling build and dynamic column rebuild —
+// checking at each width that the results are bit-identical to the
+// sequential run. Absolute speedups only mean something on a machine
+// with that many cores (NumCPU is recorded in the snapshot for exactly
+// that reason); the bit-identical column must hold everywhere.
 
-// ScalingSchema identifies the BENCH_PR7.json format version.
-const ScalingSchema = "qbs-bench-scaling/v1"
+// ScalingSchema identifies the scaling snapshot's format version.
+const ScalingSchema = "qbs-bench-scaling/v2"
 
 // ScalingPhase is one pool width's measurements on one dataset.
 type ScalingPhase struct {
 	Workers int `json:"workers"`
 
 	BuildNs  int64 `json:"build_ns"`  // best-of-N core.Build (labelling + meta + Δ)
-	SweepNs  int64 `json:"sweep_ns"`  // best-of-N full-graph Expander BFS
 	RepairNs int64 `json:"repair_ns"` // dynamic write stream with budget-1 column rebuilds
 
-	QueryP50Ns int64 `json:"query_p50_ns"` // warm guided search, pool width applied
-	QueryP99Ns int64 `json:"query_p99_ns"`
-
 	BuildSpeedup  float64 `json:"build_speedup"` // sequential / this width
-	SweepSpeedup  float64 `json:"sweep_speedup"`
 	RepairSpeedup float64 `json:"repair_speedup"`
 
 	// Identical reports that this width reproduced the sequential run
 	// bit for bit: serialized index (landmarks, σ, labels — Δ derives
-	// deterministically from those), sweep distance array, canonical
-	// query SPGs and post-churn dynamic query answers.
+	// deterministically from those) and post-churn dynamic query answers.
 	Identical bool `json:"identical"`
 }
 
@@ -66,11 +56,10 @@ type ScalingDataset struct {
 	Phases []ScalingPhase `json:"phases"`
 }
 
-// ScalingSnapshot is the machine-readable scaling record
-// (BENCH_PR7.json). NumCPU captures whether the measuring host could
-// physically exhibit parallel speedup; on a single-core box the
-// expected speedup at every width is ~1× and only the bit-identical
-// columns carry information.
+// ScalingSnapshot is the machine-readable scaling record. NumCPU
+// captures whether the measuring host could physically exhibit parallel
+// speedup; on a single-core box the expected speedup at every width is
+// ~1× and only the bit-identical columns carry information.
 type ScalingSnapshot struct {
 	Schema     string  `json:"schema"`
 	GoVersion  string  `json:"go"`
@@ -85,9 +74,9 @@ type ScalingSnapshot struct {
 	Datasets []ScalingDataset `json:"datasets"`
 }
 
-// scalingReps is best-of-N for the build and sweep timings (same
-// convention as the perf snapshot's buildReps, fewer reps because the
-// scaling run multiplies everything by the number of widths).
+// scalingReps is best-of-N for the build timing (same convention as the
+// perf snapshot's buildReps, fewer reps because the scaling run
+// multiplies everything by the number of widths).
 const scalingReps = 3
 
 // scalingWrites is the length of the dynamic write stream timed per
@@ -95,10 +84,10 @@ const scalingReps = 3
 // full column re-BFS path, which is the parallel kernel under test.
 const scalingWrites = 32
 
-// Scaling measures build/sweep/query/repair latency across traverse
-// pool widths (nil = 1, 2, 4, 8) on the configured datasets and
-// verifies bit-identical results at every width. Driven by
-// `qbs-bench -exp scaling` and by tests.
+// Scaling measures build and repair latency across traverse pool widths
+// (nil = 1, 2, 4, 8) on the configured datasets and verifies
+// bit-identical results at every width. Driven by `qbs-bench -exp
+// scaling` and by tests.
 func (h *Harness) Scaling(workers []int) (*ScalingSnapshot, error) {
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4, 8}
@@ -150,29 +139,19 @@ func scalingDataset(key string, g *graph.Graph, cfg Config, workers []int) (Scal
 			row.IndexSHA256 = ref.indexSHA
 			ph.Identical = true
 		} else {
-			ph.Identical = ref.equal(base)
-			ph.BuildSpeedup = ratio(base.buildNs, ph.BuildNs)
-			ph.SweepSpeedup = ratio(base.sweepNs, ph.SweepNs)
-			ph.RepairSpeedup = ratio(base.repairNs, ph.RepairNs)
+			ph.Identical = *ref == *base
+			ph.BuildSpeedup = ratio(row.Phases[0].BuildNs, ph.BuildNs)
+			ph.RepairSpeedup = ratio(row.Phases[0].RepairNs, ph.RepairNs)
 		}
 		row.Phases = append(row.Phases, ph)
 	}
 	return row, nil
 }
 
-// scalingRef holds one width's result fingerprints and baseline times.
+// scalingRef holds one width's result fingerprints.
 type scalingRef struct {
 	indexSHA  string
-	sweepSHA  string
-	querySHA  string
 	repairSHA string
-
-	buildNs, sweepNs, repairNs int64
-}
-
-func (r *scalingRef) equal(o *scalingRef) bool {
-	return r.indexSHA == o.indexSHA && r.sweepSHA == o.sweepSHA &&
-		r.querySHA == o.querySHA && r.repairSHA == o.repairSHA
 }
 
 func scalingPhase(g *graph.Graph, cfg Config, w int, pairs []workload.Pair) (ScalingPhase, *scalingRef, error) {
@@ -198,64 +177,7 @@ func scalingPhase(g *graph.Graph, cfg Config, w int, pairs []workload.Pair) (Sca
 	}
 	ref.indexSHA = sha
 
-	// Phase 2: full-graph direction-optimizing sweep from the
-	// highest-degree vertex — the raw Expander kernel without any of
-	// the guided-search machinery around it.
-	root := g.TopDegreeVertices(1)[0]
-	deg := g.Degrees()
-	ws := traverse.NewWorkspace(g.NumVertices())
-	exp := traverse.NewExpander(g.NumVertices())
-	exp.Parallelism = w
-	frontier := make([]graph.V, 0, g.NumVertices())
-	next := make([]graph.V, 0, g.NumVertices())
-	for rep := 0; rep < scalingReps; rep++ {
-		ws.Reset()
-		exp.Begin(g, deg)
-		ws.SetDist(root, 0)
-		frontier = append(frontier[:0], root)
-		t0 := time.Now()
-		for d := int32(0); len(frontier) > 0; d++ {
-			next, _ = exp.Expand(ws, frontier, d, next[:0])
-			frontier, next = next, frontier
-		}
-		if d := time.Since(t0).Nanoseconds(); rep == 0 || d < ph.SweepNs {
-			ph.SweepNs = d
-		}
-	}
-	hs := sha256.New()
-	var buf [4]byte
-	for v := 0; v < g.NumVertices(); v++ {
-		d := int32(-1)
-		if ws.Seen(graph.V(v)) {
-			d = ws.Dist(graph.V(v))
-		}
-		binary.LittleEndian.PutUint32(buf[:], uint32(d))
-		hs.Write(buf[:])
-	}
-	ref.sweepSHA = hex.EncodeToString(hs.Sum(nil))
-
-	// Phase 3: warm guided queries with the pool applied to both
-	// expansion directions.
-	sr := core.NewSearcher(ix)
-	sr.SetParallelism(w)
-	spg := graph.NewSPG(0, 0)
-	for _, p := range pairs {
-		sr.QueryInto(spg, p.U, p.V)
-	}
-	lat := make([]int64, len(pairs))
-	hq := sha256.New()
-	for i, p := range pairs {
-		t0 := time.Now()
-		sr.QueryInto(spg, p.U, p.V)
-		lat[i] = time.Since(t0).Nanoseconds()
-		hashSPG(hq, spg)
-	}
-	ref.querySHA = hex.EncodeToString(hq.Sum(nil))
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	ph.QueryP50Ns = lat[len(lat)/2]
-	ph.QueryP99Ns = lat[len(lat)*99/100]
-
-	// Phase 4: dynamic churn with RepairBudget 1, so deletions fall
+	// Phase 2: dynamic churn with RepairBudget 1, so deletions fall
 	// through to the full column re-BFS (the parallel rebuild path).
 	d, err := dynamic.New(g, g.TopDegreeVertices(cfg.NumLandmarks), dynamic.Options{
 		RepairBudget:    1,
@@ -290,8 +212,6 @@ func scalingPhase(g *graph.Graph, cfg Config, w int, pairs []workload.Pair) (Sca
 		hashSPG(hr, d.Query(p.U, p.V))
 	}
 	ref.repairSHA = hex.EncodeToString(hr.Sum(nil))
-
-	ref.buildNs, ref.sweepNs, ref.repairNs = ph.BuildNs, ph.SweepNs, ph.RepairNs
 	return ph, ref, nil
 }
 
@@ -336,17 +256,13 @@ func (h *Harness) renderScaling(s *ScalingSnapshot) {
 		tbl := &table{
 			title: fmt.Sprintf("Scaling %s (|V|=%s, |E|=%s, NumCPU=%d)",
 				ds.Key, fmtCount(ds.Vertices), fmtCount(ds.Edges), s.NumCPU),
-			header: []string{"workers", "build", "speedup", "sweep", "speedup",
-				"repair", "speedup", "query p50", "query p99", "identical"},
+			header: []string{"workers", "build", "speedup", "repair", "speedup", "identical"},
 		}
 		for _, ph := range ds.Phases {
 			tbl.add(
 				fmt.Sprintf("%d", ph.Workers),
 				fmtDuration(time.Duration(ph.BuildNs)), fmtSpeedup(ph.BuildSpeedup),
-				fmtDuration(time.Duration(ph.SweepNs)), fmtSpeedup(ph.SweepSpeedup),
 				fmtDuration(time.Duration(ph.RepairNs)), fmtSpeedup(ph.RepairSpeedup),
-				fmtDuration(time.Duration(ph.QueryP50Ns)),
-				fmtDuration(time.Duration(ph.QueryP99Ns)),
 				fmt.Sprintf("%v", ph.Identical),
 			)
 		}
@@ -361,8 +277,8 @@ func fmtSpeedup(x float64) string {
 	return fmt.Sprintf("%.2f×", x)
 }
 
-// ScalingJSON runs the scaling experiment and writes the BENCH_PR7.json
-// record.
+// ScalingJSON runs the scaling experiment and writes its snapshot to
+// path.
 func (h *Harness) ScalingJSON(path string, workers []int) error {
 	s, err := h.Scaling(workers)
 	if err != nil {

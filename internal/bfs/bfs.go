@@ -2,9 +2,9 @@
 // QbS index and the baselines: single-source distance BFS, the
 // bidirectional-BFS shortest-path-graph baseline from the paper (Bi-BFS,
 // §6.1), and a brute-force shortest-path-graph oracle used as ground
-// truth in tests. The reusable Workspace and the
-// direction-optimizing level expander live in qbs/internal/traverse and
-// are re-exported here for the search code that grew up around this
+// truth in tests. The reusable Workspace lives in qbs/internal/traverse,
+// beside the level expansion the searches grow through, and is
+// re-exported here for the search code that grew up around this
 // package.
 package bfs
 

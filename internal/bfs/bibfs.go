@@ -35,12 +35,10 @@ func BiBFS(g graph.Adjacency, u, v graph.V) *graph.SPG {
 }
 
 // biSide is one direction of the baseline search: its arcs, their
-// reverse, and the frontier of a direction-optimizing expansion.
+// reverse (extraction walks those), and the frontier of its BFS.
 type biSide struct {
 	push, pull graph.Adjacency
-	deg        []int32 // cached push degrees, or nil
 	ws         *Workspace
-	exp        *traverse.Expander
 	root       graph.V
 	front      []graph.V
 	d          int32 // completed levels
@@ -58,11 +56,11 @@ type biSearch struct {
 	ext      *Extractor
 }
 
-func newBiSearch(out, in graph.Adjacency, degOut, degIn []int32) biSearch {
+func newBiSearch(out, in graph.Adjacency) biSearch {
 	n := out.NumVertices()
 	return biSearch{
-		fwd: biSide{push: out, pull: in, deg: degOut, ws: NewWorkspace(n), exp: traverse.NewExpander(n)},
-		bwd: biSide{push: in, pull: out, deg: degIn, ws: NewWorkspace(n), exp: traverse.NewExpander(n)},
+		fwd: biSide{push: out, pull: in, ws: NewWorkspace(n)},
+		bwd: biSide{push: in, pull: out, ws: NewWorkspace(n)},
 		ext: NewExtractor(n),
 	}
 }
@@ -71,7 +69,6 @@ func (s *biSide) reset(root graph.V) {
 	s.root = root
 	s.ws.Reset()
 	s.ws.SetDist(root, 0)
-	s.exp.BeginDirected(s.push, s.pull, s.deg)
 	s.front = append(s.front[:0], root)
 	s.d, s.size = 0, 1
 }
@@ -89,7 +86,7 @@ func (b *biSearch) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
 		if side.size > other.size {
 			side, other = other, side
 		}
-		next, cross, arcs := side.exp.ExpandMeeting(side.ws, other.ws, side.front, side.d, b.nextBuf[:0], b.cross[:0], false)
+		next, cross, arcs := traverse.ExpandMeeting(side.push, side.ws, other.ws, side.front, side.d, b.nextBuf[:0], b.cross[:0], false)
 		stats.ArcsScanned += arcs
 		b.cross = cross
 		if len(cross) == 0 {
@@ -117,26 +114,12 @@ func (b *biSearch) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
 }
 
 // Bidirectional is a reusable bidirectional-BFS searcher over a fixed
-// undirected graph. Each side expands through a direction-optimizing
-// traverse.Expander, so the dense middle levels of small-world graphs
-// run bottom-up. Not safe for concurrent use.
+// undirected graph. Not safe for concurrent use.
 type Bidirectional struct{ s biSearch }
 
 // NewBidirectional creates a searcher for g.
 func NewBidirectional(g graph.Adjacency) *Bidirectional {
-	var deg []int32
-	if cg, ok := g.(*graph.Graph); ok {
-		deg = cg.Degrees()
-	}
-	return &Bidirectional{newBiSearch(g, g, deg, deg)}
-}
-
-// SetParallelism runs both directions' level expansions on p traverse
-// pool workers when a level clears the size threshold; results are
-// bit-identical at every setting. 0 (the default) stays sequential.
-func (b *Bidirectional) SetParallelism(p int) {
-	b.s.fwd.exp.Parallelism = p
-	b.s.bwd.exp.Parallelism = p
+	return &Bidirectional{newBiSearch(g, g)}
 }
 
 // Query computes SPG(u, v) and work counters.
@@ -158,7 +141,7 @@ type DiBidirectional struct{ s biSearch }
 
 // NewDiBidirectional creates a searcher for g.
 func NewDiBidirectional(g *graph.DiGraph) *DiBidirectional {
-	return &DiBidirectional{newBiSearch(g.OutView(), g.InView(), nil, nil)}
+	return &DiBidirectional{newBiSearch(g.OutView(), g.InView())}
 }
 
 // Query computes DiSPG(u, v) and work counters.
@@ -178,8 +161,7 @@ func (b *DiBidirectional) Query(u, v graph.V) (*graph.DiSPG, SearchStats) {
 // side downward toward its root (depth decreases by exactly 1 per
 // step), emitting every DAG arc as an oriented pair.
 //
-// pull is the side's reverse adjacency — the one its bottom-up
-// expansion probes parents through: the in-arcs for a forward search
+// pull is the side's reverse adjacency: the in-arcs for a forward search
 // over out-arcs, the out-arcs for a backward search over in-arcs, the
 // graph itself when undirected. A predecessor y of x is emitted as
 // y→x; flip reverses that to x→y, which is what a backward side's

@@ -157,11 +157,11 @@ type Index struct {
 	labelTo, labelFrom [][]uint8
 
 	// degsOut and degsIn cache per-vertex degrees as flat arrays for the
-	// traversal engines' α/β direction heuristic (an interface Degree
-	// call per discovered vertex would dominate the switch bookkeeping).
-	// Static builds materialise them once (one array when symmetric);
-	// dynamically assembled snapshots leave them nil and the engines
-	// fall back to Adjacency.Degree.
+	// α/β direction heuristic of the labelling sweeps (an interface
+	// Degree call per frontier vertex would dominate the switch
+	// bookkeeping). Only construction reads them: builds materialise them
+	// once (one array when symmetric); loaded and dynamically assembled
+	// indexes leave them nil.
 	degsOut, degsIn []int32
 
 	ms *MetaState

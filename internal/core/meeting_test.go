@@ -6,7 +6,6 @@ import (
 
 	"qbs/internal/bfs"
 	"qbs/internal/graph"
-	"qbs/internal/traverse"
 )
 
 // meetingCases counts, over one fixture, how often each branch the
@@ -96,8 +95,7 @@ func checkMeetingState(t *testing.T, sr *Searcher, st QueryStats, u, v graph.V) 
 	}
 }
 
-// TestArcMeetingMatchesOracle runs every expansion kernel of the guided
-// search — sequential and pooled, top-down and bottom-up — against the
+// TestArcMeetingMatchesOracle runs the guided search against the
 // scalar-BFS oracle on both kinds of graph, and checks the searcher's
 // state against the meeting rule after each query. The ER fixture is
 // sized (degree 24: 24³ ≈ 3·n, 24⁴ ≈ 66·n) so that most pairs are three
@@ -117,16 +115,6 @@ func TestArcMeetingMatchesOracle(t *testing.T) {
 		"der":       directed(graph.DirectedErdosRenyi(1200, 14000, 11)),
 		"fig4-di":   directed(graph.AsDirected(paperFigure4Graph())),
 	}
-	modes := []struct {
-		name    string
-		alpha   int64
-		workers int
-	}{
-		{"default", traverse.DefaultAlpha, 0},
-		{"top-down", 0, 0},
-		{"bottom-up", -1, 0},
-		{"pooled", traverse.DefaultAlpha, 4},
-	}
 	var undirectedSeen, directedSeen meetingCases
 	for name, tg := range fixtures {
 		n := tg.numVertices()
@@ -145,47 +133,37 @@ func TestArcMeetingMatchesOracle(t *testing.T) {
 					pairs = append(pairs, [2]graph.V{x, ns[0]})
 				}
 			}
-			searchers := make([]*Searcher, len(modes))
-			for i, mode := range modes {
-				searchers[i] = NewSearcher(ix)
-				for _, side := range [2]*searchSide{&searchers[i].fwd, &searchers[i].bwd} {
-					side.exp.Alpha = mode.alpha
-					side.exp.Parallelism, side.exp.ParallelThreshold = mode.workers, 1
-				}
-			}
+			sr := NewSearcher(ix)
 			for _, p := range pairs {
 				u, v := p[0], p[1]
-				want := tg.oracle(u, v) // once per pair, for every kernel
-				for i, mode := range modes {
-					sr := searchers[i]
-					label := fmt.Sprintf("%s %s R=%d (%d,%d)", name, mode.name, landmarks, u, v)
-					if got := sr.Distance(u, v); got != want.dist {
-						t.Fatalf("%s: Distance = %d, BFS says %d", label, got, want.dist)
-					}
-					st := want.check(t, label, sr)
-					if u == v {
-						continue // answered before any search
-					}
-					checkMeetingState(t, sr, st, u, v)
-					if i > 0 || want.dist == graph.InfDist {
-						continue
-					}
-					switch {
-					case ix.IsLandmark(u) || ix.IsLandmark(v):
-						seen.landmark++
-					case st.UsedReverse && st.UsedRecover:
-						seen.both++
-					case st.UsedRecover:
-						seen.recovered++
-					default:
-						seen.reversed++
-					}
-					if want.dist == 1 {
-						seen.adjacent++
-					}
-					if want.size >= 100 {
-						seen.large++
-					}
+				want := tg.oracle(u, v)
+				label := fmt.Sprintf("%s R=%d (%d,%d)", name, landmarks, u, v)
+				if got := sr.Distance(u, v); got != want.dist {
+					t.Fatalf("%s: Distance = %d, BFS says %d", label, got, want.dist)
+				}
+				st := want.check(t, label, sr)
+				if u == v {
+					continue // answered before any search
+				}
+				checkMeetingState(t, sr, st, u, v)
+				if want.dist == graph.InfDist {
+					continue
+				}
+				switch {
+				case ix.IsLandmark(u) || ix.IsLandmark(v):
+					seen.landmark++
+				case st.UsedReverse && st.UsedRecover:
+					seen.both++
+				case st.UsedRecover:
+					seen.recovered++
+				default:
+					seen.reversed++
+				}
+				if want.dist == 1 {
+					seen.adjacent++
+				}
+				if want.size >= 100 {
+					seen.large++
 				}
 			}
 		}

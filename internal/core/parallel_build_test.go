@@ -62,8 +62,8 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 }
 
 // TestParallelBuildQueriesMatch cross-checks the serving path: a
-// searcher over a parallel-built index with parallel expansion enabled
-// must answer every query exactly like the fully sequential stack.
+// searcher over a parallel-built index must answer every query exactly
+// like one over the sequentially built index.
 func TestParallelBuildQueriesMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-vertex builds")
@@ -79,7 +79,6 @@ func TestParallelBuildQueriesMatch(t *testing.T) {
 	}
 	seq := NewSearcher(seqIx)
 	par := NewSearcher(parIx)
-	par.SetParallelism(4)
 	rng := rand.New(rand.NewSource(99))
 	a, b := graph.NewSPG(0, 0), graph.NewSPG(0, 0)
 	for i := 0; i < 300; i++ {

@@ -63,13 +63,14 @@ type QueryStats struct {
 	UsedRecover bool  // recover search ran (through-landmark paths exist at distance d)
 	Coverage    CoverageCase
 
-	// Engine counters surfaced from the traversal machinery.
-	LabelEntries     int64 // label entries of u and v scanned by the sketch
-	FrontierWords    int64 // visited-bitmap words swept by bottom-up expansion
-	PushPullSwitches int64 // top-down ↔ bottom-up direction switches
-	ParallelLevels   int64 // expansion levels run on the worker pool
-	ParallelChunks   int64 // frontier chunks claimed by pool workers
-	ParallelSteals   int64 // chunks claimed outside a worker's static share
+	LabelEntries int64 // label entries of u and v scanned by the sketch
+
+	// Always 0: the guided search has one expansion kernel, a sequential
+	// push sweep, and never sweeps a bitmap or switches direction. The
+	// fields remain only because the frozen benchmark/layers.go compiles
+	// against them (ROADMAP item 1a removes them with its probe).
+	FrontierWords    int64
+	PushPullSwitches int64
 
 	// Stage spans (monotonic-clock nanoseconds).
 	SketchNs  int64 // sketch assembly (Algorithm 3)
@@ -112,19 +113,16 @@ type Searcher struct {
 // u along out-arcs, reading u's distances to landmarks, or backward from
 // v along in-arcs, reading v's distances from landmarks; the two are
 // bound to the same adjacency and labelling when the index is symmetric.
-// It carries a visited set with depths, a direction-optimizing expander,
-// an arena of visited vertices grouped into levels
-// (level i = arena[levelOff[i]:levelOff[i+1]]) and the sketch edges at
-// its endpoint.
+// It carries a visited set with depths, an arena of visited vertices
+// grouped into levels (level i = arena[levelOff[i]:levelOff[i+1]]) and
+// the sketch edges at its endpoint.
 type searchSide struct {
-	push, pull graph.Adjacency // the side's arcs and their reverse
-	deg        []int32         // cached push degrees (nil for dynamic snapshots)
+	push, pull graph.Adjacency // the side's arcs and their reverse (extraction walks those)
 	labels     [][]uint8       // the labelling the side's endpoint reads
 	backward   bool            // the side walks arcs against their orientation
 
 	root     graph.V
 	ws       *bfs.Workspace
-	exp      *traverse.Expander
 	arena    []graph.V
 	levelOff []int32
 	d        int32 // completed levels
@@ -183,7 +181,6 @@ func NewSearcher(ix *Index) *Searcher {
 	sr.bwd.backward = true
 	for _, side := range []*searchSide{&sr.fwd, &sr.bwd} {
 		side.ws = bfs.NewWorkspace(n)
-		side.exp = traverse.NewExpander(n)
 		side.sigma = make([]int32, ix.numLand)
 		for i := range side.sigma {
 			side.sigma[i] = -1
@@ -197,19 +194,8 @@ func NewSearcher(ix *Index) *Searcher {
 // backward to (in, out, labelFrom).
 func (sr *Searcher) bind(ix *Index) {
 	sr.ix = ix
-	sr.fwd.push, sr.fwd.pull, sr.fwd.deg, sr.fwd.labels = ix.out, ix.in, ix.degsOut, ix.labelTo
-	sr.bwd.push, sr.bwd.pull, sr.bwd.deg, sr.bwd.labels = ix.in, ix.out, ix.degsIn, ix.labelFrom
-}
-
-// SetParallelism runs this searcher's guided expansions on p traverse
-// pool workers when a level is large enough to pay for the fan-out
-// (see traverse.Expander.Parallelism). Query results are bit-identical
-// at every setting; the default 0 keeps expansion sequential, which is
-// the right call for servers answering many queries concurrently —
-// intra-query parallelism only helps latency when cores are idle.
-func (sr *Searcher) SetParallelism(p int) {
-	sr.fwd.exp.Parallelism = p
-	sr.bwd.exp.Parallelism = p
+	sr.fwd.push, sr.fwd.pull, sr.fwd.labels = ix.out, ix.in, ix.labelTo
+	sr.bwd.push, sr.bwd.pull, sr.bwd.labels = ix.in, ix.out, ix.labelFrom
 }
 
 // Rebind points the searcher at another index over the same vertex set
@@ -294,22 +280,14 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 	sr.bwd.reset(v)
 	var side *searchSide // the side whose expansion met the other, if one did
 	if ix.landIdx[u] < 0 && ix.landIdx[v] < 0 {
-		sr.fwd.exp.BeginDirected(sr.fwd.push, sr.fwd.pull, sr.fwd.deg)
-		sr.bwd.exp.BeginDirected(sr.bwd.push, sr.bwd.pull, sr.bwd.deg)
 		// Pre-mark landmarks with a sentinel depth so the expansion
 		// loop skips them with a single Seen check — this is the
-		// implicit G⁻ = G[V\R], honoured identically by the expander's
-		// top-down and bottom-up directions.
+		// implicit G⁻ = G[V\R].
 		for _, r := range ix.landmarks {
 			sr.fwd.ws.SetDist(r, -1)
 			sr.bwd.ws.SetDist(r, -1)
 		}
 		side = sr.bidirectional(dTop, dStarU, dStarV, !extract, &st)
-		st.FrontierWords = sr.fwd.exp.WordsSwept + sr.bwd.exp.WordsSwept
-		st.PushPullSwitches = sr.fwd.exp.Switches + sr.bwd.exp.Switches
-		st.ParallelLevels = sr.fwd.exp.ParallelLevels + sr.bwd.exp.ParallelLevels
-		st.ParallelChunks = sr.fwd.exp.ParallelChunks + sr.bwd.exp.ParallelChunks
-		st.ParallelSteals = sr.fwd.exp.ParallelSteals + sr.bwd.exp.ParallelSteals
 	}
 	if side != nil {
 		st.DGMinus = sr.fwd.d + 1 + sr.bwd.d
@@ -442,10 +420,10 @@ func (sr *Searcher) bidirectional(dTop, dStarU, dStarV int32, first bool, st *Qu
 			}
 		}
 		// Landmarks carry a sentinel depth on both sides from query
-		// setup, so the expander's seen check skips them, in either
-		// direction, before it looks at the other side.
+		// setup, so the expansion's seen check skips them before it
+		// looks at the other side.
 		var arcs int64
-		side.arena, sr.cross, arcs = side.exp.ExpandMeeting(side.ws, other.ws, side.frontier(), side.d, side.arena, sr.cross[:0], first)
+		side.arena, sr.cross, arcs = traverse.ExpandMeeting(side.push, side.ws, other.ws, side.frontier(), side.d, side.arena, sr.cross[:0], first)
 		st.ArcsScanned += arcs
 		if len(sr.cross) > 0 {
 			return side

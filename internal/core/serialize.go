@@ -122,8 +122,6 @@ func Load(g *graph.Graph, r io.Reader) (*Index, error) {
 	ix.ms = NewMetaState(R, sigma)
 
 	// Derived structures.
-	ix.degsOut = g.Degrees()
-	ix.degsIn = ix.degsOut
 	ix.buildDelta()
 	ix.build.LabelEntries = ix.countLabelEntries()
 	ix.build.NumLandmarks = ix.numLand

@@ -107,7 +107,7 @@ func (g *DiGraph) InDegrees() []int32 {
 
 // outAdj and inAdj adapt one direction of the dual CSR to the Adjacency
 // interface consumed by the shared BFS engines (traverse.MultiBFS and
-// traverse.Expander). They are single-pointer structs, so converting
+// traverse.ExpandMeeting). They are single-pointer structs, so converting
 // them to the interface does not allocate.
 type outAdj struct{ g *DiGraph }
 

@@ -51,7 +51,7 @@ type FuncInfo struct {
 	// name. Beyond suppressing findings inside the function, zeroalloc
 	// treats an allowed function as a call-tree boundary: a sanctioned
 	// cold path (pool refill, epoch rebind) is not descended into.
-	Allowed map[string]bool
+	Allowed map[string]allowRule
 }
 
 // Obj returns the function's types.Func.

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"strings"
 )
 
@@ -24,12 +25,12 @@ type annotIndex struct {
 	funcList  []*FuncInfo
 	funcByKey map[string]*FuncInfo
 	allows    []allowRule
+	used      map[allowRule]bool // keyed by every allow; true once it suppressed a finding or pruned a zeroalloc walk
 	malformed []Diagnostic
 }
 
 type allowRule struct {
-	file     string
-	line     int // directive line
+	pos      token.Position // of the directive
 	analyzer string
 	// Function line span when the directive sits in a FuncDecl doc
 	// comment; zero for statement-level directives.
@@ -41,8 +42,7 @@ func (p *Program) Annots() *annotIndex {
 	if p.annots != nil {
 		return p.annots
 	}
-	ix := &annotIndex{funcByKey: make(map[string]*FuncInfo)}
-	seenAllow := make(map[allowRule]bool)
+	ix := &annotIndex{funcByKey: make(map[string]*FuncInfo), used: make(map[allowRule]bool)}
 	for _, pkg := range p.Packages {
 		for _, file := range pkg.Files {
 			docOwner := make(map[*ast.CommentGroup]*ast.FuncDecl)
@@ -104,19 +104,19 @@ func (p *Program) Annots() *annotIndex {
 							})
 							continue
 						}
-						rule := allowRule{file: pos.Filename, line: pos.Line, analyzer: fields[0]}
+						rule := allowRule{pos: pos, analyzer: fields[0]}
 						if owner != nil {
 							rule.funcStart = p.Fset.Position(owner.Pos()).Line
 							rule.funcEnd = p.Fset.Position(owner.End()).Line
 							if fi := ix.funcByKey[p.posKey(owner.Name.Pos())]; fi != nil {
 								if fi.Allowed == nil {
-									fi.Allowed = make(map[string]bool)
+									fi.Allowed = make(map[string]allowRule)
 								}
-								fi.Allowed[fields[0]] = true
+								fi.Allowed[fields[0]] = rule
 							}
 						}
-						if !seenAllow[rule] {
-							seenAllow[rule] = true
+						if _, seen := ix.used[rule]; !seen { // a test variant checks the same file again
+							ix.used[rule] = false
 							ix.allows = append(ix.allows, rule)
 						}
 					default:
@@ -134,23 +134,56 @@ func (p *Program) Annots() *annotIndex {
 	return ix
 }
 
-// suppressed reports whether an //qbs:allow directive covers d.
+// suppressed reports whether an //qbs:allow directive covers d, and
+// records every directive that does as used.
 func (ix *annotIndex) suppressed(d Diagnostic) bool {
+	covered := false
 	for _, r := range ix.allows {
-		if r.analyzer != d.Analyzer || r.file != d.Pos.Filename {
+		if r.analyzer != d.Analyzer || r.pos.Filename != d.Pos.Filename {
 			continue
 		}
 		if r.funcStart > 0 {
-			if r.funcStart <= d.Pos.Line && d.Pos.Line <= r.funcEnd {
-				return true
+			if d.Pos.Line < r.funcStart || r.funcEnd < d.Pos.Line {
+				continue
 			}
+		} else if d.Pos.Line != r.pos.Line && d.Pos.Line != r.pos.Line+1 {
 			continue
 		}
-		if d.Pos.Line == r.line || d.Pos.Line == r.line+1 {
-			return true
+		ix.used[r] = true
+		covered = true
+	}
+	return covered
+}
+
+// prunesZeroAlloc reports whether fi carries a function-level
+// //qbs:allow zeroalloc — the mark of a sanctioned cold path a
+// zeroalloc walk stops at — and records the directive as used.
+func (ix *annotIndex) prunesZeroAlloc(fi *FuncInfo) bool {
+	r, ok := fi.Allowed["zeroalloc"]
+	if ok {
+		ix.used[r] = true
+	}
+	return ok
+}
+
+// StaleAllows returns a finding for every //qbs:allow that, in the
+// analyzers run on p so far, suppressed no finding and pruned no
+// zeroalloc walk: the code it excused has changed or gone, and left in
+// place it would silently excuse whatever lands there next. Meaningful
+// after the whole suite has run (RunAll).
+func (p *Program) StaleAllows() []Diagnostic {
+	ix := p.Annots()
+	var ds []Diagnostic
+	for _, r := range ix.allows {
+		if !ix.used[r] {
+			ds = append(ds, Diagnostic{
+				Pos:      r.pos,
+				Analyzer: "directive",
+				Message:  fmt.Sprintf("stale //qbs:allow %s: it suppresses no finding and prunes no zeroalloc walk; delete it", r.analyzer),
+			})
 		}
 	}
-	return false
+	return ds
 }
 
 // splitDirective parses "//qbs:verb rest..." comment lines.

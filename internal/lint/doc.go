@@ -25,8 +25,8 @@
 // the warm paths deliberately keep their dynamic dispatch behind small
 // concrete types. A function-level //qbs:allow zeroalloc both
 // suppresses findings and prunes the walk: it marks a sanctioned cold
-// branch (pool refill, epoch rebind, above-threshold parallel levels)
-// whose allocations are not part of the per-query budget.
+// branch (pool refill, epoch rebind) whose allocations are not part of
+// the per-query budget.
 //
 // atomicfield — a struct field accessed through sync/atomic anywhere
 // must be accessed atomically everywhere, across the whole module.
@@ -63,9 +63,12 @@
 // the explicit acknowledgment for best-effort cleanup on paths already
 // returning another error; defers keep their usual meaning.
 //
-// A sixth implicit check reports malformed //qbs: directives, so a
-// typo like //qbs:zeralloc surfaces instead of silently disabling a
-// rule.
+// Two implicit checks keep the directives themselves honest. Malformed
+// //qbs: directives are reported, so a typo like //qbs:zeralloc surfaces
+// instead of silently disabling a rule. And an //qbs:allow that, over
+// the whole run, suppressed no finding and pruned no zeroalloc walk is
+// reported as stale: the code it excused has changed or gone, and left
+// behind it would excuse whatever is written there next.
 //
 // # Suppression
 //

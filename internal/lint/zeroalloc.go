@@ -43,11 +43,10 @@ func runZeroAlloc(p *Program) []Diagnostic {
 			continue
 		}
 		visited[it.fi] = true
-		if it.fi != it.root && it.fi.Allowed["zeroalloc"] {
+		if it.fi != it.root && ix.prunesZeroAlloc(it.fi) {
 			// A function-level allow marks a sanctioned cold path (pool
-			// refill, epoch rebind, above-threshold parallel level):
-			// neither it nor anything it calls is part of the warm-path
-			// allocation budget.
+			// refill, epoch rebind): neither it nor anything it calls is
+			// part of the warm-path allocation budget.
 			continue
 		}
 		ds = append(ds, p.checkZeroAlloc(it.fi, it.root)...)

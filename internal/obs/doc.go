@@ -16,8 +16,7 @@
 //   - qbs_query_stage_ns{stage=...} — per-stage query spans (parse,
 //     sketch, expand, extract, serialize).
 //   - qbs_query_*_total — engine counters aggregated from QueryStats
-//     (arcs scanned, frontier words swept, push↔pull switches, label
-//     entries scanned).
+//     (arcs scanned, label entries scanned).
 //   - qbs_wal_*_ns, qbs_checkpoint_*, qbs_snapshot_bytes — durable
 //     store instrumentation (process-wide Default registry).
 //   - qbs_replica_*, qbs_router_* — replication-layer series.

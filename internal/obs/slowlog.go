@@ -41,14 +41,12 @@ type SlowEntry struct {
 	DurationNs int64      `json:"duration_ns"`
 	Stages     SlowStages `json:"stages"`
 	// Query identity and engine counters; meaningful when HasQuery.
-	HasQuery         bool  `json:"has_query"`
-	U                int64 `json:"u"`
-	V                int64 `json:"v"`
-	Dist             int32 `json:"dist"`
-	ArcsScanned      int64 `json:"arcs_scanned"`
-	FrontierWords    int64 `json:"frontier_words"`
-	PushPullSwitches int64 `json:"push_pull_switches"`
-	LabelEntries     int64 `json:"label_entries"`
+	HasQuery     bool  `json:"has_query"`
+	U            int64 `json:"u"`
+	V            int64 `json:"v"`
+	Dist         int32 `json:"dist"`
+	ArcsScanned  int64 `json:"arcs_scanned"`
+	LabelEntries int64 `json:"label_entries"`
 }
 
 // NewSlowLog creates a ring holding up to capacity entries, recording
@@ -108,14 +106,12 @@ func (l *SlowLog) Fill(tr *Trace, endpoint string, status int, dur time.Duration
 			ExtractNs:   tr.StageNs[StageExtract],
 			SerializeNs: tr.StageNs[StageSerialize],
 		},
-		HasQuery:         tr.HasQuery,
-		U:                tr.U,
-		V:                tr.V,
-		Dist:             tr.Dist,
-		ArcsScanned:      tr.ArcsScanned,
-		FrontierWords:    tr.FrontierWords,
-		PushPullSwitches: tr.PushPullSwitches,
-		LabelEntries:     tr.LabelEntries,
+		HasQuery:     tr.HasQuery,
+		U:            tr.U,
+		V:            tr.V,
+		Dist:         tr.Dist,
+		ArcsScanned:  tr.ArcsScanned,
+		LabelEntries: tr.LabelEntries,
 	})
 }
 

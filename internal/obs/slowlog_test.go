@@ -71,7 +71,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 func TestSlowLogFillFromTrace(t *testing.T) {
 	l := NewSlowLog(4, 0)
 	tr := &Trace{ID: "abc", HasQuery: true, U: 3, V: 9, Dist: 4,
-		ArcsScanned: 100, FrontierWords: 7, PushPullSwitches: 2, LabelEntries: 12}
+		ArcsScanned: 100, LabelEntries: 12}
 	tr.SetStage(StageParse, 10)
 	tr.SetStage(StageSketch, 20)
 	tr.SetStage(StageExpand, 30)
@@ -85,8 +85,7 @@ func TestSlowLogFillFromTrace(t *testing.T) {
 	if e.Stages != (SlowStages{10, 20, 30, 40, 50}) {
 		t.Fatalf("stages mismatch: %+v", e.Stages)
 	}
-	if !e.HasQuery || e.U != 3 || e.V != 9 || e.Dist != 4 || e.ArcsScanned != 100 ||
-		e.FrontierWords != 7 || e.PushPullSwitches != 2 || e.LabelEntries != 12 {
+	if !e.HasQuery || e.U != 3 || e.V != 9 || e.Dist != 4 || e.ArcsScanned != 100 || e.LabelEntries != 12 {
 		t.Fatalf("engine stats mismatch: %+v", e)
 	}
 	// nil trace is a no-op

@@ -4,6 +4,10 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -456,6 +460,35 @@ func (s *SpanStore) Get(id string) *StoredTrace {
 		}
 	}
 	return nil
+}
+
+// ParseTraceQuery reads the filter of a GET /debug/traces request —
+// ?n=<1..1024> caps the listing (absent: all), ?min_ms=<float> keeps
+// traces at least that slow, ?error=1 only errored ones — into Recent's
+// arguments. Every tier serves the endpoint through it; the error is
+// the text of the 400 to answer. min_ms must be a number of
+// milliseconds that fits a time.Duration: NaN, ±Inf and anything past
+// ≈ 9.2e12 would otherwise convert to an arbitrary, on amd64 negative,
+// duration and match every trace.
+func ParseTraceQuery(q url.Values) (limit int, minDur time.Duration, errOnly bool, err error) {
+	if raw := q.Get("n"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 1 || n > 1024 {
+			return 0, 0, false, fmt.Errorf("parameter \"n\" must be an integer in [1,1024], got %q", raw)
+		}
+		limit = n
+	}
+	if raw := q.Get("min_ms"); raw != "" {
+		ms, err := strconv.ParseFloat(raw, 64)
+		ns := ms * float64(time.Millisecond)
+		if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
+			return 0, 0, false, fmt.Errorf("parameter \"min_ms\" must be a non-negative number of milliseconds below %.3g, got %q",
+				math.MaxInt64/float64(time.Millisecond), raw)
+		}
+		minDur = time.Duration(ns)
+	}
+	errOnly = q.Get("error") == "1" || q.Get("error") == "true"
+	return limit, minDur, errOnly, nil
 }
 
 // Recent returns up to limit retained traces, newest first, filtered

@@ -67,10 +67,8 @@ type Trace struct {
 	// child spans (WAL append, column re-BFS) under the request root.
 	Spans *TraceBuf
 	// Engine counters for the slow-query log.
-	ArcsScanned      int64
-	FrontierWords    int64
-	PushPullSwitches int64
-	LabelEntries     int64
+	ArcsScanned  int64
+	LabelEntries int64
 }
 
 // SetStage records one stage's duration.

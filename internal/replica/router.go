@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -637,26 +636,11 @@ func (rt *Router) serveMetrics(w http.ResponseWriter, r *http.Request) {
 // first), honouring the same ?n=/?min_ms=/?error= filters as the
 // backend servers' /debug/traces.
 func (rt *Router) serveTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := 0
-	if raw := q.Get("n"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > 1024 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("parameter \"n\" must be an integer in [1,1024], got %q", raw))
-			return
-		}
-		limit = n
+	limit, minDur, errOnly, err := obs.ParseTraceQuery(r.URL.Query())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
-	var minDur time.Duration
-	if raw := q.Get("min_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("parameter \"min_ms\" must be a non-negative number, got %q", raw))
-			return
-		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
-	}
-	errOnly := q.Get("error") == "1" || q.Get("error") == "true"
 	stored := rt.tracer.Store().Recent(limit, minDur, errOnly)
 	summaries := make([]obs.TraceSummary, len(stored))
 	for i, st := range stored {

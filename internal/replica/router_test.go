@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -272,5 +273,47 @@ func TestRouterAnswersHealthAndMetricsLocally(t *testing.T) {
 			t.Fatal("/healthz stayed 200 with every backend down")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDebugTracesMinMsAcrossTiers: every tier parses ?min_ms= through
+// obs.ParseTraceQuery, so a value that is not a duration — NaN, ±Inf, a
+// product past what a time.Duration holds — is a 400 on the primary's
+// server, on a replica and on the router alike, never a 200 listing
+// every retained trace through a wrapped-around negative filter.
+func TestDebugTracesMinMsAcrossTiers(t *testing.T) {
+	p := newPrimaryFixture(t, 0, PrimaryOptions{})
+	rep := startReplica(t, p.ts.URL, Options{})
+	rt := NewRouter(p.ts.URL, nil, RouterOptions{HealthInterval: time.Hour, Seed: 1})
+	defer rt.Stop()
+	tiers := []struct {
+		name string
+		h    http.Handler
+	}{
+		{"server", p.ts.Config.Handler},
+		{"replica", rep.Handler()},
+		{"router", rt},
+	}
+	for _, tc := range []struct {
+		minMs string
+		want  int
+	}{
+		{"NaN", 400}, {"+Inf", 400}, {"-Inf", 400}, {"1e300", 400}, {"1e13", 400}, {"-1", 400},
+		{"0", 200}, {"0.5", 200},
+	} {
+		for _, tier := range tiers {
+			rec := httptest.NewRecorder()
+			tier.h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?min_ms="+url.QueryEscape(tc.minMs), nil))
+			var body struct {
+				Count *int   `json:"count"`
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("%s min_ms=%s: body %q: %v", tier.name, tc.minMs, rec.Body, err)
+			}
+			if rec.Code != tc.want || (tc.want == 200) != (body.Count != nil) || (tc.want == 400) != strings.Contains(body.Error, "min_ms") {
+				t.Errorf("%s min_ms=%s: status %d body %q, want %d", tier.name, tc.minMs, rec.Code, rec.Body, tc.want)
+			}
+		}
 	}
 }

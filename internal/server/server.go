@@ -123,14 +123,9 @@ type Server struct {
 
 	// Query-path instrumentation: per-stage span histograms and engine
 	// counters aggregated from the searcher's QueryStats out-param.
-	stage        [obs.NumStages]*obs.Histogram
-	engArcs      *obs.Counter
-	engWords     *obs.Counter
-	engSwitch    *obs.Counter
-	engEntries   *obs.Counter
-	engParLevels *obs.Counter
-	engParChunks *obs.Counter
-	engParSteals *obs.Counter
+	stage      [obs.NumStages]*obs.Histogram
+	engArcs    *obs.Counter
+	engEntries *obs.Counter
 }
 
 // endpointView holds one endpoint's registry-backed series plus the
@@ -413,12 +408,7 @@ func (s *Server) routes() {
 		s.stage[i] = s.reg.Histogram("qbs_query_stage_ns", `stage="`+i.String()+`"`)
 	}
 	s.engArcs = s.reg.Counter("qbs_query_arcs_scanned_total", "")
-	s.engWords = s.reg.Counter("qbs_query_frontier_words_total", "")
-	s.engSwitch = s.reg.Counter("qbs_query_push_pull_switches_total", "")
 	s.engEntries = s.reg.Counter("qbs_query_label_entries_total", "")
-	s.engParLevels = s.reg.Counter("qbs_query_parallel_levels_total", "")
-	s.engParChunks = s.reg.Counter("qbs_query_parallel_chunks_total", "")
-	s.engParSteals = s.reg.Counter("qbs_query_parallel_steals_total", "")
 	if s.dyn != nil {
 		dyn := s.dyn
 		s.reg.GaugeFunc("qbs_epoch", "", func() float64 { return float64(dyn.Epoch()) })
@@ -589,19 +579,12 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 // the stage histograms when the middleware finishes the request).
 func (s *Server) recordQuery(r *http.Request, u, v qbs.V, st qbs.QueryStats) {
 	s.engArcs.Add(st.ArcsScanned)
-	s.engWords.Add(st.FrontierWords)
-	s.engSwitch.Add(st.PushPullSwitches)
 	s.engEntries.Add(st.LabelEntries)
-	s.engParLevels.Add(st.ParallelLevels)
-	s.engParChunks.Add(st.ParallelChunks)
-	s.engParSteals.Add(st.ParallelSteals)
 	if tr := obs.FromContext(r.Context()); tr != nil {
 		tr.HasQuery = true
 		tr.U, tr.V = int64(u), int64(v)
 		tr.Dist = st.Dist
 		tr.ArcsScanned = st.ArcsScanned
-		tr.FrontierWords = st.FrontierWords
-		tr.PushPullSwitches = st.PushPullSwitches
 		tr.LabelEntries = st.LabelEntries
 		tr.SetStage(obs.StageSketch, st.SketchNs)
 		tr.SetStage(obs.StageExpand, st.ExpandNs)

@@ -17,7 +17,7 @@ import (
 // testServer builds a server over the diamond-with-detour fixture:
 // 0-1-3, 0-2-3 (two shortest 0–3 paths) and 0-4-5-3 (a longer detour),
 // plus isolated vertex 6.
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	g := graph.MustFromEdges(7, []graph.Edge{
 		{U: 0, W: 1}, {U: 1, W: 3}, {U: 0, W: 2}, {U: 2, W: 3},
@@ -154,7 +154,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 // testMutableServer serves the same diamond fixture over a dynamic
 // index.
-func testMutableServer(t *testing.T) (*Server, *qbs.DynamicIndex) {
+func testMutableServer(t testing.TB) (*Server, *qbs.DynamicIndex) {
 	t.Helper()
 	g := graph.MustFromEdges(7, []graph.Edge{
 		{U: 0, W: 1}, {U: 1, W: 3}, {U: 0, W: 2}, {U: 2, W: 3},
@@ -524,7 +524,7 @@ func TestPathCountSaturationOverHTTP(t *testing.T) {
 
 // testDirectedServer fronts the directed diamond 0→1→3, 0→2→3 with the
 // extension 3→4 and back-arc 4→0; vertex 5 is unreachable from 0.
-func testDirectedServer(t *testing.T) *Server {
+func testDirectedServer(t testing.TB) *Server {
 	t.Helper()
 	b := qbs.NewDiBuilder(6)
 	b.AddArc(0, 1)

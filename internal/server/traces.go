@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"qbs/internal/obs"
 )
@@ -28,30 +26,11 @@ type TracesResponse struct {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := 0
-	if raw := q.Get("n"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > 1024 {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error: fmt.Sprintf("parameter \"n\" must be an integer in [1,1024], got %q", raw),
-			})
-			return
-		}
-		limit = n
+	limit, minDur, errOnly, err := obs.ParseTraceQuery(r.URL.Query())
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
 	}
-	var minDur time.Duration
-	if raw := q.Get("min_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error: fmt.Sprintf("parameter \"min_ms\" must be a non-negative number, got %q", raw),
-			})
-			return
-		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
-	}
-	errOnly := q.Get("error") == "1" || q.Get("error") == "true"
 	stored := s.tracer.Store().Recent(limit, minDur, errOnly)
 	resp := TracesResponse{Count: len(stored), Traces: make([]obs.TraceSummary, len(stored))}
 	for i, st := range stored {

@@ -1,65 +1,40 @@
 // Package traverse is the shared BFS engine behind the QbS index: every
-// hot traversal — labelling construction, query search and dynamic
-// column repair — runs on the two kernels defined here.
-//
-// # Direction-optimizing expansion (Expander)
-//
-// A level-synchronous BFS normally expands top-down: scan every frontier
-// vertex and mark its unseen neighbours. On small-world graphs one or
-// two levels hold most of the graph, and top-down then touches almost
-// every arc just to rediscover vertices that are already marked.
-// Beamer's direction-optimizing BFS flips those dense levels bottom-up:
-// iterate the *unvisited* vertices and stop at the first neighbour found
-// in the frontier (a parent), so a vertex of degree d costs on average
-// far fewer than d probes.
-//
-// The switch uses the classic α/β heuristic:
-//
-//   - top-down → bottom-up when m_f·α > m_u, where m_f is the sum of
-//     frontier degrees (arcs the next top-down step would scan) and m_u
-//     is the arc mass not yet explored;
-//   - bottom-up → top-down when |frontier|·β < |V| (the frontier has
-//     shrunk enough that scanning all unvisited vertices is wasteful).
-//
-// Both directions work on one visited bitmap, the Workspace's, packed 64
-// vertices to a word: top-down tests and sets a vertex's bit, bottom-up
-// scans whole words so fully-visited regions skip in one comparison.
-// There is no second copy to build or reconcile at a direction switch,
-// and the bitmap — 50 KB for 400 000 vertices — is what the inner loops
-// hit instead of a per-vertex array the size of the graph.
+// hot traversal runs on the two kernels defined here. Query search — the
+// guided bidirectional search and the Bi-BFS baseline — grows through
+// ExpandMeeting, a sequential top-down level with the meeting test built
+// in; labelling construction and dynamic column repair run on MultiBFS,
+// which is bit-parallel, direction-optimizing and optionally pooled.
+// The asymmetry is measured, not assumed: a labelling sweep visits the
+// whole graph and its middle levels hold most of it, while no level a
+// query expands from comes within a factor of ten of the size at which
+// the direction switch below would go bottom-up (the tests named
+// TestGuidedLevelsStayBelowSwitch, in core and bfs, keep that checked on
+// the densest dataset analogs).
 //
 // # Search state (Workspace, Marks)
 //
 // Per-query cost is a function of what the query touches, not of |V|:
 //
-//   - Visited is one bit per vertex (Marks). Every sequential Mark logs
-//     its word index; Reset zeroes just those words. The log is capped
-//     at one entry per bitmap word — past that a single clear of the
+//   - Visited is one bit per vertex (Marks), so the whole set of a
+//     400 000-vertex graph is 50 KB and the inner loop hits that instead
+//     of a per-vertex array the size of the graph. Every Mark logs its
+//     word index; Reset zeroes just those words. The log is capped at
+//     one entry per bitmap word — past that a single clear of the
 //     bitmap is cheaper, so the log stops and Reset does that instead.
-//     Dense levels (bottom-up, which reads every word anyway, and
-//     parallel levels, whose workers cannot share a log) skip the log
-//     and go straight to the clear.
 //   - A vertex's depth is stored when its level is expanded *from*, not
-//     when it is discovered: Expand(frontier, d) first settles frontier
-//     at d (a settled bit and a dist entry each), then only marks what
-//     it discovers. The last level of a search — the largest, and in a
-//     bidirectional search never expanded — costs no per-vertex store;
-//     Dist answers it with the workspace's pending depth, which all
-//     seen-but-unsettled vertices share because they are one level.
+//     when it is discovered: ExpandMeeting(frontier, d) first settles
+//     frontier at d (a settled bit and a dist entry each), then only
+//     marks what it discovers. The last level of a search — the
+//     largest, and in a bidirectional search never expanded — costs no
+//     per-vertex store; Dist answers it with the workspace's pending
+//     depth, which all seen-but-unsettled vertices share because they
+//     are one level.
 //   - Sets that need no depths (the extractors' dedup marks, the label
 //     walk) are bare Marks.
 //
-// Both directions produce identical distance assignments — bottom-up
-// only changes the order in which a level's vertices are emitted — so
-// search results are unchanged.
-//
-// On a directed graph the two directions walk different arc sets:
-// top-down pushes along the traversal's forward arcs, while bottom-up
-// asks "which of my *in*-neighbours is on the frontier". Both kernels
-// therefore accept an explicit (push, pull) adjacency pair
-// (Expander.BeginDirected, MultiBFS.RunDirected) where pull is the
-// reverse adjacency of push; the undirected entry points pass the same
-// graph for both.
+// On a directed graph a search walks one arc set — out-arcs forward
+// from u, in-arcs backward from v — and ExpandMeeting is handed that
+// side's push adjacency; the undirected callers pass the graph itself.
 //
 // # Meeting of two searches (ExpandMeeting)
 //
@@ -84,18 +59,12 @@
 // the crossing arcs are exactly the shortest-path arcs over that cut.
 //
 // The last level is truncated. A level that met is never expanded from,
-// so from the first crossing arc on the sequential top-down kernel stops
-// marking and appending, and every kernel returns dst at its input
-// length: the call yields the complete level or the crossing arcs,
-// never both. The caller's level count does not advance; the marks a
-// truncated level may leave in the workspace carry the pending depth
-// d+1, which no walk down from depth ≤ d matches. Bottom-up levels
-// reach the same shape from the other end: first the vertices unseen
-// here and seen there list all their depth-d parents (a level vertex
-// would stop at its first), and only if none has any does the usual
-// sweep run, over the vertices neither side has seen. Pooled levels
-// collect crossing arcs per worker; the other side's bitmap is not
-// written during the level and is read plainly.
+// so from the first crossing arc on the kernel stops marking and
+// appending, and returns dst at its input length: the call yields the
+// complete level or the crossing arcs, never both. The caller's level
+// count does not advance; the marks a truncated level may leave in the
+// workspace carry the pending depth d+1, which no walk down from
+// depth ≤ d matches.
 //
 // # Bit-parallel multi-source labelling BFS (MultiBFS)
 //
@@ -120,15 +89,44 @@
 // QN; landmarks absorb all bits into QN. Because levels are settled
 // synchronously after the whole frontier is scanned, the result is
 // bit-identical to running the scalar QL/QN BFS per source, in any
-// frontier order — which also lets MultiBFS reuse the same α/β
-// direction switch for its dense levels.
+// frontier order — which is what lets its dense levels run bottom-up.
 //
-// # Parallel execution model
+// # Direction-optimizing sweeps (MultiBFS)
 //
-// Both kernels optionally run each level on a pool of goroutines
-// (Expander.Parallelism, MultiBFS.Parallelism; 0 or 1 keeps the exact
-// sequential code path). The design is Ligra-style level-synchronous
-// work sharing:
+// A level-synchronous BFS normally expands top-down: scan every frontier
+// vertex and mark its unseen neighbours. On small-world graphs one or
+// two levels hold most of the graph, and top-down then touches almost
+// every arc just to rediscover vertices that are already marked.
+// Beamer's direction-optimizing BFS flips those dense levels bottom-up:
+// iterate the vertices some source has not reached and pull the frontier
+// bits of their neighbours, stopping as soon as every source is
+// accounted for, so a vertex of degree d costs on average far fewer than
+// d probes.
+//
+// The switch uses the classic α/β heuristic:
+//
+//   - top-down → bottom-up when m_f·α > m, where m_f is the sum of
+//     frontier degrees (arcs the next top-down step would scan) and m
+//     the graph's arc mass (rather than Beamer's expensively tracked
+//     unexplored remainder: deliberately conservative), and the
+//     frontier holds at least |V|/β vertices;
+//   - bottom-up → top-down when |frontier|·β < |V| (the frontier has
+//     shrunk enough that scanning all unvisited vertices is wasteful).
+//
+// Both directions produce identical settle payloads — bottom-up only
+// changes the order in which a level's vertices are emitted — so labels
+// are unchanged. On a directed graph the two directions walk different
+// arc sets: top-down pushes along the traversal's forward arcs, while
+// bottom-up asks "which of my *in*-neighbours is on the frontier".
+// RunDirected therefore takes an explicit (push, pull) adjacency pair
+// where pull is the reverse adjacency of push; Run passes the same graph
+// for both.
+//
+// # Parallel execution model (MultiBFS)
+//
+// MultiBFS optionally runs each level on a pool of goroutines
+// (Parallelism; 0 or 1 keeps the exact sequential code path). The
+// design is Ligra-style level-synchronous work sharing:
 //
 //   - Top-down levels partition the frontier into fixed-size chunks.
 //     Workers start on a statically assigned share (cheap locality when
@@ -136,25 +134,20 @@
 //     shared atomic cursor, so a worker stuck on a hub vertex doesn't
 //     stall the level (claims outside the static share are counted as
 //     steals). Vertex discovery is arbitrated with a compare-and-swap
-//     per vertex — in the Expander on the vertex's word of the visited
-//     bitmap (a CAS loop that sets its bit), in MultiBFS on a per-vertex
-//     generation stamp plus CAS-OR accumulation into the nextL/nextN
-//     words — so exactly one worker wins each vertex and appends it to
-//     its own buffer (or settles its label bits) without further
-//     synchronization. An Expander level writes nothing else: depths
-//     are stored by the coordinator, before the next level fans out.
-//   - Bottom-up levels split the vertex range into word-aligned chunks
-//     (multiples of 64 so visited-bitmap words have a single owner and
-//     need no atomics). Each worker probes only its own range, reading
-//     the frontier through an immutable snapshot — the current-level
-//     words in MultiBFS, a frontier bitmap built before the fan-out in
-//     the Expander — so all cross-worker reads are of data that cannot
-//     change during the level, and all writes land in the worker's own
-//     range.
+//     per vertex — a generation stamp, plus CAS-OR accumulation into
+//     the nextL/nextN words — so exactly one worker wins each vertex
+//     and settles its label bits without further synchronization.
+//   - Bottom-up levels split the vertex range into chunks (multiples of
+//     64 vertices, so chunk boundaries fall on cache-line boundaries of
+//     the per-vertex words). Each worker probes only its own range,
+//     reading the frontier through the current-level words, which
+//     cannot change during the level, and all writes land in the
+//     worker's own range.
 //
 // A level only moves to the pool past a size threshold (a few thousand
-// frontier vertices or unvisited words); below it the sequential loop
-// is both faster and exactly the single-core code shape.
+// frontier vertices, or vertices in all for a bottom-up sweep); below
+// it the sequential loop is both faster and exactly the single-core
+// code shape.
 //
 // Determinism: the α/β direction decision is taken on the coordinating
 // goroutine from the previous level's aggregate counts, which are
@@ -165,12 +158,12 @@
 // settled; the *set* of vertices, their distances and their settle
 // payloads are order-independent (a vertex's level is fixed by the BFS,
 // and settle writes are per-vertex). Every consumer is insensitive to
-// within-level order, so labels, σ, Δ and query SPGs are bit-identical
-// at every worker count — the property suite and the scaling harness
-// both enforce this.
+// within-level order, so labels, σ and Δ are bit-identical at every
+// worker count — the property suite and the scaling harness both
+// enforce this.
 //
-// Engines are single-traversal objects: one Run/Expand stream per
-// engine at a time (concurrent use is detected and rejected), with all
-// pool fan-out kept internal. Callers that want concurrency across
-// queries keep using one engine per goroutine, exactly as before.
+// An engine is a single-traversal object: one Run at a time (concurrent
+// use is detected and rejected), with all pool fan-out kept internal.
+// ExpandMeeting has no state of its own; the workspaces it is handed are
+// single-owner, one searcher per goroutine.
 package traverse

@@ -10,16 +10,15 @@ import (
 	"qbs/internal/traverse"
 )
 
-// meetingSide is one direction of a model bidirectional search: the
-// expander and workspace under test, and beside them the depth of every
+// meetingSide is one direction of a model bidirectional search: its arcs
+// and the workspace under test, and beside them the depth of every
 // vertex the side has visited, kept in a map.
 type meetingSide struct {
-	push, pull graph.Adjacency
-	exp        *traverse.Expander
-	ws         *traverse.Workspace
-	depth      map[graph.V]int32
-	frontier   []graph.V
-	d          int32
+	push     graph.Adjacency
+	ws       *traverse.Workspace
+	depth    map[graph.V]int32
+	frontier []graph.V
+	d        int32
 }
 
 func compareArcs(a, b graph.Arc) int {
@@ -29,17 +28,15 @@ func compareArcs(a, b graph.Arc) int {
 	return int(a.To) - int(b.To)
 }
 
-// TestExpandMeetingMatchesModel drives two expanders against each other
-// the way a bidirectional search does, in every kernel — sequential and
-// pooled, top-down and bottom-up — over undirected and directed graphs
+// TestExpandMeetingMatchesModel drives two sides against each other the
+// way a bidirectional search does, over undirected and directed graphs
 // with a few vertices removed the way QbS removes landmarks (a sentinel
 // depth on both sides). After every call it holds the result to a
 // set-based model of the meeting rule:
 //
 //   - the call returns the whole next level and no crossing arc, or
 //     every arc from the frontier to a vertex the other side has seen
-//     (one of them under first) and dst untouched — the same either way
-//     in every kernel;
+//     (one of them under first) and dst untouched;
 //   - while no arc has crossed the two visited sets are disjoint;
 //   - a crossing arc lands on the other side's outermost level, so that
 //     d + 1 + other.d is the pair's distance.
@@ -61,46 +58,30 @@ func TestExpandMeetingMatchesModel(t *testing.T) {
 	} {
 		graphs[name] = adjPair{g.OutView(), g.InView()}
 	}
-	modes := []struct {
-		name        string
-		alpha, beta int64
-		workers     int
-	}{
-		{"top-down", 0, traverse.DefaultBeta, 0},
-		{"bottom-up", -1, 1, 0},
-		{"eager-switch", 1, traverse.DefaultBeta, 0},
-		{"pooled-top-down", 0, traverse.DefaultBeta, 4},
-		{"pooled-bottom-up", -1, 1, 4},
-	}
 	for name, g := range graphs {
 		n := g.out.NumVertices()
 		rng := rand.New(rand.NewSource(int64(n)))
-		for _, mode := range modes {
-			for _, first := range []bool{false, true} {
-				sides := [2]*meetingSide{{push: g.out, pull: g.in}, {push: g.in, pull: g.out}}
-				for _, s := range sides {
-					s.exp = traverse.NewExpander(n)
-					s.exp.Alpha, s.exp.Beta = mode.alpha, mode.beta
-					s.exp.Parallelism, s.exp.ParallelThreshold = mode.workers, 1
-					s.ws = traverse.NewWorkspace(n)
+		for _, first := range []bool{false, true} {
+			sides := [2]*meetingSide{
+				{push: g.out, ws: traverse.NewWorkspace(n)},
+				{push: g.in, ws: traverse.NewWorkspace(n)},
+			}
+			for q := 0; q < 60; q++ {
+				u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
+				if q == 0 && g.out.Degree(u) > 0 {
+					v = g.out.Neighbors(u)[0] // an adjacent pair
 				}
-				for q := 0; q < 60; q++ {
-					u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
-					if q == 0 && g.out.Degree(u) > 0 {
-						v = g.out.Neighbors(u)[0] // an adjacent pair
-					}
-					if u == v {
-						continue
-					}
-					removed := map[graph.V]bool{}
-					for i := rng.Intn(4); i > 0; i-- {
-						if r := graph.V(rng.Intn(n)); r != u && r != v {
-							removed[r] = true
-						}
-					}
-					label := fmt.Sprintf("%s %s first=%v (%d,%d) minus %v", name, mode.name, first, u, v, removed)
-					runMeetingSearch(t, label, sides, u, v, removed, first)
+				if u == v {
+					continue
 				}
+				removed := map[graph.V]bool{}
+				for i := rng.Intn(4); i > 0; i-- {
+					if r := graph.V(rng.Intn(n)); r != u && r != v {
+						removed[r] = true
+					}
+				}
+				label := fmt.Sprintf("%s first=%v (%d,%d) minus %v", name, first, u, v, removed)
+				runMeetingSearch(t, label, sides, u, v, removed, first)
 			}
 		}
 	}
@@ -115,7 +96,6 @@ func runMeetingSearch(t *testing.T, label string, sides [2]*meetingSide, u, v gr
 		for r := range removed {
 			s.ws.SetDist(r, -1)
 		}
-		s.exp.BeginDirected(s.push, s.pull, nil)
 		s.depth = map[graph.V]int32{root: 0}
 		s.frontier = append(s.frontier[:0], root)
 		s.d = 0
@@ -160,7 +140,7 @@ func runMeetingSearch(t *testing.T, label string, sides [2]*meetingSide, u, v gr
 		slices.SortFunc(wantCross, compareArcs)
 
 		dst := []graph.V{-5} // a prefix the call must leave alone
-		level, cross, _ := s.exp.ExpandMeeting(s.ws, o.ws, s.frontier, s.d, dst, nil, first)
+		level, cross, _ := traverse.ExpandMeeting(s.push, s.ws, o.ws, s.frontier, s.d, dst, nil, first)
 		if level[0] != -5 {
 			t.Fatalf("%s: dst prefix overwritten", label)
 		}

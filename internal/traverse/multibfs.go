@@ -21,15 +21,27 @@ var ErrConcurrentRun = errors.New("traverse: MultiBFS used concurrently (one eng
 // bit per source in a uint64 word.
 const MaxSources = 64
 
+// Default α/β of the direction switch. α compares frontier arc mass
+// against the whole graph's (rather than Beamer's expensively tracked
+// unexplored remainder), so the threshold is deliberately conservative.
+const (
+	DefaultAlpha = 12
+	DefaultBeta  = 24
+)
+
 // MultiBFS runs up to 64 simultaneous landmark-rooted QL/QN BFS
 // layerings (Algorithm 2 of the paper) in one graph sweep, one bit per
 // source. It is a reusable workspace sized for a fixed vertex count; not
 // safe for concurrent use — create one per worker.
 type MultiBFS struct {
-	// Alpha/Beta tune the direction switch exactly as on Expander:
-	// Alpha 0 disables bottom-up, negative forces it.
+	// Alpha tunes the top-down → bottom-up switch: go bottom-up when
+	// frontierDeg·Alpha > |arcs| (and the frontier is at least |V|/Beta
+	// vertices). 0 disables bottom-up entirely; negative forces it on
+	// every level (used by tests).
 	Alpha int64
-	Beta  int64
+	// Beta tunes the switch back: return to top-down when
+	// |frontier|·Beta < |V|.
+	Beta int64
 
 	// Parallelism > 1 runs large levels on that many pool workers (see
 	// doc.go "Parallel execution model"). Settle callbacks are then
@@ -184,9 +196,9 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 			}
 		case mb.Alpha > 0 && int64(len(frontier))*mb.Beta >= int64(n):
 			// Dense enough to price out (sparse levels skip the degree
-			// summation entirely). As on Expander, the threshold compares
-			// against the whole arc mass — conservative, and it keeps the
-			// hot settle path free of per-vertex degree accounting.
+			// summation entirely). The threshold compares against the
+			// whole arc mass — conservative, and it keeps the hot settle
+			// path free of per-vertex degree accounting.
 			var mf int64
 			for _, x := range frontier {
 				mf += degree(x)

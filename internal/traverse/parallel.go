@@ -1,16 +1,15 @@
 package traverse
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"qbs/internal/graph"
 )
 
-// Worker-pool plumbing shared by the parallel MultiBFS and Expander
-// level kernels. See doc.go "Parallel execution model" for the design
-// and the memory-ordering argument.
+// Worker-pool plumbing of the parallel MultiBFS level kernels. See doc.go
+// "Parallel execution model" for the design and the memory-ordering
+// argument.
 
 const (
 	// parChunk is the number of frontier slots (top-down) or vertices
@@ -20,15 +19,11 @@ const (
 	// cache-line boundaries: two workers never write the same line.
 	parChunk = 1024
 
-	// parWords is parChunk in visited-bitmap words (Expander bottom-up
-	// chunks are claimed in word units).
-	parWords = parChunk / 64
-
 	// minParFrontier and minParVertices gate the pool: a top-down level
 	// with fewer frontier vertices, or a bottom-up sweep over fewer
 	// total vertices, runs the sequential kernel — below these sizes
-	// the goroutine fan-out costs more than the level. Overridable per
-	// engine via ParallelThreshold (tests force 1).
+	// the goroutine fan-out costs more than the level. Overridable via
+	// MultiBFS.ParallelThreshold (tests force 1).
 	minParFrontier = 2048
 	minParVertices = 4096
 )
@@ -115,7 +110,7 @@ func claimChunks(next *atomic.Int64, cc *chunkCounters, w, numChunks, chunksPer,
 	cc.steals.Add(stolen)
 }
 
-// parallelWorkers resolves an engine's effective worker count for a
+// parallelWorkers resolves the engine's effective worker count for a
 // level of the given size: Parallelism when >1 and the level clears the
 // threshold, else 1 (sequential kernel).
 func parallelWorkers(parallelism, threshold, defaultThreshold, size int) int {
@@ -130,10 +125,6 @@ func parallelWorkers(parallelism, threshold, defaultThreshold, size int) int {
 	}
 	return parallelism
 }
-
-// ---------------------------------------------------------------------
-// MultiBFS parallel levels
-// ---------------------------------------------------------------------
 
 // mbParState holds the MultiBFS pool's lazily allocated reusable state.
 type mbParState struct {
@@ -279,157 +270,4 @@ func (mb *MultiBFS) bottomUpParallel(pull graph.Adjacency, landIdx []int16, sett
 	mb.ParallelChunks += cc.chunks.Load()
 	mb.ParallelSteals += cc.steals.Load()
 	return nf
-}
-
-// ---------------------------------------------------------------------
-// Expander parallel levels
-// ---------------------------------------------------------------------
-
-// expParState holds the Expander pool's lazily allocated reusable state.
-type expParState struct {
-	dst   [][]graph.V   // per-worker discovery buffers
-	cross [][]graph.Arc // per-worker crossing arcs
-	fbits []uint64      // frontier bitmap for parallel bottom-up probes
-}
-
-func (p *expParState) ensure(workers int) {
-	for len(p.dst) < workers {
-		p.dst = append(p.dst, nil)
-		p.cross = append(p.cross, nil)
-	}
-}
-
-// expandTopDownParallel claims frontier chunks off a shared counter;
-// discovery races are settled by a CAS on the vertex's word of the
-// visited bitmap (Marks.tryClaim), whose single winner appends the
-// vertex to its own buffer. A vertex the other side has seen is never
-// claimed — every frontier vertex that reaches it owes its own crossing
-// arc — and other's bitmap is not written during the level, so it is
-// read plainly. The discovered set or the crossing arcs, and the arc
-// count, are those of the sequential kernel; only order differs.
-//
-//qbs:allow zeroalloc above-threshold parallel levels trade goroutine and closure allocations for wall-clock; pooled serving searchers expand sequentially
-func (e *Expander) expandTopDownParallel(ws, other *Workspace, frontier []graph.V, dst []graph.V, cross []graph.Arc, workers int) ([]graph.V, []graph.Arc, int64) {
-	e.par.ensure(workers)
-	g := e.g
-	numChunks := (len(frontier) + parChunk - 1) / parChunk
-	chunksPer := (numChunks + workers - 1) / workers
-	var next atomic.Int64
-	var arcsA atomic.Int64
-	var cc chunkCounters
-
-	parRun(workers, func(w int) {
-		out, met := e.par.dst[w][:0], e.par.cross[w][:0]
-		var arcs int64
-		claimChunks(&next, &cc, w, numChunks, chunksPer, parChunk, len(frontier), func(lo, hi int) {
-			for _, x := range frontier[lo:hi] {
-				ns := g.Neighbors(x)
-				arcs += int64(len(ns))
-				for _, y := range ns {
-					if ws.seen.seenShared(y) {
-						continue
-					}
-					if other != nil && other.Seen(y) {
-						met = append(met, graph.Arc{From: x, To: y})
-						continue
-					}
-					// A worker that has met stops claiming: the level
-					// is abandoned once the workers join.
-					if len(met) == 0 && ws.seen.tryClaim(y) {
-						out = append(out, y)
-					}
-				}
-			}
-		})
-		e.par.dst[w], e.par.cross[w] = out, met
-		arcsA.Add(arcs)
-	})
-
-	base, had := len(dst), len(cross)
-	for w := 0; w < workers; w++ {
-		dst = append(dst, e.par.dst[w]...)
-		cross = append(cross, e.par.cross[w]...)
-	}
-	if len(cross) > had {
-		dst = dst[:base]
-	}
-	e.ParallelLevels++
-	e.ParallelChunks += cc.chunks.Load()
-	e.ParallelSteals += cc.steals.Load()
-	return dst, cross, arcsA.Load()
-}
-
-// expandBottomUpParallel splits the visited bitmap into word-aligned
-// chunks claimed off a shared counter, so every word has one owner for
-// the level and is read and written plainly. Parent probes go to a
-// frontier bitmap built before the fan-out (one cache-resident bit test
-// per probe); it is exact because frontier is the whole depth-d set,
-// which Expand's contract already requires. As in expandBottomUp, the
-// other side's vertices are left out.
-//
-//qbs:allow zeroalloc above-threshold parallel levels trade goroutine and closure allocations for wall-clock; pooled serving searchers expand sequentially
-func (e *Expander) expandBottomUpParallel(ws, other *Workspace, frontier []graph.V, dst []graph.V, workers int) ([]graph.V, int64) {
-	e.par.ensure(workers)
-	g := e.pull
-	words := ws.bitmap()
-	var theirs []uint64
-	if other != nil {
-		theirs = other.bitmap()
-	}
-	nw := len(words)
-	if cap(e.par.fbits) < nw {
-		e.par.fbits = make([]uint64, nw)
-	} else {
-		e.par.fbits = e.par.fbits[:nw]
-		clear(e.par.fbits)
-	}
-	fbits := e.par.fbits
-	for _, x := range frontier {
-		fbits[x>>6] |= 1 << (uint(x) & 63)
-	}
-
-	numChunks := (nw + parWords - 1) / parWords
-	chunksPer := (numChunks + workers - 1) / workers
-	var next atomic.Int64
-	var arcsA atomic.Int64
-	var cc chunkCounters
-
-	parRun(workers, func(wk int) {
-		out := e.par.dst[wk][:0]
-		var arcs int64
-		claimChunks(&next, &cc, wk, numChunks, chunksPer, parWords, nw, func(wlo, whi int) {
-			for w := wlo; w < whi; w++ {
-				unv := ^words[w]
-				if theirs != nil {
-					unv &^= theirs[w]
-				}
-				if w == nw-1 && e.n&63 != 0 {
-					unv &= 1<<(uint(e.n)&63) - 1
-				}
-				for unv != 0 {
-					v := graph.V(w<<6 + bits.TrailingZeros64(unv))
-					unv &= unv - 1
-					for _, y := range g.Neighbors(v) {
-						arcs++
-						if fbits[y>>6]&(1<<(uint(y)&63)) != 0 {
-							words[w] |= 1 << (uint(v) & 63)
-							out = append(out, v)
-							break
-						}
-					}
-				}
-			}
-		})
-		e.par.dst[wk] = out
-		arcsA.Add(arcs)
-	})
-
-	for w := 0; w < workers; w++ {
-		dst = append(dst, e.par.dst[w]...)
-	}
-	e.WordsSwept += int64(nw)
-	e.ParallelLevels++
-	e.ParallelChunks += cc.chunks.Load()
-	e.ParallelSteals += cc.steals.Load()
-	return dst, arcsA.Load()
 }

@@ -1,7 +1,7 @@
-// Property tests for the parallel level kernels: with Parallelism > 1
-// both engines must produce results bit-identical to the sequential
-// kernels — same distances, same settle payloads per (vertex, depth),
-// same arc/word counters — on random graphs, disconnected graphs and
+// Property tests for MultiBFS's parallel level kernels: with
+// Parallelism > 1 the engine must produce results bit-identical to the
+// sequential kernels — same settle payloads per (vertex, depth), same
+// switch and word counters — on random graphs, disconnected graphs and
 // the regular structures, in every direction mode. CI runs these under
 // -race with GOMAXPROCS=4, which is what actually checks the claiming
 // protocol: the assertions alone would pass even with torn writes.
@@ -199,76 +199,9 @@ func TestMultiBFSParallelReuseAndDepthLimit(t *testing.T) {
 	}
 }
 
-// expanderParallelBFS mirrors expanderBFS with a pooled expander,
-// returning distances plus total arcs and the expander for counters.
-func expanderParallelBFS(g *graph.Graph, src graph.V, alpha int64, workers int) ([]int32, int64, *traverse.Expander) {
-	n := g.NumVertices()
-	e := traverse.NewExpander(n)
-	e.Alpha = alpha
-	e.Parallelism = workers
-	e.ParallelThreshold = 1
-	ws := traverse.NewWorkspace(n)
-	ws.Reset()
-	ws.SetDist(src, 0)
-	e.Begin(g, nil)
-	return finishExpand(e, ws, []graph.V{src}, 0, 0, n)
-}
-
-func finishExpand(e *traverse.Expander, ws *traverse.Workspace, frontier []graph.V, d int32, arcs int64, n int) ([]int32, int64, *traverse.Expander) {
-	for len(frontier) > 0 {
-		var a int64
-		frontier, a = e.Expand(ws, frontier, d, frontier[:0:0])
-		arcs += a
-		d++
-	}
-	dist := make([]int32, n)
-	for v := 0; v < n; v++ {
-		dist[v] = ws.Dist(graph.V(v))
-	}
-	return dist, arcs, e
-}
-
-func TestExpanderParallelMatchesSequential(t *testing.T) {
-	cases := []*graph.Graph{
-		randomGraph(50, 30, 71),    // sparse, disconnected
-		randomGraph(300, 2400, 72), // dense-ish
-		randomGraph(400, 150, 73),  // many isolated vertices
-		graph.Star(129),
-		graph.Path(64),
-		graph.Complete(65),
-	}
-	for gi, g := range cases {
-		n := g.NumVertices()
-		for _, src := range []graph.V{0, graph.V(n / 2), graph.V(n - 1)} {
-			for _, alpha := range []int64{traverse.DefaultAlpha, 0, -1, 1} {
-				wantDist, wantArcs, wantExp := expanderParallelBFS(g, src, alpha, 1)
-				for _, workers := range []int{2, 8} {
-					gotDist, gotArcs, gotExp := expanderParallelBFS(g, src, alpha, workers)
-					for v := 0; v < n; v++ {
-						if gotDist[v] != wantDist[v] {
-							t.Fatalf("graph %d src %d alpha=%d workers=%d: dist[%d] = %d, want %d",
-								gi, src, alpha, workers, v, gotDist[v], wantDist[v])
-						}
-					}
-					if gotArcs != wantArcs {
-						t.Fatalf("graph %d src %d alpha=%d workers=%d: arcs %d, want %d",
-							gi, src, alpha, workers, gotArcs, wantArcs)
-					}
-					if gotExp.Switches != wantExp.Switches || gotExp.WordsSwept != wantExp.WordsSwept {
-						t.Fatalf("graph %d src %d alpha=%d workers=%d: switch trajectory diverged", gi, src, alpha, workers)
-					}
-					if gotExp.ParallelLevels == 0 && n > 1 && wantDist[src] == 0 {
-						t.Fatalf("graph %d src %d alpha=%d workers=%d: pool never engaged", gi, src, alpha, workers)
-					}
-				}
-			}
-		}
-	}
-}
-
 // blockingAdj wraps an adjacency; the first Neighbors call signals
 // entered and parks on release, pinning a traversal mid-level so the
-// concurrent-use guards can be hit deterministically.
+// concurrent-use guard can be hit deterministically.
 type blockingAdj struct {
 	graph.Adjacency
 	once    sync.Once
@@ -304,34 +237,4 @@ func TestMultiBFSConcurrentRunRejected(t *testing.T) {
 	if err := mb.Run(g, nil, nil, []graph.V{1}, 1<<30, func(graph.V, int32, uint64, uint64) {}); err != nil {
 		t.Fatalf("run after concurrent rejection: %v", err)
 	}
-}
-
-func TestExpanderConcurrentExpandPanics(t *testing.T) {
-	g := randomGraph(60, 200, 82)
-	n := g.NumVertices()
-	adj := &blockingAdj{Adjacency: g, entered: make(chan struct{}), release: make(chan struct{})}
-	e := traverse.NewExpander(n)
-	ws := traverse.NewWorkspace(n)
-	ws.Reset()
-	ws.SetDist(0, 0)
-	e.Begin(adj, nil)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		e.Expand(ws, []graph.V{0}, 0, nil)
-	}()
-	<-adj.entered
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("concurrent Expand did not panic")
-			}
-		}()
-		ws2 := traverse.NewWorkspace(n)
-		ws2.Reset()
-		ws2.SetDist(1, 0)
-		e.Expand(ws2, []graph.V{1}, 0, nil)
-	}()
-	close(adj.release)
-	<-done
 }

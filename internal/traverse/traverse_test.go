@@ -1,10 +1,10 @@
-// Property tests for the traversal engines: the direction-optimizing
-// expander must produce exactly the distances of a plain top-down BFS in
-// every mode, and the 64-way bit-parallel multi-source BFS must agree
-// with one independent BFS per source — on random graphs including
-// disconnected ones, graphs built from edge lists with self-loop and
-// duplicate entries, and the regular structures. CI runs these under
-// -race.
+// Property tests for the traversal engines: a BFS grown level by level
+// through ExpandMeeting (no other side) must produce exactly the
+// distances of a plain queue BFS, and the 64-way bit-parallel
+// multi-source BFS must agree with one independent BFS per source in
+// every direction mode — on random graphs including disconnected ones,
+// graphs built from edge lists with self-loop and duplicate entries, and
+// the regular structures. CI runs these under -race.
 package traverse_test
 
 import (
@@ -32,27 +32,24 @@ func randomGraph(n, m int, seed int64) *graph.Graph {
 	return b.MustBuild()
 }
 
-// expanderBFS runs a full single-source BFS through the Expander and
-// returns the distance array.
-func expanderBFS(g *graph.Graph, src graph.V, alpha, beta int64) []int32 {
-	n := g.NumVertices()
-	e := traverse.NewExpander(n)
-	e.Alpha, e.Beta = alpha, beta
-	ws := traverse.NewWorkspace(n)
+// levelBFS runs a full single-source BFS through ExpandMeeting with no
+// other side, leaving the distances in ws.
+func levelBFS(g *graph.Graph, ws *traverse.Workspace, src graph.V) {
 	ws.Reset()
 	ws.SetDist(src, 0)
-	e.Begin(g, nil)
 	frontier := []graph.V{src}
-	var d int32
-	for len(frontier) > 0 {
-		frontier, _ = e.Expand(ws, frontier, d, frontier[:0:0])
-		d++
+	for d := int32(0); len(frontier) > 0; d++ {
+		frontier, _, _ = traverse.ExpandMeeting(g, ws, nil, frontier, d, frontier[:0:0], nil, false)
 	}
-	dist := make([]int32, n)
-	for v := 0; v < n; v++ {
-		dist[v] = ws.Dist(graph.V(v))
+}
+
+func checkDistances(t *testing.T, label string, ws *traverse.Workspace, want []int32) {
+	t.Helper()
+	for v := range want {
+		if got := ws.Dist(graph.V(v)); got != want[v] {
+			t.Fatalf("%s: dist[%d] = %d, want %d", label, v, got, want[v])
+		}
 	}
-	return dist
 }
 
 func TestExpanderMatchesPlainBFS(t *testing.T) {
@@ -65,57 +62,27 @@ func TestExpanderMatchesPlainBFS(t *testing.T) {
 		graph.Path(40),
 		graph.Complete(30),
 	}
-	modes := []struct {
-		name        string
-		alpha, beta int64
-	}{
-		{"auto", traverse.DefaultAlpha, traverse.DefaultBeta},
-		{"top-down-only", 0, traverse.DefaultBeta},
-		{"bottom-up-always", -1, 1},
-		{"eager-switch", 1, traverse.DefaultBeta},
-	}
 	for gi, g := range cases {
 		n := g.NumVertices()
 		for _, src := range []graph.V{0, graph.V(n / 2), graph.V(n - 1)} {
-			want := bfs.Distances(g, src)
-			for _, mode := range modes {
-				got := expanderBFS(g, src, mode.alpha, mode.beta)
-				for v := 0; v < n; v++ {
-					if got[v] != want[v] {
-						t.Fatalf("graph %d mode %s src %d: dist[%d] = %d, want %d",
-							gi, mode.name, src, v, got[v], want[v])
-					}
-				}
-			}
+			ws := traverse.NewWorkspace(n)
+			levelBFS(g, ws, src)
+			checkDistances(t, fmt.Sprintf("graph %d src %d", gi, src), ws, bfs.Distances(g, src))
 		}
 	}
 }
 
 func TestExpanderReuseAcrossTraversals(t *testing.T) {
-	// One expander serving many traversals must not leak visited state,
-	// including after bottom-up levels dirtied the bitmap.
+	// One workspace serving many traversals must not leak visited state,
+	// including after a traversal filled the touched log and the reset
+	// that followed cleared the whole bitmap.
 	g := randomGraph(150, 800, 7)
 	n := g.NumVertices()
-	e := traverse.NewExpander(n)
-	e.Alpha = 1 // switch eagerly so the bitmap actually gets used
 	ws := traverse.NewWorkspace(n)
 	for rep := 0; rep < 10; rep++ {
 		src := graph.V((rep * 37) % n)
-		ws.Reset()
-		ws.SetDist(src, 0)
-		e.Begin(g, nil)
-		frontier := []graph.V{src}
-		var d int32
-		for len(frontier) > 0 {
-			frontier, _ = e.Expand(ws, frontier, d, frontier[:0:0])
-			d++
-		}
-		want := bfs.Distances(g, src)
-		for v := 0; v < n; v++ {
-			if ws.Dist(graph.V(v)) != want[v] {
-				t.Fatalf("rep %d: dist[%d] = %d, want %d", rep, v, ws.Dist(graph.V(v)), want[v])
-			}
-		}
+		levelBFS(g, ws, src)
+		checkDistances(t, fmt.Sprintf("rep %d", rep), ws, bfs.Distances(g, src))
 	}
 }
 

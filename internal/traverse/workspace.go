@@ -2,7 +2,6 @@ package traverse
 
 import (
 	"math"
-	"sync/atomic"
 
 	"qbs/internal/graph"
 )
@@ -36,7 +35,6 @@ func newMarks(n int) Marks {
 // Reset empties the set in O(min(marks, words)).
 //
 //qbs:zeroalloc
-//qbs:allow atomicfield runs between traversals; the claim CAS is confined to a parallel level, which has returned through its barrier
 func (m *Marks) Reset() {
 	if m.full() {
 		clear(m.words)
@@ -51,15 +49,9 @@ func (m *Marks) Reset() {
 // full reports whether the log has stopped recording.
 func (m *Marks) full() bool { return len(m.touched) == cap(m.touched) }
 
-// touchAll gives up on the log: the next Reset clears every word. Dense
-// levels (a bottom-up sweep reads every word anyway; a parallel level
-// cannot share one log between workers) call it instead of logging.
-func (m *Marks) touchAll() { m.touched = m.touched[:cap(m.touched)] }
-
 // Seen reports whether v is in the set.
 //
 //qbs:zeroalloc
-//qbs:allow atomicfield read outside parallel levels: the sequential kernels, the searchers' meeting and extraction passes
 func (m *Marks) Seen(v graph.V) bool {
 	return m.words[v>>6]&(1<<(uint(v)&63)) != 0
 }
@@ -67,36 +59,11 @@ func (m *Marks) Seen(v graph.V) bool {
 // Mark adds v to the set.
 //
 //qbs:zeroalloc
-//qbs:allow atomicfield sequential marking only; a parallel level claims through tryClaim's CAS instead
 func (m *Marks) Mark(v graph.V) {
 	w := uint32(v) >> 6
 	m.words[w] |= 1 << (uint(v) & 63)
 	if len(m.touched) < cap(m.touched) {
 		m.touched = append(m.touched, w)
-	}
-}
-
-// seenShared is Seen during a parallel top-down level, when other
-// workers may be CASing bits into the same word.
-func (m *Marks) seenShared(v graph.V) bool {
-	return atomic.LoadUint64(&m.words[v>>6])&(1<<(uint(v)&63)) != 0
-}
-
-// tryClaim atomically adds v, returning true for exactly one caller.
-// Used by the parallel top-down expansion, where pool workers race to
-// discover the same neighbour; the coordinator has called touchAll, so
-// nothing but the bit is written. A CAS loop rather than atomic.OrUint64:
-// go.mod pins 1.22.
-func (m *Marks) tryClaim(v graph.V) bool {
-	w, bit := v>>6, uint64(1)<<(uint(v)&63)
-	for {
-		old := atomic.LoadUint64(&m.words[w])
-		if old&bit != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(&m.words[w], old, old|bit) {
-			return true
-		}
 	}
 }
 
@@ -106,10 +73,10 @@ func (m *Marks) tryClaim(v graph.V) bool {
 // A vertex is therefore in one of three states:
 //
 //	unseen               Seen false, Dist Infinity
-//	seen, unsettled      discovered by the latest Expand; no depth stored,
+//	seen, unsettled      discovered by the latest expansion; no depth stored,
 //	                     Dist answers the pending depth (all such
 //	                     vertices share it: they are one BFS level)
-//	settled              depth in dist — by the Expand that used the
+//	settled              depth in dist — by the expansion that used the
 //	                     vertex as frontier, or by an explicit SetDist
 //
 // so the last and largest level of a search never costs a random
@@ -177,7 +144,7 @@ func (ws *Workspace) Seen(v graph.V) bool { return ws.seen.Seen(v) }
 // settle stores depth d for the frontier about to be expanded and makes
 // d+1 the pending depth of whatever that expansion discovers. frontier
 // must be every seen-but-unsettled vertex (the searchers pass exactly
-// the previous Expand's result), or the rest would be re-labelled d+1.
+// the previous ExpandMeeting's result), or the rest would be re-labelled d+1.
 //
 //qbs:zeroalloc
 //qbs:hotpath
@@ -188,19 +155,3 @@ func (ws *Workspace) settle(frontier []graph.V, d int32) {
 	}
 	ws.pending = d + 1
 }
-
-// settledAt reports whether v is settled at exactly depth d — the
-// bottom-up parent probe.
-//
-//qbs:zeroalloc
-func (ws *Workspace) settledAt(v graph.V, d int32) bool {
-	return ws.settled[v>>6]&(1<<(uint(v)&63)) != 0 && ws.dist[v] == d
-}
-
-// bitmap exposes the visited words to the bottom-up kernels, which scan
-// them 64 vertices at a time and set the bits of what they discover —
-// and read the other side's, which no one writes while this side
-// expands.
-//
-//qbs:allow atomicfield bottom-up levels only: each word has one owner for the level, and no CAS claim runs until the level has returned
-func (ws *Workspace) bitmap() []uint64 { return ws.seen.words }
