@@ -18,11 +18,12 @@
 //	qbs-server -replica-of http://primary:8080 -addr :8082
 //	qbs-server -router http://primary:8080,http://r1:8081,http://r2:8082 -addr :8090
 //
-// Endpoints: /spg, /distance, /sketch, /paths, /stats, /healthz,
-// /debug/slowlog, /debug/traces[/{id}], and in -mutable mode POST
-// /edges, DELETE /edges, /epoch, POST /checkpoint — see internal/server
-// for the JSON schemas. -slowlog and -trace-sample tune which traces
-// the span store retains (README "Distributed tracing").
+// Endpoints: /spg, /distance, /sketch, /paths, /stats, /healthz, and in
+// -mutable mode POST /edges, DELETE /edges, /epoch, POST /checkpoint —
+// see internal/server for the JSON schemas — plus, in every mode and on
+// -debug-addr, the /debug/ routes of obs.DebugRoutes (traces, slowlog,
+// logs, slo, profiles). -slowlog and -trace-sample tune which traces the
+// span store retains (README "Distributed tracing").
 //
 // With -directed the server fronts a directed index: the edge list is
 // read as arcs, /spg answers SPG(u → v), and -data persists/recovers a
@@ -80,7 +81,7 @@ func main() {
 		routerOf  = flag.String("router", "", "run as a query router: comma-separated <primary-url>,<replica-url>... — reads fan across replicas, writes forward to the primary")
 		poll      = flag.Duration("poll", 25*time.Millisecond, "replica WAL tail poll interval (bounds replication lag)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof and process-wide Prometheus metrics on this separate address (empty = disabled)")
+		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof, the process-wide /debug/ routes and Prometheus metrics on this separate address (empty = disabled)")
 		slowlog   = flag.Duration("slowlog", 0, "slow-query log threshold for GET /debug/slowlog (0 = 100ms default)")
 		traceSamp = flag.Int("trace-sample", 0, "head-sample 1 in N traces into /debug/traces on top of the always-retained slow/errored/force-sampled ones (0 = tail-only)")
 		logLevel  = flag.String("log-level", "info", "minimum event level admitted to the journal at GET /debug/logs (debug|info|warn|error)")
@@ -96,9 +97,8 @@ func main() {
 		obs.DefaultTracer.SetHeadEvery(*traceSamp)
 	}
 	if *slowlog > 0 {
-		// Keep the tracer's "slow traces always survive" bar aligned with
-		// the slowlog threshold, so every slowlog entry's trace link
-		// resolves in every serving mode.
+		// The one threshold: slow traces always survive tail sampling,
+		// and the slow requests among them are the slow-query log.
 		obs.DefaultTracer.SetSlowThreshold(*slowlog)
 	}
 	lvl, ok := obs.ParseLevel(*logLevel)
@@ -123,9 +123,6 @@ func main() {
 	// tune applies serving-mode knobs that live on *server.Server (the
 	// router and replica modes wrap or own their servers themselves).
 	tune := func(sv *server.Server) *server.Server {
-		if *slowlog > 0 {
-			sv.SetSlowLogThreshold(*slowlog)
-		}
 		if *profEvery > 0 {
 			obs.DefaultFlightRecorder.AddTrigger("slo_fast_burn", sv.SLOs().FastBurn)
 		}
@@ -314,11 +311,13 @@ func main() {
 	serve(*addr, *drain, handler, dyn)
 }
 
-// serveDebug runs the operator side-channel: pprof and a Prometheus
+// debugHandler is the operator side-channel: pprof, a Prometheus
 // rendering of the process-wide registry (WAL/checkpoint/apply/runtime
-// series) on an address that is never exposed to query clients. No
-// write timeout: /debug/pprof/profile?seconds=N streams for N seconds.
-func serveDebug(addr string) {
+// series), and the /debug/ routes every tier serves, here over the
+// process-wide sources — the background roots obs.DefaultTracer records
+// (WAL fsync batches, checkpoints, replica.apply) among them. There is
+// no process-wide SLO set, so no /debug/slo.
+func debugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -329,12 +328,21 @@ func serveDebug(addr string) {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		_ = obs.WritePrometheus(w, obs.Default)
 	})
-	mux.Handle("/debug/logs", obs.DefaultJournal)
-	mux.Handle("/debug/profiles", obs.DefaultFlightRecorder)
-	mux.Handle("/debug/profiles/", obs.DefaultFlightRecorder)
+	mux.Handle("/debug/", obs.DebugMux(&obs.DebugSources{
+		Tracer:  obs.DefaultTracer,
+		Journal: obs.DefaultJournal,
+		Flight:  obs.DefaultFlightRecorder,
+	}))
+	return mux
+}
+
+// serveDebug runs debugHandler on an address that is never exposed to
+// query clients. No write timeout: /debug/pprof/profile?seconds=N
+// streams for N seconds.
+func serveDebug(addr string) {
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           mux,
+		Handler:           debugHandler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	fmt.Printf("debug: pprof and process metrics on %s\n", addr)

@@ -1,0 +1,134 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"qbs"
+	"qbs/internal/graph"
+	"qbs/internal/obs"
+	"qbs/internal/replica"
+	"qbs/internal/server"
+)
+
+// TestDebugRoutesOnEveryTier walks obs.DebugRoutes against every tier
+// this command can run — a static, a directed and a mutable server, a
+// replica, a router and the -debug-addr side channel. Each route a tier
+// has a source for answers 200 with a JSON body (a profile's raw pprof
+// bytes excepted), on every tier alike; a malformed ?n= or id is a 400
+// with the JSON error body; /debug/fleet is the router's alone.
+func TestDebugRoutesOnEveryTier(t *testing.T) {
+	g := graph.Grid(6, 6)
+	ix, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dix, err := qbs.BuildDiIndex(qbs.AsDirected(g), qbs.DiOptions{NumLandmarks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := qbs.CreateStore(t.TempDir(), g, qbs.StoreOptions{Index: qbs.Options{NumLandmarks: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = dyn.Close() })
+	mutable := server.NewMutable(dyn)
+	// The primary as main wires it: the replication feed beside the API.
+	prim := replica.NewPrimary(dyn.Store(), replica.PrimaryOptions{})
+	t.Cleanup(prim.Close)
+	primMux := http.NewServeMux()
+	primMux.Handle("/replication/", prim)
+	primMux.Handle("/", mutable)
+	primTS := httptest.NewServer(primMux)
+	t.Cleanup(primTS.Close)
+	rep, err := replica.Start(primTS.URL, replica.Options{Dir: t.TempDir(), PollInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Stop)
+	rt := replica.NewRouter(primTS.URL, nil, replica.RouterOptions{HealthInterval: time.Hour, FleetInterval: -1})
+	t.Cleanup(rt.Stop)
+
+	// A profile and a retained trace for the {id} routes to find. Every
+	// tier here shares the process-wide tracer, so one forced trace —
+	// begun on the router, joined by the server it proxies to — serves
+	// all; the servers and -debug-addr share the process-wide recorder,
+	// the router keeps its own.
+	obs.DefaultFlightRecorder.CPUDuration = 0
+	rt.FlightRecorder().CPUDuration = 0
+	profileID := map[bool]uint64{
+		false: obs.DefaultFlightRecorder.CaptureNow("manual")[0].ID,
+		true:  rt.FlightRecorder().CaptureNow("manual")[0].ID,
+	}
+	req := httptest.NewRequest("GET", "/distance?u=0&v=1", nil)
+	req.Header.Set(obs.TraceparentHeader, "00-0000000000000000feedc0ffee000018-00000000000000aa-01")
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, req)
+	if rec.Code != 200 {
+		t.Fatalf("routed read: status %d: %s", rec.Code, rec.Body)
+	}
+
+	for _, tier := range []struct {
+		name   string
+		h      http.Handler
+		lacks  string // the obs.DebugSources field the tier has nothing for
+		router bool
+	}{
+		{name: "static", h: server.New(ix)},
+		{name: "directed", h: server.NewDirected(dix)},
+		{name: "mutable", h: mutable},
+		{name: "replica", h: rep.Handler()},
+		{name: "router", h: rt, router: true},
+		{name: "-debug-addr", h: debugHandler(), lacks: "SLOs"},
+	} {
+		get := func(path string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			tier.h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			return rec
+		}
+		for _, route := range obs.DebugRoutes {
+			path := route.Pattern
+			if prefix, ok := strings.CutSuffix(path, "{id}"); ok {
+				path = prefix + "feedc0ffee000018"
+				if route.Source == "Flight" {
+					path = prefix + fmt.Sprint(profileID[tier.router])
+				}
+			}
+			rec := get(path)
+			if route.Source == tier.lacks {
+				if rec.Code != http.StatusNotFound {
+					t.Errorf("%s: GET %s: status %d from a tier with no %s, want 404", tier.name, path, rec.Code, route.Source)
+				}
+				continue
+			}
+			raw := route.Pattern == "/debug/profiles/{id}"
+			if ct := rec.Header().Get("Content-Type"); rec.Code != 200 || (ct != "application/json") != raw || !raw && !json.Valid(rec.Body.Bytes()) {
+				t.Errorf("%s: GET %s: status %d, Content-Type %q, body %.80q", tier.name, path, rec.Code, ct, rec.Body)
+			}
+			// One ?n= parser, one error body, whatever the route or tier.
+			var bad string
+			switch {
+			case strings.HasSuffix(route.Pattern, "{id}"):
+				bad = strings.TrimSuffix(route.Pattern, "{id}") + "no-such-id"
+			case route.Pattern == "/debug/slo" || route.Pattern == "/debug/profiles":
+				continue // they take no parameter
+			default:
+				bad = path + "?n=abc"
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if rec := get(bad); rec.Code < 400 || rec.Code >= 500 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+				t.Errorf("%s: GET %s: status %d, body %q; want a 4xx with the JSON error body", tier.name, bad, rec.Code, rec.Body)
+			}
+		}
+		if rec := get("/debug/fleet"); (rec.Code == 200) != tier.router {
+			t.Errorf("%s: GET /debug/fleet: status %d", tier.name, rec.Code)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 // Package obs is the telemetry layer every other package reports
 // through: atomic counters, gauges, lock-free log-bucketed latency
 // histograms, a registry with a Prometheus text encoder, per-request
-// traces, and a bounded slow-query log. It is dependency-free (stdlib
-// only) and every recording primitive is allocation-free, so the warm
-// query path stays 0 allocs/op with instrumentation enabled.
+// traces with a slow-query log read off them, an event journal, SLOs, a
+// profile flight recorder, and the /debug mux that serves them. It is
+// dependency-free (stdlib only) and every recording primitive is
+// allocation-free, so the warm query path stays 0 allocs/op with
+// instrumentation enabled.
 //
 // # Metric naming
 //
@@ -49,36 +51,42 @@
 //
 // # Tracing and the slow-query log
 //
-// A request's trace ID travels in the X-Qbs-Trace-Id header
-// (TraceHeader): the router generates one (or accepts the client's),
-// forwards it unchanged on retries and failovers, and backends echo it
-// on responses. The serving middleware allocates a Trace per request;
-// handlers fill per-stage spans and engine counters from the
-// searcher's QueryStats out-param. Requests at or above the SlowLog
-// threshold land in a bounded ring served at GET /debug/slowlog, each
-// entry linking to its retained span tree under /debug/traces/{id}.
-//
-// # Span model & sampling
-//
-// A Tracer records hierarchical spans — name, parent, wall-clock start,
-// duration, up to four key/value attrs, an error bit — into a TraceBuf:
-// a fixed inline array of 32 spans recycled through a small freelist,
-// so recording allocates nothing. One TraceBuf is one trace on one
-// process; it is single-goroutine by construction (the serving
-// middleware owns it for the request's lifetime, writers record under
-// their own serialization).
+// There is one record per request: its TraceBuf, a fixed inline array
+// of 32 spans — name, parent, start, duration, up to four key/value
+// attrs, an error bit — recycled through a small freelist, so recording
+// allocates nothing. Tracer.BeginRequest is the one intake: the trace ID
+// comes from the W3C traceparent header, else from X-Qbs-Trace-Id
+// (TraceHeader) when that is 1-64 characters of [0-9A-Za-z_-], else it
+// is minted; it is echoed on the response, and a router forwards it
+// unchanged on retries and failovers. The serving middleware puts the
+// TraceBuf in the request's context and owns it for the request's
+// lifetime (single-goroutine by construction; writers record under
+// their own serialization). Handlers record what they measure as child
+// spans when they measure it: stage:parse and stage:serialize with
+// their true start, stage:sketch, stage:expand and stage:extract laid
+// end to end from the search's start out of the searcher's QueryStats,
+// WAL appends and column re-BFSes below them. Attrs live on the span
+// they describe: status, u, v and dist on the root (method and path on
+// a router's), label_entries on stage:sketch, arcs_scanned on
+// stage:expand. Each stage span is also the observation of
+// qbs_query_stage_ns{stage} and, if retained, its exemplar (Exemplify).
 //
 // Retention is tail-based: the keep/drop decision happens at Finish,
-// when the outcome is known. A trace survives into the SpanStore ring
-// when it was slow (root duration at or past the tracer's slow
-// threshold — the same knob as the slowlog), errored (any span failed,
-// or the trace was marked), force-sampled (the W3C traceparent sampled
-// flag arrived set), or head-sampled (1 in N requests when
-// SetHeadEvery is on; off by default). Everything else is dropped
-// before a trace ID is ever minted, which is what keeps the warm
-// instrumented path at 0 allocs/op.
+// when the outcome is known. A trace survives into the SpanStore when it
+// was slow (root duration at or past the tracer's slow threshold),
+// errored (any span failed, or the trace was marked), force-sampled (the
+// traceparent sampled flag arrived set), or head-sampled (1 in N when
+// SetHeadEvery is on; off by default); Finish hands the immutable
+// StoredTrace back. Everything else is dropped, which is what keeps the
+// warm instrumented path at 0 allocs/op. The slow-query log is a view of
+// what was retained, not a second record: a slow request's StoredTrace
+// is also put in a 128-slot ring of its own — so an entry outlives any
+// number of later head-sampled, errored or background traces — and
+// GET /debug/slowlog renders each entry (stages, query identity, engine
+// counters, link to /debug/traces/{id}) from the stored spans. There is
+// one threshold, the tracer's.
 //
-// Cross-process context travels in the W3C traceparent header
+// Cross-process context travels in traceparent
 // (00-<trace-id>-<parent-span-id>-<flags>), sent alongside
 // X-Qbs-Trace-Id: each hop begins its local root span under the
 // upstream parent span ID, so the per-tier trees fetched from
@@ -87,6 +95,16 @@
 // exemplars on the latency histograms and retry counters — the
 // "# {trace_id=...}" suffix links a dashboard's worst bucket straight
 // to a stored trace.
+//
+// # One ring, one /debug mux
+//
+// Everything retained — traces, the slow view, events, profiles — sits
+// in an instance of one bounded lock-free ring (ring.go): an atomic
+// cursor claims the slot, an atomic pointer store publishes an immutable
+// value. DebugMux serves it all: built from the DebugSources a tier
+// holds (tracer, journal, SLO set, flight recorder), it answers the
+// DebugRoutes — the same list, ?n= parser and JSON error body on a
+// server, a replica, the router and the -debug-addr side channel.
 //
 // # Event journal
 //
@@ -98,7 +116,7 @@
 // token-bucket rate limit — repeating failure paths default to a few
 // admitted records per second so a retry loop cannot wash out the ring)
 // and holds the returned *EventDef; Emit and EmitTrace then publish
-// into a bounded lock-free ring. Emits below the journal's minimum
+// into the journal's ring. Emits below the journal's minimum
 // level, and emits suppressed by the rate limiter, take an
 // allocation-free drop path — the same zero-alloc discipline as the
 // metrics primitives, gated in CI. Admitted events increment
@@ -127,7 +145,7 @@
 //
 // The FlightRecorder is continuous profiling for the moment after an
 // incident: a background sampler that captures goroutine, heap (with
-// allocation delta), mutex, and CPU profiles into a bounded ring —
+// allocation delta), mutex, and CPU profiles into its ring —
 // every interval when started, and immediately when a registered
 // trigger (SLO fast burn, error-event spike) fires, debounced by
 // MinAutoGap. GET /debug/profiles lists retained captures with their

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +9,7 @@ import (
 // Structured event journal: the "what happened" half of observability.
 // Components declare their events once (EventDef), then emit leveled,
 // trace-correlated records with up to maxSpanAttrs typed attributes
-// into a lock-free bounded ring. Three properties keep it safe to wire
+// into the bounded ring. Three properties keep it safe to wire
 // into warm paths and failure loops alike:
 //
 //   - the drop path for disabled levels is allocation-free: Emit's
@@ -92,25 +89,15 @@ type EventView struct {
 
 // View renders the event for JSON serving.
 func (e *Event) View() EventView {
-	v := EventView{
+	return EventView{
 		Component:  e.Component,
 		Event:      e.Event,
 		Level:      e.Level.String(),
 		UnixNs:     e.UnixNs,
 		TraceID:    e.TraceID,
 		Suppressed: e.Suppressed,
+		Attrs:      attrMap(e.attrs[:e.nattrs]),
 	}
-	if e.nattrs > 0 {
-		v.Attrs = make(map[string]any, e.nattrs)
-		for _, a := range e.attrs[:e.nattrs] {
-			if a.IsInt {
-				v.Attrs[a.Key] = a.Int
-			} else {
-				v.Attrs[a.Key] = a.Str
-			}
-		}
-	}
-	return v
 }
 
 // Str builds a string attribute. The key and value are stored by
@@ -141,12 +128,11 @@ type errBucket struct {
 	n     atomic.Uint64
 }
 
-// Journal is a bounded, lock-free ring of events plus the def table
-// feeding it. The zero value is not ready; use NewJournal.
+// Journal is a bounded ring of events plus the def table feeding it.
+// The zero value is not ready; use NewJournal.
 type Journal struct {
 	minLevel atomic.Int32
-	pos      atomic.Uint64
-	slots    []atomic.Pointer[Event]
+	ring     *ring[Event]
 	reg      *Registry
 
 	errWin [errBucketCnt]errBucket
@@ -159,13 +145,10 @@ type Journal struct {
 // qbs_events_total counters registered on reg (nil disables counters).
 // The initial minimum level is Info.
 func NewJournal(capacity int, reg *Registry) *Journal {
-	if capacity < 1 {
-		capacity = 1
-	}
 	j := &Journal{
-		slots: make([]atomic.Pointer[Event], capacity),
-		reg:   reg,
-		defs:  make(map[string]*EventDef),
+		ring: newRing[Event](capacity),
+		reg:  reg,
+		defs: make(map[string]*EventDef),
 	}
 	j.minLevel.Store(int32(LevelInfo))
 	return j
@@ -216,12 +199,6 @@ func (j *Journal) DefRate(component, event string, level Level, perSec, burst in
 	return d
 }
 
-// add publishes an admitted event into the ring.
-func (j *Journal) add(ev *Event) {
-	i := (j.pos.Add(1) - 1) % uint64(len(j.slots))
-	j.slots[i].Store(ev)
-}
-
 // noteError records one error-level admit into the spike window.
 func (j *Journal) noteError(nowNs int64) {
 	e := nowNs / errBucketNs
@@ -262,58 +239,9 @@ func (j *Journal) Recent(limit int, minLevel Level, component string) []*Event {
 	if j == nil {
 		return nil
 	}
-	n := len(j.slots)
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]*Event, 0, limit)
-	pos := j.pos.Load()
-	for k := 0; k < n && len(out) < limit; k++ {
-		i := (pos + uint64(n) - 1 - uint64(k)) % uint64(n)
-		ev := j.slots[i].Load()
-		if ev == nil {
-			continue
-		}
-		if ev.Level < minLevel {
-			continue
-		}
-		if component != "" && ev.Component != component {
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out
-}
-
-// ServeHTTP serves the journal as JSON: GET /debug/logs with optional
-// ?n=, ?min_level= and ?component= filters, newest first.
-func (j *Journal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := 100
-	if s := q.Get("n"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			limit = v
-		}
-	}
-	minLevel := LevelDebug
-	if s := q.Get("min_level"); s != "" {
-		l, ok := ParseLevel(s)
-		if !ok {
-			http.Error(w, "unknown level "+strconv.Quote(s), http.StatusBadRequest)
-			return
-		}
-		minLevel = l
-	}
-	events := j.Recent(limit, minLevel, q.Get("component"))
-	views := make([]EventView, len(events))
-	for i, ev := range events {
-		views[i] = ev.View()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		MinLevel string      `json:"journal_min_level"`
-		Events   []EventView `json:"events"`
-	}{j.MinLevel().String(), views})
+	return j.ring.recent(limit, func(ev *Event) bool {
+		return ev.Level >= minLevel && (component == "" || ev.Component == component)
+	})
 }
 
 // EventDef is one declared (component, event) pair. Emit is safe for
@@ -406,5 +334,5 @@ func (d *EventDef) emit(traceID string, attrs []Attr) {
 	if d.level >= LevelError {
 		j.noteError(now)
 	}
-	j.add(ev)
+	j.ring.add(ev)
 }

@@ -137,9 +137,10 @@ func TestJournalServeHTTP(t *testing.T) {
 	j := NewJournal(16, nil)
 	j.Def("store", "checkpoint", LevelInfo).Emit(Int("epoch", 42))
 	j.Def("router", "evicted", LevelError).EmitTrace("deadbeef")
+	mux := DebugMux(&DebugSources{Journal: j})
 
 	rec := httptest.NewRecorder()
-	j.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs?min_level=error", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs?min_level=error", nil))
 	var resp struct {
 		MinLevel string      `json:"journal_min_level"`
 		Events   []EventView `json:"events"`
@@ -155,7 +156,7 @@ func TestJournalServeHTTP(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	j.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs?component=store&n=5", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs?component=store&n=5", nil))
 	resp.Events = nil
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -165,7 +166,7 @@ func TestJournalServeHTTP(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	j.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs?min_level=nope", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs?min_level=nope", nil))
 	if rec.Code != 400 {
 		t.Fatalf("bad level: status %d, want 400", rec.Code)
 	}

@@ -2,18 +2,15 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Continuous-profiling flight recorder: a background sampler that
-// captures pprof profiles into a bounded in-memory ring, so the
+// captures pprof profiles into the bounded in-memory ring, so the
 // profile of an incident exists before anyone goes looking. Captures
 // happen on a fixed cadence and — debounced — whenever a registered
 // trigger fires (SLO fast burn, error-level event spike). Each capture
@@ -52,10 +49,10 @@ type flightTrigger struct {
 
 // FlightRecorder owns the profile ring and the sampling goroutine.
 type FlightRecorder struct {
+	seq  atomic.Uint64
+	ring *ring[Profile]
+
 	mu        sync.Mutex
-	seq       uint64
-	ring      []*Profile
-	pos       int
 	triggers  []flightTrigger
 	lastAuto  time.Time
 	prevAlloc uint64
@@ -73,11 +70,8 @@ type FlightRecorder struct {
 // NewFlightRecorder creates a recorder retaining up to capacity
 // profiles.
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 4 {
-		capacity = 4
-	}
 	return &FlightRecorder{
-		ring:        make([]*Profile, capacity),
+		ring:        newRing[Profile](max(capacity, 4)),
 		CPUDuration: 250 * time.Millisecond,
 		MinAutoGap:  30 * time.Second,
 	}
@@ -211,12 +205,8 @@ func (f *FlightRecorder) CaptureNow(trigger string) []ProfileInfo {
 }
 
 func (f *FlightRecorder) store(p *Profile) ProfileInfo {
-	f.mu.Lock()
-	f.seq++
-	p.ID = f.seq
-	f.ring[f.pos] = p
-	f.pos = (f.pos + 1) % len(f.ring)
-	f.mu.Unlock()
+	p.ID = f.seq.Add(1)
+	f.ring.add(p)
 	return p.Info()
 }
 
@@ -237,15 +227,10 @@ func (f *FlightRecorder) Profiles() []ProfileInfo {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.ring)
-	out := make([]ProfileInfo, 0, n)
-	for k := 1; k <= n; k++ {
-		p := f.ring[(f.pos+n-k)%n]
-		if p != nil {
-			out = append(out, p.Info())
-		}
+	retained := f.ring.recent(0, nil)
+	out := make([]ProfileInfo, len(retained))
+	for i, p := range retained {
+		out[i] = p.Info()
 	}
 	return out
 }
@@ -255,40 +240,5 @@ func (f *FlightRecorder) Get(id uint64) *Profile {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, p := range f.ring {
-		if p != nil && p.ID == id {
-			return p
-		}
-	}
-	return nil
-}
-
-// ServeHTTP serves GET /debug/profiles (JSON list) and
-// GET /debug/profiles/{id} (raw pprof bytes). It keys off the path
-// suffix after "profiles", so it can be mounted at any prefix.
-func (f *FlightRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := strings.TrimSuffix(r.URL.Path, "/")
-	if i := strings.LastIndex(path, "/profiles/"); i >= 0 {
-		idStr := path[i+len("/profiles/"):]
-		id, err := strconv.ParseUint(idStr, 10, 64)
-		if err != nil {
-			http.Error(w, "bad profile id "+strconv.Quote(idStr), http.StatusBadRequest)
-			return
-		}
-		p := f.Get(id)
-		if p == nil {
-			http.Error(w, "profile not found", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Qbs-Profile-Kind", p.Kind)
-		_, _ = w.Write(p.Bytes)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Profiles []ProfileInfo `json:"profiles"`
-	}{f.Profiles()})
+	return f.ring.find(func(p *Profile) bool { return p.ID == id })
 }

@@ -125,9 +125,10 @@ func TestFlightRecorderStartStop(t *testing.T) {
 func TestFlightRecorderServeHTTP(t *testing.T) {
 	f := newTestRecorder(16)
 	infos := f.CaptureNow("manual")
+	mux := DebugMux(&DebugSources{Flight: f})
 
 	rec := httptest.NewRecorder()
-	f.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles", nil))
 	var resp struct {
 		Profiles []ProfileInfo `json:"profiles"`
 	}
@@ -139,7 +140,7 @@ func TestFlightRecorderServeHTTP(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	f.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles/1", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles/1", nil))
 	if rec.Code != 200 || rec.Body.Len() == 0 {
 		t.Fatalf("fetch by id: status %d, %d bytes", rec.Code, rec.Body.Len())
 	}
@@ -148,13 +149,13 @@ func TestFlightRecorderServeHTTP(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	f.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles/424242", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles/424242", nil))
 	if rec.Code != 404 {
 		t.Fatalf("unknown id: status %d, want 404", rec.Code)
 	}
 
 	rec = httptest.NewRecorder()
-	f.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles/abc", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles/abc", nil))
 	if rec.Code != 400 {
 		t.Fatalf("bad id: status %d, want 400", rec.Code)
 	}

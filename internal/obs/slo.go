@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,18 +238,4 @@ func (ss *SLOSet) FastBurn() bool {
 		}
 	}
 	return false
-}
-
-// ServeHTTP serves GET /debug/slo: every objective's windows and burn
-// rates as JSON.
-func (ss *SLOSet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	slos := ss.All()
-	views := make([]SLOView, len(slos))
-	for i, s := range slos {
-		views[i] = s.View()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		SLOs []SLOView `json:"slos"`
-	}{views})
 }

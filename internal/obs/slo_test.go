@@ -112,7 +112,7 @@ func TestSLOSetServeHTTP(t *testing.T) {
 		s.Record(0, 500)
 	}
 	rec := httptest.NewRecorder()
-	ss.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
+	DebugMux(&DebugSources{SLOs: ss}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
 	var resp struct {
 		SLOs []SLOView `json:"slos"`
 	}

@@ -1,46 +1,28 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+// SlowLogCapacity is how many slow requests a tracer's slow-query log
+// lists before the oldest is overwritten.
+const SlowLogCapacity = 128
 
-// SlowLog is a bounded in-memory ring of the slowest recent requests.
-// Entries at or above the threshold overwrite the oldest once the ring
-// is full; readers get a newest-first copy. All methods are safe for
-// concurrent use.
-type SlowLog struct {
-	threshold atomic.Int64 // ns; entries below it are dropped
-
-	mu   sync.Mutex
-	ring []SlowEntry
-	next int // ring index of the next write
-	n    int // filled entries, <= len(ring)
-}
-
-// SlowStages is the per-stage breakdown of one logged request.
-type SlowStages struct {
-	ParseNs     int64 `json:"parse_ns"`
-	SketchNs    int64 `json:"sketch_ns"`
-	ExpandNs    int64 `json:"expand_ns"`
-	ExtractNs   int64 `json:"extract_ns"`
-	SerializeNs int64 `json:"serialize_ns"`
-}
-
-// SlowEntry is one slow-query log record. Trace links to the request's
-// stored span tree (/debug/traces/{id}): a slow entry always clears the
-// tracer's tail-sampling bar, so the link resolves while the trace is
-// still in the ring.
+// SlowEntry is one slow-query log record: a reading of the request's
+// retained trace, to which Trace links (/debug/traces/{id}). The
+// stages are the durations of its stage:* spans; query identity is the
+// root span's u, v and dist attrs (HasQuery: they are there), the
+// engine counters are attrs of stage:expand and stage:sketch.
 type SlowEntry struct {
-	TraceID    string     `json:"trace_id"`
-	Trace      string     `json:"trace,omitempty"`
-	Endpoint   string     `json:"endpoint"`
-	Status     int        `json:"status"`
-	UnixMs     int64      `json:"unix_ms"`
-	DurationNs int64      `json:"duration_ns"`
-	Stages     SlowStages `json:"stages"`
-	// Query identity and engine counters; meaningful when HasQuery.
+	TraceID    string `json:"trace_id"`
+	Trace      string `json:"trace,omitempty"`
+	Endpoint   string `json:"endpoint"`
+	Status     int    `json:"status"`
+	UnixMs     int64  `json:"unix_ms"`
+	DurationNs int64  `json:"duration_ns"`
+	Stages     struct {
+		ParseNs     int64 `json:"parse_ns"`
+		SketchNs    int64 `json:"sketch_ns"`
+		ExpandNs    int64 `json:"expand_ns"`
+		ExtractNs   int64 `json:"extract_ns"`
+		SerializeNs int64 `json:"serialize_ns"`
+	} `json:"stages"`
 	HasQuery     bool  `json:"has_query"`
 	U            int64 `json:"u"`
 	V            int64 `json:"v"`
@@ -49,90 +31,65 @@ type SlowEntry struct {
 	LabelEntries int64 `json:"label_entries"`
 }
 
-// NewSlowLog creates a ring holding up to capacity entries, recording
-// requests that took at least threshold.
-func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	l := &SlowLog{ring: make([]SlowEntry, capacity)}
-	l.threshold.Store(int64(threshold))
-	return l
+// SlowLogResponse is the JSON body of GET /debug/slowlog.
+type SlowLogResponse struct {
+	ThresholdNs int64       `json:"threshold_ns"`
+	Capacity    int         `json:"capacity"`
+	Entries     []SlowEntry `json:"entries"`
 }
 
-// Threshold returns the current recording threshold.
-func (l *SlowLog) Threshold() time.Duration { return time.Duration(l.threshold.Load()) }
-
-// SetThreshold updates the recording threshold.
-func (l *SlowLog) SetThreshold(d time.Duration) { l.threshold.Store(int64(d)) }
-
-// Cap returns the ring capacity.
-func (l *SlowLog) Cap() int { return len(l.ring) }
-
-// Record logs e if it meets the threshold.
-func (l *SlowLog) Record(e SlowEntry) {
-	if e.DurationNs < l.threshold.Load() {
-		return
+// SlowLog renders the slow-query log, newest first, capped at limit
+// entries (limit <= 0: all): the retained traces of the requests
+// (BeginRequest) that took at least the tracer's slow threshold.
+func (t *Tracer) SlowLog(limit int) SlowLogResponse {
+	slow := t.slow.recent(limit, nil)
+	resp := SlowLogResponse{
+		ThresholdNs: t.slowNs.Load(),
+		Capacity:    SlowLogCapacity,
+		Entries:     make([]SlowEntry, len(slow)),
 	}
-	l.mu.Lock()
-	l.ring[l.next] = e
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
+	for i, st := range slow {
+		resp.Entries[i] = st.slowEntry()
 	}
-	if l.n < len(l.ring) {
-		l.n++
-	}
-	l.mu.Unlock()
+	return resp
 }
 
-// Fill is a convenience that builds an entry from a finished request
-// trace and records it.
-func (l *SlowLog) Fill(tr *Trace, endpoint string, status int, dur time.Duration, now time.Time) {
-	if tr == nil || int64(dur) < l.threshold.Load() {
-		return
+func (st *StoredTrace) slowEntry() SlowEntry {
+	e := SlowEntry{
+		TraceID:    st.TraceID,
+		Trace:      "/debug/traces/" + st.TraceID,
+		Endpoint:   st.Root,
+		UnixMs:     (st.StartUnixNs + st.DurationNs) / 1e6, // when it ended
+		DurationNs: st.DurationNs,
 	}
-	l.Record(SlowEntry{
-		TraceID:    tr.ID,
-		Trace:      "/debug/traces/" + tr.ID,
-		Endpoint:   endpoint,
-		Status:     status,
-		UnixMs:     now.UnixMilli(),
-		DurationNs: int64(dur),
-		Stages: SlowStages{
-			ParseNs:     tr.StageNs[StageParse],
-			SketchNs:    tr.StageNs[StageSketch],
-			ExpandNs:    tr.StageNs[StageExpand],
-			ExtractNs:   tr.StageNs[StageExtract],
-			SerializeNs: tr.StageNs[StageSerialize],
-		},
-		HasQuery:     tr.HasQuery,
-		U:            tr.U,
-		V:            tr.V,
-		Dist:         tr.Dist,
-		ArcsScanned:  tr.ArcsScanned,
-		LabelEntries: tr.LabelEntries,
-	})
-}
-
-// Entries returns the logged entries, newest first.
-func (l *SlowLog) Entries() []SlowEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SlowEntry, 0, l.n)
-	for i := 0; i < l.n; i++ {
-		idx := l.next - 1 - i
-		if idx < 0 {
-			idx += len(l.ring)
+	intAttr := func(sp *StoredSpan, key string) int64 {
+		v, _ := sp.Attrs[key].(int64)
+		return v
+	}
+	// Spans[0] is the root: a snapshot lays spans out in recording order.
+	root := &st.Spans[0]
+	if path, ok := root.Attrs["path"].(string); ok {
+		// A router's root is named for the tier; what it served is the
+		// path attr.
+		e.Endpoint = path
+	}
+	e.Status = int(intAttr(root, "status"))
+	_, e.HasQuery = root.Attrs["u"]
+	e.U, e.V, e.Dist = intAttr(root, "u"), intAttr(root, "v"), int32(intAttr(root, "dist"))
+	stageNs := [NumStages]*int64{&e.Stages.ParseNs, &e.Stages.SketchNs, &e.Stages.ExpandNs, &e.Stages.ExtractNs, &e.Stages.SerializeNs}
+	for i := 1; i < len(st.Spans); i++ {
+		sp := &st.Spans[i]
+		stage, ok := stageOf(sp.Name)
+		if !ok {
+			continue
 		}
-		out = append(out, l.ring[idx])
+		*stageNs[stage] += sp.DurationNs
+		switch stage {
+		case StageSketch:
+			e.LabelEntries = intAttr(sp, "label_entries")
+		case StageExpand:
+			e.ArcsScanned = intAttr(sp, "arcs_scanned")
+		}
 	}
-	return out
-}
-
-// Len returns the number of logged entries.
-func (l *SlowLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
+	return e
 }

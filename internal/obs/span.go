@@ -4,10 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"math"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,6 +53,24 @@ type Span struct {
 	ended  bool
 	nattrs uint8
 	attrs  [maxSpanAttrs]Attr
+	hist   *Histogram // see Exemplify
+}
+
+// attrMap is the JSON-ready form of a span's or an event's attributes;
+// nil when there are none.
+func attrMap(attrs []Attr) map[string]any {
+	if len(attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]any, len(attrs))
+	for _, a := range attrs {
+		if a.IsInt {
+			m[a.Key] = a.Int
+		} else {
+			m[a.Key] = a.Str
+		}
+	}
+	return m
 }
 
 // spanIDBase randomizes span IDs per process so spans minted by
@@ -95,6 +109,15 @@ func (s *Span) SetInt(key string, val int64) {
 	s.nattrs++
 }
 
+// Exemplify names h as the histogram the span's duration was observed
+// into: if the trace is retained, Finish attaches the span there as an
+// exemplar. Nil-safe.
+func (s *Span) Exemplify(h *Histogram) {
+	if s != nil {
+		s.hist = h
+	}
+}
+
 // Fail marks the span (and therefore its trace) as errored.
 func (s *Span) Fail() {
 	if s != nil {
@@ -124,6 +147,7 @@ type TraceBuf struct {
 	// remoteParent is the upstream span ID parsed from traceparent;
 	// the local root's parent in the assembled cross-process tree.
 	remoteParent uint64
+	request      bool // begun by BeginRequest: a slow one is slow-logged
 	forced       bool
 	headKeep     bool
 	err          bool
@@ -199,12 +223,16 @@ func (tb *TraceBuf) AddSpan(name string, start time.Time, dur time.Duration) *Sp
 // from a bounded freelist so the steady-state drop path performs no
 // heap allocation; retained traces are copied into immutable
 // StoredTrace values (the only allocating step) and pushed into the
-// ring-buffer SpanStore.
+// ring-buffer SpanStore. Slow request traces are retained a second
+// time, by the same pointer, in the slow-query log's own ring: the log
+// is a view of retained traces (SlowLog) whose entries outlive any
+// number of later head-sampled, errored or background traces.
 type Tracer struct {
 	slowNs    atomic.Int64
 	headEvery atomic.Uint32
 	headSeq   atomic.Uint64
 	store     *SpanStore
+	slow      *ring[StoredTrace]
 
 	mu   sync.Mutex
 	free []*TraceBuf
@@ -214,10 +242,10 @@ type Tracer struct {
 // traces. Tail sampling starts with a 100ms slow threshold and head
 // sampling disabled.
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
+	t := &Tracer{
+		store: &SpanStore{newRing[StoredTrace](capacity)},
+		slow:  newRing[StoredTrace](SlowLogCapacity),
 	}
-	t := &Tracer{store: NewSpanStore(capacity)}
 	t.slowNs.Store(int64(100 * time.Millisecond))
 	return t
 }
@@ -227,8 +255,9 @@ func NewTracer(capacity int) *Tracer {
 // batches — and is the default tracer for servers and routers.
 var DefaultTracer = NewTracer(512)
 
-// SetSlowThreshold sets the tail-sampling duration: traces at least
-// this slow are always retained. Zero or negative retains everything.
+// SetSlowThreshold sets the tail-sampling duration, which is also the
+// slow-query log's: traces at least this slow are always retained. Zero
+// or negative retains everything.
 func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNs.Store(int64(d)) }
 
 // SlowThreshold returns the current tail-sampling duration.
@@ -293,12 +322,12 @@ func (t *Tracer) put(tb *TraceBuf) {
 // Finish closes the trace: the root span is ended if still open, the
 // tail-sampling decision is made, and the TraceBuf is recycled. If the
 // trace is retained (slow, errored, explicitly sampled, or head
-// sampled) it is copied into the SpanStore and its trace ID — minted
-// now if Begin received none — is returned with kept=true. The drop
-// path allocates nothing.
-func (t *Tracer) Finish(tb *TraceBuf) (id string, kept bool) {
+// sampled) it is copied into the SpanStore under its trace ID — minted
+// now if Begin received none — and the stored trace is returned; nil
+// means dropped. The drop path allocates nothing.
+func (t *Tracer) Finish(tb *TraceBuf) *StoredTrace {
 	if t == nil || tb == nil || tb.n == 0 {
-		return "", false
+		return nil
 	}
 	root := &tb.spans[0]
 	root.End()
@@ -310,16 +339,18 @@ func (t *Tracer) Finish(tb *TraceBuf) (id string, kept bool) {
 	slow := slowNs <= 0 || int64(root.Dur) >= slowNs
 	if !(tb.forced || tb.headKeep || errored || slow) {
 		t.put(tb)
-		return "", false
+		return nil
 	}
 	if tb.TraceID == "" {
 		tb.TraceID = NewTraceID()
 	}
 	st := tb.snapshot(errored)
 	t.store.add(st)
-	id = st.TraceID
+	if slow && tb.request {
+		t.slow.add(st)
+	}
 	t.put(tb)
-	return id, true
+	return st
 }
 
 // Discard recycles an unfinished trace without storing it.
@@ -365,12 +396,17 @@ func spanIDString(id uint64) string {
 	return hex.EncodeToString(b[:])
 }
 
+// snapshot copies the trace out. Span starts are the root's wall-clock
+// start plus the span's monotonic offset from it, so within one trace
+// "ends before the next begins" holds to the nanosecond — two separate
+// wall-clock readings would not guarantee it.
 func (tb *TraceBuf) snapshot(errored bool) *StoredTrace {
 	root := &tb.spans[0]
+	rootNs := root.Start.UnixNano()
 	st := &StoredTrace{
 		TraceID:      tb.TraceID,
 		Root:         root.Name,
-		StartUnixNs:  root.Start.UnixNano(),
+		StartUnixNs:  rootNs,
 		DurationNs:   int64(root.Dur),
 		Error:        errored,
 		DroppedSpans: tb.dropped,
@@ -382,43 +418,24 @@ func (tb *TraceBuf) snapshot(errored bool) *StoredTrace {
 			SpanID:      spanIDString(sp.ID),
 			ParentID:    spanIDString(sp.Parent),
 			Name:        sp.Name,
-			StartUnixNs: sp.Start.UnixNano(),
+			StartUnixNs: rootNs + int64(sp.Start.Sub(root.Start)),
 			DurationNs:  int64(sp.Dur),
 			Error:       sp.Err,
+			Attrs:       attrMap(sp.attrs[:sp.nattrs]),
 		}
 		if i == 0 {
 			out.ParentID = spanIDString(tb.remoteParent)
 		}
-		if sp.nattrs > 0 {
-			out.Attrs = make(map[string]any, sp.nattrs)
-			for _, a := range sp.attrs[:sp.nattrs] {
-				if a.IsInt {
-					out.Attrs[a.Key] = a.Int
-				} else {
-					out.Attrs[a.Key] = a.Str
-				}
-			}
+		if sp.hist != nil && sp.Dur > 0 {
+			sp.hist.SetExemplar(int64(sp.Dur), tb.TraceID)
 		}
 		st.Spans[i] = out
 	}
 	return st
 }
 
-// SpanStore is a lock-free ring buffer of retained traces: an atomic
-// cursor picks the slot, an atomic pointer swap publishes the
-// immutable StoredTrace. Readers see a consistent trace or none.
-type SpanStore struct {
-	pos   atomic.Uint64
-	slots []atomic.Pointer[StoredTrace]
-}
-
-// NewSpanStore creates a ring retaining up to capacity traces.
-func NewSpanStore(capacity int) *SpanStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanStore{slots: make([]atomic.Pointer[StoredTrace], capacity)}
-}
+// SpanStore is the ring of retained traces, one slot per trace ID.
+type SpanStore struct{ ring *ring[StoredTrace] }
 
 func (s *SpanStore) add(st *StoredTrace) {
 	// Several tiers can share one process — and therefore one tracer —
@@ -428,25 +445,19 @@ func (s *SpanStore) add(st *StoredTrace) {
 	// tree; the earlier-starting side is the outermost root and wins the
 	// merge. Only retained traces reach add, so the scan is off the warm
 	// path.
+	sameID := func(old *StoredTrace) bool { return old.TraceID == st.TraceID }
+	merge := func(old *StoredTrace) *StoredTrace {
+		if old.StartUnixNs <= st.StartUnixNs {
+			return MergeStored(old, st)
+		}
+		return MergeStored(st, old)
+	}
 	for attempt := 0; attempt < 2; attempt++ {
-		for i := range s.slots {
-			old := s.slots[i].Load()
-			if old == nil || old.TraceID != st.TraceID {
-				continue
-			}
-			var merged *StoredTrace
-			if old.StartUnixNs <= st.StartUnixNs {
-				merged = MergeStored(old, st)
-			} else {
-				merged = MergeStored(st, old)
-			}
-			if s.slots[i].CompareAndSwap(old, merged) {
-				return
-			}
+		if s.ring.replace(sameID, merge) {
+			return
 		}
 	}
-	i := (s.pos.Add(1) - 1) % uint64(len(s.slots))
-	s.slots[i].Store(st)
+	s.ring.add(st)
 }
 
 // Get returns the retained trace with the given ID, or nil.
@@ -454,41 +465,7 @@ func (s *SpanStore) Get(id string) *StoredTrace {
 	if s == nil || id == "" {
 		return nil
 	}
-	for i := range s.slots {
-		if st := s.slots[i].Load(); st != nil && st.TraceID == id {
-			return st
-		}
-	}
-	return nil
-}
-
-// ParseTraceQuery reads the filter of a GET /debug/traces request —
-// ?n=<1..1024> caps the listing (absent: all), ?min_ms=<float> keeps
-// traces at least that slow, ?error=1 only errored ones — into Recent's
-// arguments. Every tier serves the endpoint through it; the error is
-// the text of the 400 to answer. min_ms must be a number of
-// milliseconds that fits a time.Duration: NaN, ±Inf and anything past
-// ≈ 9.2e12 would otherwise convert to an arbitrary, on amd64 negative,
-// duration and match every trace.
-func ParseTraceQuery(q url.Values) (limit int, minDur time.Duration, errOnly bool, err error) {
-	if raw := q.Get("n"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > 1024 {
-			return 0, 0, false, fmt.Errorf("parameter \"n\" must be an integer in [1,1024], got %q", raw)
-		}
-		limit = n
-	}
-	if raw := q.Get("min_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		ns := ms * float64(time.Millisecond)
-		if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
-			return 0, 0, false, fmt.Errorf("parameter \"min_ms\" must be a non-negative number of milliseconds below %.3g, got %q",
-				math.MaxInt64/float64(time.Millisecond), raw)
-		}
-		minDur = time.Duration(ns)
-	}
-	errOnly = q.Get("error") == "1" || q.Get("error") == "true"
-	return limit, minDur, errOnly, nil
+	return s.ring.find(func(st *StoredTrace) bool { return st.TraceID == id })
 }
 
 // Recent returns up to limit retained traces, newest first, filtered
@@ -497,28 +474,9 @@ func (s *SpanStore) Recent(limit int, minDur time.Duration, errOnly bool) []*Sto
 	if s == nil {
 		return nil
 	}
-	n := len(s.slots)
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]*StoredTrace, 0, limit)
-	pos := s.pos.Load()
-	for k := 0; k < n && len(out) < limit; k++ {
-		// Walk backwards from the cursor: newest first.
-		i := (pos + uint64(n) - 1 - uint64(k)) % uint64(n)
-		st := s.slots[i].Load()
-		if st == nil {
-			continue
-		}
-		if st.DurationNs < int64(minDur) {
-			continue
-		}
-		if errOnly && !st.Error {
-			continue
-		}
-		out = append(out, st)
-	}
-	return out
+	return s.ring.recent(limit, func(st *StoredTrace) bool {
+		return st.DurationNs >= int64(minDur) && (st.Error || !errOnly)
+	})
 }
 
 // MergeStored folds src's spans into dst (same trace ID), deduplicating

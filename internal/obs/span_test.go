@@ -7,6 +7,14 @@ import (
 	"time"
 )
 
+// finish is Tracer.Finish read as (trace ID, kept).
+func finish(tr *Tracer, tb *TraceBuf) (string, bool) {
+	if st := tr.Finish(tb); st != nil {
+		return st.TraceID, true
+	}
+	return "", false
+}
+
 func TestSpanTreeAndStorage(t *testing.T) {
 	tr := NewTracer(8)
 	tr.SetSlowThreshold(0) // retain everything
@@ -23,7 +31,7 @@ func TestSpanTreeAndStorage(t *testing.T) {
 	grand.SetStr("op", "insert")
 	grand.End()
 
-	id, kept := tr.Finish(tb)
+	id, kept := finish(tr, tb)
 	if !kept || id != "deadbeef00000001" {
 		t.Fatalf("Finish = %q, %v", id, kept)
 	}
@@ -57,14 +65,14 @@ func TestTailSamplingDecisions(t *testing.T) {
 
 	// Fast, clean, unforced, no head sampling: dropped.
 	tb := tr.Begin("q", "", 0, false)
-	if id, kept := tr.Finish(tb); kept {
+	if id, kept := finish(tr, tb); kept {
 		t.Fatalf("fast trace kept as %q", id)
 	}
 
 	// Errored: kept, ID minted lazily.
 	tb = tr.Begin("q", "", 0, false)
 	tb.StartSpan("attempt").Fail()
-	id, kept := tr.Finish(tb)
+	id, kept := finish(tr, tb)
 	if !kept || id == "" {
 		t.Fatalf("errored trace dropped (id=%q kept=%v)", id, kept)
 	}
@@ -75,7 +83,7 @@ func TestTailSamplingDecisions(t *testing.T) {
 	// Slow: kept.
 	tb = tr.Begin("q", "", 0, false)
 	tb.Root().Start = time.Now().Add(-time.Second) // simulate a 1s request
-	if _, kept := tr.Finish(tb); !kept {
+	if _, kept := finish(tr, tb); !kept {
 		t.Fatal("slow trace dropped")
 	}
 
@@ -84,7 +92,7 @@ func TestTailSamplingDecisions(t *testing.T) {
 	if !tb.Sampled() {
 		t.Fatal("forced trace not Sampled()")
 	}
-	if _, kept := tr.Finish(tb); !kept {
+	if _, kept := finish(tr, tb); !kept {
 		t.Fatal("forced trace dropped")
 	}
 
@@ -95,7 +103,7 @@ func TestTailSamplingDecisions(t *testing.T) {
 	keptN := 0
 	for i := 0; i < 16; i++ {
 		tb := tr2.Begin("q", "", 0, false)
-		if _, kept := tr2.Finish(tb); kept {
+		if _, kept := finish(tr2, tb); kept {
 			keptN++
 		}
 	}
@@ -130,7 +138,7 @@ func TestTailRetentionUnderLoad(t *testing.T) {
 					tb.MarkError()
 				default: // fast and clean: must drop
 				}
-				id, kept := tr.Finish(tb)
+				id, kept := finish(tr, tb)
 				if i%3 == 2 {
 					if kept {
 						t.Errorf("fast clean trace retained: %s", id)
@@ -166,7 +174,7 @@ func TestSpanStoreRingOverwrite(t *testing.T) {
 	var ids []string
 	for i := 0; i < 10; i++ {
 		tb := tr.Begin("q", "", 0, false)
-		id, kept := tr.Finish(tb)
+		id, kept := finish(tr, tb)
 		if !kept {
 			t.Fatal("threshold 0 must retain everything")
 		}
@@ -193,7 +201,7 @@ func TestSpanBufferOverflowCountsDropped(t *testing.T) {
 		sp := tb.StartSpan("s")
 		sp.End() // nil-safe once the buffer is full
 	}
-	id, _ := tr.Finish(tb)
+	id, _ := finish(tr, tb)
 	st := tr.Store().Get(id)
 	if st == nil || st.DroppedSpans != 6 {
 		// root + (maxTraceSpans-1) children fit; 5 more + 1 = 6 dropped.
@@ -207,11 +215,11 @@ func TestRecentFilters(t *testing.T) {
 
 	slow := tr.Begin("slow", "", 0, false)
 	slow.Root().Start = time.Now().Add(-100 * time.Millisecond)
-	slowID, _ := tr.Finish(slow)
+	slowID, _ := finish(tr, slow)
 
 	errd := tr.Begin("err", "", 0, false)
 	errd.MarkError()
-	errID, _ := tr.Finish(errd)
+	errID, _ := finish(tr, errd)
 
 	fast := tr.Begin("fast", "", 0, false)
 	tr.Finish(fast)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"net/http"
 	"sync/atomic"
 )
 
@@ -30,7 +31,75 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Stage is one step of the query serving path.
+// validTraceID reports whether a client-supplied trace ID is one the
+// tiers will carry: 1-64 characters of [0-9A-Za-z_-]. The ID is echoed
+// in a header, journalled, stored and spliced into the
+// /debug/traces/{id} path, so anything longer or wider than that is
+// refused at the door rather than at lookup.
+func validTraceID(id string) bool {
+	if len(id) < 1 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !(c >= '0' && c <= '9' || c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
+// BeginRequest is the trace intake of every tier that serves HTTP. The
+// trace ID is the traceparent header's when that parses (with its
+// parent span and sampled flag), else a usable X-Qbs-Trace-Id, else
+// freshly minted — an unusable client ID is replaced, never refused.
+// The ID is echoed on w and the trace begun under a root span called
+// name. Traces begun here are requests: Finish lists the slow ones in
+// the slow-query log.
+func (t *Tracer) BeginRequest(name string, w http.ResponseWriter, r *http.Request) *TraceBuf {
+	id := r.Header.Get(TraceHeader)
+	if !validTraceID(id) {
+		id = ""
+	}
+	var parent uint64
+	forced := false
+	if tid, p, sampled, ok := ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
+		id, parent, forced = tid, p, sampled
+	}
+	if id == "" {
+		id = NewTraceID()
+	}
+	w.Header().Set(TraceHeader, id)
+	tb := t.Begin(name, id, parent, forced)
+	tb.request = true
+	return tb
+}
+
+// StatusWriter captures the status a handler answers with, for the
+// instrumentation wrapped around it.
+type StatusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *StatusWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// Status returns the status the client saw: the first one written, 200
+// when the handler wrote none.
+func (w *StatusWriter) Status() int {
+	if w.code == 0 {
+		return http.StatusOK
+	}
+	return w.code
+}
+
+// Stage is one step of the query serving path. A handler records each
+// stage it runs as a child span of the request, named SpanName.
 type Stage uint8
 
 const (
@@ -42,52 +111,44 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"parse", "sketch", "expand", "extract", "serialize"}
+const stageSpanPrefix = "stage:"
+
+// stageSpanNames are materialized once so the warm path never
+// concatenates strings; a stage's name is its span name past the prefix.
+var stageSpanNames = [NumStages]string{
+	"stage:parse", "stage:sketch", "stage:expand", "stage:extract", "stage:serialize",
+}
 
 func (s Stage) String() string {
 	if s < NumStages {
-		return stageNames[s]
+		return stageSpanNames[s][len(stageSpanPrefix):]
 	}
 	return "unknown"
 }
 
-// Trace accumulates one request's observability payload as it moves
-// through the handler: stage durations plus the engine counters the
-// searcher reports through its QueryStats out-param. The middleware
-// owns the struct; handlers fill it via FromContext (nil-safe on paths
-// that never attached one).
-type Trace struct {
-	ID       string
-	StageNs  [NumStages]int64
-	HasQuery bool
-	U, V     int64
-	Dist     int32
-	// Spans is the request's span buffer when span tracing is active;
-	// nil-safe to record into (see TraceBuf). Handlers use it to hang
-	// child spans (WAL append, column re-BFS) under the request root.
-	Spans *TraceBuf
-	// Engine counters for the slow-query log.
-	ArcsScanned  int64
-	LabelEntries int64
-}
+// SpanName returns the name of the span the stage is recorded as.
+func (s Stage) SpanName() string { return stageSpanNames[s] }
 
-// SetStage records one stage's duration.
-func (t *Trace) SetStage(s Stage, ns int64) {
-	if t == nil || s >= NumStages {
-		return
+// stageOf maps a span name back to the stage it records.
+func stageOf(spanName string) (Stage, bool) {
+	for s, name := range stageSpanNames {
+		if spanName == name {
+			return Stage(s), true
+		}
 	}
-	t.StageNs[s] = ns
+	return 0, false
 }
 
 type traceCtxKey struct{}
 
-// NewContext attaches tr to ctx.
-func NewContext(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tr)
+// NewContext attaches the request's span buffer to ctx.
+func NewContext(ctx context.Context, tb *TraceBuf) context.Context {
+	return context.WithValue(ctx, traceCtxKey{}, tb)
 }
 
-// FromContext returns the request's Trace, or nil.
-func FromContext(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceCtxKey{}).(*Trace)
-	return tr
+// FromContext returns the request's span buffer, or nil off traced
+// paths. Every TraceBuf method is nil-safe, so callers just record.
+func FromContext(ctx context.Context) *TraceBuf {
+	tb, _ := ctx.Value(traceCtxKey{}).(*TraceBuf)
+	return tb
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,6 +163,59 @@ func TestRouterPrometheusMetrics(t *testing.T) {
 		rt.ServeHTTP(hrec, req)
 		if hrec.Code != 200 || hrec.Body.Len() != 0 {
 			t.Fatalf("HEAD %s: status %d body %q", path, hrec.Code, hrec.Body.String())
+		}
+	}
+}
+
+// TestTraceIDIntakeAcrossTiers: server and router take a request's
+// trace ID in through the same function. A client's X-Qbs-Trace-Id of
+// 1-64 characters of [0-9A-Za-z_-] is echoed (and, on the router, is
+// what the backend sees); anything else — an ID that could never be
+// looked up under /debug/traces/{id} — is replaced by a fresh 16-hex
+// one, the request served all the same; a valid traceparent wins over
+// the header either way.
+func TestTraceIDIntakeAcrossTiers(t *testing.T) {
+	p := newPrimaryFixture(t, 0, PrimaryOptions{})
+	upstream := newTraceBackend(t, 5)
+	rt := NewRouter(upstream.ts.URL, nil, RouterOptions{HealthInterval: time.Hour, FleetInterval: -1, Seed: 1})
+	defer rt.Stop()
+	minted := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	const traceparent = "00-0000000000000000feedc0ffee000001-00000000000000aa-01"
+	for _, tc := range []struct {
+		name, header, traceparent, want string // want "": a minted ID
+	}{
+		{"usable", "deadbeefcafe0123", "", "deadbeefcafe0123"},
+		{"every allowed character", "Az09_-", "", "Az09_-"},
+		{"64 characters", strings.Repeat("a", 64), "", strings.Repeat("a", 64)},
+		{"slash", "a/b", "", ""},
+		{"space", "x y", "", ""},
+		{"65 characters", strings.Repeat("a", 65), "", ""},
+		{"100 KB", strings.Repeat("a", 100<<10), "", ""},
+		{"empty", "", "", ""},
+		{"traceparent over a usable header", "deadbeefcafe0123", traceparent, "feedc0ffee000001"},
+		{"traceparent over an unusable header", "a/b", traceparent, "feedc0ffee000001"},
+		{"malformed traceparent", "deadbeefcafe0123", "00-xyz", "deadbeefcafe0123"},
+	} {
+		for tier, h := range map[string]http.Handler{"server": p.ts.Config.Handler, "router": rt} {
+			req := httptest.NewRequest("GET", "/distance?u=0&v=1", nil)
+			if tc.header != "" {
+				req.Header.Set(obs.TraceHeader, tc.header)
+			}
+			if tc.traceparent != "" {
+				req.Header.Set(obs.TraceparentHeader, tc.traceparent)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			got := rec.Header().Values(obs.TraceHeader)
+			if rec.Code != 200 || len(got) != 1 {
+				t.Fatalf("%s, %s: status %d, trace IDs %q", tier, tc.name, rec.Code, got)
+			}
+			if tc.want != "" && got[0] != tc.want || tc.want == "" && (!minted.MatchString(got[0]) || got[0] == tc.header) {
+				t.Errorf("%s, %s: trace ID %q, want %q (empty: a minted one)", tier, tc.name, got[0], tc.want)
+			}
+			if seen := upstream.seen(); tier == "router" && seen[len(seen)-1] != got[0] {
+				t.Errorf("router, %s: backend saw trace ID %q, the client %q", tc.name, seen[len(seen)-1], got[0])
+			}
 		}
 	}
 }

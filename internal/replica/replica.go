@@ -477,8 +477,8 @@ func (r *Replica) pollOnce() (int, error) {
 		return len(ops), fmt.Errorf("replica: index at epoch %d after applying through %d — local writes bypassed the tail loop; restart the replica",
 			r.d.Epoch(), ops[len(ops)-1].Epoch)
 	}
-	if id, kept := obs.DefaultTracer.Finish(tb); kept {
-		r.applyNs.SetExemplar(int64(applyDur), id)
+	if st := obs.DefaultTracer.Finish(tb); st != nil {
+		r.applyNs.SetExemplar(int64(applyDur), st.TraceID)
 	}
 	r.fetched.Add(uint64(len(ops)))
 	return len(ops), nil

@@ -94,34 +94,33 @@ type Router struct {
 	retries   *obs.Counter
 	failovers *obs.Counter
 	latency   *obs.Histogram
-	tracer    *obs.Tracer
 
-	// Health & diagnostics control plane: routing-state transitions go
-	// to the journal, routed reads feed an availability SLO, the flight
-	// recorder auto-captures on fast burn or error spikes, and the fleet
+	// Health & diagnostics control plane, served by obs.DebugMux over
+	// src: proxied requests are traced, routing-state transitions go to
+	// the journal, routed reads feed an availability SLO, the flight
+	// recorder auto-captures on fast burn or error spikes; the fleet
 	// scraper aggregates every backend's view under /debug/fleet.
-	journal      *obs.Journal
+	src          obs.DebugSources
 	evEvicted    *obs.EventDef
 	evReadmitted *obs.EventDef
 	evFailover   *obs.EventDef
-	slos         *obs.SLOSet
 	sloRead      *obs.SLO
-	flight       *obs.FlightRecorder
 	ownFlight    bool // Stop() only stops a recorder the router created
 	fleet        *fleetState
+	local        *http.ServeMux // what the router answers itself, never proxies
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
 // Journal returns the journal the router's events land in.
-func (rt *Router) Journal() *obs.Journal { return rt.journal }
+func (rt *Router) Journal() *obs.Journal { return rt.src.Journal }
 
 // SLOs returns the router's SLO set (the routed-read availability SLO).
-func (rt *Router) SLOs() *obs.SLOSet { return rt.slos }
+func (rt *Router) SLOs() *obs.SLOSet { return rt.src.SLOs }
 
 // FlightRecorder returns the router's profile flight recorder.
-func (rt *Router) FlightRecorder() *obs.FlightRecorder { return rt.flight }
+func (rt *Router) FlightRecorder() *obs.FlightRecorder { return rt.src.Flight }
 
 // SetFlightRecorder replaces the router's flight recorder (e.g. with
 // the process-wide obs.DefaultFlightRecorder) and registers the
@@ -130,7 +129,7 @@ func (rt *Router) SetFlightRecorder(f *obs.FlightRecorder) {
 	if f == nil {
 		return
 	}
-	rt.flight = f
+	rt.src.Flight = f
 	rt.ownFlight = false
 	rt.registerFlightTriggers(f)
 }
@@ -140,9 +139,9 @@ func (rt *Router) SetFlightRecorder(f *obs.FlightRecorder) {
 const errorSpikeEvents = 5
 
 func (rt *Router) registerFlightTriggers(f *obs.FlightRecorder) {
-	f.AddTrigger("slo_fast_burn", func() bool { return rt.slos.FastBurn() })
+	f.AddTrigger("slo_fast_burn", rt.src.SLOs.FastBurn)
 	f.AddTrigger("error_event_spike", func() bool {
-		return rt.journal.ErrorsInLast(10*time.Second) >= errorSpikeEvents
+		return rt.src.Journal.ErrorsInLast(10*time.Second) >= errorSpikeEvents
 	})
 }
 
@@ -162,13 +161,13 @@ func (rt *Router) setHealthy(b *backend, healthy bool, reason, traceID string) {
 }
 
 // Tracer returns the router's span tracer.
-func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
+func (rt *Router) Tracer() *obs.Tracer { return rt.src.Tracer }
 
 // SetTracer replaces the span tracer (obs.DefaultTracer by default) so
 // tests and multi-router processes keep span stores isolated.
 func (rt *Router) SetTracer(t *obs.Tracer) {
 	if t != nil {
-		rt.tracer = t
+		rt.src.Tracer = t
 	}
 }
 
@@ -215,17 +214,35 @@ func NewRouter(primaryURL string, replicaURLs []string, opts RouterOptions) *Rou
 	rt.retries = rt.reg.Counter("qbs_router_retries_total", "")
 	rt.failovers = rt.reg.Counter("qbs_router_failovers_total", "")
 	rt.latency = rt.reg.Histogram("qbs_router_request_ns", "")
-	rt.tracer = obs.DefaultTracer
-	rt.journal = opts.Journal
-	rt.evEvicted = rt.journal.Def("router", "backend_evicted", obs.LevelWarn)
-	rt.evReadmitted = rt.journal.Def("router", "backend_readmitted", obs.LevelInfo)
-	rt.evFailover = rt.journal.Def("router", "primary_failover", obs.LevelError)
-	rt.slos = obs.NewSLOSet(rt.reg)
-	rt.sloRead = rt.slos.Add(obs.NewSLO("routed-read-availability", "read", 0.999, 500*time.Millisecond))
-	rt.flight = obs.NewFlightRecorder(16)
+	rt.src = obs.DebugSources{
+		Tracer:  obs.DefaultTracer,
+		Journal: opts.Journal,
+		SLOs:    obs.NewSLOSet(rt.reg),
+		Flight:  obs.NewFlightRecorder(16),
+	}
+	rt.evEvicted = opts.Journal.Def("router", "backend_evicted", obs.LevelWarn)
+	rt.evReadmitted = opts.Journal.Def("router", "backend_readmitted", obs.LevelInfo)
+	rt.evFailover = opts.Journal.Def("router", "primary_failover", obs.LevelError)
+	rt.sloRead = rt.src.SLOs.Add(obs.NewSLO("routed-read-availability", "read", 0.999, 500*time.Millisecond))
 	rt.ownFlight = true
-	rt.registerFlightTriggers(rt.flight)
+	rt.registerFlightTriggers(rt.src.Flight)
 	rt.fleet = newFleetState()
+	// /healthz and /metrics are the router's own — a load balancer
+	// health-checking the router must observe the router's ability to
+	// route, not one random backend's health, and the routing table is
+	// state only the router has — and so is everything under /debug/:
+	// the mux every tier mounts, the fleet view, and a trace lookup that
+	// also asks the backends. HEAD answers 200 with no body, mirroring
+	// the backend muxes, without rendering either local payload.
+	headOK := func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) }
+	rt.local = http.NewServeMux()
+	rt.local.HandleFunc("HEAD /healthz", headOK)
+	rt.local.HandleFunc("HEAD /metrics", headOK)
+	rt.local.HandleFunc("GET /healthz", rt.serveHealthz)
+	rt.local.HandleFunc("GET /metrics", rt.serveMetrics)
+	rt.local.Handle("/debug/", obs.DebugMux(&rt.src))
+	rt.local.HandleFunc("GET /debug/fleet", rt.serveFleet)
+	rt.local.HandleFunc("GET /debug/traces/{id}", rt.serveTraceByID)
 	rt.primary.healthy.Store(true)
 	rt.registerBackend(rt.primary, "primary")
 	for _, u := range replicaURLs {
@@ -253,7 +270,7 @@ func (rt *Router) Stop() {
 	}
 	rt.wg.Wait()
 	if rt.ownFlight {
-		rt.flight.Stop()
+		rt.src.Flight.Stop()
 	}
 	rt.probeTransport.CloseIdleConnections()
 }
@@ -328,89 +345,46 @@ func (rt *Router) probe(b *backend) (uint64, bool) {
 }
 
 // ServeHTTP implements http.Handler: writes to the primary, reads
-// across the replicas. /healthz and /metrics are answered by the router
-// itself — a load balancer health-checking the router must observe the
-// router's ability to route, not one random backend's health, and the
-// routing table is state only the router has.
+// across the replicas. /healthz, /metrics and everything under /debug/
+// are answered by the router itself (see NewRouter), a path it has
+// nothing for with a 404: none is ever forwarded.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// HEAD routes like GET: it is a read (load balancers commonly
 	// health-check with HEAD), and treating it as a write would proxy
 	// HEAD /healthz to the primary — reporting one backend's health as
-	// the router's. net/http discards response bodies for HEAD, so the
-	// local handlers need no special casing.
+	// the router's.
 	isRead := r.Method == http.MethodGet || r.Method == http.MethodHead
-	if isRead {
-		if r.Method == http.MethodHead {
-			// LB probes: HEAD answers 200 with no body, mirroring the
-			// backend muxes, without rendering either local payload.
-			switch r.URL.Path {
-			case "/healthz", "/metrics":
-				w.WriteHeader(http.StatusOK)
-				return
-			}
-		}
-		switch {
-		case r.URL.Path == "/healthz":
-			rt.serveHealthz(w)
-			return
-		case r.URL.Path == "/metrics":
-			rt.serveMetrics(w, r)
-			return
-		case r.URL.Path == "/debug/traces":
-			rt.serveTraces(w, r)
-			return
-		case strings.HasPrefix(r.URL.Path, "/debug/traces/"):
-			rt.serveTraceByID(w, r, strings.TrimPrefix(r.URL.Path, "/debug/traces/"))
-			return
-		case r.URL.Path == "/debug/logs":
-			rt.journal.ServeHTTP(w, r)
-			return
-		case r.URL.Path == "/debug/slo":
-			rt.slos.ServeHTTP(w, r)
-			return
-		case r.URL.Path == "/debug/profiles" || strings.HasPrefix(r.URL.Path, "/debug/profiles/"):
-			rt.flight.ServeHTTP(w, r)
-			return
-		case r.URL.Path == "/debug/fleet":
-			rt.serveFleet(w, r)
-			return
-		}
+	if isRead && (r.URL.Path == "/healthz" || r.URL.Path == "/metrics" || strings.HasPrefix(r.URL.Path, "/debug/")) {
+		rt.local.ServeHTTP(w, r)
+		return
 	}
 	// Every proxied request carries a trace ID — the client's if it sent
-	// one (via either trace header), minted here otherwise — held
+	// a usable one (via either trace header), minted otherwise — held
 	// constant across retries and the primary failover so one query is
-	// one ID at every hop. The backend echoes it; for router-written
-	// errors it is set explicitly below.
-	traceID := r.Header.Get(obs.TraceHeader)
-	var remoteParent uint64
-	forced := false
-	if id, parent, sampled, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-		traceID, remoteParent, forced = id, parent, sampled
-	}
-	if traceID == "" {
-		traceID = obs.NewTraceID()
-	}
-	r.Header.Set(obs.TraceHeader, traceID)
+	// one ID at every hop, and echoed on the response whoever writes it.
 	// The router's root span is the top of the cross-process tree; each
 	// forward attempt hangs a child under it, and the traceparent sent
 	// downstream names that attempt span as the backend root's parent.
-	tb := rt.tracer.Begin("router", traceID, remoteParent, forced)
+	tracer := rt.src.Tracer
+	tb := tracer.BeginRequest("router", w, r)
+	traceID := tb.TraceID
 	root := tb.Root()
 	root.SetStr("method", r.Method)
 	root.SetStr("path", r.URL.Path)
 	// Routed reads feed the availability SLO with the status the client
 	// actually saw (200 until a handler says otherwise).
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	sw := &obs.StatusWriter{ResponseWriter: w}
 	w = sw
 	start := time.Now()
 	defer func() {
 		dur := time.Since(start)
 		rt.latency.Observe(dur)
 		if isRead {
-			rt.sloRead.Record(int64(dur), sw.status)
+			rt.sloRead.Record(int64(dur), sw.Status())
 		}
-		if id, kept := rt.tracer.Finish(tb); kept {
-			rt.latency.SetExemplar(int64(dur), id)
+		root.SetInt("status", int64(sw.Status()))
+		if st := tracer.Finish(tb); st != nil {
+			rt.latency.SetExemplar(int64(dur), st.TraceID)
 		}
 	}()
 	if !isRead {
@@ -419,7 +393,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		tb.MarkError()
-		w.Header().Set(obs.TraceHeader, traceID)
 		httpError(w, http.StatusBadGateway, "primary unreachable")
 		return
 	}
@@ -446,7 +419,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	tb.MarkError()
-	w.Header().Set(obs.TraceHeader, traceID)
 	if sawUnavailable {
 		// Every backend said 503 (min_epoch not yet published anywhere,
 		// or mid-restart): preserve the documented retriable signal
@@ -456,18 +428,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	httpError(w, http.StatusBadGateway, "no backend could answer")
-}
-
-// statusWriter captures the status code written downstream so the
-// router's SLO records what the client saw.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
 }
 
 // forward outcomes.
@@ -531,15 +491,13 @@ func (rt *Router) forward(b *backend, w http.ResponseWriter, r *http.Request, re
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
-	tid := r.Header.Get(obs.TraceHeader)
-	if tid != "" {
-		req.Header.Set(obs.TraceHeader, tid)
-		var parent uint64
-		if sp != nil {
-			parent = sp.ID
-		}
-		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(tid, parent, tb.Sampled()))
+	tid := tb.TraceID
+	req.Header.Set(obs.TraceHeader, tid)
+	var parent uint64
+	if sp != nil {
+		parent = sp.ID
 	}
+	req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(tid, parent, tb.Sampled()))
 	resp, err := rt.opts.Client.Do(req)
 	if err != nil {
 		sp.Fail()
@@ -565,9 +523,9 @@ func (rt *Router) forward(b *backend, w http.ResponseWriter, r *http.Request, re
 		return fwdUnavailable
 	}
 	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+		// Set, not added to: the backend echoes the trace ID the intake
+		// already put on w.
+		w.Header()[k] = vs
 	}
 	w.Header().Set("X-Qbs-Backend", b.url)
 	w.WriteHeader(resp.StatusCode)
@@ -586,7 +544,7 @@ type routerBackendMetrics struct {
 // serveHealthz answers the router's own liveness: 200 while at least
 // one backend (primary included) is routable, 503 when every backend is
 // down — the signal a load balancer fronting several routers needs.
-func (rt *Router) serveHealthz(w http.ResponseWriter) {
+func (rt *Router) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	healthy := 0
 	for _, b := range append([]*backend{rt.primary}, rt.replicas...) {
 		if b.healthy.Load() {
@@ -632,40 +590,15 @@ func (rt *Router) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// serveTraces lists the router's own retained traces (summaries, newest
-// first), honouring the same ?n=/?min_ms=/?error= filters as the
-// backend servers' /debug/traces.
-func (rt *Router) serveTraces(w http.ResponseWriter, r *http.Request) {
-	limit, minDur, errOnly, err := obs.ParseTraceQuery(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	stored := rt.tracer.Store().Recent(limit, minDur, errOnly)
-	summaries := make([]obs.TraceSummary, len(stored))
-	for i, st := range stored {
-		summaries[i] = st.Summary()
-	}
-	resp := struct {
-		Count  int                `json:"count"`
-		Traces []obs.TraceSummary `json:"traces"`
-	}{Count: len(stored), Traces: summaries}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
 // serveTraceByID assembles the full cross-process span tree for one
 // trace: the router's locally retained spans merged with whatever each
 // backend retained under the same ID (fetched over its own
 // /debug/traces/{id}, deduplicated by span ID). Backends that dropped
 // the trace — or are down — simply contribute nothing; the tree is the
 // union of what survived tail sampling at every tier.
-func (rt *Router) serveTraceByID(w http.ResponseWriter, r *http.Request, id string) {
-	if id == "" || strings.ContainsAny(id, "/?#") {
-		httpError(w, http.StatusBadRequest, "malformed trace id")
-		return
-	}
-	merged := rt.tracer.Store().Get(id)
+func (rt *Router) serveTraceByID(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id") // one path segment: safe to splice into the backends' URL
+	merged := rt.src.Tracer.Store().Get(id)
 	for _, b := range append([]*backend{rt.primary}, rt.replicas...) {
 		if st := rt.fetchTrace(r, b.url, id); st != nil {
 			merged = obs.MergeStored(merged, st)

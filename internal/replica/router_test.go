@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"qbs/internal/obs"
 )
 
 // fakeBackend is a scriptable upstream: answers /epoch and /spg with
@@ -276,8 +278,8 @@ func TestRouterAnswersHealthAndMetricsLocally(t *testing.T) {
 	}
 }
 
-// TestDebugTracesMinMsAcrossTiers: every tier parses ?min_ms= through
-// obs.ParseTraceQuery, so a value that is not a duration — NaN, ±Inf, a
+// TestDebugTracesMinMsAcrossTiers: every tier parses ?min_ms= in
+// obs.DebugMux, so a value that is not a duration — NaN, ±Inf, a
 // product past what a time.Duration holds — is a 400 on the primary's
 // server, on a replica and on the router alike, never a 200 listing
 // every retained trace through a wrapped-around negative filter.
@@ -315,5 +317,72 @@ func TestDebugTracesMinMsAcrossTiers(t *testing.T) {
 				t.Errorf("%s min_ms=%s: status %d body %q, want %d", tier.name, tc.minMs, rec.Code, rec.Body, tc.want)
 			}
 		}
+	}
+}
+
+// TestRouterNeverForwardsDebug: every GET or HEAD under /debug/ is the
+// router's own to answer — from its own sources, or with a 404 — and is
+// never proxied: no backend sees a forwarded request, no pick is
+// counted, and /debug/slowlog lists the router's own slow requests under
+// the path they were routed for.
+func TestRouterNeverForwardsDebug(t *testing.T) {
+	var forwarded atomic.Int64
+	upstream := func() *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.URL.Path == "/epoch":
+				fmt.Fprint(w, `{"epoch":1,"edges":0}`)
+			case r.Header.Get(obs.TraceHeader) != "" && strings.HasPrefix(r.URL.Path, "/debug/"):
+				// Forwarded: the router's own scrapes (fleet view, trace
+				// merge) carry no trace header.
+				forwarded.Add(1)
+			default:
+				fmt.Fprint(w, `{}`)
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	prim, r1 := upstream(), upstream()
+	rt := NewRouter(prim.URL, []string{r1.URL}, RouterOptions{HealthInterval: time.Hour, FleetInterval: -1, Seed: 1})
+	defer rt.Stop()
+	tracer := obs.NewTracer(8)
+	tracer.SetSlowThreshold(0)
+	rt.SetTracer(tracer)
+
+	if rec := routeGet(t, rt, "/distance?u=0&v=1"); rec.Code != 200 {
+		t.Fatalf("routed read: status %d", rec.Code)
+	}
+	picks := func() (n uint64) {
+		for _, b := range append([]*backend{rt.primary}, rt.replicas...) {
+			n += b.picks.Load()
+		}
+		return n
+	}
+	before := picks()
+	for path, want := range map[string]int{
+		"/debug/slowlog": 200, "/debug/traces": 200, "/debug/logs": 200, "/debug/slo": 200,
+		"/debug/profiles": 200, "/debug/fleet": 200,
+		"/debug/pprof/": 404, "/debug/nothing": 404, "/debug/traces/ffffffffffffffff": 404,
+		"/debug/logs?n=abc": 400, "/debug/profiles/x": 400,
+	} {
+		for _, method := range []string{"GET", "HEAD"} {
+			rec := httptest.NewRecorder()
+			rt.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+			if rec.Code != want || rec.Header().Get("X-Qbs-Backend") != "" {
+				t.Errorf("%s %s: status %d (want %d), X-Qbs-Backend %q", method, path, rec.Code, want, rec.Header().Get("X-Qbs-Backend"))
+			}
+		}
+	}
+	if n := forwarded.Load(); n != 0 || picks() != before {
+		t.Fatalf("%d /debug/ requests reached a backend, %d picks counted", n, picks()-before)
+	}
+
+	var log obs.SlowLogResponse
+	if err := json.Unmarshal(routeGet(t, rt, "/debug/slowlog").Body.Bytes(), &log); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Entries) != 1 || log.Entries[0].Endpoint != "/distance" || log.Entries[0].HasQuery || log.Entries[0].Status != 200 {
+		t.Fatalf("router slow log %+v, want the one routed /distance", log.Entries)
 	}
 }

@@ -1,25 +1,30 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
+
+	"qbs/internal/obs"
 )
 
 // FuzzReadHandlers throws arbitrary raw query strings at every read
 // endpoint that parses one, on a static, a directed and a read-only
 // dynamic server. Whatever the bytes: no panic; the status is 200 or a
 // 4xx — or 503, the documented answer of a dynamic server to a
-// min_epoch it has not reached; a 200 body is valid JSON and every other
-// body is an errorBody.
+// min_epoch it has not reached; a 200 body is valid JSON (a profile's
+// raw pprof bytes excepted) and every other body is an errorBody.
 func FuzzReadHandlers(f *testing.F) {
 	for _, seed := range []string{
 		"u=0&v=3", "u=3&v=0&min_epoch=1", "u=0&v=3&limit=2", "n=1&min_ms=0.5&error=1",
 		"u=9223372036854775808", "u=-1", "v=", "limit=0", "min_epoch=-1",
 		"min_epoch=18446744073709551616", "min_ms=NaN", "n=1e3",
 		"u=0&v=3&min_epoch=99", "u=0&u=1&v=2;v=3", "u=%zz&v=%00", "min_ms=%2BInf&n=1024",
+		"n=abc", "min_level=loud", "component=%00", "n=5&min_level=warn&component=http",
 	} {
 		f.Add(seed)
 	}
@@ -27,7 +32,12 @@ func FuzzReadHandlers(f *testing.F) {
 	if _, err := di.AddEdge(1, 2); err != nil {
 		f.Fatal(err)
 	}
-	reads := []string{"/spg", "/distance", "/sketch", "/paths", "/debug/traces", "/debug/slowlog"}
+	flight := obs.NewFlightRecorder(4)
+	flight.CPUDuration = 0
+	profile := flight.CaptureNow("manual")[0]
+	reads := []string{"/spg", "/distance", "/sketch", "/paths", "/debug/traces", "/debug/slowlog",
+		"/debug/logs", "/debug/slo", "/debug/profiles", fmt.Sprint("/debug/profiles/", profile.ID),
+		"/debug/profiles/18446744073709551616", "/debug/profiles/x"}
 	servers := []struct {
 		name  string
 		s     *Server
@@ -40,6 +50,7 @@ func FuzzReadHandlers(f *testing.F) {
 	for _, sv := range servers {
 		isolatedTracer(sv.s)
 		sv.s.SetSlowLogThreshold(0) // so the debug listings have entries to filter
+		sv.s.SetFlightRecorder(flight)
 	}
 	f.Fuzz(func(t *testing.T, rawQuery string) {
 		for _, sv := range servers {
@@ -51,7 +62,11 @@ func FuzzReadHandlers(f *testing.F) {
 				code, body := rec.Code, rec.Body.Bytes()
 				switch {
 				case code == http.StatusOK:
-					if !json.Valid(body) {
+					if rec.Header().Get("Content-Type") == "application/octet-stream" {
+						if !bytes.Equal(body, flight.Get(profile.ID).Bytes) {
+							t.Fatalf("%s %s?%q: not the profile's bytes", sv.name, path, rawQuery)
+						}
+					} else if !json.Valid(body) {
 						t.Fatalf("%s %s?%q: 200 with a body that is not JSON: %q", sv.name, path, rawQuery, body)
 					}
 					continue

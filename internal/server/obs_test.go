@@ -4,10 +4,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"qbs"
 	"qbs/internal/graph"
@@ -132,7 +134,7 @@ func TestStagesCoverLargeAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(ix)
-	s.SetSlowLogThreshold(0)
+	isolatedTracer(s) // the slow log is read off the tracer's retained traces
 	var spg SPGResponse
 	for i := 0; i < 32; i++ {
 		get(t, s, "/spg?u=0&v=224", &spg)
@@ -141,12 +143,120 @@ func TestStagesCoverLargeAnswer(t *testing.T) {
 		t.Fatalf("answer has %d edges, want at least 200", len(spg.Edges))
 	}
 	var best float64
-	for _, e := range s.SlowLog().Entries() {
+	for _, e := range s.Tracer().SlowLog(0).Entries {
 		st := e.Stages
 		best = max(best, float64(st.ParseNs+st.SketchNs+st.ExpandNs+st.ExtractNs+st.SerializeNs)/float64(e.DurationNs))
 	}
 	if best < 0.8 {
 		t.Fatalf("stages sum to at most %.2f of the request, want 0.8", best)
+	}
+
+	// The stages are spans recorded when they were measured, not laid
+	// end to end afterwards: in order, disjoint, and inside the request.
+	var st obs.StoredTrace
+	get(t, s, s.Tracer().SlowLog(1).Entries[0].Trace, &st)
+	root := st.Spans[0]
+	at := root.StartUnixNs
+	for stage := obs.Stage(0); stage < obs.NumStages; stage++ {
+		i := slices.IndexFunc(st.Spans, func(sp obs.StoredSpan) bool { return sp.Name == stage.SpanName() })
+		if i < 0 {
+			t.Fatalf("no %s span in %+v", stage.SpanName(), st.Spans)
+		}
+		sp := st.Spans[i]
+		if sp.StartUnixNs < at {
+			t.Fatalf("%s starts at %d, before %d where the span before it (or the request) ends", sp.Name, sp.StartUnixNs, at)
+		}
+		at = sp.StartUnixNs + sp.DurationNs
+	}
+	if end := root.StartUnixNs + root.DurationNs; at > end {
+		t.Fatalf("stage:serialize ends at %d, after the request's end %d", at, end)
+	}
+}
+
+// TestSlowLogIsViewOfRetainedSpans: every field of every /debug/slowlog
+// entry is what a from-scratch reading of the trace it links to gives,
+// on a mix of queries, a refused request and (mutable) a write; and the
+// entries outlive the span store turning over under head-sampled fast
+// traces.
+func TestSlowLogIsViewOfRetainedSpans(t *testing.T) {
+	mutable, _ := testMutableServer(t)
+	for name, s := range map[string]*Server{"static": testServer(t), "mutable": mutable} {
+		tracer := isolatedTracer(s) // retains everything: every request is slow
+		for _, path := range []string{"/spg?u=0&v=3", "/paths?u=0&v=3", "/distance?u=0&v=3", "/spg?u=0&v=99", "/spg?u=3&v=3"} {
+			get(t, s, path, nil)
+		}
+		want := 5
+		if s.writable {
+			do(t, s, "POST", "/edges", `{"u":1,"v":2}`, nil)
+			want++
+		}
+		var log SlowLogResponse
+		get(t, s, "/debug/slowlog", &log)
+		if len(log.Entries) != want {
+			t.Fatalf("%s: %d slow entries, want %d", name, len(log.Entries), want)
+		}
+		for _, e := range log.Entries {
+			var tr struct {
+				TraceID string `json:"trace_id"`
+				Root    string `json:"root"`
+				Spans   []struct {
+					Name        string             `json:"name"`
+					StartUnixNs int64              `json:"start_unix_ns"`
+					DurationNs  int64              `json:"duration_ns"`
+					ParentID    string             `json:"parent_id"`
+					Attrs       map[string]float64 `json:"attrs"`
+				} `json:"spans"`
+			}
+			if resp := get(t, s, "/debug/traces/"+e.TraceID, &tr); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %s: status %d", name, e.Trace, resp.StatusCode)
+			}
+			read := obs.SlowEntry{TraceID: tr.TraceID, Trace: "/debug/traces/" + tr.TraceID, Endpoint: tr.Root}
+			for _, sp := range tr.Spans {
+				switch sp.Name {
+				case tr.Root:
+					if sp.ParentID != "" {
+						t.Fatalf("%s: root span of %s has a parent", name, e.TraceID)
+					}
+					read.Status = int(sp.Attrs["status"])
+					read.UnixMs = (sp.StartUnixNs + sp.DurationNs) / 1e6
+					read.DurationNs = sp.DurationNs
+					_, read.HasQuery = sp.Attrs["u"]
+					read.U, read.V, read.Dist = int64(sp.Attrs["u"]), int64(sp.Attrs["v"]), int32(sp.Attrs["dist"])
+				case "stage:parse":
+					read.Stages.ParseNs = sp.DurationNs
+				case "stage:sketch":
+					read.Stages.SketchNs = sp.DurationNs
+					read.LabelEntries = int64(sp.Attrs["label_entries"])
+				case "stage:expand":
+					read.Stages.ExpandNs = sp.DurationNs
+					read.ArcsScanned = int64(sp.Attrs["arcs_scanned"])
+				case "stage:extract":
+					read.Stages.ExtractNs = sp.DurationNs
+				case "stage:serialize":
+					read.Stages.SerializeNs = sp.DurationNs
+				}
+			}
+			if e != read {
+				t.Errorf("%s: slow entry differs from its trace:\nentry %+v\ntrace %+v", name, e, read)
+			}
+			if e.HasQuery != (e.Endpoint == "/spg" && e.Status == 200 || e.Endpoint == "/paths") || e.HasQuery && e.LabelEntries == 0 && e.U != e.V {
+				t.Errorf("%s: entry %+v: has_query on the wrong requests, or without engine counters", name, e)
+			}
+		}
+
+		tracer.SetSlowThreshold(time.Hour) // from here on requests are fast
+		tracer.SetHeadEvery(1)             // and retained all the same
+		for i := 0; i < 2*32; i++ {        // twice isolatedTracer's span store
+			get(t, s, "/distance?u=0&v=3", nil)
+		}
+		var after SlowLogResponse
+		get(t, s, "/debug/slowlog", &after)
+		if !slices.Equal(after.Entries, log.Entries) {
+			t.Errorf("%s: slow log changed while the span store turned over:\n%+v\n%+v", name, log.Entries, after.Entries)
+		}
+		if resp := get(t, s, log.Entries[0].Trace, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: %s still resolves (status %d): the span store did not turn over", name, log.Entries[0].Trace, resp.StatusCode)
+		}
 	}
 }
 
@@ -155,6 +265,7 @@ func TestStagesCoverLargeAnswer(t *testing.T) {
 // ring stays bounded under concurrent load.
 func TestSlowLogEndpoint(t *testing.T) {
 	s := testServer(t)
+	isolatedTracer(s)
 	s.SetSlowLogThreshold(0)
 
 	req := httptest.NewRequest("GET", "/spg?u=0&v=3", nil)
@@ -164,8 +275,8 @@ func TestSlowLogEndpoint(t *testing.T) {
 
 	var body SlowLogResponse
 	get(t, s, "/debug/slowlog", &body)
-	if body.Capacity != slowLogCapacity {
-		t.Fatalf("capacity %d, want %d", body.Capacity, slowLogCapacity)
+	if body.Capacity != obs.SlowLogCapacity {
+		t.Fatalf("capacity %d, want %d", body.Capacity, obs.SlowLogCapacity)
 	}
 	if len(body.Entries) != 1 {
 		t.Fatalf("%d entries, want 1", len(body.Entries))
@@ -191,8 +302,8 @@ func TestSlowLogEndpoint(t *testing.T) {
 	}
 	wg.Wait()
 	get(t, s, "/debug/slowlog", &body)
-	if len(body.Entries) != slowLogCapacity {
-		t.Fatalf("%d entries after overflow, want %d", len(body.Entries), slowLogCapacity)
+	if len(body.Entries) != obs.SlowLogCapacity {
+		t.Fatalf("%d entries after overflow, want %d", len(body.Entries), obs.SlowLogCapacity)
 	}
 }
 
@@ -212,6 +323,7 @@ func TestMetricsJSONShapeUnchanged(t *testing.T) {
 // scanned (it read 0 while the directed engine kept no such count).
 func TestDirectedQueriesFeedEngineCounters(t *testing.T) {
 	s := testDirectedServer(t)
+	isolatedTracer(s)
 	s.SetSlowLogThreshold(0)
 	var spg SPGResponse
 	get(t, s, "/spg?u=1&v=4", &spg)

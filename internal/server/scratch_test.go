@@ -147,9 +147,9 @@ func (d *discard) Write(b []byte) (int, error) { return len(b), nil }
 // TestWarmSPGHandlerAllocs: a warm /spg costs a fixed number of
 // allocations whatever the size of the answer — result, layering and
 // body all live in pooled scratch, and the body is appended to, never
-// boxed — namely the 15 it measures: one more than a warm /distance
+// boxed — namely the 14 it measures: one more than a warm /distance
 // (the Content-Length string of a body past 99 bytes), which shares the
-// middleware, the parsing and the encoder and is itself held to its 14
+// middleware, the parsing and the encoder and is itself held to its 13
 // (request context, trace id, query parsing and three response headers:
 // none is the handler's own).
 func TestWarmSPGHandlerAllocs(t *testing.T) {
@@ -196,11 +196,11 @@ func TestWarmSPGHandlerAllocs(t *testing.T) {
 		if small != large || medium != large {
 			t.Errorf("%s: warm /spg allocates %v for a 3-vertex answer, %v for a 121-vertex one and %v for a 225-vertex one", name, small, medium, large)
 		}
-		if large > 15 {
-			t.Errorf("%s: warm /spg allocates %v, want at most 15", name, large)
+		if large > 14 {
+			t.Errorf("%s: warm /spg allocates %v, want at most 14", name, large)
 		}
-		if distance > 14 {
-			t.Errorf("%s: warm /distance allocates %v, want at most 14", name, distance)
+		if distance > 13 {
+			t.Errorf("%s: warm /distance allocates %v, want at most 13", name, distance)
 		}
 		t.Logf("%s: /spg %v allocs, /distance %v", name, large, distance)
 	}

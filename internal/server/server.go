@@ -109,20 +109,20 @@ type Server struct {
 	// registry keeps per-endpoint series isolated per instance; extra
 	// registries (a replica's apply/lag series) and the process-wide
 	// obs.Default stack onto the text exposition.
-	reg     *obs.Registry
-	extra   []*obs.Registry
-	slowlog *obs.SlowLog
-	tracer  *obs.Tracer              // span recording + tail sampling
-	journal *obs.Journal             // structured event journal (/debug/logs)
-	slos    *obs.SLOSet              // per-endpoint objectives (/debug/slo)
-	flight  *obs.FlightRecorder      // profile ring (/debug/profiles)
-	evErr   *obs.EventDef            // http request_error events (5xx)
-	eps     map[string]*endpointView // registry-backed per-endpoint views
-	order   []string                 // endpoint registration order
-	repl    func() ReplicationStatus // lag provider; nil off replicas
+	reg   *obs.Registry
+	extra []*obs.Registry
+	// The tracer (span recording, tail sampling, the slow-query log read
+	// off its retained traces), event journal, per-endpoint objectives
+	// and profile ring: what obs.DebugMux serves under /debug/.
+	src   obs.DebugSources
+	evErr *obs.EventDef            // http request_error events (5xx)
+	eps   map[string]*endpointView // registry-backed per-endpoint views
+	order []string                 // endpoint registration order
+	repl  func() ReplicationStatus // lag provider; nil off replicas
 
-	// Query-path instrumentation: per-stage span histograms and engine
-	// counters aggregated from the searcher's QueryStats out-param.
+	// Query-path instrumentation: per-stage histograms fed as each stage
+	// span is recorded, and engine counters aggregated from the
+	// searcher's QueryStats out-param.
 	stage      [obs.NumStages]*obs.Histogram
 	engArcs    *obs.Counter
 	engEntries *obs.Counter
@@ -147,50 +147,43 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // the mux that serves its queries.
 func (s *Server) AddRegistry(r *obs.Registry) { s.extra = append(s.extra, r) }
 
-// SlowLog returns the server's slow-query log.
-func (s *Server) SlowLog() *obs.SlowLog { return s.slowlog }
-
-// SetSlowLogThreshold adjusts the slow-query recording threshold. The
-// tracer's tail-sampling bar follows it: a request slow enough to be
-// slow-logged is always slow enough for its span tree to be retained,
-// so the log's trace links resolve.
-func (s *Server) SetSlowLogThreshold(d time.Duration) {
-	s.slowlog.SetThreshold(d)
-	s.tracer.SetSlowThreshold(d)
-}
+// SetSlowLogThreshold adjusts the slow-query threshold, which is the
+// tracer's tail-sampling bar: the slow-query log lists the retained
+// traces of the requests at least this slow.
+func (s *Server) SetSlowLogThreshold(d time.Duration) { s.src.Tracer.SetSlowThreshold(d) }
 
 // Tracer returns the server's span tracer.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+func (s *Server) Tracer() *obs.Tracer { return s.src.Tracer }
 
 // SetTracer replaces the span tracer (obs.DefaultTracer by default) —
 // how tests and multi-server processes keep span stores isolated.
 func (s *Server) SetTracer(t *obs.Tracer) {
 	if t != nil {
-		s.tracer = t
+		s.src.Tracer = t
 	}
 }
 
 // Journal returns the server's event journal.
-func (s *Server) Journal() *obs.Journal { return s.journal }
+func (s *Server) Journal() *obs.Journal { return s.src.Journal }
 
 // SetJournal replaces the event journal (obs.DefaultJournal by
 // default) — how tests and multi-tier processes keep each tier's
 // events attributable. Call before serving.
 func (s *Server) SetJournal(j *obs.Journal) {
 	if j != nil {
-		s.journal = j
+		s.src.Journal = j
 		s.evErr = j.Def("http", "request_error", obs.LevelError)
 	}
 }
 
 // SLOs returns the server's objective set. Objectives added through
 // AddSLO before serving are scored by the request middleware.
-func (s *Server) SLOs() *obs.SLOSet { return s.slos }
+func (s *Server) SLOs() *obs.SLOSet { return s.src.SLOs }
 
 // AddSLO declares an objective and binds it to the endpoint it scores.
 // Call before serving; the middleware reads the binding without a lock.
 func (s *Server) AddSLO(slo *obs.SLO) *obs.SLO {
-	s.slos.Add(slo)
+	s.src.SLOs.Add(slo)
 	if ep, ok := s.eps[slo.Endpoint]; ok {
 		ep.slo = slo
 	}
@@ -198,13 +191,13 @@ func (s *Server) AddSLO(slo *obs.SLO) *obs.SLO {
 }
 
 // FlightRecorder returns the server's profile ring.
-func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flight }
+func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.src.Flight }
 
 // SetFlightRecorder replaces the flight recorder
 // (obs.DefaultFlightRecorder by default). Call before serving.
 func (s *Server) SetFlightRecorder(f *obs.FlightRecorder) {
 	if f != nil {
-		s.flight = f
+		s.src.Flight = f
 	}
 }
 
@@ -242,37 +235,12 @@ func (s *Server) SetReplicationStatus(fn func() ReplicationStatus) {
 // an attack, rejected with 413 before it can balloon server memory.
 const maxWriteBody = 64 << 10
 
-// statusRecorder captures the response status for the error counters.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Slow-query log defaults; tune with SetSlowLogThreshold.
-const (
-	slowLogCapacity  = 128
-	slowLogThreshold = 100 * time.Millisecond
-)
-
-// stageSpanNames are the materialized span names for the engine's stage
-// breakdown, precomputed so the warm path never concatenates strings.
-var stageSpanNames = [obs.NumStages]string{
-	"stage:parse", "stage:sketch", "stage:expand", "stage:extract", "stage:serialize",
-}
-
 // handle registers h under pattern behind the one instrumentation
 // middleware: request/error counters, in-flight gauge, latency
-// histogram, trace propagation (X-Qbs-Trace-Id and W3C traceparent
-// accepted or minted, the ID echoed on the response), span recording
-// with tail sampling, and the slow-query log. name is the /metrics key
-// (the route path without the method).
+// histogram, trace intake (obs.Tracer.BeginRequest) and span recording
+// with tail sampling — the handler finds the request's span buffer in
+// its context. name is the /metrics key (the route path without the
+// method).
 func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 	ep, ok := s.eps[name]
 	if !ok {
@@ -288,72 +256,33 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		tr := &obs.Trace{ID: r.Header.Get(obs.TraceHeader)}
-		var remoteParent uint64
-		forced := false
-		if id, parent, sampled, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-			tr.ID = id
-			remoteParent = parent
-			forced = sampled
-		}
-		if tr.ID == "" {
-			tr.ID = obs.NewTraceID()
-		}
-		w.Header().Set(obs.TraceHeader, tr.ID)
-		tb := s.tracer.Begin(name, tr.ID, remoteParent, forced)
-		tr.Spans = tb
+		tracer := s.src.Tracer
+		tb := tracer.BeginRequest(name, w, r)
 		ep.inflight.Add(1)
-		rec := &statusRecorder{ResponseWriter: w}
-		h(rec, r.WithContext(obs.NewContext(r.Context(), tr)))
+		rec := &obs.StatusWriter{ResponseWriter: w}
+		h(rec, r.WithContext(obs.NewContext(r.Context(), tb)))
 		dur := time.Since(start)
+		status := rec.Status()
 		ep.inflight.Add(-1)
 		ep.requests.Inc()
-		if rec.code >= 400 {
+		if status >= 400 {
 			ep.errors.Inc()
 		}
 		ep.latency.Observe(dur)
-		status := rec.code
-		if status == 0 {
-			status = http.StatusOK
-		}
 		ep.slo.Record(int64(dur), status)
+		root := tb.Root()
+		root.SetInt("status", int64(status))
 		if status >= 500 {
 			// 5xx responses journal an error-level event carrying the
 			// request's trace ID, so /debug/logs lines join the
 			// /debug/traces tree of the same incident.
-			s.evErr.EmitTrace(tr.ID, obs.Str("endpoint", name), obs.Int("status", int64(status)))
-		}
-		if tr.HasQuery {
-			// The engine reports stage durations through QueryStats; the
-			// middleware owns the span buffer, so the breakdown is
-			// materialized as child spans laid end to end from the
-			// request start.
-			at := start
-			for i := obs.Stage(0); i < obs.NumStages; i++ {
-				s.stage[i].ObserveNs(tr.StageNs[i])
-				if ns := tr.StageNs[i]; ns > 0 {
-					tb.AddSpan(stageSpanNames[i], at, time.Duration(ns))
-					at = at.Add(time.Duration(ns))
-				}
-			}
-		}
-		root := tb.Root()
-		root.SetInt("status", int64(status))
-		if status >= 500 {
+			s.evErr.EmitTrace(tb.TraceID, obs.Str("endpoint", name), obs.Int("status", int64(status)))
 			root.Fail()
 		}
-		if id, kept := s.tracer.Finish(tb); kept {
+		if st := tracer.Finish(tb); st != nil {
 			// Retained traces become the exemplars dashboards link from.
-			ep.latency.SetExemplar(int64(dur), id)
-			if tr.HasQuery {
-				for i := obs.Stage(0); i < obs.NumStages; i++ {
-					if ns := tr.StageNs[i]; ns > 0 {
-						s.stage[i].SetExemplar(ns, id)
-					}
-				}
-			}
+			ep.latency.SetExemplar(int64(dur), st.TraceID)
 		}
-		s.slowlog.Fill(tr, name, status, dur, time.Now())
 	})
 }
 
@@ -397,12 +326,13 @@ func NewDirected(index *qbs.DiIndex) *Server {
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.reg = obs.NewRegistry()
-	s.slowlog = obs.NewSlowLog(slowLogCapacity, slowLogThreshold)
-	s.tracer = obs.DefaultTracer
-	s.journal = obs.DefaultJournal
-	s.evErr = s.journal.Def("http", "request_error", obs.LevelError)
-	s.slos = obs.NewSLOSet(s.reg)
-	s.flight = obs.DefaultFlightRecorder
+	s.src = obs.DebugSources{
+		Tracer:  obs.DefaultTracer,
+		Journal: obs.DefaultJournal,
+		SLOs:    obs.NewSLOSet(s.reg),
+		Flight:  obs.DefaultFlightRecorder,
+	}
+	s.evErr = s.src.Journal.Def("http", "request_error", obs.LevelError)
 	s.eps = map[string]*endpointView{}
 	for i := obs.Stage(0); i < obs.NumStages; i++ {
 		s.stage[i] = s.reg.Histogram("qbs_query_stage_ns", `stage="`+i.String()+`"`)
@@ -427,20 +357,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("HEAD /healthz", headOK)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", healthz)
-	s.mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
-	s.mux.HandleFunc("GET /debug/logs", func(w http.ResponseWriter, r *http.Request) {
-		s.journal.ServeHTTP(w, r)
-	})
-	s.mux.HandleFunc("GET /debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		s.slos.ServeHTTP(w, r)
-	})
-	profiles := func(w http.ResponseWriter, r *http.Request) {
-		s.flight.ServeHTTP(w, r)
-	}
-	s.mux.HandleFunc("GET /debug/profiles", profiles)
-	s.mux.HandleFunc("GET /debug/profiles/{id}", profiles)
+	s.mux.Handle("/debug/", obs.DebugMux(&s.src))
 	if s.di != nil {
 		s.handle("GET /spg", "/spg", s.handleDiSPG)
 		s.handle("GET /distance", "/distance", s.handleDiDistance)
@@ -546,56 +463,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// SlowLogResponse is the JSON body of GET /debug/slowlog.
-type SlowLogResponse struct {
-	ThresholdNs int64           `json:"threshold_ns"`
-	Capacity    int             `json:"capacity"`
-	Entries     []obs.SlowEntry `json:"entries"`
+// recordStage records one measured stage of the request: into the
+// stage's histogram and as a child span of the request, which becomes
+// the histogram's exemplar if the trace is retained.
+func (s *Server) recordStage(tb *obs.TraceBuf, stage obs.Stage, start time.Time, dur time.Duration) *obs.Span {
+	s.stage[stage].ObserveNs(int64(dur))
+	sp := tb.AddSpan(stage.SpanName(), start, dur)
+	sp.Exemplify(s.stage[stage])
+	return sp
 }
 
-func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	entries := s.slowlog.Entries()
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 || n > 1024 {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error: fmt.Sprintf("parameter \"n\" must be an integer in [1,1024], got %q", raw),
-			})
-			return
-		}
-		if n < len(entries) {
-			entries = entries[:n]
-		}
-	}
-	writeJSON(w, http.StatusOK, SlowLogResponse{
-		ThresholdNs: int64(s.slowlog.Threshold()),
-		Capacity:    s.slowlog.Cap(),
-		Entries:     entries,
-	})
+// endParse closes the parse stage, begun at start: handler entry through
+// argument validation. It returns the moment the stage ended, which is
+// when the index search starts.
+func (s *Server) endParse(tb *obs.TraceBuf, start time.Time) time.Time {
+	now := time.Now()
+	s.recordStage(tb, obs.StageParse, start, now.Sub(start))
+	return now
 }
 
 // recordQuery folds one query's stats — of an index of either kind —
-// into the engine counters and the request trace (stage spans land in
-// the stage histograms when the middleware finishes the request).
-func (s *Server) recordQuery(r *http.Request, u, v qbs.V, st qbs.QueryStats) {
+// into the engine counters and the request's trace: query identity on
+// the root span, the three stages of the search laid end to end from
+// start, when it began, each engine counter on the stage that ran it up.
+func (s *Server) recordQuery(tb *obs.TraceBuf, start time.Time, u, v qbs.V, st qbs.QueryStats) {
 	s.engArcs.Add(st.ArcsScanned)
 	s.engEntries.Add(st.LabelEntries)
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		tr.HasQuery = true
-		tr.U, tr.V = int64(u), int64(v)
-		tr.Dist = st.Dist
-		tr.ArcsScanned = st.ArcsScanned
-		tr.LabelEntries = st.LabelEntries
-		tr.SetStage(obs.StageSketch, st.SketchNs)
-		tr.SetStage(obs.StageExpand, st.ExpandNs)
-		tr.SetStage(obs.StageExtract, st.ExtractNs)
-	}
-}
-
-// markParse closes the parse span: from handler entry through argument
-// validation.
-func markParse(r *http.Request, start time.Time) {
-	obs.FromContext(r.Context()).SetStage(obs.StageParse, time.Since(start).Nanoseconds())
+	root := tb.Root()
+	root.SetInt("u", int64(u))
+	root.SetInt("v", int64(v))
+	root.SetInt("dist", int64(st.Dist))
+	sketch, expand, extract := time.Duration(st.SketchNs), time.Duration(st.ExpandNs), time.Duration(st.ExtractNs)
+	s.recordStage(tb, obs.StageSketch, start, sketch).SetInt("label_entries", st.LabelEntries)
+	s.recordStage(tb, obs.StageExpand, start.Add(sketch), expand).SetInt("arcs_scanned", st.ArcsScanned)
+	s.recordStage(tb, obs.StageExtract, start.Add(sketch+expand), extract)
 }
 
 func (s *Server) handleEdgesMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
@@ -776,15 +677,14 @@ func (sc *scratch) release() {
 }
 
 // send writes the body encoded in sc.buf in one piece under its
-// Content-Length and closes the request's serialize stage, which began
-// at start: assembling the response from the query's result, encoding
-// it and handing it to the connection.
-func (sc *scratch) send(w http.ResponseWriter, r *http.Request, start time.Time) {
+// Content-Length. With it ends the request's serialize stage, which the
+// handler records: assembling the response from the query's result,
+// encoding it and handing it to the connection.
+func (sc *scratch) send(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.buf)
-	obs.FromContext(r.Context()).SetStage(obs.StageSerialize, time.Since(start).Nanoseconds())
 }
 
 // sendSPG completes resp from the scratch's result and its layering —
@@ -792,7 +692,7 @@ func (sc *scratch) send(w http.ResponseWriter, r *http.Request, start time.Time)
 // list straight from the result. Vertices and path count are read off
 // the answer's own edges, never asked of the index again, so a reply
 // cannot mix two epochs.
-func (sc *scratch) sendSPG(w http.ResponseWriter, r *http.Request, start time.Time, resp SPGResponse, dTop int32) {
+func (sc *scratch) sendSPG(w http.ResponseWriter, resp SPGResponse, dTop int32) {
 	var dist int32
 	var edges []qbs.Edge
 	var arcs []qbs.Arc
@@ -812,7 +712,7 @@ func (sc *scratch) sendSPG(w http.ResponseWriter, r *http.Request, start time.Ti
 		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
 	}
 	sc.buf = appendSPGResponse(sc.buf[:0], &resp, edges, arcs)
-	sc.send(w, r, start)
+	sc.send(w)
 }
 
 func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
@@ -825,19 +725,21 @@ func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	markParse(r, pStart)
+	tb := obs.FromContext(r.Context())
+	qStart := s.endParse(tb, pStart)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
-	s.recordQuery(r, u, v, st)
+	s.recordQuery(tb, qStart, u, v, st)
 	start := time.Now()
 	sc.dag.Reset(&sc.spg)
-	sc.sendSPG(w, r, start, SPGResponse{
+	sc.sendSPG(w, SPGResponse{
 		Source:      u,
 		Target:      v,
 		ArcsScanned: st.ArcsScanned,
 		Coverage:    coverageName(st),
 	}, st.DTop)
+	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
 
 // DistanceResponse is the JSON body of /distance.
@@ -857,13 +759,13 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sendDistance(w, r, u, v, s.b.Distance(u, v))
+	s.sendDistance(w, r, u, v, s.b.Distance(u, v))
 }
 
 // sendDistance answers /distance, in either mode, through a pooled
 // scratch: the same buffer and single write as /spg, and no allocation
 // of its own but the Content-Length header.
-func sendDistance(w http.ResponseWriter, r *http.Request, u, v, d int32) {
+func (s *Server) sendDistance(w http.ResponseWriter, r *http.Request, u, v, d int32) {
 	start := time.Now()
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
@@ -874,7 +776,8 @@ func sendDistance(w http.ResponseWriter, r *http.Request, u, v, d int32) {
 		resp.Distance = &d
 	}
 	sc.buf = appendDistanceResponse(sc.buf[:0], &resp)
-	sc.send(w, r, start)
+	sc.send(w)
+	s.recordStage(obs.FromContext(r.Context()), obs.StageSerialize, start, time.Since(start))
 }
 
 // SketchResponse is the JSON body of /sketch.
@@ -942,11 +845,12 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	markParse(r, pStart)
+	tb := obs.FromContext(r.Context())
+	qStart := s.endParse(tb, pStart)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
-	s.recordQuery(r, u, v, st)
+	s.recordQuery(tb, qStart, u, v, st)
 	start := time.Now()
 	resp := PathsResponse{Source: u, Target: v}
 	if sc.spg.Dist != qbs.InfDist {
@@ -964,7 +868,8 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(&resp) // the body holds only numbers and slices of them
 	sc.buf = buf.Bytes()
-	sc.send(w, r, start)
+	sc.send(w)
+	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
 
 // DynamicStatsResponse is the dynamic-maintenance section of /stats
@@ -1056,20 +961,22 @@ func (s *Server) handleDiSPG(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	markParse(r, pStart)
+	tb := obs.FromContext(r.Context())
+	qStart := s.endParse(tb, pStart)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.di.QueryIntoStats(&sc.dispg, u, v)
-	s.recordQuery(r, u, v, st)
+	s.recordQuery(tb, qStart, u, v, st)
 	start := time.Now()
 	sc.dag.ResetDi(&sc.dispg)
-	sc.sendSPG(w, r, start, SPGResponse{
+	sc.sendSPG(w, SPGResponse{
 		Source:      u,
 		Target:      v,
 		ArcsScanned: st.ArcsScanned,
 		Coverage:    "directed",
 		Directed:    true,
 	}, st.DTop)
+	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
 
 func (s *Server) handleDiDistance(w http.ResponseWriter, r *http.Request) {
@@ -1077,7 +984,7 @@ func (s *Server) handleDiDistance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sendDistance(w, r, u, v, s.di.Distance(u, v))
+	s.sendDistance(w, r, u, v, s.di.Distance(u, v))
 }
 
 func (s *Server) handleDiSketch(w http.ResponseWriter, r *http.Request) {
@@ -1207,7 +1114,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	sp := traceSpans(r).StartSpan("checkpoint")
+	sp := obs.FromContext(r.Context()).StartSpan("checkpoint")
 	epoch, err := s.dyn.Checkpoint()
 	if err != nil {
 		sp.Fail()

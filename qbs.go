@@ -361,15 +361,11 @@ func (di *DynamicIndex) ApplyEdge(u, v V, insert bool) (UpdateResult, error) {
 }
 
 // ApplyEdgeCtx is ApplyEdge wired into the request's trace: when ctx
-// carries an obs.Trace with an active span buffer, the WAL append and
-// any budget-blown column re-BFSes are recorded as child spans of the
+// carries a span buffer (obs.NewContext), the WAL append and any
+// budget-blown column re-BFSes are recorded as child spans of the
 // request. Behaviour is otherwise identical to ApplyEdge.
 func (di *DynamicIndex) ApplyEdgeCtx(ctx context.Context, u, v V, insert bool) (UpdateResult, error) {
-	var tb *obs.TraceBuf
-	if tr := obs.FromContext(ctx); tr != nil {
-		tb = tr.Spans
-	}
-	return di.d.ApplyEdgeTraced(u, v, insert, tb)
+	return di.d.ApplyEdgeTraced(u, v, insert, obs.FromContext(ctx))
 }
 
 // RemoveEdge deletes the undirected edge {u, v} and incrementally
