@@ -3,7 +3,7 @@
 // 12-dataset sweeps live in cmd/qbs-bench; these benchmarks are the
 // quick-turnaround versions wired into `go test -bench=.`.
 //
-// Mapping (see DESIGN.md §5 for the complete per-experiment index):
+// Mapping (bench.Experiments is the complete per-experiment index):
 //
 //	Table 1  -> BenchmarkTable1Stats
 //	Table 2  -> BenchmarkTable2Build*, BenchmarkTable2Query*
@@ -14,7 +14,6 @@
 //	Figure 10-> BenchmarkFig10ConstructionSweep
 //	Figure 11-> BenchmarkFig11QuerySweep
 //	§6.5     -> BenchmarkAblationTraversal
-//	§5.3     -> BenchmarkAblationParallelLabelling
 //	§8       -> BenchmarkAblationLandmarkStrategies
 package qbs_test
 
@@ -321,18 +320,6 @@ func BenchmarkAblationTraversal(b *testing.B) {
 			}
 			if bibArcs > 0 {
 				b.ReportMetric(100*(1-float64(qbsArcs)/float64(bibArcs)), "arc_reduction_%")
-			}
-		})
-	}
-}
-
-func BenchmarkAblationParallelLabelling(b *testing.B) {
-	benchSetup(b)
-	g := benchGraphs["YT"]
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(sweepName(threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.MustBuild(g, core.Options{NumLandmarks: 20, Parallelism: threads, SkipDelta: true})
 			}
 		})
 	}

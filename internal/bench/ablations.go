@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"qbs/internal/bfs"
@@ -15,7 +14,7 @@ import (
 
 func datasetSpec(key string) (datasets.Spec, error) { return datasets.ByKey(key) }
 
-// Ablation 1 (§6.5) — edges traversed per query: full-graph Bi-BFS vs an
+// Ablation (§6.5) — edges traversed per query: full-graph Bi-BFS vs an
 // unguided bidirectional search on the sparsified graph G⁻ vs the full
 // sketch-guided QbS pipeline. The paper reports ~30% fewer edges from
 // sparsification alone and ~66% fewer with sketch guidance on Twitter.
@@ -85,59 +84,6 @@ func (h *Harness) AblationTraversal() ([]TraversalRow, error) {
 	return rows, nil
 }
 
-// Ablation 2 (§5.3) — parallel labelling speedup by worker count.
-
-// ParallelRow reports construction time by thread count for one dataset.
-type ParallelRow struct {
-	Key     string
-	Threads []int
-	Times   []time.Duration
-	Speedup []float64 // vs Threads[0]
-}
-
-// AblationParallel measures QbS-P thread scaling.
-func (h *Harness) AblationParallel(threads []int) ([]ParallelRow, error) {
-	if len(threads) == 0 {
-		threads = []int{1, 2, 4}
-		if n := runtime.GOMAXPROCS(0); n >= 8 {
-			threads = append(threads, 8)
-		}
-	}
-	var rows []ParallelRow
-	t := &table{
-		title:  "Ablation (§5.3) — labelling construction time by worker count",
-		header: []string{"Dataset"},
-	}
-	for _, th := range threads {
-		t.header = append(t.header, fmt.Sprintf("T=%d", th))
-	}
-	t.header = append(t.header, "speedup")
-	for _, key := range h.sortedKeys() {
-		g, err := h.Graph(key)
-		if err != nil {
-			return nil, err
-		}
-		row := ParallelRow{Key: key, Threads: threads}
-		cells := []string{key}
-		for _, th := range threads {
-			ix, err := core.Build(g, core.Options{NumLandmarks: h.cfg.NumLandmarks, Parallelism: th, SkipDelta: true})
-			if err != nil {
-				return nil, err
-			}
-			row.Times = append(row.Times, ix.Stats().LabellingTime)
-			cells = append(cells, fmtDuration(ix.Stats().LabellingTime))
-		}
-		for _, d := range row.Times {
-			row.Speedup = append(row.Speedup, float64(row.Times[0])/float64(d))
-		}
-		cells = append(cells, fmt.Sprintf("%.1fx", row.Speedup[len(row.Speedup)-1]))
-		rows = append(rows, row)
-		t.add(cells...)
-	}
-	t.render(h.cfg.Out)
-	return rows, nil
-}
-
 // Ablation — query speedup vs graph scale. The paper's 10–300×
 // query-time advantage over Bi-BFS is a scale effect: Bi-BFS work grows
 // with the graph while QbS queries stay nearly flat. This sweep makes
@@ -147,7 +93,7 @@ func (h *Harness) AblationParallel(threads []int) ([]ParallelRow, error) {
 // ScaleRow reports query timings at one dataset scale.
 type ScaleRow struct {
 	Key      string
-	Scale    float64
+	Scale    float64 // effective: the sweep's fraction times Config.Scale
 	Vertices int
 	Edges    int
 	QbS      time.Duration
@@ -155,8 +101,8 @@ type ScaleRow struct {
 	Speedup  float64
 }
 
-// AblationScale sweeps dataset scale and reports the QbS-vs-Bi-BFS
-// speedup trend.
+// AblationScale sweeps dataset scale (nil = 0.1, 0.3 and 1.0 of
+// Config.Scale) and reports the QbS-vs-Bi-BFS speedup trend.
 func (h *Harness) AblationScale(scales []float64) ([]ScaleRow, error) {
 	if len(scales) == 0 {
 		scales = []float64{0.1, 0.3, 1.0}
@@ -171,8 +117,9 @@ func (h *Harness) AblationScale(scales []float64) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, sc := range scales {
-			g := spec.Generate(sc * h.cfg.Scale)
+		for _, frac := range scales {
+			sc := frac * h.cfg.Scale
+			g := spec.Generate(sc)
 			ix, err := core.Build(g, core.Options{NumLandmarks: h.cfg.NumLandmarks})
 			if err != nil {
 				return nil, err
@@ -270,7 +217,7 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 	return rows, nil
 }
 
-// Ablation 3 (§8 future work) — landmark selection strategies.
+// Ablation (§8 future work) — landmark selection strategies.
 
 // StrategyRow compares landmark strategies on one dataset.
 type StrategyRow struct {

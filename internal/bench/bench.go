@@ -1,12 +1,18 @@
-// Package bench is the experiment harness: one runner per table and
-// figure of the paper's evaluation (§6), plus the ablations suggested by
-// §6.5 (traversal reduction), §5.3 (parallel labelling speedup) and §8
-// (landmark selection strategies).
+// Package bench regenerates the paper's evaluation and nothing else: one
+// runner per table and figure of §6 (Tables 1-3, Figures 7-11), the
+// dynamic-update and MultiBFS pool-width experiments, and the ablations
+// suggested by §6.5 (traversal reduction), §2 (directed graphs) and §8
+// (landmark selection). Experiments is the table of all of them;
+// cmd/qbs-bench runs it and EXPERIMENTS.md is the committed output of one
+// run, each section beside the claim it is held against.
 //
 // Each runner builds the required indexes over the synthetic dataset
-// analogs, executes the workload, renders a markdown table to the
-// configured writer and returns the raw rows for programmatic use
-// (root-level benchmarks and EXPERIMENTS.md generation).
+// analogs, executes the workload, renders one markdown table to the
+// configured writer and returns the raw rows for programmatic use.
+//
+// What a served request costs — build, query percentiles, allocations,
+// store, replica and tracing overheads — is not measured here: that is
+// `go run ./benchmark`, whose metrics BENCHMARK.json names.
 //
 // Absolute numbers differ from the paper (different hardware, graphs
 // scaled ~10³ down); the harness is designed so the *shape* of each
@@ -27,7 +33,7 @@ import (
 
 // Config parameterises a harness run.
 type Config struct {
-	// Scale multiplies dataset analog sizes (1 = DESIGN.md defaults).
+	// Scale multiplies dataset analog sizes (1 = datasets.Spec.BaseVertices).
 	Scale float64
 	// NumQueries is the number of sampled pairs per dataset (paper: 10,000).
 	NumQueries int

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -125,15 +126,6 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("traversal row empty: %+v", r)
 		}
 	}
-	pr, err := h.AblationParallel([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range pr {
-		if len(r.Times) != 2 || r.Times[0] <= 0 {
-			t.Fatalf("parallel row: %+v", r)
-		}
-	}
 	sr, err := h.AblationLandmarks()
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +155,8 @@ func TestDynamicUpdates(t *testing.T) {
 	// The acceptance bar: incremental insertion repair must beat a full
 	// rebuild by at least an order of magnitude. Skipped under the race
 	// detector, whose uneven slowdown makes wall-clock ratios on a tiny
-	// harness meaningless; the real demonstration is `qbs-bench -exp
-	// dynamic` at mid-size (~45-60x). Other test binaries run
+	// harness meaningless; the measured ratios are the "Dynamic updates"
+	// section of EXPERIMENTS.md. Other test binaries run
 	// concurrently with this one and can steal the only core mid-stream,
 	// so the ratio gets a few attempts — contention is transient, a real
 	// regression fails every time.
@@ -199,5 +191,68 @@ func TestDynamicUpdates(t *testing.T) {
 				r.InsertSpeedup, attempts, r.AvgInsert, r.Rebuild)
 		}
 		t.Logf("attempt %d: insert speedup %.1f× < 10×, retrying (likely scheduler contention)", attempt, r.InsertSpeedup)
+	}
+}
+
+// sectionHeaders maps each "## " title of a rendered evaluation to its
+// table's column header row, whitespace-normalised.
+func sectionHeaders(t *testing.T, md string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	title := ""
+	for _, line := range strings.Split(md, "\n") {
+		switch {
+		case strings.HasPrefix(line, "## "):
+			title = strings.TrimPrefix(line, "## ")
+			if _, dup := out[title]; dup {
+				t.Fatalf("section %q appears twice", title)
+			}
+			out[title] = ""
+		case title != "" && out[title] == "" && strings.HasPrefix(line, "|"):
+			out[title] = strings.Join(strings.Fields(line), " ")
+		}
+	}
+	return out
+}
+
+// TestExperimentsRecordMatchesHarness keeps EXPERIMENTS.md the output of
+// this harness: the committed record and a tiny run of every entry of
+// Experiments must have the same sections with the same columns. Shape
+// only — the record's numbers are one run on one host.
+func TestExperimentsRecordMatchesHarness(t *testing.T) {
+	record, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	h := New(Config{
+		Scale:        0.05,
+		NumQueries:   40,
+		NumLandmarks: 8,
+		Datasets:     []string{"DO", "WK"},
+		PPLBudget:    30 * time.Second,
+		Out:          &buf,
+	})
+	for _, e := range Experiments {
+		before := buf.Len()
+		if err := e.Run(h); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if n := strings.Count(buf.String()[before:], "\n## "); n != 1 {
+			t.Errorf("%s rendered %d sections, want 1", e.Name, n)
+		}
+	}
+	got, want := sectionHeaders(t, buf.String()), sectionHeaders(t, string(record))
+	for title, header := range got {
+		if rec, ok := want[title]; !ok {
+			t.Errorf("harness section %q is not in EXPERIMENTS.md", title)
+		} else if rec != header {
+			t.Errorf("section %q columns differ:\nharness: %s\nrecord:  %s", title, header, rec)
+		}
+	}
+	for title := range want {
+		if _, ok := got[title]; !ok {
+			t.Errorf("EXPERIMENTS.md section %q is rendered by no experiment", title)
+		}
 	}
 }

@@ -128,13 +128,13 @@ func (h *Harness) DynamicUpdates(ratios []float64) ([]DynamicRow, error) {
 	}
 
 	tbl := &table{
-		title: fmt.Sprintf("Dynamic updates (%s): incremental repair vs full rebuild", key),
-		header: []string{"write%", "queries", "ins", "del", "avg query", "avg insert", "avg delete",
+		title: "Dynamic updates — incremental repair vs full rebuild",
+		header: []string{"Dataset", "write%", "queries", "ins", "del", "avg query", "avg insert", "avg delete",
 			"rebuild", "ins speedup", "del speedup", "fallbacks", "compactions"},
 	}
 	for _, r := range rows {
 		tbl.add(
-			fmt.Sprintf("%.0f%%", r.WriteRatio*100),
+			r.Dataset, fmt.Sprintf("%.0f%%", r.WriteRatio*100),
 			fmtCount(r.Queries), fmtCount(r.Inserts), fmtCount(r.Deletes),
 			fmtDuration(r.AvgQuery), fmtDuration(r.AvgInsert), fmtDuration(r.AvgDelete),
 			fmtDuration(r.Rebuild),

@@ -23,10 +23,22 @@ type Fig7Row struct {
 	Distribution workload.DistanceDistribution
 }
 
+// fig7Tail is the distance at which Figure 7's last column starts: the
+// columns are d=1..fig7Tail-1 and d≥fig7Tail whatever the sample holds,
+// so the table's shape does not depend on the pairs drawn.
+const fig7Tail = 10
+
 // Fig7 reproduces the distance-distribution figure.
 func (h *Harness) Fig7() ([]Fig7Row, error) {
 	var rows []Fig7Row
-	maxD := int32(0)
+	t := &table{
+		title:  "Figure 7 — distance distribution of sampled pairs (fraction per distance)",
+		header: []string{"Dataset", "mean"},
+	}
+	for d := 1; d < fig7Tail; d++ {
+		t.header = append(t.header, fmt.Sprintf("d=%d", d))
+	}
+	t.header = append(t.header, fmt.Sprintf("d≥%d", fig7Tail))
 	for _, key := range h.sortedKeys() {
 		g, err := h.Graph(key)
 		if err != nil {
@@ -35,24 +47,13 @@ func (h *Harness) Fig7() ([]Fig7Row, error) {
 		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
 		dd := workload.MeasureDistances(g, pairs)
 		rows = append(rows, Fig7Row{Key: key, Distribution: dd})
-		if dd.Max > maxD {
-			maxD = dd.Max
+
+		fractions := make([]float64, fig7Tail+1)
+		for d, f := range dd.Fraction {
+			fractions[min(d, fig7Tail)] += f
 		}
-	}
-	t := &table{
-		title:  "Figure 7 — distance distribution of sampled pairs (fraction per distance)",
-		header: []string{"Dataset", "mean"},
-	}
-	for d := int32(1); d <= maxD; d++ {
-		t.header = append(t.header, fmt.Sprintf("d=%d", d))
-	}
-	for _, r := range rows {
-		cells := []string{r.Key, fmt.Sprintf("%.2f", r.Distribution.Mean)}
-		for d := int32(1); d <= maxD; d++ {
-			f := 0.0
-			if int(d) < len(r.Distribution.Fraction) {
-				f = r.Distribution.Fraction[d]
-			}
+		cells := []string{key, fmt.Sprintf("%.2f", dd.Mean)}
+		for _, f := range fractions[1:] {
 			cells = append(cells, fmt.Sprintf("%.3f", f))
 		}
 		t.add(cells...)

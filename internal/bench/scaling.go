@@ -4,10 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"qbs/internal/core"
@@ -21,62 +18,39 @@ import (
 // MultiBFS kernels — labelling build and dynamic column rebuild —
 // checking at each width that the results are bit-identical to the
 // sequential run. Absolute speedups only mean something on a machine
-// with that many cores (NumCPU is recorded in the snapshot for exactly
-// that reason); the bit-identical column must hold everywhere.
-
-// ScalingSchema identifies the scaling snapshot's format version.
-const ScalingSchema = "qbs-bench-scaling/v2"
+// with that many cores (qbs-bench prints num_cpu in its header for
+// exactly that reason); the bit-identical column must hold everywhere.
 
 // ScalingPhase is one pool width's measurements on one dataset.
 type ScalingPhase struct {
-	Workers int `json:"workers"`
+	Workers int
 
-	BuildNs  int64 `json:"build_ns"`  // best-of-N core.Build (labelling + meta + Δ)
-	RepairNs int64 `json:"repair_ns"` // dynamic write stream with budget-1 column rebuilds
+	BuildNs  int64 // best-of-N core.Build (labelling + meta + Δ)
+	RepairNs int64 // dynamic write stream with budget-1 column rebuilds
 
-	BuildSpeedup  float64 `json:"build_speedup"` // sequential / this width
-	RepairSpeedup float64 `json:"repair_speedup"`
+	BuildSpeedup  float64 // sequential / this width
+	RepairSpeedup float64
 
 	// Identical reports that this width reproduced the sequential run
 	// bit for bit: serialized index (landmarks, σ, labels — Δ derives
 	// deterministically from those) and post-churn dynamic query answers.
-	Identical bool `json:"identical"`
+	Identical bool
 }
 
-// ScalingDataset is one dataset block of the scaling snapshot.
+// ScalingDataset is one dataset's sweep.
 type ScalingDataset struct {
-	Key      string `json:"key"`
-	Vertices int    `json:"vertices"`
-	Edges    int    `json:"edges"`
+	Key      string
+	Vertices int
+	Edges    int
 
 	// IndexSHA256 fingerprints the sequential build; every other width
 	// must reproduce it exactly.
-	IndexSHA256 string `json:"index_sha256"`
+	IndexSHA256 string
 
-	Phases []ScalingPhase `json:"phases"`
+	Phases []ScalingPhase
 }
 
-// ScalingSnapshot is the machine-readable scaling record. NumCPU
-// captures whether the measuring host could physically exhibit parallel
-// speedup; on a single-core box the expected speedup at every width is
-// ~1× and only the bit-identical columns carry information.
-type ScalingSnapshot struct {
-	Schema     string  `json:"schema"`
-	GoVersion  string  `json:"go"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	NumCPU     int     `json:"num_cpu"`
-	Scale      float64 `json:"scale"`
-	Queries    int     `json:"queries"`
-	Landmarks  int     `json:"landmarks"`
-	Seed       int64   `json:"seed"`
-
-	Workers  []int            `json:"workers"`
-	Datasets []ScalingDataset `json:"datasets"`
-}
-
-// scalingReps is best-of-N for the build timing (same convention as the
-// perf snapshot's buildReps, fewer reps because the scaling run
-// multiplies everything by the number of widths).
+// scalingReps is best-of-N for the build timing.
 const scalingReps = 3
 
 // scalingWrites is the length of the dynamic write stream timed per
@@ -84,39 +58,55 @@ const scalingReps = 3
 // full column re-BFS path, which is the parallel kernel under test.
 const scalingWrites = 32
 
+// scalingKeys picks the experiment's datasets: the configured ones among
+// YT, OR and FR (sparse-hubby, dense, and flat-degree; each width costs
+// scalingReps builds plus a write stream), otherwise every configured key.
+func (h *Harness) scalingKeys() []string {
+	all := h.sortedKeys()
+	var keys []string
+	for _, k := range all {
+		if k == "YT" || k == "OR" || k == "FR" {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return all
+	}
+	return keys
+}
+
 // Scaling measures build and repair latency across traverse pool widths
-// (nil = 1, 2, 4, 8) on the configured datasets and verifies
-// bit-identical results at every width. Driven by `qbs-bench -exp
-// scaling` and by tests.
-func (h *Harness) Scaling(workers []int) (*ScalingSnapshot, error) {
+// (nil = 1, 2, 4, 8) and verifies bit-identical results at every width.
+func (h *Harness) Scaling(workers []int) ([]ScalingDataset, error) {
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4, 8}
 	}
-	cfg := h.cfg
-	s := &ScalingSnapshot{
-		Schema:     ScalingSchema,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Scale:      cfg.Scale,
-		Queries:    cfg.NumQueries,
-		Landmarks:  cfg.NumLandmarks,
-		Seed:       cfg.Seed,
-		Workers:    workers,
+	var rows []ScalingDataset
+	tbl := &table{
+		title: "Scaling — labelling build and dynamic column rebuild by MultiBFS pool width",
+		header: []string{"Dataset", "|V|", "|E|", "workers", "build", "build speedup",
+			"repair", "repair speedup", "identical"},
 	}
-	for _, key := range h.sortedKeys() {
+	for _, key := range h.scalingKeys() {
 		g, err := h.Graph(key)
 		if err != nil {
 			return nil, err
 		}
-		row, err := scalingDataset(key, g, cfg, workers)
+		row, err := scalingDataset(key, g, h.cfg, workers)
 		if err != nil {
 			return nil, err
 		}
-		s.Datasets = append(s.Datasets, row)
+		rows = append(rows, row)
+		for _, ph := range row.Phases {
+			tbl.add(key, fmtCount(row.Vertices), fmtCount(row.Edges),
+				fmt.Sprintf("%d", ph.Workers),
+				fmtDuration(time.Duration(ph.BuildNs)), fmtSpeedup(ph.BuildSpeedup),
+				fmtDuration(time.Duration(ph.RepairNs)), fmtSpeedup(ph.RepairSpeedup),
+				fmt.Sprintf("%v", ph.Identical))
+		}
 	}
-	h.renderScaling(s)
-	return s, nil
+	tbl.render(h.cfg.Out)
+	return rows, nil
 }
 
 func scalingDataset(key string, g *graph.Graph, cfg Config, workers []int) (ScalingDataset, error) {
@@ -250,43 +240,9 @@ func ratio(base, got int64) float64 {
 	return float64(base) / float64(got)
 }
 
-// renderScaling prints the snapshot as markdown tables.
-func (h *Harness) renderScaling(s *ScalingSnapshot) {
-	for _, ds := range s.Datasets {
-		tbl := &table{
-			title: fmt.Sprintf("Scaling %s (|V|=%s, |E|=%s, NumCPU=%d)",
-				ds.Key, fmtCount(ds.Vertices), fmtCount(ds.Edges), s.NumCPU),
-			header: []string{"workers", "build", "speedup", "repair", "speedup", "identical"},
-		}
-		for _, ph := range ds.Phases {
-			tbl.add(
-				fmt.Sprintf("%d", ph.Workers),
-				fmtDuration(time.Duration(ph.BuildNs)), fmtSpeedup(ph.BuildSpeedup),
-				fmtDuration(time.Duration(ph.RepairNs)), fmtSpeedup(ph.RepairSpeedup),
-				fmt.Sprintf("%v", ph.Identical),
-			)
-		}
-		tbl.render(h.cfg.Out)
-	}
-}
-
 func fmtSpeedup(x float64) string {
 	if x == 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.2f×", x)
-}
-
-// ScalingJSON runs the scaling experiment and writes its snapshot to
-// path.
-func (h *Harness) ScalingJSON(path string, workers []int) error {
-	s, err := h.Scaling(workers)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

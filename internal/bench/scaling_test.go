@@ -2,9 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -19,17 +16,14 @@ func TestScalingSnapshot(t *testing.T) {
 		Datasets:     []string{"DO"},
 		Out:          &buf,
 	})
-	s, err := h.Scaling([]int{1, 2, 4})
+	rows, err := h.Scaling([]int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Schema != ScalingSchema || s.NumCPU <= 0 {
-		t.Fatalf("bad snapshot header: %+v", s)
+	if len(rows) != 1 || rows[0].Key != "DO" || len(rows[0].Phases) != 3 {
+		t.Fatalf("unexpected shape: %+v", rows)
 	}
-	if len(s.Datasets) != 1 || len(s.Datasets[0].Phases) != 3 {
-		t.Fatalf("unexpected shape: %+v", s.Datasets)
-	}
-	for _, ph := range s.Datasets[0].Phases {
+	for _, ph := range rows[0].Phases {
 		if !ph.Identical {
 			t.Fatalf("workers=%d: results not bit-identical to sequential", ph.Workers)
 		}
@@ -37,27 +31,11 @@ func TestScalingSnapshot(t *testing.T) {
 			t.Fatalf("workers=%d: empty timings: %+v", ph.Workers, ph)
 		}
 	}
-	if s.Datasets[0].IndexSHA256 == "" {
+	if rows[0].IndexSHA256 == "" {
 		t.Fatal("missing index fingerprint")
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("Scaling DO")) {
+	if !bytes.Contains(buf.Bytes(), []byte("## Scaling")) {
 		t.Fatal("markdown not rendered")
-	}
-
-	path := filepath.Join(t.TempDir(), "scaling.json")
-	if err := h.ScalingJSON(path, []int{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ScalingSnapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != ScalingSchema {
-		t.Fatalf("round-trip schema: %q", back.Schema)
 	}
 }
 
@@ -73,11 +51,11 @@ func BenchmarkScaling(b *testing.B) {
 		Datasets:     []string{"DO"},
 	})
 	for i := 0; i < b.N; i++ {
-		s, err := h.Scaling(nil)
+		rows, err := h.Scaling(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, ph := range s.Datasets[0].Phases {
+		for _, ph := range rows[0].Phases {
 			if !ph.Identical {
 				b.Fatalf("workers=%d diverged from sequential", ph.Workers)
 			}
@@ -105,11 +83,11 @@ func TestParallelEfficiencyGate(t *testing.T) {
 		Datasets:     []string{"YT"},
 		PPLBudget:    time.Minute,
 	})
-	s, err := h.Scaling([]int{1, 4})
+	rows, err := h.Scaling([]int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := s.Datasets[0].Phases[1]
+	ph := rows[0].Phases[1]
 	if !ph.Identical {
 		t.Fatalf("workers=4 diverged from sequential")
 	}

@@ -153,28 +153,3 @@ func (h *Histogram) Reset() {
 	h.sum.Store(0)
 	h.max.Store(0)
 }
-
-// HistogramSummary is a rendered view of a histogram: the quantiles the
-// exposition format and bench snapshots report.
-type HistogramSummary struct {
-	Count uint64 `json:"count"`
-	SumNs int64  `json:"sum_ns"`
-	P50   int64  `json:"p50_ns"`
-	P95   int64  `json:"p95_ns"`
-	P99   int64  `json:"p99_ns"`
-	P999  int64  `json:"p999_ns"`
-	MaxNs int64  `json:"max_ns"`
-}
-
-// Summary renders the histogram's headline quantiles.
-func (h *Histogram) Summary() HistogramSummary {
-	return HistogramSummary{
-		Count: h.Count(),
-		SumNs: h.Sum(),
-		P50:   h.Quantile(0.5),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-		MaxNs: h.Max(),
-	}
-}

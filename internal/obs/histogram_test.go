@@ -150,7 +150,7 @@ func TestHistogramConcurrent(t *testing.T) {
 				h.ObserveNs(rng.Int63n(1 << 40))
 				if i%256 == 0 {
 					_ = h.Quantile(0.99)
-					_ = h.Summary()
+					_ = h.Max()
 				}
 			}
 		}(int64(w))
@@ -253,13 +253,12 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-// TestEmptyHistogramSummary pins down the empty-histogram contract:
-// every field is zero, no garbage values.
-func TestEmptyHistogramSummary(t *testing.T) {
+// TestEmptyHistogramReadsZero pins down the empty-histogram contract:
+// every reading is zero, no garbage values.
+func TestEmptyHistogramReadsZero(t *testing.T) {
 	h := NewHistogram()
-	s := h.Summary()
-	if s != (HistogramSummary{}) {
-		t.Fatalf("empty summary = %+v, want all zeros", s)
+	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+		t.Fatalf("empty histogram: count %d, sum %d, max %d", h.Count(), h.Sum(), h.Max())
 	}
 	if h.Quantile(0.5) != 0 || h.Quantile(0) != 0 || h.Quantile(1) != 0 {
 		t.Fatal("empty quantiles must be 0")

@@ -106,7 +106,7 @@ func TestStageAndEngineSeriesAdvance(t *testing.T) {
 	get(t, s, "/paths?u=0&v=3", nil)
 
 	for i := obs.Stage(0); i < obs.NumStages; i++ {
-		if c := s.stage[i].Summary().Count; c != 2 {
+		if c := s.stage[i].Count(); c != 2 {
 			t.Fatalf("stage %s: %d observations, want 2", i, c)
 		}
 	}
@@ -114,9 +114,9 @@ func TestStageAndEngineSeriesAdvance(t *testing.T) {
 		t.Fatal("label-entry counter did not advance")
 	}
 
-	before := s.stage[obs.StageSketch].Summary().Count
+	before := s.stage[obs.StageSketch].Count()
 	get(t, s, "/spg?u=0&v=99", nil) // 400: no query ran
-	if after := s.stage[obs.StageSketch].Summary().Count; after != before {
+	if after := s.stage[obs.StageSketch].Count(); after != before {
 		t.Fatal("error response recorded a stage span")
 	}
 }

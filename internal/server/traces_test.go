@@ -156,8 +156,7 @@ func TestExemplarOnRetainedTrace(t *testing.T) {
 	if ep == nil {
 		t.Fatal("no /spg endpoint view")
 	}
-	sum := ep.latency.Summary()
-	ex := ep.latency.ExemplarNear(sum.P50)
+	ex := ep.latency.ExemplarNear(ep.latency.Quantile(0.5))
 	if ex == nil || ex.TraceID != "cafe000000000099" {
 		t.Fatalf("latency exemplar %+v, want trace cafe000000000099", ex)
 	}
