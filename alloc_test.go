@@ -30,38 +30,67 @@ func connectedBA(n, m int, seed int64) *graph.Graph {
 	return lc
 }
 
-// TestWarmQueryZeroAllocs asserts the PR 2 acceptance criterion: a warm
-// query through the reusable-result path allocates nothing — neither in
-// the searcher (expansion, sketch, extraction) nor in the result, whose
-// edge buffer is recycled at its high-water mark.
-func TestWarmQueryZeroAllocs(t *testing.T) {
-	g, pairs := allocGraph(t)
-	cix := core.MustBuild(g, core.Options{NumLandmarks: 16})
-	sr := core.NewSearcher(cix)
-	spg := graph.NewSPG(0, 0)
-
-	// Warm every buffer to its working size on the same pair set.
-	for r := 0; r < 3; r++ {
-		for _, p := range pairs {
-			sr.QueryInto(spg, p.U, p.V)
+// allocCases are the two orientations under the warm-path alloc gates:
+// each builds the engine's index, the public one over the same graph,
+// and pairs to ask of either.
+var allocCases = []struct {
+	name  string
+	build func(tb testing.TB) (*core.Index, queryIntoer, []workload.Pair)
+}{
+	{"undirected", func(tb testing.TB) (*core.Index, queryIntoer, []workload.Pair) {
+		g, pairs := allocGraph(tb)
+		return core.MustBuild(g, core.Options{NumLandmarks: 16}), qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 16}), pairs
+	}},
+	{"directed", func(tb testing.TB) (*core.Index, queryIntoer, []workload.Pair) {
+		ix, pairs := diAllocIndex(tb)
+		cix, err := core.BuildDirected(ix.Graph(), core.Options{NumLandmarks: 16})
+		if err != nil {
+			tb.Fatal(err)
 		}
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		sr.QueryInto(spg, p.U, p.V)
-	}); avg != 0 {
-		t.Fatalf("warm Searcher.QueryInto allocates %.2f/op, want 0", avg)
-	}
+		return cix, ix, pairs
+	}},
+}
 
-	i = 0
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		sr.Distance(p.U, p.V)
-	}); avg != 0 {
-		t.Fatalf("warm Searcher.Distance allocates %.2f/op, want 0", avg)
+type queryIntoer interface {
+	QueryInto(dst *qbs.SPG, u, v qbs.V) *qbs.SPG
+}
+
+// TestWarmQueryZeroAllocs asserts the PR 2 acceptance criterion, and PR
+// 4's for the directed serving surface: a warm query through the
+// reusable-result path allocates nothing — neither in the searcher
+// (expansion, sketch, extraction) nor in the result, whose edge buffer
+// is recycled at its high-water mark — and neither does Distance.
+func TestWarmQueryZeroAllocs(t *testing.T) {
+	for _, c := range allocCases {
+		t.Run(c.name, func(t *testing.T) {
+			cix, _, pairs := c.build(t)
+			sr := core.NewSearcher(cix)
+			spg := new(graph.SPG)
+
+			// Warm every buffer to its working size on the same pair set.
+			for r := 0; r < 3; r++ {
+				for _, p := range pairs {
+					sr.QueryInto(spg, p.U, p.V)
+				}
+			}
+			i := 0
+			if avg := testing.AllocsPerRun(len(pairs)*2, func() {
+				p := pairs[i%len(pairs)]
+				i++
+				sr.QueryInto(spg, p.U, p.V)
+			}); avg != 0 {
+				t.Fatalf("warm Searcher.QueryInto allocates %.2f/op, want 0", avg)
+			}
+
+			i = 0
+			if avg := testing.AllocsPerRun(len(pairs)*2, func() {
+				p := pairs[i%len(pairs)]
+				i++
+				sr.Distance(p.U, p.V)
+			}); avg != 0 {
+				t.Fatalf("warm Searcher.Distance allocates %.2f/op, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -156,29 +185,33 @@ func TestWarmTracedQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmIndexQueryIntoZeroAllocs covers the public pooled entry point.
+// TestWarmIndexQueryIntoZeroAllocs covers the public pooled entry point
+// of either orientation: Index and DiIndex read through one reader.
 // GC is paused so the searcher pool cannot be emptied mid-measurement
 // (a pool refill is an allocation the steady state never pays).
 func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool")
 	}
-	g, pairs := allocGraph(t)
-	ix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 16})
-	spg := graph.NewSPG(0, 0)
-	for r := 0; r < 3; r++ {
-		for _, p := range pairs {
-			ix.QueryInto(spg, p.U, p.V)
-		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	i := 0
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		ix.QueryInto(spg, p.U, p.V)
-	}); avg != 0 {
-		t.Fatalf("warm Index.QueryInto allocates %.2f/op, want 0", avg)
+	for _, c := range allocCases {
+		t.Run(c.name, func(t *testing.T) {
+			_, ix, pairs := c.build(t)
+			spg := new(graph.SPG)
+			for r := 0; r < 3; r++ {
+				for _, p := range pairs {
+					ix.QueryInto(spg, p.U, p.V)
+				}
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			i := 0
+			if avg := testing.AllocsPerRun(len(pairs)*2, func() {
+				p := pairs[i%len(pairs)]
+				i++
+				ix.QueryInto(spg, p.U, p.V)
+			}); avg != 0 {
+				t.Fatalf("warm QueryInto allocates %.2f/op, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -305,109 +338,44 @@ func BenchmarkQueryBatch(b *testing.B) {
 	}
 }
 
-// --- directed serving-surface allocation regressions ------------------
+// --- directed fixtures and benchmarks -----------------------------------
 
 // diAllocIndex returns a directed test index and sampled pairs.
-func diAllocIndex(tb testing.TB) (*qbs.DiIndex, [][2]qbs.V) {
+func diAllocIndex(tb testing.TB) (*qbs.DiIndex, []workload.Pair) {
 	tb.Helper()
 	g := graph.DirectedScaleFree(800, 3, 73)
 	ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 16})
 	rng := rand.New(rand.NewSource(9))
-	pairs := make([][2]qbs.V, 64)
+	pairs := make([]workload.Pair, 64)
 	for i := range pairs {
-		pairs[i] = [2]qbs.V{qbs.V(rng.Intn(g.NumVertices())), qbs.V(rng.Intn(g.NumVertices()))}
+		pairs[i] = workload.Pair{U: qbs.V(rng.Intn(g.NumVertices())), V: qbs.V(rng.Intn(g.NumVertices()))}
 	}
 	return ix, pairs
 }
 
-// TestWarmDiQueryZeroAllocs is the PR 4 acceptance criterion for the
-// directed serving surface: a warmed searcher answering into a reused
-// DiSPG performs zero heap allocations per query, and so does Distance.
-func TestWarmDiQueryZeroAllocs(t *testing.T) {
-	g := graph.DirectedScaleFree(800, 3, 73)
-	cix, err := core.BuildDirected(g, core.Options{NumLandmarks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := core.NewSearcher(cix)
-	spg := graph.NewDiSPG(0, 0)
-	rng := rand.New(rand.NewSource(9))
-	pairs := make([][2]qbs.V, 64)
-	for i := range pairs {
-		pairs[i] = [2]qbs.V{qbs.V(rng.Intn(g.NumVertices())), qbs.V(rng.Intn(g.NumVertices()))}
-	}
-
-	for r := 0; r < 3; r++ {
-		for _, p := range pairs {
-			sr.QueryInto(spg, p[0], p[1])
-		}
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		sr.QueryInto(spg, p[0], p[1])
-	}); avg != 0 {
-		t.Fatalf("warm directed Searcher.QueryInto allocates %.2f/op, want 0", avg)
-	}
-
-	i = 0
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		sr.Distance(p[0], p[1])
-	}); avg != 0 {
-		t.Fatalf("warm directed Searcher.Distance allocates %.2f/op, want 0", avg)
-	}
-}
-
-// TestWarmDiIndexQueryIntoZeroAllocs covers the public pooled entry
-// point, mirroring TestWarmIndexQueryIntoZeroAllocs.
-func TestWarmDiIndexQueryIntoZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates inside sync.Pool")
-	}
-	ix, pairs := diAllocIndex(t)
-	spg := graph.NewDiSPG(0, 0)
-	for r := 0; r < 3; r++ {
-		for _, p := range pairs {
-			ix.QueryInto(spg, p[0], p[1])
-		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	i := 0
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		ix.QueryInto(spg, p[0], p[1])
-	}); avg != 0 {
-		t.Fatalf("warm DiIndex.QueryInto allocates %.2f/op, want 0", avg)
-	}
-}
-
 func BenchmarkDiQueryInto(b *testing.B) {
 	ix, pairs := diAllocIndex(b)
-	spg := graph.NewDiSPG(0, 0)
+	spg := new(graph.SPG)
 	for _, p := range pairs {
-		ix.QueryInto(spg, p[0], p[1])
+		ix.QueryInto(spg, p.U, p.V)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		ix.QueryInto(spg, p[0], p[1])
+		ix.QueryInto(spg, p.U, p.V)
 	}
 }
 
 func BenchmarkDiDistanceWarm(b *testing.B) {
 	ix, pairs := diAllocIndex(b)
 	for _, p := range pairs {
-		ix.Distance(p[0], p[1])
+		ix.Distance(p.U, p.V)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		ix.Distance(p[0], p[1])
+		ix.Distance(p.U, p.V)
 	}
 }

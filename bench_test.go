@@ -378,13 +378,13 @@ func BenchmarkDirectedQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		sr.QueryInto(graph.NewDiSPG(p[0], p[1]), p[0], p[1])
+		sr.QueryInto(new(graph.SPG), p[0], p[1])
 	}
 }
 
 func BenchmarkDirectedBiBFS(b *testing.B) {
 	g := graph.DirectedScaleFree(20000, 3, 2021)
-	searcher := bfs.NewDiBidirectional(g)
+	searcher := bfs.NewDirectedBidirectional(g)
 	r := newDeterministicPairs(g.NumVertices(), 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

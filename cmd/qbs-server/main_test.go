@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -130,5 +134,59 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 		if rec := get("/debug/fleet"); (rec.Code == 200) != tier.router {
 			t.Errorf("%s: GET /debug/fleet: status %d", tier.name, rec.Code)
 		}
+	}
+}
+
+// TestMain lets a test run this command's own main in a child process:
+// with QBS_MAIN_ARGS set the test binary is the command.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("QBS_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"qbs-server"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestDataDirOfTheOtherKindIsRefused: starting the server with -data
+// over a store of the other orientation exits 1 naming what is there
+// and the flag that opens it, instead of building a second, unrelated
+// index into the directory.
+func TestDataDirOfTheOtherKindIsRefused(t *testing.T) {
+	g := graph.Grid(5, 5)
+	udir, ddir := t.TempDir(), t.TempDir()
+	st, err := qbs.CreateStore(udir, g, qbs.StoreOptions{Index: qbs.Options{NumLandmarks: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qbs.CreateDiStore(ddir, qbs.AsDirected(g), qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-directed", "-data", udir}, "already contains an undirected store; open it without -directed"},
+		{[]string{"-data", ddir}, "already contains a directed store; open it with -directed"},
+		{[]string{"-mutable", "-data", ddir}, "already contains a directed store; open it with -directed"},
+	} {
+		// Were the directory accepted the child would serve forever.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, os.Args[0])
+		args := append([]string{"-dataset", "DO", "-scale", "0.02", "-landmarks", "4", "-addr", "127.0.0.1:0"}, c.args...)
+		cmd.Env = append(os.Environ(), "QBS_MAIN_ARGS="+strings.Join(args, " "))
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(out.String(), c.want) {
+			t.Errorf("qbs-server %v: %v\n%s", c.args, err, &out)
+		}
+	}
+	if qbs.DiStoreExists(udir) || qbs.StoreExists(ddir) {
+		t.Fatal("a second store was built into a refused directory")
 	}
 }

@@ -63,18 +63,20 @@ func main() {
 	flag.Var(&queries, "query", "query pair \"u,v\" (repeatable)")
 	flag.Parse()
 
-	if *directed {
-		runDirected(*graphPath, *dataset, *scale, *landmarks, *dataDir, *stats, *verbose, *seed, *random, queries)
-		return
-	}
-
-	// answer is the query surface shared by the static and durable paths.
+	// answer is the query surface shared by the static, directed and
+	// durable paths.
 	var answer interface {
 		QueryWithStats(u, v qbs.V) (*qbs.SPG, qbs.QueryStats)
 	}
 	var numVertices int
 
 	switch {
+	case *directed:
+		ix := directedIndex(*graphPath, *dataset, *scale, *landmarks, *dataDir)
+		if *stats {
+			printIndexStats(ix)
+		}
+		answer, numVertices = ix, ix.Graph().NumVertices()
 	case *dataDir != "" && qbs.StoreExists(*dataDir):
 		start := time.Now()
 		// Query-only runs open read-only: no writer lock, no log segment,
@@ -132,14 +134,7 @@ func main() {
 		fmt.Printf("index: built in %s\n", time.Since(start).Round(time.Microsecond))
 
 		if *stats {
-			st := ix.Stats()
-			fmt.Printf("  landmarks:      %d\n", st.NumLandmarks)
-			fmt.Printf("  labelling time: %s (parallelism %d)\n", st.LabellingTime.Round(time.Microsecond), st.Parallelism)
-			fmt.Printf("  meta/Δ time:    %s\n", st.MetaTime.Round(time.Microsecond))
-			fmt.Printf("  label entries:  %d\n", st.LabelEntries)
-			fmt.Printf("  meta edges:     %d\n", st.MetaEdges)
-			fmt.Printf("  size(L):        %d bytes\n", ix.SizeLabelsBytes())
-			fmt.Printf("  size(Δ):        %d bytes\n", ix.SizeDeltaBytes())
+			printIndexStats(ix)
 		}
 		answer, numVertices = ix, g.NumVertices()
 	}
@@ -150,95 +145,83 @@ func main() {
 		pairs = append(pairs, [2]qbs.V{qbs.V(rng.Intn(numVertices)), qbs.V(rng.Intn(numVertices))})
 	}
 
+	// One loop prints either orientation; only the wording differs.
+	pair, none, unit, link := "SPG(%d,%d)", "disconnected", "edges", "-"
+	if *directed {
+		pair, none, unit, link = "DiSPG(%d→%d)", "unreachable", "arcs", "->"
+	}
 	for _, p := range pairs {
 		t0 := time.Now()
 		spg, st := answer.QueryWithStats(p[0], p[1])
-		el := time.Since(t0)
+		el := time.Since(t0).Round(time.Nanosecond)
+		name := fmt.Sprintf(pair, p[0], p[1])
 		if spg.Dist == qbs.InfDist {
-			fmt.Printf("SPG(%d,%d): disconnected (%s)\n", p[0], p[1], el.Round(time.Nanosecond))
+			fmt.Printf("%s: %s (%s)\n", name, none, el)
 			continue
 		}
-		fmt.Printf("SPG(%d,%d): dist=%d vertices=%d edges=%d d⊤=%d [%s]\n",
-			p[0], p[1], spg.Dist, len(spg.Vertices()), spg.NumEdges(), st.DTop,
-			el.Round(time.Nanosecond))
+		fmt.Printf("%s: dist=%d vertices=%d %s=%d d⊤=%d [%s]\n",
+			name, spg.Dist, len(spg.Vertices()), unit, spg.NumEdges(), st.DTop, el)
 		if *verbose {
 			for _, e := range spg.Edges() {
-				fmt.Printf("  %d - %d\n", e.U, e.W)
+				fmt.Printf("  %d %s %d\n", e.U, link, e.W)
 			}
 		}
 	}
 }
 
-// runDirected is the -directed main: build (or recover) a DiIndex and
-// answer directed queries.
-func runDirected(graphPath, dataset string, scale float64, landmarks int, dataDir string, stats, verbose bool, seed int64, random int, queries queryList) {
-	var ix *qbs.DiIndex
-	switch {
-	case dataDir != "" && qbs.DiStoreExists(dataDir):
+// directedIndex is the -directed arm of main: recover the DiIndex
+// persisted in dataDir, or build one (into dataDir when given).
+func directedIndex(graphPath, dataset string, scale float64, landmarks int, dataDir string) *qbs.DiIndex {
+	if dataDir != "" && qbs.DiStoreExists(dataDir) {
 		start := time.Now()
-		var err error
-		ix, err = qbs.OpenDiStore(dataDir, qbs.DiStoreOptions{MMap: true})
+		ix, err := qbs.OpenDiStore(dataDir, qbs.DiStoreOptions{MMap: true})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("store: recovered directed index from %s in %s (|V|=%d arcs=%d)\n",
 			dataDir, time.Since(start).Round(time.Microsecond),
 			ix.Graph().NumVertices(), ix.Graph().NumArcs())
-	default:
-		g, err := loadDiGraph(graphPath, dataset, scale)
+		return ix
+	}
+	g, err := loadDiGraph(graphPath, dataset, scale)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("digraph: |V|=%d arcs=%d\n", g.NumVertices(), g.NumArcs())
+	start := time.Now()
+	opts := qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: landmarks}}
+	if dataDir == "" {
+		ix, err := qbs.BuildDiIndex(g, opts.Index)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("digraph: |V|=%d arcs=%d\n", g.NumVertices(), g.NumArcs())
-		start := time.Now()
-		opts := qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: landmarks}}
-		if dataDir != "" {
-			ix, err = qbs.CreateDiStore(dataDir, g, opts)
-		} else {
-			ix, err = qbs.BuildDiIndex(g, opts.Index)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if dataDir != "" {
-			fmt.Printf("store: built and persisted to %s in %s\n", dataDir, time.Since(start).Round(time.Microsecond))
-		} else {
-			fmt.Printf("index: built in %s\n", time.Since(start).Round(time.Microsecond))
-		}
+		fmt.Printf("index: built in %s\n", time.Since(start).Round(time.Microsecond))
+		return ix
 	}
-	if stats {
-		st := ix.Stats()
-		fmt.Printf("  landmarks:      %d\n", len(ix.Landmarks()))
-		fmt.Printf("  labelling time: %s\n", st.LabellingTime.Round(time.Microsecond))
-		fmt.Printf("  meta/Δ time:    %s\n", st.MetaTime.Round(time.Microsecond))
-		fmt.Printf("  label entries:  %d\n", st.LabelEntries)
-		fmt.Printf("  meta arcs:      %d\n", st.MetaEdges)
-		fmt.Printf("  size(L):        %d bytes\n", ix.SizeLabelsBytes())
-		fmt.Printf("  size(Δ):        %d bytes\n", ix.SizeDeltaBytes())
+	ix, err := qbs.CreateDiStore(dataDir, g, opts)
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Printf("store: built and persisted to %s in %s\n", dataDir, time.Since(start).Round(time.Microsecond))
+	return ix
+}
 
-	n := ix.Graph().NumVertices()
-	pairs := parsePairs(queries, n)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < random; i++ {
-		pairs = append(pairs, [2]qbs.V{qbs.V(rng.Intn(n)), qbs.V(rng.Intn(n))})
-	}
-	for _, p := range pairs {
-		t0 := time.Now()
-		spg := ix.Query(p[0], p[1])
-		el := time.Since(t0)
-		if spg.Dist == qbs.InfDist {
-			fmt.Printf("DiSPG(%d→%d): unreachable (%s)\n", p[0], p[1], el.Round(time.Nanosecond))
-			continue
-		}
-		fmt.Printf("DiSPG(%d→%d): dist=%d vertices=%d arcs=%d [%s]\n",
-			p[0], p[1], spg.Dist, len(spg.Vertices()), spg.NumArcs(), el.Round(time.Nanosecond))
-		if verbose {
-			for _, a := range spg.Arcs() {
-				fmt.Printf("  %d -> %d\n", a.From, a.To)
-			}
-		}
-	}
+// printIndexStats is the -stats block of an immutable index of either
+// orientation.
+func printIndexStats(ix interface {
+	Stats() qbs.IndexStats
+	Landmarks() []qbs.V
+	SizeLabelsBytes() int64
+	SizeDeltaBytes() int64
+}) {
+	st := ix.Stats()
+	fmt.Printf("  landmarks:      %d\n", len(ix.Landmarks()))
+	fmt.Printf("  labelling time: %s (parallelism %d)\n", st.LabellingTime.Round(time.Microsecond), st.Parallelism)
+	fmt.Printf("  meta/Δ time:    %s\n", st.MetaTime.Round(time.Microsecond))
+	fmt.Printf("  label entries:  %d\n", st.LabelEntries)
+	fmt.Printf("  meta edges:     %d\n", st.MetaEdges)
+	fmt.Printf("  size(L):        %d bytes\n", ix.SizeLabelsBytes())
+	fmt.Printf("  size(Δ):        %d bytes\n", ix.SizeDeltaBytes())
 }
 
 // parsePairs converts -query strings into vertex pairs, validating

@@ -1,8 +1,6 @@
 package qbs
 
 import (
-	"sync"
-
 	"qbs/internal/bfs"
 	"qbs/internal/core"
 	"qbs/internal/graph"
@@ -12,10 +10,11 @@ import (
 // Directed API: the paper's §2 extension to directed graphs, answering
 // SPG(u → v) — the union of all shortest *directed* paths. It is the
 // same engine as the undirected index (internal/core, "Directed
-// graphs"), bound to a digraph's out- and in-arcs and filling a DiSPG,
-// so it carries the same serving surface — Distance, zero-alloc
-// QueryInto, panic-isolated QueryBatch, Sketch, Stats — plus snapshot
-// persistence via CreateDiStore/OpenDiStore.
+// graphs") bound to a digraph's out- and in-arcs, read through the same
+// reader and answering with the same SPG type (its orientation bit set,
+// its Edges the arcs U→W), so it carries the same serving surface —
+// Distance, zero-alloc QueryInto, panic-isolated QueryBatch, Sketch,
+// Stats — plus snapshot persistence via CreateDiStore/OpenDiStore.
 
 type (
 	// Arc is a directed edge From → To.
@@ -24,8 +23,8 @@ type (
 	DiGraph = graph.DiGraph
 	// DiBuilder accumulates arcs and produces a DiGraph.
 	DiBuilder = graph.DiBuilder
-	// DiSPG is a directed shortest path graph.
-	DiSPG = graph.DiSPG
+	// DiSPG is SPG: a DiIndex stamps its answers directed.
+	DiSPG = graph.SPG
 	// DiSketch is the directed per-query summary structure.
 	DiSketch = core.Sketch
 	// DiIndexStats reports directed construction cost and size accounting.
@@ -64,17 +63,10 @@ type DiOptions struct {
 }
 
 // DiIndex is an immutable directed QbS index; safe for concurrent
-// queries.
+// queries. Its read methods are the embedded reader's.
 type DiIndex struct {
-	core *core.Index
-	g    *DiGraph
-	pool sync.Pool
-}
-
-func newDiIndex(cix *core.Index, g *DiGraph) *DiIndex {
-	ix := &DiIndex{core: cix, g: g}
-	ix.pool.New = func() any { return core.NewSearcher(cix) }
-	return ix
+	*reader
+	g *DiGraph
 }
 
 // BuildDiIndex constructs a directed QbS index over g.
@@ -87,7 +79,7 @@ func BuildDiIndex(g *DiGraph, opts DiOptions) (*DiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDiIndex(cix, g), nil
+	return &DiIndex{newReader(cix), g}, nil
 }
 
 // MustBuildDiIndex is BuildDiIndex that panics on error.
@@ -98,83 +90,6 @@ func MustBuildDiIndex(g *DiGraph, opts DiOptions) *DiIndex {
 	}
 	return ix
 }
-
-// Query answers the directed SPG(u → v).
-func (ix *DiIndex) Query(u, v V) *DiSPG {
-	return ix.QueryInto(graph.NewDiSPG(u, v), u, v)
-}
-
-// QueryInto answers SPG(u → v) into a caller-owned result, resetting it
-// first, and returns dst. Reusing one DiSPG across queries keeps the
-// warm query path free of heap allocations (the arc buffer is recycled
-// at its high-water mark); serving loops that answer-and-encode should
-// prefer it over Query.
-func (ix *DiIndex) QueryInto(dst *DiSPG, u, v V) *DiSPG {
-	ix.QueryIntoStats(dst, u, v)
-	return dst
-}
-
-// QueryIntoStats is QueryInto that reports query internals instead of
-// returning dst: the serving shape, one search into a recycled result.
-func (ix *DiIndex) QueryIntoStats(dst *DiSPG, u, v V) DiQueryStats {
-	sr := ix.pool.Get().(*core.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.QueryInto(dst, u, v)
-}
-
-// QueryWithStats answers SPG(u → v) and reports query internals.
-func (ix *DiIndex) QueryWithStats(u, v V) (*DiSPG, DiQueryStats) {
-	spg := graph.NewDiSPG(u, v)
-	return spg, ix.QueryIntoStats(spg, u, v)
-}
-
-// Distance returns d_G(u → v) using the sketch-guided search without
-// path extraction (InfDist when v is unreachable from u).
-func (ix *DiIndex) Distance(u, v V) int32 {
-	sr := ix.pool.Get().(*core.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.Distance(u, v)
-}
-
-// Sketch computes the directed query sketch S_{u→v} (for introspection;
-// Query computes it internally).
-func (ix *DiIndex) Sketch(u, v V) *DiSketch { return ix.core.Sketch(u, v) }
-
-// QueryBatch answers many directed queries concurrently with up to
-// parallelism workers (0 = GOMAXPROCS, capped at the batch size).
-// Results align with the input slice. Each worker draws a searcher from
-// the index's pool and answers into per-chunk result arenas, so
-// repeated batches reuse workspaces and steady-state queries stay off
-// the allocator.
-//
-// A query that panics (e.g. an out-of-range vertex id) does not bring
-// the batch down: its slot is left nil and all remaining results are
-// returned.
-func (ix *DiIndex) QueryBatch(pairs []Pair, parallelism int) []*DiSPG {
-	out := make([]*DiSPG, len(pairs))
-	core.QueryBatchInto(out, parallelism,
-		func(i int) (V, V) { return pairs[i].U, pairs[i].V },
-		func() *core.Searcher { return ix.pool.Get().(*core.Searcher) },
-		func(sr *core.Searcher) { ix.pool.Put(sr) })
-	return out
-}
-
-// Landmarks returns the landmark vertices in rank order.
-func (ix *DiIndex) Landmarks() []V { return ix.core.Landmarks() }
-
-// IsLandmark reports whether v is a landmark.
-func (ix *DiIndex) IsLandmark(v V) bool { return ix.core.IsLandmark(v) }
-
-// Stats returns construction statistics.
-func (ix *DiIndex) Stats() DiIndexStats { return ix.core.Stats() }
-
-// SizeLabelsBytes is the size(L) accounting: 2·|R| bytes per vertex
-// (two directed labellings).
-func (ix *DiIndex) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
-
-// SizeDeltaBytes is the size(Δ) accounting: 8 bytes per precomputed
-// meta-arc shortest-path arc.
-func (ix *DiIndex) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
 
 // Graph returns the indexed digraph.
 func (ix *DiIndex) Graph() *DiGraph { return ix.g }
@@ -216,7 +131,7 @@ func OpenDiStore(dir string, opts DiStoreOptions) (*DiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDiIndex(cix, g), nil
+	return &DiIndex{newReader(cix), g}, nil
 }
 
 // DiStoreExists reports whether dir already contains a directed store.
@@ -225,8 +140,7 @@ func DiStoreExists(dir string) bool { return store.DiExists(dir) }
 // DiBiBFS answers the directed SPG(u → v) by bidirectional BFS — the
 // index-free baseline.
 func DiBiBFS(g *DiGraph, u, v V) *DiSPG {
-	s := bfs.NewDiBidirectional(g)
-	spg, _ := s.Query(u, v)
+	spg, _ := bfs.NewDirectedBidirectional(g).Query(u, v)
 	return spg
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qbs"
+	"qbs/internal/analysis"
 	"qbs/internal/graph"
 )
 
@@ -25,7 +26,7 @@ func TestDirectedPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	spg := ix.Query(0, 4)
-	if spg.Dist != 2 || spg.NumArcs() != 4 {
+	if spg.Dist != 2 || spg.NumEdges() != 4 {
 		t.Fatalf("directed diamond: %v", spg)
 	}
 	// Reverse direction is unreachable.
@@ -101,7 +102,7 @@ func TestAsDirectedRoundTrip(t *testing.T) {
 func TestDiDistanceAndQueryIntoMatchOracle(t *testing.T) {
 	g := graph.DirectedScaleFree(350, 3, 59)
 	ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 14})
-	spg := graph.NewDiSPG(0, 0)
+	spg := new(qbs.DiSPG)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 120; i++ {
 		u := qbs.V(rng.Intn(g.NumVertices()))
@@ -204,5 +205,85 @@ func TestDiStorePublicRoundTrip(t *testing.T) {
 	}
 	if _, err := qbs.CreateDiStore(dir, g, qbs.DiStoreOptions{}); err == nil {
 		t.Fatal("second CreateDiStore succeeded")
+	}
+}
+
+// TestOrientationIsTheIndexs is the property behind the one answer
+// type, over random digraphs G and their symmetrisations S (the
+// undirected graph under G's arcs): whatever a result held before, an
+// index of either kind stamps it with its own orientation — directed
+// from a DiIndex, undirected from an Index or a DynamicIndex; Edges()
+// of a directed answer is what the benchmark's Arcs() shim returns,
+// element for element, and matches the directed oracle; Equal is
+// sensitive to the order of the pair iff the answer is directed; and
+// layering an answer of either orientation counts the same paths —
+// over S as a digraph, the directed and the undirected index's.
+func TestOrientationIsTheIndexs(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		n := 40 + int(seed)*15
+		g := graph.DirectedErdosRenyi(n, 3*n, seed)
+		var under []qbs.Edge
+		for _, a := range g.Arcs() {
+			under = append(under, qbs.Edge{U: a.From, W: a.To})
+		}
+		s, err := qbs.FromEdges(n, under)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 5})
+		six := qbs.MustBuildDiIndex(qbs.AsDirected(s), qbs.DiOptions{NumLandmarks: 5})
+		ix := qbs.MustBuildIndex(s, qbs.Options{NumLandmarks: 5})
+		dyn, err := qbs.BuildDynamicIndex(s, qbs.DynamicOptions{Index: qbs.Options{NumLandmarks: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var spg qbs.SPG // one zero value through every kind of index, in turn
+		var dagD, dagU analysis.DAG
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 60; i++ {
+			u, v := qbs.V(rng.Intn(n)), qbs.V(rng.Intn(n))
+
+			if dix.QueryInto(&spg, u, v); !spg.Directed() || !spg.Equal(qbs.OracleDiSPG(g, u, v)) {
+				t.Fatalf("seed %d: DiIndex filled (%d→%d) with %v", seed, u, v, &spg)
+			}
+			arcs := spg.Arcs()
+			if len(arcs) != len(spg.Edges()) {
+				t.Fatalf("seed %d (%d→%d): %d arcs, %d edges", seed, u, v, len(arcs), len(spg.Edges()))
+			}
+			for k, e := range spg.Edges() {
+				if arcs[k] != (qbs.Arc{From: e.U, To: e.W}) || !g.HasArc(e.U, e.W) {
+					t.Fatalf("seed %d (%d→%d): edge %d = %v, arc %v", seed, u, v, k, e, arcs[k])
+				}
+			}
+
+			want := qbs.OracleSPG(s, u, v)
+			if ix.QueryInto(&spg, u, v); spg.Directed() || !spg.Equal(want) {
+				t.Fatalf("seed %d: Index filled (%d,%d) with %v", seed, u, v, &spg)
+			}
+			if back := ix.Query(v, u); !spg.Equal(back) {
+				t.Fatalf("seed %d: undirected SPG(%d,%d) != SPG(%d,%d)", seed, u, v, v, u)
+			}
+			dagU.Reset(&spg)
+			if dyn.QueryInto(&spg, u, v); spg.Directed() || !spg.Equal(want) {
+				t.Fatalf("seed %d: DynamicIndex filled (%d,%d) with %v", seed, u, v, &spg)
+			}
+
+			// S as a digraph: every edge of the undirected answer once,
+			// oriented away from u, and as many paths.
+			if six.QueryInto(&spg, u, v); !spg.Directed() || spg.Dist != want.Dist || spg.NumEdges() != want.NumEdges() {
+				t.Fatalf("seed %d: symmetric DiIndex filled (%d→%d) with %v, undirected %v", seed, u, v, &spg, want)
+			}
+			if back := six.Query(v, u); u != v && spg.Dist != qbs.InfDist && spg.Equal(back) {
+				t.Fatalf("seed %d: directed SPG(%d→%d) equals SPG(%d→%d)", seed, u, v, v, u)
+			}
+			dagD.Reset(&spg)
+			pd, _ := dagD.CountPaths()
+			pu, _ := dagU.CountPaths()
+			if pd != pu || len(dagD.Vertices) != len(dagU.Vertices) {
+				t.Fatalf("seed %d (%d,%d): %d paths over %d vertices directed, %d over %d undirected",
+					seed, u, v, pd, len(dagD.Vertices), pu, len(dagU.Vertices))
+			}
+		}
 	}
 }

@@ -79,11 +79,11 @@ func ExampleBuildDiIndex() {
 	}
 	fwd := index.Query(0, 3)
 	bwd := index.Query(3, 0)
-	fmt.Println("forward:", fwd.Dist, "arcs:", fwd.NumArcs())
-	fmt.Println("backward:", bwd.Dist, "arcs:", bwd.NumArcs())
+	fmt.Println("forward:", fwd.Dist, "directed:", fwd.Directed(), "arcs:", fwd.NumEdges())
+	fmt.Println("backward:", bwd.Dist, "arcs:", bwd.Edges()) // Edge{U, W} is the arc U→W
 	// Output:
-	// forward: 2 arcs: 4
-	// backward: 1 arcs: 1
+	// forward: 2 directed: true arcs: 4
+	// backward: 1 arcs: [{3 0}]
 }
 
 func ExampleIndex_QueryBatch() {

@@ -45,8 +45,8 @@ func main() {
 		if fwd.Dist == qbs.InfDist || bwd.Dist == qbs.InfDist || fwd.Dist == 0 {
 			continue
 		}
-		if fwd.Dist != bwd.Dist || fwd.NumArcs() != bwd.NumArcs() {
-			asym = append(asym, row{u, v, fwd.Dist, bwd.Dist, fwd.NumArcs(), bwd.NumArcs()})
+		if fwd.Dist != bwd.Dist || fwd.NumEdges() != bwd.NumEdges() {
+			asym = append(asym, row{u, v, fwd.Dist, bwd.Dist, fwd.NumEdges(), bwd.NumEdges()})
 		}
 	}
 
@@ -65,7 +65,11 @@ func main() {
 		if fwd.Dist != qbs.InfDist && bwd.Dist == qbs.InfDist {
 			fmt.Printf("\none-way pair: %d reaches %d in %d hops (%d optimal-route links), "+
 				"but %d cannot reach %d at all\n",
-				u, v, fwd.Dist, fwd.NumArcs(), v, u)
+				u, v, fwd.Dist, fwd.NumEdges(), v, u)
+			// The answer's edges are its links: Edge{U, W} is the arc U → W.
+			for _, link := range fwd.Edges() {
+				fmt.Printf("  %d → %d\n", link.U, link.W)
+			}
 			break
 		}
 	}

@@ -35,8 +35,8 @@ import (
 // source toward the endpoint closer to the target. Paths from Source to
 // Target in the DAG are exactly the shortest paths of the SPG.
 //
-// A DAG is slice-backed and reusable: Reset and ResetDi re-layer it for
-// another answer in its existing buffers, so a warm DAG layers and
+// A DAG is slice-backed and reusable: Reset re-layers it for another
+// answer in its existing buffers, so a warm DAG layers and
 // counts without allocating. The zero value is ready for Reset.
 type DAG struct {
 	Source, Target graph.V
@@ -48,7 +48,7 @@ type DAG struct {
 	// Everything below is indexed by local id, the position of a vertex
 	// in Vertices.
 	src, dst int32      // Source and Target; -1 when absent
-	pairs    [][2]int32 // the input edges or arcs; layer rewrites them in local ids
+	pairs    [][2]int32 // the input edges; layer rewrites them in local ids
 	tab      []uint64   // vertex → provisional id, open addressing; see intern
 	ids      []uint64   // (vertex, provisional id) per distinct vertex, sorted into local order
 	rank     []int32    // provisional id → local id
@@ -76,10 +76,11 @@ func BuildDAG(spg *graph.SPG, distFromSource func(graph.V) int32) *DAG {
 	return d
 }
 
-// Reset re-layers d for an undirected SPG, reusing d's buffers. Each
-// edge is offered in both directions and the depth-increasing one kept.
-// The trivial pair gives the one-vertex DAG with one (empty) path; a
-// disconnected pair gives the empty DAG with none.
+// Reset re-layers d for spg, reusing d's buffers. The arcs of a
+// directed answer are taken as given; an undirected edge is offered in
+// both directions and the depth-increasing one kept. The trivial pair
+// gives the one-vertex DAG with one (empty) path; a disconnected pair
+// gives the empty DAG with none.
 //
 //qbs:zeroalloc
 func (d *DAG) Reset(spg *graph.SPG) {
@@ -88,20 +89,7 @@ func (d *DAG) Reset(spg *graph.SPG) {
 	for _, e := range spg.Edges() {
 		d.pairs = append(d.pairs, [2]int32{e.U, e.W})
 	}
-	d.layer(false)
-}
-
-// ResetDi re-layers d for a directed SPG, reusing d's buffers. Arcs
-// are taken as given.
-//
-//qbs:zeroalloc
-func (d *DAG) ResetDi(spg *graph.DiSPG) {
-	d.Source, d.Target, d.Dist = spg.Source, spg.Target, spg.Dist
-	d.pairs = d.pairs[:0]
-	for _, a := range spg.Arcs() {
-		d.pairs = append(d.pairs, [2]int32{a.From, a.To})
-	}
-	d.layer(true)
+	d.layer(spg.Directed())
 }
 
 // grow sizes the per-vertex buffers for n vertices and the CSR for m
@@ -168,7 +156,7 @@ func (d *DAG) local(v graph.V) int32 {
 // layer builds the DAG from d.pairs: dense local ids in ascending vertex
 // order, a CSR over them, then one BFS from Source that assigns depths,
 // records a topological order and counts paths in the same pass.
-// Rows come out sorted because canonical edge and arc sets are.
+// Rows come out sorted because a canonical edge set is.
 //
 // Local ids cost one table probe per endpoint and a sort of the distinct
 // vertices only: each endpoint is interned to a provisional id, the
@@ -360,14 +348,14 @@ func (d *DAG) pathsToTarget() []int64 {
 	return to
 }
 
-// CountDiPaths counts the distinct shortest directed Source→Target
-// paths of a DiSPG, saturating at MaxInt64. Returns (0, false) for
-// disconnected pairs and (1, false) for the trivial pair.
-//
-// distFromSource is ignored and never invoked; see BuildDAG.
-func CountDiPaths(spg *graph.DiSPG, distFromSource func(graph.V) int32) (n int64, saturated bool) {
+// CountDiPaths counts the distinct shortest Source→Target paths of an
+// answer, saturating at MaxInt64: a Reset and a CountPaths. Returns
+// (0, false) for disconnected pairs and (1, false) for the trivial pair.
+// Like the ignored distFromSource (see BuildDAG), the function remains
+// only because the frozen benchmark directory compiles against it.
+func CountDiPaths(spg *graph.SPG, distFromSource func(graph.V) int32) (n int64, saturated bool) {
 	var d DAG
-	d.ResetDi(spg)
+	d.Reset(spg)
 	return d.CountPaths()
 }
 

@@ -128,7 +128,7 @@ func TestWarmDAGZeroAllocs(t *testing.T) {
 		d.Reset(small)
 		d.Reset(spg)
 		n, _ = d.CountPaths()
-		d.ResetDi(dspg)
+		d.Reset(dspg)
 	}); allocs != 0 {
 		t.Fatalf("warm Reset+CountPaths: %v allocs/op, want 0", allocs)
 	}
@@ -177,11 +177,11 @@ func TestDAGIDTableModel(t *testing.T) {
 						x, y = y, x
 					}
 					spg.AddEdge(relabel(x), relabel(y))
-					dspg.AddArc(relabel(x), relabel(y))
+					dspg.AddEdge(relabel(x), relabel(y))
 					next[relabel(x)] = append(next[relabel(x)], relabel(y))
 				}
 				if directed {
-					d.ResetDi(dspg)
+					d.Reset(dspg)
 				} else {
 					d.Reset(spg)
 				}
@@ -238,7 +238,7 @@ func FuzzDAGFromEdges(f *testing.F) {
 		spg, dspg := graph.NewSPG(source, target), graph.NewDiSPG(source, target)
 		for i := 0; i+1 < len(raw); i += 2 {
 			spg.AddEdge(graph.V(raw[i]), graph.V(raw[i+1]))
-			dspg.AddArc(graph.V(raw[i]), graph.V(raw[i+1]))
+			dspg.AddEdge(graph.V(raw[i]), graph.V(raw[i+1]))
 		}
 		var d DAG
 		check := func() {
@@ -266,7 +266,7 @@ func FuzzDAGFromEdges(f *testing.F) {
 		}
 		d.Reset(spg)
 		check()
-		d.ResetDi(dspg)
+		d.Reset(dspg)
 		check()
 		// The raw pairs, neither sorted nor deduplicated.
 		d.Source, d.Target = source, target

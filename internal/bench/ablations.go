@@ -192,13 +192,13 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 			pairs[i] = qp{graph.V(rng.Intn(g.NumVertices())), graph.V(rng.Intn(g.NumVertices()))}
 		}
 		sr := core.NewSearcher(ix)
-		spg := graph.NewDiSPG(0, 0)
+		spg := new(graph.SPG)
 		start := time.Now()
 		for _, p := range pairs {
 			sr.QueryInto(spg, p.u, p.v)
 		}
 		qbsTime := time.Since(start) / time.Duration(len(pairs))
-		bib := bfs.NewDiBidirectional(g)
+		bib := bfs.NewDirectedBidirectional(g)
 		start = time.Now()
 		for _, p := range pairs {
 			bib.Query(p.u, p.v)

@@ -183,7 +183,7 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 	for _, flip := range []bool{false, true} {
 		pairs, arcs := NewExtractor(6).Extract(g, flip, nil, []graph.V{5}, ws, 0)
 		spg := graph.NewSPG(0, 5)
-		spg.Fill(5, pairs)
+		spg.Fill(false, 5, pairs)
 		if spg.NumEdges() != 5 {
 			t.Fatalf("flip=%v: extracted %d edges, want 5", flip, spg.NumEdges())
 		}
@@ -199,7 +199,7 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 	}
 }
 
-func TestDiBidirectionalMatchesOracle(t *testing.T) {
+func TestDirectedBidirectionalMatchesOracle(t *testing.T) {
 	for name, g := range map[string]*graph.DiGraph{
 		"dicycle": graph.MustDiFromArcs(7, []graph.Arc{
 			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
@@ -215,7 +215,7 @@ func TestDiBidirectionalMatchesOracle(t *testing.T) {
 		"dsf300":  graph.DirectedScaleFree(300, 3, 6),
 		"undirBA": graph.AsDirected(graph.BarabasiAlbert(200, 3, 7)),
 	} {
-		b := NewDiBidirectional(g)
+		b := NewDirectedBidirectional(g)
 		rng := rand.New(rand.NewSource(23))
 		n := g.NumVertices()
 		for i := 0; i < 80; i++ {

@@ -45,9 +45,13 @@ type biSide struct {
 	size       int   // visited-set size, drives side selection
 }
 
-// biSearch is the search both baselines run; they differ in the
-// adjacency pair they bind and in what the answer's pairs mean.
-type biSearch struct {
+// Bidirectional is a reusable bidirectional-BFS searcher over a fixed
+// graph: an undirected one is searched through itself both ways, a
+// digraph forward through its out-arcs and backward through its
+// in-arcs, and the answer carries the orientation. Not safe for
+// concurrent use.
+type Bidirectional struct {
+	directed bool
 	fwd, bwd biSide
 	nextBuf  []graph.V
 	cross    []graph.Arc // crossing arcs, in the expanding side's push orientation
@@ -56,12 +60,21 @@ type biSearch struct {
 	ext      *Extractor
 }
 
-func newBiSearch(out, in graph.Adjacency) biSearch {
+// NewBidirectional creates a searcher for the undirected graph g.
+func NewBidirectional(g graph.Adjacency) *Bidirectional { return newBidirectional(g, g, false) }
+
+// NewDirectedBidirectional creates a searcher for the digraph g.
+func NewDirectedBidirectional(g *graph.DiGraph) *Bidirectional {
+	return newBidirectional(g.OutView(), g.InView(), true)
+}
+
+func newBidirectional(out, in graph.Adjacency, directed bool) *Bidirectional {
 	n := out.NumVertices()
-	return biSearch{
-		fwd: biSide{push: out, pull: in, ws: NewWorkspace(n)},
-		bwd: biSide{push: in, pull: out, ws: NewWorkspace(n)},
-		ext: NewExtractor(n),
+	return &Bidirectional{
+		directed: directed,
+		fwd:      biSide{push: out, pull: in, ws: NewWorkspace(n)},
+		bwd:      biSide{push: in, pull: out, ws: NewWorkspace(n)},
+		ext:      NewExtractor(n),
 	}
 }
 
@@ -76,7 +89,7 @@ func (s *biSide) reset(root graph.V) {
 // run searches u → v and returns the distance (graph.InfDist when
 // disconnected) and the answer's arcs as oriented pairs, valid until
 // the next run.
-func (b *biSearch) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
+func (b *Bidirectional) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
 	stats := SearchStats{VerticesVisited: 2}
 	b.fwd.reset(u)
 	b.bwd.reset(v)
@@ -113,46 +126,15 @@ func (b *biSearch) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
 	return graph.InfDist, nil, stats
 }
 
-// Bidirectional is a reusable bidirectional-BFS searcher over a fixed
-// undirected graph. Not safe for concurrent use.
-type Bidirectional struct{ s biSearch }
-
-// NewBidirectional creates a searcher for g.
-func NewBidirectional(g graph.Adjacency) *Bidirectional {
-	return &Bidirectional{newBiSearch(g, g)}
-}
-
 // Query computes SPG(u, v) and work counters.
 func (b *Bidirectional) Query(u, v graph.V) (*graph.SPG, SearchStats) {
 	spg := graph.NewSPG(u, v)
 	if u == v {
-		spg.Dist = 0
+		spg.Fill(b.directed, 0, nil)
 		return spg, SearchStats{}
 	}
-	d, pairs, stats := b.s.run(u, v)
-	spg.Fill(d, pairs)
-	return spg, stats
-}
-
-// DiBidirectional is the directed bidirectional-BFS baseline: the same
-// search over a digraph's out- and in-arcs. Reusable across queries; not
-// safe for concurrent use.
-type DiBidirectional struct{ s biSearch }
-
-// NewDiBidirectional creates a searcher for g.
-func NewDiBidirectional(g *graph.DiGraph) *DiBidirectional {
-	return &DiBidirectional{newBiSearch(g.OutView(), g.InView())}
-}
-
-// Query computes DiSPG(u, v) and work counters.
-func (b *DiBidirectional) Query(u, v graph.V) (*graph.DiSPG, SearchStats) {
-	spg := graph.NewDiSPG(u, v)
-	if u == v {
-		spg.Dist = 0
-		return spg, SearchStats{}
-	}
-	d, pairs, stats := b.s.run(u, v)
-	spg.Fill(d, pairs)
+	d, pairs, stats := b.run(u, v)
+	spg.Fill(b.directed, d, pairs)
 	return spg, stats
 }
 

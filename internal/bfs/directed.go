@@ -48,7 +48,7 @@ func diDistances(g *graph.DiGraph, root graph.V, forward bool) []int32 {
 // OracleDiSPG computes the directed shortest path graph by brute force:
 // forward distances from u, backward distances to v, and the arc filter
 // d(u,x) + 1 + d(y,v) = d(u,v). The directed ground truth for tests.
-func OracleDiSPG(g *graph.DiGraph, u, v graph.V) *graph.DiSPG {
+func OracleDiSPG(g *graph.DiGraph, u, v graph.V) *graph.SPG {
 	s := graph.NewDiSPG(u, v)
 	if u == v {
 		s.Dist = 0
@@ -67,7 +67,7 @@ func OracleDiSPG(g *graph.DiGraph, u, v graph.V) *graph.DiSPG {
 		}
 		for _, y := range g.Out(x) {
 			if to[y] != Infinity && from[x]+1+to[y] == d {
-				s.AddArc(x, y)
+				s.AddEdge(x, y)
 			}
 		}
 	}

@@ -40,15 +40,15 @@ func TestGuidedLevelsStayBelowSwitch(t *testing.T) {
 			if u == v {
 				continue
 			}
-			b.s.run(u, v)
+			b.run(u, v)
 			var met *biSide
-			if len(b.s.cross) > 0 {
-				met = &b.s.bwd
-				if b.s.fwd.ws.Seen(b.s.cross[0].From) {
-					met = &b.s.fwd
+			if len(b.cross) > 0 {
+				met = &b.bwd
+				if b.fwd.ws.Seen(b.cross[0].From) {
+					met = &b.fwd
 				}
 			}
-			for _, side := range [2]*biSide{&b.s.fwd, &b.s.bwd} {
+			for _, side := range [2]*biSide{&b.fwd, &b.bwd} {
 				size, mass := make([]int64, side.d+1), make([]int64, side.d+1) // per depth
 				for x := graph.V(0); int(x) < n; x++ {
 					// Deeper than side.d is the level abandoned at the meeting.

@@ -58,7 +58,6 @@ func TestDirectedMatchesUndirectedOnSymmetricGraphs(t *testing.T) {
 			}
 
 			su, sd := NewSearcher(und), NewSearcher(dir)
-			arcs := graph.NewDiSPG(0, 0)
 			for _, p := range somePairs(n, 80, 13) {
 				u, v := p[0], p[1]
 				oracle := bfs.OracleSPG(ug, u, v)
@@ -68,16 +67,21 @@ func TestDirectedMatchesUndirectedOnSymmetricGraphs(t *testing.T) {
 				if got := su.Query(u, v); !got.Equal(oracle) {
 					t.Fatalf("undirected SPG(%d,%d) = %v, oracle %v", u, v, got, oracle)
 				}
-				// The directed engine into an undirected result: arcs normalised.
-				if got := sd.Query(u, v); !got.Equal(oracle) {
-					t.Fatalf("directed SPG(%d,%d) normalised = %v, oracle %v", u, v, got, oracle)
-				}
-				sd.QueryInto(arcs, u, v)
+				arcs := sd.Query(u, v)
 				if !arcs.Equal(bfs.OracleDiSPG(dg, u, v)) {
 					t.Fatalf("directed SPG(%d→%d) = %v, oracle %v", u, v, arcs, bfs.OracleDiSPG(dg, u, v))
 				}
-				if arcs.NumArcs() != oracle.NumEdges() {
-					t.Fatalf("(%d,%d): %d arcs vs %d edges", u, v, arcs.NumArcs(), oracle.NumEdges())
+				// The directed answer with its orientation dropped: arcs normalised.
+				got := graph.NewSPG(u, v)
+				got.Dist = arcs.Dist
+				for _, a := range arcs.Edges() {
+					got.AddEdge(a.U, a.W)
+				}
+				if !got.Equal(oracle) {
+					t.Fatalf("directed SPG(%d,%d) normalised = %v, oracle %v", u, v, got, oracle)
+				}
+				if arcs.NumEdges() != oracle.NumEdges() {
+					t.Fatalf("(%d,%d): %d arcs vs %d edges", u, v, arcs.NumEdges(), oracle.NumEdges())
 				}
 			}
 		})
@@ -116,15 +120,15 @@ func TestReversedGraphReversesAnswers(t *testing.T) {
 				}
 			}
 			sr, srt := NewSearcher(ix), NewSearcher(ixt)
-			got, rev := graph.NewDiSPG(0, 0), graph.NewDiSPG(0, 0)
+			got, rev := new(graph.SPG), new(graph.SPG)
 			for _, p := range somePairs(n, 80, 29) {
 				u, v := p[0], p[1]
 				sr.QueryInto(got, u, v)
 				srt.QueryInto(rev, v, u)
 				want := graph.NewDiSPG(u, v)
 				want.Dist = rev.Dist
-				for _, a := range rev.Arcs() {
-					want.AddArc(a.To, a.From)
+				for _, a := range rev.Edges() {
+					want.AddEdge(a.W, a.U)
 				}
 				if !got.Equal(want) {
 					t.Fatalf("SPG(%d→%d) = %v, flipped SPG(%d→%d) on the transpose = %v", u, v, got, v, u, want)
@@ -152,14 +156,14 @@ func TestDirectedDisconnectedAndTrivial(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := NewSearcher(ix)
-	s := graph.NewDiSPG(0, 0)
-	if sr.QueryInto(s, 0, 3); s.Dist != graph.InfDist || s.NumArcs() != 0 {
+	s := new(graph.SPG)
+	if sr.QueryInto(s, 0, 3); s.Dist != graph.InfDist || s.NumEdges() != 0 {
 		t.Fatalf("disconnected: %v", s)
 	}
 	if sr.QueryInto(s, 1, 0); s.Dist != graph.InfDist {
 		t.Fatalf("one-way arc reversed must be unreachable: %v", s)
 	}
-	if sr.QueryInto(s, 2, 2); s.Dist != 0 || s.NumArcs() != 0 {
+	if sr.QueryInto(s, 2, 2); s.Dist != 0 || s.NumEdges() != 0 {
 		t.Fatalf("trivial: %v", s)
 	}
 }

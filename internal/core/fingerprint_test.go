@@ -123,7 +123,7 @@ func fpQueries(n int, answer func(u, v graph.V) (dist int32, pairs [][2]int32)) 
 func fingerprintOf(tg testGraph, ix *Index) indexFingerprint {
 	n := tg.numVertices()
 	sr := NewSearcher(ix)
-	spg, dispg := graph.NewSPG(0, 0), graph.NewDiSPG(0, 0)
+	spg := new(graph.SPG)
 	return indexFingerprint{
 		labelTo:   fpLabels(n, ix.labelTo),
 		labelFrom: fpLabels(n, ix.labelFrom),
@@ -131,13 +131,6 @@ func fingerprintOf(tg testGraph, ix *Index) indexFingerprint {
 		delta:     fpDelta(ix),
 		queries: fpQueries(n, func(u, v graph.V) (int32, [][2]int32) {
 			var pairs [][2]int32
-			if tg.dir != nil {
-				sr.QueryInto(dispg, u, v)
-				for _, a := range dispg.Arcs() {
-					pairs = append(pairs, [2]int32{a.From, a.To})
-				}
-				return dispg.Dist, pairs
-			}
 			sr.QueryInto(spg, u, v)
 			for _, e := range spg.Edges() {
 				pairs = append(pairs, [2]int32{e.U, e.W})

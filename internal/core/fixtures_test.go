@@ -44,30 +44,22 @@ func (tg testGraph) mustBuild(tb testing.TB, opts Options) *Index {
 	return ix
 }
 
-// check answers (u, v) with sr into the fixture's result type and holds
-// it against the scalar-BFS oracle and the independent Verify predicate.
+// check answers (u, v) with sr and holds the answer against the
+// fixture's scalar-BFS oracle and the independent Verify predicate.
 func (tg testGraph) check(t *testing.T, sr *Searcher, u, v graph.V) {
 	t.Helper()
-	if tg.dir != nil {
-		g := tg.dir
-		got := graph.NewDiSPG(u, v)
-		st := sr.QueryInto(got, u, v)
-		if want := bfs.OracleDiSPG(g, u, v); !got.Equal(want) {
-			t.Fatalf("DiSPG(%d,%d): got %v\nwant %v\nstats %+v (landmarks %v)", u, v, got, want, st, sr.ix.Landmarks())
-		}
-		if err := got.Verify(g, bfs.DiDistancesFrom(g, u), bfs.DiDistancesTo(g, v)); err != nil {
-			t.Fatalf("DiSPG(%d,%d): verify: %v", u, v, err)
-		}
-		checkStats(t, st, got.Dist, u, v)
-		return
-	}
-	g := tg.und
 	got, st := sr.QueryWithStats(u, v)
-	if want := bfs.OracleSPG(g, u, v); !got.Equal(want) {
-		t.Fatalf("SPG(%d,%d): got %v\nwant %v\nstats %+v", u, v, got, want, st)
+	if want := tg.oracle(u, v); !got.Equal(want) {
+		t.Fatalf("got %v\nwant %v\nstats %+v (landmarks %v)", got, want, st, sr.ix.Landmarks())
 	}
-	if err := got.Verify(g, bfs.Distances(g, u), bfs.Distances(g, v)); err != nil {
-		t.Fatalf("SPG(%d,%d): verify: %v", u, v, err)
+	var err error
+	if g := tg.dir; g != nil {
+		err = got.Verify(g.OutView(), bfs.DiDistancesFrom(g, u), bfs.DiDistancesTo(g, v))
+	} else {
+		err = got.Verify(tg.und, bfs.Distances(tg.und, u), bfs.Distances(tg.und, v))
+	}
+	if err != nil {
+		t.Fatalf("%v: verify: %v", got, err)
 	}
 	checkStats(t, st, got.Dist, u, v)
 }

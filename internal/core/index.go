@@ -30,10 +30,10 @@
 //
 // An undirected graph is the aliasing case, not a second code path:
 // out == in, so one sweep fills the one labelling both names point at,
-// the meta-graph keeps each edge once (a < b) and the result type drops
-// the orientation (graph.SPG normalises a pair, graph.DiSPG keeps it).
-// Whether a graph is symmetric is read from out == in, never from an
-// option.
+// the meta-graph keeps each edge once (a < b) and the answer drops the
+// orientation (graph.SPG.Fill normalises a pair unless told the index is
+// directed). Whether a graph is symmetric is read from out == in, never
+// from an option.
 //
 // Correctness mirrors the undirected proofs: shortest directed walks of
 // length d(u, v) are simple, prefixes up to the first landmark witness

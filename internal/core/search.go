@@ -78,15 +78,6 @@ type QueryStats struct {
 	ExtractNs int64 // reverse/recover path extraction
 }
 
-// Result is what a query fills: the search emits every arc x→y of the
-// answer as an oriented pair and the result type decides what an
-// orientation means — *graph.SPG normalises it away, *graph.DiSPG keeps
-// it.
-type Result interface {
-	Reset(u, v graph.V)
-	Fill(dist int32, pairs []graph.Arc)
-}
-
 // Searcher answers queries against a fixed Index. Not safe for
 // concurrent use; create one per goroutine (they share the immutable
 // Index).
@@ -99,7 +90,7 @@ type Searcher struct {
 	cross    []graph.Arc     // arcs between the two visited sets, in the last expansion's push orientation
 	ends     [2][]graph.V    // their endpoints, per side: where the reverse search starts
 	metaBuf  []int32
-	out      []graph.Arc // the answer's oriented pairs, handed to the Result
+	out      []graph.Arc // the answer's oriented pairs, handed to the result
 
 	pairs        []SketchPair
 	metaGen      []uint32 // per meta-edge dedup generation
@@ -220,22 +211,25 @@ func (sr *Searcher) Rebind(ix *Index) bool {
 	return true
 }
 
-// Query answers SPG(u, v) as an undirected shortest path graph (over a
-// digraph: the edges under the arcs of SPG(u → v)).
+// Query answers SPG(u, v) — SPG(u → v) when the index is over a
+// digraph.
 func (sr *Searcher) Query(u, v graph.V) *graph.SPG {
 	spg, _ := sr.QueryWithStats(u, v)
 	return spg
 }
 
 // QueryInto answers SPG(u, v) into a caller-owned result, resetting it
-// first. Reusing one result across queries makes the warm query path
+// first and stamping it with the index's orientation: the search emits
+// every arc x→y of the answer as an oriented pair, which an answer over
+// a digraph keeps and one over an undirected graph normalises away.
+// Reusing one result across queries makes the warm query path
 // allocation-free (its buffer is recycled at its high-water mark).
 //
 //qbs:zeroalloc
-func (sr *Searcher) QueryInto(dst Result, u, v graph.V) QueryStats {
+func (sr *Searcher) QueryInto(dst *graph.SPG, u, v graph.V) QueryStats {
 	dst.Reset(u, v)
 	st := sr.query(u, v, true)
-	dst.Fill(st.Dist, sr.out)
+	dst.Fill(!sr.ix.symmetric(), st.Dist, sr.out)
 	return st
 }
 

@@ -456,13 +456,7 @@ func TestQuickRandomGraphsPropertyBased(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for i := 0; i < 12; i++ {
 			u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
-			if isDirected {
-				got := graph.NewDiSPG(u, v)
-				sr.QueryInto(got, u, v)
-				if !got.Equal(bfs.OracleDiSPG(tg.dir, u, v)) {
-					return false
-				}
-			} else if !sr.Query(u, v).Equal(bfs.OracleSPG(tg.und, u, v)) {
+			if !sr.Query(u, v).Equal(tg.oracle(u, v)) {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -143,28 +144,89 @@ func TestDiBuilderQuickProperty(t *testing.T) {
 func TestDiSPGEqualOrdered(t *testing.T) {
 	a := NewDiSPG(0, 3)
 	a.Dist = 2
-	a.AddArc(0, 1)
-	a.AddArc(1, 3)
-	a.AddArc(1, 3) // dup
+	a.AddEdge(0, 1)
+	a.AddEdge(1, 3)
+	a.AddEdge(1, 3) // dup
 	b := NewDiSPG(0, 3)
 	b.Dist = 2
-	b.AddArc(1, 3)
-	b.AddArc(0, 1)
+	b.AddEdge(1, 3)
+	b.AddEdge(0, 1)
 	if !a.Equal(b) {
 		t.Fatal("same arc sets must be equal")
 	}
 	c := NewDiSPG(3, 0) // reversed pair is NOT equal for directed
 	c.Dist = 2
-	c.AddArc(0, 1)
-	c.AddArc(1, 3)
+	c.AddEdge(0, 1)
+	c.AddEdge(1, 3)
 	if a.Equal(c) {
 		t.Fatal("directed SPGs with swapped endpoints must differ")
 	}
-	if a.NumArcs() != 2 {
-		t.Fatalf("NumArcs = %d", a.NumArcs())
+	if a.NumEdges() != 2 {
+		t.Fatalf("NumEdges = %d", a.NumEdges())
 	}
 	vs := a.Vertices()
 	if len(vs) != 3 || vs[0] != 0 || vs[2] != 3 {
 		t.Fatalf("vertices = %v", vs)
+	}
+}
+
+// TestSPGOrientation pins what the orientation bit means, over random
+// pair sets: a directed answer keeps its pairs and an undirected one
+// normalises them; Equal is sensitive to the order of the pair iff the
+// answer is directed, and never equates the two orientations; Fill
+// stamps whatever orientation it is given over the one the answer had;
+// Arcs, the benchmark's shim, is Edges element for element.
+func TestSPGOrientation(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 200; trial++ {
+		n := V(2 + rng.Intn(30))
+		pairs := make([]Arc, rng.Intn(40))
+		for i := range pairs {
+			pairs[i] = Arc{From: V(rng.Int31n(int32(n))), To: V(rng.Int31n(int32(n)))}
+		}
+		u, v := V(rng.Int31n(int32(n))), V(rng.Int31n(int32(n)))
+		for _, directed := range []bool{false, true} {
+			s := NewSPG(u, v)
+			if !directed {
+				s = NewDiSPG(u, v) // Fill must overwrite the orientation either way
+			}
+			s.Reset(u, v)
+			s.Fill(directed, 3, pairs)
+			if s.Directed() != directed {
+				t.Fatalf("Fill(%v) left Directed() = %v", directed, s.Directed())
+			}
+			want := map[Edge]bool{}
+			for _, p := range pairs {
+				e := Edge{p.From, p.To}
+				if !directed {
+					e = e.Normalize()
+				}
+				want[e] = true
+			}
+			edges, arcs := s.Edges(), s.Arcs()
+			if len(edges) != len(want) || len(arcs) != len(edges) {
+				t.Fatalf("directed=%v: %d edges, %d arcs, want %d", directed, len(edges), len(arcs), len(want))
+			}
+			for i, e := range edges {
+				if !want[e] || (i > 0 && (edges[i-1].U > e.U || edges[i-1].U == e.U && edges[i-1].W >= e.W)) {
+					t.Fatalf("directed=%v: edge %d = %v unexpected or out of order", directed, i, e)
+				}
+				if arcs[i] != (Arc{e.U, e.W}) {
+					t.Fatalf("Arcs()[%d] = %v, Edges()[%d] = %v", i, arcs[i], i, e)
+				}
+			}
+
+			// The same edge set under the swapped pair.
+			swapped := NewSPG(v, u)
+			swapped.Fill(directed, 3, pairs)
+			if got, want := s.Equal(swapped), !directed || u == v; got != want {
+				t.Fatalf("directed=%v: Equal under swapped pair (%d,%d) = %v, want %v", directed, u, v, got, want)
+			}
+			other := NewSPG(u, v)
+			other.Fill(!directed, 3, pairs)
+			if s.Equal(other) || other.Equal(s) {
+				t.Fatalf("answers of different orientation compare equal")
+			}
+		}
 	}
 }

@@ -13,12 +13,12 @@ import (
 // hold it to that. Every other body stays on encoding/json.
 
 // appendSPGResponse appends the /spg body for r and a newline. The edge
-// list is read from edges (an undirected answer) or arcs (a directed
-// one) in place of r.Edges, so that the handler never copies the result
-// into the response; an empty list is null, as a nil slice is.
+// list is read from edges, the answer's own, in place of r.Edges, so
+// that the handler never copies the result into the response; an empty
+// list is null, as a nil slice is.
 // r.Coverage is one of the handlers' constant names and is written
 // unescaped.
-func appendSPGResponse(b []byte, r *SPGResponse, edges []qbs.Edge, arcs []qbs.Arc) []byte {
+func appendSPGResponse(b []byte, r *SPGResponse, edges []qbs.Edge) []byte {
 	b = append(b, `{"source":`...)
 	b = strconv.AppendInt(b, int64(r.Source), 10)
 	b = append(b, `,"target":`...)
@@ -39,16 +39,12 @@ func appendSPGResponse(b []byte, r *SPGResponse, edges []qbs.Edge, arcs []qbs.Ar
 		b = append(b, ']')
 	}
 	b = append(b, `,"edges":`...)
-	if len(edges)+len(arcs) == 0 {
+	if len(edges) == 0 {
 		b = append(b, "null"...)
 	} else {
 		sep := byte('[')
 		for _, e := range edges {
 			b = appendPair(b, sep, e.U, e.W)
-			sep = ','
-		}
-		for _, a := range arcs {
-			b = appendPair(b, sep, a.From, a.To)
 			sep = ','
 		}
 		b = append(b, ']')

@@ -23,20 +23,15 @@ func viaEncodingJSON(t testing.TB, body any) []byte {
 }
 
 // checkSPGEncoding holds appendSPGResponse to encoding/json's bytes for
-// r, handing it r.Edges as the kind of list r.Directed says it is.
+// r, handing it r.Edges as the answer's edge list.
 func checkSPGEncoding(t testing.TB, r *SPGResponse) {
 	t.Helper()
 	var edges []qbs.Edge
-	var arcs []qbs.Arc
 	for _, e := range r.Edges {
-		if r.Directed {
-			arcs = append(arcs, qbs.Arc{From: e[0], To: e[1]})
-		} else {
-			edges = append(edges, qbs.Edge{U: e[0], W: e[1]})
-		}
+		edges = append(edges, qbs.Edge{U: e[0], W: e[1]})
 	}
 	prefix := []byte("kept")
-	got := appendSPGResponse(prefix, r, edges, arcs)
+	got := appendSPGResponse(prefix, r, edges)
 	if want := append([]byte("kept"), viaEncodingJSON(t, r)...); !bytes.Equal(got, want) {
 		t.Fatalf("append encoder\n got %s\nwant %s", got, want)
 	}

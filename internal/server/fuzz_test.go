@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"strings"
 	"testing"
 
 	"qbs/internal/obs"
@@ -17,7 +19,9 @@ import (
 // dynamic server. Whatever the bytes: no panic; the status is 200 or a
 // 4xx — or 503, the documented answer of a dynamic server to a
 // min_epoch it has not reached; a 200 body is valid JSON (a profile's
-// raw pprof bytes excepted) and every other body is an errorBody.
+// raw pprof bytes excepted) and every other body is an errorBody; a
+// min_epoch that is not a non-negative integer is a 400 on the query
+// endpoints of all three kinds.
 func FuzzReadHandlers(f *testing.F) {
 	for _, seed := range []string{
 		"u=0&v=3", "u=3&v=0&min_epoch=1", "u=0&v=3&limit=2", "n=1&min_ms=0.5&error=1",
@@ -25,6 +29,7 @@ func FuzzReadHandlers(f *testing.F) {
 		"min_epoch=18446744073709551616", "min_ms=NaN", "n=1e3",
 		"u=0&v=3&min_epoch=99", "u=0&u=1&v=2;v=3", "u=%zz&v=%00", "min_ms=%2BInf&n=1024",
 		"n=abc", "min_level=loud", "component=%00", "n=5&min_level=warn&component=http",
+		"u=1&v=2&min_epoch=abc",
 	} {
 		f.Add(seed)
 	}
@@ -60,6 +65,11 @@ func FuzzReadHandlers(f *testing.F) {
 				rec := httptest.NewRecorder()
 				sv.s.ServeHTTP(rec, req)
 				code, body := rec.Code, rec.Body.Bytes()
+				if raw := req.URL.Query().Get("min_epoch"); raw != "" && !strings.HasPrefix(path, "/debug/") {
+					if _, err := strconv.ParseUint(raw, 10, 64); err != nil && code != http.StatusBadRequest {
+						t.Fatalf("%s %s?%q: status %d for a malformed min_epoch, want 400", sv.name, path, rawQuery, code)
+					}
+				}
 				switch {
 				case code == http.StatusOK:
 					if rec.Header().Get("Content-Type") == "application/octet-stream" {

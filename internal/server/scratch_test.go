@@ -238,11 +238,11 @@ func BenchmarkAnswerAssembly(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sc.spg.Reset(0, last)
-				sc.spg.Fill(dist, pairs)
+				sc.spg.Fill(false, dist, pairs)
 				sc.dag.Reset(&sc.spg)
 				resp := SPGResponse{Target: last, Distance: &dist, DTop: &dist, Vertices: sc.dag.Vertices, Coverage: "some"}
 				resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
-				sc.buf = appendSPGResponse(sc.buf[:0], &resp, sc.spg.Edges(), nil)
+				sc.buf = appendSPGResponse(sc.buf[:0], &resp, sc.spg.Edges())
 			}
 			if n := sc.spg.NumEdges(); n != edges || len(sc.dag.Vertices) == 0 || len(sc.buf) < 16*edges/2 {
 				b.Fatalf("%d edges, %d vertices, %d bytes", n, len(sc.dag.Vertices), len(sc.buf))

@@ -50,12 +50,12 @@
 // one recovered from a data directory) with the write endpoints
 // withheld — the restart shape of a read replica.
 //
-// A fourth mode, NewDirected, serves a directed index (qbs.DiIndex):
-// /spg answers SPG(u → v) with oriented arcs, /distance the directed
-// distance, /sketch the directed sketch, and /stats the directed index
-// statistics; /paths and the write endpoints do not exist on a directed
-// server. Responses carry "directed": true so clients can tell the
-// modes apart.
+// A fourth mode, NewDirected, serves a directed index (qbs.DiIndex)
+// through the same handlers: /spg answers SPG(u → v) with oriented arcs,
+// /distance the directed distance, /sketch the directed sketch, and
+// /stats the directed index statistics; /paths and the write endpoints
+// do not exist on a directed server. Responses carry "directed": true so
+// clients can tell the modes apart.
 package server
 
 import (
@@ -76,8 +76,8 @@ import (
 	"qbs/internal/obs"
 )
 
-// backend is the query surface shared by the immutable and mutable
-// index types.
+// backend is the query surface shared by the immutable, directed and
+// mutable index types.
 type backend interface {
 	QueryIntoStats(dst *qbs.SPG, u, v qbs.V) qbs.QueryStats
 	Distance(u, v qbs.V) int32
@@ -89,19 +89,25 @@ type backend interface {
 	SizeDeltaBytes() int64
 }
 
-// staticBackend adapts *qbs.Index to the backend interface.
+// staticBackend and directedBackend adapt the immutable index types to
+// the backend interface; a digraph's edge count is its arc count.
 type staticBackend struct{ *qbs.Index }
 
 func (b staticBackend) NumVertices() int { return b.Graph().NumVertices() }
 func (b staticBackend) NumEdges() int    { return b.Graph().NumEdges() }
 
+type directedBackend struct{ *qbs.DiIndex }
+
+func (b directedBackend) NumVertices() int { return b.Graph().NumVertices() }
+func (b directedBackend) NumEdges() int    { return b.Graph().NumArcs() }
+
 // Server handles the HTTP API over one index.
 type Server struct {
 	b        backend
-	static   *qbs.Index        // nil in dynamic and directed modes
-	dyn      *qbs.DynamicIndex // nil in immutable and directed modes
-	di       *qbs.DiIndex      // non-nil only in directed mode
-	writable bool              // write endpoints exposed (NewMutable)
+	static   interface{ Stats() qbs.IndexStats } // the immutable index behind b; nil in dynamic modes
+	dyn      *qbs.DynamicIndex                   // nil in immutable modes
+	directed bool                                // b answers over a digraph (NewDirected)
+	writable bool                                // write endpoints exposed (NewMutable)
 	mux      *http.ServeMux
 
 	// One registry backs every /metrics rendering: the JSON body reads
@@ -318,7 +324,7 @@ func NewDynamicReadOnly(index *qbs.DynamicIndex) *Server {
 // oriented arcs, /distance is d(u → v) (generally asymmetric), /sketch
 // the directed sketch. /paths is not served in directed mode.
 func NewDirected(index *qbs.DiIndex) *Server {
-	s := &Server{di: index}
+	s := &Server{b: directedBackend{index}, static: index, directed: true}
 	s.routes()
 	return s
 }
@@ -358,18 +364,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", healthz)
 	s.mux.Handle("/debug/", obs.DebugMux(&s.src))
-	if s.di != nil {
-		s.handle("GET /spg", "/spg", s.handleDiSPG)
-		s.handle("GET /distance", "/distance", s.handleDiDistance)
-		s.handle("GET /sketch", "/sketch", s.handleDiSketch)
-		s.handle("GET /stats", "/stats", s.handleDiStats)
-		s.defaultSLOs()
-		return
-	}
 	s.handle("GET /spg", "/spg", s.handleSPG)
 	s.handle("GET /distance", "/distance", s.handleDistance)
 	s.handle("GET /sketch", "/sketch", s.handleSketch)
-	s.handle("GET /paths", "/paths", s.handlePaths)
+	if !s.directed {
+		s.handle("GET /paths", "/paths", s.handlePaths)
+	}
 	s.handle("GET /stats", "/stats", s.handleStats)
 	if s.dyn != nil {
 		s.handle("GET /epoch", "/epoch", s.handleEpoch)
@@ -513,14 +513,6 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// numVertices returns |V| of whichever index the server fronts.
-func (s *Server) numVertices() int {
-	if s.di != nil {
-		return s.di.Graph().NumVertices()
-	}
-	return s.b.NumVertices()
-}
-
 func (s *Server) parseVertex(w http.ResponseWriter, name, raw string) (qbs.V, bool) {
 	if raw == "" {
 		// Distinguish an absent parameter from a malformed one — the
@@ -531,10 +523,10 @@ func (s *Server) parseVertex(w http.ResponseWriter, name, raw string) (qbs.V, bo
 		return 0, false
 	}
 	id, err := strconv.Atoi(raw)
-	if err != nil || id < 0 || id >= s.numVertices() {
+	if err != nil || id < 0 || id >= s.b.NumVertices() {
 		writeJSON(w, http.StatusBadRequest, errorBody{
 			Error: fmt.Sprintf("parameter %q must be a vertex id in [0,%d), got %q",
-				name, s.numVertices(), raw),
+				name, s.b.NumVertices(), raw),
 		})
 		return 0, false
 	}
@@ -552,15 +544,17 @@ func (s *Server) pair(w http.ResponseWriter, q url.Values) (u, v qbs.V, ok bool)
 	return
 }
 
-// freshEnough enforces the min_epoch read-your-writes contract on
-// dynamic servers: a read carrying min_epoch=N is only answered once
-// the index has published epoch N; a replica still behind answers 503
-// with Retry-After so clients (and the query router) can go elsewhere.
-// Epochs are monotonic, so a snapshot resolved after this check is at
-// least as fresh as the epoch observed here.
+// freshEnough enforces the min_epoch read-your-writes contract: a read
+// carrying min_epoch=N is only answered once the index has published
+// epoch N; a replica still behind answers 503 with Retry-After so
+// clients (and the query router) can go elsewhere. The parameter is
+// validated on every server; an immutable index has no epoch to wait
+// for and is always fresh enough. Epochs are monotonic, so a snapshot
+// resolved after this check is at least as fresh as the epoch observed
+// here.
 func (s *Server) freshEnough(w http.ResponseWriter, q url.Values) bool {
 	raw := q.Get("min_epoch")
-	if raw == "" || s.dyn == nil {
+	if raw == "" {
 		return true
 	}
 	min, err := strconv.ParseUint(raw, 10, 64)
@@ -569,6 +563,9 @@ func (s *Server) freshEnough(w http.ResponseWriter, q url.Values) bool {
 			Error: fmt.Sprintf("parameter \"min_epoch\" must be a non-negative integer, got %q", raw),
 		})
 		return false
+	}
+	if s.dyn == nil {
+		return true
 	}
 	epoch := s.dyn.Epoch()
 	if epoch >= min {
@@ -636,7 +633,12 @@ type SPGResponse struct {
 	Directed          bool   `json:"directed,omitempty"`
 }
 
-func coverageName(c qbs.QueryStats) string {
+// coverageName names the query's coverage class; a directed server
+// reports its kind instead.
+func (s *Server) coverageName(c qbs.QueryStats) string {
+	if s.directed {
+		return "directed"
+	}
 	switch c.Coverage {
 	case qbs.CoverageAll:
 		return "all"
@@ -654,10 +656,9 @@ func coverageName(c qbs.QueryStats) string {
 // borrows one for its small body). The scratch returns to the pool only
 // after the body has been written.
 type scratch struct {
-	spg   qbs.SPG
-	dispg qbs.DiSPG
-	dag   analysis.DAG
-	buf   []byte
+	spg qbs.SPG
+	dag analysis.DAG
+	buf []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -670,7 +671,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 const maxPooledEdges = 1 << 16
 
 func (sc *scratch) release() {
-	if max(sc.spg.NumEdges(), sc.dispg.NumArcs()) > maxPooledEdges || len(sc.buf) > 16*maxPooledEdges {
+	if sc.spg.NumEdges() > maxPooledEdges || len(sc.buf) > 16*maxPooledEdges {
 		return
 	}
 	scratchPool.Put(sc)
@@ -687,20 +688,12 @@ func (sc *scratch) send(w http.ResponseWriter) {
 	_, _ = w.Write(sc.buf)
 }
 
-// sendSPG completes resp from the scratch's result and its layering —
-// the undirected pair unless resp says directed — and sends it, the edge
-// list straight from the result. Vertices and path count are read off
-// the answer's own edges, never asked of the index again, so a reply
-// cannot mix two epochs.
+// sendSPG completes resp from the scratch's result and its layering and
+// sends it, the edge list straight from the result. Vertices and path
+// count are read off the answer's own edges, never asked of the index
+// again, so a reply cannot mix two epochs.
 func (sc *scratch) sendSPG(w http.ResponseWriter, resp SPGResponse, dTop int32) {
-	var dist int32
-	var edges []qbs.Edge
-	var arcs []qbs.Arc
-	if resp.Directed {
-		dist, arcs = sc.dispg.Dist, sc.dispg.Arcs()
-	} else {
-		dist, edges = sc.spg.Dist, sc.spg.Edges()
-	}
+	dist := sc.spg.Dist
 	if dist == qbs.InfDist {
 		resp.Disconnected = true
 	} else {
@@ -711,7 +704,7 @@ func (sc *scratch) sendSPG(w http.ResponseWriter, resp SPGResponse, dTop int32) 
 		resp.Vertices = sc.dag.Vertices
 		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
 	}
-	sc.buf = appendSPGResponse(sc.buf[:0], &resp, edges, arcs)
+	sc.buf = appendSPGResponse(sc.buf[:0], &resp, sc.spg.Edges())
 	sc.send(w)
 }
 
@@ -737,7 +730,8 @@ func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
 		Source:      u,
 		Target:      v,
 		ArcsScanned: st.ArcsScanned,
-		Coverage:    coverageName(st),
+		Coverage:    s.coverageName(st),
+		Directed:    s.directed,
 	}, st.DTop)
 	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
@@ -762,9 +756,9 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	s.sendDistance(w, r, u, v, s.b.Distance(u, v))
 }
 
-// sendDistance answers /distance, in either mode, through a pooled
-// scratch: the same buffer and single write as /spg, and no allocation
-// of its own but the Content-Length header.
+// sendDistance answers /distance through a pooled scratch: the same
+// buffer and single write as /spg, and no allocation of its own but the
+// Content-Length header.
 func (s *Server) sendDistance(w http.ResponseWriter, r *http.Request, u, v, d int32) {
 	start := time.Now()
 	sc := scratchPool.Get().(*scratch)
@@ -916,8 +910,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		SizeDelta:    s.b.SizeDeltaBytes(),
 		Mutable:      s.writable,
 	}
+	// An undirected edge is two arcs; a digraph's count is arcs already.
+	perEdge := 2.0
+	if s.directed {
+		perEdge, resp.Directed = 1, true
+	}
 	if nv > 0 {
-		resp.AvgDegree = 2 * float64(ne) / float64(nv)
+		resp.AvgDegree = perEdge * float64(ne) / float64(nv)
 	}
 	if s.static != nil {
 		st := s.static.Stats()
@@ -946,85 +945,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Compactions:     d.Compactions,
 			Overridden:      d.Overridden,
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// --- directed mode ----------------------------------------------------
-
-// handleDiSPG answers the directed shortest path graph. Arcs are
-// oriented From→To in the Edges field; paths are counted over the
-// directed DAG the arcs already form.
-func (s *Server) handleDiSPG(w http.ResponseWriter, r *http.Request) {
-	pStart := time.Now()
-	u, v, ok := s.pair(w, r.URL.Query())
-	if !ok {
-		return
-	}
-	tb := obs.FromContext(r.Context())
-	qStart := s.endParse(tb, pStart)
-	sc := scratchPool.Get().(*scratch)
-	defer sc.release()
-	st := s.di.QueryIntoStats(&sc.dispg, u, v)
-	s.recordQuery(tb, qStart, u, v, st)
-	start := time.Now()
-	sc.dag.ResetDi(&sc.dispg)
-	sc.sendSPG(w, SPGResponse{
-		Source:      u,
-		Target:      v,
-		ArcsScanned: st.ArcsScanned,
-		Coverage:    "directed",
-		Directed:    true,
-	}, st.DTop)
-	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
-}
-
-func (s *Server) handleDiDistance(w http.ResponseWriter, r *http.Request) {
-	u, v, ok := s.pair(w, r.URL.Query())
-	if !ok {
-		return
-	}
-	s.sendDistance(w, r, u, v, s.di.Distance(u, v))
-}
-
-func (s *Server) handleDiSketch(w http.ResponseWriter, r *http.Request) {
-	u, v, ok := s.pair(w, r.URL.Query())
-	if !ok {
-		return
-	}
-	sk := s.di.Sketch(u, v)
-	resp := SketchResponse{Source: u, Target: v, Landmarks: s.di.Landmarks()}
-	if sk.DTop != qbs.InfDist {
-		dt := sk.DTop
-		resp.DTop = &dt
-		for _, p := range sk.Pairs {
-			resp.Pairs = append(resp.Pairs, [2]int32{
-				s.di.Landmarks()[p.R], s.di.Landmarks()[p.RPrime],
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleDiStats(w http.ResponseWriter, _ *http.Request) {
-	g := s.di.Graph()
-	st := s.di.Stats()
-	nv := g.NumVertices()
-	resp := StatsResponse{
-		Vertices:       nv,
-		Edges:          g.NumArcs(),
-		NumLandmarks:   len(s.di.Landmarks()),
-		Landmarks:      s.di.Landmarks(),
-		LabelEntries:   st.LabelEntries,
-		MetaEdges:      st.MetaEdges,
-		SizeLabels:     s.di.SizeLabelsBytes(),
-		SizeDelta:      s.di.SizeDeltaBytes(),
-		LabellingMS:    float64(st.LabellingTime.Microseconds()) / 1000,
-		ConstructionMS: float64(st.TotalTime.Microseconds()) / 1000,
-		Directed:       true,
-	}
-	if nv > 0 {
-		resp.AvgDegree = float64(g.NumArcs()) / float64(nv)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

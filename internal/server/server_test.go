@@ -777,9 +777,43 @@ func TestMinEpochGate(t *testing.T) {
 		}
 	}
 
-	// Immutable servers ignore min_epoch entirely.
+	// Immutable servers have no epoch to wait for: any well-formed
+	// min_epoch is already satisfied.
 	im := testServer(t)
 	if r := do(t, im, "GET", "/spg?u=0&v=3&min_epoch=999", "", nil); r.StatusCode != 200 {
 		t.Fatalf("immutable min_epoch: status %d", r.StatusCode)
+	}
+}
+
+// TestMinEpochValidatedOnEveryServerKind: a min_epoch that is not a
+// non-negative integer is a 400 on a static, a directed and a dynamic
+// server alike, on every read endpoint the kind serves, and a
+// well-formed one that is already reached is a 200 on all three.
+func TestMinEpochValidatedOnEveryServerKind(t *testing.T) {
+	_, di := testMutableServer(t)
+	for _, kind := range []struct {
+		name  string
+		s     *Server
+		paths []string
+	}{
+		{"static", testServer(t), []string{"/spg", "/distance", "/sketch", "/paths"}},
+		{"directed", testDirectedServer(t), []string{"/spg", "/distance", "/sketch"}},
+		{"dynamic", NewDynamicReadOnly(di), []string{"/spg", "/distance", "/sketch", "/paths"}},
+	} {
+		for _, path := range kind.paths {
+			for q, want := range map[string]int{
+				"min_epoch=abc": 400, "min_epoch=-1": 400, "min_epoch=1.5": 400,
+				"min_epoch=18446744073709551616": 400, "min_epoch=0": 200, "min_epoch=": 200,
+			} {
+				r := do(t, kind.s, "GET", path+"?u=1&v=2&"+q, "", nil)
+				if r.StatusCode != want {
+					t.Errorf("%s %s?%s: status %d, want %d", kind.name, path, q, r.StatusCode, want)
+				}
+				var e errorBody
+				if want == 400 && (json.NewDecoder(r.Body).Decode(&e) != nil || !strings.Contains(e.Error, "min_epoch")) {
+					t.Errorf("%s %s?%s: error %q does not name the parameter", kind.name, path, q, e.Error)
+				}
+			}
+		}
 	}
 }

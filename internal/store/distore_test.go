@@ -81,7 +81,7 @@ func TestDiStoreRoundTrip(t *testing.T) {
 			}
 
 			sr := core.NewSearcher(re)
-			got := graph.NewDiSPG(0, 0)
+			got := new(graph.SPG)
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 80; i++ {
 				u := graph.V(rng.Intn(g.NumVertices()))
@@ -106,42 +106,60 @@ func TestDiStoreCreateTwiceFails(t *testing.T) {
 	}
 }
 
-// TestDiSnapshotCorruptionDetected flips one byte at a sweep of offsets;
-// every corrupted image must be rejected (or, for a handful of bytes
-// that only pad alignment, still decode to a working index) — never
-// panic.
-func TestDiSnapshotCorruptionDetected(t *testing.T) {
+// TestOneStorePerDataDir: a data directory is the home of one index
+// over one graph. Creating a store of either kind in a directory that
+// holds one of the other is refused by name, with the flag that opens
+// what is there, and leaves the directory as it was.
+func TestOneStorePerDataDir(t *testing.T) {
 	g, ix := diTestIndex(t)
+	listing := func(dir string) string {
+		var names []string
+		_ = filepath.WalkDir(dir, func(p string, _ os.DirEntry, _ error) error {
+			if rel, _ := filepath.Rel(dir, p); rel != lockFile {
+				names = append(names, rel)
+			}
+			return nil
+		})
+		return strings.Join(names, " ")
+	}
+
 	dir := t.TempDir()
 	if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, diSnapshotName)
-	orig, err := os.ReadFile(path)
+	before := listing(dir)
+	_, err := Create(dir, newDynamic(t, graph.Path(5), 2), Options{})
+	if err == nil || !strings.Contains(err.Error(), "already contains a directed store; open it with -directed") {
+		t.Fatalf("Create over a directed store: %v", err)
+	}
+	if after := listing(dir); after != before || Exists(dir) {
+		t.Fatalf("refused Create changed the directory: %q -> %q", before, after)
+	}
+	if _, _, err := OpenDi(dir, false); err != nil {
+		t.Fatalf("directed store no longer opens: %v", err)
+	}
+
+	udir := t.TempDir()
+	writeUndirectedSnapshot(t, udir)
+	before = listing(udir)
+	err = CreateDi(udir, g, ix.DirectedState())
+	if err == nil || !strings.Contains(err.Error(), "already contains an undirected store; open it without -directed") {
+		t.Fatalf("CreateDi over an undirected store: %v", err)
+	}
+	if after := listing(udir); after != before || DiExists(udir) {
+		t.Fatalf("refused CreateDi changed the directory: %q -> %q", before, after)
+	}
+	st, err := Open(udir, Options{})
 	if err != nil {
+		t.Fatalf("undirected store no longer opens: %v", err)
+	}
+	// CreateDi takes the writer lock: a live undirected writer excludes it
+	// before it looks at anything.
+	if err := CreateDi(udir, g, ix.DirectedState()); err == nil || !strings.Contains(err.Error(), "locked") {
+		t.Fatalf("CreateDi beside a live writer: %v", err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
-	}
-	step := len(orig)/97 + 1
-	for off := 0; off < len(orig); off += step {
-		data := append([]byte(nil), orig...)
-		data[off] ^= 0x41
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("decode panicked with byte %d flipped: %v", off, r)
-				}
-			}()
-			ix, _, err := decodeDiSnapshot(data)
-			if err == nil && ix == nil {
-				t.Fatalf("flip at %d: nil index without error", off)
-			}
-		}()
-	}
-	// Truncations must also be rejected cleanly.
-	for _, cut := range []int{0, 1, snapHeaderSize, diSnapTableEnd, len(orig) / 2, len(orig) - 1} {
-		if _, _, err := decodeDiSnapshot(orig[:cut]); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", cut)
-		}
 	}
 }
 
@@ -186,11 +204,11 @@ func TestCrossFormatErrors(t *testing.T) {
 
 	// The v3 compatibility rule: undirected snapshots keep magic "QBS3"
 	// and version 3, and keep loading.
-	if string(udata[:4]) != snapMagic {
-		t.Fatalf("undirected snapshot magic %q, want %q", udata[:4], snapMagic)
+	if string(udata[:4]) != schemaV3.magic {
+		t.Fatalf("undirected snapshot magic %q, want %q", udata[:4], schemaV3.magic)
 	}
-	if v := binary.LittleEndian.Uint32(udata[4:]); v != snapVersion {
-		t.Fatalf("undirected snapshot version %d, want %d", v, snapVersion)
+	if v := binary.LittleEndian.Uint32(udata[4:]); v != schemaV3.version {
+		t.Fatalf("undirected snapshot version %d, want %d", v, schemaV3.version)
 	}
 	if _, err := decodeSnapshot(udata); err != nil {
 		t.Fatalf("v3 snapshot no longer loads: %v", err)

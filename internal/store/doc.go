@@ -18,31 +18,42 @@
 //	<dir>/
 //	  directed.qbss            directed index snapshot, format v5
 //
-// # Snapshot format (v3)
+// A directory is the home of one index over one graph: creating a store
+// of either kind takes the writer lock (<dir>/LOCK) and refuses a
+// directory that already holds a store of either kind, naming what is
+// there.
 //
-// One self-describing, checksummed file holding everything a snapshot
-// epoch needs: the graph (CSR), the landmark set, the σ matrix, the
-// per-landmark distance and label columns, and the Δ lists. All
-// integers are little-endian.
+// # Snapshot container
 //
-//	[0,4)    magic "QBS3"
-//	[4,8)    u32 version = 3
+// Both snapshot formats are one container (container.go): a
+// self-describing, checksummed file of a fixed header, a section table
+// and the section payloads. All integers are little-endian.
+//
+//	[0,4)    magic
+//	[4,8)    u32 version
 //	[8,16)   u64 epoch
-//	[16,24)  u64 numVertices
+//	[16,24)  u64 numVertices (n)
 //	[24,32)  u64 numArcs
 //	[32,36)  u32 numLandmarks (R)
-//	[36,40)  u32 numSections (= 8)
-//	[40,44)  u32 headerCRC — crc32c over [0,40) and the section table
-//	[44,48)  padding
-//	[48,304) section table: 8 × {u32 kind, u32 _, u64 offset, u64 length,
-//	         u32 crc32c, u32 _}
-//	[304,…)  section payloads, each 8-byte aligned, zero padded
+//	[36,40)  u32 numSections (S)
+//	[40,44)  u32 headerCRC — crc32c over [0,40), the flags word where the
+//	         format has one, and the section table
+//	[44,48)  u32 flags (padding, zero and outside the CRC, in v3)
+//	[48,48+32·S) section table: S × {u32 kind, u32 _, u64 offset,
+//	         u64 length, u32 crc32c, u32 _}, kinds 1..S in file order
+//	[…)      section payloads, each 8-byte aligned, zero padded
 //
-// Sections, in fixed order: graph offsets ((n+1)×i64), graph adjacency
-// (arcs×i32), landmarks (R×i32), σ (R²×u8), label columns (R·n×u8,
-// column-major), distance columns (R·n×i32, column-major), Δ counts
-// (numMeta×u32, meta-edges in the deterministic order derived from σ)
-// and Δ edges (Σcounts × {i32,i32}).
+// One writer streams the payloads past the table, each through an
+// incremental CRC so even large indexes serialise without a second
+// in-memory copy, then patches header and table in at offset 0; the file
+// is written to a temp name, fsynced and renamed, and the directory
+// fsynced. One reader checks size, magic, version, section count, flags,
+// the header CRC, the plausibility of the counts, that each section lies
+// in bounds, aligned and in kind order, and the section CRCs (in
+// parallel), and hands the payloads out as slices of the file. What the
+// sections hold, and the invariants that tie them together, are the
+// format's (schema_v3.go, schema_v5.go); the σ shape check and the Δ
+// decoder are shared, parameterised by orientation.
 //
 // The layout is chosen for zero-copy load: the whole file is read (or
 // mmapped) into one arena and every bulk array — labels, distances, the
@@ -52,28 +63,44 @@
 // written, so views into a read-only mapping are safe for the life of
 // the process.
 //
-// # Snapshot format (v5, directed flavor)
+// The two formats stay two: undirected snapshots keep being written as
+// v3 and every v3 file keeps loading unchanged, byte for byte what
+// earlier versions wrote (TestSnapshotBytesUnchanged pins both formats'
+// bytes); v5 exists only for what a v3 reader could not represent (dual
+// CSR, two label matrices, asymmetric σ). Opening a file of one format
+// with the other's loader fails with an error naming the right entry
+// point rather than a checksum mismatch.
 //
-// The directed flavor extends v3 with a flags word; it does not change
-// the undirected layout. The compatibility rule: undirected snapshots
-// keep being written as v3 and every v3 file keeps loading unchanged —
-// the directed format exists only for what a v3 reader could not
-// represent (dual CSR, two label matrices, asymmetric σ).
+// # Format v3 sections
 //
-// A directed snapshot reuses the v3 header geometry with magic "QBS4",
-// version 5, epoch fixed to 0 (directed indexes are immutable), and the
-// previously-padding bytes [44,48) as a little-endian u32 flags word
-// (bit 0 = directed, required). The header CRC at [40,44) covers
-// [0,40), the flags word and the section table. Ten sections follow in
-// fixed order, each 8-byte aligned and crc32c-checksummed exactly as in
-// v3:
+// Magic "QBS3", version 3, no flags: one epoch of a dynamic index.
 //
-//	out offsets ((n+1)×i64), out adjacency (arcs×i32),
-//	in offsets  ((n+1)×i64), in adjacency  (arcs×i32),
-//	landmarks (R×i32), σ (R²×u8, row-major, row = from-rank),
-//	labelFrom (R·n×u8, column-major), labelTo (R·n×u8, column-major),
-//	Δ counts (numMeta×i32, meta-arcs in the canonical (from, to) rank
-//	order derived from σ), Δ arcs (Σcounts × {i32 from, i32 to})
+//	1 graph offsets    (n+1)×i64
+//	2 graph adjacency  arcs×i32            arcs even: every edge twice
+//	3 landmarks        R×i32
+//	4 σ                R²×u8               symmetric, empty diagonal, no zero
+//	5 label columns    R·n×u8              column-major
+//	6 distance columns R·n×i32             column-major; a present label equals
+//	                                       the distance, which is ≤ 254 or infinite
+//	7 Δ counts         numMeta×i32         meta-edges a < b in the order σ implies
+//	8 Δ edges          Σcounts×{i32,i32}   in range, normalised (U ≤ W)
+//
+// # Format v5 sections
+//
+// Magic "QBS4", version 5, flags bit 0 (directed) required: a directed
+// index. The epoch is 0: directed indexes are immutable.
+//
+//	1 out offsets   (n+1)×i64
+//	2 out adjacency arcs×i32
+//	3 in offsets    (n+1)×i64
+//	4 in adjacency  arcs×i32
+//	5 landmarks     R×i32                 in range
+//	6 σ             R²×u8                 row-major, row = from-rank; empty
+//	                                      diagonal, no zero; not symmetric
+//	7 labelFrom     R·n×u8                column-major; no entry on a landmark's
+//	8 labelTo       R·n×u8                row, no zero depth
+//	9 Δ counts      numMeta×i32           meta-arcs in (from, to) rank order
+//	10 Δ arcs       Σcounts×{i32 from, i32 to}   in range, no self-loop
 //
 // Version 5 differs from version 4 in one thing: the two label sections
 // are column-major (one landmark's column after another, as in v3)
@@ -85,9 +112,7 @@
 // (APSP, arc ids, shortest-meta-path table) is recomputed. A version-4
 // file is refused with "unsupported snapshot version 4" before its
 // checksums are read; the store is a cache of a build, so the remedy is
-// to rebuild it. Opening a directed file with the undirected loader (or
-// vice versa) fails with an error naming the right entry point rather
-// than a checksum mismatch.
+// to rebuild it.
 //
 // # WAL format
 //

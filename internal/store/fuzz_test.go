@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,48 +8,8 @@ import (
 	"qbs/internal/graph"
 )
 
-// Corrupt-input coverage for both decoders: truncations, flipped bits
-// and bad CRCs must come back as errors (or, for bytes outside any
-// checksummed region, as a load equal to the pristine one) — never as a
-// panic or an attacker-sized allocation.
-
-// pristineSnapshot serialises a small index and returns the image.
-func pristineSnapshot(t testing.TB) []byte {
-	t.Helper()
-	dir := t.TempDir()
-	d := newDynamic(t, graph.BarabasiAlbert(48, 2, 3), 5)
-	name, err := writeSnapshotFile(dir, d.Persistent())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func FuzzSnapshotDecode(f *testing.F) {
-	data := pristineSnapshot(f)
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add([]byte(snapMagic))
-	f.Add([]byte{})
-	long := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint64(long[16:], 1<<40) // absurd vertex count
-	f.Add(long)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		ls, err := decodeSnapshot(b)
-		if err != nil {
-			return
-		}
-		// Whatever was accepted must at least be self-consistent enough to
-		// restore (the decoder validates exactly what Restore relies on).
-		if ls.g.NumVertices() < 0 || len(ls.labels) != len(ls.landmarks) {
-			t.Fatalf("accepted inconsistent snapshot")
-		}
-	})
-}
+// Corrupt-input coverage for the WAL scanner; the snapshot decoders'
+// suite is in snapshot_test.go.
 
 func FuzzWALScan(f *testing.F) {
 	dir := f.TempDir()
@@ -90,54 +49,6 @@ func FuzzWALScan(f *testing.F) {
 			t.Fatalf("clean scan ended off a record boundary")
 		}
 	})
-}
-
-// TestSnapshotBitFlips flips every byte of a pristine snapshot in turn.
-// Each flip must either be rejected or (padding bytes, which no
-// checksum covers and no decoder reads) load to the identical state.
-func TestSnapshotBitFlips(t *testing.T) {
-	data := pristineSnapshot(t)
-	orig, err := decodeSnapshot(append([]byte(nil), data...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stride := 1
-	if testing.Short() {
-		stride = 7
-	}
-	for i := 0; i < len(data); i += stride {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x40
-		ls, err := decodeSnapshot(mut)
-		if err != nil {
-			continue
-		}
-		// Accepted: must be indistinguishable from the original.
-		if ls.epoch != orig.epoch || ls.g.NumVertices() != orig.g.NumVertices() ||
-			ls.g.NumArcs() != orig.g.NumArcs() || len(ls.delta) != len(orig.delta) {
-			t.Fatalf("byte %d: corrupted snapshot accepted with different state", i)
-		}
-		for r := range orig.labels {
-			if !slicesEqual(orig.labels[r], ls.labels[r]) || !slicesEqual(orig.dists[r], ls.dists[r]) {
-				t.Fatalf("byte %d: corrupted snapshot accepted with different columns", i)
-			}
-		}
-	}
-}
-
-// TestSnapshotTruncations truncates a pristine snapshot at every length
-// (sampled): none may decode successfully, none may panic.
-func TestSnapshotTruncations(t *testing.T) {
-	data := pristineSnapshot(t)
-	stride := 1
-	if testing.Short() {
-		stride = 13
-	}
-	for cut := 0; cut < len(data); cut += stride {
-		if _, err := decodeSnapshot(data[:cut]); err == nil {
-			t.Fatalf("truncation to %d/%d bytes decoded successfully", cut, len(data))
-		}
-	}
 }
 
 // TestWALBitFlips flips each byte of a valid segment; the scan must

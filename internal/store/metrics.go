@@ -47,6 +47,6 @@ func init() {
 	}
 	labels := fmt.Sprintf(
 		`go_version=%q,module_version=%q,snapshot_format="%d",dynamic_snapshot_format="%d",wal_format="%d"`,
-		runtime.Version(), version, snapVersion, diSnapVersion, walVersion)
+		runtime.Version(), version, schemaV3.version, schemaV5.version, walVersion)
 	obs.Default.Gauge("qbs_build_info", labels).Set(1)
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"qbs/internal/core"
 	"qbs/internal/dynamic"
 	"qbs/internal/graph"
 	"qbs/internal/obs"
@@ -52,6 +53,8 @@ var ErrClosed = errors.New("store: closed")
 const (
 	currentFile = "CURRENT"
 	lockFile    = "LOCK"
+	// diSnapshotName is the one file of a directed store.
+	diSnapshotName = "directed.qbss"
 )
 
 // Store binds a dynamic index to a data directory: every applied update
@@ -78,14 +81,76 @@ type Store struct {
 
 func walDir(dir string) string { return filepath.Join(dir, "wal") }
 
-// Exists reports whether dir already holds a store (a CURRENT pointer
-// or any snapshot file).
+// Exists reports whether dir already holds an undirected store (a
+// CURRENT pointer or any snapshot file).
 func Exists(dir string) bool {
 	if _, err := os.Stat(filepath.Join(dir, currentFile)); err == nil {
 		return true
 	}
 	names, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.qbss"))
 	return len(names) > 0
+}
+
+// DiExists reports whether dir already holds a directed store.
+func DiExists(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, diSnapshotName))
+	return err == nil
+}
+
+// claimDataDir makes dir and takes its writer lock for the creation of
+// a store, refusing a directory that already holds one — of either
+// kind: one directory is the home of one index over one graph. What is
+// there is named along with the flag that opens it.
+func claimDataDir(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	lock, err := lockDataDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case Exists(dir):
+		err = fmt.Errorf("store: %s already contains an undirected store; open it without -directed", dir)
+	case DiExists(dir):
+		err = fmt.Errorf("store: %s already contains a directed store; open it with -directed", dir)
+	default:
+		return lock, nil
+	}
+	unlockDataDir(lock)
+	return nil, err
+}
+
+// CreateDi initialises dir as the durable home of a directed index: the
+// frozen state st of an index over g is written atomically as one
+// snapshot. dir must not already contain a store.
+func CreateDi(dir string, g *graph.DiGraph, st core.DirectedState) error {
+	lock, err := claimDataDir(dir)
+	if err != nil {
+		return err
+	}
+	defer unlockDataDir(lock)
+	return writeFileAtomic(dir, diSnapshotName, func(f *os.File) error {
+		return encodeDiSnapshot(f, g, st)
+	})
+}
+
+// OpenDi recovers the directed index persisted in dir and the digraph it
+// is over: the snapshot is validated and adopted zero-copy (label
+// columns, the dual CSR and Δ are typed views into one arena), and only
+// the derived meta state (APSP, O(|R|³)) is recomputed. useMMap maps the
+// file read-only instead of reading it (the mapping lives until process
+// exit).
+func OpenDi(dir string, useMMap bool) (*core.Index, *graph.DiGraph, error) {
+	ar, err := openArena(filepath.Join(dir, diSnapshotName), useMMap)
+	if err != nil {
+		return nil, nil, err
+	}
+	ix, g, err := decodeDiSnapshot(ar.data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: directed snapshot %s: %w", diSnapshotName, err)
+	}
+	return ix, g, nil
 }
 
 // Create initialises dir as the durable home of d: the current state is
@@ -96,16 +161,13 @@ func Create(dir string, d *dynamic.Index, opts Options) (*Store, error) {
 	if opts.ReadOnly {
 		return nil, ErrReadOnly
 	}
-	if err := os.MkdirAll(walDir(dir), 0o755); err != nil {
-		return nil, err
-	}
-	lock, err := lockDataDir(dir)
+	lock, err := claimDataDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if Exists(dir) {
+	if err := os.MkdirAll(walDir(dir), 0o755); err != nil {
 		unlockDataDir(lock)
-		return nil, fmt.Errorf("store: %s already contains a store", dir)
+		return nil, err
 	}
 	ps := d.Persistent()
 	name, err := writeSnapshotFile(dir, ps)

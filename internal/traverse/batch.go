@@ -20,8 +20,8 @@ const BatchChunk = 32
 // only to find no chunk left). pairAt yields the i-th query pair;
 // acquire/release manage per-worker searchers (typically a pool); query
 // answers one pair into a chunk-slab slot of the caller's result type.
-// It is the engine behind core.QueryBatchInto, which the static, dynamic
-// and directed batch entry points share.
+// It is the engine behind core.QueryBatchInto, which every batch entry
+// point shares.
 //
 // A query that panics (e.g. an out-of-range vertex id) does not bring
 // the batch down: its slot is left nil, the worker discards its

@@ -127,12 +127,24 @@ type QueryStats = core.QueryStats
 // Sketch is the per-query summary structure (Definition 4.5).
 type Sketch = core.Sketch
 
-// Index is an immutable QbS index over a graph. All methods are safe for
-// concurrent use.
-type Index struct {
+// reader is the read path of an immutable index of either orientation:
+// the core index and a pool of searchers over it. Index and DiIndex
+// embed it and differ only in the graph they hand back and in how they
+// are built and persisted.
+type reader struct {
 	core *core.Index
 	pool sync.Pool
 }
+
+func newReader(cix *core.Index) *reader {
+	r := &reader{core: cix}
+	r.pool.New = func() any { return core.NewSearcher(cix) }
+	return r
+}
+
+// Index is an immutable QbS index over a graph. All methods are safe for
+// concurrent use.
+type Index struct{ *reader }
 
 // BuildIndex constructs a QbS index: landmark selection, the labelling
 // scheme of Algorithm 2 (parallel across landmarks), meta-graph APSP and
@@ -148,9 +160,7 @@ func BuildIndex(g *Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{core: cix}
-	ix.pool.New = func() any { return core.NewSearcher(cix) }
-	return ix, nil
+	return &Index{newReader(cix)}, nil
 }
 
 // MustBuildIndex is BuildIndex that panics on error.
@@ -163,21 +173,23 @@ func MustBuildIndex(g *Graph, opts Options) *Index {
 }
 
 // Query answers SPG(u, v): the subgraph of exactly all shortest u–v
-// paths, with Dist set to d_G(u, v) (InfDist when disconnected).
-func (ix *Index) Query(u, v V) *SPG {
-	sr := ix.pool.Get().(*core.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.Query(u, v)
+// paths — directed u → v paths on a DiIndex, whose answers keep their
+// arcs' orientation — with Dist set to d_G(u, v) (InfDist when
+// disconnected or unreachable).
+func (ix *reader) Query(u, v V) *SPG {
+	spg, _ := ix.QueryWithStats(u, v)
+	return spg
 }
 
 // QueryInto answers SPG(u, v) into a caller-owned result, resetting it
 // first, and returns dst. Reusing one SPG across queries keeps the warm
 // query path free of heap allocations (the result buffer is recycled at
 // its high-water mark); serving loops that answer-and-encode should
-// prefer it over Query.
+// prefer it over Query. The result takes the index's orientation
+// whatever it held before.
 //
 //qbs:zeroalloc
-func (ix *Index) QueryInto(dst *SPG, u, v V) *SPG {
+func (ix *reader) QueryInto(dst *SPG, u, v V) *SPG {
 	ix.QueryIntoStats(dst, u, v)
 	return dst
 }
@@ -186,21 +198,21 @@ func (ix *Index) QueryInto(dst *SPG, u, v V) *SPG {
 // returning dst: the serving shape, one search into a recycled result.
 //
 //qbs:zeroalloc
-func (ix *Index) QueryIntoStats(dst *SPG, u, v V) QueryStats {
+func (ix *reader) QueryIntoStats(dst *SPG, u, v V) QueryStats {
 	sr := ix.pool.Get().(*core.Searcher)
 	defer ix.pool.Put(sr)
 	return sr.QueryInto(dst, u, v)
 }
 
 // QueryWithStats answers SPG(u, v) and reports query internals.
-func (ix *Index) QueryWithStats(u, v V) (*SPG, QueryStats) {
-	spg := graph.NewSPG(u, v)
+func (ix *reader) QueryWithStats(u, v V) (*SPG, QueryStats) {
+	spg := new(SPG)
 	return spg, ix.QueryIntoStats(spg, u, v)
 }
 
-// Distance returns d_G(u, v) using the sketch-guided search without path
-// extraction.
-func (ix *Index) Distance(u, v V) int32 {
+// Distance returns d_G(u, v) — d_G(u → v) on a DiIndex — using the
+// sketch-guided search without path extraction.
+func (ix *reader) Distance(u, v V) int32 {
 	sr := ix.pool.Get().(*core.Searcher)
 	defer ix.pool.Put(sr)
 	return sr.Distance(u, v)
@@ -208,7 +220,7 @@ func (ix *Index) Distance(u, v V) int32 {
 
 // Sketch computes the query sketch S_uv (for introspection; Query
 // computes it internally).
-func (ix *Index) Sketch(u, v V) *Sketch { return ix.core.Sketch(u, v) }
+func (ix *reader) Sketch(u, v V) *Sketch { return ix.core.Sketch(u, v) }
 
 // Pair is one query pair for QueryBatch.
 type Pair struct{ U, V V }
@@ -222,7 +234,7 @@ type Pair struct{ U, V V }
 // A query that panics (e.g. an out-of-range vertex id) does not bring
 // the batch down: its slot is left nil and all remaining results are
 // returned.
-func (ix *Index) QueryBatch(pairs []Pair, parallelism int) []*SPG {
+func (ix *reader) QueryBatch(pairs []Pair, parallelism int) []*SPG {
 	out := make([]*SPG, len(pairs))
 	core.QueryBatchInto(out, parallelism,
 		func(i int) (V, V) { return pairs[i].U, pairs[i].V },
@@ -232,20 +244,21 @@ func (ix *Index) QueryBatch(pairs []Pair, parallelism int) []*SPG {
 }
 
 // Landmarks returns the landmark vertices in rank order.
-func (ix *Index) Landmarks() []V { return ix.core.Landmarks() }
+func (ix *reader) Landmarks() []V { return ix.core.Landmarks() }
 
 // IsLandmark reports whether v is a landmark.
-func (ix *Index) IsLandmark(v V) bool { return ix.core.IsLandmark(v) }
+func (ix *reader) IsLandmark(v V) bool { return ix.core.IsLandmark(v) }
 
 // Stats returns construction statistics.
-func (ix *Index) Stats() IndexStats { return ix.core.Stats() }
+func (ix *reader) Stats() IndexStats { return ix.core.Stats() }
 
-// SizeLabelsBytes is the paper's size(L) accounting: |R| bytes/vertex.
-func (ix *Index) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
+// SizeLabelsBytes is the paper's size(L) accounting: |R| bytes/vertex,
+// twice that over a digraph (two labellings).
+func (ix *reader) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
 
 // SizeDeltaBytes is the paper's size(Δ): 8 bytes per precomputed
 // landmark-pair shortest-path edge.
-func (ix *Index) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
+func (ix *reader) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
 
 // Graph returns the indexed graph.
 func (ix *Index) Graph() *Graph { return ix.core.Graph() }
@@ -270,9 +283,7 @@ func LoadIndexFile(g *Graph, path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{core: cix}
-	ix.pool.New = func() any { return core.NewSearcher(cix) }
-	return ix, nil
+	return &Index{newReader(cix)}, nil
 }
 
 // ErrDiameterTooLarge is returned when a graph (or a graph update) would
@@ -396,7 +407,7 @@ func (di *DynamicIndex) QueryIntoStats(dst *SPG, u, v V) QueryStats {
 
 // QueryWithStats answers SPG(u, v) with query internals.
 func (di *DynamicIndex) QueryWithStats(u, v V) (*SPG, QueryStats) {
-	spg := graph.NewSPG(u, v)
+	spg := new(SPG)
 	return spg, di.QueryIntoStats(spg, u, v)
 }
 
