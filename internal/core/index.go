@@ -302,7 +302,7 @@ func BuildDirected(g *graph.DiGraph, opts Options) (*Index, error) {
 	opts = opts.withDefaults(g.NumVertices())
 	landmarks := opts.Landmarks
 	if landmarks == nil {
-		landmarks = g.TotalDegreeOrder()[:opts.NumLandmarks]
+		landmarks = g.TopTotalDegreeVertices(opts.NumLandmarks)
 	}
 	return build(start, nil, g.OutView(), g.InView(), g.OutDegrees(), g.InDegrees(), landmarks, opts)
 }

@@ -68,21 +68,17 @@ func (g *DiGraph) Arcs() []Arc {
 // TotalDegreeOrder returns vertices by descending in+out degree (ties by
 // id) — the landmark order for directed QbS.
 func (g *DiGraph) TotalDegreeOrder() []V {
-	n := g.NumVertices()
-	vs := make([]V, n)
-	for i := range vs {
-		vs[i] = V(i)
-	}
-	sort.Slice(vs, func(i, j int) bool {
-		di := g.OutDegree(vs[i]) + g.InDegree(vs[i])
-		dj := g.OutDegree(vs[j]) + g.InDegree(vs[j])
-		if di != dj {
-			return di > dj
-		}
-		return vs[i] < vs[j]
-	})
-	return vs
+	return orderByDegree(g.NumVertices(), g.totalDegree)
 }
+
+// TopTotalDegreeVertices returns the first k vertices of
+// TotalDegreeOrder (all of them if k exceeds |V|) without sorting the
+// rest.
+func (g *DiGraph) TopTotalDegreeVertices(k int) []V {
+	return topByDegree(g.NumVertices(), k, g.totalDegree)
+}
+
+func (g *DiGraph) totalDegree(v int) int { return g.OutDegree(V(v)) + g.InDegree(V(v)) }
 
 // OutDegrees materialises the out-degree array (one int32 per vertex)
 // for the traversal engines' α/β direction heuristic.
@@ -227,7 +223,7 @@ func (g *DiGraph) Validate() error {
 // Duplicates and self-loops are removed.
 type DiBuilder struct {
 	n    int
-	arcs []Arc
+	arcs []Edge // Edge{U, W} is the arc U→W
 }
 
 // NewDiBuilder creates a builder over n vertices.
@@ -241,62 +237,21 @@ func NewDiBuilder(n int) *DiBuilder {
 // AddArc records the arc u→w; self-loops are ignored.
 func (b *DiBuilder) AddArc(u, w V) {
 	if u != w {
-		b.arcs = append(b.arcs, Arc{u, w})
+		b.arcs = append(b.arcs, Edge{u, w})
 	}
 }
 
-// Build produces the immutable dual-CSR digraph.
+// Build produces the immutable dual-CSR digraph. Like Builder.Build it
+// leaves the builder usable.
 func (b *DiBuilder) Build() (*DiGraph, error) {
-	for _, a := range b.arcs {
-		if a.From < 0 || int(a.From) >= b.n || a.To < 0 || int(a.To) >= b.n {
-			return nil, fmt.Errorf("digraph: arc %d->%d out of range [0,%d)", a.From, a.To, b.n)
-		}
+	workers := csrWorkers(len(b.arcs))
+	outOff, out, bad := buildCSR(b.n, b.arcs, true, false, workers)
+	if bad >= 0 {
+		a := b.arcs[bad]
+		return nil, fmt.Errorf("digraph: arc %d->%d out of range [0,%d)", a.U, a.W, b.n)
 	}
-	arcs := make([]Arc, len(b.arcs))
-	copy(arcs, b.arcs)
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].From != arcs[j].From {
-			return arcs[i].From < arcs[j].From
-		}
-		return arcs[i].To < arcs[j].To
-	})
-	dedup := arcs[:0]
-	for i, a := range arcs {
-		if i == 0 || a != arcs[i-1] {
-			dedup = append(dedup, a)
-		}
-	}
-	arcs = dedup
-
-	g := &DiGraph{
-		outOff: make([]int64, b.n+1),
-		inOff:  make([]int64, b.n+1),
-		out:    make([]V, len(arcs)),
-		in:     make([]V, len(arcs)),
-	}
-	for _, a := range arcs {
-		g.outOff[a.From+1]++
-		g.inOff[a.To+1]++
-	}
-	for i := 1; i <= b.n; i++ {
-		g.outOff[i] += g.outOff[i-1]
-		g.inOff[i] += g.inOff[i-1]
-	}
-	outCur := make([]int64, b.n)
-	inCur := make([]int64, b.n)
-	copy(outCur, g.outOff[:b.n])
-	copy(inCur, g.inOff[:b.n])
-	for _, a := range arcs {
-		g.out[outCur[a.From]] = a.To
-		outCur[a.From]++
-		g.in[inCur[a.To]] = a.From
-		inCur[a.To]++
-	}
-	for v := 0; v < b.n; v++ {
-		ins := g.in[g.inOff[v]:g.inOff[v+1]]
-		sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
-	}
-	return g, nil
+	inOff, in, _ := buildCSR(b.n, b.arcs, false, true, workers)
+	return &DiGraph{outOff: outOff, out: out, inOff: inOff, in: in}, nil
 }
 
 // MustBuild is Build that panics on error.
@@ -330,31 +285,20 @@ func MustDiFromArcs(n int, arcs []Arc) *DiGraph {
 // directions, so directed algorithms can be sanity-checked against their
 // undirected counterparts.
 func AsDirected(g *Graph) *DiGraph {
-	b := NewDiBuilder(g.NumVertices())
-	for u := V(0); u < V(g.NumVertices()); u++ {
-		for _, w := range g.Neighbors(u) {
-			b.AddArc(u, w)
-		}
-	}
-	return b.MustBuild()
+	// A symmetric digraph's out- and in-adjacency are both g's CSR, and
+	// all three are immutable: share the arrays.
+	return &DiGraph{outOff: g.offsets, out: g.adj, inOff: g.offsets, in: g.adj}
 }
 
 // DirectedErdosRenyi samples m distinct directed arcs uniformly.
 func DirectedErdosRenyi(n, m int, seed int64) *DiGraph {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewDiBuilder(n)
-	seen := make(map[Arc]struct{}, m)
-	for len(seen) < m && len(seen) < n*(n-1) {
-		a := Arc{V(rng.Intn(n)), V(rng.Intn(n))}
-		if a.From == a.To {
-			continue
-		}
-		if _, ok := seen[a]; ok {
-			continue
-		}
-		seen[a] = struct{}{}
-		b.AddArc(a.From, a.To)
-	}
+	m = min(m, n*(n-1))
+	b.arcs = distinctPairs(m, func() (Edge, bool) {
+		a := Edge{V(rng.Intn(n)), V(rng.Intn(n))}
+		return a, a.U != a.W
+	})
 	return b.MustBuild()
 }
 
@@ -368,11 +312,14 @@ func DirectedScaleFree(n, m int, seed int64) *DiGraph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewDiBuilder(n)
-	var inRep, outRep []V
 	seedSize := m + 1
 	if seedSize > n {
 		seedSize = n
 	}
+	// Every arc appends once to each of the three lists.
+	arcs := seedSize + 2*m*(n-seedSize)
+	b.arcs = make([]Edge, 0, arcs)
+	inRep, outRep := make([]V, 0, arcs), make([]V, 0, arcs)
 	for u := 0; u < seedSize; u++ {
 		w := (u + 1) % seedSize
 		if u != w {

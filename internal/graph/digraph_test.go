@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +56,35 @@ func TestTotalDegreeOrder(t *testing.T) {
 	order := g.TotalDegreeOrder()
 	if order[0] != 0 {
 		t.Fatalf("order = %v, hub must be first", order)
+	}
+}
+
+// The packed-key sort and the top-k heap order vertices exactly as the
+// comparator they replaced did (descending in+out degree, ties by
+// ascending id), on graphs where most degrees tie.
+func TestTotalDegreeOrderMatchesComparator(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		g := DirectedErdosRenyi(600, 1500, seed)
+		want := make([]V, g.NumVertices())
+		for i := range want {
+			want[i] = V(i)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			di := g.OutDegree(want[i]) + g.InDegree(want[i])
+			dj := g.OutDegree(want[j]) + g.InDegree(want[j])
+			if di != dj {
+				return di > dj
+			}
+			return want[i] < want[j]
+		})
+		if got := g.TotalDegreeOrder(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: TotalDegreeOrder differs from the comparator sort", seed)
+		}
+		for _, k := range []int{0, 1, 20, 37, 38, 600, 1000} { // 37 < n/16 ≤ 38: both sides of the heap cut-over
+			if got := g.TopTotalDegreeVertices(k); !slices.Equal(got, want[:min(k, len(want))]) {
+				t.Fatalf("seed %d: TopTotalDegreeVertices(%d) = %v, want %v", seed, k, got, want[:min(k, len(want))])
+			}
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 )
 
 // Generators for synthetic networks. Every generator takes an explicit
@@ -19,21 +22,77 @@ import (
 func ErdosRenyi(n, m int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
-	seen := make(map[Edge]struct{}, m)
-	for len(seen) < m && len(seen) < n*(n-1)/2 {
+	m = min(m, n*(n-1)/2)
+	b.edges = distinctPairs(m, func() (Edge, bool) {
 		u := V(rng.Intn(n))
 		w := V(rng.Intn(n))
-		if u == w {
-			continue
-		}
-		e := Edge{u, w}.Normalize()
-		if _, ok := seen[e]; ok {
-			continue
-		}
-		seen[e] = struct{}{}
-		b.AddEdge(e.U, e.W)
-	}
+		return Edge{u, w}.Normalize(), u != w
+	})
 	return b.MustBuild()
+}
+
+// distinctPairs returns the first m distinct pairs draw produces (a draw
+// returning false is skipped): the rejection sampling under both
+// Erdős–Rényi generators. draw is called up to a batch further than the
+// m-th distinct pair, so it must own its random source. Membership is an
+// open-addressed table of 4-byte slots indexing the pairs accepted so
+// far, sized from m to stay at most half full (a Go map of pairs here
+// was the peak RSS of a server on the FR analog), and it is garbage by
+// the time the caller allocates CSR arrays.
+func distinctPairs(m int, draw func() (Edge, bool)) []Edge {
+	if m <= 0 {
+		return nil
+	}
+	if m > math.MaxUint32/2 {
+		panic("graph: too many pairs to sample")
+	}
+	pairs := make([]Edge, 0, m)
+	// A slot is 0 when empty, else tag<<idxBits | index+1: the index of
+	// a pair and, in the bits an index up to m leaves free, a tag from
+	// its hash, so that a probe passing over another pair's slot rarely
+	// has to fetch that pair to tell them apart.
+	logSlots, idxBits := bits.Len(uint(2*m-1)), bits.Len(uint(m))
+	slots := make([]uint32, 1<<logSlots)
+	mask, idxMask := uint64(len(slots)-1), uint32(1)<<idxBits-1
+	// Draws are hashed a batch ahead and their home slots read once
+	// before any is inserted: the table is far larger than the cache, and
+	// independent loads overlap their misses where one probe after the
+	// other would wait for each.
+	var (
+		ps   [32]Edge
+		hs   [32]uint64
+		warm uint32
+	)
+	for len(pairs) < m {
+		for k := 0; k < len(ps); {
+			p, ok := draw()
+			if !ok {
+				continue
+			}
+			// Fibonacci hashing: the top bits of the product are mixed
+			// best; the home slot is the top logSlots, the tag the bits
+			// below.
+			ps[k], hs[k] = p, (uint64(uint32(p.U))<<32|uint64(uint32(p.W)))*0x9E3779B97F4A7C15
+			k++
+		}
+		for _, h := range hs {
+			warm += slots[h>>(64-logSlots)]
+		}
+	next:
+		for k := 0; k < len(ps) && len(pairs) < m; k++ {
+			p, h := ps[k], hs[k]
+			tag := uint32(h>>(32-logSlots)) >> idxBits
+			for h >>= 64 - logSlots; slots[h] != 0; h = (h + 1) & mask {
+				if s := slots[h]; s>>idxBits == tag && pairs[s&idxMask-1] == p {
+					continue next
+				}
+			}
+			pairs = append(pairs, p)
+			slots[h] = tag<<idxBits | uint32(len(pairs))
+		}
+	}
+	runtime.KeepAlive(warm) // or the compiler drops the warming loads
+	return pairs
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: vertices
@@ -54,6 +113,7 @@ func BarabasiAlbert(n, m int, seed int64) *Graph {
 	if seedSize > n {
 		seedSize = n
 	}
+	b.edges = make([]Edge, 0, seedSize*(seedSize-1)/2+m*(n-seedSize))
 	for u := 0; u < seedSize; u++ {
 		for w := u + 1; w < seedSize; w++ {
 			b.AddEdge(V(u), V(w))
@@ -179,9 +239,7 @@ func HubBoost(g *Graph, h, extra int, seed int64) *Graph {
 	n := g.NumVertices()
 	hubs := g.TopDegreeVertices(h)
 	b := NewBuilder(n)
-	for _, e := range g.Edges() {
-		b.AddEdge(e.U, e.W)
-	}
+	b.addGraph(g, len(hubs)*extra)
 	for _, hub := range hubs {
 		for i := 0; i < extra; i++ {
 			w := V(rng.Intn(n))
@@ -202,12 +260,8 @@ func Union(a, b *Graph) *Graph {
 		n = b.NumVertices()
 	}
 	bl := NewBuilder(n)
-	for _, e := range a.Edges() {
-		bl.AddEdge(e.U, e.W)
-	}
-	for _, e := range b.Edges() {
-		bl.AddEdge(e.U, e.W)
-	}
+	bl.addGraph(a, b.NumEdges())
+	bl.addGraph(b, 0)
 	return bl.MustBuild()
 }
 
@@ -218,9 +272,7 @@ func TriadicClosure(g *Graph, count int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := g.NumVertices()
 	b := NewBuilder(n)
-	for _, e := range g.Edges() {
-		b.AddEdge(e.U, e.W)
-	}
+	b.addGraph(g, count)
 	added := 0
 	for attempts := 0; added < count && attempts < 20*count; attempts++ {
 		u := V(rng.Intn(n))

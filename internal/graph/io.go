@@ -2,12 +2,15 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // I/O for graphs in two formats:
@@ -23,13 +26,13 @@ import (
 // are arbitrary non-negative integers and are remapped to a dense range;
 // the mapping from dense id to original id is returned.
 func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
-	pairs, orig, err := scanEdgeList(r)
+	pairs, orig, err := scanEdgeList(r, math.MaxInt32)
 	if err != nil {
 		return nil, nil, err
 	}
 	b := NewBuilder(len(orig))
 	for _, e := range pairs {
-		b.AddEdge(e.u, e.w)
+		b.AddEdge(e.U, e.W)
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -38,46 +41,58 @@ func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 	return g, orig, nil
 }
 
-// rawPair is one parsed edge-list line after id densification.
-type rawPair struct{ u, w V }
-
 // scanEdgeList parses the whitespace-separated pairs shared by the
-// undirected (symmetrising) and directed readers, densifying vertex ids.
-func scanEdgeList(r io.Reader) ([]rawPair, []int64, error) {
+// undirected (symmetrising) and directed readers, densifying vertex ids
+// in order of first appearance. Lines are parsed in the scanner's buffer:
+// a real dump is one line per edge, so the loop allocates nothing per
+// line. maxIDs (math.MaxInt32 outside tests) is the largest dense id V
+// can hold.
+func scanEdgeList(r io.Reader, maxIDs int) ([]Edge, []int64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	idOf := make(map[int64]V)
 	var orig []int64
-	intern := func(raw int64) V {
-		if v, ok := idOf[raw]; ok {
-			return v
-		}
-		v := V(len(orig))
-		idOf[raw] = v
-		orig = append(orig, raw)
-		return v
-	}
-	var pairs []rawPair
 	lineNo := 0
+	// intern parses one field and returns its dense id. The string
+	// conversion does not escape, so a field of ordinary length is parsed
+	// from the stack.
+	intern := func(field []byte) (V, error) {
+		raw, err := strconv.ParseInt(string(field), 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("graph: line %d: %v", lineNo, err)
+		}
+		v, ok := idOf[raw]
+		if !ok {
+			if len(orig) > maxIDs {
+				return 0, fmt.Errorf("graph: line %d: too many distinct vertex ids (more than %d)", lineNo, len(orig))
+			}
+			v = V(len(orig))
+			idOf[raw] = v
+			orig = append(orig, raw)
+		}
+		return v, nil
+	}
+	var pairs []Edge
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		first, rest := nextField(line)
+		second, _ := nextField(rest)
+		if len(second) == 0 {
 			return nil, nil, fmt.Errorf("graph: line %d: expected two vertex ids, got %q", lineNo, line)
 		}
-		a, err := strconv.ParseInt(fields[0], 10, 64)
+		u, err := intern(first)
 		if err != nil {
-			return nil, nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+			return nil, nil, err
 		}
-		b, err := strconv.ParseInt(fields[1], 10, 64)
+		w, err := intern(second)
 		if err != nil {
-			return nil, nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+			return nil, nil, err
 		}
-		pairs = append(pairs, rawPair{intern(a), intern(b)})
+		pairs = append(pairs, Edge{u, w})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
@@ -85,17 +100,46 @@ func scanEdgeList(r io.Reader) ([]rawPair, []int64, error) {
 	return pairs, orig, nil
 }
 
+// nextField returns the first field of b — a maximal run of non-space
+// characters, space as strings.Fields defines it — and what follows it.
+func nextField(b []byte) (field, rest []byte) {
+	isSpace := func(i int) (bool, int) {
+		if c := b[i]; c < utf8.RuneSelf {
+			return c == ' ' || '\t' <= c && c <= '\r', 1
+		}
+		r, size := utf8.DecodeRune(b[i:])
+		return unicode.IsSpace(r), size
+	}
+	start := 0
+	for start < len(b) {
+		space, size := isSpace(start)
+		if !space {
+			break
+		}
+		start += size
+	}
+	end := start
+	for end < len(b) {
+		space, size := isSpace(end)
+		if space {
+			break
+		}
+		end += size
+	}
+	return b[start:end], b[end:]
+}
+
 // ReadDiEdgeList parses a whitespace-separated edge list as *directed*
 // arcs "u w" = u→w, without symmetrising (self-loops and duplicates are
 // dropped). Vertex ids are densified exactly as in ReadEdgeList.
 func ReadDiEdgeList(r io.Reader) (*DiGraph, []int64, error) {
-	pairs, orig, err := scanEdgeList(r)
+	pairs, orig, err := scanEdgeList(r, math.MaxInt32)
 	if err != nil {
 		return nil, nil, err
 	}
 	b := NewDiBuilder(len(orig))
 	for _, e := range pairs {
-		b.AddArc(e.u, e.w)
+		b.AddArc(e.U, e.W)
 	}
 	g, err := b.Build()
 	if err != nil {

@@ -56,10 +56,16 @@ func TestObservabilitySmoke(t *testing.T) {
 	if err := obs.ValidateExposition(body); err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, body)
 	}
-	for _, want := range []string{"qbs_http_requests_total", "qbs_query_stage_ns", "qbs_goroutines"} {
+	// The cold start is attributed to its layers: this server generated
+	// a graph and built an index, and had no store to create or recover.
+	for _, want := range []string{"qbs_http_requests_total", "qbs_query_stage_ns", "qbs_goroutines",
+		`qbs_startup_seconds{stage="graph"} `, `qbs_startup_seconds{stage="index"} `} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("exposition missing %q", want)
 		}
+	}
+	if bytes.Contains(body, []byte(`qbs_startup_seconds{stage="store"}`)) {
+		t.Fatal("exposition reports a store stage on a server started without -data")
 	}
 
 	// The slow log captured the queries (threshold forced to 1ns).
