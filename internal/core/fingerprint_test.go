@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"qbs/internal/bfs"
 	"qbs/internal/datasets"
 	"qbs/internal/graph"
 )
@@ -165,6 +166,70 @@ func TestParentFingerprints(t *testing.T) {
 			if got := fingerprintOf(tc.tg, ix); got != tc.want {
 				t.Errorf("%s parallelism=%d:\n got %+v\nwant %+v", tc.name, par, got, tc.want)
 			}
+		}
+	}
+}
+
+// Work counters over the same seeded pairs — and over the FR analog, whose
+// uncovered pairs end on the largest levels — recorded at commit f535a26,
+// the last one whose expansion kernel scanned and marked a level in one
+// sweep: the sum of QueryStats.ArcsScanned over the answers (it is in the
+// /spg body), the same with extraction off (what Distance runs: the kernel
+// returns at its first crossing arc) and the sum of the Bi-BFS baseline's
+// SearchStats.ArcsScanned. A kernel that reads memory in another order
+// must still examine exactly these adjacency entries.
+type arcsScanned struct{ query, distance, biBFS int64 }
+
+var (
+	arcsScannedYT = arcsScanned{query: 103210, distance: 70349, biBFS: 396818}
+	arcsScannedWK = arcsScanned{query: 107865, distance: 80548, biBFS: 235634}
+	arcsScannedFR = arcsScanned{query: 1206603, distance: 221206, biBFS: 1188778}
+)
+
+func arcsScannedOf(tg testGraph, ix *Index) arcsScanned {
+	n := tg.numVertices()
+	sr := NewSearcher(ix)
+	var bi *bfs.Bidirectional
+	if tg.dir != nil {
+		bi = bfs.NewDirectedBidirectional(tg.dir)
+	} else {
+		bi = bfs.NewBidirectional(tg.und)
+	}
+	var got arcsScanned
+	spg := new(graph.SPG)
+	rng := rand.New(rand.NewSource(fingerprintSeed))
+	for i := 0; i < fingerprintQueries; i++ {
+		u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
+		got.query += sr.QueryInto(spg, u, v).ArcsScanned
+		got.distance += sr.query(u, v, false).ArcsScanned
+		_, st := bi.Query(u, v)
+		got.biBFS += st.ArcsScanned
+	}
+	return got
+}
+
+// TestParentArcsScanned holds the work counters to the parent's, the way
+// TestParentFingerprints holds the answers.
+func TestParentArcsScanned(t *testing.T) {
+	for _, tc := range []struct {
+		key      string
+		directed bool
+		want     arcsScanned
+	}{
+		{"YT", false, arcsScannedYT},
+		{"WK", true, arcsScannedWK},
+		{"FR", false, arcsScannedFR},
+	} {
+		spec, err := datasets.ByKey(tc.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := undirected(spec.Generate(fingerprintScale))
+		if tc.directed {
+			tg = directed(spec.GenerateDirected(fingerprintScale))
+		}
+		if got := arcsScannedOf(tg, tg.mustBuild(t, Options{})); got != tc.want {
+			t.Errorf("%s: arcs scanned %+v, want %+v", tc.key, got, tc.want)
 		}
 	}
 }
