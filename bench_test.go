@@ -15,6 +15,11 @@
 //	Figure 11-> BenchmarkFig11QuerySweep
 //	§6.5     -> BenchmarkAblationTraversal
 //	§8       -> BenchmarkAblationLandmarkStrategies
+//
+// The query loops here cycle 256 pairs over graphs of a few thousand
+// vertices: cache-resident, they time the kernel's instructions. What a
+// query costs at the sizes the server serves is BenchmarkQueryColdPairs
+// (cold_bench_test.go).
 package qbs_test
 
 import (

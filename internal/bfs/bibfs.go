@@ -167,7 +167,11 @@ func NewExtractor(n int) *Extractor {
 // ws holds, rooted at root (its one depth-0 vertex), appending the arcs
 // to out, and returns out plus the number of adjacency entries scanned
 // (for traversal ablations). The last step scans none: the only
-// predecessor a depth-1 vertex can have is the root.
+// predecessor a depth-1 vertex can have is the root. The rows of a step
+// are requested a block ahead through ws (traverse.RowsAhead).
+//
+//qbs:zeroalloc
+//qbs:hotpath
 func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, from []graph.V, ws *Workspace, root graph.V) ([]graph.Arc, int64) {
 	e.mark.Reset()
 	var arcs int64
@@ -179,9 +183,15 @@ func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, fr
 		}
 	}
 	next := e.next[:0]
+	rows := ws.RowsAhead(pull)
 	for len(cur) > 0 {
 		next = next[:0]
-		for _, x := range cur {
+		// One step's vertices share a depth; the last step scans no rows.
+		scans := ws.Dist(cur[0]) > 1
+		for i, x := range cur {
+			if scans {
+				rows.At(cur, i)
+			}
 			dx := ws.Dist(x)
 			if dx <= 0 {
 				continue

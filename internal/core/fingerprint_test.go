@@ -197,9 +197,8 @@ func arcsScannedOf(tg testGraph, ix *Index) arcsScanned {
 	}
 	var got arcsScanned
 	spg := new(graph.SPG)
-	rng := rand.New(rand.NewSource(fingerprintSeed))
-	for i := 0; i < fingerprintQueries; i++ {
-		u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
+	for _, p := range randomPairs(n, fingerprintQueries, fingerprintSeed) { // fpQueries' stream
+		u, v := p[0], p[1]
 		got.query += sr.QueryInto(spg, u, v).ArcsScanned
 		got.distance += sr.query(u, v, false).ArcsScanned
 		_, st := bi.Query(u, v)

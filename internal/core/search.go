@@ -525,6 +525,9 @@ func (sr *Searcher) recover(st *QueryStats) {
 // landmark rank, walking side's arcs with its label distances going down
 // to 1 and finally attaching to the landmark itself. Interior vertices
 // are non-landmarks by construction of the labelling.
+//
+//qbs:zeroalloc
+//qbs:hotpath
 func (sr *Searcher) labelWalk(side *searchSide, starts []graph.V, rank int, delta int32, st *QueryStats) {
 	ix := sr.ix
 	col := side.labels[rank]
@@ -537,10 +540,12 @@ func (sr *Searcher) labelWalk(side *searchSide, starts []graph.V, rank int, delt
 			cur = append(cur, w)
 		}
 	}
+	rows := side.ws.RowsAhead(side.push)
 	for ; delta > 1; delta-- {
 		next := sr.walkNext[:0]
 		want := uint8(delta - 1)
-		for _, x := range cur {
+		for i, x := range cur {
+			rows.At(cur, i)
 			for _, y := range side.push.Neighbors(x) {
 				st.ArcsScanned++
 				if ix.landIdx[y] >= 0 {

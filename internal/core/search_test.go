@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"qbs/internal/bfs"
+	"qbs/internal/datasets"
 	"qbs/internal/graph"
 )
 
@@ -529,6 +530,41 @@ func TestSearcherFootprint(t *testing.T) {
 		t.Logf("%s: NewSearcher: %.2f B/vertex", name, perVertex)
 		if perVertex > 10 {
 			t.Fatalf("%s: NewSearcher allocates %.2f B/vertex, want at most 10", name, perVertex)
+		}
+	}
+}
+
+// TestConcurrentSearchersOnLargeAdjacency runs eight searchers of one
+// index at once through QueryBatchInto, over an adjacency large enough
+// that every one of them requests rows a block ahead (traverse.RowsAhead;
+// 1<<17 arcs is where it starts) and sweeps its large levels twice. The
+// answers must be the ones a single searcher gives, and under -race the
+// run must be clean: whatever those loads are folded into belongs to the
+// searcher, not to the package.
+func TestConcurrentSearchersOnLargeAdjacency(t *testing.T) {
+	spec, err := datasets.ByKey("FR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.Generate(0.05)
+	if g.NumArcs() < 1<<17 {
+		t.Fatalf("%d arcs: too few for rows to be requested ahead", g.NumArcs())
+	}
+	ix := MustBuild(g, Options{})
+	pairs := randomPairs(g.NumVertices(), 2000, 22)
+	want := make([]*graph.SPG, len(pairs))
+	sr := NewSearcher(ix)
+	for i, p := range pairs {
+		want[i] = sr.Query(p[0], p[1])
+	}
+	got := make([]*graph.SPG, len(pairs))
+	QueryBatchInto(got, 8,
+		func(i int) (graph.V, graph.V) { return pairs[i][0], pairs[i][1] },
+		func() *Searcher { return NewSearcher(ix) },
+		func(*Searcher) {})
+	for i, p := range pairs {
+		if got[i] == nil || !got[i].Equal(want[i]) {
+			t.Fatalf("SPG(%d,%d) answered concurrently: %v, alone: %v", p[0], p[1], got[i], want[i])
 		}
 	}
 }

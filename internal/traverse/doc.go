@@ -44,9 +44,10 @@
 // hands it the other side's workspace and it tests those bits too. A
 // vertex unseen by S and seen by the other side is a meeting, and the
 // arc x→y that reached it — x on S's frontier — is returned as a
-// crossing arc instead of y joining the level. No second pass over the
-// finished level, and the searcher's reverse extraction starts from the
-// arcs' endpoints, one level lower on S than from meeting vertices.
+// crossing arc instead of y joining the level. No pass over the finished
+// level to find where it touched the other side, and the searcher's
+// reverse extraction starts from the arcs' endpoints, one level lower on
+// S than from meeting vertices.
 //
 // Why a crossing arc always lands on the other side's outermost level:
 // while no arc has crossed, no vertex is in both visited sets, because a
@@ -58,13 +59,55 @@
 // So the distance is d + 1 + (the other side's completed depth), and
 // the crossing arcs are exactly the shortest-path arcs over that cut.
 //
-// The last level is truncated. A level that met is never expanded from,
-// so from the first crossing arc on the kernel stops marking and
-// appending, and returns dst at its input length: the call yields the
-// complete level or the crossing arcs, never both. The caller's level
-// count does not advance; the marks a truncated level may leave in the
-// workspace carry the pending depth d+1, which no walk down from
-// depth ≤ d matches.
+// The last level marks nothing. A level that met is never expanded from:
+// the call yields the complete level or the crossing arcs, never both,
+// and a level that met settles its frontier and otherwise leaves the
+// workspace's visited set and dst as they were. The caller's level count
+// does not advance.
+//
+// # Memory access (RowsAhead, the two-sweep level)
+//
+// At the sizes the server serves a query is its cache misses: on the
+// 120 000-vertex FR analog the one-sweep kernel spent 350 ns per frontier
+// row — the offset pair, then the row, each waited for behind the scan of
+// the row before, whose own work (a bitmap test, a mark, two appends per
+// neighbour) fills the reorder window long before the next row's address
+// is even computed. Three things follow.
+//
+// Rows are requested a block ahead. Before the first of every 16 frontier
+// rows is scanned, RowsAhead loads one entry per cache line of all 16, a
+// loop short enough that their misses are outstanding together. Go has
+// no prefetch intrinsic, so these are real loads, folded into a sum the
+// compiler cannot drop. The sum lives in the Workspace, not in a package
+// variable: searchers run concurrently, one workspace each, and a shared
+// word would be a data race and a contended cache line. Below
+// residentArcs (half a megabyte of rows) nothing is requested: what hits
+// in L2 is cheaper to read once than to ask for twice. ExpandMeeting,
+// the reverse extraction (bfs.Extractor) and the searcher's label walk
+// all scan rows this way.
+//
+// A level that may be the last is swept twice. The first sweep only
+// tests — is the neighbour seen there and unseen here — and collects
+// crossing arcs; it writes nothing, so it is a handful of instructions
+// per arc, runs far ahead of its misses, and if it finds an arc the level
+// is over with no mark, log entry or append to take back or to clear at
+// the next Reset. Only a level that did not meet is swept again to mark,
+// over rows that are now warm (or requested a block ahead once more, when
+// the level is larger than the cache). A row is counted once however
+// many sweeps read it, as the one-sweep kernel counted it.
+//
+// Which levels: those of a search still growing geometrically — at
+// least geometric (16) frontier rows for every level up to this one. In
+// such a search the next level is as large as all earlier ones together,
+// so the test sweep over levels that turn out not to meet costs a
+// fraction of the one that does; on FR seven pairs in ten end on a
+// 2 900-arc level holding one crossing arc. A search that grows by a few
+// rows a level — a grid, a ring, a long path — has a hundred levels of
+// which one meets, nothing to overlap, and rows its own last level left
+// in cache: it gets the single sweep, which tests and marks together and
+// takes its marks back (Marks.unmark) in the one level that meets. The
+// rule reads only the frontier length and the depth; no option selects
+// it.
 //
 // # Bit-parallel multi-source labelling BFS (MultiBFS)
 //

@@ -1,0 +1,50 @@
+package traverse
+
+import "qbs/internal/graph"
+
+// ResidentArcs lets a test size a graph onto the block-ahead path.
+const ResidentArcs = residentArcs
+
+// ReferenceExpand is ExpandMeeting as it stood at commit f535a26, kept
+// as the oracle for the kernel that replaced it: one sweep in frontier
+// order that tests and marks as it goes and stops marking at the first
+// crossing arc. Its crossing arcs, its level (in order) and its arc count
+// are what ExpandMeeting must return; only the marks it leaves behind on a
+// level that met are not.
+func ReferenceExpand(push graph.Adjacency, ws, other *Workspace, frontier []graph.V, d int32, dst []graph.V, cross []graph.Arc, first bool) ([]graph.V, []graph.Arc, int64) {
+	ws.settle(frontier, d)
+	seen := &ws.seen
+	mine := seen.words
+	theirs := mine
+	if other != nil {
+		theirs = other.seen.words
+	}
+	base, had := len(dst), len(cross)
+	var arcs int64
+	for _, x := range frontier {
+		ns := push.Neighbors(x)
+		arcs += int64(len(ns))
+		for _, y := range ns {
+			w, bit := uint32(y)>>6, uint64(1)<<(uint(y)&63)
+			m, t := mine[w], theirs[w]
+			if m&bit != 0 {
+				continue
+			}
+			if t&bit != 0 {
+				cross = append(cross, graph.Arc{From: x, To: y})
+				if first {
+					return dst[:base], cross, arcs
+				}
+				continue
+			}
+			if len(cross) == had {
+				seen.Mark(y)
+				dst = append(dst, y)
+			}
+		}
+	}
+	if len(cross) > had {
+		dst = dst[:base]
+	}
+	return dst, cross, arcs
+}

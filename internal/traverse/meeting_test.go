@@ -11,11 +11,12 @@ import (
 )
 
 // meetingSide is one direction of a model bidirectional search: its arcs
-// and the workspace under test, and beside them the depth of every
-// vertex the side has visited, kept in a map.
+// and the workspace under test, beside them the depth of every vertex
+// the side has visited, kept in a map, and a twin workspace that the
+// reference kernel grows in step.
 type meetingSide struct {
 	push     graph.Adjacency
-	ws       *traverse.Workspace
+	ws, ref  *traverse.Workspace
 	depth    map[graph.V]int32
 	frontier []graph.V
 	d        int32
@@ -39,7 +40,10 @@ func compareArcs(a, b graph.Arc) int {
 //     (one of them under first) and dst untouched;
 //   - while no arc has crossed the two visited sets are disjoint;
 //   - a crossing arc lands on the other side's outermost level, so that
-//     d + 1 + other.d is the pair's distance.
+//     d + 1 + other.d is the pair's distance;
+//   - a level that met leaves the visited set as it found it;
+//   - level, crossing arcs and arc count are, in order, what the
+//     one-sweep kernel this one replaced returns on a twin search.
 func TestExpandMeetingMatchesModel(t *testing.T) {
 	type adjPair struct{ out, in graph.Adjacency }
 	graphs := map[string]adjPair{}
@@ -63,8 +67,8 @@ func TestExpandMeetingMatchesModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		for _, first := range []bool{false, true} {
 			sides := [2]*meetingSide{
-				{push: g.out, ws: traverse.NewWorkspace(n)},
-				{push: g.in, ws: traverse.NewWorkspace(n)},
+				{push: g.out, ws: traverse.NewWorkspace(n), ref: traverse.NewWorkspace(n)},
+				{push: g.in, ws: traverse.NewWorkspace(n), ref: traverse.NewWorkspace(n)},
 			}
 			for q := 0; q < 60; q++ {
 				u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
@@ -85,16 +89,152 @@ func TestExpandMeetingMatchesModel(t *testing.T) {
 			}
 		}
 	}
+	checkExpandBlocks(t)
+}
+
+// checkExpandBlocks holds single calls to the reference kernel on hand-
+// built levels that a search over a small random graph never produces:
+// frontiers on both sides of the block size, over an adjacency large
+// enough that rows are requested a block ahead, at depths on both sides
+// of the growth the two-sweep level asks for; rows that are empty,
+// shorter than one cache line and longer than four; a crossing arc only
+// in the last row of the last block, or first met in the middle of a
+// block; and no other side at all.
+func checkExpandBlocks(t *testing.T) {
+	const (
+		maxFrontier = 33
+		pool        = 120 // targets the rows share, so that rows overlap
+		padding     = 420 // a complete digraph beside them: the arcs that make the adjacency large
+	)
+	// Vertex ids: frontier candidates, then each one's private target,
+	// then the shared pool, then the padding.
+	private := func(i int) graph.V { return graph.V(maxFrontier + i) }
+	shared := func(k int) graph.V { return graph.V(2*maxFrontier + k%pool) }
+	n := 2*maxFrontier + pool + padding
+	var arcs []graph.Arc
+	for i := 0; i < maxFrontier; i++ {
+		var row int // shared targets; every non-empty row also reaches its private one
+		switch i % 7 {
+		case 3:
+			continue // an empty row
+		case 0:
+			row = 80
+		case 1:
+			row = 2
+		default:
+			row = 15
+		}
+		arcs = append(arcs, graph.Arc{From: graph.V(i), To: private(i)})
+		for k := 0; k < row; k++ {
+			arcs = append(arcs, graph.Arc{From: graph.V(i), To: shared(5*i + k)})
+		}
+	}
+	for a := n - padding; a < n; a++ {
+		for b := n - padding; b < n; b++ {
+			if a != b {
+				arcs = append(arcs, graph.Arc{From: graph.V(a), To: graph.V(b)})
+			}
+		}
+	}
+	g := graph.MustDiFromArcs(n, arcs)
+	push := g.OutView()
+	if push.NumArcs() < traverse.ResidentArcs {
+		t.Fatalf("%d arcs: rows would not be requested ahead", push.NumArcs())
+	}
+
+	type twin struct{ ws, other *traverse.Workspace }
+	kernel, oracle := twin{traverse.NewWorkspace(n), traverse.NewWorkspace(n)}, twin{traverse.NewWorkspace(n), traverse.NewWorkspace(n)}
+	for _, length := range []int{0, 1, 15, 16, 17, maxFrontier} {
+		frontier := make([]graph.V, length)
+		for i := range frontier {
+			frontier[i] = graph.V(i)
+		}
+		theirs := map[string][]graph.V{
+			"none":     {graph.V(n - 1)},
+			"no other": nil,
+		}
+		if length > 0 {
+			theirs["last row"] = []graph.V{private(length - 1)}
+			theirs["mid-block"] = []graph.V{private(length / 2), shared(5*(length/2) + 1), private(length - 1)}
+		}
+		for where, met := range theirs {
+			for _, d := range []int32{0, 1} {
+				for _, first := range []bool{false, true} {
+					label := fmt.Sprintf("frontier of %d at depth %d, other side at %s, first=%v", length, d, where, first)
+					for _, tw := range []twin{kernel, oracle} {
+						tw.ws.Reset()
+						tw.other.Reset()
+						for _, x := range frontier {
+							tw.ws.SetDist(x, d)
+						}
+						// A vertex seen by both, as a removed landmark is, and
+						// one this side reached earlier.
+						tw.ws.SetDist(shared(3), -1)
+						tw.other.SetDist(shared(3), -1)
+						tw.ws.SetDist(shared(7), 0)
+						for _, y := range met {
+							tw.other.SetDist(y, 0)
+						}
+					}
+					other, refOther := kernel.other, oracle.other
+					if met == nil {
+						other, refOther = nil, nil
+					}
+					seenBefore := seenSet(kernel.ws, n)
+					dst, cross := []graph.V{-5}, []graph.Arc{{From: -5, To: -5}}
+					level, cross, arcs := traverse.ExpandMeeting(push, kernel.ws, other, frontier, d, dst, cross, first)
+					refLevel, refCross, refArcs := traverse.ReferenceExpand(push, oracle.ws, refOther, frontier, d, []graph.V{-5}, []graph.Arc{{From: -5, To: -5}}, first)
+					if !slices.Equal(level, refLevel) || !slices.Equal(cross, refCross) || arcs != refArcs {
+						t.Fatalf("%s: level %v, crossing %v, %d arcs; the one-sweep kernel has %v, %v, %d", label, level, cross, arcs, refLevel, refCross, refArcs)
+					}
+					crossed := len(cross) > 1
+					if want := where == "last row" || where == "mid-block"; crossed != want {
+						t.Fatalf("%s: crossing arcs %v", label, cross)
+					}
+					if crossed {
+						if len(level) != 1 {
+							t.Fatalf("%s: a level that met returned %v", label, level)
+						}
+						if !slices.Equal(seenSet(kernel.ws, n), seenBefore) {
+							t.Fatalf("%s: a level that met changed the visited set", label)
+						}
+						continue
+					}
+					for _, y := range level[1:] {
+						if kernel.ws.Dist(y) != d+1 {
+							t.Fatalf("%s: depth of %d is %d", label, y, kernel.ws.Dist(y))
+						}
+					}
+					if want := seenSet(oracle.ws, n); !slices.Equal(seenSet(kernel.ws, n), want) {
+						t.Fatalf("%s: visited set differs from the one-sweep kernel's", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// seenSet lists the vertices ws has seen.
+func seenSet(ws *traverse.Workspace, n int) []graph.V {
+	var seen []graph.V
+	for v := graph.V(0); int(v) < n; v++ {
+		if ws.Seen(v) {
+			seen = append(seen, v)
+		}
+	}
+	return seen
 }
 
 func runMeetingSearch(t *testing.T, label string, sides [2]*meetingSide, u, v graph.V, removed map[graph.V]bool, first bool) {
 	t.Helper()
 	for i, root := range []graph.V{u, v} {
 		s := sides[i]
-		s.ws.Reset()
-		s.ws.SetDist(root, 0)
-		for r := range removed {
-			s.ws.SetDist(r, -1)
+		for _, ws := range []*traverse.Workspace{s.ws, s.ref} {
+			ws.Reset()
+			ws.SetDist(root, 0)
+			for r := range removed {
+				ws.SetDist(r, -1)
+			}
 		}
 		s.depth = map[graph.V]int32{root: 0}
 		s.frontier = append(s.frontier[:0], root)
@@ -139,12 +279,20 @@ func runMeetingSearch(t *testing.T, label string, sides [2]*meetingSide, u, v gr
 		wantLevel = slices.Compact(wantLevel)
 		slices.SortFunc(wantCross, compareArcs)
 
+		seenBefore := seenSet(s.ws, s.push.NumVertices())
 		dst := []graph.V{-5} // a prefix the call must leave alone
-		level, cross, _ := traverse.ExpandMeeting(s.push, s.ws, o.ws, s.frontier, s.d, dst, nil, first)
+		level, cross, arcs := traverse.ExpandMeeting(s.push, s.ws, o.ws, s.frontier, s.d, dst, nil, first)
 		if level[0] != -5 {
 			t.Fatalf("%s: dst prefix overwritten", label)
 		}
 		level = level[1:]
+		refLevel, refCross, refArcs := traverse.ReferenceExpand(s.push, s.ref, o.ref, s.frontier, s.d, nil, nil, first)
+		if !slices.Equal(level, refLevel) || !slices.Equal(cross, refCross) || arcs != refArcs {
+			t.Fatalf("%s: level %v, crossing %v, %d arcs; the one-sweep kernel has %v, %v, %d", label, level, cross, arcs, refLevel, refCross, refArcs)
+		}
+		if len(cross) > 0 && !slices.Equal(seenSet(s.ws, s.push.NumVertices()), seenBefore) {
+			t.Fatalf("%s: a level that met changed the visited set", label)
+		}
 		slices.SortFunc(cross, compareArcs)
 		if len(wantCross) > 0 {
 			if len(level) != 0 {

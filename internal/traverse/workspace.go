@@ -67,6 +67,17 @@ func (m *Marks) Mark(v graph.V) {
 	}
 }
 
+// unmark takes back the latest marks: vs is every vertex marked since the
+// log held logged entries. Their words were either logged before, by an
+// older mark, or are zero again, so the shortened log still names every
+// non-zero word (or is full, as it was).
+func (m *Marks) unmark(vs []graph.V, logged int) {
+	for _, v := range vs {
+		m.words[uint32(v)>>6] &^= 1 << (uint(v) & 63)
+	}
+	m.touched = m.touched[:logged]
+}
+
 // Workspace holds reusable per-query BFS state for a fixed graph size:
 // the visited set, and a depth per vertex that is stored when the
 // vertex's level is expanded *from*, not when the vertex is discovered.
@@ -86,7 +97,8 @@ type Workspace struct {
 	seen    Marks
 	settled []uint64 // bit per vertex: dist[v] is valid; cleared with seen
 	dist    []int32
-	pending int32 // depth of every seen-but-unsettled vertex
+	pending int32   // depth of every seen-but-unsettled vertex
+	sink    graph.V // sum of what RowsAhead loaded, kept so the loads are not dead code
 }
 
 // NewWorkspace creates a workspace for graphs with n vertices.
@@ -154,4 +166,71 @@ func (ws *Workspace) settle(frontier []graph.V, d int32) {
 		ws.dist[x] = d
 	}
 	ws.pending = d + 1
+}
+
+const (
+	// rowBlock is how many rows RowsAhead requests at a time: enough
+	// misses in flight to fill a core's line-fill buffers, few enough that
+	// the rows (a cache line or a few each) are still in L1 when scanned.
+	rowBlock = 16
+	// lineEntries is the number of vertex ids in a 64-byte cache line.
+	lineEntries = 16
+	// residentArcs is the adjacency size below which RowsAhead does
+	// nothing: half a megabyte of rows sits in L2 with its offsets and the
+	// search state beside it, and a load that hits costs less than asking
+	// for it twice.
+	residentArcs = 1 << 17
+	// geometric is the growth a search must have kept up, in frontier
+	// rows per level up to the one at hand, for ExpandMeeting to sweep
+	// that level twice.
+	geometric = 16
+)
+
+// RowsAhead requests the rows of one adjacency a block ahead of the loop
+// that scans them, on behalf of the workspace's owner. Whether it does
+// anything is decided once, from the size of the adjacency.
+type RowsAhead struct {
+	ws  *Workspace
+	adj graph.Adjacency
+	on  bool
+}
+
+// RowsAhead returns the requester for loops over adj.
+func (ws *Workspace) RowsAhead(adj graph.Adjacency) RowsAhead {
+	return RowsAhead{ws: ws, adj: adj, on: adj.NumArcs() >= residentArcs}
+}
+
+// At is called with every index of a loop about to scan the rows
+// adj.Neighbors(xs[i]) in order. Every rowBlock-th call loads one entry
+// per cache line of the next rowBlock rows, so that their misses — the
+// offset pair, then the row — are outstanding together instead of each
+// being waited for behind the scan of the row before. Go has no prefetch
+// intrinsic; these are real loads, summed into the workspace so the
+// compiler keeps them.
+//
+//qbs:zeroalloc
+//qbs:hotpath
+func (r RowsAhead) At(xs []graph.V, i int) {
+	if r.on && i%rowBlock == 0 {
+		r.load(xs[i:])
+	}
+}
+
+// load loads the first block of rest, which is what remains to be
+// scanned. One row has nothing to overlap with.
+//
+//qbs:zeroalloc
+//qbs:hotpath
+func (r RowsAhead) load(rest []graph.V) {
+	if len(rest) < 2 {
+		return
+	}
+	var s graph.V
+	for _, x := range rest[:min(rowBlock, len(rest))] {
+		ns := r.adj.Neighbors(x)
+		for k := 0; k < len(ns); k += lineEntries {
+			s += ns[k]
+		}
+	}
+	r.ws.sink += s
 }

@@ -138,3 +138,62 @@ func TestWorkspaceModelExpand(t *testing.T) {
 		}
 	}
 }
+
+// TestMarksUnmarkModel takes batches of marks back and holds the set to a
+// map model: unmark must leave the words and the log as if the batch had
+// never been marked, whether the log filled up before the batch, during
+// it or not at all, so that the next Reset still clears everything.
+func TestMarksUnmarkModel(t *testing.T) {
+	const n = 64*40 + 17
+	m := NewMarks(n)
+	limit := cap(m.touched)
+	rng := rand.New(rand.NewSource(3))
+	model := map[graph.V]bool{}
+	mark := func(count int) []graph.V {
+		var fresh []graph.V
+		for i := 0; i < count; i++ {
+			if v := graph.V(rng.Intn(n)); !model[v] {
+				m.Mark(v)
+				model[v] = true
+				fresh = append(fresh, v)
+			}
+		}
+		return fresh
+	}
+	var filledBefore, filledDuring int
+	for round := 0; round < 4000; round++ {
+		m.Reset()
+		clear(model)
+		mark(rng.Intn(limit + limit/2))
+		logged, wasFull := len(m.touched), m.full()
+		batch := mark(rng.Intn(limit))
+		switch {
+		case wasFull:
+			filledBefore++
+		case m.full():
+			filledDuring++
+		}
+		m.unmark(batch, logged)
+		for _, v := range batch {
+			delete(model, v)
+		}
+		if len(m.touched) != logged || m.full() != wasFull {
+			t.Fatalf("round %d: log holds %d entries (full=%v) after unmark, %d (full=%v) before the batch", round, len(m.touched), m.full(), logged, wasFull)
+		}
+		mark(rng.Intn(8))
+		for v := graph.V(0); int(v) < n; v++ {
+			if m.Seen(v) != model[v] {
+				t.Fatalf("round %d: Seen(%d)=%v, model %v", round, v, m.Seen(v), model[v])
+			}
+		}
+		m.Reset()
+		for w, word := range m.words {
+			if word != 0 {
+				t.Fatalf("round %d: word %d is %x after Reset", round, w, word)
+			}
+		}
+	}
+	if filledBefore < 100 || filledDuring < 100 {
+		t.Fatalf("log filled before the batch in %d rounds and during it in %d", filledBefore, filledDuring)
+	}
+}
