@@ -12,6 +12,7 @@ import (
 
 	"qbs"
 	"qbs/internal/core"
+	"qbs/internal/dynamic"
 	"qbs/internal/graph"
 	"qbs/internal/obs"
 	"qbs/internal/workload"
@@ -30,9 +31,11 @@ func connectedBA(n, m int, seed int64) *graph.Graph {
 	return lc
 }
 
-// allocCases are the two orientations under the warm-path alloc gates:
+// allocCases are the three index kinds under the warm-path alloc gates:
 // each builds the engine's index, the public one over the same graph,
-// and pairs to ask of either.
+// and pairs to ask of either. The dynamic kind's are one and the same —
+// the index of the epoch current after a few updates, over an overlay
+// with overridden rows — read through the reader all three share.
 var allocCases = []struct {
 	name  string
 	build func(tb testing.TB) (*core.Index, queryIntoer, []workload.Pair)
@@ -49,10 +52,25 @@ var allocCases = []struct {
 		}
 		return cix, ix, pairs
 	}},
+	{"dynamic", func(tb testing.TB) (*core.Index, queryIntoer, []workload.Pair) {
+		g, pairs := allocGraph(tb)
+		d, err := dynamic.New(g, g.TopDegreeVertices(16), dynamic.Options{CompactFraction: -1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, op := range workload.Mutations(g, 24, 3) {
+			if _, err := d.ApplyEdge(op.U, op.V, op.Kind == workload.OpInsert); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return d.CurrentIndex(), qbs.AdoptDynamic(d), pairs
+	}},
 }
 
 type queryIntoer interface {
 	QueryInto(dst *qbs.SPG, u, v qbs.V) *qbs.SPG
+	QueryIntoStats(dst *qbs.SPG, u, v qbs.V) qbs.QueryStats
+	Distance(u, v qbs.V) int32
 }
 
 // TestWarmQueryZeroAllocs asserts the PR 2 acceptance criterion, and PR
@@ -186,7 +204,8 @@ func TestWarmTracedQueryZeroAllocs(t *testing.T) {
 }
 
 // TestWarmIndexQueryIntoZeroAllocs covers the public pooled entry point
-// of either orientation: Index and DiIndex read through one reader.
+// of every kind: Index, DiIndex and DynamicIndex read through one reader
+// (QueryInto, QueryIntoStats and Distance are its methods).
 // GC is paused so the searcher pool cannot be emptied mid-measurement
 // (a pool refill is an allocation the steady state never pays).
 func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
@@ -203,13 +222,18 @@ func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
 				}
 			}
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			i := 0
-			if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-				p := pairs[i%len(pairs)]
-				i++
-				ix.QueryInto(spg, p.U, p.V)
-			}); avg != 0 {
-				t.Fatalf("warm QueryInto allocates %.2f/op, want 0", avg)
+			for name, call := range map[string]func(p workload.Pair){
+				"QueryInto":      func(p workload.Pair) { ix.QueryInto(spg, p.U, p.V) },
+				"QueryIntoStats": func(p workload.Pair) { ix.QueryIntoStats(spg, p.U, p.V) },
+				"Distance":       func(p workload.Pair) { ix.Distance(p.U, p.V) },
+			} {
+				i := 0
+				if avg := testing.AllocsPerRun(len(pairs)*2, func() {
+					call(pairs[i%len(pairs)])
+					i++
+				}); avg != 0 {
+					t.Fatalf("warm %s allocates %.2f/op, want 0", name, avg)
+				}
 			}
 		})
 	}

@@ -113,6 +113,42 @@ func BenchmarkTable2BuildQbSSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkDynamicNew is the dynamic index's full build at serving size
+// (the yt-mixed and fr-read graphs), through the public entry point, next
+// to the static build of the same graph and landmarks. The two run the
+// same construction — one labelling sweep, one Δ recovery — so the
+// dynamic row is the static one plus the distance columns (4·|R| bytes a
+// vertex to allocate and fill); a gap beyond that is a second build path
+// growing back.
+func BenchmarkDynamicNew(b *testing.B) {
+	for _, in := range []struct {
+		key   string
+		scale float64
+	}{{"YT", 10}, {"FR", 2}} {
+		b.Run(in.key, func(b *testing.B) {
+			spec, err := datasets.ByKey(in.key)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := spec.Generate(in.scale)
+			b.Run("BuildDynamicIndex", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := qbs.BuildDynamicIndex(g, qbs.DynamicOptions{CompactFraction: -1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("BuildIndex", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					qbs.MustBuildIndex(g, qbs.Options{})
+				}
+			})
+		})
+	}
+}
+
 func BenchmarkTable2BuildPPL(b *testing.B) {
 	benchSetup(b)
 	// PPL is the paper's scalability wall; bench only the smallest analog.

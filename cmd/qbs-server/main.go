@@ -28,7 +28,11 @@
 // With -directed the server fronts a directed index: the edge list is
 // read as arcs, /spg answers SPG(u → v), and -data persists/recovers a
 // directed snapshot. -directed is read-only and incompatible with
-// -mutable and -index.
+// -mutable.
+//
+// -index names the file of the immutable undirected index (no -directed,
+// -mutable, -data, -primary, -replica-of or -router): loaded if present,
+// else built and saved. With any of those flags it is refused at start.
 //
 // With -data, the server owns a durable data directory: on first start
 // it builds the index from the graph source and persists it; on every
@@ -71,7 +75,7 @@ func main() {
 		dataset   = flag.String("dataset", "", "dataset analog key instead of a file")
 		scale     = flag.Float64("scale", 0.25, "dataset scale factor")
 		landmarks = flag.Int("landmarks", 20, "number of landmarks |R|")
-		indexPath = flag.String("index", "", "index file: loaded if present, saved after building otherwise (immutable mode only)")
+		indexPath = flag.String("index", "", "index file: loaded if present, saved after building otherwise (immutable undirected mode only; refused with any other mode flag)")
 		dataDir   = flag.String("data", "", "durable data directory: created from the graph source on first start, recovered (snapshot + WAL replay) afterwards")
 		syncEvery = flag.Int("sync-every", 0, "batch WAL fsyncs every N writes (0/1 = every write)")
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -130,6 +134,11 @@ func main() {
 		return sv
 	}
 
+	if *indexPath != "" && (*directed || *mutable || *dataDir != "" || *primary || *replicaOf != "" || *routerOf != "") {
+		// One refusal for every mode that has no use for the file, before
+		// any other check and before anything is loaded or built.
+		fatal(fmt.Errorf("-index is the immutable undirected index's file: it cannot be combined with -directed, -mutable, -data, -primary, -replica-of or -router (what those serve persists through -data)"))
+	}
 	if *primary {
 		if *dataDir == "" {
 			fatal(fmt.Errorf("-primary requires -data (the WAL it ships lives there)"))
@@ -196,9 +205,6 @@ func main() {
 	case *directed && *mutable:
 		fatal(fmt.Errorf("-directed is read-only and incompatible with -mutable"))
 	case *directed:
-		if *indexPath != "" {
-			fatal(fmt.Errorf("-index is not supported in -directed mode (use -data)"))
-		}
 		var ix *qbs.DiIndex
 		if *dataDir != "" && qbs.DiStoreExists(*dataDir) {
 			start := time.Now()
@@ -260,9 +266,6 @@ func main() {
 		fmt.Printf("store: built and persisted to %s in %s (%d landmarks)\n",
 			*dataDir, startup("store", start), len(dyn.Landmarks()))
 	case *mutable:
-		if *indexPath != "" {
-			fmt.Fprintln(os.Stderr, "qbs-server: -index is ignored in -mutable mode (use -data for persistence)")
-		}
 		g, err := loadGraph(*graphPath, *binPath, *dataset, *scale)
 		if err != nil {
 			fatal(err)

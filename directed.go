@@ -11,7 +11,7 @@ import (
 // SPG(u → v) — the union of all shortest *directed* paths. It is the
 // same engine as the undirected index (internal/core, "Directed
 // graphs") bound to a digraph's out- and in-arcs, read through the same
-// reader and answering with the same SPG type (its orientation bit set,
+// core.Reader and answering with the same SPG type (its orientation bit set,
 // its Edges the arcs U→W), so it carries the same serving surface —
 // Distance, zero-alloc QueryInto, panic-isolated QueryBatch, Sketch,
 // Stats — plus snapshot persistence via CreateDiStore/OpenDiStore.
@@ -63,9 +63,9 @@ type DiOptions struct {
 }
 
 // DiIndex is an immutable directed QbS index; safe for concurrent
-// queries. Its read methods are the embedded reader's.
+// queries. Its read methods are core.Reader's, as every index kind's.
 type DiIndex struct {
-	*reader
+	*static
 	g *DiGraph
 }
 
@@ -79,7 +79,7 @@ func BuildDiIndex(g *DiGraph, opts DiOptions) (*DiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DiIndex{newReader(cix), g}, nil
+	return &DiIndex{newStatic(cix), g}, nil
 }
 
 // MustBuildDiIndex is BuildDiIndex that panics on error.
@@ -115,7 +115,7 @@ func CreateDiStore(dir string, g *DiGraph, opts DiStoreOptions) (*DiIndex, error
 	if err != nil {
 		return nil, err
 	}
-	if err := store.CreateDi(dir, g, ix.core.DirectedState()); err != nil {
+	if err := store.CreateDi(dir, g, ix.core.State()); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -131,7 +131,7 @@ func OpenDiStore(dir string, opts DiStoreOptions) (*DiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DiIndex{newReader(cix), g}, nil
+	return &DiIndex{newStatic(cix), g}, nil
 }
 
 // DiStoreExists reports whether dir already contains a directed store.

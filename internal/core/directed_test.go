@@ -168,7 +168,7 @@ func TestDirectedDisconnectedAndTrivial(t *testing.T) {
 	}
 }
 
-// TestAssembleDirectedRoundTrip pins DirectedState/AssembleDirected: an
+// TestAssembleDirectedRoundTrip pins State/AssembleDirected: an
 // index reassembled from its own frozen state is the same index and
 // answers identically; a directed index refuses the undirected file
 // format.
@@ -176,7 +176,7 @@ func TestAssembleDirectedRoundTrip(t *testing.T) {
 	g := graph.DirectedScaleFree(250, 3, 43)
 	tg := directed(g)
 	ix := tg.mustBuild(t, Options{NumLandmarks: 10})
-	re, err := AssembleDirected(g, ix.DirectedState())
+	re, err := AssembleDirected(g, ix.State())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestAssembleDirectedRoundTrip(t *testing.T) {
 	}
 	checkQueries(t, tg, re, somePairs(g.NumVertices(), 100, 47))
 
-	st := ix.DirectedState()
+	st := ix.State()
 	st.Delta = st.Delta[1:]
 	if _, err := AssembleDirected(g, st); err == nil {
 		t.Fatal("AssembleDirected accepted a short Δ")

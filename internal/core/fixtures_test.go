@@ -153,14 +153,10 @@ func allTestGraphs(tb testing.TB) map[string]testGraph {
 func scalarReference(t *testing.T, tg testGraph, landmarks []graph.V) (ref *Index, ok bool) {
 	t.Helper()
 	var shell *Index
-	var err error
 	if tg.dir != nil {
-		shell, err = newIndexShell(nil, tg.dir.OutView(), tg.dir.InView(), landmarks)
+		shell = bareIndex(t, nil, tg.dir.OutView(), tg.dir.InView(), landmarks)
 	} else {
-		shell, err = newIndexShell(tg.und, tg.und, tg.und, landmarks)
-	}
-	if err != nil {
-		t.Fatal(err)
+		shell = bareIndex(t, tg.und, tg.und, tg.und, landmarks)
 	}
 	n, R := tg.numVertices(), len(landmarks)
 	shell.labelFrom = allocLabels(n, R)

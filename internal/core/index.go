@@ -5,9 +5,11 @@
 // shortest-path-graph queries SPG(u, v) exactly.
 //
 // The Index is immutable after Build and safe for concurrent queries when
-// each goroutine uses its own Searcher. The dynamic-update subsystem
-// (internal/dynamic) assembles Index snapshots from incrementally
-// maintained parts via AssembleDynamic instead of Build.
+// each goroutine uses its own Searcher (a Reader hands them out). The
+// dynamic-update subsystem (internal/dynamic) is this index plus a
+// writer: its full builds are Shell.BuildMaintained — the same sweep,
+// meta state and Δ recovery as Build — and every epoch it publishes is
+// Shell.Index over the parts it repaired.
 //
 // # Directed graphs
 //
@@ -133,20 +135,66 @@ type metaEdge struct {
 	weight int32 // σ(a→b) = d_G(a→b)
 }
 
+// Shell is what an index keeps for its whole life, and what every epoch
+// of a maintained index shares: the landmark set and its reverse map.
+// NewShell is the one place a landmark set is validated; an Index embeds
+// its shell by value, so deriving an index from a shell copies three
+// words and allocates nothing per vertex.
+type Shell struct {
+	landmarks []graph.V // landmark vertex ids, index = landmark rank
+	landIdx   []int16   // per vertex: rank, or -1
+	numLand   int
+}
+
+// NewShell validates a landmark set over n vertices.
+func NewShell(n int, landmarks []graph.V) (*Shell, error) {
+	if len(landmarks) > 254 {
+		return nil, fmt.Errorf("core: %d landmarks exceed the 254 maximum", len(landmarks))
+	}
+	sh := &Shell{landmarks: landmarks, landIdx: make([]int16, n), numLand: len(landmarks)}
+	for i := range sh.landIdx {
+		sh.landIdx[i] = -1
+	}
+	for i, r := range landmarks {
+		if r < 0 || int(r) >= n {
+			return nil, fmt.Errorf("core: landmark %d out of range", r)
+		}
+		if sh.landIdx[r] >= 0 {
+			return nil, fmt.Errorf("core: duplicate landmark %d", r)
+		}
+		sh.landIdx[r] = int16(i)
+	}
+	return sh, nil
+}
+
+// NumVertices returns |V|.
+func (sh *Shell) NumVertices() int { return len(sh.landIdx) }
+
+// Landmarks returns the landmark vertex ids (rank order). The slice
+// aliases internal storage and must not be modified.
+func (sh *Shell) Landmarks() []graph.V { return sh.landmarks }
+
+// NumLandmarks returns |R|.
+func (sh *Shell) NumLandmarks() int { return sh.numLand }
+
+// Rank returns the landmark rank of v, or -1.
+func (sh *Shell) Rank(v graph.V) int { return int(sh.landIdx[v]) }
+
+// IsLandmark reports whether v is a landmark.
+func (sh *Shell) IsLandmark(v graph.V) bool { return sh.landIdx[v] >= 0 }
+
 // Index is the QbS labelling scheme L = (M, L) plus the precomputed
 // landmark-pair structures of §5.2: APSP over the meta-graph and Δ, the
 // shortest path graphs between meta-adjacent landmarks.
 type Index struct {
-	g *graph.Graph // the static undirected graph; nil when directed or dynamically assembled
+	Shell
+
+	g *graph.Graph // the static undirected graph; nil when directed or put together by Shell.Index
 
 	// out and in are the adjacency pair every traversal runs over: out
 	// pushes along arcs, in is its reverse. They are the same value for
 	// an undirected graph, which is how the index knows it is symmetric.
 	out, in graph.Adjacency
-
-	landmarks []graph.V // landmark vertex ids, index = landmark rank
-	landIdx   []int16   // per vertex: rank, or -1
-	numLand   int
 
 	// The label matrices, stored column-major: labelTo[i][v] is the
 	// labelled distance from vertex v to landmark rank i, labelFrom[i][v]
@@ -155,14 +203,6 @@ type Index struct {
 	// share unchanged columns between snapshots (copy-on-write per
 	// landmark) and the store adopt them from a snapshot arena.
 	labelTo, labelFrom [][]uint8
-
-	// degsOut and degsIn cache per-vertex degrees as flat arrays for the
-	// α/β direction heuristic of the labelling sweeps (an interface
-	// Degree call per frontier vertex would dominate the switch
-	// bookkeeping). Only construction reads them: builds materialise them
-	// once (one array when symmetric); loaded and dynamically assembled
-	// indexes leave them nil.
-	degsOut, degsIn []int32
 
 	ms *MetaState
 
@@ -211,22 +251,12 @@ func (ix *Index) SizeMetaBytes() int64 {
 func (ix *Index) Stats() BuildStats { return ix.build }
 
 // Graph returns the indexed static undirected graph, or nil when the
-// index is directed or was assembled over a dynamic adjacency (use
-// Adjacency then).
+// index is directed or was put together by Shell.Index (use Adjacency
+// then).
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // Adjacency returns the (out-)adjacency the index answers queries over.
 func (ix *Index) Adjacency() graph.Adjacency { return ix.out }
-
-// Landmarks returns the landmark vertex ids (rank order). The slice
-// aliases internal storage and must not be modified.
-func (ix *Index) Landmarks() []graph.V { return ix.landmarks }
-
-// IsLandmark reports whether v is a landmark.
-func (ix *Index) IsLandmark(v graph.V) bool { return ix.landIdx[v] >= 0 }
-
-// NumLandmarks returns |R|.
-func (ix *Index) NumLandmarks() int { return ix.numLand }
 
 // Label returns the label entries of v (distances to the landmarks) as
 // parallel slices of landmark ranks and distances, freshly allocated.
@@ -291,8 +321,12 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if landmarks == nil {
 		landmarks = opts.Strategy(g, opts.NumLandmarks, opts.Seed)
 	}
+	sh, err := NewShell(g.NumVertices(), landmarks)
+	if err != nil {
+		return nil, err
+	}
 	degs := g.Degrees()
-	return build(start, g, g, g, degs, degs, landmarks, opts)
+	return sh.build(start, &Index{g: g, out: g, in: g}, degs, degs, opts, nil)
 }
 
 // BuildDirected constructs the QbS index over the digraph g, answering
@@ -304,18 +338,46 @@ func BuildDirected(g *graph.DiGraph, opts Options) (*Index, error) {
 	if landmarks == nil {
 		landmarks = g.TopTotalDegreeVertices(opts.NumLandmarks)
 	}
-	return build(start, nil, g.OutView(), g.InView(), g.OutDegrees(), g.InDegrees(), landmarks, opts)
-}
-
-func build(start time.Time, g *graph.Graph, out, in graph.Adjacency, degsOut, degsIn []int32, landmarks []graph.V, opts Options) (*Index, error) {
-	ix, err := newIndexShell(g, out, in, landmarks)
+	sh, err := NewShell(g.NumVertices(), landmarks)
 	if err != nil {
 		return nil, err
 	}
-	ix.degsOut, ix.degsIn = degsOut, degsIn
+	return sh.build(start, &Index{out: g.OutView(), in: g.InView()}, g.OutDegrees(), g.InDegrees(), opts, nil)
+}
+
+// BuildMaintained is Build over any undirected adjacency — the dynamic
+// index's overlay, at epoch 0 and at every compaction — with the shell's
+// landmarks, for an index that will be repaired in place afterwards: the
+// one labelling sweep also writes the one thing repair needs beyond the
+// labels, the plain BFS distance from every landmark to every vertex
+// (graph.InfDist where unreachable), one column per landmark rank.
+// parallelism is Options.Parallelism.
+func (sh *Shell) BuildMaintained(a graph.Adjacency, parallelism int) (*Index, [][]int32, error) {
+	start := time.Now()
+	dist := make([][]int32, sh.numLand)
+	for r, root := range sh.landmarks {
+		dist[r] = make([]int32, sh.NumVertices())
+		for v := range dist[r] {
+			dist[r][v] = graph.InfDist
+		}
+		dist[r][root] = 0
+	}
+	opts := Options{Parallelism: parallelism}.withDefaults(sh.NumVertices())
+	ix, err := sh.build(start, &Index{out: a, in: a}, nil, nil, opts, dist)
+	return ix, dist, err
+}
+
+// build runs construction for the shell's landmarks into ix, which
+// arrives holding its graph and adjacency pair. degsOut and degsIn cache
+// per-vertex degrees as flat arrays for the α/β direction heuristic of
+// the labelling sweeps (an interface Degree call per frontier vertex
+// would dominate the switch bookkeeping; one array when symmetric, nil
+// over a mutable adjacency).
+func (sh *Shell) build(start time.Time, ix *Index, degsOut, degsIn []int32, opts Options, dist [][]int32) (*Index, error) {
+	ix.Shell = *sh
 
 	labStart := time.Now()
-	if err := ix.buildLabelling(opts.Parallelism); err != nil {
+	if err := ix.buildLabelling(opts.Parallelism, degsOut, degsIn, dist); err != nil {
 		return nil, err
 	}
 	ix.build.LabellingTime = time.Since(labStart)
@@ -332,36 +394,6 @@ func build(start time.Time, g *graph.Graph, out, in graph.Adjacency, degsOut, de
 	return ix, nil
 }
 
-// newIndexShell validates the landmark set and prepares the common Index
-// skeleton (landmark ranks, reverse map) without labels.
-func newIndexShell(g *graph.Graph, out, in graph.Adjacency, landmarks []graph.V) (*Index, error) {
-	if len(landmarks) > 254 {
-		return nil, fmt.Errorf("core: %d landmarks exceed the 254 maximum", len(landmarks))
-	}
-	n := out.NumVertices()
-	ix := &Index{
-		g:         g,
-		out:       out,
-		in:        in,
-		landmarks: landmarks,
-		numLand:   len(landmarks),
-		landIdx:   make([]int16, n),
-	}
-	for i := range ix.landIdx {
-		ix.landIdx[i] = -1
-	}
-	for i, r := range landmarks {
-		if r < 0 || int(r) >= n {
-			return nil, fmt.Errorf("core: landmark %d out of range", r)
-		}
-		if ix.landIdx[r] >= 0 {
-			return nil, fmt.Errorf("core: duplicate landmark %d", r)
-		}
-		ix.landIdx[r] = int16(i)
-	}
-	return ix, nil
-}
-
 // MustBuild is Build that panics on error (tests, examples).
 func MustBuild(g *graph.Graph, opts Options) *Index {
 	ix, err := Build(g, opts)
@@ -371,38 +403,62 @@ func MustBuild(g *graph.Graph, opts Options) *Index {
 	return ix
 }
 
-// AssembleDynamic wraps incrementally maintained parts into a queryable
-// Index over the undirected adjacency a without any construction work:
-// the label columns, meta state and Δ lists are adopted by reference
-// (the caller promises they are frozen — the dynamic subsystem's
-// copy-on-write snapshots guarantee this). delta must align with ms's
-// deterministic edge order and must be non-nil.
-func AssembleDynamic(a graph.Adjacency, landmarks []graph.V, labels [][]uint8, ms *MetaState, delta [][]graph.Edge) (*Index, error) {
-	ix, err := newIndexShell(nil, a, a, landmarks)
-	if err != nil {
-		return nil, err
+// Index puts an index together over the adjacency pair (out, in) from
+// parts built or maintained elsewhere — the label columns, the meta state
+// and the Δ lists — adopting them by reference (the caller promises they
+// are frozen: an epoch of the dynamic index's copy-on-write state, views
+// into a read-only snapshot arena) and checking their shapes only. delta
+// must align with ms's deterministic edge order and must be non-nil.
+// Nothing per vertex is allocated, copied or validated: the landmark set
+// was checked when the shell was made.
+func (sh *Shell) Index(out, in graph.Adjacency, labelTo, labelFrom [][]uint8, ms *MetaState, delta [][]graph.Edge) (*Index, error) {
+	n := sh.NumVertices()
+	if out.NumVertices() != n || in.NumVertices() != n {
+		return nil, fmt.Errorf("core: adjacency over %d/%d vertices for a shell over %d", out.NumVertices(), in.NumVertices(), n)
 	}
-	if err := ix.adopt(labels, labels, ms, delta); err != nil {
-		return nil, err
+	for _, labels := range [2][][]uint8{labelTo, labelFrom} {
+		if len(labels) != sh.numLand {
+			return nil, fmt.Errorf("core: %d label columns for %d landmarks", len(labels), sh.numLand)
+		}
+		for _, col := range labels {
+			if len(col) != n {
+				return nil, fmt.Errorf("core: label column of %d entries for %d vertices", len(col), n)
+			}
+		}
+	}
+	if ms == nil || ms.R != sh.numLand {
+		return nil, fmt.Errorf("core: meta state does not match landmark count")
+	}
+	if len(delta) != len(ms.meta) {
+		return nil, fmt.Errorf("core: %d delta lists for %d meta edges", len(delta), len(ms.meta))
+	}
+	ix := &Index{Shell: *sh, out: out, in: in, labelTo: labelTo, labelFrom: labelFrom, ms: ms, delta: delta}
+	ix.build.NumLandmarks = sh.numLand
+	ix.build.MetaEdges = len(ms.meta)
+	for _, d := range delta {
+		ix.build.DeltaEdges += int64(len(d))
 	}
 	return ix, nil
 }
 
-// DirectedState is the frozen state of a directed Index that the
-// durable store serialises and restores. All slices alias index state
-// and must not be modified. Delta lists are in the canonical meta-arc
-// order (ascending (from, to) rank — a pure function of σ).
-type DirectedState struct {
+// State is the frozen state of an Index: what the durable store
+// serialises and restores of a directed one, and what the dynamic index
+// takes over from a full build to repair from then on. All slices alias
+// index state and must not be modified. Sigma is symmetric and the two
+// labellings are one over an undirected graph. Delta lists are in the
+// canonical meta-edge order (ascending (from, to) rank, a < b only when
+// undirected — a pure function of σ).
+type State struct {
 	Landmarks          []graph.V
 	Sigma              []uint8 // |R|×|R| row-major, row = from-rank
 	LabelTo, LabelFrom [][]uint8
 	Delta              [][]graph.Edge
 }
 
-// DirectedState captures the index state for serialization.
-func (ix *Index) DirectedState() DirectedState {
+// State captures the index state.
+func (ix *Index) State() State {
 	ix.EnsureDelta()
-	return DirectedState{
+	return State{
 		Landmarks: ix.landmarks,
 		Sigma:     ix.ms.sigma,
 		LabelTo:   ix.labelTo,
@@ -416,49 +472,18 @@ func (ix *Index) DirectedState() DirectedState {
 // (they may be views into a read-only snapshot arena — the index never
 // writes them), and only the meta state is recomputed from σ
 // (O(|R|³), independent of graph size).
-func AssembleDirected(g *graph.DiGraph, st DirectedState) (*Index, error) {
-	ix, err := newIndexShell(nil, g.OutView(), g.InView(), st.Landmarks)
+func AssembleDirected(g *graph.DiGraph, st State) (*Index, error) {
+	sh, err := NewShell(g.NumVertices(), st.Landmarks)
 	if err != nil {
 		return nil, err
 	}
-	if R := ix.numLand; len(st.Sigma) != R*R {
+	if R := sh.numLand; len(st.Sigma) != R*R {
 		return nil, fmt.Errorf("core: %d sigma entries for %d landmarks", len(st.Sigma), R)
 	}
-	if err := ix.adopt(st.LabelTo, st.LabelFrom, newMetaState(ix.numLand, st.Sigma, false), st.Delta); err != nil {
+	ix, err := sh.Index(g.OutView(), g.InView(), st.LabelTo, st.LabelFrom, newMetaState(sh.numLand, st.Sigma, false), st.Delta)
+	if err != nil {
 		return nil, err
 	}
-	ix.degsOut, ix.degsIn = g.OutDegrees(), g.InDegrees()
 	ix.build.LabelEntries = ix.countLabelEntries()
 	return ix, nil
-}
-
-// adopt installs prebuilt labels, meta state and Δ after checking their
-// shapes against the shell.
-func (ix *Index) adopt(labelTo, labelFrom [][]uint8, ms *MetaState, delta [][]graph.Edge) error {
-	n := ix.out.NumVertices()
-	for _, labels := range [2][][]uint8{labelTo, labelFrom} {
-		if len(labels) != ix.numLand {
-			return fmt.Errorf("core: %d label columns for %d landmarks", len(labels), ix.numLand)
-		}
-		for _, col := range labels {
-			if len(col) != n {
-				return fmt.Errorf("core: label column of %d entries for %d vertices", len(col), n)
-			}
-		}
-	}
-	if ms == nil || ms.R != ix.numLand {
-		return fmt.Errorf("core: meta state does not match landmark count")
-	}
-	if len(delta) != len(ms.meta) {
-		return fmt.Errorf("core: %d delta lists for %d meta edges", len(delta), len(ms.meta))
-	}
-	ix.labelTo, ix.labelFrom = labelTo, labelFrom
-	ix.ms = ms
-	ix.delta = delta
-	ix.build.NumLandmarks = ix.numLand
-	ix.build.MetaEdges = len(ms.meta)
-	for _, d := range delta {
-		ix.build.DeltaEdges += int64(len(d))
-	}
-	return nil
 }

@@ -39,91 +39,14 @@ import (
 // labelling from it, over in-arcs for the labelling to it — so a batch
 // costs two sweeps; an undirected graph needs one.
 //
-// The scalar per-landmark BFS below is retained as the reference
-// implementation: labelling_test cross-checks the bit-parallel engine
+// The scalar per-landmark BFS is kept as the reference implementation in
+// reference_test.go: labelling_test cross-checks the bit-parallel engine
 // against it for bit-identical labels, σ entries and meta-edges, in
 // both directions.
-
-// labelWorkspace holds per-worker BFS state (scalar reference path).
-type labelWorkspace struct {
-	depth   []int32 // -1 = unvisited
-	curL    []graph.V
-	curN    []graph.V
-	nextL   []graph.V
-	nextN   []graph.V
-	visited []graph.V // for O(touched) reset between landmarks
-}
-
-func newLabelWorkspace(n int) *labelWorkspace {
-	ws := &labelWorkspace{depth: make([]int32, n)}
-	for i := range ws.depth {
-		ws.depth[i] = -1
-	}
-	return ws
-}
-
-func (ws *labelWorkspace) reset() {
-	for _, v := range ws.visited {
-		ws.depth[v] = -1
-	}
-	ws.visited = ws.visited[:0]
-	ws.curL, ws.curN = ws.curL[:0], ws.curN[:0]
-	ws.nextL, ws.nextN = ws.nextL[:0], ws.nextN[:0]
-}
-
-// landmarkBFS runs the scalar avoiding BFS from landmark rank ri over adj
-// — the out-arcs for the labelling from the landmark, the in-arcs for
-// the labelling to it — writing column col and returning the meta-edges
-// (ri, other) discovered, with overflow reported via the bool.
-func (ix *Index) landmarkBFS(ri int, adj graph.Adjacency, col []uint8, ws *labelWorkspace) ([]metaEdge, bool) {
-	root := ix.landmarks[ri]
-	ws.reset()
-	ws.depth[root] = 0
-	ws.visited = append(ws.visited, root)
-	ws.curL = append(ws.curL, root)
-	var metas []metaEdge
-
-	depth := int32(0)
-	for len(ws.curL) > 0 || len(ws.curN) > 0 {
-		next := depth + 1
-		if next > MaxLabelDist {
-			return nil, false
-		}
-		ws.nextL, ws.nextN = ws.nextL[:0], ws.nextN[:0]
-		// Labelled frontier first: its discoveries are on avoiding paths.
-		for _, u := range ws.curL {
-			for _, v := range adj.Neighbors(u) {
-				if ws.depth[v] >= 0 {
-					continue
-				}
-				ws.depth[v] = next
-				ws.visited = append(ws.visited, v)
-				if rj := ix.landIdx[v]; rj >= 0 {
-					ws.nextN = append(ws.nextN, v)
-					metas = append(metas, metaEdge{a: ri, b: int(rj), weight: next})
-				} else {
-					ws.nextL = append(ws.nextL, v)
-					col[v] = uint8(next)
-				}
-			}
-		}
-		// Non-labelled frontier: discoveries inherit "through a landmark".
-		for _, u := range ws.curN {
-			for _, v := range adj.Neighbors(u) {
-				if ws.depth[v] >= 0 {
-					continue
-				}
-				ws.depth[v] = next
-				ws.visited = append(ws.visited, v)
-				ws.nextN = append(ws.nextN, v)
-			}
-		}
-		ws.curL, ws.nextL = ws.nextL, ws.curL
-		ws.curN, ws.nextN = ws.nextN, ws.curN
-		depth = next
-	}
-	return metas, true
-}
+//
+// The sweep below is the only one: Build, BuildDirected, the dynamic
+// index's full builds (Shell.BuildMaintained) and its single-column
+// fallback (Shell.SweepColumn) all settle through batchBFS.
 
 // batchBFS sweeps one batch of up to 64 landmarks (ranks
 // [base, base+len(cols))) through the bit-parallel engine along push
@@ -131,25 +54,34 @@ func (ix *Index) landmarkBFS(ri int, adj graph.Adjacency, col []uint8, ws *label
 // label columns and returning the meta-edges (root → landmark reached)
 // plus the number of label entries written (each entry is written
 // exactly once, so counting here replaces a full O(n·|R|) matrix scan).
+// With dist non-nil it also writes every settled vertex's plain BFS
+// depth into the batch's distance columns — the bits that arrived
+// through another landmark included, which the labelling ignores; the
+// caller presets unreachable and root entries.
 //
 // When the engine runs its intra-sweep worker pool the settle callback
 // is invoked concurrently; label writes are naturally disjoint (each
 // settle owns its vertex), so only the shared meta-edge list (a rare,
 // landmark-only event) takes a mutex, and the per-settle entry count
 // goes through an atomic.
-func (ix *Index) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, deg []int32, cols [][]uint8) ([]metaEdge, int64, error) {
-	roots := ix.landmarks[base : base+len(cols)]
+func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, deg []int32, cols [][]uint8, dist [][]int32) ([]metaEdge, int64, error) {
+	roots := sh.landmarks[base : base+len(cols)]
 	var metas []metaEdge
 	var entries int64
 	var entriesA atomic.Int64
 	var mu sync.Mutex
 	par := eng.Parallelism > 1
-	err := eng.RunDirected(push, pull, deg, ix.landIdx, roots, MaxLabelDist,
-		func(v graph.V, depth int32, newL, _ uint64) {
+	err := eng.RunDirected(push, pull, deg, sh.landIdx, roots, MaxLabelDist,
+		func(v graph.V, depth int32, newL, newN uint64) {
+			if dist != nil {
+				for w := newL | newN; w != 0; w &= w - 1 {
+					dist[bits.TrailingZeros64(w)][v] = depth
+				}
+			}
 			if newL == 0 {
 				return
 			}
-			if rj := ix.landIdx[v]; rj >= 0 {
+			if rj := sh.landIdx[v]; rj >= 0 {
 				if par {
 					mu.Lock()
 				}
@@ -195,15 +127,36 @@ func allocLabels(n, R int) [][]uint8 {
 	return labels
 }
 
+// SweepColumn runs the labelling sweep for one landmark alone — what a
+// maintained column falls back to when repairing it in place would cost
+// more than redoing it — over the undirected adjacency a, overwriting
+// lab and dist (one entry per vertex) and sigmaRow (one per rank:
+// σ(rank, ·), NoEntry where there is no meta-edge).
+func (sh *Shell) SweepColumn(eng *traverse.MultiBFS, a graph.Adjacency, rank int, lab []uint8, dist []int32, sigmaRow []uint8) error {
+	for v := range lab {
+		lab[v], dist[v] = NoEntry, graph.InfDist
+	}
+	dist[sh.landmarks[rank]] = 0
+	for i := range sigmaRow {
+		sigmaRow[i] = NoEntry
+	}
+	metas, _, err := sh.batchBFS(eng, rank, a, a, nil, [][]uint8{lab}, [][]int32{dist})
+	for _, e := range metas {
+		sigmaRow[e.b] = uint8(e.weight)
+	}
+	return err
+}
+
 // buildLabelling runs Algorithm 2 from every landmark in bit-parallel
 // batches of 64: a sweep over the out-arcs fills labelFrom and discovers
 // the meta-edges, a sweep over the in-arcs fills labelTo — one sweep and
-// one matrix under both names when the graph is symmetric. Batches are
+// one matrix under both names when the graph is symmetric (the only case
+// that may ask for distance columns). Batches are
 // distributed over outer workers and any worker budget left over (the
 // common case: the paper's |R| = 20 is a single batch) is spent inside
 // each sweep as engine pool workers; the per-batch meta-edges are merged
 // at the end.
-func (ix *Index) buildLabelling(parallelism int) error {
+func (ix *Index) buildLabelling(parallelism int, degsOut, degsIn []int32, dist [][]int32) error {
 	n := ix.out.NumVertices()
 	R := ix.numLand
 	sym := ix.symmetric()
@@ -224,12 +177,16 @@ func (ix *Index) buildLabelling(parallelism int) error {
 	runBatch := func(eng *traverse.MultiBFS, b int) error {
 		base := b * traverse.MaxSources
 		end := min(base+traverse.MaxSources, R)
-		metas, entries, err := ix.batchBFS(eng, base, ix.out, ix.in, ix.degsOut, ix.labelFrom[base:end])
+		var bdist [][]int32
+		if dist != nil {
+			bdist = dist[base:end]
+		}
+		metas, entries, err := ix.batchBFS(eng, base, ix.out, ix.in, degsOut, ix.labelFrom[base:end], bdist)
 		if err == nil && !sym {
 			// The in-arc sweep meets the same landmark pairs from the other
 			// end; its meta-edges are the ones already collected.
 			var back int64
-			_, back, err = ix.batchBFS(eng, base, ix.in, ix.out, ix.degsIn, ix.labelTo[base:end])
+			_, back, err = ix.batchBFS(eng, base, ix.in, ix.out, degsIn, ix.labelTo[base:end], nil)
 			entries += back
 		}
 		perBatch[b] = metas

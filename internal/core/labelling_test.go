@@ -319,10 +319,7 @@ func TestEngineBuildSpeedup(t *testing.T) {
 		return ix.Stats().LabellingTime
 	})
 	scalar := best(func() time.Duration {
-		shell, err := newIndexShell(nil, g.OutView(), g.InView(), landmarks)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shell := bareIndex(t, nil, g.OutView(), g.InView(), landmarks)
 		start := time.Now()
 		shell.labelFrom = allocLabels(g.NumVertices(), len(landmarks))
 		shell.labelTo = allocLabels(g.NumVertices(), len(landmarks))

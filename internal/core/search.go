@@ -502,8 +502,17 @@ func (sr *Searcher) recover(st *QueryStats) {
 		}
 	}
 
-	// Meta-edges on shortest meta-paths of minimizing pairs → Δ arcs.
+	// Meta-edges on shortest meta-paths of minimizing pairs → Δ arcs,
+	// each meta-edge once per query: metaGen[k] == metaCur marks k as
+	// emitted. A pooled searcher outlives 2³² queries; when the generation
+	// wraps, stamps left by the queries 2³² back would read as "emitted"
+	// and their Δ arcs would be dropped, so the stamps are wiped and the
+	// count restarts above the 0 a wiped stamp holds.
 	sr.metaCur++
+	if sr.metaCur == 0 {
+		clear(sr.metaGen)
+		sr.metaCur = 1
+	}
 	for _, p := range sr.pairs {
 		if p.R == p.RPrime {
 			continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -535,7 +536,7 @@ func TestSearcherFootprint(t *testing.T) {
 }
 
 // TestConcurrentSearchersOnLargeAdjacency runs eight searchers of one
-// index at once through QueryBatchInto, over an adjacency large enough
+// index at once through Reader.QueryBatch, over an adjacency large enough
 // that every one of them requests rows a block ahead (traverse.RowsAhead;
 // 1<<17 arcs is where it starts) and sweeps its large levels twice. The
 // answers must be the ones a single searcher gives, and under -race the
@@ -557,14 +558,63 @@ func TestConcurrentSearchersOnLargeAdjacency(t *testing.T) {
 	for i, p := range pairs {
 		want[i] = sr.Query(p[0], p[1])
 	}
-	got := make([]*graph.SPG, len(pairs))
-	QueryBatchInto(got, 8,
-		func(i int) (graph.V, graph.V) { return pairs[i][0], pairs[i][1] },
-		func() *Searcher { return NewSearcher(ix) },
-		func(*Searcher) {})
+	batch := make([]Pair, len(pairs))
+	for i, p := range pairs {
+		batch[i] = Pair{p[0], p[1]}
+	}
+	got := NewReader(func() *Index { return ix }).QueryBatch(batch, 8)
 	for i, p := range pairs {
 		if got[i] == nil || !got[i].Equal(want[i]) {
 			t.Fatalf("SPG(%d,%d) answered concurrently: %v, alone: %v", p[0], p[1], got[i], want[i])
 		}
+	}
+}
+
+// TestDedupGenerationWraps: recover emits each meta-edge's Δ arcs once
+// per query by stamping the meta-edge with a per-query generation, a
+// uint32 that a pooled searcher under steady load does wrap. Wrapped
+// unhandled, generation 0 matches every stamp a fresh searcher holds and
+// generations 1, 2, … match the stamps its first queries left, and the
+// answers come back missing Δ arcs with no error. Both are played out
+// for 400 pairs against the oracle: the wrap as a fresh searcher's next
+// generation, and a warm searcher asked pair b (stamps: 1), wrapping
+// under pair a (generation 0) and asked b again (generation 1).
+func TestDedupGenerationWraps(t *testing.T) {
+	g := connected(graph.BarabasiAlbert(3000, 3, 5))
+	ix := MustBuild(g, Options{})
+	pairs := samplePairs(g, 400, 31)
+	want := make([]*graph.SPG, len(pairs))
+	sr := NewSearcher(ix)
+	twoLandmarks := 0
+	for i, p := range pairs {
+		want[i] = bfs.OracleSPG(g, p[0], p[1])
+		if _, st := sr.QueryWithStats(p[0], p[1]); st.UsedRecover && len(sr.metaBuf) > 0 {
+			twoLandmarks++
+		}
+	}
+	if twoLandmarks < len(pairs)/4 {
+		t.Fatalf("only %d of %d answers contain Δ arcs: the test would not see them dropped", twoLandmarks, len(pairs))
+	}
+	fresh := func() { // the stamps and generation NewSearcher leaves
+		clear(sr.metaGen)
+		sr.metaCur = 0
+	}
+	hold := func(when string, i int) {
+		t.Helper()
+		if got := sr.Query(pairs[i][0], pairs[i][1]); !got.Equal(want[i]) {
+			t.Fatalf("%s: SPG(%d,%d) = %v, want %v", when, pairs[i][0], pairs[i][1], got, want[i])
+		}
+	}
+	for i := range pairs {
+		fresh()
+		sr.metaCur = math.MaxUint32
+		hold("fresh searcher, first generation after the wrap", i)
+	}
+	for i := 1; i < len(pairs); i++ {
+		fresh()
+		hold("warm-up", i)
+		sr.metaCur = math.MaxUint32
+		hold("warm searcher, first generation after the wrap", i-1)
+		hold("warm searcher, second generation after the wrap", i)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"qbs/internal/graph"
 )
@@ -93,10 +94,11 @@ func Load(g *graph.Graph, r io.Reader) (*Index, error) {
 	if err := binary.Read(br, binary.LittleEndian, landmarks); err != nil {
 		return nil, err
 	}
-	ix, err := newIndexShell(g, g, g, landmarks)
+	sh, err := NewShell(g.NumVertices(), landmarks)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
 	}
+	ix := &Index{Shell: *sh, g: g, out: g, in: g}
 	R := int(nLand)
 	sigma := make([]uint8, R*R)
 	if _, err := io.ReadFull(br, sigma); err != nil {
@@ -129,17 +131,41 @@ func Load(g *graph.Graph, r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// SaveFile writes the index to a file path.
+// SaveFile writes the index to a file path: into a temporary file of its
+// own beside it, synced, renamed over it, and the directory synced so
+// the rename lasts. A save that fails or is killed half-way leaves path
+// as it was — absent, or the previous index — and never a truncated file
+// a later LoadFile would trip over; concurrent saves to one path each
+// rename a whole file.
 func (ix *Index) SaveFile(path string) error {
-	f, err := os.Create(path)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if err := ix.Write(f); err != nil {
-		f.Close()
+	err = ix.Write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return err
 	}
-	return f.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil && !os.IsPermission(err) {
+		return err // some platforms refuse to sync a directory: best effort there
+	}
+	return nil
 }
 
 // LoadFile reads an index from a file path.

@@ -18,10 +18,11 @@ import (
 // from the previous snapshot by reference.
 
 // dirtyDeltas returns the set of landmark-rank pairs (encoded a<<8|b
-// with a < b) whose Δ list must be recomputed, given the update's label
-// changes and the mutated edge {u, w}. oldLab resolves a vertex's label
-// before the update (labels of unchanged columns are shared).
-func dirtyDeltas(cols []*column, sigma []uint8, R int, landIdx []int16, changes []labelChange, u, w graph.V, oldLab func(v graph.V, rank int) uint8) map[int]struct{} {
+// with a < b) whose Δ list must be recomputed, given the label columns
+// after and before the update (unchanged columns are shared), the
+// update's label changes and the mutated edge {u, w}.
+func dirtyDeltas(sh *core.Shell, lab, oldLab [][]uint8, sigma []uint8, changes []labelChange, u, w graph.V) map[int]struct{} {
+	R := sh.NumLandmarks()
 	dirty := map[int]struct{}{}
 	mark := func(a, b int) {
 		if a > b {
@@ -41,8 +42,8 @@ func dirtyDeltas(cols []*column, sigma []uint8, R int, landIdx []int16, changes 
 			if s == core.NoEntry {
 				continue
 			}
-			lbOld := oldLab(ch.v, b)
-			lbNew := cols[b].lab[ch.v]
+			lbOld := oldLab[b][ch.v]
+			lbNew := lab[b][ch.v]
 			oldCand := ch.old != core.NoEntry && lbOld != core.NoEntry && int(ch.old)+int(lbOld) == int(s)
 			newCand := ch.new != core.NoEntry && lbNew != core.NoEntry && int(ch.new)+int(lbNew) == int(s)
 			if oldCand || newCand {
@@ -53,7 +54,7 @@ func dirtyDeltas(cols []*column, sigma []uint8, R int, landIdx []int16, changes 
 
 	// (3a) the mutated edge joining two participants on adjacent levels.
 	for a := 0; a < R; a++ {
-		lau, law := cols[a].lab[u], cols[a].lab[w]
+		lau, law := lab[a][u], lab[a][w]
 		if lau == core.NoEntry || law == core.NoEntry {
 			continue
 		}
@@ -65,7 +66,7 @@ func dirtyDeltas(cols []*column, sigma []uint8, R int, landIdx []int16, changes 
 			if s == core.NoEntry {
 				continue
 			}
-			lbu, lbw := cols[b].lab[u], cols[b].lab[w]
+			lbu, lbw := lab[b][u], lab[b][w]
 			if lbu == core.NoEntry || lbw == core.NoEntry {
 				continue
 			}
@@ -81,11 +82,10 @@ func dirtyDeltas(cols []*column, sigma []uint8, R int, landIdx []int16, changes 
 	// edge always produces a label change — but the O(R) check is kept as
 	// cheap insurance against membership-invariant edge cases.
 	markEndpoint := func(land, other graph.V) {
-		ra := landIdx[land]
-		if ra < 0 {
+		a := sh.Rank(land)
+		if a < 0 {
 			return
 		}
-		a := int(ra)
 		for b := 0; b < R; b++ {
 			if b == a {
 				continue
@@ -94,7 +94,7 @@ func dirtyDeltas(cols []*column, sigma []uint8, R int, landIdx []int16, changes 
 			if s == core.NoEntry {
 				continue
 			}
-			la, lb := cols[a].lab[other], cols[b].lab[other]
+			la, lb := lab[a][other], lab[b][other]
 			if la == 1 && lb != core.NoEntry && int(la)+int(lb) == int(s) {
 				mark(a, b)
 			}
@@ -107,17 +107,19 @@ func dirtyDeltas(cols []*column, sigma []uint8, R int, landIdx []int16, changes 
 
 // computeDelta recomputes the Δ list of meta-edge (a, b) with weight
 // sigma from the label columns, matching core's buildDelta output
-// (normalised, sorted, deduplicated). The column scan is O(|V|), but it
-// is paid only for dirty pairs, which most updates have none of (the
-// endpoints must participate in a landmark-pair SPG); a localized patch
-// driven by the label-change list is possible if this ever shows up in
-// write latency profiles.
-func computeDelta(g *Overlay, landmarks []graph.V, cols []*column, a, b int, sigma int32) []graph.Edge {
+// (normalised, sorted, deduplicated). The column scan is O(|V|), which
+// is why it runs only for the dirty pairs of an incremental update —
+// most updates have none (the endpoints must participate in a
+// landmark-pair SPG) — and a full build recovers every list at once
+// through core's buildDelta instead; a localized patch driven by the
+// label-change list is possible if this ever shows up in write latency
+// profiles.
+func computeDelta(g *Overlay, landmarks []graph.V, lab [][]uint8, a, b int, sigma int32) []graph.Edge {
 	va, vb := landmarks[a], landmarks[b]
 	if sigma == 1 {
 		return []graph.Edge{graph.Edge{U: va, W: vb}.Normalize()}
 	}
-	la, lb := cols[a].lab, cols[b].lab
+	la, lb := lab[a], lab[b]
 	var edges []graph.Edge
 	n := g.NumVertices()
 	for vi := 0; vi < n; vi++ {

@@ -2,8 +2,8 @@ package dynamic
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +11,6 @@ import (
 	"qbs/internal/core"
 	"qbs/internal/graph"
 	"qbs/internal/obs"
-	"qbs/internal/traverse"
 )
 
 // Options tunes the dynamic index.
@@ -56,20 +55,30 @@ type Stats struct {
 	Overridden      int // vertices with overlay-private adjacency
 }
 
-// state is the full incrementally maintained index state. All parts are
-// immutable once published; updates copy-on-write only what they touch.
+// state is everything the index maintains, one value per epoch. A full
+// build (epoch 0, every compaction) is core's: fullBuild runs
+// core.Shell.BuildMaintained over the overlay and takes the result over
+// — labels from the one labelling sweep, σ and the meta state from its
+// meta-edges, Δ from buildDelta, and the plain BFS distance columns the
+// same sweep writes for a maintained index. From then on applyLocked
+// repairs those parts in place of rebuilding them (repair.go, delta.go).
+// All parts are immutable once published; an update copies only the
+// columns and lists it writes and shares the rest with its predecessor.
 type state struct {
 	overlay *Overlay
-	cols    []*column
+	dist    [][]int32 // per landmark rank: BFS distance from the landmark; graph.InfDist unreachable
+	lab     [][]uint8 // per landmark rank: QbS label — dist if an avoiding shortest path exists, else NoEntry
 	sigma   []uint8
 	ms      *core.MetaState
 	delta   [][]graph.Edge
 }
 
-// snapshot is a published epoch: the state plus its assembled queryable
-// index. Readers resolve one snapshot pointer and work against it
-// without any locking; superseded snapshots are reclaimed by the
-// garbage collector once the last reader drops them.
+// snapshot is a published epoch: the state, and the static index over it
+// — the index's one shell (landmarks and their reverse map, shared by
+// every epoch) around this epoch's overlay, label columns, meta state
+// and Δ. Readers resolve one snapshot pointer and work against it
+// without any locking; superseded snapshots are reclaimed by the garbage
+// collector once the last reader drops them.
 type snapshot struct {
 	state
 	index *core.Index
@@ -81,24 +90,20 @@ type update struct {
 	insert bool
 }
 
-// Index is a QbS index over a mutable graph. Queries are lock-free and
-// answer against the snapshot current at call time; AddEdge/RemoveEdge
-// serialise on an internal mutex, repair the labelling incrementally and
-// publish a new snapshot with an atomic pointer swap.
+// Index is a QbS index over a mutable graph: the static index plus a
+// writer. Its read side is the embedded core.Reader — the one every
+// index kind reads through — resolving to the index of the snapshot
+// current at call time, lock-free; AddEdge/RemoveEdge serialise on an
+// internal mutex, repair the labelling incrementally and publish a new
+// snapshot with an atomic pointer swap.
 type Index struct {
-	n, R      int
-	landmarks []graph.V
-	landIdx   []int16
-	budget    int
-	par       int // traverse pool width for full sweeps (resolved, >= 1)
-	compactAt int // overridden-vertex threshold; 0 disables
+	*core.Reader
+
+	shell     *core.Shell // the landmark set, validated once; every epoch's index is made from it
+	par       int         // traverse pool width for full sweeps (resolved, >= 1)
+	compactAt int         // overridden-vertex threshold; 0 disables
 
 	cur atomic.Pointer[snapshot]
-
-	// pool holds searchers shared across snapshots: a searcher taken for
-	// a query is rebound to the current snapshot's index, so workspaces
-	// survive snapshot turnover instead of being reallocated per update.
-	pool sync.Pool
 
 	mu         sync.Mutex // serialises writers and guards the fields below
 	rp         *repairer
@@ -109,25 +114,16 @@ type Index struct {
 	logger     UpdateLogger // durability hook; nil when not durable
 }
 
-// searcher draws a pooled searcher bound to the given snapshot.
-//
-//qbs:allow zeroalloc pool refill and epoch rebind are the sanctioned cold path; steady-state serving reuses an already-bound searcher
-func (d *Index) searcher(s *snapshot) *core.Searcher {
-	if sr, ok := d.pool.Get().(*core.Searcher); ok && sr.Rebind(s.index) {
-		return sr
-	}
-	return core.NewSearcher(s.index)
-}
-
 // New builds a dynamic index over g with the given landmark set. The
-// initial construction does the same work as a static build (one QL/QN
-// BFS per landmark plus Δ recovery).
+// initial construction is a static build (one QL/QN sweep over the
+// landmarks plus Δ recovery) that also keeps the distance columns.
 func New(g *graph.Graph, landmarks []graph.V, opts Options) (*Index, error) {
-	d, err := newShell(g.NumVertices(), landmarks, opts)
+	sh, err := core.NewShell(g.NumVertices(), landmarks)
 	if err != nil {
 		return nil, err
 	}
-	st, err := d.buildState(NewOverlay(g), d.rp)
+	d := newIndex(sh, opts)
+	st, err := d.fullBuild(NewOverlay(g))
 	if err != nil {
 		return nil, err
 	}
@@ -140,31 +136,13 @@ func New(g *graph.Graph, landmarks []graph.V, opts Options) (*Index, error) {
 	return d, nil
 }
 
-// newShell validates the landmark set and options and prepares an Index
-// without any published state (shared by New and Restore).
-func newShell(n int, landmarks []graph.V, opts Options) (*Index, error) {
-	if len(landmarks) > 254 {
-		return nil, fmt.Errorf("dynamic: %d landmarks exceed the 254 maximum", len(landmarks))
-	}
-	landIdx := make([]int16, n)
-	for i := range landIdx {
-		landIdx[i] = -1
-	}
-	for i, r := range landmarks {
-		if r < 0 || int(r) >= n {
-			return nil, fmt.Errorf("dynamic: landmark %d out of range", r)
-		}
-		if landIdx[r] >= 0 {
-			return nil, fmt.Errorf("dynamic: duplicate landmark %d", r)
-		}
-		landIdx[r] = int16(i)
-	}
+// newIndex resolves the options and prepares an Index around a validated
+// shell, without any published state (shared by New and Restore).
+func newIndex(sh *core.Shell, opts Options) *Index {
+	n := sh.NumVertices()
 	budget := opts.RepairBudget
 	if budget <= 0 {
-		budget = n / 8
-		if budget < 64 {
-			budget = 64
-		}
+		budget = max(64, n/8)
 	}
 	par := opts.Parallelism
 	if par <= 0 {
@@ -176,100 +154,32 @@ func newShell(n int, landmarks []graph.V, opts Options) (*Index, error) {
 		if f == 0 {
 			f = 0.25
 		}
-		compactAt = int(f * float64(n))
 		// Floor: on tiny graphs a rebuild costs as little as a repair, so
 		// compaction churn (and its extra epochs) buys nothing.
-		if compactAt < 32 {
-			compactAt = 32
-		}
+		compactAt = max(32, int(f*float64(n)))
 	}
-
-	d := &Index{
-		n:         n,
-		R:         len(landmarks),
-		landmarks: landmarks,
-		landIdx:   landIdx,
-		budget:    budget,
-		par:       par,
-		compactAt: compactAt,
-		rp:        newRepairer(n, landmarks, landIdx, budget, par),
-	}
-	return d, nil
+	d := &Index{shell: sh, par: par, compactAt: compactAt, rp: newRepairer(sh, budget, par)}
+	d.Reader = core.NewReader(func() *core.Index { return d.cur.Load().index })
+	return d
 }
 
-// buildState constructs the full state for an overlay from scratch,
-// sweeping the bit-parallel engine over batches of up to 64 landmark
-// columns at a time. Used by New and by compaction.
-func (d *Index) buildState(ov *Overlay, rp *repairer) (state, error) {
-	R := d.R
-	sigma := make([]uint8, R*R)
-	for i := range sigma {
-		sigma[i] = core.NoEntry
+// fullBuild constructs the full state for an overlay from scratch: it is
+// core's build, over the overlay, with this index's landmarks. Used by
+// New and by compaction.
+func (d *Index) fullBuild(ov *Overlay) (state, error) {
+	ix, dist, err := d.shell.BuildMaintained(ov, d.par)
+	if err != nil {
+		return state{}, err
 	}
-	cols := make([]*column, R)
-	for r := 0; r < R; r++ {
-		cols[r] = newColumn(d.n)
-	}
-	// With a parallel engine the settle callback runs from pool workers.
-	// Per-vertex column writes are disjoint (each vertex settles exactly
-	// once per batch) but the symmetric σ writes can collide when two
-	// landmarks settle each other's columns in the same level; σ events
-	// are rare, so a mutex there costs nothing.
-	par := rp.eng.Parallelism > 1
-	var sigMu sync.Mutex
-	for base := 0; base < R; base += traverse.MaxSources {
-		end := min(base+traverse.MaxSources, R)
-		roots := d.landmarks[base:end]
-		bcols := cols[base:end]
-		err := rp.eng.Run(ov, nil, d.landIdx, roots, core.MaxLabelDist,
-			func(v graph.V, depth int32, newL, newN uint64) {
-				for w := newL | newN; w != 0; w &= w - 1 {
-					bcols[bits.TrailingZeros64(w)].dist[v] = depth
-				}
-				if newL == 0 {
-					return
-				}
-				d8 := uint8(depth)
-				if rj := d.landIdx[v]; rj >= 0 {
-					if par {
-						sigMu.Lock()
-					}
-					for w := newL; w != 0; w &= w - 1 {
-						a, b := base+bits.TrailingZeros64(w), int(rj)
-						sigma[a*R+b] = d8
-						sigma[b*R+a] = d8
-					}
-					if par {
-						sigMu.Unlock()
-					}
-				} else {
-					for w := newL; w != 0; w &= w - 1 {
-						bcols[bits.TrailingZeros64(w)].lab[v] = d8
-					}
-				}
-			})
-		if err != nil {
-			return state{}, core.ErrDiameterTooLarge
-		}
-		for i, r := range roots {
-			bcols[i].dist[r] = 0
-		}
-	}
-	ms := core.NewMetaState(d.R, sigma)
-	delta := make([][]graph.Edge, ms.NumEdges())
-	for k := range delta {
-		a, b, wt := ms.Edge(k)
-		delta[k] = computeDelta(ov, d.landmarks, cols, a, b, wt)
-	}
-	return state{overlay: ov, cols: cols, sigma: sigma, ms: ms, delta: delta}, nil
+	built := ix.State()
+	return state{overlay: ov, dist: dist, lab: built.LabelTo, sigma: built.Sigma, ms: ix.Meta(), delta: built.Delta}, nil
 }
 
+// newSnapshot wraps a state in the index readers query: the shell around
+// the state's parts, by reference. Nothing per vertex is allocated or
+// checked, whatever the epoch.
 func (d *Index) newSnapshot(st state, epoch uint64) (*snapshot, error) {
-	labels := make([][]uint8, d.R)
-	for i, c := range st.cols {
-		labels[i] = c.lab
-	}
-	ix, err := core.AssembleDynamic(st.overlay, d.landmarks, labels, st.ms, st.delta)
+	ix, err := d.shell.Index(st.overlay, st.overlay, st.lab, st.lab, st.ms, st.delta)
 	if err != nil {
 		return nil, err
 	}
@@ -327,8 +237,8 @@ func (d *Index) ApplyEdge(u, w graph.V, insert bool) (Result, error) {
 // request, making the expensive parts of a write visible in its trace.
 // tb may be nil (every recording call is nil-safe).
 func (d *Index) ApplyEdgeTraced(u, w graph.V, insert bool, tb *obs.TraceBuf) (Result, error) {
-	if u < 0 || int(u) >= d.n || w < 0 || int(w) >= d.n {
-		return Result{}, fmt.Errorf("dynamic: edge {%d,%d} out of range [0,%d)", u, w, d.n)
+	if n := d.NumVertices(); u < 0 || int(u) >= n || w < 0 || int(w) >= n {
+		return Result{}, fmt.Errorf("dynamic: edge {%d,%d} out of range [0,%d)", u, w, n)
 	}
 	if u == w {
 		return Result{}, fmt.Errorf("dynamic: self-loop {%d,%d} rejected", u, w)
@@ -348,7 +258,7 @@ func (d *Index) ApplyEdgeTraced(u, w graph.V, insert bool, tb *obs.TraceBuf) (Re
 			mApplyDeleteNs.Observe(time.Since(applyStart))
 		}
 	}()
-	st, counts, err := d.applyLocked(d.rp, s.state, u, w, insert, tb)
+	st, counts, err := d.applyLocked(s.state, u, w, insert, tb)
 	if err != nil {
 		return Result{}, err
 	}
@@ -375,17 +285,7 @@ func (d *Index) ApplyEdgeTraced(u, w graph.V, insert bool, tb *obs.TraceBuf) (Re
 		}
 	}
 	d.commitLocked(snap)
-	if insert {
-		d.stats.Inserts++
-	} else {
-		d.stats.Deletes++
-	}
-	d.stats.ColumnsRepaired += counts.repaired
-	d.stats.ColumnsRebuilt += counts.rebuilt
-	d.stats.ColumnsSkipped += counts.skipped
-	d.stats.LabelsRewritten += counts.labels
-	d.stats.DeltaRecomputes += counts.deltas
-	d.stats.MetaRebuilds += counts.metaRebuilds
+	d.countLocked(insert, counts)
 	if d.rebuilding {
 		d.pending = append(d.pending, update{u, w, insert})
 	} else {
@@ -403,41 +303,54 @@ type applyCounts struct {
 	labels, deltas, metaRebuilds uint64
 }
 
+// countLocked adds one applied (or replayed) update to the counters.
+func (d *Index) countLocked(insert bool, c applyCounts) {
+	if insert {
+		d.stats.Inserts++
+	} else {
+		d.stats.Deletes++
+	}
+	d.stats.ColumnsRepaired += c.repaired
+	d.stats.ColumnsRebuilt += c.rebuilt
+	d.stats.ColumnsSkipped += c.skipped
+	d.stats.LabelsRewritten += c.labels
+	d.stats.DeltaRecomputes += c.deltas
+	d.stats.MetaRebuilds += c.metaRebuilds
+}
+
 // applyLocked runs one update against st and returns the successor
 // state, touching only copies of the parts that change. st itself is
 // never mutated, so the caller's snapshot stays valid on error. tb, when
 // non-nil, receives a child span for every column whose repair blew the
 // budget and fell back to a full re-BFS — the dominant cost of a bad
 // delete, and otherwise invisible in a request trace.
-func (d *Index) applyLocked(rp *repairer, st state, u, w graph.V, insert bool, tb *obs.TraceBuf) (state, applyCounts, error) {
+func (d *Index) applyLocked(st state, u, w graph.V, insert bool, tb *obs.TraceBuf) (state, applyCounts, error) {
 	var counts applyCounts
+	rp, R := d.rp, d.shell.NumLandmarks()
 	var ov *Overlay
 	if insert {
 		ov = st.overlay.WithEdge(u, w)
 	} else {
 		ov = st.overlay.WithoutEdge(u, w)
 	}
-	sigma := append([]uint8(nil), st.sigma...)
+	sigma := slices.Clone(st.sigma)
 	rp.begin(ov, sigma)
 
-	cols := make([]*column, d.R)
-	copy(cols, st.cols)
-	for r := 0; r < d.R; r++ {
-		c := st.cols[r]
-		if c.dist[u] == c.dist[w] {
+	dist, lab := slices.Clone(st.dist), slices.Clone(st.lab)
+	for r := 0; r < R; r++ {
+		if st.dist[r][u] == st.dist[r][w] {
 			// The edge joins a BFS level (or the unreachable region) of
 			// this landmark: neither distances nor the shortest-path DAG
 			// change, so the column is untouched and stays shared.
 			counts.skipped++
 			continue
 		}
-		cc := c.clone()
-		cols[r] = cc
+		dist[r], lab[r] = slices.Clone(st.dist[r]), slices.Clone(st.lab[r])
 		var colStart time.Time
 		if tb != nil {
 			colStart = time.Now()
 		}
-		rebuilt, err := rp.repairColumn(cc, r, u, w, insert)
+		rebuilt, err := rp.repairColumn(dist[r], lab[r], r, u, w, insert)
 		if err != nil {
 			return state{}, counts, err
 		}
@@ -454,14 +367,13 @@ func (d *Index) applyLocked(rp *repairer, st state, u, w graph.V, insert bool, t
 	}
 	counts.labels = uint64(len(rp.labelChanges))
 
-	oldLab := func(v graph.V, rank int) uint8 { return st.cols[rank].lab[v] }
-	dirty := dirtyDeltas(cols, sigma, d.R, d.landIdx, rp.labelChanges, u, w, oldLab)
+	dirty := dirtyDeltas(d.shell, lab, st.lab, sigma, rp.labelChanges, u, w)
 
 	var ms *core.MetaState
 	var delta [][]graph.Edge
 	if rp.sigmaChanged {
 		counts.metaRebuilds++
-		ms = core.NewMetaState(d.R, sigma)
+		ms = core.NewMetaState(R, sigma)
 		delta = make([][]graph.Edge, ms.NumEdges())
 		for k := range delta {
 			a, b, wt := ms.Edge(k)
@@ -473,14 +385,14 @@ func (d *Index) applyLocked(rp *repairer, st state, u, w graph.V, insert bool, t
 					}
 				}
 			}
-			delta[k] = computeDelta(ov, d.landmarks, cols, a, b, wt)
+			delta[k] = computeDelta(ov, d.shell.Landmarks(), lab, a, b, wt)
 			counts.deltas++
 		}
 	} else {
 		ms = st.ms
 		delta = st.delta
 		if len(dirty) > 0 {
-			delta = append([][]graph.Edge(nil), st.delta...)
+			delta = slices.Clone(st.delta)
 			for key := range dirty {
 				a, b := key>>8, key&0xff
 				k := ms.EdgeID(a, b)
@@ -488,12 +400,12 @@ func (d *Index) applyLocked(rp *repairer, st state, u, w graph.V, insert bool, t
 					continue
 				}
 				_, _, wt := ms.Edge(int(k))
-				delta[k] = computeDelta(ov, d.landmarks, cols, a, b, wt)
+				delta[k] = computeDelta(ov, d.shell.Landmarks(), lab, a, b, wt)
 				counts.deltas++
 			}
 		}
 	}
-	return state{overlay: ov, cols: cols, sigma: sigma, ms: ms, delta: delta}, counts, nil
+	return state{overlay: ov, dist: dist, lab: lab, sigma: sigma, ms: ms, delta: delta}, counts, nil
 }
 
 // maybeCompactLocked kicks off an asynchronous compaction rebuild when
@@ -527,9 +439,7 @@ func (d *Index) compact(snap *snapshot) {
 		mCompactNs.Observe(time.Since(start))
 		obs.DefaultTracer.Finish(ctb)
 	}()
-	base := snap.overlay.Materialize()
-	rp := newRepairer(d.n, d.landmarks, d.landIdx, d.budget, d.par)
-	st, err := d.buildState(NewOverlay(base), rp)
+	st, err := d.fullBuild(NewOverlay(snap.overlay.Materialize()))
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -543,7 +453,7 @@ func (d *Index) compact(snap *snapshot) {
 		// repair cannot fail; bail out conservatively if it ever does.
 		// Maintenance counters are discarded: these updates were already
 		// counted when applied live.
-		st, _, err = d.applyLocked(rp, st, up.u, up.w, up.insert, nil)
+		st, _, err = d.applyLocked(st, up.u, up.w, up.insert, nil)
 		if err != nil {
 			d.pending = d.pending[:0]
 			evCompactFailed.Emit(obs.Str("stage", "replay"), obs.Str("error", err.Error()))
@@ -551,24 +461,33 @@ func (d *Index) compact(snap *snapshot) {
 		}
 	}
 	d.pending = d.pending[:0]
-	snap, snapErr := d.newSnapshot(st, d.cur.Load().epoch+1)
-	if snapErr != nil {
-		evCompactFailed.Emit(obs.Str("stage", "snapshot"), obs.Str("error", snapErr.Error()))
+	epoch, err := d.publishCompactedLocked(st)
+	if err != nil {
+		// The pre-compaction state keeps serving and drift will trigger
+		// another attempt.
+		evCompactFailed.Emit(obs.Str("stage", "publish"), obs.Str("error", err.Error()))
 		return
 	}
+	evCompactDone.Emit(obs.Int("epoch", int64(epoch)), obs.Int("ms", time.Since(start).Milliseconds()))
+}
+
+// publishCompactedLocked publishes a rebuilt state as the next epoch. A
+// compaction advances the epoch without an edge mutation; it is logged
+// first, so replayed epochs stay aligned with live ones, and not
+// published when the log is unavailable.
+func (d *Index) publishCompactedLocked(st state) (uint64, error) {
+	snap, err := d.newSnapshot(st, d.cur.Load().epoch+1)
+	if err != nil {
+		return 0, err
+	}
 	if d.logger != nil {
-		// A compaction advances the epoch without an edge mutation; log it
-		// so replayed epochs stay aligned with live ones. If the log is
-		// unavailable, skip publishing — the pre-compaction state keeps
-		// serving and drift will trigger another attempt.
 		if err := d.logger.LogCompaction(snap.epoch); err != nil {
-			evCompactFailed.Emit(obs.Str("stage", "log"), obs.Str("error", err.Error()))
-			return
+			return 0, fmt.Errorf("dynamic: compaction not logged: %w", err)
 		}
 	}
 	d.commitLocked(snap)
 	d.stats.Compactions++
-	evCompactDone.Emit(obs.Int("epoch", int64(snap.epoch)), obs.Int("ms", time.Since(start).Milliseconds()))
+	return snap.epoch, nil
 }
 
 // WaitCompaction blocks until any in-flight compaction has finished
@@ -580,71 +499,18 @@ func (d *Index) WaitCompaction() { d.compactWG.Wait() }
 func (d *Index) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.cur.Load()
-	rp := newRepairer(d.n, d.landmarks, d.landIdx, d.budget, d.par)
-	st, err := d.buildState(NewOverlay(s.overlay.Materialize()), rp)
+	st, err := d.fullBuild(NewOverlay(d.cur.Load().overlay.Materialize()))
 	if err != nil {
 		return err
 	}
-	snap, err := d.newSnapshot(st, s.epoch+1)
-	if err != nil {
-		return err
-	}
-	if d.logger != nil {
-		if err := d.logger.LogCompaction(snap.epoch); err != nil {
-			return fmt.Errorf("dynamic: compaction not logged: %w", err)
-		}
-	}
-	d.commitLocked(snap)
-	d.stats.Compactions++
-	return nil
+	_, err = d.publishCompactedLocked(st)
+	return err
 }
 
 // ---------------------------------------------------------------------
-// Read side. Every reader resolves the current snapshot once and works
-// against it; writers never block readers.
-
-// Query answers SPG(u, v) on the current snapshot.
-func (d *Index) Query(u, v graph.V) *graph.SPG {
-	sr := d.searcher(d.cur.Load())
-	defer d.pool.Put(sr)
-	return sr.Query(u, v)
-}
-
-// QueryInto answers SPG(u, v) on the current snapshot into a
-// caller-owned result, resetting it first, and reports query internals;
-// see core.Searcher.QueryInto.
-func (d *Index) QueryInto(dst *graph.SPG, u, v graph.V) core.QueryStats {
-	sr := d.searcher(d.cur.Load())
-	defer d.pool.Put(sr)
-	return sr.QueryInto(dst, u, v)
-}
-
-// Distance returns d_G(u, v) on the current snapshot.
-func (d *Index) Distance(u, v graph.V) int32 {
-	sr := d.searcher(d.cur.Load())
-	defer d.pool.Put(sr)
-	return sr.Distance(u, v)
-}
-
-// Sketch computes the query sketch on the current snapshot.
-func (d *Index) Sketch(u, v graph.V) *core.Sketch {
-	return d.cur.Load().index.Sketch(u, v)
-}
-
-// QueryBatch answers many queries concurrently against one consistent
-// snapshot (all answers reflect the same epoch). parallelism 0 means
-// GOMAXPROCS. A panicking query leaves its slot nil and the batch
-// completes; see core.QueryBatchInto.
-func (d *Index) QueryBatch(pairs [][2]graph.V, parallelism int) []*graph.SPG {
-	out := make([]*graph.SPG, len(pairs))
-	s := d.cur.Load()
-	core.QueryBatchInto(out, parallelism,
-		func(i int) (graph.V, graph.V) { return pairs[i][0], pairs[i][1] },
-		func() *core.Searcher { return d.searcher(s) },
-		func(sr *core.Searcher) { d.pool.Put(sr) })
-	return out
-}
+// Read side. Queries are the embedded core.Reader's; what follows reads
+// the current snapshot's coordinates. Every reader resolves the current
+// snapshot once and works against it; writers never block readers.
 
 // Epoch returns the current snapshot number.
 func (d *Index) Epoch() uint64 { return d.cur.Load().epoch }
@@ -659,23 +525,23 @@ func (d *Index) EpochEdges() (uint64, int) {
 }
 
 // NumVertices returns |V| (fixed at construction).
-func (d *Index) NumVertices() int { return d.n }
+func (d *Index) NumVertices() int { return d.shell.NumVertices() }
 
 // NumEdges returns the current undirected edge count.
 func (d *Index) NumEdges() int { return d.cur.Load().overlay.NumEdges() }
 
 // HasEdge reports whether {u, w} currently exists.
 func (d *Index) HasEdge(u, w graph.V) bool {
-	if u < 0 || int(u) >= d.n || w < 0 || int(w) >= d.n {
+	if n := d.NumVertices(); u < 0 || int(u) >= n || w < 0 || int(w) >= n {
 		return false
 	}
 	return d.cur.Load().overlay.HasEdge(u, w)
 }
 
 // Landmarks returns the (fixed) landmark set in rank order.
-func (d *Index) Landmarks() []graph.V { return d.landmarks }
+func (d *Index) Landmarks() []graph.V { return d.shell.Landmarks() }
 
-// CurrentIndex returns the assembled index of the current snapshot (for
+// CurrentIndex returns the index of the current snapshot (for
 // introspection and tests; the instance is immutable).
 func (d *Index) CurrentIndex() *core.Index { return d.cur.Load().index }
 

@@ -7,6 +7,7 @@ import (
 
 	"qbs/internal/bfs"
 	"qbs/internal/core"
+	"qbs/internal/datasets"
 	"qbs/internal/graph"
 )
 
@@ -67,7 +68,7 @@ func checkAgainstFresh(t *testing.T, d *Index) {
 	for r, root := range d.Landmarks() {
 		want := bfs.Distances(g, root)
 		for v := 0; v < n; v++ {
-			got := snap.cols[r].dist[v]
+			got := snap.dist[r][v]
 			w := want[v]
 			if w == bfs.Infinity {
 				w = graph.InfDist
@@ -166,6 +167,7 @@ func TestIncrementalMatchesFreshBuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkAgainstFresh(t, d) // epoch 0: the full build, before any repair
 				for op := 0; op < 25; op++ {
 					if applyRandomOp(t, d, rng) {
 						checkAgainstFresh(t, d)
@@ -300,6 +302,83 @@ func TestCompaction(t *testing.T) {
 	}
 	if got := d.CurrentGraph().Overridden(); got != 0 {
 		t.Fatalf("overlay not compacted: %d overridden vertices", got)
+	}
+	checkAgainstFresh(t, d)
+}
+
+// TestCompactionReplaysPendingUpdates plays an asynchronous compaction
+// out step by step: the rebuild starts from one snapshot, updates land
+// while it runs (and are queued), and the compacted state is the rebuild
+// with those updates replayed onto it — through the writer's own
+// repairer, under the writer's lock. The published state must equal a
+// fresh build of the graph as it is then, at both repair budgets.
+func TestCompactionReplaysPendingUpdates(t *testing.T) {
+	for _, budget := range []int{1, 1 << 30} {
+		rng := rand.New(rand.NewSource(int64(budget) + 5))
+		g := randomMutableGraph(80, 100, rng)
+		d, err := New(g, pickLandmarks(80, 4, rng), Options{RepairBudget: budget, CompactFraction: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op := 0; op < 20; op++ {
+			applyRandomOp(t, d, rng)
+		}
+		// What maybeCompactLocked does when the overlay has drifted.
+		d.mu.Lock()
+		d.rebuilding = true
+		d.compactWG.Add(1)
+		from := d.cur.Load()
+		d.mu.Unlock()
+
+		applied := 0
+		for op := 0; op < 30; op++ {
+			if applyRandomOp(t, d, rng) {
+				applied++
+			}
+		}
+		if len(d.pending) != applied || applied == 0 {
+			t.Fatalf("%d updates applied during the rebuild, %d queued", applied, len(d.pending))
+		}
+		before := d.Epoch()
+		d.compact(from)
+		if d.Epoch() != before+1 || d.Stats().Compactions != 1 || len(d.pending) != 0 || d.rebuilding {
+			t.Fatalf("compaction did not publish: epoch %d → %d, %+v", before, d.Epoch(), d.Stats())
+		}
+		if got := d.CurrentGraph().Overridden(); got == 0 || got > 2*applied {
+			t.Fatalf("%d vertices overridden after a compaction that replayed %d updates", got, applied)
+		}
+		checkAgainstFresh(t, d)
+		checkQueries(t, d, rng, 25)
+		// And it goes on repairing from there.
+		for op := 0; op < 10; op++ {
+			if applyRandomOp(t, d, rng) {
+				checkAgainstFresh(t, d)
+			}
+		}
+	}
+}
+
+// TestDynamicFullBuildIsCoreBuild holds the dynamic index's full build
+// to the static one at serving size (the YT analog at scale 1): labels,
+// σ, the meta-edges and every Δ list of the index New publishes equal
+// core.Build's on the same landmarks, and the distance columns the sweep
+// writes on the side equal a plain BFS from every landmark.
+func TestDynamicFullBuildIsCoreBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 40 000-vertex index twice")
+	}
+	spec, err := datasets.ByKey("YT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.Generate(1)
+	d, err := New(g, g.TopDegreeVertices(20), Options{CompactFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstFresh(t, d)
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
 	}
 	checkAgainstFresh(t, d)
 }

@@ -1,8 +1,25 @@
-// Package dynamic adds live updates to the QbS index: an overlay graph
-// that absorbs edge insertions and deletions without rebuilding the CSR,
-// incremental repair of the landmark labelling after each update, and
-// epoch-based snapshots so readers answer queries lock-free against an
-// immutable view while writers advance the state.
+// Package dynamic adds live updates to the QbS index. The maintained
+// index is the static index (internal/core) plus a writer:
+//
+//   - Built by core: every full build — epoch 0 and each compaction — is
+//     core.Shell.BuildMaintained over the overlay, the same labelling
+//     sweep, meta state and Δ recovery as core.Build, which also writes
+//     the plain BFS distance columns repair needs; every published epoch
+//     is core.Shell.Index, the index's one shell (landmarks and their
+//     reverse map, validated once) around that epoch's adjacency, label
+//     columns, meta state and Δ; every query goes through the embedded
+//     core.Reader, the read path all index kinds share, resolving to the
+//     current epoch's index.
+//   - Repaired here: an overlay graph that absorbs edge insertions and
+//     deletions without rebuilding the CSR (overlay.go), incremental
+//     repair of the landmark labelling after each update (repair.go; its
+//     budget fallback, one landmark's column redone, is core's sweep at
+//     width 1), Δ lists recomputed for the landmark pairs an update
+//     dirtied (delta.go), and epoch-based snapshots so readers answer
+//     lock-free against an immutable view while writers advance the state
+//     (dynamic.go). Repair must leave exactly what a full build would —
+//     the labelling is a function of the graph and the landmark set
+//     (Lemma 5.2) — and the tests hold every epoch to that.
 //
 // The design leans on two observations. First, QbS labels are just |R|
 // landmark-rooted BFS layerings, so a single edge update perturbs them
@@ -44,9 +61,6 @@ func NewOverlay(base *graph.Graph) *Overlay {
 		edges:   base.NumEdges(),
 	}
 }
-
-// Base returns the underlying CSR graph.
-func (o *Overlay) Base() *graph.Graph { return o.base }
 
 // NumVertices returns |V| (fixed: the overlay does not add vertices).
 func (o *Overlay) NumVertices() int { return o.base.NumVertices() }

@@ -16,11 +16,11 @@ func compareStates(t *testing.T, seq, par *Index, when string) {
 	if !reflect.DeepEqual(a.sigma, b.sigma) {
 		t.Fatalf("%s: sigma differs between sequential and parallel", when)
 	}
-	for r := range a.cols {
-		if !reflect.DeepEqual(a.cols[r].dist, b.cols[r].dist) {
+	for r := range a.dist {
+		if !reflect.DeepEqual(a.dist[r], b.dist[r]) {
 			t.Fatalf("%s: column %d distances differ", when, r)
 		}
-		if !reflect.DeepEqual(a.cols[r].lab, b.cols[r].lab) {
+		if !reflect.DeepEqual(a.lab[r], b.lab[r]) {
 			t.Fatalf("%s: column %d labels differ", when, r)
 		}
 	}

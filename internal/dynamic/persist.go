@@ -60,20 +60,15 @@ type PersistentState struct {
 // resolved from a single snapshot pointer.
 func (d *Index) Persistent() PersistentState {
 	s := d.cur.Load()
-	ps := PersistentState{
+	return PersistentState{
 		Epoch:     s.epoch,
 		Graph:     s.overlay.Materialize(),
-		Landmarks: d.landmarks,
+		Landmarks: d.Landmarks(),
 		Sigma:     s.sigma,
-		Dists:     make([][]int32, len(s.cols)),
-		Labels:    make([][]uint8, len(s.cols)),
+		Dists:     s.dist,
+		Labels:    s.lab,
 		Delta:     s.delta,
 	}
-	for i, c := range s.cols {
-		ps.Dists[i] = c.dist
-		ps.Labels[i] = c.lab
-	}
-	return ps
 }
 
 // Restore reassembles a dynamic index from persisted state without any
@@ -85,31 +80,26 @@ func (d *Index) Persistent() PersistentState {
 // NewMetaState derives from sigma. The index publishes at the given
 // epoch; callers then replay any logged updates beyond it.
 func Restore(g *graph.Graph, landmarks []graph.V, dists [][]int32, labels [][]uint8, sigma []uint8, delta [][]graph.Edge, epoch uint64, opts Options) (*Index, error) {
-	d, err := newShell(g.NumVertices(), landmarks, opts)
+	sh, err := core.NewShell(g.NumVertices(), landmarks)
 	if err != nil {
 		return nil, err
 	}
-	R := d.R
-	if len(dists) != R || len(labels) != R {
-		return nil, fmt.Errorf("dynamic: restore with %d dist / %d label columns for %d landmarks", len(dists), len(labels), R)
+	d := newIndex(sh, opts)
+	n, R := sh.NumVertices(), sh.NumLandmarks()
+	if len(dists) != R {
+		return nil, fmt.Errorf("dynamic: restore with %d dist columns for %d landmarks", len(dists), R)
+	}
+	for r, col := range dists {
+		if len(col) != n {
+			return nil, fmt.Errorf("dynamic: restore dist column %d has %d entries for %d vertices", r, len(col), n)
+		}
 	}
 	if len(sigma) != R*R {
 		return nil, fmt.Errorf("dynamic: restore with %d sigma entries, want %d", len(sigma), R*R)
 	}
-	cols := make([]*column, R)
-	for r := 0; r < R; r++ {
-		if len(dists[r]) != d.n || len(labels[r]) != d.n {
-			return nil, fmt.Errorf("dynamic: restore column %d has %d/%d entries for %d vertices", r, len(dists[r]), len(labels[r]), d.n)
-		}
-		cols[r] = &column{dist: dists[r], lab: labels[r]}
-	}
-	st := state{
-		overlay: NewOverlay(g),
-		cols:    cols,
-		sigma:   sigma,
-		ms:      core.NewMetaState(R, sigma),
-		delta:   delta,
-	}
+	// The label columns and Δ are shape-checked where every epoch's are:
+	// by the shell, when newSnapshot puts the index together.
+	st := state{overlay: NewOverlay(g), dist: dists, lab: labels, sigma: sigma, ms: core.NewMetaState(R, sigma), delta: delta}
 	snap, err := d.newSnapshot(st, epoch)
 	if err != nil {
 		return nil, err
@@ -130,8 +120,8 @@ func Restore(g *graph.Graph, landmarks []graph.V, dists [][]int32, labels [][]ui
 //
 //qbs:allow loggedpublish replay publishes a record that is already on disk; logging it again would duplicate it
 func (d *Index) ReplayEdge(u, w graph.V, insert bool, epoch uint64) error {
-	if u < 0 || int(u) >= d.n || w < 0 || int(w) >= d.n || u == w {
-		return fmt.Errorf("dynamic: replayed edge {%d,%d} out of range [0,%d)", u, w, d.n)
+	if n := d.NumVertices(); u < 0 || int(u) >= n || w < 0 || int(w) >= n || u == w {
+		return fmt.Errorf("dynamic: replayed edge {%d,%d} out of range [0,%d)", u, w, n)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -142,7 +132,7 @@ func (d *Index) ReplayEdge(u, w graph.V, insert bool, epoch uint64) error {
 	if s.overlay.HasEdge(u, w) == insert {
 		return fmt.Errorf("dynamic: replayed update {%d,%d} insert=%v is a no-op (log and snapshot diverged)", u, w, insert)
 	}
-	st, counts, err := d.applyLocked(d.rp, s.state, u, w, insert, nil)
+	st, counts, err := d.applyLocked(s.state, u, w, insert, nil)
 	if err != nil {
 		return err
 	}
@@ -151,17 +141,7 @@ func (d *Index) ReplayEdge(u, w graph.V, insert bool, epoch uint64) error {
 		return err
 	}
 	d.commitLocked(snap)
-	if insert {
-		d.stats.Inserts++
-	} else {
-		d.stats.Deletes++
-	}
-	d.stats.ColumnsRepaired += counts.repaired
-	d.stats.ColumnsRebuilt += counts.rebuilt
-	d.stats.ColumnsSkipped += counts.skipped
-	d.stats.LabelsRewritten += counts.labels
-	d.stats.DeltaRecomputes += counts.deltas
-	d.stats.MetaRebuilds += counts.metaRebuilds
+	d.countLocked(insert, counts)
 	return nil
 }
 

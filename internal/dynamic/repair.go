@@ -9,7 +9,10 @@ import (
 )
 
 // Incremental repair of one labelling column (one landmark-rooted QL/QN
-// BFS layering, Algorithm 2) after a single edge update.
+// BFS layering, Algorithm 2) after a single edge update. The columns are
+// built by core (state, dynamic.go); what is here changes them in place
+// of rebuilding them, and falls back to core's sweep for one landmark
+// (rebuildColumn) when that is the cheaper way.
 //
 // Each column carries two arrays: dist, the plain BFS distance from the
 // landmark to every vertex, and lab, the QbS label — dist(v) when some
@@ -37,28 +40,6 @@ import (
 // Options.RepairBudget; the caller falls back to a full column re-BFS.
 var errBudget = errors.New("dynamic: repair budget exceeded")
 
-// column is one landmark's incrementally maintained state.
-type column struct {
-	dist []int32 // BFS distance from the landmark; graph.InfDist unreachable
-	lab  []uint8 // QbS label: dist if an avoiding shortest path exists, else NoEntry
-}
-
-func newColumn(n int) *column {
-	c := &column{dist: make([]int32, n), lab: make([]uint8, n)}
-	for i := range c.dist {
-		c.dist[i] = graph.InfDist
-		c.lab[i] = core.NoEntry
-	}
-	return c
-}
-
-func (c *column) clone() *column {
-	d := &column{dist: make([]int32, len(c.dist)), lab: make([]uint8, len(c.lab))}
-	copy(d.dist, c.dist)
-	copy(d.lab, c.lab)
-	return d
-}
-
 // labelChange records one rewritten label entry (consumed by Δ
 // maintenance).
 type labelChange struct {
@@ -68,17 +49,19 @@ type labelChange struct {
 }
 
 // repairer carries the reusable workspaces for column repair. It is
-// owned by the writer (one mutation at a time); a second instance is
-// created for background compaction so the two never share scratch.
+// owned by the writer (one mutation at a time, compaction replay
+// included: that runs under the writer lock).
 type repairer struct {
-	n, R      int
-	landmarks []graph.V
-	landIdx   []int16
-	budget    int
+	sh     *core.Shell
+	R      int
+	budget int
 
-	// per-update state, set by begin/beginColumn
+	// per-update state, set by begin and repairColumn: the column under
+	// repair is one landmark's two arrays (state.dist[r], state.lab[r]),
+	// private copies while an update repairs them.
 	g     *Overlay
-	c     *column
+	dist  []int32
+	lab   []uint8
 	rank  int
 	sigma []uint8 // working copy of the merged σ matrix for this update
 
@@ -98,35 +81,35 @@ type repairer struct {
 	tent      []int32
 	cur, next []graph.V
 
-	// full column rebuild scratch: the shared bit-parallel engine (also
-	// used 64 columns at a time by buildState) and the diff buffers.
+	// full column rebuild scratch: the engine core's sweep runs on and
+	// the buffers it fills for the diff.
 	eng     *traverse.MultiBFS
 	newDist []int32
 	newLab  []uint8
-	rootBuf [1]graph.V
+	sigRow  []uint8
 
 	// outputs accumulated across the columns of one update
 	labelChanges []labelChange
 	sigmaChanged bool
 }
 
-func newRepairer(n int, landmarks []graph.V, landIdx []int16, budget, parallelism int) *repairer {
+func newRepairer(sh *core.Shell, budget, parallelism int) *repairer {
+	n := sh.NumVertices()
 	eng := traverse.NewMultiBFS(n)
 	eng.Parallelism = parallelism
 	return &repairer{
-		n:         n,
-		R:         len(landmarks),
-		landmarks: landmarks,
-		landIdx:   landIdx,
-		budget:    budget,
-		buckets:   make([][]graph.V, int(core.MaxLabelDist)+1),
-		inQ:       make([]uint32, n),
-		aff:       make([]uint32, n),
-		fin:       make([]uint32, n),
-		tent:      make([]int32, n),
-		eng:       eng,
-		newDist:   make([]int32, n),
-		newLab:    make([]uint8, n),
+		sh:      sh,
+		R:       sh.NumLandmarks(),
+		budget:  budget,
+		buckets: make([][]graph.V, int(core.MaxLabelDist)+1),
+		inQ:     make([]uint32, n),
+		aff:     make([]uint32, n),
+		fin:     make([]uint32, n),
+		tent:    make([]int32, n),
+		eng:     eng,
+		newDist: make([]int32, n),
+		newLab:  make([]uint8, n),
+		sigRow:  make([]uint8, sh.NumLandmarks()),
 	}
 }
 
@@ -140,17 +123,18 @@ func (rp *repairer) begin(g *Overlay, sigma []uint8) {
 }
 
 // repairColumn applies the update {u, w} to the (already cloned) column
-// of the given rank. Deletion repairs that blow the budget fall back to
-// a full column re-BFS. The only error is core.ErrDiameterTooLarge.
-func (rp *repairer) repairColumn(c *column, rank int, u, w graph.V, insert bool) (rebuilt bool, err error) {
-	rp.c, rp.rank = c, rank
+// dist, lab of the given rank. Deletion repairs that blow the budget
+// fall back to a full column re-BFS. The only error is
+// core.ErrDiameterTooLarge.
+func (rp *repairer) repairColumn(dist []int32, lab []uint8, rank int, u, w graph.V, insert bool) (rebuilt bool, err error) {
+	rp.dist, rp.lab, rp.rank = dist, lab, rank
 	if insert {
 		err = rp.insertRepair(u, w)
 	} else {
 		err = rp.deleteRepair(u, w)
 	}
 	if err == errBudget {
-		return true, rp.rebuildColumn(c, rank)
+		return true, rp.rebuildColumn()
 	}
 	return false, err
 }
@@ -159,8 +143,7 @@ func (rp *repairer) repairColumn(c *column, rank int, u, w graph.V, insert bool)
 // Insertion: decrease-only distance repair + membership fixpoint.
 
 func (rp *repairer) insertRepair(u, w graph.V) error {
-	c := rp.c
-	du, dw := c.dist[u], c.dist[w]
+	du, dw := rp.dist[u], rp.dist[w]
 	if du > dw {
 		u, w = w, u
 		du, dw = dw, du
@@ -181,17 +164,17 @@ func (rp *repairer) insertRepair(u, w graph.V) error {
 		return core.ErrDiameterTooLarge
 	}
 	q := append(rp.queue[:0], w)
-	c.dist[w] = du + 1
+	rp.dist[w] = du + 1
 	for head := 0; head < len(q); head++ {
 		x := q[head]
-		nd := c.dist[x] + 1
+		nd := rp.dist[x] + 1
 		for _, y := range rp.g.Neighbors(x) {
-			if c.dist[y] > nd {
+			if rp.dist[y] > nd {
 				if nd > core.MaxLabelDist {
 					rp.queue = q
 					return core.ErrDiameterTooLarge
 				}
-				c.dist[y] = nd
+				rp.dist[y] = nd
 				q = append(q, y)
 			}
 		}
@@ -216,8 +199,7 @@ func (rp *repairer) insertRepair(u, w graph.V) error {
 // Deletion: affected-vertex detection, bounded re-BFS, membership.
 
 func (rp *repairer) deleteRepair(u, w graph.V) error {
-	c := rp.c
-	du, dw := c.dist[u], c.dist[w]
+	du, dw := rp.dist[u], rp.dist[w]
 	if du == dw {
 		return nil // the edge joined a level (or the unreachable region)
 	}
@@ -229,7 +211,7 @@ func (rp *repairer) deleteRepair(u, w graph.V) error {
 	rp.inQGen++
 	orphan := true
 	for _, p := range rp.g.Neighbors(w) {
-		if c.dist[p] == du {
+		if rp.dist[p] == du {
 			orphan = false
 			break
 		}
@@ -253,12 +235,12 @@ func (rp *repairer) deleteRepair(u, w graph.V) error {
 		next := rp.next[:0]
 		for _, x := range cur {
 			for _, y := range rp.g.Neighbors(x) {
-				if c.dist[y] != lvl+1 || rp.aff[y] == rp.affGen {
+				if rp.dist[y] != lvl+1 || rp.aff[y] == rp.affGen {
 					continue
 				}
 				orphaned := true
 				for _, p := range rp.g.Neighbors(y) {
-					if c.dist[p] == lvl && rp.aff[p] != rp.affGen {
+					if rp.dist[p] == lvl && rp.aff[p] != rp.affGen {
 						orphaned = false
 						break
 					}
@@ -287,8 +269,8 @@ func (rp *repairer) deleteRepair(u, w graph.V) error {
 	for _, x := range affected {
 		t := graph.InfDist
 		for _, p := range rp.g.Neighbors(x) {
-			if rp.aff[p] != rp.affGen && c.dist[p] != graph.InfDist && c.dist[p]+1 < t {
-				t = c.dist[p] + 1
+			if rp.aff[p] != rp.affGen && rp.dist[p] != graph.InfDist && rp.dist[p]+1 < t {
+				t = rp.dist[p] + 1
 			}
 		}
 		rp.tent[x] = t
@@ -303,7 +285,7 @@ func (rp *repairer) deleteRepair(u, w graph.V) error {
 				continue
 			}
 			rp.fin[x] = rp.finGen
-			c.dist[x] = d
+			rp.dist[x] = d
 			for _, y := range rp.g.Neighbors(x) {
 				if rp.aff[y] == rp.affGen && rp.fin[y] != rp.finGen && d+1 < rp.tent[y] {
 					rp.tent[y] = d + 1
@@ -320,7 +302,7 @@ func (rp *repairer) deleteRepair(u, w graph.V) error {
 			if rp.tent[x] != graph.InfDist {
 				return core.ErrDiameterTooLarge
 			}
-			c.dist[x] = graph.InfDist
+			rp.dist[x] = graph.InfDist
 		}
 	}
 
@@ -348,16 +330,16 @@ func (rp *repairer) seed(v graph.V) {
 		return
 	}
 	rp.inQ[v] = rp.inQGen
-	d := rp.c.dist[v]
+	d := rp.dist[v]
 	if d == graph.InfDist {
-		if ri := rp.landIdx[v]; ri >= 0 {
-			if int(ri) != rp.rank {
-				rp.recordSigma(int(ri), core.NoEntry)
+		if ri := rp.sh.Rank(v); ri >= 0 {
+			if ri != rp.rank {
+				rp.recordSigma(ri, core.NoEntry)
 			}
 			return
 		}
-		if old := rp.c.lab[v]; old != core.NoEntry {
-			rp.c.lab[v] = core.NoEntry
+		if old := rp.lab[v]; old != core.NoEntry {
+			rp.lab[v] = core.NoEntry
 			rp.labelChanges = append(rp.labelChanges, labelChange{v, rp.rank, old, core.NoEntry})
 		}
 		return
@@ -380,23 +362,22 @@ func (rp *repairer) runFixpoint() {
 // goodPred reports whether parent p extends an avoiding shortest path:
 // the column's own landmark, or a labelled non-landmark.
 func (rp *repairer) goodPred(p graph.V) bool {
-	if ri := rp.landIdx[p]; ri >= 0 {
-		return int(ri) == rp.rank
+	if ri := rp.sh.Rank(p); ri >= 0 {
+		return ri == rp.rank
 	}
-	return rp.c.lab[p] != core.NoEntry
+	return rp.lab[p] != core.NoEntry
 }
 
 func (rp *repairer) recompute(v graph.V) {
-	c := rp.c
-	d := c.dist[v]
-	ri := rp.landIdx[v]
-	if ri >= 0 && int(ri) == rp.rank {
+	d := rp.dist[v]
+	ri := rp.sh.Rank(v)
+	if ri == rp.rank {
 		return // the root itself carries no label
 	}
 	good := false
 	want := d - 1
 	for _, p := range rp.g.Neighbors(v) {
-		if c.dist[p] == want && rp.goodPred(p) {
+		if rp.dist[p] == want && rp.goodPred(p) {
 			good = true
 			break
 		}
@@ -406,14 +387,14 @@ func (rp *repairer) recompute(v graph.V) {
 		nv = uint8(d)
 	}
 	if ri >= 0 {
-		rp.recordSigma(int(ri), nv)
+		rp.recordSigma(ri, nv)
 		return // landmarks absorb: children never see them as good parents
 	}
-	if old := c.lab[v]; old != nv {
-		c.lab[v] = nv
+	if old := rp.lab[v]; old != nv {
+		rp.lab[v] = nv
 		rp.labelChanges = append(rp.labelChanges, labelChange{v, rp.rank, old, nv})
 		for _, y := range rp.g.Neighbors(v) {
-			if c.dist[y] == d+1 && rp.inQ[y] != rp.inQGen {
+			if rp.dist[y] == d+1 && rp.inQ[y] != rp.inQGen {
 				rp.inQ[y] = rp.inQGen
 				rp.buckets[d+1] = append(rp.buckets[d+1], y)
 			}
@@ -433,52 +414,27 @@ func (rp *repairer) recordSigma(other int, nv uint8) {
 }
 
 // ---------------------------------------------------------------------
-// Full column rebuild: the QL/QN BFS of Algorithm 2 over the overlay,
-// run through the direction-optimizing bit-parallel engine (batch width
-// one) and recording the diff against the column's previous state. Used
-// as the budget fallback for expensive deletions and by compaction
-// replay.
+// Full column rebuild: core's labelling sweep (the QL/QN BFS of
+// Algorithm 2 on the direction-optimizing bit-parallel engine) run for
+// this one landmark over the overlay, then the diff against the column's
+// previous state recorded. Used as the budget fallback for expensive
+// deletions, compaction replay included.
 
-func (rp *repairer) rebuildColumn(c *column, rank int) error {
-	rp.c, rp.rank = c, rank
-	root := rp.landmarks[rank]
-	newDist, newLab := rp.newDist, rp.newLab
-	for i := range newDist {
-		newDist[i] = graph.InfDist
-		newLab[i] = core.NoEntry
+func (rp *repairer) rebuildColumn() error {
+	rank := rp.rank
+	if err := rp.sh.SweepColumn(rp.eng, rp.g, rank, rp.newLab, rp.newDist, rp.sigRow); err != nil {
+		return err
 	}
-	var sigRow [256]uint8
-	for i := 0; i < rp.R; i++ {
-		sigRow[i] = core.NoEntry
-	}
-
-	newDist[root] = 0
-	rp.rootBuf[0] = root
-	err := rp.eng.Run(rp.g, nil, rp.landIdx, rp.rootBuf[:], core.MaxLabelDist,
-		func(v graph.V, depth int32, newL, _ uint64) {
-			newDist[v] = depth
-			if newL != 0 {
-				if rj := rp.landIdx[v]; rj >= 0 {
-					sigRow[rj] = uint8(depth)
-				} else {
-					newLab[v] = uint8(depth)
-				}
-			}
-		})
-	if err != nil {
-		return core.ErrDiameterTooLarge
-	}
-
-	for v := 0; v < rp.n; v++ {
-		if old := c.lab[v]; old != newLab[v] {
-			rp.labelChanges = append(rp.labelChanges, labelChange{graph.V(v), rank, old, newLab[v]})
+	for v, nl := range rp.newLab {
+		if old := rp.lab[v]; old != nl {
+			rp.labelChanges = append(rp.labelChanges, labelChange{graph.V(v), rank, old, nl})
 		}
 	}
-	copy(c.dist, newDist)
-	copy(c.lab, newLab)
-	for i := 0; i < rp.R; i++ {
+	copy(rp.dist, rp.newDist)
+	copy(rp.lab, rp.newLab)
+	for i, s := range rp.sigRow {
 		if i != rank {
-			rp.recordSigma(i, sigRow[i])
+			rp.recordSigma(i, s)
 		}
 	}
 	return nil

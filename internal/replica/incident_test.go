@@ -205,9 +205,15 @@ func TestIncidentControlPlaneAcrossTiers(t *testing.T) {
 	if code := do(req); code != http.StatusOK {
 		t.Fatalf("failover read: status %d", code)
 	}
+	// The replica journals its 503 after the handler has written it, so
+	// the router's answer can be here first: wait for the event.
 	repErrs := fetchEvents(t, repTS.URL, "?min_level=error")
-	if !hasEvent(repErrs, "http", "request_error", traceID) {
-		t.Fatalf("replica journal lacks http/request_error with trace %s: %+v", traceID, repErrs)
+	for deadline := time.Now().Add(5 * time.Second); !hasEvent(repErrs, "http", "request_error", traceID); {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica journal lacks http/request_error with trace %s: %+v", traceID, repErrs)
+		}
+		time.Sleep(10 * time.Millisecond)
+		repErrs = fetchEvents(t, repTS.URL, "?min_level=error")
 	}
 	rtErrs := fetchEvents(t, rtTS.URL, "?min_level=error")
 	if !hasEvent(rtErrs, "router", "primary_failover", traceID) {

@@ -36,7 +36,7 @@ func TestDiStoreRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g, ix := diTestIndex(t)
 			dir := t.TempDir()
-			if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
+			if err := CreateDi(dir, g, ix.State()); err != nil {
 				t.Fatal(err)
 			}
 			if !DiExists(dir) {
@@ -47,7 +47,7 @@ func TestDiStoreRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			a, b := ix.DirectedState(), re.DirectedState()
+			a, b := ix.State(), re.State()
 			if string(a.Sigma) != string(b.Sigma) {
 				t.Fatal("sigma not bit-identical")
 			}
@@ -98,10 +98,10 @@ func TestDiStoreRoundTrip(t *testing.T) {
 func TestDiStoreCreateTwiceFails(t *testing.T) {
 	g, ix := diTestIndex(t)
 	dir := t.TempDir()
-	if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
+	if err := CreateDi(dir, g, ix.State()); err != nil {
 		t.Fatal(err)
 	}
-	if err := CreateDi(dir, g, ix.DirectedState()); err == nil {
+	if err := CreateDi(dir, g, ix.State()); err == nil {
 		t.Fatal("second CreateDi succeeded")
 	}
 }
@@ -124,7 +124,7 @@ func TestOneStorePerDataDir(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
+	if err := CreateDi(dir, g, ix.State()); err != nil {
 		t.Fatal(err)
 	}
 	before := listing(dir)
@@ -142,7 +142,7 @@ func TestOneStorePerDataDir(t *testing.T) {
 	udir := t.TempDir()
 	writeUndirectedSnapshot(t, udir)
 	before = listing(udir)
-	err = CreateDi(udir, g, ix.DirectedState())
+	err = CreateDi(udir, g, ix.State())
 	if err == nil || !strings.Contains(err.Error(), "already contains an undirected store; open it without -directed") {
 		t.Fatalf("CreateDi over an undirected store: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestOneStorePerDataDir(t *testing.T) {
 	}
 	// CreateDi takes the writer lock: a live undirected writer excludes it
 	// before it looks at anything.
-	if err := CreateDi(udir, g, ix.DirectedState()); err == nil || !strings.Contains(err.Error(), "locked") {
+	if err := CreateDi(udir, g, ix.State()); err == nil || !strings.Contains(err.Error(), "locked") {
 		t.Fatalf("CreateDi beside a live writer: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -169,7 +169,7 @@ func TestOneStorePerDataDir(t *testing.T) {
 func TestCrossFormatErrors(t *testing.T) {
 	g, ix := diTestIndex(t)
 	dir := t.TempDir()
-	if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
+	if err := CreateDi(dir, g, ix.State()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, diSnapshotName))

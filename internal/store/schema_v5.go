@@ -41,7 +41,7 @@ const (
 
 // encodeDiSnapshot writes the directed image of an index with state ps
 // over g. The epoch is 0: directed stores are immutable.
-func encodeDiSnapshot(f *os.File, g *graph.DiGraph, ps core.DirectedState) error {
+func encodeDiSnapshot(f *os.File, g *graph.DiGraph, ps core.State) error {
 	outOff, out, inOff, in := g.CSR()
 	counts, arcs := deltaSections(ps.Delta)
 	return schemaV5.encode(f,
@@ -134,7 +134,7 @@ func decodeDiSnapshot(data []byte) (*core.Index, *graph.DiGraph, error) {
 	}); err != nil {
 		return nil, nil, err
 	}
-	ix, err := core.AssembleDirected(g, core.DirectedState{
+	ix, err := core.AssembleDirected(g, core.State{
 		Landmarks: landmarks,
 		Sigma:     sigma,
 		LabelTo:   labelTo,

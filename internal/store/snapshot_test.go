@@ -79,7 +79,7 @@ var snapshotKinds = []snapshotKind{
 		name: "v5", sc: &schemaV5,
 		write: func(t testing.TB, dir string) string {
 			g, ix := v5Fixture(t)
-			if err := CreateDi(dir, g, ix.DirectedState()); err != nil {
+			if err := CreateDi(dir, g, ix.State()); err != nil {
 				t.Fatal(err)
 			}
 			return diSnapshotName
@@ -90,7 +90,7 @@ var snapshotKinds = []snapshotKind{
 				return "", err
 			}
 			outOff, out, inOff, in := g.CSR()
-			return fmt.Sprint(outOff, out, inOff, in, ix.DirectedState()), nil
+			return fmt.Sprint(outOff, out, inOff, in, ix.State()), nil
 		},
 	},
 }

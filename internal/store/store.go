@@ -124,7 +124,7 @@ func claimDataDir(dir string) (*os.File, error) {
 // CreateDi initialises dir as the durable home of a directed index: the
 // frozen state st of an index over g is written atomically as one
 // snapshot. dir must not already contain a store.
-func CreateDi(dir string, g *graph.DiGraph, st core.DirectedState) error {
+func CreateDi(dir string, g *graph.DiGraph, st core.State) error {
 	lock, err := claimDataDir(dir)
 	if err != nil {
 		return err

@@ -33,7 +33,6 @@ package qbs
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"qbs/internal/bfs"
 	"qbs/internal/core"
@@ -127,24 +126,31 @@ type QueryStats = core.QueryStats
 // Sketch is the per-query summary structure (Definition 4.5).
 type Sketch = core.Sketch
 
-// reader is the read path of an immutable index of either orientation:
-// the core index and a pool of searchers over it. Index and DiIndex
-// embed it and differ only in the graph they hand back and in how they
-// are built and persisted.
-type reader struct {
+// coreReader is the one read path under all three index kinds (see
+// core.Reader): Query, QueryInto, QueryIntoStats, QueryWithStats,
+// Distance, Sketch and QueryBatch of Index, DiIndex and DynamicIndex are
+// its methods. The alias keeps the embedded field unexported.
+type coreReader = core.Reader
+
+// Pair is one query pair for QueryBatch.
+type Pair = core.Pair
+
+// static is an immutable index of either orientation: the core index,
+// and the read path over it (which resolves to that index, always).
+// Index and DiIndex embed it and differ only in the graph they hand back
+// and in how they are built and persisted.
+type static struct {
+	*coreReader
 	core *core.Index
-	pool sync.Pool
 }
 
-func newReader(cix *core.Index) *reader {
-	r := &reader{core: cix}
-	r.pool.New = func() any { return core.NewSearcher(cix) }
-	return r
+func newStatic(cix *core.Index) *static {
+	return &static{core.NewReader(func() *core.Index { return cix }), cix}
 }
 
 // Index is an immutable QbS index over a graph. All methods are safe for
 // concurrent use.
-type Index struct{ *reader }
+type Index struct{ *static }
 
 // BuildIndex constructs a QbS index: landmark selection, the labelling
 // scheme of Algorithm 2 (parallel across landmarks), meta-graph APSP and
@@ -160,7 +166,7 @@ func BuildIndex(g *Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{newReader(cix)}, nil
+	return &Index{newStatic(cix)}, nil
 }
 
 // MustBuildIndex is BuildIndex that panics on error.
@@ -172,93 +178,22 @@ func MustBuildIndex(g *Graph, opts Options) *Index {
 	return ix
 }
 
-// Query answers SPG(u, v): the subgraph of exactly all shortest u–v
-// paths — directed u → v paths on a DiIndex, whose answers keep their
-// arcs' orientation — with Dist set to d_G(u, v) (InfDist when
-// disconnected or unreachable).
-func (ix *reader) Query(u, v V) *SPG {
-	spg, _ := ix.QueryWithStats(u, v)
-	return spg
-}
-
-// QueryInto answers SPG(u, v) into a caller-owned result, resetting it
-// first, and returns dst. Reusing one SPG across queries keeps the warm
-// query path free of heap allocations (the result buffer is recycled at
-// its high-water mark); serving loops that answer-and-encode should
-// prefer it over Query. The result takes the index's orientation
-// whatever it held before.
-//
-//qbs:zeroalloc
-func (ix *reader) QueryInto(dst *SPG, u, v V) *SPG {
-	ix.QueryIntoStats(dst, u, v)
-	return dst
-}
-
-// QueryIntoStats is QueryInto that reports query internals instead of
-// returning dst: the serving shape, one search into a recycled result.
-//
-//qbs:zeroalloc
-func (ix *reader) QueryIntoStats(dst *SPG, u, v V) QueryStats {
-	sr := ix.pool.Get().(*core.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.QueryInto(dst, u, v)
-}
-
-// QueryWithStats answers SPG(u, v) and reports query internals.
-func (ix *reader) QueryWithStats(u, v V) (*SPG, QueryStats) {
-	spg := new(SPG)
-	return spg, ix.QueryIntoStats(spg, u, v)
-}
-
-// Distance returns d_G(u, v) — d_G(u → v) on a DiIndex — using the
-// sketch-guided search without path extraction.
-func (ix *reader) Distance(u, v V) int32 {
-	sr := ix.pool.Get().(*core.Searcher)
-	defer ix.pool.Put(sr)
-	return sr.Distance(u, v)
-}
-
-// Sketch computes the query sketch S_uv (for introspection; Query
-// computes it internally).
-func (ix *reader) Sketch(u, v V) *Sketch { return ix.core.Sketch(u, v) }
-
-// Pair is one query pair for QueryBatch.
-type Pair struct{ U, V V }
-
-// QueryBatch answers many queries concurrently with up to parallelism
-// workers (0 = GOMAXPROCS, capped at the batch size). Results align
-// with the input slice. Each worker draws a searcher from the index's
-// pool and answers into per-chunk result arenas, so repeated batches
-// reuse workspaces and steady-state queries stay off the allocator.
-//
-// A query that panics (e.g. an out-of-range vertex id) does not bring
-// the batch down: its slot is left nil and all remaining results are
-// returned.
-func (ix *reader) QueryBatch(pairs []Pair, parallelism int) []*SPG {
-	out := make([]*SPG, len(pairs))
-	core.QueryBatchInto(out, parallelism,
-		func(i int) (V, V) { return pairs[i].U, pairs[i].V },
-		func() *core.Searcher { return ix.pool.Get().(*core.Searcher) },
-		func(sr *core.Searcher) { ix.pool.Put(sr) })
-	return out
-}
-
 // Landmarks returns the landmark vertices in rank order.
-func (ix *reader) Landmarks() []V { return ix.core.Landmarks() }
+func (ix *static) Landmarks() []V { return ix.core.Landmarks() }
 
 // IsLandmark reports whether v is a landmark.
-func (ix *reader) IsLandmark(v V) bool { return ix.core.IsLandmark(v) }
+func (ix *static) IsLandmark(v V) bool { return ix.core.IsLandmark(v) }
 
 // Stats returns construction statistics.
-func (ix *reader) Stats() IndexStats { return ix.core.Stats() }
+func (ix *static) Stats() IndexStats { return ix.core.Stats() }
 
 // SizeLabelsBytes is the paper's size(L) accounting: |R| bytes/vertex,
 // twice that over a digraph (two labellings).
-func (ix *reader) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
+func (ix *static) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
 
 // SizeDeltaBytes is the paper's size(Δ): 8 bytes per precomputed
 // landmark-pair shortest-path edge.
-func (ix *reader) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
+func (ix *static) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
 
 // Graph returns the indexed graph.
 func (ix *Index) Graph() *Graph { return ix.core.Graph() }
@@ -283,7 +218,7 @@ func LoadIndexFile(g *Graph, path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{newReader(cix)}, nil
+	return &Index{newStatic(cix)}, nil
 }
 
 // ErrDiameterTooLarge is returned when a graph (or a graph update) would
@@ -323,8 +258,13 @@ type DynamicStats = dynamic.Stats
 // rejected with ErrDiameterTooLarge (the labelling stores one distance
 // byte per landmark), leaving the index unchanged.
 type DynamicIndex struct {
-	d  *dynamic.Index
-	st *store.Store // non-nil when the index is backed by a durable store
+	*coreReader // d's: every query resolves the snapshot current at call time
+	d           *dynamic.Index
+	st          *store.Store // non-nil when the index is backed by a durable store
+}
+
+func newDynamicIndex(d *dynamic.Index, st *store.Store) *DynamicIndex {
+	return &DynamicIndex{d.Reader, d, st}
 }
 
 // BuildDynamicIndex constructs a live-mutable QbS index over the current
@@ -339,7 +279,7 @@ func BuildDynamicIndex(g *Graph, opts DynamicOptions) (*DynamicIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicIndex{d: d}, nil
+	return newDynamicIndex(d, nil), nil
 }
 
 // selectLandmarks resolves the landmark set from Options (an explicit
@@ -383,50 +323,6 @@ func (di *DynamicIndex) ApplyEdgeCtx(ctx context.Context, u, v V, insert bool) (
 // repairs the index. It reports whether the graph changed (false when
 // the edge does not exist).
 func (di *DynamicIndex) RemoveEdge(u, v V) (bool, error) { return di.d.RemoveEdge(u, v) }
-
-// Query answers SPG(u, v) against the current snapshot.
-func (di *DynamicIndex) Query(u, v V) *SPG { return di.d.Query(u, v) }
-
-// QueryInto answers SPG(u, v) against the current snapshot into a
-// caller-owned result; see Index.QueryInto for the reuse contract.
-//
-//qbs:zeroalloc
-func (di *DynamicIndex) QueryInto(dst *SPG, u, v V) *SPG {
-	di.QueryIntoStats(dst, u, v)
-	return dst
-}
-
-// QueryIntoStats is QueryInto that reports query internals instead of
-// returning dst. Answer and stats come from the one snapshot the call
-// resolved.
-//
-//qbs:zeroalloc
-func (di *DynamicIndex) QueryIntoStats(dst *SPG, u, v V) QueryStats {
-	return di.d.QueryInto(dst, u, v)
-}
-
-// QueryWithStats answers SPG(u, v) with query internals.
-func (di *DynamicIndex) QueryWithStats(u, v V) (*SPG, QueryStats) {
-	spg := new(SPG)
-	return spg, di.QueryIntoStats(spg, u, v)
-}
-
-// Distance returns d_G(u, v) on the current snapshot.
-func (di *DynamicIndex) Distance(u, v V) int32 { return di.d.Distance(u, v) }
-
-// Sketch computes the query sketch on the current snapshot.
-func (di *DynamicIndex) Sketch(u, v V) *Sketch { return di.d.Sketch(u, v) }
-
-// QueryBatch answers many queries concurrently against one consistent
-// snapshot: every answer reflects the same epoch even if writers land
-// updates mid-batch. parallelism 0 means GOMAXPROCS.
-func (di *DynamicIndex) QueryBatch(pairs []Pair, parallelism int) []*SPG {
-	ps := make([][2]V, len(pairs))
-	for i, p := range pairs {
-		ps[i] = [2]V{p.U, p.V}
-	}
-	return di.d.QueryBatch(ps, parallelism)
-}
 
 // Epoch returns the current snapshot number. It advances by one per
 // applied update (and per compaction), so clients can detect staleness.
@@ -518,19 +414,16 @@ func (o StoreOptions) storeOptions() store.Options {
 // write-ahead log before it is acknowledged, so the index survives any
 // crash. dir must not already contain a store.
 func CreateStore(dir string, g *Graph, opts StoreOptions) (*DynamicIndex, error) {
-	d, err := dynamic.New(g, selectLandmarks(g, opts.Index), dynamic.Options{
-		RepairBudget:    opts.RepairBudget,
-		CompactFraction: opts.CompactFraction,
-		Parallelism:     opts.Index.Parallelism,
-	})
+	so := opts.storeOptions()
+	d, err := dynamic.New(g, selectLandmarks(g, opts.Index), so.Dynamic)
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.Create(dir, d, opts.storeOptions())
+	st, err := store.Create(dir, d, so)
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicIndex{d: d, st: st}, nil
+	return newDynamicIndex(d, st), nil
 }
 
 // OpenStore recovers the index persisted in dir: the newest valid
@@ -545,7 +438,7 @@ func OpenStore(dir string, opts StoreOptions) (*DynamicIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicIndex{d: st.Index(), st: st}, nil
+	return newDynamicIndex(st.Index(), st), nil
 }
 
 // StoreExists reports whether dir already contains a durable store.
@@ -594,7 +487,7 @@ func (di *DynamicIndex) Store() *store.Store { return di.st }
 // seam, and serves it through a DynamicIndex with no durable store
 // attached. The dynamic package is internal, so only this module's
 // packages can construct the argument.
-func AdoptDynamic(d *dynamic.Index) *DynamicIndex { return &DynamicIndex{d: d} }
+func AdoptDynamic(d *dynamic.Index) *DynamicIndex { return newDynamicIndex(d, nil) }
 
 // BiBFS answers SPG(u, v) by plain bidirectional BFS over the full graph
 // — the paper's search-based baseline, requiring no index. For repeated
