@@ -112,12 +112,11 @@ func TestWarmQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmInstrumentedQueryZeroAllocs pins the PR 6 observability
-// criterion, extended with this PR's control plane: the query path with
-// its stage timers and engine counters (QueryStats out-param) plus
-// everything the serving layer records per query — histogram Observe,
-// counter Add, SLO Record, and a below-min-level journal emit with
-// attrs (the steady-state journal path with -log-level info and a
+// TestWarmInstrumentedQueryZeroAllocs pins the observability criterion:
+// the query path with its stage timers and engine counters (QueryStats
+// out-param) plus everything the serving layer records per query —
+// histogram Observe, counter Add, and a below-min-level journal emit
+// with attrs (the steady-state journal path with -log-level info and a
 // debug-level event) — still allocates nothing on the warm path.
 func TestWarmInstrumentedQueryZeroAllocs(t *testing.T) {
 	g, pairs := allocGraph(t)
@@ -127,7 +126,6 @@ func TestWarmInstrumentedQueryZeroAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	hist := reg.Histogram("qbs_query_stage_ns", `stage="expand"`)
 	arcs := reg.Counter("qbs_query_arcs_scanned_total", "")
-	slo := obs.NewSLO("read-availability", "/spg", 0.999, 250*time.Millisecond)
 	journal := obs.NewJournal(64, reg) // min level info
 	evDebug := journal.Def("engine", "query_detail", obs.LevelDebug)
 
@@ -143,16 +141,12 @@ func TestWarmInstrumentedQueryZeroAllocs(t *testing.T) {
 		st := sr.QueryInto(spg, p.U, p.V)
 		hist.ObserveNs(st.ExpandNs)
 		arcs.Add(st.ArcsScanned)
-		slo.Record(st.ExpandNs, 200)
 		evDebug.Emit(obs.Int("arcs", st.ArcsScanned), obs.Int("dtop", int64(st.DTop)))
 	}); avg != 0 {
 		t.Fatalf("instrumented warm QueryInto allocates %.2f/op, want 0", avg)
 	}
 	if hist.Count() == 0 {
 		t.Fatal("stage histogram recorded nothing")
-	}
-	if _, total := slo.Window(5 * time.Minute); total == 0 {
-		t.Fatal("SLO recorded nothing")
 	}
 	if evs := journal.Recent(0, obs.LevelDebug, ""); len(evs) != 0 {
 		t.Fatalf("debug events admitted at info min level: %d", len(evs))

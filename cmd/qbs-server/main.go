@@ -22,8 +22,9 @@
 // -mutable mode POST /edges, DELETE /edges, /epoch, POST /checkpoint —
 // see internal/server for the JSON schemas — plus, in every mode and on
 // -debug-addr, the /debug/ routes of obs.DebugRoutes (traces, slowlog,
-// logs, slo, profiles). -slowlog and -trace-sample tune which traces the
-// span store retains (README "Distributed tracing").
+// logs); profiles are net/http/pprof's, on -debug-addr. -slowlog and
+// -trace-sample tune which traces the span store retains (README
+// "Distributed tracing").
 //
 // With -directed the server fronts a directed index: the edge list is
 // read as arcs, /spg answers SPG(u → v), and -data persists/recovers a
@@ -90,7 +91,6 @@ func main() {
 		slowlog   = flag.Duration("slowlog", 0, "slow-query log threshold for GET /debug/slowlog (0 = 100ms default)")
 		traceSamp = flag.Int("trace-sample", 0, "head-sample 1 in N traces into /debug/traces on top of the always-retained slow/errored/force-sampled ones (0 = tail-only)")
 		logLevel  = flag.String("log-level", "info", "minimum event level admitted to the journal at GET /debug/logs (debug|info|warn|error)")
-		profEvery = flag.Duration("profile-every", 0, "flight-recorder capture cadence for GET /debug/profiles (0 = disabled; triggers still auto-capture while running)")
 	)
 	flag.Parse()
 
@@ -111,27 +111,9 @@ func main() {
 		fatal(fmt.Errorf("-log-level must be debug, info, warn or error; got %q", *logLevel))
 	}
 	obs.DefaultJournal.SetMinLevel(lvl)
-	if *profEvery > 0 {
-		// The process-wide recorder samples on the cadence and
-		// auto-captures (debounced) on an error-event spike; serving modes
-		// add their SLO fast-burn triggers below.
-		obs.DefaultFlightRecorder.AddTrigger("error_event_spike", func() bool {
-			return obs.DefaultJournal.ErrorsInLast(10*time.Second) >= 5
-		})
-		obs.DefaultFlightRecorder.Start(*profEvery)
-		defer obs.DefaultFlightRecorder.Stop()
-	}
 
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
-	}
-	// tune applies serving-mode knobs that live on *server.Server (the
-	// router and replica modes wrap or own their servers themselves).
-	tune := func(sv *server.Server) *server.Server {
-		if *profEvery > 0 {
-			obs.DefaultFlightRecorder.AddTrigger("slo_fast_burn", sv.SLOs().FastBurn)
-		}
-		return sv
 	}
 
 	if *indexPath != "" && (*directed || *mutable || *dataDir != "" || *primary || *replicaOf != "" || *routerOf != "") {
@@ -166,11 +148,6 @@ func main() {
 		}
 		rt := replica.NewRouter(parts[0], parts[1:], replica.RouterOptions{})
 		defer rt.Stop()
-		if *profEvery > 0 {
-			// Share the process recorder so the router's fast-burn and
-			// error-spike triggers ride the running sampler.
-			rt.SetFlightRecorder(obs.DefaultFlightRecorder)
-		}
 		fmt.Printf("router: %s\n", rt.Backends())
 		lifecycle("router", "backends", rt.Backends())
 		serve(*addr, *drain, rt, nil)
@@ -234,7 +211,7 @@ func main() {
 			}
 			fmt.Printf("directed index: built in %s (%d landmarks)\n", startup(stage, start), len(ix.Landmarks()))
 		}
-		handler = tune(server.NewDirected(ix))
+		handler = server.NewDirected(ix)
 	case *dataDir != "" && qbs.StoreExists(*dataDir):
 		// Restart path: recover, no graph source and no rebuild needed.
 		start := time.Now()
@@ -288,13 +265,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		handler = tune(server.New(index))
+		handler = server.New(index)
 	}
 	if dyn != nil {
 		if *mutable {
-			handler = tune(server.NewMutable(dyn))
+			handler = server.NewMutable(dyn)
 		} else {
-			handler = tune(server.NewDynamicReadOnly(dyn))
+			handler = server.NewDynamicReadOnly(dyn)
 		}
 		if *primary {
 			// The replication feed rides alongside the serving API: the
@@ -315,8 +292,7 @@ func main() {
 // rendering of the process-wide registry (WAL/checkpoint/apply/runtime
 // series), and the /debug/ routes every tier serves, here over the
 // process-wide sources — the background roots obs.DefaultTracer records
-// (WAL fsync batches, checkpoints, replica.apply) among them. There is
-// no process-wide SLO set, so no /debug/slo.
+// (WAL fsync batches, checkpoints, replica.apply) among them.
 func debugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -331,7 +307,6 @@ func debugHandler() http.Handler {
 	mux.Handle("/debug/", obs.DebugMux(&obs.DebugSources{
 		Tracer:  obs.DefaultTracer,
 		Journal: obs.DefaultJournal,
-		Flight:  obs.DefaultFlightRecorder,
 	}))
 	return mux
 }

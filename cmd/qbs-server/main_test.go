@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,10 +22,12 @@ import (
 
 // TestDebugRoutesOnEveryTier walks obs.DebugRoutes against every tier
 // this command can run — a static, a directed and a mutable server, a
-// replica, a router and the -debug-addr side channel. Each route a tier
-// has a source for answers 200 with a JSON body (a profile's raw pprof
-// bytes excepted), on every tier alike; a malformed ?n= or id is a 400
-// with the JSON error body; /debug/fleet is the router's alone.
+// replica, a router and the -debug-addr side channel. Every tier has a
+// source for each of the four routes and answers it 200 with a JSON
+// body; a malformed ?n= or id is a 4xx with the JSON error body. Every
+// tier's Prometheus exposition parses, carries no exemplar suffix — the
+// text format has no syntax for one — and the router's still carries
+// qbs_router_failovers_total, which the benchmark reads.
 func TestDebugRoutesOnEveryTier(t *testing.T) {
 	g := graph.Grid(6, 6)
 	ix, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: 2})
@@ -56,20 +57,12 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rep.Stop)
-	rt := replica.NewRouter(primTS.URL, nil, replica.RouterOptions{HealthInterval: time.Hour, FleetInterval: -1})
+	rt := replica.NewRouter(primTS.URL, nil, replica.RouterOptions{HealthInterval: time.Hour})
 	t.Cleanup(rt.Stop)
 
-	// A profile and a retained trace for the {id} routes to find. Every
-	// tier here shares the process-wide tracer, so one forced trace —
-	// begun on the router, joined by the server it proxies to — serves
-	// all; the servers and -debug-addr share the process-wide recorder,
-	// the router keeps its own.
-	obs.DefaultFlightRecorder.CPUDuration = 0
-	rt.FlightRecorder().CPUDuration = 0
-	profileID := map[bool]uint64{
-		false: obs.DefaultFlightRecorder.CaptureNow("manual")[0].ID,
-		true:  rt.FlightRecorder().CaptureNow("manual")[0].ID,
-	}
+	// A retained trace for the {id} route to find. Every tier here shares
+	// the process-wide tracer, so one forced trace — begun on the router,
+	// joined by the server it proxies to — serves all.
 	req := httptest.NewRequest("GET", "/distance?u=0&v=1", nil)
 	req.Header.Set(obs.TraceparentHeader, "00-0000000000000000feedc0ffee000018-00000000000000aa-01")
 	rec := httptest.NewRecorder()
@@ -78,10 +71,12 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 		t.Fatalf("routed read: status %d: %s", rec.Code, rec.Body)
 	}
 
+	if len(obs.DebugRoutes) != 4 {
+		t.Fatalf("%d debug routes, want traces, traces/{id}, slowlog and logs", len(obs.DebugRoutes))
+	}
 	for _, tier := range []struct {
 		name   string
 		h      http.Handler
-		lacks  string // the obs.DebugSources field the tier has nothing for
 		router bool
 	}{
 		{name: "static", h: server.New(ix)},
@@ -89,7 +84,7 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 		{name: "mutable", h: mutable},
 		{name: "replica", h: rep.Handler()},
 		{name: "router", h: rt, router: true},
-		{name: "-debug-addr", h: debugHandler(), lacks: "SLOs"},
+		{name: "-debug-addr", h: debugHandler()},
 	} {
 		get := func(path string) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
@@ -97,34 +92,15 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 			return rec
 		}
 		for _, route := range obs.DebugRoutes {
-			path := route.Pattern
+			path, bad := route.Pattern, route.Pattern+"?n=abc"
 			if prefix, ok := strings.CutSuffix(path, "{id}"); ok {
-				path = prefix + "feedc0ffee000018"
-				if route.Source == "Flight" {
-					path = prefix + fmt.Sprint(profileID[tier.router])
-				}
+				path, bad = prefix+"feedc0ffee000018", prefix+"no-such-id"
 			}
 			rec := get(path)
-			if route.Source == tier.lacks {
-				if rec.Code != http.StatusNotFound {
-					t.Errorf("%s: GET %s: status %d from a tier with no %s, want 404", tier.name, path, rec.Code, route.Source)
-				}
-				continue
-			}
-			raw := route.Pattern == "/debug/profiles/{id}"
-			if ct := rec.Header().Get("Content-Type"); rec.Code != 200 || (ct != "application/json") != raw || !raw && !json.Valid(rec.Body.Bytes()) {
+			if ct := rec.Header().Get("Content-Type"); rec.Code != 200 || ct != "application/json" || !json.Valid(rec.Body.Bytes()) {
 				t.Errorf("%s: GET %s: status %d, Content-Type %q, body %.80q", tier.name, path, rec.Code, ct, rec.Body)
 			}
 			// One ?n= parser, one error body, whatever the route or tier.
-			var bad string
-			switch {
-			case strings.HasSuffix(route.Pattern, "{id}"):
-				bad = strings.TrimSuffix(route.Pattern, "{id}") + "no-such-id"
-			case route.Pattern == "/debug/slo" || route.Pattern == "/debug/profiles":
-				continue // they take no parameter
-			default:
-				bad = path + "?n=abc"
-			}
 			var e struct {
 				Error string `json:"error"`
 			}
@@ -132,8 +108,16 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 				t.Errorf("%s: GET %s: status %d, body %q; want a 4xx with the JSON error body", tier.name, bad, rec.Code, rec.Body)
 			}
 		}
-		if rec := get("/debug/fleet"); (rec.Code == 200) != tier.router {
-			t.Errorf("%s: GET /debug/fleet: status %d", tier.name, rec.Code)
+		rec := get("/metrics?format=prometheus")
+		body := rec.Body.Bytes()
+		if err := obs.ValidateExposition(body); rec.Code != 200 || err != nil {
+			t.Errorf("%s: /metrics?format=prometheus: status %d, %v", tier.name, rec.Code, err)
+		}
+		if bytes.Contains(body, []byte(" # {")) {
+			t.Errorf("%s: the exposition carries an exemplar suffix:\n%s", tier.name, body)
+		}
+		if tier.router && !bytes.Contains(body, []byte("\nqbs_router_failovers_total ")) {
+			t.Errorf("router: the exposition lacks qbs_router_failovers_total:\n%s", body)
 		}
 	}
 }

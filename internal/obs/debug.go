@@ -14,10 +14,8 @@ import (
 // the fields per request, so a tier may swap a source (SetTracer and
 // the like) after mounting the mux, before it starts serving.
 type DebugSources struct {
-	Tracer  *Tracer         // spans, and the slow-query log read off them
-	Journal *Journal        // structured events
-	SLOs    *SLOSet         // objectives and burn rates
-	Flight  *FlightRecorder // retained profiles
+	Tracer  *Tracer  // spans, and the slow-query log read off them
+	Journal *Journal // structured events
 }
 
 // DebugRoute is one GET route under /debug/: the ServeMux path pattern
@@ -37,9 +35,6 @@ type DebugRoute struct {
 //	GET /debug/slowlog ?n=     slow requests, newest first
 //	GET /debug/logs    ?n=     events, newest first (default 100)
 //	    ?min_level=  ?component=
-//	GET /debug/slo             objectives, windows, burn rates
-//	GET /debug/profiles        retained profile captures, newest first
-//	GET /debug/profiles/{id}   one capture's raw pprof bytes
 //
 // ?n= is an integer in [1,1024] wherever it is accepted; every 4xx body
 // is {"error": "..."}.
@@ -48,9 +43,6 @@ var DebugRoutes = []DebugRoute{
 	{"/debug/traces/{id}", "Tracer", serveTraceByID},
 	{"/debug/slowlog", "Tracer", serveSlowLog},
 	{"/debug/logs", "Journal", serveLogs},
-	{"/debug/slo", "SLOs", serveSLOs},
-	{"/debug/profiles", "Flight", serveProfiles},
-	{"/debug/profiles/{id}", "Flight", serveProfileByID},
 }
 
 func (src *DebugSources) has(source string) bool {
@@ -59,10 +51,6 @@ func (src *DebugSources) has(source string) bool {
 		return src.Tracer != nil
 	case "Journal":
 		return src.Journal != nil
-	case "SLOs":
-		return src.SLOs != nil
-	case "Flight":
-		return src.Flight != nil
 	}
 	return false
 }
@@ -188,38 +176,4 @@ func serveLogs(src *DebugSources, w http.ResponseWriter, r *http.Request) {
 		MinLevel string      `json:"journal_min_level"`
 		Events   []EventView `json:"events"`
 	}{src.Journal.MinLevel().String(), views})
-}
-
-func serveSLOs(src *DebugSources, w http.ResponseWriter, _ *http.Request) {
-	slos := src.SLOs.All()
-	views := make([]SLOView, len(slos))
-	for i, s := range slos {
-		views[i] = s.View()
-	}
-	writeJSON(w, http.StatusOK, struct {
-		SLOs []SLOView `json:"slos"`
-	}{views})
-}
-
-func serveProfiles(src *DebugSources, w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Profiles []ProfileInfo `json:"profiles"`
-	}{src.Flight.Profiles()})
-}
-
-func serveProfileByID(src *DebugSources, w http.ResponseWriter, r *http.Request) {
-	raw := r.PathValue("id")
-	id, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("profile id must be an unsigned integer, got %q", raw))
-		return
-	}
-	p := src.Flight.Get(id)
-	if p == nil {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("profile %d not found (evicted from the ring, or never captured)", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Qbs-Profile-Kind", p.Kind)
-	_, _ = w.Write(p.Bytes) // the client hanging up is not the server's error
 }

@@ -1,11 +1,10 @@
 // Package obs is the telemetry layer every other package reports
 // through: atomic counters, gauges, lock-free log-bucketed latency
 // histograms, a registry with a Prometheus text encoder, per-request
-// traces with a slow-query log read off them, an event journal, SLOs, a
-// profile flight recorder, and the /debug mux that serves them. It is
-// dependency-free (stdlib only) and every recording primitive is
-// allocation-free, so the warm query path stays 0 allocs/op with
-// instrumentation enabled.
+// traces with a slow-query log read off them, an event journal, and the
+// /debug mux that serves them. It is dependency-free (stdlib only) and
+// every recording primitive is allocation-free, so the warm query path
+// stays 0 allocs/op with instrumentation enabled.
 //
 // # Metric naming
 //
@@ -46,7 +45,8 @@
 // maximum as a companion <family>_max gauge. Every /metrics endpoint
 // serves this encoding for ?format=prometheus or an Accept header
 // preferring text/plain, and the unchanged JSON views otherwise; both
-// are renderings of the same registry. ValidateExposition is the
+// are renderings of the same registry. The format has no exemplar
+// syntax, and the encoder writes none. ValidateExposition is the
 // parser-level line check the CI smoke job applies to a live scrape.
 //
 // # Tracing and the slow-query log
@@ -69,7 +69,7 @@
 // they describe: status, u, v and dist on the root (method and path on
 // a router's), label_entries on stage:sketch, arcs_scanned on
 // stage:expand. Each stage span is also the observation of
-// qbs_query_stage_ns{stage} and, if retained, its exemplar (Exemplify).
+// qbs_query_stage_ns{stage}.
 //
 // Retention is tail-based: the keep/drop decision happens at Finish,
 // when the outcome is known. A trace survives into the SpanStore when it
@@ -91,20 +91,22 @@
 // X-Qbs-Trace-Id: each hop begins its local root span under the
 // upstream parent span ID, so the per-tier trees fetched from
 // /debug/traces/{id} merge into one tree (MergeStored; the router does
-// this on demand). Retained traces also surface as OpenMetrics
-// exemplars on the latency histograms and retry counters — the
-// "# {trace_id=...}" suffix links a dashboard's worst bucket straight
-// to a stored trace.
+// this on demand). Every trace retained under one ID — a client may send
+// the same sampled ID with every request — is one slot of at most 128
+// spans; spans merged in past that are counted in dropped_spans. The
+// traceparent is sent only when it carries the ID unchanged (16 or 32
+// lowercase hex digits); any other ID travels in X-Qbs-Trace-Id alone.
 //
 // # One ring, one /debug mux
 //
-// Everything retained — traces, the slow view, events, profiles — sits
-// in an instance of one bounded lock-free ring (ring.go): an atomic
-// cursor claims the slot, an atomic pointer store publishes an immutable
-// value. DebugMux serves it all: built from the DebugSources a tier
-// holds (tracer, journal, SLO set, flight recorder), it answers the
-// DebugRoutes — the same list, ?n= parser and JSON error body on a
-// server, a replica, the router and the -debug-addr side channel.
+// Everything retained — traces, the slow view, events — sits in an
+// instance of one bounded lock-free ring (ring.go): an atomic cursor
+// claims the slot, an atomic pointer store publishes an immutable value.
+// DebugMux serves it all: built from the DebugSources a tier holds
+// (tracer, journal), it answers the four DebugRoutes — the same list,
+// ?n= parser and JSON error body on a server, a replica, the router and
+// the -debug-addr side channel, whose net/http/pprof is where profiles
+// come from.
 //
 // # Event journal
 //
@@ -116,51 +118,12 @@
 // token-bucket rate limit — repeating failure paths default to a few
 // admitted records per second so a retry loop cannot wash out the ring)
 // and holds the returned *EventDef; Emit and EmitTrace then publish
-// into the journal's ring. Emits below the journal's minimum
-// level, and emits suppressed by the rate limiter, take an
-// allocation-free drop path — the same zero-alloc discipline as the
-// metrics primitives, gated in CI. Admitted events increment
-// qbs_events_total{component,level}; error-level admits also feed a
-// 10-second spike window (ErrorsInLast) that the flight recorder can
-// trigger on. The ring serves GET /debug/logs (?n=, ?min_level=,
-// ?component=) with events newest-first, each carrying its trace ID
-// when the emit was request-scoped — the joint key into /debug/traces.
-//
-// # SLOs and burn rates
-//
-// An SLO pairs an availability target with a latency bound: a recorded
-// request is bad when its status is a 5xx or its duration exceeds the
-// bound. Record is allocation-free (epoch-stamped 10s buckets, six
-// hours of history). BurnRate(window) is the classic SRE ratio —
-// observed bad fraction over the error budget (1 - target) — exposed
-// as qbs_slo_burn_rate{slo,window} gauges over 5m/30m/1h/6h and as
-// GET /debug/slo JSON. FastBurn trips at a 5m burn rate of 14.4 (the
-// "2% of a 30-day budget in one hour" page-now threshold), and is one
-// of the flight recorder's auto-capture triggers. Servers install
-// read- and write-availability objectives by default; the router keeps
-// its own routed-read SLO recording the status the client actually saw
-// after retries and failover.
-//
-// # Flight recorder
-//
-// The FlightRecorder is continuous profiling for the moment after an
-// incident: a background sampler that captures goroutine, heap (with
-// allocation delta), mutex, and CPU profiles into its ring —
-// every interval when started, and immediately when a registered
-// trigger (SLO fast burn, error-event spike) fires, debounced by
-// MinAutoGap. GET /debug/profiles lists retained captures with their
-// trigger attribution; GET /debug/profiles/{id} returns the raw pprof
-// bytes (X-Qbs-Profile-Kind names the profile type), so the profile of
-// the bad five minutes is still there after the process recovered.
-//
-// # Fleet view
-//
-// The router aggregates its backends' own telemetry: on a fixed
-// cadence it scrapes each backend's /metrics exposition (ParseSamples
-// reads qbs_epoch, qbs_http_inflight, qbs_events_total) and /debug/slo,
-// merges the result into qbs_fleet_backend_* gauges, and serves it as
-// GET /debug/fleet. Anomaly flags mark backends that are unreachable,
-// fast-burning, or stalled — epoch frozen across consecutive sweeps
-// while the primary's advances, the stale-but-serving failure mode a
-// liveness probe cannot see.
+// into the journal's ring. Emits below the journal's minimum level, and
+// emits suppressed by the rate limiter, take an allocation-free drop
+// path — the same zero-alloc discipline as the metrics primitives,
+// gated in CI. Admitted events increment
+// qbs_events_total{component,level}. The ring serves GET /debug/logs
+// (?n=, ?min_level=, ?component=) with events newest-first, each
+// carrying its trace ID when the emit was request-scoped — the joint
+// key into /debug/traces.
 package obs

@@ -116,26 +116,12 @@ const (
 	defaultEventBurst = 50
 )
 
-// Error-spike window: the journal counts error-level admits in 10s
-// buckets so the flight recorder can trigger on a spike.
-const (
-	errBucketNs  = int64(10 * time.Second)
-	errBucketCnt = 12 // 120s of history
-)
-
-type errBucket struct {
-	epoch atomic.Int64
-	n     atomic.Uint64
-}
-
 // Journal is a bounded ring of events plus the def table feeding it.
 // The zero value is not ready; use NewJournal.
 type Journal struct {
 	minLevel atomic.Int32
 	ring     *ring[Event]
 	reg      *Registry
-
-	errWin [errBucketCnt]errBucket
 
 	mu   sync.Mutex
 	defs map[string]*EventDef
@@ -197,40 +183,6 @@ func (j *Journal) DefRate(component, event string, level Level, perSec, burst in
 	}
 	j.defs[key] = d
 	return d
-}
-
-// noteError records one error-level admit into the spike window.
-func (j *Journal) noteError(nowNs int64) {
-	e := nowNs / errBucketNs
-	b := &j.errWin[uint64(e)%errBucketCnt]
-	if old := b.epoch.Load(); old != e {
-		if b.epoch.CompareAndSwap(old, e) {
-			b.n.Store(0)
-		}
-	}
-	b.n.Add(1)
-}
-
-// ErrorsInLast counts error-level events admitted in the trailing
-// window d (capped at the journal's 120s of history).
-func (j *Journal) ErrorsInLast(d time.Duration) uint64 {
-	if j == nil {
-		return 0
-	}
-	now := time.Now().UnixNano()
-	e := now / errBucketNs
-	k := int(int64(d)/errBucketNs) + 1
-	if k > errBucketCnt {
-		k = errBucketCnt
-	}
-	var total uint64
-	for i := 0; i < k; i++ {
-		b := &j.errWin[uint64(e-int64(i))%errBucketCnt]
-		if b.epoch.Load() == e-int64(i) {
-			total += b.n.Load()
-		}
-	}
-	return total
 }
 
 // Recent returns up to limit events, newest first, filtered to those
@@ -330,9 +282,6 @@ func (d *EventDef) emit(traceID string, attrs []Attr) {
 	ev.nattrs = uint8(n)
 	if d.counter != nil {
 		d.counter.Inc()
-	}
-	if d.level >= LevelError {
-		j.noteError(now)
 	}
 	j.ring.add(ev)
 }

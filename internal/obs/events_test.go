@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestJournalEmitAndRecent(t *testing.T) {
@@ -106,18 +105,6 @@ func TestJournalRateLimitSuppresses(t *testing.T) {
 	d.Emit()
 	if evs := j.Recent(1, LevelDebug, ""); evs[0].Suppressed != 8 {
 		t.Fatalf("Suppressed on next admit = %d, want 8", evs[0].Suppressed)
-	}
-}
-
-func TestJournalErrorsInLast(t *testing.T) {
-	j := NewJournal(16, nil)
-	e := j.Def("x", "boom", LevelError)
-	i := j.Def("x", "fine", LevelInfo)
-	e.Emit()
-	e.Emit()
-	i.Emit()
-	if got := j.ErrorsInLast(time.Minute); got != 2 {
-		t.Fatalf("ErrorsInLast = %d, want 2", got)
 	}
 }
 

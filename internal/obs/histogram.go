@@ -48,7 +48,6 @@ type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Int64
 	max     atomic.Int64
-	ex      atomic.Pointer[exemplars]
 	buckets [histBuckets]atomic.Uint64
 }
 

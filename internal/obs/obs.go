@@ -7,8 +7,7 @@ import (
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	v  atomic.Uint64
-	ex atomic.Pointer[Exemplar]
+	v atomic.Uint64
 }
 
 // Inc adds one.

@@ -71,16 +71,15 @@ func WritePrometheus(w io.Writer, regs ...*Registry) error {
 			}
 			switch m.kind {
 			case kindCounter:
-				writeSample(bw, fam, m.labels, strconv.FormatUint(m.c.Load(), 10)+m.c.Exemplar().render())
+				writeSample(bw, fam, m.labels, strconv.FormatUint(m.c.Load(), 10))
 			case kindGauge:
 				writeSample(bw, fam, m.labels, strconv.FormatInt(m.g.Load(), 10))
 			case kindGaugeFunc:
 				writeSample(bw, fam, m.labels, strconv.FormatFloat(m.fn(), 'g', -1, 64))
 			case kindHistogram:
 				for _, hq := range histQuantiles {
-					v := m.h.Quantile(hq.q)
 					writeSample(bw, fam, joinLabels(m.labels, `quantile="`+hq.label+`"`),
-						strconv.FormatInt(v, 10)+m.h.ExemplarNear(v).render())
+						strconv.FormatInt(m.h.Quantile(hq.q), 10))
 				}
 				writeSample(bw, fam+"_sum", m.labels, strconv.FormatInt(m.h.Sum(), 10))
 				writeSample(bw, fam+"_count", m.labels, strconv.FormatUint(m.h.Count(), 10))
@@ -155,14 +154,7 @@ func ValidateExposition(b []byte) error {
 			}
 			continue
 		}
-		sample := line
-		if k := strings.LastIndex(sample, " # {"); k >= 0 {
-			if err := validateExemplar(sample[k+3:]); err != nil {
-				return fmt.Errorf("line %d: %v in %q", lineNo, err, line)
-			}
-			sample = sample[:k]
-		}
-		name, labels, value, ok := splitSample(sample)
+		name, labels, value, ok := splitSample(line)
 		if !ok {
 			return fmt.Errorf("line %d: malformed sample %q", lineNo, line)
 		}
@@ -182,30 +174,6 @@ func ValidateExposition(b []byte) error {
 			closed[lastFam] = true
 		}
 		lastFam = fam
-	}
-	return nil
-}
-
-// validateExemplar checks an OpenMetrics-style exemplar suffix of the
-// form `{label="value",...} <value>`.
-func validateExemplar(s string) error {
-	if len(s) == 0 || s[0] != '{' {
-		return fmt.Errorf("malformed exemplar %q", s)
-	}
-	j := strings.IndexByte(s, '}')
-	if j < 0 {
-		return fmt.Errorf("unterminated exemplar labels %q", s)
-	}
-	labels := s[1:j]
-	if labels == "" || !strings.Contains(labels, `="`) {
-		return fmt.Errorf("malformed exemplar labels %q", labels)
-	}
-	f := strings.Fields(s[j+1:])
-	if len(f) < 1 || len(f) > 2 {
-		return fmt.Errorf("malformed exemplar value %q", s[j+1:])
-	}
-	if _, err := strconv.ParseFloat(f[0], 64); err != nil {
-		return fmt.Errorf("bad exemplar value %q", f[0])
 	}
 	return nil
 }
@@ -248,72 +216,6 @@ func splitSample(line string) (name, labels, value string, ok bool) {
 		return "", "", "", false
 	}
 	return name, labels, f[0], true
-}
-
-// Sample is one parsed exposition sample: the family name, the raw
-// label list (without braces, as registered), and the value.
-type Sample struct {
-	Name   string
-	Labels string
-	Value  float64
-}
-
-// ParseSamples parses a text-format scrape into its samples, skipping
-// comments, exemplar suffixes and malformed lines. It is the read side
-// of WritePrometheus, used by the router's fleet scraper.
-func ParseSamples(b []byte) []Sample {
-	var out []Sample
-	for _, line := range strings.Split(string(b), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if k := strings.LastIndex(line, " # {"); k >= 0 {
-			line = line[:k]
-		}
-		name, labels, value, ok := splitSample(line)
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, Sample{Name: name, Labels: labels, Value: v})
-	}
-	return out
-}
-
-// Label extracts one label's value from a Sample's raw label list.
-func (s Sample) Label(key string) (string, bool) {
-	rest := s.Labels
-	for rest != "" {
-		eq := strings.Index(rest, `="`)
-		if eq < 0 {
-			return "", false
-		}
-		k := rest[:eq]
-		rest = rest[eq+2:]
-		end := strings.IndexByte(rest, '"')
-		// Registered label values are pre-escaped; values containing
-		// escaped quotes are not produced by EscapeLabel consumers'
-		// keys, so a plain scan suffices here.
-		for end > 0 && rest[end-1] == '\\' {
-			next := strings.IndexByte(rest[end+1:], '"')
-			if next < 0 {
-				return "", false
-			}
-			end += 1 + next
-		}
-		if end < 0 {
-			return "", false
-		}
-		if k == key {
-			return strings.NewReplacer(`\\`, `\`, `\n`, "\n", `\"`, `"`).Replace(rest[:end]), true
-		}
-		rest = rest[end+1:]
-		rest = strings.TrimPrefix(rest, ",")
-	}
-	return "", false
 }
 
 func validMetricName(s string) bool {

@@ -3,7 +3,7 @@ package obs
 import "sync/atomic"
 
 // ring is the one bounded buffer behind everything this package retains
-// — span store, slow-query view, journal, flight recorder. An atomic
+// — span store, slow-query view, journal. An atomic
 // cursor claims a slot and an atomic pointer store publishes the value,
 // which is immutable from then on: writers never block, and a reader
 // sees a whole value or none. Once full, the oldest value is overwritten.

@@ -24,6 +24,10 @@ const (
 	// maxTraceSpans bounds one trace's in-flight span buffer. Spans
 	// started past the cap are counted in Dropped rather than recorded.
 	maxTraceSpans = 32
+	// maxStoredSpans bounds one stored trace: the merge of every tier,
+	// and every request, that retained spans under its ID. Spans merged
+	// in past the cap are counted in DroppedSpans rather than stored.
+	maxStoredSpans = 4 * maxTraceSpans
 	// maxSpanAttrs bounds per-span attributes.
 	maxSpanAttrs = 4
 	// freelistCap bounds the tracer's TraceBuf arena.
@@ -53,7 +57,6 @@ type Span struct {
 	ended  bool
 	nattrs uint8
 	attrs  [maxSpanAttrs]Attr
-	hist   *Histogram // see Exemplify
 }
 
 // attrMap is the JSON-ready form of a span's or an event's attributes;
@@ -107,15 +110,6 @@ func (s *Span) SetInt(key string, val int64) {
 	}
 	s.attrs[s.nattrs] = Attr{Key: key, Int: val, IsInt: true}
 	s.nattrs++
-}
-
-// Exemplify names h as the histogram the span's duration was observed
-// into: if the trace is retained, Finish attaches the span there as an
-// exemplar. Nil-safe.
-func (s *Span) Exemplify(h *Histogram) {
-	if s != nil {
-		s.hist = h
-	}
 }
 
 // Fail marks the span (and therefore its trace) as errored.
@@ -426,9 +420,6 @@ func (tb *TraceBuf) snapshot(errored bool) *StoredTrace {
 		if i == 0 {
 			out.ParentID = spanIDString(tb.remoteParent)
 		}
-		if sp.hist != nil && sp.Dur > 0 {
-			sp.hist.SetExemplar(int64(sp.Dur), tb.TraceID)
-		}
 		st.Spans[i] = out
 	}
 	return st
@@ -480,8 +471,10 @@ func (s *SpanStore) Recent(limit int, minDur time.Duration, errOnly bool) []*Sto
 }
 
 // MergeStored folds src's spans into dst (same trace ID), deduplicating
-// by span ID. dst's root metadata wins; src-only spans are appended.
-// Either side may be nil.
+// by span ID. dst's root metadata wins; src-only spans are appended up
+// to maxStoredSpans and counted in DroppedSpans past it, so a client
+// that sends one sampled trace ID with every request holds one bounded
+// slot, merged in constant time. Either side may be nil.
 func MergeStored(dst, src *StoredTrace) *StoredTrace {
 	if dst == nil {
 		return src
@@ -503,7 +496,11 @@ func MergeStored(dst, src *StoredTrace) *StoredTrace {
 		seen[sp.SpanID] = true
 	}
 	for _, sp := range src.Spans {
-		if !seen[sp.SpanID] {
+		switch {
+		case seen[sp.SpanID]:
+		case len(out.Spans) >= maxStoredSpans:
+			out.DroppedSpans++
+		default:
 			seen[sp.SpanID] = true
 			out.Spans = append(out.Spans, sp)
 		}
@@ -533,10 +530,15 @@ func (st *StoredTrace) Summary() TraceSummary {
 	}
 }
 
-// FormatTraceparent renders the W3C traceparent header value. Trace
-// IDs shorter than 32 hex chars (QbS mints 16) are left-padded with
-// zeros; parent is the span the next hop should attach under.
+// FormatTraceparent renders the W3C traceparent header value, or ""
+// when traceparent cannot carry traceID (see carriesTraceID): the hop
+// then gets TraceHeader alone. A 16-hex ID (QbS mints them) is
+// left-padded with zeros; parent is the span the next hop should attach
+// under.
 func FormatTraceparent(traceID string, parent uint64, sampled bool) string {
+	if !carriesTraceID(traceID) {
+		return ""
+	}
 	var b strings.Builder
 	b.Grow(55)
 	b.WriteString("00-")
@@ -583,6 +585,24 @@ func ParseTraceparent(v string) (traceID string, parent uint64, sampled, ok bool
 	}
 	sampled = fb[0]&1 == 1
 	return id, parent, sampled, true
+}
+
+// carriesTraceID reports whether a traceparent header can carry id so
+// that ParseTraceparent on the next hop reads back the same string: 16
+// or 32 lowercase hex digits (W3C trace-context forbids uppercase), the
+// 32-digit form not beginning with 16 zeros (it would be read back as
+// its last 16), and not all zeros (W3C's invalid ID). Any other ID a
+// client may send under TraceHeader travels in that header alone.
+func carriesTraceID(id string) bool {
+	if len(id) != 16 && !(len(id) == 32 && strings.TrimLeft(id[:16], "0") != "") {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false
+		}
+	}
+	return strings.TrimLeft(id, "0") != ""
 }
 
 func isHex(s string) bool {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -253,6 +254,24 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatalf("foreign parse = %q %v %v", id, sampled, ok)
 	}
 
+	// An ID traceparent cannot carry so that the next hop reads back the
+	// same string is not formatted at all: the hop gets TraceHeader alone.
+	for _, id := range []string{
+		"", "incident0123456789abcdef", "req-42", "abc", "0123456789ABCDEF",
+		"0123456789abcdef0123", strings.Repeat("a", 36), "0000000000000000",
+		"00000000000000000123456789abcdef", strings.Repeat("0", 32),
+	} {
+		if v := FormatTraceparent(id, 1, true); v != "" {
+			t.Fatalf("formatted %q as %q", id, v)
+		}
+	}
+	for _, id := range []string{"0123456789abcdef", foreign, "000000000000000f", "0000000000000001" + "0123456789abcdef"} {
+		got, parent, sampled, ok := ParseTraceparent(FormatTraceparent(id, 7, true))
+		if !ok || got != id || parent != 7 || !sampled {
+			t.Fatalf("%q round-trips to %q %x %v %v", id, got, parent, sampled, ok)
+		}
+	}
+
 	for _, bad := range []string{
 		"", "00", "01-00000000000000000123456789abcdef-000000000000feed-01",
 		"00-zz000000000000000123456789abcdef-000000000000feed-01",
@@ -287,6 +306,56 @@ func TestMergeStored(t *testing.T) {
 	}
 }
 
+// TestReusedTraceIDStaysBounded: a client that sends the same sampled
+// trace ID with every request (traceparent flag 01 forces retention)
+// folds every request's spans into one span-store slot. The slot stops
+// at maxStoredSpans, the rest are counted in DroppedSpans, and each
+// merge costs the same however many came before: the last thousand
+// requests allocate no more than the second thousand did.
+func TestReusedTraceIDStaysBounded(t *testing.T) {
+	const requests, spansPerRequest = 4000, 7
+	tr := NewTracer(8)
+	tr.SetSlowThreshold(time.Hour)
+	request := func() {
+		tb := tr.Begin("/spg", "0123456789abcdef", 0, true)
+		for i := 1; i < spansPerRequest; i++ {
+			tb.StartSpan("stage").End()
+		}
+		tr.Finish(tb)
+	}
+	var ms runtime.MemStats
+	allocated := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	var second, last uint64
+	for i := 0; i < requests; i++ {
+		switch i {
+		case 1000:
+			second = allocated()
+		case 2000:
+			second = allocated() - second
+		case 3000:
+			last = allocated()
+		}
+		request()
+	}
+	last = allocated() - last
+	st := tr.Store().Get("0123456789abcdef")
+	if st == nil {
+		t.Fatal("the reused trace was not retained")
+	}
+	if len(st.Spans) != maxStoredSpans {
+		t.Fatalf("stored trace holds %d spans, want the cap %d", len(st.Spans), maxStoredSpans)
+	}
+	if want := requests*spansPerRequest - maxStoredSpans; st.DroppedSpans != want {
+		t.Fatalf("DroppedSpans %d, want %d", st.DroppedSpans, want)
+	}
+	if last > second+second/2 {
+		t.Fatalf("requests 3000-4000 allocated %d B, 1000-2000 %d B: merging grows with the slot", last, second)
+	}
+}
+
 func TestFinishDropPathZeroAllocs(t *testing.T) {
 	tr := NewTracer(8)
 	tr.SetSlowThreshold(time.Hour)
@@ -306,64 +375,49 @@ func TestFinishDropPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestExemplarRendering: the text format (0.0.4) has no exemplar
+// syntax, so every sample the encoder writes — histogram quantiles and
+// counters included — is the series and its value and nothing after.
 func TestExemplarRendering(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("qbs_test_latency_ns", `endpoint="/spg"`)
 	c := reg.Counter("qbs_test_retries_total", "")
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(int64(1000 + i))
+		c.Inc()
 	}
-	h.SetExemplar(1050, "abc123")
-	c.Inc()
-	c.SetExemplar("def456")
-
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, reg); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	if !strings.Contains(text, `# {trace_id="abc123"} 1050`) {
-		t.Fatalf("histogram exemplar missing:\n%s", text)
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if !strings.HasPrefix(line, "# TYPE ") && len(strings.Fields(line)) != 2 {
+			t.Fatalf("sample %q is not a series and a value", line)
+		}
 	}
-	if !strings.Contains(text, `qbs_test_retries_total 1 # {trace_id="def456"} 1`) {
-		t.Fatalf("counter exemplar missing:\n%s", text)
+	if !strings.Contains(text, "\nqbs_test_retries_total 100\n") {
+		t.Fatalf("counter sample missing:\n%s", text)
 	}
 	if err := ValidateExposition([]byte(text)); err != nil {
-		t.Fatalf("exposition with exemplars invalid: %v\n%s", err, text)
+		t.Fatalf("exposition invalid: %v\n%s", err, text)
 	}
 }
 
+// TestValidateExpositionRejectsBadExemplar: the text format (0.0.4) has
+// no exemplar syntax, so no exemplar suffix is a valid sample — not even
+// a well-formed OpenMetrics one.
 func TestValidateExpositionRejectsBadExemplar(t *testing.T) {
 	for _, bad := range []string{
 		"qbs_x_total 1 # {trace_id=\"a\"}\n",      // missing value
 		"qbs_x_total 1 # {trace_id} 1\n",          // malformed labels
 		"qbs_x_total 1 # {trace_id=\"a\"} nope\n", // bad value
+		"qbs_x_total 1 # {trace_id=\"a\"} 1\n",
+		"qbs_x{quantile=\"0.5\"} 1 # {trace_id=\"a\"} 1\n",
 	} {
 		if err := ValidateExposition([]byte(bad)); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
-	}
-	good := "qbs_x_total 1 # {trace_id=\"a\"} 1\n"
-	if err := ValidateExposition([]byte(good)); err != nil {
-		t.Fatalf("rejected %q: %v", good, err)
-	}
-}
-
-func TestExemplarNearPrefersOctave(t *testing.T) {
-	h := NewHistogram()
-	h.SetExemplar(100, "low")
-	h.SetExemplar(1_000_000, "high")
-	if e := h.ExemplarNear(120); e == nil || e.TraceID != "low" {
-		t.Fatalf("near low = %+v", e)
-	}
-	if e := h.ExemplarNear(900_000); e == nil || e.TraceID != "high" {
-		t.Fatalf("near high = %+v", e)
-	}
-	if e := h.ExemplarNear(1 << 40); e == nil || e.TraceID != "high" {
-		t.Fatalf("above all = %+v", e)
-	}
-	if NewHistogram().ExemplarNear(5) != nil {
-		t.Fatal("empty histogram must have no exemplar")
 	}
 }
 

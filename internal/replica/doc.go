@@ -92,10 +92,10 @@
 // GET /debug/traces lists each tier's retained traces; GET
 // /debug/traces/{id} on the router assembles the full cross-process
 // tree by merging its own spans with each backend's view of the same
-// trace ID (backends that dropped the trace contribute nothing). The
-// router's retry counter and latency histogram carry OpenMetrics
-// exemplars naming retained trace IDs, linking alert series to stored
-// trees; see internal/obs and README "Distributed tracing".
+// trace ID (backends that dropped the trace contribute nothing); see
+// internal/obs and README "Distributed tracing". A client trace ID that
+// traceparent cannot carry unchanged (anything but 16 or 32 lowercase
+// hex digits) is forwarded in X-Qbs-Trace-Id alone.
 //
 // # Retention leases
 //

@@ -16,11 +16,13 @@ import (
 	"qbs/internal/obs"
 )
 
-// traceBackend records the X-Qbs-Trace-Id of every query that reaches
-// it and can be told to answer 503 (the retriable signal).
+// traceBackend records the X-Qbs-Trace-Id and traceparent of every
+// query that reaches it and can be told to answer 503 (the retriable
+// signal).
 type traceBackend struct {
 	mu    sync.Mutex
 	ids   []string
+	tps   []string // traceparent headers, "" where none was sent
 	fail  atomic.Bool
 	epoch uint64
 	ts    *httptest.Server
@@ -36,6 +38,7 @@ func newTraceBackend(t *testing.T, epoch uint64) *traceBackend {
 		}
 		b.mu.Lock()
 		b.ids = append(b.ids, r.Header.Get(obs.TraceHeader))
+		b.tps = append(b.tps, r.Header.Get(obs.TraceparentHeader))
 		b.mu.Unlock()
 		if b.fail.Load() {
 			http.Error(w, "behind", http.StatusServiceUnavailable)
@@ -52,6 +55,13 @@ func (b *traceBackend) seen() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]string(nil), b.ids...)
+}
+
+// lastTraceparent is the traceparent header of the latest query.
+func (b *traceBackend) lastTraceparent() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.tps[len(b.tps)-1]
 }
 
 // TestRouterInjectsTraceID: a read without a client trace ID reaches
@@ -173,12 +183,19 @@ func TestRouterPrometheusMetrics(t *testing.T) {
 // what the backend sees); anything else — an ID that could never be
 // looked up under /debug/traces/{id} — is replaced by a fresh 16-hex
 // one, the request served all the same; a valid traceparent wins over
-// the header either way.
+// the header either way. Whatever the client sent, the traceparent the
+// router forwards is absent or parses back to the echoed ID under the
+// router's attempt span — present whenever that ID is 16 hex digits,
+// as every minted one is.
 func TestTraceIDIntakeAcrossTiers(t *testing.T) {
 	p := newPrimaryFixture(t, 0, PrimaryOptions{})
 	upstream := newTraceBackend(t, 5)
-	rt := NewRouter(upstream.ts.URL, nil, RouterOptions{HealthInterval: time.Hour, FleetInterval: -1, Seed: 1})
+	rt := NewRouter(upstream.ts.URL, nil, RouterOptions{HealthInterval: time.Hour, Seed: 1})
 	defer rt.Stop()
+	tracer := obs.NewTracer(64)
+	tracer.SetSlowThreshold(0) // retain every trace, so each attempt span can be looked up
+	rt.SetTracer(tracer)
+	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	minted := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	const traceparent = "00-0000000000000000feedc0ffee000001-00000000000000aa-01"
 	for _, tc := range []struct {
@@ -213,8 +230,32 @@ func TestTraceIDIntakeAcrossTiers(t *testing.T) {
 			if tc.want != "" && got[0] != tc.want || tc.want == "" && (!minted.MatchString(got[0]) || got[0] == tc.header) {
 				t.Errorf("%s, %s: trace ID %q, want %q (empty: a minted one)", tier, tc.name, got[0], tc.want)
 			}
-			if seen := upstream.seen(); tier == "router" && seen[len(seen)-1] != got[0] {
+			if tier != "router" {
+				continue
+			}
+			if seen := upstream.seen(); seen[len(seen)-1] != got[0] {
 				t.Errorf("router, %s: backend saw trace ID %q, the client %q", tc.name, seen[len(seen)-1], got[0])
+			}
+			tp := upstream.lastTraceparent()
+			if tp == "" {
+				if hex16.MatchString(got[0]) {
+					t.Errorf("router, %s: no traceparent forwarded for trace ID %q", tc.name, got[0])
+				}
+				continue
+			}
+			id, parent, _, ok := obs.ParseTraceparent(tp)
+			if !ok || id != got[0] {
+				t.Errorf("router, %s: forwarded traceparent %q parses to %q (ok %v), want trace ID %q", tc.name, tp, id, ok, got[0])
+				continue
+			}
+			attempt := false
+			if st := tracer.Store().Get(got[0]); st != nil {
+				for _, sp := range st.Spans {
+					attempt = attempt || sp.Name == "router.attempt" && sp.SpanID == fmt.Sprintf("%016x", parent)
+				}
+			}
+			if !attempt {
+				t.Errorf("router, %s: forwarded traceparent %q names no router.attempt span as its parent", tc.name, tp)
 			}
 		}
 	}

@@ -477,9 +477,7 @@ func (r *Replica) pollOnce() (int, error) {
 		return len(ops), fmt.Errorf("replica: index at epoch %d after applying through %d — local writes bypassed the tail loop; restart the replica",
 			r.d.Epoch(), ops[len(ops)-1].Epoch)
 	}
-	if st := obs.DefaultTracer.Finish(tb); st != nil {
-		r.applyNs.SetExemplar(int64(applyDur), st.TraceID)
-	}
+	obs.DefaultTracer.Finish(tb)
 	r.fetched.Add(uint64(len(ops)))
 	return len(ops), nil
 }

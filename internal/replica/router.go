@@ -29,10 +29,9 @@ type RouterOptions struct {
 	// Journal receives the router's structured events — backend
 	// evictions, readmissions, primary failovers (nil = obs.DefaultJournal).
 	Journal *obs.Journal
-	// FleetInterval is the fleet-view scrape cadence: how often the
-	// router pulls each backend's /metrics and /debug/slo for
-	// /debug/fleet (0 = 2s, negative disables the background sweeps;
-	// /debug/fleet then scrapes on demand).
+	// FleetInterval is ignored: the router scrapes no backend telemetry.
+	// The field remains only because the frozen benchmark directory
+	// sets it, and the next benchmark change removes it.
 	FleetInterval time.Duration
 }
 
@@ -51,9 +50,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.Journal == nil {
 		o.Journal = obs.DefaultJournal
-	}
-	if o.FleetInterval == 0 {
-		o.FleetInterval = 2 * time.Second
 	}
 	return o
 }
@@ -89,7 +85,7 @@ type Router struct {
 	// Routing-decision series on the router's own registry: per-backend
 	// pick counters and healthy/epoch/inflight gauges, plus totals for
 	// read retries and primary failovers and the proxied-request latency
-	// histogram (with exemplars linking to retained traces).
+	// histogram.
 	reg       *obs.Registry
 	retries   *obs.Counter
 	failovers *obs.Counter
@@ -97,16 +93,11 @@ type Router struct {
 
 	// Health & diagnostics control plane, served by obs.DebugMux over
 	// src: proxied requests are traced, routing-state transitions go to
-	// the journal, routed reads feed an availability SLO, the flight
-	// recorder auto-captures on fast burn or error spikes; the fleet
-	// scraper aggregates every backend's view under /debug/fleet.
+	// the journal.
 	src          obs.DebugSources
 	evEvicted    *obs.EventDef
 	evReadmitted *obs.EventDef
 	evFailover   *obs.EventDef
-	sloRead      *obs.SLO
-	ownFlight    bool // Stop() only stops a recorder the router created
-	fleet        *fleetState
 	local        *http.ServeMux // what the router answers itself, never proxies
 
 	stop chan struct{}
@@ -115,35 +106,6 @@ type Router struct {
 
 // Journal returns the journal the router's events land in.
 func (rt *Router) Journal() *obs.Journal { return rt.src.Journal }
-
-// SLOs returns the router's SLO set (the routed-read availability SLO).
-func (rt *Router) SLOs() *obs.SLOSet { return rt.src.SLOs }
-
-// FlightRecorder returns the router's profile flight recorder.
-func (rt *Router) FlightRecorder() *obs.FlightRecorder { return rt.src.Flight }
-
-// SetFlightRecorder replaces the router's flight recorder (e.g. with
-// the process-wide obs.DefaultFlightRecorder) and registers the
-// router's auto-capture triggers on it. The caller owns its lifecycle.
-func (rt *Router) SetFlightRecorder(f *obs.FlightRecorder) {
-	if f == nil {
-		return
-	}
-	rt.src.Flight = f
-	rt.ownFlight = false
-	rt.registerFlightTriggers(f)
-}
-
-// errorSpikeEvents is the error-level journal volume (over the last
-// 10s) that trips the flight recorder's error_event_spike trigger.
-const errorSpikeEvents = 5
-
-func (rt *Router) registerFlightTriggers(f *obs.FlightRecorder) {
-	f.AddTrigger("slo_fast_burn", rt.src.SLOs.FastBurn)
-	f.AddTrigger("error_event_spike", func() bool {
-		return rt.src.Journal.ErrorsInLast(10*time.Second) >= errorSpikeEvents
-	})
-}
 
 // setHealthy flips b's routing bit and journals the transition; the
 // trace ID (set on request-path evictions) ties the eviction to the
@@ -193,7 +155,6 @@ func (rt *Router) registerBackend(b *backend, role string) {
 	rt.reg.GaugeFunc("qbs_router_backend_inflight", lbl, func() float64 {
 		return float64(b.inflight.Load())
 	})
-	rt.registerFleetSeries(b)
 }
 
 // NewRouter builds a router over one primary and any number of replica
@@ -217,22 +178,16 @@ func NewRouter(primaryURL string, replicaURLs []string, opts RouterOptions) *Rou
 	rt.src = obs.DebugSources{
 		Tracer:  obs.DefaultTracer,
 		Journal: opts.Journal,
-		SLOs:    obs.NewSLOSet(rt.reg),
-		Flight:  obs.NewFlightRecorder(16),
 	}
 	rt.evEvicted = opts.Journal.Def("router", "backend_evicted", obs.LevelWarn)
 	rt.evReadmitted = opts.Journal.Def("router", "backend_readmitted", obs.LevelInfo)
 	rt.evFailover = opts.Journal.Def("router", "primary_failover", obs.LevelError)
-	rt.sloRead = rt.src.SLOs.Add(obs.NewSLO("routed-read-availability", "read", 0.999, 500*time.Millisecond))
-	rt.ownFlight = true
-	rt.registerFlightTriggers(rt.src.Flight)
-	rt.fleet = newFleetState()
 	// /healthz and /metrics are the router's own — a load balancer
 	// health-checking the router must observe the router's ability to
 	// route, not one random backend's health, and the routing table is
 	// state only the router has — and so is everything under /debug/:
-	// the mux every tier mounts, the fleet view, and a trace lookup that
-	// also asks the backends. HEAD answers 200 with no body, mirroring
+	// the mux every tier mounts, with a trace lookup that also asks the
+	// backends. HEAD answers 200 with no body, mirroring
 	// the backend muxes, without rendering either local payload.
 	headOK := func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) }
 	rt.local = http.NewServeMux()
@@ -241,7 +196,6 @@ func NewRouter(primaryURL string, replicaURLs []string, opts RouterOptions) *Rou
 	rt.local.HandleFunc("GET /healthz", rt.serveHealthz)
 	rt.local.HandleFunc("GET /metrics", rt.serveMetrics)
 	rt.local.Handle("/debug/", obs.DebugMux(&rt.src))
-	rt.local.HandleFunc("GET /debug/fleet", rt.serveFleet)
 	rt.local.HandleFunc("GET /debug/traces/{id}", rt.serveTraceByID)
 	rt.primary.healthy.Store(true)
 	rt.registerBackend(rt.primary, "primary")
@@ -253,10 +207,6 @@ func NewRouter(primaryURL string, replicaURLs []string, opts RouterOptions) *Rou
 	rt.sweep()
 	rt.wg.Add(1)
 	go rt.healthLoop()
-	if opts.FleetInterval > 0 {
-		rt.wg.Add(1)
-		go rt.fleetLoop()
-	}
 	return rt
 }
 
@@ -269,9 +219,6 @@ func (rt *Router) Stop() {
 		close(rt.stop)
 	}
 	rt.wg.Wait()
-	if rt.ownFlight {
-		rt.src.Flight.Stop()
-	}
 	rt.probeTransport.CloseIdleConnections()
 }
 
@@ -371,21 +318,15 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	root := tb.Root()
 	root.SetStr("method", r.Method)
 	root.SetStr("path", r.URL.Path)
-	// Routed reads feed the availability SLO with the status the client
-	// actually saw (200 until a handler says otherwise).
+	// The root records the status the client actually saw (200 until a
+	// handler says otherwise).
 	sw := &obs.StatusWriter{ResponseWriter: w}
 	w = sw
 	start := time.Now()
 	defer func() {
-		dur := time.Since(start)
-		rt.latency.Observe(dur)
-		if isRead {
-			rt.sloRead.Record(int64(dur), sw.Status())
-		}
+		rt.latency.Observe(time.Since(start))
 		root.SetInt("status", int64(sw.Status()))
-		if st := tracer.Finish(tb); st != nil {
-			rt.latency.SetExemplar(int64(dur), st.TraceID)
-		}
+		tracer.Finish(tb)
 	}()
 	if !isRead {
 		// Writes are forwarded exactly once: a retry could double-apply.
@@ -400,9 +341,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for attempt, b := range rt.pick() {
 		if attempt > 0 {
 			rt.retries.Inc()
-			// The retry exemplar links the counter a dashboard alerts on
-			// to a retained trace showing which attempt failed and where.
-			rt.retries.SetExemplar(traceID)
 			if b == rt.primary {
 				rt.failovers.Inc()
 				// Request-scoped: the event shares the request's trace ID
@@ -497,7 +435,12 @@ func (rt *Router) forward(b *backend, w http.ResponseWriter, r *http.Request, re
 	if sp != nil {
 		parent = sp.ID
 	}
-	req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(tid, parent, tb.Sampled()))
+	// A client ID traceparent cannot carry unchanged travels in the
+	// trace header alone: the backend then roots its spans without a
+	// parent and samples by its own rules.
+	if tp := obs.FormatTraceparent(tid, parent, tb.Sampled()); tp != "" {
+		req.Header.Set(obs.TraceparentHeader, tp)
+	}
 	resp, err := rt.opts.Client.Do(req)
 	if err != nil {
 		sp.Fail()

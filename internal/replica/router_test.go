@@ -333,8 +333,8 @@ func TestRouterNeverForwardsDebug(t *testing.T) {
 			case r.URL.Path == "/epoch":
 				fmt.Fprint(w, `{"epoch":1,"edges":0}`)
 			case r.Header.Get(obs.TraceHeader) != "" && strings.HasPrefix(r.URL.Path, "/debug/"):
-				// Forwarded: the router's own scrapes (fleet view, trace
-				// merge) carry no trace header.
+				// Forwarded: the router's own trace merge carries no trace
+				// header.
 				forwarded.Add(1)
 			default:
 				fmt.Fprint(w, `{}`)
@@ -344,7 +344,7 @@ func TestRouterNeverForwardsDebug(t *testing.T) {
 		return ts
 	}
 	prim, r1 := upstream(), upstream()
-	rt := NewRouter(prim.URL, []string{r1.URL}, RouterOptions{HealthInterval: time.Hour, FleetInterval: -1, Seed: 1})
+	rt := NewRouter(prim.URL, []string{r1.URL}, RouterOptions{HealthInterval: time.Hour, Seed: 1})
 	defer rt.Stop()
 	tracer := obs.NewTracer(8)
 	tracer.SetSlowThreshold(0)
@@ -361,10 +361,10 @@ func TestRouterNeverForwardsDebug(t *testing.T) {
 	}
 	before := picks()
 	for path, want := range map[string]int{
-		"/debug/slowlog": 200, "/debug/traces": 200, "/debug/logs": 200, "/debug/slo": 200,
-		"/debug/profiles": 200, "/debug/fleet": 200,
+		"/debug/slowlog": 200, "/debug/traces": 200, "/debug/logs": 200,
+		"/debug/slo": 404, "/debug/profiles": 404, "/debug/fleet": 404,
 		"/debug/pprof/": 404, "/debug/nothing": 404, "/debug/traces/ffffffffffffffff": 404,
-		"/debug/logs?n=abc": 400, "/debug/profiles/x": 400,
+		"/debug/logs?n=abc": 400,
 	} {
 		for _, method := range []string{"GET", "HEAD"} {
 			rec := httptest.NewRecorder()

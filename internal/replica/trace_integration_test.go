@@ -105,9 +105,8 @@ func attrInt(sp obs.StoredSpan, key string) (int64, bool) {
 // router's /debug/traces/{id} — is one tree: the router root, both
 // per-attempt child spans (backend + attempt + status attrs), the
 // primary server's root parented to the successful attempt via
-// traceparent, and the engine's stage spans beneath it. The retry
-// counter and the router latency histogram carry exemplars naming the
-// same trace ID.
+// traceparent, and the engine's stage spans beneath it. The retry is
+// counted in the router's exposition.
 func TestTraceTreeAcrossTiersWithFailover(t *testing.T) {
 	fix := newPrimaryFixture(t, 1<<20, PrimaryOptions{})
 
@@ -227,24 +226,10 @@ func TestTraceTreeAcrossTiersWithFailover(t *testing.T) {
 		}
 	}
 
-	// The retry counter's exemplar and the router latency histogram both
-	// link back to this trace in the Prometheus exposition.
+	// The failover is counted in the router's exposition.
 	rtText := fetchProm(t, rtTS.URL)
-	if !strings.Contains(rtText, `qbs_router_retries_total 1 # {trace_id="`+traceID+`"} 1`) {
-		t.Fatalf("retries counter lacks the failover exemplar:\n%s", rtText)
-	}
-	if !strings.Contains(rtText, `trace_id="`+traceID+`"} `) {
-		t.Fatal("router exposition carries no exemplar for the trace")
-	}
-	re := `qbs_router_request_ns{quantile=`
-	found := false
-	for _, line := range strings.Split(rtText, "\n") {
-		if strings.HasPrefix(line, re) && strings.Contains(line, `trace_id="`+traceID+`"`) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("router latency histogram lacks a trace exemplar:\n%s", rtText)
+	if !strings.Contains(rtText, "\nqbs_router_retries_total 1\n") {
+		t.Fatalf("retries counter does not read 1:\n%s", rtText)
 	}
 
 	// Build info rides along on the router mux (process-wide registry).

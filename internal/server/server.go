@@ -118,8 +118,8 @@ type Server struct {
 	reg   *obs.Registry
 	extra []*obs.Registry
 	// The tracer (span recording, tail sampling, the slow-query log read
-	// off its retained traces), event journal, per-endpoint objectives
-	// and profile ring: what obs.DebugMux serves under /debug/.
+	// off its retained traces) and event journal: what obs.DebugMux
+	// serves under /debug/.
 	src   obs.DebugSources
 	evErr *obs.EventDef            // http request_error events (5xx)
 	eps   map[string]*endpointView // registry-backed per-endpoint views
@@ -134,15 +134,12 @@ type Server struct {
 	engEntries *obs.Counter
 }
 
-// endpointView holds one endpoint's registry-backed series plus the
-// objective scoring it (nil when none is declared). slo is bound at
-// setup time, before the server starts serving.
+// endpointView holds one endpoint's registry-backed series.
 type endpointView struct {
 	requests *obs.Counter
 	errors   *obs.Counter
 	inflight *obs.Gauge
 	latency  *obs.Histogram
-	slo      *obs.SLO
 }
 
 // Registry returns the server's metrics registry.
@@ -179,31 +176,6 @@ func (s *Server) SetJournal(j *obs.Journal) {
 	if j != nil {
 		s.src.Journal = j
 		s.evErr = j.Def("http", "request_error", obs.LevelError)
-	}
-}
-
-// SLOs returns the server's objective set. Objectives added through
-// AddSLO before serving are scored by the request middleware.
-func (s *Server) SLOs() *obs.SLOSet { return s.src.SLOs }
-
-// AddSLO declares an objective and binds it to the endpoint it scores.
-// Call before serving; the middleware reads the binding without a lock.
-func (s *Server) AddSLO(slo *obs.SLO) *obs.SLO {
-	s.src.SLOs.Add(slo)
-	if ep, ok := s.eps[slo.Endpoint]; ok {
-		ep.slo = slo
-	}
-	return slo
-}
-
-// FlightRecorder returns the server's profile ring.
-func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.src.Flight }
-
-// SetFlightRecorder replaces the flight recorder
-// (obs.DefaultFlightRecorder by default). Call before serving.
-func (s *Server) SetFlightRecorder(f *obs.FlightRecorder) {
-	if f != nil {
-		s.src.Flight = f
 	}
 }
 
@@ -275,7 +247,6 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 			ep.errors.Inc()
 		}
 		ep.latency.Observe(dur)
-		ep.slo.Record(int64(dur), status)
 		root := tb.Root()
 		root.SetInt("status", int64(status))
 		if status >= 500 {
@@ -285,10 +256,7 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 			s.evErr.EmitTrace(tb.TraceID, obs.Str("endpoint", name), obs.Int("status", int64(status)))
 			root.Fail()
 		}
-		if st := tracer.Finish(tb); st != nil {
-			// Retained traces become the exemplars dashboards link from.
-			ep.latency.SetExemplar(int64(dur), st.TraceID)
-		}
+		tracer.Finish(tb)
 	})
 }
 
@@ -335,8 +303,6 @@ func (s *Server) routes() {
 	s.src = obs.DebugSources{
 		Tracer:  obs.DefaultTracer,
 		Journal: obs.DefaultJournal,
-		SLOs:    obs.NewSLOSet(s.reg),
-		Flight:  obs.DefaultFlightRecorder,
 	}
 	s.evErr = s.src.Journal.Def("http", "request_error", obs.LevelError)
 	s.eps = map[string]*endpointView{}
@@ -381,19 +347,6 @@ func (s *Server) routes() {
 		// Allow rather than falling through to a 404/400.
 		s.mux.HandleFunc("/edges", s.handleEdgesMethodNotAllowed)
 		s.handle("POST /checkpoint", "/checkpoint", s.handleCheckpoint)
-	}
-	s.defaultSLOs()
-}
-
-// Default objectives, declared for every server so /debug/slo and the
-// qbs_slo_burn_rate series answer out of the box: reads must be 99.9%
-// available and answer within 250ms; writes 99.9% available.
-const defaultReadSLOLatency = 250 * time.Millisecond
-
-func (s *Server) defaultSLOs() {
-	s.AddSLO(obs.NewSLO("read-availability", "/spg", 0.999, defaultReadSLOLatency))
-	if s.writable {
-		s.AddSLO(obs.NewSLO("write-availability", "/edges", 0.999, 0))
 	}
 }
 
@@ -464,13 +417,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // recordStage records one measured stage of the request: into the
-// stage's histogram and as a child span of the request, which becomes
-// the histogram's exemplar if the trace is retained.
+// stage's histogram and as a child span of the request.
 func (s *Server) recordStage(tb *obs.TraceBuf, stage obs.Stage, start time.Time, dur time.Duration) *obs.Span {
 	s.stage[stage].ObserveNs(int64(dur))
-	sp := tb.AddSpan(stage.SpanName(), start, dur)
-	sp.Exemplify(s.stage[stage])
-	return sp
+	return tb.AddSpan(stage.SpanName(), start, dur)
 }
 
 // endParse closes the parse stage, begun at start: handler entry through

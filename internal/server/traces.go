@@ -3,7 +3,7 @@ package server
 import "qbs/internal/obs"
 
 // The /debug/ endpoints of every server mode — traces, slow-query log,
-// event journal, objectives, profiles — are obs.DebugMux's, over the
+// event journal — are obs.DebugMux's, over the
 // server's own sources; obs.DebugRoutes documents them. The bodies they
 // answer with are named here for the package's clients.
 

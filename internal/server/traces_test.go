@@ -3,8 +3,8 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
-	"time"
 
 	"qbs/internal/obs"
 )
@@ -141,27 +141,34 @@ func TestSlowLogTraceLinkAndLimit(t *testing.T) {
 	}
 }
 
-// TestExemplarOnRetainedTrace: once a trace is retained, the endpoint's
-// latency histogram exposes an exemplar carrying that trace ID.
+// TestExemplarOnRetainedTrace: a retained trace is found by its ID under
+// /debug/traces, not through the exposition: the endpoint's latency and
+// stage series it was observed into render with no exemplar suffix, in a
+// scrape a text-format parser accepts.
 func TestExemplarOnRetainedTrace(t *testing.T) {
 	s := testServer(t)
-	isolatedTracer(s)
+	tr := isolatedTracer(s)
 
 	req := httptest.NewRequest("GET", "/spg?u=0&v=3", nil)
 	req.Header.Set(obs.TraceHeader, "cafe000000000099")
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	s.ServeHTTP(httptest.NewRecorder(), req)
+	if tr.Store().Get("cafe000000000099") == nil {
+		t.Fatal("the trace was not retained")
+	}
 
-	ep := s.eps["/spg"]
-	if ep == nil {
-		t.Fatal("no /spg endpoint view")
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	body := rec.Body.String()
+	if err := obs.ValidateExposition(rec.Body.Bytes()); err != nil {
+		t.Fatalf("invalid exposition: %v\n%s", err, body)
 	}
-	ex := ep.latency.ExemplarNear(ep.latency.Quantile(0.5))
-	if ex == nil || ex.TraceID != "cafe000000000099" {
-		t.Fatalf("latency exemplar %+v, want trace cafe000000000099", ex)
-	}
-	// Stage histograms carry the same linkage.
-	if ex := s.stage[obs.StageSketch].ExemplarNear(time.Millisecond.Nanoseconds()); ex == nil || ex.TraceID != "cafe000000000099" {
-		t.Fatalf("sketch stage exemplar %+v", ex)
+	for _, series := range []string{`qbs_http_request_ns{endpoint="/spg",quantile="0.5"} `, `qbs_query_stage_ns{stage="sketch",quantile="0.5"} `} {
+		i := strings.Index(body, series)
+		if i < 0 {
+			t.Fatalf("exposition lacks %q:\n%s", series, body)
+		}
+		if line, _, _ := strings.Cut(body[i:], "\n"); len(strings.Fields(line)) != 2 {
+			t.Fatalf("sample %q carries more than its value", line)
+		}
 	}
 }
