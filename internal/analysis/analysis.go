@@ -95,10 +95,10 @@ func (d *DAG) Reset(spg *graph.SPG) {
 // grow sizes the per-vertex buffers for n vertices and the CSR for m
 // entries, keeping each array that is already large enough. It is kept
 // out of line so that the escape gate charges its allocations here and
-// not to layer.
+// not to layer: it grows recycled buffers to their high-water mark,
+// and a warm DAG finds them large enough.
 //
 //go:noinline
-//qbs:allow zeroalloc grows recycled buffers to their high-water mark; a warm DAG finds them large enough
 func (d *DAG) grow(n, m int) {
 	d.Vertices = slices.Grow(d.Vertices[:0], n)[:n]
 	d.rank = slices.Grow(d.rank[:0], n)[:n]
@@ -110,10 +110,9 @@ func (d *DAG) grow(n, m int) {
 }
 
 // growTable empties the id table at 1<<bits slots. Out of line for the
-// same reason as grow.
+// same reason as grow: a warm DAG finds the recycled table large enough.
 //
 //go:noinline
-//qbs:allow zeroalloc grows the recycled table to its high-water mark; a warm DAG finds it large enough
 func (d *DAG) growTable(bits uint) {
 	d.tab = slices.Grow(d.tab[:0], 1<<bits)[:1<<bits]
 	clear(d.tab)

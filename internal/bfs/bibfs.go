@@ -171,7 +171,6 @@ func NewExtractor(n int) *Extractor {
 // are requested a block ahead through ws (traverse.RowsAhead).
 //
 //qbs:zeroalloc
-//qbs:hotpath
 func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, from []graph.V, ws *Workspace, root graph.V) ([]graph.Arc, int64) {
 	e.mark.Reset()
 	var arcs int64

@@ -25,9 +25,9 @@ type Reader struct {
 // NewReader returns the read path over the index current resolves to.
 func NewReader(current func() *Index) *Reader { return &Reader{current: current} }
 
-// searcher draws a pooled searcher bound to ix.
-//
-//qbs:allow zeroalloc pool refill and epoch rebind are the sanctioned cold path; steady-state serving reuses an already-bound searcher
+// searcher draws a pooled searcher bound to ix. Pool refill and epoch
+// rebind are its cold path: steady-state serving reuses an already-bound
+// searcher.
 func (r *Reader) searcher(ix *Index) *Searcher {
 	if sr, ok := r.pool.Get().(*Searcher); ok && sr.Rebind(ix) {
 		return sr

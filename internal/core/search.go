@@ -536,7 +536,6 @@ func (sr *Searcher) recover(st *QueryStats) {
 // are non-landmarks by construction of the labelling.
 //
 //qbs:zeroalloc
-//qbs:hotpath
 func (sr *Searcher) labelWalk(side *searchSide, starts []graph.V, rank int, delta int32, st *QueryStats) {
 	ix := sr.ix
 	col := side.labels[rank]

@@ -21,7 +21,6 @@ package datasets
 
 import (
 	"fmt"
-	"sort"
 
 	"qbs/internal/graph"
 )
@@ -236,12 +235,4 @@ func (s Spec) GenerateDirected(scale float64) *graph.DiGraph {
 		m = 1
 	}
 	return graph.DirectedScaleFree(n, m, seedOf(s.Key)+7)
-}
-
-// SortedByVertices returns specs ordered by ascending base size
-// (useful for budgeted experiment sweeps).
-func SortedByVertices() []Spec {
-	specs := All()
-	sort.Slice(specs, func(i, j int) bool { return specs[i].BaseVertices < specs[j].BaseVertices })
-	return specs
 }

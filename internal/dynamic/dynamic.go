@@ -131,7 +131,7 @@ func New(g *graph.Graph, landmarks []graph.V, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	//qbs:allow loggedpublish bootstrap publish at epoch 0; no logger is attached yet
+	// Bootstrap publish at epoch 0: no logger is attached yet.
 	d.cur.Store(snap)
 	return d, nil
 }
@@ -190,8 +190,6 @@ func (d *Index) newSnapshot(st state, epoch uint64) (*snapshot, error) {
 // fallible step happens in newSnapshot beforehand — which is what lets
 // writers log to the WAL between preparation and publication without
 // ever leaving a logged epoch unpublished.
-//
-//qbs:publish
 func (d *Index) commitLocked(snap *snapshot) {
 	d.cur.Store(snap)
 	d.stats.Epoch = snap.epoch

@@ -104,7 +104,7 @@ func Restore(g *graph.Graph, landmarks []graph.V, dists [][]int32, labels [][]ui
 	if err != nil {
 		return nil, err
 	}
-	//qbs:allow loggedpublish restore republishes an already-durable snapshot; there is nothing new to log
+	// The snapshot is already durable: there is nothing new to log.
 	d.cur.Store(snap)
 	d.stats.Epoch = epoch
 	return d, nil
@@ -117,8 +117,6 @@ func Restore(g *graph.Graph, landmarks []graph.V, dists [][]int32, labels [][]ui
 // successor of the current one, and the mutation must actually change
 // the graph — a valid log only contains applied updates, so either
 // violation reports log/state divergence.
-//
-//qbs:allow loggedpublish replay publishes a record that is already on disk; logging it again would duplicate it
 func (d *Index) ReplayEdge(u, w graph.V, insert bool, epoch uint64) error {
 	if n := d.NumVertices(); u < 0 || int(u) >= n || w < 0 || int(w) >= n || u == w {
 		return fmt.Errorf("dynamic: replayed edge {%d,%d} out of range [0,%d)", u, w, n)
@@ -195,7 +193,7 @@ func (d *Index) ReplayEpoch(epoch uint64) error {
 	if epoch != s.epoch+1 {
 		return fmt.Errorf("dynamic: replay epoch %d does not follow current epoch %d", epoch, s.epoch)
 	}
-	//qbs:allow loggedpublish replaying a compaction marker that is already on disk
+	// The compaction marker is already on disk: there is nothing to log.
 	d.cur.Store(&snapshot{state: s.state, index: s.index, epoch: epoch})
 	d.stats.Epoch = epoch
 	return nil

@@ -539,16 +539,6 @@ func ComputeStats(g *Graph) Stats {
 	}
 }
 
-// DegreeHistogram returns counts[d] = number of vertices of degree d,
-// up to the maximum degree.
-func (g *Graph) DegreeHistogram() []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		h[g.Degree(V(v))]++
-	}
-	return h
-}
-
 // GiniDegree returns the Gini coefficient of the degree distribution, a
 // scale-free measure of degree skew in [0, 1). Dataset analogs use it to
 // verify hub-dominated vs flat-degree structure (the distinction the

@@ -254,9 +254,6 @@ var DefaultTracer = NewTracer(512)
 // or negative retains everything.
 func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNs.Store(int64(d)) }
 
-// SlowThreshold returns the current tail-sampling duration.
-func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNs.Load()) }
-
 // SetHeadEvery turns on head sampling: one in every n traces is
 // retained regardless of duration or status. Zero disables head
 // sampling (slow, errored and explicitly sampled traces are still

@@ -423,7 +423,6 @@ func parallelErr(k int, fn func(i int) error) error {
 					return
 				}
 				if err := fn(i); err != nil {
-					//qbs:allow loggedpublish first-error capture, not an epoch publish
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}

@@ -39,7 +39,6 @@ import "qbs/internal/graph"
 // access" in the package documentation for the order it reads rows in.
 //
 //qbs:zeroalloc
-//qbs:hotpath
 func ExpandMeeting(push graph.Adjacency, ws, other *Workspace, frontier []graph.V, d int32, dst []graph.V, cross []graph.Arc, first bool) ([]graph.V, []graph.Arc, int64) {
 	ws.settle(frontier, d)
 	seen := &ws.seen

@@ -121,7 +121,8 @@ func (mb *MultiBFS) Run(g graph.Adjacency, deg []int32, landIdx []int16, roots [
 // over its OutView, and vice versa). For an undirected graph the two
 // coincide, which is what Run passes.
 //
-//qbs:allow atomicfield nextL/nextN are OR-accumulated with CAS only inside parallel levels; the sequential kernel and inter-level swap run single-threaded
+// nextL/nextN are OR-accumulated with CAS only inside parallel levels;
+// the sequential kernel and the swap between levels run single-threaded.
 func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx []int16, roots []graph.V, maxDepth int32, settle func(v graph.V, depth int32, newL, newN uint64)) error {
 	if !mb.running.CompareAndSwap(false, true) {
 		return ErrConcurrentRun
@@ -286,11 +287,10 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 // settleVertex resolves one vertex's newly arrived bits at this level
 // and installs its next-level frontier words. Per bit: arrived via QL →
 // QL (labelled); arrived only via QN → QN; at a landmark everything is
-// absorbed into QN.
+// absorbed into QN. Settles run after the level barrier, and each
+// worker touches only the words of the vertex it claimed.
 //
 //qbs:zeroalloc
-//qbs:hotpath
-//qbs:allow atomicfield settles run after the level barrier and each worker touches only its own claimed vertex's words
 func (mb *MultiBFS) settleVertex(v graph.V, depth int32, aL, aN uint64, landIdx []int16, settle func(graph.V, int32, uint64, uint64), nf []graph.V) []graph.V {
 	vis := mb.visited[v]
 	fromL := aL &^ vis

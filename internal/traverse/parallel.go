@@ -134,9 +134,9 @@ type mbParState struct {
 	nf         [][]graph.V // per-worker next-frontier buffers
 }
 
-// ensure sizes the pooled buffers for n vertices and workers workers.
-//
-//qbs:allow atomicfield runs before the level's workers start; the claim CAS is confined to the sweep
+// ensure sizes the pooled buffers for n vertices and workers workers. It
+// runs before the level's workers start; the claim CAS is confined to the
+// sweep.
 func (p *mbParState) ensure(n, workers int) {
 	if p.touchStamp == nil {
 		p.touchStamp = make([]uint32, n)
@@ -151,8 +151,7 @@ func (p *mbParState) ensure(n, workers int) {
 
 // nextGen starts a fresh claim generation, clearing the stamp array on
 // the (rare) wrap so a stale stamp can never alias the new generation.
-//
-//qbs:allow atomicfield runs between levels; the claim CAS is confined to the sweep
+// It runs between levels; the claim CAS is confined to the sweep.
 func (p *mbParState) nextGen() uint32 {
 	p.touchGen++
 	if p.touchGen == 0 {
@@ -172,9 +171,6 @@ func (p *mbParState) nextGen() uint32 {
 // next-frontier lists are concatenated. The accumulated words, and
 // hence every settle(v, depth, newL, newN) payload, are identical to
 // the sequential kernel's; only frontier order differs.
-//
-//qbs:hotpath
-//qbs:allow atomicfield the settle phase reads accumulator words after the sweep barrier, one worker per claimed vertex
 func (mb *MultiBFS) topDownParallel(push graph.Adjacency, landIdx []int16, settle func(graph.V, int32, uint64, uint64), frontier []graph.V, depth int32, workers int, nf []graph.V) []graph.V {
 	mb.par.ensure(mb.n, workers)
 	gen := mb.par.nextGen()

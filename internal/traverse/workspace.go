@@ -159,7 +159,6 @@ func (ws *Workspace) Seen(v graph.V) bool { return ws.seen.Seen(v) }
 // the previous ExpandMeeting's result), or the rest would be re-labelled d+1.
 //
 //qbs:zeroalloc
-//qbs:hotpath
 func (ws *Workspace) settle(frontier []graph.V, d int32) {
 	for _, x := range frontier {
 		ws.settled[x>>6] |= 1 << (uint(x) & 63)
@@ -209,7 +208,6 @@ func (ws *Workspace) RowsAhead(adj graph.Adjacency) RowsAhead {
 // compiler keeps them.
 //
 //qbs:zeroalloc
-//qbs:hotpath
 func (r RowsAhead) At(xs []graph.V, i int) {
 	if r.on && i%rowBlock == 0 {
 		r.load(xs[i:])
@@ -220,7 +218,6 @@ func (r RowsAhead) At(xs []graph.V, i int) {
 // scanned. One row has nothing to overlap with.
 //
 //qbs:zeroalloc
-//qbs:hotpath
 func (r RowsAhead) load(rest []graph.V) {
 	if len(rest) < 2 {
 		return
