@@ -38,6 +38,45 @@ func runMain(t *testing.T, args ...string) (output string, exit int) {
 	return out.String(), 0
 }
 
+// TestDataDirReopensTheSameAnswers: -data is the one persisted form of
+// an index. A run that builds and persists it and a later run that
+// reopens it with no graph source print the answers an in-memory build
+// prints, line for line once the timing is cut.
+func TestDataDirReopensTheSameAnswers(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	answers := func(args ...string) []string {
+		t.Helper()
+		out, exit := runMain(t, args...)
+		if exit != 0 {
+			t.Fatalf("qbs %v: exit %d\n%s", args, exit, out)
+		}
+		var lines []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "SPG(") {
+				// "SPG(u,v): dist=… [took]" or "SPG(u,v): disconnected (took)".
+				timing := max(strings.LastIndex(line, " ["), strings.LastIndex(line, " ("))
+				if timing < 0 {
+					t.Fatalf("qbs %v: answer line without timing: %q", args, line)
+				}
+				lines = append(lines, line[:timing])
+			}
+		}
+		if len(lines) != 20 {
+			t.Fatalf("qbs %v: %d answer lines, want 20\n%s", args, len(lines), out)
+		}
+		return lines
+	}
+	build := []string{"-dataset", "DO", "-scale", "0.02", "-landmarks", "4", "-random", "20", "-seed", "5"}
+	inMemory := answers(build...)
+	persisted := answers(append(build, "-data", dir)...)
+	reopened := answers("-data", dir, "-random", "20", "-seed", "5")
+	for i := range inMemory {
+		if persisted[i] != inMemory[i] || reopened[i] != inMemory[i] {
+			t.Fatalf("answer %d: in memory %q, persisted %q, reopened %q", i, inMemory[i], persisted[i], reopened[i])
+		}
+	}
+}
+
 // TestDataDirOfTheOtherKindIsRefused: -data over a store of the other
 // orientation exits 1 naming what is there and the flag that opens it,
 // and builds nothing into the directory.
