@@ -17,6 +17,10 @@
 // recover it from the snapshot + write-ahead log without rebuilding.
 // -checkpoint persists a fresh snapshot before exiting.
 //
+// An edge list's vertex ids are renumbered densely in ascending order, so
+// when the file numbers its vertices 0..n-1 — as gengraph writes them —
+// the ids of -query are the file's own ids.
+//
 // With -directed the edge list is read as arcs (no symmetrising), the
 // index answers SPG(u → v), and -data persists/recovers the directed
 // snapshot (no write-ahead log: the directed index is immutable, so

@@ -207,11 +207,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vertex ids may be renumbered by first appearance; isolated vertices
-	// are dropped by the text format. Compare via canonical edge sets
-	// mapped back through orig.
-	lc, _ := g.LargestComponent()
-	_ = lc
+	// Isolated vertices are dropped by the text format: compare via
+	// canonical edge sets mapped back through orig.
 	remapped := make([]Edge, 0, g2.NumEdges())
 	for _, e := range g2.Edges() {
 		remapped = append(remapped, Edge{V(orig[e.U]), V(orig[e.W])}.Normalize())

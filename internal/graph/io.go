@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -23,8 +24,11 @@ import (
 
 // ReadEdgeList parses a whitespace-separated edge list. Directed inputs
 // are symmetrised (the paper treats all graphs as undirected). Vertex ids
-// are arbitrary non-negative integers and are remapped to a dense range;
-// the mapping from dense id to original id is returned.
+// are arbitrary integers and are remapped to a dense range in ascending
+// order, so a file whose ids are 0..n-1 keeps them and WriteEdgeList's
+// output reads back as the graph that wrote it (isolated vertices aside,
+// which an edge list cannot hold); the mapping from dense id to original
+// id is returned.
 func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 	pairs, orig, err := scanEdgeList(r, math.MaxInt32)
 	if err != nil {
@@ -43,10 +47,10 @@ func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 
 // scanEdgeList parses the whitespace-separated pairs shared by the
 // undirected (symmetrising) and directed readers, densifying vertex ids
-// in order of first appearance. Lines are parsed in the scanner's buffer:
-// a real dump is one line per edge, so the loop allocates nothing per
-// line. maxIDs (math.MaxInt32 outside tests) is the largest dense id V
-// can hold.
+// in ascending order of the original id. Lines are parsed in the
+// scanner's buffer: a real dump is one line per edge, so the loop
+// allocates nothing per line. maxIDs (math.MaxInt32 outside tests) is
+// the largest dense id V can hold.
 func scanEdgeList(r io.Reader, maxIDs int) ([]Edge, []int64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -96,6 +100,16 @@ func scanEdgeList(r io.Reader, maxIDs int) ([]Edge, []int64, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
+	}
+	// The ids were interned in order of first appearance; renumber them
+	// in ascending order of the original id.
+	slices.Sort(orig)
+	rank := make([]V, len(orig))
+	for i, raw := range orig {
+		rank[idOf[raw]] = V(i)
+	}
+	for i, e := range pairs {
+		pairs[i] = Edge{rank[e.U], rank[e.W]}
 	}
 	return pairs, orig, nil
 }

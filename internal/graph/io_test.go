@@ -14,7 +14,9 @@ import (
 
 // referenceScanEdgeList is scanEdgeList as it was before it parsed lines
 // in place (sc.Text + strings.Fields per line): the accepted grammar and
-// the error strings are defined by it.
+// the error strings are defined by it. Its ids are dense in order of
+// first appearance; referenceAscending renumbers them the way the reader
+// does now.
 func referenceScanEdgeList(r io.Reader) ([]Edge, []int64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -57,6 +59,20 @@ func referenceScanEdgeList(r io.Reader) ([]Edge, []int64, error) {
 	return pairs, orig, nil
 }
 
+// referenceAscending renumbers a parse whose ids are dense in order of
+// first appearance so that they are dense in ascending original id.
+func referenceAscending(pairs []Edge, orig []int64) ([]Edge, []int64) {
+	sorted := slices.Clone(orig)
+	slices.Sort(sorted)
+	var out []Edge
+	for _, e := range pairs {
+		u, _ := slices.BinarySearch(sorted, orig[e.U])
+		w, _ := slices.BinarySearch(sorted, orig[e.W])
+		out = append(out, Edge{V(u), V(w)})
+	}
+	return out, sorted
+}
+
 func TestScanEdgeListMatchesReference(t *testing.T) {
 	for _, in := range []string{
 		"",
@@ -79,6 +95,9 @@ func TestScanEdgeListMatchesReference(t *testing.T) {
 		"5 5\n5 5\n",
 	} {
 		wantPairs, wantOrig, wantErr := referenceScanEdgeList(strings.NewReader(in))
+		if wantErr == nil {
+			wantPairs, wantOrig = referenceAscending(wantPairs, wantOrig)
+		}
 		pairs, orig, err := scanEdgeList(strings.NewReader(in), math.MaxInt32)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Errorf("input %q: error %v, reference %v", in, err, wantErr)
