@@ -161,11 +161,7 @@ func scalingPhase(g *graph.Graph, cfg Config, w int, pairs []workload.Pair) (Sca
 		}
 		ix = built
 	}
-	sha, err := indexSHA(ix)
-	if err != nil {
-		return ph, nil, err
-	}
-	ref.indexSHA = sha
+	ref.indexSHA = indexSHA(ix)
 
 	// Phase 2: dynamic churn with RepairBudget 1, so deletions fall
 	// through to the full column re-BFS (the parallel rebuild path).
@@ -205,15 +201,21 @@ func scalingPhase(g *graph.Graph, cfg Config, w int, pairs []workload.Pair) (Sca
 	return ph, ref, nil
 }
 
-// indexSHA hashes the serialized index: landmarks, the σ matrix and
-// the full label matrix. Δ and the meta table derive deterministically
-// from those (Lemma 5.2), so this is a complete result fingerprint.
-func indexSHA(ix *core.Index) (string, error) {
+// indexSHA hashes the index state in a fixed order: landmarks, the σ
+// matrix, then every label column (to-labels, then from-labels). Δ and
+// the meta table derive deterministically from those (Lemma 5.2), so
+// this is a complete result fingerprint.
+func indexSHA(ix *core.Index) string {
+	st := ix.State()
 	h := sha256.New()
-	if err := ix.Write(h); err != nil {
-		return "", err
+	binary.Write(h, binary.LittleEndian, st.Landmarks)
+	h.Write(st.Sigma)
+	for _, cols := range [][][]uint8{st.LabelTo, st.LabelFrom} {
+		for _, col := range cols {
+			h.Write(col)
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // hashSPG folds a canonicalized SPG — endpoints, distance, edge list —

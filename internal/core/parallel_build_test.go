@@ -1,24 +1,32 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qbs/internal/graph"
 )
 
-// serializeIndex fingerprints an index as its on-disk bytes: landmarks,
-// σ and the full label matrix. Δ and the meta table derive
-// deterministically from those, so byte equality here is result
-// equality.
-func serializeIndex(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
+// sameState reports the first field of State — landmarks, σ, both
+// labellings, Δ — in which two indexes differ.
+func sameState(a, b State) error {
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"landmarks", a.Landmarks, b.Landmarks},
+		{"sigma", a.Sigma, b.Sigma},
+		{"LabelTo", a.LabelTo, b.LabelTo},
+		{"LabelFrom", a.LabelFrom, b.LabelFrom},
+		{"Delta", a.Delta, b.Delta},
+	} {
+		if !reflect.DeepEqual(f.a, f.b) {
+			return fmt.Errorf("%s differs", f.name)
+		}
 	}
-	return buf.Bytes()
+	return nil
 }
 
 // TestParallelBuildBitIdentical builds over graphs large enough that
@@ -27,8 +35,8 @@ func serializeIndex(t *testing.T, ix *Index) []byte {
 // labellings, σ, the APSP, the meta-edge list, Δ — to be identical at
 // every worker count, including a landmark set spanning multiple
 // 64-wide batches where the budget splits into outer (per-batch) ×
-// inner (in-sweep) workers. An undirected index must also serialize to
-// the same bytes.
+// inner (in-sweep) workers. The exported State must be equal field by
+// field too.
 func TestParallelBuildBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-vertex builds")
@@ -53,9 +61,9 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 				t.Fatalf("n=%d directed=%v R=%d: parallelism=%d vs sequential: %v",
 					tc.tg.numVertices(), tc.tg.dir != nil, tc.R, par, err)
 			}
-			if tc.tg.und != nil && !bytes.Equal(serializeIndex(t, base), serializeIndex(t, ix)) {
-				t.Fatalf("n=%d R=%d: parallelism=%d serializes differently than sequential",
-					tc.tg.numVertices(), tc.R, par)
+			if err := sameState(base.State(), ix.State()); err != nil {
+				t.Fatalf("n=%d directed=%v R=%d: parallelism=%d vs sequential: State %v",
+					tc.tg.numVertices(), tc.tg.dir != nil, tc.R, par, err)
 			}
 		}
 	}
