@@ -1,10 +1,13 @@
 // Command gengraph generates synthetic graphs — the Table 1 dataset
-// analogs or parametric generator output — as edge-list or binary files.
+// analogs or parametric generator output — as text edge lists, the one
+// graph file format. Vertices are numbered 0..n-1 and an edge list keeps
+// those numbers when it is read back, so `qbs -graph` over the file
+// answers the pairs `qbs -dataset` answers.
 //
 // Usage:
 //
 //	gengraph -dataset TW -scale 0.5 -o twitter.edges
-//	gengraph -gen ba -n 100000 -m 5 -seed 7 -o ba.bin -format binary
+//	gengraph -gen ba -n 100000 -m 5 -seed 7 > ba.edges
 package main
 
 import (
@@ -25,8 +28,7 @@ func main() {
 		m       = flag.Int("m", 3, "edges per vertex (ba), edge count (er), ring degree (ws), columns (grid)")
 		beta    = flag.Float64("beta", 0.2, "rewiring probability (ws)")
 		seed    = flag.Int64("seed", 1, "generator seed")
-		out     = flag.String("o", "", "output path (default stdout, edge-list only)")
-		format  = flag.String("format", "edges", "output format: edges|binary")
+		out     = flag.String("o", "", "output edge-list path (default stdout)")
 	)
 	flag.Parse()
 
@@ -61,26 +63,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "generated: |V|=%d |E|=%d maxdeg=%d avgdeg=%.2f\n",
 		st.NumVertices, st.NumEdges, st.MaxDegree, st.AvgDegree)
 
-	switch *format {
-	case "edges":
-		if *out == "" {
-			if err := graph.WriteEdgeList(os.Stdout, g); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := graph.WriteEdgeListFile(*out, g); err != nil {
+	if *out == "" {
+		if err := graph.WriteEdgeList(os.Stdout, g); err != nil {
 			fatal(err)
 		}
-	case "binary":
-		if *out == "" {
-			fatal(fmt.Errorf("-format binary requires -o"))
-		}
-		if err := graph.WriteBinaryFile(*out, g); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+		return
+	}
+	if err := graph.WriteEdgeListFile(*out, g); err != nil {
+		fatal(err)
 	}
 }
 

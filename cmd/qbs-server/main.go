@@ -3,7 +3,8 @@
 // Usage:
 //
 //	qbs-server -graph web.edges -landmarks 20 -addr :8080
-//	qbs-server -dataset YT -scale 0.5 -index yt.qbsi   # build once, reuse
+//	qbs-server -dataset YT -scale 0.5 -data ./yt-data  # build once and persist
+//	qbs-server -data ./yt-data                         # reopen read-only, no rebuild
 //	qbs-server -dataset YT -mutable                    # accept edge writes
 //	qbs-server -dataset YT -mutable -data ./yt-data    # durable: survive restarts
 //	qbs-server -data ./yt-data -mutable                # reopen in sub-second
@@ -31,16 +32,15 @@
 // directed snapshot. -directed is read-only and incompatible with
 // -mutable.
 //
-// -index names the file of the immutable undirected index (no -directed,
-// -mutable, -data, -primary, -replica-of or -router): loaded if present,
-// else built and saved. With any of those flags it is refused at start.
-//
-// With -data, the server owns a durable data directory: on first start
-// it builds the index from the graph source and persists it; on every
-// later start it recovers from the newest snapshot plus write-ahead-log
-// replay (no graph source needed, and no rebuild — a killed server
-// comes back with the exact pre-crash index, same epoch included).
-// Without -mutable the recovered index is served read-only.
+// The graph source is an edge-list file (-graph) or a dataset analog
+// (-dataset). -data is the one way to persist an index, of either
+// orientation: the server then owns a durable data directory. On first
+// start it builds the index from the graph source and persists it,
+// graph included, in a checksummed snapshot; on every later start it
+// recovers from the newest snapshot plus write-ahead-log replay (no
+// graph source needed, and no rebuild — a killed server comes back with
+// the exact pre-crash index, same epoch included). Without -mutable the
+// recovered index is served read-only.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
 // connections, drains in-flight requests (bounded by -drain), waits for
@@ -63,7 +63,6 @@ import (
 
 	"qbs"
 	"qbs/internal/datasets"
-	"qbs/internal/graph"
 	"qbs/internal/obs"
 	"qbs/internal/replica"
 	"qbs/internal/server"
@@ -72,11 +71,9 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "edge-list file to load")
-		binPath   = flag.String("bin", "", "binary graph file to load")
 		dataset   = flag.String("dataset", "", "dataset analog key instead of a file")
 		scale     = flag.Float64("scale", 0.25, "dataset scale factor")
 		landmarks = flag.Int("landmarks", 20, "number of landmarks |R|")
-		indexPath = flag.String("index", "", "index file: loaded if present, saved after building otherwise (immutable undirected mode only; refused with any other mode flag)")
 		dataDir   = flag.String("data", "", "durable data directory: created from the graph source on first start, recovered (snapshot + WAL replay) afterwards")
 		syncEvery = flag.Int("sync-every", 0, "batch WAL fsyncs every N writes (0/1 = every write)")
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -116,11 +113,6 @@ func main() {
 		go serveDebug(*debugAddr)
 	}
 
-	if *indexPath != "" && (*directed || *mutable || *dataDir != "" || *primary || *replicaOf != "" || *routerOf != "") {
-		// One refusal for every mode that has no use for the file, before
-		// any other check and before anything is loaded or built.
-		fatal(fmt.Errorf("-index is the immutable undirected index's file: it cannot be combined with -directed, -mutable, -data, -primary, -replica-of or -router (what those serve persists through -data)"))
-	}
 	if *primary {
 		if *dataDir == "" {
 			fatal(fmt.Errorf("-primary requires -data (the WAL it ships lives there)"))
@@ -228,7 +220,7 @@ func main() {
 		fmt.Printf("store: recovered %s in %s (|V|=%d |E|=%d epoch=%d)\n",
 			*dataDir, startup("store", start), dyn.NumVertices(), edges, epoch)
 	case *dataDir != "":
-		g, err := loadGraph(*graphPath, *binPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale)
 		if err != nil {
 			fatal(err)
 		}
@@ -243,7 +235,7 @@ func main() {
 		fmt.Printf("store: built and persisted to %s in %s (%d landmarks)\n",
 			*dataDir, startup("store", start), len(dyn.Landmarks()))
 	case *mutable:
-		g, err := loadGraph(*graphPath, *binPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale)
 		if err != nil {
 			fatal(err)
 		}
@@ -257,14 +249,16 @@ func main() {
 		fmt.Printf("dynamic index: built in %s (%d landmarks, mutable, not persisted)\n",
 			startup("index", start), len(dyn.Landmarks()))
 	default:
-		g, err := loadGraph(*graphPath, *binPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale)
 		if err != nil {
 			fatal(err)
 		}
-		index, err := buildOrLoadIndex(g, *indexPath, *landmarks)
+		start := time.Now()
+		index, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: *landmarks})
 		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("index: built in %s (%d landmarks)\n", startup("index", start), len(index.Landmarks()))
 		handler = server.New(index)
 	}
 	if dyn != nil {
@@ -380,35 +374,8 @@ func serve(addr string, drain time.Duration, handler http.Handler, dyn *qbs.Dyna
 	}
 }
 
-func buildOrLoadIndex(g *qbs.Graph, indexPath string, landmarks int) (*qbs.Index, error) {
-	if indexPath != "" {
-		if _, statErr := os.Stat(indexPath); statErr == nil {
-			start := time.Now()
-			index, err := qbs.LoadIndexFile(g, indexPath)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Printf("index: loaded %s in %s\n", indexPath, startup("index", start))
-			return index, nil
-		}
-	}
-	start := time.Now()
-	index, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: landmarks})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("index: built in %s (%d landmarks)\n", startup("index", start), len(index.Landmarks()))
-	if indexPath != "" {
-		if err := index.SaveFile(indexPath); err != nil {
-			return nil, err
-		}
-		fmt.Printf("index: saved to %s\n", indexPath)
-	}
-	return index, nil
-}
-
 // startup closes one layer of the cold start — "graph" (parse or
-// generate), "index" (build or load), "store" (create or recover, the
+// generate), "index" (build), "store" (create or recover, the
 // index build inside it included) — and exports what it took as
 // qbs_startup_seconds{stage=…}: the layers `go run ./benchmark -trace 1`
 // reports as datasets.generate_s, core.build_s and store.create_s, so a
@@ -445,22 +412,20 @@ func loadDiGraph(path, dataset string, scale float64) (*qbs.DiGraph, error) {
 	return g, nil
 }
 
-func loadGraph(path, bin, dataset string, scale float64) (*qbs.Graph, error) {
+func loadGraph(path, dataset string, scale float64) (*qbs.Graph, error) {
 	start := time.Now()
 	var g *qbs.Graph
 	var err error
 	switch {
 	case path != "":
 		g, _, err = qbs.LoadEdgeListFile(path)
-	case bin != "":
-		g, err = graph.ReadBinaryFile(bin)
 	case dataset != "":
 		var spec datasets.Spec
 		if spec, err = datasets.ByKey(dataset); err == nil {
 			g = spec.Generate(scale)
 		}
 	default:
-		err = fmt.Errorf("one of -graph, -bin or -dataset is required")
+		err = fmt.Errorf("one of -graph or -dataset is required (or -data with an existing store)")
 	}
 	if err != nil {
 		return nil, err

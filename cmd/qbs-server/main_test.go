@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -173,53 +172,5 @@ func TestDataDirOfTheOtherKindIsRefused(t *testing.T) {
 	}
 	if qbs.DiStoreExists(udir) || qbs.StoreExists(ddir) {
 		t.Fatal("a second store was built into a refused directory")
-	}
-}
-
-// TestIndexFlagIsRefusedTheSameWayEverywhere: -index is the immutable
-// undirected index's file. Every mode that cannot honour it — it used
-// to be fatal with -directed, a warning with -mutable and silently
-// dropped with -data, -primary, -replica-of and -router — exits 1 with
-// the one message, before a graph is loaded, an index built or a file
-// or store written.
-func TestIndexFlagIsRefusedTheSameWayEverywhere(t *testing.T) {
-	const want = "-index is the immutable undirected index's file"
-	for _, mode := range [][]string{
-		{"-directed"},
-		{"-mutable"},
-		{"-data", "DATA"},
-		{"-mutable", "-data", "DATA"},
-		{"-directed", "-data", "DATA"},
-		{"-primary", "-data", "DATA"},
-		{"-primary"},
-		{"-replica-of", "http://127.0.0.1:1"},
-		{"-router", "http://127.0.0.1:1,http://127.0.0.1:2"},
-	} {
-		dir := t.TempDir()
-		data, index := filepath.Join(dir, "data"), filepath.Join(dir, "ix.qbsi")
-		args := []string{"-dataset", "DO", "-scale", "0.02", "-landmarks", "4", "-addr", "127.0.0.1:0", "-index", index}
-		for _, a := range mode {
-			if a == "DATA" {
-				a = data
-			}
-			args = append(args, a)
-		}
-		// Were the combination accepted the child would serve forever.
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		cmd := exec.CommandContext(ctx, os.Args[0])
-		cmd.Env = append(os.Environ(), "QBS_MAIN_ARGS="+strings.Join(args, " "))
-		var out bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &out
-		err := cmd.Run()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(out.String(), want) {
-			t.Errorf("qbs-server -index … %v: %v\n%s", mode, err, &out)
-		}
-		if strings.Contains(out.String(), "graph:") || strings.Contains(out.String(), "built") {
-			t.Errorf("qbs-server -index … %v did work before refusing:\n%s", mode, &out)
-		}
-		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Errorf("qbs-server -index … %v left %v behind", mode, left)
-		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 
 	"qbs"
 	"qbs/internal/datasets"
-	"qbs/internal/graph"
 	"qbs/internal/obs"
 )
 
@@ -50,7 +49,6 @@ func (q *queryList) Set(s string) error { *q = append(*q, s); return nil }
 func main() {
 	var (
 		graphPath  = flag.String("graph", "", "edge-list file to load")
-		binPath    = flag.String("bin", "", "binary graph file to load")
 		dataset    = flag.String("dataset", "", "dataset analog key instead of a file")
 		scale      = flag.Float64("scale", 0.25, "dataset scale factor")
 		landmarks  = flag.Int("landmarks", 20, "number of landmarks |R|")
@@ -100,7 +98,7 @@ func main() {
 		answer, numVertices = di, di.NumVertices()
 		defer maybeCheckpoint(di, *checkpoint)
 	case *dataDir != "":
-		g, err := loadGraph(*graphPath, *binPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale)
 		if err != nil {
 			fatal(err)
 		}
@@ -121,7 +119,7 @@ func main() {
 		}
 		answer, numVertices = di, di.NumVertices()
 	default:
-		g, err := loadGraph(*graphPath, *binPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale)
 		if err != nil {
 			fatal(err)
 		}
@@ -289,13 +287,11 @@ func maybeCheckpoint(di *qbs.DynamicIndex, enabled bool) {
 	fmt.Printf("store: checkpointed epoch %d in %s\n", epoch, time.Since(start).Round(time.Microsecond))
 }
 
-func loadGraph(path, bin, dataset string, scale float64) (*qbs.Graph, error) {
+func loadGraph(path, dataset string, scale float64) (*qbs.Graph, error) {
 	switch {
 	case path != "":
 		g, _, err := qbs.LoadEdgeListFile(path)
 		return g, err
-	case bin != "":
-		return graph.ReadBinaryFile(bin)
 	case dataset != "":
 		spec, err := datasets.ByKey(dataset)
 		if err != nil {
@@ -303,7 +299,7 @@ func loadGraph(path, bin, dataset string, scale float64) (*qbs.Graph, error) {
 		}
 		return spec.Generate(scale), nil
 	default:
-		return nil, fmt.Errorf("one of -graph, -bin or -dataset is required")
+		return nil, fmt.Errorf("one of -graph or -dataset is required (or -data with an existing store)")
 	}
 }
 

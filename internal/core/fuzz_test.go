@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"qbs/internal/bfs"
@@ -36,33 +35,6 @@ func FuzzQueryMatchesOracle(f *testing.F) {
 		want := bfs.OracleSPG(g, u, v)
 		if !got.Equal(want) {
 			t.Fatalf("SPG(%d,%d): got %v want %v (landmarks %v)", u, v, got, want, ix.Landmarks())
-		}
-	})
-}
-
-// FuzzIndexLoad feeds arbitrary bytes to the index reader. The format
-// validates structure (magic, counts, landmark ranges) but deliberately
-// not label semantics — files are trusted state, like any database
-// snapshot — so the property is: never panic, neither in Load nor in a
-// query over whatever Load accepted. A pristine snapshot must round-trip
-// to exact answers (covered by TestIndexRoundTrip).
-func FuzzIndexLoad(f *testing.F) {
-	g := graph.Cycle(12)
-	ix := MustBuild(g, Options{NumLandmarks: 3})
-	var buf bytes.Buffer
-	_ = ix.Write(&buf)
-	f.Add(buf.Bytes())
-	f.Add([]byte("QBSI"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(g, bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		sr := NewSearcher(loaded)
-		spg := sr.Query(0, 6)
-		if spg.Dist != graph.InfDist && spg.Dist < 0 {
-			t.Fatalf("negative distance %d", spg.Dist)
 		}
 	})
 }

@@ -29,25 +29,6 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary feeds arbitrary bytes to the binary reader: it must
-// reject or return a valid graph, never panic.
-func FuzzReadBinary(f *testing.F) {
-	var buf bytes.Buffer
-	_ = WriteBinary(&buf, Cycle(5))
-	f.Add(buf.Bytes())
-	f.Add([]byte("QBSG"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted binary graph invalid: %v", err)
-		}
-	})
-}
-
 // FuzzBuilder interprets the fuzz payload as a vertex count (first byte,
 // 0-39) and an edge stream with endpoints in [-4, 43], so streams with
 // out-of-range endpoints occur: Build and DiBuilder.Build must agree

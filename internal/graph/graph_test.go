@@ -252,40 +252,6 @@ func TestEdgeListParseErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := BarabasiAlbert(150, 4, 8)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatal("binary round trip changed shape")
-	}
-	ea, eb := g.Edges(), g2.Edges()
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatal("binary round trip changed edges")
-		}
-	}
-}
-
-func TestBinaryRejectsCorrupt(t *testing.T) {
-	g := Path(5)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[0] = 'X'
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("expected magic error")
-	}
-}
-
 func TestUnionAndTriadicClosure(t *testing.T) {
 	a := Path(6)
 	b := Cycle(6)

@@ -3,7 +3,6 @@ package graph
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -14,13 +13,11 @@ import (
 	"unicode/utf8"
 )
 
-// I/O for graphs in two formats:
-//
-//   - Text edge lists, one "u w" pair per line, '#' or '%' comments —
-//     the format used by SNAP and KONECT dumps that the paper's datasets
-//     ship in. Vertex ids may be sparse; they are densified on load.
-//   - A binary CSR snapshot ("QBSG" magic) for fast reload of generated
-//     analogs between harness runs.
+// A graph file is a text edge list: one "u w" pair per line, '#' or '%'
+// comments — the format of the SNAP and KONECT dumps the paper's
+// datasets ship in. Vertex ids may be sparse; they are densified on
+// load. The CSR arrays reach disk only inside a durable store's snapshot
+// (internal/store), beside the index built over them.
 
 // ReadEdgeList parses a whitespace-separated edge list. Directed inputs
 // are symmetrised (the paper treats all graphs as undirected). Vertex ids
@@ -230,129 +227,4 @@ func FromCSR(offsets []int64, adj []V) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-const binaryMagic = "QBSG"
-
-// WriteBinary serialises the CSR structure: magic, version, |V|, |arcs|,
-// offsets and adjacency in little-endian.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := []int64{1, int64(g.NumVertices()), int64(g.NumArcs())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserialises a graph written by WriteBinary and validates it.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var version, n, arcs int64
-	for _, p := range []*int64{&version, &n, &arcs} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if version != 1 {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	const maxCount = int64(1) << 34
-	if n < 0 || arcs < 0 || arcs%2 != 0 || n > maxCount || arcs > maxCount {
-		return nil, fmt.Errorf("graph: corrupt header (n=%d arcs=%d)", n, arcs)
-	}
-	g := &Graph{}
-	// Allocate incrementally in bounded chunks so a corrupt header cannot
-	// force a huge up-front allocation: the stream must actually contain
-	// the data before memory grows.
-	offsets, err := readChunkedInt64(br, n+1)
-	if err != nil {
-		return nil, err
-	}
-	g.offsets = offsets
-	adj, err := readChunkedInt32(br, arcs)
-	if err != nil {
-		return nil, err
-	}
-	g.adj = adj
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-const readChunk = 1 << 16
-
-func readChunkedInt64(r io.Reader, count int64) ([]int64, error) {
-	out := make([]int64, 0, min64(count, readChunk))
-	buf := make([]int64, readChunk)
-	for int64(len(out)) < count {
-		c := min64(count-int64(len(out)), readChunk)
-		if err := binary.Read(r, binary.LittleEndian, buf[:c]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:c]...)
-	}
-	return out, nil
-}
-
-func readChunkedInt32(r io.Reader, count int64) ([]V, error) {
-	out := make([]V, 0, min64(count, readChunk))
-	buf := make([]V, readChunk)
-	for int64(len(out)) < count {
-		c := min64(count-int64(len(out)), readChunk)
-		if err := binary.Read(r, binary.LittleEndian, buf[:c]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:c]...)
-	}
-	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// WriteBinaryFile is WriteBinary to a file path.
-func WriteBinaryFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadBinaryFile is ReadBinary over a file path.
-func ReadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }

@@ -149,7 +149,9 @@ func newStatic(cix *core.Index) *static {
 }
 
 // Index is an immutable QbS index over a graph. All methods are safe for
-// concurrent use.
+// concurrent use. To persist an undirected index, build it with
+// CreateStore: the data directory holds the index together with its
+// graph, and OpenStore with ReadOnly serves it back.
 type Index struct{ *static }
 
 // BuildIndex constructs a QbS index: landmark selection, the labelling
@@ -205,21 +207,6 @@ const (
 	CoverageAll     = core.CoverageAll
 	CoverageTrivial = core.CoverageTrivial
 )
-
-// SaveFile writes the index to disk. The graph is not embedded; LoadIndexFile
-// must be given the same graph.
-func (ix *Index) SaveFile(path string) error { return ix.core.SaveFile(path) }
-
-// LoadIndexFile reads an index previously saved with SaveFile, binding it
-// to g (validated against the vertex and arc counts recorded at save
-// time).
-func LoadIndexFile(g *Graph, path string) (*Index, error) {
-	cix, err := core.LoadFile(g, path)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{newStatic(cix)}, nil
-}
 
 // ErrDiameterTooLarge is returned when a graph (or a graph update) would
 // push some landmark distance beyond the 254-hop label representation
