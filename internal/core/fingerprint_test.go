@@ -171,19 +171,24 @@ func TestParentFingerprints(t *testing.T) {
 }
 
 // Work counters over the same seeded pairs — and over the FR analog, whose
-// uncovered pairs end on the largest levels — recorded at commit f535a26,
-// the last one whose expansion kernel scanned and marked a level in one
-// sweep: the sum of QueryStats.ArcsScanned over the answers (it is in the
-// /spg body), the same with extraction off (what Distance runs: the kernel
-// returns at its first crossing arc) and the sum of the Bi-BFS baseline's
-// SearchStats.ArcsScanned. A kernel that reads memory in another order
-// must still examine exactly these adjacency entries.
+// uncovered pairs end on the largest levels: the sum of
+// QueryStats.ArcsScanned over the answers (it is in the /spg body), the
+// same with extraction off (what Distance runs: the kernel returns at its
+// first crossing arc) and the sum of the Bi-BFS baseline's
+// SearchStats.ArcsScanned. The Bi-BFS sums were recorded at commit
+// f535a26, the last one whose expansion kernel scanned and marked a level
+// in one sweep; a kernel that reads memory in another order must still
+// examine exactly these adjacency entries. The query and distance sums
+// were recorded again when the guided search took Bi-BFS's side rule —
+// grow the smaller visited set, stop when either frontier is empty —
+// in place of the sketch's per-side bounds d*: the same answers, fewer
+// arcs (YT 103210/70349, WK 107865/80548, FR 1206603/221206 before).
 type arcsScanned struct{ query, distance, biBFS int64 }
 
 var (
-	arcsScannedYT = arcsScanned{query: 103210, distance: 70349, biBFS: 396818}
-	arcsScannedWK = arcsScanned{query: 107865, distance: 80548, biBFS: 235634}
-	arcsScannedFR = arcsScanned{query: 1206603, distance: 221206, biBFS: 1188778}
+	arcsScannedYT = arcsScanned{query: 96799, distance: 63353, biBFS: 396818}
+	arcsScannedWK = arcsScanned{query: 60298, distance: 34235, biBFS: 235634}
+	arcsScannedFR = arcsScanned{query: 1186463, distance: 180138, biBFS: 1188778}
 )
 
 func arcsScannedOf(tg testGraph, ix *Index) arcsScanned {

@@ -8,12 +8,13 @@ import (
 	"qbs/internal/traverse"
 )
 
-// Guided search (Algorithm 4): answer SPG(u, v) by a sketch-bounded
-// bidirectional BFS over the sparsified graph G⁻ = G[V\R] (represented
-// implicitly — landmark neighbours are skipped) — forward from u over
-// out-arcs, backward from v over in-arcs — followed by a reverse search
-// extracting G⁻_uv and/or a recover search extracting G^L_uv (the
-// shortest paths through landmarks), combined per Eq. 5:
+// Guided search (Algorithm 4): answer SPG(u, v) by a bidirectional BFS
+// over the sparsified graph G⁻ = G[V\R] (represented implicitly —
+// landmark neighbours are skipped) — forward from u over out-arcs,
+// backward from v over in-arcs — bounded by the sketch's d⊤, followed
+// by a reverse search extracting G⁻_uv and/or a recover search
+// extracting G^L_uv (the shortest paths through landmarks), combined
+// per Eq. 5:
 //
 //	d_G⁻(u,v) > d⊤  →  G^L only
 //	d_G⁻(u,v) = d⊤  →  G⁻_uv ∪ G^L
@@ -29,6 +30,11 @@ import (
 // the adjacency of answer vertices at depth ≥ 2 only (a depth-1
 // vertex's one predecessor is the root), and Distance returns at the
 // first crossing arc.
+//
+// The sides take turns by Bi-BFS's rule: the smaller visited set grows,
+// an empty frontier ends the search (d_G⁻ = ∞) and d⊤ only bounds it.
+// Neither changes an answer: side order never moves the meeting's depth
+// sum, and recover reads level min(σ−1, side.d), complete at any stop.
 //
 // A Searcher carries reusable workspaces; create one per goroutine.
 
@@ -140,17 +146,13 @@ func (s *searchSide) frontier() []graph.V { return s.level(s.d) }
 
 func (s *searchSide) visited() int { return len(s.arena) }
 
-// keep records the sketch edge e at the side's endpoint (once per
-// landmark) and returns the search bound d* raised to cover it.
-func (s *searchSide) keep(e SketchEndpoint, dStar int32) int32 {
+// keep records the sketch edge e at the side's endpoint, once per
+// landmark.
+func (s *searchSide) keep(e SketchEndpoint) {
 	if s.sigma[e.Rank] < 0 {
 		s.sigma[e.Rank] = e.Sigma
 		s.ranks = append(s.ranks, e.Rank)
-		if e.Sigma-1 > dStar {
-			dStar = e.Sigma - 1
-		}
 	}
-	return dStar
 }
 
 func (s *searchSide) releaseSketch() {
@@ -260,7 +262,7 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 
 	// Sketching (Algorithm 3).
 	t0 := time.Now()
-	dTop, dStarU, dStarV := sr.computeSketch(u, v)
+	dTop := sr.computeSketch(u, v)
 	st.DTop = dTop
 	st.SketchPairs = len(sr.pairs)
 	st.LabelEntries = int64(len(sr.fwd.ent) + len(sr.bwd.ent))
@@ -281,7 +283,7 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 			sr.fwd.ws.SetDist(r, -1)
 			sr.bwd.ws.SetDist(r, -1)
 		}
-		side = sr.bidirectional(dTop, dStarU, dStarV, !extract, &st)
+		side = sr.bidirectional(dTop, !extract, &st)
 	}
 	if side != nil {
 		st.DGMinus = sr.fwd.d + 1 + sr.bwd.d
@@ -329,9 +331,9 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 	return st
 }
 
-// computeSketch fills the searcher's sketch buffers and returns
-// (d⊤, d*_u, d*_v). releaseSketch must be called before the next query.
-func (sr *Searcher) computeSketch(u, v graph.V) (dTop, dStarU, dStarV int32) {
+// computeSketch fills the searcher's sketch buffers and returns d⊤.
+// releaseSketch must be called before the next query.
+func (sr *Searcher) computeSketch(u, v graph.V) (dTop int32) {
 	ix := sr.ix
 	R := ix.numLand
 	fwd, bwd := &sr.fwd, &sr.bwd
@@ -352,7 +354,7 @@ func (sr *Searcher) computeSketch(u, v graph.V) (dTop, dStarU, dStarV int32) {
 		}
 	}
 	if dTop == graph.InfDist {
-		return dTop, 0, 0
+		return dTop
 	}
 	for _, eu := range fwd.ent {
 		row := eu.Rank * R
@@ -362,11 +364,11 @@ func (sr *Searcher) computeSketch(u, v graph.V) (dTop, dStarU, dStarV int32) {
 				continue
 			}
 			sr.pairs = append(sr.pairs, SketchPair{R: eu.Rank, RPrime: ev.Rank})
-			dStarU = fwd.keep(eu, dStarU)
-			dStarV = bwd.keep(ev, dStarV)
+			fwd.keep(eu)
+			bwd.keep(ev)
 		}
 	}
-	return dTop, dStarU, dStarV
+	return dTop
 }
 
 func (sr *Searcher) releaseSketch() {
@@ -374,12 +376,13 @@ func (sr *Searcher) releaseSketch() {
 	sr.bwd.releaseSketch()
 }
 
-// bidirectional runs the sketch-guided bidirectional BFS over G⁻ until an
-// arc crosses from one visited set to the other, leaving the crossing
-// arcs (all of them, or one if first) in sr.cross, and returns the side
-// whose expansion found them — nil if the searches exhausted or reached
-// the d⊤ bound first. Side choice follows the paper: prefer the side
-// whose bound d* has not been reached; tie-break on visited-set size.
+// bidirectional runs the bidirectional BFS over G⁻ until an arc crosses
+// from one visited set to the other, leaving the crossing arcs (all of
+// them, or one if first) in sr.cross, and returns the side whose
+// expansion found them — nil if a side ran out (its reach in G⁻ met
+// nothing: d_G⁻ = ∞) or the depths reached d⊤ (graph.InfDist bounds
+// nothing). Side rule, bfs.Bidirectional's: grow the smaller visited
+// set, the forward one on a tie.
 //
 // Meeting rule. The level that expands side S tests each vertex it
 // reaches against both visited sets (traverse.ExpandMeeting). While no
@@ -392,26 +395,11 @@ func (sr *Searcher) releaseSketch() {
 // in levels both sides have completed. The level that met is abandoned:
 // S.d and levelOff do not advance, and reverse and recover read complete
 // levels only.
-func (sr *Searcher) bidirectional(dTop, dStarU, dStarV int32, first bool, st *QueryStats) *searchSide {
-	for dTop == graph.InfDist || sr.fwd.d+sr.bwd.d < dTop {
-		uWant := dStarU > sr.fwd.d && len(sr.fwd.frontier()) > 0
-		vWant := dStarV > sr.bwd.d && len(sr.bwd.frontier()) > 0
-		var side, other *searchSide
-		switch {
-		case uWant && !vWant:
-			side, other = &sr.fwd, &sr.bwd
-		case vWant && !uWant:
-			side, other = &sr.bwd, &sr.fwd
-		case sr.fwd.visited() <= sr.bwd.visited():
-			side, other = &sr.fwd, &sr.bwd
-		default:
-			side, other = &sr.bwd, &sr.fwd
-		}
-		if len(side.frontier()) == 0 {
+func (sr *Searcher) bidirectional(dTop int32, first bool, st *QueryStats) *searchSide {
+	for sr.fwd.d+sr.bwd.d < dTop && len(sr.fwd.frontier()) > 0 && len(sr.bwd.frontier()) > 0 {
+		side, other := &sr.fwd, &sr.bwd
+		if side.visited() > other.visited() {
 			side, other = other, side
-			if len(side.frontier()) == 0 {
-				return nil // G⁻ exhausted: d_G⁻ = ∞
-			}
 		}
 		// Landmarks carry a sentinel depth on both sides from query
 		// setup, so the expansion's seen check skips them before it

@@ -38,7 +38,8 @@ type Sketch struct {
 	DTop int32
 	// DStarU and DStarV are the per-side search bounds of Eq. 4:
 	// max σ_S(r, t) − 1 over sketch edges at that endpoint (0 when the
-	// endpoint has no sketch edges).
+	// endpoint has no sketch edges). Introspection only: the search no
+	// longer steers by them.
 	DStarU, DStarV int32
 	// Pairs are the minimizing landmark pairs.
 	Pairs []SketchPair
