@@ -179,10 +179,11 @@ func TestParentFingerprints(t *testing.T) {
 // f535a26, the last one whose expansion kernel scanned and marked a level
 // in one sweep; a kernel that reads memory in another order must still
 // examine exactly these adjacency entries. The query and distance sums
-// were recorded again when the guided search took Bi-BFS's side rule —
-// grow the smaller visited set, stop when either frontier is empty —
-// in place of the sketch's per-side bounds d*: the same answers, fewer
-// arcs (YT 103210/70349, WK 107865/80548, FR 1206603/221206 before).
+// were recorded again at commit db32f0f, when the guided search took
+// Bi-BFS's side rule — grow the smaller visited set, stop when either
+// frontier is empty — in place of the sketch's per-side bounds d*: the
+// same answers, fewer arcs (YT 103210/70349, WK 107865/80548,
+// FR 1206603/221206 before).
 type arcsScanned struct{ query, distance, biBFS int64 }
 
 var (

@@ -157,3 +157,94 @@ func TestArcMeetingMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// exhaustedSideArcs is u → r → a chain of five vertices → v with a 4-ary
+// in-tree of depth 5 hanging into v: 1 372 vertices, u = 0, r = 1,
+// v = 7. With r the one landmark, u's only arc leads into it, so the
+// forward side of the search is exhausted after one level.
+func exhaustedSideArcs() (n int, arcs []graph.Arc) {
+	for x := graph.V(0); x < 7; x++ {
+		arcs = append(arcs, graph.Arc{From: x, To: x + 1})
+	}
+	next := graph.V(8)
+	parents := []graph.V{7}
+	for depth := 0; depth < 5; depth++ {
+		var children []graph.V
+		for _, p := range parents {
+			for i := 0; i < 4; i++ {
+				arcs = append(arcs, graph.Arc{From: next, To: p})
+				children = append(children, next)
+				next++
+			}
+		}
+		parents = children
+	}
+	return int(next), arcs
+}
+
+// TestExhaustedSideEndsTheSearch holds the guided search to Bi-BFS's stop
+// rule: once one side's frontier is empty no u–v path avoids the
+// landmarks, so the search ends there instead of growing the other side
+// through the whole tree. What remains is the recover walk down the
+// chain: the answer goes through the landmark.
+func TestExhaustedSideEndsTheSearch(t *testing.T) {
+	n, arcs := exhaustedSideArcs()
+	if n != 1372 {
+		t.Fatalf("fixture has %d vertices, want 1372", n)
+	}
+	edges := make([]graph.Edge, len(arcs))
+	for i, a := range arcs {
+		edges[i] = graph.Edge{U: a.From, W: a.To}
+	}
+	const u, r, v = 0, 1, 7
+	for name, tg := range map[string]testGraph{
+		"undirected": undirected(graph.MustFromEdges(n, edges)),
+		"directed":   directed(graph.MustDiFromArcs(n, arcs)),
+	} {
+		sr := NewSearcher(tg.mustBuild(t, Options{Landmarks: []graph.V{r}}))
+		tg.check(t, sr, u, v)
+		if got := sr.QueryInto(new(graph.SPG), u, v).ArcsScanned; got > 16 {
+			t.Errorf("%s: QueryInto scanned %d arcs, want ≤ 16", name, got)
+		}
+		if got := sr.query(u, v, false).ArcsScanned; got > 2 {
+			t.Errorf("%s: Distance scanned %d arcs, want ≤ 2", name, got)
+		}
+	}
+}
+
+// TestUnguidedSearchIsBiBFS pins that the guided search and the Bi-BFS
+// baseline share one side rule. The only landmark is an isolated vertex,
+// so d⊤ = ∞ bounds nothing and G⁻ = G: the guided search must then be
+// Bi-BFS arc for arc, the same answer from the same adjacency entries,
+// disconnected pairs included. The pairs avoid the landmark, whose
+// queries skip the search.
+func TestUnguidedSearchIsBiBFS(t *testing.T) {
+	const n = 3000 // the isolated landmark is vertex n
+	und := graph.MustFromEdges(n+1, graph.ErdosRenyi(n, 3000, 3).Edges())
+	dir := graph.MustDiFromArcs(n+1, graph.DirectedErdosRenyi(n, 9000, 3).Arcs())
+	for name, tc := range map[string]struct {
+		tg testGraph
+		bi *bfs.Bidirectional
+	}{
+		"undirected": {undirected(und), bfs.NewBidirectional(und)},
+		"directed":   {directed(dir), bfs.NewDirectedBidirectional(dir)},
+	} {
+		sr := NewSearcher(tc.tg.mustBuild(t, Options{Landmarks: []graph.V{n}}))
+		got := new(graph.SPG)
+		differ := 0
+		for _, p := range randomPairs(n, 2000, 29) {
+			u, v := p[0], p[1]
+			st := sr.QueryInto(got, u, v)
+			want, wantSt := tc.bi.Query(u, v)
+			if !got.Equal(want) || st.ArcsScanned != wantSt.ArcsScanned {
+				if differ == 0 {
+					t.Errorf("%s (%d,%d): distance %d after %d arcs, Bi-BFS %d after %d", name, u, v, got.Dist, st.ArcsScanned, want.Dist, wantSt.ArcsScanned)
+				}
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d of 2000 pairs differ from Bi-BFS", name, differ)
+		}
+	}
+}
