@@ -182,8 +182,7 @@ func TestParentFingerprints(t *testing.T) {
 // were recorded again at commit db32f0f, when the guided search took
 // Bi-BFS's side rule — grow the smaller visited set, stop when either
 // frontier is empty — in place of the sketch's per-side bounds d*: the
-// same answers, fewer arcs (YT 103210/70349, WK 107865/80548,
-// FR 1206603/221206 before).
+// same answers, fewer arcs.
 type arcsScanned struct{ query, distance, biBFS int64 }
 
 var (
