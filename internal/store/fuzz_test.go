@@ -18,7 +18,7 @@ func FuzzWALScan(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := w.append(walRecord{epoch: uint64(i + 1), op: recInsert, u: graph.V(i), w: graph.V(i + 1)}); err != nil {
+		if err := w.append(WALRecord{Epoch: uint64(i + 1), U: graph.V(i), W: graph.V(i + 1), Op: WALInsert}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -38,7 +38,7 @@ func FuzzWALScan(f *testing.F) {
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := scanSegment(p, 1, func(rec walRecord) error { return nil })
+		res, err := scanSegment(p, 1, func(rec WALRecord) error { return nil })
 		if err != nil {
 			t.Fatalf("scanSegment returned I/O error on in-memory bytes: %v", err)
 		}
@@ -62,7 +62,7 @@ func TestWALBitFlips(t *testing.T) {
 	}
 	const numRecs = 8
 	for i := 0; i < numRecs; i++ {
-		if err := w.append(walRecord{epoch: uint64(i + 1), op: recInsert, u: graph.V(i), w: graph.V(i + 1)}); err != nil {
+		if err := w.append(WALRecord{Epoch: uint64(i + 1), U: graph.V(i), W: graph.V(i + 1), Op: WALInsert}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestWALBitFlips(t *testing.T) {
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := scanSegment(p, 1, func(walRecord) error { return nil })
+		res, err := scanSegment(p, 1, func(WALRecord) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

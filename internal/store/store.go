@@ -262,15 +262,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	maxSeq := uint64(0)
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		res, err := scanSegment(seg.path, seg.seq, func(rec walRecord) error {
-			if rec.epoch <= ls.epoch {
+		res, err := scanSegment(seg.path, seg.seq, func(rec WALRecord) error {
+			if rec.Epoch <= ls.epoch {
 				return nil // already folded into the snapshot
 			}
 			replayed++
-			if rec.op == recCompact {
-				return d.ReplayEpoch(rec.epoch)
+			if rec.Op == WALCompact {
+				return d.ReplayEpoch(rec.Epoch)
 			}
-			return d.ReplayEdge(rec.u, rec.w, rec.op == recInsert, rec.epoch)
+			return d.ReplayEdge(rec.U, rec.W, rec.Op == WALInsert, rec.Epoch)
 		})
 		if err != nil {
 			replaySp.Fail()
@@ -335,19 +335,19 @@ func (s *Store) ReadOnly() bool { return s.opts.ReadOnly }
 
 // LogUpdate implements dynamic.UpdateLogger.
 func (s *Store) LogUpdate(epoch uint64, u, w graph.V, insert bool) error {
-	op := uint8(recInsert)
+	op := uint8(WALInsert)
 	if !insert {
-		op = recDelete
+		op = WALDelete
 	}
-	return s.logRecord(walRecord{epoch: epoch, op: op, u: u, w: w})
+	return s.logRecord(WALRecord{Epoch: epoch, U: u, W: w, Op: op})
 }
 
 // LogCompaction implements dynamic.UpdateLogger.
 func (s *Store) LogCompaction(epoch uint64) error {
-	return s.logRecord(walRecord{epoch: epoch, op: recCompact})
+	return s.logRecord(WALRecord{Epoch: epoch, Op: WALCompact})
 }
 
-func (s *Store) logRecord(rec walRecord) error {
+func (s *Store) logRecord(rec WALRecord) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.closed {
@@ -356,9 +356,9 @@ func (s *Store) logRecord(rec walRecord) error {
 	if err := s.w.append(rec); err != nil {
 		return err
 	}
-	s.lastAppended = rec.epoch
+	s.lastAppended = rec.Epoch
 	if s.w.unsynced == 0 { // append fsynced (SyncEvery boundary or <=1)
-		s.syncedEpoch = rec.epoch
+		s.syncedEpoch = rec.Epoch
 	}
 	return nil
 }

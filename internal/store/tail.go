@@ -22,21 +22,6 @@ import (
 // segment a registered replica still needs. See internal/replica for
 // the HTTP protocol layered on top.
 
-// WALRecord is one logged epoch advance as exposed to replication
-// consumers. Op is one of WALInsert, WALDelete, WALCompact.
-type WALRecord struct {
-	Epoch uint64
-	U, W  graph.V
-	Op    uint8
-}
-
-// WAL record operations (the on-disk op codes).
-const (
-	WALInsert  = recInsert
-	WALDelete  = recDelete
-	WALCompact = recCompact
-)
-
 // WALRecordSize is the framed size of one log record — the unit of the
 // replication wire format and of byte-lag accounting.
 const WALRecordSize = walRecordSize
@@ -44,26 +29,26 @@ const WALRecordSize = walRecordSize
 // decodeWALFrame validates one framed record (length, checksum, op) and
 // decodes it. It is the single framing authority shared by recovery
 // scans, the tail reader and (via internal/replica) the wire protocol.
-func decodeWALFrame(b []byte) (walRecord, bool) {
+func decodeWALFrame(b []byte) (WALRecord, bool) {
 	if binary.LittleEndian.Uint32(b[0:]) != walPayload ||
 		binary.LittleEndian.Uint32(b[4:]) != crc32.Checksum(b[8:walRecordSize], crcTable) {
-		return walRecord{}, false
+		return WALRecord{}, false
 	}
 	op := b[16]
-	if op != recInsert && op != recDelete && op != recCompact {
-		return walRecord{}, false
+	if op != WALInsert && op != WALDelete && op != WALCompact {
+		return WALRecord{}, false
 	}
-	return walRecord{
-		epoch: binary.LittleEndian.Uint64(b[8:]),
-		op:    op,
-		u:     graph.V(binary.LittleEndian.Uint32(b[17:])),
-		w:     graph.V(binary.LittleEndian.Uint32(b[21:])),
+	return WALRecord{
+		Epoch: binary.LittleEndian.Uint64(b[8:]),
+		U:     graph.V(binary.LittleEndian.Uint32(b[17:])),
+		W:     graph.V(binary.LittleEndian.Uint32(b[21:])),
+		Op:    op,
 	}, true
 }
 
-// EncodeWALFrame appends the wire framing of rec to dst — byte-identical
-// to the on-disk record, checksum included, so a replica can validate
-// shipped records exactly as recovery validates the log.
+// EncodeWALFrame appends the framing of rec to dst: the on-disk record,
+// checksum included, which is also what replication ships, so a replica
+// validates shipped records exactly as recovery validates the log.
 func EncodeWALFrame(dst []byte, rec WALRecord) []byte {
 	var b [walRecordSize]byte
 	binary.LittleEndian.PutUint32(b[0:], walPayload)
@@ -85,7 +70,7 @@ func DecodeWALFrame(b []byte) (WALRecord, error) {
 	if !ok {
 		return WALRecord{}, fmt.Errorf("store: corrupt WAL frame")
 	}
-	return WALRecord{Epoch: rec.epoch, U: rec.u, W: rec.w, Op: rec.op}, nil
+	return rec, nil
 }
 
 // DurableEpoch returns the newest epoch replication can currently
@@ -230,19 +215,11 @@ func segmentFirstEpoch(seg segmentFile) (uint64, bool) {
 	}
 	defer f.Close()
 	var b [walHeaderSize + walRecordSize]byte
-	if _, err := io.ReadFull(f, b[:]); err != nil {
-		return 0, false
-	}
-	if string(b[:4]) != walMagic ||
-		binary.LittleEndian.Uint32(b[4:]) != walVersion ||
-		binary.LittleEndian.Uint64(b[8:]) != seg.seq {
+	if _, err := io.ReadFull(f, b[:]); err != nil || !validHeader(b[:], seg.seq) {
 		return 0, false
 	}
 	rec, ok := decodeWALFrame(b[walHeaderSize:])
-	if !ok {
-		return 0, false
-	}
-	return rec.epoch, true
+	return rec.Epoch, ok
 }
 
 // tailSegment streams the records of one segment with from < epoch <=
@@ -263,12 +240,7 @@ func tailSegment(seg segmentFile, from, limit uint64, max int, expect *uint64, f
 	defer f.Close()
 
 	var hdr [walHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, nil
-	}
-	if string(hdr[:4]) != walMagic ||
-		binary.LittleEndian.Uint32(hdr[4:]) != walVersion ||
-		binary.LittleEndian.Uint64(hdr[8:]) != seg.seq {
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || !validHeader(hdr[:], seg.seq) {
 		return 0, nil
 	}
 	size, err := f.Seek(0, io.SeekEnd)
@@ -284,9 +256,9 @@ func tailSegment(seg segmentFile, from, limit uint64, max int, expect *uint64, f
 	// strictly increasing within a segment; a probe that fails to
 	// validate can only be the torn tail, so the search moves left.
 	var buf [walRecordSize]byte
-	probe := func(i int64) (walRecord, bool) {
+	probe := func(i int64) (WALRecord, bool) {
 		if _, err := f.ReadAt(buf[:], walHeaderSize+i*walRecordSize); err != nil {
-			return walRecord{}, false
+			return WALRecord{}, false
 		}
 		return decodeWALFrame(buf[:])
 	}
@@ -294,7 +266,7 @@ func tailSegment(seg segmentFile, from, limit uint64, max int, expect *uint64, f
 	for lo < hi {
 		mid := (lo + hi) / 2
 		rec, ok := probe(mid)
-		if !ok || rec.epoch > from {
+		if !ok || rec.Epoch > from {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -335,17 +307,17 @@ scan:
 			if !ok {
 				break scan // torn tail
 			}
-			if rec.epoch > limit {
+			if rec.Epoch > limit {
 				break scan // not yet durable; served after the next tail sync
 			}
-			if rec.epoch <= from {
+			if rec.Epoch <= from {
 				continue
 			}
-			if err := fn(WALRecord{Epoch: rec.epoch, U: rec.u, W: rec.w, Op: rec.op}); err != nil {
+			if err := fn(rec); err != nil {
 				return n, err
 			}
 			n++
-			if rec.epoch == *expect {
+			if rec.Epoch == *expect {
 				*expect++
 			}
 		}

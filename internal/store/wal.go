@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,18 +24,23 @@ const (
 	walHeaderSize = 16 // magic + u32 version + u64 seq
 	walPayload    = 17 // u64 epoch + u8 op + i32 u + i32 w
 	walRecordSize = 8 + walPayload
-
-	recInsert  = 1
-	recDelete  = 2
-	recCompact = 3
 )
 
-// walRecord is one logged epoch advance.
-type walRecord struct {
-	epoch uint64
-	op    uint8
-	u, w  graph.V
+// WALRecord is one logged epoch advance: what the writer appends,
+// recovery replays and replication ships. Op is one of WALInsert,
+// WALDelete, WALCompact.
+type WALRecord struct {
+	Epoch uint64
+	U, W  graph.V
+	Op    uint8
 }
+
+// WAL record operations (the on-disk op codes).
+const (
+	WALInsert  = 1
+	WALDelete  = 2
+	WALCompact = 3
+)
 
 func segmentFileName(seq uint64) string {
 	return fmt.Sprintf("seg-%016d.wal", seq)
@@ -120,27 +124,20 @@ func (w *walWriter) openSegment() error {
 // and the fsync are timed into separate histograms: append latency is
 // what every logged update pays, fsync latency only the SyncEvery
 // boundaries.
-func (w *walWriter) append(rec walRecord) error {
+func (w *walWriter) append(rec WALRecord) error {
 	if w.size+walRecordSize > w.segBytes && w.cur.hasRecords {
 		if err := w.rotate(); err != nil {
 			return err
 		}
 	}
 	start := time.Now()
-	b := w.buf[:]
-	binary.LittleEndian.PutUint32(b[0:], walPayload)
-	binary.LittleEndian.PutUint64(b[8:], rec.epoch)
-	b[16] = rec.op
-	binary.LittleEndian.PutUint32(b[17:], uint32(rec.u))
-	binary.LittleEndian.PutUint32(b[21:], uint32(rec.w))
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[8:], crcTable))
-	if _, err := w.f.Write(b); err != nil {
+	if _, err := w.f.Write(EncodeWALFrame(w.buf[:0], rec)); err != nil {
 		return err
 	}
 	mWALAppendNs.Observe(time.Since(start))
 	mWALRecords.Inc()
 	w.size += walRecordSize
-	w.cur.lastEpoch = rec.epoch
+	w.cur.lastEpoch = rec.Epoch
 	w.cur.hasRecords = true
 	w.unsynced++
 	if w.syncEvery <= 1 || w.unsynced >= w.syncEvery {
@@ -246,6 +243,14 @@ func listSegments(dir string) ([]segmentFile, error) {
 	return segs, nil
 }
 
+// validHeader reports whether hdr, the first walHeaderSize bytes of a
+// segment file, is the header of segment seq.
+func validHeader(hdr []byte, seq uint64) bool {
+	return string(hdr[:4]) == walMagic &&
+		binary.LittleEndian.Uint32(hdr[4:]) == walVersion &&
+		binary.LittleEndian.Uint64(hdr[8:]) == seq
+}
+
 // scanResult reports how a segment scan ended.
 type scanResult struct {
 	lastGood  int64  // file offset after the last valid record
@@ -259,7 +264,7 @@ type scanResult struct {
 // at the first framing or checksum violation. It never trusts a length
 // field: records are fixed-size under version 1, so a corrupt frame
 // cannot force a large allocation.
-func scanSegment(path string, wantSeq uint64, fn func(walRecord) error) (scanResult, error) {
+func scanSegment(path string, wantSeq uint64, fn func(WALRecord) error) (scanResult, error) {
 	var res scanResult
 	f, err := os.Open(path)
 	if err != nil {
@@ -268,13 +273,7 @@ func scanSegment(path string, wantSeq uint64, fn func(walRecord) error) (scanRes
 	defer f.Close()
 
 	var hdr [walHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		res.badHeader, res.torn = true, true
-		return res, nil
-	}
-	if string(hdr[:4]) != walMagic ||
-		binary.LittleEndian.Uint32(hdr[4:]) != walVersion ||
-		binary.LittleEndian.Uint64(hdr[8:]) != wantSeq {
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || !validHeader(hdr[:], wantSeq) {
 		res.badHeader, res.torn = true, true
 		return res, nil
 	}
@@ -297,7 +296,7 @@ func scanSegment(path string, wantSeq uint64, fn func(walRecord) error) (scanRes
 			return res, err
 		}
 		res.lastGood += walRecordSize
-		res.lastEpoch = r.epoch
+		res.lastEpoch = r.Epoch
 		res.records++
 	}
 }
