@@ -1,8 +1,6 @@
-// Package analysis provides the shortest-path-graph analysis toolkit
-// behind the paper's motivating applications (§1): path enumeration and
-// counting, common links (vertices shared by all shortest paths),
-// interdiction sets (critical vertices and edges whose removal destroys
-// all shortest paths), and shortest-path rerouting sequences.
+// Package analysis layers a shortest path graph by distance from its
+// source, counts its shortest paths and enumerates them: what /spg and
+// /paths report beside the edges of an answer.
 //
 // All functions operate on an SPG alone; no distance oracle is needed.
 // By Definition 2.2 an SPG holds exactly all shortest Source–Target
@@ -22,7 +20,6 @@
 package analysis
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -302,18 +299,6 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
-// satMul multiplies two non-negative path counts, saturating at
-// MaxInt64.
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
-}
-
 // CountPaths returns the number of distinct shortest paths, counted
 // while the DAG was layered. Path counts grow exponentially with
 // distance (a chain of d diamonds has 2^d shortest paths), so the count
@@ -328,23 +313,6 @@ func (d *DAG) CountPaths() (n int64, saturated bool) {
 	}
 	n = d.count[d.dst]
 	return n, n == math.MaxInt64
-}
-
-// pathsToTarget counts paths v→Target for every DAG vertex by local
-// id, saturating at MaxInt64.
-func (d *DAG) pathsToTarget() []int64 {
-	to := make([]int64, len(d.Vertices))
-	if d.dst < 0 {
-		return to
-	}
-	to[d.dst] = 1
-	for i := len(d.order) - 1; i >= 0; i-- { // descending depth
-		v := d.order[i]
-		for _, w := range d.next(v) {
-			to[v] = satAdd(to[v], to[w])
-		}
-	}
-	return to
 }
 
 // CountDiPaths counts the distinct shortest Source→Target paths of an
@@ -386,202 +354,4 @@ func (d *DAG) EnumeratePaths(limit int) [][]graph.V {
 	}
 	walk(d.src)
 	return out
-}
-
-// interior returns the vertices strictly between Source and Target as
-// local ids, in ascending depth.
-func (d *DAG) interior() []int32 {
-	if d == nil || d.dst < 0 {
-		return nil
-	}
-	return slices.DeleteFunc(slices.Clone(d.order), func(v int32) bool { return v == d.src || v == d.dst })
-}
-
-// CommonLinks returns the interior vertices that lie on every shortest
-// path (the Shortest Path Common Links problem): v is common iff
-// paths(Source→v) × paths(v→Target) equals the total path count. (With
-// saturated counts the product test degrades to an approximation; use
-// CriticalVertices, which is count-free, when exactness matters on
-// astronomically path-rich pairs.)
-func (d *DAG) CommonLinks() []graph.V {
-	total, _ := d.CountPaths()
-	if total == 0 {
-		return nil
-	}
-	to := d.pathsToTarget()
-	var out []graph.V
-	for _, v := range d.interior() {
-		if satMul(d.count[v], to[v]) == total {
-			out = append(out, d.Vertices[v])
-		}
-	}
-	return out
-}
-
-// PathBetweenness returns, for every interior vertex, the fraction of
-// shortest paths passing through it — the pair-restricted betweenness
-// the SPG makes cheap to compute exactly.
-func (d *DAG) PathBetweenness() map[graph.V]float64 {
-	if d == nil {
-		return nil
-	}
-	out := make(map[graph.V]float64)
-	total, _ := d.CountPaths()
-	if total == 0 {
-		return out
-	}
-	to := d.pathsToTarget()
-	for _, v := range d.interior() {
-		out[d.Vertices[v]] = float64(satMul(d.count[v], to[v])) / float64(total)
-	}
-	return out
-}
-
-// CriticalVertices solves vertex interdiction on the SPG: the interior
-// vertices whose removal disconnects Source from Target within the SPG
-// (destroying every shortest path). Equivalent to CommonLinks — a
-// vertex blocks all paths iff all paths pass through it — but computed
-// independently by reachability, which tests exploit as a
-// cross-check.
-func (d *DAG) CriticalVertices() []graph.V {
-	var out []graph.V
-	var seen []bool
-	for _, v := range d.interior() {
-		if seen = d.reachableAvoiding(seen, v, [2]int32{-1, -1}); !seen[d.dst] {
-			out = append(out, d.Vertices[v])
-		}
-	}
-	return out
-}
-
-// CriticalEdges solves edge interdiction on the SPG: the edges whose
-// removal destroys every shortest path.
-func (d *DAG) CriticalEdges() []graph.Edge {
-	if d == nil || d.dst < 0 {
-		return nil
-	}
-	var out []graph.Edge
-	var seen []bool
-	for _, v := range d.order {
-		for _, w := range d.next(v) {
-			if seen = d.reachableAvoiding(seen, -1, [2]int32{v, w}); !seen[d.dst] {
-				out = append(out, graph.Edge{U: d.Vertices[v], W: d.Vertices[w]}.Normalize())
-			}
-		}
-	}
-	slices.SortFunc(out, func(a, b graph.Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.W, b.W))
-	})
-	return out
-}
-
-// reachableAvoiding marks, in seen (reused across calls), the vertices
-// reachable from Source over the DAG without entering the banned vertex
-// or crossing the banned arc.
-func (d *DAG) reachableAvoiding(seen []bool, banned int32, bannedArc [2]int32) []bool {
-	seen = slices.Grow(seen[:0], len(d.Vertices))[:len(d.Vertices)]
-	clear(seen)
-	if d.src == banned {
-		return seen
-	}
-	seen[d.src] = true
-	queue := []int32{d.src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range d.next(v) {
-			if w == banned || seen[w] || [2]int32{v, w} == bannedArc {
-				continue
-			}
-			seen[w] = true
-			queue = append(queue, w)
-		}
-	}
-	return seen
-}
-
-// Reroute finds a shortest rerouting sequence between two shortest
-// paths: a chain of shortest paths each differing from the previous in
-// exactly one vertex (the Shortest Path Rerouting problem). Both input
-// paths must be paths of the DAG. Returns nil when no sequence exists.
-// maxPaths bounds the enumerated path universe (≤ 0 = 4096).
-func (d *DAG) Reroute(from, to []graph.V, maxPaths int) [][]graph.V {
-	if d == nil {
-		return nil
-	}
-	if maxPaths <= 0 {
-		maxPaths = 4096
-	}
-	paths := d.EnumeratePaths(maxPaths)
-	src, dst := -1, -1
-	for i, p := range paths {
-		if equalPath(p, from) {
-			src = i
-		}
-		if equalPath(p, to) {
-			dst = i
-		}
-	}
-	if src < 0 || dst < 0 {
-		return nil
-	}
-	prev := make([]int, len(paths))
-	for i := range prev {
-		prev[i] = -2
-	}
-	prev[src] = -1
-	queue := []int{src}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == dst {
-			var seq [][]graph.V
-			for at := dst; at != -1; at = prev[at] {
-				seq = append(seq, paths[at])
-			}
-			reverse(seq)
-			return seq
-		}
-		for y := range paths {
-			if prev[y] == -2 && differByOneVertex(paths[x], paths[y]) {
-				prev[y] = x
-				queue = append(queue, y)
-			}
-		}
-	}
-	return nil
-}
-
-func equalPath(a, b []graph.V) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func differByOneVertex(a, b []graph.V) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	diff := 0
-	for i := range a {
-		if a[i] != b[i] {
-			diff++
-			if diff > 1 {
-				return false
-			}
-		}
-	}
-	return diff == 1
-}
-
-func reverse(s [][]graph.V) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

@@ -77,15 +77,3 @@ func Distance(g graph.Adjacency, u, v graph.V) int32 {
 	}
 	return Infinity
 }
-
-// Eccentricity returns the maximum finite distance from v.
-func Eccentricity(g graph.Adjacency, v graph.V) int32 {
-	dist := Distances(g, v)
-	var ecc int32
-	for _, d := range dist {
-		if d != Infinity && d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

@@ -42,15 +42,6 @@ func TestDistancesDisconnected(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	if e := Eccentricity(graph.Path(7), 0); e != 6 {
-		t.Fatalf("path ecc = %d", e)
-	}
-	if e := Eccentricity(graph.Star(9), 0); e != 1 {
-		t.Fatalf("star centre ecc = %d", e)
-	}
-}
-
 func TestWorkspaceReuse(t *testing.T) {
 	ws := NewWorkspace(10)
 	ws.Reset()

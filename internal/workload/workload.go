@@ -36,26 +36,6 @@ func SamplePairs(g *graph.Graph, count int, seed int64) []Pair {
 	return pairs
 }
 
-// SampleConnectedPairs draws count pairs from the same connected
-// component, for workloads where disconnected pairs are noise.
-func SampleConnectedPairs(g *graph.Graph, count int, seed int64) []Pair {
-	labels, _ := g.ConnectedComponents()
-	rng := rand.New(rand.NewSource(seed))
-	n := g.NumVertices()
-	pairs := make([]Pair, 0, count)
-	if n < 2 {
-		return pairs
-	}
-	for attempts := 0; len(pairs) < count && attempts < 1000*count; attempts++ {
-		u := graph.V(rng.Intn(n))
-		v := graph.V(rng.Intn(n))
-		if u != v && labels[u] == labels[v] {
-			pairs = append(pairs, Pair{u, v})
-		}
-	}
-	return pairs
-}
-
 // DistanceDistribution is the Figure 7 histogram: Fraction[d] is the
 // fraction of sampled pairs at distance d; Unreachable counts
 // disconnected pairs; Mean is the average finite distance.

@@ -39,16 +39,6 @@ func TestSamplePairsTinyGraph(t *testing.T) {
 	}
 }
 
-func TestSampleConnectedPairs(t *testing.T) {
-	g := graph.MustFromEdges(6, []graph.Edge{{U: 0, W: 1}, {U: 1, W: 2}, {U: 3, W: 4}, {U: 4, W: 5}})
-	labels, _ := g.ConnectedComponents()
-	for _, p := range SampleConnectedPairs(g, 50, 3) {
-		if labels[p.U] != labels[p.V] {
-			t.Fatalf("pair %v crosses components", p)
-		}
-	}
-}
-
 func TestMeasureDistancesOnPath(t *testing.T) {
 	g := graph.Path(5)
 	pairs := []Pair{{0, 4}, {0, 1}, {1, 3}, {0, 4}}
