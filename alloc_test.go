@@ -67,6 +67,18 @@ var allocCases = []struct {
 	}},
 }
 
+// passAllocs counts the heap allocations of one warm pass of query over
+// pairs. testing.AllocsPerRun truncates its per-run average, so with one
+// query per run an allocation made on a few pairs only would read 0; the
+// whole pass is the one measured run, and every allocation in it counts.
+func passAllocs(pairs []workload.Pair, query func(workload.Pair)) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for _, p := range pairs {
+			query(p)
+		}
+	})
+}
+
 type queryIntoer interface {
 	QueryInto(dst *qbs.SPG, u, v qbs.V) *qbs.SPG
 	QueryIntoStats(dst *qbs.SPG, u, v qbs.V) qbs.QueryStats
@@ -91,22 +103,11 @@ func TestWarmQueryZeroAllocs(t *testing.T) {
 					sr.QueryInto(spg, p.U, p.V)
 				}
 			}
-			i := 0
-			if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-				p := pairs[i%len(pairs)]
-				i++
-				sr.QueryInto(spg, p.U, p.V)
-			}); avg != 0 {
-				t.Fatalf("warm Searcher.QueryInto allocates %.2f/op, want 0", avg)
+			if n := passAllocs(pairs, func(p workload.Pair) { sr.QueryInto(spg, p.U, p.V) }); n != 0 {
+				t.Fatalf("warm Searcher.QueryInto allocates %.0f per %d-pair pass, want 0", n, len(pairs))
 			}
-
-			i = 0
-			if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-				p := pairs[i%len(pairs)]
-				i++
-				sr.Distance(p.U, p.V)
-			}); avg != 0 {
-				t.Fatalf("warm Searcher.Distance allocates %.2f/op, want 0", avg)
+			if n := passAllocs(pairs, func(p workload.Pair) { sr.Distance(p.U, p.V) }); n != 0 {
+				t.Fatalf("warm Searcher.Distance allocates %.0f per %d-pair pass, want 0", n, len(pairs))
 			}
 		})
 	}
@@ -134,16 +135,13 @@ func TestWarmInstrumentedQueryZeroAllocs(t *testing.T) {
 			sr.QueryInto(spg, p.U, p.V)
 		}
 	}
-	i := 0
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
+	if n := passAllocs(pairs, func(p workload.Pair) {
 		st := sr.QueryInto(spg, p.U, p.V)
 		hist.ObserveNs(st.ExpandNs)
 		arcs.Add(st.ArcsScanned)
 		evDebug.Emit(obs.Int("arcs", st.ArcsScanned), obs.Int("dtop", int64(st.DTop)))
-	}); avg != 0 {
-		t.Fatalf("instrumented warm QueryInto allocates %.2f/op, want 0", avg)
+	}); n != 0 {
+		t.Fatalf("instrumented warm QueryInto allocates %.0f per %d-pair pass, want 0", n, len(pairs))
 	}
 	if hist.Count() == 0 {
 		t.Fatal("stage histogram recorded nothing")
@@ -175,11 +173,8 @@ func TestWarmTracedQueryZeroAllocs(t *testing.T) {
 			tr.Finish(tb)
 		}
 	}
-	i := 0
 	kept := false
-	if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-		p := pairs[i%len(pairs)]
-		i++
+	if n := passAllocs(pairs, func(p workload.Pair) {
 		tb := tr.Begin("/spg", "", 0, false)
 		sp := tb.StartSpan("stage:expand")
 		st := sr.QueryInto(spg, p.U, p.V)
@@ -189,8 +184,8 @@ func TestWarmTracedQueryZeroAllocs(t *testing.T) {
 		if tr.Finish(tb) != nil {
 			kept = true
 		}
-	}); avg != 0 {
-		t.Fatalf("traced warm QueryInto allocates %.2f/op, want 0", avg)
+	}); n != 0 {
+		t.Fatalf("traced warm QueryInto allocates %.0f per %d-pair pass, want 0", n, len(pairs))
 	}
 	if kept {
 		t.Fatal("head-sample-dropped trace was retained; the measurement did not cover the drop path")
@@ -221,12 +216,8 @@ func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
 				"QueryIntoStats": func(p workload.Pair) { ix.QueryIntoStats(spg, p.U, p.V) },
 				"Distance":       func(p workload.Pair) { ix.Distance(p.U, p.V) },
 			} {
-				i := 0
-				if avg := testing.AllocsPerRun(len(pairs)*2, func() {
-					call(pairs[i%len(pairs)])
-					i++
-				}); avg != 0 {
-					t.Fatalf("warm %s allocates %.2f/op, want 0", name, avg)
+				if n := passAllocs(pairs, call); n != 0 {
+					t.Fatalf("warm %s allocates %.0f per %d-pair pass, want 0", name, n, len(pairs))
 				}
 			}
 		})
