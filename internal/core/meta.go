@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"qbs/internal/graph"
@@ -255,12 +257,15 @@ func (ix *Index) buildDelta() {
 	// δ_av ≥ max_b σ(a→b) (resp. δ_vb ≥ max_a σ(a→b)) can never
 	// participate — on hub-dominated graphs, where landmarks sit close
 	// together, that filter discards almost every entry before the O(L²)
-	// pair loop. The column-major label matrices are transposed into
-	// row-major scratch so each vertex's entries sit in one cache line,
-	// the surviving entries are gathered into locals, and each pair costs
-	// one σ-matrix byte probe (the meta-edge id is resolved only on the
-	// rare hit). A symmetric index has one matrix and one entry list per
-	// vertex, and pairs each two entries once (x < y, the a < b edge).
+	// pair loop. The label columns are read where they lie: blockFlags
+	// tests the bound on eight consecutive vertices per 64-bit load of
+	// each column, and only a vertex some column flags (on a digraph,
+	// some from-column and some to-column) has its surviving entries
+	// gathered into locals; the last n mod 8 vertices are gathered
+	// unconditionally. Each pair costs one σ-matrix byte probe (the
+	// meta-edge id is resolved only on the rare hit). A symmetric index
+	// has one matrix and one entry list per vertex, and pairs each two
+	// entries once (x < y, the a < b edge).
 	sigma := ix.ms.sigma
 	metaID := ix.ms.metaID
 	maxFrom, maxTo := make([]uint8, R), make([]uint8, R)
@@ -272,28 +277,14 @@ func (ix *Index) buildDelta() {
 			}
 		}
 	}
-	transpose := func(labels [][]uint8) []uint8 {
-		rows := make([]uint8, n*R)
-		for i, col := range labels {
-			for v := 0; v < n; v++ {
-				rows[v*R+i] = col[v]
-			}
-		}
-		return rows
-	}
-	rowsFrom := transpose(ix.labelFrom)
-	rowsTo := rowsFrom
-	if !sym {
-		rowsTo = transpose(ix.labelTo)
-	}
 	type entries struct {
 		ranks, dists [256]int32
 		n            int
 	}
-	gather := func(e *entries, row, maxSig []uint8) {
+	gather := func(e *entries, labels [][]uint8, maxSig []uint8, v int) {
 		e.n = 0
-		for i, d := range row {
-			if d != NoEntry && d < maxSig[i] {
+		for i, col := range labels {
+			if d := col[v]; d != NoEntry && d < maxSig[i] {
 				e.ranks[e.n] = int32(i)
 				e.dists[e.n] = int32(d)
 				e.n++
@@ -306,10 +297,10 @@ func (ix *Index) buildDelta() {
 	if !sym {
 		to = &toBuf
 	}
-	for v := 0; v < n; v++ {
-		gather(&from, rowsFrom[v*R:v*R+R], maxFrom)
+	collect := func(v int) {
+		gather(&from, ix.labelFrom, maxFrom, v)
 		if !sym {
-			gather(to, rowsTo[v*R:v*R+R], maxTo)
+			gather(to, ix.labelTo, maxTo, v)
 		}
 		for x := 0; x < from.n; x++ {
 			row := int(from.ranks[x]) * R
@@ -325,6 +316,18 @@ func (ix *Index) buildDelta() {
 				}
 			}
 		}
+	}
+	for v := 0; v+8 <= n; v += 8 {
+		m := blockFlags(ix.labelFrom, maxFrom, v)
+		if !sym && m != 0 {
+			m &= blockFlags(ix.labelTo, maxTo, v)
+		}
+		for ; m != 0; m &= m - 1 {
+			collect(v + bits.TrailingZeros64(m)/8)
+		}
+	}
+	for v := n &^ 7; v < n; v++ {
+		collect(v)
 	}
 
 	// Pass 2: per meta-edge, stamp candidate levels and emit arcs.
@@ -366,6 +369,30 @@ func (ix *Index) buildDelta() {
 		deltaEdges += int64(len(ix.delta[k]))
 	}
 	ix.build.DeltaEdges = deltaEdges
+}
+
+// blockFlags returns a word whose byte j has its top bit set when some
+// column may hold an entry below its bound (bound[i] for column i) at
+// vertex v+j. It is the standard has-a-byte-below-k test, one 64-bit
+// load per column: for k ≤ 127 it flags every byte below k, and
+// possibly a byte equal to k above a borrow from a lower byte. A column
+// whose bound is above 127 flags the whole block, and a bound of 0 (the
+// rank has no meta-edge on this side) flags nothing. A false flag costs
+// a gather, never an answer: gather re-checks every entry.
+func blockFlags(labels [][]uint8, bound []uint8, v int) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	var m uint64
+	for i, col := range labels {
+		switch k := uint64(bound[i]); {
+		case k == 0:
+		case k > 127:
+			return highs
+		default:
+			w := binary.LittleEndian.Uint64(col[v : v+8])
+			m |= (w - ones*k) &^ w & highs
+		}
+	}
+	return m
 }
 
 // EnsureDelta builds Δ if construction skipped it (Options.SkipDelta).

@@ -351,28 +351,65 @@ func TestLandmarkOrderInvariance(t *testing.T) {
 	}
 }
 
+// TestDeltaEdgesAreLandmarkShortestPaths holds every Δ(a→b) to the
+// oracle SPG between a and b on the graph minus the other landmarks, on
+// fixtures placed at the corners of Δ recovery's candidate filter: a
+// vertex count that is not a multiple of eight, per-landmark σ bounds on
+// either side of 127 (sigmas lists the meta-edge weights, which is what
+// puts the fixture there) and a digraph. Every vertex lies within 253
+// hops of every landmark, the deepest distance a label holds.
 func TestDeltaEdgesAreLandmarkShortestPaths(t *testing.T) {
-	// Δ(a,b) must equal the SPG between a and b restricted to paths that
-	// avoid other landmarks.
-	g := connected(graph.ErdosRenyi(120, 260, 41))
-	ix := MustBuild(g, Options{NumLandmarks: 6})
-	for k, me := range ix.MetaEdges() {
-		a, b := ix.Landmarks()[me[0]], ix.Landmarks()[me[1]]
-		sub := g.InducedSubgraph(func(v graph.V) bool {
-			return v == a || v == b || !ix.IsLandmark(v)
+	for _, tc := range []struct {
+		name   string
+		tg     testGraph
+		opts   Options
+		sigmas []int32 // meta-edge weights in edge order, when pinned
+	}{
+		{"er120", undirected(connected(graph.ErdosRenyi(120, 260, 41))), Options{NumLandmarks: 6}, nil},
+		{"path123", undirected(graph.Path(123)), Options{Landmarks: []graph.V{3, 60, 122}}, []int32{57, 62}},
+		{"path254", undirected(graph.Path(254)), Options{Landmarks: []graph.V{0, 125, 253}}, []int32{125, 128}},
+		{"cycle505", undirected(graph.Cycle(505)), Options{Landmarks: []graph.V{0, 128, 300}}, []int32{128, 205, 172}},
+		{"der3001", directed(graph.DirectedErdosRenyi(3001, 6000, 9)), Options{NumLandmarks: 12}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := tc.tg.mustBuild(t, tc.opts)
+			metas := ix.MetaEdges()
+			if tc.sigmas != nil {
+				var got []int32
+				for _, me := range metas {
+					got = append(got, me[2])
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.sigmas) {
+					t.Fatalf("meta-edge weights %v, want %v", got, tc.sigmas)
+				}
+			}
+			for k, me := range metas {
+				a, b := ix.Landmarks()[me[0]], ix.Landmarks()[me[1]]
+				keep := func(v graph.V) bool { return v == a || v == b || !ix.IsLandmark(v) }
+				var want, got *graph.SPG
+				if g := tc.tg.dir; g != nil {
+					sub := graph.NewDiBuilder(g.NumVertices())
+					for _, arc := range g.Arcs() {
+						if keep(arc.From) && keep(arc.To) {
+							sub.AddArc(arc.From, arc.To)
+						}
+					}
+					want, got = bfs.OracleDiSPG(sub.MustBuild(), a, b), graph.NewDiSPG(a, b)
+				} else {
+					want, got = bfs.OracleSPG(tc.tg.und.InducedSubgraph(keep), a, b), graph.NewSPG(a, b)
+				}
+				if want.Dist != me[2] {
+					t.Fatalf("meta edge %d→%d: avoidance dist %d != σ %d", a, b, want.Dist, me[2])
+				}
+				got.Dist = want.Dist
+				for _, e := range ix.Delta(k) {
+					got.AddEdge(e.U, e.W)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("Δ(%d→%d): got %v want %v", a, b, got, want)
+				}
+			}
 		})
-		want := bfs.OracleSPG(sub, a, b)
-		if int32(want.Dist) != me[2] {
-			t.Fatalf("meta edge %d-%d: avoidance dist %d != σ %d", a, b, want.Dist, me[2])
-		}
-		got := graph.NewSPG(a, b)
-		got.Dist = want.Dist
-		for _, e := range ix.Delta(k) {
-			got.AddEdge(e.U, e.W)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("Δ(%d,%d): got %v want %v", a, b, got, want)
-		}
 	}
 }
 
