@@ -22,10 +22,12 @@
 // Endpoints: /spg, /distance, /sketch, /paths, /stats, /healthz, and in
 // -mutable mode POST /edges, DELETE /edges, /epoch, POST /checkpoint —
 // see internal/server for the JSON schemas — plus, in every mode and on
-// -debug-addr, the /debug/ routes of obs.DebugRoutes (traces, slowlog,
-// logs); profiles are net/http/pprof's, on -debug-addr. -slowlog and
-// -trace-sample tune which traces the span store retains (README
-// "Distributed tracing").
+// -debug-addr, /metrics (Prometheus text, the one rendering) and the
+// /debug/ routes of obs.DebugRoutes (traces, slowlog, logs); profiles
+// are net/http/pprof's, on -debug-addr. -slowlog and -trace-sample tune
+// which traces the span store retains (README "Distributed tracing");
+// the journal admits every event its rate limits let through, and
+// GET /debug/logs?min_level= filters what is read.
 //
 // With -directed the server fronts a directed index: the edge list is
 // read as arcs, /spg answers SPG(u → v), and -data persists/recovers a
@@ -87,7 +89,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof, the process-wide /debug/ routes and Prometheus metrics on this separate address (empty = disabled)")
 		slowlog   = flag.Duration("slowlog", 0, "slow-query log threshold for GET /debug/slowlog (0 = 100ms default)")
 		traceSamp = flag.Int("trace-sample", 0, "head-sample 1 in N traces into /debug/traces on top of the always-retained slow/errored/force-sampled ones (0 = tail-only)")
-		logLevel  = flag.String("log-level", "info", "minimum event level admitted to the journal at GET /debug/logs (debug|info|warn|error)")
 	)
 	flag.Parse()
 
@@ -103,12 +104,6 @@ func main() {
 		// and the slow requests among them are the slow-query log.
 		obs.DefaultTracer.SetSlowThreshold(*slowlog)
 	}
-	lvl, ok := obs.ParseLevel(*logLevel)
-	if !ok {
-		fatal(fmt.Errorf("-log-level must be debug, info, warn or error; got %q", *logLevel))
-	}
-	obs.DefaultJournal.SetMinLevel(lvl)
-
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}
@@ -283,10 +278,11 @@ func main() {
 }
 
 // debugHandler is the operator side-channel: pprof, a Prometheus
-// rendering of the process-wide registry (WAL/checkpoint/apply/runtime
-// series), and the /debug/ routes every tier serves, here over the
-// process-wide sources — the background roots obs.DefaultTracer records
-// (WAL fsync batches, checkpoints, replica.apply) among them.
+// rendering of the process-wide registry (WAL append, startup, build
+// and goroutine series), and the /debug/ routes every tier serves, here
+// over the process-wide sources — the background roots
+// obs.DefaultTracer records (WAL fsync batches, checkpoints,
+// replica.apply) among them.
 func debugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -24,8 +24,9 @@ import (
 // replica, a router and the -debug-addr side channel. Every tier has a
 // source for each of the four routes and answers it 200 with a JSON
 // body; a malformed ?n= or id is a 4xx with the JSON error body. Every
-// tier's Prometheus exposition parses, carries no exemplar suffix — the
-// text format has no syntax for one — and the router's still carries
+// tier's /metrics is the Prometheus exposition, with or without
+// ?format=prometheus; it parses, carries no exemplar suffix — the text
+// format has no syntax for one — and the router's still carries
 // qbs_router_failovers_total, which the benchmark reads.
 func TestDebugRoutesOnEveryTier(t *testing.T) {
 	g := graph.Grid(6, 6)
@@ -107,16 +108,22 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 				t.Errorf("%s: GET %s: status %d, body %q; want a 4xx with the JSON error body", tier.name, bad, rec.Code, rec.Body)
 			}
 		}
-		rec := get("/metrics?format=prometheus")
-		body := rec.Body.Bytes()
-		if err := obs.ValidateExposition(body); rec.Code != 200 || err != nil {
-			t.Errorf("%s: /metrics?format=prometheus: status %d, %v", tier.name, rec.Code, err)
-		}
-		if bytes.Contains(body, []byte(" # {")) {
-			t.Errorf("%s: the exposition carries an exemplar suffix:\n%s", tier.name, body)
-		}
-		if tier.router && !bytes.Contains(body, []byte("\nqbs_router_failovers_total ")) {
-			t.Errorf("router: the exposition lacks qbs_router_failovers_total:\n%s", body)
+		// One /metrics body: Prometheus text, asked for or not.
+		for _, path := range []string{"/metrics", "/metrics?format=prometheus"} {
+			rec := get(path)
+			body := rec.Body.Bytes()
+			if err := obs.ValidateExposition(body); rec.Code != 200 || err != nil {
+				t.Errorf("%s: %s: status %d, %v", tier.name, path, rec.Code, err)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
+				t.Errorf("%s: %s: Content-Type %q", tier.name, path, ct)
+			}
+			if bytes.Contains(body, []byte(" # {")) {
+				t.Errorf("%s: the exposition carries an exemplar suffix:\n%s", tier.name, body)
+			}
+			if tier.router && !bytes.Contains(body, []byte("\nqbs_router_failovers_total ")) {
+				t.Errorf("router: the exposition lacks qbs_router_failovers_total:\n%s", body)
+			}
 		}
 	}
 }

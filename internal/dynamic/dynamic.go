@@ -248,14 +248,6 @@ func (d *Index) ApplyEdgeTraced(u, w graph.V, insert bool, tb *obs.TraceBuf) (Re
 		// Idempotent no-op: already present / already absent.
 		return Result{Applied: false, Epoch: s.epoch, Edges: s.overlay.NumEdges()}, nil
 	}
-	applyStart := time.Now()
-	defer func() {
-		if insert {
-			mApplyInsertNs.Observe(time.Since(applyStart))
-		} else {
-			mApplyDeleteNs.Observe(time.Since(applyStart))
-		}
-	}()
 	st, counts, err := d.applyLocked(s.state, u, w, insert, tb)
 	if err != nil {
 		return Result{}, err
@@ -354,7 +346,6 @@ func (d *Index) applyLocked(st state, u, w graph.V, insert bool, tb *obs.TraceBu
 		}
 		if rebuilt {
 			counts.rebuilt++
-			evColumnRebfs.Emit(obs.Int("landmark", int64(r)))
 			if tb != nil {
 				sp := tb.AddSpan("dynamic.column_rebfs", colStart, time.Since(colStart))
 				sp.SetInt("landmark", int64(r))
@@ -427,23 +418,27 @@ func (d *Index) maybeCompactLocked() {
 // update that arrived meanwhile and publishes the compacted state.
 func (d *Index) compact(snap *snapshot) {
 	defer d.compactWG.Done()
-	start := time.Now()
 	// Compactions run off any request path; they get their own root
-	// trace so a write-lock stall can still be explained after the fact.
+	// trace so a write-lock stall can still be explained after the fact,
+	// and a failed one is marked errored so tail sampling keeps it.
 	ctb := obs.DefaultTracer.Begin("dynamic.compact", "", 0, false)
-	ctb.Root().SetInt("from_epoch", int64(snap.epoch))
-	evCompactStart.Emit(obs.Int("from_epoch", int64(snap.epoch)), obs.Int("overridden", int64(snap.overlay.Overridden())))
-	defer func() {
-		mCompactNs.Observe(time.Since(start))
-		obs.DefaultTracer.Finish(ctb)
-	}()
+	root := ctb.Root()
+	root.SetInt("from_epoch", int64(snap.epoch))
+	root.SetInt("overridden", int64(snap.overlay.Overridden()))
+	defer obs.DefaultTracer.Finish(ctb)
+	failed := func(stage string, err error) {
+		root.SetStr("stage", stage)
+		root.SetStr("error", err.Error())
+		root.Fail()
+		evCompactFailed.Emit(obs.Str("stage", stage), obs.Str("error", err.Error()))
+	}
 	st, err := d.fullBuild(NewOverlay(snap.overlay.Materialize()))
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.rebuilding = false
 	if err != nil {
-		evCompactFailed.Emit(obs.Str("stage", "rebuild"), obs.Str("error", err.Error()))
+		failed("rebuild", err)
 		return // state unmaintainable only if it already was; keep serving
 	}
 	for _, up := range d.pending {
@@ -454,7 +449,7 @@ func (d *Index) compact(snap *snapshot) {
 		st, _, err = d.applyLocked(st, up.u, up.w, up.insert, nil)
 		if err != nil {
 			d.pending = d.pending[:0]
-			evCompactFailed.Emit(obs.Str("stage", "replay"), obs.Str("error", err.Error()))
+			failed("replay", err)
 			return
 		}
 	}
@@ -463,10 +458,10 @@ func (d *Index) compact(snap *snapshot) {
 	if err != nil {
 		// The pre-compaction state keeps serving and drift will trigger
 		// another attempt.
-		evCompactFailed.Emit(obs.Str("stage", "publish"), obs.Str("error", err.Error()))
+		failed("publish", err)
 		return
 	}
-	evCompactDone.Emit(obs.Int("epoch", int64(epoch)), obs.Int("ms", time.Since(start).Milliseconds()))
+	root.SetInt("epoch", int64(epoch))
 }
 
 // publishCompactedLocked publishes a rebuilt state as the next epoch. A

@@ -1,14 +1,17 @@
 package dynamic
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qbs/internal/bfs"
 	"qbs/internal/core"
 	"qbs/internal/datasets"
 	"qbs/internal/graph"
+	"qbs/internal/obs"
 )
 
 // checkAgainstFresh verifies the incrementally maintained state equals a
@@ -304,6 +307,67 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("overlay not compacted: %d overridden vertices", got)
 	}
 	checkAgainstFresh(t, d)
+}
+
+// compactionRefuser logs every update and refuses every compaction, so
+// each background compaction fails at its publish.
+type compactionRefuser struct{}
+
+func (compactionRefuser) LogUpdate(uint64, graph.V, graph.V, bool) error { return nil }
+func (compactionRefuser) LogCompaction(uint64) error {
+	return errors.New("compaction record refused")
+}
+
+// TestFailedCompactionLeavesATrace: a background compaction that fails
+// publishes nothing, journals dynamic/compact_failed, and keeps its
+// dynamic.compact root trace, errored and naming the failed stage, even
+// though it ran far below the tracer's slow threshold.
+func TestFailedCompactionLeavesATrace(t *testing.T) {
+	failedBefore := len(compactFailures(""))
+	rng := rand.New(rand.NewSource(77))
+	g := randomMutableGraph(60, 80, rng)
+	d, err := New(g, pickLandmarks(60, 4, rng), Options{CompactFraction: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetLogger(compactionRefuser{})
+	for op := 0; op < 120; op++ {
+		applyRandomOp(t, d, rng)
+	}
+	d.WaitCompaction()
+	if n := d.Stats().Compactions; n != 0 {
+		t.Fatalf("%d compactions published past a refusing log", n)
+	}
+	failed := compactFailures("publish")
+	if len(failed) <= failedBefore {
+		t.Fatal("no dynamic/compact_failed event for a failed compaction")
+	}
+	traces := 0
+	for _, st := range obs.DefaultTracer.Store().Recent(0, 0, true) {
+		root := st.Spans[0]
+		msg, _ := root.Attrs["error"].(string)
+		if st.Root == "dynamic.compact" && root.Error &&
+			root.Attrs["stage"] == "publish" && strings.HasSuffix(msg, "compaction record refused") {
+			traces++
+		}
+	}
+	if traces == 0 {
+		t.Fatal("no errored dynamic.compact trace retained for a failed compaction")
+	}
+	t.Logf("%d failed compactions journaled, %d errored traces retained", len(failed)-failedBefore, traces)
+	checkAgainstFresh(t, d)
+}
+
+// compactFailures returns the journaled dynamic/compact_failed events of
+// one stage ("" for any).
+func compactFailures(stage string) []*obs.Event {
+	var out []*obs.Event
+	for _, ev := range obs.DefaultJournal.Recent(0, obs.LevelDebug, "dynamic") {
+		if ev.Event == "compact_failed" && (stage == "" || ev.View().Attrs["stage"] == stage) {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // TestCompactionReplaysPendingUpdates plays an asynchronous compaction

@@ -4,22 +4,7 @@ import (
 	"qbs/internal/obs"
 )
 
-// Update-path instrumentation on the process-wide registry: apply
-// latency per operation kind (lock hold + repair + snapshot prep) and
-// background compaction duration.
-var (
-	mApplyInsertNs = obs.Default.Histogram("qbs_dynamic_apply_ns", `op="insert"`)
-	mApplyDeleteNs = obs.Default.Histogram("qbs_dynamic_apply_ns", `op="delete"`)
-	mCompactNs     = obs.Default.Histogram("qbs_dynamic_compact_ns", "")
-)
-
-// Structured events: compaction lifecycle (the background transition
-// that used to be invisible when it failed — the index keeps serving
-// from the overlay) and budget-blown column re-BFS, which is the
-// index-quality signal behind a latency regression.
-var (
-	evCompactStart  = obs.DefaultJournal.Def("dynamic", "compact_start", obs.LevelInfo)
-	evCompactDone   = obs.DefaultJournal.Def("dynamic", "compact_done", obs.LevelInfo)
-	evCompactFailed = obs.DefaultJournal.Def("dynamic", "compact_failed", obs.LevelError)
-	evColumnRebfs   = obs.DefaultJournal.Def("dynamic", "column_rebfs", obs.LevelDebug)
-)
+// A failed background compaction: the index keeps serving from the
+// overlay, so nothing else would say so. Its dynamic.compact root span
+// is marked errored with the same stage and error.
+var evCompactFailed = obs.DefaultJournal.Def("dynamic", "compact_failed", obs.LevelError)

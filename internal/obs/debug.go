@@ -173,7 +173,6 @@ func serveLogs(src *DebugSources, w http.ResponseWriter, r *http.Request) {
 		views[i] = ev.View()
 	}
 	writeJSON(w, http.StatusOK, struct {
-		MinLevel string      `json:"journal_min_level"`
-		Events   []EventView `json:"events"`
-	}{src.Journal.MinLevel().String(), views})
+		Events []EventView `json:"events"`
+	}{views})
 }

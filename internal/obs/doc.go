@@ -8,25 +8,30 @@
 //
 // # Metric naming
 //
-// Families follow Prometheus conventions with a qbs_ prefix:
+// Families follow Prometheus conventions with a qbs_ prefix, and each
+// one is read by a test or a benchmark probe (a CI step fails on a
+// family nothing reads):
 //
 //   - qbs_http_requests_total / qbs_http_errors_total — per-endpoint
 //     counters, labelled endpoint="/spg".
-//   - qbs_http_inflight — per-endpoint in-flight gauge.
 //   - qbs_http_request_ns — per-endpoint latency histogram.
 //   - qbs_query_stage_ns{stage=...} — per-stage query spans (parse,
 //     sketch, expand, extract, serialize).
 //   - qbs_query_*_total — engine counters aggregated from QueryStats
 //     (arcs scanned, label entries scanned).
-//   - qbs_wal_*_ns, qbs_checkpoint_*, qbs_snapshot_bytes — durable
-//     store instrumentation (process-wide Default registry).
-//   - qbs_replica_*, qbs_router_* — replication-layer series.
-//   - qbs_goroutines, qbs_heap_*, qbs_gc_* — runtime gauges sampled at
-//     scrape time.
+//   - qbs_epoch — a dynamic server's published epoch.
+//   - qbs_wal_append_ns — durable store instrumentation (process-wide
+//     Default registry). WAL fsyncs, checkpoints and compactions are
+//     root spans, not series: a slow or failed one is retained whole.
+//   - qbs_replica_*, qbs_router_* — replication-layer series: a
+//     replica's apply stream and lag, the router's picks, retries,
+//     failovers and per-backend healthy bit and probed epoch.
+//   - qbs_events_total{component,level} — admitted journal events.
+//   - qbs_startup_seconds{stage}, qbs_build_info, qbs_goroutines —
+//     process series.
 //
 // Durations are recorded and exposed in nanoseconds (the _ns suffix)
-// rather than converted to seconds; the bench harness and JSON views
-// share the same unit.
+// rather than converted to seconds; the bench harness shares the unit.
 //
 // # Registries
 //
@@ -42,12 +47,13 @@
 // WritePrometheus renders registries in the text format (version
 // 0.0.4). Histograms render as summaries — quantile-labelled samples
 // for p50/p95/p99/p999 plus _sum and _count — with the observed
-// maximum as a companion <family>_max gauge. Every /metrics endpoint
-// serves this encoding for ?format=prometheus or an Accept header
-// preferring text/plain, and the unchanged JSON views otherwise; both
-// are renderings of the same registry. The format has no exemplar
-// syntax, and the encoder writes none. ValidateExposition is the
-// parser-level line check the CI smoke job applies to a live scrape.
+// maximum as a companion <family>_max gauge. This is the one /metrics
+// body on every tier — a server, a replica, the router and the
+// -debug-addr side channel — whatever the Accept header; the
+// ?format=prometheus that scrapers send is accepted and changes
+// nothing. The format has no exemplar syntax, and the encoder writes
+// none. ValidateExposition is the parser-level line check the CI smoke
+// job applies to a live scrape.
 //
 // # Tracing and the slow-query log
 //
@@ -111,19 +117,22 @@
 // # Event journal
 //
 // The Journal is the structured, leveled event record for the paths a
-// metric can count but not explain: WAL fsync failures, checkpoint and
-// compaction outcomes, replica tail errors and parks, router evictions
-// and failovers, process lifecycle. A component declares each
-// (component, event) pair once with Def (or DefRate for an explicit
-// token-bucket rate limit — repeating failure paths default to a few
-// admitted records per second so a retry loop cannot wash out the ring)
-// and holds the returned *EventDef; Emit and EmitTrace then publish
-// into the journal's ring. Emits below the journal's minimum level, and
-// emits suppressed by the rate limiter, take an allocation-free drop
-// path — the same zero-alloc discipline as the metrics primitives,
-// gated in CI. Admitted events increment
-// qbs_events_total{component,level}. The ring serves GET /debug/logs
-// (?n=, ?min_level=, ?component=) with events newest-first, each
-// carrying its trace ID when the emit was request-scoped — the joint
-// key into /debug/traces.
+// metric can count but not explain: WAL fsync and checkpoint failures,
+// damaged snapshots, failed compactions, replica bootstraps, tail
+// errors, recoveries and parks, lease expiries, router evictions,
+// readmissions and failovers, process lifecycle. Each occurrence is
+// one record: what a root span already holds (a checkpoint, a
+// compaction and its epoch) is not journaled again. A component
+// declares each (component, event) pair once with Def (or DefRate for
+// an explicit token-bucket rate limit — repeating failure paths default
+// to a few admitted records per second so a retry loop cannot wash out
+// the ring) and holds the returned *EventDef; Emit and EmitTrace then
+// publish into the journal's ring. Every level is admitted; emits
+// suppressed by the rate limiter take an allocation-free drop path —
+// the same zero-alloc discipline as the metrics primitives, gated in
+// CI. Admitted events increment qbs_events_total{component,level}. The
+// ring serves GET /debug/logs (?n=, ?min_level=, ?component=) with
+// events newest-first — the level filter applies when the log is read
+// — each carrying its trace ID when the emit was request-scoped, the
+// joint key into /debug/traces.
 package obs

@@ -9,16 +9,15 @@ import (
 // Structured event journal: the "what happened" half of observability.
 // Components declare their events once (EventDef), then emit leveled,
 // trace-correlated records with up to maxSpanAttrs typed attributes
-// into the bounded ring. Three properties keep it safe to wire
-// into warm paths and failure loops alike:
+// into the bounded ring. Two properties keep it safe to wire into
+// failure loops:
 //
-//   - the drop path for disabled levels is allocation-free: Emit's
-//     variadic attr slice never escapes, so a below-level call leaves
-//     no garbage behind;
 //   - each (component, event) pair carries its own GCRA token bucket,
 //     so a wedged component retrying in a tight loop cannot flush the
 //     journal or melt a log pipeline — suppressed emits are counted
-//     and surfaced on the next admitted record;
+//     and surfaced on the next admitted record, and the suppressed
+//     path is allocation-free: Emit's variadic attr slice never
+//     escapes;
 //   - every admitted event bumps a qbs_events_total{component,level}
 //     counter, so the journal's shape is visible in /metrics even
 //     after the ring has wrapped.
@@ -119,9 +118,8 @@ const (
 // Journal is a bounded ring of events plus the def table feeding it.
 // The zero value is not ready; use NewJournal.
 type Journal struct {
-	minLevel atomic.Int32
-	ring     *ring[Event]
-	reg      *Registry
+	ring *ring[Event]
+	reg  *Registry
 
 	mu   sync.Mutex
 	defs map[string]*EventDef
@@ -129,15 +127,12 @@ type Journal struct {
 
 // NewJournal creates a journal retaining up to capacity events, with
 // qbs_events_total counters registered on reg (nil disables counters).
-// The initial minimum level is Info.
 func NewJournal(capacity int, reg *Registry) *Journal {
-	j := &Journal{
+	return &Journal{
 		ring: newRing[Event](capacity),
 		reg:  reg,
 		defs: make(map[string]*EventDef),
 	}
-	j.minLevel.Store(int32(LevelInfo))
-	return j
 }
 
 // DefaultJournal collects process-wide events: store and engine
@@ -145,13 +140,6 @@ func NewJournal(capacity int, reg *Registry) *Journal {
 // lifecycle. Tiers hosted in one process (tests) use their own
 // journals so records stay attributable.
 var DefaultJournal = NewJournal(1024, Default)
-
-// SetMinLevel sets the minimum admitted level. Emits below it take the
-// allocation-free drop path.
-func (j *Journal) SetMinLevel(l Level) { j.minLevel.Store(int32(l)) }
-
-// MinLevel returns the current minimum admitted level.
-func (j *Journal) MinLevel() Level { return Level(j.minLevel.Load()) }
 
 // Def declares (or returns the existing) event definition for one
 // (component, event) pair at the given level, with the default rate
@@ -239,10 +227,10 @@ func (d *EventDef) admit(nowNs int64) bool {
 	}
 }
 
-// Emit records one event with up to maxSpanAttrs attributes. Below the
-// journal's minimum level this is a constant-time, allocation-free
-// no-op: the variadic attr slice never escapes, so the call site's
-// backing array stays on the stack.
+// Emit records one event with up to maxSpanAttrs attributes. A
+// rate-limited emit is a constant-time, allocation-free no-op: the
+// variadic attr slice never escapes, so the call site's backing array
+// stays on the stack.
 func (d *EventDef) Emit(attrs ...Attr) {
 	d.emit("", attrs)
 }
@@ -258,7 +246,7 @@ func (d *EventDef) emit(traceID string, attrs []Attr) {
 		return
 	}
 	j := d.j
-	if j == nil || int32(d.level) < j.minLevel.Load() {
+	if j == nil {
 		return
 	}
 	now := time.Now().UnixNano()

@@ -12,8 +12,7 @@ import (
 // two, so a quantile estimate is off by at most a factor of 33/32
 // (~3.1%) — and exact below 64. Every operation is a handful of atomic
 // adds: recording is lock-free, wait-free, allocation-free, and safe
-// under the race detector; histograms merge bucket-wise, so per-worker
-// instances can be combined into one distribution.
+// under the race detector.
 
 const (
 	histSubBits = 5
@@ -117,38 +116,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max.Load()
-}
-
-// Merge adds o's recorded values into h. Safe against concurrent
-// Observe on either side (the merged view may then be slightly torn,
-// as any concurrent snapshot is).
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if c := o.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	v := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Reset zeroes the histogram. Not atomic with respect to concurrent
-// observers; intended for single-owner histograms (benchmarks).
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 // sampleQuantile is the oracle: the rank-⌈q·n⌉ element of the sorted
@@ -90,48 +89,6 @@ func TestQuantileWithinBucketError(t *testing.T) {
 	}
 }
 
-func histState(h *Histogram) (uint64, int64, int64, [histBuckets]uint64) {
-	var b [histBuckets]uint64
-	for i := range h.buckets {
-		b[i] = h.buckets[i].Load()
-	}
-	return h.Count(), h.Sum(), h.Max(), b
-}
-
-func TestMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mk := func(n int) *Histogram {
-		h := NewHistogram()
-		for i := 0; i < n; i++ {
-			h.ObserveNs(rng.Int63n(1 << 30))
-		}
-		return h
-	}
-	a, b, c := mk(500), mk(900), mk(1300)
-
-	// (a+b)+c
-	left := NewHistogram()
-	left.Merge(a)
-	left.Merge(b)
-	left.Merge(c)
-	// a+(b+c)
-	bc := NewHistogram()
-	bc.Merge(b)
-	bc.Merge(c)
-	right := NewHistogram()
-	right.Merge(a)
-	right.Merge(bc)
-
-	lc, ls, lm, lb := histState(left)
-	rc, rs, rm, rb := histState(right)
-	if lc != rc || ls != rs || lm != rm || lb != rb {
-		t.Fatalf("merge not associative: (%d,%d,%d) vs (%d,%d,%d)", lc, ls, lm, rc, rs, rm)
-	}
-	if lc != a.Count()+b.Count()+c.Count() {
-		t.Fatalf("merged count %d != sum of parts", lc)
-	}
-}
-
 // TestHistogramConcurrent hammers one histogram from many goroutines;
 // run under -race this is the lock-free safety check.
 func TestHistogramConcurrent(t *testing.T) {
@@ -155,18 +112,7 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 		}(int64(w))
 	}
-	// Concurrent merging into a second histogram.
-	agg := NewHistogram()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			agg.Merge(h)
-			time.Sleep(time.Millisecond)
-		}
-	}()
 	wg.Wait()
-	<-done
 	if got := h.Count(); got != workers*perW {
 		t.Fatalf("count %d != %d", got, workers*perW)
 	}
@@ -178,47 +124,6 @@ func TestObserveNegativeClamps(t *testing.T) {
 	if h.Count() != 1 || h.Sum() != 0 || h.Quantile(1) != 0 {
 		t.Fatalf("negative observation not clamped: count=%d sum=%d", h.Count(), h.Sum())
 	}
-}
-
-// TestHistogramMergeConcurrentWithObserve drives Merge from one
-// goroutine while both source and destination keep observing — run
-// under -race in CI, and checked for conservation afterwards.
-func TestHistogramMergeConcurrentWithObserve(t *testing.T) {
-	src := NewHistogram()
-	dst := NewHistogram()
-	const perSide = 5000
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < perSide; i++ {
-			src.ObserveNs(int64(i % 1000))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < perSide; i++ {
-			dst.ObserveNs(int64(i % 1000))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			dst.Merge(src)
-		}
-	}()
-	wg.Wait()
-	// A final quiescent merge must be exact: dst holds its own
-	// observations plus 51 merges' worth of whatever src held at each
-	// merge — at least its own perSide plus one full copy of src.
-	dst.Merge(src)
-	if dst.Count() < 2*perSide {
-		t.Fatalf("count = %d, want >= %d", dst.Count(), 2*perSide)
-	}
-	if dst.Max() != 999 {
-		t.Fatalf("max = %d, want 999", dst.Max())
-	}
-	dst.Merge(nil) // nil-safe
 }
 
 // TestQuantileMonotone is the property test: for any sample, Quantile

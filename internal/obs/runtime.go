@@ -1,53 +1,11 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
-// Runtime gauges: sampled into the registry at scrape time. One
-// ReadMemStats (a brief stop-the-world) serves all heap gauges of a
-// scrape; samples are cached briefly so stacked registries rendering
-// Default in one scrape don't repeat it.
-
-type memSampler struct {
-	mu   sync.Mutex
-	ms   runtime.MemStats
-	when time.Time
-}
-
-func (s *memSampler) sample() *runtime.MemStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if time.Since(s.when) > 100*time.Millisecond {
-		runtime.ReadMemStats(&s.ms)
-		s.when = time.Now()
-	}
-	return &s.ms
-}
-
-// RegisterRuntime installs goroutine, heap, and GC gauges on r. The
-// Default registry gets them automatically.
-func RegisterRuntime(r *Registry) {
-	var s memSampler
-	r.GaugeFunc("qbs_goroutines", "", func() float64 {
+// The one runtime gauge, sampled at scrape time: the goroutine count,
+// the leak signal a scrape can read without stopping the world.
+func init() {
+	Default.GaugeFunc("qbs_goroutines", "", func() float64 {
 		return float64(runtime.NumGoroutine())
 	})
-	r.GaugeFunc("qbs_heap_alloc_bytes", "", func() float64 {
-		return float64(s.sample().HeapAlloc)
-	})
-	r.GaugeFunc("qbs_heap_objects", "", func() float64 {
-		return float64(s.sample().HeapObjects)
-	})
-	r.GaugeFunc("qbs_gc_pause_total_ns", "", func() float64 {
-		return float64(s.sample().PauseTotalNs)
-	})
-	r.GaugeFunc("qbs_gc_cycles_total", "", func() float64 {
-		return float64(s.sample().NumGC)
-	})
-}
-
-func init() {
-	RegisterRuntime(Default)
 }

@@ -193,11 +193,6 @@ func (tb *TraceBuf) StartSpan(name string) *Span {
 	return tb.start(name, tb.spans[0].ID)
 }
 
-// StartSpanUnder opens a child of an explicit parent span ID.
-func (tb *TraceBuf) StartSpanUnder(parent uint64, name string) *Span {
-	return tb.start(name, parent)
-}
-
 // AddSpan records an already-measured interval (e.g. a stage duration
 // filled in by the engine) as a child of the root.
 func (tb *TraceBuf) AddSpan(name string, start time.Time, dur time.Duration) *Span {
@@ -342,13 +337,6 @@ func (t *Tracer) Finish(tb *TraceBuf) *StoredTrace {
 	}
 	t.put(tb)
 	return st
-}
-
-// Discard recycles an unfinished trace without storing it.
-func (t *Tracer) Discard(tb *TraceBuf) {
-	if t != nil && tb != nil {
-		t.put(tb)
-	}
 }
 
 // StoredSpan is the immutable, JSON-ready form of a retained span.

@@ -28,7 +28,7 @@ func TestSpanTreeAndStorage(t *testing.T) {
 	child := tb.StartSpan("stage:expand")
 	child.SetInt("arcs", 42)
 	child.End()
-	grand := tb.StartSpanUnder(child.ID, "wal.append")
+	grand := tb.start("wal.append", child.ID)
 	grand.SetStr("op", "insert")
 	grand.End()
 

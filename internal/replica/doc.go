@@ -58,19 +58,19 @@
 // that has stopped advancing must not keep passing health checks.
 //
 // The router answers GET /healthz and GET /metrics locally — its own
-// routability (at least one healthy backend) and the routing table —
-// rather than proxying them to a random backend; all other GETs fan out
-// to the replicas.
+// routability (at least one healthy backend), and the routing table as
+// qbs_router_backend_{healthy,epoch} series — rather than proxying them
+// to a random backend; all other GETs fan out to the replicas.
 //
 // Every proxied request carries an X-Qbs-Trace-Id header: the client's
 // if it sent one, minted by the router otherwise, and held constant
 // across read retries and the primary failover — so one query is one
 // trace ID at every hop, correlating the router's routing decision with
 // the backend's per-stage spans and slow-query log entry (GET
-// /debug/slowlog on any backend). The router's own /metrics additionally
-// serves the Prometheus text exposition (?format=prometheus) with
-// per-backend pick counters and healthy/epoch/inflight gauges plus
-// retry/failover totals; see internal/obs.
+// /debug/slowlog on any backend). The router's own /metrics is the
+// Prometheus text exposition, as on every tier: per-backend pick
+// counters and healthy/epoch gauges plus retry/failover totals; see
+// internal/obs.
 //
 // # Traceparent hop semantics
 //

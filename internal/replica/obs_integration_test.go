@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,10 +14,10 @@ import (
 	"qbs/internal/obs"
 )
 
-// fetchProm scrapes url's Prometheus rendering and validates it.
+// fetchProm scrapes url's /metrics and validates the exposition.
 func fetchProm(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics?format=prometheus")
+	resp, err := (&http.Client{Timeout: 30 * time.Second}).Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +33,33 @@ func fetchProm(t *testing.T, url string) string {
 		t.Fatalf("%s: invalid exposition: %v\n%s", url, err, body)
 	}
 	return string(body)
+}
+
+// promText returns a /metrics response's body, failing unless it is a
+// 200 with a valid Prometheus text exposition.
+func promText(t *testing.T, rec *httptest.ResponseRecorder) string {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
+		t.Fatalf("/metrics: content type %q", ct)
+	}
+	if err := obs.ValidateExposition(rec.Body.Bytes()); err != nil {
+		t.Fatalf("/metrics: invalid exposition: %v\n%s", err, rec.Body.String())
+	}
+	return rec.Body.String()
+}
+
+// wantLines fails unless every line of want is a whole line of text.
+func wantLines(t *testing.T, text string, want ...string) {
+	t.Helper()
+	lines := strings.Split(text, "\n")
+	for _, w := range want {
+		if !slices.Contains(lines, w) {
+			t.Errorf("exposition has no line %q:\n%s", w, text)
+		}
+	}
 }
 
 // seriesValue extracts the value of the first sample whose name+labels

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,8 +27,7 @@ func TestObservabilitySmoke(t *testing.T) {
 	url, dbgURL := "http://"+addr, "http://"+dbgAddr
 
 	startProc(t, bin, "-dataset", "DO", "-scale", "0.1", "-landmarks", "8",
-		"-addr", addr, "-debug-addr", dbgAddr, "-slowlog", "1ns",
-		"-log-level", "debug")
+		"-addr", addr, "-debug-addr", dbgAddr, "-slowlog", "1ns")
 	waitHTTP(t, url+"/healthz", 60*time.Second)
 
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -44,7 +44,8 @@ func TestObservabilitySmoke(t *testing.T) {
 	}
 
 	// Prometheus scrape on the serving mux: valid exposition with the
-	// per-endpoint and query-stage series.
+	// per-endpoint and query-stage series, with or without
+	// ?format=prometheus.
 	resp, err := client.Get(url + "/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +58,9 @@ func TestObservabilitySmoke(t *testing.T) {
 	if err := obs.ValidateExposition(body); err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, body)
 	}
+	plain := fetchProm(t, url)
+	wantLines(t, string(body), `qbs_http_requests_total{endpoint="/spg"} 5`)
+	wantLines(t, plain, `qbs_http_requests_total{endpoint="/spg"} 5`)
 	if bytes.Contains(body, []byte(" # {")) {
 		t.Fatalf("exposition carries an exemplar suffix:\n%s", body)
 	}
@@ -104,38 +108,20 @@ func TestObservabilitySmoke(t *testing.T) {
 		t.Fatalf("pprof profile: status %d, %d bytes", resp.StatusCode, len(prof))
 	}
 
-	// The event journal rides on the serving mux: -log-level debug means
-	// process lifecycle (and any debug-level engine records) are
-	// admitted, and every event names its component and level.
-	resp, err = client.Get(url + "/debug/logs?n=50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logs struct {
-		MinLevel string `json:"journal_min_level"`
-		Events   []struct {
-			Component string `json:"component"`
-			Event     string `json:"event"`
-			Level     string `json:"level"`
-		} `json:"events"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&logs)
-	_ = resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if logs.MinLevel != "debug" {
-		t.Fatalf("journal min level %q, want debug (-log-level)", logs.MinLevel)
-	}
-	lifecycle := false
-	for _, ev := range logs.Events {
+	// The event journal rides on the serving mux: process lifecycle is
+	// there, every event names its component and level, and the level
+	// filter is applied when the log is read.
+	logs := fetchEvents(t, url, "?n=50")
+	for _, ev := range logs {
 		if ev.Component == "" || ev.Event == "" || ev.Level == "" {
 			t.Fatalf("malformed journal event: %+v", ev)
 		}
-		lifecycle = lifecycle || (ev.Component == "process" && ev.Event == "lifecycle")
 	}
-	if !lifecycle {
-		t.Fatalf("journal holds no process lifecycle event: %+v", logs.Events)
+	if !hasEvent(logs, "process", "lifecycle", "") {
+		t.Fatalf("journal holds no process lifecycle event: %+v", logs)
+	}
+	if warn := fetchEvents(t, url, "?min_level=warn"); hasEvent(warn, "process", "lifecycle", "") {
+		t.Fatalf("min_level=warn returned an info event: %+v", warn)
 	}
 
 	// The journal also renders on the -debug-addr side channel.
@@ -148,5 +134,9 @@ func TestObservabilitySmoke(t *testing.T) {
 	_ = resp.Body.Close()
 	if code != http.StatusOK {
 		t.Fatalf("debug side-channel /debug/logs: status %d", code)
+	}
+	// So does the process-wide exposition.
+	if !strings.Contains(fetchProm(t, dbgURL), "\nqbs_goroutines ") {
+		t.Fatal("debug side-channel /metrics missing qbs_goroutines")
 	}
 }

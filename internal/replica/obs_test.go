@@ -1,9 +1,7 @@
 package replica
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -135,10 +133,10 @@ func TestRouterRetriesKeepTraceID(t *testing.T) {
 	}
 }
 
-// TestRouterPrometheusMetrics: the router's /metrics answers its
-// pre-existing JSON by default and a valid Prometheus exposition with
-// the routing-decision series on request; HEAD probes answer 200 with
-// no body.
+// TestRouterPrometheusMetrics: the router's /metrics is a valid
+// Prometheus exposition with the routing-decision series, the same
+// rendering with or without ?format=prometheus; HEAD probes answer 200
+// with no body.
 func TestRouterPrometheusMetrics(t *testing.T) {
 	prim := newTraceBackend(t, 5)
 	r1 := newTraceBackend(t, 5)
@@ -148,22 +146,13 @@ func TestRouterPrometheusMetrics(t *testing.T) {
 	defer rt.Stop()
 	routeGet(t, rt, "/spg?u=0&v=1")
 
-	rec := routeGet(t, rt, "/metrics")
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default content type %q", ct)
-	}
-
-	rec = routeGet(t, rt, "/metrics?format=prometheus")
-	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
-		t.Fatalf("prometheus content type %q", ct)
-	}
-	body, _ := io.ReadAll(rec.Body)
-	if err := obs.ValidateExposition(body); err != nil {
-		t.Fatalf("invalid exposition: %v\n%s", err, body)
-	}
-	for _, want := range []string{"qbs_router_picks_total", "qbs_router_backend_healthy", "qbs_router_retries_total"} {
-		if !bytes.Contains(body, []byte(want)) {
-			t.Fatalf("exposition missing %q:\n%s", want, body)
+	for _, path := range []string{"/metrics", "/metrics?format=prometheus"} {
+		text := promText(t, routeGet(t, rt, path))
+		wantLines(t, text, "qbs_router_retries_total 0")
+		for _, want := range []string{"qbs_router_picks_total{", "qbs_router_backend_healthy{"} {
+			if !strings.Contains(text, want) {
+				t.Fatalf("%s: exposition missing %q:\n%s", path, want, text)
+			}
 		}
 	}
 

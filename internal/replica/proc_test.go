@@ -103,32 +103,11 @@ func TestMultiProcessReplicationSmoke(t *testing.T) {
 
 	// The replica's /metrics must agree: zero epoch lag, zero errors on
 	// its query endpoints.
-	resp, err := client.Get(rURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		Endpoints map[string]struct {
-			Requests uint64 `json:"requests"`
-			Errors   uint64 `json:"errors"`
-		} `json:"endpoints"`
-		Replication *struct {
-			LagEpochs uint64 `json:"lag_epochs"`
-		} `json:"replication"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Replication == nil {
-		t.Fatal("replica /metrics missing replication section")
-	}
-	if m.Replication.LagEpochs != 0 {
-		t.Fatalf("replica still lagging %d epochs after convergence", m.Replication.LagEpochs)
-	}
-	for ep, c := range m.Endpoints {
-		if c.Errors != 0 {
-			t.Fatalf("replica endpoint %s reported %d errors", ep, c.Errors)
+	text := fetchProm(t, rURL)
+	wantLines(t, text, "qbs_replica_lag_epochs 0", "qbs_replica_lag_bytes 0")
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "qbs_http_errors_total{") && !strings.HasSuffix(line, "} 0") {
+			t.Fatalf("replica reported errors: %s", line)
 		}
 	}
 	_ = primary

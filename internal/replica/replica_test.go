@@ -20,6 +20,7 @@ import (
 	"qbs"
 	"qbs/internal/dynamic"
 	"qbs/internal/graph"
+	"qbs/internal/obs"
 	"qbs/internal/server"
 	"qbs/internal/store"
 )
@@ -105,6 +106,17 @@ func waitFor(t *testing.T, timeout time.Duration, what string, ok func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// journaled reports whether j holds a (component, event) record whose
+// attr key is val.
+func journaled(j *obs.Journal, component, event, key, val string) bool {
+	for _, ev := range j.Recent(0, obs.LevelDebug, component) {
+		if ev.Event == event && ev.View().Attrs[key] == val {
+			return true
+		}
+	}
+	return false
 }
 
 // assertBitIdentical compares the full persistent state of two dynamic
@@ -201,10 +213,15 @@ func TestReplicaConvergesBitIdentical(t *testing.T) {
 
 // TestReplicaServesReads exercises the replica's HTTP surface: reads
 // answer with the primary's values, min_epoch gates with 503 +
-// Retry-After until the replica catches up, and /metrics reports lag.
+// Retry-After until the replica catches up, /metrics reports lag, and
+// the start was journaled.
 func TestReplicaServesReads(t *testing.T) {
 	p := newPrimaryFixture(t, 0, PrimaryOptions{})
-	rep := startReplica(t, p.ts.URL, Options{})
+	j := obs.NewJournal(64, nil)
+	rep := startReplica(t, p.ts.URL, Options{Journal: j})
+	if !journaled(j, "replica", "bootstrap", "replica", rep.opts.ID) {
+		t.Fatalf("no replica/bootstrap event for %s: %+v", rep.opts.ID, j.Recent(0, obs.LevelDebug, ""))
+	}
 	p.mutate(t, 100, 42)
 	waitFor(t, 30*time.Second, "replica to converge", func() bool { return rep.Epoch() == p.d.Epoch() })
 
@@ -243,20 +260,15 @@ func TestReplicaServesReads(t *testing.T) {
 		t.Fatal("503 without Retry-After")
 	}
 
-	rec = get("/metrics")
-	if rec.Code != 200 {
-		t.Fatalf("/metrics: %d", rec.Code)
-	}
-	var m server.MetricsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Replication == nil {
-		t.Fatal("replica /metrics missing replication section")
-	}
-	if m.Epoch == nil || *m.Epoch != rep.Epoch() {
-		t.Fatalf("metrics epoch %v, want %d", m.Epoch, rep.Epoch())
-	}
+	// The primary is idle: the replica's view of the tip is its own
+	// epoch, so the lag series read zero.
+	wantLines(t, promText(t, get("/metrics")),
+		fmt.Sprintf("qbs_epoch %d", rep.Epoch()),
+		fmt.Sprintf("qbs_replica_primary_epoch %d", p.d.Epoch()),
+		"qbs_replica_lag_epochs 0",
+		"qbs_replica_lag_bytes 0",
+		`qbs_http_requests_total{endpoint="/distance"} 1`,
+	)
 	// Writes must not exist on a replica.
 	recW := httptest.NewRecorder()
 	h.ServeHTTP(recW, httptest.NewRequest("POST", "/edges", strings.NewReader(`{"u":0,"v":5}`)))
@@ -287,7 +299,8 @@ func TestReplicaResumesMidTail(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	rep := startReplica(t, flaky.URL, Options{})
+	j := obs.NewJournal(256, nil)
+	rep := startReplica(t, flaky.URL, Options{Journal: j})
 	p.mutate(t, 200, 1)
 	waitFor(t, 30*time.Second, "replica to catch up pre-outage", func() bool { return rep.Epoch() == p.d.Epoch() })
 
@@ -307,9 +320,20 @@ func TestReplicaResumesMidTail(t *testing.T) {
 		t.Fatalf("replica advanced from %d to %d during the outage", parked, rep.Epoch())
 	}
 
+	if journaled(j, "replica", "tail_recovered", "replica", rep.opts.ID) {
+		t.Fatal("replica/tail_recovered journaled while the link is down")
+	}
+
 	down.Store(false)
 	waitFor(t, 30*time.Second, "replica to converge post-outage", func() bool { return rep.Epoch() == p.d.Epoch() })
 	assertBitIdentical(t, p.d, rep.Dynamic())
+	// The outage and its end are one error and one recovery record.
+	if !journaled(j, "replica", "tail_error", "replica", rep.opts.ID) {
+		t.Fatal("no replica/tail_error event for the outage")
+	}
+	waitFor(t, 10*time.Second, "replica/tail_recovered event", func() bool {
+		return journaled(j, "replica", "tail_recovered", "replica", rep.opts.ID)
+	})
 }
 
 // TestReplicaRestartReBootstraps stops a replica entirely, lets the
@@ -536,13 +560,17 @@ func TestParkedReplicaFailsHealth(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	rep := startReplica(t, flaky.URL, Options{})
+	j := obs.NewJournal(256, nil)
+	rep := startReplica(t, flaky.URL, Options{Journal: j})
 	p.mutate(t, 80, 31)
 	waitFor(t, 30*time.Second, "replica to converge", func() bool { return rep.Epoch() == p.d.Epoch() })
 
 	// Cut the link, let the lease die, prune past the replica.
 	down.Store(true)
 	waitFor(t, 10*time.Second, "lease to expire", func() bool { return len(p.pr.Leases()) == 0 })
+	if !journaled(obs.DefaultJournal, "primary", "lease_expired", "replica", rep.opts.ID) {
+		t.Fatalf("no primary/lease_expired event for %s", rep.opts.ID)
+	}
 	for i := 0; i < 2; i++ {
 		p.mutate(t, 150, int64(32+i))
 		if _, err := p.st.Checkpoint(); err != nil {
@@ -552,6 +580,9 @@ func TestParkedReplicaFailsHealth(t *testing.T) {
 	down.Store(false)
 	waitFor(t, 10*time.Second, "tail loop to park", func() bool {
 		return errors.Is(rep.Err(), ErrWALTruncated)
+	})
+	waitFor(t, 10*time.Second, "replica/wal_truncated event", func() bool {
+		return journaled(j, "replica", "wal_truncated", "replica", rep.opts.ID)
 	})
 
 	h := rep.Handler()

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"qbs/internal/obs"
-	"qbs/internal/server"
 )
 
 // RouterOptions tunes the read-fanning query router.
@@ -83,13 +82,11 @@ type Router struct {
 	rng   *rand.Rand
 
 	// Routing-decision series on the router's own registry: per-backend
-	// pick counters and healthy/epoch/inflight gauges, plus totals for
-	// read retries and primary failovers and the proxied-request latency
-	// histogram.
+	// pick counters and healthy/epoch gauges, plus totals for read
+	// retries and primary failovers.
 	reg       *obs.Registry
 	retries   *obs.Counter
 	failovers *obs.Counter
-	latency   *obs.Histogram
 
 	// Health & diagnostics control plane, served by obs.DebugMux over
 	// src: proxied requests are traced, routing-state transitions go to
@@ -152,9 +149,6 @@ func (rt *Router) registerBackend(b *backend, role string) {
 	rt.reg.GaugeFunc("qbs_router_backend_epoch", lbl, func() float64 {
 		return float64(b.epoch.Load())
 	})
-	rt.reg.GaugeFunc("qbs_router_backend_inflight", lbl, func() float64 {
-		return float64(b.inflight.Load())
-	})
 }
 
 // NewRouter builds a router over one primary and any number of replica
@@ -174,7 +168,6 @@ func NewRouter(primaryURL string, replicaURLs []string, opts RouterOptions) *Rou
 	}
 	rt.retries = rt.reg.Counter("qbs_router_retries_total", "")
 	rt.failovers = rt.reg.Counter("qbs_router_failovers_total", "")
-	rt.latency = rt.reg.Histogram("qbs_router_request_ns", "")
 	rt.src = obs.DebugSources{
 		Tracer:  obs.DefaultTracer,
 		Journal: opts.Journal,
@@ -322,9 +315,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// handler says otherwise).
 	sw := &obs.StatusWriter{ResponseWriter: w}
 	w = sw
-	start := time.Now()
 	defer func() {
-		rt.latency.Observe(time.Since(start))
 		root.SetInt("status", int64(sw.Status()))
 		tracer.Finish(tb)
 	}()
@@ -476,14 +467,6 @@ func (rt *Router) forward(b *backend, w http.ResponseWriter, r *http.Request, re
 	return fwdDone
 }
 
-// routerBackendMetrics is one backend's row in the router's /metrics.
-type routerBackendMetrics struct {
-	URL      string `json:"url"`
-	Healthy  bool   `json:"healthy"`
-	Epoch    uint64 `json:"epoch"`
-	Inflight int64  `json:"inflight"`
-}
-
 // serveHealthz answers the router's own liveness: 200 while at least
 // one backend (primary included) is routable, 503 when every backend is
 // down — the signal a load balancer fronting several routers needs.
@@ -503,34 +486,12 @@ func (rt *Router) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "{\"status\":\"ok\",\"healthy_backends\":%d}\n", healthy)
 }
 
-// serveMetrics reports the routing table as JSON: each backend's URL,
-// health bit, last probed epoch, and current in-flight count. With
-// ?format=prometheus (or a text Accept header) it renders the router
-// registry — picks/retries/failovers and backend gauges — plus the
-// process-wide series as Prometheus text instead.
-func (rt *Router) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if server.WantsPromText(r) {
-		w.Header().Set("Content-Type", obs.PromContentType)
-		_ = obs.WritePrometheus(w, rt.reg, obs.Default)
-		return
-	}
-	row := func(b *backend) routerBackendMetrics {
-		return routerBackendMetrics{
-			URL:      b.url,
-			Healthy:  b.healthy.Load(),
-			Epoch:    b.epoch.Load(),
-			Inflight: b.inflight.Load(),
-		}
-	}
-	resp := struct {
-		Primary  routerBackendMetrics   `json:"primary"`
-		Replicas []routerBackendMetrics `json:"replicas"`
-	}{Primary: row(rt.primary), Replicas: []routerBackendMetrics{}}
-	for _, b := range rt.replicas {
-		resp.Replicas = append(resp.Replicas, row(b))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+// serveMetrics renders the router registry — picks, retries,
+// failovers and the routing table's healthy/epoch gauges — and the
+// process-wide series as Prometheus text.
+func (rt *Router) serveMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", obs.PromContentType)
+	_ = obs.WritePrometheus(w, rt.reg, obs.Default)
 }
 
 // serveTraceByID assembles the full cross-process span tree for one

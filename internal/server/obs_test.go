@@ -1,7 +1,6 @@
 package server
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -52,10 +51,10 @@ func TestHeadMetricsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestPrometheusExposition: ?format=prometheus (and a text Accept
-// header) switch /metrics to a valid Prometheus text rendering that
-// carries the per-endpoint counters, the stage histograms, and the
-// process-wide series, with no duplicate series.
+// TestPrometheusExposition: /metrics is a valid Prometheus text
+// rendering that carries the per-endpoint counters, the stage
+// histograms and the process-wide series, with no duplicate series;
+// ?format=prometheus and a plain GET are the same rendering.
 func TestPrometheusExposition(t *testing.T) {
 	s := testServer(t)
 	for i := 0; i < 3; i++ {
@@ -63,38 +62,32 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	get(t, s, "/spg?u=0&v=99", nil) // one 400
 
-	req := httptest.NewRequest("GET", "/metrics?format=prometheus", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
-		t.Fatalf("content type %q", ct)
-	}
-	body, _ := io.ReadAll(rec.Body)
-	text := string(body)
-	if err := obs.ValidateExposition(body); err != nil {
-		t.Fatalf("invalid exposition: %v\n%s", err, text)
-	}
-	for _, want := range []string{
+	text := scrape(t, s, "/metrics?format=prometheus")
+	wantLines(t, text,
 		`qbs_http_requests_total{endpoint="/spg"} 4`,
 		`qbs_http_errors_total{endpoint="/spg"} 1`,
 		`qbs_query_stage_ns_count{stage="sketch"} 3`,
-		"qbs_goroutines",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
+	)
+	if !strings.Contains(text, "\nqbs_goroutines ") {
+		t.Fatalf("exposition missing qbs_goroutines:\n%s", text)
 	}
 
-	// Accept negotiation reaches the same rendering.
-	req = httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", "text/plain")
-	rec = httptest.NewRecorder()
+	// A plain GET, with or without a text Accept header, is the same
+	// rendering: the counters it carries did not move in between.
+	plain := scrape(t, s, "/metrics")
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	req.Header.Set("Accept", "application/json")
+	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
+	for _, other := range []string{plain, rec.Body.String()} {
+		wantLines(t, other,
+			`qbs_http_requests_total{endpoint="/spg"} 4`,
+			`qbs_http_errors_total{endpoint="/spg"} 1`,
+			`qbs_query_stage_ns_count{stage="sketch"} 3`,
+		)
+	}
 	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
-		t.Fatalf("Accept negotiation: content type %q", ct)
+		t.Fatalf("Accept: application/json got content type %q", ct)
 	}
 }
 
@@ -304,16 +297,6 @@ func TestSlowLogEndpoint(t *testing.T) {
 	get(t, s, "/debug/slowlog", &body)
 	if len(body.Entries) != obs.SlowLogCapacity {
 		t.Fatalf("%d entries after overflow, want %d", len(body.Entries), obs.SlowLogCapacity)
-	}
-}
-
-// TestMetricsJSONShapeUnchanged: the default /metrics body stays JSON
-// (the pre-observability shape) — Prometheus is strictly opt-in.
-func TestMetricsJSONShapeUnchanged(t *testing.T) {
-	s := testServer(t)
-	resp := get(t, s, "/metrics", nil)
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default content type %q", ct)
 	}
 }
 

@@ -16,7 +16,8 @@
 //	GET /sketch?u=<id>&v=<id>     the query sketch (d⊤, minimizing pairs)
 //	GET /paths?u=<id>&v=<id>&limit=<n>  enumerated shortest paths
 //	GET /stats                    index and graph statistics
-//	GET /metrics                  request/error counters, epoch, replication lag
+//	GET /metrics                  Prometheus text: request/error counters, stage
+//	                              latencies, epoch, replication lag
 //	GET /healthz                  liveness
 //
 // /spg and /paths run one index search per request. Vertices, depths and
@@ -67,7 +68,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -110,11 +110,10 @@ type Server struct {
 	writable bool                                // write endpoints exposed (NewMutable)
 	mux      *http.ServeMux
 
-	// One registry backs every /metrics rendering: the JSON body reads
-	// the same counters the Prometheus encoder walks. The server's own
-	// registry keeps per-endpoint series isolated per instance; extra
-	// registries (a replica's apply/lag series) and the process-wide
-	// obs.Default stack onto the text exposition.
+	// /metrics is the Prometheus text rendering of the server's own
+	// registry, which keeps per-endpoint series isolated per instance,
+	// with extra registries (a replica's apply/lag series) and the
+	// process-wide obs.Default stacked onto it.
 	reg   *obs.Registry
 	extra []*obs.Registry
 	// The tracer (span recording, tail sampling, the slow-query log read
@@ -123,8 +122,6 @@ type Server struct {
 	src   obs.DebugSources
 	evErr *obs.EventDef            // http request_error events (5xx)
 	eps   map[string]*endpointView // registry-backed per-endpoint views
-	order []string                 // endpoint registration order
-	repl  func() ReplicationStatus // lag provider; nil off replicas
 
 	// Query-path instrumentation: per-stage histograms fed as each stage
 	// span is recorded, and engine counters aggregated from the
@@ -138,7 +135,6 @@ type Server struct {
 type endpointView struct {
 	requests *obs.Counter
 	errors   *obs.Counter
-	inflight *obs.Gauge
 	latency  *obs.Histogram
 }
 
@@ -189,10 +185,10 @@ type ReplicationStatus struct {
 }
 
 // SetReplicationStatus attaches a replication lag provider: /metrics
-// then reports lag in epochs and bytes alongside the query counters,
-// in both the JSON body and the Prometheus exposition.
+// then reports lag in epochs and bytes alongside the query counters.
+// Lag saturates at zero: a replica momentarily ahead of the tip it last
+// observed reports 0, never an underflowed huge number.
 func (s *Server) SetReplicationStatus(fn func() ReplicationStatus) {
-	s.repl = fn
 	s.reg.GaugeFunc("qbs_replica_primary_epoch", "", func() float64 {
 		return float64(fn().PrimaryEpoch)
 	})
@@ -214,10 +210,10 @@ func (s *Server) SetReplicationStatus(fn func() ReplicationStatus) {
 const maxWriteBody = 64 << 10
 
 // handle registers h under pattern behind the one instrumentation
-// middleware: request/error counters, in-flight gauge, latency
-// histogram, trace intake (obs.Tracer.BeginRequest) and span recording
-// with tail sampling — the handler finds the request's span buffer in
-// its context. name is the /metrics key (the route path without the
+// middleware: request/error counters, latency histogram, trace intake
+// (obs.Tracer.BeginRequest) and span recording with tail sampling — the
+// handler finds the request's span buffer in its context. name is the
+// endpoint label of the /metrics series (the route path without the
 // method).
 func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 	ep, ok := s.eps[name]
@@ -226,22 +222,18 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 		ep = &endpointView{
 			requests: s.reg.Counter("qbs_http_requests_total", lbl),
 			errors:   s.reg.Counter("qbs_http_errors_total", lbl),
-			inflight: s.reg.Gauge("qbs_http_inflight", lbl),
 			latency:  s.reg.Histogram("qbs_http_request_ns", lbl),
 		}
 		s.eps[name] = ep
-		s.order = append(s.order, name)
 	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		tracer := s.src.Tracer
 		tb := tracer.BeginRequest(name, w, r)
-		ep.inflight.Add(1)
 		rec := &obs.StatusWriter{ResponseWriter: w}
 		h(rec, r.WithContext(obs.NewContext(r.Context(), tb)))
 		dur := time.Since(start)
 		status := rec.Status()
-		ep.inflight.Add(-1)
 		ep.requests.Inc()
 		if status >= 400 {
 			ep.errors.Inc()
@@ -350,70 +342,15 @@ func (s *Server) routes() {
 	}
 }
 
-// EndpointMetrics is one endpoint's row in /metrics.
-type EndpointMetrics struct {
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
-}
-
-// ReplicationMetrics is the replication section of /metrics on a read
-// replica. Lag saturates at zero: a replica momentarily ahead of the
-// tip it last observed reports 0, never an underflowed huge number.
-type ReplicationMetrics struct {
-	PrimaryEpoch uint64 `json:"primary_epoch"`
-	LagEpochs    uint64 `json:"lag_epochs"`
-	LagBytes     int64  `json:"lag_bytes"`
-}
-
-// MetricsResponse is the JSON body of GET /metrics.
-type MetricsResponse struct {
-	Endpoints   map[string]EndpointMetrics `json:"endpoints"`
-	Epoch       *uint64                    `json:"epoch,omitempty"`
-	Replication *ReplicationMetrics        `json:"replication,omitempty"`
-}
-
-// WantsPromText reports whether a /metrics request asked for the
-// Prometheus text exposition: ?format=prometheus, or an Accept header
-// preferring a text format over the default JSON body.
-func WantsPromText(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "prometheus" {
-		return true
-	}
-	acc := r.Header.Get("Accept")
-	return strings.Contains(acc, "text/plain") || strings.Contains(acc, "openmetrics")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if WantsPromText(r) {
-		w.Header().Set("Content-Type", obs.PromContentType)
-		regs := make([]*obs.Registry, 0, len(s.extra)+2)
-		regs = append(regs, s.reg)
-		regs = append(regs, s.extra...)
-		regs = append(regs, obs.Default)
-		_ = obs.WritePrometheus(w, regs...)
-		return
-	}
-	resp := MetricsResponse{Endpoints: make(map[string]EndpointMetrics, len(s.order))}
-	for _, name := range s.order {
-		ep := s.eps[name]
-		resp.Endpoints[name] = EndpointMetrics{
-			Requests: ep.requests.Load(),
-			Errors:   ep.errors.Load(),
-		}
-	}
-	if s.dyn != nil {
-		epoch := s.dyn.Epoch()
-		resp.Epoch = &epoch
-	}
-	if s.repl != nil {
-		st := s.repl()
-		m := &ReplicationMetrics{PrimaryEpoch: st.PrimaryEpoch, LagBytes: st.LagBytes}
-		if st.PrimaryEpoch > st.Epoch {
-			m.LagEpochs = st.PrimaryEpoch - st.Epoch
-		}
-		resp.Replication = m
-	}
-	writeJSON(w, http.StatusOK, resp)
+// handleMetrics renders the server's registry, the extra registries
+// and the process-wide one as Prometheus text.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", obs.PromContentType)
+	regs := make([]*obs.Registry, 0, len(s.extra)+2)
+	regs = append(regs, s.reg)
+	regs = append(regs, s.extra...)
+	regs = append(regs, obs.Default)
+	_ = obs.WritePrometheus(w, regs...)
 }
 
 // recordStage records one measured stage of the request: into the

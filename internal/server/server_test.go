@@ -7,11 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"qbs"
 	"qbs/internal/graph"
+	"qbs/internal/obs"
 )
 
 // testServer builds a server over the diamond-with-detour fixture:
@@ -681,6 +683,35 @@ func TestWriteBodyTooLargeChunked(t *testing.T) {
 	}
 }
 
+// scrape GETs path (a /metrics URL) and returns its body, failing
+// unless it is a valid Prometheus text exposition.
+func scrape(t *testing.T, s *Server, path string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
+		t.Fatalf("GET %s: content type %q", path, ct)
+	}
+	if err := obs.ValidateExposition(rec.Body.Bytes()); err != nil {
+		t.Fatalf("GET %s: invalid exposition: %v\n%s", path, err, rec.Body.String())
+	}
+	return rec.Body.String()
+}
+
+// wantLines fails unless every line of want is a whole line of text.
+func wantLines(t *testing.T, text string, want ...string) {
+	t.Helper()
+	lines := strings.Split(text, "\n")
+	for _, w := range want {
+		if !slices.Contains(lines, w) {
+			t.Errorf("exposition has no line %q:\n%s", w, text)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s, di := testMutableServer(t)
 
@@ -689,61 +720,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	do(t, s, "GET", "/distance?u=bad&v=3", "", nil) // 400 → error counter
 	do(t, s, "POST", "/edges", `{"u":1,"v":2}`, nil)
 
-	var m MetricsResponse
-	if r := do(t, s, "GET", "/metrics", "", &m); r.StatusCode != 200 {
-		t.Fatalf("/metrics status %d", r.StatusCode)
-	}
-	d := m.Endpoints["/distance"]
-	if d.Requests != 3 || d.Errors != 1 {
-		t.Fatalf("/distance counters = %+v", d)
-	}
-	e := m.Endpoints["/edges"]
-	if e.Requests != 1 || e.Errors != 0 {
-		t.Fatalf("/edges counters = %+v", e)
-	}
-	if m.Epoch == nil || *m.Epoch != di.Epoch() {
-		t.Fatalf("metrics epoch = %v, index at %d", m.Epoch, di.Epoch())
-	}
-	if m.Replication != nil {
-		t.Fatal("non-replica server reported a replication section")
+	text := scrape(t, s, "/metrics")
+	wantLines(t, text,
+		`qbs_http_requests_total{endpoint="/distance"} 3`,
+		`qbs_http_errors_total{endpoint="/distance"} 1`,
+		`qbs_http_requests_total{endpoint="/edges"} 1`,
+		`qbs_http_errors_total{endpoint="/edges"} 0`,
+		fmt.Sprintf("qbs_epoch %d", di.Epoch()),
+	)
+	if strings.Contains(text, "qbs_replica_") {
+		t.Fatalf("non-replica server exported replication series:\n%s", text)
 	}
 
 	// With a lag provider attached (the replica shape), the replication
-	// section appears, epochs-lag saturating at the provider's values.
+	// series appear, epochs-lag the difference of the provider's values.
 	s.SetReplicationStatus(func() ReplicationStatus {
 		return ReplicationStatus{PrimaryEpoch: di.Epoch() + 3, Epoch: di.Epoch(), LagBytes: 75}
 	})
-	if r := do(t, s, "GET", "/metrics", "", &m); r.StatusCode != 200 {
-		t.Fatalf("/metrics status %d", r.StatusCode)
-	}
-	if m.Replication == nil || m.Replication.LagEpochs != 3 || m.Replication.LagBytes != 75 {
-		t.Fatalf("replication metrics = %+v", m.Replication)
-	}
+	wantLines(t, scrape(t, s, "/metrics"),
+		fmt.Sprintf("qbs_replica_primary_epoch %d", di.Epoch()+3),
+		"qbs_replica_lag_epochs 3",
+		"qbs_replica_lag_bytes 75",
+	)
+
+	// A replica ahead of the tip it last saw reports zero lag, never an
+	// underflowed huge number.
+	s.SetReplicationStatus(func() ReplicationStatus {
+		return ReplicationStatus{PrimaryEpoch: di.Epoch(), Epoch: di.Epoch() + 2}
+	})
+	wantLines(t, scrape(t, s, "/metrics"), "qbs_replica_lag_epochs 0")
 }
 
 func TestMetricsOnImmutableAndDirected(t *testing.T) {
 	s := testServer(t)
 	do(t, s, "GET", "/spg?u=0&v=3", "", nil)
-	var m MetricsResponse
-	if r := do(t, s, "GET", "/metrics", "", &m); r.StatusCode != 200 {
-		t.Fatalf("immutable /metrics status %d", r.StatusCode)
-	}
-	if m.Endpoints["/spg"].Requests != 1 {
-		t.Fatalf("immutable /spg counters = %+v", m.Endpoints["/spg"])
-	}
-	if m.Epoch != nil {
-		t.Fatal("immutable server reported an epoch")
+	text := scrape(t, s, "/metrics")
+	wantLines(t, text, `qbs_http_requests_total{endpoint="/spg"} 1`)
+	if strings.Contains(text, "\nqbs_epoch ") {
+		t.Fatalf("immutable server exported an epoch:\n%s", text)
 	}
 
 	ds := testDirectedServer(t)
 	get(t, ds, "/distance?u=0&v=3", nil)
-	var dm MetricsResponse
-	if r := get(t, ds, "/metrics", &dm); r.StatusCode != 200 {
-		t.Fatalf("directed /metrics status %d", r.StatusCode)
-	}
-	if dm.Endpoints["/distance"].Requests != 1 {
-		t.Fatalf("directed /distance counters = %+v", dm.Endpoints["/distance"])
-	}
+	wantLines(t, scrape(t, ds, "/metrics"), `qbs_http_requests_total{endpoint="/distance"} 1`)
 }
 
 func TestMinEpochGate(t *testing.T) {

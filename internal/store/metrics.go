@@ -8,19 +8,13 @@ import (
 	"qbs/internal/obs"
 )
 
-// Durable-store instrumentation, registered on the process-wide
-// registry: WAL append and fsync latency distributions, checkpoint
-// duration, and the size of the last written snapshot. The series
-// aggregate across every Store in the process (stores live in
-// throwaway directories, so a per-directory label would be noise).
-var (
-	mWALAppendNs  = obs.Default.Histogram("qbs_wal_append_ns", "")
-	mWALFsyncNs   = obs.Default.Histogram("qbs_wal_fsync_ns", "")
-	mWALRecords   = obs.Default.Counter("qbs_wal_records_total", "")
-	mCheckpoints  = obs.Default.Counter("qbs_checkpoints_total", "")
-	mCheckpointNs = obs.Default.Gauge("qbs_checkpoint_last_ns", "")
-	mSnapshotSize = obs.Default.Gauge("qbs_snapshot_bytes", "")
-)
+// WAL append latency, what every logged update pays, on the
+// process-wide registry. It aggregates across every Store in the
+// process (stores live in throwaway directories, so a per-directory
+// label would be noise). Fsync batches and checkpoints are root spans
+// (wal.fsync, store.checkpoint): a slow or failed one is retained with
+// its batch size, epoch and snapshot bytes.
+var mWALAppendNs = obs.Default.Histogram("qbs_wal_append_ns", "")
 
 // Structured events on the process journal: durability faults and
 // lifecycle transitions that previously vanished into returned errors.
@@ -28,10 +22,8 @@ var (
 // batch and must not wash the journal.
 var (
 	evFsyncError      = obs.DefaultJournal.DefRate("store", "fsync_error", obs.LevelError, 2, 4)
-	evCheckpoint      = obs.DefaultJournal.Def("store", "checkpoint", obs.LevelInfo)
 	evCheckpointError = obs.DefaultJournal.Def("store", "checkpoint_error", obs.LevelError)
 	evSnapshotRetired = obs.DefaultJournal.Def("store", "snapshot_retired", obs.LevelWarn)
-	evSnapshotPruned  = obs.DefaultJournal.Def("store", "snapshot_pruned", obs.LevelDebug)
 )
 
 // qbs_build_info is the standard build-identity gauge (constant 1, all

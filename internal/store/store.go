@@ -380,7 +380,6 @@ func (s *Store) Checkpoint() (uint64, error) {
 		evCheckpointError.Emit(obs.Str("error", err.Error()))
 	} else {
 		tb.Root().SetInt("epoch", int64(epoch))
-		evCheckpoint.Emit(obs.Int("epoch", int64(epoch)))
 	}
 	obs.DefaultTracer.Finish(tb)
 	return epoch, err
@@ -398,7 +397,6 @@ func (s *Store) checkpoint(tb *obs.TraceBuf) (uint64, error) {
 	lastSnap := s.snaps[len(s.snaps)-1]
 	s.walMu.Unlock()
 
-	start := time.Now()
 	ps := s.d.Persistent()
 	if ps.Epoch == lastSnap {
 		return ps.Epoch, nil // nothing new to persist
@@ -411,18 +409,12 @@ func (s *Store) checkpoint(tb *obs.TraceBuf) (uint64, error) {
 		return 0, err
 	}
 	if fi, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
-		mSnapshotSize.Set(fi.Size())
 		writeSp.SetInt("bytes", fi.Size())
 	}
 	writeSp.End()
 	if err := writeCurrent(s.dir, name); err != nil {
 		return 0, err
 	}
-	defer func() {
-		mCheckpointNs.Set(time.Since(start).Nanoseconds())
-		mCheckpoints.Inc()
-	}()
-
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.closed {
@@ -436,7 +428,6 @@ func (s *Store) checkpoint(tb *obs.TraceBuf) (uint64, error) {
 		if err := os.Remove(filepath.Join(s.dir, snapshotFileName(old))); err != nil && !os.IsNotExist(err) {
 			return 0, err
 		}
-		evSnapshotPruned.Emit(obs.Int("epoch", int64(old)))
 	}
 	if err := s.w.rotate(); err != nil {
 		return 0, err

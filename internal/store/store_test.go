@@ -13,6 +13,7 @@ import (
 	"qbs/internal/bfs"
 	"qbs/internal/dynamic"
 	"qbs/internal/graph"
+	"qbs/internal/obs"
 )
 
 // testGraph builds a small scale-free graph, the store tests' default
@@ -578,6 +579,14 @@ func TestDamagedSnapshotRetired(t *testing.T) {
 	}
 	if _, err := os.Stat(newest); !os.IsNotExist(err) {
 		t.Fatalf("corrupt snapshot %s not retired by writable open (err=%v)", newest, err)
+	}
+	retired := false
+	for _, ev := range obs.DefaultJournal.Recent(0, obs.LevelDebug, "store") {
+		a := ev.View().Attrs
+		retired = retired || (ev.Event == "snapshot_retired" && a["file"] == snapshotFileName(e2) && a["reason"] == "damaged")
+	}
+	if !retired {
+		t.Fatalf("no store/snapshot_retired event for %s", snapshotFileName(e2))
 	}
 	requireStateEqual(t, d.Persistent(), s2.Index().Persistent())
 

@@ -121,9 +121,8 @@ func (w *walWriter) openSegment() error {
 }
 
 // append frames, writes and (per policy) fsyncs one record. The write
-// and the fsync are timed into separate histograms: append latency is
-// what every logged update pays, fsync latency only the SyncEvery
-// boundaries.
+// is timed into qbs_wal_append_ns, what every logged update pays; the
+// fsync, paid only at SyncEvery boundaries, is a wal.fsync root span.
 func (w *walWriter) append(rec WALRecord) error {
 	if w.size+walRecordSize > w.segBytes && w.cur.hasRecords {
 		if err := w.rotate(); err != nil {
@@ -135,7 +134,6 @@ func (w *walWriter) append(rec WALRecord) error {
 		return err
 	}
 	mWALAppendNs.Observe(time.Since(start))
-	mWALRecords.Inc()
 	w.size += walRecordSize
 	w.cur.lastEpoch = rec.Epoch
 	w.cur.hasRecords = true
@@ -162,14 +160,12 @@ func (w *walWriter) sync() error {
 
 // fsync durably flushes records batched appends. Each flush is a root
 // span so slow fsync batches (the classic durability stall) show up in
-// the trace store with the batch size attached; fast flushes are
-// head-sample-dropped without allocating.
+// the trace store with the batch size attached; tail sampling drops
+// fast flushes without allocating.
 func (w *walWriter) fsync(records int) error {
 	tb := obs.DefaultTracer.Begin("wal.fsync", "", 0, false)
 	tb.Root().SetInt("records", int64(records))
-	start := time.Now()
 	err := w.f.Sync()
-	mWALFsyncNs.Observe(time.Since(start))
 	if err != nil {
 		tb.MarkError()
 		evFsyncError.Emit(obs.Int("records", int64(records)), obs.Str("error", err.Error()))
