@@ -29,7 +29,7 @@ func deltaAnalog(tb testing.TB, key string, scale float64) testGraph {
 func TestBuildDeltaScratch(t *testing.T) {
 	for _, key := range []string{"YT", "WK"} {
 		tg := deltaAnalog(t, key, 1)
-		ix := tg.mustBuild(t, Options{SkipDelta: true})
+		ix := tg.mustBuild(t, Options{})
 		n, R := tg.numVertices(), ix.NumLandmarks()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -48,7 +48,7 @@ func TestBuildDeltaScratch(t *testing.T) {
 func BenchmarkBuildDelta(b *testing.B) {
 	for _, bc := range []struct{ name, key string }{{"YT", "YT"}, {"WK-directed", "WK"}} {
 		b.Run(bc.name, func(b *testing.B) {
-			ix := deltaAnalog(b, bc.key, 10).mustBuild(b, Options{SkipDelta: true})
+			ix := deltaAnalog(b, bc.key, 10).mustBuild(b, Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -86,17 +86,12 @@ type Options struct {
 	// Parallelism is the total labelling worker budget. 0 means
 	// GOMAXPROCS (the paper's QbS-P); 1 reproduces sequential QbS.
 	// Workers first spread across 64-landmark batches; any budget left
-	// over (always, at the paper's |R| = 20) runs *inside* each sweep as
-	// traverse pool workers parallelising the frontier itself. Labels,
+	// over (always, at the paper's |R| = 20) is the width of each
+	// sweep's bottom-up levels (traverse.MultiBFS.Parallelism). Labels,
 	// σ and Δ are bit-identical at every setting.
 	Parallelism int
 	// Seed feeds randomized strategies (Random landmark selection).
 	Seed int64
-	// SkipDelta skips precomputing Δ (shortest path graphs between
-	// adjacent landmarks). Distance and sketch queries still work; full
-	// SPG queries require Δ and will rebuild it lazily. Used to measure
-	// labelling-only construction cost.
-	SkipDelta bool
 }
 
 // ClampLandmarks returns the effective landmark count for a requested
@@ -383,9 +378,7 @@ func (sh *Shell) build(start time.Time, ix *Index, degsOut, degsIn []int32, opts
 	ix.build.LabellingTime = time.Since(labStart)
 
 	metaStart := time.Now()
-	if !opts.SkipDelta {
-		ix.buildDelta()
-	}
+	ix.buildDelta()
 	ix.build.MetaTime = time.Since(metaStart)
 
 	ix.build.TotalTime = time.Since(start)
@@ -457,7 +450,6 @@ type State struct {
 
 // State captures the index state.
 func (ix *Index) State() State {
-	ix.EnsureDelta()
 	return State{
 		Landmarks: ix.landmarks,
 		Sigma:     ix.ms.sigma,

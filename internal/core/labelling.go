@@ -59,11 +59,11 @@ import (
 // through another landmark included, which the labelling ignores; the
 // caller presets unreachable and root entries.
 //
-// When the engine runs its intra-sweep worker pool the settle callback
-// is invoked concurrently; label writes are naturally disjoint (each
-// settle owns its vertex), so only the shared meta-edge list (a rare,
-// landmark-only event) takes a mutex, and the per-settle entry count
-// goes through an atomic.
+// When the engine runs a bottom-up level on more than one worker the
+// settle callback is invoked concurrently; label writes are naturally
+// disjoint (each settle owns its vertex), so only the shared meta-edge
+// list (a rare, landmark-only event) takes a mutex, and the per-settle
+// entry count goes through an atomic.
 func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, deg []int32, cols [][]uint8, dist [][]int32) ([]metaEdge, int64, error) {
 	roots := sh.landmarks[base : base+len(cols)]
 	var metas []metaEdge
@@ -154,8 +154,8 @@ func (sh *Shell) SweepColumn(eng *traverse.MultiBFS, a graph.Adjacency, rank int
 // that may ask for distance columns). Batches are
 // distributed over outer workers and any worker budget left over (the
 // common case: the paper's |R| = 20 is a single batch) is spent inside
-// each sweep as engine pool workers; the per-batch meta-edges are merged
-// at the end.
+// each sweep as the width of its bottom-up levels; the per-batch
+// meta-edges are merged at the end.
 func (ix *Index) buildLabelling(parallelism int, degsOut, degsIn []int32, dist [][]int32) error {
 	n := ix.out.NumVertices()
 	R := ix.numLand

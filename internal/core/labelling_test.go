@@ -96,24 +96,6 @@ func TestLabelEntriesBoundedByLandmarks(t *testing.T) {
 	}
 }
 
-func TestSkipDeltaLazyBuild(t *testing.T) {
-	g := connected(graph.BarabasiAlbert(150, 3, 13))
-	ix := MustBuild(g, Options{NumLandmarks: 8, SkipDelta: true})
-	if ix.delta != nil {
-		t.Fatal("SkipDelta did not skip")
-	}
-	// NewSearcher triggers EnsureDelta; queries must then be exact.
-	sr := NewSearcher(ix)
-	if ix.delta == nil {
-		t.Fatal("EnsureDelta did not run")
-	}
-	for _, p := range samplePairs(g, 40, 3) {
-		if !sr.Query(p[0], p[1]).Equal(bfs.OracleSPG(g, p[0], p[1])) {
-			t.Fatalf("lazy-delta query wrong for %v", p)
-		}
-	}
-}
-
 func TestParallelismMoreWorkersThanLandmarks(t *testing.T) {
 	g := connected(graph.ErdosRenyi(100, 240, 15))
 	ix := MustBuild(g, Options{NumLandmarks: 3, Parallelism: 16})
@@ -312,7 +294,7 @@ func TestEngineBuildSpeedup(t *testing.T) {
 		return b
 	}
 	engine := best(func() time.Duration {
-		ix, err := BuildDirected(g, Options{Landmarks: landmarks, Parallelism: 1, SkipDelta: true})
+		ix, err := BuildDirected(g, Options{Landmarks: landmarks, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -395,13 +395,6 @@ func blockFlags(labels [][]uint8, bound []uint8, v int) uint64 {
 	return m
 }
 
-// EnsureDelta builds Δ if construction skipped it (Options.SkipDelta).
-func (ix *Index) EnsureDelta() {
-	if ix.delta == nil {
-		ix.buildDelta()
-	}
-}
-
 // DedupEdges sorts an edge list and removes duplicates in place. Shared with the dynamic subsystem, whose incrementally
 // recomputed Δ lists must match buildDelta's output bit for bit.
 func DedupEdges(edges []graph.Edge) []graph.Edge {

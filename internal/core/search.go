@@ -164,7 +164,6 @@ func (s *searchSide) releaseSketch() {
 
 // NewSearcher creates a query workspace for ix.
 func NewSearcher(ix *Index) *Searcher {
-	ix.EnsureDelta()
 	n := ix.out.NumVertices()
 	sr := &Searcher{
 		ext:      bfs.NewExtractor(n),
@@ -204,7 +203,6 @@ func (sr *Searcher) Rebind(ix *Index) bool {
 	if ix.out.NumVertices() != sr.ix.out.NumVertices() || ix.numLand != sr.ix.numLand {
 		return false
 	}
-	ix.EnsureDelta()
 	sr.bind(ix)
 	if len(sr.metaGen) < len(ix.ms.meta) {
 		sr.metaGen = make([]uint32, len(ix.ms.meta))

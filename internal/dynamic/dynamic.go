@@ -32,11 +32,11 @@ type Options struct {
 	// auto-compaction disabled callers should invoke Compact themselves
 	// once writes slow down.
 	CompactFraction float64
-	// Parallelism is the traverse pool width for the heavy BFS sweeps —
-	// the initial build, compaction rebuilds and budget-blown full
-	// column re-BFSes. 0 means GOMAXPROCS, 1 is sequential. Labels, σ
-	// and Δ are bit-identical at every setting; incremental repairs are
-	// unaffected (their affected sets are far below the pool threshold).
+	// Parallelism is the width of the bottom-up levels of the heavy BFS
+	// sweeps — the initial build, compaction rebuilds and budget-blown
+	// full column re-BFSes. 0 means GOMAXPROCS, 1 is sequential. Labels,
+	// σ and Δ are bit-identical at every setting; incremental repairs
+	// run no sweep and stay sequential.
 	Parallelism int
 }
 

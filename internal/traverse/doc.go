@@ -3,7 +3,8 @@
 // guided bidirectional search and the Bi-BFS baseline — grows through
 // ExpandMeeting, a sequential top-down level with the meeting test built
 // in; labelling construction and dynamic column repair run on MultiBFS,
-// which is bit-parallel, direction-optimizing and optionally pooled.
+// which is bit-parallel and direction-optimizing: one sequential
+// top-down level and one bottom-up level whose width is Parallelism.
 // The asymmetry is measured, not assumed: a labelling sweep visits the
 // whole graph and its middle levels hold most of it, while no level a
 // query expands from comes within a factor of ten of the size at which
@@ -167,43 +168,35 @@
 //
 // # Parallel execution model (MultiBFS)
 //
-// MultiBFS optionally runs each level on a pool of goroutines
-// (Parallelism; 0 or 1 keeps the exact sequential code path). The
-// design is Ligra-style level-synchronous work sharing:
+// MultiBFS runs its bottom-up levels on Parallelism goroutines (0 or 1:
+// on the caller alone). Top-down levels always run on the caller. The
+// bottom-up pool is what the width buys: the dense middle levels that
+// hold most of a labelling sweep's work are the ones the switch sends
+// bottom-up, while a level sparse enough to stay top-down is cheap.
 //
-//   - Top-down levels partition the frontier into fixed-size chunks.
-//     Workers start on a statically assigned share (cheap locality when
-//     the level is balanced) and then claim leftover chunks off a
-//     shared atomic cursor, so a worker stuck on a hub vertex doesn't
-//     stall the level (claims outside the static share are counted as
-//     steals). Vertex discovery is arbitrated with a compare-and-swap
-//     per vertex — a generation stamp, plus CAS-OR accumulation into
-//     the nextL/nextN words — so exactly one worker wins each vertex
-//     and settles its label bits without further synchronization.
-//   - Bottom-up levels split the vertex range into chunks (multiples of
-//     64 vertices, so chunk boundaries fall on cache-line boundaries of
-//     the per-vertex words). Each worker probes only its own range,
-//     reading the frontier through the current-level words, which
-//     cannot change during the level, and all writes land in the
-//     worker's own range.
-//
-// A level only moves to the pool past a size threshold (a few thousand
-// frontier vertices, or vertices in all for a bottom-up sweep); below
-// it the sequential loop is both faster and exactly the single-core
-// code shape.
+// A bottom-up level splits the vertex range into chunks of 1024
+// vertices (a multiple of 64, so chunk boundaries fall on cache-line
+// boundaries of the per-vertex words) that workers claim off one atomic
+// cursor, so a worker slowed by high-degree vertices takes fewer chunks
+// rather than stalling the level. Each worker probes only its own
+// chunks, reading the frontier through the current-level words, which
+// cannot change during the level; it settles each vertex at once, and
+// every write lands on that vertex's own words, inside the worker's
+// chunk. Each worker collects the next frontier in its own buffer, and
+// the buffers are concatenated after the level. A level over fewer
+// than a few thousand vertices runs on the caller: the goroutine
+// fan-out would cost more than the level.
 //
 // Determinism: the α/β direction decision is taken on the coordinating
-// goroutine from the previous level's aggregate counts, which are
-// summed deterministically from per-worker counters — so the
-// push/pull schedule, and hence Switches and WordsSwept, are identical
-// to the sequential run. Within a level, parallel execution only
-// permutes the order in which a level's vertices are discovered and
-// settled; the *set* of vertices, their distances and their settle
+// goroutine from the frontier alone, so the push/pull schedule is the
+// same at every width. Within a level, the width only permutes the
+// order in which a level's vertices are settled and enter the next
+// frontier; the *set* of vertices, their distances and their settle
 // payloads are order-independent (a vertex's level is fixed by the BFS,
-// and settle writes are per-vertex). Every consumer is insensitive to
-// within-level order, so labels, σ and Δ are bit-identical at every
-// worker count — the property suite and the scaling harness both
-// enforce this.
+// its pull order by the adjacency, and settle writes are per-vertex).
+// Every consumer is insensitive to within-level order, so labels, σ and
+// Δ are bit-identical at every worker count — the property suite and
+// the scaling harness both enforce this.
 //
 // An engine is a single-traversal object: one Run at a time (concurrent
 // use is detected and rejected), with all pool fan-out kept internal.

@@ -5,6 +5,14 @@ import "qbs/internal/graph"
 // ResidentArcs lets a test size a graph onto the block-ahead path.
 const ResidentArcs = residentArcs
 
+// SetAlpha sets mb's direction threshold: 0 keeps every level top-down,
+// a negative value runs every level bottom-up.
+func SetAlpha(mb *MultiBFS, alpha int64) { mb.alpha = alpha }
+
+// SetPoolFloor sets the fewest vertices a bottom-up level of mb needs to
+// run on the pool; 1 engages it on every bottom-up level.
+func SetPoolFloor(mb *MultiBFS, n int) { mb.poolFloor = n }
+
 // ReferenceExpand is ExpandMeeting as it stood at commit f535a26, kept
 // as the oracle for the kernel that replaced it: one sweep in frontier
 // order that tests and marks as it goes and stops marking at the first

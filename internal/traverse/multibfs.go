@@ -34,36 +34,21 @@ const (
 // source. It is a reusable workspace sized for a fixed vertex count; not
 // safe for concurrent use — create one per worker.
 type MultiBFS struct {
-	// Alpha tunes the top-down → bottom-up switch: go bottom-up when
-	// frontierDeg·Alpha > |arcs| (and the frontier is at least |V|/Beta
-	// vertices). 0 disables bottom-up entirely; negative forces it on
-	// every level (used by tests).
-	Alpha int64
-	// Beta tunes the switch back: return to top-down when
-	// |frontier|·Beta < |V|.
-	Beta int64
-
-	// Parallelism > 1 runs large levels on that many pool workers (see
-	// doc.go "Parallel execution model"). Settle callbacks are then
-	// invoked concurrently and must be safe for that; every settle
-	// payload stays bit-identical to the sequential kernel. <= 1 keeps
-	// the exact sequential code path.
+	// Parallelism > 1 runs large bottom-up levels on that many pool
+	// workers (see doc.go "Parallel execution model"). Settle callbacks
+	// are then invoked concurrently and must be safe for that; every
+	// settle payload is the same at every width. <= 1 runs every level on
+	// the caller.
 	Parallelism int
-	// ParallelThreshold overrides the minimum level size (frontier
-	// vertices top-down, total vertices bottom-up) that engages the
-	// pool; 0 means the package defaults. Tests force 1.
-	ParallelThreshold int
 
-	// Per-run counters, reset by Run/RunDirected (plain fields; the
-	// engine is single-owner). WordsSwept counts visited words probed by
-	// bottom-up levels — one per vertex scanned. ParallelLevels counts
-	// levels the pool executed, ParallelChunks the work chunks claimed,
-	// ParallelSteals the chunks claimed outside a worker's static share.
-	Switches       int64
-	WordsSwept     int64
-	ParallelLevels int64
-	ParallelChunks int64
-	ParallelSteals int64
+	// alpha tunes the top-down → bottom-up switch: go bottom-up when
+	// frontierDeg·alpha > |arcs| (and the frontier is at least
+	// |V|/DefaultBeta vertices). 0 disables bottom-up entirely; negative
+	// forces it on every level. DefaultAlpha unless a test sets it.
+	alpha int64
+	// poolFloor is the fewest vertices a bottom-up level needs to run on
+	// the pool. minParVertices unless a test lowers it.
+	poolFloor int
 
 	n       int
 	curL    []uint64 // bit i: v is on source i's QL frontier at this level
@@ -74,23 +59,23 @@ type MultiBFS struct {
 
 	frontier []graph.V // vertices with curL|curN != 0, each once
 	next     []graph.V
-	touched  []graph.V // top-down: vertices with pending next-level bits
+	touched  []graph.V   // top-down: vertices with pending next-level bits
+	nf       [][]graph.V // bottom-up: per-worker next-frontier buffers
 
-	par     mbParState  // pool buffers, allocated on first parallel level
 	running atomic.Bool // guards against concurrent Run misuse
 }
 
 // NewMultiBFS creates an engine for graphs with n vertices.
 func NewMultiBFS(n int) *MultiBFS {
 	return &MultiBFS{
-		Alpha:   DefaultAlpha,
-		Beta:    DefaultBeta,
-		n:       n,
-		curL:    make([]uint64, n),
-		curN:    make([]uint64, n),
-		nextL:   make([]uint64, n),
-		nextN:   make([]uint64, n),
-		visited: make([]uint64, n),
+		alpha:     DefaultAlpha,
+		poolFloor: minParVertices,
+		n:         n,
+		curL:      make([]uint64, n),
+		curN:      make([]uint64, n),
+		nextL:     make([]uint64, n),
+		nextN:     make([]uint64, n),
+		visited:   make([]uint64, n),
 	}
 }
 
@@ -120,9 +105,6 @@ func (mb *MultiBFS) Run(g graph.Adjacency, deg []int32, landIdx []int16, roots [
 // *reverse* adjacency of push (a dual-CSR digraph's InView when pushing
 // over its OutView, and vice versa). For an undirected graph the two
 // coincide, which is what Run passes.
-//
-// nextL/nextN are OR-accumulated with CAS only inside parallel levels;
-// the sequential kernel and the swap between levels run single-threaded.
 func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx []int16, roots []graph.V, maxDepth int32, settle func(v graph.V, depth int32, newL, newN uint64)) error {
 	if !mb.running.CompareAndSwap(false, true) {
 		return ErrConcurrentRun
@@ -147,11 +129,6 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 	clear(mb.nextL)
 	clear(mb.nextN)
 	clear(mb.visited)
-	mb.Switches = 0
-	mb.WordsSwept = 0
-	mb.ParallelLevels = 0
-	mb.ParallelChunks = 0
-	mb.ParallelSteals = 0
 
 	degree := func(v graph.V) int64 {
 		if deg != nil {
@@ -185,17 +162,11 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 		}
 
 		switch {
-		case mb.Alpha < 0:
-			if !bottomUp {
-				bottomUp = true
-				mb.Switches++
-			}
+		case mb.alpha < 0:
+			bottomUp = true
 		case bottomUp:
-			if int64(len(frontier))*mb.Beta < int64(n) {
-				bottomUp = false
-				mb.Switches++
-			}
-		case mb.Alpha > 0 && int64(len(frontier))*mb.Beta >= int64(n):
+			bottomUp = int64(len(frontier))*DefaultBeta >= int64(n)
+		case mb.alpha > 0 && int64(len(frontier))*DefaultBeta >= int64(n):
 			// Dense enough to price out (sparse levels skip the degree
 			// summation entirely). The threshold compares against the
 			// whole arc mass — conservative, and it keeps the hot settle
@@ -204,47 +175,16 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 			for _, x := range frontier {
 				mf += degree(x)
 			}
-			if mf*mb.Alpha > totalArc {
-				bottomUp = true
-				mb.Switches++
-			}
+			bottomUp = mf*mb.alpha > totalArc
 		}
 
 		nf := mb.next[:0]
 		if bottomUp {
-			mb.WordsSwept += int64(n)
-			if workers := parallelWorkers(mb.Parallelism, mb.ParallelThreshold, minParVertices, n); workers > 1 {
-				nf = mb.bottomUpParallel(pull, landIdx, settle, depth, full, workers, nf)
-			} else {
-				// Bottom-up: scan vertices some source has not reached and pull
-				// frontier bits from their neighbours. Settling immediately is
-				// safe — it writes only v's own visited/next words, while the
-				// scan reads neighbours' cur words, which this level never
-				// mutates.
-				for v := graph.V(0); int(v) < n; v++ {
-					vis := mb.visited[v]
-					if vis == full {
-						continue
-					}
-					var aL, aN uint64
-					for _, u := range pull.Neighbors(v) {
-						aL |= mb.curL[u]
-						aN |= mb.curN[u]
-						if aL|vis == full {
-							// Every source is already visited or arriving via QL;
-							// later neighbours cannot change any bit's QL-priority
-							// classification, so stop probing.
-							break
-						}
-					}
-					if (aL|aN)&^vis == 0 {
-						continue
-					}
-					nf = mb.settleVertex(v, depth, aL, aN, landIdx, settle, nf)
-				}
+			workers := 1
+			if mb.Parallelism > 1 && n >= mb.poolFloor {
+				workers = mb.Parallelism
 			}
-		} else if workers := parallelWorkers(mb.Parallelism, mb.ParallelThreshold, minParFrontier, len(frontier)); workers > 1 {
-			nf = mb.topDownParallel(push, landIdx, settle, frontier, depth, workers, nf)
+			nf = mb.bottomUp(pull, landIdx, settle, depth, full, workers, nf)
 		} else {
 			// Top-down: accumulate frontier bits into the next-level words,
 			// then settle every touched vertex. nextL/nextN double as the
@@ -266,8 +206,7 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 				}
 			}
 			for _, v := range touched {
-				aL, aN := mb.nextL[v], mb.nextN[v]
-				nf = mb.settleVertex(v, depth, aL, aN, landIdx, settle, nf)
+				nf = mb.settleVertex(v, depth, mb.nextL[v], mb.nextN[v], landIdx, settle, nf)
 			}
 			mb.touched = touched[:0]
 		}
@@ -287,8 +226,8 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 // settleVertex resolves one vertex's newly arrived bits at this level
 // and installs its next-level frontier words. Per bit: arrived via QL →
 // QL (labelled); arrived only via QN → QN; at a landmark everything is
-// absorbed into QN. Settles run after the level barrier, and each
-// worker touches only the words of the vertex it claimed.
+// absorbed into QN. It writes only v's own words, so bottom-up workers
+// settle the vertices of their own chunks without synchronising.
 //
 //qbs:zeroalloc
 func (mb *MultiBFS) settleVertex(v graph.V, depth int32, aL, aN uint64, landIdx []int16, settle func(graph.V, int32, uint64, uint64), nf []graph.V) []graph.V {

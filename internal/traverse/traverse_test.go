@@ -92,7 +92,7 @@ func multiDistances(t *testing.T, g *graph.Graph, roots []graph.V, alpha int64) 
 	t.Helper()
 	n := g.NumVertices()
 	mb := traverse.NewMultiBFS(n)
-	mb.Alpha = alpha
+	traverse.SetAlpha(mb, alpha)
 	dist := make([][]int32, len(roots))
 	for i, r := range roots {
 		dist[i] = make([]int32, n)
@@ -211,7 +211,7 @@ func TestMultiBFSDeterministicAcrossModes(t *testing.T) {
 	}
 	collect := func(alpha int64) map[key][2]uint64 {
 		mb := traverse.NewMultiBFS(n)
-		mb.Alpha = alpha
+		traverse.SetAlpha(mb, alpha)
 		out := map[key][2]uint64{}
 		if err := mb.Run(g, nil, nil, roots, 1<<30, func(v graph.V, depth int32, newL, newN uint64) {
 			k := key{v, depth}
