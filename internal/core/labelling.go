@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"qbs/internal/graph"
 	"qbs/internal/traverse"
@@ -51,9 +50,7 @@ import (
 // batchBFS sweeps one batch of up to 64 landmarks (ranks
 // [base, base+len(cols))) through the bit-parallel engine along push
 // (pull is its reverse, deg its cached degrees), writing the batch's
-// label columns and returning the meta-edges (root → landmark reached)
-// plus the number of label entries written (each entry is written
-// exactly once, so counting here replaces a full O(n·|R|) matrix scan).
+// label columns and returning the meta-edges (root → landmark reached).
 // With dist non-nil it also writes every settled vertex's plain BFS
 // depth into the batch's distance columns — the bits that arrived
 // through another landmark included, which the labelling ignores; the
@@ -62,13 +59,12 @@ import (
 // When the engine runs a bottom-up level on more than one worker the
 // settle callback is invoked concurrently; label writes are naturally
 // disjoint (each settle owns its vertex), so only the shared meta-edge
-// list (a rare, landmark-only event) takes a mutex, and the per-settle
-// entry count goes through an atomic.
-func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, deg []int32, cols [][]uint8, dist [][]int32) ([]metaEdge, int64, error) {
+// list (a rare, landmark-only event) takes a mutex. Nothing is counted
+// per settle: a shared counter there would put one cache line under
+// contention for a whole bottom-up level.
+func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, deg []int32, cols [][]uint8, dist [][]int32) ([]metaEdge, error) {
 	roots := sh.landmarks[base : base+len(cols)]
 	var metas []metaEdge
-	var entries int64
-	var entriesA atomic.Int64
 	var mu sync.Mutex
 	par := eng.Parallelism > 1
 	err := eng.RunDirected(push, pull, deg, sh.landIdx, roots, MaxLabelDist,
@@ -92,11 +88,6 @@ func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adj
 					mu.Unlock()
 				}
 			} else {
-				if par {
-					entriesA.Add(int64(bits.OnesCount64(newL)))
-				} else {
-					entries += int64(bits.OnesCount64(newL))
-				}
 				d8 := uint8(depth)
 				for w := newL; w != 0; w &= w - 1 {
 					cols[bits.TrailingZeros64(w)][v] = d8
@@ -104,9 +95,9 @@ func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adj
 			}
 		})
 	if err != nil {
-		return nil, 0, ErrDiameterTooLarge
+		return nil, ErrDiameterTooLarge
 	}
-	return metas, entries + entriesA.Load(), nil
+	return metas, nil
 }
 
 // allocLabels allocates one label matrix of R columns over n vertices:
@@ -140,7 +131,7 @@ func (sh *Shell) SweepColumn(eng *traverse.MultiBFS, a graph.Adjacency, rank int
 	for i := range sigmaRow {
 		sigmaRow[i] = NoEntry
 	}
-	metas, _, err := sh.batchBFS(eng, rank, a, a, nil, [][]uint8{lab}, [][]int32{dist})
+	metas, err := sh.batchBFS(eng, rank, a, a, nil, [][]uint8{lab}, [][]int32{dist})
 	for _, e := range metas {
 		sigmaRow[e.b] = uint8(e.weight)
 	}
@@ -172,7 +163,6 @@ func (ix *Index) buildLabelling(parallelism int, degsOut, degsIn []int32, dist [
 
 	batches := (R + traverse.MaxSources - 1) / traverse.MaxSources
 	perBatch := make([][]metaEdge, batches)
-	perBatchEntries := make([]int64, batches)
 
 	runBatch := func(eng *traverse.MultiBFS, b int) error {
 		base := b * traverse.MaxSources
@@ -181,16 +171,13 @@ func (ix *Index) buildLabelling(parallelism int, degsOut, degsIn []int32, dist [
 		if dist != nil {
 			bdist = dist[base:end]
 		}
-		metas, entries, err := ix.batchBFS(eng, base, ix.out, ix.in, degsOut, ix.labelFrom[base:end], bdist)
+		metas, err := ix.batchBFS(eng, base, ix.out, ix.in, degsOut, ix.labelFrom[base:end], bdist)
 		if err == nil && !sym {
 			// The in-arc sweep meets the same landmark pairs from the other
 			// end; its meta-edges are the ones already collected.
-			var back int64
-			_, back, err = ix.batchBFS(eng, base, ix.in, ix.out, degsIn, ix.labelTo[base:end], nil)
-			entries += back
+			_, err = ix.batchBFS(eng, base, ix.in, ix.out, degsIn, ix.labelTo[base:end], nil)
 		}
 		perBatch[b] = metas
-		perBatchEntries[b] = entries
 		return err
 	}
 
@@ -241,11 +228,10 @@ func (ix *Index) buildLabelling(parallelism int, degsOut, degsIn []int32, dist [
 	}
 
 	var all []metaEdge
-	ix.build.LabelEntries = 0
-	for b, metas := range perBatch {
+	for _, metas := range perBatch {
 		all = append(all, metas...)
-		ix.build.LabelEntries += perBatchEntries[b]
 	}
+	ix.build.LabelEntries = ix.countLabelEntries()
 	ix.finishMeta(all)
 	return nil
 }

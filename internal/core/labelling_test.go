@@ -317,14 +317,3 @@ func TestEngineBuildSpeedup(t *testing.T) {
 			ratio, engine, scalar)
 	}
 }
-
-// TestBuildLabelEntriesCountsSweepWrites checks the settle-time entry
-// count against a full matrix scan (the count is now accumulated during
-// the sweep instead of re-scanned).
-func TestBuildLabelEntriesCountsSweepWrites(t *testing.T) {
-	g := randomTestGraph(t, 120, 500, 9)
-	ix := MustBuild(g, Options{NumLandmarks: 20})
-	if got, want := ix.Stats().LabelEntries, ix.countLabelEntries(); got != want {
-		t.Fatalf("LabelEntries = %d, matrix scan says %d", got, want)
-	}
-}

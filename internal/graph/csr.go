@@ -101,6 +101,80 @@ func buildCSR(n int, pairs []Edge, fwd, rev bool, workers int) (offsets []int64,
 	return offsets, adj[:at], -1
 }
 
+// pairKey packs the CSR entry "w in u's list" as u<<32 | w, so that
+// ascending keys are entries in CSR order.
+func pairKey(u, w V) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(w)) }
+
+// insertCSR merges entries into a built CSR in place: keys are pairKeys,
+// ascending, distinct and absent from the lists, and adj must have room
+// for them within its capacity (buildCSR's squeeze leaves one slot per
+// dropped duplicate). Rows are walked from the last one backwards, each
+// merged from its end into its shifted place, so nothing is overwritten
+// before it is read; offsets are rewritten and the grown adj returned.
+func insertCSR(offsets []int64, adj []V, keys []uint64) []V {
+	at := int64(len(adj) + len(keys)) // every slot from at on is final
+	adj = adj[:at]
+	j := len(keys) - 1
+	for v := len(offsets) - 2; j >= 0; v-- {
+		lo, hi := offsets[v], offsets[v+1]
+		offsets[v+1] = at
+		for ; j >= 0 && keys[j]>>32 == uint64(v); j-- {
+			w := V(uint32(keys[j]))
+			for hi > lo && adj[hi-1] > w {
+				hi--
+				at--
+				adj[at] = adj[hi]
+			}
+			at--
+			adj[at] = w
+		}
+		at -= hi - lo
+		copy(adj[at:], adj[lo:hi])
+	}
+	return adj
+}
+
+// inRow reports whether w is in ns, a sorted row of a graph on n
+// vertices. The first probe is where w would sit if the row were spread
+// evenly over [0, n), then the search gallops out from it and bisects
+// the bracket it finds. On an Erdős–Rényi row, whose entries are uniform,
+// that touches one or two cache lines of the row where a plain binary
+// search misses the cache on each of its log₂ d probes — the samplers'
+// top-up asks this millions of times on a dense graph. An uneven row
+// still takes O(log d) probes.
+func inRow(ns []V, w V, n int) bool {
+	d := len(ns)
+	if d == 0 {
+		return false
+	}
+	i := min(max(int(int64(w)*int64(d)/int64(n)), 0), d-1)
+	lo, hi := 0, d // w, if present, is in ns[lo:hi]
+	switch x := ns[i]; {
+	case x == w:
+		return true
+	case x < w:
+		lo = i + 1
+		for step := 1; i+step < d; step *= 2 {
+			if ns[i+step] >= w {
+				hi = i + step + 1
+				break
+			}
+			lo = i + step + 1
+		}
+	default:
+		hi = i
+		for step := 1; i-step >= 0; step *= 2 {
+			if ns[i-step] <= w {
+				lo = i - step
+				break
+			}
+			hi = i - step
+		}
+	}
+	_, found := slices.BinarySearch(ns[lo:hi], w)
+	return found
+}
+
 // csrWorkers sizes buildCSR's fan-out: GOMAXPROCS, but one worker per
 // 64 Ki pairs at most, so a small graph is built inline.
 func csrWorkers(pairs int) int {

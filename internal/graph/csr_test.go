@@ -278,3 +278,45 @@ func TestBuildAddEdgeBuild(t *testing.T) {
 		sameDiBuilder(t, db)
 	}
 }
+
+// TestInRowMatchesBinarySearch holds the row search to a plain binary
+// search on rows its first probe guesses well (uniform, complete) and
+// badly (every entry at one end, a cluster in the middle), and on
+// queries outside [0, n).
+func TestInRowMatchesBinarySearch(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(3))
+	rows := map[string][]V{"empty": nil, "one": {500}, "complete": {}}
+	for v := V(0); v < n; v++ {
+		rows["complete"] = append(rows["complete"], v)
+	}
+	for _, d := range []int{2, 7, 64, 300} {
+		uniform := map[V]bool{}
+		for len(uniform) < d {
+			uniform[V(rng.Intn(n))] = true
+		}
+		var u []V
+		for v := range uniform {
+			u = append(u, v)
+		}
+		slices.Sort(u)
+		rows[fmt.Sprintf("uniform-%d", d)] = u
+		var low, high, mid []V
+		for i := 0; i < d; i++ {
+			low = append(low, V(i))
+			high = append(high, V(n-d+i))
+			mid = append(mid, V(n/2-d/2+i))
+		}
+		rows[fmt.Sprintf("low-%d", d)] = low
+		rows[fmt.Sprintf("high-%d", d)] = high
+		rows[fmt.Sprintf("mid-%d", d)] = mid
+	}
+	for name, ns := range rows {
+		for w := V(-2); w < n+2; w++ {
+			_, want := slices.BinarySearch(ns, w)
+			if got := inRow(ns, w, n); got != want {
+				t.Fatalf("%s: inRow(%d) = %v, want %v", name, w, got, want)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -49,9 +50,7 @@ func (g *DiGraph) In(v V) []V { return g.in[g.inOff[v]:g.inOff[v+1]] }
 
 // HasArc reports whether the arc u→w exists.
 func (g *DiGraph) HasArc(u, w V) bool {
-	ns := g.Out(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= w })
-	return i < len(ns) && ns[i] == w
+	return inRow(g.Out(u), w, g.NumVertices())
 }
 
 // Arcs returns all arcs sorted by (From, To).
@@ -290,16 +289,24 @@ func AsDirected(g *Graph) *DiGraph {
 	return &DiGraph{outOff: g.offsets, out: g.adj, inOff: g.offsets, in: g.adj}
 }
 
-// DirectedErdosRenyi samples m distinct directed arcs uniformly.
+// DirectedErdosRenyi samples m distinct directed arcs uniformly: the
+// first m distinct arcs of the draw stream, sampled as ErdosRenyi
+// samples edges (each kept arc enters the out- and the in-CSR).
 func DirectedErdosRenyi(n, m int, seed int64) *DiGraph {
-	rng := rand.New(rand.NewSource(seed))
+	m = max(min(m, n*(n-1)), 0)
 	b := NewDiBuilder(n)
-	m = min(m, n*(n-1))
-	b.arcs = distinctPairs(m, func() (Edge, bool) {
-		a := Edge{V(rng.Intn(n)), V(rng.Intn(n))}
-		return a, a.U != a.W
+	var draw func() Edge
+	b.arcs, draw = erDraws(n, m, seed, true)
+	g := b.MustBuild()
+	topUp(m-g.NumArcs(), draw, g.HasArc, func(keys []uint64) {
+		g.out = insertCSR(g.outOff, g.out, keys)
+		for i, k := range keys {
+			keys[i] = k<<32 | k>>32
+		}
+		slices.Sort(keys)
+		g.in = insertCSR(g.inOff, g.in, keys)
 	})
-	return b.MustBuild()
+	return g
 }
 
 // DirectedScaleFree grows a digraph by preferential attachment: each new

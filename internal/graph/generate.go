@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"math"
-	"math/bits"
 	"math/rand"
-	"runtime"
+	"slices"
 )
 
 // Generators for synthetic networks. Every generator takes an explicit
@@ -19,80 +17,77 @@ import (
 // near-Poisson degree distribution. This is the building block for the
 // Friendster-like analog, whose defining property in the paper is an
 // evenly distributed degree sequence (§6.3).
+//
+// The edge set is the first m distinct pairs of the draw stream. The
+// first m draws go to the builder as they are, whose squeeze drops the
+// repeats; topUp then replaces those from the same stream, in place.
 func ErdosRenyi(n, m int, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
+	m = max(min(m, n*(n-1)/2), 0)
 	b := NewBuilder(n)
-	m = min(m, n*(n-1)/2)
-	b.edges = distinctPairs(m, func() (Edge, bool) {
-		u := V(rng.Intn(n))
-		w := V(rng.Intn(n))
-		return Edge{u, w}.Normalize(), u != w
+	var draw func() Edge
+	b.edges, draw = erDraws(n, m, seed, false)
+	g := b.MustBuild()
+	var both []uint64 // an edge is an entry in each endpoint's list
+	topUp(m-g.NumEdges(), draw, g.HasEdge, func(keys []uint64) {
+		both = append(both[:0], keys...)
+		for _, k := range keys {
+			both = append(both, k<<32|k>>32)
+		}
+		slices.Sort(both)
+		g.adj = insertCSR(g.offsets, g.adj, both)
 	})
-	return b.MustBuild()
+	return g
 }
 
-// distinctPairs returns the first m distinct pairs draw produces (a draw
-// returning false is skipped): the rejection sampling under both
-// Erdős–Rényi generators. draw is called up to a batch further than the
-// m-th distinct pair, so it must own its random source. Membership is an
-// open-addressed table of 4-byte slots indexing the pairs accepted so
-// far, sized from m to stay at most half full (a Go map of pairs here
-// was the peak RSS of a server on the FR analog), and it is garbage by
-// the time the caller allocates CSR arrays.
-func distinctPairs(m int, draw func() (Edge, bool)) []Edge {
-	if m <= 0 {
-		return nil
-	}
-	if m > math.MaxUint32/2 {
-		panic("graph: too many pairs to sample")
-	}
-	pairs := make([]Edge, 0, m)
-	// A slot is 0 when empty, else tag<<idxBits | index+1: the index of
-	// a pair and, in the bits an index up to m leaves free, a tag from
-	// its hash, so that a probe passing over another pair's slot rarely
-	// has to fetch that pair to tell them apart.
-	logSlots, idxBits := bits.Len(uint(2*m-1)), bits.Len(uint(m))
-	slots := make([]uint32, 1<<logSlots)
-	mask, idxMask := uint64(len(slots)-1), uint32(1)<<idxBits-1
-	// Draws are hashed a batch ahead and their home slots read once
-	// before any is inserted: the table is far larger than the cache, and
-	// independent loads overlap their misses where one probe after the
-	// other would wait for each.
-	var (
-		ps   [32]Edge
-		hs   [32]uint64
-		warm uint32
-	)
-	for len(pairs) < m {
-		for k := 0; k < len(ps); {
-			p, ok := draw()
-			if !ok {
-				continue
-			}
-			// Fibonacci hashing: the top bits of the product are mixed
-			// best; the home slot is the top logSlots, the tag the bits
-			// below.
-			ps[k], hs[k] = p, (uint64(uint32(p.U))<<32|uint64(uint32(p.W)))*0x9E3779B97F4A7C15
-			k++
-		}
-		for _, h := range hs {
-			warm += slots[h>>(64-logSlots)]
-		}
-	next:
-		for k := 0; k < len(ps) && len(pairs) < m; k++ {
-			p, h := ps[k], hs[k]
-			tag := uint32(h>>(32-logSlots)) >> idxBits
-			for h >>= 64 - logSlots; slots[h] != 0; h = (h + 1) & mask {
-				if s := slots[h]; s>>idxBits == tag && pairs[s&idxMask-1] == p {
-					continue next
+// erDraws returns the first m draws of the Erdős–Rényi stream of seed
+// over n vertices — uniform pairs, self-loops redrawn, normalised unless
+// directed — and the stream's continuation.
+func erDraws(n, m int, seed int64, directed bool) ([]Edge, func() Edge) {
+	rng := rand.New(rand.NewSource(seed))
+	draw := func() Edge {
+		for {
+			p := Edge{V(rng.Intn(n)), V(rng.Intn(n))}
+			if p.U != p.W {
+				if !directed {
+					p = p.Normalize()
 				}
+				return p
 			}
-			pairs = append(pairs, p)
-			slots[h] = tag<<idxBits | uint32(len(pairs))
 		}
 	}
-	runtime.KeepAlive(warm) // or the compiler drops the warming loads
-	return pairs
+	pairs := make([]Edge, m)
+	for i := range pairs {
+		pairs[i] = draw()
+	}
+	return pairs, draw
+}
+
+// topUp continues an Erdős–Rényi draw stream past the m draws a graph
+// was built from, until the deficit pairs its builder squeezed out as
+// repeats are replaced by new ones. It runs in rounds of deficit draws:
+// a draw already in the graph (has) is dropped, the rest are sorted and
+// deduplicated as pairKeys and handed to insert, which may reorder them
+// but not keep them. A round adds at most one pair per draw, so it never
+// overshoots, and the graph ends as the distinct pairs of the shortest
+// prefix of the stream that holds m of them: the set a membership test
+// on every draw would keep, at the cost of the kept pairs alone.
+func topUp(deficit int, draw func() Edge, has func(u, w V) bool, insert func(keys []uint64)) {
+	keys := make([]uint64, 0, deficit)
+	for deficit > 0 {
+		keys = keys[:0]
+		for i := 0; i < deficit; i++ {
+			if p := draw(); !has(p.U, p.W) {
+				keys = append(keys, pairKey(p.U, p.W))
+			}
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		deficit -= len(keys)
+		insert(keys)
+	}
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: vertices

@@ -42,6 +42,17 @@
 // csr_test.go are the oracle (TestBuildMatchesReference, FuzzBuilder),
 // and internal/datasets pins the bytes of every dataset analog
 // (TestAnalogFingerprints).
+//
+// A built CSR is edited in one place: the Erdős–Rényi top-up (topUp,
+// insertCSR). The samplers hand their first m draws to the builder
+// without a membership test, and step 5 leaves adj's backing array at
+// its full length with one free slot per duplicate it dropped, so the
+// pairs drawn to replace the repeats fit into exactly that capacity: the
+// rows are merged in place from the last one back. The graph is then
+// the first m distinct pairs of the draw stream, as if every draw had
+// been tested (TestErdosRenyiMatchesFirstDistinctDraws), and generation
+// allocates the pending pairs and the CSR arrays and little else
+// (TestErdosRenyiAllocatesPairsAndCSR).
 package graph
 
 import (
@@ -106,8 +117,8 @@ func (g *Graph) Neighbors(v V) []V {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether the undirected edge {u, w} exists. It binary
-// searches the smaller of the two adjacency lists.
+// HasEdge reports whether the undirected edge {u, w} exists. It searches
+// the smaller of the two adjacency lists (inRow).
 func (g *Graph) HasEdge(u, w V) bool {
 	if u == w {
 		return false
@@ -115,9 +126,7 @@ func (g *Graph) HasEdge(u, w V) bool {
 	if g.Degree(u) > g.Degree(w) {
 		u, w = w, u
 	}
-	ns := g.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= w })
-	return i < len(ns) && ns[i] == w
+	return inRow(g.Neighbors(u), w, g.NumVertices())
 }
 
 // Edges returns all undirected edges, normalised (U <= W) and sorted.
