@@ -54,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -302,20 +303,17 @@ func debugHandler() http.Handler {
 }
 
 // serveDebug runs debugHandler on an address that is never exposed to
-// query clients. No write timeout: /debug/pprof/profile?seconds=N
-// streams for N seconds.
+// query clients, under the header timeout alone:
+// /debug/pprof/profile?seconds=N streams for N seconds.
 func serveDebug(addr string) {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           debugHandler(),
-		ReadHeaderTimeout: 5 * time.Second,
+	ln, err := net.Listen("tcp", addr)
+	if err == nil {
+		fmt.Printf("debug: pprof and process metrics on %s\n", addr)
+		lifecycle("debug", "addr", addr)
+		err = server.NewDebugLoop(debugHandler()).Serve(ln)
 	}
-	fmt.Printf("debug: pprof and process metrics on %s\n", addr)
-	lifecycle("debug", "addr", addr)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "qbs-server: debug server:", err)
-		evProcErr.Emit(obs.Str("stage", "debug_server"), obs.Str("error", err.Error()))
-	}
+	fmt.Fprintln(os.Stderr, "qbs-server: debug server:", err)
+	evProcErr.Emit(obs.Str("stage", "debug_server"), obs.Str("error", err.Error()))
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains
@@ -325,23 +323,20 @@ func serve(addr string, drain time.Duration, handler http.Handler, dyn *qbs.Dyna
 	// now: otherwise the collector's next goal is still twice the
 	// start's heap, and serving grows the process to it.
 	runtime.GC()
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
+	loop := server.NewLoop(handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(err)
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Printf("serving on %s\n", addr)
 		lifecycle("serve", "addr", addr)
-		errCh <- srv.ListenAndServe()
+		errCh <- loop.Serve(ln)
 	}()
 
 	select {
@@ -355,7 +350,7 @@ func serve(addr string, drain time.Duration, handler http.Handler, dyn *qbs.Dyna
 		lifecycle("shutdown", "addr", addr)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
+		if err := loop.Shutdown(shutdownCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "qbs-server: drain incomplete:", err)
 			evProcErr.Emit(obs.Str("stage", "drain"), obs.Str("error", err.Error()))
 		}

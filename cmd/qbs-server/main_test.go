@@ -1,18 +1,24 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"qbs"
+	"qbs/internal/datasets"
 	"qbs/internal/graph"
 	"qbs/internal/obs"
 	"qbs/internal/replica"
@@ -179,5 +185,129 @@ func TestDataDirOfTheOtherKindIsRefused(t *testing.T) {
 	}
 	if qbs.DiStoreExists(udir) || qbs.StoreExists(ddir) {
 		t.Fatal("a second store was built into a refused directory")
+	}
+}
+
+// TestGracefulDrain sends SIGTERM to a durable mutable server while a
+// POST /edges is in flight — the handler is reading its body, which the
+// 100 Continue it answered shows. The write is answered 200 and closes
+// its connection, an idle kept-alive connection is closed at once, a new
+// dial is refused, and the process prints bye and exits 0. The reopened
+// store holds the edge.
+func TestGracefulDrain(t *testing.T) {
+	spec, err := datasets.ByKey("DO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.Generate(0.02)
+	u, v := qbs.V(0), qbs.V(1)
+	for g.HasEdge(u, v) {
+		v++
+	}
+	dir := t.TempDir()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), "QBS_MAIN_ARGS=-dataset DO -scale 0.02 -landmarks 4 -mutable -data "+dir+" -addr "+addr)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cmd.Process.Kill() }()
+	lines := make(chan string, 64)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	waitLine := func(want string) {
+		t.Helper()
+		for line := range lines {
+			if strings.HasPrefix(line, want) {
+				return
+			}
+		}
+		t.Fatalf("the server exited before printing %q:\n%s", want, &stderr)
+	}
+	waitLine("serving on")
+
+	dial := func() (net.Conn, *bufio.Reader) {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = nc.Close() })
+		_ = nc.SetDeadline(time.Now().Add(time.Minute))
+		return nc, bufio.NewReader(nc)
+	}
+	idle, idleBr := dial()
+	if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: qbs\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.ReadResponse(idleBr, nil); err != nil || resp.StatusCode != 200 || resp.Close {
+		t.Fatalf("GET /healthz: %v, %v", resp, err)
+	} else {
+		_, _ = io.Copy(io.Discard, resp.Body)
+	}
+	body := fmt.Sprintf(`{"u":%d,"v":%d}`, u, v)
+	write, writeBr := dial()
+	if _, err := fmt.Fprintf(write, "POST /edges HTTP/1.1\r\nHost: qbs\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n", len(body)); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.ReadResponse(writeBr, nil); err != nil || resp.StatusCode != http.StatusContinue {
+		t.Fatalf("POST /edges: %v, %v; want 100 Continue", resp, err)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitLine("shutting down...")
+	if n, err := io.Copy(io.Discard, idleBr); n != 0 || err != nil {
+		t.Fatalf("the idle connection read %d bytes, %v; want it closed", n, err)
+	}
+	if nc, err := net.Dial("tcp", addr); err == nil {
+		_ = nc.Close()
+		t.Fatal("a new connection was accepted during the drain")
+	}
+	if _, err := io.WriteString(write, body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(writeBr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Applied bool `json:"applied"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&res); resp.StatusCode != 200 || err != nil || !res.Applied || !resp.Close {
+		t.Fatalf("the in-flight write: status %d, applied %v, Connection: close %v, %v", resp.StatusCode, res.Applied, resp.Close, err)
+	}
+	waitLine("bye")
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exit: %v\n%s", err, &stderr)
+	}
+
+	st, err := qbs.OpenStore(dir, qbs.StoreOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if d := st.Distance(u, v); d != 1 {
+		t.Fatalf("the reopened store puts %d and %d at distance %d, want the edge", u, v, d)
 	}
 }

@@ -435,9 +435,14 @@ func (rt *Router) forward(b *backend, w http.ResponseWriter, r *http.Request, re
 	resp, err := rt.opts.Client.Do(req)
 	if err != nil {
 		sp.Fail()
-		// Only a failure of the backend counts against it: a client that
-		// hung up cancels r.Context(), and evicting a healthy replica
-		// for that would let impatient clients drain the read pool.
+		// Only a failure of the backend counts against it. Under
+		// qbs-server's serving loop r.Context() ends only when a
+		// shutdown's drain runs out — a client that hangs up cancels
+		// nothing, and the upstream request runs on, bounded by
+		// opts.Client's timeout — and that ending must not evict a
+		// healthy replica;
+		// under net/http a hangup cancels it too, and evicting for that
+		// would let impatient clients drain the read pool.
 		if retryable && r.Context().Err() == nil {
 			// Next sweep readmits it if it recovers; the eviction event
 			// carries the request's trace ID.

@@ -57,6 +57,31 @@
 // /stats the directed index statistics; /paths and the write endpoints
 // do not exist on a directed server. Responses carry "directed": true so
 // clients can tell the modes apart.
+//
+// # Serving loop
+//
+// qbs-server's listeners, of every tier, run Loop (serve.go) rather
+// than http.Server: one goroutine per connection waits for a request's
+// first byte under the idle timeout, reads it with http.ReadRequest
+// under the header timeout and a header-byte cap, runs the handler into
+// a buffered ResponseWriter, and writes the status line, headers and a
+// reply under 32 KB in one write. It keeps net/http's timeouts, the
+// 431 past the header cap, the 400 for an HTTP/1.1 request without
+// Host, the keep-alive rules, pipelining, the read-off of up to 256 KB
+// of an unread body, 100-continue and 417, Date and sniffed
+// Content-Type, framing (a Content-Length the handler did not set only
+// on a reply of at most 2 KB, else chunked), HEAD/204/304 without a
+// body, panic recovery and the graceful drain. It gives up what needs a
+// second goroutine per request, net/http's background read: a request's
+// context is not cancelled when the client hangs up, only when a
+// shutdown's drain runs out. A request other than GET or HEAD starts
+// one empty goroutine: that wakes a thread to wait on the network poller
+// while the write's handler may hold its own in the kernel (the WAL's
+// fsync), so reads on other connections are not held until it ends. It also gives up HTTP/2, TLS, Hijack and
+// Flush, which no handler here uses. Two corners differ from net/http:
+// a request with an absolute-form URI and no Host header is served
+// (net/http answers 400), and a header set after WriteHeader still
+// reaches a reply that has not gone out.
 package server
 
 import (
