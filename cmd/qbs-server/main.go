@@ -45,8 +45,8 @@
 // recovered index is served read-only.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
-// connections, drains in-flight requests (bounded by -drain), waits for
-// any background index compaction to settle, and flushes the log.
+// connections, drains in-flight requests (bounded by -drain) and
+// flushes the log.
 package main
 
 import (
@@ -355,7 +355,6 @@ func serve(addr string, drain time.Duration, handler http.Handler, dyn *qbs.Dyna
 			evProcErr.Emit(obs.Str("stage", "drain"), obs.Str("error", err.Error()))
 		}
 		if dyn != nil {
-			dyn.WaitCompaction()
 			if err := dyn.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "qbs-server: store close:", err)
 				evProcErr.Emit(obs.Str("stage", "store_close"), obs.Str("error", err.Error()))

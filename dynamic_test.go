@@ -78,7 +78,7 @@ func TestDynamicIndexMatchesOracle(t *testing.T) {
 		case 1:
 			opts.RepairBudget = 1 // force the re-BFS fallback on deletions
 		case 2:
-			opts.CompactFraction = 0.3 // let async compaction kick in
+			opts.CompactFraction = 0.3 // let auto-compaction kick in
 		}
 		di, err := qbs.BuildDynamicIndex(g, opts)
 		if err != nil {
@@ -117,7 +117,6 @@ func TestDynamicIndexMatchesOracle(t *testing.T) {
 				}
 			}
 		}
-		di.WaitCompaction()
 		// End of sequence: full agreement with a fresh static build.
 		mat := shadow.materialize()
 		fresh, err := qbs.BuildIndex(mat, qbs.Options{Landmarks: di.Landmarks()})
@@ -184,7 +183,7 @@ func TestDynamicIndexConcurrent(t *testing.T) {
 	shadow := newShadow(g)
 	di, err := qbs.BuildDynamicIndex(g, qbs.DynamicOptions{
 		Index:           qbs.Options{NumLandmarks: 6},
-		CompactFraction: 0.05, // force async compactions mid-run
+		CompactFraction: 0.05, // force compactions mid-run
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +245,6 @@ func TestDynamicIndexConcurrent(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	di.WaitCompaction()
 
 	mat := shadow.materialize()
 	for q := 0; q < 50; q++ {

@@ -100,7 +100,6 @@ func (h *Harness) DynamicUpdates(ratios []float64) ([]DynamicRow, error) {
 				row.Deletes++
 			}
 		}
-		d.WaitCompaction()
 
 		// The alternative: rebuild the static index over the final graph.
 		final := d.CurrentGraph().Materialize()

@@ -20,11 +20,10 @@ type Options struct {
 	// cheaper than chasing a huge invalidated region vertex by vertex).
 	// 0 picks max(64, |V|/8).
 	RepairBudget int
-	// CompactFraction triggers an asynchronous compaction rebuild —
-	// materialise the overlay into a fresh CSR base and relabel from
-	// scratch — once more than this fraction of vertices carry adjacency
-	// overrides. The rebuild runs off the write path; updates applied
-	// meanwhile are replayed onto the rebuilt state before it is
+	// CompactFraction triggers a compaction — the overlay folded into a
+	// fresh CSR base, the labels, σ and Δ kept as they are — once more
+	// than this fraction of vertices carry adjacency overrides. The fold
+	// runs in the write that crosses the threshold, after that write is
 	// published. 0 picks 0.25; negative disables auto-compaction.
 	//
 	// Compaction also bounds per-write cost: each update copies the
@@ -33,10 +32,10 @@ type Options struct {
 	// once writes slow down.
 	CompactFraction float64
 	// Parallelism is the width of the bottom-up levels of the heavy BFS
-	// sweeps — the initial build, compaction rebuilds and budget-blown
-	// full column re-BFSes. 0 means GOMAXPROCS, 1 is sequential. Labels,
-	// σ and Δ are bit-identical at every setting; incremental repairs
-	// run no sweep and stay sequential.
+	// sweeps — the initial build and budget-blown full column re-BFSes.
+	// 0 means GOMAXPROCS, 1 is sequential. Labels, σ and Δ are
+	// bit-identical at every setting; incremental repairs and compaction
+	// folds run no sweep and stay sequential.
 	Parallelism int
 }
 
@@ -55,13 +54,14 @@ type Stats struct {
 	Overridden      int // vertices with overlay-private adjacency
 }
 
-// state is everything the index maintains, one value per epoch. A full
-// build (epoch 0, every compaction) is core's: fullBuild runs
+// state is everything the index maintains, one value per epoch. The one
+// full build (epoch 0) is core's: fullBuild runs
 // core.Shell.BuildMaintained over the overlay and takes the result over
 // — labels from the one labelling sweep, σ and the meta state from its
 // meta-edges, Δ from buildDelta, and the plain BFS distance columns the
 // same sweep writes for a maintained index. From then on applyLocked
-// repairs those parts in place of rebuilding them (repair.go, delta.go).
+// repairs those parts in place of rebuilding them (repair.go, delta.go),
+// and a compaction replaces only the overlay (compactLocked).
 // All parts are immutable once published; an update copies only the
 // columns and lists it writes and shares the rest with its predecessor.
 type state struct {
@@ -85,11 +85,6 @@ type snapshot struct {
 	epoch uint64
 }
 
-type update struct {
-	u, w   graph.V
-	insert bool
-}
-
 // Index is a QbS index over a mutable graph: the static index plus a
 // writer. Its read side is the embedded core.Reader — the one every
 // index kind reads through — resolving to the index of the snapshot
@@ -105,13 +100,10 @@ type Index struct {
 
 	cur atomic.Pointer[snapshot]
 
-	mu         sync.Mutex // serialises writers and guards the fields below
-	rp         *repairer
-	stats      Stats
-	rebuilding bool
-	pending    []update
-	compactWG  sync.WaitGroup
-	logger     UpdateLogger // durability hook; nil when not durable
+	mu     sync.Mutex // serialises writers and guards the fields below
+	rp     *repairer
+	stats  Stats
+	logger UpdateLogger // durability hook; nil when not durable
 }
 
 // New builds a dynamic index over g with the given landmark set. The
@@ -154,8 +146,9 @@ func newIndex(sh *core.Shell, opts Options) *Index {
 		if f == 0 {
 			f = 0.25
 		}
-		// Floor: on tiny graphs a rebuild costs as little as a repair, so
-		// compaction churn (and its extra epochs) buys nothing.
+		// Floor: on tiny graphs the overlay copy every write pays is
+		// already small, so compaction churn (and its extra epochs) buys
+		// nothing.
 		compactAt = max(32, int(f*float64(n)))
 	}
 	d := &Index{shell: sh, par: par, compactAt: compactAt, rp: newRepairer(sh, budget, par)}
@@ -164,8 +157,8 @@ func newIndex(sh *core.Shell, opts Options) *Index {
 }
 
 // fullBuild constructs the full state for an overlay from scratch: it is
-// core's build, over the overlay, with this index's landmarks. Used by
-// New and by compaction.
+// core's build, over the overlay, with this index's landmarks. Only New
+// uses it.
 func (d *Index) fullBuild(ov *Overlay) (state, error) {
 	ix, dist, err := d.shell.BuildMaintained(ov, d.par)
 	if err != nil {
@@ -276,24 +269,23 @@ func (d *Index) ApplyEdgeTraced(u, w graph.V, insert bool, tb *obs.TraceBuf) (Re
 	}
 	d.commitLocked(snap)
 	d.countLocked(insert, counts)
-	if d.rebuilding {
-		d.pending = append(d.pending, update{u, w, insert})
-	} else {
-		d.maybeCompactLocked()
+	if d.compactAt > 0 && snap.overlay.Overridden() >= d.compactAt {
+		// The write is published and its result stands: a fold the log
+		// refuses is journaled, and the next write tries again.
+		_ = d.compactLocked(d.logger)
 	}
-	pub := d.cur.Load()
-	return Result{Applied: true, Epoch: pub.epoch, Edges: pub.overlay.NumEdges()}, nil
+	return Result{Applied: true, Epoch: snap.epoch, Edges: snap.overlay.NumEdges()}, nil
 }
 
 // applyCounts are the maintenance counters of one applied update. They
-// are returned rather than added to d.stats directly so compaction
-// replay (which re-applies already-counted updates) can discard them.
+// are returned rather than added to d.stats directly so an update the
+// log refuses counts nothing.
 type applyCounts struct {
 	repaired, rebuilt, skipped   uint64
 	labels, deltas, metaRebuilds uint64
 }
 
-// countLocked adds one applied (or replayed) update to the counters.
+// countLocked adds one published (or replayed) update to the counters.
 func (d *Index) countLocked(insert bool, c applyCounts) {
 	if insert {
 		d.stats.Inserts++
@@ -397,107 +389,50 @@ func (d *Index) applyLocked(st state, u, w graph.V, insert bool, tb *obs.TraceBu
 	return state{overlay: ov, dist: dist, lab: lab, sigma: sigma, ms: ms, delta: delta}, counts, nil
 }
 
-// maybeCompactLocked kicks off an asynchronous compaction rebuild when
-// the overlay has drifted far enough from its CSR base.
-func (d *Index) maybeCompactLocked() {
-	if d.compactAt <= 0 || d.rebuilding {
-		return
-	}
+// compactLocked folds the current overlay into a fresh CSR base and
+// publishes the result as the next epoch. Only the adjacency changes
+// shape: the labels are a function of the graph and the landmark set
+// (Lemma 5.2), the graph is the same, so the label and distance columns,
+// σ, the meta state and Δ carry over by reference. The fold is logged to
+// l first (nil when replaying a record already on the log) and is not
+// published if l refuses it. Each fold is a dynamic.compact root trace;
+// a failed one is marked errored, so tail sampling keeps it, and
+// journaled as dynamic/compact_failed.
+func (d *Index) compactLocked(l UpdateLogger) error {
 	s := d.cur.Load()
-	if s.overlay.Overridden() < d.compactAt {
-		return
-	}
-	d.rebuilding = true
-	d.pending = d.pending[:0]
-	d.compactWG.Add(1)
-	go d.compact(s)
-}
-
-// compact materialises the overlay into a fresh CSR base, relabels from
-// scratch off the write path, then (under the writer lock) replays every
-// update that arrived meanwhile and publishes the compacted state.
-func (d *Index) compact(snap *snapshot) {
-	defer d.compactWG.Done()
-	// Compactions run off any request path; they get their own root
-	// trace so a write-lock stall can still be explained after the fact,
-	// and a failed one is marked errored so tail sampling keeps it.
 	ctb := obs.DefaultTracer.Begin("dynamic.compact", "", 0, false)
 	root := ctb.Root()
-	root.SetInt("from_epoch", int64(snap.epoch))
-	root.SetInt("overridden", int64(snap.overlay.Overridden()))
+	root.SetInt("from_epoch", int64(s.epoch))
+	root.SetInt("overridden", int64(s.overlay.Overridden()))
 	defer obs.DefaultTracer.Finish(ctb)
-	failed := func(stage string, err error) {
-		root.SetStr("stage", stage)
+
+	st := s.state
+	st.overlay = NewOverlay(s.overlay.Materialize())
+	snap, err := d.newSnapshot(st, s.epoch+1)
+	if err == nil && l != nil {
+		if err = l.LogCompaction(snap.epoch); err != nil {
+			err = fmt.Errorf("dynamic: compaction not logged: %w", err)
+		}
+	}
+	if err != nil {
+		root.SetStr("stage", "publish")
 		root.SetStr("error", err.Error())
 		root.Fail()
-		evCompactFailed.Emit(obs.Str("stage", stage), obs.Str("error", err.Error()))
-	}
-	st, err := d.fullBuild(NewOverlay(snap.overlay.Materialize()))
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rebuilding = false
-	if err != nil {
-		failed("rebuild", err)
-		return // state unmaintainable only if it already was; keep serving
-	}
-	for _, up := range d.pending {
-		// Replays traverse the exact update sequence already accepted, so
-		// repair cannot fail; bail out conservatively if it ever does.
-		// Maintenance counters are discarded: these updates were already
-		// counted when applied live.
-		st, _, err = d.applyLocked(st, up.u, up.w, up.insert, nil)
-		if err != nil {
-			d.pending = d.pending[:0]
-			failed("replay", err)
-			return
-		}
-	}
-	d.pending = d.pending[:0]
-	epoch, err := d.publishCompactedLocked(st)
-	if err != nil {
-		// The pre-compaction state keeps serving and drift will trigger
-		// another attempt.
-		failed("publish", err)
-		return
-	}
-	root.SetInt("epoch", int64(epoch))
-}
-
-// publishCompactedLocked publishes a rebuilt state as the next epoch. A
-// compaction advances the epoch without an edge mutation; it is logged
-// first, so replayed epochs stay aligned with live ones, and not
-// published when the log is unavailable.
-func (d *Index) publishCompactedLocked(st state) (uint64, error) {
-	snap, err := d.newSnapshot(st, d.cur.Load().epoch+1)
-	if err != nil {
-		return 0, err
-	}
-	if d.logger != nil {
-		if err := d.logger.LogCompaction(snap.epoch); err != nil {
-			return 0, fmt.Errorf("dynamic: compaction not logged: %w", err)
-		}
+		evCompactFailed.Emit(obs.Str("stage", "publish"), obs.Str("error", err.Error()))
+		return err
 	}
 	d.commitLocked(snap)
 	d.stats.Compactions++
-	return snap.epoch, nil
+	root.SetInt("epoch", int64(snap.epoch))
+	return nil
 }
 
-// WaitCompaction blocks until any in-flight compaction has finished
-// (used by tests and graceful shutdown).
-func (d *Index) WaitCompaction() { d.compactWG.Wait() }
-
-// Compact synchronously rebuilds the CSR base and labelling from the
-// current graph.
+// Compact folds the overlay into a fresh CSR base now, publishing the
+// next epoch (see compactLocked).
 func (d *Index) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, err := d.fullBuild(NewOverlay(d.cur.Load().overlay.Materialize()))
-	if err != nil {
-		return err
-	}
-	_, err = d.publishCompactedLocked(st)
-	return err
+	return d.compactLocked(d.logger)
 }
 
 // ---------------------------------------------------------------------

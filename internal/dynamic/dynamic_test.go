@@ -281,8 +281,10 @@ func TestIdempotentAndInvalidUpdates(t *testing.T) {
 	}
 }
 
-// TestCompaction checks that synchronous and automatic compaction
-// preserve answers and reset overlay pressure.
+// TestCompaction checks that compaction is a fold. The write that takes
+// the overlay past the threshold returns with it folded and its own
+// epoch in the result; Compact publishes the next epoch over the same
+// label and distance columns; and every state equals a fresh build.
 func TestCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := randomMutableGraph(60, 80, rng)
@@ -291,26 +293,53 @@ func TestCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for op := 0; op < 120; op++ {
-		applyRandomOp(t, d, rng)
+		u, w := graph.V(rng.Intn(60)), graph.V(rng.Intn(60))
+		if u == w {
+			continue
+		}
+		before := d.Stats().Compactions
+		res, err := d.ApplyEdge(u, w, !d.HasEdge(u, w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Stats().Compactions == before {
+			continue
+		}
+		if got := d.CurrentGraph().Overridden(); got != 0 {
+			t.Fatalf("op %d compacted and left %d overridden vertices", op, got)
+		}
+		if res.Epoch+1 != d.Epoch() {
+			t.Fatalf("op %d compacted: write reported epoch %d, index at %d", op, res.Epoch, d.Epoch())
+		}
+		checkAgainstFresh(t, d)
 	}
-	d.WaitCompaction()
 	if d.Stats().Compactions == 0 {
 		t.Fatal("auto-compaction never triggered despite heavy churn")
 	}
 	checkAgainstFresh(t, d)
 	checkQueries(t, d, rng, 25)
 
+	for d.CurrentGraph().Overridden() == 0 {
+		applyRandomOp(t, d, rng)
+	}
+	prev := d.cur.Load()
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.CurrentGraph().Overridden(); got != 0 {
-		t.Fatalf("overlay not compacted: %d overridden vertices", got)
+	cur := d.cur.Load()
+	if got := cur.overlay.Overridden(); got != 0 || cur.epoch != prev.epoch+1 {
+		t.Fatalf("Compact: %d overridden vertices, epoch %d → %d", got, prev.epoch, cur.epoch)
+	}
+	for r := range prev.lab {
+		if &cur.lab[r][0] != &prev.lab[r][0] || &cur.dist[r][0] != &prev.dist[r][0] {
+			t.Fatalf("Compact relabelled landmark %d: its columns are new slices", r)
+		}
 	}
 	checkAgainstFresh(t, d)
 }
 
 // compactionRefuser logs every update and refuses every compaction, so
-// each background compaction fails at its publish.
+// each compaction fails at its publish.
 type compactionRefuser struct{}
 
 func (compactionRefuser) LogUpdate(uint64, graph.V, graph.V, bool) error { return nil }
@@ -318,7 +347,7 @@ func (compactionRefuser) LogCompaction(uint64) error {
 	return errors.New("compaction record refused")
 }
 
-// TestFailedCompactionLeavesATrace: a background compaction that fails
+// TestFailedCompactionLeavesATrace: an automatic compaction that fails
 // publishes nothing, journals dynamic/compact_failed, and keeps its
 // dynamic.compact root trace, errored and naming the failed stage, even
 // though it ran far below the tracer's slow threshold.
@@ -334,7 +363,6 @@ func TestFailedCompactionLeavesATrace(t *testing.T) {
 	for op := 0; op < 120; op++ {
 		applyRandomOp(t, d, rng)
 	}
-	d.WaitCompaction()
 	if n := d.Stats().Compactions; n != 0 {
 		t.Fatalf("%d compactions published past a refusing log", n)
 	}
@@ -368,58 +396,6 @@ func compactFailures(stage string) []*obs.Event {
 		}
 	}
 	return out
-}
-
-// TestCompactionReplaysPendingUpdates plays an asynchronous compaction
-// out step by step: the rebuild starts from one snapshot, updates land
-// while it runs (and are queued), and the compacted state is the rebuild
-// with those updates replayed onto it — through the writer's own
-// repairer, under the writer's lock. The published state must equal a
-// fresh build of the graph as it is then, at both repair budgets.
-func TestCompactionReplaysPendingUpdates(t *testing.T) {
-	for _, budget := range []int{1, 1 << 30} {
-		rng := rand.New(rand.NewSource(int64(budget) + 5))
-		g := randomMutableGraph(80, 100, rng)
-		d, err := New(g, pickLandmarks(80, 4, rng), Options{RepairBudget: budget, CompactFraction: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for op := 0; op < 20; op++ {
-			applyRandomOp(t, d, rng)
-		}
-		// What maybeCompactLocked does when the overlay has drifted.
-		d.mu.Lock()
-		d.rebuilding = true
-		d.compactWG.Add(1)
-		from := d.cur.Load()
-		d.mu.Unlock()
-
-		applied := 0
-		for op := 0; op < 30; op++ {
-			if applyRandomOp(t, d, rng) {
-				applied++
-			}
-		}
-		if len(d.pending) != applied || applied == 0 {
-			t.Fatalf("%d updates applied during the rebuild, %d queued", applied, len(d.pending))
-		}
-		before := d.Epoch()
-		d.compact(from)
-		if d.Epoch() != before+1 || d.Stats().Compactions != 1 || len(d.pending) != 0 || d.rebuilding {
-			t.Fatalf("compaction did not publish: epoch %d → %d, %+v", before, d.Epoch(), d.Stats())
-		}
-		if got := d.CurrentGraph().Overridden(); got == 0 || got > 2*applied {
-			t.Fatalf("%d vertices overridden after a compaction that replayed %d updates", got, applied)
-		}
-		checkAgainstFresh(t, d)
-		checkQueries(t, d, rng, 25)
-		// And it goes on repairing from there.
-		for op := 0; op < 10; op++ {
-			if applyRandomOp(t, d, rng) {
-				checkAgainstFresh(t, d)
-			}
-		}
-	}
 }
 
 // TestDynamicFullBuildIsCoreBuild holds the dynamic index's full build

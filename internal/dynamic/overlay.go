@@ -1,7 +1,7 @@
 // Package dynamic adds live updates to the QbS index. The maintained
 // index is the static index (internal/core) plus a writer:
 //
-//   - Built by core: every full build — epoch 0 and each compaction — is
+//   - Built by core: the one full build, epoch 0, is
 //     core.Shell.BuildMaintained over the overlay, the same labelling
 //     sweep, meta state and Δ recovery as core.Build, which also writes
 //     the plain BFS distance columns repair needs; every published epoch
@@ -19,7 +19,9 @@
 //     lock-free against an immutable view while writers advance the state
 //     (dynamic.go). Repair must leave exactly what a full build would —
 //     the labelling is a function of the graph and the landmark set
-//     (Lemma 5.2) — and the tests hold every epoch to that.
+//     (Lemma 5.2) — and the tests hold every epoch to that. The same
+//     lemma makes compaction a fold: the overlay is flattened into a
+//     fresh CSR base and every label, σ and Δ is kept.
 //
 // The design leans on two observations. First, QbS labels are just |R|
 // landmark-rooted BFS layerings, so a single edge update perturbs them
@@ -106,8 +108,9 @@ func (o *Overlay) HasEdge(u, w graph.V) bool {
 
 // clone shares the base and copies the delta bookkeeping. The copy is
 // O(overridden vertices) — this is what compaction bounds: once drift
-// passes the threshold the overlay is folded back into a fresh CSR base
-// and the copy shrinks to nothing again.
+// passes the threshold the overlay is folded into a fresh CSR base and
+// the copy shrinks to nothing again. Every tier folds at the same logged
+// epochs, so a replica's copy is bounded as the primary's is.
 func (o *Overlay) clone() *Overlay {
 	c := &Overlay{
 		base:    o.base,
@@ -150,8 +153,9 @@ func (o *Overlay) WithoutEdge(u, w graph.V) *Overlay {
 	return c
 }
 
-// Materialize flattens the overlay into a fresh CSR graph (used by
-// compaction rebuilds and ground-truth tests).
+// Materialize flattens the overlay into a fresh CSR graph: the new base
+// of a compaction fold, a snapshot's graph, and the ground truth of
+// tests. It is O(|V| + |E|).
 func (o *Overlay) Materialize() *graph.Graph {
 	b := graph.NewBuilder(o.NumVertices())
 	for v := graph.V(0); v < graph.V(o.NumVertices()); v++ {

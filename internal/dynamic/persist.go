@@ -28,7 +28,8 @@ type UpdateLogger interface {
 	// publish.
 	LogUpdate(epoch uint64, u, w graph.V, insert bool) error
 	// LogCompaction records an epoch advance with no edge mutation (a
-	// compaction publish). Replay bumps the epoch without touching edges.
+	// compaction publish). Replay folds the overlay at that epoch, as the
+	// live index did, without touching edges.
 	LogCompaction(epoch uint64) error
 }
 
@@ -112,8 +113,9 @@ func Restore(g *graph.Graph, landmarks []graph.V, dists [][]int32, labels [][]ui
 
 // ReplayEdge re-applies one logged update during recovery. It runs the
 // same incremental repair as a live update but skips logging (the record
-// is already on disk) and compaction scheduling (epochs must track the
-// log exactly while replaying). The record's epoch must be the immediate
+// is already on disk) and never starts a compaction (epochs must track
+// the log exactly while replaying: folds happen at the logged compaction
+// records, through ReplayEpoch). The record's epoch must be the immediate
 // successor of the current one, and the mutation must actually change
 // the graph — a valid log only contains applied updates, so either
 // violation reports log/state divergence.
@@ -145,7 +147,7 @@ func (d *Index) ReplayEdge(u, w graph.V, insert bool, epoch uint64) error {
 
 // ReplayOp is one replicated log record, the unit ApplyStream consumes:
 // either an edge mutation (Insert reports the direction) or, when
-// Compact is set, a bare epoch advance published by a compaction.
+// Compact is set, the epoch a compaction published.
 type ReplayOp struct {
 	Epoch   uint64
 	U, W    graph.V
@@ -181,20 +183,17 @@ func (d *Index) ApplyStream(ops []ReplayOp) (int, error) {
 	return applied, nil
 }
 
-// ReplayEpoch re-applies a logged compaction marker: the current state
-// is republished unchanged at the given epoch. (Replay does not redo the
-// compaction itself — a compaction rebuild produces bit-identical
-// labels, σ and Δ by the repair-equals-rebuild invariant, so only the
-// epoch number needs to advance.)
+// ReplayEpoch re-applies a logged compaction record: the overlay is
+// folded at the given epoch as the live index folded it, so recovery and
+// replicas fold at the same epochs as the primary and their overlays stay
+// as small as its own. Labels, σ and Δ carry over unchanged, as they did
+// live. The fold counts in Stats.Compactions.
 func (d *Index) ReplayEpoch(epoch uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.cur.Load()
-	if epoch != s.epoch+1 {
-		return fmt.Errorf("dynamic: replay epoch %d does not follow current epoch %d", epoch, s.epoch)
+	if cur := d.cur.Load().epoch; epoch != cur+1 {
+		return fmt.Errorf("dynamic: replay epoch %d does not follow current epoch %d", epoch, cur)
 	}
-	// The compaction marker is already on disk: there is nothing to log.
-	d.cur.Store(&snapshot{state: s.state, index: s.index, epoch: epoch})
-	d.stats.Epoch = epoch
-	return nil
+	// The compaction record is already on disk: there is nothing to log.
+	return d.compactLocked(nil)
 }

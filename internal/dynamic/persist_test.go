@@ -67,7 +67,6 @@ func TestLogBeforePublish(t *testing.T) {
 	for op := 0; op < 120; op++ {
 		applyRandomOp(t, d, rng)
 	}
-	d.WaitCompaction()
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,7 @@ type labelChange struct {
 }
 
 // repairer carries the reusable workspaces for column repair. It is
-// owned by the writer (one mutation at a time, compaction replay
-// included: that runs under the writer lock).
+// owned by the writer (one mutation at a time, under the writer lock).
 type repairer struct {
 	sh     *core.Shell
 	R      int
@@ -418,7 +417,7 @@ func (rp *repairer) recordSigma(other int, nv uint8) {
 // Algorithm 2 on the direction-optimizing bit-parallel engine) run for
 // this one landmark over the overlay, then the diff against the column's
 // previous state recorded. Used as the budget fallback for expensive
-// deletions, compaction replay included.
+// deletions.
 
 func (rp *repairer) rebuildColumn() error {
 	rank := rp.rank

@@ -121,9 +121,10 @@
 // erases from the primary — replicas are always at or behind what a
 // recovered primary would replay.
 //
-// A replica applies compaction markers by republishing its state at the
-// new epoch (labels are already bit-identical); it never compacts its
-// own overlay, so a very long-lived replica accumulates overlay drift
-// and should periodically re-bootstrap — the same snapshot fetch as
-// cold start.
+// A replica never starts a compaction of its own: it folds its overlay
+// into a fresh CSR base at each compaction record the primary logged,
+// at the same epoch, keeping its labels, σ and Δ as the primary does.
+// Its overlay drift is therefore bounded by the primary's compaction
+// threshold, however long it runs, and its /stats "compactions" counts
+// the folds it applied.
 package replica

@@ -27,7 +27,7 @@ const (
 	hdrSnapshotEpoch = "X-Qbs-Snapshot-Epoch"
 	hdrWalTip        = "X-Qbs-Wal-Tip"
 
-	defaultMaxBatch = 1 << 16 // records per /replication/wal response
+	maxBatch = 1 << 16 // records per /replication/wal response, and per replica poll
 )
 
 // PrimaryOptions tunes the primary-side replication handler.
@@ -40,16 +40,11 @@ type PrimaryOptions struct {
 	// 2s (bootstrapKeepaliveTick), and a TTL inside that cadence can
 	// expire its lease mid-download.
 	LeaseTTL time.Duration
-	// MaxBatch caps records per /replication/wal response (0 = 65536).
-	MaxBatch int
 }
 
 func (o PrimaryOptions) withDefaults() PrimaryOptions {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 60 * time.Second
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = defaultMaxBatch
 	}
 	return o
 }
@@ -264,7 +259,7 @@ func (p *Primary) handleWAL(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("parameter \"from\" must be a non-negative integer, got %q", q.Get("from")))
 		return
 	}
-	max := p.opts.MaxBatch
+	max := maxBatch
 	if raw := q.Get("max"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {

@@ -40,8 +40,6 @@ type Options struct {
 	// PollInterval is the WAL tail poll cadence (0 = 25ms); it bounds
 	// steady-state replication lag.
 	PollInterval time.Duration
-	// MaxBatch caps records fetched per poll (0 = 65536).
-	MaxBatch int
 	// Client issues the replication requests (nil = a client with dial
 	// and response-header timeouts but no overall deadline: the snapshot
 	// bootstrap streams an arbitrarily large body, and a whole-request
@@ -50,10 +48,6 @@ type Options struct {
 	// tailPollTimeout). A custom client with an overall Timeout caps the
 	// bootstrap download at that timeout.
 	Client *http.Client
-	// RepairBudget tunes the dynamic repair path as in
-	// qbs.DynamicOptions. Compaction is always disabled on replicas:
-	// epochs are primary-owned.
-	RepairBudget int
 	// Journal receives the replica's structured events (bootstrap,
 	// tail errors, terminal parks); nil = obs.DefaultJournal.
 	Journal *obs.Journal
@@ -65,9 +59,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.PollInterval <= 0 {
 		o.PollInterval = 25 * time.Millisecond
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = defaultMaxBatch
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{Transport: &http.Transport{
@@ -199,10 +190,9 @@ func Start(primaryURL string, opts Options) (*Replica, error) {
 		cleanup()
 		return nil, err
 	}
-	d, _, err := store.LoadSnapshot(path, opts.MMap, dynamic.Options{
-		RepairBudget:    opts.RepairBudget,
-		CompactFraction: -1, // replicas never self-compact: epochs are primary-owned
-	})
+	// Replicas never start a compaction: epochs are primary-owned, and
+	// the overlay folds at the primary's logged compaction records.
+	d, _, err := store.LoadSnapshot(path, opts.MMap, dynamic.Options{CompactFraction: -1})
 	endKeep()
 	if err != nil {
 		cleanup()
@@ -373,7 +363,7 @@ func (r *Replica) tailLoop() {
 				r.failingSince.Store(0)
 				// Drained when the primary had nothing, or we have
 				// reached the tip it reported. Comparing n against our
-				// own MaxBatch would throttle catch-up to one of the
+				// own batch cap would throttle catch-up to one of the
 				// *primary's* (possibly smaller) batches per tick.
 				if n == 0 || r.d.Epoch() >= r.tip.Load() {
 					break // wait for the next tick
@@ -385,7 +375,7 @@ func (r *Replica) tailLoop() {
 
 // tailPollTimeout bounds one WAL fetch end to end. The configured
 // client's own timeout (default 30s) is sized for the snapshot
-// download; a tail poll moves at most MaxBatch small frames, and a
+// download; a tail poll moves at most maxBatch small frames, and a
 // black-holed primary (dropping packets, not refusing) must convert to
 // a poll error quickly or the health gate's grace window never starts
 // counting — this cap bounds stale-but-healthy serving to roughly
@@ -398,7 +388,7 @@ func (r *Replica) pollOnce() (int, error) {
 	from := r.d.Epoch()
 	fetchStart := time.Now()
 	u := fmt.Sprintf("%s%s?from=%d&replica=%s&max=%d",
-		r.primary, walPath, from, url.QueryEscape(r.opts.ID), r.opts.MaxBatch)
+		r.primary, walPath, from, url.QueryEscape(r.opts.ID), maxBatch)
 	ctx, cancel := context.WithTimeout(context.Background(), tailPollTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -422,7 +412,7 @@ func (r *Replica) pollOnce() (int, error) {
 	if tip, err := strconv.ParseUint(resp.Header.Get(hdrWalTip), 10, 64); err == nil {
 		r.tip.Store(tip)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(r.opts.MaxBatch+1)*store.WALRecordSize))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(maxBatch+1)*store.WALRecordSize))
 	if err != nil {
 		return 0, err
 	}

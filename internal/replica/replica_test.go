@@ -178,7 +178,8 @@ func assertBitIdentical(t *testing.T, want, got *dynamic.Index) {
 // replica tails the primary through >1k mutations, ≥2 compaction epochs
 // and ≥2 checkpoints (forcing segment rotation and pruning with the
 // replica's lease registered) and lands bit-identical — same epoch,
-// labels, σ, Δ and edge set.
+// labels, σ, Δ and edge set — with its overlay folded at the same
+// compactions, so it carries the primary's overridden vertices.
 func TestReplicaConvergesBitIdentical(t *testing.T) {
 	p := newPrimaryFixture(t, 8<<10, PrimaryOptions{})
 	rep := startReplica(t, p.ts.URL, Options{})
@@ -200,6 +201,9 @@ func TestReplicaConvergesBitIdentical(t *testing.T) {
 
 	waitFor(t, 60*time.Second, "replica to converge", func() bool { return rep.Epoch() == p.d.Epoch() })
 	assertBitIdentical(t, p.d, rep.Dynamic())
+	if pri, rp := p.d.CurrentGraph().Overridden(), rep.Dynamic().CurrentGraph().Overridden(); pri != rp {
+		t.Fatalf("%d overridden vertices on the primary, %d on the replica", pri, rp)
+	}
 
 	// Lag must read as zero once converged.
 	st := rep.Status()

@@ -788,7 +788,7 @@ type DynamicStatsResponse struct {
 	ColumnsRebuilt  uint64 `json:"columns_rebuilt"`
 	LabelsRewritten uint64 `json:"labels_rewritten"`
 	DeltaRecomputes uint64 `json:"delta_recomputes"`
-	Compactions     uint64 `json:"compactions"`
+	Compactions     uint64 `json:"compactions"` // overlay folds published, or on a replica applied
 	Overridden      int    `json:"overridden_vertices"`
 }
 

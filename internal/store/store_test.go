@@ -393,8 +393,9 @@ func TestFallbackToOlderSnapshot(t *testing.T) {
 }
 
 // TestCompactionRecordReplay checkpoints nothing but logs a compaction
-// epoch; recovery must replay the marker and land on the same epoch and
-// state.
+// epoch; recovery must replay the record and land on the same epoch and
+// state — its overlay folded where the live one was, so the two carry
+// the same overridden vertices.
 func TestCompactionRecordReplay(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t)
@@ -418,6 +419,9 @@ func TestCompactionRecordReplay(t *testing.T) {
 	}
 	defer s2.Close()
 	requireStateEqual(t, d.Persistent(), s2.Index().Persistent())
+	if live, rec := d.CurrentGraph().Overridden(), s2.Index().CurrentGraph().Overridden(); live != rec {
+		t.Fatalf("%d overridden vertices live, %d after recovery", live, rec)
+	}
 }
 
 // TestConcurrentWritesDuringCheckpoint hammers the index with writers

@@ -217,15 +217,15 @@ var ErrDiameterTooLarge = core.ErrDiameterTooLarge
 type DynamicOptions struct {
 	// Index carries the landmark selection settings (NumLandmarks,
 	// Strategy, Landmarks, Seed) plus Parallelism, which sets the
-	// traverse pool width for the initial build, compaction rebuilds and
-	// budget-blown column re-BFSes (incremental repairs stay sequential).
+	// traverse pool width for the initial build and budget-blown column
+	// re-BFSes (incremental repairs and compaction folds run no sweep).
 	Index Options
 	// RepairBudget caps the affected-vertex set of a deletion repair
 	// before falling back to a full single-landmark re-BFS (0 = auto).
 	RepairBudget int
-	// CompactFraction sets the overlay-drift fraction that triggers an
-	// asynchronous compaction rebuild (0 = default 0.25, negative =
-	// disabled). See DynamicIndex.Compact.
+	// CompactFraction sets the overlay-drift fraction that triggers a
+	// compaction (0 = default 0.25, negative = disabled). See
+	// DynamicIndex.Compact.
 	CompactFraction float64
 }
 
@@ -343,15 +343,14 @@ func (di *DynamicIndex) SizeLabelsBytes() int64 { return di.d.CurrentIndex().Siz
 // snapshot.
 func (di *DynamicIndex) SizeDeltaBytes() int64 { return di.d.CurrentIndex().SizeDeltaBytes() }
 
-// Compact synchronously rebuilds the CSR base and labelling from the
-// current graph, resetting overlay drift. Compaction also happens
-// automatically (and asynchronously, off the write path) once the
-// overlay covers more than DynamicOptions.CompactFraction of vertices.
+// Compact folds the overlay of per-vertex adjacency overrides into a
+// fresh CSR base, resetting overlay drift, and publishes the next epoch.
+// The labels, σ and Δ are a function of the graph and the landmarks, so
+// they carry over unchanged: the fold costs O(|V| + |E|) and no BFS.
+// Compaction also happens automatically, inside the write that takes the
+// overlay past DynamicOptions.CompactFraction of vertices, after that
+// write is published.
 func (di *DynamicIndex) Compact() error { return di.d.Compact() }
-
-// WaitCompaction blocks until any in-flight asynchronous compaction has
-// finished.
-func (di *DynamicIndex) WaitCompaction() { di.d.WaitCompaction() }
 
 // StoreOptions configures the durable store behind CreateStore and
 // OpenStore.
@@ -360,10 +359,6 @@ type StoreOptions struct {
 	// (NumLandmarks, Strategy, Landmarks, Seed); OpenStore ignores it —
 	// the landmark set is part of the persisted snapshot.
 	Index Options
-	// RepairBudget and CompactFraction tune the dynamic index exactly as
-	// in DynamicOptions.
-	RepairBudget    int
-	CompactFraction float64
 	// SyncEvery batches write-ahead-log fsyncs: the log is synced after
 	// this many updates (and always at checkpoint and Close). <= 1 syncs
 	// every update — full durability, the default; larger values trade
@@ -371,8 +366,6 @@ type StoreOptions struct {
 	// process crash loses nothing either way: the OS still holds the
 	// written log tail.)
 	SyncEvery int
-	// SegmentBytes rotates WAL segments past this size (0 = 64 MiB).
-	SegmentBytes int64
 	// ReadOnly opens the store without attaching the log: queries only,
 	// no Checkpoint, and the data directory is left untouched.
 	ReadOnly bool
@@ -383,15 +376,10 @@ type StoreOptions struct {
 
 func (o StoreOptions) storeOptions() store.Options {
 	return store.Options{
-		Dynamic: dynamic.Options{
-			RepairBudget:    o.RepairBudget,
-			CompactFraction: o.CompactFraction,
-			Parallelism:     o.Index.Parallelism,
-		},
-		SyncEvery:    o.SyncEvery,
-		SegmentBytes: o.SegmentBytes,
-		ReadOnly:     o.ReadOnly,
-		MMap:         o.MMap,
+		Dynamic:   dynamic.Options{Parallelism: o.Index.Parallelism},
+		SyncEvery: o.SyncEvery,
+		ReadOnly:  o.ReadOnly,
+		MMap:      o.MMap,
 	}
 }
 
@@ -447,15 +435,13 @@ func (di *DynamicIndex) Checkpoint() (uint64, error) {
 	return di.st.Checkpoint()
 }
 
-// Close flushes and detaches the durable store (waiting out any
-// background compaction first). The index remains usable in memory;
-// further updates are no longer logged. Close on a non-durable index is
-// a no-op.
+// Close flushes and detaches the durable store. The index remains
+// usable in memory; further updates are no longer logged. Close on a
+// non-durable index is a no-op.
 func (di *DynamicIndex) Close() error {
 	if di.st == nil {
 		return nil
 	}
-	di.d.WaitCompaction()
 	return di.st.Close()
 }
 
