@@ -99,7 +99,7 @@ func (b *Bidirectional) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
 		if side.size > other.size {
 			side, other = other, side
 		}
-		next, cross, arcs := traverse.ExpandMeeting(side.push, side.ws, other.ws, side.front, side.d, b.nextBuf[:0], b.cross[:0], false)
+		next, cross, arcs := traverse.ExpandMeeting(side.push, side.ws, other.ws, side.front, side.d, b.nextBuf[:0], b.cross[:0], false, false)
 		stats.ArcsScanned += arcs
 		b.cross = cross
 		if len(cross) == 0 {

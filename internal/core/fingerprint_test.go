@@ -182,13 +182,19 @@ func TestParentFingerprints(t *testing.T) {
 // were recorded again at commit db32f0f, when the guided search took
 // Bi-BFS's side rule — grow the smaller visited set, stop when either
 // frontier is empty — in place of the sketch's per-side bounds d*: the
-// same answers, fewer arcs.
+// same answers, fewer arcs. They were recorded a third time when a
+// distance search's bound became d⊤−1 and the level at a search's bound
+// stopped being built (it is only tested for a meeting): the distance
+// sums fell because a distance search stops one level short of d⊤, and
+// the query sums moved because recover now attaches at the last level
+// the search completed, where its label walk takes the hop that
+// extraction took from one level out. Bi-BFS's sums did not move.
 type arcsScanned struct{ query, distance, biBFS int64 }
 
 var (
-	arcsScannedYT = arcsScanned{query: 96799, distance: 63353, biBFS: 396818}
-	arcsScannedWK = arcsScanned{query: 60298, distance: 34235, biBFS: 235634}
-	arcsScannedFR = arcsScanned{query: 1186463, distance: 180138, biBFS: 1188778}
+	arcsScannedYT = arcsScanned{query: 96726, distance: 31855, biBFS: 396818}
+	arcsScannedWK = arcsScanned{query: 60129, distance: 23449, biBFS: 235634}
+	arcsScannedFR = arcsScanned{query: 1186463, distance: 175279, biBFS: 1188778}
 )
 
 func arcsScannedOf(tg testGraph, ix *Index) arcsScanned {

@@ -28,13 +28,24 @@ import (
 // all reverse and recover read. What runs after the meeting is then
 // linear in the part of the answer it adds: the reverse search scans
 // the adjacency of answer vertices at depth ≥ 2 only (a depth-1
-// vertex's one predecessor is the root), and Distance returns at the
-// first crossing arc.
+// vertex's one predecessor is the root).
+//
+// The search is bounded: an answer's by d⊤, Distance's by d⊤−1, since
+// d(u,v) = min(d⊤, d_G⁻) changes only for a meeting below d⊤ (Distance
+// also returns at the first crossing arc). The level at the bound — the
+// last the search may grow, and the largest — is only tested for a
+// meeting: it is never built, so each side's completed levels are the
+// ones it expanded from.
 //
 // The sides take turns by Bi-BFS's rule: the smaller visited set grows,
-// an empty frontier ends the search (d_G⁻ = ∞) and d⊤ only bounds it.
-// Neither changes an answer: side order never moves the meeting's depth
-// sum, and recover reads level min(σ−1, side.d), complete at any stop.
+// an empty frontier ends the search (d_G⁻ = ∞) and the bound only stops
+// it. Neither changes an answer: side order never moves the meeting's
+// depth sum, and recover attaches at level dm = min(σ−1, side.d), the
+// last one the side completed short of the landmark. A vertex x there
+// with label distance σ−dm lies on a shortest root→r path exactly when
+// its successor y one level out has σ−dm−1, so the label walk from x
+// takes the hop x→y that extraction from y would have taken: the
+// answer is the same at any stop.
 //
 // A Searcher carries reusable workspaces; create one per goroutine.
 
@@ -60,14 +71,20 @@ const (
 // the observability layer. It is filled as an out-param on the warm
 // path: plain fields, no allocation.
 type QueryStats struct {
-	Dist        int32 // d_G(u, v); graph.InfDist if disconnected
-	DGMinus     int32 // d_G⁻(u, v) as established by the search (InfDist if > d⊤ or unknown)
+	Dist int32 // d_G(u, v); graph.InfDist if disconnected
+	// DGMinus is d_G⁻(u, v) as established by the search: InfDist if it
+	// exceeds the bound or is unknown. A distance-only search is bounded
+	// by d⊤−1, so there d_G⁻ = d⊤ also reads InfDist.
+	DGMinus     int32
 	DTop        int32 // d⊤_uv from the sketch
 	ArcsScanned int64 // adjacency entries examined across all stages
 	SketchPairs int   // number of minimizing landmark pairs
 	UsedReverse bool  // reverse search ran (G⁻ paths exist at distance d)
 	UsedRecover bool  // recover search ran (through-landmark paths exist at distance d)
-	Coverage    CoverageCase
+	// Coverage classifies the pair from DGMinus and d⊤. A distance-only
+	// search cannot tell d_G⁻ = d⊤ from d_G⁻ > d⊤, so there a
+	// CoverageSome pair reads CoverageAll; an answer's is exact.
+	Coverage CoverageCase
 
 	LabelEntries int64 // label entries of u and v scanned by the sketch
 
@@ -281,7 +298,13 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 			sr.fwd.ws.SetDist(r, -1)
 			sr.bwd.ws.SetDist(r, -1)
 		}
-		side = sr.bidirectional(dTop, !extract, &st)
+		// A distance is min(d⊤, d_G⁻): only a meeting below d⊤ can
+		// change it.
+		bound := dTop
+		if !extract && bound != graph.InfDist {
+			bound--
+		}
+		side = sr.bidirectional(bound, !extract, &st)
 	}
 	if side != nil {
 		st.DGMinus = sr.fwd.d + 1 + sr.bwd.d
@@ -300,7 +323,7 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 		return st
 	}
 
-	// Eq. 5: reverse and/or recover. The search stops at d⊤, so a
+	// Eq. 5: reverse and/or recover. The search stops at its bound, so a
 	// meeting is never longer than the distance.
 	if side != nil {
 		st.UsedReverse = true
@@ -378,9 +401,9 @@ func (sr *Searcher) releaseSketch() {
 // from one visited set to the other, leaving the crossing arcs (all of
 // them, or one if first) in sr.cross, and returns the side whose
 // expansion found them — nil if a side ran out (its reach in G⁻ met
-// nothing: d_G⁻ = ∞) or the depths reached d⊤ (graph.InfDist bounds
-// nothing). Side rule, bfs.Bidirectional's: grow the smaller visited
-// set, the forward one on a tie.
+// nothing: d_G⁻ = ∞) or no meeting is at most bound apart
+// (graph.InfDist bounds nothing). Side rule, bfs.Bidirectional's: grow
+// the smaller visited set, the forward one on a tie.
 //
 // Meeting rule. The level that expands side S tests each vertex it
 // reaches against both visited sets (traverse.ExpandMeeting). While no
@@ -393,8 +416,13 @@ func (sr *Searcher) releaseSketch() {
 // in levels both sides have completed. The level that met is abandoned:
 // S.d and levelOff do not advance, and reverse and recover read complete
 // levels only.
-func (sr *Searcher) bidirectional(dTop int32, first bool, st *QueryStats) *searchSide {
-	for sr.fwd.d+sr.bwd.d < dTop && len(sr.fwd.frontier()) > 0 && len(sr.bwd.frontier()) > 0 {
+//
+// The level whose meetings would be bound apart is the last the search
+// may grow, and it is never expanded from: ExpandMeeting only tests it
+// (last), and it joins neither the arena nor the visited set, met or
+// not.
+func (sr *Searcher) bidirectional(bound int32, first bool, st *QueryStats) *searchSide {
+	for sr.fwd.d+sr.bwd.d < bound && len(sr.fwd.frontier()) > 0 && len(sr.bwd.frontier()) > 0 {
 		side, other := &sr.fwd, &sr.bwd
 		if side.visited() > other.visited() {
 			side, other = other, side
@@ -403,10 +431,14 @@ func (sr *Searcher) bidirectional(dTop int32, first bool, st *QueryStats) *searc
 		// setup, so the expansion's seen check skips them before it
 		// looks at the other side.
 		var arcs int64
-		side.arena, sr.cross, arcs = traverse.ExpandMeeting(side.push, side.ws, other.ws, side.frontier(), side.d, side.arena, sr.cross[:0], first)
+		last := side.d+1+other.d == bound
+		side.arena, sr.cross, arcs = traverse.ExpandMeeting(side.push, side.ws, other.ws, side.frontier(), side.d, side.arena, sr.cross[:0], first, last)
 		st.ArcsScanned += arcs
 		if len(sr.cross) > 0 {
 			return side
+		}
+		if last {
+			return nil
 		}
 		side.levelOff = append(side.levelOff, int32(len(side.arena)))
 		side.d++

@@ -25,11 +25,13 @@
 //   - A vertex's depth is stored when its level is expanded *from*, not
 //     when it is discovered: ExpandMeeting(frontier, d) first settles
 //     frontier at d (a settled bit and a dist entry each), then only
-//     marks what it discovers. The last level of a search — the
-//     largest, and in a bidirectional search never expanded — costs no
-//     per-vertex store; Dist answers it with the workspace's pending
-//     depth, which all seen-but-unsettled vertices share because they
-//     are one level.
+//     marks what it discovers. The outermost level a search built is
+//     never expanded from, so it costs no per-vertex store; Dist answers
+//     it with the workspace's pending depth, which all seen-but-unsettled
+//     vertices share because they are one level. The level at a bounded
+//     search's bound — the largest — is not built at all: ExpandMeeting
+//     (last) only tests it for a meeting, and leaves the workspace as
+//     it found it.
 //   - Sets that need no depths (the extractors' dedup marks, the label
 //     walk) are bare Marks.
 //
@@ -64,7 +66,9 @@
 // the call yields the complete level or the crossing arcs, never both,
 // and a level that met settles its frontier and otherwise leaves the
 // workspace's visited set and dst as they were. The caller's level count
-// does not advance.
+// does not advance. A level the caller says is last (its depth sum is
+// the search's bound) is not expanded from either, met or not: the call
+// does not even settle the frontier, and only tests.
 //
 // # Memory access (RowsAhead, the two-sweep level)
 //
@@ -95,7 +99,9 @@
 // the next Reset. Only a level that did not meet is swept again to mark,
 // over rows that are now warm (or requested a block ahead once more, when
 // the level is larger than the cache). A row is counted once however
-// many sweeps read it, as the one-sweep kernel counted it.
+// many sweeps read it, as the one-sweep kernel counted it. The level at
+// a search's bound gets the test sweep only: whether or not it meets,
+// it is the search's last, so it is never marked.
 //
 // Which levels: those of a search still growing geometrically — at
 // least geometric (16) frontier rows for every level up to this one. In

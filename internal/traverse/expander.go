@@ -34,13 +34,22 @@ import "qbs/internal/graph"
 // first lets the call return at the first crossing arc — all a distance
 // query needs. A nil other is a plain BFS level.
 //
+// last says the caller will not expand the level this call would build:
+// its depth sum is the search's bound. The call then only tests: it
+// returns the crossing arcs (one under first) and leaves ws exactly as
+// it found it — no settle, no mark, no log entry, nothing appended to
+// dst — whether or not the level met. The frontier stays seen and
+// unsettled, and Dist still answers it with the pending depth d.
+//
 // The function has no state of its own: it is as safe for concurrent use
 // as the workspaces handed to it, which are single-owner. See "Memory
 // access" in the package documentation for the order it reads rows in.
 //
 //qbs:zeroalloc
-func ExpandMeeting(push graph.Adjacency, ws, other *Workspace, frontier []graph.V, d int32, dst []graph.V, cross []graph.Arc, first bool) ([]graph.V, []graph.Arc, int64) {
-	ws.settle(frontier, d)
+func ExpandMeeting(push graph.Adjacency, ws, other *Workspace, frontier []graph.V, d int32, dst []graph.V, cross []graph.Arc, first, last bool) ([]graph.V, []graph.Arc, int64) {
+	if !last {
+		ws.settle(frontier, d)
+	}
 	seen := &ws.seen
 	// Without another side the second test reads the bit the first just
 	// found clear.
@@ -55,8 +64,9 @@ func ExpandMeeting(push graph.Adjacency, ws, other *Workspace, frontier []graph.
 
 	// A level of a search that is still growing geometrically is as likely
 	// to be its last as all the earlier ones together, and as large: sweep
-	// it once testing only, and mark nothing if it meets.
-	if other != nil && len(frontier) >= geometric*(int(d)+1) {
+	// it once testing only, and mark nothing if it meets. The level at the
+	// bound gets this sweep and nothing else.
+	if last || other != nil && len(frontier) >= geometric*(int(d)+1) {
 		for i, x := range frontier {
 			rows.At(frontier, i)
 			ns := push.Neighbors(x)
@@ -71,7 +81,7 @@ func ExpandMeeting(push graph.Adjacency, ws, other *Workspace, frontier []graph.
 				}
 			}
 		}
-		if len(cross) > had {
+		if last || len(cross) > had {
 			return dst, cross, arcs
 		}
 		// Nothing crosses: the marking sweep need not look at the other

@@ -182,7 +182,7 @@ func checkExpandBlocks(t *testing.T) {
 					}
 					seenBefore := seenSet(kernel.ws, n)
 					dst, cross := []graph.V{-5}, []graph.Arc{{From: -5, To: -5}}
-					level, cross, arcs := traverse.ExpandMeeting(push, kernel.ws, other, frontier, d, dst, cross, first)
+					level, cross, arcs := traverse.ExpandMeeting(push, kernel.ws, other, frontier, d, dst, cross, first, false)
 					refLevel, refCross, refArcs := traverse.ReferenceExpand(push, oracle.ws, refOther, frontier, d, []graph.V{-5}, []graph.Arc{{From: -5, To: -5}}, first)
 					if !slices.Equal(level, refLevel) || !slices.Equal(cross, refCross) || arcs != refArcs {
 						t.Fatalf("%s: level %v, crossing %v, %d arcs; the one-sweep kernel has %v, %v, %d", label, level, cross, arcs, refLevel, refCross, refArcs)
@@ -281,7 +281,7 @@ func runMeetingSearch(t *testing.T, label string, sides [2]*meetingSide, u, v gr
 
 		seenBefore := seenSet(s.ws, s.push.NumVertices())
 		dst := []graph.V{-5} // a prefix the call must leave alone
-		level, cross, arcs := traverse.ExpandMeeting(s.push, s.ws, o.ws, s.frontier, s.d, dst, nil, first)
+		level, cross, arcs := traverse.ExpandMeeting(s.push, s.ws, o.ws, s.frontier, s.d, dst, nil, first, false)
 		if level[0] != -5 {
 			t.Fatalf("%s: dst prefix overwritten", label)
 		}

@@ -39,7 +39,7 @@ func levelBFS(g *graph.Graph, ws *traverse.Workspace, src graph.V) {
 	ws.SetDist(src, 0)
 	frontier := []graph.V{src}
 	for d := int32(0); len(frontier) > 0; d++ {
-		frontier, _, _ = traverse.ExpandMeeting(g, ws, nil, frontier, d, frontier[:0:0], nil, false)
+		frontier, _, _ = traverse.ExpandMeeting(g, ws, nil, frontier, d, frontier[:0:0], nil, false, false)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestWorkspaceModelExpand(t *testing.T) {
 		for d := int32(0); len(frontier) > 0 && int(d) < 1+stop; d++ {
 			want := modelBFSLevel(g, model, frontier, d)
 			var arcs int64
-			frontier, _, arcs = ExpandMeeting(g, ws, nil, frontier, d, nil, nil, false)
+			frontier, _, arcs = ExpandMeeting(g, ws, nil, frontier, d, nil, nil, false, false)
 			if len(frontier) != len(want) {
 				t.Fatalf("rep %d depth %d: level of %d vertices, model %d", rep, d, len(frontier), len(want))
 			}
