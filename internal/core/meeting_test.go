@@ -158,6 +158,72 @@ func TestArcMeetingMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBoundLevelIsNotBuilt checks what a search that reached its bound
+// leaves behind. On a CoverageAll pair the guided search grows until
+// its depths sum to d⊤−1 without meeting, and the level at the bound is
+// only tested: afterwards each side's visited set is exactly its
+// completed levels (and the landmarks' sentinels), each vertex at its
+// level's depth, and the answer — recover attaching at the last level
+// completed — is the oracle's.
+func TestBoundLevelIsNotBuilt(t *testing.T) {
+	er := connected(graph.ErdosRenyi(2000, 12000, 12))
+	ba := connected(graph.BarabasiAlbert(600, 4, 10))
+	fixtures := map[string]testGraph{
+		"er":    undirected(er),
+		"ba":    undirected(ba),
+		"er-di": directed(graph.AsDirected(er)),
+		"der":   directed(graph.DirectedErdosRenyi(1200, 14000, 11)),
+	}
+	bounded := map[bool]int{} // CoverageAll pairs whose search reached d⊤, by directedness
+	for name, tg := range fixtures {
+		n := tg.numVertices()
+		for _, landmarks := range []int{4, 20} {
+			ix := tg.mustBuild(t, Options{NumLandmarks: landmarks})
+			sr := NewSearcher(ix)
+			spg := new(graph.SPG)
+			for _, p := range somePairs(n, 80, int64(landmarks)) {
+				u, v := p[0], p[1]
+				st := sr.QueryInto(spg, u, v)
+				label := fmt.Sprintf("%s R=%d (%d,%d)", name, landmarks, u, v)
+				if want := tg.oracle(u, v); !spg.Equal(want) {
+					t.Fatalf("%s: got %v\nwant %v\nstats %+v", label, spg, want, st)
+				}
+				if st.Coverage != CoverageAll || ix.IsLandmark(u) || ix.IsLandmark(v) {
+					continue
+				}
+				if sr.fwd.d+sr.bwd.d+1 == st.DTop {
+					bounded[tg.dir != nil]++
+				}
+				for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
+					depth := map[graph.V]int32{}
+					for i := int32(0); i <= side.d; i++ {
+						for _, x := range side.level(i) {
+							depth[x] = i
+						}
+					}
+					for x := graph.V(0); int(x) < n; x++ {
+						d, built := depth[x]
+						switch {
+						case ix.IsLandmark(x):
+							if side.ws.Dist(x) != -1 {
+								t.Fatalf("%s: landmark %d at depth %d", label, x, side.ws.Dist(x))
+							}
+						case built != side.ws.Seen(x):
+							t.Fatalf("%s: %d seen %v by a side whose %d completed levels hold it: %v", label, x, side.ws.Seen(x), side.d+1, built)
+						case built && side.ws.Dist(x) != d:
+							t.Fatalf("%s: %d at depth %d on level %d", label, x, side.ws.Dist(x), d)
+						}
+					}
+				}
+			}
+		}
+	}
+	if bounded[false] == 0 || bounded[true] == 0 {
+		t.Fatalf("no CoverageAll search reached its bound: %v", bounded)
+	}
+	t.Logf("CoverageAll searches that reached d⊤ (by directed): %v", bounded)
+}
+
 // exhaustedSideArcs is u → r → a chain of five vertices → v with a 4-ary
 // in-tree of depth 5 hanging into v: 1 372 vertices, u = 0, r = 1,
 // v = 7. With r the one landmark, u's only arc leads into it, so the

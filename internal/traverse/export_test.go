@@ -1,6 +1,10 @@
 package traverse
 
-import "qbs/internal/graph"
+import (
+	"slices"
+
+	"qbs/internal/graph"
+)
 
 // ResidentArcs lets a test size a graph onto the block-ahead path.
 const ResidentArcs = residentArcs
@@ -55,4 +59,30 @@ func ReferenceExpand(push graph.Adjacency, ws, other *Workspace, frontier []grap
 		dst = dst[:base]
 	}
 	return dst, cross, arcs
+}
+
+// WorkspaceState is everything a workspace holds for its searcher but
+// the load sink: the seen words, the touched log's length, the settled
+// bits, the depths and the pending depth.
+type WorkspaceState struct {
+	Seen, Settled []uint64
+	Logged        int
+	Dist          []int32
+	Pending       int32
+}
+
+// StateOf copies ws's state.
+func StateOf(ws *Workspace) WorkspaceState {
+	return WorkspaceState{
+		Seen:    slices.Clone(ws.seen.words),
+		Settled: slices.Clone(ws.settled),
+		Logged:  len(ws.seen.touched),
+		Dist:    slices.Clone(ws.dist),
+		Pending: ws.pending,
+	}
+}
+
+// Equal reports whether two states are bit-identical.
+func (a WorkspaceState) Equal(b WorkspaceState) bool {
+	return slices.Equal(a.Seen, b.Seen) && slices.Equal(a.Settled, b.Settled) && a.Logged == b.Logged && slices.Equal(a.Dist, b.Dist) && a.Pending == b.Pending
 }

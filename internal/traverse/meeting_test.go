@@ -43,7 +43,11 @@ func compareArcs(a, b graph.Arc) int {
 //     d + 1 + other.d is the pair's distance;
 //   - a level that met leaves the visited set as it found it;
 //   - level, crossing arcs and arc count are, in order, what the
-//     one-sweep kernel this one replaced returns on a twin search.
+//     one-sweep kernel this one replaced returns on a twin search;
+//   - the same level called as the search's last (last) returns the
+//     same crossing arcs and arc count, appends nothing, and leaves the
+//     workspace bit-identical: seen words, touched-log length, settled
+//     bits, depths and pending depth.
 func TestExpandMeetingMatchesModel(t *testing.T) {
 	type adjPair struct{ out, in graph.Adjacency }
 	graphs := map[string]adjPair{}
@@ -99,7 +103,9 @@ func TestExpandMeetingMatchesModel(t *testing.T) {
 // of the growth the two-sweep level asks for; rows that are empty,
 // shorter than one cache line and longer than four; a crossing arc only
 // in the last row of the last block, or first met in the middle of a
-// block; and no other side at all.
+// block; and no other side at all. Each level is also called as a
+// search's last, which must find the same crossing arcs and change
+// nothing.
 func checkExpandBlocks(t *testing.T) {
 	const (
 		maxFrontier = 33
@@ -181,11 +187,15 @@ func checkExpandBlocks(t *testing.T) {
 						other, refOther = nil, nil
 					}
 					seenBefore := seenSet(kernel.ws, n)
+					lastLevel, lastCross, lastArcs := expandLast(t, label, push, kernel.ws, other, frontier, d, first)
 					dst, cross := []graph.V{-5}, []graph.Arc{{From: -5, To: -5}}
 					level, cross, arcs := traverse.ExpandMeeting(push, kernel.ws, other, frontier, d, dst, cross, first, false)
 					refLevel, refCross, refArcs := traverse.ReferenceExpand(push, oracle.ws, refOther, frontier, d, []graph.V{-5}, []graph.Arc{{From: -5, To: -5}}, first)
 					if !slices.Equal(level, refLevel) || !slices.Equal(cross, refCross) || arcs != refArcs {
 						t.Fatalf("%s: level %v, crossing %v, %d arcs; the one-sweep kernel has %v, %v, %d", label, level, cross, arcs, refLevel, refCross, refArcs)
+					}
+					if !slices.Equal(lastLevel, refLevel[:1]) || !slices.Equal(lastCross, refCross) || lastArcs != refArcs {
+						t.Fatalf("%s, last: level %v, crossing %v, %d arcs; the one-sweep kernel has %v, %v, %d", label, lastLevel, lastCross, lastArcs, refLevel, refCross, refArcs)
 					}
 					crossed := len(cross) > 1
 					if want := where == "last row" || where == "mid-block"; crossed != want {
@@ -212,6 +222,19 @@ func checkExpandBlocks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// expandLast calls ExpandMeeting on a level as the search's last, with
+// the prefixes of dst and cross that ReferenceExpand is given, and fails
+// unless it left ws bit for bit as it was.
+func expandLast(t *testing.T, label string, push graph.Adjacency, ws, other *traverse.Workspace, frontier []graph.V, d int32, first bool) ([]graph.V, []graph.Arc, int64) {
+	t.Helper()
+	before := traverse.StateOf(ws)
+	level, cross, arcs := traverse.ExpandMeeting(push, ws, other, frontier, d, []graph.V{-5}, []graph.Arc{{From: -5, To: -5}}, first, true)
+	if !traverse.StateOf(ws).Equal(before) {
+		t.Fatalf("%s: a last level changed the workspace", label)
+	}
+	return level, cross, arcs
 }
 
 // seenSet lists the vertices ws has seen.
@@ -280,6 +303,7 @@ func runMeetingSearch(t *testing.T, label string, sides [2]*meetingSide, u, v gr
 		slices.SortFunc(wantCross, compareArcs)
 
 		seenBefore := seenSet(s.ws, s.push.NumVertices())
+		lastLevel, lastCross, lastArcs := expandLast(t, label, s.push, s.ws, o.ws, s.frontier, s.d, first)
 		dst := []graph.V{-5} // a prefix the call must leave alone
 		level, cross, arcs := traverse.ExpandMeeting(s.push, s.ws, o.ws, s.frontier, s.d, dst, nil, first, false)
 		if level[0] != -5 {
@@ -289,6 +313,9 @@ func runMeetingSearch(t *testing.T, label string, sides [2]*meetingSide, u, v gr
 		refLevel, refCross, refArcs := traverse.ReferenceExpand(s.push, s.ref, o.ref, s.frontier, s.d, nil, nil, first)
 		if !slices.Equal(level, refLevel) || !slices.Equal(cross, refCross) || arcs != refArcs {
 			t.Fatalf("%s: level %v, crossing %v, %d arcs; the one-sweep kernel has %v, %v, %d", label, level, cross, arcs, refLevel, refCross, refArcs)
+		}
+		if len(lastLevel) != 1 || !slices.Equal(lastCross[1:], cross) || lastArcs != arcs {
+			t.Fatalf("%s, last: level %v, crossing %v, %d arcs; want nothing, %v, %d", label, lastLevel[1:], lastCross[1:], lastArcs, cross, arcs)
 		}
 		if len(cross) > 0 && !slices.Equal(seenSet(s.ws, s.push.NumVertices()), seenBefore) {
 			t.Fatalf("%s: a level that met changed the visited set", label)
