@@ -401,9 +401,9 @@ func (sr *Searcher) releaseSketch() {
 // from one visited set to the other, leaving the crossing arcs (all of
 // them, or one if first) in sr.cross, and returns the side whose
 // expansion found them — nil if a side ran out (its reach in G⁻ met
-// nothing: d_G⁻ = ∞) or no meeting is at most bound apart
-// (graph.InfDist bounds nothing). Side rule, bfs.Bidirectional's: grow
-// the smaller visited set, the forward one on a tie.
+// nothing: d_G⁻ = ∞) or none was found within bound (graph.InfDist
+// bounds nothing). Side rule, bfs.Bidirectional's: grow the smaller
+// visited set, the forward one on a tie.
 //
 // Meeting rule. The level that expands side S tests each vertex it
 // reaches against both visited sets (traverse.ExpandMeeting). While no
@@ -417,10 +417,10 @@ func (sr *Searcher) releaseSketch() {
 // S.d and levelOff do not advance, and reverse and recover read complete
 // levels only.
 //
-// The level whose meetings would be bound apart is the last the search
-// may grow, and it is never expanded from: ExpandMeeting only tests it
-// (last), and it joins neither the arena nor the visited set, met or
-// not.
+// The level whose crossing arcs would put the roots bound apart is the
+// last the search may grow, and it is never expanded from:
+// ExpandMeeting only tests it (last), and it joins neither the arena
+// nor the visited set, met or not.
 func (sr *Searcher) bidirectional(bound int32, first bool, st *QueryStats) *searchSide {
 	for sr.fwd.d+sr.bwd.d < bound && len(sr.fwd.frontier()) > 0 && len(sr.bwd.frontier()) > 0 {
 		side, other := &sr.fwd, &sr.bwd

@@ -38,8 +38,9 @@ import "qbs/internal/graph"
 // its depth sum is the search's bound. The call then only tests: it
 // returns the crossing arcs (one under first) and leaves ws exactly as
 // it found it — no settle, no mark, no log entry, nothing appended to
-// dst — whether or not the level met. The frontier stays seen and
-// unsettled, and Dist still answers it with the pending depth d.
+// dst — whether or not the level met. The frontier keeps the state the
+// call that built it left: seen, and at depth d by the pending depth
+// (or by SetDist, as a root is).
 //
 // The function has no state of its own: it is as safe for concurrent use
 // as the workspaces handed to it, which are single-owner. See "Memory
