@@ -172,7 +172,7 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 		ws.SetDist(graph.V(i), int32(i))
 	}
 	for _, flip := range []bool{false, true} {
-		pairs, arcs := NewExtractor(6).Extract(g, flip, nil, []graph.V{5}, ws, 0)
+		pairs, arcs := NewExtractor(6).Extract(g, g, flip, nil, []graph.V{5}, ws, Levels{Arena: []graph.V{0, 1, 2, 3, 4, 5}, Off: []int32{0, 1, 2, 3, 4, 5, 6}})
 		spg := graph.NewSPG(0, 5)
 		spg.Fill(false, 5, pairs)
 		if spg.NumEdges() != 5 {

@@ -35,14 +35,16 @@ func BiBFS(g graph.Adjacency, u, v graph.V) *graph.SPG {
 }
 
 // biSide is one direction of the baseline search: its arcs, their
-// reverse (extraction walks those), and the frontier of its BFS.
+// reverse, and its BFS levels — the arena of visited vertices grouped by
+// depth that the guided search keeps too, level i =
+// arena[levelOff[i]:levelOff[i+1]]. Its size, len(arena), drives side
+// selection.
 type biSide struct {
 	push, pull graph.Adjacency
 	ws         *Workspace
-	root       graph.V
-	front      []graph.V
+	arena      []graph.V
+	levelOff   []int32
 	d          int32 // completed levels
-	size       int   // visited-set size, drives side selection
 }
 
 // Bidirectional is a reusable bidirectional-BFS searcher over a fixed
@@ -53,7 +55,6 @@ type biSide struct {
 type Bidirectional struct {
 	directed bool
 	fwd, bwd biSide
-	nextBuf  []graph.V
 	cross    []graph.Arc // crossing arcs, in the expanding side's push orientation
 	xs, ys   []graph.V   // their endpoints: the reverse search's starts
 	pairs    []graph.Arc
@@ -79,12 +80,16 @@ func newBidirectional(out, in graph.Adjacency, directed bool) *Bidirectional {
 }
 
 func (s *biSide) reset(root graph.V) {
-	s.root = root
 	s.ws.Reset()
 	s.ws.SetDist(root, 0)
-	s.front = append(s.front[:0], root)
-	s.d, s.size = 0, 1
+	s.arena = append(s.arena[:0], root)
+	s.levelOff = append(s.levelOff[:0], 0, 1)
+	s.d = 0
 }
+
+func (s *biSide) levels() Levels { return Levels{Arena: s.arena, Off: s.levelOff} }
+
+func (s *biSide) frontier() []graph.V { return s.arena[s.levelOff[s.d]:s.levelOff[s.d+1]] }
 
 // run searches u → v and returns the distance (graph.InfDist when
 // disconnected) and the answer's arcs as oriented pairs, valid until
@@ -93,32 +98,29 @@ func (b *Bidirectional) run(u, v graph.V) (int32, []graph.Arc, SearchStats) {
 	stats := SearchStats{VerticesVisited: 2}
 	b.fwd.reset(u)
 	b.bwd.reset(v)
-	for len(b.fwd.front) > 0 && len(b.bwd.front) > 0 {
+	for len(b.fwd.frontier()) > 0 && len(b.bwd.frontier()) > 0 {
 		// Expand the side with the smaller visited set.
 		side, other := &b.fwd, &b.bwd
-		if side.size > other.size {
+		if len(side.arena) > len(other.arena) {
 			side, other = other, side
 		}
-		next, cross, arcs := traverse.ExpandMeeting(side.push, side.ws, other.ws, side.front, side.d, b.nextBuf[:0], b.cross[:0], false, false)
+		var arcs int64
+		side.arena, b.cross, arcs = traverse.ExpandMeeting(side.push, side.ws, other.ws, side.frontier(), side.d, side.arena, b.cross[:0], false, false)
 		stats.ArcsScanned += arcs
-		b.cross = cross
-		if len(cross) == 0 {
-			b.nextBuf = side.front[:0] // recycle the old frontier's backing array
-			side.front = next
+		if len(b.cross) == 0 {
+			stats.VerticesVisited += int64(len(side.arena)) - int64(side.levelOff[side.d+1])
+			side.levelOff = append(side.levelOff, int32(len(side.arena)))
 			side.d++
-			side.size += len(next)
-			stats.VerticesVisited += int64(len(next))
 			continue
 		}
-		b.nextBuf = next
 		pairs, xs, ys := b.pairs[:0], b.xs[:0], b.ys[:0]
 		flip := side == &b.bwd
-		for _, c := range cross {
+		for _, c := range b.cross {
 			pairs = append(pairs, orient(c.From, c.To, flip))
 			xs, ys = append(xs, c.From), append(ys, c.To)
 		}
-		pairs, nx := b.ext.Extract(side.pull, flip, pairs, xs, side.ws, side.root)
-		pairs, ny := b.ext.Extract(other.pull, !flip, pairs, ys, other.ws, other.root)
+		pairs, nx := b.ext.Extract(side.push, side.pull, flip, pairs, xs, side.ws, side.levels())
+		pairs, ny := b.ext.Extract(other.push, other.pull, !flip, pairs, ys, other.ws, other.levels())
 		stats.ArcsScanned += nx + ny
 		b.pairs, b.xs, b.ys = pairs, xs, ys
 		return side.d + 1 + other.d, pairs, stats
@@ -136,91 +138,4 @@ func (b *Bidirectional) Query(u, v graph.V) (*graph.SPG, SearchStats) {
 	d, pairs, stats := b.run(u, v)
 	spg.Fill(b.directed, d, pairs)
 	return spg, stats
-}
-
-// Extractor performs the paper's reverse search with reusable buffers:
-// starting from the given vertices, walk the depth levels of one search
-// side downward toward its root (depth decreases by exactly 1 per
-// step), emitting every DAG arc as an oriented pair.
-//
-// pull is the side's reverse adjacency: the in-arcs for a forward search
-// over out-arcs, the out-arcs for a backward search over in-arcs, the
-// graph itself when undirected. A predecessor y of x is emitted as
-// y→x; flip reverses that to x→y, which is what a backward side's
-// predecessors are in the graph.
-//
-// It is shared by the Bi-BFS baselines and the QbS guided search (where
-// ws holds depths over the sparsified graph G⁻ — landmarks carry a
-// negative sentinel depth and are skipped automatically); a warmed
-// extractor keeps the query path allocation-free.
-type Extractor struct {
-	mark      *traverse.Marks
-	cur, next []graph.V
-}
-
-// NewExtractor creates an extractor for graphs with n vertices.
-func NewExtractor(n int) *Extractor {
-	return &Extractor{mark: traverse.NewMarks(n)}
-}
-
-// Extract runs the reverse search from the given vertices of the search
-// ws holds, rooted at root (its one depth-0 vertex), appending the arcs
-// to out, and returns out plus the number of adjacency entries scanned
-// (for traversal ablations). The last step scans none: the only
-// predecessor a depth-1 vertex can have is the root. The rows of a step
-// are requested a block ahead through ws (traverse.RowsAhead).
-//
-//qbs:zeroalloc
-func (e *Extractor) Extract(pull graph.Adjacency, flip bool, out []graph.Arc, from []graph.V, ws *Workspace, root graph.V) ([]graph.Arc, int64) {
-	e.mark.Reset()
-	var arcs int64
-	cur := e.cur[:0]
-	for _, w := range from {
-		if !e.mark.Seen(w) {
-			e.mark.Mark(w)
-			cur = append(cur, w)
-		}
-	}
-	next := e.next[:0]
-	rows := ws.RowsAhead(pull)
-	for len(cur) > 0 {
-		next = next[:0]
-		// One step's vertices share a depth; the last step scans no rows.
-		scans := ws.Dist(cur[0]) > 1
-		for i, x := range cur {
-			if scans {
-				rows.At(cur, i)
-			}
-			dx := ws.Dist(x)
-			if dx <= 0 {
-				continue
-			}
-			if dx == 1 {
-				out = append(out, orient(root, x, flip))
-				continue
-			}
-			for _, y := range pull.Neighbors(x) {
-				arcs++
-				if ws.Seen(y) && ws.Dist(y) == dx-1 {
-					out = append(out, orient(y, x, flip))
-					if !e.mark.Seen(y) {
-						e.mark.Mark(y)
-						next = append(next, y)
-					}
-				}
-			}
-		}
-		cur, next = next, cur
-	}
-	e.cur, e.next = cur[:0], next[:0]
-	return out, arcs
-}
-
-// orient returns the arc between predecessor y and x as it lies in the
-// graph: y→x, or x→y for a backward side.
-func orient(y, x graph.V, flip bool) graph.Arc {
-	if flip {
-		return graph.Arc{From: x, To: y}
-	}
-	return graph.Arc{From: y, To: x}
 }

@@ -17,9 +17,7 @@ import (
 //	|frontier|·β ≥ |V|  ∧  Σdeg(frontier)·α > |arcs|
 //
 // at MultiBFS's thresholds. A side expands from all its levels but the
-// outermost, and from that one too if it is the side that met the other;
-// the baseline keeps no per-level lists, so the levels are read back out
-// of the two workspaces' depths.
+// outermost, and from that one too if it is the side that met the other.
 func TestGuidedLevelsStayBelowSwitch(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("scale-1 analogs; a sequential measurement the race detector adds nothing to")
@@ -50,11 +48,11 @@ func TestGuidedLevelsStayBelowSwitch(t *testing.T) {
 			}
 			for _, side := range [2]*biSide{&b.fwd, &b.bwd} {
 				size, mass := make([]int64, side.d+1), make([]int64, side.d+1) // per depth
-				for x := graph.V(0); int(x) < n; x++ {
-					// Deeper than side.d is the level abandoned at the meeting.
-					if d := side.ws.Dist(x); d <= side.d {
-						size[d]++
-						mass[d] += int64(g.Degree(x))
+				for i := range size {
+					level := side.arena[side.levelOff[i]:side.levelOff[i+1]]
+					size[i] = int64(len(level))
+					for _, x := range level {
+						mass[i] += int64(g.Degree(x))
 					}
 				}
 				for i := range size {

@@ -26,9 +26,11 @@ import (
 // reverse search starts from their endpoints, and the level that found
 // them is abandoned — each side keeps complete levels only, which is
 // all reverse and recover read. What runs after the meeting is then
-// linear in the part of the answer it adds: the reverse search scans
-// the adjacency of answer vertices at depth ≥ 2 only (a depth-1
-// vertex's one predecessor is the root).
+// bounded by the part of the answer it adds and the levels below it: a
+// step of the reverse search from the answer vertices at depth k ≥ 2
+// scans either their reverse rows or, when level k−1 is no larger, the
+// rows of level k−1, which the expansion has just read (bfs.Extractor;
+// a depth-1 vertex's one predecessor is the root, and costs no scan).
 //
 // The search is bounded: an answer's by d⊤, Distance's by d⊤−1, since
 // d(u,v) = min(d⊤, d_G⁻) changes only for a meeting below d⊤ (Distance
@@ -468,7 +470,7 @@ func (sr *Searcher) reverse(side *searchSide, st *QueryStats) {
 // root and the given vertices.
 func (sr *Searcher) extract(side *searchSide, from []graph.V, st *QueryStats) {
 	var arcs int64
-	sr.out, arcs = sr.ext.Extract(side.pull, side.backward, sr.out, from, side.ws, side.root)
+	sr.out, arcs = sr.ext.Extract(side.push, side.pull, side.backward, sr.out, from, side.ws, bfs.Levels{Arena: side.arena, Off: side.levelOff})
 	st.ArcsScanned += arcs
 }
 
