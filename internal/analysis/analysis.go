@@ -15,8 +15,12 @@
 // from a small open-addressing table kept in the DAG — vertex to
 // provisional id, sized to the answer at a load of at most one half,
 // cleared and reused from one answer to the next — so that an endpoint
-// costs one probe, only the distinct vertices are sorted, and no edge is
-// searched for (see DAG.intern and DAG.layer).
+// costs one probe, only the distinct vertices are sorted, by a radix
+// sort over the bytes in which their ids differ (graph.SortKeys, the
+// one the answer's own canonical sort uses), and no edge is searched
+// for (see DAG.intern and DAG.layer). The edges in local ids stay in
+// the answer's canonical order, so an encoder can write each vertex
+// once and every edge from the vertices' bytes (DAG.Edges).
 package analysis
 
 import (
@@ -48,6 +52,7 @@ type DAG struct {
 	pairs    [][2]int32 // the input edges; layer rewrites them in local ids
 	tab      []uint64   // vertex → provisional id, open addressing; see intern
 	ids      []uint64   // (vertex, provisional id) per distinct vertex, sorted into local order
+	sortBuf  []uint64   // graph.SortKeys's scratch for ids
 	rank     []int32    // provisional id → local id
 	off      []int32    // CSR row starts, len(Vertices)+1
 	end      []int32    // row v's depth-increasing arcs are nbr[off[v]:end[v]]
@@ -156,8 +161,11 @@ func (d *DAG) local(v graph.V) int32 {
 //
 // Local ids cost one table probe per endpoint and a sort of the distinct
 // vertices only: each endpoint is interned to a provisional id, the
-// (vertex, provisional id) pairs are sorted as integers, and the
-// position of a pair in that order is the local id of its vertex.
+// (vertex, provisional id) pairs are radix-sorted by their vertex half
+// (graph.SortKeys), and the position of a pair in that order is the
+// local id of its vertex. The local ids keep vertex order, so the
+// rewritten pairs stay in the answer's canonical edge order: Edges
+// hands them out as they are.
 //
 //qbs:zeroalloc
 func (d *DAG) layer(directed bool) {
@@ -171,7 +179,7 @@ func (d *DAG) layer(directed bool) {
 	if d.Source == d.Target {
 		d.intern(d.Source, shift)
 	}
-	slices.Sort(d.ids)
+	d.sortBuf = graph.SortKeys(d.ids, 4, d.sortBuf)
 	n := len(d.ids)
 	m := len(d.pairs)
 	if !directed {
@@ -244,6 +252,12 @@ func (d *DAG) layer(directed bool) {
 		end[v] = k
 	}
 }
+
+// Edges returns the answer's edges in its canonical order, each as the
+// local ids (positions in Vertices) of its two endpoints: U then W of
+// graph.Edge. It aliases internal storage: valid until the next Reset,
+// not to be modified.
+func (d *DAG) Edges() [][2]int32 { return d.pairs }
 
 // next returns the out-neighbours of local vertex v, ascending.
 func (d *DAG) next(v int32) []int32 { return d.nbr[d.off[v]:d.end[v]] }

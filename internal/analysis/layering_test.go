@@ -144,7 +144,8 @@ func TestWarmDAGZeroAllocs(t *testing.T) {
 // product is the small multiplier itself) and therefore probe the whole
 // cluster every time. One DAG serves every case in turn, a 5100-edge
 // answer right before a 3-edge one, so a slot, a rank or a row left
-// behind by a larger answer would show in a smaller one.
+// behind by a larger answer would show in a smaller one. The edges in
+// local ids (DAG.Edges) are the answer's, in its canonical order.
 func TestDAGIDTableModel(t *testing.T) {
 	const hashInverse = 0x0E8B2F51 // 0x9E3779B1 · hashInverse ≡ 1 (mod 2³²)
 	relabels := map[string]func(graph.V) graph.V{
@@ -180,12 +181,21 @@ func TestDAGIDTableModel(t *testing.T) {
 					dspg.AddEdge(relabel(x), relabel(y))
 					next[relabel(x)] = append(next[relabel(x)], relabel(y))
 				}
+				answer := spg
 				if directed {
-					d.Reset(dspg)
-				} else {
-					d.Reset(spg)
+					answer = dspg
 				}
+				d.Reset(answer)
 				label := fmt.Sprintf("%s directed=%v %d edges", name, directed, oracle.NumEdges())
+				// The local-id edges are the answer's, in its canonical order.
+				if len(d.Edges()) != answer.NumEdges() {
+					t.Fatalf("%s: %d local-id edges for %d edges", label, len(d.Edges()), answer.NumEdges())
+				}
+				for i, e := range answer.Edges() {
+					if l := d.Edges()[i]; d.Vertices[l[0]] != e.U || d.Vertices[l[1]] != e.W {
+						t.Fatalf("%s: edge %d is %d-%d in local ids %v, want %v", label, i, d.Vertices[l[0]], d.Vertices[l[1]], l, e)
+					}
+				}
 
 				var vertices []graph.V
 				for _, x := range oracle.Vertices() {

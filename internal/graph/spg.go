@@ -24,7 +24,8 @@ const InfDist = int32(math.MaxInt32)
 //
 // An edge is accumulated as one integer, U in the high half and W in the
 // low, so that integer order is (U, W) order and the canonical sort is a
-// plain sort of integers.
+// plain sort of integers (SortKeys's radix sort, which reads only the
+// bytes in which the answer's edges differ).
 //
 // Dist is the shortest path distance, or InfDist when Source and Target
 // are disconnected (in which case the SPG is empty). A query with
@@ -36,6 +37,7 @@ type SPG struct {
 	directed  bool
 	keys      []uint64 // edges as found, packed; sorted and distinct once canonical
 	edges     []Edge   // keys unpacked; valid while canonical
+	sortBuf   []uint64 // SortKeys's scratch, kept across Reset
 	canonical bool
 }
 
@@ -48,12 +50,6 @@ func packPair(a, b V) uint64 {
 // unpackPair inverts packPair.
 func unpackPair(k uint64) (a, b V) {
 	return V(uint32(k>>32) ^ 1<<31), V(uint32(k) ^ 1<<31)
-}
-
-// sortDistinct sorts packed pairs and drops duplicates.
-func sortDistinct(keys []uint64) []uint64 {
-	slices.Sort(keys)
-	return slices.Compact(keys)
 }
 
 // NewSPG creates an empty undirected shortest path graph for the pair
@@ -122,7 +118,8 @@ func (s *SPG) Canonicalize() {
 	if s.canonical {
 		return
 	}
-	s.keys = sortDistinct(s.keys)
+	s.sortBuf = SortKeys(s.keys, 0, s.sortBuf)
+	s.keys = slices.Compact(s.keys)
 	s.edges = s.edges[:0]
 	for _, k := range s.keys {
 		u, w := unpackPair(k)

@@ -1,10 +1,6 @@
 package server
 
-import (
-	"strconv"
-
-	"qbs"
-)
+import "strconv"
 
 // The append encoder of the hot bodies: /spg (either kind) and
 // /distance are written field by field with strconv into the pooled
@@ -13,12 +9,16 @@ import (
 // hold it to that. Every other body stays on encoding/json.
 
 // appendSPGResponse appends the /spg body for r and a newline. The edge
-// list is read from edges, the answer's own, in place of r.Edges, so
-// that the handler never copies the result into the response; an empty
-// list is null, as a nil slice is.
+// list is read from edges, the answer's own in canonical order, in place
+// of r.Edges, so that the handler never copies the result into the
+// response; an empty list is null, as a nil slice is. Each edge is a
+// pair of positions in r.Vertices (analysis.DAG.Edges): every vertex is
+// formatted once, where the vertex list writes it, and an edge copies
+// its endpoints' bytes from there. at is scratch for the vertices'
+// offsets in b and is returned for reuse.
 // r.Coverage is one of the handlers' constant names and is written
 // unescaped.
-func appendSPGResponse(b []byte, r *SPGResponse, edges []qbs.Edge) []byte {
+func appendSPGResponse(b []byte, r *SPGResponse, edges [][2]int32, at []int32) ([]byte, []int32) {
 	b = append(b, `{"source":`...)
 	b = strconv.AppendInt(b, int64(r.Source), 10)
 	b = append(b, `,"target":`...)
@@ -26,17 +26,22 @@ func appendSPGResponse(b []byte, r *SPGResponse, edges []qbs.Edge) []byte {
 	b = append(b, `,"distance":`...)
 	b = appendIntOrNull(b, r.Distance)
 	b = append(b, `,"vertices":`...)
+	at = at[:0]
 	if r.Vertices == nil {
 		b = append(b, "null"...)
 	} else {
+		// Vertex i is b[at[i]:at[i+1]-1]: one byte, a comma or the
+		// closing bracket, follows each.
 		b = append(b, '[')
 		for i, v := range r.Vertices {
 			if i > 0 {
 				b = append(b, ',')
 			}
+			at = append(at, int32(len(b)))
 			b = strconv.AppendInt(b, int64(v), 10)
 		}
 		b = append(b, ']')
+		at = append(at, int32(len(b)))
 	}
 	b = append(b, `,"edges":`...)
 	if len(edges) == 0 {
@@ -44,7 +49,11 @@ func appendSPGResponse(b []byte, r *SPGResponse, edges []qbs.Edge) []byte {
 	} else {
 		sep := byte('[')
 		for _, e := range edges {
-			b = appendPair(b, sep, e.U, e.W)
+			b = append(b, sep, '[')
+			b = append(b, b[at[e[0]]:at[e[0]+1]-1]...)
+			b = append(b, ',')
+			b = append(b, b[at[e[1]]:at[e[1]+1]-1]...)
+			b = append(b, ']')
 			sep = ','
 		}
 		b = append(b, ']')
@@ -65,7 +74,7 @@ func appendSPGResponse(b []byte, r *SPGResponse, edges []qbs.Edge) []byte {
 	if r.Directed {
 		b = append(b, `,"directed":true`...)
 	}
-	return append(b, "}\n"...)
+	return append(b, "}\n"...), at
 }
 
 // appendDistanceResponse appends the /distance body for r and a newline.
@@ -86,13 +95,4 @@ func appendIntOrNull(b []byte, p *int32) []byte {
 		return append(b, "null"...)
 	}
 	return strconv.AppendInt(b, int64(*p), 10)
-}
-
-// appendPair appends sep and the pair [x,y].
-func appendPair(b []byte, sep byte, x, y int32) []byte {
-	b = append(b, sep, '[')
-	b = strconv.AppendInt(b, int64(x), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(y), 10)
-	return append(b, ']')
 }

@@ -5,9 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-
-	"qbs"
 )
 
 // viaEncodingJSON is the encoder the hot bodies used to go through.
@@ -23,15 +22,21 @@ func viaEncodingJSON(t testing.TB, body any) []byte {
 }
 
 // checkSPGEncoding holds appendSPGResponse to encoding/json's bytes for
-// r, handing it r.Edges as the answer's edge list.
+// r, handing it r.Edges as the answer's edge list: each endpoint by its
+// first position in r.Vertices, which holds every endpoint.
 func checkSPGEncoding(t testing.TB, r *SPGResponse) {
 	t.Helper()
-	var edges []qbs.Edge
+	var edges [][2]int32
 	for _, e := range r.Edges {
-		edges = append(edges, qbs.Edge{U: e[0], W: e[1]})
+		a, b := slices.Index(r.Vertices, e[0]), slices.Index(r.Vertices, e[1])
+		if a < 0 || b < 0 {
+			t.Fatalf("edge %v has an endpoint outside the vertex list %v", e, r.Vertices)
+		}
+		edges = append(edges, [2]int32{int32(a), int32(b)})
 	}
 	prefix := []byte("kept")
-	got := appendSPGResponse(prefix, r, edges)
+	stale := []int32{-1, 1 << 30} // offsets left by an earlier body
+	got, _ := appendSPGResponse(prefix, r, edges, stale)
 	if want := append([]byte("kept"), viaEncodingJSON(t, r)...); !bytes.Equal(got, want) {
 		t.Fatalf("append encoder\n got %s\nwant %s", got, want)
 	}
@@ -77,8 +82,10 @@ func spgResponseFrom(flags uint8, coverage uint8, count int64, data []byte) SPGR
 		for n := int(next()) & 7; n > 0; n-- {
 			r.Vertices = append(r.Vertices, next())
 		}
-		for len(data) >= 8 {
-			r.Edges = append(r.Edges, [2]int32{next(), next()})
+		// Edges join listed vertices, as an answer's do.
+		for len(data) >= 8 && len(r.Vertices) > 0 {
+			at := func() int32 { return r.Vertices[uint32(next())%uint32(len(r.Vertices))] }
+			r.Edges = append(r.Edges, [2]int32{at(), at()})
 		}
 	}
 	return r
@@ -94,7 +101,7 @@ func TestAppendEncoderMatchesEncodingJSON(t *testing.T) {
 		{},
 		{Source: 1, Target: 2, Disconnected: true, Coverage: "trivial"},
 		{Source: 7, Target: 7, Distance: new(int32), Vertices: []int32{7}, NumPaths: 1, Coverage: "trivial"},
-		{Distance: &maxD, DTop: &minD, Vertices: []int32{}, Edges: [][2]int32{{minD, maxD}}, NumPaths: math.MaxInt64,
+		{Distance: &maxD, DTop: &minD, Vertices: []int32{minD, maxD}, Edges: [][2]int32{{minD, maxD}, {maxD, minD}}, NumPaths: math.MaxInt64,
 			NumPathsSaturated: true, ArcsScanned: math.MinInt64, Coverage: "directed", Directed: true},
 		{Distance: &minD, Vertices: []int32{0, 1, 2}, Edges: [][2]int32{{0, 1}, {1, 2}}, NumPaths: -1, Coverage: "some"},
 	} {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -207,45 +206,86 @@ func TestWarmSPGHandlerAllocs(t *testing.T) {
 }
 
 // BenchmarkAnswerAssembly is what /spg does between the kernel's return
-// and the write, on a chain of diamonds (4 edges each; a 5-edge path for
-// the smallest) handed over the way the kernel does: unordered, every
-// edge found twice. Refilling the result, canonical sort, layering,
-// path count and encoding are all in the loop; ns/op over the edge count
-// is the per-edge cost of an answer.
+// and the write — the handler's own assembleSPG — on answers handed over
+// the way the kernel does: unordered, every edge found twice. Refilling
+// the result, canonical sort, layering, path count and encoding are all
+// in the loop; ns/op over the edge count is the per-edge cost of an
+// answer.
+//
+// The edges= rows are a chain of diamonds (4 edges each; a 5-edge path
+// for the smallest) over consecutive ids. The fr-tail row is shaped like
+// the answers that make the FR workload's /spg tail: a distance-4 answer
+// of 220 edges over 150 vertices, levels of 1, 38, 72, 38 and 1, with
+// ids spread over 120 000 vertices as the benchmark graph's are.
 func BenchmarkAnswerAssembly(b *testing.B) {
-	for _, edges := range []int{5, 200, 2000} {
-		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
-			var pairs []qbs.Arc
-			last := qbs.V(0)
-			if edges < 8 {
-				for ; int(last) < edges; last++ {
-					pairs = append(pairs, qbs.Arc{From: last, To: last + 1})
-				}
-			} else {
-				for ; len(pairs) < edges; last += 3 {
-					pairs = append(pairs,
-						qbs.Arc{From: last, To: last + 1}, qbs.Arc{From: last, To: last + 2},
-						qbs.Arc{From: last + 1, To: last + 3}, qbs.Arc{From: last + 2, To: last + 3})
-				}
+	type answer struct {
+		pairs    []qbs.Arc
+		u, v     qbs.V
+		dist     int32
+		vertices int
+	}
+	chain := func(edges int) answer {
+		var pairs []qbs.Arc
+		last := qbs.V(0)
+		if edges < 8 {
+			for ; int(last) < edges; last++ {
+				pairs = append(pairs, qbs.Arc{From: last, To: last + 1})
 			}
-			pairs = append(pairs, pairs...)
+			return answer{pairs, 0, last, int32(last), int(last) + 1}
+		}
+		for ; len(pairs) < edges; last += 3 {
+			pairs = append(pairs,
+				qbs.Arc{From: last, To: last + 1}, qbs.Arc{From: last, To: last + 2},
+				qbs.Arc{From: last + 1, To: last + 3}, qbs.Arc{From: last + 2, To: last + 3})
+		}
+		return answer{pairs, 0, last, int32(last) / 3 * 2, int(last) + 1}
+	}
+	frTail := func() answer {
+		rng := rand.New(rand.NewSource(4))
+		ids := rng.Perm(120000)
+		level := func(n int) []qbs.V {
+			vs := make([]qbs.V, n)
+			for i := range vs {
+				vs[i], ids = qbs.V(ids[0]), ids[1:]
+			}
+			return vs
+		}
+		u, l1, l2, l3, v := level(1)[0], level(38), level(72), level(38), level(1)[0]
+		var pairs []qbs.Arc
+		for i := range l1 {
+			pairs = append(pairs, qbs.Arc{From: u, To: l1[i]}, qbs.Arc{From: l3[i], To: v})
+		}
+		for i, y := range l2 {
+			pairs = append(pairs, qbs.Arc{From: l1[i%len(l1)], To: y}, qbs.Arc{From: y, To: l3[i*7%len(l3)]})
+		}
+		return answer{pairs, u, v, 4, 150}
+	}
+	for _, row := range []struct {
+		name string
+		a    answer
+	}{
+		{"edges=5", chain(5)},
+		{"edges=200", chain(200)},
+		{"edges=2000", chain(2000)},
+		{"fr-tail", frTail()},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			a := row.a
+			edges := len(a.pairs)
+			pairs := append(slices.Clone(a.pairs), a.pairs...)
 			rand.New(rand.NewSource(1)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-			dist := int32(last)
-			if edges >= 8 {
-				dist = int32(last) / 3 * 2
-			}
 			var sc scratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sc.spg.Reset(0, last)
-				sc.spg.Fill(false, dist, pairs)
-				sc.dag.Reset(&sc.spg)
-				resp := SPGResponse{Target: last, Distance: &dist, DTop: &dist, Vertices: sc.dag.Vertices, Coverage: "some"}
-				resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
-				sc.buf = appendSPGResponse(sc.buf[:0], &resp, sc.spg.Edges())
+				sc.spg.Reset(a.u, a.v)
+				sc.spg.Fill(false, a.dist, pairs)
+				sc.assembleSPG(SPGResponse{Source: a.u, Target: a.v, Coverage: "some"}, a.dist)
 			}
-			if n := sc.spg.NumEdges(); n != edges || len(sc.dag.Vertices) == 0 || len(sc.buf) < 16*edges/2 {
-				b.Fatalf("%d edges, %d vertices, %d bytes", n, len(sc.dag.Vertices), len(sc.buf))
+			if n := sc.spg.NumEdges(); n != edges || len(sc.dag.Vertices) != a.vertices || len(sc.buf) < 16*edges/2 {
+				b.Fatalf("%d edges, %d vertices, %d bytes; want %d edges, %d vertices", n, len(sc.dag.Vertices), len(sc.buf), edges, a.vertices)
+			}
+			if paths, _ := sc.dag.CountPaths(); paths == 0 {
+				b.Fatal("no path from source to target")
 			}
 		})
 	}

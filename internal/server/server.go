@@ -571,6 +571,7 @@ type scratch struct {
 	spg qbs.SPG
 	dag analysis.DAG
 	buf []byte
+	at  []int32 // the encoder's vertex offsets in buf
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -579,7 +580,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // grow to the largest answer they ever held, so a scratch that served a
 // bigger one (or a body past the ~16 bytes per edge such an answer
 // encodes to) is left to the collector instead: one outsized query must
-// not pin its megabytes in the pool for the life of the process.
+// not pin its megabytes in the pool for the life of the process. The
+// layering's and the encoder's per-vertex buffers are bounded with the
+// edges: an answer has at most two vertices per edge, plus one.
 const maxPooledEdges = 1 << 16
 
 func (sc *scratch) release() {
@@ -600,11 +603,12 @@ func (sc *scratch) send(w http.ResponseWriter) {
 	_, _ = w.Write(sc.buf)
 }
 
-// sendSPG completes resp from the scratch's result and its layering and
-// sends it, the edge list straight from the result. Vertices and path
-// count are read off the answer's own edges, never asked of the index
-// again, so a reply cannot mix two epochs.
-func (sc *scratch) sendSPG(w http.ResponseWriter, resp SPGResponse, dTop int32) {
+// assembleSPG layers the scratch's result, completes resp from it and
+// encodes the body into sc.buf, the edge list straight from the result.
+// Vertices and path count are read off the answer's own edges, never
+// asked of the index again, so a reply cannot mix two epochs.
+func (sc *scratch) assembleSPG(resp SPGResponse, dTop int32) {
+	sc.dag.Reset(&sc.spg)
 	dist := sc.spg.Dist
 	if dist == qbs.InfDist {
 		resp.Disconnected = true
@@ -616,8 +620,7 @@ func (sc *scratch) sendSPG(w http.ResponseWriter, resp SPGResponse, dTop int32) 
 		resp.Vertices = sc.dag.Vertices
 		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
 	}
-	sc.buf = appendSPGResponse(sc.buf[:0], &resp, sc.spg.Edges())
-	sc.send(w)
+	sc.buf, sc.at = appendSPGResponse(sc.buf[:0], &resp, sc.dag.Edges(), sc.at)
 }
 
 func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
@@ -637,14 +640,14 @@ func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
 	s.recordQuery(tb, qStart, u, v, st)
 	start := time.Now()
-	sc.dag.Reset(&sc.spg)
-	sc.sendSPG(w, SPGResponse{
+	sc.assembleSPG(SPGResponse{
 		Source:      u,
 		Target:      v,
 		ArcsScanned: st.ArcsScanned,
 		Coverage:    s.coverageName(st),
 		Directed:    s.directed,
 	}, st.DTop)
+	sc.send(w)
 	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
 
