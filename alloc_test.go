@@ -89,7 +89,8 @@ type queryIntoer interface {
 // 4's for the directed serving surface: a warm query through the
 // reusable-result path allocates nothing — neither in the searcher
 // (expansion, sketch, extraction) nor in the result, whose edge buffer
-// is recycled at its high-water mark — and neither does Distance.
+// is recycled at its high-water mark — and neither do Distance and
+// DistanceStats.
 func TestWarmQueryZeroAllocs(t *testing.T) {
 	for _, c := range allocCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -108,6 +109,9 @@ func TestWarmQueryZeroAllocs(t *testing.T) {
 			}
 			if n := passAllocs(pairs, func(p workload.Pair) { sr.Distance(p.U, p.V) }); n != 0 {
 				t.Fatalf("warm Searcher.Distance allocates %.0f per %d-pair pass, want 0", n, len(pairs))
+			}
+			if n := passAllocs(pairs, func(p workload.Pair) { sr.DistanceStats(p.U, p.V) }); n != 0 {
+				t.Fatalf("warm Searcher.DistanceStats allocates %.0f per %d-pair pass, want 0", n, len(pairs))
 			}
 		})
 	}

@@ -38,7 +38,7 @@ func BenchmarkQueryColdPairs(b *testing.B) {
 			})
 			b.Run("Distance", func(b *testing.B) {
 				sr := core.NewSearcher(c.ix)
-				c.run(b, func(u, v graph.V) int64 { sr.Distance(u, v); return 0 })
+				c.run(b, func(u, v graph.V) int64 { return sr.DistanceStats(u, v).ArcsScanned })
 			})
 			b.Run("BiBFS", func(b *testing.B) {
 				c.run(b, func(u, v graph.V) int64 {

@@ -218,7 +218,7 @@ func arcsScannedOf(tg testGraph, ix *Index) arcsScanned {
 	for _, p := range randomPairs(n, fingerprintQueries, fingerprintSeed) { // fpQueries' stream
 		u, v := p[0], p[1]
 		got.query += sr.QueryInto(spg, u, v).ArcsScanned
-		got.distance += sr.query(u, v, false).ArcsScanned
+		got.distance += sr.DistanceStats(u, v).ArcsScanned
 		_, st := bi.Query(u, v)
 		got.biBFS += st.ArcsScanned
 	}

@@ -255,7 +255,17 @@ func (sr *Searcher) QueryInto(dst *graph.SPG, u, v graph.V) QueryStats {
 // Distance returns d_G(u, v) using the same sketch-guided machinery but
 // skipping path extraction. It does not allocate on the warm path.
 func (sr *Searcher) Distance(u, v graph.V) int32 {
-	return sr.query(u, v, false).Dist
+	return sr.DistanceStats(u, v).Dist
+}
+
+// DistanceStats is Distance with the search's internals: its Dist is
+// the distance, and ArcsScanned the work of a search that stops at the
+// first crossing arc below d⊤ and extracts nothing (see QueryStats for
+// what such a search cannot tell apart).
+//
+//qbs:zeroalloc
+func (sr *Searcher) DistanceStats(u, v graph.V) QueryStats {
+	return sr.query(u, v, false)
 }
 
 // QueryWithStats is Query that also reports query internals.
