@@ -53,6 +53,20 @@ func SortKeys(keys []uint64, low uint, buf []uint64) []uint64 {
 		slices.Sort(keys)
 		return buf
 	}
+	if cap(buf) < n {
+		buf = growKeys(buf, n)
+	}
+	radixSort(keys, differ, buf[:n])
+	return buf
+}
+
+// radixSort sorts keys by the bytes set in differ, through buf, as long
+// as keys. Its counts take 8 KB of stack: it is kept out of line so that
+// only a goroutine that radix-sorts needs a stack that large, not every
+// one that sorts an answer.
+//
+//go:noinline
+func radixSort(keys []uint64, differ uint64, buf []uint64) {
 	var at [8][256]uint32
 	for _, k := range keys {
 		at[0][k&0xff]++
@@ -64,10 +78,7 @@ func SortKeys(keys []uint64, low uint, buf []uint64) []uint64 {
 		at[6][k>>48&0xff]++
 		at[7][k>>56]++
 	}
-	if cap(buf) < n {
-		buf = growKeys(buf, n)
-	}
-	src, dst := keys, buf[:n]
+	src, dst := keys, buf
 	for i := range at {
 		shift := 8 * uint(i)
 		if differ>>shift&0xff == 0 {
@@ -89,7 +100,6 @@ func SortKeys(keys []uint64, low uint, buf []uint64) []uint64 {
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
-	return buf
 }
 
 // growKeys returns a buffer of capacity at least n. It is kept out of
