@@ -83,6 +83,7 @@ type queryIntoer interface {
 	QueryInto(dst *qbs.SPG, u, v qbs.V) *qbs.SPG
 	QueryIntoStats(dst *qbs.SPG, u, v qbs.V) qbs.QueryStats
 	Distance(u, v qbs.V) int32
+	DistanceStats(u, v qbs.V) qbs.QueryStats
 }
 
 // TestWarmQueryZeroAllocs asserts the PR 2 acceptance criterion, and PR
@@ -191,7 +192,8 @@ func TestWarmTracedQueryZeroAllocs(t *testing.T) {
 
 // TestWarmIndexQueryIntoZeroAllocs covers the public pooled entry point
 // of every kind: Index, DiIndex and DynamicIndex read through one reader
-// (QueryInto, QueryIntoStats and Distance are its methods).
+// (QueryInto, QueryIntoStats, Distance and DistanceStats are its
+// methods).
 // GC is paused so the searcher pool cannot be emptied mid-measurement
 // (a pool refill is an allocation the steady state never pays).
 func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
@@ -212,6 +214,7 @@ func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
 				"QueryInto":      func(p workload.Pair) { ix.QueryInto(spg, p.U, p.V) },
 				"QueryIntoStats": func(p workload.Pair) { ix.QueryIntoStats(spg, p.U, p.V) },
 				"Distance":       func(p workload.Pair) { ix.Distance(p.U, p.V) },
+				"DistanceStats":  func(p workload.Pair) { ix.DistanceStats(p.U, p.V) },
 			} {
 				if n := passAllocs(pairs, call); n != 0 {
 					t.Fatalf("warm %s allocates %.0f per %d-pair pass, want 0", name, n, len(pairs))

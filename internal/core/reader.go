@@ -76,10 +76,16 @@ func (r *Reader) QueryWithStats(u, v graph.V) (*graph.SPG, QueryStats) {
 
 // Distance returns d_G(u, v) — d_G(u → v) over a digraph — using the
 // sketch-guided search without path extraction.
-func (r *Reader) Distance(u, v graph.V) int32 {
+func (r *Reader) Distance(u, v graph.V) int32 { return r.DistanceStats(u, v).Dist }
+
+// DistanceStats is Distance that reports the search's internals (see
+// Searcher.DistanceStats): the serving shape of a distance query.
+//
+//qbs:zeroalloc
+func (r *Reader) DistanceStats(u, v graph.V) QueryStats {
 	sr := r.searcher(r.current())
 	defer r.pool.Put(sr)
-	return sr.Distance(u, v)
+	return sr.DistanceStats(u, v)
 }
 
 // Sketch computes the query sketch S_uv (for introspection; Query

@@ -15,8 +15,10 @@
 //   - qbs_http_requests_total / qbs_http_errors_total — per-endpoint
 //     counters, labelled endpoint="/spg".
 //   - qbs_http_request_ns — per-endpoint latency histogram.
-//   - qbs_query_stage_ns{stage=...} — per-stage query spans (parse,
-//     sketch, expand, extract, serialize).
+//   - qbs_query_stage_ns{endpoint=...,stage=...} — per-stage query
+//     spans (parse, sketch, expand, extract, serialize) of each query
+//     endpoint (/spg, /distance, /paths), so a scrape splits each
+//     endpoint's latency.
 //   - qbs_query_*_total — engine counters aggregated from QueryStats
 //     (arcs scanned, label entries scanned).
 //   - qbs_epoch — a dynamic server's published epoch.
@@ -60,14 +62,17 @@
 // There is one record per request: its TraceBuf, a fixed inline array
 // of 32 spans — name, parent, start, duration, up to four key/value
 // attrs, an error bit — recycled through a small freelist, so recording
-// allocates nothing. Tracer.BeginRequest is the one intake: the trace ID
+// allocates nothing; recycling clears only the spans a trace used.
+// Tracer.BeginRequest is the one intake: the trace ID
 // comes from the W3C traceparent header, else from X-Qbs-Trace-Id
 // (TraceHeader) when that is 1-64 characters of [0-9A-Za-z_-], else it
-// is minted; it is echoed on the response, and a router forwards it
-// unchanged on retries and failovers. The serving middleware puts the
-// TraceBuf in the request's context and owns it for the request's
-// lifetime (single-goroutine by construction; writers record under
-// their own serialization). Handlers record what they measure as child
+// is minted (its string the intake's one allocation); the caller echoes
+// it on the response, and a router forwards it unchanged on retries and
+// failovers. The serving middleware hands the TraceBuf to the handler
+// as an argument and owns it for the request's lifetime
+// (single-goroutine by construction; a write puts it in the context it
+// passes ApplyEdgeCtx, and writers record under their own
+// serialization). Handlers record what they measure as child
 // spans when they measure it: stage:parse and stage:serialize with
 // their true start, stage:sketch, stage:expand and stage:extract laid
 // end to end from the search's start out of the searcher's QueryStats,
@@ -75,7 +80,8 @@
 // they describe: status, u, v and dist on the root (method and path on
 // a router's), label_entries on stage:sketch, arcs_scanned on
 // stage:expand. Each stage span is also the observation of
-// qbs_query_stage_ns{stage}.
+// qbs_query_stage_ns{endpoint,stage}; /distance records every stage but
+// stage:extract, which a distance search does not run.
 //
 // Retention is tail-based: the keep/drop decision happens at Finish,
 // when the outcome is known. A trace survives into the SpanStore when it

@@ -171,7 +171,8 @@ func (tb *TraceBuf) Root() *Span {
 	return &tb.spans[0]
 }
 
-func (tb *TraceBuf) start(name string, parent uint64) *Span {
+// start claims the next span, begun at at.
+func (tb *TraceBuf) start(name string, parent uint64, at time.Time) *Span {
 	if tb == nil {
 		return nil
 	}
@@ -181,7 +182,7 @@ func (tb *TraceBuf) start(name string, parent uint64) *Span {
 	}
 	sp := &tb.spans[tb.n]
 	tb.n++
-	*sp = Span{ID: nextSpanID(), Parent: parent, Name: name, Start: time.Now()}
+	*sp = Span{ID: nextSpanID(), Parent: parent, Name: name, Start: at}
 	return sp
 }
 
@@ -190,7 +191,7 @@ func (tb *TraceBuf) StartSpan(name string) *Span {
 	if tb == nil || tb.n == 0 {
 		return nil
 	}
-	return tb.start(name, tb.spans[0].ID)
+	return tb.start(name, tb.spans[0].ID, time.Now())
 }
 
 // AddSpan records an already-measured interval (e.g. a stage duration
@@ -199,9 +200,8 @@ func (tb *TraceBuf) AddSpan(name string, start time.Time, dur time.Duration) *Sp
 	if tb == nil || tb.n == 0 {
 		return nil
 	}
-	sp := tb.start(name, tb.spans[0].ID)
+	sp := tb.start(name, tb.spans[0].ID, start)
 	if sp != nil {
-		sp.Start = start
 		sp.Dur = dur
 		sp.ended = true
 	}
@@ -280,7 +280,7 @@ func (t *Tracer) Begin(name, traceID string, parent uint64, forced bool) *TraceB
 	if n := t.headEvery.Load(); n > 0 {
 		tb.headKeep = (t.headSeq.Add(1)-1)%uint64(n) == 0
 	}
-	tb.start(name, 0)
+	tb.start(name, 0, time.Now())
 	return tb
 }
 
@@ -296,8 +296,15 @@ func (t *Tracer) get() *TraceBuf {
 	return &TraceBuf{tracer: t}
 }
 
+// put recycles tb as a new TraceBuf of t's. Only the spans the trace
+// used are cleared: zeroing all 32 would cost each request a pass of
+// write barriers over spans it never touched, and a span is overwritten
+// whole when start claims it.
 func (t *Tracer) put(tb *TraceBuf) {
-	*tb = TraceBuf{tracer: t}
+	clear(tb.spans[:tb.n])
+	tb.TraceID, tb.remoteParent = "", 0
+	tb.request, tb.forced, tb.headKeep, tb.err = false, false, false, false
+	tb.n, tb.dropped = 0, 0
 	t.mu.Lock()
 	if len(t.free) < freelistCap {
 		t.free = append(t.free, tb)

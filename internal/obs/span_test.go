@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -28,7 +29,7 @@ func TestSpanTreeAndStorage(t *testing.T) {
 	child := tb.StartSpan("stage:expand")
 	child.SetInt("arcs", 42)
 	child.End()
-	grand := tb.start("wal.append", child.ID)
+	grand := tb.start("wal.append", child.ID, time.Now())
 	grand.SetStr("op", "insert")
 	grand.End()
 
@@ -372,6 +373,43 @@ func TestFinishDropPathZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("drop path allocs = %v, want 0", allocs)
+	}
+}
+
+// TestRecycledTraceBufIsNew: a TraceBuf recycled after a trace that
+// used every field — spans past the cap, attributes, a failure, a remote
+// parent, forced and head sampling — is equal, field for field, to one
+// never used, whether the trace was dropped or retained.
+func TestRecycledTraceBufIsNew(t *testing.T) {
+	for _, retained := range []bool{false, true} {
+		tr := NewTracer(8)
+		tr.SetSlowThreshold(time.Hour)
+		req := httptest.NewRequest("GET", "/spg", nil)
+		req.Header.Set(TraceparentHeader, FormatTraceparent("0123456789abcdef", 42, retained))
+		if retained {
+			tr.SetHeadEvery(1)
+		}
+		tb := tr.BeginRequest("/spg", req)
+		for i := 0; i < maxTraceSpans+3; i++ {
+			sp := tb.StartSpan("stage")
+			sp.SetInt("n", int64(i))
+			sp.SetStr("k", "v")
+			sp.End()
+		}
+		if retained {
+			tb.Root().Fail()
+			tb.MarkError()
+		}
+		if st := tr.Finish(tb); (st != nil) != retained {
+			t.Fatalf("retained=%v: Finish returned %v", retained, st)
+		}
+		got := tr.get()
+		if got != tb {
+			t.Fatal("the freelist did not hand back the recycled TraceBuf")
+		}
+		if *got != (TraceBuf{tracer: tr}) {
+			t.Fatalf("retained=%v: recycled TraceBuf differs from a new one: %+v", retained, *got)
+		}
 	}
 }
 

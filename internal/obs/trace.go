@@ -2,10 +2,8 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
+	"math/rand/v2"
 	"net/http"
-	"sync/atomic"
 )
 
 // TraceHeader carries a request's trace ID across hops: generated at
@@ -15,20 +13,19 @@ import (
 // and slow-query log entries.
 const TraceHeader = "X-Qbs-Trace-Id"
 
-var traceSeq atomic.Uint64
-
-// NewTraceID returns a fresh 16-hex-char trace ID.
+// NewTraceID returns a fresh 16-hex-char trace ID: 64 bits of the
+// runtime's per-thread generator, which is randomly seeded, takes no
+// lock and no system call. An ID correlates spans; it guards nothing, so
+// it need not be unguessable. The string is its one allocation.
 func NewTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Entropy exhaustion is effectively impossible, but a counter
-		// keeps IDs unique rather than failing the request.
-		n := traceSeq.Add(1)
-		for i := range b {
-			b[i] = byte(n >> (8 * i))
-		}
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	n := rand.Uint64()
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[n&15]
+		n >>= 4
 	}
-	return hex.EncodeToString(b[:])
+	return string(b[:])
 }
 
 // validTraceID reports whether a client-supplied trace ID is one the
@@ -53,26 +50,38 @@ func validTraceID(id string) bool {
 // trace ID is the traceparent header's when that parses (with its
 // parent span and sampled flag), else a usable X-Qbs-Trace-Id, else
 // freshly minted — an unusable client ID is replaced, never refused.
-// The ID is echoed on w and the trace begun under a root span called
-// name. Traces begun here are requests: Finish lists the slow ones in
-// the slow-query log.
-func (t *Tracer) BeginRequest(name string, w http.ResponseWriter, r *http.Request) *TraceBuf {
-	id := r.Header.Get(TraceHeader)
+// The trace is begun under a root span called name. Traces begun here
+// are requests: Finish lists the slow ones in the slow-query log. The
+// caller echoes tb.TraceID on its reply under TraceHeader, in whatever
+// way costs its writer least.
+func (t *Tracer) BeginRequest(name string, r *http.Request) *TraceBuf {
+	id := firstValue(r.Header, TraceHeader)
 	if !validTraceID(id) {
 		id = ""
 	}
 	var parent uint64
 	forced := false
-	if tid, p, sampled, ok := ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
+	if tid, p, sampled, ok := ParseTraceparent(firstValue(r.Header, traceparentKey)); ok {
 		id, parent, forced = tid, p, sampled
 	}
 	if id == "" {
 		id = NewTraceID()
 	}
-	w.Header().Set(TraceHeader, id)
 	tb := t.Begin(name, id, parent, forced)
 	tb.request = true
 	return tb
+}
+
+// traceparentKey is TraceparentHeader as a header map holds it.
+var traceparentKey = http.CanonicalHeaderKey(TraceparentHeader)
+
+// firstValue is h.Get(k) for a canonical k: Get would make the key
+// canonical again, an allocation for one that is not already.
+func firstValue(h http.Header, k string) string {
+	if vs := h[k]; len(vs) > 0 {
+		return vs[0]
+	}
+	return ""
 }
 
 // StatusWriter captures the status a handler answers with, for the
@@ -81,6 +90,10 @@ type StatusWriter struct {
 	http.ResponseWriter
 	code int
 }
+
+// Reset points w at rw, with no status seen: how a pooled StatusWriter
+// is reused.
+func (w *StatusWriter) Reset(rw http.ResponseWriter) { w.ResponseWriter, w.code = rw, 0 }
 
 func (w *StatusWriter) WriteHeader(code int) {
 	if w.code == 0 {

@@ -140,7 +140,7 @@ func TestObservabilityAcrossTiers(t *testing.T) {
 	// series ride along via the process-wide registry (the primary's
 	// store lives in this process too).
 	repText := fetchProm(t, repTS.URL)
-	if v := seriesValue(t, repText, `qbs_query_stage_ns_count{stage="sketch"}`); v == 0 {
+	if v := seriesValue(t, repText, `qbs_query_stage_ns_count{endpoint="/spg",stage="sketch"}`); v == 0 {
 		t.Fatal("replica served reads but recorded no sketch spans")
 	}
 	if v := seriesValue(t, repText, "qbs_query_label_entries_total"); v == 0 {

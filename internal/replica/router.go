@@ -306,8 +306,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// forward attempt hangs a child under it, and the traceparent sent
 	// downstream names that attempt span as the backend root's parent.
 	tracer := rt.src.Tracer
-	tb := tracer.BeginRequest("router", w, r)
+	tb := tracer.BeginRequest("router", r)
 	traceID := tb.TraceID
+	w.Header().Set(obs.TraceHeader, traceID)
 	root := tb.Root()
 	root.SetStr("method", r.Method)
 	root.SetStr("path", r.URL.Path)

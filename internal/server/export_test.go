@@ -1,6 +1,9 @@
 package server
 
-import "time"
+import (
+	"net/http"
+	"time"
+)
 
 // MaxPooledBuffer is the largest reply buffer a closing connection
 // returns to the pool.
@@ -31,3 +34,18 @@ func PooledBufferCaps() []int {
 		caps = append(caps, cap(c.w.hdr), cap(c.w.buf))
 	}
 }
+
+// RaceEnabled reports whether the race detector is on: allocation counts
+// then mean nothing.
+const RaceEnabled = raceEnabled
+
+// HeadParser is the head reader of one of the loop's connections.
+type HeadParser struct {
+	h    head
+	base http.Request
+}
+
+// Parse reads the head at the start of b as the loop does: the request
+// and the length of its head, or nil and 0 when the loop would leave b
+// to http.ReadRequest. The request is valid until the next Parse.
+func (p *HeadParser) Parse(b []byte) (*http.Request, int) { return p.h.parse(b, &p.base) }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -78,4 +79,27 @@ func FuzzReadHandlers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestQueryGetMatchesParseQuery: the handlers' in-place argument reader
+// returns what url.ParseQuery(q).Get(k) does, on random queries over an
+// alphabet of separators, escapes and broken escapes, for keys that are
+// present, repeated, empty-valued, escaped or absent.
+func TestQueryGetMatchesParseQuery(t *testing.T) {
+	const alphabet = "uvkmin_epoch=&;%+2fG5 #?"
+	keys := []string{"u", "v", "min_epoch", "k", "uv", "u v", "=", "&"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		b := make([]byte, rng.Intn(24))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		q := string(b)
+		vs, _ := url.ParseQuery(q)
+		for _, k := range keys {
+			if got, want := queryGet(q, k), vs.Get(k); got != want {
+				t.Fatalf("queryGet(%q, %q) = %q, url.ParseQuery gives %q", q, k, got, want)
+			}
+		}
+	}
 }

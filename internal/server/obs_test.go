@@ -66,7 +66,7 @@ func TestPrometheusExposition(t *testing.T) {
 	wantLines(t, text,
 		`qbs_http_requests_total{endpoint="/spg"} 4`,
 		`qbs_http_errors_total{endpoint="/spg"} 1`,
-		`qbs_query_stage_ns_count{stage="sketch"} 3`,
+		`qbs_query_stage_ns_count{endpoint="/spg",stage="sketch"} 3`,
 	)
 	if !strings.Contains(text, "\nqbs_goroutines ") {
 		t.Fatalf("exposition missing qbs_goroutines:\n%s", text)
@@ -83,7 +83,7 @@ func TestPrometheusExposition(t *testing.T) {
 		wantLines(t, other,
 			`qbs_http_requests_total{endpoint="/spg"} 4`,
 			`qbs_http_errors_total{endpoint="/spg"} 1`,
-			`qbs_query_stage_ns_count{stage="sketch"} 3`,
+			`qbs_query_stage_ns_count{endpoint="/spg",stage="sketch"} 3`,
 		)
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
@@ -91,25 +91,46 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestStageAndEngineSeriesAdvance: queries move the stage histograms
-// and engine counters; error responses do not.
+// TestStageAndEngineSeriesAdvance: queries move their endpoint's stage
+// histograms and the engine counters; error responses do not. /distance
+// records every stage of its search but extraction, which it never runs.
 func TestStageAndEngineSeriesAdvance(t *testing.T) {
 	s := testServer(t)
 	get(t, s, "/spg?u=0&v=3", nil)
 	get(t, s, "/paths?u=0&v=3", nil)
 
 	for i := obs.Stage(0); i < obs.NumStages; i++ {
-		if c := s.stage[i].Count(); c != 2 {
-			t.Fatalf("stage %s: %d observations, want 2", i, c)
+		for name, ss := range map[string]*stageSeries{"/spg": s.spgStages, "/paths": s.pathsStages} {
+			if c := ss[i].Count(); c != 1 {
+				t.Fatalf("%s stage %s: %d observations, want 1", name, i, c)
+			}
+		}
+		if c := s.distanceStages[i].Count(); c != 0 {
+			t.Fatalf("/distance stage %s: %d observations before any /distance", i, c)
 		}
 	}
 	if s.engEntries.Load() == 0 {
 		t.Fatal("label-entry counter did not advance")
 	}
 
-	before := s.stage[obs.StageSketch].Count()
+	entries := s.engEntries.Load()
+	get(t, s, "/distance?u=0&v=3", nil)
+	for i := obs.Stage(0); i < obs.NumStages; i++ {
+		want := uint64(1)
+		if i == obs.StageExtract {
+			want = 0
+		}
+		if c := s.distanceStages[i].Count(); c != want {
+			t.Fatalf("/distance stage %s: %d observations, want %d", i, c, want)
+		}
+	}
+	if s.engEntries.Load() == entries {
+		t.Fatal("/distance did not advance the label-entry counter")
+	}
+
+	before := s.spgStages[obs.StageSketch].Count()
 	get(t, s, "/spg?u=0&v=99", nil) // 400: no query ran
-	if after := s.stage[obs.StageSketch].Count(); after != before {
+	if after := s.spgStages[obs.StageSketch].Count(); after != before {
 		t.Fatal("error response recorded a stage span")
 	}
 }
@@ -232,7 +253,7 @@ func TestSlowLogIsViewOfRetainedSpans(t *testing.T) {
 			if e != read {
 				t.Errorf("%s: slow entry differs from its trace:\nentry %+v\ntrace %+v", name, e, read)
 			}
-			if e.HasQuery != (e.Endpoint == "/spg" && e.Status == 200 || e.Endpoint == "/paths") || e.HasQuery && e.LabelEntries == 0 && e.U != e.V {
+			if e.HasQuery != (e.Endpoint != "/edges" && e.Status == 200) || e.HasQuery && e.LabelEntries == 0 && e.U != e.V {
 				t.Errorf("%s: entry %+v: has_query on the wrong requests, or without engine counters", name, e)
 			}
 		}

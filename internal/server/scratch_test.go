@@ -24,9 +24,9 @@ type noDistanceBackend struct {
 	t *testing.T
 }
 
-func (b noDistanceBackend) Distance(u, v qbs.V) int32 {
-	b.t.Errorf("handler consulted the index after the query: Distance(%d,%d)", u, v)
-	return b.backend.Distance(u, v)
+func (b noDistanceBackend) DistanceStats(u, v qbs.V) qbs.QueryStats {
+	b.t.Errorf("handler consulted the index after the query: DistanceStats(%d,%d)", u, v)
+	return b.backend.DistanceStats(u, v)
 }
 
 func TestSPGAndPathsNeverConsultIndexAfterQuery(t *testing.T) {
@@ -146,11 +146,12 @@ func (d *discard) Write(b []byte) (int, error) { return len(b), nil }
 // TestWarmSPGHandlerAllocs: a warm /spg costs a fixed number of
 // allocations whatever the size of the answer — result, layering and
 // body all live in pooled scratch, and the body is appended to, never
-// boxed — namely the 14 it measures: one more than a warm /distance
+// boxed — namely the 5 it measures: one more than a warm /distance
 // (the Content-Length string of a body past 99 bytes), which shares the
-// middleware, the parsing and the encoder and is itself held to its 13
-// (request context, trace id, query parsing and three response headers:
-// none is the handler's own).
+// middleware, the argument reader and the encoder and is itself held to
+// its 4 (the trace ID, and the value slices of three reply headers,
+// which a writer other than the loop's cannot spare: none is the
+// handler's own).
 func TestWarmSPGHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -195,11 +196,11 @@ func TestWarmSPGHandlerAllocs(t *testing.T) {
 		if small != large || medium != large {
 			t.Errorf("%s: warm /spg allocates %v for a 3-vertex answer, %v for a 121-vertex one and %v for a 225-vertex one", name, small, medium, large)
 		}
-		if large > 14 {
-			t.Errorf("%s: warm /spg allocates %v, want at most 14", name, large)
+		if large > 5 {
+			t.Errorf("%s: warm /spg allocates %v, want at most 5", name, large)
 		}
-		if distance > 13 {
-			t.Errorf("%s: warm /distance allocates %v, want at most 13", name, distance)
+		if distance > 4 {
+			t.Errorf("%s: warm /distance allocates %v, want at most 4", name, distance)
 		}
 		t.Logf("%s: /spg %v allocs, /distance %v", name, large, distance)
 	}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,6 +60,7 @@ type Loop struct {
 
 	ctx    context.Context // every request's; cancelled when Shutdown ends
 	cancel context.CancelFunc
+	base   http.Request // a request with no field set but ctx
 
 	closing   atomic.Bool
 	mu        sync.Mutex
@@ -91,6 +93,7 @@ func newLoop(h http.Handler) *Loop {
 		drained:   make(chan struct{}),
 	}
 	l.ctx, l.cancel = context.WithCancel(context.Background())
+	l.base = *new(http.Request).WithContext(l.ctx)
 	return l
 }
 
@@ -199,8 +202,12 @@ type conn struct {
 	state atomic.Int32
 	lr    limitReader
 	br    *bufio.Reader
+	head  head // the request, when the loop reads the head itself
 	w     response
 	raddr string
+
+	dateSec int64  // the second date holds
+	date    []byte // the Date header's value, formatted once a second
 }
 
 var connPool = sync.Pool{New: func() any {
@@ -258,13 +265,24 @@ func (c *conn) serve() {
 			}
 		}
 		t0 := time.Now()
-		if n > 0 && !c.headerBuffered() {
-			c.deadline(c.l.header)
-		}
-		req, err := http.ReadRequest(c.br)
-		if err != nil {
-			c.refuse(err)
-			return
+		headEnd := t0 // a head the loop reads itself is all buffered
+		buffered, _ := c.br.Peek(c.br.Buffered())
+		req, size := c.head.parse(buffered, &c.l.base)
+		if req != nil {
+			_, _ = c.br.Discard(size)
+		} else {
+			// Reading a head not all buffered yet can block: under the
+			// header timeout.
+			if n > 0 && !bytes.Contains(buffered, blankLine) {
+				c.deadline(c.l.header)
+			}
+			var err error
+			if req, err = http.ReadRequest(c.br); err != nil {
+				c.refuse(err)
+				return
+			}
+			req = req.WithContext(c.l.ctx)
+			headEnd = time.Now()
 		}
 		c.lr.n = math.MaxInt64
 		if req.ProtoMajor != 1 {
@@ -277,12 +295,11 @@ func (c *conn) serve() {
 			return
 		}
 		req.RemoteAddr = c.raddr
-		req = req.WithContext(c.l.ctx)
 		if req.Body != http.NoBody {
 			c.deadlineFrom(t0, c.l.read)
 		}
 		if c.l.write > 0 {
-			_ = c.nc.SetWriteDeadline(time.Now().Add(c.l.write))
+			_ = c.nc.SetWriteDeadline(headEnd.Add(c.l.write))
 		}
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
 			// A write can hold its thread in the kernel (the WAL's fsync)
@@ -347,14 +364,6 @@ func (c *conn) deadlineFrom(t time.Time, d time.Duration) {
 	_ = c.nc.SetReadDeadline(at)
 }
 
-// headerBuffered reports whether the buffered bytes hold a whole
-// request head; reading it then cannot block, so its timeout need not be
-// armed.
-func (c *conn) headerBuffered() bool {
-	b, _ := c.br.Peek(c.br.Buffered())
-	return bytes.Contains(b, []byte("\r\n\r\n"))
-}
-
 // refuse answers a request ReadRequest could not parse, as net/http
 // does: 431 past the header cap, no reply when the socket failed or
 // timed out, 400 otherwise.
@@ -403,6 +412,7 @@ func (c *conn) close() {
 	l.checkDrained()
 	l.mu.Unlock()
 	c.w.release()
+	c.head.release()
 	if cap(c.w.hdr) > maxPooledBuffer || cap(c.w.buf) > maxPooledBuffer {
 		return
 	}
@@ -420,6 +430,9 @@ type response struct {
 	req *http.Request
 
 	handlerHeader http.Header
+	slots         [headerSlots][1]string // values setHeader puts in handlerHeader
+	nslots        int
+	keys          []string // handlerHeader's names, sorted for the reply
 	status        int
 	clen          int64 // the declared Content-Length; -1 when none
 	written       int64 // body bytes the handler wrote
@@ -501,9 +514,39 @@ func (b *reqBody) end() bool {
 	return !b.sawEOF
 }
 
+// headerSlots is how many reply headers setHeader sets without a slice
+// of their own: the Content-Type, X-Qbs-Trace-Id and Content-Length of
+// every reply here, and one spare.
+const headerSlots = 4
+
+// setHeader sets the reply header k, canonical, to the single value v.
+// On the loop's writer the value takes a slot the connection keeps, so
+// it costs no allocation; a handler may not keep w.Header()'s values
+// past its return.
+func setHeader(w http.ResponseWriter, k, v string) {
+	if rw, ok := w.(*response); ok && rw.nslots < headerSlots {
+		slot := rw.slots[rw.nslots][:]
+		rw.nslots++
+		slot[0] = v
+		rw.handlerHeader[k] = slot
+		return
+	}
+	w.Header()[k] = []string{v}
+}
+
+// statusSent is the reply's status as the client sees it: the one
+// written, 200 when the handler wrote none.
+func (w *response) statusSent() int {
+	if w.status == 0 {
+		return http.StatusOK
+	}
+	return w.status
+}
+
 func (w *response) reset(req *http.Request) {
 	w.req = req
 	clear(w.handlerHeader)
+	w.nslots = 0
 	w.status, w.clen, w.written = 0, -1, 0
 	w.sent, w.chunked, w.closeAfter, w.err = false, false, false, nil
 	w.hdr, w.buf = w.hdr[:0], w.buf[:0]
@@ -519,6 +562,8 @@ func (w *response) reset(req *http.Request) {
 func (w *response) release() {
 	w.req, w.body = nil, nil
 	clear(w.handlerHeader)
+	clear(w.slots[:])
+	clear(w.keys[:cap(w.keys)])
 }
 
 func (w *response) Header() http.Header { return w.handlerHeader }
@@ -706,17 +751,24 @@ func (w *response) commit(final bool) {
 		b = strconv.AppendInt(b, int64(code), 10)
 	}
 	b = append(b, "\r\n"...)
-	for k, vs := range h {
-		if !validHeaderName(k) {
-			continue
+	// The handler's headers in the order of their names, as net/http
+	// writes them, so that a reply's bytes do not depend on the map's.
+	keys := w.keys[:0]
+	for k := range h {
+		if validToken(k) {
+			keys = append(keys, k)
 		}
-		for _, v := range vs {
+	}
+	slices.Sort(keys)
+	w.keys = keys
+	for _, k := range keys {
+		for _, v := range h[k] {
 			b = appendHeader(b, k, v)
 		}
 	}
 	if _, ok := h["Date"]; !ok {
 		b = append(b, "Date: "...)
-		b = time.Now().UTC().AppendFormat(b, http.TimeFormat)
+		b = append(b, w.c.dateNow()...)
 		b = append(b, "\r\n"...)
 	}
 	if autoLen {
@@ -734,6 +786,17 @@ func (w *response) commit(final bool) {
 		b = append(b, "Transfer-Encoding: chunked\r\n"...)
 	}
 	w.hdr = append(b, "\r\n"...)
+}
+
+// dateNow returns the Date header's value for now. It is formatted
+// again only when the second has changed since the last reply.
+func (c *conn) dateNow() []byte {
+	now := time.Now()
+	if sec := now.Unix(); sec != c.dateSec || len(c.date) == 0 {
+		c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
+		c.dateSec = sec
+	}
+	return c.date
 }
 
 // settleRequestBody decides, before the reply goes out, whether what the
@@ -782,32 +845,39 @@ func appendHeader(b []byte, k, v string) []byte {
 	return append(b, "\r\n"...)
 }
 
-// validHeaderName reports whether k is an RFC 7230 token.
-func validHeaderName(k string) bool {
-	for i := 0; i < len(k); i++ {
-		c := k[i]
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' ||
-			strings.IndexByte("!#$%&'*+.^_`|~", c) >= 0) {
-			return false
-		}
-	}
-	return k != ""
-}
-
 // bodyAllowed reports whether a reply with this status carries a body.
 func bodyAllowed(code int) bool {
 	return !(code >= 100 && code <= 199 || code == http.StatusNoContent || code == http.StatusNotModified)
 }
 
-// hasToken reports whether the comma-separated list v holds token,
-// case-insensitively.
+// hasToken reports whether the comma-separated list v holds token, a
+// lower-case one: blanks around each item trimmed and ASCII case folded,
+// as net/http's header token test does.
 func hasToken(v, token string) bool {
 	for v != "" {
 		var t string
 		t, v, _ = strings.Cut(v, ",")
-		if strings.EqualFold(strings.TrimSpace(t), token) {
+		if asciiEqualFold(strings.Trim(t, " \t"), token) {
 			return true
 		}
 	}
 	return false
+}
+
+// asciiEqualFold reports whether s equals the lower-case t, folding the
+// case of ASCII letters only.
+func asciiEqualFold(s, t string) bool {
+	if len(s) != len(t) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != t[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -159,41 +160,46 @@ func chunked(path, body string) string {
 		strconv.FormatInt(int64(len(body)), 16) + "\r\n" + body + "\r\n0\r\n\r\n"
 }
 
+// getDistance is a kept-alive GET /distance, the loop's common request.
+const getDistance = "GET /distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n"
+
+// netHTTPCases are the raw requests TestLoopMatchesNetHTTP sends to
+// net/http and to the loop, and FuzzHeadParse's seeds.
+var netHTTPCases = []struct {
+	name, raw string
+	method    string
+	n         int
+	volatile  bool
+}{
+	{name: "GET with Host", raw: getDistance},
+	{name: "HTTP/1.1 without Host", raw: "GET /distance?u=0&v=3 HTTP/1.1\r\n\r\n"},
+	{name: "HTTP/1.0 keep-alive", raw: "GET /distance?u=0&v=3 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"},
+	{name: "HTTP/1.0", raw: "GET /distance?u=0&v=3 HTTP/1.0\r\n\r\n"},
+	{name: "Connection: close", raw: "GET /distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\nConnection: close\r\n\r\n"},
+	{name: "two pipelined GETs", raw: getDistance + "GET /spg?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n", n: 2},
+	{name: "HEAD /distance", raw: "HEAD /distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n", method: "HEAD"},
+	{name: "HEAD /healthz", raw: "HEAD /healthz HTTP/1.1\r\nHost: qbs\r\n\r\n", method: "HEAD"},
+	{name: "POST /edges", raw: post("/edges", "", `{"u":4,"v":6}`)},
+	{name: "POST /edges chunked", raw: chunked("/edges", `{"u":4,"v":6}`)},
+	{name: "POST /edges chunked past the body limit", raw: chunked("/edges", `{"u":4,"v":6}`+strings.Repeat(" ", 100<<10))},
+	{name: "Expect: 100-continue", raw: post("/edges", "Expect: 100-continue\r\n", `{"u":4,"v":6}`)},
+	{name: "Expect: bogus", raw: "GET /healthz HTTP/1.1\r\nHost: qbs\r\nExpect: bogus\r\n\r\n"},
+	{name: "malformed request line", raw: "GARBAGE\r\n\r\n"},
+	{name: "absolute-form URI", raw: "GET http://qbs/distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n"},
+	{name: "2 MB header", raw: "GET /healthz HTTP/1.1\r\nHost: qbs\r\nX-Big: " + strings.Repeat("a", 2<<20) + "\r\n\r\n"},
+	{name: "wrong method", raw: "PUT /edges HTTP/1.1\r\nHost: qbs\r\nContent-Length: 0\r\n\r\n"},
+	{name: "unknown route", raw: "GET /nope HTTP/1.1\r\nHost: qbs\r\n\r\n"},
+	{name: "/stats", raw: "GET /stats HTTP/1.1\r\nHost: qbs\r\n\r\n"},
+	{name: "/metrics", raw: "GET /metrics HTTP/1.1\r\nHost: qbs\r\n\r\n", volatile: true},
+}
+
 // TestLoopMatchesNetHTTP sends each raw request of a table to net/http
 // (an httptest.Server) and to the loop, each in front of its own copy of
 // the same mutable server, and requires the same replies — status,
 // header set, framing, body — and the same decision to keep or close
 // the connection.
 func TestLoopMatchesNetHTTP(t *testing.T) {
-	const get = "GET /distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n"
-	cases := []struct {
-		name, raw string
-		method    string
-		n         int
-		volatile  bool
-	}{
-		{name: "GET with Host", raw: get},
-		{name: "HTTP/1.1 without Host", raw: "GET /distance?u=0&v=3 HTTP/1.1\r\n\r\n"},
-		{name: "HTTP/1.0 keep-alive", raw: "GET /distance?u=0&v=3 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"},
-		{name: "HTTP/1.0", raw: "GET /distance?u=0&v=3 HTTP/1.0\r\n\r\n"},
-		{name: "Connection: close", raw: "GET /distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\nConnection: close\r\n\r\n"},
-		{name: "two pipelined GETs", raw: get + "GET /spg?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n", n: 2},
-		{name: "HEAD /distance", raw: "HEAD /distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n", method: "HEAD"},
-		{name: "HEAD /healthz", raw: "HEAD /healthz HTTP/1.1\r\nHost: qbs\r\n\r\n", method: "HEAD"},
-		{name: "POST /edges", raw: post("/edges", "", `{"u":4,"v":6}`)},
-		{name: "POST /edges chunked", raw: chunked("/edges", `{"u":4,"v":6}`)},
-		{name: "POST /edges chunked past the body limit", raw: chunked("/edges", `{"u":4,"v":6}`+strings.Repeat(" ", 100<<10))},
-		{name: "Expect: 100-continue", raw: post("/edges", "Expect: 100-continue\r\n", `{"u":4,"v":6}`)},
-		{name: "Expect: bogus", raw: "GET /healthz HTTP/1.1\r\nHost: qbs\r\nExpect: bogus\r\n\r\n"},
-		{name: "malformed request line", raw: "GARBAGE\r\n\r\n"},
-		{name: "absolute-form URI", raw: "GET http://qbs/distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n"},
-		{name: "2 MB header", raw: "GET /healthz HTTP/1.1\r\nHost: qbs\r\nX-Big: " + strings.Repeat("a", 2<<20) + "\r\n\r\n"},
-		{name: "wrong method", raw: "PUT /edges HTTP/1.1\r\nHost: qbs\r\nContent-Length: 0\r\n\r\n"},
-		{name: "unknown route", raw: "GET /nope HTTP/1.1\r\nHost: qbs\r\n\r\n"},
-		{name: "/stats", raw: "GET /stats HTTP/1.1\r\nHost: qbs\r\n\r\n"},
-		{name: "/metrics", raw: "GET /metrics HTTP/1.1\r\nHost: qbs\r\n\r\n", volatile: true},
-	}
-	for _, c := range cases {
+	for _, c := range netHTTPCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
@@ -214,6 +220,118 @@ func TestLoopMatchesNetHTTP(t *testing.T) {
 				t.Errorf("loop:\n%+v\nnet/http:\n%+v", got, want)
 			}
 		})
+	}
+}
+
+// FuzzHeadParse: on any bytes, the loop's own head reader either leaves
+// them to http.ReadRequest, or http.ReadRequest accepts them too, takes
+// the same length and reads the same request: method, every URL field,
+// protocol, header, Host, Close, ContentLength and RequestURI, and no
+// body. Each head is read by a reader that has just read another, so
+// nothing of one request may show through in the next.
+func FuzzHeadParse(f *testing.F) {
+	for _, c := range netHTTPCases {
+		if len(c.raw) <= 4<<10 { // the loop reads a head from a 4 KB buffer
+			f.Add([]byte(c.raw))
+		}
+	}
+	for _, r := range keepAliveReads {
+		f.Add([]byte(r.raw))
+	}
+	for _, raw := range []string{
+		"GET /distance?u=0&v=3&min_epoch=7 HTTP/1.1\r\nHost: qbs\r\nUser-Agent: Go-http-client/1.1\r\nAccept-Encoding: gzip\r\n\r\n",
+		"GET /spg?u=1&v=2 HTTP/1.0\r\nconnection: Keep-Alive, foo\r\nx-qbs-trace-id: abc\r\n\r\nGET / HTTP/1.1\r\n\r\n",
+		"DELETE /edges?u=1&v=2 HTTP/1.1\r\nHost: qbs\r\nContent-Length: 0\r\n\r\n",
+		"GET /a?b#c HTTP/1.1\r\nHost: qbs\r\nX: 1\r\nX: 2\r\nY:\t v \t\r\n\r\n",
+		"GET /? HTTP/1.1\r\nHost:qbs\r\nConnection: close,\tkeep-alive\r\n\r\n",
+		"GET /%41 HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET /x HTTP/1.1\r\nPragma: no-cache\r\nHost: a\r\n\r\n",
+		"GET /x HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
+		"GET /x HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n",
+		"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+		"GET / HTTP/1.1\r\nX: a\r\n b\r\n\r\n",
+		"GET / HTTP/1.1\nHost: qbs\n\n",
+	} {
+		f.Add([]byte(raw))
+	}
+	warm := []byte("GET /spg?u=1&v=2 HTTP/1.0\r\nHost: warm\r\nX-Warm: a\r\nConnection: keep-alive\r\n\r\n")
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var p server.HeadParser
+		if r, _ := p.Parse(warm); r == nil {
+			t.Fatal("the loop leaves a plain GET to http.ReadRequest")
+		}
+		got, n := p.Parse(b)
+		if got == nil {
+			return
+		}
+		rd := bytes.NewReader(b)
+		br := bufio.NewReader(rd)
+		want, err := http.ReadRequest(br)
+		if err != nil {
+			t.Fatalf("the loop reads %q, http.ReadRequest refuses it: %v", b[:n], err)
+		}
+		if read := len(b) - rd.Len() - br.Buffered(); read != n {
+			t.Fatalf("the loop takes %d bytes of %q, http.ReadRequest %d", n, b, read)
+		}
+		type view struct {
+			Method, Proto, Host, RequestURI string
+			ProtoMajor, ProtoMinor          int
+			URL                             url.URL
+			Header                          http.Header
+			Close                           bool
+			ContentLength                   int64
+			NoBody                          bool
+		}
+		see := func(r *http.Request) view {
+			return view{r.Method, r.Proto, r.Host, r.RequestURI, r.ProtoMajor, r.ProtoMinor,
+				*r.URL, r.Header, r.Close, r.ContentLength, r.Body == http.NoBody}
+		}
+		if g, w := see(got), see(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%q:\nloop      %+v\nnet/http  %+v", b[:n], g, w)
+		}
+	})
+}
+
+// TestLoopReplyBytes: a reply's bytes are reproducible, the handler's
+// headers in the order of their names: twenty /distance replies on one
+// connection are, Date and trace ID masked, one pinned byte string.
+func TestLoopReplyBytes(t *testing.T) {
+	const want = "HTTP/1.1 200 OK\r\n" +
+		"Content-Length: 58\r\n" +
+		"Content-Type: application/json\r\n" +
+		"X-Qbs-Trace-Id: *\r\n" +
+		"Date: *\r\n" +
+		"\r\n" +
+		`{"source":0,"target":3,"distance":2,"disconnected":false}` + "\n"
+	nc, br := dialKeepAlive(t, "loop")
+	for i := 0; i < 20; i++ {
+		if _, err := io.WriteString(nc, getDistance); err != nil {
+			t.Fatal(err)
+		}
+		var reply strings.Builder
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []string{"Date: ", obs.TraceHeader + ": "} {
+				if strings.HasPrefix(line, k) {
+					line = k + "*\r\n"
+				}
+			}
+			reply.WriteString(line)
+			if line == "\r\n" {
+				break
+			}
+		}
+		body := make([]byte, len(`{"source":0,"target":3,"distance":2,"disconnected":false}`)+1)
+		if _, err := io.ReadFull(br, body); err != nil {
+			t.Fatal(err)
+		}
+		reply.Write(body)
+		if reply.String() != want {
+			t.Fatalf("reply %d:\n%q\nwant\n%q", i, reply.String(), want)
+		}
 	}
 }
 
@@ -630,39 +748,97 @@ func TestLoopServesReadsDuringBlockingWrite(t *testing.T) {
 	}
 }
 
-// BenchmarkKeepAliveRequest is one GET /distance round trip on a kept
-// connection, served by net/http and by the loop in front of the same
-// server; allocs/op counts both ends.
+// keepAliveReads are the warm reads BenchmarkKeepAliveRequest and
+// TestLoopWarmReadAllocs send, each as the benchmark's load generator
+// sends it, and the most allocations the loop may spend on one. It
+// spends one fewer: the copy of the head and the trace ID, and for /spg
+// the Content-Length value of a body past 99 bytes.
+var keepAliveReads = []struct {
+	name, raw string
+	allocs    float64
+}{
+	{"distance", getDistance, 3},
+	{"spg", "GET /spg?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n", 4},
+}
+
+// dialKeepAlive serves a fresh mutable fixture by net/http or by the
+// loop and returns a kept-alive connection to it. The server's tracer is
+// its own and retains nothing: a retained trace is copied out.
+func dialKeepAlive(tb testing.TB, side string) (net.Conn, *bufio.Reader) {
+	s := mutableFixture(tb)
+	s.SetTracer(obs.NewTracer(1))
+	s.SetSlowLogThreshold(time.Hour)
+	var addr string
+	if side == "loop" {
+		addr = startLoop(tb, server.NewLoop(s))
+	} else {
+		ts := httptest.NewServer(s)
+		tb.Cleanup(ts.Close)
+		addr = ts.Listener.Addr().String()
+	}
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = nc.Close() })
+	return nc, bufio.NewReader(nc)
+}
+
+// BenchmarkKeepAliveRequest is one GET /distance or /spg round trip on a
+// kept connection, served by net/http and by the loop in front of the
+// same server; allocs/op counts both ends.
 func BenchmarkKeepAliveRequest(b *testing.B) {
 	for _, side := range []string{"net-http", "loop"} {
-		b.Run(side, func(b *testing.B) {
-			s := mutableFixture(b)
-			var addr string
-			if side == "loop" {
-				addr = startLoop(b, server.NewLoop(s))
-			} else {
-				ts := httptest.NewServer(s)
-				b.Cleanup(ts.Close)
-				addr = ts.Listener.Addr().String()
-			}
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer nc.Close()
-			br := bufio.NewReader(nc)
-			req := []byte("GET /distance?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := nc.Write(req); err != nil {
-					b.Fatal(err)
+		for _, read := range keepAliveReads {
+			b.Run(side+"/"+read.name, func(b *testing.B) {
+				nc, br := dialKeepAlive(b, side)
+				req := []byte(read.raw)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := nc.Write(req); err != nil {
+						b.Fatal(err)
+					}
+					if err := skipReply(br); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if err := skipReply(br); err != nil {
-					b.Fatal(err)
-				}
+			})
+		}
+	}
+}
+
+// TestLoopWarmReadAllocs: a warm kept-alive read through the loop reads
+// its head into the connection's request, passes the middleware and
+// writes its reply headers without allocating; what it allocates, client
+// included, is keepAliveReads' count at most.
+func TestLoopWarmReadAllocs(t *testing.T) {
+	if server.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, read := range keepAliveReads {
+		nc, br := dialKeepAlive(t, "loop")
+		req := []byte(read.raw)
+		var err error
+		roundTrip := func() {
+			if err == nil {
+				_, err = nc.Write(req)
 			}
-		})
+			if err == nil {
+				err = skipReply(br)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			roundTrip()
+		}
+		got := testing.AllocsPerRun(500, roundTrip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > read.allocs {
+			t.Errorf("warm %s through the loop allocates %v per request, want at most %v", read.name, got, read.allocs)
+		}
+		t.Logf("%s: %v allocs per request", read.name, got)
 	}
 }
 

@@ -16,8 +16,9 @@
 //	GET /sketch?u=<id>&v=<id>     the query sketch (d⊤, minimizing pairs)
 //	GET /paths?u=<id>&v=<id>&limit=<n>  enumerated shortest paths
 //	GET /stats                    index and graph statistics
-//	GET /metrics                  Prometheus text: request/error counters, stage
-//	                              latencies, epoch, replication lag
+//	GET /metrics                  Prometheus text: request/error counters,
+//	                              per-endpoint stage latencies, epoch,
+//	                              replication lag
 //	GET /healthz                  liveness
 //
 // /spg and /paths run one index search per request. Vertices, depths and
@@ -62,13 +63,40 @@
 //
 // qbs-server's listeners, of every tier, run Loop (serve.go) rather
 // than http.Server: one goroutine per connection waits for a request's
-// first byte under the idle timeout, reads it with http.ReadRequest
-// under the header timeout and a header-byte cap, runs the handler into
-// a buffered ResponseWriter, and writes the status line, headers and a
-// reply under 32 KB in one write. It keeps net/http's timeouts, the
-// 431 past the header cap, the 400 for an HTTP/1.1 request without
-// Host, the keep-alive rules, pipelining, the read-off of up to 256 KB
-// of an unread body, 100-continue and 417, Date and sniffed
+// first byte under the idle timeout, reads its head under the header
+// timeout and a header-byte cap, runs the handler into a buffered
+// ResponseWriter, and writes the status line, headers and a reply under
+// 32 KB in one write.
+//
+// The loop reads the head itself (head.go) when it is all in the
+// connection's buffer and is a request it reads exactly as
+// http.ReadRequest would: a request line "<method> /<path>[?<query>]
+// HTTP/1.x" whose path needs no unescaping, header fields each on one
+// line, and no body declared (no Transfer-Encoding, a Content-Length of
+// 0 at most). It fills one http.Request, url.URL and http.Header per
+// connection, reset for each request, whose context is set once per
+// loop, and carves every string of them from one copy of the head. Any
+// other head — a body, an absolute-form or escaped URI, folded or
+// malformed lines, a second Host, a Pragma, a head still arriving — is
+// read by http.ReadRequest from the same bytes, into a request of its
+// own, so body framing, chunked bodies, 100-continue and every refusal
+// stay net/http's; FuzzHeadParse holds the two readers equal. Because
+// the request, its URL and its header are the connection's, a handler
+// may not keep r, r.URL, r.Header or the reply's header values after it
+// returns (what it keeps must be copied, or taken from a request that
+// carries a body, which is its own). The read endpoints read their
+// arguments from URL.RawQuery in place (url.ParseQuery only for an
+// escaped query), and the middleware hands each handler its span
+// buffer as an argument and reads the status off the loop's writer, so
+// a warm /distance costs two allocations end to end, the copy of its
+// head and its trace ID, and /spg one more, its Content-Length value.
+// Reply headers the handlers set take value slots the connection keeps,
+// and are written in the order of their names.
+//
+// The loop keeps net/http's timeouts, the 431 past the header cap, the
+// 400 for an HTTP/1.1 request without Host, the keep-alive rules,
+// pipelining, the read-off of up to 256 KB of an unread body,
+// 100-continue and 417, Date (formatted once a second) and sniffed
 // Content-Type, framing (a Content-Length the handler did not set only
 // on a reply of at most 2 KB, else chunked), HEAD/204/304 without a
 // body, panic recovery and the graceful drain. It gives up what needs a
@@ -77,11 +105,12 @@
 // shutdown's drain runs out. A request other than GET or HEAD starts
 // one empty goroutine: that wakes a thread to wait on the network poller
 // while the write's handler may hold its own in the kernel (the WAL's
-// fsync), so reads on other connections are not held until it ends. It also gives up HTTP/2, TLS, Hijack and
-// Flush, which no handler here uses. Two corners differ from net/http:
-// a request with an absolute-form URI and no Host header is served
-// (net/http answers 400), and a header set after WriteHeader still
-// reaches a reply that has not gone out.
+// fsync), so reads on other connections are not held until it ends. It
+// also gives up HTTP/2, TLS, Hijack and Flush, which no handler here
+// uses. Two corners differ from net/http: a request with an
+// absolute-form URI and no Host header is served (net/http answers
+// 400), and a header set after WriteHeader still reaches a reply that
+// has not gone out.
 package server
 
 import (
@@ -93,6 +122,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -105,7 +135,7 @@ import (
 // mutable index types.
 type backend interface {
 	QueryIntoStats(dst *qbs.SPG, u, v qbs.V) qbs.QueryStats
-	Distance(u, v qbs.V) int32
+	DistanceStats(u, v qbs.V) qbs.QueryStats
 	Sketch(u, v qbs.V) *qbs.Sketch
 	Landmarks() []qbs.V
 	NumVertices() int
@@ -148,13 +178,17 @@ type Server struct {
 	evErr *obs.EventDef            // http request_error events (5xx)
 	eps   map[string]*endpointView // registry-backed per-endpoint views
 
-	// Query-path instrumentation: per-stage histograms fed as each stage
-	// span is recorded, and engine counters aggregated from the
-	// searcher's QueryStats out-param.
-	stage      [obs.NumStages]*obs.Histogram
-	engArcs    *obs.Counter
-	engEntries *obs.Counter
+	// Query-path instrumentation: each query endpoint's per-stage
+	// histograms, fed as each stage span is recorded, and engine counters
+	// aggregated from the searcher's QueryStats out-param.
+	spgStages, distanceStages, pathsStages *stageSeries
+	engArcs                                *obs.Counter
+	engEntries                             *obs.Counter
 }
+
+// stageSeries is one endpoint's qbs_query_stage_ns histograms, labelled
+// endpoint and stage, indexed by stage.
+type stageSeries [obs.NumStages]*obs.Histogram
 
 // endpointView holds one endpoint's registry-backed series.
 type endpointView struct {
@@ -234,13 +268,23 @@ func (s *Server) SetReplicationStatus(fn func() ReplicationStatus) {
 // an attack, rejected with 413 before it can balloon server memory.
 const maxWriteBody = 64 << 10
 
+// tracedHandler is a handler behind the instrumentation middleware: tb
+// is the request's span buffer, which the handler records its stages
+// into.
+type tracedHandler func(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf)
+
+// statusWriters recycles the wrappers that read the status of a reply
+// written through a writer other than the loop's.
+var statusWriters = sync.Pool{New: func() any { return new(obs.StatusWriter) }}
+
 // handle registers h under pattern behind the one instrumentation
 // middleware: request/error counters, latency histogram, trace intake
-// (obs.Tracer.BeginRequest) and span recording with tail sampling — the
-// handler finds the request's span buffer in its context. name is the
-// endpoint label of the /metrics series (the route path without the
-// method).
-func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
+// (obs.Tracer.BeginRequest, its ID echoed on the reply) and span
+// recording with tail sampling. name is the endpoint label of the
+// /metrics series (the route path without the method). Under the loop
+// the middleware allocates nothing: the loop's writer keeps the status,
+// and the span buffer is handed to h, not put in a context.
+func (s *Server) handle(pattern, name string, h tracedHandler) {
 	ep, ok := s.eps[name]
 	if !ok {
 		lbl := `endpoint="` + obs.EscapeLabel(name) + `"`
@@ -252,19 +296,28 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 		s.eps[name] = ep
 	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		tracer := s.src.Tracer
-		tb := tracer.BeginRequest(name, w, r)
-		rec := &obs.StatusWriter{ResponseWriter: w}
-		h(rec, r.WithContext(obs.NewContext(r.Context(), tb)))
-		dur := time.Since(start)
-		status := rec.Status()
+		tb := tracer.BeginRequest(name, r)
+		root := tb.Root() // its span times the request
+		setHeader(w, obs.TraceHeader, tb.TraceID)
+		var status int
+		if rw, ok := w.(*response); ok {
+			h(rw, r, tb)
+			status = rw.statusSent()
+		} else {
+			sw := statusWriters.Get().(*obs.StatusWriter)
+			sw.Reset(w)
+			h(sw, r, tb)
+			status = sw.Status()
+			sw.Reset(nil)
+			statusWriters.Put(sw)
+		}
+		root.End()
 		ep.requests.Inc()
 		if status >= 400 {
 			ep.errors.Inc()
 		}
-		ep.latency.Observe(dur)
-		root := tb.Root()
+		ep.latency.Observe(root.Dur)
 		root.SetInt("status", int64(status))
 		if status >= 500 {
 			// 5xx responses journal an error-level event carrying the
@@ -323,8 +376,10 @@ func (s *Server) routes() {
 	}
 	s.evErr = s.src.Journal.Def("http", "request_error", obs.LevelError)
 	s.eps = map[string]*endpointView{}
-	for i := obs.Stage(0); i < obs.NumStages; i++ {
-		s.stage[i] = s.reg.Histogram("qbs_query_stage_ns", `stage="`+i.String()+`"`)
+	s.spgStages = s.stageSeries("/spg")
+	s.distanceStages = s.stageSeries("/distance")
+	if !s.directed {
+		s.pathsStages = s.stageSeries("/paths")
 	}
 	s.engArcs = s.reg.Counter("qbs_query_arcs_scanned_total", "")
 	s.engEntries = s.reg.Counter("qbs_query_label_entries_total", "")
@@ -378,27 +433,39 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = obs.WritePrometheus(w, regs...)
 }
 
+// stageSeries registers the stage histograms of one endpoint.
+func (s *Server) stageSeries(endpoint string) *stageSeries {
+	ss := new(stageSeries)
+	for i := range ss {
+		ss[i] = s.reg.Histogram("qbs_query_stage_ns",
+			`endpoint="`+obs.EscapeLabel(endpoint)+`",stage="`+obs.Stage(i).String()+`"`)
+	}
+	return ss
+}
+
 // recordStage records one measured stage of the request: into the
-// stage's histogram and as a child span of the request.
-func (s *Server) recordStage(tb *obs.TraceBuf, stage obs.Stage, start time.Time, dur time.Duration) *obs.Span {
-	s.stage[stage].ObserveNs(int64(dur))
+// endpoint's histogram of the stage and as a child span of the request.
+func (ss *stageSeries) recordStage(tb *obs.TraceBuf, stage obs.Stage, start time.Time, dur time.Duration) *obs.Span {
+	ss[stage].ObserveNs(int64(dur))
 	return tb.AddSpan(stage.SpanName(), start, dur)
 }
 
 // endParse closes the parse stage, begun at start: handler entry through
 // argument validation. It returns the moment the stage ended, which is
 // when the index search starts.
-func (s *Server) endParse(tb *obs.TraceBuf, start time.Time) time.Time {
+func (ss *stageSeries) endParse(tb *obs.TraceBuf, start time.Time) time.Time {
 	now := time.Now()
-	s.recordStage(tb, obs.StageParse, start, now.Sub(start))
+	ss.recordStage(tb, obs.StageParse, start, now.Sub(start))
 	return now
 }
 
-// recordQuery folds one query's stats — of an index of either kind —
-// into the engine counters and the request's trace: query identity on
-// the root span, the three stages of the search laid end to end from
-// start, when it began, each engine counter on the stage that ran it up.
-func (s *Server) recordQuery(tb *obs.TraceBuf, start time.Time, u, v qbs.V, st qbs.QueryStats) {
+// recordQuery folds one search's stats — of an index of either kind, an
+// answer's or a distance's — into the engine counters and the request's
+// trace: query identity on the root span, the stages of the search laid
+// end to end from start, when it began, each engine counter on the stage
+// that ran it up. A distance extracts nothing and records no extract
+// stage.
+func (s *Server) recordQuery(ss *stageSeries, tb *obs.TraceBuf, start time.Time, u, v qbs.V, st qbs.QueryStats, extracted bool) {
 	s.engArcs.Add(st.ArcsScanned)
 	s.engEntries.Add(st.LabelEntries)
 	root := tb.Root()
@@ -406,9 +473,11 @@ func (s *Server) recordQuery(tb *obs.TraceBuf, start time.Time, u, v qbs.V, st q
 	root.SetInt("v", int64(v))
 	root.SetInt("dist", int64(st.Dist))
 	sketch, expand, extract := time.Duration(st.SketchNs), time.Duration(st.ExpandNs), time.Duration(st.ExtractNs)
-	s.recordStage(tb, obs.StageSketch, start, sketch).SetInt("label_entries", st.LabelEntries)
-	s.recordStage(tb, obs.StageExpand, start.Add(sketch), expand).SetInt("arcs_scanned", st.ArcsScanned)
-	s.recordStage(tb, obs.StageExtract, start.Add(sketch+expand), extract)
+	ss.recordStage(tb, obs.StageSketch, start, sketch).SetInt("label_entries", st.LabelEntries)
+	ss.recordStage(tb, obs.StageExpand, start.Add(sketch), expand).SetInt("arcs_scanned", st.ArcsScanned)
+	if extracted {
+		ss.recordStage(tb, obs.StageExtract, start.Add(sketch+expand), extract)
+	}
 }
 
 func (s *Server) handleEdgesMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
@@ -445,14 +514,35 @@ func (s *Server) parseVertex(w http.ResponseWriter, name, raw string) (qbs.V, bo
 	return qbs.V(id), true
 }
 
-// pair parses the u and v parameters out of q, the request's query
-// string, which every read handler parses once and hands down.
-func (s *Server) pair(w http.ResponseWriter, q url.Values) (u, v qbs.V, ok bool) {
-	u, ok = s.parseVertex(w, "u", q.Get("u"))
+// queryGet returns url.ParseQuery(q).Get(key) for a non-empty key,
+// without building the map: a query holding no escape ('%' or '+') is
+// read in place, any other goes through url.ParseQuery.
+func queryGet(q, key string) string {
+	if strings.ContainsAny(q, "%+") {
+		vs, _ := url.ParseQuery(q)
+		return vs.Get(key)
+	}
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if strings.IndexByte(pair, ';') >= 0 {
+			continue // url.ParseQuery drops the pair
+		}
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
+}
+
+// pair parses the u and v parameters out of q, the request's raw query
+// string, which every read handler reads in place.
+func (s *Server) pair(w http.ResponseWriter, q string) (u, v qbs.V, ok bool) {
+	u, ok = s.parseVertex(w, "u", queryGet(q, "u"))
 	if !ok {
 		return
 	}
-	v, ok = s.parseVertex(w, "v", q.Get("v"))
+	v, ok = s.parseVertex(w, "v", queryGet(q, "v"))
 	return
 }
 
@@ -464,8 +554,8 @@ func (s *Server) pair(w http.ResponseWriter, q url.Values) (u, v qbs.V, ok bool)
 // for and is always fresh enough. Epochs are monotonic, so a snapshot
 // resolved after this check is at least as fresh as the epoch observed
 // here.
-func (s *Server) freshEnough(w http.ResponseWriter, q url.Values) bool {
-	raw := q.Get("min_epoch")
+func (s *Server) freshEnough(w http.ResponseWriter, q string) bool {
+	raw := queryGet(q, "min_epoch")
 	if raw == "" {
 		return true
 	}
@@ -597,8 +687,8 @@ func (sc *scratch) release() {
 // handler records: assembling the response from the query's result,
 // encoding it and handing it to the connection.
 func (sc *scratch) send(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
+	setHeader(w, "Content-Type", "application/json")
+	setHeader(w, "Content-Length", strconv.Itoa(len(sc.buf)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.buf)
 }
@@ -623,9 +713,9 @@ func (sc *scratch) assembleSPG(resp SPGResponse, dTop int32) {
 	sc.buf, sc.at = appendSPGResponse(sc.buf[:0], &resp, sc.dag.Edges(), sc.at)
 }
 
-func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
 	pStart := time.Now()
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	if !s.freshEnough(w, q) {
 		return
 	}
@@ -633,12 +723,12 @@ func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tb := obs.FromContext(r.Context())
-	qStart := s.endParse(tb, pStart)
+	ss := s.spgStages
+	qStart := ss.endParse(tb, pStart)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
-	s.recordQuery(tb, qStart, u, v, st)
+	s.recordQuery(ss, tb, qStart, u, v, st, true)
 	start := time.Now()
 	sc.assembleSPG(SPGResponse{
 		Source:      u,
@@ -648,7 +738,7 @@ func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request) {
 		Directed:    s.directed,
 	}, st.DTop)
 	sc.send(w)
-	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
+	ss.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
 
 // DistanceResponse is the JSON body of /distance.
@@ -659,8 +749,11 @@ type DistanceResponse struct {
 	Disconnected bool   `json:"disconnected"`
 }
 
-func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+// handleDistance answers /distance through a pooled scratch: the same
+// stages, buffer and single write as /spg, and no allocation of its own.
+func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
+	pStart := time.Now()
+	q := r.URL.RawQuery
 	if !s.freshEnough(w, q) {
 		return
 	}
@@ -668,25 +761,22 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.sendDistance(w, r, u, v, s.b.Distance(u, v))
-}
-
-// sendDistance answers /distance through a pooled scratch: the same
-// buffer and single write as /spg, and no allocation of its own but the
-// Content-Length header.
-func (s *Server) sendDistance(w http.ResponseWriter, r *http.Request, u, v, d int32) {
+	ss := s.distanceStages
+	qStart := ss.endParse(tb, pStart)
+	st := s.b.DistanceStats(u, v)
+	s.recordQuery(ss, tb, qStart, u, v, st, false)
 	start := time.Now()
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	resp := DistanceResponse{Source: u, Target: v}
-	if d == qbs.InfDist {
+	if st.Dist == qbs.InfDist {
 		resp.Disconnected = true
 	} else {
-		resp.Distance = &d
+		resp.Distance = &st.Dist
 	}
 	sc.buf = appendDistanceResponse(sc.buf[:0], &resp)
 	sc.send(w)
-	s.recordStage(obs.FromContext(r.Context()), obs.StageSerialize, start, time.Since(start))
+	ss.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
 
 // SketchResponse is the JSON body of /sketch.
@@ -698,8 +788,8 @@ type SketchResponse struct {
 	Landmarks []int32    `json:"landmarks"`
 }
 
-func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request, _ *obs.TraceBuf) {
+	q := r.URL.RawQuery
 	if !s.freshEnough(w, q) {
 		return
 	}
@@ -735,9 +825,9 @@ type PathsResponse struct {
 	Truncated         bool      `json:"truncated"`
 }
 
-func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
 	pStart := time.Now()
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	if !s.freshEnough(w, q) {
 		return
 	}
@@ -746,7 +836,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	limit := 16
-	if raw := q.Get("limit"); raw != "" {
+	if raw := queryGet(q, "limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 || n > 1024 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "limit must be in [1,1024]"})
@@ -754,12 +844,12 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	tb := obs.FromContext(r.Context())
-	qStart := s.endParse(tb, pStart)
+	ss := s.pathsStages
+	qStart := ss.endParse(tb, pStart)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
-	s.recordQuery(tb, qStart, u, v, st)
+	s.recordQuery(ss, tb, qStart, u, v, st, true)
 	start := time.Now()
 	resp := PathsResponse{Source: u, Target: v}
 	if sc.spg.Dist != qbs.InfDist {
@@ -778,7 +868,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(&resp) // the body holds only numbers and slices of them
 	sc.buf = buf.Bytes()
 	sc.send(w)
-	s.recordStage(tb, obs.StageSerialize, start, time.Since(start))
+	ss.recordStage(tb, obs.StageSerialize, start, time.Since(start))
 }
 
 // DynamicStatsResponse is the dynamic-maintenance section of /stats
@@ -814,7 +904,7 @@ type StatsResponse struct {
 	Dynamic        *DynamicStatsResponse `json:"dynamic,omitempty"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, _ *obs.TraceBuf) {
 	nv, ne := s.b.NumVertices(), s.b.NumEdges()
 	resp := StatsResponse{
 		Vertices:     nv,
@@ -879,7 +969,7 @@ type EdgeResponse struct {
 	Edges   int    `json:"edges"`
 }
 
-func (s *Server) handleAddEdge(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAddEdge(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
 	if !s.boundBody(w, r) {
 		return
 	}
@@ -897,28 +987,30 @@ func (s *Server) handleAddEdge(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body must be {\"u\":<id>,\"v\":<id>}"})
 		return
 	}
-	s.applyEdge(w, r, qbs.V(*req.U), qbs.V(*req.V), true)
+	s.applyEdge(w, r, tb, qbs.V(*req.U), qbs.V(*req.V), true)
 }
 
-func (s *Server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRemoveEdge(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
 	if !s.drainBounded(w, r) {
 		return
 	}
-	u, v, ok := s.pair(w, r.URL.Query())
+	u, v, ok := s.pair(w, r.URL.RawQuery)
 	if !ok {
 		return
 	}
-	s.applyEdge(w, r, u, v, false)
+	s.applyEdge(w, r, tb, u, v, false)
 }
 
-func (s *Server) applyEdge(w http.ResponseWriter, r *http.Request, u, v qbs.V, insert bool) {
+// applyEdge applies one write under a context carrying the request's span
+// buffer, so the WAL append records its span into the request's trace.
+func (s *Server) applyEdge(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf, u, v qbs.V, insert bool) {
 	if u < 0 || int(u) >= s.b.NumVertices() || v < 0 || int(v) >= s.b.NumVertices() || u == v {
 		writeJSON(w, http.StatusBadRequest, errorBody{
 			Error: fmt.Sprintf("edge {%d,%d} invalid: endpoints must be distinct ids in [0,%d)", u, v, s.b.NumVertices()),
 		})
 		return
 	}
-	res, err := s.dyn.ApplyEdgeCtx(r.Context(), u, v, insert)
+	res, err := s.dyn.ApplyEdgeCtx(obs.NewContext(r.Context(), tb), u, v, insert)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, qbs.ErrDiameterTooLarge) {
@@ -939,7 +1031,7 @@ type CheckpointResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
 	if !s.drainBounded(w, r) {
 		return
 	}
@@ -949,7 +1041,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	sp := obs.FromContext(r.Context()).StartSpan("checkpoint")
+	sp := tb.StartSpan("checkpoint")
 	epoch, err := s.dyn.Checkpoint()
 	if err != nil {
 		sp.Fail()
@@ -967,13 +1059,13 @@ type EpochResponse struct {
 	Edges int    `json:"edges"`
 }
 
-func (s *Server) handleEpoch(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleEpoch(w http.ResponseWriter, _ *http.Request, _ *obs.TraceBuf) {
 	epoch, edges := s.dyn.EpochEdges()
 	writeJSON(w, http.StatusOK, EpochResponse{Epoch: epoch, Edges: edges})
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	setHeader(w, "Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)

@@ -162,7 +162,7 @@ func TestExemplarOnRetainedTrace(t *testing.T) {
 	if err := obs.ValidateExposition(rec.Body.Bytes()); err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, body)
 	}
-	for _, series := range []string{`qbs_http_request_ns{endpoint="/spg",quantile="0.5"} `, `qbs_query_stage_ns{stage="sketch",quantile="0.5"} `} {
+	for _, series := range []string{`qbs_http_request_ns{endpoint="/spg",quantile="0.5"} `, `qbs_query_stage_ns{endpoint="/spg",stage="sketch",quantile="0.5"} `} {
 		i := strings.Index(body, series)
 		if i < 0 {
 			t.Fatalf("exposition lacks %q:\n%s", series, body)

@@ -128,8 +128,9 @@ type Sketch = core.Sketch
 
 // coreReader is the one read path under all three index kinds (see
 // core.Reader): Query, QueryInto, QueryIntoStats, QueryWithStats,
-// Distance, Sketch and QueryBatch of Index, DiIndex and DynamicIndex are
-// its methods. The alias keeps the embedded field unexported.
+// Distance, DistanceStats, Sketch and QueryBatch of Index, DiIndex and
+// DynamicIndex are its methods. The alias keeps the embedded field
+// unexported.
 type coreReader = core.Reader
 
 // Pair is one query pair for QueryBatch.
