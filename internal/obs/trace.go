@@ -91,10 +91,6 @@ type StatusWriter struct {
 	code int
 }
 
-// Reset points w at rw, with no status seen: how a pooled StatusWriter
-// is reused.
-func (w *StatusWriter) Reset(rw http.ResponseWriter) { w.ResponseWriter, w.code = rw, 0 }
-
 func (w *StatusWriter) WriteHeader(code int) {
 	if w.code == 0 {
 		w.code = code

@@ -45,7 +45,8 @@ type HeadParser struct {
 	base http.Request
 }
 
-// Parse reads the head at the start of b as the loop does: the request
-// and the length of its head, or nil and 0 when the loop would leave b
-// to http.ReadRequest. The request is valid until the next Parse.
+// Parse reads the head at the start of b as the loop does: the request,
+// or nil when the loop would leave b to http.ReadRequest, and the length
+// of the head, or 0 when b does not hold all of it. The request is valid
+// until the next Parse.
 func (p *HeadParser) Parse(b []byte) (*http.Request, int) { return p.h.parse(b, &p.base) }

@@ -37,24 +37,25 @@ var (
 
 // parse reads the request head at the start of b into h's request, whose
 // every field but the context it resets from base. It returns the
-// request and the length of its head, or nil and 0 when it leaves the
-// head to http.ReadRequest.
+// request, or nil when it leaves the head to http.ReadRequest, and the
+// length of the head, or 0 when b does not hold all of it.
 func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 	end := bytes.Index(b, blankLine)
 	if end < 0 {
 		return nil, 0
 	}
+	size := end + len(blankLine)
 	buf := append(h.buf[:0], b[:end]...)
 	h.buf = buf
 	line, rest, more := bytes.Cut(buf, crlf)
 	// The request line: http.ReadRequest cuts it at the first two spaces.
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 < 0 {
-		return nil, 0
+		return nil, size
 	}
 	sp2 := bytes.IndexByte(line[sp1+1:], ' ') + sp1 + 1
 	if sp2 == sp1 {
-		return nil, 0
+		return nil, size
 	}
 	method, uri := line[:sp1], line[sp1+1:sp2]
 	var minor int
@@ -63,10 +64,10 @@ func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 		minor = 1
 	case "HTTP/1.0":
 	default:
-		return nil, 0
+		return nil, size
 	}
 	if !validToken(method) || string(method) == http.MethodConnect || !requestPath(uri) {
-		return nil, 0
+		return nil, size
 	}
 
 	// The header fields, one a line, their names made canonical in place.
@@ -77,7 +78,7 @@ func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 		l, rest, more = bytes.Cut(rest, crlf)
 		f, ok := headerField(l, off)
 		if !ok {
-			return nil, 0
+			return nil, size
 		}
 		off += len(l) + len(crlf)
 		name := buf[f.k0:f.k1]
@@ -85,19 +86,19 @@ func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 		switch string(name) {
 		case "Host":
 			if host >= 0 {
-				return nil, 0 // http.ReadRequest refuses a second Host
+				return nil, size // http.ReadRequest refuses a second Host
 			}
 			host = len(h.fields)
 		case "Content-Length":
 			// Past a lone zero, a body or a length for http.ReadRequest to
 			// judge.
 			if string(buf[f.v0:f.v1]) != "0" || length {
-				return nil, 0
+				return nil, size
 			}
 			length = true
 		case "Transfer-Encoding", "Pragma":
 			// A body, or a header http.ReadRequest rewrites.
-			return nil, 0
+			return nil, size
 		}
 		h.fields = append(h.fields, f)
 	}
@@ -142,7 +143,7 @@ func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 	r.Header = h.hdr
 	r.Body = http.NoBody
 	r.Close = shouldClose(minor, h.hdr["Connection"])
-	return r, end + len(blankLine)
+	return r, size
 }
 
 // release drops every reference to the last request before the

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -273,7 +272,7 @@ func (c *conn) serve() {
 		} else {
 			// Reading a head not all buffered yet can block: under the
 			// header timeout.
-			if n > 0 && !bytes.Contains(buffered, blankLine) {
+			if n > 0 && size == 0 {
 				c.deadline(c.l.header)
 			}
 			var err error

@@ -261,6 +261,11 @@ func FuzzHeadParse(f *testing.F) {
 			t.Fatal("the loop leaves a plain GET to http.ReadRequest")
 		}
 		got, n := p.Parse(b)
+		// The head's length is also what the loop's header timeout reads:
+		// 0 only while the blank line that ends the head is not buffered.
+		if end := bytes.Index(b, []byte("\r\n\r\n")); end < 0 && n != 0 || end >= 0 && n != end+4 {
+			t.Fatalf("the loop measures the head of %q as %d bytes", b, n)
+		}
 		if got == nil {
 			return
 		}

@@ -273,10 +273,6 @@ const maxWriteBody = 64 << 10
 // into.
 type tracedHandler func(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf)
 
-// statusWriters recycles the wrappers that read the status of a reply
-// written through a writer other than the loop's.
-var statusWriters = sync.Pool{New: func() any { return new(obs.StatusWriter) }}
-
 // handle registers h under pattern behind the one instrumentation
 // middleware: request/error counters, latency histogram, trace intake
 // (obs.Tracer.BeginRequest, its ID echoed on the reply) and span
@@ -305,12 +301,9 @@ func (s *Server) handle(pattern, name string, h tracedHandler) {
 			h(rw, r, tb)
 			status = rw.statusSent()
 		} else {
-			sw := statusWriters.Get().(*obs.StatusWriter)
-			sw.Reset(w)
+			sw := &obs.StatusWriter{ResponseWriter: w}
 			h(sw, r, tb)
 			status = sw.Status()
-			sw.Reset(nil)
-			statusWriters.Put(sw)
 		}
 		root.End()
 		ep.requests.Inc()
