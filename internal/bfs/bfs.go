@@ -47,33 +47,3 @@ func Distances(g graph.Adjacency, source graph.V) []int32 {
 	}
 	return dist
 }
-
-// Distance returns d_G(u, v), or Infinity if disconnected. It early-exits
-// once v is reached.
-func Distance(g graph.Adjacency, u, v graph.V) int32 {
-	if u == v {
-		return 0
-	}
-	n := g.NumVertices()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = Infinity
-	}
-	dist[u] = 0
-	queue := make([]graph.V, 1, 1024)
-	queue[0] = u
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		dx := dist[x]
-		for _, w := range g.Neighbors(x) {
-			if dist[w] == Infinity {
-				if w == v {
-					return dx + 1
-				}
-				dist[w] = dx + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return Infinity
-}

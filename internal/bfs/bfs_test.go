@@ -18,27 +18,11 @@ func TestDistancesOnPath(t *testing.T) {
 	}
 }
 
-func TestDistanceEarlyExitMatchesFull(t *testing.T) {
-	g := graph.ErdosRenyi(300, 700, 5)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		u := graph.V(rng.Intn(300))
-		v := graph.V(rng.Intn(300))
-		full := Distances(g, u)[v]
-		if got := Distance(g, u, v); got != full {
-			t.Fatalf("Distance(%d,%d)=%d, full BFS %d", u, v, got, full)
-		}
-	}
-}
-
 func TestDistancesDisconnected(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, W: 1}})
 	d := Distances(g, 0)
 	if d[2] != Infinity || d[3] != Infinity {
 		t.Fatal("unreachable vertices must be Infinity")
-	}
-	if Distance(g, 0, 3) != Infinity {
-		t.Fatal("Distance must be Infinity")
 	}
 }
 

@@ -40,3 +40,33 @@ func onShortest(distU, distV []int32, d int32, x, y graph.V) bool {
 	}
 	return distU[y] != Infinity && distV[x] != Infinity && distU[y]+1+distV[x] == d
 }
+
+// OracleDiSPG computes the directed shortest path graph by brute force:
+// forward distances from u over out-arcs, backward distances to v over
+// in-arcs, and the arc filter d(u,x) + 1 + d(y,v) = d(u,v). The directed
+// ground truth for tests.
+func OracleDiSPG(g *graph.DiGraph, u, v graph.V) *graph.SPG {
+	s := graph.NewDiSPG(u, v)
+	if u == v {
+		s.Dist = 0
+		return s
+	}
+	from := Distances(g.OutView(), u)
+	if from[v] == Infinity {
+		return s
+	}
+	to := Distances(g.InView(), v)
+	d := from[v]
+	s.Dist = d
+	for x := graph.V(0); x < graph.V(g.NumVertices()); x++ {
+		if from[x] == Infinity || from[x] >= d {
+			continue
+		}
+		for _, y := range g.Out(x) {
+			if to[y] != Infinity && from[x]+1+to[y] == d {
+				s.AddEdge(x, y)
+			}
+		}
+	}
+	return s
+}

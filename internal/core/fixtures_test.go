@@ -54,7 +54,7 @@ func (tg testGraph) check(t *testing.T, sr *Searcher, u, v graph.V) {
 	}
 	var err error
 	if g := tg.dir; g != nil {
-		err = got.Verify(g.OutView(), bfs.DiDistancesFrom(g, u), bfs.DiDistancesTo(g, v))
+		err = got.Verify(g.OutView(), bfs.Distances(g.OutView(), u), bfs.Distances(g.InView(), v))
 	} else {
 		err = got.Verify(tg.und, bfs.Distances(tg.und, u), bfs.Distances(tg.und, v))
 	}

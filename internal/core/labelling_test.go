@@ -69,7 +69,7 @@ func TestMetaEdgeWeightsSymmetricAndExact(t *testing.T) {
 				t.Fatalf("meta edge (%d,%d) asymmetric", i, j)
 			}
 			if okij {
-				want := bfs.Distance(g, ix.Landmarks()[i], ix.Landmarks()[j])
+				want := bfs.Distances(g, ix.Landmarks()[i])[ix.Landmarks()[j]]
 				if wij != want {
 					t.Fatalf("σ(%d,%d)=%d want %d", i, j, wij, want)
 				}

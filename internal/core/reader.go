@@ -88,9 +88,13 @@ func (r *Reader) DistanceStats(u, v graph.V) QueryStats {
 	return sr.DistanceStats(u, v)
 }
 
-// Sketch computes the query sketch S_uv (for introspection; Query
-// computes it internally).
-func (r *Reader) Sketch(u, v graph.V) *Sketch { return r.current().Sketch(u, v) }
+// Sketch returns an allocated copy of the query sketch S_uv, computed
+// by the searcher as a query computes it (see Searcher.Sketch).
+func (r *Reader) Sketch(u, v graph.V) *Sketch {
+	sr := r.searcher(r.current())
+	defer r.pool.Put(sr)
+	return sr.Sketch(u, v)
+}
 
 // Pair is one query pair for QueryBatch.
 type Pair struct{ U, V graph.V }

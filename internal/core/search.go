@@ -114,10 +114,11 @@ type Searcher struct {
 	walkMark *traverse.Marks // scratch for label walks
 	cross    []graph.Arc     // arcs between the two visited sets, in the last expansion's push orientation
 	ends     [2][]graph.V    // their endpoints, per side: where the reverse search starts
-	metaBuf  []int32
-	out      []graph.Arc // the answer's oriented pairs, handed to the result
+	out      []graph.Arc     // the answer's oriented pairs, handed to the result
 
 	pairs        []SketchPair
+	metaKept     []int32  // the sketch's meta-edges (sketchMetaEdges)
+	metaBuf      []int32  // a pair's meta-edges where the meta state has no table for them
 	metaGen      []uint32 // per meta-edge dedup generation
 	metaCur      uint32
 	walkCur      []graph.V
@@ -532,30 +533,10 @@ func (sr *Searcher) recover(st *QueryStats) {
 		}
 	}
 
-	// Meta-edges on shortest meta-paths of minimizing pairs → Δ arcs,
-	// each meta-edge once per query: metaGen[k] == metaCur marks k as
-	// emitted. A pooled searcher outlives 2³² queries; when the generation
-	// wraps, stamps left by the queries 2³² back would read as "emitted"
-	// and their Δ arcs would be dropped, so the stamps are wiped and the
-	// count restarts above the 0 a wiped stamp holds.
-	sr.metaCur++
-	if sr.metaCur == 0 {
-		clear(sr.metaGen)
-		sr.metaCur = 1
-	}
-	for _, p := range sr.pairs {
-		if p.R == p.RPrime {
-			continue
-		}
-		sr.metaBuf = ix.ms.metaSPGEdges(p.R, p.RPrime, sr.metaBuf)
-		for _, k := range sr.metaBuf {
-			if sr.metaGen[k] == sr.metaCur {
-				continue
-			}
-			sr.metaGen[k] = sr.metaCur
-			for _, e := range ix.delta[k] {
-				sr.out = append(sr.out, graph.Arc{From: e.U, To: e.W})
-			}
+	// The sketch's meta-edges → Δ arcs.
+	for _, k := range sr.sketchMetaEdges() {
+		for _, e := range ix.delta[k] {
+			sr.out = append(sr.out, graph.Arc{From: e.U, To: e.W})
 		}
 	}
 }

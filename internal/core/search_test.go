@@ -292,6 +292,7 @@ func TestSketchUpperBoundTight(t *testing.T) {
 	// landmark: min over r of d(u,r) + d(r,v).
 	g := connected(graph.ErdosRenyi(150, 300, 9))
 	ix := MustBuild(g, Options{NumLandmarks: 8})
+	sr := NewSearcher(ix)
 	landDist := make([][]int32, ix.NumLandmarks())
 	for i, r := range ix.Landmarks() {
 		landDist[i] = bfs.Distances(g, r)
@@ -308,7 +309,7 @@ func TestSketchUpperBoundTight(t *testing.T) {
 				want = du + dv
 			}
 		}
-		sk := ix.Sketch(u, v)
+		sk := sr.Sketch(u, v)
 		if sk.DTop != want {
 			t.Fatalf("d⊤(%d,%d)=%d want %d", u, v, sk.DTop, want)
 		}
@@ -625,7 +626,7 @@ func TestDedupGenerationWraps(t *testing.T) {
 	twoLandmarks := 0
 	for i, p := range pairs {
 		want[i] = bfs.OracleSPG(g, p[0], p[1])
-		if _, st := sr.QueryWithStats(p[0], p[1]); st.UsedRecover && len(sr.metaBuf) > 0 {
+		if _, st := sr.QueryWithStats(p[0], p[1]); st.UsedRecover && len(sr.metaKept) > 0 {
 			twoLandmarks++
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"qbs/internal/graph"
 )
 
@@ -13,8 +15,13 @@ import (
 // over all label pairs (Definition 4.5, Eq. 3), and record the minimizing
 // landmark pairs. The sketch's edges are: (u, r) and (r', v) for each
 // minimizing pair, plus every meta-edge on a shortest r–r' path in M.
-// With label entries capped at |R| per endpoint, the pair scan is O(|R|²)
-// and meta-edge enumeration O(|R|²) per minimizing pair.
+// With label entries capped at |R| per endpoint, the pair scan is O(|R|²).
+// The meta-edges of a pair are a row of the meta state's precomputed
+// shortest-meta-path table (an O(|meta|) scan only where that table was
+// capped out), read by the one walk recover expands Δ from.
+//
+// The sketch lives in the Searcher's buffers (Searcher.computeSketch);
+// Searcher.Sketch copies it out.
 
 // SketchEndpoint is a sketch edge incident to a query endpoint: the
 // landmark rank and σ_S = the labelled distance.
@@ -28,27 +35,23 @@ type SketchPair struct {
 	R, RPrime int
 }
 
-// Sketch is the paper's S_uv. It is produced by Index.Sketch and consumed
-// by the guided search; tests and the sketch-effectiveness benchmarks
-// introspect it.
+// Sketch is the paper's S_uv: an allocated copy of the sketch a query
+// computes, returned by Searcher.Sketch for introspection (/sketch,
+// Reader.Sketch, tests and the sketch-effectiveness benchmarks).
 type Sketch struct {
 	U, V graph.V
 	// DTop is d⊤_uv, the length of the shortest u–v path through at least
 	// one landmark (graph.InfDist when no such path exists).
 	DTop int32
-	// DStarU and DStarV are the per-side search bounds of Eq. 4:
-	// max σ_S(r, t) − 1 over sketch edges at that endpoint (0 when the
-	// endpoint has no sketch edges). Introspection only: the search no
-	// longer steers by them.
-	DStarU, DStarV int32
-	// Pairs are the minimizing landmark pairs.
+	// Pairs are the minimizing landmark pairs, u's entries outer.
 	Pairs []SketchPair
-	// USide and VSide are the sketch edges at u and v, deduplicated by
-	// landmark. For a landmark endpoint the side holds the single virtual
-	// entry (rank(t), 0).
+	// USide and VSide are the sketch edges at u and v, one per landmark,
+	// in the order Pairs first names them. For a landmark endpoint the
+	// side holds the single virtual entry (rank(t), 0).
 	USide, VSide []SketchEndpoint
 	// MetaEdges are indices into Index.MetaEdges() of meta-edges on
-	// shortest r–r' meta-paths of minimizing pairs.
+	// shortest r–r' meta-paths of minimizing pairs, each once, in the
+	// order of the first pair whose meta-paths hold it.
 	MetaEdges []int
 }
 
@@ -69,65 +72,63 @@ func (ix *Index) entryList(t graph.V, labels [][]uint8, buf []SketchEndpoint) []
 	return buf
 }
 
-// Sketch computes S_uv. It allocates the result; the query hot path uses
-// the Searcher's internal variant instead.
-func (ix *Index) Sketch(u, v graph.V) *Sketch {
-	s := &Sketch{U: u, V: v, DTop: graph.InfDist}
-	uEntries := ix.entryList(u, ix.labelTo, nil)
-	vEntries := ix.entryList(v, ix.labelFrom, nil)
-
-	// Pass 1: d⊤.
-	for _, eu := range uEntries {
-		row := eu.Rank * ix.numLand
-		for _, ev := range vEntries {
-			dm := ix.ms.distM[row+ev.Rank]
-			if dm == graph.InfDist {
-				continue
-			}
-			if pi := eu.Sigma + dm + ev.Sigma; pi < s.DTop {
-				s.DTop = pi
-			}
+// Sketch computes S_uv with the sketch every query runs and returns an
+// allocated copy of it; the searcher keeps none of it.
+func (sr *Searcher) Sketch(u, v graph.V) *Sketch {
+	s := &Sketch{U: u, V: v, DTop: sr.computeSketch(u, v)}
+	if s.DTop != graph.InfDist {
+		s.Pairs = slices.Clone(sr.pairs)
+		s.USide = sr.fwd.sketchEdges()
+		s.VSide = sr.bwd.sketchEdges()
+		for _, k := range sr.sketchMetaEdges() {
+			s.MetaEdges = append(s.MetaEdges, int(k))
 		}
 	}
-	if s.DTop == graph.InfDist {
-		return s
-	}
-
-	// Pass 2: minimizing pairs and sketch edges.
-	uSeen := make(map[int]int32)
-	vSeen := make(map[int]int32)
-	metaSeen := make(map[int]struct{})
-	for _, eu := range uEntries {
-		row := eu.Rank * ix.numLand
-		for _, ev := range vEntries {
-			dm := ix.ms.distM[row+ev.Rank]
-			if dm == graph.InfDist || eu.Sigma+dm+ev.Sigma != s.DTop {
-				continue
-			}
-			s.Pairs = append(s.Pairs, SketchPair{R: eu.Rank, RPrime: ev.Rank})
-			uSeen[eu.Rank] = eu.Sigma
-			vSeen[ev.Rank] = ev.Sigma
-			if eu.Rank != ev.Rank {
-				for k := range ix.ms.meta {
-					if _, dup := metaSeen[k]; !dup && ix.ms.onMetaShortestPath(eu.Rank, ev.Rank, k) {
-						metaSeen[k] = struct{}{}
-						s.MetaEdges = append(s.MetaEdges, k)
-					}
-				}
-			}
-		}
-	}
-	for rank, sig := range uSeen {
-		s.USide = append(s.USide, SketchEndpoint{Rank: rank, Sigma: sig})
-		if sig-1 > s.DStarU {
-			s.DStarU = sig - 1
-		}
-	}
-	for rank, sig := range vSeen {
-		s.VSide = append(s.VSide, SketchEndpoint{Rank: rank, Sigma: sig})
-		if sig-1 > s.DStarV {
-			s.DStarV = sig - 1
-		}
-	}
+	sr.releaseSketch()
 	return s
+}
+
+// sketchEdges copies the sketch edges kept at the side's endpoint.
+func (s *searchSide) sketchEdges() []SketchEndpoint {
+	es := make([]SketchEndpoint, len(s.ranks))
+	for i, r := range s.ranks {
+		es[i] = SketchEndpoint{Rank: r, Sigma: s.sigma[r]}
+	}
+	return es
+}
+
+// sketchMetaEdges lists the sketch's meta-edges: those on shortest r→r'
+// meta-paths of the minimizing pairs, each once, in pair order. The list
+// is the searcher's, overwritten by the next call.
+//
+// Each meta-edge is kept once per call: metaGen[k] == metaCur marks k as
+// kept. A pooled searcher outlives 2³² queries; when the generation
+// wraps, stamps left by the calls 2³² back would read as "kept" and the
+// meta-edges would be dropped, so the stamps are wiped and the count
+// restarts above the 0 a wiped stamp holds.
+func (sr *Searcher) sketchMetaEdges() []int32 {
+	ms := sr.ix.ms
+	sr.metaCur++
+	if sr.metaCur == 0 {
+		clear(sr.metaGen)
+		sr.metaCur = 1
+	}
+	kept := sr.metaKept[:0]
+	for _, p := range sr.pairs {
+		if p.R == p.RPrime {
+			continue
+		}
+		ids := ms.metaSPGEdges(p.R, p.RPrime, sr.metaBuf)
+		if ms.spg == nil {
+			sr.metaBuf = ids // scratch only: a table row is the meta state's
+		}
+		for _, k := range ids {
+			if sr.metaGen[k] != sr.metaCur {
+				sr.metaGen[k] = sr.metaCur
+				kept = append(kept, k)
+			}
+		}
+	}
+	sr.metaKept = kept
+	return kept
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qbs/internal/bfs"
@@ -16,6 +17,7 @@ func TestSketchMinimizingPairsAreExact(t *testing.T) {
 	// label pair must be reported.
 	g := connected(graph.BarabasiAlbert(200, 3, 71))
 	ix := MustBuild(g, Options{NumLandmarks: 10})
+	sr := NewSearcher(ix)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
 		u := graph.V(rng.Intn(g.NumVertices()))
@@ -23,7 +25,7 @@ func TestSketchMinimizingPairsAreExact(t *testing.T) {
 		if u == v {
 			continue
 		}
-		sk := ix.Sketch(u, v)
+		sk := sr.Sketch(u, v)
 		if sk.DTop == graph.InfDist {
 			continue
 		}
@@ -72,51 +74,168 @@ func labelOrVirtual(ix *Index, t graph.V, rank int) (int32, bool) {
 	return ix.LabelEntry(t, rank)
 }
 
-func TestSketchDStarBounds(t *testing.T) {
-	// Eq. 4: d*_t = max σ_S(r, t) − 1 over sketch endpoints.
-	g := connected(graph.ErdosRenyi(150, 400, 81))
-	ix := MustBuild(g, Options{NumLandmarks: 8})
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 80; i++ {
-		u := graph.V(rng.Intn(g.NumVertices()))
-		v := graph.V(rng.Intn(g.NumVertices()))
-		sk := ix.Sketch(u, v)
-		var wantU, wantV int32
-		for _, e := range sk.USide {
-			if e.Sigma-1 > wantU {
-				wantU = e.Sigma - 1
+// referenceSketch is S_uv as the sketch was first computed here, beside
+// the search rather than in it: d⊤ and the minimizing pairs recounted
+// over the two entry lists, each side's sketch edges in the order the
+// pairs first name them, and for each pair a scan of every meta-edge
+// through onMetaShortestPath, deduplicated in pair order. It reads
+// neither the searcher nor the shortest-meta-path table.
+func referenceSketch(ix *Index, u, v graph.V) *Sketch {
+	s := &Sketch{U: u, V: v, DTop: graph.InfDist}
+	uEntries := ix.entryList(u, ix.labelTo, nil)
+	vEntries := ix.entryList(v, ix.labelFrom, nil)
+	piOf := func(eu, ev SketchEndpoint) int32 {
+		dm := ix.ms.distM[eu.Rank*ix.numLand+ev.Rank]
+		if dm == graph.InfDist {
+			return graph.InfDist
+		}
+		return eu.Sigma + dm + ev.Sigma
+	}
+	for _, eu := range uEntries {
+		for _, ev := range vEntries {
+			s.DTop = min(s.DTop, piOf(eu, ev))
+		}
+	}
+	if s.DTop == graph.InfDist {
+		return s
+	}
+	uSeen := make([]bool, ix.numLand)
+	vSeen := make([]bool, ix.numLand)
+	metaSeen := make([]bool, len(ix.ms.meta))
+	for _, eu := range uEntries {
+		for _, ev := range vEntries {
+			if piOf(eu, ev) != s.DTop {
+				continue
+			}
+			s.Pairs = append(s.Pairs, SketchPair{R: eu.Rank, RPrime: ev.Rank})
+			if !uSeen[eu.Rank] {
+				uSeen[eu.Rank] = true
+				s.USide = append(s.USide, eu)
+			}
+			if !vSeen[ev.Rank] {
+				vSeen[ev.Rank] = true
+				s.VSide = append(s.VSide, ev)
+			}
+			if eu.Rank == ev.Rank {
+				continue
+			}
+			for k := range ix.ms.meta {
+				if !metaSeen[k] && ix.ms.onMetaShortestPath(eu.Rank, ev.Rank, k) {
+					metaSeen[k] = true
+					s.MetaEdges = append(s.MetaEdges, k)
+				}
 			}
 		}
-		for _, e := range sk.VSide {
-			if e.Sigma-1 > wantV {
-				wantV = e.Sigma - 1
-			}
+	}
+	return s
+}
+
+// sketchDiff names the first field in which two sketches differ, or
+// returns "" when they are equal element for element.
+func sketchDiff(got, want *Sketch) string {
+	switch {
+	case got.U != want.U || got.V != want.V:
+		return "endpoints"
+	case got.DTop != want.DTop:
+		return "DTop"
+	case !slices.Equal(got.Pairs, want.Pairs):
+		return "Pairs"
+	case !slices.Equal(got.USide, want.USide):
+		return "USide"
+	case !slices.Equal(got.VSide, want.VSide):
+		return "VSide"
+	case !slices.Equal(got.MetaEdges, want.MetaEdges):
+		return "MetaEdges"
+	}
+	return ""
+}
+
+// TestSketchMetaEdgesLieOnShortestMetaPaths holds Searcher.Sketch to the
+// reference element for element, in order, on both graph kinds: once
+// with the meta state's shortest-meta-path table and once without it,
+// the on-the-fly scan a capped table falls back to.
+func TestSketchMetaEdgesLieOnShortestMetaPaths(t *testing.T) {
+	for name, tg := range map[string]testGraph{
+		"ws200":  undirected(connected(graph.WattsStrogatz(200, 6, 0.1, 13))),
+		"ba300":  undirected(connected(graph.BarabasiAlbert(300, 3, 41))),
+		"dsf300": directed(graph.DirectedScaleFree(300, 3, 6)),
+	} {
+		ix := tg.mustBuild(t, Options{NumLandmarks: 12})
+		if ix.ms.spg == nil {
+			t.Fatalf("%s: the shortest-meta-path table capped out at this size", name)
 		}
-		if sk.DStarU != wantU || sk.DStarV != wantV {
-			t.Fatalf("d* mismatch: got (%d,%d) want (%d,%d)", sk.DStarU, sk.DStarV, wantU, wantV)
+		pairs := randomPairs(tg.numVertices(), 150, 7)
+		for _, table := range []bool{true, false} {
+			if !table {
+				ix.ms.spg = nil
+			}
+			sr := NewSearcher(ix)
+			metaEdges := 0
+			for _, p := range pairs {
+				got, want := sr.Sketch(p[0], p[1]), referenceSketch(ix, p[0], p[1])
+				if f := sketchDiff(got, want); f != "" {
+					t.Fatalf("%s table=%v: S(%d,%d) differs in %s:\n got %+v\nwant %+v", name, table, p[0], p[1], f, got, want)
+				}
+				metaEdges += len(got.MetaEdges)
+			}
+			if metaEdges == 0 {
+				t.Fatalf("%s table=%v: no sketch held a meta-edge", name, table)
+			}
 		}
 	}
 }
 
-func TestSketchMetaEdgesLieOnShortestMetaPaths(t *testing.T) {
-	g := connected(graph.WattsStrogatz(200, 6, 0.1, 13))
-	ix := MustBuild(g, Options{NumLandmarks: 12})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 60; i++ {
-		u := graph.V(rng.Intn(g.NumVertices()))
-		v := graph.V(rng.Intn(g.NumVertices()))
-		sk := ix.Sketch(u, v)
-		for _, k := range sk.MetaEdges {
-			ok := false
-			for _, p := range sk.Pairs {
-				if p.R != p.RPrime && ix.ms.onMetaShortestPath(p.R, p.RPrime, k) {
-					ok = true
-					break
+// TestSketchIsTheSearchers: the sketch introspection returns is the one
+// the query ran. On both graph kinds — landmark endpoints, u = v and
+// pairs no path joins included — Reader.Sketch agrees with the same
+// pair's QueryStats (d⊤, the pair count, and no more sketch edges than
+// label entries scanned), two calls return the same slices in the same
+// order, and a sketch taken between two queries on one reader leaves
+// every answer equal to the oracle: the pooled searcher's sketch state
+// is released. A query with u = v returns before it sketches, so that
+// pair is held to the reference instead.
+func TestSketchIsTheSearchers(t *testing.T) {
+	for name, tg := range map[string]testGraph{
+		"ba300":  undirected(connected(graph.BarabasiAlbert(300, 3, 41))),
+		"er300":  undirected(graph.ErdosRenyi(300, 360, 2)),
+		"dsf300": directed(graph.DirectedScaleFree(300, 3, 6)),
+		"der300": directed(graph.DirectedErdosRenyi(300, 1200, 3)),
+	} {
+		ix := tg.mustBuild(t, Options{NumLandmarks: 16})
+		rd := NewReader(func() *Index { return ix })
+		pairs := randomPairs(tg.numVertices(), 200, 11)
+		for i, r := range ix.Landmarks()[:4] {
+			x := pairs[i][0]
+			pairs = append(pairs, [2]graph.V{r, x}, [2]graph.V{x, r}, [2]graph.V{r, ix.Landmarks()[i+1]}, [2]graph.V{r, r}, [2]graph.V{x, x})
+		}
+		var dst graph.SPG
+		disconnected := 0
+		for _, p := range pairs {
+			u, v := p[0], p[1]
+			sk := rd.Sketch(u, v)
+			if f := sketchDiff(rd.Sketch(u, v), sk); f != "" {
+				t.Fatalf("%s: two sketches of (%d,%d) differ in %s", name, u, v, f)
+			}
+			st := rd.QueryIntoStats(&dst, u, v)
+			if want := tg.oracle(u, v); !dst.Equal(want) {
+				t.Fatalf("%s: SPG(%d,%d) after a sketch = %v, want %v", name, u, v, &dst, want)
+			}
+			if u == v {
+				if f := sketchDiff(sk, referenceSketch(ix, u, v)); f != "" {
+					t.Fatalf("%s: S(%d,%d) differs from the reference in %s", name, u, v, f)
 				}
+				continue
 			}
-			if !ok {
-				t.Fatalf("sketch meta edge %d not on any minimizing pair's meta path", k)
+			if st.Dist == graph.InfDist {
+				disconnected++
 			}
+			if sk.DTop != st.DTop || len(sk.Pairs) != st.SketchPairs || int64(len(sk.USide)+len(sk.VSide)) > st.LabelEntries {
+				t.Fatalf("%s: S(%d,%d) = d⊤ %d, %d pairs, %d+%d edges; query: d⊤ %d, %d pairs, %d label entries",
+					name, u, v, sk.DTop, len(sk.Pairs), len(sk.USide), len(sk.VSide), st.DTop, st.SketchPairs, st.LabelEntries)
+			}
+		}
+		if disconnected == 0 && (name == "er300" || name == "der300") {
+			t.Fatalf("%s: no pair without a path", name)
 		}
 	}
 }
@@ -156,11 +275,12 @@ func TestMetaSPGPrecomputeMatchesOnTheFly(t *testing.T) {
 func TestSketchTrivialPairs(t *testing.T) {
 	g := graph.Star(10)
 	ix := MustBuild(g, Options{NumLandmarks: 1}) // centre is the landmark
-	sk := ix.Sketch(1, 2)
+	sr := NewSearcher(ix)
+	sk := sr.Sketch(1, 2)
 	if sk.DTop != 2 {
 		t.Fatalf("star spokes d⊤ = %d, want 2", sk.DTop)
 	}
-	sk = ix.Sketch(0, 5) // landmark endpoint
+	sk = sr.Sketch(0, 5) // landmark endpoint
 	if sk.DTop != 1 {
 		t.Fatalf("landmark to spoke d⊤ = %d, want 1", sk.DTop)
 	}

@@ -40,7 +40,7 @@ func TestDistanceMatchesBFS(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				u := graph.V(rng.Intn(n))
 				v := graph.V(rng.Intn(n))
-				want := bfs.Distance(g, u, v)
+				want := bfs.Distances(g, u)[v]
 				if want == bfs.Infinity {
 					want = graph.InfDist
 				}
@@ -102,7 +102,7 @@ func TestTwoHopPathCover(t *testing.T) {
 		g := testGraphs()[name]
 		ix := MustBuild(g, Options{})
 		distFn := func(a, b graph.V) int32 {
-			d := bfs.Distance(g, a, b)
+			d := bfs.Distances(g, a)[b]
 			if d == bfs.Infinity {
 				return graph.InfDist
 			}
@@ -151,7 +151,7 @@ func TestLabelsSortedAndExact(t *testing.T) {
 				t.Fatalf("vertex %d: labels not strictly rank-sorted", v)
 			}
 			root := ix.order[e.rank]
-			if want := bfs.Distance(g, root, v); want != e.dist {
+			if want := bfs.Distances(g, root)[v]; want != e.dist {
 				t.Fatalf("vertex %d root %d: label dist %d want %d", v, root, e.dist, want)
 			}
 		}
