@@ -240,6 +240,38 @@ func TestSketchIsTheSearchers(t *testing.T) {
 	}
 }
 
+// TestRebindLeavesTheMetaTable: a pooled searcher moves between the
+// epochs of a dynamic index, whose meta states need not all hold the
+// shortest-meta-path table (it is capped). A searcher that read table
+// rows under one epoch and scans on the fly under the next must not
+// write its scan into the rows the first epoch still serves.
+func TestRebindLeavesTheMetaTable(t *testing.T) {
+	g := connected(graph.BarabasiAlbert(300, 3, 41))
+	tabled := MustBuild(g, Options{NumLandmarks: 12})
+	capped := MustBuild(g, Options{NumLandmarks: 12})
+	capped.ms.spg = nil
+	before := make([][]int32, len(tabled.ms.spg))
+	for i, row := range tabled.ms.spg {
+		before[i] = slices.Clone(row)
+	}
+	pairs := randomPairs(g.NumVertices(), 100, 3)
+	sr := NewSearcher(tabled)
+	for _, p := range pairs {
+		sr.Query(p[0], p[1])
+	}
+	if !sr.Rebind(capped) {
+		t.Fatal("the two indexes share vertices and landmark count")
+	}
+	for _, p := range pairs {
+		sr.Query(p[0], p[1])
+	}
+	for i, row := range tabled.ms.spg {
+		if !slices.Equal(row, before[i]) {
+			t.Fatalf("table row %d = %v after the searcher moved on, was %v", i, row, before[i])
+		}
+	}
+}
+
 func TestMetaSPGPrecomputeMatchesOnTheFly(t *testing.T) {
 	g := connected(graph.BarabasiAlbert(300, 4, 17))
 	ix := MustBuild(g, Options{NumLandmarks: 16})
