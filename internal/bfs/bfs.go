@@ -1,11 +1,10 @@
-// Package bfs provides the breadth-first-search kernels shared by the
-// QbS index and the baselines: single-source distance BFS, the
-// bidirectional-BFS shortest-path-graph baseline from the paper (Bi-BFS,
-// §6.1), and a brute-force shortest-path-graph oracle used as ground
-// truth in tests. The reusable Workspace lives in qbs/internal/traverse,
-// beside the level expansion the searches grow through, and is
-// re-exported here for the search code that grew up around this
-// package.
+// Package bfs provides the breadth-first searches shared by the QbS
+// index and the baselines: single-source distance BFS, the one two-sided
+// search (Search: its sides, the meeting loop and the reverse
+// extraction) that both the QbS guided search and the Bi-BFS baseline
+// (§6.1) run, and a brute-force shortest-path-graph oracle used as
+// ground truth in tests. The sides' Workspace and the level expansion
+// they grow through live in qbs/internal/traverse.
 package bfs
 
 import (

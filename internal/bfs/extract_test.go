@@ -11,54 +11,42 @@ import (
 	"qbs/internal/traverse"
 )
 
-// extractFixture is one side of a search, grown to completed levels: its
-// arcs (push) and their reverse (pull), the workspace with its depths,
-// and its levels. Some vertices carry the landmark sentinel, depth −1,
-// as the guided search's removed landmarks do.
-type extractFixture struct {
-	push, pull graph.Adjacency
-	ws         *Workspace
-	lv         Levels
-	d          int32 // completed levels
-}
-
-// growSide runs a BFS from root over push to depth at most maxD, with
-// the vertices of removed pre-set to the sentinel, and keeps its levels.
-func growSide(push, pull graph.Adjacency, root graph.V, removed []graph.V, maxD int32) extractFixture {
-	f := extractFixture{push: push, pull: pull, ws: NewWorkspace(push.NumVertices())}
-	f.ws.Reset()
+// growSide grows a forward side from root over push (pull its reverse)
+// to completed depth at most maxD. The vertices of removed carry the
+// landmark sentinel, depth −1, as the guided search's removed landmarks
+// do.
+func growSide(push, pull graph.Adjacency, root graph.V, removed []graph.V, maxD int32) *Side {
+	s := &Side{Push: push, pull: pull, WS: NewWorkspace(push.NumVertices())}
+	s.reset(root)
 	for _, r := range removed {
 		if r != root {
-			f.ws.SetDist(r, -1)
+			s.WS.SetDist(r, -1)
 		}
 	}
-	f.ws.SetDist(root, 0)
-	f.lv = Levels{Arena: []graph.V{root}, Off: []int32{0, 1}}
-	for f.d < maxD {
-		frontier := f.lv.level(f.d)
-		f.lv.Arena, _, _ = traverse.ExpandMeeting(push, f.ws, nil, frontier, f.d, f.lv.Arena, nil, false, false)
-		if int(f.lv.Off[f.d+1]) == len(f.lv.Arena) {
+	for s.D < maxD {
+		s.arena, _, _ = traverse.ExpandMeeting(push, s.WS, nil, s.Level(s.D), s.D, s.arena, nil, false, false)
+		if int(s.off[s.D+1]) == len(s.arena) {
 			break
 		}
-		f.lv.Off = append(f.lv.Off, int32(len(f.lv.Arena)))
-		f.d++
+		s.off = append(s.off, int32(len(s.arena)))
+		s.D++
 	}
-	return f
+	return s
 }
 
 // modelExtract is the reverse search by sets: from the given vertices at
 // depth k, the arcs y→x of push with x in the current set and y one
 // level down, the set of those y next, and root→x at depth 1.
-func (f extractFixture) modelExtract(from []graph.V) []graph.Arc {
+func modelExtract(f *Side, from []graph.V) []graph.Arc {
 	cur := map[graph.V]bool{}
 	for _, x := range from {
 		cur[x] = true
 	}
 	var arcs []graph.Arc
-	for k := f.ws.Dist(from[0]); k >= 1 && len(cur) > 0; k-- {
+	for k := f.WS.Dist(from[0]); k >= 1 && len(cur) > 0; k-- {
 		next := map[graph.V]bool{}
-		for _, y := range f.lv.level(k - 1) {
-			for _, x := range f.push.Neighbors(y) {
+		for _, y := range f.Level(k - 1) {
+			for _, x := range f.Push.Neighbors(y) {
 				if cur[x] {
 					arcs = append(arcs, graph.Arc{From: y, To: x})
 					next[y] = true
@@ -84,7 +72,8 @@ func sortedArcs(arcs []graph.Arc) []graph.Arc {
 // subsets of every level, a pull step and a push step emit the same
 // arcs and hand the same vertices to the next step, and an extraction
 // with every step forced to one form, or left to the rule, emits the
-// model's arcs, oriented as the side's arcs lie (flip reverses them).
+// model's arcs, oriented as the side's arcs lie (a backward side
+// reverses them).
 func TestExtractStepFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	type graphCase struct {
@@ -112,16 +101,16 @@ func TestExtractStepFormsAgree(t *testing.T) {
 			}
 			root := graph.V(rng.Intn(n))
 			f := growSide(c.push, c.pull, root, removed, int32(1+rng.Intn(6)))
-			for k := int32(1); k <= f.d; k++ {
-				level := f.lv.level(k)
+			for k := int32(1); k <= f.D; k++ {
+				level := f.Level(k)
 				from := slices.Clone(level)
 				rng.Shuffle(len(from), func(i, j int) { from[i], from[j] = from[j], from[i] })
 				from = from[:1+rng.Intn(len(from))]
 				label := fmt.Sprintf("%s root %d depth %d, %d of %d vertices", c.name, root, k, len(from), len(level))
 
 				if k >= 2 {
-					pullArcs, pullNext := oneStep(e, false, c.push, c.pull, f.ws, f.lv, from, k)
-					pushArcs, pushNext := oneStep(e, true, c.push, c.pull, f.ws, f.lv, from, k)
+					pullArcs, pullNext := oneStep(e, false, f, from, k)
+					pushArcs, pushNext := oneStep(e, true, f, from, k)
 					if !slices.Equal(sortedArcs(pullArcs), sortedArcs(pushArcs)) {
 						t.Fatalf("%s: a pull step emits %v, a push step %v", label, sortedArcs(pullArcs), sortedArcs(pushArcs))
 					}
@@ -131,16 +120,17 @@ func TestExtractStepFormsAgree(t *testing.T) {
 						t.Fatalf("%s: a pull step goes on to %v, a push step to %v", label, pullNext, pushNext)
 					}
 					steps++
-					if len(f.lv.level(k-1)) <= len(from) {
+					if len(f.Level(k-1)) <= len(from) {
 						pushSteps++
 					}
 				}
 
-				want := f.modelExtract(from)
+				want := modelExtract(f, from)
 				for form, name := range map[stepForm]string{allPull: "pull", allPush: "push", byRule: "rule"} {
 					forceSteps(e, form)
 					for _, flip := range []bool{false, true} {
-						got, arcs := e.Extract(c.push, c.pull, flip, nil, from, f.ws, f.lv)
+						f.backward = flip
+						got, arcs := e.Extract(f, nil, from)
 						if flip {
 							for i, a := range got {
 								got[i] = graph.Arc{From: a.To, To: a.From}
@@ -155,6 +145,7 @@ func TestExtractStepFormsAgree(t *testing.T) {
 					}
 				}
 				forceSteps(e, byRule)
+				f.backward = false
 			}
 		}
 	}

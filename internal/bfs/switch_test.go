@@ -39,17 +39,17 @@ func TestGuidedLevelsStayBelowSwitch(t *testing.T) {
 				continue
 			}
 			b.run(u, v)
-			var met *biSide
-			if len(b.cross) > 0 {
-				met = &b.bwd
-				if b.fwd.ws.Seen(b.cross[0].From) {
-					met = &b.fwd
+			var met *Side
+			if len(b.s.Cross) > 0 {
+				met = &b.s.Bwd
+				if b.s.Fwd.WS.Seen(b.s.Cross[0].From) {
+					met = &b.s.Fwd
 				}
 			}
-			for _, side := range [2]*biSide{&b.fwd, &b.bwd} {
-				size, mass := make([]int64, side.d+1), make([]int64, side.d+1) // per depth
+			for _, side := range [2]*Side{&b.s.Fwd, &b.s.Bwd} {
+				size, mass := make([]int64, side.D+1), make([]int64, side.D+1) // per depth
 				for i := range size {
-					level := side.arena[side.levelOff[i]:side.levelOff[i+1]]
+					level := side.Level(int32(i))
 					size[i] = int64(len(level))
 					for _, x := range level {
 						mass[i] += int64(g.Degree(x))
@@ -57,7 +57,7 @@ func TestGuidedLevelsStayBelowSwitch(t *testing.T) {
 				}
 				for i := range size {
 					over := size[i]*traverse.DefaultBeta >= int64(n) && mass[i]*traverse.DefaultAlpha > arcs
-					if int32(i) == side.d && side != met {
+					if int32(i) == side.D && side != met {
 						if over {
 							idleOver++
 						}

@@ -18,14 +18,14 @@ import (
 func levelBelowSteps(sr *Searcher, answer *graph.SPG) int {
 	steps := 0
 	for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
-		at := make([]int, side.d+1)
+		at := make([]int, side.D+1)
 		for _, x := range answer.Vertices() {
-			if k := side.ws.Dist(x); k >= 0 && k <= side.d {
+			if k := side.WS.Dist(x); k >= 0 && k <= side.D {
 				at[k]++
 			}
 		}
-		for k := int32(2); k <= side.d; k++ {
-			if at[k] > 0 && len(side.level(k-1)) <= at[k] {
+		for k := int32(2); k <= side.D; k++ {
+			if at[k] > 0 && len(side.Level(k-1)) <= at[k] {
 				steps++
 			}
 		}

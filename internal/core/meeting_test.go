@@ -38,41 +38,57 @@ func checkOracle(t *testing.T, label string, sr *Searcher, want *graph.SPG) Quer
 	return st
 }
 
-// checkMeetingState inspects the searcher after a query for what the
-// meeting rule promises: the two sides hold complete levels only, those
-// levels are disjoint — the visited sets only grow, so disjoint at the
-// end is disjoint between any two levels on the way — and every
-// crossing arc joins the outermost level of one side to the outermost
-// level of the other, their depths adding up to the distance.
-func checkMeetingState(t *testing.T, sr *Searcher, st QueryStats, u, v graph.V) {
-	t.Helper()
-	inFwd := map[graph.V]bool{}
-	for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
-		if int(side.levelOff[side.d+1]) != len(side.arena) {
-			t.Fatalf("(%d,%d): side holds %d vertices, its %d complete levels %d", u, v, len(side.arena), side.d+1, side.levelOff[side.d+1])
+// levelsOf maps each vertex of side's completed levels to its level.
+func levelsOf(side *searchSide) map[graph.V]int32 {
+	depth := map[graph.V]int32{}
+	for i := int32(0); i <= side.D; i++ {
+		for _, x := range side.Level(i) {
+			depth[x] = i
 		}
 	}
-	for _, x := range sr.fwd.arena {
-		inFwd[x] = true
-	}
-	for _, y := range sr.bwd.arena {
-		if inFwd[y] {
-			t.Fatalf("(%d,%d): %d is in both visited sets", u, v, y)
+	return depth
+}
+
+// checkMeetingState inspects the searcher after a query for what the
+// meeting rule promises: the two sides hold complete levels only — every
+// vertex a side has seen, bar the landmarks' sentinels, is listed on the
+// level of its depth — those levels are disjoint — the visited sets only
+// grow, so disjoint at the end is disjoint between any two levels on the
+// way — and every crossing arc joins the outermost level of one side to
+// the outermost level of the other, their depths adding up to the
+// distance.
+func checkMeetingState(t *testing.T, sr *Searcher, st QueryStats, u, v graph.V) {
+	t.Helper()
+	fwdLevels := levelsOf(&sr.fwd)
+	for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
+		depth := levelsOf(side)
+		for x := graph.V(0); int(x) < sr.ix.out.NumVertices(); x++ {
+			if d, built := depth[x]; side.WS.Seen(x) && side.WS.Dist(x) >= 0 && (!built || d != side.WS.Dist(x)) {
+				t.Fatalf("(%d,%d): %d seen at depth %d, not on that level of the %d complete ones", u, v, x, side.WS.Dist(x), side.D+1)
+			}
+		}
+		if side == &sr.bwd {
+			for y := range depth {
+				if _, ok := fwdLevels[y]; ok {
+					t.Fatalf("(%d,%d): %d is in both visited sets", u, v, y)
+				}
+			}
 		}
 	}
 	if !st.UsedReverse {
 		return
 	}
-	if st.DGMinus != sr.fwd.d+1+sr.bwd.d || st.DGMinus != st.Dist {
-		t.Fatalf("(%d,%d): d_G⁻ %d, distance %d, completed depths %d and %d", u, v, st.DGMinus, st.Dist, sr.fwd.d, sr.bwd.d)
+	if st.DGMinus != sr.fwd.D+1+sr.bwd.D || st.DGMinus != st.Dist {
+		t.Fatalf("(%d,%d): d_G⁻ %d, distance %d, completed depths %d and %d", u, v, st.DGMinus, st.Dist, sr.fwd.D, sr.bwd.D)
 	}
 	side, other := &sr.fwd, &sr.bwd
-	if len(sr.cross) > 0 && side.ws.Dist(sr.cross[0].From) != side.d {
+	if len(sr.bs.Cross) > 0 && side.WS.Dist(sr.bs.Cross[0].From) != side.D {
 		side, other = other, side
 	}
-	for _, c := range sr.cross {
-		if side.ws.Dist(c.From) != side.d || other.ws.Dist(c.To) != other.d || inFwd[c.To] == (side == &sr.fwd) {
-			t.Fatalf("(%d,%d): crossing arc %v is not between the outermost levels (%d, %d)", u, v, c, side.d, other.d)
+	for _, c := range sr.bs.Cross {
+		_, inFwd := fwdLevels[c.To]
+		if side.WS.Dist(c.From) != side.D || other.WS.Dist(c.To) != other.D || inFwd == (side == &sr.fwd) {
+			t.Fatalf("(%d,%d): crossing arc %v is not between the outermost levels (%d, %d)", u, v, c, side.D, other.D)
 		}
 	}
 }
@@ -191,27 +207,22 @@ func TestBoundLevelIsNotBuilt(t *testing.T) {
 				if st.Coverage != CoverageAll || ix.IsLandmark(u) || ix.IsLandmark(v) {
 					continue
 				}
-				if sr.fwd.d+sr.bwd.d+1 == st.DTop {
+				if sr.fwd.D+sr.bwd.D+1 == st.DTop {
 					bounded[tg.dir != nil]++
 				}
 				for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
-					depth := map[graph.V]int32{}
-					for i := int32(0); i <= side.d; i++ {
-						for _, x := range side.level(i) {
-							depth[x] = i
-						}
-					}
+					depth := levelsOf(side)
 					for x := graph.V(0); int(x) < n; x++ {
 						d, built := depth[x]
 						switch {
 						case ix.IsLandmark(x):
-							if side.ws.Dist(x) != -1 {
-								t.Fatalf("%s: landmark %d at depth %d", label, x, side.ws.Dist(x))
+							if side.WS.Dist(x) != -1 {
+								t.Fatalf("%s: landmark %d at depth %d", label, x, side.WS.Dist(x))
 							}
-						case built != side.ws.Seen(x):
-							t.Fatalf("%s: %d seen %v by a side whose %d completed levels hold it: %v", label, x, side.ws.Seen(x), side.d+1, built)
-						case built && side.ws.Dist(x) != d:
-							t.Fatalf("%s: %d at depth %d on level %d", label, x, side.ws.Dist(x), d)
+						case built != side.WS.Seen(x):
+							t.Fatalf("%s: %d seen %v by a side whose %d completed levels hold it: %v", label, x, side.WS.Seen(x), side.D+1, built)
+						case built && side.WS.Dist(x) != d:
+							t.Fatalf("%s: %d at depth %d on level %d", label, x, side.WS.Dist(x), d)
 						}
 					}
 				}
@@ -279,11 +290,11 @@ func TestExhaustedSideEndsTheSearch(t *testing.T) {
 }
 
 // TestUnguidedSearchIsBiBFS pins that the guided search and the Bi-BFS
-// baseline share one side rule. The only landmark is an isolated vertex,
-// so d⊤ = ∞ bounds nothing and G⁻ = G: the guided search must then be
-// Bi-BFS arc for arc, the same answer from the same adjacency entries,
-// disconnected pairs included. The pairs avoid the landmark, whose
-// queries skip the search.
+// baseline run one search (bfs.Search). The only landmark is an
+// isolated vertex, so d⊤ = ∞ bounds nothing and G⁻ = G: the guided
+// search must then be Bi-BFS arc for arc, the same answer from the same
+// adjacency entries, disconnected pairs included. The pairs avoid the
+// landmark, whose queries skip the search.
 func TestUnguidedSearchIsBiBFS(t *testing.T) {
 	const n = 3000 // the isolated landmark is vertex n
 	und := graph.MustFromEdges(n+1, graph.ErdosRenyi(n, 3000, 3).Edges())

@@ -20,17 +20,11 @@ import (
 //	d_G⁻(u,v) = d⊤  →  G⁻_uv ∪ G^L
 //	d_G⁻(u,v) < d⊤  →  G⁻_uv only
 //
-// The two searches meet on an arc, not on a vertex: the level that
-// expands one side reports every arc into the other side's visited set
-// (see bidirectional). Those arcs are part of the answer as found, the
-// reverse search starts from their endpoints, and the level that found
-// them is abandoned — each side keeps complete levels only, which is
-// all reverse and recover read. What runs after the meeting is then
-// bounded by the part of the answer it adds and the levels below it: a
-// step of the reverse search from the answer vertices at depth k ≥ 2
-// scans either their reverse rows or, when level k−1 is no larger, the
-// rows of level k−1, which the expansion has just read (bfs.Extractor;
-// a depth-1 vertex's one predecessor is the root, and costs no scan).
+// The bidirectional BFS and the reverse search are bfs.Search, the one
+// two-sided search, which the Bi-BFS baseline runs unbounded over G: its
+// sides meet on an arc, keep complete levels only, and grow by Bi-BFS's
+// side rule. The Searcher adds what QbS has: the sketch, the landmark
+// sentinels that make the search run over G⁻, the bound, and recover.
 //
 // The search is bounded: an answer's by d⊤, Distance's by d⊤−1, since
 // d(u,v) = min(d⊤, d_G⁻) changes only for a meeting below d⊤ (Distance
@@ -39,14 +33,12 @@ import (
 // meeting: it is never built, so each side's completed levels are the
 // ones it expanded from.
 //
-// The sides take turns by Bi-BFS's rule: the smaller visited set grows,
-// an empty frontier ends the search (d_G⁻ = ∞) and the bound only stops
-// it. Neither changes an answer: side order never moves the meeting's
-// depth sum, and recover attaches at level dm = min(σ−1, side.d), the
-// last one the side completed short of the landmark. A vertex x there
-// with label distance σ−dm lies on a shortest root→r path exactly when
-// its successor y one level out has σ−dm−1, so the label walk from x
-// takes the hop x→y that extraction from y would have taken: the
+// Where the search stops changes no answer: side order never moves the
+// meeting's depth sum, and recover attaches at level dm = min(σ−1, D),
+// the last one the side completed short of the landmark. A vertex x
+// there with label distance σ−dm lies on a shortest root→r path exactly
+// when its successor y one level out has σ−dm−1, so the label walk from
+// x takes the hop x→y that extraction from y would have taken: the
 // answer is the same at any stop.
 //
 // A Searcher carries reusable workspaces; create one per goroutine.
@@ -109,11 +101,9 @@ type QueryStats struct {
 type Searcher struct {
 	ix *Index
 
-	fwd, bwd searchSide
-	ext      *bfs.Extractor  // reverse extraction with reusable buffers
+	bs       *bfs.Search     // the bidirectional search over G⁻ and its reverse extraction
+	fwd, bwd searchSide      // bs's two sides, with their sketch edges
 	walkMark *traverse.Marks // scratch for label walks
-	cross    []graph.Arc     // arcs between the two visited sets, in the last expansion's push orientation
-	ends     [2][]graph.V    // their endpoints, per side: where the reverse search starts
 	out      []graph.Arc     // the answer's oriented pairs, handed to the result
 
 	pairs        []SketchPair
@@ -126,45 +116,18 @@ type Searcher struct {
 	recoverStart []graph.V
 }
 
-// searchSide is one direction of the bidirectional search — forward from
-// u along out-arcs, reading u's distances to landmarks, or backward from
-// v along in-arcs, reading v's distances from landmarks; the two are
-// bound to the same adjacency and labelling when the index is symmetric.
-// It carries a visited set with depths, an arena of visited vertices
-// grouped into levels (level i = arena[levelOff[i]:levelOff[i+1]]) and
-// the sketch edges at its endpoint.
+// searchSide is one side of the bidirectional search — forward from u
+// along out-arcs, reading u's distances to landmarks, or backward from v
+// along in-arcs, reading v's distances from landmarks; the two read the
+// same labelling when the index is symmetric — with the sketch edges at
+// its endpoint.
 type searchSide struct {
-	push, pull graph.Adjacency // the side's arcs and their reverse (extraction walks those)
-	labels     [][]uint8       // the labelling the side's endpoint reads
-	backward   bool            // the side walks arcs against their orientation
-
-	root     graph.V
-	ws       *bfs.Workspace
-	arena    []graph.V
-	levelOff []int32
-	d        int32 // completed levels
-
-	ent   []SketchEndpoint // label entries of the endpoint
-	sigma []int32          // per landmark rank: σ_S of the sketch edge, -1 if absent
-	ranks []int            // ranks with a sketch edge
+	*bfs.Side
+	labels [][]uint8        // the labelling the side's endpoint reads
+	ent    []SketchEndpoint // label entries of the endpoint
+	sigma  []int32          // per landmark rank: σ_S of the sketch edge, -1 if absent
+	ranks  []int            // ranks with a sketch edge
 }
-
-func (s *searchSide) reset(t graph.V) {
-	s.root = t
-	s.ws.Reset()
-	s.ws.SetDist(t, 0)
-	s.arena = append(s.arena[:0], t)
-	s.levelOff = append(s.levelOff[:0], 0, 1)
-	s.d = 0
-}
-
-func (s *searchSide) level(i int32) []graph.V {
-	return s.arena[s.levelOff[i]:s.levelOff[i+1]]
-}
-
-func (s *searchSide) frontier() []graph.V { return s.level(s.d) }
-
-func (s *searchSide) visited() int { return len(s.arena) }
 
 // keep records the sketch edge e at the side's endpoint, once per
 // landmark.
@@ -186,13 +149,12 @@ func (s *searchSide) releaseSketch() {
 func NewSearcher(ix *Index) *Searcher {
 	n := ix.out.NumVertices()
 	sr := &Searcher{
-		ext:      bfs.NewExtractor(n),
+		bs:       bfs.NewSearch(ix.out, ix.in),
 		walkMark: traverse.NewMarks(n),
 		metaGen:  make([]uint32, len(ix.ms.meta)),
 	}
-	sr.bwd.backward = true
+	sr.fwd.Side, sr.bwd.Side = &sr.bs.Fwd, &sr.bs.Bwd
 	for _, side := range []*searchSide{&sr.fwd, &sr.bwd} {
-		side.ws = bfs.NewWorkspace(n)
 		side.sigma = make([]int32, ix.numLand)
 		for i := range side.sigma {
 			side.sigma[i] = -1
@@ -206,8 +168,8 @@ func NewSearcher(ix *Index) *Searcher {
 // backward to (in, out, labelFrom).
 func (sr *Searcher) bind(ix *Index) {
 	sr.ix = ix
-	sr.fwd.push, sr.fwd.pull, sr.fwd.labels = ix.out, ix.in, ix.labelTo
-	sr.bwd.push, sr.bwd.pull, sr.bwd.labels = ix.in, ix.out, ix.labelFrom
+	sr.bs.Bind(ix.out, ix.in)
+	sr.fwd.labels, sr.bwd.labels = ix.labelTo, ix.labelFrom
 }
 
 // Rebind points the searcher at another index over the same vertex set
@@ -282,13 +244,9 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 	sr.out = sr.out[:0]
 	var st QueryStats
 	st.DGMinus = graph.InfDist
-	if u == v {
-		st.Dist = 0
-		st.Coverage = CoverageTrivial
-		return st
-	}
 
-	// Sketching (Algorithm 3).
+	// Sketching (Algorithm 3), for u = v too: its stats report the pair's
+	// sketch, as /sketch does, although the answer needs none of it.
 	t0 := time.Now()
 	dTop := sr.computeSketch(u, v)
 	st.DTop = dTop
@@ -296,20 +254,25 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 	st.LabelEntries = int64(len(sr.fwd.ent) + len(sr.bwd.ent))
 	t1 := time.Now()
 	st.SketchNs = t1.Sub(t0).Nanoseconds()
+	if u == v {
+		st.Dist = 0
+		st.Coverage = CoverageTrivial
+		sr.releaseSketch()
+		return st
+	}
 
 	// Guided bidirectional search on G⁻ (skipped when an endpoint is a
 	// landmark: every u–v path then trivially "passes through" it, so the
 	// answer is entirely G^L).
-	sr.fwd.reset(u)
-	sr.bwd.reset(v)
-	var side *searchSide // the side whose expansion met the other, if one did
+	sr.bs.Reset(u, v)
+	var met *bfs.Side // the side whose expansion met the other, if one did
 	if ix.landIdx[u] < 0 && ix.landIdx[v] < 0 {
 		// Pre-mark landmarks with a sentinel depth so the expansion
 		// loop skips them with a single Seen check — this is the
 		// implicit G⁻ = G[V\R].
 		for _, r := range ix.landmarks {
-			sr.fwd.ws.SetDist(r, -1)
-			sr.bwd.ws.SetDist(r, -1)
+			sr.fwd.WS.SetDist(r, -1)
+			sr.bwd.WS.SetDist(r, -1)
 		}
 		// A distance is min(d⊤, d_G⁻): only a meeting below d⊤ can
 		// change it.
@@ -317,10 +280,12 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 		if !extract && bound != graph.InfDist {
 			bound--
 		}
-		side = sr.bidirectional(bound, !extract, &st)
+		var arcs int64
+		met, arcs = sr.bs.Meet(bound, !extract)
+		st.ArcsScanned += arcs
 	}
-	if side != nil {
-		st.DGMinus = sr.fwd.d + 1 + sr.bwd.d
+	if met != nil {
+		st.DGMinus = sr.fwd.D + 1 + sr.bwd.D
 	}
 	t2 := time.Now()
 	st.ExpandNs = t2.Sub(t1).Nanoseconds()
@@ -338,10 +303,12 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 
 	// Eq. 5: reverse and/or recover. The search stops at its bound, so a
 	// meeting is never longer than the distance.
-	if side != nil {
+	if met != nil {
 		st.UsedReverse = true
 		if extract {
-			sr.reverse(side, &st)
+			var arcs int64
+			sr.out, arcs = sr.bs.Reverse(met, sr.out)
+			st.ArcsScanned += arcs
 		}
 	}
 	if dTop == dist {
@@ -367,6 +334,11 @@ func (sr *Searcher) query(u, v graph.V, extract bool) QueryStats {
 
 // computeSketch fills the searcher's sketch buffers and returns d⊤.
 // releaseSketch must be called before the next query.
+//
+// One pass over |L(u)|×|L(v)|: a strictly smaller sum drops the pairs
+// and sketch edges kept so far, an equal one adds its pair. Every pair
+// at the final d⊤ comes at or after the last drop, so the pairs and
+// each side's edges are kept in scan order (u's entries outer).
 func (sr *Searcher) computeSketch(u, v graph.V) (dTop int32) {
 	ix := sr.ix
 	R := ix.numLand
@@ -382,20 +354,14 @@ func (sr *Searcher) computeSketch(u, v graph.V) (dTop int32) {
 			if dm == graph.InfDist {
 				continue
 			}
-			if pi := eu.Sigma + dm + ev.Sigma; pi < dTop {
-				dTop = pi
-			}
-		}
-	}
-	if dTop == graph.InfDist {
-		return dTop
-	}
-	for _, eu := range fwd.ent {
-		row := eu.Rank * R
-		for _, ev := range bwd.ent {
-			dm := ix.ms.distM[row+ev.Rank]
-			if dm == graph.InfDist || eu.Sigma+dm+ev.Sigma != dTop {
+			pi := eu.Sigma + dm + ev.Sigma
+			if pi > dTop {
 				continue
+			}
+			if pi < dTop {
+				dTop = pi
+				sr.pairs = sr.pairs[:0]
+				sr.releaseSketch()
 			}
 			sr.pairs = append(sr.pairs, SketchPair{R: eu.Rank, RPrime: ev.Rank})
 			fwd.keep(eu)
@@ -410,90 +376,6 @@ func (sr *Searcher) releaseSketch() {
 	sr.bwd.releaseSketch()
 }
 
-// bidirectional runs the bidirectional BFS over G⁻ until an arc crosses
-// from one visited set to the other, leaving the crossing arcs (all of
-// them, or one if first) in sr.cross, and returns the side whose
-// expansion found them — nil if a side ran out (its reach in G⁻ met
-// nothing: d_G⁻ = ∞) or none was found within bound (graph.InfDist
-// bounds nothing). Side rule, bfs.Bidirectional's: grow the smaller
-// visited set, the forward one on a tie.
-//
-// Meeting rule. The level that expands side S tests each vertex it
-// reaches against both visited sets (traverse.ExpandMeeting). While no
-// arc has crossed, no vertex of G⁻ is in both: a level only ever adds
-// vertices the other side has not seen. A crossing arc x→y therefore has
-// x on S's frontier and y on the other side's outermost level — were y
-// any deeper inside, x would have been reached from there — so
-// d_G⁻ = S.d + 1 + other.d, the crossing arcs are exactly the answer's
-// arcs over that cut, and the rest of G⁻_uv lies below their endpoints
-// in levels both sides have completed. The level that met is abandoned:
-// S.d and levelOff do not advance, and reverse and recover read complete
-// levels only.
-//
-// The level whose crossing arcs would put the roots bound apart is the
-// last the search may grow, and it is never expanded from:
-// ExpandMeeting only tests it (last), and it joins neither the arena
-// nor the visited set, met or not.
-func (sr *Searcher) bidirectional(bound int32, first bool, st *QueryStats) *searchSide {
-	for sr.fwd.d+sr.bwd.d < bound && len(sr.fwd.frontier()) > 0 && len(sr.bwd.frontier()) > 0 {
-		side, other := &sr.fwd, &sr.bwd
-		if side.visited() > other.visited() {
-			side, other = other, side
-		}
-		// Landmarks carry a sentinel depth on both sides from query
-		// setup, so the expansion's seen check skips them before it
-		// looks at the other side.
-		var arcs int64
-		last := side.d+1+other.d == bound
-		side.arena, sr.cross, arcs = traverse.ExpandMeeting(side.push, side.ws, other.ws, side.frontier(), side.d, side.arena, sr.cross[:0], first, last)
-		st.ArcsScanned += arcs
-		if len(sr.cross) > 0 {
-			return side
-		}
-		if last {
-			return nil
-		}
-		side.levelOff = append(side.levelOff, int32(len(side.arena)))
-		side.d++
-	}
-	return nil
-}
-
-// reverse extracts G⁻_uv after side's expansion met the other side: the
-// crossing arcs themselves, then everything below their endpoints on
-// either side.
-func (sr *Searcher) reverse(side *searchSide, st *QueryStats) {
-	other := &sr.fwd
-	if side == other {
-		other = &sr.bwd
-	}
-	xs, ys := sr.ends[0][:0], sr.ends[1][:0]
-	for _, c := range sr.cross {
-		sr.emit(side, c.From, c.To)
-		xs, ys = append(xs, c.From), append(ys, c.To)
-	}
-	sr.ends = [2][]graph.V{xs, ys}
-	sr.extract(side, xs, st)
-	sr.extract(other, ys, st)
-}
-
-// extract emits the arcs of all shortest paths side found between its
-// root and the given vertices.
-func (sr *Searcher) extract(side *searchSide, from []graph.V, st *QueryStats) {
-	var arcs int64
-	sr.out, arcs = sr.ext.Extract(side.push, side.pull, side.backward, sr.out, from, side.ws, bfs.Levels{Arena: side.arena, Off: side.levelOff})
-	st.ArcsScanned += arcs
-}
-
-// emit records the arc a side found stepping from x to y: x→y on the
-// forward side, y→x on the backward one.
-func (sr *Searcher) emit(side *searchSide, x, y graph.V) {
-	if side.backward {
-		x, y = y, x
-	}
-	sr.out = append(sr.out, graph.Arc{From: x, To: y})
-}
-
 // recover computes G^L_uv: for each sketch endpoint edge (r, t), find the
 // attachment vertices Z (closest-to-r vertices the search reached on
 // shortest t–r paths), walk them back to t over the search depths and
@@ -502,7 +384,7 @@ func (sr *Searcher) emit(side *searchSide, x, y graph.V) {
 func (sr *Searcher) recover(st *QueryStats) {
 	ix := sr.ix
 	for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
-		if ix.landIdx[side.root] >= 0 {
+		if ix.landIdx[side.Root()] >= 0 {
 			continue // landmark endpoint: the meta-path starts at it directly
 		}
 		for _, rank := range side.ranks {
@@ -513,13 +395,13 @@ func (sr *Searcher) recover(st *QueryStats) {
 				continue
 			}
 			dm := sigma - 1
-			if side.d < dm {
-				dm = side.d
+			if side.D < dm {
+				dm = side.D
 			}
 			want := uint8(sigma - dm)
 			starts := sr.recoverStart[:0]
 			col := side.labels[rank]
-			for _, w := range side.level(dm) {
+			for _, w := range side.Level(dm) {
 				if col[w] == want {
 					starts = append(starts, w)
 				}
@@ -528,7 +410,9 @@ func (sr *Searcher) recover(st *QueryStats) {
 			if len(starts) == 0 {
 				continue
 			}
-			sr.extract(side, starts, st)
+			var arcs int64
+			sr.out, arcs = sr.bs.Extract(side.Side, sr.out, starts)
+			st.ArcsScanned += arcs
 			sr.labelWalk(side, starts, rank, int32(want), st)
 		}
 	}
@@ -559,19 +443,19 @@ func (sr *Searcher) labelWalk(side *searchSide, starts []graph.V, rank int, delt
 			cur = append(cur, w)
 		}
 	}
-	rows := side.ws.RowsAhead(side.push)
+	rows := side.WS.RowsAhead(side.Push)
 	for ; delta > 1; delta-- {
 		next := sr.walkNext[:0]
 		want := uint8(delta - 1)
 		for i, x := range cur {
 			rows.At(cur, i)
-			for _, y := range side.push.Neighbors(x) {
+			for _, y := range side.Push.Neighbors(x) {
 				st.ArcsScanned++
 				if ix.landIdx[y] >= 0 {
 					continue
 				}
 				if col[y] == want {
-					sr.emit(side, x, y)
+					sr.out = append(sr.out, side.Arc(x, y))
 					if !sr.walkMark.Seen(y) {
 						sr.walkMark.Mark(y)
 						next = append(next, y)
@@ -583,7 +467,7 @@ func (sr *Searcher) labelWalk(side *searchSide, starts []graph.V, rank int, delt
 		cur = next
 	}
 	for _, x := range cur {
-		sr.emit(side, x, rv)
+		sr.out = append(sr.out, side.Arc(x, rv))
 	}
 	sr.walkCur = cur[:0]
 }

@@ -56,14 +56,14 @@ func TestGuidedLevelsStayBelowSwitch(t *testing.T) {
 			var met *searchSide
 			if st.UsedReverse {
 				met = &sr.bwd
-				if sr.fwd.ws.Seen(sr.cross[0].From) {
+				if sr.fwd.WS.Seen(sr.bs.Cross[0].From) {
 					met = &sr.fwd
 				}
 			}
 			for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
-				for i := int32(0); i <= side.d; i++ {
-					over, frac := wouldSwitch(side.level(i))
-					if i == side.d && side != met {
+				for i := int32(0); i <= side.D; i++ {
+					over, frac := wouldSwitch(side.Level(i))
+					if i == side.D && side != met {
 						if over {
 							idleOver++
 						}
@@ -73,7 +73,7 @@ func TestGuidedLevelsStayBelowSwitch(t *testing.T) {
 					largest = max(largest, frac)
 					if over {
 						t.Fatalf("%s (%d,%d): level %d, %d of %d vertices, was expanded from: the direction switch would have fired",
-							key, p[0], p[1], i, len(side.level(i)), n)
+							key, p[0], p[1], i, len(side.Level(i)), n)
 					}
 				}
 			}

@@ -112,7 +112,7 @@ func (w *StatusWriter) Status() int {
 type Stage uint8
 
 const (
-	StageParse     Stage = iota // request decoding and argument validation
+	StageParse     Stage = iota // request start through argument validation
 	StageSketch                 // landmark label scan + sketch assembly
 	StageExpand                 // sketch-guided bidirectional BFS
 	StageExtract                // shortest-path subgraph extraction/recovery

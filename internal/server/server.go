@@ -443,11 +443,13 @@ func (ss *stageSeries) recordStage(tb *obs.TraceBuf, stage obs.Stage, start time
 	return tb.AddSpan(stage.SpanName(), start, dur)
 }
 
-// endParse closes the parse stage, begun at start: handler entry through
+// endParse closes the parse stage: request start — the root span's
+// start, stamped by the middleware just before the handler — through
 // argument validation. It returns the moment the stage ended, which is
 // when the index search starts.
-func (ss *stageSeries) endParse(tb *obs.TraceBuf, start time.Time) time.Time {
+func (ss *stageSeries) endParse(tb *obs.TraceBuf) time.Time {
 	now := time.Now()
+	start := tb.Root().Start
 	ss.recordStage(tb, obs.StageParse, start, now.Sub(start))
 	return now
 }
@@ -707,7 +709,6 @@ func (sc *scratch) assembleSPG(resp SPGResponse, dTop int32) {
 }
 
 func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
-	pStart := time.Now()
 	q := r.URL.RawQuery
 	if !s.freshEnough(w, q) {
 		return
@@ -717,7 +718,7 @@ func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request, tb *obs.Trace
 		return
 	}
 	ss := s.spgStages
-	qStart := ss.endParse(tb, pStart)
+	qStart := ss.endParse(tb)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)
@@ -745,7 +746,6 @@ type DistanceResponse struct {
 // handleDistance answers /distance through a pooled scratch: the same
 // stages, buffer and single write as /spg, and no allocation of its own.
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
-	pStart := time.Now()
 	q := r.URL.RawQuery
 	if !s.freshEnough(w, q) {
 		return
@@ -755,7 +755,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, tb *obs.
 		return
 	}
 	ss := s.distanceStages
-	qStart := ss.endParse(tb, pStart)
+	qStart := ss.endParse(tb)
 	st := s.b.DistanceStats(u, v)
 	s.recordQuery(ss, tb, qStart, u, v, st, false)
 	start := time.Now()
@@ -819,7 +819,6 @@ type PathsResponse struct {
 }
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
-	pStart := time.Now()
 	q := r.URL.RawQuery
 	if !s.freshEnough(w, q) {
 		return
@@ -838,7 +837,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, tb *obs.Tra
 		limit = n
 	}
 	ss := s.pathsStages
-	qStart := ss.endParse(tb, pStart)
+	qStart := ss.endParse(tb)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	st := s.b.QueryIntoStats(&sc.spg, u, v)

@@ -1,7 +1,7 @@
 // Package traverse is the shared BFS engine behind the QbS index: every
 // hot traversal runs on the two kernels defined here. Query search — the
-// guided bidirectional search and the Bi-BFS baseline — grows through
-// ExpandMeeting, a sequential top-down level with the meeting test built
+// one two-sided search (bfs.Search) that the guided search and the
+// Bi-BFS baseline both run — grows through ExpandMeeting, a sequential top-down level with the meeting test built
 // in; labelling construction and dynamic column repair run on MultiBFS,
 // which is bit-parallel and direction-optimizing: one sequential
 // top-down level and one bottom-up level whose width is Parallelism.
