@@ -5,7 +5,6 @@ import (
 
 	"qbs/internal/bfs"
 	"qbs/internal/graph"
-	"qbs/internal/traverse"
 )
 
 // Guided search (Algorithm 4): answer SPG(u, v) by a bidirectional BFS
@@ -33,13 +32,8 @@ import (
 // meeting: it is never built, so each side's completed levels are the
 // ones it expanded from.
 //
-// Where the search stops changes no answer: side order never moves the
-// meeting's depth sum, and recover attaches at level dm = min(σ−1, D),
-// the last one the side completed short of the landmark. A vertex x
-// there with label distance σ−dm lies on a shortest root→r path exactly
-// when its successor y one level out has σ−dm−1, so the label walk from
-// x takes the hop x→y that extraction from y would have taken: the
-// answer is the same at any stop.
+// Recover reads labels only: each side's part of G^L is the label walk
+// from its endpoint, and the landmark-to-landmark part is Δ.
 //
 // A Searcher carries reusable workspaces; create one per goroutine.
 
@@ -101,19 +95,16 @@ type QueryStats struct {
 type Searcher struct {
 	ix *Index
 
-	bs       *bfs.Search     // the bidirectional search over G⁻ and its reverse extraction
-	fwd, bwd searchSide      // bs's two sides, with their sketch edges
-	walkMark *traverse.Marks // scratch for label walks
-	out      []graph.Arc     // the answer's oriented pairs, handed to the result
+	bs       *bfs.Search // the bidirectional search over G⁻ and its reverse extraction
+	fwd, bwd searchSide  // bs's two sides, with their sketch edges
+	walk     labelWalk   // recover's walks from the endpoints
+	out      []graph.Arc // the answer's oriented pairs, handed to the result
 
-	pairs        []SketchPair
-	metaKept     []int32  // the sketch's meta-edges (sketchMetaEdges)
-	metaBuf      []int32  // a pair's meta-edges where the meta state has no table for them
-	metaGen      []uint32 // per meta-edge dedup generation
-	metaCur      uint32
-	walkCur      []graph.V
-	walkNext     []graph.V
-	recoverStart []graph.V
+	pairs    []SketchPair
+	metaKept []int32  // the sketch's meta-edges (sketchMetaEdges)
+	metaBuf  []int32  // a pair's meta-edges where the meta state has no table for them
+	metaGen  []uint32 // per meta-edge dedup generation
+	metaCur  uint32
 }
 
 // searchSide is one side of the bidirectional search — forward from u
@@ -149,9 +140,9 @@ func (s *searchSide) releaseSketch() {
 func NewSearcher(ix *Index) *Searcher {
 	n := ix.out.NumVertices()
 	sr := &Searcher{
-		bs:       bfs.NewSearch(ix.out, ix.in),
-		walkMark: traverse.NewMarks(n),
-		metaGen:  make([]uint32, len(ix.ms.meta)),
+		bs:      bfs.NewSearch(ix.out, ix.in),
+		walk:    newLabelWalk(n),
+		metaGen: make([]uint32, len(ix.ms.meta)),
 	}
 	sr.fwd.Side, sr.bwd.Side = &sr.bs.Fwd, &sr.bs.Bwd
 	for _, side := range []*searchSide{&sr.fwd, &sr.bwd} {
@@ -376,17 +367,18 @@ func (sr *Searcher) releaseSketch() {
 	sr.bwd.releaseSketch()
 }
 
-// recover computes G^L_uv: for each sketch endpoint edge (r, t), find the
-// attachment vertices Z (closest-to-r vertices the search reached on
-// shortest t–r paths), walk them back to t over the search depths and
-// forward to r over the labelling; then expand every sketch meta-edge
-// from the precomputed Δ.
+// recover computes G^L_uv: for each sketch edge (r, t) at a non-landmark
+// endpoint t, the label walk from t along r's column adds every shortest
+// t–r path avoiding the other landmarks; then every sketch meta-edge
+// adds its Δ. It reads labels and Δ only, never the search's levels.
 func (sr *Searcher) recover(st *QueryStats) {
 	ix := sr.ix
 	for _, side := range [2]*searchSide{&sr.fwd, &sr.bwd} {
-		if ix.landIdx[side.Root()] >= 0 {
+		root := side.Root()
+		if ix.landIdx[root] >= 0 {
 			continue // landmark endpoint: the meta-path starts at it directly
 		}
+		rows := side.WS.RowsAhead(side.Push)
 		for _, rank := range side.ranks {
 			sigma := side.sigma[rank]
 			if sigma < 1 {
@@ -394,26 +386,9 @@ func (sr *Searcher) recover(st *QueryStats) {
 				// against corrupted label bytes from an untrusted snapshot.
 				continue
 			}
-			dm := sigma - 1
-			if side.D < dm {
-				dm = side.D
-			}
-			want := uint8(sigma - dm)
-			starts := sr.recoverStart[:0]
-			col := side.labels[rank]
-			for _, w := range side.Level(dm) {
-				if col[w] == want {
-					starts = append(starts, w)
-				}
-			}
-			sr.recoverStart = starts
-			if len(starts) == 0 {
-				continue
-			}
 			var arcs int64
-			sr.out, arcs = sr.bs.Extract(side.Side, sr.out, starts)
+			sr.out, arcs = sr.walk.run(sr.out, &ix.Shell, side.Push, rows, side == &sr.bwd, side.labels[rank], rank, root, sigma)
 			st.ArcsScanned += arcs
-			sr.labelWalk(side, starts, rank, int32(want), st)
 		}
 	}
 
@@ -423,51 +398,4 @@ func (sr *Searcher) recover(st *QueryStats) {
 			sr.out = append(sr.out, graph.Arc{From: e.U, To: e.W})
 		}
 	}
-}
-
-// labelWalk adds all shortest paths between each start vertex and
-// landmark rank, walking side's arcs with its label distances going down
-// to 1 and finally attaching to the landmark itself. Interior vertices
-// are non-landmarks by construction of the labelling.
-//
-//qbs:zeroalloc
-func (sr *Searcher) labelWalk(side *searchSide, starts []graph.V, rank int, delta int32, st *QueryStats) {
-	ix := sr.ix
-	col := side.labels[rank]
-	rv := ix.landmarks[rank]
-	sr.walkMark.Reset()
-	cur := sr.walkCur[:0]
-	for _, w := range starts {
-		if !sr.walkMark.Seen(w) {
-			sr.walkMark.Mark(w)
-			cur = append(cur, w)
-		}
-	}
-	rows := side.WS.RowsAhead(side.Push)
-	for ; delta > 1; delta-- {
-		next := sr.walkNext[:0]
-		want := uint8(delta - 1)
-		for i, x := range cur {
-			rows.At(cur, i)
-			for _, y := range side.Push.Neighbors(x) {
-				st.ArcsScanned++
-				if ix.landIdx[y] >= 0 {
-					continue
-				}
-				if col[y] == want {
-					sr.out = append(sr.out, side.Arc(x, y))
-					if !sr.walkMark.Seen(y) {
-						sr.walkMark.Mark(y)
-						next = append(next, y)
-					}
-				}
-			}
-		}
-		sr.walkNext = cur[:0]
-		cur = next
-	}
-	for _, x := range cur {
-		sr.out = append(sr.out, side.Arc(x, rv))
-	}
-	sr.walkCur = cur[:0]
 }
