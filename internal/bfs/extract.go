@@ -34,11 +34,16 @@ import (
 // In the QbS guided search the side's depths are over the sparsified
 // graph G⁻: landmarks carry a negative sentinel depth, are listed in no
 // level and are skipped automatically. A warmed extractor keeps the
-// query path allocation-free.
+// query path allocation-free: one buffer holds an extraction's levels
+// end to end, so its high-water mark is the largest extraction's, and a
+// pass over the same queries in any order never grows it again. (Two
+// level buffers swapped per step would leave each level in whichever
+// buffer the step count's parity gives it, so a second pass could
+// still grow one.)
 type Extractor struct {
-	mark      *traverse.Marks // every vertex that has been in cur, or is in next
-	cur, next []graph.V
-	force     stepForm // test hook: steps all in one form (export_test.go)
+	mark   *traverse.Marks // every vertex that has been in cur, or is in next
+	levels []graph.V       // the levels of one extraction, end to end
+	force  stepForm        // test hook: steps all in one form (export_test.go)
 }
 
 // stepForm picks the form of every step; the zero value applies the rule.
@@ -67,16 +72,16 @@ func NewExtractor(n int) *Extractor {
 func (e *Extractor) Extract(s *Side, out []graph.Arc, from []graph.V) ([]graph.Arc, int64) {
 	e.mark.Reset()
 	var arcs, scanned int64
-	cur := e.cur[:0]
+	levels := e.levels[:0]
 	for _, w := range from {
 		if !e.mark.Seen(w) {
 			e.mark.Mark(w)
-			cur = append(cur, w)
+			levels = append(levels, w)
 		}
 	}
-	next := e.next[:0]
 	pushRows, pullRows := s.WS.RowsAhead(s.Push), s.WS.RowsAhead(s.pull)
-	for len(cur) > 0 {
+	for lo := 0; lo < len(levels); {
+		cur := levels[lo:]
 		k := s.WS.Dist(cur[0])
 		if k <= 0 {
 			break
@@ -88,15 +93,15 @@ func (e *Extractor) Extract(s *Side, out []graph.Arc, from []graph.V) ([]graph.A
 			break
 		}
 		below := s.Level(k - 1)
+		lo = len(levels)
 		if e.pushes(len(below), len(cur)) {
-			out, next, scanned = e.pushStep(s, pushRows, out, below, next[:0])
+			out, levels, scanned = e.pushStep(s, pushRows, out, below, levels)
 		} else {
-			out, next, scanned = e.pullStep(s, pullRows, out, cur, k, next[:0])
+			out, levels, scanned = e.pullStep(s, pullRows, out, cur, k, levels)
 		}
 		arcs += scanned
-		cur, next = next, cur
 	}
-	e.cur, e.next = cur[:0], next[:0]
+	e.levels = levels[:0]
 	return out, arcs
 }
 
@@ -148,7 +153,7 @@ func (e *Extractor) pullStep(s *Side, rows traverse.RowsAhead, out []graph.Arc, 
 //qbs:zeroalloc
 func (e *Extractor) pushStep(s *Side, rows traverse.RowsAhead, out []graph.Arc, below []graph.V, next []graph.V) ([]graph.Arc, []graph.V, int64) {
 	var arcs int64
-	push := s.Push
+	push, start := s.Push, len(next)
 	for i, x := range below {
 		rows.At(below, i)
 		ns := push.Neighbors(x)
@@ -163,7 +168,7 @@ func (e *Extractor) pushStep(s *Side, rows traverse.RowsAhead, out []graph.Arc, 
 			next = append(next, x)
 		}
 	}
-	for _, x := range next {
+	for _, x := range next[start:] {
 		e.mark.Mark(x)
 	}
 	return out, next, arcs

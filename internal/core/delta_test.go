@@ -22,10 +22,10 @@ func deltaAnalog(tb testing.TB, key string, scale float64) testGraph {
 }
 
 // TestBuildDeltaScratch holds Δ recovery to O(n) scratch: it reads the
-// label columns where they lie, so the bytes it allocates — the
-// candidate lists, the level stamps and the Δ lists themselves — stay
-// below half a byte per label entry. A row-major copy of the labels
-// alone is n·R bytes per labelling.
+// label columns where they lie, so the bytes it allocates — the label
+// walk's marks and level buffers, its arc and sort buffers, and the Δ
+// lists themselves — stay below half a byte per label entry. A
+// row-major copy of the labels alone is n·R bytes per labelling.
 func TestBuildDeltaScratch(t *testing.T) {
 	for _, key := range []string{"YT", "WK"} {
 		tg := deltaAnalog(t, key, 1)

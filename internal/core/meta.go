@@ -1,18 +1,17 @@
 package core
 
 import (
-	"encoding/binary"
-	"math/bits"
-	"slices"
-
 	"qbs/internal/graph"
+	"qbs/internal/traverse"
 )
 
 // Meta-graph precomputation (§5.2): all-pairs shortest paths over the
 // meta-graph M, and Δ — for each meta-edge (a, b), the shortest path
-// graph between a and b in G, recovered from the labelling alone.
-// These drop per-query sketch cost to O(|R|²) and let the recover search
-// expand landmark-to-landmark segments without touching G.
+// graph between a and b in G, recovered from the labelling alone: it is
+// the label walk (walk.go) from a along b's column, the walk recover
+// runs from a query endpoint, one walk per meta-edge. These drop
+// per-query sketch cost to O(|R|²) and let recover expand
+// landmark-to-landmark segments without touching G.
 //
 // The meta-graph state is factored into its own immutable MetaState so
 // the dynamic-update subsystem can share one instance across index
@@ -228,213 +227,54 @@ func (ms *MetaState) onMetaShortestPath(i, j, k int) bool {
 	return da != graph.InfDist && db != graph.InfDist && da+e.weight+db == d
 }
 
-// buildDelta recovers, for every meta-edge (a→b), the SPG from a to b in
-// G. A non-landmark vertex w lies on a shortest a→b path that avoids
-// other landmarks iff both label entries exist and δ_aw + δ_wb = σ(a→b)
-// (labelFrom of a, labelTo of b); an arc (w, w') of such a path connects
-// consecutive labelFrom levels. Endpoint arcs attach level-1 (resp.
-// level σ−1) vertices to a (resp. b).
-//
-// The whole recovery costs one pass over label entries plus neighbour
-// scans of candidate vertices — no BFS over G.
+// buildDelta recovers Δ for every meta-edge of the index.
 func (ix *Index) buildDelta() {
-	R := ix.numLand
-	n := ix.out.NumVertices()
-	sym := ix.symmetric()
-	meta := ix.ms.meta
-	ix.delta = make([][]graph.Edge, len(meta))
-	// arc is the Δ entry for x→y: as found on a digraph, normalised on an
-	// undirected graph (where Δ lists are shared with the dynamic index).
-	arc := func(x, y graph.V) graph.Edge {
-		if sym {
-			return graph.Edge{U: x, W: y}.Normalize()
-		}
-		return graph.Edge{U: x, W: y}
+	ix.delta = make([][]graph.Edge, len(ix.ms.meta))
+	ix.FillDelta(ix.out, ix.labelTo, ix.ms, ix.delta)
+	ix.build.DeltaEdges = 0
+	for _, d := range ix.delta {
+		ix.build.DeltaEdges += int64(len(d))
 	}
+}
 
-	// Pass 1: collect candidates per meta-edge. A candidate for (a→b)
-	// needs δ_av + δ_vb = σ(a→b) with both terms ≥ 1, so an entry with
-	// δ_av ≥ max_b σ(a→b) (resp. δ_vb ≥ max_a σ(a→b)) can never
-	// participate — on hub-dominated graphs, where landmarks sit close
-	// together, that filter discards almost every entry before the O(L²)
-	// pair loop. The label columns are read where they lie: blockFlags
-	// tests the bound on eight consecutive vertices per 64-bit load of
-	// each column, and only a vertex some column flags (on a digraph,
-	// some from-column and some to-column) has its surviving entries
-	// gathered into locals; the last n mod 8 vertices are gathered
-	// unconditionally. Each pair costs one σ-matrix byte probe (the
-	// meta-edge id is resolved only on the rare hit). A symmetric index
-	// has one matrix and one entry list per vertex, and pairs each two
-	// entries once (x < y, the a < b edge).
-	sigma := ix.ms.sigma
-	metaID := ix.ms.metaID
-	maxFrom, maxTo := make([]uint8, R), make([]uint8, R)
-	for a := 0; a < R; a++ {
-		for b := 0; b < R; b++ {
-			if s := sigma[a*R+b]; s != NoEntry {
-				maxFrom[a] = max(maxFrom[a], s)
-				maxTo[b] = max(maxTo[b], s)
-			}
-		}
-	}
-	type entries struct {
-		ranks, dists [256]int32
-		n            int
-	}
-	gather := func(e *entries, labels [][]uint8, maxSig []uint8, v int) {
-		e.n = 0
-		for i, col := range labels {
-			if d := col[v]; d != NoEntry && d < maxSig[i] {
-				e.ranks[e.n] = int32(i)
-				e.dists[e.n] = int32(d)
-				e.n++
-			}
-		}
-	}
-	cands := make([][]graph.V, len(meta))
-	var from, toBuf entries
-	to := &from
-	if !sym {
-		to = &toBuf
-	}
-	collect := func(v int) {
-		gather(&from, ix.labelFrom, maxFrom, v)
-		if !sym {
-			gather(to, ix.labelTo, maxTo, v)
-		}
-		for x := 0; x < from.n; x++ {
-			row := int(from.ranks[x]) * R
-			da := from.dists[x]
-			y := 0
-			if sym {
-				y = x + 1
-			}
-			for ; y < to.n; y++ {
-				b := int(to.ranks[y])
-				if sig := sigma[row+b]; sig != NoEntry && da+to.dists[y] == int32(sig) {
-					cands[metaID[row+b]] = append(cands[metaID[row+b]], graph.V(v))
-				}
-			}
-		}
-	}
-	for v := 0; v+8 <= n; v += 8 {
-		m := blockFlags(ix.labelFrom, maxFrom, v)
-		if !sym && m != 0 {
-			m &= blockFlags(ix.labelTo, maxTo, v)
-		}
-		for ; m != 0; m &= m - 1 {
-			collect(v + bits.TrailingZeros64(m)/8)
-		}
-	}
-	for v := n &^ 7; v < n; v++ {
-		collect(v)
-	}
-
-	// Pass 2: per meta-edge, stamp candidate levels and emit arcs.
-	level := make([]int32, n)
-	for i := range level {
-		level[i] = -1
-	}
-	var deltaEdges int64
-	for k, e := range meta {
-		va, vb := ix.landmarks[e.a], ix.landmarks[e.b]
-		if e.weight == 1 {
-			// σ = 1 meta-edges are just the direct arc.
-			ix.delta[k] = []graph.Edge{arc(va, vb)}
-			deltaEdges++
+// FillDelta walks every nil list of delta, which is aligned with ms's
+// meta-edges, and returns how many it walked. Δ(a→b) is the label walk
+// from landmark a over out's arcs along labelTo[b] — the shortest a→b
+// paths that avoid the other landmarks, in G — sorted by (U, W), each arc
+// normalised (U < W) when ms is symmetric. A Δ list is never empty, so
+// nil marks exactly the lists to walk: a build passes them all, a
+// maintained index the ones an update made stale.
+func (sh *Shell) FillDelta(out graph.Adjacency, labelTo [][]uint8, ms *MetaState, delta [][]graph.Edge) int {
+	var (
+		walk       labelWalk
+		arcs       []graph.Arc
+		keys, sbuf []uint64
+		walked     int
+	)
+	for k, e := range ms.meta {
+		if delta[k] != nil {
 			continue
 		}
-		for _, w := range cands[k] {
-			level[w] = int32(ix.labelFrom[e.a][w])
+		if walked == 0 {
+			walk = newLabelWalk(sh.NumVertices())
 		}
-		var edges []graph.Edge
-		for _, w := range cands[k] {
-			lw := level[w]
-			if lw == 1 {
-				edges = append(edges, arc(va, w))
+		walked++
+		arcs, _ = walk.run(arcs[:0], sh, out, traverse.RowsAhead{}, false, labelTo[e.b], e.b, sh.landmarks[e.a], e.weight)
+		// One sort and no dedup: the walk emits no arc twice.
+		keys = keys[:0]
+		for _, a := range arcs {
+			u, w := a.From, a.To
+			if ms.sym && w < u {
+				u, w = w, u
 			}
-			if lw == e.weight-1 {
-				edges = append(edges, arc(w, vb))
-			}
-			for _, x := range ix.out.Neighbors(w) {
-				if level[x] == lw+1 {
-					edges = append(edges, arc(w, x))
-				}
-			}
+			keys = append(keys, uint64(u)<<32|uint64(w))
 		}
-		for _, w := range cands[k] {
-			level[w] = -1
+		sbuf = graph.SortKeys(keys, 0, sbuf)
+		list := make([]graph.Edge, len(keys))
+		for i, key := range keys {
+			list[i] = graph.Edge{U: graph.V(key >> 32), W: graph.V(uint32(key))}
 		}
-		ix.delta[k] = DedupEdges(edges)
-		deltaEdges += int64(len(ix.delta[k]))
+		delta[k] = list
 	}
-	ix.build.DeltaEdges = deltaEdges
-}
-
-// blockFlags returns a word whose byte j has its top bit set when some
-// column may hold an entry below its bound (bound[i] for column i) at
-// vertex v+j. It is the standard has-a-byte-below-k test, one 64-bit
-// load per column: for k ≤ 127 it flags every byte below k, and
-// possibly a byte equal to k above a borrow from a lower byte. A column
-// whose bound is above 127 flags the whole block, and a bound of 0 (the
-// rank has no meta-edge on this side) flags nothing. A false flag costs
-// a gather, never an answer: gather re-checks every entry.
-func blockFlags(labels [][]uint8, bound []uint8, v int) uint64 {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	var m uint64
-	for i, col := range labels {
-		switch k := uint64(bound[i]); {
-		case k == 0:
-		case k > 127:
-			return highs
-		default:
-			w := binary.LittleEndian.Uint64(col[v : v+8])
-			m |= (w - ones*k) &^ w & highs
-		}
-	}
-	return m
-}
-
-// DedupEdges sorts an edge list and removes duplicates in place. Shared with the dynamic subsystem, whose incrementally
-// recomputed Δ lists must match buildDelta's output bit for bit.
-func DedupEdges(edges []graph.Edge) []graph.Edge {
-	if len(edges) < 2 {
-		return edges
-	}
-	sortEdges(edges)
-	out := edges[:1]
-	for _, e := range edges[1:] {
-		if e != out[len(out)-1] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// sortEdges orders by (U, W) ascending. Short lists (most Δ lists on
-// the bundled analogs) use an allocation-free insertion sort; longer
-// ones are packed into uint64 keys and sorted with the specialised
-// ordered-slice sort, several times faster than a comparator sort.
-// Endpoints are non-negative, so the unsigned pack preserves order.
-func sortEdges(edges []graph.Edge) {
-	if len(edges) <= 32 {
-		for i := 1; i < len(edges); i++ {
-			e := edges[i]
-			j := i - 1
-			for j >= 0 && (edges[j].U > e.U || (edges[j].U == e.U && edges[j].W > e.W)) {
-				edges[j+1] = edges[j]
-				j--
-			}
-			edges[j+1] = e
-		}
-		return
-	}
-	keys := make([]uint64, len(edges))
-	for i, e := range edges {
-		keys[i] = uint64(uint32(e.U))<<32 | uint64(uint32(e.W))
-	}
-	slices.Sort(keys)
-	for i, k := range keys {
-		edges[i] = graph.Edge{U: int32(k >> 32), W: int32(uint32(k))}
-	}
+	return walked
 }

@@ -406,8 +406,8 @@ func TestDeltaEdgesAreLandmarkShortestPaths(t *testing.T) {
 				for _, e := range ix.Delta(k) {
 					got.AddEdge(e.U, e.W)
 				}
-				if !got.Equal(want) {
-					t.Fatalf("Δ(%d→%d): got %v want %v", a, b, got, want)
+				if len(ix.Delta(k)) != want.NumEdges() || !got.Equal(want) {
+					t.Fatalf("Δ(%d→%d): %d edges %v, want %d: %v", a, b, len(ix.Delta(k)), got, want.NumEdges(), want)
 				}
 			}
 		})

@@ -7,12 +7,14 @@ import (
 
 // labelWalk reads shortest paths to a landmark off that landmark's label
 // column — the one routine that does, for the Δ lists (§5.2) and for
-// recover's G^L (Algorithm 4). It keeps its marks and two level buffers
-// between walks, so a warm walk allocates nothing. Not safe for
+// recover's G^L (Algorithm 4). It keeps its marks and one buffer that
+// holds a walk's levels end to end between walks, so a warm walk
+// allocates nothing: the buffer's high-water mark is the largest walk's
+// vertex count, whatever order the walks come in. Not safe for
 // concurrent use.
 type labelWalk struct {
-	mark      *traverse.Marks
-	cur, next []graph.V
+	mark   *traverse.Marks
+	levels []graph.V
 }
 
 func newLabelWalk(n int) labelWalk { return labelWalk{mark: traverse.NewMarks(n)} }
@@ -43,12 +45,13 @@ func (w *labelWalk) run(out []graph.Arc, sh *Shell, push graph.Adjacency, rows t
 	var arcs int64
 	w.mark.Reset()
 	w.mark.Mark(root)
-	cur := append(w.cur[:0], root)
+	levels := append(w.levels[:0], root)
+	lo, hi := 0, 1 // the level at hand is levels[lo:hi]
 	for ; sigma > 1; sigma-- {
-		next := w.next[:0]
 		want := uint8(sigma - 1)
-		for i, x := range cur {
-			rows.At(cur, i)
+		for i := lo; i < hi; i++ {
+			x := levels[i]
+			rows.At(levels[:hi], i)
 			for _, y := range push.Neighbors(x) {
 				arcs++
 				if sh.landIdx[y] >= 0 || col[y] != want {
@@ -57,17 +60,16 @@ func (w *labelWalk) run(out []graph.Arc, sh *Shell, push graph.Adjacency, rows t
 				out = appendArc(out, x, y, backward)
 				if !w.mark.Seen(y) {
 					w.mark.Mark(y)
-					next = append(next, y)
+					levels = append(levels, y)
 				}
 			}
 		}
-		w.next = cur[:0]
-		cur = next
+		lo, hi = hi, len(levels)
 	}
-	for _, x := range cur {
+	for _, x := range levels[lo:hi] {
 		out = appendArc(out, x, sh.landmarks[rank], backward)
 	}
-	w.cur = cur[:0]
+	w.levels = levels[:0]
 	return out, arcs
 }
 

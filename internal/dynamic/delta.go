@@ -6,16 +6,18 @@ import (
 )
 
 // Incremental Δ maintenance. Δ[k] for meta-edge k = (a, b) is the
-// shortest-path graph between landmarks a and b, recovered from the two
-// label columns alone: a vertex v participates iff
-// lab_a(v) + lab_b(v) = σ(a, b). A meta-edge therefore only needs
-// recomputation when (1) σ(a, b) changed (handled by snapshot
+// shortest-path graph between landmarks a and b, read off the label
+// columns by core's label walk: from a, along b's column, over the
+// vertices v with lab_a(v) + lab_b(v) = σ(a, b). A meta-edge therefore
+// only needs recomputation when (1) σ(a, b) changed (handled by snapshot
 // realignment, which carries lists over only when the weight is
 // unchanged), (2) some vertex's a- or b-label changed while the vertex
 // participates before or after, or (3) the updated edge itself joins two
 // participating vertices on consecutive levels, or attaches a
-// participant to a landmark endpoint. Everything else is carried over
-// from the previous snapshot by reference.
+// participant to a landmark endpoint. A list that needs it is walked
+// again over the updated overlay (core.Shell.FillDelta), at the cost of
+// the rows of its own vertices; everything else is carried over from the
+// previous snapshot by reference.
 
 // dirtyDeltas returns the set of landmark-rank pairs (encoded a<<8|b
 // with a < b) whose Δ list must be recomputed, given the label columns
@@ -103,44 +105,4 @@ func dirtyDeltas(sh *core.Shell, lab, oldLab [][]uint8, sigma []uint8, changes [
 	markEndpoint(u, w)
 	markEndpoint(w, u)
 	return dirty
-}
-
-// computeDelta recomputes the Δ list of meta-edge (a, b) with weight
-// sigma from the label columns, matching core's buildDelta output
-// (normalised, sorted, deduplicated). The column scan is O(|V|), which
-// is why it runs only for the dirty pairs of an incremental update —
-// most updates have none (the endpoints must participate in a
-// landmark-pair SPG) — and a full build recovers every list at once
-// through core's buildDelta instead; a localized patch driven by the
-// label-change list is possible if this ever shows up in write latency
-// profiles.
-func computeDelta(g *Overlay, landmarks []graph.V, lab [][]uint8, a, b int, sigma int32) []graph.Edge {
-	va, vb := landmarks[a], landmarks[b]
-	if sigma == 1 {
-		return []graph.Edge{graph.Edge{U: va, W: vb}.Normalize()}
-	}
-	la, lb := lab[a], lab[b]
-	var edges []graph.Edge
-	n := g.NumVertices()
-	for vi := 0; vi < n; vi++ {
-		da, db := la[vi], lb[vi]
-		if da == core.NoEntry || db == core.NoEntry || int32(da)+int32(db) != sigma {
-			continue
-		}
-		v := graph.V(vi)
-		lv := int32(da)
-		if lv == 1 {
-			edges = append(edges, graph.Edge{U: va, W: v}.Normalize())
-		}
-		if lv == sigma-1 {
-			edges = append(edges, graph.Edge{U: v, W: vb}.Normalize())
-		}
-		for _, x := range g.Neighbors(v) {
-			xa, xb := la[x], lb[x]
-			if xa != core.NoEntry && xb != core.NoEntry && int32(xa)+int32(xb) == sigma && int32(xa) == lv+1 {
-				edges = append(edges, graph.Edge{U: v, W: x}.Normalize())
-			}
-		}
-	}
-	return core.DedupEdges(edges)
 }

@@ -58,9 +58,10 @@ type Stats struct {
 // full build (epoch 0) is core's: fullBuild runs
 // core.Shell.BuildMaintained over the overlay and takes the result over
 // — labels from the one labelling sweep, σ and the meta state from its
-// meta-edges, Δ from buildDelta, and the plain BFS distance columns the
-// same sweep writes for a maintained index. From then on applyLocked
-// repairs those parts in place of rebuilding them (repair.go, delta.go),
+// meta-edges, Δ from the label walk (core.Shell.FillDelta), and the
+// plain BFS distance columns the same sweep writes for a maintained
+// index. From then on applyLocked repairs those parts in place of
+// rebuilding them (repair.go; a stale Δ list is the same walk again),
 // and a compaction replaces only the overlay (compactLocked).
 // All parts are immutable once published; an update copies only the
 // columns and lists it writes and shares the rest with its predecessor.
@@ -350,42 +351,34 @@ func (d *Index) applyLocked(st state, u, w graph.V, insert bool, tb *obs.TraceBu
 
 	dirty := dirtyDeltas(d.shell, lab, st.lab, sigma, rp.labelChanges, u, w)
 
-	var ms *core.MetaState
-	var delta [][]graph.Edge
+	// Every Δ list left nil is walked afresh over the updated overlay: a
+	// dirty one, and after a σ change one whose meta-edge is new or
+	// changed weight. The rest are carried over by reference.
+	ms, delta := st.ms, st.delta
 	if rp.sigmaChanged {
 		counts.metaRebuilds++
 		ms = core.NewMetaState(R, sigma)
 		delta = make([][]graph.Edge, ms.NumEdges())
 		for k := range delta {
 			a, b, wt := ms.Edge(k)
-			if _, bad := dirty[a<<8|b]; !bad {
-				if oldID := st.ms.EdgeID(a, b); oldID >= 0 {
-					if _, _, oldWt := st.ms.Edge(int(oldID)); oldWt == wt {
-						delta[k] = st.delta[oldID]
-						continue
-					}
+			if _, bad := dirty[a<<8|b]; bad {
+				continue
+			}
+			if oldID := st.ms.EdgeID(a, b); oldID >= 0 {
+				if _, _, oldWt := st.ms.Edge(int(oldID)); oldWt == wt {
+					delta[k] = st.delta[oldID]
 				}
 			}
-			delta[k] = computeDelta(ov, d.shell.Landmarks(), lab, a, b, wt)
-			counts.deltas++
 		}
-	} else {
-		ms = st.ms
-		delta = st.delta
-		if len(dirty) > 0 {
-			delta = slices.Clone(st.delta)
-			for key := range dirty {
-				a, b := key>>8, key&0xff
-				k := ms.EdgeID(a, b)
-				if k < 0 {
-					continue
-				}
-				_, _, wt := ms.Edge(int(k))
-				delta[k] = computeDelta(ov, d.shell.Landmarks(), lab, a, b, wt)
-				counts.deltas++
+	} else if len(dirty) > 0 {
+		delta = slices.Clone(st.delta)
+		for key := range dirty {
+			if k := ms.EdgeID(key>>8, key&0xff); k >= 0 {
+				delta[k] = nil
 			}
 		}
 	}
+	counts.deltas = uint64(d.shell.FillDelta(ov, lab, ms, delta))
 	return state{overlay: ov, dist: dist, lab: lab, sigma: sigma, ms: ms, delta: delta}, counts, nil
 }
 

@@ -182,6 +182,96 @@ func TestIncrementalMatchesFreshBuild(t *testing.T) {
 	}
 }
 
+// TestMaintainedDeltaIsLandmarkAvoidingSPG holds every Δ list of every
+// epoch to the oracle: after each update of a seeded stream, Δ(a→b) is
+// the SPG between a and b over the updated graph without the other
+// landmarks. TestIncrementalMatchesFreshBuild compares the maintained
+// lists with a fresh build's, which the same label walk reads, so it
+// checks only which lists an update walks again; this checks what the
+// walk reads. The graphs are an Erdős–Rényi graph, and a path and a
+// cycle whose landmarks lie far apart, where an update adds or removes a
+// chord over two or three hops: σ stays long, every distance within the
+// 253 hops a label holds, and overlapping chords give Δ lists of several
+// paths.
+func TestMaintainedDeltaIsLandmarkAvoidingSPG(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		lands  []graph.V // nil: six drawn from the stream's seed
+		chords bool      // an update joins vertices two or three ids apart, else any two
+	}{
+		{"er150", graph.ErdosRenyi(150, 330, 17), nil, false},
+		{"path200", graph.Path(200), []graph.V{0, 90, 199}, true},
+		{"cycle251", graph.Cycle(251), []graph.V{0, 80, 170}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			n := tc.g.NumVertices()
+			lands := tc.lands
+			if lands == nil {
+				lands = pickLandmarks(n, 6, rng)
+			}
+			d, err := New(tc.g, lands, Options{CompactFraction: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDeltaAgainstOracle(t, d)
+			for op := 0; op < 60; op++ {
+				u := graph.V(rng.Intn(n))
+				v := graph.V(rng.Intn(n))
+				if tc.chords {
+					v = u + graph.V(2+rng.Intn(2))
+				}
+				if u == v || int(v) >= n {
+					continue
+				}
+				var changed bool
+				if d.HasEdge(u, v) {
+					changed, err = d.RemoveEdge(u, v)
+				} else {
+					changed, err = d.AddEdge(u, v)
+				}
+				if err != nil {
+					t.Fatalf("update {%d,%d}: %v", u, v, err)
+				}
+				if changed {
+					checkDeltaAgainstOracle(t, d)
+				}
+			}
+			if st := d.Stats(); st.DeltaRecomputes == 0 {
+				t.Fatalf("%d updates walked no Δ list again", st.Inserts+st.Deletes)
+			} else {
+				t.Logf("%d updates, %d Δ lists walked again", st.Inserts+st.Deletes, st.DeltaRecomputes)
+			}
+		})
+	}
+}
+
+// checkDeltaAgainstOracle compares every Δ list of the current epoch with
+// bfs.OracleSPG between its landmarks over the materialised graph
+// without the other landmarks, edge set and edge count.
+func checkDeltaAgainstOracle(t *testing.T, d *Index) {
+	t.Helper()
+	g := d.CurrentGraph().Materialize()
+	ix := d.CurrentIndex()
+	for k, me := range ix.MetaEdges() {
+		a, b := ix.Landmarks()[me[0]], ix.Landmarks()[me[1]]
+		keep := func(v graph.V) bool { return v == a || v == b || !ix.IsLandmark(v) }
+		want := bfs.OracleSPG(g.InducedSubgraph(keep), a, b)
+		if want.Dist != me[2] {
+			t.Fatalf("epoch %d: meta-edge %d–%d: avoiding distance %d, σ %d", d.Epoch(), a, b, want.Dist, me[2])
+		}
+		got := graph.NewSPG(a, b)
+		got.Dist = want.Dist
+		for _, e := range ix.Delta(k) {
+			got.AddEdge(e.U, e.W)
+		}
+		if len(ix.Delta(k)) != want.NumEdges() || !got.Equal(want) {
+			t.Fatalf("epoch %d: Δ(%d–%d) has %d edges %v, want %d: %v", d.Epoch(), a, b, len(ix.Delta(k)), got, want.NumEdges(), want)
+		}
+	}
+}
+
 // TestDisconnection exercises updates that cut vertices off entirely and
 // reconnect them.
 func TestDisconnection(t *testing.T) {
