@@ -44,7 +44,6 @@ func newLabelWalk(n int) labelWalk { return labelWalk{mark: traverse.NewMarks(n)
 func (w *labelWalk) run(out []graph.Arc, sh *Shell, push graph.Adjacency, rows traverse.RowsAhead, backward bool, col []uint8, rank int, root graph.V, sigma int32) ([]graph.Arc, int64) {
 	var arcs int64
 	w.mark.Reset()
-	w.mark.Mark(root)
 	levels := append(w.levels[:0], root)
 	lo, hi := 0, 1 // the level at hand is levels[lo:hi]
 	for ; sigma > 1; sigma-- {
