@@ -6,6 +6,7 @@ package qbs_test
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -195,7 +196,10 @@ func TestWarmTracedQueryZeroAllocs(t *testing.T) {
 // (QueryInto, QueryIntoStats, Distance and DistanceStats are its
 // methods).
 // GC is paused so the searcher pool cannot be emptied mid-measurement
-// (a pool refill is an allocation the steady state never pays).
+// (a pool refill is an allocation the steady state never pays), and the
+// warm rounds run at the one P testing.AllocsPerRun measures at, so the
+// searcher they leave pooled is in the slot the measured passes take it
+// from, not stranded in another P's.
 func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool")
@@ -203,6 +207,7 @@ func TestWarmIndexQueryIntoZeroAllocs(t *testing.T) {
 	for _, c := range allocCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, ix, pairs := c.build(t)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			spg := new(graph.SPG)
 			for r := 0; r < 3; r++ {
 				for _, p := range pairs {

@@ -399,6 +399,7 @@ func loadDiGraph(path, dataset string, scale float64) (*qbs.DiGraph, error) {
 		return nil, err
 	}
 	fmt.Printf("graph: |V|=%d |E|=%d (directed) loaded in %s\n", g.NumVertices(), g.NumArcs(), startup("graph", start))
+	runtime.GC() // see loadGraph
 	return g, nil
 }
 
@@ -421,6 +422,9 @@ func loadGraph(path, dataset string, scale float64) (*qbs.Graph, error) {
 		return nil, err
 	}
 	fmt.Printf("graph: |V|=%d |E|=%d loaded in %s\n", g.NumVertices(), g.NumEdges(), startup("graph", start))
+	// Drop what the load left behind (a generator's pair list, a file's
+	// parse buffers) before the build allocates on top of it.
+	runtime.GC()
 	return g, nil
 }
 

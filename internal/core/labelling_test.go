@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"qbs/internal/bfs"
 	"qbs/internal/graph"
+	"qbs/internal/traverse"
 )
 
 // Tests for the labelling phase (Algorithm 2) and index construction
@@ -315,5 +317,82 @@ func TestEngineBuildSpeedup(t *testing.T) {
 	if ratio := float64(scalar) / float64(engine); ratio < 2 {
 		t.Fatalf("bit-parallel labelling only %.2fx faster than scalar (engine %s, scalar %s), want >= 2x",
 			ratio, engine, scalar)
+	}
+}
+
+// TestMultiBFSWidthsMatchScalar holds the engine's settle payloads to the
+// scalar QL/QN BFS of every source, at 1, 20 and 32 sources (uint32
+// words) and 33 and 64 (uint64 words), on one worker and on four. A
+// settle at (v, depth) must carry in newL the sources whose reference
+// BFS labels v at that depth (for a landmark v, records the meta-edge to
+// it), and in newN the rest of the sources that reach v at that depth.
+// The graphs have more vertices than the pool floor and levels dense
+// enough to run bottom-up, so four workers share those levels.
+func TestMultiBFSWidthsMatchScalar(t *testing.T) {
+	type payload struct{ l, n uint64 }
+	type key struct {
+		v     graph.V
+		depth int32
+	}
+	und := randomTestGraph(t, 6000, 30000, 91)
+	dir := graph.DirectedErdosRenyi(6000, 36000, 92)
+	for _, tg := range []testGraph{undirected(und), directed(dir)} {
+		n := tg.numVertices()
+		push, pull := graph.Adjacency(tg.und), graph.Adjacency(tg.und)
+		if tg.dir != nil {
+			push, pull = tg.dir.OutView(), tg.dir.InView()
+		}
+		for _, k := range []int{1, 20, 32, 33, 64} {
+			roots := randomLandmarks(n, k, int64(k))
+			ref := bareIndex(t, nil, push, pull, roots)
+			want := map[key]payload{}
+			ws := newLabelWorkspace(n)
+			col := make([]uint8, n)
+			for i := range roots {
+				for v := range col {
+					col[v] = NoEntry
+				}
+				metas, ok := ref.landmarkBFS(i, push, col, ws)
+				if !ok {
+					t.Fatal("scalar labelling overflow")
+				}
+				viaL := map[graph.V]bool{}
+				for _, e := range metas {
+					viaL[roots[e.b]] = true
+				}
+				for _, v := range ws.visited[1:] {
+					d := ws.depth[v]
+					p := want[key{v, d}]
+					if col[v] == uint8(d) || viaL[v] {
+						p.l |= 1 << uint(i)
+					} else {
+						p.n |= 1 << uint(i)
+					}
+					want[key{v, d}] = p
+				}
+			}
+			for _, par := range []int{1, 4} {
+				got := map[key]payload{}
+				var mu sync.Mutex
+				eng := traverse.NewMultiBFS(n)
+				eng.Parallelism = par
+				err := eng.RunDirected(push, pull, nil, ref.landIdx, roots, MaxLabelDist, func(v graph.V, depth int32, newL, newN uint64) {
+					mu.Lock()
+					got[key{v, depth}] = payload{newL, newN}
+					mu.Unlock()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("directed=%v sources=%d par=%d: %d settles, want %d", tg.dir != nil, k, par, len(got), len(want))
+				}
+				for kv, p := range want {
+					if got[kv] != p {
+						t.Fatalf("directed=%v sources=%d par=%d: settle %v = %+v, want %+v", tg.dir != nil, k, par, kv, got[kv], p)
+					}
+				}
+			}
+		}
 	}
 }

@@ -230,7 +230,8 @@ func (ms *MetaState) onMetaShortestPath(i, j, k int) bool {
 // buildDelta recovers Δ for every meta-edge of the index.
 func (ix *Index) buildDelta() {
 	ix.delta = make([][]graph.Edge, len(ix.ms.meta))
-	ix.FillDelta(ix.out, ix.labelTo, ix.ms, ix.delta)
+	var walk LabelWalk
+	ix.FillDelta(ix.out, ix.labelTo, ix.ms, ix.delta, &walk)
 	ix.build.DeltaEdges = 0
 	for _, d := range ix.delta {
 		ix.build.DeltaEdges += int64(len(d))
@@ -243,10 +244,11 @@ func (ix *Index) buildDelta() {
 // paths that avoid the other landmarks, in G — sorted by (U, W), each arc
 // normalised (U < W) when ms is symmetric. A Δ list is never empty, so
 // nil marks exactly the lists to walk: a build passes them all, a
-// maintained index the ones an update made stale.
-func (sh *Shell) FillDelta(out graph.Adjacency, labelTo [][]uint8, ms *MetaState, delta [][]graph.Edge) int {
+// maintained index the ones an update made stale. walk is the caller's,
+// kept between calls; a zero LabelWalk is sized by the first list it
+// walks.
+func (sh *Shell) FillDelta(out graph.Adjacency, labelTo [][]uint8, ms *MetaState, delta [][]graph.Edge, walk *LabelWalk) int {
 	var (
-		walk       labelWalk
 		arcs       []graph.Arc
 		keys, sbuf []uint64
 		walked     int
@@ -255,8 +257,8 @@ func (sh *Shell) FillDelta(out graph.Adjacency, labelTo [][]uint8, ms *MetaState
 		if delta[k] != nil {
 			continue
 		}
-		if walked == 0 {
-			walk = newLabelWalk(sh.NumVertices())
+		if walk.mark == nil {
+			*walk = newLabelWalk(sh.NumVertices())
 		}
 		walked++
 		arcs, _ = walk.run(arcs[:0], sh, out, traverse.RowsAhead{}, false, labelTo[e.b], e.b, sh.landmarks[e.a], e.weight)

@@ -97,7 +97,7 @@ type Searcher struct {
 
 	bs       *bfs.Search // the bidirectional search over G⁻ and its reverse extraction
 	fwd, bwd searchSide  // bs's two sides, with their sketch edges
-	walk     labelWalk   // recover's walks from the endpoints
+	walk     LabelWalk   // recover's walks from the endpoints
 	out      []graph.Arc // the answer's oriented pairs, handed to the result
 
 	pairs    []SketchPair

@@ -5,19 +5,19 @@ import (
 	"qbs/internal/traverse"
 )
 
-// labelWalk reads shortest paths to a landmark off that landmark's label
+// LabelWalk reads shortest paths to a landmark off that landmark's label
 // column — the one routine that does, for the Δ lists (§5.2) and for
 // recover's G^L (Algorithm 4). It keeps its marks and one buffer that
 // holds a walk's levels end to end between walks, so a warm walk
 // allocates nothing: the buffer's high-water mark is the largest walk's
 // vertex count, whatever order the walks come in. Not safe for
 // concurrent use.
-type labelWalk struct {
+type LabelWalk struct {
 	mark   *traverse.Marks
 	levels []graph.V
 }
 
-func newLabelWalk(n int) labelWalk { return labelWalk{mark: traverse.NewMarks(n)} }
+func newLabelWalk(n int) LabelWalk { return LabelWalk{mark: traverse.NewMarks(n)} }
 
 // run appends to out every arc of the shortest paths from root to the
 // landmark of rank that avoid every other landmark, and returns it with
@@ -41,7 +41,7 @@ func newLabelWalk(n int) labelWalk { return labelWalk{mark: traverse.NewMarks(n)
 // ones; from a query endpoint it emits the endpoint's side of G^L.
 //
 //qbs:zeroalloc
-func (w *labelWalk) run(out []graph.Arc, sh *Shell, push graph.Adjacency, rows traverse.RowsAhead, backward bool, col []uint8, rank int, root graph.V, sigma int32) ([]graph.Arc, int64) {
+func (w *LabelWalk) run(out []graph.Arc, sh *Shell, push graph.Adjacency, rows traverse.RowsAhead, backward bool, col []uint8, rank int, root graph.V, sigma int32) ([]graph.Arc, int64) {
 	var arcs int64
 	w.mark.Reset()
 	levels := append(w.levels[:0], root)

@@ -378,7 +378,7 @@ func (d *Index) applyLocked(st state, u, w graph.V, insert bool, tb *obs.TraceBu
 			}
 		}
 	}
-	counts.deltas = uint64(d.shell.FillDelta(ov, lab, ms, delta))
+	counts.deltas = uint64(d.shell.FillDelta(ov, lab, ms, delta, &rp.walk))
 	return state{overlay: ov, dist: dist, lab: lab, sigma: sigma, ms: ms, delta: delta}, counts, nil
 }
 

@@ -87,6 +87,9 @@ type repairer struct {
 	newLab  []uint8
 	sigRow  []uint8
 
+	// Δ repair's label walk, sized by the first list an update walks
+	walk core.LabelWalk
+
 	// outputs accumulated across the columns of one update
 	labelChanges []labelChange
 	sigmaChanged bool

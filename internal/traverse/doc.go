@@ -120,15 +120,26 @@
 //
 // QbS construction runs one landmark-rooted BFS per landmark. MultiBFS
 // instead runs up to 64 of them in a single graph sweep: each vertex
-// carries uint64 words whose bit i belongs to source i, and a frontier
+// carries words whose bit i belongs to source i, and a frontier
 // expansion ORs a vertex's word into its neighbours, advancing all
 // sources one level per pass. With the paper's default |R| = 20 the
 // whole labelling is one sweep instead of twenty.
 //
+// The words are as wide as the sweep needs: uint32 for up to 32
+// sources, uint64 beyond. One generic top-down level and one generic
+// bottom-up kernel serve both widths. An engine allocates its words at
+// its first sweep and holds one width's at a time: the first sweep of
+// more than 32 sources replaces the uint32 words, and later narrow
+// sweeps run in the uint64 ones, so a build of 65-96 landmarks on one
+// engine holds 40 bytes per vertex, not 60. The |R| = 20 build holds 20
+// bytes of words per vertex, no more than the labels it writes, and an
+// engine that never sweeps (a dynamic index's standing one, until a
+// column falls back to a re-BFS) holds none.
+//
 // The engine natively implements Algorithm 2's two-frontier discipline,
 // per bit: QL (reached by a shortest path avoiding all other landmarks)
 // and QN (every shortest path passes through another landmark). Per
-// vertex it keeps five words —
+// vertex it keeps five words of the sweep's width —
 //
 //	curL/curN    frontier membership at the current level
 //	nextL/nextN  accumulating frontier for the next level
@@ -140,6 +151,9 @@
 // synchronously after the whole frontier is scanned, the result is
 // bit-identical to running the scalar QL/QN BFS per source, in any
 // frontier order — which is what lets its dense levels run bottom-up.
+// Besides the words it keeps two lists of a level's vertices, the
+// frontier and the level being settled; a level holds a vertex once, so
+// both are allocated at |V| slots by the first sweep and never grow.
 //
 // # Direction-optimizing sweeps (MultiBFS)
 //
@@ -176,28 +190,30 @@
 //
 // MultiBFS runs its bottom-up levels on Parallelism goroutines (0 or 1:
 // on the caller alone). Top-down levels always run on the caller. The
-// bottom-up pool is what the width buys: the dense middle levels that
+// bottom-up pool is what the workers buy: the dense middle levels that
 // hold most of a labelling sweep's work are the ones the switch sends
 // bottom-up, while a level sparse enough to stay top-down is cheap.
 //
 // A bottom-up level splits the vertex range into chunks of 1024
-// vertices (a multiple of 64, so chunk boundaries fall on cache-line
-// boundaries of the per-vertex words) that workers claim off one atomic
+// vertices (chunk boundaries fall on cache-line boundaries of the
+// per-vertex words at either width) that workers claim off one atomic
 // cursor, so a worker slowed by high-degree vertices takes fewer chunks
 // rather than stalling the level. Each worker probes only its own
 // chunks, reading the frontier through the current-level words, which
 // cannot change during the level; it settles each vertex at once, and
 // every write lands on that vertex's own words, inside the worker's
-// chunk. Each worker collects the next frontier in its own buffer, and
-// the buffers are concatenated after the level. A level over fewer
-// than a few thousand vertices runs on the caller: the goroutine
-// fan-out would cost more than the level.
+// chunk. A chunk's settled vertices go to the chunk's own range of the
+// next-level list, which has a slot per vertex, and the ranges are
+// packed after the level. A level over fewer than a few thousand
+// vertices runs on the caller: the goroutine fan-out would cost more
+// than the level.
 //
 // Determinism: the α/β direction decision is taken on the coordinating
 // goroutine from the frontier alone, so the push/pull schedule is the
-// same at every width. Within a level, the width only permutes the
-// order in which a level's vertices are settled and enter the next
-// frontier; the *set* of vertices, their distances and their settle
+// same at every worker count. Within a level, the worker count only
+// permutes the order in which a level's vertices are settled; the next
+// frontier of a bottom-up level lists them in ascending order whatever
+// the count. The *set* of vertices, their distances and their settle
 // payloads are order-independent (a vertex's level is fixed by the BFS,
 // its pull order by the adjacency, and settle writes are per-vertex).
 // Every consumer is insensitive to within-level order, so labels, σ and

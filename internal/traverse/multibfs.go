@@ -3,6 +3,7 @@ package traverse
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"qbs/internal/graph"
@@ -17,9 +18,12 @@ var ErrTooDeep = errors.New("traverse: BFS depth exceeds limit")
 // its settle state) is single-owner; create one per goroutine.
 var ErrConcurrentRun = errors.New("traverse: MultiBFS used concurrently (one engine per goroutine)")
 
-// MaxSources is the number of sources one MultiBFS sweep carries: one
-// bit per source in a uint64 word.
+// MaxSources is the most sources one MultiBFS sweep carries: one bit
+// per source in a uint64 word.
 const MaxSources = 64
+
+// narrowSources is the most sources a sweep carries in uint32 words.
+const narrowSources = 32
 
 // Default α/β of the direction switch. α compares frontier arc mass
 // against the whole graph's (rather than Beamer's expensively tracked
@@ -31,14 +35,18 @@ const (
 
 // MultiBFS runs up to 64 simultaneous landmark-rooted QL/QN BFS
 // layerings (Algorithm 2 of the paper) in one graph sweep, one bit per
-// source. It is a reusable workspace sized for a fixed vertex count; not
-// safe for concurrent use — create one per worker.
+// source. A sweep of at most 32 sources keeps its per-vertex bits in
+// uint32 words, a wider one in uint64 words. The engine allocates its
+// words at its first sweep and holds one width's at a time: its first
+// wide sweep drops the uint32 words, and from then on narrow sweeps run
+// in the uint64 ones. It is a reusable workspace sized for a fixed
+// vertex count; not safe for concurrent use — create one per worker.
 type MultiBFS struct {
 	// Parallelism > 1 runs large bottom-up levels on that many pool
 	// workers (see doc.go "Parallel execution model"). Settle callbacks
 	// are then invoked concurrently and must be safe for that; every
-	// settle payload is the same at every width. <= 1 runs every level on
-	// the caller.
+	// settle payload is the same at every worker count. <= 1 runs every
+	// level on the caller.
 	Parallelism int
 
 	// alpha tunes the top-down → bottom-up switch: go bottom-up when
@@ -50,33 +58,45 @@ type MultiBFS struct {
 	// the pool. minParVertices unless a test lowers it.
 	poolFloor int
 
-	n       int
-	curL    []uint64 // bit i: v is on source i's QL frontier at this level
-	curN    []uint64 // bit i: v is on source i's QN frontier at this level
-	nextL   []uint64 // next level, resolved at settle time
-	nextN   []uint64
-	visited []uint64 // bit i: source i has reached v
+	n   int
+	w32 *words[uint32] // sweeps of ≤ narrowSources sources, until a wider one
+	w64 *words[uint64] // every sweep since the first wider one
 
-	frontier []graph.V // vertices with curL|curN != 0, each once
-	next     []graph.V
-	touched  []graph.V   // top-down: vertices with pending next-level bits
-	nf       [][]graph.V // bottom-up: per-worker next-frontier buffers
+	// frontier and next hold a level's vertices, each once, so both are
+	// allocated at n slots by the first sweep and never grow.
+	frontier []graph.V // vertices with curL|curN != 0
+	next     []graph.V // the level being settled
+	settled  []int     // bottom-up: vertices settled per chunk of next
 
 	running atomic.Bool // guards against concurrent Run misuse
 }
 
-// NewMultiBFS creates an engine for graphs with n vertices.
-func NewMultiBFS(n int) *MultiBFS {
-	return &MultiBFS{
-		alpha:     DefaultAlpha,
-		poolFloor: minParVertices,
-		n:         n,
-		curL:      make([]uint64, n),
-		curN:      make([]uint64, n),
-		nextL:     make([]uint64, n),
-		nextN:     make([]uint64, n),
-		visited:   make([]uint64, n),
+// word is one vertex's bit set in a sweep: bit i stands for source i.
+type word interface{ ~uint32 | ~uint64 }
+
+// words are the per-vertex bit sets of a sweep at one width.
+type words[W word] struct {
+	curL    []W // bit i: v is on source i's QL frontier at this level
+	curN    []W // bit i: v is on source i's QN frontier at this level
+	nextL   []W // next level, resolved at settle time
+	nextN   []W
+	visited []W // bit i: source i has reached v
+}
+
+func newWords[W word](n int) *words[W] {
+	return &words[W]{
+		curL:    make([]W, n),
+		curN:    make([]W, n),
+		nextL:   make([]W, n),
+		nextN:   make([]W, n),
+		visited: make([]W, n),
 	}
+}
+
+// NewMultiBFS creates an engine for graphs with n vertices. It holds no
+// per-vertex state until its first sweep.
+func NewMultiBFS(n int) *MultiBFS {
+	return &MultiBFS{alpha: DefaultAlpha, poolFloor: minParVertices, n: n}
 }
 
 // Run sweeps the graph once, advancing a QL/QN BFS from every root in
@@ -120,15 +140,34 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 	if len(roots) > MaxSources {
 		return fmt.Errorf("traverse: %d roots exceed the %d-way sweep width", len(roots), MaxSources)
 	}
-	full := ^uint64(0)
-	if len(roots) < MaxSources {
-		full = 1<<uint(len(roots)) - 1
+	if mb.frontier == nil {
+		mb.frontier = make([]graph.V, 0, n)
+		mb.next = make([]graph.V, 0, n)
 	}
-	clear(mb.curL)
-	clear(mb.curN)
-	clear(mb.nextL)
-	clear(mb.nextN)
-	clear(mb.visited)
+	if len(roots) <= narrowSources && mb.w64 == nil {
+		if mb.w32 == nil {
+			mb.w32 = newWords[uint32](n)
+		}
+		return sweep(mb, mb.w32, push, pull, deg, landIdx, roots, maxDepth, settle)
+	}
+	if mb.w64 == nil {
+		mb.w64, mb.w32 = newWords[uint64](n), nil
+	}
+	return sweep(mb, mb.w64, push, pull, deg, landIdx, roots, maxDepth, settle)
+}
+
+// sweep is RunDirected over the words of one width.
+func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, deg []int32, landIdx []int16, roots []graph.V, maxDepth int32, settle func(graph.V, int32, uint64, uint64)) error {
+	n := mb.n
+	full := ^W(0)
+	if len(roots) < bits.OnesCount64(uint64(full)) {
+		full = W(1)<<uint(len(roots)) - 1
+	}
+	clear(w.curL)
+	clear(w.curN)
+	clear(w.nextL)
+	clear(w.nextN)
+	clear(w.visited)
 
 	degree := func(v graph.V) int64 {
 		if deg != nil {
@@ -139,11 +178,11 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 
 	frontier := mb.frontier[:0]
 	for i, r := range roots {
-		if mb.visited[r] != 0 {
+		if w.visited[r] != 0 {
 			return fmt.Errorf("traverse: duplicate root %d", r)
 		}
-		mb.curL[r] = 1 << uint(i)
-		mb.visited[r] = 1 << uint(i)
+		w.curL[r] = 1 << uint(i)
+		w.visited[r] = 1 << uint(i)
 		frontier = append(frontier, r)
 	}
 	totalArc := int64(push.NumArcs())
@@ -155,9 +194,9 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 		if depth > maxDepth {
 			// Leave the engine clean for reuse.
 			for _, u := range frontier {
-				mb.curL[u], mb.curN[u] = 0, 0
+				w.curL[u], w.curN[u] = 0, 0
 			}
-			mb.frontier, mb.next = frontier[:0], mb.next[:0]
+			mb.frontier = frontier[:0]
 			return ErrTooDeep
 		}
 
@@ -178,44 +217,44 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 			bottomUp = mf*mb.alpha > totalArc
 		}
 
-		nf := mb.next[:0]
+		var nf []graph.V
 		if bottomUp {
 			workers := 1
 			if mb.Parallelism > 1 && n >= mb.poolFloor {
 				workers = mb.Parallelism
 			}
-			nf = mb.bottomUp(pull, landIdx, settle, depth, full, workers, nf)
+			nf = bottomUpLevel(mb, w, pull, landIdx, settle, depth, full, workers)
 		} else {
 			// Top-down: accumulate frontier bits into the next-level words,
-			// then settle every touched vertex. nextL/nextN double as the
-			// accumulators; settleVertex rewrites them with the resolved
-			// QL/QN assignment.
-			touched := mb.touched[:0]
+			// then settle every vertex they reached. nextL/nextN double as
+			// the accumulators; settleVertex rewrites them with the resolved
+			// QL/QN assignment. An arc counts only if it brings a bit v has
+			// not seen, so every vertex of nf has one to settle.
+			nf = mb.next[:0]
 			for _, u := range frontier {
-				lu, ln := mb.curL[u], mb.curN[u]
+				lu, ln := w.curL[u], w.curN[u]
 				both := lu | ln
 				for _, v := range push.Neighbors(u) {
-					if both&^mb.visited[v] == 0 {
+					if both&^w.visited[v] == 0 {
 						continue
 					}
-					if mb.nextL[v]|mb.nextN[v] == 0 {
-						touched = append(touched, v)
+					if w.nextL[v]|w.nextN[v] == 0 {
+						nf = append(nf, v)
 					}
-					mb.nextL[v] |= lu
-					mb.nextN[v] |= ln
+					w.nextL[v] |= lu
+					w.nextN[v] |= ln
 				}
 			}
-			for _, v := range touched {
-				nf = mb.settleVertex(v, depth, mb.nextL[v], mb.nextN[v], landIdx, settle, nf)
+			for _, v := range nf {
+				settleVertex(w, v, depth, w.nextL[v], w.nextN[v], landIdx, settle)
 			}
-			mb.touched = touched[:0]
 		}
 
 		for _, u := range frontier {
-			mb.curL[u], mb.curN[u] = 0, 0
+			w.curL[u], w.curN[u] = 0, 0
 		}
-		mb.curL, mb.nextL = mb.nextL, mb.curL
-		mb.curN, mb.nextN = mb.nextN, mb.curN
+		w.curL, w.nextL = w.nextL, w.curL
+		w.curN, w.nextN = w.nextN, w.curN
 		mb.frontier, mb.next = nf, frontier[:0]
 		frontier = nf
 	}
@@ -223,28 +262,24 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 	return nil
 }
 
-// settleVertex resolves one vertex's newly arrived bits at this level
-// and installs its next-level frontier words. Per bit: arrived via QL →
-// QL (labelled); arrived only via QN → QN; at a landmark everything is
-// absorbed into QN. It writes only v's own words, so bottom-up workers
-// settle the vertices of their own chunks without synchronising.
+// settleVertex resolves the bits newly arrived at v on this level (at
+// least one of aL|aN is not yet in v's visited word) and installs its
+// next-level frontier words. Per bit: arrived via QL → QL (labelled);
+// arrived only via QN → QN; at a landmark everything is absorbed into
+// QN. It writes only v's own words, so bottom-up workers settle the
+// vertices of their own chunks without synchronising.
 //
 //qbs:zeroalloc
-func (mb *MultiBFS) settleVertex(v graph.V, depth int32, aL, aN uint64, landIdx []int16, settle func(graph.V, int32, uint64, uint64), nf []graph.V) []graph.V {
-	vis := mb.visited[v]
+func settleVertex[W word](w *words[W], v graph.V, depth int32, aL, aN W, landIdx []int16, settle func(graph.V, int32, uint64, uint64)) {
+	vis := w.visited[v]
 	fromL := aL &^ vis
 	newBits := (aL | aN) &^ vis
-	if newBits == 0 {
-		mb.nextL[v], mb.nextN[v] = 0, 0
-		return nf
-	}
 	fromN := newBits &^ fromL
-	mb.visited[v] = vis | newBits
+	w.visited[v] = vis | newBits
 	if landIdx != nil && landIdx[v] >= 0 {
-		mb.nextL[v], mb.nextN[v] = 0, newBits
+		w.nextL[v], w.nextN[v] = 0, newBits
 	} else {
-		mb.nextL[v], mb.nextN[v] = fromL, fromN
+		w.nextL[v], w.nextN[v] = fromL, fromN
 	}
-	settle(v, depth, fromL, fromN)
-	return append(nf, v)
+	settle(v, depth, uint64(fromL), uint64(fromN))
 }

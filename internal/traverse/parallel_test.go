@@ -33,6 +33,13 @@ func collectMulti(t *testing.T, g *graph.Graph, landIdx []int16, roots []graph.V
 	traverse.SetAlpha(mb, alpha)
 	traverse.SetPoolFloor(mb, 1)
 	mb.Parallelism = workers
+	return settlePayloads(t, mb, g, landIdx, roots)
+}
+
+// settlePayloads runs mb as configured and returns its settle stream as
+// collectMulti does.
+func settlePayloads(t *testing.T, mb *traverse.MultiBFS, g *graph.Graph, landIdx []int16, roots []graph.V) map[settleKey][2]uint64 {
+	t.Helper()
 	out := map[settleKey][2]uint64{}
 	var mu sync.Mutex
 	err := mb.Run(g, nil, landIdx, roots, 1<<30, func(v graph.V, depth int32, newL, newN uint64) {
@@ -44,7 +51,7 @@ func collectMulti(t *testing.T, g *graph.Graph, landIdx []int16, roots []graph.V
 		mu.Unlock()
 	})
 	if err != nil {
-		t.Fatalf("MultiBFS workers=%d: %v", workers, err)
+		t.Fatalf("MultiBFS workers=%d: %v", mb.Parallelism, err)
 	}
 	return out
 }
@@ -62,9 +69,9 @@ func TestMultiBFSParallelMatchesSequential(t *testing.T) {
 		{"star", graph.Star(257), 5},
 		{"path", graph.Path(90), 3},
 		// Several chunks, the last one ragged, so workers claim chunks
-		// and their frontiers are concatenated. Sparse enough (mean
-		// degree ~5) that the sweep returns top-down after its pooled
-		// levels: a frontier lost in the concatenation then shows.
+		// and their ranges of the next-level list are packed. Sparse
+		// enough (mean degree ~5) that the sweep returns top-down after
+		// its pooled levels: a vertex lost in the packing then shows.
 		{"multi-chunk", randomGraph(3*1024+37, 8000, 45), 64},
 	} {
 		g := tc.g
