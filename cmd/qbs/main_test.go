@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"qbs"
+	"qbs/internal/bfs"
 	"qbs/internal/graph"
 )
 
@@ -115,5 +118,75 @@ func TestDataDirOfTheOtherKindIsRefused(t *testing.T) {
 	}
 	if out, exit := runMain(t, "-directed", "-data", ddir, "-query", "0,24"); exit != 0 || !strings.Contains(out, "DiSPG(0→24): dist=8") {
 		t.Fatalf("directed store: exit %d\n%s", exit, out)
+	}
+}
+
+// TestDirectedGraphFileAnswersTheOracle: -directed -graph reads the file
+// as arcs, and each -query prints the DiSPG(u→v) the brute-force oracle
+// gives over the same arcs: its distance, vertex and arc counts, and
+// under -v exactly its arcs.
+func TestDirectedGraphFileAnswersTheOracle(t *testing.T) {
+	var arcs []graph.Arc
+	for _, p := range [][2]graph.V{{0, 1}, {1, 2}, {2, 3}, {0, 2}, {0, 4}, {4, 3}, {3, 5}, {5, 0}, {2, 6}, {6, 7}, {1, 6}} {
+		arcs = append(arcs, graph.Arc{From: p[0], To: p[1]})
+	}
+	text := "# a digraph whose ids are its dense ids\n"
+	for _, a := range arcs {
+		text += fmt.Sprintf("%d %d\n", a.From, a.To)
+	}
+	path := filepath.Join(t.TempDir(), "g.arcs")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.MustDiFromArcs(8, arcs)
+	pairs := [][2]graph.V{{0, 3}, {3, 0}, {0, 7}, {7, 0}, {5, 6}, {4, 1}, {2, 2}}
+	args := []string{"-directed", "-graph", path, "-landmarks", "2", "-v"}
+	for _, p := range pairs {
+		args = append(args, "-query", fmt.Sprintf("%d,%d", p[0], p[1]))
+	}
+	out, exit := runMain(t, args...)
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, out)
+	}
+	// Each answer is its head line, timing cut, and its sorted arc lines.
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "DiSPG("):
+			if i := strings.Index(line, " d⊤="); i >= 0 {
+				line = line[:i]
+			} else {
+				line = line[:strings.LastIndex(line, " (")]
+			}
+			got = append(got, line)
+		case strings.HasPrefix(line, "  ") && len(got) > 0:
+			got[len(got)-1] += "\n" + strings.TrimSpace(line)
+		}
+	}
+	var want []string
+	for _, p := range pairs {
+		spg := bfs.OracleDiSPG(g, p[0], p[1])
+		head := fmt.Sprintf("DiSPG(%d→%d): ", p[0], p[1])
+		if spg.Dist == graph.InfDist {
+			want = append(want, head+"unreachable")
+			continue
+		}
+		lines := []string{fmt.Sprintf("%sdist=%d vertices=%d arcs=%d", head, spg.Dist, len(spg.Vertices()), spg.NumEdges())}
+		for _, a := range spg.Arcs() {
+			lines = append(lines, fmt.Sprintf("%d -> %d", a.From, a.To))
+		}
+		slices.Sort(lines[1:])
+		want = append(want, strings.Join(lines, "\n"))
+	}
+	for i := range got {
+		head, rest, _ := strings.Cut(got[i], "\n")
+		arcLines := strings.Split(rest, "\n")
+		slices.Sort(arcLines)
+		if rest != "" {
+			got[i] = head + "\n" + strings.Join(arcLines, "\n")
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("printed\n%s\n\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

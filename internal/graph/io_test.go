@@ -143,3 +143,46 @@ func TestScanEdgeListAllocsDoNotGrowWithLines(t *testing.T) {
 		t.Fatalf("allocations grow with the line count: %.0f for 1000 lines, %.0f for 21000", short, long)
 	}
 }
+
+// readDirected reads text with the directed edge-list reader and
+// returns its arcs and the original ids of its dense vertices.
+func readDirected(t *testing.T, text string) ([]Arc, []int64) {
+	t.Helper()
+	g, orig, err := ReadDiEdgeList(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != len(orig) {
+		t.Fatalf("%d vertices for %d original ids", g.NumVertices(), len(orig))
+	}
+	return g.Arcs(), orig
+}
+
+// TestReadDirectedEdgeList: the directed reader keeps each line's
+// orientation (no reverse arc is added), densifies ids in ascending
+// order of the original id as ReadEdgeList does, and drops self-loops
+// and repeated arcs while keeping their vertices.
+func TestReadDirectedEdgeList(t *testing.T) {
+	for _, tc := range []struct {
+		name, text string
+		arcs       []Arc
+		orig       []int64
+	}{
+		{"not symmetrised", "1 2\n2 3\n", []Arc{{0, 1}, {1, 2}}, []int64{1, 2, 3}},
+		{"both orientations are two arcs", "4 9\n9 4\n", []Arc{{0, 1}, {1, 0}}, []int64{4, 9}},
+		{"ascending ids", "30 10\n10 20\n", []Arc{{0, 1}, {2, 0}}, []int64{10, 20, 30}},
+		{"negative and sparse ids", "-5 100\n100 7\n", []Arc{{0, 2}, {2, 1}}, []int64{-5, 7, 100}},
+		{"self-loops dropped", "5 5\n5 7\n", []Arc{{0, 1}}, []int64{5, 7}},
+		{"a self-loop's vertex is kept", "4 4\n1 2\n", []Arc{{0, 1}}, []int64{1, 2, 4}},
+		{"duplicate arcs dropped", "5 7\n5 7\n7 5\n5 7\n", []Arc{{0, 1}, {1, 0}}, []int64{5, 7}},
+		{"comments and blank lines", "# c\n% d\n\n  3\t1  \n", []Arc{{1, 0}}, []int64{1, 3}},
+		{"empty", "", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arcs, orig := readDirected(t, tc.text)
+			if !slices.Equal(arcs, tc.arcs) || !slices.Equal(orig, tc.orig) {
+				t.Fatalf("arcs %v ids %v, want arcs %v ids %v", arcs, orig, tc.arcs, tc.orig)
+			}
+		})
+	}
+}
