@@ -350,6 +350,25 @@ func (s sections) delta(counts, numMeta, n int, directed bool) ([][]graph.Edge, 
 	return delta, nil
 }
 
+// checkLandmarkRows refuses a landmark outside [0, n) and a label entry
+// at a landmark's row, which no labelling writes. It reads |R| bytes of
+// each column, not the column.
+func checkLandmarkRows(landmarks []graph.V, n int, labellings ...[][]uint8) error {
+	for _, r := range landmarks {
+		if r < 0 || int(r) >= n {
+			return fmt.Errorf("landmark %d out of range", r)
+		}
+		for _, cols := range labellings {
+			for _, col := range cols {
+				if col[r] != core.NoEntry {
+					return fmt.Errorf("landmark vertex %d carries a label entry", r)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // columns slices a column-major section into its R columns of n entries.
 func columns[T any](all []T, R, n int) [][]T {
 	cols := make([][]T, R)

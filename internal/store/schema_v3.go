@@ -123,7 +123,11 @@ func decodeSnapshot(data []byte) (*loadedSnapshot, error) {
 	// present label equals the distance, distances are byte-representable
 	// or infinite. This keeps replayed repairs (which trust dist) from
 	// operating on nonsense. One worker per landmark column.
+	landmarks := viewI32(landSec)
 	labels, dists := columns(labSec, R, n), columns(viewI32(distSec), R, n)
+	if err := checkLandmarkRows(landmarks, n, labels); err != nil {
+		return nil, err
+	}
 	if err := parallelErr(R, func(r int) error {
 		lab, dist := labels[r], dists[r]
 		for v := 0; v < n; v++ {
@@ -142,7 +146,7 @@ func decodeSnapshot(data []byte) (*loadedSnapshot, error) {
 	return &loadedSnapshot{
 		epoch:     h.epoch,
 		g:         g,
-		landmarks: viewI32(landSec),
+		landmarks: landmarks,
 		sigma:     sigma,
 		labels:    labels,
 		dists:     dists,

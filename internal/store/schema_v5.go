@@ -104,28 +104,19 @@ func decodeDiSnapshot(data []byte) (*core.Index, *graph.DiGraph, error) {
 		return nil, nil, err
 	}
 
-	// Label invariants: landmarks carry no entries (neither labelling
-	// writes a landmark's row), non-landmark entries are depths in
-	// [1, 254]. One worker per column of either labelling; isLand is a
-	// local bitmap so the scan stays O(1) per byte.
+	// Label invariants: landmarks carry no entries, non-landmark entries
+	// are depths in [1, 254]. One worker per column of either labelling.
 	landmarks := viewI32(landSec)
-	isLand := make([]bool, n)
-	for _, r := range landmarks {
-		if r < 0 || int(r) >= n {
-			return nil, nil, fmt.Errorf("landmark %d out of range", r)
-		}
-		isLand[r] = true
-	}
 	labelFrom, labelTo := columns(labFromSec, R, n), columns(labToSec, R, n)
+	if err := checkLandmarkRows(landmarks, n, labelFrom, labelTo); err != nil {
+		return nil, nil, err
+	}
 	if err := parallelErr(2*R, func(c int) error {
 		name, col := "labelFrom", labelFrom[c%R]
 		if c >= R {
 			name, col = "labelTo", labelTo[c%R]
 		}
 		for v, l := range col {
-			if isLand[v] && l != core.NoEntry {
-				return fmt.Errorf("landmark vertex %d carries a label entry", v)
-			}
 			if l == 0 {
 				return fmt.Errorf("zero %s depth at vertex %d", name, v)
 			}

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"qbs/internal/bfs"
@@ -252,5 +254,49 @@ func TestParentWrittenSnapshotsOpen(t *testing.T) {
 		if got := sr.Query(p[0], p[1]); !got.Directed() || !got.Equal(bfs.OracleDiSPG(g, p[0], p[1])) {
 			t.Fatalf("v5: recovered index answers (%d→%d) with %v", p[0], p[1], got)
 		}
+	}
+}
+
+// reseal rewrites the section CRCs and the header CRC of an edited image
+// of sc, so that only the decoder's own invariants stand between the
+// edit and a load.
+func reseal(sc *schema, data []byte) {
+	for i := 0; i < sc.sections; i++ {
+		base := snapHeaderSize + i*snapSectionSize
+		off := binary.LittleEndian.Uint64(data[base+8:])
+		length := binary.LittleEndian.Uint64(data[base+16:])
+		binary.LittleEndian.PutUint32(data[base+24:], crc32.Checksum(data[off:off+length], crcTable))
+	}
+	binary.LittleEndian.PutUint32(data[40:], sc.headerCRC(data))
+}
+
+// TestV3RefusesALabelAtALandmark: a v3 image whose label column carries
+// an entry at a landmark's row is refused, even when the entry equals
+// the distance column beside it and every checksum holds.
+func TestV3RefusesALabelAtALandmark(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent-v3.qbss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The labels and distances are views into data: write through them.
+	edited := false
+	for c := range ls.landmarks {
+		for _, r := range ls.landmarks {
+			if d := ls.dists[c][r]; d > 0 && d <= core.MaxLabelDist && !edited {
+				ls.labels[c][r], edited = uint8(d), true
+				t.Logf("landmark %d: column %d label set to its distance %d", r, c, d)
+			}
+		}
+	}
+	if !edited {
+		t.Fatal("no landmark sits at a finite distance from another")
+	}
+	reseal(&schemaV3, data)
+	if _, err := decodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "carries a label entry") {
+		t.Fatalf("decode of a label at a landmark: %v", err)
 	}
 }
