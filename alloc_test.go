@@ -47,7 +47,7 @@ var allocCases = []struct {
 	}},
 	{"directed", func(tb testing.TB) (*core.Index, queryIntoer, []workload.Pair) {
 		ix, pairs := diAllocIndex(tb)
-		cix, err := core.BuildDirected(ix.Graph(), core.Options{NumLandmarks: 16})
+		cix, err := core.Build(ix.Graph(), core.Options{NumLandmarks: 16})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -192,9 +192,9 @@ func TestWarmTracedQueryZeroAllocs(t *testing.T) {
 }
 
 // TestWarmIndexQueryIntoZeroAllocs covers the public pooled entry point
-// of every kind: Index, DiIndex and DynamicIndex read through one reader
-// (QueryInto, QueryIntoStats, Distance and DistanceStats are its
-// methods).
+// of every kind: Index, over either orientation, and DynamicIndex read
+// through one reader (QueryInto, QueryIntoStats, Distance and
+// DistanceStats are its methods).
 // GC is paused so the searcher pool cannot be emptied mid-measurement
 // (a pool refill is an allocation the steady state never pays), and the
 // warm rounds run at the one P testing.AllocsPerRun measures at, so the
@@ -355,10 +355,10 @@ func BenchmarkQueryBatch(b *testing.B) {
 // --- directed fixtures and benchmarks -----------------------------------
 
 // diAllocIndex returns a directed test index and sampled pairs.
-func diAllocIndex(tb testing.TB) (*qbs.DiIndex, []workload.Pair) {
+func diAllocIndex(tb testing.TB) (*qbs.Index, []workload.Pair) {
 	tb.Helper()
 	g := graph.DirectedScaleFree(800, 3, 73)
-	ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 16})
+	ix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 16})
 	rng := rand.New(rand.NewSource(9))
 	pairs := make([]workload.Pair, 64)
 	for i := range pairs {

@@ -410,7 +410,7 @@ func BenchmarkAblationRelabel(b *testing.B) {
 
 func BenchmarkDirectedQuery(b *testing.B) {
 	g := graph.DirectedScaleFree(20000, 3, 2021)
-	ix, err := core.BuildDirected(g, core.Options{NumLandmarks: 20})
+	ix, err := core.Build(g, core.Options{NumLandmarks: 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -165,41 +165,32 @@ func main() {
 	}
 
 	var handler http.Handler
+	var index *qbs.Index
 	var dyn *qbs.DynamicIndex
 	switch {
 	case *directed && *mutable:
 		fatal(fmt.Errorf("-directed is read-only and incompatible with -mutable"))
-	case *directed:
-		var ix *qbs.DiIndex
-		if *dataDir != "" && qbs.DiStoreExists(*dataDir) {
-			start := time.Now()
-			var err error
-			ix, err = qbs.OpenDiStore(*dataDir, qbs.DiStoreOptions{MMap: true})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("store: recovered directed index from %s in %s (|V|=%d arcs=%d)\n",
-				*dataDir, startup("store", start), ix.Graph().NumVertices(), ix.Graph().NumArcs())
-		} else {
-			g, err := loadDiGraph(*graphPath, *dataset, *scale)
-			if err != nil {
-				fatal(err)
-			}
-			start := time.Now()
-			opts := qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: *landmarks}}
-			stage := "index"
-			if *dataDir != "" {
-				stage = "store"
-				ix, err = qbs.CreateDiStore(*dataDir, g, opts)
-			} else {
-				ix, err = qbs.BuildDiIndex(g, opts.Index)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("directed index: built in %s (%d landmarks)\n", startup(stage, start), len(ix.Landmarks()))
+	case *directed && *dataDir != "" && qbs.DiStoreExists(*dataDir):
+		start := time.Now()
+		var err error
+		index, err = qbs.OpenDiStore(*dataDir, qbs.DiStoreOptions{MMap: true})
+		if err != nil {
+			fatal(err)
 		}
-		handler = server.NewDirected(ix)
+		fmt.Printf("store: recovered directed index from %s in %s (|V|=%d arcs=%d)\n",
+			*dataDir, startup("store", start), index.Graph().NumVertices(), index.Graph().NumArcs())
+	case *directed && *dataDir != "":
+		g, err := loadGraph(*graphPath, *dataset, *scale, true)
+		if err != nil {
+			fatal(err)
+		}
+		start := time.Now()
+		index, err = qbs.CreateDiStore(*dataDir, g, qbs.DiStoreOptions{Index: qbs.Options{NumLandmarks: *landmarks}})
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("store: built and persisted to %s in %s (%d landmarks)\n",
+			*dataDir, startup("store", start), len(index.Landmarks()))
 	case *dataDir != "" && qbs.StoreExists(*dataDir):
 		// Restart path: recover, no graph source and no rebuild needed.
 		start := time.Now()
@@ -216,7 +207,7 @@ func main() {
 		fmt.Printf("store: recovered %s in %s (|V|=%d |E|=%d epoch=%d)\n",
 			*dataDir, startup("store", start), dyn.NumVertices(), edges, epoch)
 	case *dataDir != "":
-		g, err := loadGraph(*graphPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale, false)
 		if err != nil {
 			fatal(err)
 		}
@@ -231,7 +222,7 @@ func main() {
 		fmt.Printf("store: built and persisted to %s in %s (%d landmarks)\n",
 			*dataDir, startup("store", start), len(dyn.Landmarks()))
 	case *mutable:
-		g, err := loadGraph(*graphPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale, false)
 		if err != nil {
 			fatal(err)
 		}
@@ -245,16 +236,18 @@ func main() {
 		fmt.Printf("dynamic index: built in %s (%d landmarks, mutable, not persisted)\n",
 			startup("index", start), len(dyn.Landmarks()))
 	default:
-		g, err := loadGraph(*graphPath, *dataset, *scale)
+		g, err := loadGraph(*graphPath, *dataset, *scale, *directed)
 		if err != nil {
 			fatal(err)
 		}
 		start := time.Now()
-		index, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: *landmarks})
+		index, err = qbs.BuildIndex(g, qbs.Options{NumLandmarks: *landmarks})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("index: built in %s (%d landmarks)\n", startup("index", start), len(index.Landmarks()))
+	}
+	if index != nil {
 		handler = server.New(index)
 	}
 	if dyn != nil {
@@ -378,41 +371,20 @@ func startup(stage string, start time.Time) time.Duration {
 	return took.Round(time.Millisecond)
 }
 
-// loadDiGraph resolves the directed graph source: an arc list file or a
-// directed dataset analog.
-func loadDiGraph(path, dataset string, scale float64) (*qbs.DiGraph, error) {
-	start := time.Now()
-	var g *qbs.DiGraph
-	var err error
-	switch {
-	case path != "":
-		g, _, err = qbs.LoadDiEdgeListFile(path)
-	case dataset != "":
-		var spec datasets.Spec
-		if spec, err = datasets.ByKey(dataset); err == nil {
-			g = spec.GenerateDirected(scale)
-		}
-	default:
-		err = fmt.Errorf("one of -graph or -dataset is required (or -data with an existing directed store)")
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("graph: |V|=%d |E|=%d (directed) loaded in %s\n", g.NumVertices(), g.NumArcs(), startup("graph", start))
-	runtime.GC() // see loadGraph
-	return g, nil
-}
-
-func loadGraph(path, dataset string, scale float64) (*qbs.Graph, error) {
+// loadGraph resolves the graph source, an edge-list file or a dataset
+// analog, as an undirected graph or a directed one.
+func loadGraph(path, dataset string, scale float64, directed bool) (*qbs.Graph, error) {
 	start := time.Now()
 	var g *qbs.Graph
 	var err error
 	switch {
 	case path != "":
-		g, _, err = qbs.LoadEdgeListFile(path)
+		g, _, err = qbs.LoadEdgeListFile(path, directed)
 	case dataset != "":
 		var spec datasets.Spec
-		if spec, err = datasets.ByKey(dataset); err == nil {
+		if spec, err = datasets.ByKey(dataset); err == nil && directed {
+			g = spec.GenerateDirected(scale)
+		} else if err == nil {
 			g = spec.Generate(scale)
 		}
 	default:

@@ -40,7 +40,7 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dix, err := qbs.BuildDiIndex(qbs.AsDirected(g), qbs.DiOptions{NumLandmarks: 2})
+	dix, err := qbs.BuildIndex(graph.AsDirected(g), qbs.Options{NumLandmarks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDebugRoutesOnEveryTier(t *testing.T) {
 		router bool
 	}{
 		{name: "static", h: server.New(ix)},
-		{name: "directed", h: server.NewDirected(dix)},
+		{name: "directed", h: server.New(dix)},
 		{name: "mutable", h: mutable},
 		{name: "replica", h: rep.Handler()},
 		{name: "router", h: rt, router: true},
@@ -159,7 +159,7 @@ func TestDataDirOfTheOtherKindIsRefused(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := qbs.CreateDiStore(ddir, qbs.AsDirected(g), qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: 2}}); err != nil {
+	if _, err := qbs.CreateDiStore(ddir, graph.AsDirected(g), qbs.DiStoreOptions{Index: qbs.Options{NumLandmarks: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

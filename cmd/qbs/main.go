@@ -65,16 +65,16 @@ func main() {
 	flag.Var(&queries, "query", "query pair \"u,v\" (repeatable)")
 	flag.Parse()
 
-	// answer is the query surface shared by the static, directed and
-	// durable paths.
+	// answer is the query surface shared by the static and durable
+	// paths.
 	var answer interface {
 		QueryWithStats(u, v qbs.V) (*qbs.SPG, qbs.QueryStats)
 	}
 	var numVertices int
 
 	switch {
-	case *directed:
-		ix := directedIndex(*graphPath, *dataset, *scale, *landmarks, *dataDir)
+	case *directed && *dataDir != "":
+		ix := directedStore(*graphPath, *dataset, *scale, *landmarks, *dataDir)
 		if *stats {
 			printIndexStats(ix)
 		}
@@ -98,11 +98,7 @@ func main() {
 		answer, numVertices = di, di.NumVertices()
 		defer maybeCheckpoint(di, *checkpoint)
 	case *dataDir != "":
-		g, err := loadGraph(*graphPath, *dataset, *scale)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("graph: |V|=%d |E|=%d avg deg %.2f\n", g.NumVertices(), g.NumEdges(), g.AvgDegree())
+		g := loadGraph(*graphPath, *dataset, *scale, false)
 		start := time.Now()
 		di, err := qbs.CreateStore(*dataDir, g, qbs.StoreOptions{Index: qbs.Options{
 			NumLandmarks: *landmarks,
@@ -119,11 +115,7 @@ func main() {
 		}
 		answer, numVertices = di, di.NumVertices()
 	default:
-		g, err := loadGraph(*graphPath, *dataset, *scale)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("graph: |V|=%d |E|=%d avg deg %.2f\n", g.NumVertices(), g.NumEdges(), g.AvgDegree())
+		g := loadGraph(*graphPath, *dataset, *scale, *directed)
 		start := time.Now()
 		ix, err := qbs.BuildIndex(g, qbs.Options{
 			NumLandmarks: *landmarks,
@@ -171,11 +163,11 @@ func main() {
 	}
 }
 
-// directedIndex is the -directed arm of main: recover the DiIndex
-// persisted in dataDir, or build one (into dataDir when given).
-func directedIndex(graphPath, dataset string, scale float64, landmarks int, dataDir string) *qbs.DiIndex {
-	if dataDir != "" && qbs.DiStoreExists(dataDir) {
-		start := time.Now()
+// directedStore is the -directed -data arm of main: recover the index
+// persisted in dataDir, or build one into it.
+func directedStore(graphPath, dataset string, scale float64, landmarks int, dataDir string) *qbs.Index {
+	start := time.Now()
+	if qbs.DiStoreExists(dataDir) {
 		ix, err := qbs.OpenDiStore(dataDir, qbs.DiStoreOptions{MMap: true})
 		if err != nil {
 			fatal(err)
@@ -185,22 +177,9 @@ func directedIndex(graphPath, dataset string, scale float64, landmarks int, data
 			ix.Graph().NumVertices(), ix.Graph().NumArcs())
 		return ix
 	}
-	g, err := loadDiGraph(graphPath, dataset, scale)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("digraph: |V|=%d arcs=%d\n", g.NumVertices(), g.NumArcs())
-	start := time.Now()
-	opts := qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: landmarks}}
-	if dataDir == "" {
-		ix, err := qbs.BuildDiIndex(g, opts.Index)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("index: built in %s\n", time.Since(start).Round(time.Microsecond))
-		return ix
-	}
-	ix, err := qbs.CreateDiStore(dataDir, g, opts)
+	g := loadGraph(graphPath, dataset, scale, true)
+	start = time.Now()
+	ix, err := qbs.CreateDiStore(dataDir, g, qbs.DiStoreOptions{Index: qbs.Options{NumLandmarks: landmarks}})
 	if err != nil {
 		fatal(err)
 	}
@@ -208,14 +187,8 @@ func directedIndex(graphPath, dataset string, scale float64, landmarks int, data
 	return ix
 }
 
-// printIndexStats is the -stats block of an immutable index of either
-// orientation.
-func printIndexStats(ix interface {
-	Stats() qbs.IndexStats
-	Landmarks() []qbs.V
-	SizeLabelsBytes() int64
-	SizeDeltaBytes() int64
-}) {
+// printIndexStats is the -stats block of an immutable index.
+func printIndexStats(ix *qbs.Index) {
 	st := ix.Stats()
 	fmt.Printf("  landmarks:      %d\n", len(ix.Landmarks()))
 	fmt.Printf("  labelling time: %s (parallelism %d)\n", st.LabellingTime.Round(time.Microsecond), st.Parallelism)
@@ -245,24 +218,6 @@ func parsePairs(queries queryList, numVertices int) [][2]qbs.V {
 	return pairs
 }
 
-// loadDiGraph resolves the directed graph source: an arc list file or a
-// directed dataset analog.
-func loadDiGraph(path, dataset string, scale float64) (*qbs.DiGraph, error) {
-	switch {
-	case path != "":
-		g, _, err := qbs.LoadDiEdgeListFile(path)
-		return g, err
-	case dataset != "":
-		spec, err := datasets.ByKey(dataset)
-		if err != nil {
-			return nil, err
-		}
-		return spec.GenerateDirected(scale), nil
-	default:
-		return nil, fmt.Errorf("one of -graph or -dataset is required (or -data with an existing directed store)")
-	}
-}
-
 // printStoreStats is the -stats block for the durable-store paths
 // (construction timings live in the store, not the process, so the
 // static build's labelling/meta split is not reported here).
@@ -287,20 +242,29 @@ func maybeCheckpoint(di *qbs.DynamicIndex, enabled bool) {
 	fmt.Printf("store: checkpointed epoch %d in %s\n", epoch, time.Since(start).Round(time.Microsecond))
 }
 
-func loadGraph(path, dataset string, scale float64) (*qbs.Graph, error) {
+// loadGraph resolves the graph source, an edge-list file or a dataset
+// analog, as an undirected graph or a directed one, and prints its size.
+func loadGraph(path, dataset string, scale float64, directed bool) *qbs.Graph {
+	var g *qbs.Graph
+	var err error
 	switch {
 	case path != "":
-		g, _, err := qbs.LoadEdgeListFile(path)
-		return g, err
+		g, _, err = qbs.LoadEdgeListFile(path, directed)
 	case dataset != "":
-		spec, err := datasets.ByKey(dataset)
-		if err != nil {
-			return nil, err
+		var spec datasets.Spec
+		if spec, err = datasets.ByKey(dataset); err == nil && directed {
+			g = spec.GenerateDirected(scale)
+		} else if err == nil {
+			g = spec.Generate(scale)
 		}
-		return spec.Generate(scale), nil
 	default:
-		return nil, fmt.Errorf("one of -graph or -dataset is required (or -data with an existing store)")
+		err = fmt.Errorf("one of -graph or -dataset is required (or -data with an existing store)")
 	}
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("graph: |V|=%d |E|=%d avg deg %.2f\n", g.NumVertices(), g.NumEdges(), g.AvgDegree())
+	return g
 }
 
 func fatal(err error) {

@@ -93,7 +93,7 @@ func TestDataDirOfTheOtherKindIsRefused(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := qbs.CreateDiStore(ddir, qbs.AsDirected(g), qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: 2}}); err != nil {
+	if _, err := qbs.CreateDiStore(ddir, graph.AsDirected(g), qbs.DiStoreOptions{Index: qbs.Options{NumLandmarks: 2}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,7 +138,7 @@ func TestDirectedGraphFileAnswersTheOracle(t *testing.T) {
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g := graph.MustDiFromArcs(8, arcs)
+	g := graph.MustFromArcs(8, arcs)
 	pairs := [][2]graph.V{{0, 3}, {3, 0}, {0, 7}, {7, 0}, {5, 6}, {4, 1}, {2, 2}}
 	args := []string{"-directed", "-graph", path, "-landmarks", "2", "-v"}
 	for _, p := range pairs {

@@ -72,7 +72,7 @@ var coldInputs = []*coldInput{
 			return nil, nil, err
 		}
 		g := spec.GenerateDirected(10)
-		ix, err := core.BuildDirected(g, core.Options{NumLandmarks: 20})
+		ix, err := core.Build(g, core.Options{NumLandmarks: 20})
 		return ix, bfs.NewDirectedBidirectional(g), err
 	}},
 	{name: "Grid120", build: func() (*core.Index, *bfs.Bidirectional, error) { return coldGraph(graph.Grid(120, 120)) }},

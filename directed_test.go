@@ -1,27 +1,31 @@
 package qbs_test
 
 import (
+	"errors"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
 	"qbs"
 	"qbs/internal/analysis"
+	"qbs/internal/dynamic"
 	"qbs/internal/graph"
 )
 
 func TestDirectedPublicAPI(t *testing.T) {
-	b := qbs.NewDiBuilder(5)
-	b.AddArc(0, 1)
-	b.AddArc(1, 4)
-	b.AddArc(0, 2)
-	b.AddArc(2, 4)
-	b.AddArc(4, 3) // continues past the target
+	b := qbs.NewDirectedBuilder(5)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 4)
+	b.AddEdge(0, 2)
+	b.AddEdge(2, 4)
+	b.AddEdge(4, 3) // continues past the target
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := qbs.BuildDiIndex(g, qbs.DiOptions{NumLandmarks: 2})
+	ix, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +41,16 @@ func TestDirectedPublicAPI(t *testing.T) {
 
 func TestDirectedIndexMatchesOracleAndBaseline(t *testing.T) {
 	g := graph.DirectedScaleFree(400, 3, 41)
-	ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 16})
+	ix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 16})
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 120; i++ {
 		u := qbs.V(rng.Intn(g.NumVertices()))
 		v := qbs.V(rng.Intn(g.NumVertices()))
-		want := qbs.OracleDiSPG(g, u, v)
+		want := qbs.OracleSPG(g, u, v)
 		if got := ix.Query(u, v); !got.Equal(want) {
-			t.Fatalf("DiIndex(%d,%d) != oracle", u, v)
+			t.Fatalf("directed Index(%d,%d) != oracle", u, v)
 		}
-		if got := qbs.DiBiBFS(g, u, v); !got.Equal(want) {
+		if got := qbs.BiBFS(g, u, v); !got.Equal(want) {
 			t.Fatalf("DiBiBFS(%d,%d) != oracle", u, v)
 		}
 	}
@@ -54,14 +58,14 @@ func TestDirectedIndexMatchesOracleAndBaseline(t *testing.T) {
 
 func TestDirectedConcurrentQueries(t *testing.T) {
 	g := graph.DirectedErdosRenyi(300, 1500, 8)
-	ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 10})
+	ix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 10})
 	type pair struct{ u, v qbs.V }
 	rng := rand.New(rand.NewSource(3))
 	pairs := make([]pair, 64)
-	want := make([]*qbs.DiSPG, len(pairs))
+	want := make([]*qbs.SPG, len(pairs))
 	for i := range pairs {
 		pairs[i] = pair{qbs.V(rng.Intn(300)), qbs.V(rng.Intn(300))}
-		want[i] = qbs.OracleDiSPG(g, pairs[i].u, pairs[i].v)
+		want[i] = qbs.OracleSPG(g, pairs[i].u, pairs[i].v)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan int, len(pairs))
@@ -85,11 +89,11 @@ func TestDirectedConcurrentQueries(t *testing.T) {
 
 func TestAsDirectedRoundTrip(t *testing.T) {
 	ug := graph.Cycle(9)
-	dg := qbs.AsDirected(ug)
+	dg := graph.AsDirected(ug)
 	if dg.NumArcs() != 2*ug.NumEdges() {
 		t.Fatalf("arcs = %d, want %d", dg.NumArcs(), 2*ug.NumEdges())
 	}
-	ix := qbs.MustBuildDiIndex(dg, qbs.DiOptions{NumLandmarks: 3})
+	ix := qbs.MustBuildIndex(dg, qbs.Options{NumLandmarks: 3})
 	spg := ix.Query(0, 4)
 	if spg.Dist != 4 {
 		t.Fatalf("cycle distance = %d", spg.Dist)
@@ -101,13 +105,13 @@ func TestAsDirectedRoundTrip(t *testing.T) {
 // the brute-force oracle.
 func TestDiDistanceAndQueryIntoMatchOracle(t *testing.T) {
 	g := graph.DirectedScaleFree(350, 3, 59)
-	ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 14})
-	spg := new(qbs.DiSPG)
+	ix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 14})
+	spg := new(qbs.SPG)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 120; i++ {
 		u := qbs.V(rng.Intn(g.NumVertices()))
 		v := qbs.V(rng.Intn(g.NumVertices()))
-		want := qbs.OracleDiSPG(g, u, v)
+		want := qbs.OracleSPG(g, u, v)
 		if got := ix.QueryInto(spg, u, v); !got.Equal(want) {
 			t.Fatalf("QueryInto(%d,%d) != oracle", u, v)
 		}
@@ -123,7 +127,7 @@ func TestDiDistanceAndQueryIntoMatchOracle(t *testing.T) {
 func TestDiQueryBatchMatchesOracle(t *testing.T) {
 	for _, R := range []int{12, 80} {
 		g := graph.DirectedScaleFree(300, 3, int64(R))
-		ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: R})
+		ix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: R})
 		rng := rand.New(rand.NewSource(int64(R) * 3))
 		pairs := make([]qbs.Pair, 96)
 		for i := range pairs {
@@ -137,7 +141,7 @@ func TestDiQueryBatchMatchesOracle(t *testing.T) {
 			if spg == nil {
 				t.Fatalf("R=%d: result %d missing", R, i)
 			}
-			if want := qbs.OracleDiSPG(g, pairs[i].U, pairs[i].V); !spg.Equal(want) {
+			if want := qbs.OracleSPG(g, pairs[i].U, pairs[i].V); !spg.Equal(want) {
 				t.Fatalf("R=%d: batch result %d != oracle", R, i)
 			}
 		}
@@ -148,7 +152,7 @@ func TestDiQueryBatchMatchesOracle(t *testing.T) {
 // poisoned pair loses only its own slot.
 func TestDiQueryBatchRecoversFromPanic(t *testing.T) {
 	g := graph.DirectedScaleFree(200, 3, 67)
-	ix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 8})
+	ix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 8})
 	rng := rand.New(rand.NewSource(5))
 	batch := make([]qbs.Pair, 48)
 	for i := range batch {
@@ -183,7 +187,7 @@ func TestDiStorePublicRoundTrip(t *testing.T) {
 	if qbs.DiStoreExists(dir) {
 		t.Fatal("empty dir reports a store")
 	}
-	ix, err := qbs.CreateDiStore(dir, g, qbs.DiStoreOptions{Index: qbs.DiOptions{NumLandmarks: 10}})
+	ix, err := qbs.CreateDiStore(dir, g, qbs.DiStoreOptions{Index: qbs.Options{NumLandmarks: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func TestDiStorePublicRoundTrip(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		u := qbs.V(rng.Intn(g.NumVertices()))
 		v := qbs.V(rng.Intn(g.NumVertices()))
-		want := qbs.OracleDiSPG(g, u, v)
+		want := qbs.OracleSPG(g, u, v)
 		if !ix.Query(u, v).Equal(want) || !re.Query(u, v).Equal(want) {
 			t.Fatalf("store round trip diverges on (%d,%d)", u, v)
 		}
@@ -212,12 +216,13 @@ func TestDiStorePublicRoundTrip(t *testing.T) {
 // type, over random digraphs G and their symmetrisations S (the
 // undirected graph under G's arcs): whatever a result held before, an
 // index of either kind stamps it with its own orientation — directed
-// from a DiIndex, undirected from an Index or a DynamicIndex; Edges()
-// of a directed answer is what the benchmark's Arcs() shim returns,
-// element for element, and matches the directed oracle; Equal is
-// sensitive to the order of the pair iff the answer is directed; and
-// layering an answer of either orientation counts the same paths —
-// over S as a digraph, the directed and the undirected index's.
+// from an Index over a directed graph, undirected from one over an
+// undirected graph or from a DynamicIndex; Edges() of a directed answer
+// is what the benchmark's Arcs() shim returns, element for element, and
+// matches the directed oracle; Equal is sensitive to the order of the
+// pair iff the answer is directed; and layering an answer of either
+// orientation counts the same paths — over S as a digraph, the directed
+// and the undirected index's.
 func TestOrientationIsTheIndexs(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		n := 40 + int(seed)*15
@@ -230,8 +235,8 @@ func TestOrientationIsTheIndexs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dix := qbs.MustBuildDiIndex(g, qbs.DiOptions{NumLandmarks: 5})
-		six := qbs.MustBuildDiIndex(qbs.AsDirected(s), qbs.DiOptions{NumLandmarks: 5})
+		dix := qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 5})
+		six := qbs.MustBuildIndex(graph.AsDirected(s), qbs.Options{NumLandmarks: 5})
 		ix := qbs.MustBuildIndex(s, qbs.Options{NumLandmarks: 5})
 		dyn, err := qbs.BuildDynamicIndex(s, qbs.DynamicOptions{Index: qbs.Options{NumLandmarks: 5}})
 		if err != nil {
@@ -244,15 +249,15 @@ func TestOrientationIsTheIndexs(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			u, v := qbs.V(rng.Intn(n)), qbs.V(rng.Intn(n))
 
-			if dix.QueryInto(&spg, u, v); !spg.Directed() || !spg.Equal(qbs.OracleDiSPG(g, u, v)) {
-				t.Fatalf("seed %d: DiIndex filled (%d→%d) with %v", seed, u, v, &spg)
+			if dix.QueryInto(&spg, u, v); !spg.Directed() || !spg.Equal(qbs.OracleSPG(g, u, v)) {
+				t.Fatalf("seed %d: directed Index filled (%d→%d) with %v", seed, u, v, &spg)
 			}
 			arcs := spg.Arcs()
 			if len(arcs) != len(spg.Edges()) {
 				t.Fatalf("seed %d (%d→%d): %d arcs, %d edges", seed, u, v, len(arcs), len(spg.Edges()))
 			}
 			for k, e := range spg.Edges() {
-				if arcs[k] != (qbs.Arc{From: e.U, To: e.W}) || !g.HasArc(e.U, e.W) {
+				if arcs[k] != (qbs.Arc{From: e.U, To: e.W}) || !g.HasEdge(e.U, e.W) {
 					t.Fatalf("seed %d (%d→%d): edge %d = %v, arc %v", seed, u, v, k, e, arcs[k])
 				}
 			}
@@ -272,7 +277,7 @@ func TestOrientationIsTheIndexs(t *testing.T) {
 			// S as a digraph: every edge of the undirected answer once,
 			// oriented away from u, and as many paths.
 			if six.QueryInto(&spg, u, v); !spg.Directed() || spg.Dist != want.Dist || spg.NumEdges() != want.NumEdges() {
-				t.Fatalf("seed %d: symmetric DiIndex filled (%d→%d) with %v, undirected %v", seed, u, v, &spg, want)
+				t.Fatalf("seed %d: symmetric directed Index filled (%d→%d) with %v, undirected %v", seed, u, v, &spg, want)
 			}
 			if back := six.Query(v, u); u != v && spg.Dist != qbs.InfDist && spg.Equal(back) {
 				t.Fatalf("seed %d: directed SPG(%d→%d) equals SPG(%d→%d)", seed, u, v, v, u)
@@ -285,5 +290,42 @@ func TestOrientationIsTheIndexs(t *testing.T) {
 					seed, u, v, pd, len(dagD.Vertices), pu, len(dagU.Vertices))
 			}
 		}
+	}
+}
+
+// TestDirectedGraphRefusals: the entry points with no directed
+// implementation refuse a directed graph with an error, before they
+// build or write anything — the dynamic index and its store (updates
+// are undirected), and the landmark strategies that rank an undirected
+// graph — while degree and random landmarks build; and the directed
+// store refuses an undirected graph.
+func TestDirectedGraphRefusals(t *testing.T) {
+	g := graph.DirectedScaleFree(80, 2, 9)
+	if _, err := qbs.BuildDynamicIndex(g, qbs.DynamicOptions{Index: qbs.Options{NumLandmarks: 4}}); !errors.Is(err, dynamic.ErrDirected) {
+		t.Fatalf("BuildDynamicIndex over a directed graph: %v", err)
+	}
+	dir := t.TempDir()
+	if _, err := qbs.CreateStore(dir, g, qbs.StoreOptions{Index: qbs.Options{NumLandmarks: 4}}); !errors.Is(err, dynamic.ErrDirected) {
+		t.Fatalf("CreateStore over a directed graph: %v", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("CreateStore refused, yet left %d entries (%v)", len(entries), err)
+	}
+	for _, s := range []qbs.Strategy{qbs.StrategyCoverage, qbs.StrategyBetweenness} {
+		if _, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: 4, Strategy: s}); err == nil || !strings.Contains(err.Error(), string(s)) {
+			t.Fatalf("BuildIndex with %s over a directed graph: %v", s, err)
+		}
+	}
+	for _, s := range []qbs.Strategy{qbs.StrategyDegree, qbs.StrategyRandom} {
+		ix, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: 4, Strategy: s})
+		if err != nil {
+			t.Fatalf("BuildIndex with %s over a directed graph: %v", s, err)
+		}
+		if got := ix.Query(0, 5); !got.Equal(qbs.OracleSPG(g, 0, 5)) {
+			t.Fatalf("%s landmarks: %v", s, got)
+		}
+	}
+	if _, err := qbs.CreateDiStore(t.TempDir(), graph.Grid(3, 3), qbs.DiStoreOptions{}); err == nil {
+		t.Fatal("CreateDiStore accepted an undirected graph")
 	}
 }

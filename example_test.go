@@ -64,16 +64,16 @@ func ExampleBiBFS() {
 	// vertices: [0 1 2 3]
 }
 
-func ExampleBuildDiIndex() {
-	b := qbs.NewDiBuilder(4)
-	b.AddArc(0, 1)
-	b.AddArc(1, 3)
-	b.AddArc(0, 2)
-	b.AddArc(2, 3)
-	b.AddArc(3, 0) // cycle back
+func ExampleBuildIndex_directed() {
+	b := qbs.NewDirectedBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 3)
+	b.AddEdge(0, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 0) // cycle back
 	g, _ := b.Build()
 
-	index, err := qbs.BuildDiIndex(g, qbs.DiOptions{NumLandmarks: 1})
+	index, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -181,7 +181,7 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 			continue
 		}
 		g := spec.GenerateDirected(h.cfg.Scale)
-		ix, err := core.BuildDirected(g, core.Options{NumLandmarks: h.cfg.NumLandmarks})
+		ix, err := core.Build(g, core.Options{NumLandmarks: h.cfg.NumLandmarks})
 		if err != nil {
 			return nil, err
 		}

@@ -172,12 +172,12 @@ func TestExtractPathsFromMidpoint(t *testing.T) {
 }
 
 func TestDirectedBidirectionalMatchesOracle(t *testing.T) {
-	for name, g := range map[string]*graph.DiGraph{
-		"dicycle": graph.MustDiFromArcs(7, []graph.Arc{
+	for name, g := range map[string]*graph.Graph{
+		"dicycle": graph.MustFromArcs(7, []graph.Arc{
 			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
 			{From: 4, To: 5}, {From: 5, To: 6}, {From: 6, To: 0},
 		}),
-		"diamond": graph.MustDiFromArcs(5, []graph.Arc{
+		"diamond": graph.MustFromArcs(5, []graph.Arc{
 			{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3},
 			{From: 3, To: 4}, {From: 4, To: 0}, // back arc
 		}),

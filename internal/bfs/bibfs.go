@@ -39,7 +39,7 @@ func NewBidirectional(g graph.Adjacency) *Bidirectional {
 }
 
 // NewDirectedBidirectional creates a searcher for the digraph g.
-func NewDirectedBidirectional(g *graph.DiGraph) *Bidirectional {
+func NewDirectedBidirectional(g *graph.Graph) *Bidirectional {
 	return &Bidirectional{directed: true, s: NewSearch(g.OutView(), g.InView())}
 }
 

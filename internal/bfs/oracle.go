@@ -45,7 +45,7 @@ func onShortest(distU, distV []int32, d int32, x, y graph.V) bool {
 // forward distances from u over out-arcs, backward distances to v over
 // in-arcs, and the arc filter d(u,x) + 1 + d(y,v) = d(u,v). The directed
 // ground truth for tests.
-func OracleDiSPG(g *graph.DiGraph, u, v graph.V) *graph.SPG {
+func OracleDiSPG(g *graph.Graph, u, v graph.V) *graph.SPG {
 	s := graph.NewDiSPG(u, v)
 	if u == v {
 		s.Dist = 0
@@ -62,7 +62,7 @@ func OracleDiSPG(g *graph.DiGraph, u, v graph.V) *graph.SPG {
 		if from[x] == Infinity || from[x] >= d {
 			continue
 		}
-		for _, y := range g.Out(x) {
+		for _, y := range g.Neighbors(x) {
 			if to[y] != Infinity && from[x]+1+to[y] == d {
 				s.AddEdge(x, y)
 			}

@@ -14,7 +14,7 @@ import (
 // distances, one-way reachability, reassembly from persisted state).
 
 // TestDirectedMatchesUndirectedOnSymmetricGraphs is a three-way
-// differential: Build(g), BuildDirected(AsDirected(g)) and the scalar
+// differential: Build(g), Build(AsDirected(g)) and the scalar
 // BFS oracle must agree on labels (the digraph's two labellings are
 // equal to each other and to the undirected one), σ, the meta APSP,
 // distances and — once the arcs lose their orientation — the SPG edge
@@ -31,7 +31,7 @@ func TestDirectedMatchesUndirectedOnSymmetricGraphs(t *testing.T) {
 			dg := graph.AsDirected(ug)
 			n := ug.NumVertices()
 			und := MustBuild(ug, Options{NumLandmarks: min(8, n)})
-			dir, err := BuildDirected(dg, Options{NumLandmarks: min(8, n)})
+			dir, err := Build(dg, Options{NumLandmarks: min(8, n)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,12 +98,12 @@ func TestReversedGraphReversesAnswers(t *testing.T) {
 			for _, a := range g.Arcs() {
 				flipped = append(flipped, graph.Arc{From: a.To, To: a.From})
 			}
-			gt := graph.MustDiFromArcs(n, flipped)
-			ix, err := BuildDirected(g, Options{NumLandmarks: min(6, n)})
+			gt := graph.MustFromArcs(n, flipped)
+			ix, err := Build(g, Options{NumLandmarks: min(6, n)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ixt, err := BuildDirected(gt, Options{Landmarks: ix.Landmarks()})
+			ixt, err := Build(gt, Options{Landmarks: ix.Landmarks()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,8 +149,8 @@ func TestDirectedAsymmetry(t *testing.T) {
 }
 
 func TestDirectedDisconnectedAndTrivial(t *testing.T) {
-	g := graph.MustDiFromArcs(4, []graph.Arc{{From: 0, To: 1}, {From: 2, To: 3}})
-	ix, err := BuildDirected(g, Options{NumLandmarks: 2})
+	g := graph.MustFromArcs(4, []graph.Arc{{From: 0, To: 1}, {From: 2, To: 3}})
+	ix, err := Build(g, Options{NumLandmarks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

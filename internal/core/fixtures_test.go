@@ -15,11 +15,11 @@ import (
 // property is stated once and checked on both.
 type testGraph struct {
 	und *graph.Graph
-	dir *graph.DiGraph
+	dir *graph.Graph
 }
 
 func undirected(g *graph.Graph) testGraph { return testGraph{und: g} }
-func directed(g *graph.DiGraph) testGraph { return testGraph{dir: g} }
+func directed(g *graph.Graph) testGraph   { return testGraph{dir: g} }
 
 func (tg testGraph) numVertices() int {
 	if tg.dir != nil {
@@ -30,7 +30,7 @@ func (tg testGraph) numVertices() int {
 
 func (tg testGraph) build(opts Options) (*Index, error) {
 	if tg.dir != nil {
-		return BuildDirected(tg.dir, opts)
+		return Build(tg.dir, opts)
 	}
 	return Build(tg.und, opts)
 }
@@ -110,20 +110,20 @@ func somePairs(n, count int, seed int64) [][2]graph.V {
 
 // testDigraphs returns the directed fixtures: structured digraphs,
 // seeded random ones, and one symmetrised undirected graph.
-func testDigraphs() map[string]*graph.DiGraph {
-	return map[string]*graph.DiGraph{
-		"dipath": graph.MustDiFromArcs(6, []graph.Arc{
+func testDigraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
+		"dipath": graph.MustFromArcs(6, []graph.Arc{
 			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 5},
 		}),
-		"dicycle": graph.MustDiFromArcs(7, []graph.Arc{
+		"dicycle": graph.MustFromArcs(7, []graph.Arc{
 			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
 			{From: 4, To: 5}, {From: 5, To: 6}, {From: 6, To: 0},
 		}),
-		"diamond": graph.MustDiFromArcs(5, []graph.Arc{
+		"diamond": graph.MustFromArcs(5, []graph.Arc{
 			{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3},
 			{From: 3, To: 4}, {From: 4, To: 0}, // back arc
 		}),
-		"asym": graph.MustDiFromArcs(4, []graph.Arc{
+		"asym": graph.MustFromArcs(4, []graph.Arc{
 			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 0, To: 3}, {From: 3, To: 2},
 		}),
 		"der300":  graph.DirectedErdosRenyi(300, 1200, 3),
@@ -218,16 +218,16 @@ func sameIndex(a, b *Index) error {
 
 // randomDigraph is a seeded digraph with a spine 0→…→n-1 through random
 // earlier vertices, so that every vertex is reachable from vertex 0.
-func randomDigraph(n, m int, seed int64) *graph.DiGraph {
+func randomDigraph(n, m int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewDiBuilder(n)
+	b := graph.NewDirectedBuilder(n)
 	for v := 1; v < n; v++ {
-		b.AddArc(graph.V(rng.Intn(v)), graph.V(v))
+		b.AddEdge(graph.V(rng.Intn(v)), graph.V(v))
 	}
 	for i := 0; i < m; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			b.AddArc(graph.V(u), graph.V(v))
+			b.AddEdge(graph.V(u), graph.V(v))
 		}
 	}
 	return b.MustBuild()

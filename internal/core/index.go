@@ -184,7 +184,7 @@ func (sh *Shell) IsLandmark(v graph.V) bool { return sh.landIdx[v] >= 0 }
 type Index struct {
 	Shell
 
-	g *graph.Graph // the static undirected graph; nil when directed or put together by Shell.Index
+	g *graph.Graph // the static graph; nil when put together by Shell.Index
 
 	// out and in are the adjacency pair every traversal runs over: out
 	// pushes along arcs, in is its reverse. They are the same value for
@@ -245,9 +245,8 @@ func (ix *Index) SizeMetaBytes() int64 {
 // Stats returns construction statistics.
 func (ix *Index) Stats() BuildStats { return ix.build }
 
-// Graph returns the indexed static undirected graph, or nil when the
-// index is directed or was put together by Shell.Index (use Adjacency
-// then).
+// Graph returns the indexed static graph, or nil when the index was put
+// together by Shell.Index (use Adjacency then).
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // Adjacency returns the (out-)adjacency the index answers queries over.
@@ -307,8 +306,9 @@ func (ix *Index) MetaEdges() [][3]int32 {
 // internal storage.
 func (ix *Index) Delta(k int) []graph.Edge { return ix.delta[k] }
 
-// Build constructs the QbS index over the undirected graph g. The graph
-// is retained by reference and must not be mutated afterwards.
+// Build constructs the QbS index over g, answering SPG(u → v) when g is
+// directed. Landmarks default to the top vertices by total degree. The
+// graph is retained by reference and must not be mutated afterwards.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	start := time.Now()
 	opts = opts.withDefaults(g.NumVertices())
@@ -320,24 +320,8 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	degs := g.Degrees()
-	return sh.build(start, &Index{g: g, out: g, in: g}, degs, degs, opts, nil)
-}
-
-// BuildDirected constructs the QbS index over the digraph g, answering
-// SPG(u → v). Landmarks default to the top vertices by total degree.
-func BuildDirected(g *graph.DiGraph, opts Options) (*Index, error) {
-	start := time.Now()
-	opts = opts.withDefaults(g.NumVertices())
-	landmarks := opts.Landmarks
-	if landmarks == nil {
-		landmarks = g.TopTotalDegreeVertices(opts.NumLandmarks)
-	}
-	sh, err := NewShell(g.NumVertices(), landmarks)
-	if err != nil {
-		return nil, err
-	}
-	return sh.build(start, &Index{out: g.OutView(), in: g.InView()}, g.OutDegrees(), g.InDegrees(), opts, nil)
+	degsOut, degsIn := g.Degrees()
+	return sh.build(start, &Index{g: g, out: g.OutView(), in: g.InView()}, degsOut, degsIn, opts, nil)
 }
 
 // BuildMaintained is Build over any undirected adjacency — the dynamic
@@ -464,7 +448,7 @@ func (ix *Index) State() State {
 // (they may be views into a read-only snapshot arena — the index never
 // writes them), and only the meta state is recomputed from σ
 // (O(|R|³), independent of graph size).
-func AssembleDirected(g *graph.DiGraph, st State) (*Index, error) {
+func AssembleDirected(g *graph.Graph, st State) (*Index, error) {
 	sh, err := NewShell(g.NumVertices(), st.Landmarks)
 	if err != nil {
 		return nil, err
@@ -476,6 +460,7 @@ func AssembleDirected(g *graph.DiGraph, st State) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	ix.g = g
 	ix.build.LabelEntries = ix.countLabelEntries()
 	return ix, nil
 }

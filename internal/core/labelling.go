@@ -43,9 +43,9 @@ import (
 // against it for bit-identical labels, σ entries and meta-edges, in
 // both directions.
 //
-// The sweep below is the only one: Build, BuildDirected, the dynamic
-// index's full builds (Shell.BuildMaintained) and its single-column
-// fallback (Shell.SweepColumn) all settle through batchBFS.
+// The sweep below is the only one: Build, the dynamic index's full
+// builds (Shell.BuildMaintained) and its single-column fallback
+// (Shell.SweepColumn) all settle through batchBFS.
 
 // batchBFS sweeps one batch of up to 64 landmarks (ranks
 // [base, base+len(cols))) through the bit-parallel engine along push

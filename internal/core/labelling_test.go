@@ -296,7 +296,7 @@ func TestEngineBuildSpeedup(t *testing.T) {
 		return b
 	}
 	engine := best(func() time.Duration {
-		ix, err := BuildDirected(g, Options{Landmarks: landmarks, Parallelism: 1})
+		ix, err := Build(g, Options{Landmarks: landmarks, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

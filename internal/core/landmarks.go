@@ -125,7 +125,7 @@ func ByCoverage(g *graph.Graph, k int, _ int64) []graph.V {
 	covered := make([]bool, n)
 	chosen := make([]graph.V, 0, k)
 	isChosen := make([]bool, n)
-	order := g.VerticesByDegree()
+	order := g.TotalDegreeOrder()
 	for len(chosen) < k {
 		best := graph.V(-1)
 		bestScore := -1

@@ -276,7 +276,7 @@ func TestExhaustedSideEndsTheSearch(t *testing.T) {
 	const u, r, v = 0, 1, 7
 	for name, tg := range map[string]testGraph{
 		"undirected": undirected(graph.MustFromEdges(n, edges)),
-		"directed":   directed(graph.MustDiFromArcs(n, arcs)),
+		"directed":   directed(graph.MustFromArcs(n, arcs)),
 	} {
 		sr := NewSearcher(tg.mustBuild(t, Options{Landmarks: []graph.V{r}}))
 		tg.check(t, sr, u, v)
@@ -298,7 +298,7 @@ func TestExhaustedSideEndsTheSearch(t *testing.T) {
 func TestUnguidedSearchIsBiBFS(t *testing.T) {
 	const n = 3000 // the isolated landmark is vertex n
 	und := graph.MustFromEdges(n+1, graph.ErdosRenyi(n, 3000, 3).Edges())
-	dir := graph.MustDiFromArcs(n+1, graph.DirectedErdosRenyi(n, 9000, 3).Arcs())
+	dir := graph.MustFromArcs(n+1, graph.DirectedErdosRenyi(n, 9000, 3).Arcs())
 	for name, tc := range map[string]struct {
 		tg testGraph
 		bi *bfs.Bidirectional

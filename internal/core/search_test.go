@@ -389,10 +389,10 @@ func TestDeltaEdgesAreLandmarkShortestPaths(t *testing.T) {
 				keep := func(v graph.V) bool { return v == a || v == b || !ix.IsLandmark(v) }
 				var want, got *graph.SPG
 				if g := tc.tg.dir; g != nil {
-					sub := graph.NewDiBuilder(g.NumVertices())
+					sub := graph.NewDirectedBuilder(g.NumVertices())
 					for _, arc := range g.Arcs() {
 						if keep(arc.From) && keep(arc.To) {
-							sub.AddArc(arc.From, arc.To)
+							sub.AddEdge(arc.From, arc.To)
 						}
 					}
 					want, got = bfs.OracleDiSPG(sub.MustBuild(), a, b), graph.NewDiSPG(a, b)
@@ -458,9 +458,9 @@ func TestDisconnectedPairs(t *testing.T) {
 // the scalar reference on both kinds: a labelling distance past 254 hops
 // is rejected, not truncated.
 func TestDiameterOverflow(t *testing.T) {
-	dipath := graph.NewDiBuilder(300)
+	dipath := graph.NewDirectedBuilder(300)
 	for i := 0; i < 299; i++ {
-		dipath.AddArc(graph.V(i), graph.V(i+1))
+		dipath.AddEdge(graph.V(i), graph.V(i+1))
 	}
 	for name, tg := range map[string]testGraph{
 		"path300":   undirected(graph.Path(300)),

@@ -219,7 +219,7 @@ func (s Spec) Generate(scale float64) *graph.Graph {
 // to the undirected analog; undirected datasets are symmetrised. This
 // feeds the directed-QbS experiment (the paper evaluates the undirected
 // reading only; §2 claims the directed extension).
-func (s Spec) GenerateDirected(scale float64) *graph.DiGraph {
+func (s Spec) GenerateDirected(scale float64) *graph.Graph {
 	if scale <= 0 {
 		scale = 1
 	}

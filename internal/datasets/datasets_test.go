@@ -101,7 +101,7 @@ func TestGenerateDirected(t *testing.T) {
 			if !spec.Directed {
 				// Symmetrised: every arc has its reverse.
 				for _, arc := range g.Arcs()[:min(100, g.NumArcs())] {
-					if !g.HasArc(arc.To, arc.From) {
+					if !g.HasEdge(arc.To, arc.From) {
 						t.Fatalf("undirected analog missing reverse arc %v", arc)
 					}
 				}

@@ -68,9 +68,12 @@ func hashCSR(offsets []int64, adj []graph.V, more ...any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func hashGraph(g *graph.Graph) string { return hashCSR(g.CSR()) }
+func hashGraph(g *graph.Graph) string {
+	offsets, adj, _, _ := g.CSR()
+	return hashCSR(offsets, adj)
+}
 
-func hashDiGraph(g *graph.DiGraph) string {
+func hashDiGraph(g *graph.Graph) string {
 	outOff, out, inOff, in := g.CSR()
 	return hashCSR(outOff, out, inOff, in)
 }

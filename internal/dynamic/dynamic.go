@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -107,10 +108,18 @@ type Index struct {
 	logger UpdateLogger // durability hook; nil when not durable
 }
 
-// New builds a dynamic index over g with the given landmark set. The
-// initial construction is a static build (one QL/QN sweep over the
-// landmarks plus Δ recovery) that also keeps the distance columns.
+// ErrDirected is New's refusal of a directed graph: updates and their
+// repairs are undirected.
+var ErrDirected = errors.New("dynamic: a directed graph takes no updates; build a static index over it")
+
+// New builds a dynamic index over the undirected graph g with the given
+// landmark set; a directed g is refused. The initial construction is a
+// static build (one QL/QN sweep over the landmarks plus Δ recovery) that
+// also keeps the distance columns.
 func New(g *graph.Graph, landmarks []graph.V, opts Options) (*Index, error) {
+	if g.Directed() {
+		return nil, ErrDirected
+	}
 	sh, err := core.NewShell(g.NumVertices(), landmarks)
 	if err != nil {
 		return nil, err

@@ -341,6 +341,16 @@ func TestLandmarkIncidentUpdates(t *testing.T) {
 
 // TestIdempotentAndInvalidUpdates pins the no-op and validation
 // behaviour.
+// TestDirectedGraphRefused: New refuses a directed graph, even a
+// symmetric one, whose updates it could not orient.
+func TestDirectedGraphRefused(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.DirectedScaleFree(40, 2, 3), graph.AsDirected(graph.Cycle(6))} {
+		if d, err := New(g, []graph.V{0}, Options{}); !errors.Is(err, ErrDirected) || d != nil {
+			t.Fatalf("New over a directed graph: %v", err)
+		}
+	}
+}
+
 func TestIdempotentAndInvalidUpdates(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, W: 1}, {U: 1, W: 2}, {U: 2, W: 3}})
 	d, err := New(g, []graph.V{1}, Options{CompactFraction: -1})

@@ -46,7 +46,7 @@ func hashPersistent(ps PersistentState) string {
 			panic(err)
 		}
 	}
-	offsets, adj := ps.Graph.CSR()
+	offsets, adj, _, _ := ps.Graph.CSR()
 	put(offsets)
 	put(adj)
 	put(ps.Landmarks)

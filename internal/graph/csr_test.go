@@ -68,16 +68,17 @@ func dedupEdges(sorted []Edge) []Edge {
 	return out
 }
 
-// referenceDiBuild is DiBuilder.Build as it was before buildCSR (the
-// builder's pending arcs are Edge{From, To} now; nothing else differs).
-func referenceDiBuild(b *DiBuilder) (*DiGraph, error) {
-	for _, a := range b.arcs {
+// referenceDiBuild is a directed Builder's Build as it was before
+// buildCSR (the builder's pending arcs are Edge{From, To} now, and its
+// error is the undirected builder's; nothing else differs).
+func referenceDiBuild(b *Builder) (*Graph, error) {
+	for _, a := range b.edges {
 		if a.U < 0 || int(a.U) >= b.n || a.W < 0 || int(a.W) >= b.n {
-			return nil, fmt.Errorf("digraph: arc %d->%d out of range [0,%d)", a.U, a.W, b.n)
+			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", a.U, a.W, b.n)
 		}
 	}
-	arcs := make([]Arc, len(b.arcs))
-	for i, a := range b.arcs {
+	arcs := make([]Arc, len(b.edges))
+	for i, a := range b.edges {
 		arcs[i] = Arc{a.U, a.W}
 	}
 	sort.Slice(arcs, func(i, j int) bool {
@@ -94,26 +95,27 @@ func referenceDiBuild(b *DiBuilder) (*DiGraph, error) {
 	}
 	arcs = dedup
 
-	g := &DiGraph{
-		outOff: make([]int64, b.n+1),
-		inOff:  make([]int64, b.n+1),
-		out:    make([]V, len(arcs)),
-		in:     make([]V, len(arcs)),
+	g := &Graph{
+		offsets:  make([]int64, b.n+1),
+		inOff:    make([]int64, b.n+1),
+		adj:      make([]V, len(arcs)),
+		in:       make([]V, len(arcs)),
+		directed: true,
 	}
 	for _, a := range arcs {
-		g.outOff[a.From+1]++
+		g.offsets[a.From+1]++
 		g.inOff[a.To+1]++
 	}
 	for i := 1; i <= b.n; i++ {
-		g.outOff[i] += g.outOff[i-1]
+		g.offsets[i] += g.offsets[i-1]
 		g.inOff[i] += g.inOff[i-1]
 	}
 	outCur := make([]int64, b.n)
 	inCur := make([]int64, b.n)
-	copy(outCur, g.outOff[:b.n])
+	copy(outCur, g.offsets[:b.n])
 	copy(inCur, g.inOff[:b.n])
 	for _, a := range arcs {
-		g.out[outCur[a.From]] = a.To
+		g.adj[outCur[a.From]] = a.To
 		outCur[a.From]++
 		g.in[inCur[a.To]] = a.From
 		inCur[a.To]++
@@ -131,10 +133,10 @@ func referenceDiBuild(b *DiBuilder) (*DiGraph, error) {
 // the error strings, when an endpoint is out of range).
 func checkAgainstReference(t testing.TB, n int, pairs []Edge) {
 	t.Helper()
-	b, db := NewBuilder(n), NewDiBuilder(n)
+	b, db := NewBuilder(n), NewDirectedBuilder(n)
 	for _, p := range pairs {
 		b.AddEdge(p.U, p.W)
-		db.AddArc(p.U, p.W)
+		db.AddEdge(p.U, p.W)
 	}
 	sameBuilder(t, b)
 	sameDiBuilder(t, db)
@@ -155,19 +157,19 @@ func sameBuilder(t testing.TB, b *Builder) {
 	}
 }
 
-func sameDiBuilder(t testing.TB, b *DiBuilder) {
+func sameDiBuilder(t testing.TB, b *Builder) {
 	t.Helper()
 	want, wantErr := referenceDiBuild(b)
 	got, err := b.Build()
 	if wantErr != nil || err != nil {
 		if wantErr == nil || err == nil || wantErr.Error() != err.Error() {
-			t.Fatalf("DiBuilder.Build error %v, reference %v", err, wantErr)
+			t.Fatalf("directed Build error %v, reference %v", err, wantErr)
 		}
 		return
 	}
-	if !slices.Equal(got.outOff, want.outOff) || !slices.Equal(got.out, want.out) ||
+	if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.adj, want.adj) ||
 		!slices.Equal(got.inOff, want.inOff) || !slices.Equal(got.in, want.in) {
-		t.Fatalf("DiBuilder.Build differs from the reference on n=%d, %d pending arcs", b.n, len(b.arcs))
+		t.Fatalf("directed Build differs from the reference on n=%d, %d pending arcs", b.n, len(b.edges))
 	}
 }
 
@@ -268,11 +270,11 @@ func TestBuildCSRAnyWidth(t *testing.T) {
 func TestBuildAddEdgeBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 60
-	b, db := NewBuilder(n), NewDiBuilder(n)
+	b, db := NewBuilder(n), NewDirectedBuilder(n)
 	for round := 0; round < 4; round++ {
 		for _, p := range randomMultigraph(rng, n, 150) {
 			b.AddEdge(p.U, p.W)
-			db.AddArc(p.U, p.W)
+			db.AddEdge(p.U, p.W)
 		}
 		sameBuilder(t, b)
 		sameDiBuilder(t, db)

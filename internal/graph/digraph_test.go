@@ -9,12 +9,12 @@ import (
 )
 
 func TestDiBuilderDedupSelfLoops(t *testing.T) {
-	b := NewDiBuilder(4)
-	b.AddArc(0, 1)
-	b.AddArc(0, 1) // duplicate
-	b.AddArc(1, 0) // reverse is distinct in a digraph
-	b.AddArc(2, 2) // self-loop dropped
-	b.AddArc(2, 3)
+	b := NewDirectedBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 1) // duplicate
+	b.AddEdge(1, 0) // reverse is distinct in a digraph
+	b.AddEdge(2, 2) // self-loop dropped
+	b.AddEdge(2, 3)
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +22,7 @@ func TestDiBuilderDedupSelfLoops(t *testing.T) {
 	if g.NumArcs() != 3 {
 		t.Fatalf("arcs = %d, want 3", g.NumArcs())
 	}
-	if !g.HasArc(0, 1) || !g.HasArc(1, 0) || g.HasArc(3, 2) {
+	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || g.HasEdge(3, 2) {
 		t.Fatal("arc membership wrong")
 	}
 	if err := g.Validate(); err != nil {
@@ -31,25 +31,25 @@ func TestDiBuilderDedupSelfLoops(t *testing.T) {
 }
 
 func TestDiBuilderOutOfRange(t *testing.T) {
-	b := NewDiBuilder(2)
-	b.AddArc(0, 5)
+	b := NewDirectedBuilder(2)
+	b.AddEdge(0, 5)
 	if _, err := b.Build(); err == nil {
 		t.Fatal("out-of-range arc accepted")
 	}
 }
 
 func TestDiDegrees(t *testing.T) {
-	g := MustDiFromArcs(4, []Arc{{From: 0, To: 1}, {From: 0, To: 2}, {From: 3, To: 0}})
-	if g.OutDegree(0) != 2 || g.InDegree(0) != 1 {
-		t.Fatalf("degrees of 0: out=%d in=%d", g.OutDegree(0), g.InDegree(0))
+	g := MustFromArcs(4, []Arc{{From: 0, To: 1}, {From: 0, To: 2}, {From: 3, To: 0}})
+	if g.Degree(0) != 2 || g.InDegree(0) != 1 {
+		t.Fatalf("degrees of 0: out=%d in=%d", g.Degree(0), g.InDegree(0))
 	}
-	if g.OutDegree(1) != 0 || g.InDegree(1) != 1 {
+	if g.Degree(1) != 0 || g.InDegree(1) != 1 {
 		t.Fatal("degrees of 1")
 	}
 }
 
 func TestTotalDegreeOrder(t *testing.T) {
-	g := MustDiFromArcs(4, []Arc{
+	g := MustFromArcs(4, []Arc{
 		{From: 0, To: 1}, {From: 0, To: 2}, {From: 0, To: 3},
 		{From: 1, To: 0}, {From: 2, To: 0},
 	})
@@ -70,8 +70,8 @@ func TestTotalDegreeOrderMatchesComparator(t *testing.T) {
 			want[i] = V(i)
 		}
 		sort.Slice(want, func(i, j int) bool {
-			di := g.OutDegree(want[i]) + g.InDegree(want[i])
-			dj := g.OutDegree(want[j]) + g.InDegree(want[j])
+			di := g.Degree(want[i]) + g.InDegree(want[i])
+			dj := g.Degree(want[j]) + g.InDegree(want[j])
 			if di != dj {
 				return di > dj
 			}
@@ -81,7 +81,7 @@ func TestTotalDegreeOrderMatchesComparator(t *testing.T) {
 			t.Fatalf("seed %d: TotalDegreeOrder differs from the comparator sort", seed)
 		}
 		for _, k := range []int{0, 1, 20, 37, 38, 600, 1000} { // 37 < n/16 ≤ 38: both sides of the heap cut-over
-			if got := g.TopTotalDegreeVertices(k); !slices.Equal(got, want[:min(k, len(want))]) {
+			if got := g.TopDegreeVertices(k); !slices.Equal(got, want[:min(k, len(want))]) {
 				t.Fatalf("seed %d: TopTotalDegreeVertices(%d) = %v, want %v", seed, k, got, want[:min(k, len(want))])
 			}
 		}
@@ -96,7 +96,7 @@ func TestAsDirectedSymmetry(t *testing.T) {
 	}
 	for u := V(0); u < 9; u++ {
 		for _, w := range ug.Neighbors(u) {
-			if !dg.HasArc(u, w) || !dg.HasArc(w, u) {
+			if !dg.HasEdge(u, w) || !dg.HasEdge(w, u) {
 				t.Fatalf("missing symmetric arcs %d<->%d", u, w)
 			}
 		}
@@ -144,11 +144,11 @@ func TestDirectedGeneratorsDeterministicAndValid(t *testing.T) {
 func TestDiBuilderQuickProperty(t *testing.T) {
 	check := func(data []byte) bool {
 		const n = 20
-		b := NewDiBuilder(n)
+		b := NewDirectedBuilder(n)
 		want := map[Arc]struct{}{}
 		for i := 0; i+1 < len(data) && i < 400; i += 2 {
 			u, w := V(data[i]%n), V(data[i+1]%n)
-			b.AddArc(u, w)
+			b.AddEdge(u, w)
 			if u != w {
 				want[Arc{u, w}] = struct{}{}
 			}

@@ -16,22 +16,24 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("9223372036854775807 1\n"))
 	f.Add([]byte("-3 4\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, orig, err := ReadEdgeList(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph invalid: %v", err)
-		}
-		if len(orig) != g.NumVertices() {
-			t.Fatalf("id mapping length %d != |V| %d", len(orig), g.NumVertices())
+		for _, directed := range []bool{false, true} {
+			g, orig, err := ReadEdgeList(bytes.NewReader(data), directed)
+			if err != nil {
+				return
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatalf("accepted graph invalid: %v", err)
+			}
+			if len(orig) != g.NumVertices() || g.Directed() != directed {
+				t.Fatalf("id mapping length %d for |V| %d, directed %v", len(orig), g.NumVertices(), g.Directed())
+			}
 		}
 	})
 }
 
 // FuzzBuilder interprets the fuzz payload as a vertex count (first byte,
 // 0-39) and an edge stream with endpoints in [-4, 43], so streams with
-// out-of-range endpoints occur: Build and DiBuilder.Build must agree
+// out-of-range endpoints occur: the undirected and the directed Build must agree
 // with the sort-based reference builders element for element, error
 // string included, and what they accept must be a valid CSR.
 func FuzzBuilder(f *testing.F) {
@@ -65,7 +67,7 @@ func FuzzBuilder(f *testing.F) {
 		for i, p := range pairs {
 			arcs[i] = Arc{p.U, p.W}
 		}
-		if g, err := DiFromArcs(n, arcs); err == nil {
+		if g, err := FromArcs(n, arcs); err == nil {
 			if err := g.Validate(); err != nil {
 				t.Fatal(err)
 			}

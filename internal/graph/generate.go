@@ -35,8 +35,74 @@ func ErdosRenyi(n, m int, seed int64) *Graph {
 		}
 		slices.Sort(both)
 		g.adj = insertCSR(g.offsets, g.adj, both)
+		g.in = g.adj
 	})
 	return g
+}
+
+// DirectedErdosRenyi samples m distinct directed arcs uniformly: the
+// first m distinct arcs of the draw stream, sampled as ErdosRenyi
+// samples edges (each kept arc enters the out- and the in-CSR).
+func DirectedErdosRenyi(n, m int, seed int64) *Graph {
+	m = max(min(m, n*(n-1)), 0)
+	b := NewDirectedBuilder(n)
+	var draw func() Edge
+	b.edges, draw = erDraws(n, m, seed, true)
+	g := b.MustBuild()
+	topUp(m-g.NumArcs(), draw, g.HasEdge, func(keys []uint64) {
+		g.adj = insertCSR(g.offsets, g.adj, keys)
+		for i, k := range keys {
+			keys[i] = k<<32 | k>>32
+		}
+		slices.Sort(keys)
+		g.in = insertCSR(g.inOff, g.in, keys)
+	})
+	return g
+}
+
+// DirectedScaleFree grows a digraph by preferential attachment: each new
+// vertex adds m out-arcs to targets weighted by in-degree and m in-arcs
+// from sources weighted by out-degree, yielding hubby in/out degree
+// distributions like web graphs.
+func DirectedScaleFree(n, m int, seed int64) *Graph {
+	if m < 1 {
+		m = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	b := NewDirectedBuilder(n)
+	seedSize := m + 1
+	if seedSize > n {
+		seedSize = n
+	}
+	// Every arc appends once to each of the three lists.
+	arcs := seedSize + 2*m*(n-seedSize)
+	b.edges = make([]Edge, 0, arcs)
+	inRep, outRep := make([]V, 0, arcs), make([]V, 0, arcs)
+	for u := 0; u < seedSize; u++ {
+		w := (u + 1) % seedSize
+		if u != w {
+			b.AddEdge(V(u), V(w))
+			outRep = append(outRep, V(u))
+			inRep = append(inRep, V(w))
+		}
+	}
+	for v := seedSize; v < n; v++ {
+		for i := 0; i < m; i++ {
+			t := inRep[rng.Intn(len(inRep))]
+			if t != V(v) {
+				b.AddEdge(V(v), t)
+				outRep = append(outRep, V(v))
+				inRep = append(inRep, t)
+			}
+			s := outRep[rng.Intn(len(outRep))]
+			if s != V(v) {
+				b.AddEdge(s, V(v))
+				outRep = append(outRep, s)
+				inRep = append(inRep, V(v))
+			}
+		}
+	}
+	return b.MustBuild()
 }
 
 // erDraws returns the first m draws of the Erdős–Rényi stream of seed

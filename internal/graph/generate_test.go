@@ -49,7 +49,7 @@ func TestErdosRenyiMatchesFirstDistinctDraws(t *testing.T) {
 			name := fmt.Sprintf("n=%d,m=%d,directed=%v,seed=%d", c.n, c.m, c.directed, seed)
 			ref := referenceSample(c.n, c.m, seed, c.directed)
 			if c.directed {
-				want, err := referenceDiBuild(&DiBuilder{n: c.n, arcs: ref})
+				want, err := referenceDiBuild(&Builder{n: c.n, edges: ref, directed: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,7 +57,7 @@ func TestErdosRenyiMatchesFirstDistinctDraws(t *testing.T) {
 				if err := got.Validate(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !slices.Equal(got.outOff, want.outOff) || !slices.Equal(got.out, want.out) ||
+				if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.adj, want.adj) ||
 					!slices.Equal(got.inOff, want.inOff) || !slices.Equal(got.in, want.in) {
 					t.Fatalf("%s: CSR differs from the first %d distinct draws", name, c.m)
 				}

@@ -1,22 +1,31 @@
 // Package graph provides the static graph substrate used throughout the
 // Query-by-Sketch (QbS) reproduction: a compressed sparse row (CSR)
-// representation of an unweighted, undirected graph, an incremental
-// builder, text and binary I/O, synthetic network generators, and basic
-// structural statistics.
+// representation of an unweighted graph, undirected or directed, an
+// incremental builder, text edge-list I/O, synthetic network generators,
+// and basic structural statistics.
 //
 // All algorithms in this repository (the QbS index, the PPL/ParentPPL
 // baselines and the search baselines) operate on the immutable Graph type
 // defined here. Vertices are dense int32 identifiers in [0, NumVertices).
 //
+// # One type for both orientations
+//
+// A Graph holds an out-CSR and an in-CSR and a Directed bit. An
+// undirected graph is the symmetric digraph: each edge {u, w} is the arcs
+// u→w and w→u, and its in-CSR is the same pair of slices as its
+// out-CSR, so it costs no byte more than one CSR. OutView and InView
+// then return the same Adjacency value, which is how the QbS engine
+// (internal/core) knows the graph is symmetric.
+//
 // # Construction
 //
-// Every graph the package makes — Builder and DiBuilder, the readers,
-// the generators and their composite passes (HubBoost, Union,
+// Every graph the package makes — the Builder, the reader, the
+// generators and their composite passes (HubBoost, Union,
 // TriadicClosure), LargestComponent, Relabel, InducedSubgraph — goes
 // through one constructor, buildCSR (csr.go), over the builder's pending
-// pairs. A Graph is one call that enters each pair into both endpoints'
-// lists; a DiGraph is two calls, out-adjacency from (From, To) and
-// in-adjacency from (To, From). Its passes:
+// pairs. An undirected graph is one call that enters each pair into both
+// endpoints' lists; a directed one is two calls, the out-CSR from
+// (From, To) and the in-CSR from (To, From). Its passes:
 //
 //  1. validate every endpoint against [0, n) and count degrees;
 //  2. prefix-sum the counts into offsets;
@@ -68,8 +77,8 @@ import (
 // for the cache behaviour of BFS-heavy workloads.
 type V = int32
 
-// Edge is an undirected edge between two vertices. Normalised edges have
-// U <= W.
+// Edge is an undirected edge between two vertices, or in a directed
+// context the arc U→W. Normalised edges have U <= W.
 type Edge struct {
 	U, W V
 }
@@ -82,15 +91,35 @@ func (e Edge) Normalize() Edge {
 	return e
 }
 
-// Graph is an immutable unweighted, undirected graph in CSR form.
-// Each undirected edge {u, w} is stored as two arcs (u→w and w→u).
-//
-// The zero value is an empty graph. Construct graphs with a Builder,
-// one of the generators, or a reader.
-type Graph struct {
-	offsets []int64 // len = n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
-	adj     []V     // concatenated, per-vertex sorted neighbour lists
+// Arc is a directed edge From → To.
+type Arc struct {
+	From, To V
 }
+
+// Graph is an immutable unweighted graph in CSR form, undirected or
+// directed (the package doc has the layout). An undirected edge {u, w}
+// is stored as the two arcs u→w and w→u.
+//
+// The zero value is an empty undirected graph. Construct graphs with a
+// Builder, one of the generators, or the reader.
+type Graph struct {
+	offsets []int64 // len = n+1; the out-list of v is adj[offsets[v]:offsets[v+1]]
+	adj     []V     // concatenated, per-vertex sorted out-neighbour lists
+	// inOff and in are the in-CSR, laid out the same way; an undirected
+	// graph's are offsets and adj themselves.
+	inOff    []int64
+	in       []V
+	directed bool
+}
+
+// undirected adopts one CSR as both of a graph's adjacencies.
+func undirected(offsets []int64, adj []V) *Graph {
+	return &Graph{offsets: offsets, adj: adj, inOff: offsets, in: adj}
+}
+
+// Directed reports whether the graph is directed: whether its in-CSR is
+// its own rather than its out-CSR.
+func (g *Graph) Directed() bool { return g.directed }
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int {
@@ -100,42 +129,58 @@ func (g *Graph) NumVertices() int {
 	return len(g.offsets) - 1
 }
 
-// NumEdges returns |E|, the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
+// NumEdges returns |E|: the number of undirected edges, or of arcs when
+// the graph is directed.
+func (g *Graph) NumEdges() int {
+	if g.directed {
+		return len(g.adj)
+	}
+	return len(g.adj) / 2
+}
 
 // NumArcs returns the number of stored arcs (2·|E| for undirected graphs).
 func (g *Graph) NumArcs() int { return len(g.adj) }
 
-// Degree returns the number of neighbours of v.
+// Degree returns the number of out-neighbours of v (its neighbours, when
+// undirected).
 func (g *Graph) Degree(v V) int {
 	return int(g.offsets[v+1] - g.offsets[v])
 }
 
-// Neighbors returns the sorted neighbour list of v. The returned slice
-// aliases the graph's internal storage and must not be modified.
+// Neighbors returns the sorted out-neighbour list of v (its neighbours,
+// when undirected). The returned slice aliases the graph's internal
+// storage and must not be modified.
 func (g *Graph) Neighbors(v V) []V {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether the undirected edge {u, w} exists. It searches
-// the smaller of the two adjacency lists (inRow).
+// InDegree returns the number of in-neighbours of v.
+func (g *Graph) InDegree(v V) int { return int(g.inOff[v+1] - g.inOff[v]) }
+
+// In returns the sorted in-neighbour list of v (do not modify).
+func (g *Graph) In(v V) []V { return g.in[g.inOff[v]:g.inOff[v+1]] }
+
+// HasEdge reports whether the arc u→w exists (the edge {u, w}, when
+// undirected). It searches the shorter of u's out-list and w's in-list
+// (inRow).
 func (g *Graph) HasEdge(u, w V) bool {
 	if u == w {
 		return false
 	}
-	if g.Degree(u) > g.Degree(w) {
-		u, w = w, u
+	if g.Degree(u) > g.InDegree(w) {
+		return inRow(g.In(w), u, g.NumVertices())
 	}
 	return inRow(g.Neighbors(u), w, g.NumVertices())
 }
 
-// Edges returns all undirected edges, normalised (U <= W) and sorted.
-// It allocates a fresh slice of length NumEdges.
+// Edges returns each edge once, sorted: an undirected graph's edges
+// normalised (U <= W), a digraph's arcs U→W. It allocates a fresh slice
+// of length NumEdges.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
 	for u := V(0); u < V(g.NumVertices()); u++ {
 		for _, w := range g.Neighbors(u) {
-			if u < w {
+			if g.directed || u < w {
 				out = append(out, Edge{u, w})
 			}
 		}
@@ -143,19 +188,40 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Degrees materialises every vertex degree as a flat int32 array — the
-// form the traversal engines consume for their direction heuristic
-// (avoiding an interface Degree call per touched vertex).
-func (g *Graph) Degrees() []int32 {
-	n := g.NumVertices()
-	deg := make([]int32, n)
-	for v := 0; v < n; v++ {
-		deg[v] = int32(g.Degree(V(v)))
+// Arcs returns every stored arc sorted by (From, To): both orientations
+// of an undirected edge.
+func (g *Graph) Arcs() []Arc {
+	arcs := make([]Arc, 0, g.NumArcs())
+	for u := V(0); u < V(g.NumVertices()); u++ {
+		for _, w := range g.Neighbors(u) {
+			arcs = append(arcs, Arc{u, w})
+		}
 	}
-	return deg
+	return arcs
 }
 
-// MaxDegree returns the largest vertex degree, or 0 for an empty graph.
+// Degrees materialises the out- and in-degree of every vertex as flat
+// int32 arrays — the form the traversal engines consume for their
+// direction heuristic (avoiding an interface Degree call per touched
+// vertex). When the graph is undirected, in is out: one array.
+func (g *Graph) Degrees() (out, in []int32) {
+	out = rowLengths(g.offsets)
+	if !g.directed {
+		return out, out
+	}
+	return out, rowLengths(g.inOff)
+}
+
+func rowLengths(offsets []int64) []int32 {
+	n := max(len(offsets)-1, 0)
+	lens := make([]int32, n)
+	for v := range lens {
+		lens[v] = int32(offsets[v+1] - offsets[v])
+	}
+	return lens
+}
+
+// MaxDegree returns the largest (out-)degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0
 	for v := 0; v < g.NumVertices(); v++ {
@@ -166,7 +232,7 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// AvgDegree returns the average vertex degree (2|E| / |V|), or 0 for an
+// AvgDegree returns the average (out-)degree, |arcs| / |V|, or 0 for an
 // empty graph.
 func (g *Graph) AvgDegree() float64 {
 	if g.NumVertices() == 0 {
@@ -180,17 +246,22 @@ func (g *Graph) AvgDegree() float64 {
 // adjacency list and is charged 8 bytes.
 func (g *Graph) SizeBytes() int64 { return int64(g.NumArcs()) * 8 }
 
-// VerticesByDegree returns all vertices sorted by descending degree,
-// breaking ties by ascending vertex id (making the order deterministic).
-func (g *Graph) VerticesByDegree() []V {
-	return orderByDegree(g.NumVertices(), func(v int) int { return g.Degree(V(v)) })
+// TotalDegreeOrder returns all vertices by descending in+out degree,
+// ties by ascending id (making the order deterministic). An undirected
+// vertex's total degree is twice its degree, so this is its degree
+// order.
+func (g *Graph) TotalDegreeOrder() []V {
+	return orderByDegree(g.NumVertices(), g.totalDegree)
 }
 
-// TopDegreeVertices returns the k highest-degree vertices (deterministic
-// tie-break by id). If k exceeds |V|, all vertices are returned.
+// TopDegreeVertices returns the first k vertices of TotalDegreeOrder
+// (all of them if k exceeds |V|) without sorting the rest — the default
+// landmarks.
 func (g *Graph) TopDegreeVertices(k int) []V {
-	return topByDegree(g.NumVertices(), k, func(v int) int { return g.Degree(V(v)) })
+	return topByDegree(g.NumVertices(), k, g.totalDegree)
 }
+
+func (g *Graph) totalDegree(v int) int { return g.Degree(V(v)) + g.InDegree(V(v)) }
 
 // degreeKey packs (degree, flipped id) so that ascending key order is
 // ascending degree with ties by descending id — the reverse of the
@@ -275,19 +346,19 @@ func topByDegree(n, k int, degree func(v int) int) []V {
 	return out
 }
 
-// Validate checks internal invariants of the CSR structure: offsets are
-// monotone, neighbour lists are sorted, free of self-loops and duplicates,
-// and every arc has a reverse arc. It is used by tests and the binary
-// reader.
+// Validate checks the invariants of both CSRs: offsets are monotone,
+// neighbour lists are sorted, free of self-loops and duplicates, and
+// every arc u→w is in w's in-list — for an undirected graph, every arc
+// has its reverse. It is used by tests.
 func (g *Graph) Validate() error {
 	if err := g.ValidateStructure(); err != nil {
 		return err
 	}
 	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(V(v)) {
-			if !g.HasEdge(w, V(v)) {
-				return fmt.Errorf("graph: missing reverse arc %d->%d", w, v)
+	for u := V(0); u < V(n); u++ {
+		for _, w := range g.Neighbors(u) {
+			if !inRow(g.In(w), u, n) {
+				return fmt.Errorf("graph: arc %d->%d missing from the in-adjacency", u, w)
 			}
 		}
 	}
@@ -295,32 +366,46 @@ func (g *Graph) Validate() error {
 }
 
 // ValidateStructure is the O(n+m) subset of Validate: monotone in-range
-// offsets and sorted, in-range, self-loop-free neighbour lists — every
-// invariant array indexing and binary searches rely on, without the
-// per-arc reverse-pairing search. FromCSR uses it to keep checksummed
-// snapshot loads linear; on large graphs the scan fans out across
-// GOMAXPROCS workers (each vertex's checks are independent, and a
-// vertex's own offsets are verified before its adjacency is sliced).
+// offsets and sorted, in-range, self-loop-free neighbour lists in each
+// CSR, and as many in-arcs as out-arcs — every invariant array indexing
+// and binary searches rely on, without the per-arc pairing search.
+// FromCSR uses it to keep checksummed snapshot loads linear; on large
+// graphs the scan fans out across GOMAXPROCS workers (each vertex's
+// checks are independent, and a vertex's own offsets are verified before
+// its adjacency is sliced).
 func (g *Graph) ValidateStructure() error {
-	n := g.NumVertices()
-	if len(g.offsets) == 0 {
-		if len(g.adj) != 0 {
+	if err := validateCSR(g.offsets, g.adj); err != nil {
+		return err
+	}
+	if !g.directed {
+		return nil
+	}
+	if len(g.inOff) != len(g.offsets) || len(g.in) != len(g.adj) {
+		return fmt.Errorf("graph: in-CSR of %d offsets and %d arcs beside %d and %d", len(g.inOff), len(g.in), len(g.offsets), len(g.adj))
+	}
+	return validateCSR(g.inOff, g.in)
+}
+
+func validateCSR(offsets []int64, adj []V) error {
+	n := max(len(offsets)-1, 0)
+	if len(offsets) == 0 {
+		if len(adj) != 0 {
 			return fmt.Errorf("graph: adjacency without offsets")
 		}
 		return nil
 	}
-	if g.offsets[0] != 0 || g.offsets[n] != int64(len(g.adj)) {
+	if offsets[0] != 0 || offsets[n] != int64(len(adj)) {
 		return fmt.Errorf("graph: offset endpoints invalid")
 	}
 	checkRange := func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
-			if g.offsets[v] > g.offsets[v+1] {
+			if offsets[v] > offsets[v+1] {
 				return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
 			}
-			if g.offsets[v] < 0 || g.offsets[v+1] > int64(len(g.adj)) {
+			if offsets[v] < 0 || offsets[v+1] > int64(len(adj)) {
 				return fmt.Errorf("graph: offsets out of range at vertex %d", v)
 			}
-			ns := g.adj[g.offsets[v]:g.offsets[v+1]]
+			ns := adj[offsets[v]:offsets[v+1]]
 			for i, w := range ns {
 				if w < 0 || int(w) >= n {
 					return fmt.Errorf("graph: vertex %d has out-of-range neighbour %d", v, w)
@@ -349,17 +434,51 @@ func (g *Graph) ValidateStructure() error {
 	return nil
 }
 
-// Builder accumulates edges and produces an immutable Graph. Duplicate
-// edges, reversed duplicates and self-loops are removed. Directed inputs
-// are symmetrised, matching the paper's treatment of all datasets as
-// undirected (the |E_un| column of Table 1).
-type Builder struct {
-	n     int
-	edges []Edge
+// OutView returns the forward (out-arc) adjacency as a graph.Adjacency:
+// the graph itself.
+func (g *Graph) OutView() Adjacency { return g }
+
+// InView returns the backward (in-arc) adjacency: Neighbors(v) are the
+// in-neighbours of v, so a BFS over InView computes distances *to* the
+// root. For an undirected graph it is OutView's value.
+func (g *Graph) InView() Adjacency {
+	if !g.directed {
+		return g
+	}
+	return inView{g}
 }
 
-// NewBuilder creates a builder for a graph with n vertices. Vertices are
-// implicit: every id in [0, n) is a vertex even if isolated.
+// inView adapts a digraph's in-CSR to Adjacency. It is one pointer, so
+// converting it to the interface does not allocate.
+type inView struct{ g *Graph }
+
+func (a inView) NumVertices() int  { return a.g.NumVertices() }
+func (a inView) NumArcs() int      { return a.g.NumArcs() }
+func (a inView) Degree(v V) int    { return a.g.InDegree(v) }
+func (a inView) Neighbors(v V) []V { return a.g.In(v) }
+
+// AsDirected returns g as a directed graph: a symmetric digraph with
+// both arc directions, sharing g's arrays (all of them are immutable).
+// Directed algorithms are sanity-checked against their undirected
+// counterparts with it.
+func AsDirected(g *Graph) *Graph {
+	return &Graph{offsets: g.offsets, adj: g.adj, inOff: g.inOff, in: g.in, directed: true}
+}
+
+// Builder accumulates edges and produces an immutable Graph. Duplicate
+// edges and self-loops are removed. An undirected builder also removes
+// reversed duplicates: directed inputs are symmetrised, matching the
+// paper's treatment of all datasets as undirected (the |E_un| column of
+// Table 1).
+type Builder struct {
+	n        int
+	edges    []Edge // Edge{U, W} is the arc U→W when directed
+	directed bool
+}
+
+// NewBuilder creates a builder for an undirected graph with n vertices.
+// Vertices are implicit: every id in [0, n) is a vertex even if
+// isolated.
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
@@ -367,17 +486,30 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// AddEdge records the undirected edge {u, w}. Self-loops are ignored.
-// Endpoints outside [0, n) cause Build to fail.
+// NewDirectedBuilder creates a builder for a directed graph with n
+// vertices.
+func NewDirectedBuilder(n int) *Builder {
+	b := NewBuilder(n)
+	b.directed = true
+	return b
+}
+
+// AddEdge records the edge {u, w}, or the arc u→w when the builder is
+// directed. Self-loops are ignored. Endpoints outside [0, n) cause Build
+// to fail.
 func (b *Builder) AddEdge(u, w V) {
 	if u == w {
 		return
 	}
-	b.edges = append(b.edges, Edge{u, w}.Normalize())
+	e := Edge{u, w}
+	if !b.directed {
+		e = e.Normalize()
+	}
+	b.edges = append(b.edges, e)
 }
 
-// addGraph records every edge of g straight from its adjacency, leaving
-// room for more further pending edges.
+// addGraph records every edge of the undirected g straight from its
+// adjacency, leaving room for more further pending edges.
 func (b *Builder) addGraph(g *Graph, more int) {
 	b.edges = slices.Grow(b.edges, g.NumEdges()+more)
 	for u := V(0); u < V(g.NumVertices()); u++ {
@@ -397,12 +529,17 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // builder remains usable afterwards (Build may be called again after
 // further AddEdge calls).
 func (b *Builder) Build() (*Graph, error) {
-	offsets, adj, bad := buildCSR(b.n, b.edges, true, true, csrWorkers(len(b.edges)))
+	workers := csrWorkers(len(b.edges))
+	offsets, adj, bad := buildCSR(b.n, b.edges, true, !b.directed, workers)
 	if bad >= 0 {
 		e := b.edges[bad]
 		return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.U, e.W, b.n)
 	}
-	return &Graph{offsets: offsets, adj: adj}, nil
+	if !b.directed {
+		return undirected(offsets, adj), nil
+	}
+	inOff, in, _ := buildCSR(b.n, b.edges, false, true, workers)
+	return &Graph{offsets: offsets, adj: adj, inOff: inOff, in: in, directed: true}, nil
 }
 
 // MustBuild is Build that panics on error; intended for tests and
@@ -415,7 +552,7 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// FromEdges builds a graph directly from an edge list.
+// FromEdges builds an undirected graph from an edge list.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	b := NewBuilder(n)
 	for _, e := range edges {
@@ -427,6 +564,24 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 // MustFromEdges is FromEdges that panics on error.
 func MustFromEdges(n int, edges []Edge) *Graph {
 	g, err := FromEdges(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// FromArcs builds a directed graph from an arc list.
+func FromArcs(n int, arcs []Arc) (*Graph, error) {
+	b := NewDirectedBuilder(n)
+	for _, a := range arcs {
+		b.AddEdge(a.From, a.To)
+	}
+	return b.Build()
+}
+
+// MustFromArcs is FromArcs that panics on error.
+func MustFromArcs(n int, arcs []Arc) *Graph {
+	g, err := FromArcs(n, arcs)
 	if err != nil {
 		panic(err)
 	}

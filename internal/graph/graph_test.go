@@ -3,7 +3,9 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -203,7 +205,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, orig, err := ReadEdgeList(&buf)
+	g2, orig, err := ReadEdgeList(&buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestEdgeListParsing(t *testing.T) {
 	in := "# comment\n% koblenz comment\n10 20\n20 30\n\n10 30\n"
-	g, orig, err := ReadEdgeList(bytes.NewBufferString(in))
+	g, orig, err := ReadEdgeList(bytes.NewBufferString(in), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestEdgeListParsing(t *testing.T) {
 
 func TestEdgeListParseErrors(t *testing.T) {
 	for _, bad := range []string{"1\n", "a b\n", "1 b\n"} {
-		if _, _, err := ReadEdgeList(bytes.NewBufferString(bad)); err == nil {
+		if _, _, err := ReadEdgeList(bytes.NewBufferString(bad), false); err == nil {
 			t.Fatalf("input %q: expected error", bad)
 		}
 	}
@@ -333,5 +335,55 @@ func TestSPGEqualAndVertices(t *testing.T) {
 	}
 	if a.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d", a.NumEdges())
+	}
+}
+
+// TestUndirectedGraphHasOneCSR: whatever made an undirected graph, its
+// in-CSR is its out-CSR — the same arrays, not a copy — so it costs the
+// bytes of one CSR; its two views are one Adjacency value and its two
+// degree arrays one array. AsDirected shares those arrays under two
+// views that differ.
+func TestUndirectedGraphHasOneCSR(t *testing.T) {
+	same := func(a, b []V) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	sameOff := func(a, b []int64) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	er := ErdosRenyi(300, 4000, 2) // its top-up grows the CSR after the build
+	read, _, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n2 0\n5 3\n"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, adj, _, _ := Grid(3, 4).CSR()
+	adopted, err := FromCSR(off, adj, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest, _ := Union(Path(5), Cycle(9)).LargestComponent()
+	relabelled, _, _ := RelabelByDegree(BarabasiAlbert(50, 2, 1))
+	for name, g := range map[string]*Graph{
+		"zero": {}, "builder": Grid(4, 5), "erdos-renyi": er, "reader": read,
+		"FromCSR": adopted, "largest component": largest, "relabelled": relabelled,
+	} {
+		off, adj, inOff, in := g.CSR()
+		if g.Directed() || !sameOff(off, inOff) || !same(adj, in) {
+			t.Errorf("%s: the in-CSR is not the out-CSR (directed %v)", name, g.Directed())
+		}
+		if g.OutView() != g.InView() {
+			t.Errorf("%s: OutView and InView differ", name)
+		}
+		if out, in := g.Degrees(); len(out) != g.NumVertices() || len(out) > 0 && &out[0] != &in[0] {
+			t.Errorf("%s: two degree arrays", name)
+		}
+	}
+
+	d := AsDirected(er)
+	if !d.Directed() || d.OutView() == d.InView() {
+		t.Fatal("AsDirected: not directed, or one view for both orientations")
+	}
+	off, adj, _, _ = er.CSR()
+	dOff, dAdj, dInOff, dIn := d.CSR()
+	if !sameOff(dOff, off) || !sameOff(dInOff, off) || !same(dAdj, adj) || !same(dIn, adj) {
+		t.Fatal("AsDirected copied the CSR")
+	}
+	if out, in := d.Degrees(); &out[0] == &in[0] || !slices.Equal(out, in) {
+		t.Fatal("AsDirected: degree arrays aliased, or unequal on a symmetric graph")
 	}
 }

@@ -19,19 +19,23 @@ import (
 // load. The CSR arrays reach disk only inside a durable store's snapshot
 // (internal/store), beside the index built over them.
 
-// ReadEdgeList parses a whitespace-separated edge list. Directed inputs
-// are symmetrised (the paper treats all graphs as undirected). Vertex ids
-// are arbitrary integers and are remapped to a dense range in ascending
-// order, so a file whose ids are 0..n-1 keeps them and WriteEdgeList's
-// output reads back as the graph that wrote it (isolated vertices aside,
-// which an edge list cannot hold); the mapping from dense id to original
-// id is returned.
-func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
+// ReadEdgeList parses a whitespace-separated edge list. An undirected
+// read symmetrises the pairs (the paper treats all graphs as
+// undirected); a directed one reads "u w" as the arc u→w. Self-loops and
+// repeats are dropped either way. Vertex ids are arbitrary integers and
+// are remapped to a dense range in ascending order, so a file whose ids
+// are 0..n-1 keeps them and WriteEdgeList's output reads back as the
+// graph that wrote it (isolated vertices aside, which an edge list
+// cannot hold); the mapping from dense id to original id is returned.
+func ReadEdgeList(r io.Reader, directed bool) (*Graph, []int64, error) {
 	pairs, orig, err := scanEdgeList(r, math.MaxInt32)
 	if err != nil {
 		return nil, nil, err
 	}
 	b := NewBuilder(len(orig))
+	if directed {
+		b = NewDirectedBuilder(len(orig))
+	}
 	for _, e := range pairs {
 		b.AddEdge(e.U, e.W)
 	}
@@ -42,8 +46,8 @@ func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 	return g, orig, nil
 }
 
-// scanEdgeList parses the whitespace-separated pairs shared by the
-// undirected (symmetrising) and directed readers, densifying vertex ids
+// scanEdgeList parses the whitespace-separated pairs of an edge list,
+// densifying vertex ids
 // in ascending order of the original id. Lines are parsed in the
 // scanner's buffer: a real dump is one line per edge, so the loop
 // allocates nothing per line. maxIDs (math.MaxInt32 outside tests) is
@@ -140,43 +144,14 @@ func nextField(b []byte) (field, rest []byte) {
 	return b[start:end], b[end:]
 }
 
-// ReadDiEdgeList parses a whitespace-separated edge list as *directed*
-// arcs "u w" = u→w, without symmetrising (self-loops and duplicates are
-// dropped). Vertex ids are densified exactly as in ReadEdgeList.
-func ReadDiEdgeList(r io.Reader) (*DiGraph, []int64, error) {
-	pairs, orig, err := scanEdgeList(r, math.MaxInt32)
-	if err != nil {
-		return nil, nil, err
-	}
-	b := NewDiBuilder(len(orig))
-	for _, e := range pairs {
-		b.AddArc(e.U, e.W)
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, orig, nil
-}
-
-// ReadDiEdgeListFile is ReadDiEdgeList over a file path.
-func ReadDiEdgeListFile(path string) (*DiGraph, []int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadDiEdgeList(bufio.NewReaderSize(f, 1<<20))
-}
-
 // ReadEdgeListFile is ReadEdgeList over a file path.
-func ReadEdgeListFile(path string) (*Graph, []int64, error) {
+func ReadEdgeListFile(path string, directed bool) (*Graph, []int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	return ReadEdgeList(bufio.NewReaderSize(f, 1<<20))
+	return ReadEdgeList(bufio.NewReaderSize(f, 1<<20), directed)
 }
 
 // WriteEdgeList writes the graph as a normalised text edge list.
@@ -206,23 +181,29 @@ func WriteEdgeListFile(path string, g *Graph) error {
 	return f.Close()
 }
 
-// CSR exposes the raw CSR arrays (offsets and concatenated adjacency).
-// Both slices alias the graph's internal storage and must not be
+// CSR exposes the raw arrays: the out-CSR's offsets and concatenated
+// adjacency, then the in-CSR's (an undirected graph's are the same
+// slices). All four alias the graph's internal storage and must not be
 // modified; they exist so serializers can dump the structure without a
 // per-element copy.
-func (g *Graph) CSR() (offsets []int64, adj []V) { return g.offsets, g.adj }
+func (g *Graph) CSR() (offsets []int64, adj []V, inOff []int64, in []V) {
+	return g.offsets, g.adj, g.inOff, g.in
+}
 
-// FromCSR adopts pre-built CSR arrays as a graph, checking the
-// structural invariants that index panics depend on (monotone in-range
-// offsets, sorted in-range neighbour lists, no self-loops) in O(n+m).
-// Unlike Validate it does not verify that every arc has its reverse —
-// callers adopting checksummed state (the durable store's zero-copy
-// load path, where both arrays are views into a snapshot arena) already
-// know the arrays are bit-exact, and the pairing check costs a binary
-// search per arc. The slices are adopted by reference and must not be
-// modified afterwards.
-func FromCSR(offsets []int64, adj []V) (*Graph, error) {
-	g := &Graph{offsets: offsets, adj: adj}
+// FromCSR adopts pre-built CSR arrays as a graph: a directed one from
+// its out- and in-CSR, an undirected one from one CSR, passing nil
+// in-arrays. It checks the structural invariants that index panics
+// depend on (ValidateStructure) in O(n+m). Unlike Validate it does not
+// verify that every arc is in the in-adjacency — callers adopting
+// checksummed state (the durable store's zero-copy load path, where the
+// arrays are views into a snapshot arena) already know the arrays are
+// bit-exact, and the pairing check costs a binary search per arc. The
+// slices are adopted by reference and must not be modified afterwards.
+func FromCSR(offsets []int64, adj []V, inOff []int64, in []V) (*Graph, error) {
+	g := undirected(offsets, adj)
+	if inOff != nil {
+		g.inOff, g.in, g.directed = inOff, in, true
+	}
 	if err := g.ValidateStructure(); err != nil {
 		return nil, err
 	}

@@ -148,7 +148,7 @@ func TestScanEdgeListAllocsDoNotGrowWithLines(t *testing.T) {
 // returns its arcs and the original ids of its dense vertices.
 func readDirected(t *testing.T, text string) ([]Arc, []int64) {
 	t.Helper()
-	g, orig, err := ReadDiEdgeList(strings.NewReader(text))
+	g, orig, err := ReadEdgeList(strings.NewReader(text), true)
 	if err != nil {
 		t.Fatal(err)
 	}

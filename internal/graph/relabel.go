@@ -41,7 +41,7 @@ func Relabel(g *Graph, perm []V) (*Graph, error) {
 // Queries against the relabeled graph must translate ids through perm;
 // the inverse mapping is returned as orig (orig[new] = old).
 func RelabelByDegree(g *Graph) (relabeled *Graph, perm, orig []V) {
-	order := g.VerticesByDegree()
+	order := g.TotalDegreeOrder()
 	n := g.NumVertices()
 	perm = make([]V, n)
 	orig = make([]V, n)

@@ -32,12 +32,12 @@ func TestEdgeListRoundTripIsIdentity(t *testing.T) {
 		if err := graph.WriteEdgeList(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		re, orig, err := graph.ReadEdgeList(&buf)
+		re, orig, err := graph.ReadEdgeList(&buf, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		wantOff, wantAdj := g.CSR()
-		gotOff, gotAdj := re.CSR()
+		wantOff, wantAdj, _, _ := g.CSR()
+		gotOff, gotAdj, _, _ := re.CSR()
 		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
 			t.Errorf("%s: read back a different CSR (|V| %d → %d, arcs %d → %d)",
 				name, g.NumVertices(), re.NumVertices(), g.NumArcs(), re.NumArcs())

@@ -46,7 +46,7 @@ func buildLiteralAlgorithm1(g *graph.Graph) *Index {
 	n := g.NumVertices()
 	ix := &Index{
 		g:      g,
-		order:  g.VerticesByDegree(),
+		order:  g.TotalDegreeOrder(),
 		rankOf: make([]int32, n),
 		labels: make([][]entry, n),
 	}

@@ -102,7 +102,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	n := g.NumVertices()
 	ix := &Index{
 		g:           g,
-		order:       g.VerticesByDegree(),
+		order:       g.TotalDegreeOrder(),
 		rankOf:      make([]int32, n),
 		labels:      make([][]entry, n),
 		withParents: opts.WithParents,

@@ -165,11 +165,11 @@ func TestWarmSPGHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dix, err := qbs.BuildDiIndex(graph.AsDirected(g), qbs.DiOptions{NumLandmarks: 4})
+	dix, err := qbs.BuildIndex(graph.AsDirected(g), qbs.Options{NumLandmarks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Server{"static": New(ix), "mutable": NewMutable(dyn), "directed": NewDirected(dix)} {
+	for name, s := range map[string]*Server{"static": New(ix), "mutable": NewMutable(dyn), "directed": New(dix)} {
 		// A tracer of its own, retaining nothing: the default one is shared
 		// with tests that lower its thresholds, and a retained trace is
 		// copied out, one allocation per span.

@@ -52,11 +52,11 @@
 // one recovered from a data directory) with the write endpoints
 // withheld — the restart shape of a read replica.
 //
-// A fourth mode, NewDirected, serves a directed index (qbs.DiIndex)
-// through the same handlers: /spg answers SPG(u → v) with oriented arcs,
-// /distance the directed distance, /sketch the directed sketch, and
-// /stats the directed index statistics; /paths and the write endpoints
-// do not exist on a directed server. Responses carry "directed": true so
+// New over an index of a directed graph serves it through the same
+// handlers: /spg answers SPG(u → v) with oriented arcs, /distance the
+// directed distance, /sketch the directed sketch, and /stats the
+// directed index statistics; /paths and the write endpoints do not
+// exist on a directed server. Responses carry "directed": true so
 // clients can tell the modes apart.
 //
 // # Serving loop
@@ -131,8 +131,8 @@ import (
 	"qbs/internal/obs"
 )
 
-// backend is the query surface shared by the immutable, directed and
-// mutable index types.
+// backend is the query surface shared by the immutable and mutable
+// index types.
 type backend interface {
 	QueryIntoStats(dst *qbs.SPG, u, v qbs.V) qbs.QueryStats
 	DistanceStats(u, v qbs.V) qbs.QueryStats
@@ -144,24 +144,19 @@ type backend interface {
 	SizeDeltaBytes() int64
 }
 
-// staticBackend and directedBackend adapt the immutable index types to
-// the backend interface; a digraph's edge count is its arc count.
+// staticBackend adapts the immutable index to the backend interface; a
+// directed graph's edge count is its arc count.
 type staticBackend struct{ *qbs.Index }
 
 func (b staticBackend) NumVertices() int { return b.Graph().NumVertices() }
 func (b staticBackend) NumEdges() int    { return b.Graph().NumEdges() }
-
-type directedBackend struct{ *qbs.DiIndex }
-
-func (b directedBackend) NumVertices() int { return b.Graph().NumVertices() }
-func (b directedBackend) NumEdges() int    { return b.Graph().NumArcs() }
 
 // Server handles the HTTP API over one index.
 type Server struct {
 	b        backend
 	static   interface{ Stats() qbs.IndexStats } // the immutable index behind b; nil in dynamic modes
 	dyn      *qbs.DynamicIndex                   // nil in immutable modes
-	directed bool                                // b answers over a digraph (NewDirected)
+	directed bool                                // b answers over a directed graph
 	writable bool                                // write endpoints exposed (NewMutable)
 	mux      *http.ServeMux
 
@@ -323,9 +318,12 @@ func (s *Server) handle(pattern, name string, h tracedHandler) {
 	})
 }
 
-// New creates a read-only server over an immutable index.
+// New creates a read-only server over an immutable index. Over a
+// directed graph the read endpoints answer directed semantics: /spg is
+// SPG(u → v) with oriented arcs, /distance is d(u → v) (generally
+// asymmetric), /sketch the directed sketch, and /paths is not served.
 func New(index *qbs.Index) *Server {
-	s := &Server{b: staticBackend{index}, static: index}
+	s := &Server{b: staticBackend{index}, static: index, directed: index.Graph().Directed()}
 	s.routes()
 	return s
 }
@@ -350,15 +348,8 @@ func NewDynamicReadOnly(index *qbs.DynamicIndex) *Server {
 	return s
 }
 
-// NewDirected creates a read-only server over a directed index. The
-// read endpoints answer directed semantics: /spg is SPG(u → v) with
-// oriented arcs, /distance is d(u → v) (generally asymmetric), /sketch
-// the directed sketch. /paths is not served in directed mode.
-func NewDirected(index *qbs.DiIndex) *Server {
-	s := &Server{b: directedBackend{index}, static: index, directed: true}
-	s.routes()
-	return s
-}
+// Deprecated: kept for benchmark/, which this round may not edit. Use New.
+func NewDirected(index *qbs.Index) *Server { return New(index) }
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()

@@ -528,23 +528,23 @@ func TestPathCountSaturationOverHTTP(t *testing.T) {
 // extension 3→4 and back-arc 4→0; vertex 5 is unreachable from 0.
 func testDirectedServer(t testing.TB) *Server {
 	t.Helper()
-	b := qbs.NewDiBuilder(6)
-	b.AddArc(0, 1)
-	b.AddArc(0, 2)
-	b.AddArc(1, 3)
-	b.AddArc(2, 3)
-	b.AddArc(3, 4)
-	b.AddArc(4, 0)
-	b.AddArc(5, 0)
+	b := qbs.NewDirectedBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 2)
+	b.AddEdge(1, 3)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 4)
+	b.AddEdge(4, 0)
+	b.AddEdge(5, 0)
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := qbs.BuildDiIndex(g, qbs.DiOptions{NumLandmarks: 2})
+	ix, err := qbs.BuildIndex(g, qbs.Options{NumLandmarks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDirected(ix)
+	return New(ix)
 }
 
 func TestDirectedSPGEndpoint(t *testing.T) {

@@ -14,10 +14,10 @@ import (
 	"qbs/internal/graph"
 )
 
-func diTestIndex(t *testing.T) (*graph.DiGraph, *core.Index) {
+func diTestIndex(t *testing.T) (*graph.Graph, *core.Index) {
 	t.Helper()
 	g := graph.DirectedScaleFree(400, 3, 61)
-	ix, err := core.BuildDirected(g, core.Options{NumLandmarks: 12})
+	ix, err := core.Build(g, core.Options{NumLandmarks: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

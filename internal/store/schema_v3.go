@@ -50,7 +50,7 @@ func snapshotEpoch(name string) (uint64, bool) {
 func writeSnapshotFile(dir string, ps dynamic.PersistentState) (string, error) {
 	name := snapshotFileName(ps.Epoch)
 	return name, writeFileAtomic(dir, name, func(f *os.File) error {
-		offsets, adj := ps.Graph.CSR()
+		offsets, adj, _, _ := ps.Graph.CSR()
 		counts, edges := deltaSections(ps.Delta)
 		return schemaV3.encode(f,
 			header{epoch: ps.Epoch, n: ps.Graph.NumVertices(), arcs: int64(ps.Graph.NumArcs()), landmarks: len(ps.Landmarks)},
@@ -106,7 +106,7 @@ func decodeSnapshot(data []byte) (*loadedSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.FromCSR(viewI64(offSec), viewI32(adjSec))
+	g, err := graph.FromCSR(viewI64(offSec), viewI32(adjSec), nil, nil)
 	if err != nil {
 		return nil, err
 	}

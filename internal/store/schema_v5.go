@@ -41,7 +41,7 @@ const (
 
 // encodeDiSnapshot writes the directed image of an index with state ps
 // over g. The epoch is 0: directed stores are immutable.
-func encodeDiSnapshot(f *os.File, g *graph.DiGraph, ps core.State) error {
+func encodeDiSnapshot(f *os.File, g *graph.Graph, ps core.State) error {
 	outOff, out, inOff, in := g.CSR()
 	counts, arcs := deltaSections(ps.Delta)
 	return schemaV5.encode(f,
@@ -53,7 +53,7 @@ func encodeDiSnapshot(f *os.File, g *graph.DiGraph, ps core.State) error {
 
 // decodeDiSnapshot validates a directed image and assembles the index,
 // and the digraph under it, over typed views into data.
-func decodeDiSnapshot(data []byte) (*core.Index, *graph.DiGraph, error) {
+func decodeDiSnapshot(data []byte) (*core.Index, *graph.Graph, error) {
 	h, secs, err := schemaV5.decode(data)
 	if err != nil {
 		return nil, nil, err
@@ -91,7 +91,7 @@ func decodeDiSnapshot(data []byte) (*core.Index, *graph.DiGraph, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := graph.DiFromCSR(viewI64(outOffSec), viewI32(outAdjSec), viewI64(inOffSec), viewI32(inAdjSec))
+	g, err := graph.FromCSR(viewI64(outOffSec), viewI32(outAdjSec), viewI64(inOffSec), viewI32(inAdjSec))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,10 +33,10 @@ func v3Fixture(t testing.TB) *dynamic.Index {
 	return d
 }
 
-func v5Fixture(t testing.TB) (*graph.DiGraph, *core.Index) {
+func v5Fixture(t testing.TB) (*graph.Graph, *core.Index) {
 	t.Helper()
 	g := graph.DirectedScaleFree(60, 2, 61)
-	ix, err := core.BuildDirected(g, core.Options{NumLandmarks: 4})
+	ix, err := core.Build(g, core.Options{NumLandmarks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ var snapshotKinds = []snapshotKind{
 			if len(ls.labels) != len(ls.landmarks) || len(ls.dists) != len(ls.landmarks) {
 				panic("accepted inconsistent snapshot")
 			}
-			off, adj := ls.g.CSR()
+			off, adj, _, _ := ls.g.CSR()
 			return fmt.Sprint(ls.epoch, off, adj, ls.landmarks, ls.sigma, ls.labels, ls.dists, ls.delta), nil
 		},
 	},

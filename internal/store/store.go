@@ -124,7 +124,7 @@ func claimDataDir(dir string) (*os.File, error) {
 // CreateDi initialises dir as the durable home of a directed index: the
 // frozen state st of an index over g is written atomically as one
 // snapshot. dir must not already contain a store.
-func CreateDi(dir string, g *graph.DiGraph, st core.State) error {
+func CreateDi(dir string, g *graph.Graph, st core.State) error {
 	lock, err := claimDataDir(dir)
 	if err != nil {
 		return err
@@ -141,7 +141,7 @@ func CreateDi(dir string, g *graph.DiGraph, st core.State) error {
 // the derived meta state (APSP, O(|R|³)) is recomputed. useMMap maps the
 // file read-only instead of reading it (the mapping lives until process
 // exit).
-func OpenDi(dir string, useMMap bool) (*core.Index, *graph.DiGraph, error) {
+func OpenDi(dir string, useMMap bool) (*core.Index, *graph.Graph, error) {
 	ar, err := openArena(filepath.Join(dir, diSnapshotName), useMMap)
 	if err != nil {
 		return nil, nil, err

@@ -92,8 +92,8 @@ func requireStateEqual(t testing.TB, want, got dynamic.PersistentState) {
 	if want.Epoch != got.Epoch {
 		t.Fatalf("epoch: want %d, got %d", want.Epoch, got.Epoch)
 	}
-	wo, wa := want.Graph.CSR()
-	go_, ga := got.Graph.CSR()
+	wo, wa, _, _ := want.Graph.CSR()
+	go_, ga, _, _ := got.Graph.CSR()
 	if !slicesEqual(wo, go_) || !slicesEqual(wa, ga) {
 		t.Fatalf("graph CSR differs")
 	}

@@ -59,10 +59,10 @@ func TestExpandMeetingMatchesModel(t *testing.T) {
 	} {
 		graphs[name] = adjPair{g, g}
 	}
-	for name, g := range map[string]*graph.DiGraph{
+	for name, g := range map[string]*graph.Graph{
 		"der":  graph.DirectedErdosRenyi(250, 900, 43),
 		"dsf":  graph.DirectedScaleFree(250, 3, 44),
-		"ring": graph.MustDiFromArcs(5, []graph.Arc{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 0}}),
+		"ring": graph.MustFromArcs(5, []graph.Arc{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 0}}),
 	} {
 		graphs[name] = adjPair{g.OutView(), g.InView()}
 	}
@@ -142,7 +142,7 @@ func checkExpandBlocks(t *testing.T) {
 			}
 		}
 	}
-	g := graph.MustDiFromArcs(n, arcs)
+	g := graph.MustFromArcs(n, arcs)
 	push := g.OutView()
 	if push.NumArcs() < traverse.ResidentArcs {
 		t.Fatalf("%d arcs: rows would not be requested ahead", push.NumArcs())

@@ -33,6 +33,7 @@ package qbs
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"qbs/internal/bfs"
 	"qbs/internal/core"
@@ -42,14 +43,19 @@ import (
 	"qbs/internal/store"
 )
 
-// Re-exported graph types. The library operates on immutable undirected
-// unweighted graphs in CSR form with dense int32 vertex ids.
+// Re-exported graph types. The library operates on immutable unweighted
+// graphs in CSR form with dense int32 vertex ids. A graph is undirected
+// or directed, and every index reads which off the graph: over a
+// directed one, queries answer SPG(u → v), the union of all shortest
+// directed paths, with oriented arcs (the paper's §2 extension).
 type (
 	// V is a vertex identifier in [0, NumVertices).
 	V = graph.V
-	// Edge is an undirected edge.
+	// Edge is an undirected edge, or the arc U→W in a directed answer.
 	Edge = graph.Edge
-	// Graph is an immutable undirected graph.
+	// Arc is a directed edge From → To.
+	Arc = graph.Arc
+	// Graph is an immutable graph, undirected or directed.
 	Graph = graph.Graph
 	// Builder accumulates edges and produces a Graph.
 	Builder = graph.Builder
@@ -60,31 +66,38 @@ type (
 // InfDist marks an infinite distance (disconnected pair).
 const InfDist = graph.InfDist
 
-// NewBuilder creates a graph builder over n vertices.
+// NewBuilder creates an undirected graph builder over n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// FromEdges builds a graph from an edge list.
+// NewDirectedBuilder creates a directed graph builder over n vertices:
+// AddEdge(u, w) records the arc u→w.
+func NewDirectedBuilder(n int) *Builder { return graph.NewDirectedBuilder(n) }
+
+// FromEdges builds an undirected graph from an edge list.
 func FromEdges(n int, edges []Edge) (*Graph, error) { return graph.FromEdges(n, edges) }
 
 // LoadEdgeListFile reads a whitespace-separated edge list (SNAP/KONECT
-// style, '#'/'%' comments), symmetrising directed inputs. It returns the
-// graph and the original ids of the densified vertices.
-func LoadEdgeListFile(path string) (*Graph, []int64, error) {
-	return graph.ReadEdgeListFile(path)
+// style, '#'/'%' comments): symmetrised into an undirected graph, or
+// with directed set read as arcs "u w" = u→w. It returns the graph and
+// the original ids of the densified vertices.
+func LoadEdgeListFile(path string, directed bool) (*Graph, []int64, error) {
+	return graph.ReadEdgeListFile(path, directed)
 }
 
 // Strategy selects how landmarks are chosen.
 type Strategy string
 
 const (
-	// StrategyDegree picks the highest-degree vertices (paper default).
+	// StrategyDegree picks the highest-degree vertices (paper default;
+	// in+out degree over a directed graph).
 	StrategyDegree Strategy = "degree"
 	// StrategyRandom picks uniform random vertices.
 	StrategyRandom Strategy = "random"
-	// StrategyCoverage greedily maximises 2-hop neighbourhood coverage.
+	// StrategyCoverage greedily maximises 2-hop neighbourhood coverage
+	// (undirected graphs only).
 	StrategyCoverage Strategy = "coverage"
 	// StrategyBetweenness ranks vertices by sampled shortest-path
-	// betweenness (Brandes on a source sample).
+	// betweenness (Brandes on a source sample; undirected graphs only).
 	StrategyBetweenness Strategy = "betweenness"
 )
 
@@ -126,9 +139,9 @@ type QueryStats = core.QueryStats
 // Sketch is the per-query summary structure (Definition 4.5).
 type Sketch = core.Sketch
 
-// coreReader is the one read path under all three index kinds (see
+// coreReader is the one read path under both index kinds (see
 // core.Reader): Query, QueryInto, QueryIntoStats, QueryWithStats,
-// Distance, DistanceStats, Sketch and QueryBatch of Index, DiIndex and
+// Distance, DistanceStats, Sketch and QueryBatch of Index and
 // DynamicIndex are its methods. The alias keeps the embedded field
 // unexported.
 type coreReader = core.Reader
@@ -136,29 +149,29 @@ type coreReader = core.Reader
 // Pair is one query pair for QueryBatch.
 type Pair = core.Pair
 
-// static is an immutable index of either orientation: the core index,
-// and the read path over it (which resolves to that index, always).
-// Index and DiIndex embed it and differ only in the graph they hand back
-// and in how they are built and persisted.
-type static struct {
-	*coreReader
-	core *core.Index
+// Index is an immutable QbS index over a graph of either orientation.
+// All methods are safe for concurrent use. To persist an undirected
+// index, build it with CreateStore: the data directory holds the index
+// together with its graph, and OpenStore with ReadOnly serves it back. A
+// directed one persists with CreateDiStore.
+type Index struct {
+	*coreReader // resolves to core, always
+	core        *core.Index
 }
 
-func newStatic(cix *core.Index) *static {
-	return &static{core.NewReader(func() *core.Index { return cix }), cix}
+func newIndex(cix *core.Index) *Index {
+	return &Index{core.NewReader(func() *core.Index { return cix }), cix}
 }
-
-// Index is an immutable QbS index over a graph. All methods are safe for
-// concurrent use. To persist an undirected index, build it with
-// CreateStore: the data directory holds the index together with its
-// graph, and OpenStore with ReadOnly serves it back.
-type Index struct{ *static }
 
 // BuildIndex constructs a QbS index: landmark selection, the labelling
 // scheme of Algorithm 2 (parallel across landmarks), meta-graph APSP and
-// the landmark-pair shortest path graphs Δ.
+// the landmark-pair shortest path graphs Δ. Over a directed graph each
+// landmark keeps a labelling from it and one to it, and queries answer
+// SPG(u → v); StrategyCoverage and StrategyBetweenness are refused there.
 func BuildIndex(g *Graph, opts Options) (*Index, error) {
+	if g.Directed() && (opts.Strategy == StrategyCoverage || opts.Strategy == StrategyBetweenness) {
+		return nil, fmt.Errorf("qbs: landmark strategy %q ranks an undirected graph; use degree or random on a directed one", opts.Strategy)
+	}
 	cix, err := core.Build(g, core.Options{
 		NumLandmarks: opts.NumLandmarks,
 		Strategy:     opts.Strategy.fn(),
@@ -169,7 +182,7 @@ func BuildIndex(g *Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{newStatic(cix)}, nil
+	return newIndex(cix), nil
 }
 
 // MustBuildIndex is BuildIndex that panics on error.
@@ -181,25 +194,25 @@ func MustBuildIndex(g *Graph, opts Options) *Index {
 	return ix
 }
 
+// Graph returns the indexed graph.
+func (ix *Index) Graph() *Graph { return ix.core.Graph() }
+
 // Landmarks returns the landmark vertices in rank order.
-func (ix *static) Landmarks() []V { return ix.core.Landmarks() }
+func (ix *Index) Landmarks() []V { return ix.core.Landmarks() }
 
 // IsLandmark reports whether v is a landmark.
-func (ix *static) IsLandmark(v V) bool { return ix.core.IsLandmark(v) }
+func (ix *Index) IsLandmark(v V) bool { return ix.core.IsLandmark(v) }
 
 // Stats returns construction statistics.
-func (ix *static) Stats() IndexStats { return ix.core.Stats() }
+func (ix *Index) Stats() IndexStats { return ix.core.Stats() }
 
 // SizeLabelsBytes is the paper's size(L) accounting: |R| bytes/vertex,
-// twice that over a digraph (two labellings).
-func (ix *static) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
+// twice that over a directed graph (two labellings).
+func (ix *Index) SizeLabelsBytes() int64 { return ix.core.SizeLabelsBytes() }
 
 // SizeDeltaBytes is the paper's size(Δ): 8 bytes per precomputed
 // landmark-pair shortest-path edge.
-func (ix *static) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
-
-// Graph returns the indexed graph.
-func (ix *Index) Graph() *Graph { return ix.core.Graph() }
+func (ix *Index) SizeDeltaBytes() int64 { return ix.core.SizeDeltaBytes() }
 
 // Coverage classification constants for QueryStats.Coverage (Figure 8).
 const (
@@ -256,8 +269,9 @@ func newDynamicIndex(d *dynamic.Index, st *store.Store) *DynamicIndex {
 }
 
 // BuildDynamicIndex constructs a live-mutable QbS index over the current
-// edges of g. Construction costs the same as BuildIndex; subsequent
-// updates cost orders of magnitude less than a rebuild.
+// edges of the undirected graph g (a directed one is refused).
+// Construction costs the same as BuildIndex; subsequent updates cost
+// orders of magnitude less than a rebuild.
 func BuildDynamicIndex(g *Graph, opts DynamicOptions) (*DynamicIndex, error) {
 	d, err := dynamic.New(g, selectLandmarks(g, opts.Index), dynamic.Options{
 		RepairBudget:    opts.RepairBudget,
@@ -384,8 +398,9 @@ func (o StoreOptions) storeOptions() store.Options {
 	}
 }
 
-// CreateStore builds a dynamic index over g (costing one BuildIndex)
-// and initialises dir as its durable home: the freshly built state is
+// CreateStore builds a dynamic index over the undirected graph g
+// (costing one BuildIndex; a directed g is refused) and initialises dir
+// as its durable home: the freshly built state is
 // written as a snapshot and every subsequent update is logged to a
 // write-ahead log before it is acknowledged, so the index survives any
 // crash. dir must not already contain a store.
@@ -419,6 +434,53 @@ func OpenStore(dir string, opts StoreOptions) (*DynamicIndex, error) {
 
 // StoreExists reports whether dir already contains a durable store.
 func StoreExists(dir string) bool { return store.Exists(dir) }
+
+// DiStoreOptions configures CreateDiStore and OpenDiStore.
+type DiStoreOptions struct {
+	// Index carries the construction settings used by CreateDiStore;
+	// OpenDiStore ignores it — the landmark set is part of the persisted
+	// snapshot.
+	Index Options
+	// MMap maps the snapshot read-only instead of reading it into memory
+	// — the fastest open path; the mapping lives until process exit.
+	MMap bool
+}
+
+// CreateDiStore builds an index over the directed graph g (costing one
+// BuildIndex; an undirected g is refused) and persists it into dir as a
+// single checksummed snapshot (format v5: both CSRs, both labellings, σ
+// and Δ). The directed index is immutable, so there is no write-ahead
+// log — the snapshot is the whole store. dir must not already contain
+// one.
+func CreateDiStore(dir string, g *Graph, opts DiStoreOptions) (*Index, error) {
+	if !g.Directed() {
+		return nil, errors.New("qbs: CreateDiStore persists a directed graph; an undirected one persists with CreateStore")
+	}
+	ix, err := BuildIndex(g, opts.Index)
+	if err != nil {
+		return nil, err
+	}
+	if err := store.CreateDi(dir, g, ix.core.State()); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// OpenDiStore recovers the directed index persisted in dir without
+// recomputation: both CSRs, both label matrices, σ and Δ are adopted
+// zero-copy from the validated file arena, and only the O(|R|³) meta
+// state is rebuilt. Opening is typically orders of magnitude faster
+// than rebuilding.
+func OpenDiStore(dir string, opts DiStoreOptions) (*Index, error) {
+	cix, _, err := store.OpenDi(dir, opts.MMap)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(cix), nil
+}
+
+// DiStoreExists reports whether dir already contains a directed store.
+func DiStoreExists(dir string) bool { return store.DiExists(dir) }
 
 // Durable reports whether the index is backed by a durable store (built
 // by CreateStore/OpenStore rather than BuildDynamicIndex).
@@ -463,13 +525,24 @@ func (di *DynamicIndex) Store() *store.Store { return di.st }
 // packages can construct the argument.
 func AdoptDynamic(d *dynamic.Index) *DynamicIndex { return newDynamicIndex(d, nil) }
 
-// BiBFS answers SPG(u, v) by plain bidirectional BFS over the full graph
-// — the paper's search-based baseline, requiring no index. For repeated
-// queries prefer an Index; for one-off queries BiBFS avoids construction
-// cost entirely.
-func BiBFS(g *Graph, u, v V) *SPG { return bfs.BiBFS(g, u, v) }
+// BiBFS answers SPG(u, v) — SPG(u → v) over a directed graph — by plain
+// bidirectional BFS over the full graph: the paper's search-based
+// baseline, requiring no index. For repeated queries prefer an Index;
+// for one-off queries BiBFS avoids construction cost entirely.
+func BiBFS(g *Graph, u, v V) *SPG {
+	if g.Directed() {
+		spg, _ := bfs.NewDirectedBidirectional(g).Query(u, v)
+		return spg
+	}
+	return bfs.BiBFS(g, u, v)
+}
 
-// OracleSPG computes SPG(u, v) by two full BFS sweeps — the simple
-// reference implementation (slow, allocation-heavy; used for testing and
-// verification).
-func OracleSPG(g *Graph, u, v V) *SPG { return bfs.OracleSPG(g, u, v) }
+// OracleSPG computes SPG(u, v) — SPG(u → v) over a directed graph — by
+// two full BFS sweeps: the simple reference implementation (slow,
+// allocation-heavy; used for testing and verification).
+func OracleSPG(g *Graph, u, v V) *SPG {
+	if g.Directed() {
+		return bfs.OracleDiSPG(g, u, v)
+	}
+	return bfs.OracleSPG(g, u, v)
+}

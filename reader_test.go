@@ -54,8 +54,8 @@ func readerKinds(t *testing.T) []struct {
 	}{
 		{"undirected", qbs.MustBuildIndex(g, qbs.Options{NumLandmarks: 12}), g.NumVertices(), false,
 			func(u, v qbs.V) *qbs.SPG { return qbs.OracleSPG(g, u, v) }},
-		{"directed", qbs.MustBuildDiIndex(dg, qbs.DiOptions{NumLandmarks: 12}), dg.NumVertices(), true,
-			func(u, v qbs.V) *qbs.SPG { return qbs.OracleDiSPG(dg, u, v) }},
+		{"directed", qbs.MustBuildIndex(dg, qbs.Options{NumLandmarks: 12}), dg.NumVertices(), true,
+			func(u, v qbs.V) *qbs.SPG { return qbs.OracleSPG(dg, u, v) }},
 		{"dynamic", di, mat.NumVertices(), false,
 			func(u, v qbs.V) *qbs.SPG { return qbs.OracleSPG(mat, u, v) }},
 	}
