@@ -29,10 +29,10 @@
 // the journal admits every event its rate limits let through, and
 // GET /debug/logs?min_level= filters what is read.
 //
-// With -directed the server fronts a directed index: the edge list is
-// read as arcs, /spg answers SPG(u → v), and -data persists/recovers a
-// directed snapshot. -directed is read-only and incompatible with
-// -mutable.
+// With -directed the graph is directed: an edge list is read as arcs
+// and a dataset analog in its directed reading, the index built over it
+// answers SPG(u → v) on /spg, and -data persists/recovers a directed
+// snapshot. -directed is read-only and incompatible with -mutable.
 //
 // The graph source is an edge-list file (-graph) or a dataset analog
 // (-dataset). -data is the one way to persist an index, of either

@@ -387,13 +387,13 @@ func (g *Graph) ValidateStructure() error {
 }
 
 func validateCSR(offsets []int64, adj []V) error {
-	n := max(len(offsets)-1, 0)
 	if len(offsets) == 0 {
 		if len(adj) != 0 {
 			return fmt.Errorf("graph: adjacency without offsets")
 		}
 		return nil
 	}
+	n := len(offsets) - 1
 	if offsets[0] != 0 || offsets[n] != int64(len(adj)) {
 		return fmt.Errorf("graph: offset endpoints invalid")
 	}

@@ -47,10 +47,9 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, []int64, error) {
 }
 
 // scanEdgeList parses the whitespace-separated pairs of an edge list,
-// densifying vertex ids
-// in ascending order of the original id. Lines are parsed in the
-// scanner's buffer: a real dump is one line per edge, so the loop
-// allocates nothing per line. maxIDs (math.MaxInt32 outside tests) is
+// densifying vertex ids in ascending order of the original id. Lines are
+// parsed in the scanner's buffer: a real dump is one line per edge, so
+// the loop allocates nothing per line. maxIDs (math.MaxInt32 outside tests) is
 // the largest dense id V can hold.
 func scanEdgeList(r io.Reader, maxIDs int) ([]Edge, []int64, error) {
 	sc := bufio.NewScanner(r)
@@ -154,13 +153,18 @@ func ReadEdgeListFile(path string, directed bool) (*Graph, []int64, error) {
 	return ReadEdgeList(bufio.NewReaderSize(f, 1<<20), directed)
 }
 
-// WriteEdgeList writes the graph as a normalised text edge list.
+// WriteEdgeList writes the graph as a text edge list: each edge once,
+// normalised, or each arc of a directed graph.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "# undirected graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	kind := "undirected"
+	if g.directed {
+		kind = "directed"
+	}
+	fmt.Fprintf(bw, "# %s graph: %d vertices, %d edges\n", kind, g.NumVertices(), g.NumEdges())
 	for u := V(0); u < V(g.NumVertices()); u++ {
 		for _, v := range g.Neighbors(u) {
-			if u < v {
+			if g.directed || u < v {
 				fmt.Fprintf(bw, "%d %d\n", u, v)
 			}
 		}

@@ -10,9 +10,9 @@ import (
 )
 
 // TestEdgeListRoundTripIsIdentity: an edge list is the one graph file,
-// so a graph with no isolated vertex comes back from WriteEdgeList and
-// ReadEdgeList as itself — the same CSR bytes, every vertex under its
-// own id — and `qbs -graph` over a written analog answers the pairs
+// so a graph of either orientation with no isolated vertex comes back
+// from WriteEdgeList and ReadEdgeList as itself — the same CSR bytes,
+// every vertex under its own id — and `qbs -graph` over a written analog answers the pairs
 // `qbs -dataset` answers.
 func TestEdgeListRoundTripIsIdentity(t *testing.T) {
 	largest := func(g *graph.Graph) *graph.Graph {
@@ -27,18 +27,21 @@ func TestEdgeListRoundTripIsIdentity(t *testing.T) {
 	for _, spec := range datasets.All() {
 		graphs[spec.Key+"×0.1"] = spec.Generate(0.1)
 	}
+	graphs["AsDirected(Grid(6,7))"] = graph.AsDirected(graph.Grid(6, 7))
+	graphs["DirectedScaleFree(300)"] = graph.DirectedScaleFree(300, 2, 7)
 	for name, g := range graphs {
 		var buf bytes.Buffer
 		if err := graph.WriteEdgeList(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		re, orig, err := graph.ReadEdgeList(&buf, false)
+		re, orig, err := graph.ReadEdgeList(&buf, g.Directed())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		wantOff, wantAdj, _, _ := g.CSR()
-		gotOff, gotAdj, _, _ := re.CSR()
-		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+		wantOff, wantAdj, wantInOff, wantIn := g.CSR()
+		gotOff, gotAdj, gotInOff, gotIn := re.CSR()
+		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) ||
+			!slices.Equal(gotInOff, wantInOff) || !slices.Equal(gotIn, wantIn) {
 			t.Errorf("%s: read back a different CSR (|V| %d → %d, arcs %d → %d)",
 				name, g.NumVertices(), re.NumVertices(), g.NumArcs(), re.NumArcs())
 			continue

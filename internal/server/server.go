@@ -154,10 +154,10 @@ func (b staticBackend) NumEdges() int    { return b.Graph().NumEdges() }
 // Server handles the HTTP API over one index.
 type Server struct {
 	b        backend
-	static   interface{ Stats() qbs.IndexStats } // the immutable index behind b; nil in dynamic modes
-	dyn      *qbs.DynamicIndex                   // nil in immutable modes
-	directed bool                                // b answers over a directed graph
-	writable bool                                // write endpoints exposed (NewMutable)
+	static   *qbs.Index        // the immutable index behind b; nil in dynamic modes
+	dyn      *qbs.DynamicIndex // nil in immutable modes
+	directed bool              // b answers over a directed graph
+	writable bool              // write endpoints exposed (NewMutable)
 	mux      *http.ServeMux
 
 	// /metrics is the Prometheus text rendering of the server's own
