@@ -425,7 +425,7 @@ func BenchmarkDirectedQuery(b *testing.B) {
 
 func BenchmarkDirectedBiBFS(b *testing.B) {
 	g := graph.DirectedScaleFree(20000, 3, 2021)
-	searcher := bfs.NewDirectedBidirectional(g)
+	searcher := bfs.NewBidirectional(g)
 	r := newDeterministicPairs(g.NumVertices(), 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

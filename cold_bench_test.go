@@ -73,7 +73,7 @@ var coldInputs = []*coldInput{
 		}
 		g := spec.GenerateDirected(10)
 		ix, err := core.Build(g, core.Options{NumLandmarks: 20})
-		return ix, bfs.NewDirectedBidirectional(g), err
+		return ix, bfs.NewBidirectional(g), err
 	}},
 	{name: "Grid120", build: func() (*core.Index, *bfs.Bidirectional, error) { return coldGraph(graph.Grid(120, 120)) }},
 	{name: "Cycle400", build: func() (*core.Index, *bfs.Bidirectional, error) { return coldGraph(graph.Cycle(400)) }},

@@ -198,7 +198,7 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 			sr.QueryInto(spg, p.u, p.v)
 		}
 		qbsTime := time.Since(start) / time.Duration(len(pairs))
-		bib := bfs.NewDirectedBidirectional(g)
+		bib := bfs.NewBidirectional(g)
 		start = time.Now()
 		for _, p := range pairs {
 			bib.Query(p.u, p.v)

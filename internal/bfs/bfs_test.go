@@ -187,7 +187,7 @@ func TestDirectedBidirectionalMatchesOracle(t *testing.T) {
 		"dsf300":  graph.DirectedScaleFree(300, 3, 6),
 		"undirBA": graph.AsDirected(graph.BarabasiAlbert(200, 3, 7)),
 	} {
-		b := NewDirectedBidirectional(g)
+		b := NewBidirectional(g)
 		rng := rand.New(rand.NewSource(23))
 		n := g.NumVertices()
 		for i := 0; i < 80; i++ {

@@ -16,7 +16,7 @@ type SearchStats struct {
 // BiBFS answers SPG(u, v) with a bidirectional BFS over the full graph.
 // It allocates fresh state per call; use a Bidirectional searcher for
 // repeated queries.
-func BiBFS(g graph.Adjacency, u, v graph.V) *graph.SPG {
+func BiBFS(g *graph.Graph, u, v graph.V) *graph.SPG {
 	s := NewBidirectional(g)
 	spg, _ := s.Query(u, v)
 	return spg
@@ -33,14 +33,9 @@ type Bidirectional struct {
 	pairs    []graph.Arc
 }
 
-// NewBidirectional creates a searcher for the undirected graph g.
-func NewBidirectional(g graph.Adjacency) *Bidirectional {
-	return &Bidirectional{s: NewSearch(g, g)}
-}
-
-// NewDirectedBidirectional creates a searcher for the digraph g.
-func NewDirectedBidirectional(g *graph.Graph) *Bidirectional {
-	return &Bidirectional{directed: true, s: NewSearch(g.OutView(), g.InView())}
+// NewBidirectional creates a searcher for g, of either orientation.
+func NewBidirectional(g *graph.Graph) *Bidirectional {
+	return &Bidirectional{directed: g.Directed(), s: NewSearch(g.OutView(), g.InView())}
 }
 
 // run searches u → v and returns the distance (graph.InfDist when

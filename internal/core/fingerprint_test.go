@@ -215,7 +215,7 @@ func arcsScannedOf(tg testGraph, ix *Index) arcsScanned {
 	sr := NewSearcher(ix)
 	var bi *bfs.Bidirectional
 	if tg.dir != nil {
-		bi = bfs.NewDirectedBidirectional(tg.dir)
+		bi = bfs.NewBidirectional(tg.dir)
 	} else {
 		bi = bfs.NewBidirectional(tg.und)
 	}

@@ -304,7 +304,7 @@ func TestUnguidedSearchIsBiBFS(t *testing.T) {
 		bi *bfs.Bidirectional
 	}{
 		"undirected": {undirected(und), bfs.NewBidirectional(und)},
-		"directed":   {directed(dir), bfs.NewDirectedBidirectional(dir)},
+		"directed":   {directed(dir), bfs.NewBidirectional(dir)},
 	} {
 		sr := NewSearcher(tc.tg.mustBuild(t, Options{Landmarks: []graph.V{n}}))
 		got := new(graph.SPG)

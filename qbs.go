@@ -529,13 +529,7 @@ func AdoptDynamic(d *dynamic.Index) *DynamicIndex { return newDynamicIndex(d, ni
 // bidirectional BFS over the full graph: the paper's search-based
 // baseline, requiring no index. For repeated queries prefer an Index;
 // for one-off queries BiBFS avoids construction cost entirely.
-func BiBFS(g *Graph, u, v V) *SPG {
-	if g.Directed() {
-		spg, _ := bfs.NewDirectedBidirectional(g).Query(u, v)
-		return spg
-	}
-	return bfs.BiBFS(g, u, v)
-}
+func BiBFS(g *Graph, u, v V) *SPG { return bfs.BiBFS(g, u, v) }
 
 // OracleSPG computes SPG(u, v) — SPG(u → v) over a directed graph — by
 // two full BFS sweeps: the simple reference implementation (slow,
