@@ -8,12 +8,18 @@
 //
 //	gengraph -dataset TW -scale 0.5 -o twitter.edges
 //	gengraph -gen ba -n 100000 -m 5 -seed 7 > ba.edges
+//
+// The summary line on stderr gives the graph's size and, where
+// /proc/self/status exists, the process's peak resident set once the
+// graph is generated (peak_rss, VmHWM), before the edge list is written.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"qbs/internal/datasets"
 	"qbs/internal/graph"
@@ -60,8 +66,12 @@ func main() {
 	}
 
 	st := graph.ComputeStats(g)
-	fmt.Fprintf(os.Stderr, "generated: |V|=%d |E|=%d maxdeg=%d avgdeg=%.2f\n",
-		st.NumVertices, st.NumEdges, st.MaxDegree, st.AvgDegree)
+	peak := ""
+	if kb, ok := peakRSSKiB(); ok {
+		peak = fmt.Sprintf(" peak_rss=%.1fMiB", float64(kb)/1024)
+	}
+	fmt.Fprintf(os.Stderr, "generated: |V|=%d |E|=%d maxdeg=%d avgdeg=%.2f%s\n",
+		st.NumVertices, st.NumEdges, st.MaxDegree, st.AvgDegree, peak)
 
 	if *out == "" {
 		if err := graph.WriteEdgeList(os.Stdout, g); err != nil {
@@ -72,6 +82,22 @@ func main() {
 	if err := graph.WriteEdgeListFile(*out, g); err != nil {
 		fatal(err)
 	}
+}
+
+// peakRSSKiB returns the process's peak resident set size so far (VmHWM
+// in /proc/self/status), and false where that file or line is missing.
+func peakRSSKiB() (int64, bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }
 
 func fatal(err error) {

@@ -394,8 +394,9 @@ func loadGraph(path, dataset string, scale float64, directed bool) (*qbs.Graph, 
 		return nil, err
 	}
 	fmt.Printf("graph: |V|=%d |E|=%d loaded in %s\n", g.NumVertices(), g.NumEdges(), startup("graph", start))
-	// Drop what the load left behind (a generator's pair list, a file's
-	// parse buffers) before the build allocates on top of it.
+	// Drop what the load left behind (a file's pairs and parse buffers,
+	// the parts a composed analog was merged from; a generator keeps no
+	// pair list beside its CSR) before the build allocates on top of it.
 	runtime.GC()
 	return g, nil
 }

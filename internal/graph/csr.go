@@ -7,21 +7,39 @@ import (
 )
 
 // buildCSR is the one CSR constructor under every graph this package
-// makes (the package doc has its passes, cost and why the result is the
-// same at any width). It turns the pending pairs of a builder into
-// per-vertex sorted, duplicate-free neighbour lists over n vertices: with
-// fwd, W enters U's list; with rev, U enters W's. An undirected graph is
-// one call with both, a digraph's out-adjacency is fwd alone and its
-// in-adjacency rev alone. pairs is read, never written or retained. bad
-// is the index of the first pair with an endpoint outside [0, n), or -1.
-// The per-vertex pass runs on workers goroutines (csrWorkers), 1 meaning
-// inline.
+// builds from pairs (the package doc has its passes, cost and why the
+// result is the same at any width). It turns the pending pairs of a
+// builder into per-vertex sorted, duplicate-free neighbour lists over n
+// vertices: with fwd, W enters U's list; with rev, U enters W's. An
+// undirected graph is one call with both, a digraph's out-adjacency is
+// fwd alone and its in-adjacency rev alone. pairs is read, never written
+// or retained. bad is the index of the first pair with an endpoint
+// outside [0, n), or -1. The per-vertex pass runs on workers goroutines
+// (csrWorkers), 1 meaning inline.
+//
+// Its passes are countRows, openRows, scatterRows and closeRows, which
+// the Erdős–Rényi samplers run over a replayed draw stream instead of a
+// pair list.
 func buildCSR(n int, pairs []Edge, fwd, rev bool, workers int) (offsets []int64, adj []V, bad int) {
-	// offsets[v+1] counts v's entries, then becomes where v's list ends.
 	offsets = make([]int64, n+1)
+	if bad = countRows(offsets, pairs, fwd, rev); bad >= 0 {
+		return nil, nil, bad
+	}
+	adj = openRows(offsets)
+	scatterRows(offsets, adj, pairs, fwd, rev)
+	offsets, adj = closeRows(offsets, adj, workers)
+	return offsets, adj, -1
+}
+
+// countRows adds each pair's entries to offsets[v+1], v the row an entry
+// enters (fwd: W enters U's row; rev: U enters W's). It returns the index
+// of the first pair with an endpoint outside [0, len(offsets)-1), having
+// counted the pairs before it, or -1.
+func countRows(offsets []int64, pairs []Edge, fwd, rev bool) int {
+	n := len(offsets) - 1
 	for i, e := range pairs {
 		if uint(e.U) >= uint(n) || uint(e.W) >= uint(n) {
-			return nil, nil, i
+			return i
 		}
 		if fwd {
 			offsets[int(e.U)+1]++
@@ -30,12 +48,22 @@ func buildCSR(n int, pairs []Edge, fwd, rev bool, workers int) (offsets []int64,
 			offsets[int(e.W)+1]++
 		}
 	}
+	return -1
+}
+
+// openRows turns the counts of countRows into the rows' starts and
+// allocates the entries for them: offsets[v] is then v's write cursor.
+func openRows(offsets []int64) []V {
+	n := len(offsets) - 1
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
-	adj = make([]V, offsets[n])
-	// Scatter with offsets[v] as v's write cursor: it ends where v+1's
-	// list starts, so shifting the array up by one restores it.
+	return make([]V, offsets[n])
+}
+
+// scatterRows writes each pair's entries at their rows' cursors,
+// advancing them: a cursor ends where the next row starts.
+func scatterRows(offsets []int64, adj []V, pairs []Edge, fwd, rev bool) {
 	for _, e := range pairs {
 		if fwd {
 			adj[offsets[e.U]] = e.W
@@ -46,6 +74,12 @@ func buildCSR(n int, pairs []Edge, fwd, rev bool, workers int) (offsets []int64,
 			offsets[e.W]++
 		}
 	}
+}
+
+// closeRows ends a scatter: it shifts the cursors back into offsets, then
+// sorts each row and squeezes its duplicates out, on workers goroutines.
+func closeRows(offsets []int64, adj []V, workers int) ([]int64, []V) {
+	n := len(offsets) - 1
 	copy(offsets[1:], offsets)
 	offsets[0] = 0
 
@@ -83,7 +117,7 @@ func buildCSR(n int, pairs []Edge, fwd, rev bool, workers int) (offsets []int64,
 		total += d
 	}
 	if total == 0 {
-		return offsets, adj, -1
+		return offsets, adj
 	}
 	var at int64
 	for v := 0; v < n; v++ {
@@ -98,7 +132,145 @@ func buildCSR(n int, pairs []Edge, fwd, rev bool, workers int) (offsets []int64,
 		}
 	}
 	offsets[n] = at
-	return offsets, adj[:at], -1
+	return offsets, adj[:at]
+}
+
+// mergeCSR returns the CSR over n vertices whose row v is the union of
+// row v of (off, adj) — empty past its last vertex — and more's row v,
+// each sorted and duplicate-free. more is called once per vertex range
+// [lo, hi) a worker takes and returns that range's rows, asked for in
+// order of v. Each row is merged twice, to count and then to write, so
+// the result is all it allocates.
+func mergeCSR[E V | uint64](n int, off []int64, adj []V, more func(lo int) func(v int) []E) ([]int64, []V) {
+	offsets := make([]int64, n+1)
+	workers := csrWorkers(len(adj))
+	pass := func(write func(v int, row []V, more []E)) {
+		forRanges(n, workers, func(_, lo, hi int) {
+			next := more(lo)
+			for v := lo; v < hi; v++ {
+				var row []V
+				if v+1 < len(off) {
+					row = adj[off[v]:off[v+1]]
+				}
+				write(v, row, next(v))
+			}
+		})
+	}
+	pass(func(v int, row []V, more []E) { offsets[v+1] = int64(mergeRows(nil, row, more)) })
+	out := openRows(offsets)
+	pass(func(v int, row []V, more []E) { mergeRows(out[offsets[v]:], row, more) })
+	return offsets, out
+}
+
+// unionRows is mergeCSR of two CSRs: row v of (aOff, a) and of (bOff, b).
+func unionRows(n int, aOff []int64, a []V, bOff []int64, b []V) ([]int64, []V) {
+	return mergeCSR(n, aOff, a, func(int) func(v int) []V {
+		return func(v int) []V {
+			if v+1 >= len(bOff) {
+				return nil
+			}
+			return b[bOff[v]:bOff[v+1]]
+		}
+	})
+}
+
+// addRows is mergeCSR of (off, adj) and keys: pairKeys, ascending and
+// distinct, which may name entries the rows hold already. A range's
+// runs of keys are read on from the first key at or past its first row.
+func addRows(off []int64, adj []V, keys []uint64) ([]int64, []V) {
+	return mergeCSR(len(off)-1, off, adj, func(lo int) func(v int) []uint64 {
+		j, _ := slices.BinarySearch(keys, uint64(lo)<<32)
+		return func(v int) []uint64 {
+			k := j
+			for k < len(keys) && keys[k]>>32 == uint64(v) {
+				k++
+			}
+			run := keys[j:k]
+			j = k
+			return run
+		}
+	})
+}
+
+// mergeRows writes the sorted union of the sorted, duplicate-free rows x
+// and y to the front of dst, or only counts it when dst is nil, and
+// returns its length. y's entries are vertices or pairKeys of one row,
+// whose low halves are the vertices.
+func mergeRows[E V | uint64](dst, x []V, y []E) int {
+	k, i, j := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		w, yw := x[i], V(uint32(y[j]))
+		switch {
+		case w < yw:
+			i++
+		case w > yw:
+			w = yw
+			j++
+		default:
+			i++
+			j++
+		}
+		if dst != nil {
+			dst[k] = w
+		}
+		k++
+	}
+	if dst == nil {
+		return k + len(x) - i + len(y) - j
+	}
+	k += copy(dst[k:], x[i:])
+	for _, e := range y[j:] {
+		dst[k] = V(uint32(e))
+		k++
+	}
+	return k
+}
+
+// mapRows returns the CSR over k vertices whose row remap[u] is u's row
+// in (off, adj) with each entry w mapped to remap[w], for every u that
+// remap keeps (remap[u] >= 0); entries it drops (-1) are left out, and a
+// row no vertex maps to is empty. remap must be one-to-one on what it
+// keeps. A remap that also keeps the order of those vertices keeps each
+// row sorted; for any other, set sortRows. Each row is read twice, to
+// count and then to write, so the result is all it allocates.
+func mapRows(off []int64, adj []V, remap []V, k int, sortRows bool) ([]int64, []V) {
+	n := len(off) - 1
+	offsets := make([]int64, k+1)
+	workers := csrWorkers(len(adj))
+	forRanges(n, workers, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			if remap[u] < 0 {
+				continue
+			}
+			var c int64
+			for _, w := range adj[off[u]:off[u+1]] {
+				if remap[w] >= 0 {
+					c++
+				}
+			}
+			offsets[remap[u]+1] = c
+		}
+	})
+	out := openRows(offsets)
+	forRanges(n, workers, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			if remap[u] < 0 {
+				continue
+			}
+			row := out[offsets[remap[u]]:offsets[remap[u]+1]]
+			i := 0
+			for _, w := range adj[off[u]:off[u+1]] {
+				if x := remap[w]; x >= 0 {
+					row[i] = x
+					i++
+				}
+			}
+			if sortRows {
+				slices.Sort(row)
+			}
+		}
+	})
+	return offsets, out
 }
 
 // pairKey packs the CSR entry "w in u's list" as u<<32 | w, so that

@@ -261,3 +261,52 @@ func TestSPGOrientation(t *testing.T) {
 		}
 	}
 }
+
+// TestPassesKeepOrientation runs the graph-to-graph passes over the
+// digraph 0→1, 2→1: each must return a digraph whose out- and in-CSR
+// hold the arcs it keeps, and the components are the weak ones (arcs
+// followed both ways), so all three vertices are one component.
+func TestPassesKeepOrientation(t *testing.T) {
+	g := MustFromArcs(3, []Arc{{0, 1}, {2, 1}})
+	check := func(name string, got *Graph, want ...Arc) {
+		t.Helper()
+		if !got.Directed() {
+			t.Errorf("%s: the result is undirected", name)
+			return
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if arcs := got.Arcs(); !slices.Equal(arcs, want) {
+			t.Errorf("%s: arcs %v, want %v", name, arcs, want)
+		}
+	}
+	if labels, count := g.ConnectedComponents(); count != 1 || !slices.Equal(labels, []int32{0, 0, 0}) {
+		t.Errorf("ConnectedComponents: %d components %v, want one", count, labels)
+	}
+	lc, orig := g.LargestComponent()
+	check("LargestComponent", lc, Arc{0, 1}, Arc{2, 1})
+	if !slices.Equal(orig, []V{0, 1, 2}) {
+		t.Errorf("LargestComponent: orig %v", orig)
+	}
+	// The same arcs one vertex up, beside an isolated vertex 0: the
+	// component is renumbered 1, 2, 3 → 0, 1, 2.
+	lc, orig = MustFromArcs(4, []Arc{{1, 2}, {3, 2}}).LargestComponent()
+	check("LargestComponent, renumbered", lc, Arc{0, 1}, Arc{2, 1})
+	if !slices.Equal(orig, []V{1, 2, 3}) {
+		t.Errorf("LargestComponent, renumbered: orig %v", orig)
+	}
+	check("InducedSubgraph(all)", g.InducedSubgraph(func(V) bool { return true }), Arc{0, 1}, Arc{2, 1})
+	check("InducedSubgraph(1, 2)", g.InducedSubgraph(func(v V) bool { return v != 0 }), Arc{2, 1})
+	// Vertex 1 has the largest total degree, so both orders put it first
+	// and keep 0 before 2: perm = [1, 0, 2].
+	rl, _, _ := RelabelByDegree(g)
+	check("RelabelByDegree", rl, Arc{1, 0}, Arc{2, 0})
+	rl, _, _ = RelabelByBFS(g)
+	check("RelabelByBFS", rl, Arc{1, 0}, Arc{2, 0})
+	rl, err := Relabel(g, []V{1, 2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Relabel", rl, Arc{0, 2}, Arc{1, 2})
+}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -19,16 +21,13 @@ import (
 // evenly distributed degree sequence (§6.3).
 //
 // The edge set is the first m distinct pairs of the draw stream. The
-// first m draws go to the builder as they are, whose squeeze drops the
-// repeats; topUp then replaces those from the same stream, in place.
+// first m draws are replayed into the CSR (erBuild), whose squeeze drops
+// the repeats; topUp then replaces those from the same stream, in place.
 func ErdosRenyi(n, m int, seed int64) *Graph {
 	m = max(min(m, n*(n-1)/2), 0)
-	b := NewBuilder(n)
-	var draw func() Edge
-	b.edges, draw = erDraws(n, m, seed, false)
-	g := b.MustBuild()
+	g, s := erBuild(n, m, seed, false)
 	var both []uint64 // an edge is an entry in each endpoint's list
-	topUp(m-g.NumEdges(), draw, g.HasEdge, func(keys []uint64) {
+	topUp(m-g.NumEdges(), s.pair, g.HasEdge, func(keys []uint64) {
 		both = append(both[:0], keys...)
 		for _, k := range keys {
 			both = append(both, k<<32|k>>32)
@@ -45,11 +44,8 @@ func ErdosRenyi(n, m int, seed int64) *Graph {
 // samples edges (each kept arc enters the out- and the in-CSR).
 func DirectedErdosRenyi(n, m int, seed int64) *Graph {
 	m = max(min(m, n*(n-1)), 0)
-	b := NewDirectedBuilder(n)
-	var draw func() Edge
-	b.edges, draw = erDraws(n, m, seed, true)
-	g := b.MustBuild()
-	topUp(m-g.NumArcs(), draw, g.HasEdge, func(keys []uint64) {
+	g, s := erBuild(n, m, seed, true)
+	topUp(m-g.NumArcs(), s.pair, g.HasEdge, func(keys []uint64) {
 		g.adj = insertCSR(g.offsets, g.adj, keys)
 		for i, k := range keys {
 			keys[i] = k<<32 | k>>32
@@ -63,7 +59,9 @@ func DirectedErdosRenyi(n, m int, seed int64) *Graph {
 // DirectedScaleFree grows a digraph by preferential attachment: each new
 // vertex adds m out-arcs to targets weighted by in-degree and m in-arcs
 // from sources weighted by out-degree, yielding hubby in/out degree
-// distributions like web graphs.
+// distributions like web graphs. The pending arcs are the sample space:
+// a uniform arc's head is a target weighted by in-degree, its tail a
+// source weighted by out-degree.
 func DirectedScaleFree(n, m int, seed int64) *Graph {
 	if m < 1 {
 		m = 1
@@ -74,62 +72,21 @@ func DirectedScaleFree(n, m int, seed int64) *Graph {
 	if seedSize > n {
 		seedSize = n
 	}
-	// Every arc appends once to each of the three lists.
-	arcs := seedSize + 2*m*(n-seedSize)
-	b.edges = make([]Edge, 0, arcs)
-	inRep, outRep := make([]V, 0, arcs), make([]V, 0, arcs)
+	b.edges = make([]Edge, 0, seedSize+2*m*(n-seedSize))
 	for u := 0; u < seedSize; u++ {
-		w := (u + 1) % seedSize
-		if u != w {
-			b.AddEdge(V(u), V(w))
-			outRep = append(outRep, V(u))
-			inRep = append(inRep, V(w))
-		}
+		b.AddEdge(V(u), V((u+1)%seedSize))
 	}
 	for v := seedSize; v < n; v++ {
 		for i := 0; i < m; i++ {
-			t := inRep[rng.Intn(len(inRep))]
-			if t != V(v) {
-				b.AddEdge(V(v), t)
-				outRep = append(outRep, V(v))
-				inRep = append(inRep, t)
-			}
-			s := outRep[rng.Intn(len(outRep))]
-			if s != V(v) {
-				b.AddEdge(s, V(v))
-				outRep = append(outRep, s)
-				inRep = append(inRep, V(v))
-			}
+			b.AddEdge(V(v), b.edges[rng.Intn(len(b.edges))].W)
+			b.AddEdge(b.edges[rng.Intn(len(b.edges))].U, V(v))
 		}
 	}
 	return b.MustBuild()
 }
 
-// erDraws returns the first m draws of the Erdős–Rényi stream of seed
-// over n vertices — uniform pairs, self-loops redrawn, normalised unless
-// directed — and the stream's continuation.
-func erDraws(n, m int, seed int64, directed bool) ([]Edge, func() Edge) {
-	rng := rand.New(rand.NewSource(seed))
-	draw := func() Edge {
-		for {
-			p := Edge{V(rng.Intn(n)), V(rng.Intn(n))}
-			if p.U != p.W {
-				if !directed {
-					p = p.Normalize()
-				}
-				return p
-			}
-		}
-	}
-	pairs := make([]Edge, m)
-	for i := range pairs {
-		pairs[i] = draw()
-	}
-	return pairs, draw
-}
-
 // topUp continues an Erdős–Rényi draw stream past the m draws a graph
-// was built from, until the deficit pairs its builder squeezed out as
+// was built from, until the deficit pairs its squeeze dropped as
 // repeats are replaced by new ones. It runs in rounds of deficit draws:
 // a draw already in the graph (has) is dropped, the rest are sorted and
 // deduplicated as pairKeys and handed to insert, which may reorder them
@@ -156,20 +113,160 @@ func topUp(deficit int, draw func() Edge, has func(u, w V) bool, insert func(key
 	}
 }
 
+// erBuild builds the graph of the first m draws of the Erdős–Rényi
+// stream of seed over n vertices without holding them: one pass over the
+// stream counts each row's entries, a second, reseeded, draws the same
+// pairs again and scatters them into the rows, and closeRows squeezes
+// the repeats out. It returns the graph and the stream continued past
+// its m draws.
+func erBuild(n, m int, seed int64, directed bool) (*Graph, *erStream) {
+	blocks := make([][]Edge, min(erBlocks, (m+erBlock-1)/erBlock))
+	for i := range blocks {
+		blocks[i] = make([]Edge, min(m, erBlock))
+	}
+	out := make([]int64, n+1)
+	in := out
+	if directed {
+		in = make([]int64, n+1)
+	}
+	replayER(newERStream(n, seed, directed), m, blocks, func(pairs []Edge) {
+		countRows(out, pairs, true, !directed)
+		if directed {
+			countRows(in, pairs, false, true)
+		}
+	})
+	adj := openRows(out)
+	inAdj := adj
+	if directed {
+		inAdj = openRows(in)
+	}
+	s := newERStream(n, seed, directed)
+	replayER(s, m, blocks, func(pairs []Edge) {
+		scatterRows(out, adj, pairs, true, !directed)
+		if directed {
+			scatterRows(in, inAdj, pairs, false, true)
+		}
+	})
+	workers := csrWorkers(m)
+	out, adj = closeRows(out, adj, workers)
+	if !directed {
+		return undirected(out, adj), s
+	}
+	in, inAdj = closeRows(in, inAdj, workers)
+	return &Graph{offsets: out, adj: adj, inOff: in, in: inAdj, directed: true}, s
+}
+
+const (
+	erBlock  = 1 << 14 // pairs in a block of the replayed stream
+	erBlocks = 3       // blocks in flight: one drawn, one used, one queued
+)
+
+// replayER draws the next m pairs of s on a goroutine of its own, into
+// one of blocks at a time, and hands each block to use in order on the
+// caller's goroutine while the next one is drawn. use may not keep a
+// block. s is the caller's again when replayER returns.
+func replayER(s *erStream, m int, blocks [][]Edge, use func(pairs []Edge)) {
+	// Each channel can hold every block, so no send waits: the drawer
+	// waits only for a free block, the caller only for a full one.
+	free := make(chan []Edge, len(blocks))
+	full := make(chan []Edge, len(blocks))
+	for _, b := range blocks {
+		free <- b
+	}
+	go func() {
+		for left := m; left > 0; {
+			b := <-free
+			b = b[:min(left, len(b))]
+			for i := range b {
+				b[i] = s.pair()
+			}
+			full <- b
+			left -= len(b)
+		}
+		close(full)
+	}()
+	for b := range full {
+		use(b)
+		free <- b[:cap(b)]
+	}
+}
+
+// erStream is the Erdős–Rényi draw stream of a seed over n vertices:
+// uniform pairs, self-loops redrawn, normalised unless directed. Each
+// endpoint is one math/rand Intn(n) draw.
+type erStream struct {
+	intn     intn
+	directed bool
+}
+
+func newERStream(n int, seed int64, directed bool) *erStream {
+	// An empty graph draws nothing, but its stream is made all the same.
+	return &erStream{intn: newIntn(rand.NewSource(seed), max(n, 1)), directed: directed}
+}
+
+func (s *erStream) pair() Edge {
+	for {
+		u, w := s.intn.next(), s.intn.next()
+		if u != w {
+			if s.directed {
+				return Edge{u, w}
+			}
+			return Edge{min(u, w), max(u, w)} // Normalize, without a branch to mispredict
+		}
+	}
+}
+
+// intn draws rand.New(src).Intn(n)'s stream with Int31n's two per-draw
+// divisions hoisted: the rejection bound is computed once, and the
+// remainder is Lemire's multiply-high form (Lemire, Kaser and Kurz,
+// "Faster remainder by direct computation", 2019), exact for 32-bit
+// values. When n is a power of two, Int31n masks instead and rejects
+// nothing: that is the bound 2³¹−1 and the same remainder. n must be in
+// [1, 2³¹).
+type intn struct {
+	src   rand.Source
+	max   int32 // the largest Int31 accepted
+	n     uint64
+	recip uint64 // ⌈2⁶⁴/n⌉ mod 2⁶⁴: v mod n is the high word of (recip·v mod 2⁶⁴)·n
+}
+
+func newIntn(src rand.Source, n int) intn {
+	if n <= 0 || n > math.MaxInt32 {
+		panic("graph: intn bound out of range")
+	}
+	return intn{
+		src:   src,
+		max:   int32((1 << 31) - 1 - (1<<31)%uint32(n)),
+		n:     uint64(n),
+		recip: math.MaxUint64/uint64(n) + 1,
+	}
+}
+
+func (r *intn) next() V {
+	v := int32(r.src.Int63() >> 32) // Rand.Int31
+	for v > r.max {
+		v = int32(r.src.Int63() >> 32)
+	}
+	hi, _ := bits.Mul64(r.recip*uint64(v), r.n)
+	return V(hi)
+}
+
 // BarabasiAlbert generates a preferential-attachment graph: vertices
 // arrive one at a time and attach m edges to existing vertices chosen
 // proportionally to degree, producing the power-law hub structure that
 // characterises the paper's social and web datasets. The first m+1
 // vertices form a clique seed.
+//
+// The pending edges are the sample space: a uniform endpoint of a
+// uniform edge is a vertex drawn proportionally to its degree, so the
+// edges are kept in the order they are drawn, Edge{v, t} as it arrives
+// (the undirected constructor does not care which end is which).
 func BarabasiAlbert(n, m int, seed int64) *Graph {
 	if m < 1 {
 		m = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
-	// repeated holds one entry per arc endpoint; sampling uniformly from
-	// it is sampling proportionally to degree.
-	repeated := make([]V, 0, 2*m*n)
 	seedSize := m + 1
 	if seedSize > n {
 		seedSize = n
@@ -177,22 +274,25 @@ func BarabasiAlbert(n, m int, seed int64) *Graph {
 	b.edges = make([]Edge, 0, seedSize*(seedSize-1)/2+m*(n-seedSize))
 	for u := 0; u < seedSize; u++ {
 		for w := u + 1; w < seedSize; w++ {
-			b.AddEdge(V(u), V(w))
-			repeated = append(repeated, V(u), V(w))
+			b.edges = append(b.edges, Edge{V(u), V(w)})
 		}
 	}
 	targets := make([]V, 0, m)
 	for v := seedSize; v < n; v++ {
 		targets = targets[:0]
 		for attempts := 0; len(targets) < m && attempts < 32*m; attempts++ {
-			t := repeated[rng.Intn(len(repeated))]
+			r := rng.Intn(2 * len(b.edges))
+			e := b.edges[r>>1]
+			t := e.U
+			if r&1 == 1 {
+				t = e.W
+			}
 			if !containsV(targets, t) {
 				targets = append(targets, t)
 			}
 		}
 		for _, t := range targets {
-			b.AddEdge(V(v), t)
-			repeated = append(repeated, V(v), t)
+			b.edges = append(b.edges, Edge{V(v), t})
 		}
 	}
 	return b.MustBuild()
@@ -294,36 +394,38 @@ func Complete(n int) *Graph {
 // additional neighbours. This sharpens degree skew, emulating networks
 // such as Twitter or WikiTalk whose few extreme hubs dominate shortest
 // paths (the property behind the paper's high pair-coverage ratios in
-// Figure 8).
+// Figure 8). A directed g gains arcs from its hubs.
 func HubBoost(g *Graph, h, extra int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := g.NumVertices()
 	hubs := g.TopDegreeVertices(h)
-	b := NewBuilder(n)
-	b.addGraph(g, len(hubs)*extra)
+	keys := make([]uint64, 0, 2*len(hubs)*extra)
 	for _, hub := range hubs {
 		for i := 0; i < extra; i++ {
-			w := V(rng.Intn(n))
-			if w != hub {
-				b.AddEdge(hub, w)
+			if w := V(rng.Intn(n)); w != hub {
+				keys = append(keys, pairKey(hub, w))
 			}
 		}
 	}
-	return b.MustBuild()
+	return g.withPairs(keys)
 }
 
-// Union overlays two graphs on the same vertex set, merging their edge
-// sets. It is used to mix generator outputs (e.g. BA + ER for the
-// Orkut-like analog: dense but with moderate skew).
+// Union overlays two graphs of one orientation on the same vertex set,
+// merging their edge sets. It is used to mix generator outputs (e.g.
+// BA + ER for the Orkut-like analog: dense but with moderate skew). Each
+// row of the result is the merge of the two rows, deduplicated as it is
+// written, so nothing but the result is allocated.
 func Union(a, b *Graph) *Graph {
-	n := a.NumVertices()
-	if b.NumVertices() > n {
-		n = b.NumVertices()
+	if a.directed != b.directed {
+		panic("graph: Union of a directed and an undirected graph")
 	}
-	bl := NewBuilder(n)
-	bl.addGraph(a, b.NumEdges())
-	bl.addGraph(b, 0)
-	return bl.MustBuild()
+	n := max(a.NumVertices(), b.NumVertices())
+	offsets, adj := unionRows(n, a.offsets, a.adj, b.offsets, b.adj)
+	if !a.directed {
+		return undirected(offsets, adj)
+	}
+	inOff, in := unionRows(n, a.inOff, a.in, b.inOff, b.in)
+	return &Graph{offsets: offsets, adj: adj, inOff: inOff, in: in, directed: true}
 }
 
 // TriadicClosure adds up to count edges closing open triangles (two
@@ -332,10 +434,8 @@ func Union(a, b *Graph) *Graph {
 func TriadicClosure(g *Graph, count int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := g.NumVertices()
-	b := NewBuilder(n)
-	b.addGraph(g, count)
-	added := 0
-	for attempts := 0; added < count && attempts < 20*count; attempts++ {
+	keys := make([]uint64, 0, 2*count)
+	for attempts := 0; len(keys) < count && attempts < 20*count; attempts++ {
 		u := V(rng.Intn(n))
 		ns := g.Neighbors(u)
 		if len(ns) < 2 {
@@ -346,8 +446,36 @@ func TriadicClosure(g *Graph, count int, seed int64) *Graph {
 		if a == c || g.HasEdge(a, c) {
 			continue
 		}
-		b.AddEdge(a, c)
-		added++
+		keys = append(keys, pairKey(a, c))
 	}
-	return b.MustBuild()
+	return g.withPairs(keys)
+}
+
+// withPairs returns g with the edges (arcs, when directed) u→w of keys
+// added, pairKeys in any order and with room to append as many again;
+// they may repeat each other and g's. They are sorted and deduplicated,
+// both ways unless g is directed, the way the Erdős–Rényi top-up sorts
+// its keys, and merged into a copy of g's rows (addRows): the new graph
+// and the keys are all it allocates.
+func (g *Graph) withPairs(keys []uint64) *Graph {
+	flip := func(keys []uint64) {
+		for i, k := range keys {
+			keys[i] = k<<32 | k>>32
+		}
+	}
+	if !g.directed {
+		m := len(keys)
+		keys = append(keys, keys...)
+		flip(keys[m:])
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	offsets, adj := addRows(g.offsets, g.adj, keys)
+	if !g.directed {
+		return undirected(offsets, adj)
+	}
+	flip(keys)
+	slices.Sort(keys)
+	inOff, in := addRows(g.inOff, g.in, keys)
+	return &Graph{offsets: offsets, adj: adj, inOff: inOff, in: in, directed: true}
 }

@@ -78,31 +78,129 @@ func TestErdosRenyiMatchesFirstDistinctDraws(t *testing.T) {
 	}
 }
 
-// TestErdosRenyiAllocatesPairsAndCSR bounds what a sampler allocates by
-// its pending pairs (8 B each) plus the CSR arrays it returns, with
-// 1 MB to spare: the repeats are found by the builder's squeeze and
-// replaced in the capacity it freed, with no membership table beside.
-func TestErdosRenyiAllocatesPairsAndCSR(t *testing.T) {
-	const slack = 1 << 20
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+// allocated returns the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// csrBytes is the size of g's CSR arrays, adjacency at its capacity (an
+// Erdős–Rényi sampler's keeps the slots its squeeze freed), and of its
+// in-CSR when directed.
+func csrBytes(g *Graph) uint64 {
+	offsets, adj, inOff, in := g.CSR()
+	b := 8*len(offsets) + 4*cap(adj)
+	if g.Directed() {
+		b += 8*len(inOff) + 4*cap(in)
 	}
-	{
-		const n, m = 30000, 810000
-		limit := uint64(8*m + 4*2*m + 8*(n+1) + slack)
-		if got := allocated(func() { ErdosRenyi(n, m, 1) }); got > limit {
-			t.Errorf("ErdosRenyi(%d, %d) allocated %d B, want at most %d", n, m, got, limit)
+	return uint64(b)
+}
+
+// allocSlack covers a generator's scratch: the replayed stream's blocks
+// (3 × 16 Ki pairs, 384 KiB), a top-up's keys, a hub list.
+const allocSlack = 1 << 20
+
+// TestErdosRenyiAllocatesItsCSR bounds what a sampler allocates by the
+// CSR arrays it returns, with 1 MB to spare: its draws are replayed into
+// the rows, never held as a pair list, and the repeats are found by the
+// squeeze and replaced in the capacity it freed, with no membership
+// table beside.
+func TestErdosRenyiAllocatesItsCSR(t *testing.T) {
+	for _, c := range []struct {
+		directed bool
+		n, m     int
+		seed     int64
+	}{{false, 30000, 810000, 1}, {true, 20000, 400000, 7}} {
+		var g *Graph
+		got := allocated(func() {
+			if c.directed {
+				g = DirectedErdosRenyi(c.n, c.m, c.seed)
+			} else {
+				g = ErdosRenyi(c.n, c.m, c.seed)
+			}
+		})
+		// Two entries of 4 B per draw, and one or two offset arrays.
+		csr := 8*uint64(c.m) + 8*uint64(c.n+1)
+		if c.directed {
+			csr += 8 * uint64(c.n+1)
+		}
+		if csrBytes(g) != csr {
+			t.Errorf("directed=%v: CSR arrays of %d B, want %d", c.directed, csrBytes(g), csr)
+		}
+		if limit := csr + allocSlack; got > limit {
+			t.Errorf("directed=%v: %d draws over %d vertices allocated %d B, want at most %d", c.directed, c.m, c.n, got, limit)
 		}
 	}
-	{
-		const n, m = 20000, 400000
-		limit := uint64(8*m + 2*(4*m+8*(n+1)) + slack)
-		if got := allocated(func() { DirectedErdosRenyi(n, m, 7) }); got > limit {
-			t.Errorf("DirectedErdosRenyi(%d, %d) allocated %d B, want at most %d", n, m, got, limit)
+}
+
+// TestPreferentialAttachmentAllocatesEdgesAndCSR bounds BarabasiAlbert
+// and DirectedScaleFree by their pending edges (8 B each, at the
+// capacity they reserve) and the CSR they return: the endpoints they
+// sample from are read off the pending edges, not kept in a list of
+// their own.
+func TestPreferentialAttachmentAllocatesEdgesAndCSR(t *testing.T) {
+	const n, m = 50000, 5
+	var g *Graph
+	got := allocated(func() { g = BarabasiAlbert(n, m, 1) })
+	edges := uint64(8 * ((m+1)*m/2 + m*(n-m-1)))
+	if limit := edges + csrBytes(g) + allocSlack; got > limit {
+		t.Errorf("BarabasiAlbert(%d, %d) allocated %d B, want at most %d", n, m, got, limit)
+	}
+	got = allocated(func() { g = DirectedScaleFree(n, m, 1) })
+	arcs := uint64(8 * (m + 1 + 2*m*(n-m-1)))
+	if limit := arcs + csrBytes(g) + allocSlack; got > limit {
+		t.Errorf("DirectedScaleFree(%d, %d) allocated %d B, want at most %d", n, m, got, limit)
+	}
+}
+
+// TestMergesAllocateTheirCSR bounds Union, HubBoost and TriadicClosure
+// by the CSR they return plus their new entries (two 8 B keys per new
+// edge): each merges rows into the result, holding no pair list of the
+// graphs it reads.
+func TestMergesAllocateTheirCSR(t *testing.T) {
+	const n = 30000
+	a, b := BarabasiAlbert(n, 5, 1), ErdosRenyi(n, 400000, 2)
+	da, db := DirectedScaleFree(n, 5, 1), DirectedErdosRenyi(n, 400000, 2)
+	for _, c := range []struct {
+		name  string
+		added int // edges the pass draws
+		pass  func() *Graph
+	}{
+		{"Union", 0, func() *Graph { return Union(a, b) }},
+		{"Union/directed", 0, func() *Graph { return Union(da, db) }},
+		{"HubBoost", 10 * 3000, func() *Graph { return HubBoost(b, 10, 3000, 3) }},
+		{"HubBoost/directed", 10 * 3000, func() *Graph { return HubBoost(db, 10, 3000, 3) }},
+		{"TriadicClosure", 10000, func() *Graph { return TriadicClosure(b, 10000, 3) }},
+	} {
+		var g *Graph
+		got := allocated(func() { g = c.pass() })
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if limit := csrBytes(g) + uint64(16*c.added) + allocSlack; got > limit {
+			t.Errorf("%s allocated %d B, want at most %d", c.name, got, limit)
+		}
+	}
+}
+
+// TestIntnIsMathRands holds the replayed stream's draw to math/rand's
+// Intn, draw for draw, at bounds that take each of Int31n's paths: a
+// power of two (masked), small and large bounds with rare and frequent
+// rejections, and the largest int32.
+func TestIntnIsMathRands(t *testing.T) {
+	const draws = 1_000_000
+	for _, n := range []int{2, 3, 1 << 16, 120000, 1<<31 - 1} {
+		for _, seed := range []int64{1, 2, 20210104} {
+			want := rand.New(rand.NewSource(seed))
+			got := newIntn(rand.NewSource(seed), n)
+			for i := 0; i < draws; i++ {
+				if w, g := want.Intn(n), got.next(); int(g) != w {
+					t.Fatalf("n=%d seed=%d: draw %d is %d, want %d", n, seed, i, g, w)
+				}
+			}
 		}
 	}
 }

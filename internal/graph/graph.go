@@ -19,19 +19,20 @@
 //
 // # Construction
 //
-// Every graph the package makes — the Builder, the reader, the
-// generators and their composite passes (HubBoost, Union,
-// TriadicClosure), LargestComponent, Relabel, InducedSubgraph — goes
-// through one constructor, buildCSR (csr.go), over the builder's pending
-// pairs. An undirected graph is one call that enters each pair into both
-// endpoints' lists; a directed one is two calls, the out-CSR from
-// (From, To) and the in-CSR from (To, From). Its passes:
+// A graph built from pairs — by the Builder, the reader and the
+// generators — goes through one constructor, buildCSR (csr.go), over the
+// pending pairs. An undirected graph is one call that enters each pair
+// into both endpoints' lists; a directed one is two calls, the out-CSR
+// from (From, To) and the in-CSR from (To, From). Its passes:
 //
-//  1. validate every endpoint against [0, n) and count degrees;
-//  2. prefix-sum the counts into offsets;
-//  3. scatter each pair into its list(s);
+//  1. validate every endpoint against [0, n) and count degrees
+//     (countRows);
+//  2. prefix-sum the counts into offsets and allocate the rows
+//     (openRows);
+//  3. scatter each pair into its list(s) (scatterRows);
 //  4. per vertex: sort the list (slices.Sort on []int32, skipped when it
-//     arrived strictly increasing) and squeeze duplicates out in place;
+//     arrived strictly increasing) and squeeze duplicates out in place
+//     (closeRows);
 //  5. only if step 4 dropped something, compact the lists and rewrite
 //     the offsets.
 //
@@ -52,16 +53,41 @@
 // and internal/datasets pins the bytes of every dataset analog
 // (TestAnalogFingerprints).
 //
+// Past a builder's own pending pairs, no generator and no graph-to-graph
+// pass holds a second copy of a graph next to the CSR it builds:
+//
+//   - The Erdős–Rényi samplers keep no pair list. Their draw stream is
+//     replayed (erBuild): steps 1-2 run over a first pass of the seeded
+//     stream, step 3 over a second, reseeded one, each drawn a block at
+//     a time on a goroutine of its own while the caller counts or
+//     scatters the block before. The draw is math/rand's Intn with its
+//     divisions hoisted (intn, TestIntnIsMathRands).
+//   - BarabasiAlbert and DirectedScaleFree sample endpoints from their
+//     pending edges themselves, the pairs buildCSR then runs over: no
+//     list of endpoints beside them.
+//   - Union merges its operands' sorted rows, HubBoost and
+//     TriadicClosure merge g's rows with their few new entries sorted as
+//     pairKeys (mergeCSR): each row is merged once to count and once to
+//     write, deduplicated as it is written.
+//   - InducedSubgraph, LargestComponent and Relabel map g's rows through
+//     a vertex remap (mapRows); the first two keep the order of the
+//     vertices they keep, so their rows stay sorted, and Relabel sorts
+//     each row it writes. Each pass keeps a digraph's orientation, both
+//     CSRs mapped the same way.
+//
+// Each of these allocates the CSR it returns and little else
+// (TestErdosRenyiAllocatesItsCSR,
+// TestPreferentialAttachmentAllocatesEdgesAndCSR,
+// TestMergesAllocateTheirCSR).
+//
 // A built CSR is edited in one place: the Erdős–Rényi top-up (topUp,
-// insertCSR). The samplers hand their first m draws to the builder
-// without a membership test, and step 5 leaves adj's backing array at
-// its full length with one free slot per duplicate it dropped, so the
-// pairs drawn to replace the repeats fit into exactly that capacity: the
-// rows are merged in place from the last one back. The graph is then
-// the first m distinct pairs of the draw stream, as if every draw had
-// been tested (TestErdosRenyiMatchesFirstDistinctDraws), and generation
-// allocates the pending pairs and the CSR arrays and little else
-// (TestErdosRenyiAllocatesPairsAndCSR).
+// insertCSR). The samplers scatter their first m draws without a
+// membership test, and step 5 leaves adj's backing array at its full
+// length with one free slot per duplicate it dropped, so the pairs drawn
+// to replace the repeats fit into exactly that capacity: the rows are
+// merged in place from the last one back. The graph is then the first m
+// distinct pairs of the draw stream, as if every draw had been tested
+// (TestErdosRenyiMatchesFirstDistinctDraws).
 package graph
 
 import (
@@ -508,19 +534,6 @@ func (b *Builder) AddEdge(u, w V) {
 	b.edges = append(b.edges, e)
 }
 
-// addGraph records every edge of the undirected g straight from its
-// adjacency, leaving room for more further pending edges.
-func (b *Builder) addGraph(g *Graph, more int) {
-	b.edges = slices.Grow(b.edges, g.NumEdges()+more)
-	for u := V(0); u < V(g.NumVertices()); u++ {
-		for _, w := range g.Neighbors(u) {
-			if u < w {
-				b.edges = append(b.edges, Edge{u, w})
-			}
-		}
-	}
-}
-
 // NumPendingEdges returns the number of edges recorded so far, before
 // deduplication.
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
@@ -590,27 +603,38 @@ func MustFromArcs(n int, arcs []Arc) *Graph {
 
 // InducedSubgraph returns the subgraph induced by keep (vertices with
 // keep[v] true), preserving original vertex ids (vertices not kept become
-// isolated). This is the explicit form of the paper's sparsified graph
-// G[V\R]; the QbS query path uses an implicit representation instead, but
-// the explicit form is useful for tests and the ablation benchmarks.
+// isolated) and the orientation. This is the explicit form of the
+// paper's sparsified graph G[V\R]; the QbS query path uses an implicit
+// representation instead, but the explicit form is useful for tests and
+// the ablation benchmarks.
 func (g *Graph) InducedSubgraph(keep func(V) bool) *Graph {
-	b := NewBuilder(g.NumVertices())
-	for u := V(0); u < V(g.NumVertices()); u++ {
-		if !keep(u) {
-			continue
-		}
-		for _, w := range g.Neighbors(u) {
-			if u < w && keep(w) {
-				b.AddEdge(u, w)
-			}
+	remap := make([]V, g.NumVertices())
+	for v := range remap {
+		remap[v] = -1
+		if keep(V(v)) {
+			remap[v] = V(v)
 		}
 	}
-	return b.MustBuild()
+	return g.mapped(remap, len(remap), false)
+}
+
+// mapped is mapRows over each of g's CSRs (one, when undirected): the
+// graph on k vertices whose vertex remap[u] has u's arcs among the
+// vertices remap keeps.
+func (g *Graph) mapped(remap []V, k int, sortRows bool) *Graph {
+	offsets, adj := mapRows(g.offsets, g.adj, remap, k, sortRows)
+	if !g.directed {
+		return undirected(offsets, adj)
+	}
+	inOff, in := mapRows(g.inOff, g.in, remap, k, sortRows)
+	return &Graph{offsets: offsets, adj: adj, inOff: inOff, in: in, directed: true}
 }
 
 // ConnectedComponents labels each vertex with a component id in
 // [0, count) and returns the labels and the component count. Component
-// ids are assigned in order of the smallest vertex they contain.
+// ids are assigned in order of the smallest vertex they contain. A
+// digraph's components are its weakly connected ones: arcs are followed
+// both ways.
 func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 	n := g.NumVertices()
 	labels = make([]int32, n)
@@ -618,6 +642,14 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 		labels[i] = -1
 	}
 	queue := make([]V, 0, 1024)
+	visit := func(ns []V, id int32) {
+		for _, w := range ns {
+			if labels[w] < 0 {
+				labels[w] = id
+				queue = append(queue, w)
+			}
+		}
+	}
 	for s := 0; s < n; s++ {
 		if labels[s] >= 0 {
 			continue
@@ -628,11 +660,9 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 		queue = append(queue[:0], V(s))
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for _, w := range g.Neighbors(u) {
-				if labels[w] < 0 {
-					labels[w] = id
-					queue = append(queue, w)
-				}
+			visit(g.Neighbors(u), id)
+			if g.directed {
+				visit(g.In(u), id)
 			}
 		}
 	}
@@ -640,9 +670,10 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 }
 
 // LargestComponent returns the subgraph restricted to the largest
-// connected component with vertices re-numbered densely, together with
-// the mapping from new ids to original ids. Generators use it to deliver
-// connected graphs, mirroring the paper's assumption of connectivity.
+// (weakly) connected component with vertices re-numbered densely in
+// their original order, together with the mapping from new ids to
+// original ids. Generators use it to deliver connected graphs, mirroring
+// the paper's assumption of connectivity.
 func (g *Graph) LargestComponent() (*Graph, []V) {
 	labels, count := g.ConnectedComponents()
 	if count <= 1 {
@@ -672,15 +703,7 @@ func (g *Graph) LargestComponent() (*Graph, []V) {
 			remap[v] = -1
 		}
 	}
-	b := NewBuilder(sizes[best])
-	for _, u := range orig {
-		for _, w := range g.Neighbors(u) {
-			if remap[w] >= 0 && remap[u] < remap[w] {
-				b.AddEdge(remap[u], remap[w])
-			}
-		}
-	}
-	return b.MustBuild(), orig
+	return g.mapped(remap, len(orig), false), orig
 }
 
 // Stats summarises a graph for reporting (Table 1 columns).

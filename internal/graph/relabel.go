@@ -12,7 +12,7 @@ import "fmt"
 // it.
 
 // Relabel renumbers vertices: perm[old] = new. perm must be a
-// permutation of [0, |V|).
+// permutation of [0, |V|). Both CSRs of a digraph are permuted.
 func Relabel(g *Graph, perm []V) (*Graph, error) {
 	n := g.NumVertices()
 	if len(perm) != n {
@@ -25,15 +25,7 @@ func Relabel(g *Graph, perm []V) (*Graph, error) {
 		}
 		seen[p] = true
 	}
-	b := NewBuilder(n)
-	for u := V(0); u < V(n); u++ {
-		for _, w := range g.Neighbors(u) {
-			if u < w {
-				b.AddEdge(perm[u], perm[w])
-			}
-		}
-	}
-	return b.Build()
+	return g.mapped(perm, n, true), nil
 }
 
 // RelabelByDegree renumbers vertices in descending degree order and
