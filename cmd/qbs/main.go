@@ -71,10 +71,12 @@ func main() {
 		QueryWithStats(u, v qbs.V) (*qbs.SPG, qbs.QueryStats)
 	}
 	var numVertices int
+	// Every arm that builds an index builds it with these settings.
+	opts := qbs.Options{NumLandmarks: *landmarks, Strategy: qbs.Strategy(*strategy), Seed: *seed}
 
 	switch {
 	case *directed && *dataDir != "":
-		ix := directedStore(*graphPath, *dataset, *scale, *landmarks, *dataDir)
+		ix := directedStore(*graphPath, *dataset, *scale, opts, *dataDir)
 		if *stats {
 			printIndexStats(ix)
 		}
@@ -100,11 +102,7 @@ func main() {
 	case *dataDir != "":
 		g := loadGraph(*graphPath, *dataset, *scale, false)
 		start := time.Now()
-		di, err := qbs.CreateStore(*dataDir, g, qbs.StoreOptions{Index: qbs.Options{
-			NumLandmarks: *landmarks,
-			Strategy:     qbs.Strategy(*strategy),
-			Seed:         *seed,
-		}})
+		di, err := qbs.CreateStore(*dataDir, g, qbs.StoreOptions{Index: opts})
 		if err != nil {
 			fatal(err)
 		}
@@ -117,11 +115,7 @@ func main() {
 	default:
 		g := loadGraph(*graphPath, *dataset, *scale, *directed)
 		start := time.Now()
-		ix, err := qbs.BuildIndex(g, qbs.Options{
-			NumLandmarks: *landmarks,
-			Strategy:     qbs.Strategy(*strategy),
-			Seed:         *seed,
-		})
+		ix, err := qbs.BuildIndex(g, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -165,7 +159,7 @@ func main() {
 
 // directedStore is the -directed -data arm of main: recover the index
 // persisted in dataDir, or build one into it.
-func directedStore(graphPath, dataset string, scale float64, landmarks int, dataDir string) *qbs.Index {
+func directedStore(graphPath, dataset string, scale float64, opts qbs.Options, dataDir string) *qbs.Index {
 	start := time.Now()
 	if qbs.DiStoreExists(dataDir) {
 		ix, err := qbs.OpenDiStore(dataDir, qbs.DiStoreOptions{MMap: true})
@@ -179,7 +173,7 @@ func directedStore(graphPath, dataset string, scale float64, landmarks int, data
 	}
 	g := loadGraph(graphPath, dataset, scale, true)
 	start = time.Now()
-	ix, err := qbs.CreateDiStore(dataDir, g, qbs.DiStoreOptions{Index: qbs.Options{NumLandmarks: landmarks}})
+	ix, err := qbs.CreateDiStore(dataDir, g, qbs.DiStoreOptions{Index: opts})
 	if err != nil {
 		fatal(err)
 	}

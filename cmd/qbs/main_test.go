@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -188,5 +189,133 @@ func TestDirectedGraphFileAnswersTheOracle(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("printed\n%s\n\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// statsBlock maps each line of a -stats block ("  size(L):  1600 bytes")
+// to its value, leaving out the timings.
+func statsBlock(out string) map[string]string {
+	block := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		key, value, ok := strings.Cut(line, ":")
+		if !ok || !strings.HasPrefix(key, "  ") || strings.HasSuffix(key, " time") {
+			continue
+		}
+		block[strings.TrimSpace(key)] = strings.TrimSpace(value)
+	}
+	return block
+}
+
+// answerLines returns the answer lines of a run, each cut before its
+// timing.
+func answerLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "SPG(") || strings.HasPrefix(line, "DiSPG(") {
+			lines = append(lines, line[:max(strings.LastIndex(line, " ["), strings.LastIndex(line, " ("))])
+		}
+	}
+	return lines
+}
+
+// TestDirectedDataTakesEveryIndexSetting: -directed -data builds with
+// -landmarks, -strategy and -seed, as every other arm does. It refuses
+// the coverage strategy as an in-memory directed build does, building
+// nothing into the directory, and a random-landmark build persists the
+// index the in-memory run builds: the same -stats block and the same
+// answers, d⊤ included, built and reopened.
+func TestDirectedDataTakesEveryIndexSetting(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	wk := []string{"-directed", "-dataset", "WK", "-scale", "0.02", "-landmarks", "4"}
+	for _, arm := range [][]string{nil, {"-data", dir}} {
+		out, exit := runMain(t, slices.Concat(wk, []string{"-strategy", "coverage", "-random", "1"}, arm)...)
+		if exit != 1 || !strings.Contains(out, `landmark strategy "coverage" ranks an undirected graph`) {
+			t.Fatalf("-strategy coverage %v: exit %d\n%s", arm, exit, out)
+		}
+	}
+	if qbs.DiStoreExists(dir) {
+		t.Fatal("a refused build left a directed store behind")
+	}
+
+	random := slices.Concat(wk, []string{"-strategy", "random", "-seed", "9", "-stats", "-random", "20"})
+	runs := map[string][]string{
+		"in memory": random,
+		"persisted": slices.Concat(random, []string{"-data", dir}),
+		"reopened":  {"-directed", "-data", dir, "-stats", "-random", "20", "-seed", "9"},
+	}
+	var wantStats map[string]string
+	var wantAnswers []string
+	for _, name := range []string{"in memory", "persisted", "reopened"} {
+		out, exit := runMain(t, runs[name]...)
+		if exit != 0 {
+			t.Fatalf("%s: exit %d\n%s", name, exit, out)
+		}
+		stats, answers := statsBlock(out), answerLines(out)
+		if wantStats == nil {
+			wantStats, wantAnswers = stats, answers
+			if len(answers) != 20 || stats["meta edges"] == "" {
+				t.Fatalf("%s: %d answers, stats %v\n%s", name, len(answers), stats, out)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(stats, wantStats) || !slices.Equal(answers, wantAnswers) {
+			t.Fatalf("%s: stats %v and answers\n%s\nwant stats %v and answers\n%s",
+				name, stats, strings.Join(answers, "\n"), wantStats, strings.Join(wantAnswers, "\n"))
+		}
+	}
+}
+
+// TestStatsPrintsEveryArm: -stats prints the index's block on the
+// static, directed and data-directory arms: |R| landmarks and size(L) =
+// |V|·|R| bytes per labelling (a digraph has two); a store adds its
+// epoch and edge count, the others their label entries and meta-edges;
+// and a reopened data directory prints the block its building run did.
+func TestStatsPrintsEveryArm(t *testing.T) {
+	udir, ddir := filepath.Join(t.TempDir(), "u"), filepath.Join(t.TempDir(), "d")
+	do := []string{"-dataset", "DO", "-scale", "0.02", "-landmarks", "4", "-stats"}
+	wk := []string{"-directed", "-dataset", "WK", "-scale", "0.02", "-landmarks", "4", "-stats"}
+	built := map[string]map[string]string{}
+	for _, c := range []struct {
+		args       []string
+		labellings int
+		store      bool
+	}{
+		{do, 1, false},
+		{wk, 2, false},
+		{slices.Concat(do, []string{"-data", udir}), 1, true},
+		{slices.Concat(wk, []string{"-data", ddir}), 2, false},
+	} {
+		out, exit := runMain(t, c.args...)
+		if exit != 0 {
+			t.Fatalf("%v: exit %d\n%s", c.args, exit, out)
+		}
+		var n, m int
+		if _, err := fmt.Sscanf(out[strings.Index(out, "graph: "):], "graph: |V|=%d |E|=%d", &n, &m); err != nil {
+			t.Fatalf("%v: %v\n%s", c.args, err, out)
+		}
+		stats := statsBlock(out)
+		want := map[string]string{
+			"landmarks": "4",
+			"size(L)":   fmt.Sprintf("%d bytes", n*4*c.labellings),
+			"size(Δ)":   stats["size(Δ)"],
+		}
+		if c.store {
+			want["epoch"], want["edges"] = "0", fmt.Sprint(m)
+		} else {
+			want["label entries"], want["meta edges"] = stats["label entries"], stats["meta edges"]
+		}
+		if !reflect.DeepEqual(stats, want) || !strings.HasSuffix(stats["size(Δ)"], " bytes") {
+			t.Fatalf("%v: -stats block %v, want %v\n%s", c.args, stats, want, out)
+		}
+		built[strings.Join(c.args, " ")] = stats
+	}
+	for _, c := range []struct{ reopen, build []string }{
+		{[]string{"-data", udir, "-stats"}, slices.Concat(do, []string{"-data", udir})},
+		{[]string{"-directed", "-data", ddir, "-stats"}, slices.Concat(wk, []string{"-data", ddir})},
+	} {
+		out, exit := runMain(t, c.reopen...)
+		if got, want := statsBlock(out), built[strings.Join(c.build, " ")]; exit != 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: exit %d, -stats block %v, want the building run's %v\n%s", c.reopen, exit, got, want, out)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"qbs/internal/bfs"
@@ -11,8 +10,6 @@ import (
 	"qbs/internal/graph"
 	"qbs/internal/workload"
 )
-
-func datasetSpec(key string) (datasets.Spec, error) { return datasets.ByKey(key) }
 
 // Ablation (§6.5) — edges traversed per query: full-graph Bi-BFS vs an
 // unguided bidirectional search on the sparsified graph G⁻ vs the full
@@ -42,34 +39,34 @@ func (h *Harness) AblationTraversal() ([]TraversalRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix, err := core.Build(g, core.Options{NumLandmarks: h.cfg.NumLandmarks})
+		p, err := h.point(key, h.cfg.NumLandmarks, 0)
 		if err != nil {
 			return nil, err
 		}
-		isLand := func(v graph.V) bool { return ix.IsLandmark(v) }
-		sparse := g.InducedSubgraph(func(v graph.V) bool { return !isLand(v) })
+		isLand := make([]bool, g.NumVertices())
+		for _, r := range p.landmarks {
+			isLand[r] = true
+		}
+		sparse := g.InducedSubgraph(func(v graph.V) bool { return !isLand[v] })
 		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
 
 		bib := bfs.NewBidirectional(g)
 		bibSparse := bfs.NewBidirectional(sparse)
-		sr := core.NewSearcher(ix)
-		var aFull, aSparse, aQbS int64
-		for _, p := range pairs {
-			_, st := bib.Query(p.U, p.V)
+		var aFull, aSparse int64
+		for _, q := range pairs {
+			_, st := bib.Query(q.U, q.V)
 			aFull += st.ArcsScanned
-			if !isLand(p.U) && !isLand(p.V) {
-				_, st2 := bibSparse.Query(p.U, p.V)
+			if !isLand[q.U] && !isLand[q.V] {
+				_, st2 := bibSparse.Query(q.U, q.V)
 				aSparse += st2.ArcsScanned
 			}
-			_, st3 := sr.QueryWithStats(p.U, p.V)
-			aQbS += st3.ArcsScanned
 		}
 		n := float64(len(pairs))
 		row := TraversalRow{
 			Key:            key,
 			ArcsBiBFS:      float64(aFull) / n,
 			ArcsSparsified: float64(aSparse) / n,
-			ArcsQbS:        float64(aQbS) / n,
+			ArcsQbS:        p.arcs,
 		}
 		if row.ArcsBiBFS > 0 {
 			row.ReductionSpars = 1 - row.ArcsSparsified/row.ArcsBiBFS
@@ -113,7 +110,7 @@ func (h *Harness) AblationScale(scales []float64) ([]ScaleRow, error) {
 		header: []string{"Dataset", "scale", "|V|", "|E|", "QbS query", "Bi-BFS query", "speedup"},
 	}
 	for _, key := range h.sortedKeys() {
-		spec, err := datasetSpec(key)
+		spec, err := datasets.ByKey(key)
 		if err != nil {
 			return nil, err
 		}
@@ -126,17 +123,9 @@ func (h *Harness) AblationScale(scales []float64) ([]ScaleRow, error) {
 			}
 			pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
 			sr := core.NewSearcher(ix)
-			start := time.Now()
-			for _, p := range pairs {
-				sr.Query(p.U, p.V)
-			}
-			qbsTime := time.Since(start) / time.Duration(len(pairs))
+			qbsTime := meanQueryTime(pairs, func(q workload.Pair) { sr.Query(q.U, q.V) })
 			bib := bfs.NewBidirectional(g)
-			start = time.Now()
-			for _, p := range pairs {
-				bib.Query(p.U, p.V)
-			}
-			bibTime := time.Since(start) / time.Duration(len(pairs))
+			bibTime := meanQueryTime(pairs, func(q workload.Pair) { bib.Query(q.U, q.V) })
 			row := ScaleRow{
 				Key: key, Scale: sc, Vertices: g.NumVertices(), Edges: g.NumEdges(),
 				QbS: qbsTime, BiBFS: bibTime,
@@ -185,25 +174,12 @@ func (h *Harness) AblationDirected() ([]DirectedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(h.cfg.Seed))
-		type qp struct{ u, v graph.V }
-		pairs := make([]qp, h.cfg.NumQueries)
-		for i := range pairs {
-			pairs[i] = qp{graph.V(rng.Intn(g.NumVertices())), graph.V(rng.Intn(g.NumVertices()))}
-		}
+		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
 		sr := core.NewSearcher(ix)
 		spg := new(graph.SPG)
-		start := time.Now()
-		for _, p := range pairs {
-			sr.QueryInto(spg, p.u, p.v)
-		}
-		qbsTime := time.Since(start) / time.Duration(len(pairs))
+		qbsTime := meanQueryTime(pairs, func(q workload.Pair) { sr.QueryInto(spg, q.U, q.V) })
 		bib := bfs.NewBidirectional(g)
-		start = time.Now()
-		for _, p := range pairs {
-			bib.Query(p.u, p.v)
-		}
-		bibTime := time.Since(start) / time.Duration(len(pairs))
+		bibTime := meanQueryTime(pairs, func(q workload.Pair) { bib.Query(q.U, q.V) })
 		row := DirectedRow{
 			Key: key, Vertices: g.NumVertices(), Arcs: g.NumArcs(),
 			Build: ix.Stats().TotalTime, Query: qbsTime, BiBFS: bibTime,
@@ -228,55 +204,23 @@ type StrategyRow struct {
 	Labels   int64   // size(L)+size(Δ)
 }
 
-// AblationLandmarks compares degree, random and coverage strategies.
+// AblationLandmarks compares the landmarkStrategies at |R| = Config.NumLandmarks.
 func (h *Harness) AblationLandmarks() ([]StrategyRow, error) {
-	strategies := []struct {
-		name string
-		fn   core.LandmarkStrategy
-	}{
-		{"degree", core.ByDegree},
-		{"random", core.Random},
-		{"coverage", core.ByCoverage},
-		{"betweenness", core.ByApproxBetweenness},
-	}
 	var rows []StrategyRow
 	t := &table{
 		title:  "Ablation (§8) — landmark selection strategies",
 		header: []string{"Dataset", "Strategy", "mean query", "pair coverage", "index size"},
 	}
 	for _, key := range h.sortedKeys() {
-		g, err := h.Graph(key)
-		if err != nil {
-			return nil, err
-		}
-		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
-		for _, s := range strategies {
-			ix, err := core.Build(g, core.Options{
-				NumLandmarks: h.cfg.NumLandmarks, Strategy: s.fn, Seed: h.cfg.Seed,
-			})
+		for i, s := range landmarkStrategies {
+			p, err := h.point(key, h.cfg.NumLandmarks, i)
 			if err != nil {
 				return nil, err
 			}
-			sr := core.NewSearcher(ix)
-			var covered, counted int
-			start := time.Now()
-			for _, p := range pairs {
-				_, st := sr.QueryWithStats(p.U, p.V)
-				if st.Coverage == core.CoverageTrivial {
-					continue
-				}
-				counted++
-				if st.Coverage != core.CoverageNone {
-					covered++
-				}
-			}
 			row := StrategyRow{
-				Key: key, Strategy: s.name,
-				Query:  time.Since(start) / time.Duration(len(pairs)),
-				Labels: ix.SizeLabelsBytes() + ix.SizeDeltaBytes(),
-			}
-			if counted > 0 {
-				row.Coverage = float64(covered) / float64(counted)
+				Key: key, Strategy: s.name, Query: p.query,
+				Coverage: p.covered(core.CoverageSome, core.CoverageAll),
+				Labels:   p.labelBytes + p.deltaBytes,
 			}
 			rows = append(rows, row)
 			t.add(key, s.name, fmtDuration(row.Query),

@@ -6,9 +6,14 @@
 // cmd/qbs-bench runs it and EXPERIMENTS.md is the committed output of one
 // run, each section beside the claim it is held against.
 //
-// Each runner builds the required indexes over the synthetic dataset
-// analogs, executes the workload, renders one markdown table to the
-// configured writer and returns the raw rows for programmatic use.
+// The paper's evaluation is one set of measurements over the synthetic
+// dataset analogs, and a Harness memoises it: each analog is generated
+// once, each (analog, |R|) index is built and queried over the sampled
+// pairs once — its build statistics, sizes, mean query time, coverage,
+// arcs scanned and answered distances kept as one point — and each PPL
+// and ParentPPL baseline is built once under its budget. The runners read
+// those memos, measure what only they need, render one markdown table to
+// the configured writer and return the raw rows for programmatic use.
 //
 // What a served request costs — build, query percentiles, allocations,
 // store, replica and tracing overheads — is not measured here: that is
@@ -85,15 +90,22 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Harness caches generated graphs across experiments in one process.
+// Harness caches generated graphs and measured passes (point.go) across
+// experiments in one process.
 type Harness struct {
-	cfg    Config
-	graphs map[string]*graph.Graph
+	cfg          Config
+	graphs       map[string]*graph.Graph
+	pointMemo    map[pointKey]*point
+	baselineMemo map[baselineKey]*baseline
+	passes       int // points and baselines measured
 }
 
 // New creates a harness.
 func New(cfg Config) *Harness {
-	return &Harness{cfg: cfg.WithDefaults(), graphs: map[string]*graph.Graph{}}
+	return &Harness{
+		cfg: cfg.WithDefaults(), graphs: map[string]*graph.Graph{},
+		pointMemo: map[pointKey]*point{}, baselineMemo: map[baselineKey]*baseline{},
+	}
 }
 
 // Config returns the effective configuration.

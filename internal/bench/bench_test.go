@@ -3,9 +3,13 @@ package bench
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"qbs/internal/graph"
+	"qbs/internal/workload"
 )
 
 func tinyHarness() *Harness {
@@ -112,6 +116,67 @@ func TestFigures(t *testing.T) {
 		if c.Query <= 0 {
 			t.Fatalf("fig11 empty: %+v", c)
 		}
+	}
+}
+
+// TestFig7IsMeasureDistances: Figure 7's distribution, read off the
+// index's answers in a point, is the one a BFS per pair measures over
+// the same pairs — on the tiny analogs and on a graph where most pairs
+// are disconnected.
+func TestFig7IsMeasureDistances(t *testing.T) {
+	h := tinyHarness()
+	check := func(key string, r int) {
+		t.Helper()
+		p, err := h.point(key, r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := h.Graph(key)
+		want := workload.MeasureDistances(g, workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed))
+		if !reflect.DeepEqual(p.distances, want) {
+			t.Fatalf("%s: point distribution %+v, MeasureDistances %+v", key, p.distances, want)
+		}
+	}
+	for _, key := range h.sortedKeys() {
+		check(key, h.cfg.NumLandmarks)
+	}
+	// A path, a triangle and an isolated vertex, under the key "split".
+	h.graphs["split"] = graph.MustFromEdges(8, []graph.Edge{{U: 0, W: 1}, {U: 1, W: 2}, {U: 2, W: 3}, {U: 4, W: 5}, {U: 5, W: 6}, {U: 4, W: 6}})
+	check("split", 2)
+	if p, _ := h.point("split", 2, 0); p.distances.Unreachable == 0 {
+		t.Fatal("no disconnected pair sampled")
+	}
+}
+
+// TestEachPassMeasuredOnce: the tables, figures and the §6.5 and §8
+// ablations run on one harness build and query each (analog, |R|,
+// strategy) index once and each PPL baseline once, whichever runner asks
+// first.
+func TestEachPassMeasuredOnce(t *testing.T) {
+	h := tinyHarness()
+	runs := []func() error{
+		func() error { _, err := h.Table2(); return err },
+		func() error { _, err := h.Table3(); return err },
+		func() error { _, err := h.Fig7(); return err },
+		func() error { _, err := h.Fig8([]int{8, 16}); return err },
+		func() error { _, err := h.Fig9([]int{8, 16}); return err },
+		func() error { _, err := h.Fig10([]int{4, 8, 16}); return err },
+		func() error { _, err := h.Fig11([]int{4, 8, 16}); return err },
+		func() error { _, err := h.AblationTraversal(); return err },
+		func() error { _, err := h.AblationLandmarks(); return err },
+	}
+	for _, run := range runs {
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// DO and FR at |R| = 4, 8 and 16 by degree, and at 8 by the three
+	// other strategies; PPL and ParentPPL on each.
+	if len(h.pointMemo) != 2*(3+3) || len(h.baselineMemo) != 2*2 {
+		t.Fatalf("%d points and %d baselines, want 12 and 4", len(h.pointMemo), len(h.baselineMemo))
+	}
+	if h.passes != len(h.pointMemo)+len(h.baselineMemo) {
+		t.Fatalf("%d passes measured for %d points and %d baselines", h.passes, len(h.pointMemo), len(h.baselineMemo))
 	}
 }
 

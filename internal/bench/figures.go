@@ -40,12 +40,13 @@ func (h *Harness) Fig7() ([]Fig7Row, error) {
 	}
 	t.header = append(t.header, fmt.Sprintf("d≥%d", fig7Tail))
 	for _, key := range h.sortedKeys() {
-		g, err := h.Graph(key)
+		// The index answers every sampled pair exactly: its distances are
+		// the distribution (TestFig7IsMeasureDistances).
+		p, err := h.point(key, h.cfg.NumLandmarks, 0)
 		if err != nil {
 			return nil, err
 		}
-		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
-		dd := workload.MeasureDistances(g, pairs)
+		dd := p.distances
 		rows = append(rows, Fig7Row{Key: key, Distribution: dd})
 
 		fractions := make([]float64, fig7Tail+1)
@@ -60,6 +61,34 @@ func (h *Harness) Fig7() ([]Fig7Row, error) {
 	}
 	t.render(h.cfg.Out)
 	return rows, nil
+}
+
+// sweep renders one row per analog with, per |R| of sweep (nil =
+// dflt), the columns named by formatting each of cols with |R| and
+// filled by cells from that (analog, |R|) point.
+func (h *Harness) sweep(title string, sweep, dflt []int, cols []string, cells func(key string, r int, p *point) []string) error {
+	if len(sweep) == 0 {
+		sweep = dflt
+	}
+	t := &table{title: title, header: []string{"Dataset"}}
+	for _, r := range sweep {
+		for _, c := range cols {
+			t.header = append(t.header, fmt.Sprintf(c, r))
+		}
+	}
+	for _, key := range h.sortedKeys() {
+		row := []string{key}
+		for _, r := range sweep {
+			p, err := h.point(key, r, 0)
+			if err != nil {
+				return err
+			}
+			row = append(row, cells(key, r, p)...)
+		}
+		t.add(row...)
+	}
+	t.render(h.cfg.Out)
+	return nil
 }
 
 // Figure 8 — pair coverage ratios under varying landmark counts.
@@ -77,56 +106,15 @@ type Fig8Cell struct {
 
 // Fig8 reproduces the pair-coverage experiment.
 func (h *Harness) Fig8(sweep []int) ([]Fig8Cell, error) {
-	if len(sweep) == 0 {
-		sweep = LandmarkSweep
-	}
 	var cells []Fig8Cell
-	t := &table{
-		title:  "Figure 8 — pair coverage ratio (all/some shortest paths through landmarks)",
-		header: []string{"Dataset"},
-	}
-	for _, k := range sweep {
-		t.header = append(t.header, fmt.Sprintf("R=%d all", k), fmt.Sprintf("R=%d some", k))
-	}
-	for _, key := range h.sortedKeys() {
-		g, err := h.Graph(key)
-		if err != nil {
-			return nil, err
-		}
-		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
-		row := []string{key}
-		for _, k := range sweep {
-			ix, err := core.Build(g, core.Options{NumLandmarks: k})
-			if err != nil {
-				return nil, err
-			}
-			sr := core.NewSearcher(ix)
-			var all, some, counted int
-			for _, p := range pairs {
-				_, st := sr.QueryWithStats(p.U, p.V)
-				if st.Coverage == core.CoverageTrivial {
-					continue
-				}
-				counted++
-				switch st.Coverage {
-				case core.CoverageAll:
-					all++
-				case core.CoverageSome:
-					some++
-				}
-			}
-			cell := Fig8Cell{Key: key, NumLandmarks: k}
-			if counted > 0 {
-				cell.FractionAll = float64(all) / float64(counted)
-				cell.FractionSome = float64(some) / float64(counted)
-			}
-			cells = append(cells, cell)
-			row = append(row, fmt.Sprintf("%.3f", cell.FractionAll), fmt.Sprintf("%.3f", cell.FractionSome))
-		}
-		t.add(row...)
-	}
-	t.render(h.cfg.Out)
-	return cells, nil
+	err := h.sweep("Figure 8 — pair coverage ratio (all/some shortest paths through landmarks)",
+		sweep, LandmarkSweep, []string{"R=%d all", "R=%d some"}, func(key string, r int, p *point) []string {
+			c := Fig8Cell{Key: key, NumLandmarks: r,
+				FractionAll: p.covered(core.CoverageAll), FractionSome: p.covered(core.CoverageSome)}
+			cells = append(cells, c)
+			return []string{fmt.Sprintf("%.3f", c.FractionAll), fmt.Sprintf("%.3f", c.FractionSome)}
+		})
+	return cells, err
 }
 
 // Figure 9 — labelling sizes under varying landmark counts.
@@ -141,37 +129,14 @@ type Fig9Cell struct {
 
 // Fig9 reproduces the labelling-size sweep.
 func (h *Harness) Fig9(sweep []int) ([]Fig9Cell, error) {
-	if len(sweep) == 0 {
-		sweep = LandmarkSweep
-	}
 	var cells []Fig9Cell
-	t := &table{
-		title:  "Figure 9 — labelling size vs number of landmarks",
-		header: []string{"Dataset"},
-	}
-	for _, k := range sweep {
-		t.header = append(t.header, fmt.Sprintf("R=%d", k))
-	}
-	for _, key := range h.sortedKeys() {
-		g, err := h.Graph(key)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{key}
-		for _, k := range sweep {
-			ix, err := core.Build(g, core.Options{NumLandmarks: k})
-			if err != nil {
-				return nil, err
-			}
-			cell := Fig9Cell{Key: key, NumLandmarks: k,
-				LabelBytes: ix.SizeLabelsBytes(), DeltaBytes: ix.SizeDeltaBytes()}
-			cells = append(cells, cell)
-			row = append(row, fmtBytes(cell.LabelBytes+cell.DeltaBytes))
-		}
-		t.add(row...)
-	}
-	t.render(h.cfg.Out)
-	return cells, nil
+	err := h.sweep("Figure 9 — labelling size vs number of landmarks",
+		sweep, LandmarkSweep, []string{"R=%d"}, func(key string, r int, p *point) []string {
+			c := Fig9Cell{Key: key, NumLandmarks: r, LabelBytes: p.labelBytes, DeltaBytes: p.deltaBytes}
+			cells = append(cells, c)
+			return []string{fmtBytes(c.LabelBytes + c.DeltaBytes)}
+		})
+	return cells, err
 }
 
 // Figure 10 — construction time under varying landmark counts.
@@ -186,36 +151,14 @@ type Fig10Cell struct {
 // Fig10 reproduces the construction-time sweep (QbS-P, as in the paper's
 // scalability argument).
 func (h *Harness) Fig10(sweep []int) ([]Fig10Cell, error) {
-	if len(sweep) == 0 {
-		sweep = LandmarkSweepFull
-	}
 	var cells []Fig10Cell
-	t := &table{
-		title:  "Figure 10 — construction time vs number of landmarks",
-		header: []string{"Dataset"},
-	}
-	for _, k := range sweep {
-		t.header = append(t.header, fmt.Sprintf("R=%d", k))
-	}
-	for _, key := range h.sortedKeys() {
-		g, err := h.Graph(key)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{key}
-		for _, k := range sweep {
-			ix, err := core.Build(g, core.Options{NumLandmarks: k})
-			if err != nil {
-				return nil, err
-			}
-			cell := Fig10Cell{Key: key, NumLandmarks: k, Build: ix.Stats().TotalTime}
-			cells = append(cells, cell)
-			row = append(row, fmtDuration(cell.Build))
-		}
-		t.add(row...)
-	}
-	t.render(h.cfg.Out)
-	return cells, nil
+	err := h.sweep("Figure 10 — construction time vs number of landmarks",
+		sweep, LandmarkSweepFull, []string{"R=%d"}, func(key string, r int, p *point) []string {
+			c := Fig10Cell{Key: key, NumLandmarks: r, Build: p.build.TotalTime}
+			cells = append(cells, c)
+			return []string{fmtDuration(c.Build)}
+		})
+	return cells, err
 }
 
 // Figure 11 — average query time under varying landmark counts.
@@ -229,41 +172,12 @@ type Fig11Cell struct {
 
 // Fig11 reproduces the query-time sweep.
 func (h *Harness) Fig11(sweep []int) ([]Fig11Cell, error) {
-	if len(sweep) == 0 {
-		sweep = LandmarkSweepFull
-	}
 	var cells []Fig11Cell
-	t := &table{
-		title:  "Figure 11 — average query time vs number of landmarks",
-		header: []string{"Dataset"},
-	}
-	for _, k := range sweep {
-		t.header = append(t.header, fmt.Sprintf("R=%d", k))
-	}
-	for _, key := range h.sortedKeys() {
-		g, err := h.Graph(key)
-		if err != nil {
-			return nil, err
-		}
-		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
-		row := []string{key}
-		for _, k := range sweep {
-			ix, err := core.Build(g, core.Options{NumLandmarks: k})
-			if err != nil {
-				return nil, err
-			}
-			sr := core.NewSearcher(ix)
-			start := time.Now()
-			for _, p := range pairs {
-				sr.Query(p.U, p.V)
-			}
-			cell := Fig11Cell{Key: key, NumLandmarks: k,
-				Query: time.Since(start) / time.Duration(len(pairs))}
-			cells = append(cells, cell)
-			row = append(row, fmtDuration(cell.Query))
-		}
-		t.add(row...)
-	}
-	t.render(h.cfg.Out)
-	return cells, nil
+	err := h.sweep("Figure 11 — average query time vs number of landmarks",
+		sweep, LandmarkSweepFull, []string{"R=%d"}, func(key string, r int, p *point) []string {
+			c := Fig11Cell{Key: key, NumLandmarks: r, Query: p.query}
+			cells = append(cells, c)
+			return []string{fmtDuration(c.Query)}
+		})
+	return cells, err
 }

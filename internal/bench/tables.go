@@ -7,7 +7,6 @@ import (
 	"qbs/internal/bfs"
 	"qbs/internal/core"
 	"qbs/internal/datasets"
-	"qbs/internal/ppl"
 	"qbs/internal/workload"
 )
 
@@ -62,9 +61,9 @@ func (h *Harness) Table1() ([]Table1Row, error) {
 
 // Table 2 — construction time and average query time.
 
-// Table2Row reports per-dataset construction and query timings. A nil
-// duration pointer means the method did not complete: Failure* records
-// whether it was DNF (time budget) or OOE (size budget).
+// Table2Row reports per-dataset construction and query timings. A
+// baseline that did not complete has zero durations, and its Failure
+// field records whether it was DNF (time budget) or OOE (size budget).
 type Table2Row struct {
 	Key string
 
@@ -96,100 +95,43 @@ func (h *Harness) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Table2Row{Key: key}
-
-		// QbS-P: parallel labelling construction.
-		ixP, err := core.Build(g, core.Options{NumLandmarks: h.cfg.NumLandmarks})
+		// QbS-P (parallel labelling) and the QbS query: the |R| point.
+		p, err := h.point(key, h.cfg.NumLandmarks, 0)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", key, err)
+			return nil, err
 		}
-		row.BuildQbSP = ixP.Stats().TotalTime
-
 		// QbS: sequential labelling construction.
 		ixS, err := core.Build(g, core.Options{NumLandmarks: h.cfg.NumLandmarks, Parallelism: 1})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", key, err)
 		}
-		row.BuildQbS = ixS.Stats().TotalTime
-
-		// PPL / ParentPPL under the paper-style budgets.
-		pplIx, err := ppl.Build(g, ppl.Options{
-			MaxTime: h.cfg.PPLBudget, MaxLabelBytes: h.cfg.LabelByteBudget,
-		})
-		switch err {
-		case nil:
-			row.BuildPPL = pplIx.BuildTime()
-		case ppl.ErrTimeBudget:
-			row.PPLFailure = "DNF"
-		case ppl.ErrSizeBudget:
-			row.PPLFailure = "OOE"
-		default:
+		pl, err := h.baseline(key, false)
+		if err != nil {
 			return nil, err
 		}
-		parentIx, err := ppl.Build(g, ppl.Options{
-			WithParents: true, MaxTime: h.cfg.ParentPPLBudget, MaxLabelBytes: h.cfg.LabelByteBudget,
-		})
-		switch err {
-		case nil:
-			row.BuildParent = parentIx.BuildTime()
-		case ppl.ErrTimeBudget:
-			row.ParentFailure = "DNF"
-		case ppl.ErrSizeBudget:
-			row.ParentFailure = "OOE"
-		default:
+		parent, err := h.baseline(key, true)
+		if err != nil {
 			return nil, err
 		}
-
-		// Query timings over the shared workload.
 		pairs := workload.SamplePairs(g, h.cfg.NumQueries, h.cfg.Seed)
-		row.QueriesMeasured = len(pairs)
-
-		sr := core.NewSearcher(ixP)
-		start := time.Now()
-		for _, p := range pairs {
-			sr.Query(p.U, p.V)
-		}
-		row.QueryQbS = time.Since(start) / time.Duration(len(pairs))
-
-		if pplIx != nil && row.PPLFailure == "" {
-			start = time.Now()
-			for _, p := range pairs {
-				pplIx.Query(p.U, p.V)
-			}
-			row.QueryPPL = time.Since(start) / time.Duration(len(pairs))
-		}
-		if parentIx != nil && row.ParentFailure == "" {
-			start = time.Now()
-			for _, p := range pairs {
-				parentIx.Query(p.U, p.V)
-			}
-			row.QueryParent = time.Since(start) / time.Duration(len(pairs))
-		}
-
 		bib := bfs.NewBidirectional(g)
-		start = time.Now()
-		for _, p := range pairs {
-			bib.Query(p.U, p.V)
+		row := Table2Row{
+			Key:       key,
+			BuildQbSP: p.build.TotalTime, BuildQbS: ixS.Stats().TotalTime,
+			BuildPPL: pl.build, PPLFailure: pl.failure,
+			BuildParent: parent.build, ParentFailure: parent.failure,
+			QueryQbS: p.query, QueryPPL: pl.query, QueryParent: parent.query,
+			QueryBiBFS:      meanQueryTime(pairs, func(q workload.Pair) { bib.Query(q.U, q.V) }),
+			QueriesMeasured: len(pairs),
 		}
-		row.QueryBiBFS = time.Since(start) / time.Duration(len(pairs))
 		if row.QueryQbS > 0 {
 			row.SpeedupVsBiBFS = float64(row.QueryBiBFS) / float64(row.QueryQbS)
 		}
 		rows = append(rows, row)
-
-		orDash := func(d time.Duration, failure string) string {
-			if failure != "" {
-				return failure
-			}
-			if d == 0 {
-				return "-"
-			}
-			return fmtDuration(d)
-		}
 		t.add(key, fmtDuration(row.BuildQbSP), fmtDuration(row.BuildQbS),
-			orDash(row.BuildPPL, row.PPLFailure), orDash(row.BuildParent, row.ParentFailure),
-			fmtDuration(row.QueryQbS), orDash(row.QueryPPL, row.PPLFailure),
-			orDash(row.QueryParent, row.ParentFailure), fmtDuration(row.QueryBiBFS),
+			pl.or(fmtDuration(row.BuildPPL)), parent.or(fmtDuration(row.BuildParent)),
+			fmtDuration(row.QueryQbS), pl.or(fmtDuration(row.QueryPPL)),
+			parent.or(fmtDuration(row.QueryParent)), fmtDuration(row.QueryBiBFS),
 			fmt.Sprintf("%.1fx", row.SpeedupVsBiBFS))
 	}
 	t.render(h.cfg.Out)
@@ -223,48 +165,28 @@ func (h *Harness) Table3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix, err := core.Build(g, core.Options{NumLandmarks: h.cfg.NumLandmarks})
+		p, err := h.point(key, h.cfg.NumLandmarks, 0)
+		if err != nil {
+			return nil, err
+		}
+		pl, err := h.baseline(key, false)
+		if err != nil {
+			return nil, err
+		}
+		parent, err := h.baseline(key, true)
 		if err != nil {
 			return nil, err
 		}
 		row := Table3Row{
-			Key:        key,
-			QbSLabels:  ix.SizeLabelsBytes(),
-			QbSDelta:   ix.SizeDeltaBytes(),
-			QbSMeta:    ix.SizeMetaBytes(),
+			Key:       key,
+			QbSLabels: p.labelBytes, QbSDelta: p.deltaBytes, QbSMeta: p.metaBytes,
+			PPLBytes: pl.bytes, PPLFailure: pl.failure,
+			ParentBytes: parent.bytes, ParentFailure: parent.failure,
 			GraphBytes: g.SizeBytes(),
 		}
-		if p, err := ppl.Build(g, ppl.Options{MaxTime: h.cfg.PPLBudget, MaxLabelBytes: h.cfg.LabelByteBudget}); err == nil {
-			row.PPLBytes = p.SizeBytes()
-		} else if err == ppl.ErrTimeBudget {
-			row.PPLFailure = "DNF"
-		} else if err == ppl.ErrSizeBudget {
-			row.PPLFailure = "OOE"
-		} else {
-			return nil, err
-		}
-		if p, err := ppl.Build(g, ppl.Options{WithParents: true, MaxTime: h.cfg.ParentPPLBudget, MaxLabelBytes: h.cfg.LabelByteBudget}); err == nil {
-			row.ParentBytes = p.SizeBytes()
-		} else if err == ppl.ErrTimeBudget {
-			row.ParentFailure = "DNF"
-		} else if err == ppl.ErrSizeBudget {
-			row.ParentFailure = "OOE"
-		} else {
-			return nil, err
-		}
 		rows = append(rows, row)
-
-		orDash := func(b int64, failure string) string {
-			if failure != "" {
-				return failure
-			}
-			if b == 0 {
-				return "-"
-			}
-			return fmtBytes(b)
-		}
 		t.add(key, fmtBytes(row.QbSLabels), fmtBytes(row.QbSDelta),
-			orDash(row.PPLBytes, row.PPLFailure), orDash(row.ParentBytes, row.ParentFailure),
+			pl.or(fmtBytes(row.PPLBytes)), parent.or(fmtBytes(row.ParentBytes)),
 			fmtBytes(row.GraphBytes))
 	}
 	t.render(h.cfg.Out)
