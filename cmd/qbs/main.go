@@ -181,12 +181,17 @@ func directedStore(graphPath, dataset string, scale float64, opts qbs.Options, d
 	return ix
 }
 
-// printIndexStats is the -stats block of an immutable index.
+// printIndexStats is the -stats block of an immutable index. The
+// timings are printed only for an index built in this process: a build
+// records its parallelism, at least 1, while an index reopened from a
+// data directory carries no build timings to print.
 func printIndexStats(ix *qbs.Index) {
 	st := ix.Stats()
 	fmt.Printf("  landmarks:      %d\n", len(ix.Landmarks()))
-	fmt.Printf("  labelling time: %s (parallelism %d)\n", st.LabellingTime.Round(time.Microsecond), st.Parallelism)
-	fmt.Printf("  meta/Δ time:    %s\n", st.MetaTime.Round(time.Microsecond))
+	if st.Parallelism > 0 {
+		fmt.Printf("  labelling time: %s (parallelism %d)\n", st.LabellingTime.Round(time.Microsecond), st.Parallelism)
+		fmt.Printf("  meta/Δ time:    %s\n", st.MetaTime.Round(time.Microsecond))
+	}
 	fmt.Printf("  label entries:  %d\n", st.LabelEntries)
 	fmt.Printf("  meta edges:     %d\n", st.MetaEdges)
 	fmt.Printf("  size(L):        %d bytes\n", ix.SizeLabelsBytes())
@@ -262,8 +267,12 @@ func loadGraph(path, dataset string, scale float64, directed bool) *qbs.Graph {
 }
 
 func fatal(err error) {
+	msg := err.Error()
 	obs.DefaultJournal.Def("process", "error", obs.LevelError).
-		Emit(obs.Str("stage", "fatal"), obs.Str("error", err.Error()))
-	fmt.Fprintln(os.Stderr, "qbs:", err)
+		Emit(obs.Str("stage", "fatal"), obs.Str("error", msg))
+	if !strings.HasPrefix(msg, "qbs: ") {
+		msg = "qbs: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

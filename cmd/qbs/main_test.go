@@ -307,6 +307,9 @@ func TestStatsPrintsEveryArm(t *testing.T) {
 		if !reflect.DeepEqual(stats, want) || !strings.HasSuffix(stats["size(Δ)"], " bytes") {
 			t.Fatalf("%v: -stats block %v, want %v\n%s", c.args, stats, want, out)
 		}
+		if timed := buildTimings(out); timed != !c.store {
+			t.Fatalf("%v: build timings printed %v, want %v\n%s", c.args, timed, !c.store, out)
+		}
 		built[strings.Join(c.args, " ")] = stats
 	}
 	for _, c := range []struct{ reopen, build []string }{
@@ -316,6 +319,35 @@ func TestStatsPrintsEveryArm(t *testing.T) {
 		out, exit := runMain(t, c.reopen...)
 		if got, want := statsBlock(out), built[strings.Join(c.build, " ")]; exit != 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: exit %d, -stats block %v, want the building run's %v\n%s", c.reopen, exit, got, want, out)
+		}
+		if strings.Contains(out, "labelling time:") || strings.Contains(out, "meta/Δ time:") {
+			t.Fatalf("%v: a reopened index prints build timings it never measured\n%s", c.reopen, out)
+		}
+	}
+}
+
+// buildTimings reports whether a run's -stats block prints the build's
+// labelling and meta/Δ timings.
+func buildTimings(out string) bool {
+	return strings.Contains(out, "  labelling time: ") && strings.Contains(out, "  meta/Δ time: ")
+}
+
+// TestFatalNamesTheCommandOnce: an error reaches stderr prefixed "qbs: "
+// once, whether the command wrote it (a missing graph source) or the
+// library did and already named itself (a refused build).
+func TestFatalNamesTheCommandOnce(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-random 1", "qbs: one of -graph or -dataset is required (or -data with an existing store)\n"},
+		{"-directed -dataset WK -scale 0.02 -landmarks 4 -strategy coverage -random 1",
+			"qbs: landmark strategy \"coverage\" ranks an undirected graph; use degree or random on a directed one\n"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "QBS_MAIN_ARGS="+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || stderr.String() != c.want {
+			t.Errorf("qbs %s: %v, stderr %q, want exit 1 and %q", c.args, err, stderr.String(), c.want)
 		}
 	}
 }

@@ -320,8 +320,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	degsOut, degsIn := g.Degrees()
-	return sh.build(start, &Index{g: g, out: g.OutView(), in: g.InView()}, degsOut, degsIn, opts, nil)
+	return sh.build(start, &Index{g: g, out: g.OutView(), in: g.InView()}, opts, nil)
 }
 
 // BuildMaintained is Build over any undirected adjacency — the dynamic
@@ -342,21 +341,17 @@ func (sh *Shell) BuildMaintained(a graph.Adjacency, parallelism int) (*Index, []
 		dist[r][root] = 0
 	}
 	opts := Options{Parallelism: parallelism}.withDefaults(sh.NumVertices())
-	ix, err := sh.build(start, &Index{out: a, in: a}, nil, nil, opts, dist)
+	ix, err := sh.build(start, &Index{out: a, in: a}, opts, dist)
 	return ix, dist, err
 }
 
 // build runs construction for the shell's landmarks into ix, which
-// arrives holding its graph and adjacency pair. degsOut and degsIn cache
-// per-vertex degrees as flat arrays for the α/β direction heuristic of
-// the labelling sweeps (an interface Degree call per frontier vertex
-// would dominate the switch bookkeeping; one array when symmetric, nil
-// over a mutable adjacency).
-func (sh *Shell) build(start time.Time, ix *Index, degsOut, degsIn []int32, opts Options, dist [][]int32) (*Index, error) {
+// arrives holding its graph and adjacency pair.
+func (sh *Shell) build(start time.Time, ix *Index, opts Options, dist [][]int32) (*Index, error) {
 	ix.Shell = *sh
 
 	labStart := time.Now()
-	if err := ix.buildLabelling(opts.Parallelism, degsOut, degsIn, dist); err != nil {
+	if err := ix.buildLabelling(opts.Parallelism, dist); err != nil {
 		return nil, err
 	}
 	ix.build.LabellingTime = time.Since(labStart)

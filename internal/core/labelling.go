@@ -49,7 +49,7 @@ import (
 
 // batchBFS sweeps one batch of up to 64 landmarks (ranks
 // [base, base+len(cols))) through the bit-parallel engine along push
-// (pull is its reverse, deg its cached degrees), writing the batch's
+// (pull is its reverse), writing the batch's
 // label columns and returning the meta-edges (root → landmark reached).
 // With dist non-nil it also writes every settled vertex's plain BFS
 // depth into the batch's distance columns — the bits that arrived
@@ -62,12 +62,12 @@ import (
 // list (a rare, landmark-only event) takes a mutex. Nothing is counted
 // per settle: a shared counter there would put one cache line under
 // contention for a whole bottom-up level.
-func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, deg []int32, cols [][]uint8, dist [][]int32) ([]metaEdge, error) {
+func (sh *Shell) batchBFS(eng *traverse.MultiBFS, base int, push, pull graph.Adjacency, cols [][]uint8, dist [][]int32) ([]metaEdge, error) {
 	roots := sh.landmarks[base : base+len(cols)]
 	var metas []metaEdge
 	var mu sync.Mutex
 	par := eng.Parallelism > 1
-	err := eng.RunDirected(push, pull, deg, sh.landIdx, roots, MaxLabelDist,
+	err := eng.RunDirected(push, pull, nil, sh.landIdx, roots, MaxLabelDist,
 		func(v graph.V, depth int32, newL, newN uint64) {
 			if dist != nil {
 				for w := newL | newN; w != 0; w &= w - 1 {
@@ -131,7 +131,7 @@ func (sh *Shell) SweepColumn(eng *traverse.MultiBFS, a graph.Adjacency, rank int
 	for i := range sigmaRow {
 		sigmaRow[i] = NoEntry
 	}
-	metas, err := sh.batchBFS(eng, rank, a, a, nil, [][]uint8{lab}, [][]int32{dist})
+	metas, err := sh.batchBFS(eng, rank, a, a, [][]uint8{lab}, [][]int32{dist})
 	for _, e := range metas {
 		sigmaRow[e.b] = uint8(e.weight)
 	}
@@ -147,7 +147,7 @@ func (sh *Shell) SweepColumn(eng *traverse.MultiBFS, a graph.Adjacency, rank int
 // common case: the paper's |R| = 20 is a single batch) is spent inside
 // each sweep as the width of its bottom-up levels; the per-batch
 // meta-edges are merged at the end.
-func (ix *Index) buildLabelling(parallelism int, degsOut, degsIn []int32, dist [][]int32) error {
+func (ix *Index) buildLabelling(parallelism int, dist [][]int32) error {
 	n := ix.out.NumVertices()
 	R := ix.numLand
 	sym := ix.symmetric()
@@ -171,11 +171,11 @@ func (ix *Index) buildLabelling(parallelism int, degsOut, degsIn []int32, dist [
 		if dist != nil {
 			bdist = dist[base:end]
 		}
-		metas, err := ix.batchBFS(eng, base, ix.out, ix.in, degsOut, ix.labelFrom[base:end], bdist)
+		metas, err := ix.batchBFS(eng, base, ix.out, ix.in, ix.labelFrom[base:end], bdist)
 		if err == nil && !sym {
 			// The in-arc sweep meets the same landmark pairs from the other
 			// end; its meta-edges are the ones already collected.
-			_, err = ix.batchBFS(eng, base, ix.in, ix.out, degsIn, ix.labelTo[base:end], nil)
+			_, err = ix.batchBFS(eng, base, ix.in, ix.out, ix.labelTo[base:end], nil)
 		}
 		perBatch[b] = metas
 		return err

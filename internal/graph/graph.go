@@ -226,27 +226,6 @@ func (g *Graph) Arcs() []Arc {
 	return arcs
 }
 
-// Degrees materialises the out- and in-degree of every vertex as flat
-// int32 arrays — the form the traversal engines consume for their
-// direction heuristic (avoiding an interface Degree call per touched
-// vertex). When the graph is undirected, in is out: one array.
-func (g *Graph) Degrees() (out, in []int32) {
-	out = rowLengths(g.offsets)
-	if !g.directed {
-		return out, out
-	}
-	return out, rowLengths(g.inOff)
-}
-
-func rowLengths(offsets []int64) []int32 {
-	n := max(len(offsets)-1, 0)
-	lens := make([]int32, n)
-	for v := range lens {
-		lens[v] = int32(offsets[v+1] - offsets[v])
-	}
-	return lens
-}
-
 // MaxDegree returns the largest (out-)degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0

@@ -3,7 +3,6 @@ package graph
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -369,9 +368,6 @@ func TestUndirectedGraphHasOneCSR(t *testing.T) {
 		if g.OutView() != g.InView() {
 			t.Errorf("%s: OutView and InView differ", name)
 		}
-		if out, in := g.Degrees(); len(out) != g.NumVertices() || len(out) > 0 && &out[0] != &in[0] {
-			t.Errorf("%s: two degree arrays", name)
-		}
 	}
 
 	d := AsDirected(er)
@@ -382,8 +378,5 @@ func TestUndirectedGraphHasOneCSR(t *testing.T) {
 	dOff, dAdj, dInOff, dIn := d.CSR()
 	if !sameOff(dOff, off) || !sameOff(dInOff, off) || !same(dAdj, adj) || !same(dIn, adj) {
 		t.Fatal("AsDirected copied the CSR")
-	}
-	if out, in := d.Degrees(); &out[0] == &in[0] || !slices.Equal(out, in) {
-		t.Fatal("AsDirected: degree arrays aliased, or unequal on a symmetric graph")
 	}
 }

@@ -66,9 +66,13 @@
 // Tracer.BeginRequest is the one intake: the trace ID
 // comes from the W3C traceparent header, else from X-Qbs-Trace-Id
 // (TraceHeader) when that is 1-64 characters of [0-9A-Za-z_-], else it
-// is minted (its string the intake's one allocation); the caller echoes
-// it on the response, and a router forwards it unchanged on retries and
-// failovers. The serving middleware hands the TraceBuf to the handler
+// is minted: into a TraceIDBuf the caller keeps, which is how the
+// serving loop's connection takes it without an allocation, or as a
+// string of its own. The caller echoes it on the response, and a router
+// forwards it unchanged on retries and failovers. A client's ID is a
+// piece of its request and a minted one a view of the caller's buffer,
+// so what outlives the request copies it: a retained trace copies its
+// ID and attribute values, a journalled event its trace ID and values. The serving middleware hands the TraceBuf to the handler
 // as an argument and owns it for the request's lifetime
 // (single-goroutine by construction; a write puts it in the context it
 // passes ApplyEdgeCtx, and writers record under their own

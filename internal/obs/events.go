@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,8 +100,8 @@ func (e *Event) View() EventView {
 	}
 }
 
-// Str builds a string attribute. The key and value are stored by
-// reference, so pass static or already-materialized strings.
+// Str builds a string attribute. The key must be a static string; an
+// admitted event keeps a copy of the value.
 func Str(key, val string) Attr { return Attr{Key: key, Str: val} }
 
 // Int builds an integer attribute.
@@ -236,7 +237,8 @@ func (d *EventDef) Emit(attrs ...Attr) {
 }
 
 // EmitTrace is Emit with a correlating trace ID (the request's
-// X-Qbs-Trace-Id), so /debug/logs lines join /debug/traces trees.
+// X-Qbs-Trace-Id), so /debug/logs lines join /debug/traces trees. An
+// admitted event keeps a copy of the ID.
 func (d *EventDef) EmitTrace(traceID string, attrs ...Attr) {
 	d.emit(traceID, attrs)
 }
@@ -259,7 +261,7 @@ func (d *EventDef) emit(traceID string, attrs []Attr) {
 		Event:      d.Event,
 		Level:      d.level,
 		UnixNs:     now,
-		TraceID:    traceID,
+		TraceID:    strings.Clone(traceID),
 		Suppressed: d.suppressed.Swap(0),
 	}
 	n := len(attrs)
@@ -267,6 +269,7 @@ func (d *EventDef) emit(traceID string, attrs []Attr) {
 		n = maxSpanAttrs
 	}
 	copy(ev.attrs[:n], attrs[:n])
+	ownAttrs(ev.attrs[:n])
 	ev.nattrs = uint8(n)
 	if d.counter != nil {
 		d.counter.Inc()

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestJournalEmitAndRecent(t *testing.T) {
@@ -200,5 +201,29 @@ func TestParseLevelRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(Level(99).String(), "unknown") {
 		t.Fatal("out-of-range level should stringify as unknown")
+	}
+}
+
+// TestRetainedRecordsCopyTheirStrings: a retained trace and an admitted
+// event keep copies of the trace ID and attribute values they were
+// given, which may be views of a buffer the caller reuses (the serving
+// loop's request head) once the request is over.
+func TestRetainedRecordsCopyTheirStrings(t *testing.T) {
+	buf := []byte("0123456789abcdef/spg")
+	id, path := unsafe.String(&buf[0], 16), unsafe.String(&buf[16], 4)
+	tr := NewTracer(4)
+	tr.SetSlowThreshold(0)
+	tb := tr.Begin("request", id, 0, false)
+	tb.Root().SetStr("path", path)
+	st := tr.Finish(tb)
+	j := NewJournal(4, nil)
+	j.Def("server", "error", LevelError).EmitTrace(id, Str("path", path))
+	copy(buf, "ffffffffffffffff/xyz")
+	if st.TraceID != "0123456789abcdef" || st.Spans[0].Attrs["path"] != "/spg" {
+		t.Errorf("retained trace %q with path %v, want 0123456789abcdef and /spg", st.TraceID, st.Spans[0].Attrs["path"])
+	}
+	ev := j.Recent(1, LevelDebug, "")[0].View()
+	if ev.TraceID != "0123456789abcdef" || ev.Attrs["path"] != "/spg" {
+		t.Errorf("journalled event %q with path %v, want 0123456789abcdef and /spg", ev.TraceID, ev.Attrs["path"])
 	}
 }

@@ -13,7 +13,7 @@ import (
 func request(tr *Tracer, id string, took time.Duration) *TraceBuf {
 	req := httptest.NewRequest("GET", "/spg", nil)
 	req.Header.Set(TraceHeader, id)
-	tb := tr.BeginRequest("/spg", req)
+	tb := tr.BeginRequest("/spg", req, nil)
 	tb.Root().Start = time.Now().Add(-took)
 	return tb
 }

@@ -34,9 +34,11 @@ const (
 	freelistCap = 64
 )
 
-// Attr is one span attribute. Keys and string values must be static or
-// already-materialized strings: the hot path stores them by reference
-// and never copies, so recording an attr does not allocate.
+// Attr is one span attribute. Keys must be static strings. The hot path
+// stores a string value by reference and never copies it, so recording
+// an attr does not allocate; a retained trace and a journalled event
+// copy their values, which may be pieces of a request that is over by
+// the time they are read.
 type Attr struct {
 	Key   string
 	Str   string
@@ -57,6 +59,13 @@ type Span struct {
 	ended  bool
 	nattrs uint8
 	attrs  [maxSpanAttrs]Attr
+}
+
+// ownAttrs replaces the string values of attrs by copies.
+func ownAttrs(attrs []Attr) {
+	for i := range attrs {
+		attrs[i].Str = strings.Clone(attrs[i].Str)
+	}
 }
 
 // attrMap is the JSON-ready form of a span's or an event's attributes;
@@ -382,15 +391,17 @@ func spanIDString(id uint64) string {
 	return hex.EncodeToString(b[:])
 }
 
-// snapshot copies the trace out. Span starts are the root's wall-clock
-// start plus the span's monotonic offset from it, so within one trace
-// "ends before the next begins" holds to the nanosecond — two separate
-// wall-clock readings would not guarantee it.
+// snapshot copies the trace out, its ID and attribute values included:
+// they may be pieces of the request's head, which the serving loop
+// reuses. Span starts are the root's wall-clock start plus the span's
+// monotonic offset from it, so within one trace "ends before the next
+// begins" holds to the nanosecond — two separate wall-clock readings
+// would not guarantee it.
 func (tb *TraceBuf) snapshot(errored bool) *StoredTrace {
 	root := &tb.spans[0]
 	rootNs := root.Start.UnixNano()
 	st := &StoredTrace{
-		TraceID:      tb.TraceID,
+		TraceID:      strings.Clone(tb.TraceID),
 		Root:         root.Name,
 		StartUnixNs:  rootNs,
 		DurationNs:   int64(root.Dur),
@@ -400,6 +411,7 @@ func (tb *TraceBuf) snapshot(errored bool) *StoredTrace {
 	}
 	for i := 0; i < tb.n; i++ {
 		sp := &tb.spans[i]
+		ownAttrs(sp.attrs[:sp.nattrs])
 		out := StoredSpan{
 			SpanID:      spanIDString(sp.ID),
 			ParentID:    spanIDString(sp.Parent),

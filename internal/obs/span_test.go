@@ -389,7 +389,7 @@ func TestRecycledTraceBufIsNew(t *testing.T) {
 		if retained {
 			tr.SetHeadEvery(1)
 		}
-		tb := tr.BeginRequest("/spg", req)
+		tb := tr.BeginRequest("/spg", req, nil)
 		for i := 0; i < maxTraceSpans+3; i++ {
 			sp := tb.StartSpan("stage")
 			sp.SetInt("n", int64(i))

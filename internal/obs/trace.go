@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"net/http"
+	"unsafe"
 )
 
 // TraceHeader carries a request's trace ID across hops: generated at
@@ -18,14 +19,31 @@ const TraceHeader = "X-Qbs-Trace-Id"
 // lock and no system call. An ID correlates spans; it guards nothing, so
 // it need not be unguessable. The string is its one allocation.
 func NewTraceID() string {
+	var b TraceIDBuf
+	b.fill()
+	return string(b[:])
+}
+
+// TraceIDBuf is room for one minted trace ID, kept by a caller that
+// outlives the trace's TraceBuf: the serving loop's connection, which
+// writes a reply's headers after Finish has recycled the TraceBuf.
+type TraceIDBuf [16]byte
+
+// fill writes a fresh trace ID into b.
+func (b *TraceIDBuf) fill() {
 	const digits = "0123456789abcdef"
-	var b [16]byte
 	n := rand.Uint64()
 	for i := len(b) - 1; i >= 0; i-- {
 		b[i] = digits[n&15]
 		n >>= 4
 	}
-	return string(b[:])
+}
+
+// mint writes a fresh trace ID into b and returns it as a view of b,
+// valid until b is written again.
+func (b *TraceIDBuf) mint() string {
+	b.fill()
+	return unsafe.String(&b[0], len(b))
 }
 
 // validTraceID reports whether a client-supplied trace ID is one the
@@ -54,7 +72,13 @@ func validTraceID(id string) bool {
 // are requests: Finish lists the slow ones in the slow-query log. The
 // caller echoes tb.TraceID on its reply under TraceHeader, in whatever
 // way costs its writer least.
-func (t *Tracer) BeginRequest(name string, r *http.Request) *TraceBuf {
+//
+// tb.TraceID is a piece of r's header when the client sent the ID, and
+// a view of ids when it was minted there; a nil ids mints an allocated
+// string. Either way it is valid for as long as the request's strings
+// and ids are: whatever outlives the request copies it, as a retained
+// trace and a journalled event do.
+func (t *Tracer) BeginRequest(name string, r *http.Request, ids *TraceIDBuf) *TraceBuf {
 	id := firstValue(r.Header, TraceHeader)
 	if !validTraceID(id) {
 		id = ""
@@ -64,7 +88,11 @@ func (t *Tracer) BeginRequest(name string, r *http.Request) *TraceBuf {
 	if tid, p, sampled, ok := ParseTraceparent(firstValue(r.Header, traceparentKey)); ok {
 		id, parent, forced = tid, p, sampled
 	}
-	if id == "" {
+	switch {
+	case id != "":
+	case ids != nil:
+		id = ids.mint()
+	default:
 		id = NewTraceID()
 	}
 	tb := t.Begin(name, id, parent, forced)

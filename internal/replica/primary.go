@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -145,7 +146,9 @@ func (p *Primary) renewLease(id string, epoch uint64) {
 	if p.closed {
 		return // the janitor is gone; a lease granted now could never expire
 	}
-	p.leases[id] = lease{epoch: epoch, seen: time.Now()}
+	// id is a piece of the request, which the serving loop reuses: the
+	// key, which an assignment replaces, is a copy.
+	p.leases[strings.Clone(id)] = lease{epoch: epoch, seen: time.Now()}
 	p.refloorLocked()
 }
 

@@ -306,7 +306,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// forward attempt hangs a child under it, and the traceparent sent
 	// downstream names that attempt span as the backend root's parent.
 	tracer := rt.src.Tracer
-	tb := tracer.BeginRequest("router", r)
+	tb := tracer.BeginRequest("router", r, nil)
 	traceID := tb.TraceID
 	w.Header().Set(obs.TraceHeader, traceID)
 	root := tb.Root()

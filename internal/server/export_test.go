@@ -49,4 +49,9 @@ type HeadParser struct {
 // or nil when the loop would leave b to http.ReadRequest, and the length
 // of the head, or 0 when b does not hold all of it. The request is valid
 // until the next Parse.
-func (p *HeadParser) Parse(b []byte) (*http.Request, int) { return p.h.parse(b, &p.base) }
+func (p *HeadParser) Parse(b []byte) (*http.Request, int) {
+	if p.h.hdr == nil {
+		p.h = newHead()
+	}
+	return p.h.parse(b, &p.base)
+}

@@ -2,15 +2,21 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
+	"unsafe"
 )
 
 // head is the request the loop reads without http.ReadRequest, one per
 // connection and reset for each request: the request, its URL and its
-// header map are reused, and every string of them is carved from one
-// copy of the head's bytes. It accepts only what it reads exactly as
+// header map are reused, and every string of them is a view of one copy
+// of the head's bytes, in a buffer the connection keeps and the next
+// head overwrites. The strings are therefore valid until the handler
+// returns, the lifetime every handler's request has (package doc,
+// "Serving loop"); what outlives the request copies what it keeps. It
+// accepts only what it reads exactly as
 // http.ReadRequest would (FuzzHeadParse holds the two equal): a request
 // line "<token> /<path>[?<query>] HTTP/1.x" whose path needs no escape,
 // and header fields each on one line, with no body declared. Any other
@@ -23,7 +29,7 @@ type head struct {
 	url    url.URL
 	hdr    http.Header
 	vals   []string // the one-element value slices of hdr
-	buf    []byte   // the head, its field names made canonical, before the copy
+	buf    []byte   // the head, its field names made canonical: every string's bytes
 	fields []field
 }
 
@@ -33,12 +39,19 @@ type field struct{ k0, k1, v0, v1 int }
 var (
 	crlf      = []byte("\r\n")
 	blankLine = []byte("\r\n\r\n")
+	// noBody is http.NoBody as an interface value made once: converting
+	// it in parse would be, to escape analysis, a value escaping to the
+	// heap.
+	noBody io.ReadCloser = http.NoBody
 )
 
 // parse reads the request head at the start of b into h's request, whose
 // every field but the context it resets from base. It returns the
 // request, or nil when it leaves the head to http.ReadRequest, and the
-// length of the head, or 0 when b does not hold all of it.
+// length of the head, or 0 when b does not hold all of it. h.hdr must
+// be a map (newHead's).
+//
+//qbs:zeroalloc
 func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 	end := bytes.Index(b, blankLine)
 	if end < 0 {
@@ -103,8 +116,9 @@ func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 		h.fields = append(h.fields, f)
 	}
 
-	// The one copy; every string of the request is a piece of it.
-	s := string(buf)
+	// The one copy, which the connection keeps; every string of the
+	// request is a piece of it.
+	s := unsafe.String(unsafe.SliceData(buf), len(buf))
 	h.req = *base
 	r := &h.req
 	r.Method = s[:sp1]
@@ -119,14 +133,8 @@ func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 	}
 	h.url = url.URL{Path: path, RawQuery: query, ForceQuery: force}
 	r.URL = &h.url
-	if h.hdr == nil {
-		h.hdr = http.Header{}
-	}
 	clear(h.hdr)
-	if cap(h.vals) < len(h.fields) {
-		h.vals = make([]string, len(h.fields))
-	}
-	vals := h.vals[:len(h.fields)]
+	vals := h.vals[:0]
 	for i, f := range h.fields {
 		k, v := s[f.k0:f.k1], s[f.v0:f.v1]
 		if i == host {
@@ -137,21 +145,25 @@ func (h *head) parse(b []byte, base *http.Request) (*http.Request, int) {
 			h.hdr[k] = append(vs, v) // a repeated field: its own slice
 			continue
 		}
-		vals[i] = v
-		h.hdr[k] = vals[i : i+1 : i+1]
+		vals = append(vals, v)
+		h.hdr[k] = vals[len(vals)-1 : len(vals) : len(vals)]
 	}
+	h.vals = vals
 	r.Header = h.hdr
-	r.Body = http.NoBody
+	r.Body = noBody
 	r.Close = shouldClose(minor, h.hdr["Connection"])
 	return r, size
 }
+
+// newHead returns a head ready to parse.
+func newHead() head { return head{hdr: http.Header{}} }
 
 // release drops every reference to the last request before the
 // connection is pooled.
 func (h *head) release() {
 	h.req, h.url = http.Request{}, url.URL{}
 	clear(h.hdr)
-	clear(h.vals)
+	clear(h.vals[:cap(h.vals)])
 }
 
 // headerField splits l, a header line starting at offset at of the head,

@@ -16,6 +16,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
+
+	"qbs/internal/obs"
 )
 
 // The timeouts of the query listener, the values qbs-server has always
@@ -212,6 +215,7 @@ type conn struct {
 var connPool = sync.Pool{New: func() any {
 	c := new(conn)
 	c.br = bufio.NewReaderSize(&c.lr, 4<<10)
+	c.head = newHead()
 	c.w.c = c
 	c.w.handlerHeader = http.Header{}
 	return c
@@ -431,6 +435,10 @@ type response struct {
 	handlerHeader http.Header
 	slots         [headerSlots][1]string // values setHeader puts in handlerHeader
 	nslots        int
+	// The bytes of two header values, which their strings view until the
+	// next request: a minted trace ID and a declared Content-Length.
+	traceID       obs.TraceIDBuf
+	contentLength [20]byte
 	keys          []string // handlerHeader's names, sorted for the reply
 	status        int
 	clen          int64 // the declared Content-Length; -1 when none
@@ -531,6 +539,19 @@ func setHeader(w http.ResponseWriter, k, v string) {
 		return
 	}
 	w.Header()[k] = []string{v}
+}
+
+// setContentLength declares the reply's length, n bytes, as the
+// Content-Length header. On the loop's writer the digits go into a
+// buffer the connection keeps, so it costs no allocation.
+func setContentLength(w http.ResponseWriter, n int) {
+	rw, ok := w.(*response)
+	if !ok {
+		setHeader(w, "Content-Length", strconv.Itoa(n))
+		return
+	}
+	digits := strconv.AppendInt(rw.contentLength[:0], int64(n), 10)
+	setHeader(w, "Content-Length", unsafe.String(unsafe.SliceData(digits), len(digits)))
 }
 
 // statusSent is the reply's status as the client sees it: the one

@@ -755,15 +755,16 @@ func TestLoopServesReadsDuringBlockingWrite(t *testing.T) {
 
 // keepAliveReads are the warm reads BenchmarkKeepAliveRequest and
 // TestLoopWarmReadAllocs send, each as the benchmark's load generator
-// sends it, and the most allocations the loop may spend on one. It
-// spends one fewer: the copy of the head and the trace ID, and for /spg
-// the Content-Length value of a body past 99 bytes.
+// sends it, and the most allocations one round trip may make, the
+// test's client included: none. The loop's head, its minted trace ID
+// and /spg's Content-Length are views of buffers the connection keeps,
+// and the client writes and reads through buffers of its own.
 var keepAliveReads = []struct {
 	name, raw string
 	allocs    float64
 }{
-	{"distance", getDistance, 3},
-	{"spg", "GET /spg?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n", 4},
+	{"distance", getDistance, 0},
+	{"spg", "GET /spg?u=0&v=3 HTTP/1.1\r\nHost: qbs\r\n\r\n", 0},
 }
 
 // dialKeepAlive serves a fresh mutable fixture by net/http or by the
@@ -877,4 +878,77 @@ func skipReply(br *bufio.Reader) error {
 	}
 	_, err := br.Discard(clen)
 	return err
+}
+
+// TestLoopRetainedTraceKeepsItsID: every trace is retained, and each
+// keeps the ID its request carried across the later requests of its
+// kept-alive connection, whether the client sent the ID (under
+// X-Qbs-Trace-Id or in a traceparent, a piece of the head the next head
+// overwrites) or the loop minted it (into a buffer the connection
+// reuses). Requests of one kind have heads of one length, so each
+// overwrites the bytes of the one before it in place.
+func TestLoopRetainedTraceKeepsItsID(t *testing.T) {
+	s := mutableFixture(t)
+	tr := obs.NewTracer(64)
+	tr.SetSlowThreshold(0) // retain every trace
+	s.SetTracer(tr)
+	nc, err := net.Dial("tcp", startLoop(t, server.NewLoop(s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	var ids []string
+	for i := 0; i < 12; i++ {
+		var field, want string
+		switch i % 4 {
+		case 0:
+			want = fmt.Sprintf("client-trace-%04d", i)
+			field = obs.TraceHeader + ": " + want + "\r\n"
+		case 1: // a 32-digit ID with 16 leading zeros is read as its last 16
+			want = fmt.Sprintf("%016x", 0xbeef00+i)
+			field = obs.TraceparentHeader + ": 00-0000000000000000" + want + "-00f067aa0ba902b7-01\r\n"
+		case 2:
+			want = fmt.Sprintf("%016x%016x", 0xc0ffee, 0xfeed00+i)
+			field = obs.TraceparentHeader + ": 00-" + want + "-00f067aa0ba902b7-00\r\n"
+		}
+		path := "/distance?u=0&v=3"
+		if i%2 == 1 {
+			path = "/spg?u=0&v=3"
+		}
+		if _, err := io.WriteString(nc, "GET "+path+" HTTP/1.1\r\nHost: qbs\r\n"+field+"\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		got := resp.Header.Get(obs.TraceHeader)
+		if want == "" { // minted by the loop
+			if len(got) != 16 {
+				t.Fatalf("request %d: minted trace ID %q, want 16 hex digits", i, got)
+			}
+			want = got
+		}
+		if resp.StatusCode != http.StatusOK || got != want {
+			t.Fatalf("request %d: status %d, trace ID %q echoed, want 200 and %q", i, resp.StatusCode, got, want)
+		}
+		ids = append(ids, want)
+	}
+	for i, id := range ids {
+		if st := tr.Store().Get(id); st == nil || st.TraceID != id {
+			t.Errorf("request %d: no retained trace under its ID %q (got %v)", i, id, st)
+		}
+	}
+	recent := tr.Store().Recent(100, 0, false)
+	if len(recent) != len(ids) {
+		t.Fatalf("%d traces retained, want %d", len(recent), len(ids))
+	}
+	for _, st := range recent {
+		if !slices.Contains(ids, st.TraceID) {
+			t.Errorf("a retained trace's ID reads %q, which no request carried", st.TraceID)
+		}
+	}
 }

@@ -75,7 +75,8 @@
 // line, and no body declared (no Transfer-Encoding, a Content-Length of
 // 0 at most). It fills one http.Request, url.URL and http.Header per
 // connection, reset for each request, whose context is set once per
-// loop, and carves every string of them from one copy of the head. Any
+// loop, and every string of them is a view of one copy of the head, in
+// a buffer the connection keeps and its next head overwrites. Any
 // other head — a body, an absolute-form or escaped URI, folded or
 // malformed lines, a second Host, a Pragma, a head still arriving — is
 // read by http.ReadRequest from the same bytes, into a request of its
@@ -84,14 +85,16 @@
 // the request, its URL and its header are the connection's, a handler
 // may not keep r, r.URL, r.Header or the reply's header values after it
 // returns (what it keeps must be copied, or taken from a request that
-// carries a body, which is its own). The read endpoints read their
-// arguments from URL.RawQuery in place (url.ParseQuery only for an
-// escaped query), and the middleware hands each handler its span
-// buffer as an argument and reads the status off the loop's writer, so
-// a warm /distance costs two allocations end to end, the copy of its
-// head and its trace ID, and /spg one more, its Content-Length value.
-// Reply headers the handlers set take value slots the connection keeps,
-// and are written in the order of their names.
+// carries a body, which is its own): a retained trace copies its ID and
+// attributes, a journalled event its trace ID and values. The read
+// endpoints read their arguments from URL.RawQuery in place
+// (url.ParseQuery only for an escaped query), and the middleware hands
+// each handler its span buffer as an argument and reads the status off
+// the loop's writer. A trace ID the middleware mints and /spg's
+// Content-Length are written into buffers the connection keeps, so a
+// warm /distance or /spg allocates nothing end to end. Reply headers
+// the handlers set take value slots the connection keeps, and are
+// written in the order of their names.
 //
 // The loop keeps net/http's timeouts, the 431 past the header cap, the
 // 400 for an HTTP/1.1 request without Host, the keep-alive rules,
@@ -288,11 +291,19 @@ func (s *Server) handle(pattern, name string, h tracedHandler) {
 	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		tracer := s.src.Tracer
-		tb := tracer.BeginRequest(name, r)
+		// On the loop's writer a minted trace ID is written into the
+		// connection's buffer, which outlives the TraceBuf: the reply's
+		// headers go out after Finish has recycled it.
+		rw, loop := w.(*response)
+		var ids *obs.TraceIDBuf
+		if loop {
+			ids = &rw.traceID
+		}
+		tb := tracer.BeginRequest(name, r, ids)
 		root := tb.Root() // its span times the request
 		setHeader(w, obs.TraceHeader, tb.TraceID)
 		var status int
-		if rw, ok := w.(*response); ok {
+		if loop {
 			h(rw, r, tb)
 			status = rw.statusSent()
 		} else {
@@ -674,7 +685,7 @@ func (sc *scratch) release() {
 // encoding it and handing it to the connection.
 func (sc *scratch) send(w http.ResponseWriter) {
 	setHeader(w, "Content-Type", "application/json")
-	setHeader(w, "Content-Length", strconv.Itoa(len(sc.buf)))
+	setContentLength(w, len(sc.buf))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.buf)
 }

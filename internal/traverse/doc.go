@@ -152,8 +152,17 @@
 // bit-identical to running the scalar QL/QN BFS per source, in any
 // frontier order — which is what lets its dense levels run bottom-up.
 // Besides the words it keeps two lists of a level's vertices, the
-// frontier and the level being settled; a level holds a vertex once, so
-// both are allocated at |V| slots by the first sweep and never grow.
+// frontier and the level being settled, allocated by the first sweep at
+// |V|/β + 64 slots (β the switch's, below) and never grown. A level with
+// more vertices than that is held only in its words, a vertex being on
+// it when its cur words are not zero: a top-down step from it scans the
+// words for its vertices, a top-down level that overflows the list is
+// settled by a scan of the next-level words, and a bottom-up level is
+// listed only when it fits. Its words are cleared wholesale after it,
+// a listed level's vertex by vertex. Only dense levels go unlisted, and
+// a dense level costs a pass over the graph anyway; a sparse one —
+// every level a dynamic repair or a sweep's tail expands — stays
+// O(level).
 //
 // # Direction-optimizing sweeps (MultiBFS)
 //
@@ -202,9 +211,10 @@
 // chunks, reading the frontier through the current-level words, which
 // cannot change during the level; it settles each vertex at once, and
 // every write lands on that vertex's own words, inside the worker's
-// chunk. A chunk's settled vertices go to the chunk's own range of the
-// next-level list, which has a slot per vertex, and the ranges are
-// packed after the level. A level over fewer than a few thousand
+// chunk. A worker counts the vertices each of its chunks settled; when
+// the level fits the list, the coordinating goroutine lists it after
+// the level by a scan of the next-level words of the chunks that settled
+// any. A level over fewer than a few thousand
 // vertices runs on the caller: the goroutine fan-out would cost more
 // than the level.
 //

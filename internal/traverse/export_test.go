@@ -86,3 +86,7 @@ func StateOf(ws *Workspace) WorkspaceState {
 func (a WorkspaceState) Equal(b WorkspaceState) bool {
 	return slices.Equal(a.Seen, b.Seen) && slices.Equal(a.Settled, b.Settled) && a.Logged == b.Logged && slices.Equal(a.Dist, b.Dist) && a.Pending == b.Pending
 }
+
+// ListCap is how many vertices each of an engine's two level lists
+// holds over n vertices.
+func ListCap(n int) int { return listCap(n) }

@@ -62,11 +62,12 @@ type MultiBFS struct {
 	w32 *words[uint32] // sweeps of ≤ narrowSources sources, until a wider one
 	w64 *words[uint64] // every sweep since the first wider one
 
-	// frontier and next hold a level's vertices, each once, so both are
-	// allocated at n slots by the first sweep and never grow.
-	frontier []graph.V // vertices with curL|curN != 0
+	// frontier and next list a level's vertices while it has at most
+	// listCap(n) of them; a denser level lives only in its words. Both
+	// are allocated by the first sweep and never grow.
+	frontier []graph.V // the current level: vertices with curL|curN != 0
 	next     []graph.V // the level being settled
-	settled  []int     // bottom-up: vertices settled per chunk of next
+	settled  []int     // bottom-up: vertices settled per chunk
 
 	running atomic.Bool // guards against concurrent Run misuse
 }
@@ -99,6 +100,11 @@ func NewMultiBFS(n int) *MultiBFS {
 	return &MultiBFS{alpha: DefaultAlpha, poolFloor: minParVertices, n: n}
 }
 
+// listCap is how many vertices a level list holds: a level of at most
+// |V|/DefaultBeta vertices never goes bottom-up, the switch back to
+// top-down comes below that size, and the roots of a sweep always fit.
+func listCap(n int) int { return min(n, n/DefaultBeta+MaxSources) }
+
 // Run sweeps the graph once, advancing a QL/QN BFS from every root in
 // lock-step. roots[i] is the root of bit i (all distinct vertices, at
 // most MaxSources). landIdx marks the landmark vertices (>= 0); at a
@@ -112,9 +118,11 @@ func NewMultiBFS(n int) *MultiBFS {
 // meta-edge discoveries), newN arrived only via QN. Roots are not
 // settled; the caller accounts for depth 0 itself.
 //
-// deg optionally supplies cached degrees for the α/β switch; nil falls
-// back to g.Degree. Run returns ErrTooDeep when a level would exceed
-// maxDepth; the engine is reusable afterwards.
+// deg is ignored: the α/β switch prices a frontier with g.Degree, and an
+// array of degrees beside the words would outweigh the sweep's lists.
+// The parameter stays for the callers written against it; pass nil.
+// Run returns ErrTooDeep when a level would exceed maxDepth; the engine
+// is reusable afterwards.
 func (mb *MultiBFS) Run(g graph.Adjacency, deg []int32, landIdx []int16, roots []graph.V, maxDepth int32, settle func(v graph.V, depth int32, newL, newN uint64)) error {
 	return mb.RunDirected(g, g, deg, landIdx, roots, maxDepth, settle)
 }
@@ -124,8 +132,8 @@ func (mb *MultiBFS) Run(g graph.Adjacency, deg []int32, landIdx []int16, roots [
 // pending bits from pull.Neighbors — which must therefore be the
 // *reverse* adjacency of push (a dual-CSR digraph's InView when pushing
 // over its OutView, and vice versa). For an undirected graph the two
-// coincide, which is what Run passes.
-func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx []int16, roots []graph.V, maxDepth int32, settle func(v graph.V, depth int32, newL, newN uint64)) error {
+// coincide, which is what Run passes. deg is ignored, as Run's is.
+func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, _ []int32, landIdx []int16, roots []graph.V, maxDepth int32, settle func(v graph.V, depth int32, newL, newN uint64)) error {
 	if !mb.running.CompareAndSwap(false, true) {
 		return ErrConcurrentRun
 	}
@@ -141,23 +149,25 @@ func (mb *MultiBFS) RunDirected(push, pull graph.Adjacency, deg []int32, landIdx
 		return fmt.Errorf("traverse: %d roots exceed the %d-way sweep width", len(roots), MaxSources)
 	}
 	if mb.frontier == nil {
-		mb.frontier = make([]graph.V, 0, n)
-		mb.next = make([]graph.V, 0, n)
+		mb.frontier = make([]graph.V, 0, listCap(n))
+		mb.next = make([]graph.V, 0, listCap(n))
 	}
 	if len(roots) <= narrowSources && mb.w64 == nil {
 		if mb.w32 == nil {
 			mb.w32 = newWords[uint32](n)
 		}
-		return sweep(mb, mb.w32, push, pull, deg, landIdx, roots, maxDepth, settle)
+		return sweep(mb, mb.w32, push, pull, landIdx, roots, maxDepth, settle)
 	}
 	if mb.w64 == nil {
 		mb.w64, mb.w32 = newWords[uint64](n), nil
 	}
-	return sweep(mb, mb.w64, push, pull, deg, landIdx, roots, maxDepth, settle)
+	return sweep(mb, mb.w64, push, pull, landIdx, roots, maxDepth, settle)
 }
 
-// sweep is RunDirected over the words of one width.
-func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, deg []int32, landIdx []int16, roots []graph.V, maxDepth int32, settle func(graph.V, int32, uint64, uint64)) error {
+// sweep is RunDirected over the words of one width. A level is its
+// vertices' words (curL|curN != 0) and its count; while the count is at
+// most the lists' capacity, frontier lists the vertices as well.
+func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, landIdx []int16, roots []graph.V, maxDepth int32, settle func(graph.V, int32, uint64, uint64)) error {
 	n := mb.n
 	full := ^W(0)
 	if len(roots) < bits.OnesCount64(uint64(full)) {
@@ -169,13 +179,6 @@ func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, deg []
 	clear(w.nextN)
 	clear(w.visited)
 
-	degree := func(v graph.V) int64 {
-		if deg != nil {
-			return int64(deg[v])
-		}
-		return int64(push.Degree(v))
-	}
-
 	frontier := mb.frontier[:0]
 	for i, r := range roots {
 		if w.visited[r] != 0 {
@@ -185,17 +188,16 @@ func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, deg []
 		w.visited[r] = 1 << uint(i)
 		frontier = append(frontier, r)
 	}
+	count := len(frontier)
 	totalArc := int64(push.NumArcs())
 
 	depth := int32(0)
 	bottomUp := false
-	for len(frontier) > 0 {
+	for count > 0 {
+		listed := count <= cap(frontier)
 		depth++
 		if depth > maxDepth {
-			// Leave the engine clean for reuse.
-			for _, u := range frontier {
-				w.curL[u], w.curN[u] = 0, 0
-			}
+			// The words left set are cleared by the next sweep's start.
 			mb.frontier = frontier[:0]
 			return ErrTooDeep
 		}
@@ -204,17 +206,13 @@ func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, deg []
 		case mb.alpha < 0:
 			bottomUp = true
 		case bottomUp:
-			bottomUp = int64(len(frontier))*DefaultBeta >= int64(n)
-		case mb.alpha > 0 && int64(len(frontier))*DefaultBeta >= int64(n):
+			bottomUp = int64(count)*DefaultBeta >= int64(n)
+		case mb.alpha > 0 && int64(count)*DefaultBeta >= int64(n):
 			// Dense enough to price out (sparse levels skip the degree
 			// summation entirely). The threshold compares against the
 			// whole arc mass — conservative, and it keeps the hot settle
 			// path free of per-vertex degree accounting.
-			var mf int64
-			for _, x := range frontier {
-				mf += degree(x)
-			}
-			bottomUp = mf*mb.alpha > totalArc
+			bottomUp = levelDegree(w, push, frontier, listed)*mb.alpha > totalArc
 		}
 
 		var nf []graph.V
@@ -223,36 +221,12 @@ func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, deg []
 			if mb.Parallelism > 1 && n >= mb.poolFloor {
 				workers = mb.Parallelism
 			}
-			nf = bottomUpLevel(mb, w, pull, landIdx, settle, depth, full, workers)
+			nf, count = bottomUpLevel(mb, w, pull, landIdx, settle, depth, full, workers)
 		} else {
-			// Top-down: accumulate frontier bits into the next-level words,
-			// then settle every vertex they reached. nextL/nextN double as
-			// the accumulators; settleVertex rewrites them with the resolved
-			// QL/QN assignment. An arc counts only if it brings a bit v has
-			// not seen, so every vertex of nf has one to settle.
-			nf = mb.next[:0]
-			for _, u := range frontier {
-				lu, ln := w.curL[u], w.curN[u]
-				both := lu | ln
-				for _, v := range push.Neighbors(u) {
-					if both&^w.visited[v] == 0 {
-						continue
-					}
-					if w.nextL[v]|w.nextN[v] == 0 {
-						nf = append(nf, v)
-					}
-					w.nextL[v] |= lu
-					w.nextN[v] |= ln
-				}
-			}
-			for _, v := range nf {
-				settleVertex(w, v, depth, w.nextL[v], w.nextN[v], landIdx, settle)
-			}
+			nf, count = topDownLevel(mb, w, push, frontier, listed, landIdx, settle, depth)
 		}
 
-		for _, u := range frontier {
-			w.curL[u], w.curN[u] = 0, 0
-		}
+		clearLevel(w, frontier, listed)
 		w.curL, w.nextL = w.nextL, w.curL
 		w.curN, w.nextN = w.nextN, w.curN
 		mb.frontier, mb.next = nf, frontier[:0]
@@ -260,6 +234,97 @@ func sweep[W word](mb *MultiBFS, w *words[W], push, pull graph.Adjacency, deg []
 	}
 	mb.frontier = frontier[:0]
 	return nil
+}
+
+// topDownLevel expands the current level along push: it accumulates the
+// frontier's bits into the next-level words, then settles every vertex
+// they reached. nextL/nextN double as the accumulators; settleVertex
+// rewrites them with the resolved QL/QN assignment. An arc counts only if
+// it brings a bit v has not seen, so every vertex reached has one to
+// settle. It returns the level reached and its count, listed in mb.next
+// when it fits; a level that overflows the list is settled by a scan of
+// the next-level words.
+func topDownLevel[W word](mb *MultiBFS, w *words[W], push graph.Adjacency, frontier []graph.V, listed bool, landIdx []int16, settle func(graph.V, int32, uint64, uint64), depth int32) ([]graph.V, int) {
+	nf := mb.next[:cap(mb.next)]
+	count := 0
+	if listed {
+		for _, u := range frontier {
+			count = pushRow(w, push, u, nf, count)
+		}
+	} else {
+		for u := range w.curL {
+			if w.curL[u]|w.curN[u] != 0 {
+				count = pushRow(w, push, graph.V(u), nf, count)
+			}
+		}
+	}
+	if count <= len(nf) {
+		nf = nf[:count]
+		for _, v := range nf {
+			settleVertex(w, v, depth, w.nextL[v], w.nextN[v], landIdx, settle)
+		}
+		return nf, count
+	}
+	for v := range w.nextL {
+		if aL, aN := w.nextL[v], w.nextN[v]; aL|aN != 0 {
+			settleVertex(w, graph.V(v), depth, aL, aN, landIdx, settle)
+		}
+	}
+	return nf[:0], count
+}
+
+// pushRow ORs u's frontier bits into the next-level words of its
+// neighbours along push. count is how many vertices the level has
+// reached so far, the first len(nf) of them listed in nf; it returns the
+// new count.
+func pushRow[W word](w *words[W], push graph.Adjacency, u graph.V, nf []graph.V, count int) int {
+	lu, ln := w.curL[u], w.curN[u]
+	both := lu | ln
+	for _, v := range push.Neighbors(u) {
+		if both&^w.visited[v] == 0 {
+			continue
+		}
+		if w.nextL[v]|w.nextN[v] == 0 {
+			if count < len(nf) {
+				nf[count] = v
+			}
+			count++
+		}
+		w.nextL[v] |= lu
+		w.nextN[v] |= ln
+	}
+	return count
+}
+
+// levelDegree sums push's degree over the current level: the arcs a
+// top-down step from it would scan.
+func levelDegree[W word](w *words[W], push graph.Adjacency, frontier []graph.V, listed bool) int64 {
+	var mf int64
+	if listed {
+		for _, x := range frontier {
+			mf += int64(push.Degree(x))
+		}
+		return mf
+	}
+	for x := range w.curL {
+		if w.curL[x]|w.curN[x] != 0 {
+			mf += int64(push.Degree(graph.V(x)))
+		}
+	}
+	return mf
+}
+
+// clearLevel zeroes the current level's words: vertex by vertex when the
+// level is listed, wholesale when it was too dense to list.
+func clearLevel[W word](w *words[W], frontier []graph.V, listed bool) {
+	if !listed {
+		clear(w.curL)
+		clear(w.curN)
+		return
+	}
+	for _, u := range frontier {
+		w.curL[u], w.curN[u] = 0, 0
+	}
 }
 
 // settleVertex resolves the bits newly arrived at v on this level (at

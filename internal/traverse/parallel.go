@@ -14,9 +14,8 @@ import (
 const (
 	// parChunk is the number of vertices in one claimed work chunk: a
 	// multiple of 16, so that at 4 or 8 bytes per per-vertex MultiBFS
-	// word, and at 4 bytes per slot of the next-level list, chunk
-	// boundaries land on cache-line boundaries and two workers never
-	// write the same line of either.
+	// word chunk boundaries land on cache-line boundaries and two
+	// workers never write the same line.
 	parChunk = 1024
 
 	// minParVertices is the pool floor: a bottom-up level over fewer
@@ -43,21 +42,20 @@ func parRun(workers int, body func()) {
 }
 
 // bottomUpLevel runs one bottom-up level on workers goroutines (the
-// caller alone when workers is 1) and returns the level's vertices, in
-// mb.next. Workers claim chunks of the vertex range off one atomic
+// caller alone when workers is 1) and returns the level's vertices and
+// their count. Workers claim chunks of the vertex range off one atomic
 // cursor; for every vertex some source has not reached, a worker pulls
 // the frontier bits of its pull-neighbours and settles it at once.
 // Settling writes only v's own visited/next words, all inside the
 // worker's chunk, while the probes read neighbours' cur words, which
-// this level never mutates. A chunk's settled vertices go to the same
-// range of mb.next, which holds them all, and the ranges are packed
-// after the level, so the level lists its vertices in ascending order
-// whatever the worker count. Per-vertex pull order is fixed, so the
-// early-exit point, the arriving bit sets and the settle payloads are the
-// same at every worker count too.
-func bottomUpLevel[W word](mb *MultiBFS, w *words[W], pull graph.Adjacency, landIdx []int16, settle func(graph.V, int32, uint64, uint64), depth int32, full W, workers int) []graph.V {
+// this level never mutates. A worker counts what each chunk settled; a
+// level that fits the list is listed after it, in ascending order, by a
+// scan of the next-level words of the chunks that settled a vertex, so
+// the list is the same whatever the worker count. Per-vertex pull order
+// is fixed, so the early-exit point, the arriving bit sets and the
+// settle payloads are the same at every worker count too.
+func bottomUpLevel[W word](mb *MultiBFS, w *words[W], pull graph.Adjacency, landIdx []int16, settle func(graph.V, int32, uint64, uint64), depth int32, full W, workers int) ([]graph.V, int) {
 	n := mb.n
-	nf := mb.next[:n]
 	if mb.settled == nil {
 		mb.settled = make([]int, (n+parChunk-1)/parChunk)
 	}
@@ -69,7 +67,7 @@ func bottomUpLevel[W word](mb *MultiBFS, w *words[W], pull graph.Adjacency, land
 				break
 			}
 			hi := min(lo+parChunk, n)
-			k := lo
+			k := 0
 			for v := graph.V(lo); int(v) < hi; v++ {
 				vis := w.visited[v]
 				if vis == full {
@@ -90,16 +88,26 @@ func bottomUpLevel[W word](mb *MultiBFS, w *words[W], pull graph.Adjacency, land
 					continue
 				}
 				settleVertex(w, v, depth, aL, aN, landIdx, settle)
-				nf[k] = v
 				k++
 			}
-			mb.settled[lo/parChunk] = k - lo
+			mb.settled[lo/parChunk] = k
 		}
 	})
-	k := 0
-	for c, m := range mb.settled {
-		lo := c * parChunk
-		k += copy(nf[k:], nf[lo:lo+m])
+	count := 0
+	for _, k := range mb.settled {
+		count += k
 	}
-	return nf[:k]
+	nf := mb.next[:0]
+	if count > cap(nf) {
+		return nf, count
+	}
+	for c, k := range mb.settled {
+		for v := c * parChunk; k > 0; v++ {
+			if w.nextL[v]|w.nextN[v] != 0 {
+				nf = append(nf, graph.V(v))
+				k--
+			}
+		}
+	}
+	return nf, count
 }

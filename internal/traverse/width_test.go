@@ -116,12 +116,13 @@ func TestMultiBFSReuseAcrossWidths(t *testing.T) {
 }
 
 // TestMultiBFSSweepBytes holds a new engine's first 20-source sweep to
-// what it needs: 20 bytes of words per vertex (five uint32) and the two
-// level lists at their bound of one 4-byte slot per vertex, each of the
+// what it needs: 20 bytes of words per vertex (five uint32), the two
+// level lists at their bound of |V|/β + 64 slots of 4 bytes, each of the
 // seven arrays rounded up to the heap's 8 KB pages, plus a count per
 // chunk; a few kilobytes of closures and headers are allowed besides.
 // A 64-source sweep then adds only its 40 bytes of uint64 words per
-// vertex, and a 20-source sweep after it runs in them, adding nothing.
+// vertex, and a 20-source sweep after it runs in them, adding nothing;
+// nor does a top-down sweep whose middle levels overflow the lists.
 func TestMultiBFSSweepBytes(t *testing.T) {
 	spec, err := datasets.ByKey("YT")
 	if err != nil {
@@ -144,12 +145,15 @@ func TestMultiBFSSweepBytes(t *testing.T) {
 		mb.Parallelism = workers
 		for _, step := range []struct {
 			sources int
+			alpha   int64
 			bound   int
 		}{
-			{20, 7*pages(4*n) + 8*(n/1024+1) + slack},
-			{64, 5*pages(8*n) + slack},
-			{20, slack},
+			{20, traverse.DefaultAlpha, 5*pages(4*n) + 2*pages(4*traverse.ListCap(n)) + 8*(n/1024+1) + slack},
+			{64, traverse.DefaultAlpha, 5*pages(8*n) + slack},
+			{20, traverse.DefaultAlpha, slack},
+			{20, 0, slack},
 		} {
+			traverse.SetAlpha(mb, step.alpha)
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -159,10 +163,77 @@ func TestMultiBFSSweepBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(step.bound) {
-				t.Fatalf("workers=%d: a %d-source sweep over %d vertices allocated %d bytes (%.1f per vertex), want at most %d",
-					workers, step.sources, n, got, float64(got)/float64(n), step.bound)
+				t.Fatalf("workers=%d alpha=%d: a %d-source sweep over %d vertices allocated %d bytes (%.1f per vertex), want at most %d",
+					workers, step.alpha, step.sources, n, got, float64(got)/float64(n), step.bound)
 			}
 		}
 		runtime.KeepAlive(mb)
+	}
+}
+
+// levelSizes counts a sweep's settles per depth: the size of each level.
+func levelSizes(got map[settleKey][2]uint64) map[int32]int {
+	sizes := map[int32]int{}
+	for k := range got {
+		sizes[k.depth]++
+	}
+	return sizes
+}
+
+// TestMultiBFSDenseLevels runs sweeps whose middle levels hold more
+// vertices than a level list: all top-down, where a frontier is then
+// read off its words and a level is settled by a scan of them, and with
+// the direction switch, where a bottom-up level too large to list hands
+// its successor a frontier held only in words. Each must settle what
+// bottom-up-only sweeps settle, which list nothing they do not hold.
+func TestMultiBFSDenseLevels(t *testing.T) {
+	g := randomGraph(4*1024+5, 16000, 73)
+	n := g.NumVertices()
+	roots, landIdx := spreadRoots(n, 20, 2)
+	want := collectMulti(t, g, landIdx, roots, -1, 1)
+	payloadsAreBFS(t, g, roots, want)
+	dense := false
+	for _, size := range levelSizes(want) {
+		dense = dense || size > traverse.ListCap(n)
+	}
+	if !dense {
+		t.Fatalf("no level of the sweep holds more than %d vertices", traverse.ListCap(n))
+	}
+	for _, alpha := range []int64{traverse.DefaultAlpha, 0} {
+		for _, workers := range []int{1, 4} {
+			samePayloads(t, "dense levels", collectMulti(t, g, landIdx, roots, alpha, workers), want)
+		}
+	}
+}
+
+// TestMultiBFSTooDeepOnDenseLevel stops a sweep at the depth of its
+// largest level, a level held only in its words, and reuses the engine:
+// its next sweep must settle what a fresh engine settles.
+func TestMultiBFSTooDeepOnDenseLevel(t *testing.T) {
+	g := randomGraph(4*1024+5, 16000, 74)
+	n := g.NumVertices()
+	roots, landIdx := spreadRoots(n, 20, 4)
+	for _, alpha := range []int64{traverse.DefaultAlpha, 0, -1} {
+		for _, workers := range []int{1, 4} {
+			want := collectMulti(t, g, landIdx, roots, alpha, workers)
+			var deepest int32
+			sizes := levelSizes(want)
+			for d, size := range sizes {
+				if size > sizes[deepest] {
+					deepest = d
+				}
+			}
+			if sizes[deepest] <= traverse.ListCap(n) {
+				t.Fatalf("the largest level holds %d vertices, no more than a list's %d", sizes[deepest], traverse.ListCap(n))
+			}
+			mb := traverse.NewMultiBFS(n)
+			traverse.SetAlpha(mb, alpha)
+			traverse.SetPoolFloor(mb, 1)
+			mb.Parallelism = workers
+			if err := mb.Run(g, nil, landIdx, roots, deepest, func(graph.V, int32, uint64, uint64) {}); err != traverse.ErrTooDeep {
+				t.Fatalf("alpha=%d workers=%d: a sweep stopped at depth %d returned %v, want ErrTooDeep", alpha, workers, deepest, err)
+			}
+			samePayloads(t, "engine reused after ErrTooDeep", settlePayloads(t, mb, g, landIdx, roots), want)
+		}
 	}
 }
