@@ -41,7 +41,7 @@ func TestEpochsShareOneShell(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("after Compact")
-	if err := d.ReplayEpoch(d.Epoch() + 1); err != nil {
+	if err := d.Replay([]dynamic.Record{{Epoch: d.Epoch() + 1, Op: dynamic.OpCompact}}); err != nil {
 		t.Fatal(err)
 	}
 	if ix := d.CurrentIndex(); &ix.LandIdx()[0] != &first.LandIdx()[0] {

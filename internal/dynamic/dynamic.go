@@ -268,7 +268,11 @@ func (d *Index) ApplyEdgeTraced(u, w graph.V, insert bool, tb *obs.TraceBuf) (Re
 	if d.logger != nil {
 		sp := tb.StartSpan("wal.append")
 		sp.SetInt("epoch", int64(snap.epoch))
-		err := d.logger.LogUpdate(snap.epoch, u, w, insert)
+		rec := Record{Epoch: snap.epoch, U: u, W: w, Op: OpDelete}
+		if insert {
+			rec.Op = OpInsert
+		}
+		err := d.logger.Log(rec)
 		if err != nil {
 			sp.Fail()
 		}
@@ -412,7 +416,7 @@ func (d *Index) compactLocked(l UpdateLogger) error {
 	st.overlay = NewOverlay(s.overlay.Materialize())
 	snap, err := d.newSnapshot(st, s.epoch+1)
 	if err == nil && l != nil {
-		if err = l.LogCompaction(snap.epoch); err != nil {
+		if err = l.Log(Record{Epoch: snap.epoch, Op: OpCompact}); err != nil {
 			err = fmt.Errorf("dynamic: compaction not logged: %w", err)
 		}
 	}

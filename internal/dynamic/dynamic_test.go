@@ -442,9 +442,11 @@ func TestCompaction(t *testing.T) {
 // each compaction fails at its publish.
 type compactionRefuser struct{}
 
-func (compactionRefuser) LogUpdate(uint64, graph.V, graph.V, bool) error { return nil }
-func (compactionRefuser) LogCompaction(uint64) error {
-	return errors.New("compaction record refused")
+func (compactionRefuser) Log(rec Record) error {
+	if rec.Op == OpCompact {
+		return errors.New("compaction record refused")
+	}
+	return nil
 }
 
 // TestFailedCompactionLeavesATrace: an automatic compaction that fails

@@ -35,19 +35,15 @@ func (l *recordingLogger) check(epoch uint64) error {
 	return nil
 }
 
-func (l *recordingLogger) LogUpdate(epoch uint64, u, w graph.V, insert bool) error {
-	if err := l.check(epoch); err != nil {
+func (l *recordingLogger) Log(rec Record) error {
+	if err := l.check(rec.Epoch); err != nil {
 		return err
 	}
-	l.updates++
-	return nil
-}
-
-func (l *recordingLogger) LogCompaction(epoch uint64) error {
-	if err := l.check(epoch); err != nil {
-		return err
+	if rec.Op == OpCompact {
+		l.compact++
+	} else {
+		l.updates++
 	}
-	l.compact++
 	return nil
 }
 

@@ -15,10 +15,10 @@
 // over a qbs.DynamicIndex with a store) that additionally serves two
 // replication endpoints. Replicas are read-only servers that bootstrap
 // from the primary's newest snapshot and stay fresh by tailing its
-// write-ahead log through the dynamic replay seam — by the
-// repair-equals-rebuild invariant they converge to bit-identical
-// labels, σ and Δ at every epoch. The router fans reads across healthy
-// replicas and forwards writes to the primary.
+// write-ahead log — by the repair-equals-rebuild invariant they
+// converge to bit-identical labels, σ and Δ at every epoch. The router
+// fans reads across healthy replicas and forwards writes to the
+// primary.
 //
 // # Wire protocol
 //
@@ -27,11 +27,12 @@
 //	GET /replication/snapshot?replica=<id>
 //
 // returns the newest intact snapshot file verbatim (the store's v3
-// format, decoded on the replica with the same zero-copy loaders as
-// crash recovery). The X-Qbs-Snapshot-Epoch header carries the epoch
-// the image captured. Passing a replica id registers a retention lease
-// at that epoch before the body is served, so the log suffix the
-// replica needs next cannot be pruned while it loads.
+// format, adopted on the replica by store.LoadSnapshot, the zero-copy
+// open, decode and restore crash recovery runs). The
+// X-Qbs-Snapshot-Epoch header carries the epoch the image captured.
+// Passing a replica id registers a retention lease at that epoch before
+// the body is served, so the log suffix the replica needs next cannot
+// be pruned while it loads.
 //
 //	GET /replication/wal?from=<epoch>&replica=<id>&max=<n>
 //
@@ -45,6 +46,14 @@
 // the replica derives its lag (exposed via GET /metrics). An empty body
 // means the replica is caught up; it polls again after its poll
 // interval. Each request renews the caller's retention lease at `from`.
+//
+// The replica decodes a batch into dynamic.Records and hands it, as
+// decoded, to dynamic.Index.Replay — the one strict replay crash
+// recovery runs. Each record must be the epoch after the index's, so a
+// divergence is an apply error, never a silent skip. The tail loop asks
+// from the epoch it replayed to, not from the index's epoch: a write
+// that reached the replica's index some other way then meets the
+// primary's next record in Replay and fails the poll.
 //
 // If the primary cannot supply the contiguous successor of `from` (the
 // records were pruned — possible only when the replica's lease expired)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"qbs/internal/dynamic"
 	"qbs/internal/obs"
 	"qbs/internal/store"
 )
@@ -280,7 +281,7 @@ func (p *Primary) handleWAL(w http.ResponseWriter, r *http.Request) {
 	// read before, it can only undercount lag, never invert it.
 	tip := p.st.Index().Epoch()
 	body := make([]byte, 0, 4096)
-	n, limit, gap, err := p.st.ReadWAL(from, max, func(rec store.WALRecord) error {
+	n, limit, gap, err := p.st.ReadWAL(from, max, func(rec dynamic.Record) error {
 		body = store.EncodeWALFrame(body, rec)
 		return nil
 	})

@@ -93,6 +93,7 @@ type Replica struct {
 	d       *dynamic.Index
 	qd      *qbs.DynamicIndex
 
+	at           uint64        // epoch the tail loop has replayed to; only the loop touches it
 	tip          atomic.Uint64 // primary epoch from the last poll
 	fetched      atomic.Uint64 // records applied over the replica's lifetime
 	failing      atomic.Pointer[error]
@@ -101,7 +102,7 @@ type Replica struct {
 	// Apply-path series on the replica's own registry, stacked onto the
 	// serving mux's Prometheus exposition by Handler().
 	reg     *obs.Registry
-	applyNs *obs.Histogram // ApplyStream latency per non-empty batch
+	applyNs *obs.Histogram // Replay latency per non-empty batch
 	applied *obs.Counter   // WAL records applied
 
 	// Structured events: the tail loop's failure and recovery
@@ -218,6 +219,7 @@ func Start(primaryURL string, opts Options) (*Replica, error) {
 	r.evTailError = r.journal.DefRate("replica", "tail_error", obs.LevelError, 2, 4)
 	r.evTailRecover = r.journal.Def("replica", "tail_recovered", obs.LevelInfo)
 	r.evParked = r.journal.Def("replica", "wal_truncated", obs.LevelError)
+	r.at = epoch
 	r.tip.Store(epoch)
 	r.evBootstrap.Emit(obs.Str("replica", opts.ID), obs.Int("epoch", int64(epoch)))
 	r.wg.Add(1)
@@ -382,10 +384,14 @@ func (r *Replica) tailLoop() {
 // tailPollTimeout + the grace window instead of the client timeout.
 const tailPollTimeout = 5 * time.Second
 
-// pollOnce fetches and applies one batch of records past the replica's
-// current epoch, returning how many arrived.
+// pollOnce fetches and applies one batch of records past the epoch the
+// tail loop has replayed to, returning how many arrived. The loop asks
+// from its own position, not from the index's epoch: a write that
+// reached the index some other way then meets the primary's next record
+// in Replay, which refuses it as out of sequence, and the replica fails
+// its health checks instead of serving a diverged index.
 func (r *Replica) pollOnce() (int, error) {
-	from := r.d.Epoch()
+	from := r.at
 	fetchStart := time.Now()
 	u := fmt.Sprintf("%s%s?from=%d&replica=%s&max=%d",
 		r.primary, walPath, from, url.QueryEscape(r.opts.ID), maxBatch)
@@ -416,60 +422,40 @@ func (r *Replica) pollOnce() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ops := make([]dynamic.ReplayOp, 0, len(body)/store.WALRecordSize)
+	recs := make([]dynamic.Record, 0, len(body)/store.WALRecordSize)
 	for off := 0; off+store.WALRecordSize <= len(body); off += store.WALRecordSize {
 		rec, err := store.DecodeWALFrame(body[off:])
 		if err != nil {
-			return len(ops), fmt.Errorf("replica: %w", err)
+			return len(recs), fmt.Errorf("replica: %w", err)
 		}
-		ops = append(ops, dynamic.ReplayOp{
-			Epoch:   rec.Epoch,
-			U:       rec.U,
-			W:       rec.W,
-			Insert:  rec.Op == store.WALInsert,
-			Compact: rec.Op == store.WALCompact,
-		})
+		recs = append(recs, rec)
+	}
+	if len(recs) == 0 {
+		return 0, nil
 	}
 	// Non-empty batches get a root trace: the tail fetch and the apply
 	// are its child spans, so a lagging replica's slow batches show up
 	// in /debug/traces with the hop (fetch vs apply) attributed. Empty
 	// polls are not traced — a 5s long-poll wait is not a slow apply.
-	var tb *obs.TraceBuf
-	if len(ops) > 0 {
-		tb = obs.DefaultTracer.Begin("replica.apply", "", 0, false)
-		root := tb.Root()
-		root.SetStr("replica", r.opts.ID)
-		root.SetInt("records", int64(len(ops)))
-		root.SetInt("from_epoch", int64(from))
-		tb.AddSpan("wal.fetch", fetchStart, time.Since(fetchStart))
-	}
+	tb := obs.DefaultTracer.Begin("replica.apply", "", 0, false)
+	defer obs.DefaultTracer.Finish(tb)
+	root := tb.Root()
+	root.SetStr("replica", r.opts.ID)
+	root.SetInt("records", int64(len(recs)))
+	root.SetInt("from_epoch", int64(from))
+	tb.AddSpan("wal.fetch", fetchStart, time.Since(fetchStart))
 	applyStart := time.Now()
-	if _, err := r.d.ApplyStream(ops); err != nil {
+	if err := r.d.Replay(recs); err != nil {
 		tb.MarkError()
-		obs.DefaultTracer.Finish(tb)
-		return len(ops), fmt.Errorf("replica: apply: %w", err)
+		return len(recs), fmt.Errorf("replica: apply: %w", err)
 	}
 	applyDur := time.Since(applyStart)
-	if len(ops) > 0 {
-		tb.AddSpan("apply.batch", applyStart, applyDur)
-		r.applyNs.Observe(applyDur)
-		r.applied.Add(int64(len(ops)))
-	}
-	// The primary only ships epochs past `from`, so a full apply must
-	// land exactly on the last shipped epoch. Falling short means some
-	// op was silently skipped as "already covered" — i.e. this index
-	// advanced outside the tail loop (a local write on the adopted
-	// serving index) and is now diverging; fail loudly instead of
-	// serving corrupt answers with zero reported lag.
-	if len(ops) > 0 && r.d.Epoch() != ops[len(ops)-1].Epoch {
-		tb.MarkError()
-		obs.DefaultTracer.Finish(tb)
-		return len(ops), fmt.Errorf("replica: index at epoch %d after applying through %d — local writes bypassed the tail loop; restart the replica",
-			r.d.Epoch(), ops[len(ops)-1].Epoch)
-	}
-	obs.DefaultTracer.Finish(tb)
-	r.fetched.Add(uint64(len(ops)))
-	return len(ops), nil
+	tb.AddSpan("apply.batch", applyStart, applyDur)
+	r.applyNs.Observe(applyDur)
+	r.applied.Add(int64(len(recs)))
+	r.at = recs[len(recs)-1].Epoch
+	r.fetched.Add(uint64(len(recs)))
+	return len(recs), nil
 }
 
 // Index returns the replica's serving surface (reads only are

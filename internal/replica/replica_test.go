@@ -448,7 +448,7 @@ func TestRetentionReleasesExpiredLease(t *testing.T) {
 // successor of from.
 func readGap(t *testing.T, st *store.Store, from uint64) bool {
 	t.Helper()
-	_, _, gap, err := st.ReadWAL(from, 1<<20, func(store.WALRecord) error { return nil })
+	_, _, gap, err := st.ReadWAL(from, 1<<20, func(dynamic.Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,6 +745,37 @@ func TestPersistentTailFailureFailsHealth(t *testing.T) {
 	if c := probe("/distance?u=0&v=5"); c != http.StatusOK {
 		t.Fatalf("failing replica /distance = %d, want 200 (debugging stays up)", c)
 	}
+}
+
+// TestLocalWriteOnReplicaFailsHealth: a write that reaches a replica's
+// index outside its tail loop diverges it from the primary. The loop
+// polls from the epoch it replayed to, so the primary's next record
+// meets an index already past it; strict replay refuses it, the poll
+// returns that error, and /healthz turns 503 after the grace window
+// instead of the replica serving the diverged index as current.
+func TestLocalWriteOnReplicaFailsHealth(t *testing.T) {
+	p := newPrimaryFixture(t, 4<<10, PrimaryOptions{})
+	rep := startReplica(t, p.ts.URL, Options{})
+	p.mutate(t, 20, 43)
+	waitFor(t, 30*time.Second, "replica to converge", func() bool { return rep.Epoch() == p.d.Epoch() })
+
+	d := rep.Dynamic()
+	for u := graph.V(0); ; u++ {
+		if res, err := d.ApplyEdge(u, u+1, !d.HasEdge(u, u+1)); err == nil && res.Applied {
+			break
+		}
+	}
+	p.mutate(t, 1, 44)
+	waitFor(t, 30*time.Second, "the poll after the primary's write to fail", func() bool {
+		err := rep.Err()
+		return err != nil && strings.Contains(err.Error(), "does not follow")
+	})
+	h := rep.Handler()
+	waitFor(t, 30*time.Second, "the diverged replica to fail health", func() bool {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		return rec.Code == http.StatusServiceUnavailable
+	})
 }
 
 // TestPrimaryCloseReleasesRetention: Close must drop every lease and

@@ -131,10 +131,13 @@
 //
 // # Recovery invariants
 //
-// Open loads the newest snapshot that validates (CURRENT first, then
+// Open adopts the newest snapshot that validates (CURRENT first, then
 // any on-disk snapshot, newest epoch first) and replays WAL records with
 // epoch > snapshot epoch through the ordinary incremental-repair path.
-// The invariants that make this exact:
+// One segment reader (readSegment) serves recovery and replication
+// alike, and one strict replay (dynamic.Index.Replay) applies the
+// records on a restart and on a replica, from one snapshot adoption
+// (adoptSnapshot). The invariants that make this exact:
 //
 //   - Logged-before-published: a record reaches the WAL (and, under the
 //     default sync policy, the disk) before its epoch is visible, so no
@@ -149,7 +152,9 @@
 //     epoch.
 //   - Torn tails: a crash mid-append leaves a partial or CRC-failing
 //     record at the end of the last segment; replay stops at the last
-//     valid record and a writable open truncates the tail. Corruption
-//     anywhere else (a middle segment, an unreadable snapshot with no
-//     older fallback) is an error, never a silent partial recovery.
+//     valid record and a writable open truncates the tail. A read error
+//     is an error, never a truncation: only bytes read and found
+//     invalid make a torn tail. Corruption anywhere else (a middle
+//     segment, an unreadable snapshot with no older fallback) is an
+//     error, never a silent partial recovery.
 package store

@@ -59,21 +59,10 @@ func writeSnapshotFile(dir string, ps dynamic.PersistentState) (string, error) {
 	})
 }
 
-// loadedSnapshot is a decoded snapshot: typed views plus the arena that
-// backs them (kept referenced so a GC cannot reclaim it from under the
-// views).
-type loadedSnapshot struct {
-	epoch     uint64
-	g         *graph.Graph
-	landmarks []graph.V
-	sigma     []uint8
-	labels    [][]uint8
-	dists     [][]int32
-	delta     [][]graph.Edge
-	arena     *arena
-}
-
-func decodeSnapshot(data []byte) (*loadedSnapshot, error) {
+// decodeSnapshot validates a v3 image and returns the state it holds:
+// typed views into data (which they keep alive), so the index restored
+// from it adopts the file's bytes without a copy.
+func decodeSnapshot(data []byte) (*dynamic.PersistentState, error) {
 	h, secs, err := schemaV3.decode(data)
 	if err != nil {
 		return nil, err
@@ -143,13 +132,13 @@ func decodeSnapshot(data []byte) (*loadedSnapshot, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return &loadedSnapshot{
-		epoch:     h.epoch,
-		g:         g,
-		landmarks: landmarks,
-		sigma:     sigma,
-		labels:    labels,
-		dists:     dists,
-		delta:     delta,
+	return &dynamic.PersistentState{
+		Epoch:     h.epoch,
+		Graph:     g,
+		Landmarks: landmarks,
+		Sigma:     sigma,
+		Labels:    labels,
+		Dists:     dists,
+		Delta:     delta,
 	}, nil
 }

@@ -70,11 +70,11 @@ var snapshotKinds = []snapshotKind{
 			}
 			// Whatever was accepted must at least be self-consistent enough
 			// to restore.
-			if len(ls.labels) != len(ls.landmarks) || len(ls.dists) != len(ls.landmarks) {
+			if len(ls.Labels) != len(ls.Landmarks) || len(ls.Dists) != len(ls.Landmarks) {
 				panic("accepted inconsistent snapshot")
 			}
-			off, adj, _, _ := ls.g.CSR()
-			return fmt.Sprint(ls.epoch, off, adj, ls.landmarks, ls.sigma, ls.labels, ls.dists, ls.delta), nil
+			off, adj, _, _ := ls.Graph.CSR()
+			return fmt.Sprint(ls.Epoch, off, adj, ls.Landmarks, ls.Sigma, ls.Labels, ls.Dists, ls.Delta), nil
 		},
 	},
 	{
@@ -284,10 +284,10 @@ func TestV3RefusesALabelAtALandmark(t *testing.T) {
 	}
 	// The labels and distances are views into data: write through them.
 	edited := false
-	for c := range ls.landmarks {
-		for _, r := range ls.landmarks {
-			if d := ls.dists[c][r]; d > 0 && d <= core.MaxLabelDist && !edited {
-				ls.labels[c][r], edited = uint8(d), true
+	for c := range ls.Landmarks {
+		for _, r := range ls.Landmarks {
+			if d := ls.Dists[c][r]; d > 0 && d <= core.MaxLabelDist && !edited {
+				ls.Labels[c][r], edited = uint8(d), true
 				t.Logf("landmark %d: column %d label set to its distance %d", r, c, d)
 			}
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -225,7 +226,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	loadSp := tb.StartSpan("snapshot.load")
-	ls, snaps, damaged, err := loadNewestSnapshot(dir, opts.MMap)
+	d, snaps, damaged, err := loadNewestSnapshot(dir, opts.MMap, opts.Dynamic)
 	if err != nil {
 		loadSp.Fail()
 		loadSp.End()
@@ -241,13 +242,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			evSnapshotRetired.Emit(obs.Str("file", name), obs.Str("reason", "damaged"))
 		}
 	}
-	d, err := dynamic.Restore(ls.g, ls.landmarks, ls.dists, ls.labels, ls.sigma, ls.delta, ls.epoch, opts.Dynamic)
-	if err != nil {
-		loadSp.Fail()
-		loadSp.End()
-		return fail(fmt.Errorf("store: restore: %w", err))
-	}
-	loadSp.SetInt("epoch", int64(ls.epoch))
+	snapEpoch := d.Epoch()
+	loadSp.SetInt("epoch", int64(snapEpoch))
 	loadSp.End()
 
 	replaySp := tb.StartSpan("wal.replay")
@@ -262,25 +258,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	maxSeq := uint64(0)
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		res, err := scanSegment(seg.path, seg.seq, func(rec WALRecord) error {
-			if rec.Epoch <= ls.epoch {
+		res, err := seg.read(0, ^uint64(0), math.MaxInt, func(rec dynamic.Record) error {
+			if rec.Epoch <= snapEpoch {
 				return nil // already folded into the snapshot
 			}
 			replayed++
-			if rec.Op == WALCompact {
-				return d.ReplayEpoch(rec.Epoch)
-			}
-			return d.ReplayEdge(rec.U, rec.W, rec.Op == WALInsert, rec.Epoch)
+			return d.Replay([]dynamic.Record{rec})
 		})
+		if err == nil && res.torn && !last {
+			err = errors.New("corrupt mid-log (valid segments follow)")
+		}
 		if err != nil {
 			replaySp.Fail()
 			replaySp.End()
 			return fail(fmt.Errorf("store: replay %s: %w", filepath.Base(seg.path), err))
-		}
-		if res.torn && !last {
-			replaySp.Fail()
-			replaySp.End()
-			return fail(fmt.Errorf("store: segment %s is corrupt mid-log (valid segments follow)", filepath.Base(seg.path)))
 		}
 		if res.torn && !opts.ReadOnly {
 			if res.badHeader {
@@ -333,21 +324,8 @@ func (s *Store) Dir() string { return s.dir }
 // ReadOnly reports whether the store was opened read-only.
 func (s *Store) ReadOnly() bool { return s.opts.ReadOnly }
 
-// LogUpdate implements dynamic.UpdateLogger.
-func (s *Store) LogUpdate(epoch uint64, u, w graph.V, insert bool) error {
-	op := uint8(WALInsert)
-	if !insert {
-		op = WALDelete
-	}
-	return s.logRecord(WALRecord{Epoch: epoch, U: u, W: w, Op: op})
-}
-
-// LogCompaction implements dynamic.UpdateLogger.
-func (s *Store) LogCompaction(epoch uint64) error {
-	return s.logRecord(WALRecord{Epoch: epoch, Op: WALCompact})
-}
-
-func (s *Store) logRecord(rec WALRecord) error {
+// Log implements dynamic.UpdateLogger: it appends rec to the WAL.
+func (s *Store) Log(rec dynamic.Record) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.closed {
@@ -361,6 +339,17 @@ func (s *Store) logRecord(rec WALRecord) error {
 		s.syncedEpoch = rec.Epoch
 	}
 	return nil
+}
+
+// LogUpdate logs one edge mutation through Log. It is kept for the
+// frozen benchmark harness, which times WAL appends through it; nothing
+// else calls it.
+func (s *Store) LogUpdate(epoch uint64, u, w graph.V, insert bool) error {
+	rec := dynamic.Record{Epoch: epoch, U: u, W: w, Op: dynamic.OpDelete}
+	if insert {
+		rec.Op = dynamic.OpInsert
+	}
+	return s.Log(rec)
 }
 
 // Checkpoint persists the current snapshot, points CURRENT at it,
@@ -486,15 +475,34 @@ func writeCurrent(dir, name string) error {
 	return syncDir(dir)
 }
 
-// loadNewestSnapshot loads the newest snapshot that validates: the one
+// adoptSnapshot opens, validates and restores one snapshot file: the
+// one path by which Open's candidates and a replica's bootstrap become
+// an index. damaged reports a file that was read but failed validation
+// (provably corrupt), as against one that could not be read at all.
+func adoptSnapshot(path string, useMMap bool, opts dynamic.Options) (d *dynamic.Index, damaged bool, err error) {
+	ar, err := openArena(path, useMMap)
+	if err != nil {
+		return nil, false, err
+	}
+	ps, err := decodeSnapshot(ar.data)
+	if err == nil {
+		d, err = dynamic.Restore(*ps, opts)
+	}
+	if err != nil {
+		return nil, true, fmt.Errorf("store: snapshot %s: %w", filepath.Base(path), err)
+	}
+	return d, false, nil
+}
+
+// loadNewestSnapshot adopts the newest snapshot that validates: the one
 // CURRENT names first, then every on-disk snapshot in descending epoch
-// order. Alongside the loaded snapshot it returns the ascending epochs
-// of the snapshot files believed intact (for checkpoint pruning
-// bookkeeping) and the names of files that were readable but failed
-// validation — provably corrupt, excluded from the intact list, and
-// deletable by a writable open. A file that could not be read at all
-// (I/O error) is neither trusted nor condemned.
-func loadNewestSnapshot(dir string, useMMap bool) (*loadedSnapshot, []uint64, []string, error) {
+// order. Alongside the index it returns the ascending epochs of the
+// snapshot files believed intact (for checkpoint pruning bookkeeping)
+// and the names of files that were readable but failed validation —
+// provably corrupt, excluded from the intact list, and deletable by a
+// writable open. A file that could not be read at all (I/O error) is
+// neither trusted nor condemned.
+func loadNewestSnapshot(dir string, useMMap bool, opts dynamic.Options) (*dynamic.Index, []uint64, []string, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "snapshot-*.qbss"))
 	if err != nil {
 		return nil, nil, nil, err
@@ -511,32 +519,24 @@ func loadNewestSnapshot(dir string, useMMap bool) (*loadedSnapshot, []uint64, []
 	var damaged []string        // readable but failed validation: provably corrupt
 	failed := map[string]bool{} // any tried-and-rejected file, incl. I/O failures
 	var firstErr error
-	try := func(name string) *loadedSnapshot {
+	try := func(name string) *dynamic.Index {
 		if name == "" || tried[name] {
 			return nil
 		}
 		tried[name] = true
-		ar, err := openArena(filepath.Join(dir, name), useMMap)
+		d, bad, err := adoptSnapshot(filepath.Join(dir, name), useMMap, opts)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			failed[name] = true
-			return nil
-		}
-		ls, err := decodeSnapshot(ar.data)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("store: snapshot %s: %w", name, err)
+			if bad {
+				damaged = append(damaged, name)
 			}
-			damaged = append(damaged, name)
 			failed[name] = true
-			return nil
 		}
-		ls.arena = ar
-		return ls
+		return d
 	}
-	finish := func(ls *loadedSnapshot) (*loadedSnapshot, []uint64, []string, error) {
+	finish := func(d *dynamic.Index) (*dynamic.Index, []uint64, []string, error) {
 		// The intact list drives checkpoint pruning; nothing that was
 		// tried and rejected — whether corrupt or merely unreadable — may
 		// count as a retained generation, or pruning could retire the
@@ -547,7 +547,7 @@ func loadNewestSnapshot(dir string, useMMap bool) (*loadedSnapshot, []uint64, []
 				intact = append(intact, e)
 			}
 		}
-		return ls, intact, damaged, nil
+		return d, intact, damaged, nil
 	}
 
 	if cur, err := os.ReadFile(filepath.Join(dir, currentFile)); err == nil {
@@ -556,14 +556,14 @@ func loadNewestSnapshot(dir string, useMMap bool) (*loadedSnapshot, []uint64, []
 			name = name[:len(name)-1]
 		}
 		if filepath.Base(name) == name { // refuse path traversal
-			if ls := try(name); ls != nil {
-				return finish(ls)
+			if d := try(name); d != nil {
+				return finish(d)
 			}
 		}
 	}
 	for i := len(epochs) - 1; i >= 0; i-- {
-		if ls := try(snapshotFileName(epochs[i])); ls != nil {
-			return finish(ls)
+		if d := try(snapshotFileName(epochs[i])); d != nil {
+			return finish(d)
 		}
 	}
 	if firstErr != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -421,6 +422,48 @@ func TestCompactionRecordReplay(t *testing.T) {
 	requireStateEqual(t, d.Persistent(), s2.Index().Persistent())
 	if live, rec := d.CurrentGraph().Overridden(), s2.Index().CurrentGraph().Overridden(); live != rec {
 		t.Fatalf("%d overridden vertices live, %d after recovery", live, rec)
+	}
+}
+
+// TestOutOfSequenceLogFailsOpen: recovery replays strictly. A store
+// whose snapshot is at epoch 3 and whose log then runs 4, 5, 6, 4 fails
+// to open, read-only and writable, naming the record out of sequence,
+// and the writable attempt leaves every file as it was.
+func TestOutOfSequenceLogFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	d := newDynamic(t, testGraph(t), 4)
+	s, err := Create(dir, d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, d, 3, 71)
+	if epoch, err := s.Checkpoint(); err != nil || epoch != 3 {
+		t.Fatalf("checkpoint at epoch %d: %v", epoch, err)
+	}
+	next := applyOps(t, d, 3, 72)[0]
+	rec := dynamic.Record{Epoch: 4, U: next.u, W: next.w, Op: dynamic.OpInsert}
+	if !next.insert {
+		rec.Op = dynamic.OpDelete
+	}
+	if err := s.Log(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	for _, ro := range []bool{true, false} {
+		st, err := Open(dir, Options{ReadOnly: ro, Dynamic: dynamic.Options{CompactFraction: -1}})
+		if err == nil {
+			st.Close()
+			t.Fatalf("read-only=%v: a log running 4, 5, 6, 4 opened at epoch %d", ro, st.Index().Epoch())
+		}
+		if !strings.Contains(err.Error(), "replay epoch 4 does not follow current epoch 6") {
+			t.Fatalf("read-only=%v: %v", ro, err)
+		}
+	}
+	if after := dirListing(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("a failed open changed the directory:\n before %v\n after  %v", before, after)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // collect drains ReadWAL into a slice.
-func collect(t *testing.T, s *Store, from uint64, max int) ([]WALRecord, bool) {
+func collect(t *testing.T, s *Store, from uint64, max int) ([]dynamic.Record, bool) {
 	t.Helper()
-	var recs []WALRecord
-	_, _, gap, err := s.ReadWAL(from, max, func(r WALRecord) error {
+	var recs []dynamic.Record
+	_, _, gap, err := s.ReadWAL(from, max, func(r dynamic.Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -65,7 +65,7 @@ func TestReadWALStreamsContiguously(t *testing.T) {
 		if i >= 100 {
 			break
 		}
-		if (r.Op == WALInsert) != op.insert || r.U != op.u || r.W != op.w {
+		if (r.Op == dynamic.OpInsert) != op.insert || r.U != op.u || r.W != op.w {
 			t.Fatalf("record %d: %+v does not match applied op %+v", i, r, op)
 		}
 	}
@@ -118,7 +118,7 @@ func TestReadWALRetainAndGap(t *testing.T) {
 
 // TestLoadSnapshotPlusStreamReplayMatchesLive is the storage-level
 // replication round trip, no HTTP: bootstrap from the snapshot file,
-// feed the WAL records through ApplyStream, land bit-identical.
+// feed the WAL records through Replay, land bit-identical.
 func TestLoadSnapshotPlusStreamReplayMatchesLive(t *testing.T) {
 	g := testGraph(t)
 	d := newDynamic(t, g, 4)
@@ -147,31 +147,24 @@ func TestLoadSnapshotPlusStreamReplayMatchesLive(t *testing.T) {
 		t.Fatalf("loaded epoch %d/%d, want %d", loadedEpoch, rd.Epoch(), snapEpoch)
 	}
 
-	var ops []dynamic.ReplayOp
+	var recs []dynamic.Record
 	if _, gap := collect(t, s, rd.Epoch(), 0); gap {
 		t.Fatal("gap below the newest snapshot")
 	}
-	_, _, _, err = s.ReadWAL(rd.Epoch(), 0, func(r WALRecord) error {
-		ops = append(ops, dynamic.ReplayOp{
-			Epoch: r.Epoch, U: r.U, W: r.W,
-			Insert:  r.Op == WALInsert,
-			Compact: r.Op == WALCompact,
-		})
+	_, _, _, err = s.ReadWAL(rd.Epoch(), 0, func(r dynamic.Record) error {
+		recs = append(recs, r)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, err := rd.ApplyStream(ops)
-	if err != nil {
+	if err := rd.Replay(recs); err != nil {
 		t.Fatal(err)
 	}
-	if applied != len(ops) {
-		t.Fatalf("applied %d of %d ops", applied, len(ops))
-	}
-	// Re-applying the same stream is a no-op (idempotent skip).
-	if again, err := rd.ApplyStream(ops); err != nil || again != 0 {
-		t.Fatalf("re-apply: %d ops applied, err=%v", again, err)
+	// A second replay of the same records is refused: the first is no
+	// longer the epoch after the index's.
+	if err := rd.Replay(recs); err == nil || rd.Epoch() != d.Epoch() {
+		t.Fatalf("re-replay: err=%v, epoch %d, live %d", err, rd.Epoch(), d.Epoch())
 	}
 
 	if rd.Epoch() != d.Epoch() {
@@ -195,7 +188,7 @@ func TestLoadSnapshotPlusStreamReplayMatchesLive(t *testing.T) {
 // TestWALFrameCodecRoundTrip pins the wire framing: encode → decode is
 // the identity, and a flipped byte is rejected.
 func TestWALFrameCodecRoundTrip(t *testing.T) {
-	rec := WALRecord{Epoch: 12345, U: 7, W: 4242, Op: WALDelete}
+	rec := dynamic.Record{Epoch: 12345, U: 7, W: 4242, Op: dynamic.OpDelete}
 	frame := EncodeWALFrame(nil, rec)
 	if len(frame) != WALRecordSize {
 		t.Fatalf("frame size %d, want %d", len(frame), WALRecordSize)
@@ -247,8 +240,8 @@ func TestReadWALReadOnlyServesLiveWriterAppends(t *testing.T) {
 	applyOps(t, d, 20, 82)
 	tip := d.Epoch()
 
-	var recs []WALRecord
-	n, limit, gap, err := ro.ReadWAL(roEpoch, 0, func(r WALRecord) error {
+	var recs []dynamic.Record
+	n, limit, gap, err := ro.ReadWAL(roEpoch, 0, func(r dynamic.Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -268,7 +261,7 @@ func TestReadWALReadOnlyServesLiveWriterAppends(t *testing.T) {
 	}
 	// An empty read at the writer's tip must not look like a gap to a
 	// caller comparing against the returned limit.
-	n, limit, gap, err = ro.ReadWAL(tip, 0, func(WALRecord) error { return nil })
+	n, limit, gap, err = ro.ReadWAL(tip, 0, func(dynamic.Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"sort"
 	"time"
 
-	"qbs/internal/graph"
+	"qbs/internal/dynamic"
 	"qbs/internal/obs"
 )
 
@@ -24,22 +24,6 @@ const (
 	walHeaderSize = 16 // magic + u32 version + u64 seq
 	walPayload    = 17 // u64 epoch + u8 op + i32 u + i32 w
 	walRecordSize = 8 + walPayload
-)
-
-// WALRecord is one logged epoch advance: what the writer appends,
-// recovery replays and replication ships. Op is one of WALInsert,
-// WALDelete, WALCompact.
-type WALRecord struct {
-	Epoch uint64
-	U, W  graph.V
-	Op    uint8
-}
-
-// WAL record operations (the on-disk op codes).
-const (
-	WALInsert  = 1
-	WALDelete  = 2
-	WALCompact = 3
 )
 
 func segmentFileName(seq uint64) string {
@@ -123,7 +107,7 @@ func (w *walWriter) openSegment() error {
 // append frames, writes and (per policy) fsyncs one record. The write
 // is timed into qbs_wal_append_ns, what every logged update pays; the
 // fsync, paid only at SyncEvery boundaries, is a wal.fsync root span.
-func (w *walWriter) append(rec WALRecord) error {
+func (w *walWriter) append(rec dynamic.Record) error {
 	if w.size+walRecordSize > w.segBytes && w.cur.hasRecords {
 		if err := w.rotate(); err != nil {
 			return err
@@ -214,13 +198,14 @@ func (w *walWriter) close() error {
 	return w.f.Close()
 }
 
-// listSegments returns the WAL segments present in dir, ordered by
-// sequence number.
+// segmentFile is one WAL segment on disk.
 type segmentFile struct {
 	path string
 	seq  uint64
 }
 
+// listSegments returns the WAL segments present in dir, ordered by
+// sequence number.
 func listSegments(dir string) ([]segmentFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -247,52 +232,117 @@ func validHeader(hdr []byte, seq uint64) bool {
 		binary.LittleEndian.Uint64(hdr[8:]) == seq
 }
 
-// scanResult reports how a segment scan ended.
-type scanResult struct {
-	lastGood  int64  // file offset after the last valid record
-	lastEpoch uint64 // highest epoch seen
-	records   int
-	torn      bool // scan stopped before EOF (partial/corrupt tail)
-	badHeader bool // the segment header itself was invalid
+// segmentRead reports how a read of one segment ended.
+type segmentRead struct {
+	lastGood  int64  // file offset after the last valid record read
+	lastEpoch uint64 // epoch of the last valid record read
+	records   int    // records delivered
+	torn      bool   // stopped at a partial or invalid frame, or a bad header
+	badHeader bool   // the segment header itself was invalid
 }
 
-// scanSegment streams the records of one segment through fn, stopping
-// at the first framing or checksum violation. It never trusts a length
-// field: records are fixed-size under version 1, so a corrupt frame
+// readChunkRecords is how many records one read covers (512 × 25 B =
+// 12.5 KiB per pread).
+const readChunkRecords = 512
+
+// readSegment is the one reader of WAL records: recovery, ReadWAL and
+// ReadWAL's walk back over the segments all read a segment through it.
+// It checks the header of segment seq, finds the first record with
+// epoch > from by binary search over the fixed-size records (from = 0
+// reads from the first; the writer's epochs rise within a segment, and a
+// probe that fails to validate can only be the torn tail, so the search
+// moves left of it), and hands records to fn in chunked reads. Records
+// at or below from are passed over. The read stops at the first partial
+// or invalid frame (torn), at the first record past limit (not yet
+// durable), or once max records are delivered. A length field is never
+// trusted: records are fixed-size under version 1, so a corrupt frame
 // cannot force a large allocation.
-func scanSegment(path string, wantSeq uint64, fn func(WALRecord) error) (scanResult, error) {
-	var res scanResult
-	f, err := os.Open(path)
+//
+// A read error other than a short read at the end of the data is
+// returned, never taken for a torn tail: a writable open truncates a
+// torn tail, and a transient EIO must not discard acknowledged records.
+func readSegment(f io.ReaderAt, size int64, seq, from, limit uint64, max int, fn func(dynamic.Record) error) (segmentRead, error) {
+	var res segmentRead
+	var b []byte
+	read := func(off int64, n int64) (int64, error) {
+		if int64(cap(b)) < n {
+			b = make([]byte, n)
+		}
+		b = b[:n]
+		m, err := f.ReadAt(b, off)
+		if err == io.EOF {
+			err = nil // short read: the end of the data
+		}
+		return int64(m), err
+	}
+	m, err := read(0, walHeaderSize)
 	if err != nil {
 		return res, err
 	}
-	defer f.Close()
-
-	var hdr [walHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil || !validHeader(hdr[:], wantSeq) {
+	if m < walHeaderSize || !validHeader(b, seq) {
 		res.badHeader, res.torn = true, true
 		return res, nil
 	}
-	res.lastGood = walHeaderSize
-
-	var rec [walRecordSize]byte
-	for {
-		if _, err := io.ReadFull(f, rec[:]); err != nil {
-			if err != io.EOF {
-				res.torn = true // partial record
-			}
-			return res, nil
-		}
-		r, ok := decodeWALFrame(rec[:])
-		if !ok {
-			res.torn = true
-			return res, nil
-		}
-		if err := fn(r); err != nil {
+	count := (size - walHeaderSize) / walRecordSize
+	lo := int64(0)
+	for hi := count; from > 0 && lo < hi; {
+		mid := (lo + hi) / 2
+		m, err := read(walHeaderSize+mid*walRecordSize, walRecordSize)
+		if err != nil {
 			return res, err
 		}
-		res.lastGood += walRecordSize
-		res.lastEpoch = r.Epoch
-		res.records++
+		if rec, ok := decodeWALFrame(b); m < walRecordSize || !ok || rec.Epoch > from {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
+	res.lastGood = walHeaderSize + lo*walRecordSize
+	for i := lo; i < count && res.records < max; {
+		span := min(count-i, readChunkRecords, int64(max-res.records))
+		m, err := read(walHeaderSize+i*walRecordSize, span*walRecordSize)
+		if err != nil {
+			return res, err
+		}
+		for j := int64(0); j+walRecordSize <= m; j += walRecordSize {
+			rec, ok := decodeWALFrame(b[j:])
+			if !ok {
+				res.torn = true
+				return res, nil
+			}
+			if rec.Epoch > limit {
+				return res, nil
+			}
+			if rec.Epoch > from {
+				if err := fn(rec); err != nil {
+					return res, err
+				}
+				res.records++
+			}
+			res.lastGood += walRecordSize
+			res.lastEpoch = rec.Epoch
+		}
+		if m < span*walRecordSize {
+			res.torn = true // the data ended short of its size
+			return res, nil
+		}
+		i += span
+	}
+	res.torn = res.records < max && res.lastGood < size
+	return res, nil
+}
+
+// read opens seg and reads it with readSegment. A segment removed since
+// it was listed reads as os.ErrNotExist.
+func (seg segmentFile) read(from, limit uint64, max int, fn func(dynamic.Record) error) (segmentRead, error) {
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return segmentRead{}, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return segmentRead{}, err
+	}
+	return readSegment(f, fi.Size(), seg.seq, from, limit, max, fn)
 }

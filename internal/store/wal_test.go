@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"qbs/internal/dynamic"
 	"qbs/internal/graph"
 	"qbs/internal/workload"
 )
@@ -36,13 +37,13 @@ func TestWALBytesUnchanged(t *testing.T) {
 		}
 	}
 	var kinds [4]int
-	if _, _, _, err := st.ReadWAL(0, 0, func(rec WALRecord) error {
+	if _, _, _, err := st.ReadWAL(0, 0, func(rec dynamic.Record) error {
 		kinds[rec.Op]++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if kinds[WALInsert] == 0 || kinds[WALDelete] == 0 || kinds[WALCompact] != 1 {
+	if kinds[dynamic.OpInsert] == 0 || kinds[dynamic.OpDelete] == 0 || kinds[dynamic.OpCompact] != 1 {
 		t.Fatalf("records per op %v: the stream does not hold every op", kinds)
 	}
 	if err := st.Close(); err != nil {
