@@ -207,6 +207,7 @@ func Start(primaryURL string, opts Options) (*Replica, error) {
 		ownDir:  ownDir,
 		d:       d,
 		qd:      qbs.AdoptDynamic(d),
+		at:      epoch,
 		reg:     obs.NewRegistry(),
 		stop:    make(chan struct{}),
 	}
@@ -219,7 +220,6 @@ func Start(primaryURL string, opts Options) (*Replica, error) {
 	r.evTailError = r.journal.DefRate("replica", "tail_error", obs.LevelError, 2, 4)
 	r.evTailRecover = r.journal.Def("replica", "tail_recovered", obs.LevelInfo)
 	r.evParked = r.journal.Def("replica", "wal_truncated", obs.LevelError)
-	r.at = epoch
 	r.tip.Store(epoch)
 	r.evBootstrap.Emit(obs.Str("replica", opts.ID), obs.Int("epoch", int64(epoch)))
 	r.wg.Add(1)

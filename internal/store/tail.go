@@ -182,15 +182,11 @@ func (s *Store) ReadWAL(from uint64, max int, fn func(dynamic.Record) error) (n 
 	// listing held only covered records: it is passed over.
 	start := 0
 	for i := len(segs) - 1; i >= 0; i-- {
-		var first uint64
-		res, err := segs[i].read(0, ^uint64(0), 1, func(rec dynamic.Record) error {
-			first = rec.Epoch
-			return nil
-		})
+		res, err := segs[i].read(0, ^uint64(0), 1, func(dynamic.Record) error { return nil })
 		if err != nil && !os.IsNotExist(err) {
 			return 0, limit, false, err
 		}
-		if res.records == 1 && first <= from+1 {
+		if res.records == 1 && res.lastEpoch <= from+1 {
 			start = i
 			break
 		}
