@@ -4,12 +4,12 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"qbs"
-	"qbs/internal/analysis"
 	"qbs/internal/dynamic"
 	"qbs/internal/graph"
 )
@@ -244,7 +244,6 @@ func TestOrientationIsTheIndexs(t *testing.T) {
 		}
 
 		var spg qbs.SPG // one zero value through every kind of index, in turn
-		var dagD, dagU analysis.DAG
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 60; i++ {
 			u, v := qbs.V(rng.Intn(n)), qbs.V(rng.Intn(n))
@@ -269,9 +268,13 @@ func TestOrientationIsTheIndexs(t *testing.T) {
 			if back := ix.Query(v, u); !spg.Equal(back) {
 				t.Fatalf("seed %d: undirected SPG(%d,%d) != SPG(%d,%d)", seed, u, v, v, u)
 			}
-			dagU.Reset(&spg)
+			pu, _ := spg.CountPaths()
+			vu, paths := len(spg.Vertices()), spg.EnumeratePaths(16)
 			if dyn.QueryInto(&spg, u, v); spg.Directed() || !spg.Equal(want) {
 				t.Fatalf("seed %d: DynamicIndex filled (%d,%d) with %v", seed, u, v, &spg)
+			}
+			if pn, _ := spg.CountPaths(); pn != pu || !reflect.DeepEqual(spg.EnumeratePaths(16), paths) {
+				t.Fatalf("seed %d (%d,%d): the dynamic answer counts %d paths, the static one %d", seed, u, v, pn, pu)
 			}
 
 			// S as a digraph: every edge of the undirected answer once,
@@ -282,12 +285,10 @@ func TestOrientationIsTheIndexs(t *testing.T) {
 			if back := six.Query(v, u); u != v && spg.Dist != qbs.InfDist && spg.Equal(back) {
 				t.Fatalf("seed %d: directed SPG(%d→%d) equals SPG(%d→%d)", seed, u, v, v, u)
 			}
-			dagD.Reset(&spg)
-			pd, _ := dagD.CountPaths()
-			pu, _ := dagU.CountPaths()
-			if pd != pu || len(dagD.Vertices) != len(dagU.Vertices) {
+			pd, _ := spg.CountPaths()
+			if vd := len(spg.Vertices()); pd != pu || vd != vu {
 				t.Fatalf("seed %d (%d,%d): %d paths over %d vertices directed, %d over %d undirected",
-					seed, u, v, pd, len(dagD.Vertices), pu, len(dagU.Vertices))
+					seed, u, v, pd, vd, pu, vu)
 			}
 		}
 	}

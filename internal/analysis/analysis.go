@@ -1,371 +1,35 @@
-// Package analysis layers a shortest path graph by distance from its
-// source, counts its shortest paths and enumerates them: what /spg and
-// /paths report beside the edges of an answer.
-//
-// All functions operate on an SPG alone; no distance oracle is needed.
-// By Definition 2.2 an SPG holds exactly all shortest Source–Target
-// paths, so every prefix of one lies inside it and the breadth-first
-// depth of a vertex within the SPG is its distance from Source in the
-// parent graph. One BFS over the SPG's own edges therefore yields the
-// distance-layered DAG, the shared representation of this package, and
-// the answer is layered on exactly the graph state it was computed on.
-//
-// Layering costs a small constant per edge. The DAG works on dense local
-// ids, the positions of the vertices in ascending id order; they come
-// from a small open-addressing table kept in the DAG — vertex to
-// provisional id, sized to the answer at a load of at most one half,
-// cleared and reused from one answer to the next — so that an endpoint
-// costs one probe, only the distinct vertices are sorted, by a radix
-// sort over the bytes in which their ids differ (graph.SortKeys, the
-// one the answer's own canonical sort uses), and no edge is searched
-// for (see DAG.intern and DAG.layer). The edges in local ids stay in
-// the answer's canonical order, so an encoder can write each vertex
-// once and every edge from the vertices' bytes (DAG.Edges).
+// Package analysis holds two shims the frozen benchmark directory
+// compiles against, BuildDAG and CountDiPaths, and nothing else: an
+// answer numbers, layers and counts itself (graph.SPG's CountPaths and
+// EnumeratePaths), and the next benchmark change deletes this package.
 package analysis
 
-import (
-	"math"
-	"math/bits"
-	"slices"
+import "qbs/internal/graph"
 
-	"qbs/internal/graph"
-)
-
-// DAG is a shortest path graph oriented by distance from the source:
-// every SPG edge appears once, pointing from the endpoint closer to the
-// source toward the endpoint closer to the target. Paths from Source to
-// Target in the DAG are exactly the shortest paths of the SPG.
+// DAG is the answer itself, under the name BuildDAG's result had.
 //
-// A DAG is slice-backed and reusable: Reset re-layers it for another
-// answer in its existing buffers, so a warm DAG layers and
-// counts without allocating. The zero value is ready for Reset.
-type DAG struct {
-	Source, Target graph.V
-	Dist           int32
-	// Vertices lists the vertices in ascending id order. It aliases
-	// internal storage: valid until the next Reset, not to be modified.
-	Vertices []graph.V
+// Deprecated: kept for benchmark/, which this round may not edit. Use
+// graph.SPG.
+type DAG = graph.SPG
 
-	// Everything below is indexed by local id, the position of a vertex
-	// in Vertices.
-	src, dst int32      // Source and Target; -1 when absent
-	pairs    [][2]int32 // the input edges; layer rewrites them in local ids
-	tab      []uint64   // vertex → provisional id, open addressing; see intern
-	ids      []uint64   // (vertex, provisional id) per distinct vertex, sorted into local order
-	sortBuf  []uint64   // graph.SortKeys's scratch for ids
-	rank     []int32    // provisional id → local id
-	off      []int32    // CSR row starts, len(Vertices)+1
-	end      []int32    // row v's depth-increasing arcs are nbr[off[v]:end[v]]
-	nbr      []int32    // CSR neighbours, ascending within a row
-	depth    []int32    // BFS depth from Source; -1 when unreachable
-	order    []int32    // reachable vertices in BFS order, a topological order
-	count    []int64    // saturating number of Source→v paths
-}
-
-// BuildDAG layers an SPG by distance from its source. Returns nil for
-// trivial or disconnected SPGs.
+// BuildDAG returns spg itself, whose CountPaths layers and counts it,
+// or nil for a trivial or disconnected pair.
 //
-// distFromSource is ignored and never invoked: the layering is derived
-// from the SPG's own edges. The parameter remains only because the
-// frozen benchmark directory compiles against this signature; the next
-// benchmark change removes it.
+// Deprecated: kept for benchmark/, which this round may not edit. Use
+// spg.CountPaths. distFromSource is ignored and never invoked: the
+// layering is derived from the answer's own edges.
 func BuildDAG(spg *graph.SPG, distFromSource func(graph.V) int32) *DAG {
 	if spg.Dist == graph.InfDist || spg.Source == spg.Target {
 		return nil
 	}
-	d := new(DAG)
-	d.Reset(spg)
-	return d
+	return spg
 }
 
-// Reset re-layers d for spg, reusing d's buffers. The arcs of a
-// directed answer are taken as given; an undirected edge is offered in
-// both directions and the depth-increasing one kept. The trivial pair
-// gives the one-vertex DAG with one (empty) path; a disconnected pair
-// gives the empty DAG with none.
+// CountDiPaths returns spg.CountPaths(): (0, false) for a disconnected
+// pair and (1, false) for the trivial pair.
 //
-//qbs:zeroalloc
-func (d *DAG) Reset(spg *graph.SPG) {
-	d.Source, d.Target, d.Dist = spg.Source, spg.Target, spg.Dist
-	d.pairs = d.pairs[:0]
-	for _, e := range spg.Edges() {
-		d.pairs = append(d.pairs, [2]int32{e.U, e.W})
-	}
-	d.layer(spg.Directed())
-}
-
-// grow sizes the per-vertex buffers for n vertices and the CSR for m
-// entries, keeping each array that is already large enough. It is kept
-// out of line so that the escape gate charges its allocations here and
-// not to layer: it grows recycled buffers to their high-water mark,
-// and a warm DAG finds them large enough.
-//
-//go:noinline
-func (d *DAG) grow(n, m int) {
-	d.Vertices = slices.Grow(d.Vertices[:0], n)[:n]
-	d.rank = slices.Grow(d.rank[:0], n)[:n]
-	d.off = slices.Grow(d.off[:0], n+1)[:n+1]
-	d.end = slices.Grow(d.end[:0], n)[:n]
-	d.depth = slices.Grow(d.depth[:0], n)[:n]
-	d.count = slices.Grow(d.count[:0], n)[:n]
-	d.nbr = slices.Grow(d.nbr[:0], m)[:m]
-}
-
-// growTable empties the id table at 1<<bits slots. Out of line for the
-// same reason as grow: a warm DAG finds the recycled table large enough.
-//
-//go:noinline
-func (d *DAG) growTable(bits uint) {
-	d.tab = slices.Grow(d.tab[:0], 1<<bits)[:1<<bits]
-	clear(d.tab)
-	d.ids = d.ids[:0]
-}
-
-// intern returns the provisional id of v — distinct vertices are
-// numbered in order of first appearance — through the open-addressing
-// table: a slot holds the vertex in its high half and the id plus one in
-// its low half, zero while free; shift reduces the multiplicative hash
-// to the table's size. The table is never more than half full.
-//
-//qbs:zeroalloc
-func (d *DAG) intern(v graph.V, shift uint) int32 {
-	tab := d.tab
-	for h := uint32(v) * 0x9E3779B1 >> shift; ; h = (h + 1) & uint32(len(tab)-1) {
-		slot := tab[h]
-		if slot == 0 {
-			id := uint64(len(d.ids))
-			tab[h] = uint64(uint32(v))<<32 | (id + 1)
-			// The bias makes integer order of the high half the signed
-			// order of the vertex ids.
-			d.ids = append(d.ids, uint64(uint32(v)^1<<31)<<32|id)
-			return int32(id)
-		}
-		if uint32(slot>>32) == uint32(v) {
-			return int32(uint32(slot)) - 1
-		}
-	}
-}
-
-// local returns the local id of v, or -1 when v is not in the DAG.
-func (d *DAG) local(v graph.V) int32 {
-	if i, ok := slices.BinarySearch(d.Vertices, v); ok {
-		return int32(i)
-	}
-	return -1
-}
-
-// layer builds the DAG from d.pairs: dense local ids in ascending vertex
-// order, a CSR over them, then one BFS from Source that assigns depths,
-// records a topological order and counts paths in the same pass.
-// Rows come out sorted because a canonical edge set is.
-//
-// Local ids cost one table probe per endpoint and a sort of the distinct
-// vertices only: each endpoint is interned to a provisional id, the
-// (vertex, provisional id) pairs are radix-sorted by their vertex half
-// (graph.SortKeys), and the position of a pair in that order is the
-// local id of its vertex. The local ids keep vertex order, so the
-// rewritten pairs stay in the answer's canonical edge order: Edges
-// hands them out as they are.
-//
-//qbs:zeroalloc
-func (d *DAG) layer(directed bool) {
-	// At most 2·len(pairs)+1 distinct vertices: twice that many slots.
-	lg := uint(bits.Len(uint(4*len(d.pairs) + 1)))
-	d.growTable(lg)
-	shift := 32 - lg
-	for i, p := range d.pairs {
-		d.pairs[i] = [2]int32{d.intern(p[0], shift), d.intern(p[1], shift)}
-	}
-	if d.Source == d.Target {
-		d.intern(d.Source, shift)
-	}
-	d.sortBuf = graph.SortKeys(d.ids, 4, d.sortBuf)
-	n := len(d.ids)
-	m := len(d.pairs)
-	if !directed {
-		m *= 2
-	}
-	d.grow(n, m)
-	rank, off, end, nbr, depth, count := d.rank, d.off, d.end, d.nbr, d.depth, d.count
-	for i, k := range d.ids {
-		d.Vertices[i] = graph.V(uint32(k>>32) ^ 1<<31)
-		rank[uint32(k)] = int32(i)
-	}
-	d.src, d.dst = d.local(d.Source), d.local(d.Target)
-
-	clear(off)
-	for i, p := range d.pairs {
-		a, b := rank[p[0]], rank[p[1]]
-		d.pairs[i] = [2]int32{a, b}
-		off[a+1]++
-		if !directed {
-			off[b+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	copy(end, off) // row fill cursors until the BFS has run
-	for _, p := range d.pairs {
-		a, b := p[0], p[1]
-		nbr[end[a]] = b
-		end[a]++
-		if !directed {
-			nbr[end[b]] = a
-			end[b]++
-		}
-	}
-
-	for i := range depth {
-		depth[i] = -1
-	}
-	clear(count)
-	order := d.order[:0]
-	if d.src >= 0 {
-		depth[d.src], count[d.src] = 0, 1
-		order = append(order, d.src)
-	}
-	for head := 0; head < len(order); head++ {
-		v := order[head]
-		dw, cv := depth[v]+1, count[v]
-		for _, w := range nbr[off[v]:off[v+1]] {
-			if depth[w] < 0 {
-				depth[w] = dw
-				order = append(order, w)
-			}
-			if depth[w] == dw {
-				count[w] = satAdd(count[w], cv)
-			}
-		}
-	}
-	d.order = order
-
-	copy(end, off)
-	for _, v := range order {
-		k := off[v]
-		for _, w := range nbr[k:off[v+1]] {
-			if depth[w] == depth[v]+1 {
-				nbr[k] = w
-				k++
-			}
-		}
-		end[v] = k
-	}
-}
-
-// Edges returns the answer's edges in its canonical order, each as the
-// local ids (positions in Vertices) of its two endpoints: U then W of
-// graph.Edge. It aliases internal storage: valid until the next Reset,
-// not to be modified.
-func (d *DAG) Edges() [][2]int32 { return d.pairs }
-
-// next returns the out-neighbours of local vertex v, ascending.
-func (d *DAG) next(v int32) []int32 { return d.nbr[d.off[v]:d.end[v]] }
-
-// Next returns the out-neighbours of v (toward Target) in ascending id
-// order, or nil when v is not in the DAG.
-func (d *DAG) Next(v graph.V) []graph.V {
-	i := d.local(v)
-	if i < 0 {
-		return nil
-	}
-	var out []graph.V
-	for _, w := range d.next(i) {
-		out = append(out, d.Vertices[w])
-	}
-	return out
-}
-
-// Prev returns the in-neighbours of v (toward Source) in ascending id
-// order. The DAG stores out-arcs only, so Prev scans all of them; it is
-// for inspection, not for inner loops.
-func (d *DAG) Prev(v graph.V) []graph.V {
-	i := d.local(v)
-	if i < 0 {
-		return nil
-	}
-	var out []graph.V
-	for u := range d.Vertices {
-		if slices.Contains(d.next(int32(u)), i) {
-			out = append(out, d.Vertices[u])
-		}
-	}
-	return out
-}
-
-// Depth returns the distance of v from Source, or -1 when v is not in
-// the DAG or not reachable from Source within it.
-func (d *DAG) Depth(v graph.V) int32 {
-	i := d.local(v)
-	if i < 0 {
-		return -1
-	}
-	return d.depth[i]
-}
-
-// satAdd adds two non-negative path counts, saturating at MaxInt64.
-// Saturation is sticky: once a count hits the ceiling every count
-// derived from it stays there.
-func satAdd(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
-}
-
-// CountPaths returns the number of distinct shortest paths, counted
-// while the DAG was layered. Path counts grow exponentially with
-// distance (a chain of d diamonds has 2^d shortest paths), so the count
-// saturates at math.MaxInt64 instead of silently overflowing; saturated
-// reports whether the ceiling was hit — the true count is then >=
-// MaxInt64. Returns (0, false) for nil and empty DAGs.
-//
-//qbs:zeroalloc
-func (d *DAG) CountPaths() (n int64, saturated bool) {
-	if d == nil || d.dst < 0 {
-		return 0, false
-	}
-	n = d.count[d.dst]
-	return n, n == math.MaxInt64
-}
-
-// CountDiPaths counts the distinct shortest Source→Target paths of an
-// answer, saturating at MaxInt64: a Reset and a CountPaths. Returns
-// (0, false) for disconnected pairs and (1, false) for the trivial pair.
-// Like the ignored distFromSource (see BuildDAG), the function remains
-// only because the frozen benchmark directory compiles against it.
+// Deprecated: kept for benchmark/, which this round may not edit. Use
+// spg.CountPaths. distFromSource is ignored and never invoked.
 func CountDiPaths(spg *graph.SPG, distFromSource func(graph.V) int32) (n int64, saturated bool) {
-	var d DAG
-	d.Reset(spg)
-	return d.CountPaths()
-}
-
-// EnumeratePaths lists up to limit shortest paths in lexicographic
-// order of their vertex sequences (limit ≤ 0 = unlimited; beware of
-// exponential path counts).
-func (d *DAG) EnumeratePaths(limit int) [][]graph.V {
-	if d == nil || d.src < 0 {
-		return nil
-	}
-	var out [][]graph.V
-	var path []graph.V
-	var walk func(v int32) bool
-	walk = func(v int32) bool {
-		path = append(path, d.Vertices[v])
-		more := true
-		if v == d.dst {
-			out = append(out, slices.Clone(path))
-			more = limit <= 0 || len(out) < limit
-		} else {
-			for _, w := range d.next(v) {
-				if more = walk(w); !more {
-					break
-				}
-			}
-		}
-		path = path[:len(path)-1]
-		return more
-	}
-	walk(d.src)
-	return out
+	return spg.CountPaths()
 }

@@ -24,11 +24,13 @@ func newLabelWalk(n int) LabelWalk { return LabelWalk{mark: traverse.NewMarks(n)
 // the number of arcs scanned. col is the landmark's label column, sigma
 // the root's label in it (σ of the meta-edge when the root is itself a
 // landmark). The walk starts at the root, steps over push arcs to the
-// non-landmark neighbours whose label is one less, level by level, and
-// attaches the last level, at label 1, to the landmark. Each arc is
-// appended once, as stepped (x→y), or y→x when backward: a vertex is on
-// one level, once, and a row holds each neighbour once. rows requests
-// the rows a block ahead.
+// neighbours whose label is one less, level by level, and attaches the
+// last level, at label 1, to the landmark. A landmark's row holds
+// NoEntry in every column, which is never a label sought, so the walk
+// steps onto no landmark without asking which vertices are landmarks.
+// Each arc is appended once, as stepped (x→y), or y→x when backward: a
+// vertex is on one level, once, and a row holds each neighbour once.
+// rows requests the rows a block ahead.
 //
 // The walk is exact. A vertex y reached k label-decreasing hops from the
 // root has label σ−k, a distance to the landmark that some avoiding
@@ -53,7 +55,7 @@ func (w *LabelWalk) run(out []graph.Arc, sh *Shell, push graph.Adjacency, rows t
 			rows.At(levels[:hi], i)
 			for _, y := range push.Neighbors(x) {
 				arcs++
-				if sh.landIdx[y] >= 0 || col[y] != want {
+				if col[y] != want {
 					continue
 				}
 				out = appendArc(out, x, y, backward)

@@ -12,7 +12,7 @@ import "strconv"
 // list is read from edges, the answer's own in canonical order, in place
 // of r.Edges, so that the handler never copies the result into the
 // response; an empty list is null, as a nil slice is. Each edge is a
-// pair of positions in r.Vertices (analysis.DAG.Edges): every vertex is
+// pair of positions in r.Vertices (graph.SPG.Dense): every vertex is
 // formatted once, where the vertex list writes it, and an edge copies
 // its endpoints' bytes from there. at is scratch for the vertices'
 // offsets in b and is returned for reuse.

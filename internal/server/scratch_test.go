@@ -213,7 +213,10 @@ func TestWarmSPGHandlerAllocs(t *testing.T) {
 // per-edge cost of an answer.
 //
 // The edges= rows are a chain of diamonds (4 edges each; a 5-edge path
-// for the smallest) over consecutive ids, every edge handed over twice.
+// for the smallest) over consecutive ids, every edge handed over twice,
+// except edges=200x1.14: the 200-edge chain at the kernel's duplication
+// on the YT analog, 1.142 pairs per distinct edge over 3 000 uniform
+// pairs.
 // The fr-tail row is shaped like the answers that make the FR
 // workload's /spg tail: a distance-4 answer of 220 edges over 150
 // vertices, levels of 1, 38, 72, 38 and 1, with ids spread over 120 000
@@ -226,7 +229,7 @@ func BenchmarkAnswerAssembly(b *testing.B) {
 		u, v     qbs.V
 		dist     int32
 		vertices int
-		twice    bool // every edge handed over twice
+		extra    int // the first extra edges are handed over twice
 	}
 	chain := func(edges int) answer {
 		var pairs []qbs.Arc
@@ -235,14 +238,14 @@ func BenchmarkAnswerAssembly(b *testing.B) {
 			for ; int(last) < edges; last++ {
 				pairs = append(pairs, qbs.Arc{From: last, To: last + 1})
 			}
-			return answer{pairs, 0, last, int32(last), int(last) + 1, true}
+			return answer{pairs, 0, last, int32(last), int(last) + 1, len(pairs)}
 		}
 		for ; len(pairs) < edges; last += 3 {
 			pairs = append(pairs,
 				qbs.Arc{From: last, To: last + 1}, qbs.Arc{From: last, To: last + 2},
 				qbs.Arc{From: last + 1, To: last + 3}, qbs.Arc{From: last + 2, To: last + 3})
 		}
-		return answer{pairs, 0, last, int32(last) / 3 * 2, int(last) + 1, true}
+		return answer{pairs, 0, last, int32(last) / 3 * 2, int(last) + 1, len(pairs)}
 	}
 	frTail := func() answer {
 		rng := rand.New(rand.NewSource(4))
@@ -262,7 +265,7 @@ func BenchmarkAnswerAssembly(b *testing.B) {
 		for i, y := range l2 {
 			pairs = append(pairs, qbs.Arc{From: l1[i%len(l1)], To: y}, qbs.Arc{From: y, To: l3[i*7%len(l3)]})
 		}
-		return answer{pairs, u, v, 4, 150, false}
+		return answer{pairs, u, v, 4, 150, 0}
 	}
 	for _, row := range []struct {
 		name string
@@ -270,16 +273,14 @@ func BenchmarkAnswerAssembly(b *testing.B) {
 	}{
 		{"edges=5", chain(5)},
 		{"edges=200", chain(200)},
+		{"edges=200x1.14", func() answer { a := chain(200); a.extra = 28; return a }()},
 		{"edges=2000", chain(2000)},
 		{"fr-tail", frTail()},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			a := row.a
 			edges := len(a.pairs)
-			pairs := slices.Clone(a.pairs)
-			if a.twice {
-				pairs = append(pairs, a.pairs...)
-			}
+			pairs := append(slices.Clone(a.pairs), a.pairs[:a.extra]...)
 			rand.New(rand.NewSource(1)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 			var sc scratch
 			b.ReportAllocs()
@@ -288,10 +289,10 @@ func BenchmarkAnswerAssembly(b *testing.B) {
 				sc.spg.Fill(false, a.dist, pairs)
 				sc.assembleSPG(SPGResponse{Source: a.u, Target: a.v, Coverage: "some"}, a.dist)
 			}
-			if n := sc.spg.NumEdges(); n != edges || len(sc.dag.Vertices) != a.vertices || len(sc.buf) < 16*edges/2 {
-				b.Fatalf("%d edges, %d vertices, %d bytes; want %d edges, %d vertices", n, len(sc.dag.Vertices), len(sc.buf), edges, a.vertices)
+			if n, vertices := sc.spg.NumEdges(), len(sc.spg.Vertices()); n != edges || vertices != a.vertices || len(sc.buf) < 16*edges/2 {
+				b.Fatalf("%d edges, %d vertices, %d bytes; want %d edges, %d vertices", n, vertices, len(sc.buf), edges, a.vertices)
 			}
-			if paths, _ := sc.dag.CountPaths(); paths == 0 {
+			if paths, _ := sc.spg.CountPaths(); paths == 0 {
 				b.Fatal("no path from source to target")
 			}
 		})

@@ -22,8 +22,8 @@
 //	GET /healthz                  liveness
 //
 // /spg and /paths run one index search per request. Vertices, depths and
-// num_shortest_paths are derived from the answer's own edges
-// (internal/analysis needs no distance oracle), so a reply describes
+// num_shortest_paths are derived from the answer's own edges (the SPG
+// layers itself with no distance oracle), so a reply describes
 // exactly one graph state even while writes land.
 //
 // On dynamic servers the query endpoints accept &min_epoch=<n>: the
@@ -130,7 +130,6 @@ import (
 	"time"
 
 	"qbs"
-	"qbs/internal/analysis"
 	"qbs/internal/obs"
 )
 
@@ -651,12 +650,11 @@ func (s *Server) coverageName(c qbs.QueryStats) string {
 }
 
 // scratch is the per-request working set of /spg and /paths: the query
-// result, its layering and the buffer the body is encoded in (/distance
-// borrows one for its small body). The scratch returns to the pool only
-// after the body has been written.
+// result, which numbers, layers and counts itself, and the buffer the
+// body is encoded in (/distance borrows one for its small body). The
+// scratch returns to the pool only after the body has been written.
 type scratch struct {
 	spg qbs.SPG
-	dag analysis.DAG
 	buf []byte
 	at  []int32 // the encoder's vertex offsets in buf
 }
@@ -668,7 +666,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // bigger one (or a body past the ~16 bytes per edge such an answer
 // encodes to) is left to the collector instead: one outsized query must
 // not pin its megabytes in the pool for the life of the process. The
-// layering's and the encoder's per-vertex buffers are bounded with the
+// result's and the encoder's per-vertex buffers are bounded with the
 // edges: an answer has at most two vertices per edge, plus one.
 const maxPooledEdges = 1 << 16
 
@@ -690,12 +688,13 @@ func (sc *scratch) send(w http.ResponseWriter) {
 	_, _ = w.Write(sc.buf)
 }
 
-// assembleSPG layers the scratch's result, completes resp from it and
-// encodes the body into sc.buf, the edge list straight from the result.
-// Vertices and path count are read off the answer's own edges, never
-// asked of the index again, so a reply cannot mix two epochs.
+// assembleSPG completes resp from the scratch's result and encodes the
+// body into sc.buf, the vertex and edge lists straight from the result's
+// canonical form. Vertices and path count are read off the answer's own
+// edges, never asked of the index again, so a reply cannot mix two
+// epochs.
 func (sc *scratch) assembleSPG(resp SPGResponse, dTop int32) {
-	sc.dag.Reset(&sc.spg)
+	vertices, edges := sc.spg.Dense()
 	dist := sc.spg.Dist
 	if dist == qbs.InfDist {
 		resp.Disconnected = true
@@ -704,10 +703,10 @@ func (sc *scratch) assembleSPG(resp SPGResponse, dTop int32) {
 		if dTop != qbs.InfDist {
 			resp.DTop = &dTop
 		}
-		resp.Vertices = sc.dag.Vertices
-		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
+		resp.Vertices = vertices
+		resp.NumPaths, resp.NumPathsSaturated = sc.spg.CountPaths()
 	}
-	sc.buf, sc.at = appendSPGResponse(sc.buf[:0], &resp, sc.dag.Edges(), sc.at)
+	sc.buf, sc.at = appendSPGResponse(sc.buf[:0], &resp, edges, sc.at)
 }
 
 func (s *Server) handleSPG(w http.ResponseWriter, r *http.Request, tb *obs.TraceBuf) {
@@ -848,11 +847,10 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request, tb *obs.Tra
 	resp := PathsResponse{Source: u, Target: v}
 	if sc.spg.Dist != qbs.InfDist {
 		resp.Distance = &sc.spg.Dist
-		// The trivial pair layers to the one-vertex DAG: distance 0 and
-		// the single path [u], consistent with /spg.
-		sc.dag.Reset(&sc.spg)
-		resp.NumPaths, resp.NumPathsSaturated = sc.dag.CountPaths()
-		resp.Paths = sc.dag.EnumeratePaths(limit)
+		// The trivial pair layers to its one vertex: distance 0 and the
+		// single path [u], consistent with /spg.
+		resp.NumPaths, resp.NumPathsSaturated = sc.spg.CountPaths()
+		resp.Paths = sc.spg.EnumeratePaths(limit)
 		resp.Truncated = resp.NumPaths > int64(len(resp.Paths))
 	}
 	// Not a hot body: encoding/json, into the pooled buffer.
